@@ -57,7 +57,7 @@ pushdown-bench:
 sub-bench:
 	dune exec bench/main.exe -- sub-json
 
-# storage-engine scale bench -> BENCH_scale.json (packed columnar vs boxed seed,
+# storage-engine scale bench -> BENCH_scale.json (packed columnar engine,
 # >= 1k nodes / >= 1M tuples; the committed JSON embeds a tiny_reference block)
 scale-bench:
 	dune exec bench/main.exe -- scale-json

@@ -584,8 +584,8 @@ let e13 () =
        ])
 
 (* E14 — planner ablation (the cost-based join planner of lib/cq/plan
-   vs the legacy greedy order, with and without composite indexes), on
-   a skewed multi-join workload.  Implemented in Planner_bench so that
+   with single-column vs composite index probes), on a skewed
+   multi-join workload.  Implemented in Planner_bench so that
    `bench-json` can run the same measurement headlessly and emit
    BENCH_planner.json. *)
 let e14 () = Planner_bench.run ~json:true ()

@@ -44,15 +44,6 @@ let eval_test name query size =
   Test.make ~name:(Printf.sprintf "%s/%d" name size)
     (Staged.stage (fun () -> ignore (Eval.answer_tuples source query)))
 
-(* the same join through the legacy left-to-right evaluator: the
-   ablation for the cost-based planner *)
-let eval_legacy_test name query size =
-  let db = make_db size in
-  let source = Eval.of_database db in
-  Test.make ~name:(Printf.sprintf "%s-legacy/%d" name size)
-    (Staged.stage (fun () ->
-         ignore (Eval.answer_tuples ~planner:false source query)))
-
 (* the same join without hash indexes: the ablation for the
    index-probing access path *)
 let eval_noindex_test name query size =
@@ -118,10 +109,10 @@ let subsumed_test size =
          List.iter (fun probe -> ignore (Relation.subsumed rel probe)) probes))
 
 (* zone-map chunk skipping across selectivities: a range scan over a
-   key-ordered packed relation, with and without pruning.  [pct] is
-   the fraction of the key space the predicate keeps — at 1% almost
-   every 4096-row chunk is skipped, at 50% half the chunks survive. *)
-let zone_scan_test ~zone_maps ~pct size =
+   key-ordered packed relation.  [pct] is the fraction of the key space
+   the predicate keeps — at 1% almost every 4096-row chunk is skipped,
+   at 100% none is. *)
+let zone_scan_test ~pct size =
   let db = Database.create [ r_schema ] in
   for k = 0 to size - 1 do
     ignore (Database.insert db "r" [| Value.Int k; Value.Int (k * 7 mod 1009) |])
@@ -130,11 +121,8 @@ let zone_scan_test ~zone_maps ~pct size =
   let cutoff = size * pct / 100 in
   let q = parse_query (Printf.sprintf "ans(x, y) <- r(x, y), x < %d" cutoff) in
   Test.make
-    ~name:
-      (Printf.sprintf "zone-scan%s/%d%%/%d"
-         (if zone_maps then "" else "-off")
-         pct size)
-    (Staged.stage (fun () -> ignore (Eval.answer_tuples ~zone_maps source q)))
+    ~name:(Printf.sprintf "zone-scan/%d%%/%d" pct size)
+    (Staged.stage (fun () -> ignore (Eval.answer_tuples source q)))
 
 let update_test n =
   let cfg =
@@ -154,10 +142,8 @@ let tests =
       eval_test "scan" scan_query 1000;
       eval_test "join" join_query 100;
       eval_test "join" join_query 1000;
-      eval_legacy_test "join" join_query 1000;
       eval_noindex_test "join" join_query 1000;
       eval_test "self-join" self_join_query 100;
-      eval_legacy_test "self-join" self_join_query 100;
       delta_test 1000;
       delta_test 10000;
       insert_test 1000;
@@ -166,11 +152,9 @@ let tests =
       parse_test 8;
       parse_test 32;
       containment_test ();
-      zone_scan_test ~zone_maps:false ~pct:1 16384;
-      zone_scan_test ~zone_maps:true ~pct:1 16384;
-      zone_scan_test ~zone_maps:false ~pct:25 16384;
-      zone_scan_test ~zone_maps:true ~pct:25 16384;
-      zone_scan_test ~zone_maps:true ~pct:100 16384;
+      zone_scan_test ~pct:1 16384;
+      zone_scan_test ~pct:25 16384;
+      zone_scan_test ~pct:100 16384;
       update_test 4;
       update_test 8;
     ]

@@ -6,18 +6,16 @@
      ans(x, z) <- e(x, y), f(y, z), e(x, z)
 
    over a large Zipf-skewed edge relation [e] and a small [f] — is
-   evaluated three ways:
+   evaluated two ways:
 
-     legacy         the pre-planner left-to-right greedy order with
-                    single-column probes on the first ground argument
      single-column  the cost-based plan, probes capped at one column
      composite      the cost-based plan with composite index probes
                     (the default evaluator configuration)
 
    The closing atom e(x, z) arrives with both arguments bound: the
    composite plan answers it with one O(1) probe on both columns,
-   while the other variants scan the whole x-bucket of a (skew-heavy)
-   hub vertex for every candidate binding.  Results are printed as a
+   while the single-column plan scans the whole x-bucket of a
+   (skew-heavy) hub vertex for every candidate binding.  Results are printed as a
    table and written to BENCH_planner.json for trend tracking. *)
 
 module Database = Codb_relalg.Database
@@ -51,13 +49,12 @@ let make_db wl =
   ignore (Database.insert_all db "f" (Datagen.tuples rng profile f_schema ~count:wl.wl_f));
   db
 
-type variant = { v_name : string; v_planner : bool; v_max_probe_cols : int option }
+type variant = { v_name : string; v_max_probe_cols : int option }
 
 let variants =
   [
-    { v_name = "legacy"; v_planner = false; v_max_probe_cols = None };
-    { v_name = "single-column"; v_planner = true; v_max_probe_cols = Some 1 };
-    { v_name = "composite"; v_planner = true; v_max_probe_cols = None };
+    { v_name = "single-column"; v_max_probe_cols = Some 1 };
+    { v_name = "composite"; v_max_probe_cols = None };
   ]
 
 type measurement = {
@@ -76,8 +73,7 @@ let measure ~runs wl v =
   let db = make_db wl in
   let source = Eval.of_database db in
   let eval () =
-    Eval.answer_tuples ~planner:v.v_planner ?max_probe_cols:v.v_max_probe_cols
-      source triangle_query
+    Eval.answer_tuples ?max_probe_cols:v.v_max_probe_cols source triangle_query
   in
   (* warm-up: builds the variant's indexes and yields counters/answers *)
   let before = Eval.counters () in
@@ -97,16 +93,6 @@ let measure ~runs wl v =
     m_probes = after.Eval.probes - before.Eval.probes;
     m_scans = after.Eval.scans - before.Eval.scans;
   }
-
-let legacy_wall measurements =
-  match List.find_opt (fun m -> String.equal m.m_name "legacy") measurements with
-  | Some m -> m.m_wall_s /. float_of_int m.m_runs
-  | None -> nan
-
-let speedup measurements m =
-  let base = legacy_wall measurements in
-  let own = m.m_wall_s /. float_of_int m.m_runs in
-  if own > 0.0 && not (Float.is_nan base) then base /. own else nan
 
 let measure_all ~tiny () =
   let wl = workload ~tiny in
@@ -131,9 +117,7 @@ let print_table wl measurements =
       (Printf.sprintf
          "E14 - planner ablation (triangle join, e=%d zipf(%.1f) tuples, f=%d)"
          wl.wl_e wl.wl_skew wl.wl_f)
-    ~header:
-      [ "variant"; "ms/run"; "ops/sec"; "probes/run"; "scans/run"; "answers";
-        "speedup vs legacy" ]
+    ~header:[ "variant"; "ms/run"; "ops/sec"; "probes/run"; "scans/run"; "answers" ]
     (List.map
        (fun m ->
          [
@@ -143,8 +127,6 @@ let print_table wl measurements =
            Tables.i0 m.m_probes;
            Tables.i0 m.m_scans;
            Tables.i0 m.m_answers;
-           (let s = speedup measurements m in
-            if Float.is_nan s then "-" else Tables.f2 s);
          ])
        measurements)
 
@@ -163,12 +145,10 @@ let write_json ~path wl measurements =
     (fun i m ->
       p "    {\"name\": \"%s\", \"runs\": %d, \"wall_s\": %.6f, \"ms_per_run\": %.4f, \
          \"ops_per_sec\": %.2f, \"probes_per_run\": %d, \"scans_per_run\": %d, \
-         \"answers\": %d, \"speedup_vs_legacy\": %s}%s\n"
+         \"answers\": %d}%s\n"
         m.m_name m.m_runs m.m_wall_s
         (1000.0 *. m.m_wall_s /. float_of_int m.m_runs)
         m.m_ops_per_sec m.m_probes m.m_scans m.m_answers
-        (let s = speedup measurements m in
-         if Float.is_nan s then "null" else Printf.sprintf "%.2f" s)
         (if i = n - 1 then "" else ","))
     measurements;
   p "  ]\n";

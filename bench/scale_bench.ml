@@ -1,47 +1,38 @@
 (* Scale benchmark (experiment E19 and `make scale-bench`).
 
-   The storage-engine ablation: the same planned evaluator runs over
-   two engines fed identical per-node workloads —
+   The storage engine at scale: the production [Relation] (interned
+   values packed into tagged ints, columnar chunk storage, indexes
+   keyed by packed ints — reported as engine "packed-columnar") under
+   a peer-to-peer network's per-node workloads.
 
-     packed-columnar  the production [Relation]: interned values packed
-                      into tagged ints, columnar chunk storage, indexes
-                      keyed by packed ints
-     boxed-seed       [Relation_ref], the seed engine preserved
-                      verbatim: boxed tuple sets and indexes keyed by
-                      boxed value lists
-
-   The workload is a peer-to-peer network at scale: >= 1k nodes, each
-   with two string-columned relations (600 + 400 tuples, so >= 1M
-   tuples network-wide) over Zipf-skewed domains of long
-   shared-prefix strings — the regime where boxed comparisons walk
-   strings on every probe while packed comparisons stay on ints.  Per
-   node, three phases are timed separately:
+   The workload is >= 1k nodes, each with two string-columned
+   relations (600 + 400 tuples, so >= 1M tuples network-wide) over
+   Zipf-skewed domains of long shared-prefix strings — the regime
+   where boxed comparisons would walk strings on every probe while
+   packed comparisons stay on ints.  Per node, three phases are timed
+   separately:
 
      ingest    bulk insert plus duplicate re-offers (set dedup path)
      subsume   null-aware membership probes, ground and hole-carrying
      query     three shapes through the planned evaluator, several
                runs each, timed separately:
-                 chain    full join, answer-heavy (boxing and answer
-                          de-duplication shared by both engines)
+                 chain    full join, answer-heavy
                  hub      constant-selective composite probe
                  filter   the chain join through a selective equality
                           filter: full join traffic, few survivors —
-                          the evaluator-bound shape, and the headline
-                          speedup number (the shared per-answer
-                          boxing cost is negligible, so what remains
-                          is the join core itself)
+                          the evaluator-bound shape (per-answer boxing
+                          is negligible, so what remains is the join
+                          core itself)
 
-   Both engines must agree on every observable — tuples admitted,
-   subsumption verdicts, answer counts, an order-insensitive content
-   digest of the answers, and the evaluator's probe/scan counters
-   (identical plans) — otherwise the benchmark aborts.  Results are
-   written to BENCH_scale.json; the full run embeds a
-   [tiny_reference] block that `make scale-bench-tiny` reproduces in
-   CI and is gated against. *)
+   The observables — tuples admitted, subsumption verdicts, answer
+   counts, an order-insensitive content digest of the answers, and the
+   evaluator's probe/scan counters — are deterministic.  Results are
+   written to BENCH_scale.json; the full run embeds a [tiny_reference]
+   block that `make scale-bench-tiny` reproduces in CI and is gated
+   against. *)
 
 module Database = Codb_relalg.Database
 module Relation = Codb_relalg.Relation
-module Ref = Codb_relalg.Relation_ref
 module Schema = Codb_relalg.Schema
 module Value = Codb_relalg.Value
 module Tuple = Codb_relalg.Tuple
@@ -141,90 +132,16 @@ let filter_query ~node =
       [ { Query.left = Term.Var "a"; op = Query.Eq; right = Term.Cst (str_of ~node ~tag:"a" 17) } ]
     ()
 
-(* ---- engines --------------------------------------------------------- *)
-
-(* one access-path source per engine, same [Eval.rows] contract *)
-type engine = {
-  e_name : string;
-  e_fresh : unit -> Tuple.t list -> Tuple.t list -> unit;
-      (* load this node's r and s tuples *)
-  e_reoffer : Tuple.t list -> Tuple.t list -> int;  (* duplicates rejected *)
-  e_subsumed : Tuple.t -> bool;  (* against r *)
-  e_source : unit -> Eval.source;
-}
-
-let packed_engine () =
-  let db = ref (Database.create [ r_schema; s_schema ]) in
-  {
-    e_name = "packed-columnar";
-    e_fresh =
-      (fun () r s ->
-        db := Database.create [ r_schema; s_schema ];
-        ignore (Database.insert_all !db "r" r);
-        ignore (Database.insert_all !db "s" s));
-    e_reoffer =
-      (fun r s ->
-        let offered = List.length r + List.length s in
-        let fresh =
-          List.length (Database.insert_all !db "r" r)
-          + List.length (Database.insert_all !db "s" s)
-        in
-        offered - fresh);
-    e_subsumed = (fun t -> Relation.subsumed (Database.relation !db "r") t);
-    e_source = (fun () -> Eval.of_database !db);
-  }
-
-(* the boxed baseline drives the same evaluator through hand-built
-   access paths over [Relation_ref] *)
-let rows_of_ref r =
-  {
-    Eval.all = (fun () -> Ref.to_list r);
-    all_arr = None;
-    size = Ref.cardinal r;
-    probe = Some (fun col v -> Ref.lookup r ~col v);
-    probe_arr = None;
-    probe_cols = Some (fun bs -> Ref.lookup_cols r bs);
-    probe_cols_arr = None;
-    distinct = Some (fun col -> Ref.distinct_count r ~col);
-    arity = Some (Schema.arity (Ref.schema r));
-    packed = None;
-  }
-
-let boxed_engine () =
-  let r_rel = ref (Ref.create r_schema) in
-  let s_rel = ref (Ref.create s_schema) in
-  {
-    e_name = "boxed-seed";
-    e_fresh =
-      (fun () r s ->
-        r_rel := Ref.create r_schema;
-        s_rel := Ref.create s_schema;
-        ignore (Ref.insert_all !r_rel r);
-        ignore (Ref.insert_all !s_rel s));
-    e_reoffer =
-      (fun r s ->
-        let offered = List.length r + List.length s in
-        let fresh =
-          List.length (Ref.insert_all !r_rel r) + List.length (Ref.insert_all !s_rel s)
-        in
-        offered - fresh);
-    e_subsumed = (fun t -> Ref.subsumed !r_rel t);
-    e_source =
-      (fun () ->
-        fun rel ->
-          match rel with
-          | "r" -> rows_of_ref !r_rel
-          | "s" -> rows_of_ref !s_rel
-          | _ -> Eval.empty_rows);
-  }
-
 (* ---- equivalence digest ---------------------------------------------- *)
 
 (* FNV-1a over value contents ({!Tuple.digest_fold}): independent of
    intern-table slot order, so digests compare across processes (full
    run vs CI tiny run).  [Eval.answer_tuples] returns answers in
-   sorted order, so the fold is order-stable across engines. *)
+   sorted order, so the fold is order-stable. *)
 let tuples_digest h tuples = Tuple.digest_fold h tuples
+
+(* the name the JSON and CI gate key this engine's metrics by *)
+let engine_name = "packed-columnar"
 
 (* ---- measurement ----------------------------------------------------- *)
 
@@ -261,33 +178,41 @@ let fresh_metrics () =
     alloc_bytes = 0.;
   }
 
-let run_node wl ~node engine m =
+let run_node wl ~node m =
   let r_tuples, s_tuples = gen_node_tuples wl ~node in
   let reoffer_r = List.filteri (fun k _ -> k mod 10 = 0) r_tuples in
   let reoffer_s = List.filteri (fun k _ -> k mod 10 = 0) s_tuples in
   let alloc0 = Gc.allocated_bytes () in
   (* ingest *)
   let t0 = Unix.gettimeofday () in
-  engine.e_fresh () r_tuples s_tuples;
-  m.dups <- m.dups + engine.e_reoffer reoffer_r reoffer_s;
+  let db = Database.create [ r_schema; s_schema ] in
+  ignore (Database.insert_all db "r" r_tuples);
+  ignore (Database.insert_all db "s" s_tuples);
+  let offered = List.length reoffer_r + List.length reoffer_s in
+  let fresh =
+    List.length (Database.insert_all db "r" reoffer_r)
+    + List.length (Database.insert_all db "s" reoffer_s)
+  in
+  m.dups <- m.dups + (offered - fresh);
   m.ingest_s <- m.ingest_s +. (Unix.gettimeofday () -. t0);
   (* subsume: ground hits, ground misses, hole-carrying probes *)
   let t0 = Unix.gettimeofday () in
   let yes = ref 0 in
+  let subsumed t = Relation.subsumed (Database.relation db "r") t in
   List.iteri
     (fun k t ->
       if k mod 7 = 0 then begin
-        if engine.e_subsumed t then incr yes;
-        if engine.e_subsumed [| t.(0); Value.Str "codb-scale-absent" |] then incr yes;
-        if engine.e_subsumed [| t.(0); Value.Hole 0 |] then incr yes;
-        if engine.e_subsumed [| Value.Hole 0; t.(1) |] then incr yes
+        if subsumed t then incr yes;
+        if subsumed [| t.(0); Value.Str "codb-scale-absent" |] then incr yes;
+        if subsumed [| t.(0); Value.Hole 0 |] then incr yes;
+        if subsumed [| Value.Hole 0; t.(1) |] then incr yes
       end)
     r_tuples;
   m.subsumed_yes <- m.subsumed_yes + !yes;
   m.subsume_s <- m.subsume_s +. (Unix.gettimeofday () -. t0);
   (* query: several planned-evaluator runs over each shape, each shape
      timed on its own (the filter shape is the evaluator-bound one) *)
-  let source = engine.e_source () in
+  let source = Eval.of_database db in
   let hub = hub_query ~node in
   let filter = filter_query ~node in
   let before = Eval.counters () in
@@ -319,48 +244,13 @@ let run_node wl ~node engine m =
   m.alloc_bytes <- m.alloc_bytes +. (Gc.allocated_bytes () -. alloc0)
 
 let measure wl =
-  let engines = [ packed_engine (); boxed_engine () ] in
-  let results = List.map (fun e -> (e, fresh_metrics ())) engines in
+  let m = fresh_metrics () in
   for node = 0 to wl.wl_nodes - 1 do
-    List.iter (fun (e, m) -> run_node wl ~node e m) results
+    run_node wl ~node m
   done;
-  (* hard equivalence gate: identical observables, identical plans *)
-  (match results with
-  | (e0, m0) :: rest ->
-      List.iter
-        (fun (e, m) ->
-          if
-            m.dups <> m0.dups || m.subsumed_yes <> m0.subsumed_yes
-            || m.answers <> m0.answers || m.digest <> m0.digest
-            || m.probes <> m0.probes || m.scans <> m0.scans
-          then
-            failwith
-              (Printf.sprintf
-                 "scale bench: %s disagrees with %s (answers %d vs %d, digest %d vs %d, \
-                  probes %d vs %d)"
-                 e.e_name e0.e_name m.answers m0.answers m.digest m0.digest m.probes
-                 m0.probes))
-        rest
-  | [] -> ());
-  results
+  m
 
-let query_speedup results =
-  match
-    ( List.find_opt (fun (e, _) -> e.e_name = "packed-columnar") results,
-      List.find_opt (fun (e, _) -> e.e_name = "boxed-seed") results )
-  with
-  | Some (_, p), Some (_, b) when p.query_s > 0. -> b.query_s /. p.query_s
-  | _ -> nan
-
-let phase_speedup results f =
-  match
-    ( List.find_opt (fun (e, _) -> e.e_name = "packed-columnar") results,
-      List.find_opt (fun (e, _) -> e.e_name = "boxed-seed") results )
-  with
-  | Some (_, p), Some (_, b) when f p > 0. -> f b /. f p
-  | _ -> nan
-
-let print_table ~label wl results =
+let print_table ~label wl m =
   Tables.print
     ~title:
       (Printf.sprintf
@@ -369,30 +259,22 @@ let print_table ~label wl results =
     ~header:
       [ "engine"; "ingest s"; "subsume s"; "chain s"; "hub s"; "filter s"; "probes";
         "scans"; "answers"; "alloc MB" ]
-    (List.map
-       (fun (e, m) ->
-         [
-           e.e_name;
-           Tables.f2 m.ingest_s;
-           Tables.f2 m.subsume_s;
-           Tables.f2 m.chain_s;
-           Tables.f2 m.hub_s;
-           Tables.f2 m.filter_s;
-           Tables.i0 m.probes;
-           Tables.i0 m.scans;
-           Tables.i0 m.answers;
-           Tables.f2 (m.alloc_bytes /. 1048576.0);
-         ])
-       results);
-  Printf.printf
-    "query speedups (boxed-seed / packed-columnar): chain %.2fx, hub %.2fx, \
-     filter %.2fx (evaluator-bound), overall %.2fx\n%!"
-    (phase_speedup results (fun m -> m.chain_s))
-    (phase_speedup results (fun m -> m.hub_s))
-    (phase_speedup results (fun m -> m.filter_s))
-    (query_speedup results)
+    [
+      [
+        engine_name;
+        Tables.f2 m.ingest_s;
+        Tables.f2 m.subsume_s;
+        Tables.f2 m.chain_s;
+        Tables.f2 m.hub_s;
+        Tables.f2 m.filter_s;
+        Tables.i0 m.probes;
+        Tables.i0 m.scans;
+        Tables.i0 m.answers;
+        Tables.f2 (m.alloc_bytes /. 1048576.0);
+      ];
+    ]
 
-let emit_result oc ~indent wl results =
+let emit_result oc ~indent wl m =
   let p fmt = Printf.fprintf oc fmt in
   let pad = String.make indent ' ' in
   p "%s\"workload\": {\"nodes\": %d, \"r_per_node\": %d, \"s_per_node\": %d, \
@@ -401,31 +283,15 @@ let emit_result oc ~indent wl results =
     pad wl.wl_nodes wl.wl_r wl.wl_s (total_tuples wl) wl.wl_dom_a wl.wl_dom_b wl.wl_dom_c
     wl.wl_skew wl.wl_query_runs;
   p "%s\"engines\": [\n" pad;
-  let n = List.length results in
-  List.iteri
-    (fun k (e, m) ->
-      p
-        "%s  {\"name\": \"%s\", \"ingest_s\": %.6f, \"subsume_s\": %.6f, \"query_s\": \
-         %.6f, \"chain_s\": %.6f, \"hub_s\": %.6f, \"filter_s\": %.6f, \"probes\": %d, \
-         \"scans\": %d, \"dups\": %d, \"subsumed_yes\": %d, \"answers\": %d, \"digest\": \
-         %d, \"allocated_mb\": %.2f}%s\n"
-        pad e.e_name m.ingest_s m.subsume_s m.query_s m.chain_s m.hub_s m.filter_s
-        m.probes m.scans m.dups m.subsumed_yes m.answers m.digest
-        (m.alloc_bytes /. 1048576.0)
-        (if k = n - 1 then "" else ","))
-    results;
-  p "%s],\n" pad;
   p
-    "%s\"speedup\": {\"ingest\": %.2f, \"subsume\": %.2f, \"query\": %.2f, \
-     \"query_chain\": %.2f, \"query_hub\": %.2f, \"query_filter\": %.2f},\n"
-    pad
-    (phase_speedup results (fun m -> m.ingest_s))
-    (phase_speedup results (fun m -> m.subsume_s))
-    (phase_speedup results (fun m -> m.query_s))
-    (phase_speedup results (fun m -> m.chain_s))
-    (phase_speedup results (fun m -> m.hub_s))
-    (phase_speedup results (fun m -> m.filter_s));
-  p "%s\"answers_identical\": true" pad
+    "%s  {\"name\": \"%s\", \"ingest_s\": %.6f, \"subsume_s\": %.6f, \"query_s\": \
+     %.6f, \"chain_s\": %.6f, \"hub_s\": %.6f, \"filter_s\": %.6f, \"probes\": %d, \
+     \"scans\": %d, \"dups\": %d, \"subsumed_yes\": %d, \"answers\": %d, \"digest\": \
+     %d, \"allocated_mb\": %.2f}\n"
+    pad engine_name m.ingest_s m.subsume_s m.query_s m.chain_s m.hub_s m.filter_s
+    m.probes m.scans m.dups m.subsumed_yes m.answers m.digest
+    (m.alloc_bytes /. 1048576.0);
+  p "%s]" pad
 
 (* Hand-rolled JSON: the harness must not grow dependencies. *)
 let write_json ~path ~full_part ~tiny_part =

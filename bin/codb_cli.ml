@@ -101,9 +101,8 @@ let generate_cmd shape n seed tuples existential comparison rows cols p =
 
 (* --- update -------------------------------------------------------- *)
 
-let update_cmd file initiator verbose show_trace zone_maps =
-  let opts = { Options.default with Options.zone_maps } in
-  let sys = or_die (load_system ~opts file) in
+let update_cmd file initiator verbose show_trace =
+  let sys = or_die (load_system file) in
   let trace = if show_trace then Some (System.enable_trace sys) else None in
   let initiator = initiator_or_first sys initiator in
   let uid = System.run_update sys ~initiator in
@@ -127,9 +126,9 @@ let parse_query_or_die text =
       exit 1
 
 let query_cmd file at text after_update scoped certain_only use_cache pushdown
-    zone_maps repeat =
+    repeat =
   let opts = if use_cache then Options.with_cache else Options.default in
-  let opts = { opts with Options.pushdown; zone_maps } in
+  let opts = { opts with Options.pushdown } in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
   let q = parse_query_or_die text in
@@ -161,30 +160,12 @@ let query_cmd file at text after_update scoped certain_only use_cache pushdown
   let answers = if certain_only then Codb_cq.Eval.certain answers else answers in
   List.iter (fun t -> Fmt.pr "%a@." Tuple.pp t) answers;
   Fmt.pr "%d answer(s)@." (List.length answers);
-  if zone_maps then begin
-    let visited, pruned =
-      List.fold_left
-        (fun acc (s : Codb_core.Stats.snapshot) ->
-          let acc =
-            List.fold_left
-              (fun (v, p) (q : Codb_core.Stats.query_snap) ->
-                (v + q.Codb_core.Stats.qsn_zvisited, p + q.Codb_core.Stats.qsn_zpruned))
-              acc s.Codb_core.Stats.snap_queries
-          in
-          List.fold_left
-            (fun (v, p) (u : Codb_core.Stats.update_snap) ->
-              (v + u.Codb_core.Stats.usn_zvisited, p + u.Codb_core.Stats.usn_zpruned))
-            acc s.Codb_core.Stats.snap_updates)
-        (0, 0) (System.snapshots sys)
-    in
-    Fmt.pr "zone maps: %d chunk(s) consulted, %d pruned@." visited pruned
-  end;
   if use_cache then Fmt.pr "%a@." Report.pp_cache_report (Report.cache_report (System.snapshots sys));
   0
 
 (* --- explain ------------------------------------------------------- *)
 
-let explain_cmd file at text legacy max_probe_cols pushdown =
+let explain_cmd file at text max_probe_cols pushdown =
   let sys = or_die (load_system file) in
   let at = node_or_die sys at in
   let q = parse_query_or_die text in
@@ -198,13 +179,7 @@ let explain_cmd file at text legacy max_probe_cols pushdown =
   let source =
     Codb_cq.Eval.of_database ~index_budget:opts.Options.index_budget store
   in
-  if legacy then Fmt.pr "planner disabled: legacy left-to-right greedy order@."
-  else begin
-    let plan =
-      Codb_cq.Eval.plan_for ?max_probe_cols source q
-    in
-    Fmt.pr "%s@." (Codb_cq.Plan.explain q plan)
-  end;
+  Fmt.pr "%s@." (Codb_cq.Plan.explain q (Codb_cq.Eval.plan_for ?max_probe_cols source q));
   if pushdown then
     List.iter
       (fun rel ->
@@ -648,16 +623,8 @@ let update_t =
   let show_trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the message-level protocol trace.")
   in
-  let zone_maps =
-    Arg.(
-      value & flag
-      & info [ "zone-maps" ]
-          ~doc:
-            "Prune packed scans with per-chunk min/max summaries (answers are \
-             unchanged; the report gains the chunks-visited/pruned counters).")
-  in
   Cmd.v (Cmd.info "update" ~doc)
-    Term.(const update_cmd $ file_arg $ initiator $ verbose $ show_trace $ zone_maps)
+    Term.(const update_cmd $ file_arg $ initiator $ verbose $ show_trace)
 
 let query_t =
   let doc = "Answer a conjunctive query at a node." in
@@ -705,15 +672,6 @@ let query_t =
             "Push the query's constraints into neighbour sub-requests so sources \
              withhold irrelevant tuples (and print the pushdown report afterwards).")
   in
-  let zone_maps =
-    Arg.(
-      value & flag
-      & info [ "zone-maps" ]
-          ~doc:
-            "Prune packed scans with per-chunk min/max summaries when the query \
-             carries order predicates (answers are unchanged; prints the \
-             chunks-visited/pruned counters afterwards).")
-  in
   let repeat =
     Arg.(
       value & opt int 1
@@ -723,7 +681,7 @@ let query_t =
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
       const query_cmd $ file_arg $ at $ text $ after_update $ scoped $ certain
-      $ use_cache $ pushdown $ zone_maps $ repeat)
+      $ use_cache $ pushdown $ repeat)
 
 let explain_t =
   let doc = "Print the cost-based evaluation plan chosen for a query." in
@@ -737,11 +695,6 @@ let explain_t =
       required
       & pos 1 (some string) None
       & info [] ~docv:"QUERY" ~doc:"e.g. \"ans(x) <- r(x, y), s(y, z)\".")
-  in
-  let legacy =
-    Arg.(
-      value & flag
-      & info [ "legacy" ] ~doc:"Show what runs with the planner disabled instead.")
   in
   let max_probe_cols =
     Arg.(
@@ -760,7 +713,7 @@ let explain_t =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const explain_cmd $ file_arg $ at $ text $ legacy $ max_probe_cols $ pushdown)
+      const explain_cmd $ file_arg $ at $ text $ max_probe_cols $ pushdown)
 
 let cache_t =
   let doc = "Exercise the query-answer cache on a repeated workload." in

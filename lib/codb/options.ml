@@ -17,7 +17,6 @@ type t = {
   cache_max_bytes : int;
   cache_ttl : float;
   cache_containment : bool;
-  planner : bool;
   index_budget : int;
   wire_codec : bool;
   pushdown : bool;
@@ -44,7 +43,6 @@ type t = {
   wal_dir : string option;
   snapshot_every : int;
   fsync : bool;
-  zone_maps : bool;
   link_dicts : bool;
 }
 
@@ -61,7 +59,6 @@ let default =
     cache_max_bytes = 4 * 1024 * 1024;
     cache_ttl = 0.0;
     cache_containment = true;
-    planner = true;
     index_budget = 16;
     wire_codec = true;
     pushdown = false;
@@ -88,7 +85,6 @@ let default =
     wal_dir = None;
     snapshot_every = 64;
     fsync = false;
-    zone_maps = false;
     link_dicts = false;
   }
 
@@ -198,8 +194,6 @@ let validate t =
   | Some _ | None -> ());
   if t.fsync && t.wal_dir = None then
     reject "options: fsync requires wal_dir (the in-memory backend has no disk)";
-  if t.zone_maps && not t.planner then
-    reject "options: zone_maps requires planner (only planned steps carry ranges)";
   if t.link_dicts && not t.wire_codec then
     reject "options: link_dicts requires wire_codec (the estimator has no strings)";
   match List.rev !errors with [] -> Ok () | errors -> Error errors

@@ -47,10 +47,6 @@ type t = {
   cache_containment : bool;
       (** answer lookups from a cached superset query (the E9
           ablation switch) *)
-  planner : bool;
-      (** evaluate rules and queries through the cost-based join
-          planner ({!Codb_cq.Plan}); [false] falls back to the legacy
-          left-to-right greedy order (the planner ablation baseline) *)
   index_budget : int;
       (** max distinct hash indexes per relation (composite and
           single-column combined); 0 disables index building and every
@@ -148,16 +144,6 @@ type t = {
   fsync : bool;
       (** flush every WAL write with [Unix.fsync]; only meaningful
           with [wal_dir] *)
-  zone_maps : bool;
-      (** fold sargable order predicates ([<], [<=], [>], [>=] and
-          [=]-const) into per-chunk min/max pruning inside the packed
-          evaluator ({!Codb_relalg.Relation.packed_view}): chunks whose
-          value interval cannot satisfy the predicates are skipped
-          before any row is touched.  Off by default: answers are
-          provably identical either way, so the seed's
-          every-chunk scan stays the bit-for-bit baseline (the E22
-          ablation switch).  Requires [planner] — only planned steps
-          carry range predicates down to the scan *)
   link_dicts : bool;
       (** incremental per-(src,dst)-link string dictionaries in the
           wire codec, plus dictionary-encoded WAL records and
@@ -188,7 +174,7 @@ val validate : t -> (unit, string list) result
     [max_subscriptions] < 1, negative [sub_batch_window], [sub_naive]
     without [subscriptions]; [snapshot_every] < 1, an empty [wal_dir],
     [wal_dir] without [Dur_wal], [fsync] without [wal_dir];
-    [zone_maps] without [planner], [link_dicts] without [wire_codec].
+    [link_dicts] without [wire_codec].
     Called by {!System.build} before any node is created. *)
 
 val faults_enabled : t -> bool

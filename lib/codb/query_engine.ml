@@ -385,8 +385,6 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                       with_counters rt qid (fun () ->
                           Eval.delta_answers
                             ~naive:rt.Runtime.opts.Options.naive_delta
-                            ~planner:rt.Runtime.opts.Options.planner
-                            ~zone_maps:rt.Runtime.opts.Options.zone_maps
                             (Eval.of_database
                                ~index_budget:rt.Runtime.opts.Options.index_budget
                                st.Q.qst_overlay)

@@ -137,13 +137,11 @@ let on_store_delta rt ~rel ~delta ~tag =
               let d =
                 with_counters rt (fun () ->
                     if opts.Options.sub_naive then
-                      Sub.reevaluate sub ~zone_maps:opts.Options.zone_maps
-                        ~planner:opts.Options.planner ~source:src ~tag
+                      Sub.reevaluate sub ~source:src ~tag
                     else begin
                       let d, dropped =
-                        Sub.apply_delta sub ~zone_maps:opts.Options.zone_maps
-                          ~planner:opts.Options.planner ~source:src
-                          ~delta_rel:rel ~delta ~tag
+                        Sub.apply_delta sub ~source:src ~delta_rel:rel ~delta
+                          ~tag
                       in
                       sb.Stats.sb_prefiltered <-
                         sb.Stats.sb_prefiltered + dropped;
@@ -157,15 +155,12 @@ let refresh_all rt ~tag =
   match rt.Runtime.node.Node.subs with
   | None -> ()
   | Some reg ->
-      let opts = rt.Runtime.opts in
       let src = source rt in
       List.iter
         (fun (entry : Registry.entry) ->
           let d =
             with_counters rt (fun () ->
-                Sub.refresh entry.Registry.e_sub
-                  ~zone_maps:opts.Options.zone_maps
-                  ~planner:opts.Options.planner ~source:src ~tag)
+                Sub.refresh entry.Registry.e_sub ~source:src ~tag)
           in
           deliver rt entry d)
         (Registry.entries reg)
@@ -208,10 +203,7 @@ let register_local rt ?on_delta query =
                 ~owner:Durable.Olocal ~query_text:(query_text query);
               let d =
                 with_counters rt (fun () ->
-                    Sub.refresh sub
-                      ~zone_maps:rt.Runtime.opts.Options.zone_maps
-                      ~planner:rt.Runtime.opts.Options.planner
-                      ~source:(source rt) ~tag:"seed")
+                    Sub.refresh sub ~source:(source rt) ~tag:"seed")
               in
               deliver rt
                 { Registry.e_sub = sub; e_owner = Registry.Local on_delta }
@@ -315,10 +307,7 @@ let on_register rt ~src ~sub_id ~text =
                           { sub_id; accepted = true; reason = "" }));
                   let d =
                     with_counters rt (fun () ->
-                        Sub.refresh sub
-                          ~zone_maps:rt.Runtime.opts.Options.zone_maps
-                          ~planner:rt.Runtime.opts.Options.planner
-                          ~source:(source rt)
+                        Sub.refresh sub ~source:(source rt)
                           ~tag:(if existed then "rearm" else "seed"))
                   in
                   deliver rt

@@ -13,23 +13,17 @@ type integration = {
   nulls_created : int;
 }
 
-(* Evaluation entry points thread the planner switch and index budget
-   from [Options]; the default matches [Options.default]. *)
+(* Evaluation entry points thread the index budget from [Options]; the
+   default matches [Options.default]. *)
 let eval_source (opts : Options.t) db =
   Eval.of_database ~index_budget:opts.Options.index_budget db
 
 let eval_query_full ?(opts = Options.default) db query =
-  let substs =
-    Eval.answers ~planner:opts.Options.planner
-      ~zone_maps:opts.Options.zone_maps (eval_source opts db) query
-  in
-  Apply.head_tuples query substs
+  Apply.head_tuples query (Eval.answers (eval_source opts db) query)
 
 let eval_query_delta ?(opts = Options.default) ~naive db query ~delta_rel ~delta =
   let substs =
-    Eval.delta_answers ~naive ~planner:opts.Options.planner
-      ~zone_maps:opts.Options.zone_maps (eval_source opts db) ~delta_rel ~delta
-      query
+    Eval.delta_answers ~naive (eval_source opts db) ~delta_rel ~delta query
   in
   Apply.head_tuples query substs
 
@@ -55,5 +49,4 @@ let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
   { fresh; suppressed; nulls_created }
 
 let user_answers ?(opts = Options.default) db q =
-  Eval.answer_tuples ~planner:opts.Options.planner
-    ~zone_maps:opts.Options.zone_maps (eval_source opts db) q
+  Eval.answer_tuples (eval_source opts db) q

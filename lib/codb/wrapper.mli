@@ -39,8 +39,7 @@ val eval_rule_full :
   ?opts:Options.t -> Database.t -> Config.rule_decl -> Tuple.t list
 (** Evaluate a coordination rule's body over the database and return
     the head tuples, existential positions rendered as holes.  [opts]
-    (default {!Options.default}) selects planner vs legacy evaluation
-    and the per-relation index budget. *)
+    (default {!Options.default}) sets the per-relation index budget. *)
 
 val eval_rule_delta :
   ?opts:Options.t ->

@@ -7,15 +7,10 @@ module Tuple_set = Relation.Tuple_set
 
 type rows = {
   all : unit -> Tuple.t list;
-  all_arr : (unit -> Tuple.t array) option;
   size : int;
-  probe : (int -> Value.t -> Tuple.t list) option;
-  probe_arr : (int -> Value.t -> Tuple.t array) option;
-  probe_cols : ((int * Value.t) list -> Tuple.t list) option;
-  probe_cols_arr : ((int * Value.t) list -> Tuple.t array) option;
+  indexed : bool;
   distinct : (int -> int) option;
-  arity : int option;
-  packed : Relation.packed_view option;
+  packed : int -> Relation.packed_view;
 }
 
 type source = string -> rows
@@ -26,7 +21,6 @@ type counters = {
   probes : int;  (** candidate sets served by an index probe *)
   scans : int;  (** candidate sets served by a full scan *)
   planned : int;  (** joins executed through a cost-based plan *)
-  legacy : int;  (** joins executed through the legacy greedy order *)
   zone_visited : int;  (** chunks a zone-mapped scan examined *)
   zone_pruned : int;  (** chunks a zone-mapped scan skipped *)
 }
@@ -38,27 +32,17 @@ type cell = {
   mutable c_probes : int;
   mutable c_scans : int;
   mutable c_planned : int;
-  mutable c_legacy : int;
   mutable c_zvisited : int;
   mutable c_zpruned : int;
 }
 
-let cell =
-  {
-    c_probes = 0;
-    c_scans = 0;
-    c_planned = 0;
-    c_legacy = 0;
-    c_zvisited = 0;
-    c_zpruned = 0;
-  }
+let cell = { c_probes = 0; c_scans = 0; c_planned = 0; c_zvisited = 0; c_zpruned = 0 }
 
 let counters () =
   {
     probes = cell.c_probes;
     scans = cell.c_scans;
     planned = cell.c_planned;
-    legacy = cell.c_legacy;
     zone_visited = cell.c_zvisited;
     zone_pruned = cell.c_zpruned;
   }
@@ -67,30 +51,13 @@ let reset_counters () =
   cell.c_probes <- 0;
   cell.c_scans <- 0;
   cell.c_planned <- 0;
-  cell.c_legacy <- 0;
   cell.c_zvisited <- 0;
   cell.c_zpruned <- 0
 
-let empty_rows =
-  {
-    all = (fun () -> []);
-    all_arr = Some (fun () -> [||]);
-    size = 0;
-    probe = None;
-    probe_arr = None;
-    probe_cols = None;
-    probe_cols_arr = None;
-    distinct = None;
-    arity = None;
-    packed = None;
-  }
-
 (* A transient packed view over a row list: columns flattened into one
    int array, live rows are just [0..n-1], probes are filtered scans.
-   No probe_cols is exposed, so the planner sees the source exactly as
-   unindexed as before — same plans, same probe/scan counter
-   increments — but a join mixing stored relations with delta feeds
-   now clears [all_packed] and runs on the packed int core. *)
+   A list source is never [indexed], so the planner gives it no probe
+   columns and these probes stay unused in practice. *)
 let packed_view_of_rows ~arity:a flat n =
   let ids = lazy (Array.init n (fun i -> i)) in
   {
@@ -119,61 +86,42 @@ let packed_view_of_rows ~arity:a flat n =
     pv_prune = (fun _ -> None);
   }
 
-let rows_of_list ?arity:arity_hint tuples =
-  (* canonicalise once so the matching core's [==] fast path hits —
-     the walk packs every cell exactly as [Tuple.canonical] would, and
-     keeps the packed ints as the columnar image of the list (the
-     delta feeds of semi-naive maintenance take the packed join core
-     through this view instead of falling back to boxed matching).
-     [arity_hint] lets an empty feed stay packed-joinable. *)
-  let arity =
-    match tuples with
-    | [] -> arity_hint
-    | first :: rest ->
-        let a = Array.length first in
-        if List.for_all (fun t -> Array.length t = a) rest then Some a else None
+let empty_view a = packed_view_of_rows ~arity:a [||] 0
+
+let empty_rows =
+  { all = (fun () -> []); size = 0; indexed = false; distinct = None; packed = empty_view }
+
+(* Canonicalise rows of one width and pack them column-major: the walk
+   packs every cell exactly as [Tuple.canonical] would, so answers share
+   the interned boxes, and keeps the packed ints as the columnar image
+   the join core scans. *)
+let pack_rows ~width tuples =
+  let n = List.length tuples in
+  let flat = Array.make (max 1 (n * width)) 0 in
+  let tuples =
+    List.mapi
+      (fun row t ->
+        Array.init width (fun j ->
+            let p = Intern.pack t.(j) in
+            flat.((row * width) + j) <- p;
+            Intern.unpack p))
+      tuples
   in
-  match arity with
-  | Some a when List.for_all (fun t -> Array.length t = a) tuples ->
-      let n = List.length tuples in
-      let flat = Array.make (max 1 (n * a)) 0 in
-      let tuples =
-        List.mapi
-          (fun row t ->
-            Array.init a (fun j ->
-                let p = Intern.pack t.(j) in
-                flat.((row * a) + j) <- p;
-                Intern.unpack p))
-          tuples
-      in
-      let arr = lazy (Array.of_list tuples) in
-      {
-        all = (fun () -> tuples);
-        all_arr = Some (fun () -> Lazy.force arr);
-        size = n;
-        probe = None;
-        probe_arr = None;
-        probe_cols = None;
-        probe_cols_arr = None;
-        distinct = None;
-        arity = Some a;
-        packed = Some (packed_view_of_rows ~arity:a flat n);
-      }
-  | _ ->
+  (tuples, packed_view_of_rows ~arity:width flat n)
+
+let rows_of_list tuples =
+  let width = match tuples with [] -> 0 | t :: _ -> Array.length t in
+  let same_width k t = Array.length t = k in
+  let tuples, packed =
+    if List.for_all (same_width width) tuples then
+      let tuples, view = pack_rows ~width tuples in
+      (tuples, fun k -> if k = width then view else empty_view k)
+    else
+      (* mixed widths: an atom sees only the rows of its own width *)
       let tuples = List.map Tuple.canonical tuples in
-      let arr = lazy (Array.of_list tuples) in
-      {
-        all = (fun () -> tuples);
-        all_arr = Some (fun () -> Lazy.force arr);
-        size = List.length tuples;
-        probe = None;
-        probe_arr = None;
-        probe_cols = None;
-        probe_cols_arr = None;
-        distinct = None;
-        arity = None;
-        packed = None;
-      }
+      (tuples, fun k -> snd (pack_rows ~width:k (List.filter (same_width k) tuples)))
+  in
+  { all = (fun () -> tuples); size = List.length tuples; indexed = false; distinct = None; packed }
 
 let of_database ?index_budget db rel =
   match Database.relation_opt db rel with
@@ -183,39 +131,18 @@ let of_database ?index_budget db rel =
       | Some budget -> Relation.set_index_budget r budget
       | None -> ());
       let arity = Codb_relalg.Schema.arity (Relation.schema r) in
-      let in_range col = col >= 0 && col < arity in
-      let probe col value =
-        (* an atom of the wrong arity matches nothing; don't let the
-           index raise on its out-of-range columns *)
-        if in_range col then Relation.lookup r ~col value else []
-      in
-      let probe_arr col value =
-        if in_range col then Relation.lookup_arr r ~col value else [||]
-      in
-      let probe_cols bindings =
-        if List.for_all (fun (col, _) -> in_range col) bindings then
-          Relation.lookup_cols r bindings
-        else []
-      in
-      let probe_cols_arr bindings =
-        if List.for_all (fun (col, _) -> in_range col) bindings then
-          Relation.lookup_cols_arr r bindings
-        else [||]
-      in
+      let view = Relation.packed_view r in
       let distinct col =
-        if in_range col then Relation.distinct_count r ~col else 1
+        if col >= 0 && col < arity then Relation.distinct_count r ~col else 1
       in
       {
         all = (fun () -> Relation.to_list r);
-        all_arr = Some (fun () -> Relation.to_array r);
         size = Relation.cardinal r;
-        probe = Some probe;
-        probe_arr = Some probe_arr;
-        probe_cols = Some probe_cols;
-        probe_cols_arr = Some probe_cols_arr;
+        indexed = true;
         distinct = Some distinct;
-        arity = Some arity;
-        packed = Some (Relation.packed_view r);
+        (* an atom of the wrong arity matches nothing; don't let the
+           index see its out-of-range columns *)
+        packed = (fun k -> if k = arity then view else empty_view k);
       }
 
 let source_of_alist alist rel =
@@ -223,143 +150,19 @@ let source_of_alist alist rel =
   | Some tuples -> rows_of_list tuples
   | None -> empty_rows
 
-(* Extend [subst] by matching the atom's arguments (pre-flattened into
-   an array, so the arity check is O(1) and done once per atom, not
-   once per candidate tuple) against a stored tuple.  Constants and
-   already-bound variables must agree with the stored value (marked
-   nulls agree only with themselves). *)
-let match_args subst args tuple =
-  let n = Array.length args in
-  let rec loop i subst =
-    if i = n then Some subst
-    else
-      match args.(i) with
-      | Term.Cst c ->
-          if Value.equal c tuple.(i) then loop (i + 1) subst else None
-      | Term.Var v -> (
-          match Subst.find v subst with
-          | Some bound ->
-              if Value.equal bound tuple.(i) then loop (i + 1) subst else None
-          | None -> loop (i + 1) (Subst.bind v tuple.(i) subst))
-  in
-  loop 0 subst
-
-(* One body atom, prepared for the join loop: argument array for O(1)
-   matching, access path, and (planned path only) the probe column set
-   and the comparisons that become ground at this step. *)
+(* One body atom, prepared for the join loop: argument array, the
+   packed rows of its width, the plan's probe column set, the
+   comparisons that become ground at this step and its sargable order
+   predicates. *)
 type prepared = {
   p_args : Term.t array;
-  p_rows : rows;
+  p_view : Relation.packed_view;
   p_probe : int list;
   p_comparisons : Query.comparison list;
   p_ranges : (int * Query.comparison_op * Value.t) list;
 }
 
-let prepare ?(probe = []) ?(comparisons = []) ?(ranges = []) atom rows =
-  {
-    (* constants rewritten to their interned box: [Value.equal] then
-       resolves by [==] against canonical stored tuples *)
-    p_args =
-      Array.of_list
-        (List.map
-           (function
-             | Term.Cst c -> Term.Cst (Intern.canonical c)
-             | Term.Var _ as t -> t)
-           atom.Atom.args);
-    p_rows = rows;
-    p_probe = probe;
-    p_comparisons = comparisons;
-    p_ranges = ranges;
-  }
-
-(* A prepared atom whose arity disagrees with its relation matches
-   nothing: detect it once, before the join loop runs. *)
-let arity_mismatch p =
-  match p.p_rows.arity with
-  | Some a -> Array.length p.p_args <> a
-  | None -> false
-
-(* Candidate tuples for an atom under the current bindings, as an
-   array (no list spine per probe).  The legacy path probes a
-   single-column index on the first ground argument position; the
-   planned path probes the plan's column set through the composite
-   index. *)
-let scan_all p =
-  match p.p_rows.all_arr with
-  | Some all_arr -> all_arr ()
-  | None -> Array.of_list (p.p_rows.all ())
-
-let candidates_legacy subst p =
-  match (p.p_rows.probe_arr, p.p_rows.probe) with
-  | None, None ->
-      cell.c_scans <- cell.c_scans + 1;
-      scan_all p
-  | probe_arr, probe ->
-      let n = Array.length p.p_args in
-      let rec first_ground i =
-        if i = n then None
-        else
-          match p.p_args.(i) with
-          | Term.Cst c -> Some (i, c)
-          | Term.Var v -> (
-              match Subst.find v subst with
-              | Some value -> Some (i, value)
-              | None -> first_ground (i + 1))
-      in
-      (match first_ground 0 with
-      | Some (col, value) -> (
-          cell.c_probes <- cell.c_probes + 1;
-          match probe_arr with
-          | Some probe_arr -> probe_arr col value
-          | None -> Array.of_list ((Option.get probe) col value))
-      | None ->
-          cell.c_scans <- cell.c_scans + 1;
-          scan_all p)
-
-let term_value subst = function
-  | Term.Cst c -> Some c
-  | Term.Var v -> Subst.find v subst
-
-let candidates_planned subst p =
-  if p.p_probe = [] || (p.p_rows.probe_cols = None && p.p_rows.probe_cols_arr = None)
-  then begin
-    cell.c_scans <- cell.c_scans + 1;
-    scan_all p
-  end
-  else begin
-    let bindings =
-      List.map
-        (fun col ->
-          match term_value subst p.p_args.(col) with
-          | Some v -> (col, v)
-          | None ->
-              (* the planner only probes ground columns *)
-              assert false)
-        p.p_probe
-    in
-    cell.c_probes <- cell.c_probes + 1;
-    match p.p_rows.probe_cols_arr with
-    | Some probe_cols_arr -> probe_cols_arr bindings
-    | None -> Array.of_list ((Option.get p.p_rows.probe_cols) bindings)
-  end
-
-(* Evaluate the comparisons that became ground; keep the rest pending.
-   [None] means a ground comparison is violated. *)
-let filter_comparisons subst comparisons =
-  let step acc c =
-    match acc with
-    | None -> None
-    | Some pending -> (
-        match (Subst.apply_term subst c.Query.left, Subst.apply_term subst c.Query.right) with
-        | Some v1, Some v2 ->
-            if Query.eval_comparison_op c.Query.op v1 v2 then Some pending else None
-        | _ -> Some (c :: pending))
-  in
-  match List.fold_left step (Some []) comparisons with
-  | None -> None
-  | Some pending -> Some (List.rev pending)
-
-(* Evaluate comparisons the planner proved ground at this step. *)
+(* Evaluate comparisons the planner proved ground before any step. *)
 let check_comparisons subst comparisons =
   List.for_all
     (fun c ->
@@ -370,56 +173,6 @@ let check_comparisons subst comparisons =
       | _ -> false)
     comparisons
 
-(* Static greedy join order of the legacy evaluator: repeatedly pick
-   the atom sharing the most variables with the already-bound set;
-   break ties by smaller relation, preferring atoms with constants. *)
-let order_atoms atoms =
-  let score bound (atom, rows) =
-    let vars = Atom.vars atom in
-    let shared = List.length (List.filter (fun v -> List.mem v bound) vars) in
-    let constants = List.length (List.filter (fun t -> not (Term.is_var t)) atom.Atom.args) in
-    (shared, constants, -rows.size)
-  in
-  let better bound a b = Stdlib.compare (score bound a) (score bound b) > 0 in
-  let rec pick bound acc = function
-    | [] -> List.rev acc
-    | first :: rest ->
-        let choose (best, others) candidate =
-          if better bound candidate best then (candidate, best :: others)
-          else (best, candidate :: others)
-        in
-        let best, others = List.fold_left choose (first, []) rest in
-        let atom, _ = best in
-        let bound = Atom.vars atom @ bound in
-        pick bound (best :: acc) others
-  in
-  pick [] [] atoms
-
-(* Legacy execution: left-to-right over the greedy order, threading
-   pending comparisons.  Substitutions whose comparisons never become
-   ground are dropped. *)
-let join_legacy ordered comparisons =
-  cell.c_legacy <- cell.c_legacy + 1;
-  let prepared = List.map (fun (atom, rows) -> prepare atom rows) ordered in
-  if List.exists arity_mismatch prepared then []
-  else
-    let rec go subst pending acc = function
-      | [] -> if pending = [] then subst :: acc else acc
-      | p :: rest ->
-          let try_tuple acc tuple =
-            match match_args subst p.p_args tuple with
-            | None -> acc
-            | Some subst' -> (
-                match filter_comparisons subst' pending with
-                | None -> acc
-                | Some pending' -> go subst' pending' acc rest)
-          in
-          Array.fold_left try_tuple acc (candidates_legacy subst p)
-    in
-    match filter_comparisons Subst.empty comparisons with
-    | None -> []
-    | Some pending -> List.rev (go Subst.empty pending [] prepared)
-
 let plan_of_atoms ?max_probe_cols atoms comparisons =
   let infos =
     List.map
@@ -427,7 +180,7 @@ let plan_of_atoms ?max_probe_cols atoms comparisons =
         {
           Plan.ai_atom = atom;
           ai_size = rows.size;
-          ai_indexed = Option.is_some rows.probe_cols;
+          ai_indexed = rows.indexed;
           ai_distinct = rows.distinct;
         })
       atoms
@@ -436,16 +189,13 @@ let plan_of_atoms ?max_probe_cols atoms comparisons =
 
 (* ---- packed join core ------------------------------------------------ *)
 
-(* When every access path of a planned join exposes a packed view
-   (stored relations via [of_database]), the join runs entirely on
-   packed ints: the substitution is an array of int slots (one per
-   body variable, in first-occurrence order), candidate sets are row
-   ids, matching a candidate is integer comparison against column
-   cells, and probes hand packed values straight to the relation's
-   id-keyed indexes — no boxing, no string hashing, no per-probe
-   copies.  A boxed [Subst.t] is materialised only per full match, so
-   results, traversal order, and probe/scan counter increments are
-   identical to the boxed planned path. *)
+(* Every join runs on packed ints: the substitution is an array of int
+   slots (one per body variable, in first-occurrence order), candidate
+   sets are row ids, matching a candidate is integer comparison against
+   column cells, and probes hand packed values straight to the
+   relation's id-keyed indexes — no boxing, no string hashing, no
+   per-probe copies.  A boxed [Subst.t] is materialised only per full
+   match (or, for user queries, a boxed tuple per distinct answer). *)
 
 type packed_arg =
   | Pconst of int  (* packed constant: candidate cell must equal it *)
@@ -480,8 +230,7 @@ type packed_step = {
   k_checks : packed_check list;
   k_prune : (int * Relation.bound_op * int) list;
       (* zone-map bounds for a scan step: sargable order predicates
-         plus the equality constants already folded into [k_args];
-         empty unless zone maps are enabled *)
+         plus the equality constants already folded into [k_args] *)
 }
 
 (* What a packed-match consumer sees: the slot array plus the
@@ -494,7 +243,7 @@ type packed_ctx = {
   x_slot : string -> int option;  (* variable name -> slot *)
 }
 
-let join_packed_run ?(zone_maps = false) prepared ~(emit : packed_ctx -> unit -> unit) =
+let join_packed_run prepared ~(emit : packed_ctx -> unit -> unit) =
   (* slots in first-occurrence order over the plan's step sequence *)
   let slot_tbl = Hashtbl.create 16 in
   let slot_names = ref [] (* reversed *) in
@@ -512,7 +261,7 @@ let join_packed_run ?(zone_maps = false) prepared ~(emit : packed_ctx -> unit ->
      the equality-folding below *)
   let bound_before : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let build p =
-    let view = Option.get p.p_rows.packed in
+    let view = p.p_view in
     let args =
       Array.map
         (function
@@ -570,11 +319,11 @@ let join_packed_run ?(zone_maps = false) prepared ~(emit : packed_ctx -> unit ->
     let probe_src = Array.of_list (List.map (fun col -> args.(col)) p.p_probe) in
     (* Zone-map bounds for a scan: the plan's order predicates, plus
        every equality constant visible in the args (including those
-       [fold_eq] just rewrote into [Pbindconst]).  Computed only when
-       the feature is on, so the default path is bit-for-bit the
-       seed's every-chunk scan. *)
+       [fold_eq] just rewrote into [Pbindconst]).  Pruning only skips
+       chunks that hold no matching row, so answers and the order they
+       come out in are those of the every-chunk scan. *)
     let prune =
-      if (not zone_maps) || p.p_probe <> [] then []
+      if p.p_probe <> [] then []
       else begin
         let bound_of_op = function
           | Query.Lt -> Relation.Blt
@@ -720,9 +469,10 @@ let join_packed_run ?(zone_maps = false) prepared ~(emit : packed_ctx -> unit ->
   in
   go 0
 
-let join_packed ?zone_maps prepared =
+
+let join_packed prepared =
   let results = ref [] in
-  join_packed_run ?zone_maps prepared ~emit:(fun ctx ->
+  join_packed_run prepared ~emit:(fun ctx ->
       let nslots = Array.length ctx.x_names in
       fun () ->
         let subst = ref Subst.empty in
@@ -733,67 +483,46 @@ let join_packed ?zone_maps prepared =
   List.rev !results
 
 (* Plan a join and prepare its steps; [None] means the join is
-   provably empty (a never-ground comparison — the legacy evaluator
-   drops every substitution — a violated variable-free comparison, or
-   an atom whose arity disagrees with its relation). *)
+   provably empty (a comparison no step ever grounds, or a violated
+   variable-free comparison).  Counts one planned join either way. *)
 let plan_prepared ?max_probe_cols atoms comparisons =
+  cell.c_planned <- cell.c_planned + 1;
   let plan = plan_of_atoms ?max_probe_cols atoms comparisons in
   if plan.Plan.pl_unbound <> [] then None
   else if not (check_comparisons Subst.empty plan.Plan.pl_pre) then None
   else
     let arr = Array.of_list atoms in
-    let prepared =
-      List.map
-        (fun (s : Plan.step) ->
-          let atom, rows = arr.(s.Plan.st_pos) in
-          prepare ~probe:s.Plan.st_probe ~comparisons:s.Plan.st_comparisons
-            ~ranges:s.Plan.st_ranges atom rows)
-        plan.Plan.pl_steps
-    in
-    if List.exists arity_mismatch prepared then None else Some prepared
+    Some
+      (List.map
+         (fun (s : Plan.step) ->
+           let atom, rows = arr.(s.Plan.st_pos) in
+           {
+             p_args = Array.of_list atom.Atom.args;
+             p_view = rows.packed (Atom.arity atom);
+             p_probe = s.Plan.st_probe;
+             p_comparisons = s.Plan.st_comparisons;
+             p_ranges = s.Plan.st_ranges;
+           })
+         plan.Plan.pl_steps)
 
-let all_packed prepared =
-  prepared <> [] && List.for_all (fun p -> p.p_rows.packed <> None) prepared
-
-(* Planned execution: follow the plan's step order, probe the chosen
-   column sets through composite indexes, and evaluate each comparison
-   at the step the planner assigned it to. *)
-let join_planned ?zone_maps ?max_probe_cols atoms comparisons =
-  cell.c_planned <- cell.c_planned + 1;
+(* Follow the plan's step order, probe the chosen column sets through
+   composite indexes, and evaluate each comparison at the step the
+   planner assigned it to. *)
+let join ?max_probe_cols atoms comparisons =
   match plan_prepared ?max_probe_cols atoms comparisons with
   | None -> []
-  | Some prepared when all_packed prepared -> join_packed ?zone_maps prepared
-  | Some prepared ->
-      let rec go subst acc = function
-        | [] -> subst :: acc
-        | p :: rest ->
-            let try_tuple acc tuple =
-              match match_args subst p.p_args tuple with
-              | None -> acc
-              | Some subst' ->
-                  if check_comparisons subst' p.p_comparisons then
-                    go subst' acc rest
-                  else acc
-            in
-            Array.fold_left try_tuple acc (candidates_planned subst p)
-      in
-      List.rev (go Subst.empty [] prepared)
+  | Some prepared -> join_packed prepared
 
-let join ?(planner = true) ?zone_maps ?max_probe_cols atoms comparisons =
-  if planner then join_planned ?zone_maps ?max_probe_cols atoms comparisons
-  else join_legacy (order_atoms atoms) comparisons
-
-let answers ?planner ?zone_maps ?max_probe_cols source q =
+let answers ?max_probe_cols source q =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
-  join ?planner ?zone_maps ?max_probe_cols atoms q.Query.comparisons
+  join ?max_probe_cols atoms q.Query.comparisons
 
 let plan_for ?max_probe_cols source q =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
   plan_of_atoms ?max_probe_cols atoms q.Query.comparisons
 
-let delta_answers ?(naive = false) ?planner ?zone_maps ?max_probe_cols source
-    ~delta_rel ~delta q =
-  if naive then answers ?planner ?zone_maps ?max_probe_cols source q
+let delta_answers ?(naive = false) ?max_probe_cols source ~delta_rel ~delta q =
+  if naive then answers ?max_probe_cols source q
   else if not (List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body) then []
   else begin
     let full = source delta_rel in
@@ -826,90 +555,57 @@ let delta_answers ?(naive = false) ?planner ?zone_maps ?max_probe_cols source
             else (i, (a, source a.Atom.rel) :: acc))
           (0, []) q.Query.body
       in
-      join ?planner ?zone_maps ?max_probe_cols (List.rev atoms) q.Query.comparisons
+      join ?max_probe_cols (List.rev atoms) q.Query.comparisons
     in
     List.concat_map pass occurrences
   end
 
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-
-  let hash = Tuple.hash
-end)
-
-(* Fully packed user-query pipeline: run the packed join core and
-   project the head {e without materialising substitutions} — each
-   match writes the head's packed values into a scratch row,
-   de-duplicated in an int-row table.  Only the final duplicate-free
-   answers are boxed (into canonical tuples) and sorted, so the whole
-   evaluation touches boxed values exactly once per distinct answer:
-   at the API boundary. *)
-let answer_tuples_packed ?zone_maps prepared (head : Atom.t) =
-  let rows = ref [] in
-  let seen : (int array, unit) Hashtbl.t = Hashtbl.create 1024 in
-  join_packed_run ?zone_maps prepared ~emit:(fun ctx ->
-      let proj =
-        Array.of_list
-          (List.map
-             (function
-               | Term.Cst c -> Pconst (Intern.pack c)
-               | Term.Var v -> (
-                   match ctx.x_slot v with
-                   | Some s -> Pvar s
-                   | None ->
-                       (* no existential head variables, so every head
-                          variable has a body slot *)
-                       assert false))
-             head.Atom.args)
-      in
-      let width = Array.length proj in
-      let scratch = Array.make width 0 in
-      fun () ->
-        for j = 0 to width - 1 do
-          scratch.(j) <-
-            (match proj.(j) with
-            | Pconst c -> c
-            | Pvar s -> ctx.x_vals.(s)
-            | Pbindconst _ -> assert false (* never built by the projector *))
-        done;
-        if not (Hashtbl.mem seen scratch) then begin
-          let row = Array.copy scratch in
-          Hashtbl.add seen row ();
-          rows := row :: !rows
-        end);
-  List.sort Tuple.compare
-    (List.map (fun row -> Array.map Intern.unpack row) !rows)
-
-let answer_tuples ?planner ?zone_maps ?max_probe_cols source q =
+(* User queries run the packed join core and project the head {e
+   without materialising substitutions} — each match writes the head's
+   packed values into a scratch row, de-duplicated in an int-row table.
+   Only the final duplicate-free answers are boxed (into canonical
+   tuples) and sorted, so the whole evaluation touches boxed values
+   exactly once per distinct answer: at the API boundary. *)
+let answer_tuples ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Eval.answer_tuples: " ^ reason));
-  let use_planner = match planner with Some false -> false | _ -> true in
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
-  if use_planner && List.for_all (fun (_, rows) -> rows.packed <> None) atoms
-     && atoms <> []
-  then begin
-    cell.c_planned <- cell.c_planned + 1;
-    match plan_prepared ?max_probe_cols atoms q.Query.comparisons with
-    | None -> []
-    | Some prepared -> answer_tuples_packed ?zone_maps prepared q.Query.head
-  end
-  else begin
-    let substs = join ?planner ?zone_maps ?max_probe_cols atoms q.Query.comparisons in
-    (* de-duplicate through [Tuple.hash] — O(1) per answer instead of
-       a balanced-set insertion's O(log n) full-tuple comparisons —
-       then sort once: the same sorted duplicate-free list as the
-       seed's [Tuple_set.elements] *)
-    let seen = Tuple_tbl.create 256 in
-    List.iter
-      (fun subst ->
-        match Subst.apply_atom subst q.Query.head with
-        | Some tuple -> if not (Tuple_tbl.mem seen tuple) then Tuple_tbl.add seen tuple ()
-        | None -> ())
-      substs;
-    List.sort Tuple.compare (Tuple_tbl.fold (fun t () acc -> t :: acc) seen [])
-  end
+  match plan_prepared ?max_probe_cols atoms q.Query.comparisons with
+  | None -> []
+  | Some prepared ->
+      let rows = ref [] in
+      let seen : (int array, unit) Hashtbl.t = Hashtbl.create 1024 in
+      join_packed_run prepared ~emit:(fun ctx ->
+          let proj =
+            Array.of_list
+              (List.map
+                 (function
+                   | Term.Cst c -> Pconst (Intern.pack c)
+                   | Term.Var v -> (
+                       match ctx.x_slot v with
+                       | Some s -> Pvar s
+                       | None ->
+                           (* no existential head variables, so every
+                              head variable has a body slot *)
+                           assert false))
+                 q.Query.head.Atom.args)
+          in
+          let width = Array.length proj in
+          let scratch = Array.make width 0 in
+          fun () ->
+            for j = 0 to width - 1 do
+              scratch.(j) <-
+                (match proj.(j) with
+                | Pconst c -> c
+                | Pvar s -> ctx.x_vals.(s)
+                | Pbindconst _ -> assert false (* never built by the projector *))
+            done;
+            if not (Hashtbl.mem seen scratch) then begin
+              let row = Array.copy scratch in
+              Hashtbl.add seen row ();
+              rows := row :: !rows
+            end);
+      List.sort Tuple.compare (List.map (fun row -> Array.map Intern.unpack row) !rows)
 
 let certain tuples = List.filter (fun t -> not (Tuple.has_null t)) tuples

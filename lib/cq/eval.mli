@@ -5,16 +5,14 @@
     databases, per-query overlays, and the Wrapper's temporary stores
     on mediator nodes.
 
-    Two execution strategies share the same matching core:
-
-    - the {e planned} path (default) runs each join through
-      {!Plan.make}: atoms ordered by estimated selectivity, ground
-      column sets probed through composite hash indexes, comparisons
-      evaluated at their earliest ground position;
-    - the {e legacy} path ([~planner:false]) keeps the original
-      left-to-right greedy order with single-column probes — the
-      ablation baseline, and the reference semantics the planned path
-      must reproduce exactly.
+    Every join runs one way: {!Plan.make} orders the atoms by
+    estimated selectivity, picks the ground column sets to probe
+    through composite hash indexes and places each comparison at its
+    earliest ground step; the plan then executes on packed ints
+    ({!Codb_relalg.Relation.packed_view}) — int-slot substitutions,
+    row-id candidate sets, packed probes, and scans that skip the
+    chunks whose zone maps rule out the plan's constant and order
+    predicates.
 
     Two entry points matter to the coDB algorithms:
 
@@ -29,43 +27,20 @@
 
 type rows = {
   all : unit -> Codb_relalg.Tuple.t list;  (** every tuple *)
-  all_arr : (unit -> Codb_relalg.Tuple.t array) option;
-      (** array variant of [all] for the join inner loop; when absent
-          the evaluator converts the list once per scan *)
-  size : int;  (** cardinality, used by both join-order strategies *)
-  probe : (int -> Codb_relalg.Value.t -> Codb_relalg.Tuple.t list) option;
-      (** equality probe on one column, when the backing store has (or
-          can build) a hash index; [None] falls back to scanning *)
-  probe_arr : (int -> Codb_relalg.Value.t -> Codb_relalg.Tuple.t array) option;
-      (** array variant of [probe] ({!Codb_relalg.Relation.lookup_arr}):
-          no list spine allocated per probe *)
-  probe_cols :
-    ((int * Codb_relalg.Value.t) list -> Codb_relalg.Tuple.t list) option;
-      (** composite probe on a set of column bindings, served by
-          {!Codb_relalg.Relation.lookup_cols}; [None] for plain tuple
-          lists *)
-  probe_cols_arr :
-    ((int * Codb_relalg.Value.t) list -> Codb_relalg.Tuple.t array) option;
-      (** array variant of [probe_cols]
-          ({!Codb_relalg.Relation.lookup_cols_arr}) *)
+  size : int;  (** cardinality, for the planner's cost model *)
+  indexed : bool;
+      (** can [packed] serve composite probes cheaply?  [false]
+          keeps the planner from probing (a row list scans) *)
   distinct : (int -> int) option;
       (** per-column distinct-value estimate for the planner's
           selectivity model *)
-  arity : int option;
-      (** tuple width when uniform, letting the evaluator reject
-          wrong-arity atoms once instead of per candidate tuple *)
-  packed : Codb_relalg.Relation.packed_view option;
-      (** zero-copy packed access ({!Codb_relalg.Relation.packed_view}).
-          When {e every} atom of a planned join carries one, the join
-          runs entirely on packed ints — int-slot substitutions,
-          row-id candidate sets, packed probes — and boxes a
-          {!Subst.t} only per full match.  Must describe the same
-          tuples as [all]. *)
+  packed : int -> Codb_relalg.Relation.packed_view;
+      (** [packed k] is the packed view an atom of [k] arguments joins
+          against: exactly the tuples of [all] that have [k] columns,
+          as a view of width [k].  An atom whose width disagrees with
+          the stored relation's therefore matches nothing. *)
 }
-(** Access path to one relation's tuples.  The [_arr] fields are
-    optional accelerators: semantics must match their list twins (same
-    tuples, any order); the evaluator prefers them and falls back to
-    the lists otherwise. *)
+(** Access path to one relation's tuples. *)
 
 type source = string -> rows
 (** Access paths by relation name.  Unknown relations must return
@@ -75,7 +50,6 @@ type counters = {
   probes : int;  (** candidate sets served by an index probe *)
   scans : int;  (** candidate sets served by a full scan *)
   planned : int;  (** joins executed through a cost-based plan *)
-  legacy : int;  (** joins executed through the legacy greedy order *)
   zone_visited : int;
       (** chunks a zone-mapped scan actually walked (pruned excluded) *)
   zone_pruned : int;  (** chunks skipped outright by zone-map bounds *)
@@ -90,14 +64,12 @@ val reset_counters : unit -> unit
 
 val empty_rows : rows
 
-val rows_of_list : ?arity:int -> Codb_relalg.Tuple.t list -> rows
+val rows_of_list : Codb_relalg.Tuple.t list -> rows
 (** Scan-only access path over a list (used for deltas and frozen
-    canonical databases).  When the rows share one arity the view also
-    carries a packed columnar image, so joins mixing stored relations
-    with delta feeds run on the packed int core; the planner still
-    sees the source as unindexed (no probe columns), keeping plans and
-    probe/scan counters identical to the boxed view.  [arity] lets an
-    empty feed declare its width and stay packed-joinable. *)
+    canonical databases): the rows are packed into a transient columnar
+    image, and the source is not [indexed], so the planner scans it.
+    An empty list joins at any width; a list mixing widths shows each
+    atom only the rows of its own width. *)
 
 val of_database : ?index_budget:int -> Codb_relalg.Database.t -> source
 (** Probing access paths backed by {!Codb_relalg.Relation}'s lazy,
@@ -108,23 +80,12 @@ val of_database : ?index_budget:int -> Codb_relalg.Database.t -> source
 val source_of_alist : (string * Codb_relalg.Tuple.t list) list -> source
 (** Scan-only source over an association list. *)
 
-val answers :
-  ?planner:bool ->
-  ?zone_maps:bool ->
-  ?max_probe_cols:int ->
-  source ->
-  Query.t ->
-  Subst.t list
+val answers : ?max_probe_cols:int -> source -> Query.t -> Subst.t list
 (** All substitutions of the body variables satisfying body atoms and
     comparisons.  The result may contain substitutions that project to
     the same head tuple; projection and de-duplication are the
-    caller's business (see {!Apply}).  [~planner:false] selects the
-    legacy left-to-right evaluator; [max_probe_cols] caps probe width
-    (see {!Plan.make}).  [~zone_maps:true] lets packed scans consult
-    per-chunk min/max summaries to skip chunks ruled out by the plan's
-    sargable order predicates ({!Plan.step.st_ranges}) and constant
-    equality bindings — answers are identical either way, only the
-    [zone_*] counters move. *)
+    caller's business (see {!Apply}).  [max_probe_cols] caps probe
+    width (see {!Plan.make}). *)
 
 val plan_for : ?max_probe_cols:int -> source -> Query.t -> Plan.t
 (** The plan {!answers} would execute — for the CLI [explain]
@@ -132,8 +93,6 @@ val plan_for : ?max_probe_cols:int -> source -> Query.t -> Plan.t
 
 val delta_answers :
   ?naive:bool ->
-  ?planner:bool ->
-  ?zone_maps:bool ->
   ?max_probe_cols:int ->
   source ->
   delta_rel:string ->
@@ -149,12 +108,7 @@ val delta_answers :
     baseline of experiment E8. *)
 
 val answer_tuples :
-  ?planner:bool ->
-  ?zone_maps:bool ->
-  ?max_probe_cols:int ->
-  source ->
-  Query.t ->
-  Codb_relalg.Tuple.t list
+  ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Tuple.t list
 (** Evaluate a {e user} query: project the answers on the head and
     de-duplicate.  @raise Invalid_argument if the head has existential
     variables (use {!Apply.head_tuples} for GLAV rule heads). *)

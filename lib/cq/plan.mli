@@ -40,9 +40,8 @@ type t = {
   pl_pre : Query.comparison list;
       (** variable-free comparisons, checked once before joining *)
   pl_unbound : Query.comparison list;
-      (** comparisons never fully bound by any step: the query has no
-          answers (matching the legacy evaluator, which drops
-          substitutions with pending comparisons) *)
+      (** comparisons never fully bound by any step: no substitution
+          can satisfy them, so the query has no answers *)
 }
 
 val make : ?max_probe_cols:int -> atom_info list -> Query.comparison list -> t

@@ -439,8 +439,6 @@ let to_list r =
       r.sorted_cache <- Some sorted;
       sorted
 
-let to_array r = Array.of_list (to_list r)
-
 let to_seq r = List.to_seq (to_list r)
 
 let fold f r init = List.fold_left (fun acc t -> f t acc) init (to_list r)
@@ -586,26 +584,12 @@ let lookup r ~col value =
   check_col r col;
   rows_to_tuples r (probe_rows r [ (col, Intern.pack value) ])
 
-let lookup_arr r ~col value =
-  check_col r col;
-  Array.map (boxed_row r) (probe_rows r [ (col, Intern.pack value) ])
-
-let lookup_cols_rows r bindings =
+let lookup_cols r bindings =
   List.iter (fun (col, _) -> check_col r col) bindings;
   match normalise_bindings (List.map (fun (c, v) -> (c, Intern.pack v)) bindings) with
-  | None -> Some [||]
-  | Some [] -> None (* no bindings: every tuple *)
-  | Some bindings -> Some (probe_rows r bindings)
-
-let lookup_cols r bindings =
-  match lookup_cols_rows r bindings with
-  | None -> to_list r
-  | Some rows -> rows_to_tuples r rows
-
-let lookup_cols_arr r bindings =
-  match lookup_cols_rows r bindings with
-  | None -> to_array r
-  | Some rows -> Array.map (boxed_row r) rows
+  | None -> []
+  | Some [] -> to_list r (* no bindings: every tuple *)
+  | Some bindings -> rows_to_tuples r (probe_rows r bindings)
 
 (* Subsumption probe.  A stored tuple (hole-free by
    [check_insertable]) subsumes [incoming] iff it agrees with every
@@ -819,8 +803,7 @@ let packed_view r =
         (rows, Array.length rows));
     pv_probe =
       (fun cols ->
-        (* resolve lazily so an unexercised probe builds no index,
-           matching the boxed path's first-probe behaviour *)
+        (* resolve lazily so an unexercised probe builds no index *)
         let resolved = ref None in
         fun vals ->
           let probe =

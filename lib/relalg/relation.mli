@@ -68,11 +68,6 @@ val lookup : t -> col:int -> Value.t -> Tuple.t list
     order of the result is unspecified.
     @raise Invalid_argument if [col] is out of range. *)
 
-val lookup_arr : t -> col:int -> Value.t -> Tuple.t array
-(** {!lookup} returning a fresh array instead of a list: the
-    evaluator's inner join loop iterates candidates by index without
-    allocating a list spine per probe. *)
-
 val lookup_cols : t -> (int * Value.t) list -> Tuple.t list
 (** Composite probe: tuples matching every [(col, value)] binding at
     once, served from a multi-column hash index when the budget
@@ -80,10 +75,6 @@ val lookup_cols : t -> (int * Value.t) list -> Tuple.t list
     otherwise.  Duplicate bindings collapse; contradictory bindings
     yield [[]]; an empty binding list yields every tuple.
     @raise Invalid_argument if any column is out of range. *)
-
-val lookup_cols_arr : t -> (int * Value.t) list -> Tuple.t array
-(** {!lookup_cols} returning a fresh array — same semantics, built
-    for the planner's inner loop. *)
 
 val distinct_count : t -> col:int -> int
 (** Number of distinct values in a column — the planner's selectivity
@@ -108,9 +99,6 @@ val clear : t -> unit
 val to_list : t -> Tuple.t list
 (** Tuples in {!Tuple.compare} order (cached until the next
     mutation). *)
-
-val to_array : t -> Tuple.t array
-(** Fresh array of the tuples in {!Tuple.compare} order. *)
 
 val to_seq : t -> Tuple.t Seq.t
 

@@ -86,31 +86,25 @@ let absorb t heads ~tag =
   t.answers <- List.fold_left (fun s tu -> Tuple_set.add tu s) t.answers adds;
   { d_adds = adds; d_retracts = []; d_tag = tag }
 
-let apply_delta t ~zone_maps ~planner ~source ~delta_rel ~delta ~tag =
+let apply_delta t ~source ~delta_rel ~delta ~tag =
   let delta, dropped = prefilter t ~rel:delta_rel delta in
   let d =
     if delta = [] then { d_adds = []; d_retracts = []; d_tag = tag }
     else
-      let substs =
-        Eval.delta_answers ~zone_maps ~planner source ~delta_rel ~delta t.query
-      in
+      let substs = Eval.delta_answers source ~delta_rel ~delta t.query in
       absorb t (Apply.head_tuples t.query substs) ~tag
   in
   (d, dropped)
 
-let refresh t ~zone_maps ~planner ~source ~tag =
-  let current =
-    Tuple_set.of_list (Eval.answer_tuples ~zone_maps ~planner source t.query)
-  in
+let refresh t ~source ~tag =
+  let current = Tuple_set.of_list (Eval.answer_tuples source t.query) in
   let adds = Tuple_set.elements (Tuple_set.diff current t.answers) in
   let retracts = Tuple_set.elements (Tuple_set.diff t.answers current) in
   t.answers <- current;
   { d_adds = adds; d_retracts = retracts; d_tag = tag }
 
-let reevaluate t ~zone_maps ~planner ~source ~tag =
-  let current =
-    Tuple_set.of_list (Eval.answer_tuples ~zone_maps ~planner source t.query)
-  in
+let reevaluate t ~source ~tag =
+  let current = Tuple_set.of_list (Eval.answer_tuples source t.query) in
   let retracts = Tuple_set.elements (Tuple_set.diff t.answers current) in
   t.answers <- current;
   { d_adds = Tuple_set.elements current; d_retracts = retracts; d_tag = tag }

@@ -76,8 +76,6 @@ val prefilter : t -> rel:string -> Tuple.t list -> Tuple.t list * int
 
 val apply_delta :
   t ->
-  zone_maps:bool ->
-  planner:bool ->
   source:Eval.source ->
   delta_rel:string ->
   delta:Tuple.t list ->
@@ -90,14 +88,12 @@ val apply_delta :
     (adds only — new answers not previously known) and the number of
     prefiltered-away tuples. *)
 
-val refresh :
-  t -> zone_maps:bool -> planner:bool -> source:Eval.source -> tag:string -> delta
+val refresh : t -> source:Eval.source -> tag:string -> delta
 (** From-scratch re-evaluation; the returned delta is the {e diff}
     against the previously known answers (used to seed a new
     subscription and to catch a re-armed one up). *)
 
-val reevaluate :
-  t -> zone_maps:bool -> planner:bool -> source:Eval.source -> tag:string -> delta
+val reevaluate : t -> source:Eval.source -> tag:string -> delta
 (** The naive baseline ([Options.sub_naive]): recompute the full
     answer set and return {e all} of it as adds (plus any retracts the
     diff reveals) — what a client that re-asks its query on every

@@ -113,7 +113,7 @@ let test_queries_identical_across_runs () =
   let q = parse_query "o(x, y) <- data(x, y), x < 5" in
   let run () =
     Value.reset_null_counter ();
-    let opts = { Options.default with Options.pushdown = true; planner = true } in
+    let opts = { Options.default with Options.pushdown = true } in
     let sys =
       System.build_exn ~opts (Topology.generate ~params ~seed:77 Topology.Clique ~n:5)
     in

@@ -59,6 +59,14 @@ let test_ground_comparison_entailment () =
   let q2 = q "ans(x) <- r(x, y), 1 < 2" in
   Alcotest.(check bool) "ground true comparison" true (Containment.contained q1 q2)
 
+let test_mixed_arity_atoms () =
+  (* the canonical database of q1 holds r-rows of two widths; an atom
+     may only map onto rows of its own width *)
+  let q1 = q "ans(x) <- r(x, y), r(x)" in
+  let q2 = q "ans(x) <- r(x, y)" in
+  Alcotest.(check bool) "q1 in q2" true (Containment.contained q1 q2);
+  Alcotest.(check bool) "q2 not in q1" false (Containment.contained q2 q1)
+
 let suite =
   [
     Alcotest.test_case "identity" `Quick test_identical;
@@ -72,4 +80,5 @@ let suite =
       test_comparisons_conservative;
     Alcotest.test_case "ground comparison entailment" `Quick
       test_ground_comparison_entailment;
+    Alcotest.test_case "mixed-arity atoms" `Quick test_mixed_arity_atoms;
   ]

@@ -63,9 +63,8 @@ let test_negative_index_budget () =
     (Options.validate { Options.default with Options.index_budget = -1 })
 
 let test_planner_knobs_are_valid () =
-  (* budget 0 disables indexing; the planner itself toggles freely *)
-  ok (Options.validate { Options.default with Options.index_budget = 0 });
-  ok (Options.validate { Options.default with Options.planner = false })
+  (* budget 0 disables indexing: every probe degrades to a scan *)
+  ok (Options.validate { Options.default with Options.index_budget = 0 })
 
 let test_wire_knobs_are_valid () =
   ok
@@ -157,13 +156,8 @@ let test_rto_backoff_capped () =
     (Float.is_finite (Options.failure_deadline opts))
 
 let test_dict_knobs () =
-  Alcotest.(check bool) "zone_maps with planner valid" true
-    (Options.validate { Options.default with Options.zone_maps = true } = Ok ());
   Alcotest.(check bool) "link_dicts with codec valid" true
     (Options.validate { Options.default with Options.link_dicts = true } = Ok ());
-  rejected ~substring:"zone_maps"
-    (Options.validate
-       { Options.default with Options.zone_maps = true; planner = false });
   rejected ~substring:"link_dicts"
     (Options.validate
        { Options.default with Options.link_dicts = true; wire_codec = false })
@@ -200,7 +194,7 @@ let suite =
     Alcotest.test_case "bad wire knobs rejected" `Quick test_bad_wire_knobs_rejected;
     Alcotest.test_case "chaos knobs are valid" `Quick test_chaos_knobs_are_valid;
     Alcotest.test_case "bad chaos knobs rejected" `Quick test_bad_chaos_knobs_rejected;
-    Alcotest.test_case "zone-map/link-dict knobs validated" `Quick test_dict_knobs;
+    Alcotest.test_case "link-dict knobs validated" `Quick test_dict_knobs;
     Alcotest.test_case "rto backoff capped" `Quick test_rto_backoff_capped;
     Alcotest.test_case "errors accumulate" `Quick test_errors_accumulate;
     Alcotest.test_case "System.build enforces validate" `Quick

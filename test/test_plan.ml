@@ -1,6 +1,6 @@
 (* The cost-based join planner: step ordering on crafted selectivity
    cases, composite-probe selection, comparison pushdown, and
-   planned-vs-legacy equivalence on fixed databases. *)
+   planned-vs-reference equivalence on fixed databases. *)
 
 open Helpers
 module Plan = Codb_cq.Plan
@@ -102,17 +102,14 @@ let test_ground_comparison_precheck () =
     (List.length plan.Plan.pl_pre);
   Alcotest.(check (list Alcotest.reject)) "no step carries it" []
     (List.concat_map (fun s -> s.Plan.st_comparisons) plan.Plan.pl_steps);
-  (* and it kills evaluation up front, same as the legacy path *)
+  (* and it kills evaluation up front *)
   let source = Eval.of_database db in
-  Alcotest.(check int) "planned: no answers" 0 (List.length (Eval.answers source q));
-  Alcotest.(check int) "legacy agrees" 0
-    (List.length (Eval.answers ~planner:false source q))
+  Alcotest.(check int) "planned: no answers" 0 (List.length (Eval.answers source q))
 
 let test_unbound_comparison_yields_nothing () =
   let db = crafted_db () in
-  (* unsafe query: [z] occurs only in the comparison.  The legacy
-     evaluator drops every substitution (the comparison stays
-     pending); the planner proves it up front. *)
+  (* unsafe query: [z] occurs only in the comparison, so no
+     substitution ever satisfies it; the planner proves it up front. *)
   let q =
     Query.make
       ~head:(atom "ans" [ v "a" ])
@@ -124,9 +121,7 @@ let test_unbound_comparison_yields_nothing () =
   Alcotest.(check int) "recognised as never bindable" 1
     (List.length plan.Plan.pl_unbound);
   let source = Eval.of_database db in
-  Alcotest.(check int) "planned: no answers" 0 (List.length (Eval.answers source q));
-  Alcotest.(check int) "legacy agrees" 0
-    (List.length (Eval.answers ~planner:false source q))
+  Alcotest.(check int) "planned: no answers" 0 (List.length (Eval.answers source q))
 
 let test_wrong_arity_atom_matches_nothing () =
   let db = crafted_db () in
@@ -137,9 +132,7 @@ let test_wrong_arity_atom_matches_nothing () =
       ()
   in
   let source = Eval.of_database db in
-  Alcotest.(check int) "planned" 0 (List.length (Eval.answers source q));
-  Alcotest.(check int) "legacy" 0
-    (List.length (Eval.answers ~planner:false source q))
+  Alcotest.(check int) "planned" 0 (List.length (Eval.answers source q))
 
 let subst_set substs =
   List.sort_uniq compare (List.map Subst.bindings substs)
@@ -148,17 +141,17 @@ let check_equivalent db text =
   let q = parse_query text in
   let source = Eval.of_database db in
   let planned = Eval.answers source q in
-  let legacy = Eval.answers ~planner:false source q in
+  let reference = Test_eval.reference_substs source q in
   let single = Eval.answers ~max_probe_cols:1 source q in
   Alcotest.(check int)
-    (text ^ ": planned = legacy count")
-    (List.length legacy) (List.length planned);
+    (text ^ ": planned = reference count")
+    (List.length reference) (List.length planned);
   Alcotest.(check bool) (text ^ ": same substitutions") true
-    (subst_set planned = subst_set legacy);
+    (subst_set planned = subst_set reference);
   Alcotest.(check bool) (text ^ ": single-column agrees") true
-    (subst_set single = subst_set legacy)
+    (subst_set single = subst_set reference)
 
-let test_planned_equals_legacy_crafted () =
+let test_planned_equals_reference_crafted () =
   let db = crafted_db () in
   List.iter (check_equivalent db)
     [
@@ -172,23 +165,28 @@ let test_planned_equals_legacy_crafted () =
       "ans(a, b) <- big(a, b), big(a, b)";
     ]
 
-let test_planned_equals_legacy_empty_relation () =
+let test_planned_equals_reference_empty_relation () =
   let db = Database.create [ big_schema; small_schema ] in
   ignore (Database.insert db "big" (tup [ i 1; i 2 ]));
   (* small stays empty *)
   List.iter (check_equivalent db)
     [ "ans(a, c) <- big(a, b), small(b, c)"; "ans(b, c) <- small(b, c)" ]
 
-let test_delta_planned_equals_legacy () =
+let test_delta_planned_equals_reference () =
   let db = crafted_db () in
-  let delta = [ tup [ i 0; i 100 ]; tup [ i 3; i 300 ] ] in
-  ignore (Database.insert_all db "big" delta);
   let q = parse_query "ans(a, z) <- big(a, b), big(b, z)" in
   let source = Eval.of_database db in
+  let before = subst_set (Test_eval.reference_substs source q) in
+  let delta = [ tup [ i 0; i 100 ]; tup [ i 3; i 300 ] ] in
+  ignore (Database.insert_all db "big" delta);
+  let gained =
+    List.filter
+      (fun s -> not (List.mem s before))
+      (subst_set (Test_eval.reference_substs source q))
+  in
   let planned = Eval.delta_answers source ~delta_rel:"big" ~delta q in
-  let legacy = Eval.delta_answers ~planner:false source ~delta_rel:"big" ~delta q in
-  Alcotest.(check bool) "delta substitutions agree" true
-    (subst_set planned = subst_set legacy)
+  Alcotest.(check bool) "delta substitutions = reference gain" true
+    (subst_set planned = gained)
 
 let test_explain_mentions_probe () =
   let db = crafted_db () in
@@ -212,11 +210,11 @@ let suite =
       test_unbound_comparison_yields_nothing;
     Alcotest.test_case "wrong-arity atom matches nothing" `Quick
       test_wrong_arity_atom_matches_nothing;
-    Alcotest.test_case "planned = legacy on crafted cases" `Quick
-      test_planned_equals_legacy_crafted;
-    Alcotest.test_case "planned = legacy with empty relations" `Quick
-      test_planned_equals_legacy_empty_relation;
-    Alcotest.test_case "planned = legacy on deltas" `Quick
-      test_delta_planned_equals_legacy;
+    Alcotest.test_case "planned = reference on crafted cases" `Quick
+      test_planned_equals_reference_crafted;
+    Alcotest.test_case "planned = reference with empty relations" `Quick
+      test_planned_equals_reference_empty_relation;
+    Alcotest.test_case "planned = reference on deltas" `Quick
+      test_delta_planned_equals_reference;
     Alcotest.test_case "explain mentions the probe" `Quick test_explain_mentions_probe;
   ]

@@ -84,8 +84,8 @@ let prop_eval_matches_reference =
 
 (* Random databases drawn through the workload generator (seeded,
    optionally zipf-skewed) rather than the hand-rolled gen_db above:
-   the cost-based planner must return exactly the legacy evaluator's
-   answer set, whatever the data shape. *)
+   the cost-based planner must return exactly the brute-force
+   reference's substitutions, whatever the data shape. *)
 let gen_datagen_db =
   let open Gen in
   let* seed = int_range 0 10000 in
@@ -107,28 +107,29 @@ let gen_datagen_db =
 let subst_set substs =
   List.sort_uniq compare (List.map Codb_cq.Subst.bindings substs)
 
-let prop_planner_matches_legacy =
-  Q2.Test.make ~name:"planned evaluation = legacy evaluation" ~count:300
+let prop_planner_matches_reference =
+  Q2.Test.make ~name:"planned evaluation = reference substitutions" ~count:300
     (Gen.pair gen_datagen_db gen_query)
     (fun (db, q) ->
       let source = Eval.of_database db in
-      let legacy = subst_set (Eval.answers ~planner:false source q) in
-      subst_set (Eval.answers ~planner:true source q) = legacy
-      && subst_set (Eval.answers ~max_probe_cols:1 source q) = legacy)
+      let reference = subst_set (Test_eval.reference_substs source q) in
+      subst_set (Eval.answers source q) = reference
+      && subst_set (Eval.answers ~max_probe_cols:1 source q) = reference)
 
-let prop_planner_matches_legacy_on_deltas =
-  Q2.Test.make ~name:"planned delta evaluation = legacy delta evaluation"
-    ~count:150
+(* Every substitution of the grown database that was not one before
+   grounds some atom to a delta tuple, and vice versa: semi-naive
+   evaluation must produce exactly that difference. *)
+let prop_delta_matches_reference_gain =
+  Q2.Test.make ~name:"delta substitutions = reference gain" ~count:150
     (Gen.triple gen_datagen_db (Gen.list_size (Gen.int_range 1 5) gen_tuple)
        gen_query)
     (fun (db, delta_candidates, q) ->
       let source = Eval.of_database db in
+      let before = subst_set (Test_eval.reference_substs source q) in
       let delta = Database.insert_all db "r" delta_candidates in
-      let run planner =
-        subst_set
-          (Eval.delta_answers ~planner source ~delta_rel:"r" ~delta q)
-      in
-      run true = run false)
+      let after = subst_set (Test_eval.reference_substs source q) in
+      subst_set (Eval.delta_answers source ~delta_rel:"r" ~delta q)
+      = List.filter (fun s -> not (List.mem s before)) after)
 
 let prop_delta_brackets_gain =
   Q2.Test.make ~name:"semi-naive delta brackets the gained answers" ~count:200
@@ -237,7 +238,7 @@ let prop_query_equals_update_on_dags =
 (* Constraint pushdown is an optimisation, not a semantics change: on
    any network (cycles and existential heads included) and any query,
    the answer set, the certain answers and the completeness flag agree
-   across pushdown on/off and planner on/off.  Null identities are
+   across pushdown on/off.  Null identities are
    run-dependent, so each tuple's nulls are canonicalised to their
    first-occurrence index inside the tuple before comparison. *)
 let canonical_nulls t =
@@ -285,10 +286,9 @@ let prop_pushdown_preserves_answers =
     gen_pushdown_case
     (fun ((shape, n, seed, params), qtext, use_query_cache) ->
       let q = parse_query qtext in
-      let run ~pushdown ~planner =
+      let run ~pushdown =
         let opts =
-          { Codb_core.Options.default with
-            Codb_core.Options.pushdown; planner; use_query_cache }
+          { Codb_core.Options.default with Codb_core.Options.pushdown; use_query_cache }
         in
         let sys = System.build_exn ~opts (Topology.generate ~params ~seed shape ~n) in
         let o = System.run_query sys ~at:"n0" q in
@@ -296,13 +296,9 @@ let prop_pushdown_preserves_answers =
           sorted_tuples (List.map canonical_nulls o.System.qo_certain),
           o.System.qo_complete )
       in
-      let a0, c0, f0 = run ~pushdown:false ~planner:true in
-      List.for_all
-        (fun (pushdown, planner) ->
-          let a, c, f = run ~pushdown ~planner in
-          List.equal Tuple.equal a0 a && List.equal Tuple.equal c0 c
-          && Bool.equal f0 f)
-        [ (true, true); (false, false); (true, false) ])
+      let a0, c0, f0 = run ~pushdown:false in
+      let a, c, f = run ~pushdown:true in
+      List.equal Tuple.equal a0 a && List.equal Tuple.equal c0 c && Bool.equal f0 f)
 
 (* Heterogeneous GLAV networks (joins, existential projections,
    filters) over random shapes: the update must terminate, saturate
@@ -546,8 +542,8 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_eval_matches_reference;
-      prop_planner_matches_legacy;
-      prop_planner_matches_legacy_on_deltas;
+      prop_planner_matches_reference;
+      prop_delta_matches_reference_gain;
       prop_delta_brackets_gain;
       prop_roundtrip_config;
       prop_update_terminates_and_is_idempotent;

@@ -218,25 +218,6 @@ let test_to_list_sorted () =
   let ks = List.map (fun t -> t.(0)) (Relation.to_list r) in
   Alcotest.(check bool) "sorted" true (ks = [ i 1; i 2; i 3 ])
 
-let test_array_variants_agree () =
-  let r = fresh () in
-  ignore
-    (Relation.insert_all r
-       [ tup [ i 1; i 10 ]; tup [ i 1; i 20 ]; tup [ i 2; i 10 ] ]);
-  let sorted_arr a = sorted_tuples (Array.to_list a) in
-  check_tuples "lookup_arr" (Relation.lookup r ~col:0 (i 1))
-    (Array.to_list (Relation.lookup_arr r ~col:0 (i 1)));
-  check_tuples "lookup_cols_arr"
-    (Relation.lookup_cols r [ (0, i 1); (1, i 10) ])
-    (Array.to_list (Relation.lookup_cols_arr r [ (0, i 1); (1, i 10) ]));
-  check_tuples "lookup_cols_arr, no bindings"
-    (Relation.lookup_cols r [])
-    (Array.to_list (Relation.lookup_cols_arr r []));
-  check_tuples "lookup_cols_arr, contradiction" []
-    (Array.to_list (Relation.lookup_cols_arr r [ (0, i 1); (0, i 2) ]));
-  Alcotest.(check bool) "to_array = to_list" true
-    (sorted_arr (Relation.to_array r) = Relation.to_list r)
-
 (* ---- differential testing against the seed engine ------------------- *)
 
 module Ref = Codb_relalg.Relation_ref
@@ -475,8 +456,6 @@ let suite =
       test_composite_index_maintained;
     Alcotest.test_case "distinct-value statistics" `Quick test_distinct_count;
     Alcotest.test_case "index budget degrades to scans" `Quick test_index_budget;
-    Alcotest.test_case "array probe variants agree with lists" `Quick
-      test_array_variants_agree;
     QCheck_alcotest.to_alcotest prop_columnar_matches_seed;
     Alcotest.test_case "zone maps prune selective ranges" `Quick
       test_zone_prune_selective;

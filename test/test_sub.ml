@@ -335,7 +335,7 @@ let test_naive_same_answers_more_probes () =
 (* At every quiescent point, the incrementally maintained answer set
    (host registry and remote mirror alike) must equal a from-scratch
    re-evaluation of the query over the host's store — across the
-   pushdown/planner/batching/naive corners, and under seeded
+   pushdown/batching/naive corners, and under seeded
    drop/dup/crash chaos (retried transport keeps delivery exact). *)
 let gen_sub_case =
   let open Gen in
@@ -344,7 +344,7 @@ let gen_sub_case =
   in
   let* n = int_range 2 4 in
   let* seed = int_range 0 10000 in
-  let* corner = oneofl [ `Plain; `Pushdown; `No_planner; `Batched; `Naive ] in
+  let* corner = oneofl [ `Plain; `Pushdown; `Batched; `Naive ] in
   let* chaos = bool in
   let* crash = bool in
   return (shape, n, seed, corner, chaos, crash)
@@ -354,7 +354,6 @@ let corner_opts corner chaos =
     match corner with
     | `Plain -> sub_opts ()
     | `Pushdown -> sub_opts ~base:{ Options.default with Options.pushdown = true } ()
-    | `No_planner -> sub_opts ~base:{ Options.default with Options.planner = false } ()
     | `Batched -> sub_opts ~window:(5.0 *. Options.default.Options.latency) ()
     | `Naive -> sub_opts ~naive:true ()
   in
