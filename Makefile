@@ -67,8 +67,8 @@ scale-bench:
 scale-bench-tiny:
 	dune exec bench/main.exe -- scale-json --tiny
 
-# zone-map + dictionary bench -> BENCH_dict.json (chunk pruning, link-level
-# wire dictionaries, dictionary-encoded WAL/snapshots; the committed JSON
+# zone-map + dictionary bench -> BENCH_dict.json (chunk pruning, exact
+# recovery from dictionary-encoded WAL/snapshots; the committed JSON
 # embeds a tiny_reference block)
 dict-bench:
 	dune exec bench/main.exe -- dict-json

@@ -61,7 +61,7 @@ let retries ~tiny = if tiny then [ 0; 4 ] else [ 0; 2; 6 ]
 
 let max_retries ~tiny = List.fold_left max 0 (retries ~tiny)
 
-let opts_of ~fault_seed ~drop ~n_retries ~durable ~link_dicts =
+let opts_of ~fault_seed ~drop ~n_retries ~durable =
   {
     Options.default with
     Options.fault_seed;
@@ -70,8 +70,7 @@ let opts_of ~fault_seed ~drop ~n_retries ~durable ~link_dicts =
     jitter = (if drop > 0.0 then jitter else 0.0);
     ack_timeout;
     max_retries = n_retries;
-    durability = (if durable then Options.Dur_wal else Options.Dur_off);
-    link_dicts;
+    durability = (if durable then Options.Dur_wal else Options.Dur_volatile);
   }
 
 type cell = {
@@ -113,8 +112,8 @@ let completeness ~baseline sys =
   in
   if total = 0 then 1.0 else float_of_int hit /. float_of_int total
 
-let measure ~seed ~baseline ~durable ~link_dicts wl ~drop ~n_retries =
-  let opts = opts_of ~fault_seed:(seed + 1) ~drop ~n_retries ~durable ~link_dicts in
+let measure ~seed ~baseline ~durable wl ~drop ~n_retries =
+  let opts = opts_of ~fault_seed:(seed + 1) ~drop ~n_retries ~durable in
   let sys = System.build_exn ~opts (config ~seed wl) in
   let wall_start = Unix.gettimeofday () in
   let uid = System.run_update sys ~initiator:"n0" in
@@ -158,14 +157,14 @@ let check_invariants ~tiny cells =
              c.c_completeness c.c_drop c.c_retries))
     cells
 
-let check_determinism ~seed ~baseline ~durable ~link_dicts wl =
+let check_determinism ~seed ~baseline ~durable wl =
   let drop = List.fold_left Float.max 0.0 (drops ~tiny:true) in
-  let run () = measure ~seed ~baseline ~durable ~link_dicts wl ~drop ~n_retries:2 in
+  let run () = measure ~seed ~baseline ~durable wl ~drop ~n_retries:2 in
   let a = run () and b = run () in
   if a <> { b with c_wall_s = a.c_wall_s } then
     failwith "chaos sweep is not deterministic: same seed, different cell"
 
-let measure_all ~tiny ~seed ~durable ~link_dicts () =
+let measure_all ~tiny ~seed ~durable () =
   let wl = workload ~tiny in
   let baseline = System.build_exn ~opts:Options.default (config ~seed wl) in
   let _uid = System.run_update baseline ~initiator:"n0" in
@@ -174,12 +173,12 @@ let measure_all ~tiny ~seed ~durable ~link_dicts () =
       (fun drop ->
         List.map
           (fun n_retries ->
-            measure ~seed ~baseline ~durable ~link_dicts wl ~drop ~n_retries)
+            measure ~seed ~baseline ~durable wl ~drop ~n_retries)
           (retries ~tiny))
       (drops ~tiny)
   in
   check_invariants ~tiny cells;
-  check_determinism ~seed ~baseline ~durable ~link_dicts wl;
+  check_determinism ~seed ~baseline ~durable wl;
   (wl, cells)
 
 let print_table wl cells =
@@ -211,13 +210,12 @@ let print_table wl cells =
        cells)
 
 (* Hand-rolled JSON: the harness must not grow dependencies. *)
-let write_json ~path ~seed ~durable ~link_dicts wl cells =
+let write_json ~path ~seed ~durable wl cells =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"benchmark\": \"chaos-sweep\",\n";
-  p "  \"durability\": \"%s\",\n" (if durable then "wal" else "off");
-  p "  \"link_dicts\": %b,\n" link_dicts;
+  p "  \"durability\": \"%s\",\n" (if durable then "wal" else "volatile");
   p "  \"workload\": {\"topology\": \"chain\", \"nodes\": %d, \"tuples_per_node\": %d, \
      \"domain\": %d, \"skew\": %g},\n"
     wl.wl_nodes wl.wl_tuples wl.wl_domain wl.wl_skew;
@@ -245,11 +243,10 @@ let write_json ~path ~seed ~durable ~link_dicts wl cells =
 
 let json_path = "BENCH_chaos.json"
 
-let run ?(tiny = false) ?(seed = 1500) ?(json = true) ?(durable = false)
-    ?(link_dicts = false) () =
-  let wl, cells = measure_all ~tiny ~seed ~durable ~link_dicts () in
+let run ?(tiny = false) ?(seed = 1500) ?(json = true) ?(durable = false) () =
+  let wl, cells = measure_all ~tiny ~seed ~durable () in
   print_table wl cells;
   if json then begin
-    write_json ~path:json_path ~seed ~durable ~link_dicts wl cells;
+    write_json ~path:json_path ~seed ~durable wl cells;
     Printf.printf "wrote %s\n%!" json_path
   end

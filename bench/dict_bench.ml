@@ -1,7 +1,7 @@
-(* Dictionary-and-pruning bench (experiment E22 and `make dict-bench`).
+(* Zone-map and dictionary-recovery bench (experiment E22 and
+   `make dict-bench`).
 
-   Three legs, one per layer that zone maps and `Options.link_dicts`
-   touch:
+   Two legs:
 
      zone      a packed relation big enough for many 4096-row chunks,
                scanned through selective range queries.  Answers must
@@ -9,17 +9,12 @@
                the headline gate is the chunk-skip ratio (total chunks
                / chunks actually scanned) >= 2 on the selective
                workload;
-     wire      two global update rounds on a repetitive-string clique,
-               link dictionaries off and on.  Final stores must be
-               digest-identical; the gate is the steady-state (second
-               round, dictionaries trained) wire-byte reduction
-               >= 1.5x;
-     durable   the E21 crash/restart chain under Dur_wal, link_dicts
-               off and on.  Both recover to the fault-free reference
-               digests; the gate is snapshot bytes strictly reduced by
-               the front-coded tabled format.
+     durable   the E21 crash/restart chain under Dur_wal, whose log
+               records and snapshots are dictionary-encoded.  The
+               recovered run must match the fault-free reference
+               digests node for node, with exactly one recovery.
 
-   Feature-on cells run twice to prove determinism.  Results go to
+   The durable leg runs twice to prove determinism.  Results go to
    BENCH_dict.json (full) / BENCH_dict_tiny.json (--tiny), the full
    file embedding a tiny_reference block the CI gate pins the tiny
    rerun against. *)
@@ -27,15 +22,12 @@
 module System = Codb_core.System
 module Topology = Codb_core.Topology
 module Options = Codb_core.Options
-module Node = Codb_core.Node
-module Network = Codb_net.Network
 module Database = Codb_relalg.Database
 module Schema = Codb_relalg.Schema
 module Value = Codb_relalg.Value
 module Tuple = Codb_relalg.Tuple
 module Eval = Codb_cq.Eval
 module Parser = Codb_cq.Parser
-module Datagen = Codb_workload.Datagen
 
 let parse_query text =
   match Parser.parse_query text with Ok q -> q | Error e -> failwith e
@@ -122,103 +114,7 @@ let check_zone_gates ~where cells =
              where best.z_skip_ratio best.z_cutoff best.z_visited
              best.z_pruned best.z_answers)
 
-(* ---- leg 2: link dictionaries on the wire --------------------------- *)
-
-type wire_workload = { ww_nodes : int; ww_tuples : int; ww_domain : int }
-
-let wire_workload ~tiny =
-  if tiny then { ww_nodes = 4; ww_tuples = 30; ww_domain = 8 }
-  else { ww_nodes = 6; ww_tuples = 36; ww_domain = 12 }
-
-(* The repetitive-string pool: long dotted paths, the shape of metric
-   names, URLS and topic ids — what link dictionaries exist for.  All
-   nodes draw from the same pool, so every link sees every string. *)
-let pool_string d =
-  Printf.sprintf
-    "telemetry/site-%02d/sensor-bank/temperature-celsius/5min-rollup/export-pipeline/reading"
-    d
-
-let wire_config ww =
-  let params =
-    {
-      Topology.default_params with
-      Topology.tuples_per_node = 10;
-      profile = { Datagen.domain_size = ww.ww_domain; skew = 1.0 };
-    }
-  in
-  Topology.generate ~params ~seed:1500 Topology.Clique ~n:ww.ww_nodes
-
-type wire_cell = {
-  w_mode : string;
-  w_digests : (string * int) list;
-  w_round1_bytes : int;
-  w_round2_bytes : int;
-  w_messages : int;
-  w_dict_entries : int;
-  w_dict_intros : int;
-  w_dict_hits : int;
-  w_wall_s : float;
-}
-
-let measure_wire ww ~link_dicts =
-  (* batching on in both cells: full delta batches are the dense
-     traffic shape the dictionary is priced against *)
-  let opts =
-    {
-      Options.default with
-      Options.link_dicts;
-      batch_window = 10.0 *. Options.default.Options.latency;
-    }
-  in
-  let sys = System.build_exn ~opts (wire_config ww) in
-  List.iteri
-    (fun ni name ->
-      for k = 0 to ww.ww_tuples - 1 do
-        ignore
-          (System.insert_fact sys ~at:name ~rel:"data"
-             [|
-               Value.Int (100000 + (ni * 1000) + k);
-               Value.Str (pool_string (k mod ww.ww_domain));
-             |])
-      done)
-    (System.node_names sys);
-  let bytes () = (Network.counters (System.net sys)).Network.total_bytes in
-  let wall_start = Unix.gettimeofday () in
-  let _ = System.run_update sys ~initiator:"n0" in
-  let round1 = bytes () in
-  (* round 2 is the steady state: every link dictionary is trained *)
-  let _ = System.run_update sys ~initiator:"n1" in
-  let wall = Unix.gettimeofday () -. wall_start in
-  let counters = Network.counters (System.net sys) in
-  let ds = System.link_dict_stats sys in
-  {
-    w_mode = (if link_dicts then "link-dicts" else "plain");
-    w_digests = System.store_digests sys;
-    w_round1_bytes = round1;
-    w_round2_bytes = counters.Network.total_bytes - round1;
-    w_messages = counters.Network.delivered;
-    w_dict_entries = ds.Codb_net.Link_dict.entries;
-    w_dict_intros = ds.Codb_net.Link_dict.intros;
-    w_dict_hits = ds.Codb_net.Link_dict.hits;
-    w_wall_s = wall;
-  }
-
-let wire_reduction off on =
-  float_of_int off.w_round2_bytes /. float_of_int (max 1 on.w_round2_bytes)
-
-let check_wire_gates ~where off on =
-  if off.w_digests <> on.w_digests then
-    failwith
-      (Printf.sprintf "%s: link dictionaries changed the final stores" where);
-  let r = wire_reduction off on in
-  if r < 1.5 then
-    failwith
-      (Printf.sprintf
-         "%s: steady-state wire reduction %.2fx (%d B -> %d B) — below the \
-          1.5x bar"
-         where r off.w_round2_bytes on.w_round2_bytes)
-
-(* ---- leg 3: dictionary-encoded durability --------------------------- *)
+(* ---- leg 2: dictionary-encoded durability --------------------------- *)
 
 type dur_workload = { dw_nodes : int; dw_tuples : int; dw_crash_at : float }
 
@@ -242,7 +138,7 @@ type dur_cell = {
   d_wall_s : float;
 }
 
-let measure_dur dw ~durability ~crashes ~link_dicts ~mode =
+let measure_dur dw ~durability ~crashes ~mode =
   let opts =
     {
       Options.default with
@@ -251,7 +147,6 @@ let measure_dur dw ~durability ~crashes ~link_dicts ~mode =
       max_retries = 8;
       durability;
       crash_plan = crashes;
-      link_dicts;
     }
   in
   let sys = System.build_exn ~opts (dur_config dw) in
@@ -273,45 +168,24 @@ let measure_dur_all dw =
   let victim = Printf.sprintf "n%d" (dw.dw_nodes / 2) in
   let crashes = [ (victim, dw.dw_crash_at, Some (dw.dw_crash_at +. 0.1)) ] in
   let reference =
-    measure_dur dw ~durability:Options.Dur_off ~crashes:[] ~link_dicts:false
+    measure_dur dw ~durability:Options.default.Options.durability ~crashes:[]
       ~mode:"reference"
   in
-  let plain =
-    measure_dur dw ~durability:Options.Dur_wal ~crashes ~link_dicts:false
-      ~mode:"wal"
-  in
-  let dicts =
-    measure_dur dw ~durability:Options.Dur_wal ~crashes ~link_dicts:true
-      ~mode:"wal+dicts"
-  in
-  (reference, plain, dicts)
+  let wal = measure_dur dw ~durability:Options.Dur_wal ~crashes ~mode:"wal" in
+  (reference, wal)
 
-let check_dur_gates ~where (reference, plain, dicts) =
-  List.iter
-    (fun c ->
-      if c.d_digests <> reference.d_digests then
-        failwith
-          (Printf.sprintf "%s: %s run diverged from the fault-free reference"
-             where c.d_mode))
-    [ plain; dicts ];
-  if dicts.d_recoveries <> 1 || plain.d_recoveries <> 1 then
-    failwith (Printf.sprintf "%s: expected exactly one recovery per run" where);
-  if dicts.d_snapshot_bytes >= plain.d_snapshot_bytes then
+let check_dur_gates ~where (reference, wal) =
+  if wal.d_digests <> reference.d_digests then
     failwith
-      (Printf.sprintf
-         "%s: tabled snapshots wrote %d B, inline %d B — not strictly reduced"
-         where dicts.d_snapshot_bytes plain.d_snapshot_bytes)
+      (Printf.sprintf "%s: wal run diverged from the fault-free reference" where);
+  if wal.d_recoveries <> 1 then
+    failwith
+      (Printf.sprintf "%s: expected exactly one recovery, saw %d" where
+         wal.d_recoveries)
 
 (* ---- assembly ------------------------------------------------------- *)
 
-type outcome = {
-  o_zone : zone_cell list;
-  o_wire_off : wire_cell;
-  o_wire_on : wire_cell;
-  o_dur : dur_cell * dur_cell * dur_cell;
-}
-
-let strip_wire_wall c = { c with w_wall_s = 0.0 }
+type outcome = { o_zone : zone_cell list; o_dur : dur_cell * dur_cell }
 
 let strip_dur_wall c = { c with d_wall_s = 0.0 }
 
@@ -319,20 +193,13 @@ let measure_all ~tiny =
   let label = if tiny then "tiny" else "full" in
   let zone = measure_zone (zone_workload ~tiny) in
   check_zone_gates ~where:(label ^ " zone leg") zone;
-  let ww = wire_workload ~tiny in
-  let wire_off = measure_wire ww ~link_dicts:false in
-  let wire_on = measure_wire ww ~link_dicts:true in
-  let wire_on' = measure_wire ww ~link_dicts:true in
-  if strip_wire_wall wire_on <> strip_wire_wall wire_on' then
-    failwith "dict bench wire leg is not deterministic";
-  check_wire_gates ~where:(label ^ " wire leg") wire_off wire_on;
   let dw = dur_workload ~tiny in
-  let ((_, _, dur_dicts) as dur) = measure_dur_all dw in
-  let _, _, dur_dicts' = measure_dur_all dw in
-  if strip_dur_wall dur_dicts <> strip_dur_wall dur_dicts' then
+  let ((_, wal) as dur) = measure_dur_all dw in
+  let _, wal' = measure_dur_all dw in
+  if strip_dur_wall wal <> strip_dur_wall wal' then
     failwith "dict bench durable leg is not deterministic";
   check_dur_gates ~where:(label ^ " durable leg") dur;
-  { o_zone = zone; o_wire_off = wire_off; o_wire_on = wire_on; o_dur = dur }
+  { o_zone = zone; o_dur = dur }
 
 let print_tables ~label ~tiny o =
   let zw = zone_workload ~tiny in
@@ -353,35 +220,12 @@ let print_tables ~label ~tiny o =
            Tables.f2 (z.z_wall_s *. 1000.0);
          ])
        o.o_zone);
-  let ww = wire_workload ~tiny in
-  Tables.print
-    ~title:
-      (Printf.sprintf
-         "E22b - link dictionaries [%s] (clique N=%d, %d tuples/node, two \
-          update rounds)"
-         label ww.ww_nodes ww.ww_tuples)
-    ~header:
-      [ "mode"; "round1 B"; "round2 B"; "msgs"; "entries"; "intros"; "hits" ]
-    (List.map
-       (fun w ->
-         [
-           w.w_mode;
-           Tables.i0 w.w_round1_bytes;
-           Tables.i0 w.w_round2_bytes;
-           Tables.i0 w.w_messages;
-           Tables.i0 w.w_dict_entries;
-           Tables.i0 w.w_dict_intros;
-           Tables.i0 w.w_dict_hits;
-         ])
-       [ o.o_wire_off; o.o_wire_on ]);
-  Printf.printf "steady-state wire reduction (plain / link-dicts): %.2fx\n%!"
-    (wire_reduction o.o_wire_off o.o_wire_on);
-  let reference, plain, dicts = o.o_dur in
+  let reference, wal = o.o_dur in
   let dw = dur_workload ~tiny in
   Tables.print
     ~title:
       (Printf.sprintf
-         "E22c - dictionary durability [%s] (chain N=%d, crash n%d at %gs)"
+         "E22b - dictionary recovery [%s] (chain N=%d, crash n%d at %gs)"
          label dw.dw_nodes (dw.dw_nodes / 2) dw.dw_crash_at)
     ~header:[ "mode"; "recov"; "wal B"; "snapshot B"; "replayed B" ]
     (List.map
@@ -393,13 +237,12 @@ let print_tables ~label ~tiny o =
            Tables.i0 d.d_snapshot_bytes;
            Tables.i0 d.d_replayed_bytes;
          ])
-       [ reference; plain; dicts ])
+       [ reference; wal ])
 
 let emit_outcome oc ~indent ~tiny o =
   let pad = String.make indent ' ' in
   let p fmt = Printf.fprintf oc fmt in
   let zw = zone_workload ~tiny in
-  let ww = wire_workload ~tiny in
   let dw = dur_workload ~tiny in
   p "%s\"zone\": {\"rows\": %d, \"chunk_rows\": 4096, \"cells\": [\n" pad
     zw.zw_rows;
@@ -413,29 +256,10 @@ let emit_outcome oc ~indent ~tiny o =
         (if idx = nz - 1 then "" else ","))
     o.o_zone;
   p "%s]},\n" pad;
-  p "%s\"wire\": {\"nodes\": %d, \"tuples_per_node\": %d, \"domain\": %d, \
-     \"cells\": [\n"
-    pad ww.ww_nodes ww.ww_tuples ww.ww_domain;
-  let cells = [ o.o_wire_off; o.o_wire_on ] in
-  let nw = List.length cells in
-  List.iteri
-    (fun idx w ->
-      p
-        "%s  {\"mode\": \"%s\", \"digests_match\": %b, \"round1_bytes\": %d, \
-         \"round2_bytes\": %d, \"messages\": %d, \"dict_entries\": %d, \
-         \"dict_intros\": %d, \"dict_hits\": %d, \"wall_s\": %.4f}%s\n"
-        pad w.w_mode
-        (w.w_digests = o.o_wire_off.w_digests)
-        w.w_round1_bytes w.w_round2_bytes w.w_messages w.w_dict_entries
-        w.w_dict_intros w.w_dict_hits w.w_wall_s
-        (if idx = nw - 1 then "" else ","))
-    cells;
-  p "%s], \"steady_state_reduction\": %.2f},\n" pad
-    (wire_reduction o.o_wire_off o.o_wire_on);
-  let reference, plain, dicts = o.o_dur in
+  let reference, wal = o.o_dur in
   p "%s\"durable\": {\"nodes\": %d, \"crash_at_s\": %g, \"cells\": [\n" pad
     dw.dw_nodes dw.dw_crash_at;
-  let dcells = [ reference; plain; dicts ] in
+  let dcells = [ reference; wal ] in
   let nd = List.length dcells in
   List.iteri
     (fun idx d ->
@@ -449,8 +273,7 @@ let emit_outcome oc ~indent ~tiny o =
         d.d_wall_s
         (if idx = nd - 1 then "" else ","))
     dcells;
-  p "%s], \"snapshot_bytes_reduced\": %b},\n" pad
-    (dicts.d_snapshot_bytes < plain.d_snapshot_bytes);
+  p "%s]},\n" pad;
   p "%s\"deterministic\": true" pad
 
 let write_json ~path ~full_part ~tiny_part =

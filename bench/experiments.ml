@@ -590,8 +590,8 @@ let e13 () =
    BENCH_planner.json. *)
 let e14 () = Planner_bench.run ~json:true ()
 
-(* E15 — wire ablation (compact codec vs the size estimator, batching
-   on/off, Bloom-bounded sent filters), on a skewed ring update.
+(* E15 — wire ablation (batching on/off, Bloom-bounded sent filters),
+   on a skewed clique update.
    Implemented in Wire_bench so that `wire-json` can run the same
    measurement headlessly and emit BENCH_wire.json. *)
 let e15 () = Wire_bench.run ~json:true ()

@@ -9,7 +9,6 @@
      dune exec bench/main.exe -- wire-json    # wire ablation -> BENCH_wire.json
      dune exec bench/main.exe -- chaos-json   # fault-injection sweep -> BENCH_chaos.json
      dune exec bench/main.exe -- chaos-json --durable  # same sweep with WAL durability on
-     dune exec bench/main.exe -- chaos-json --link-dicts  # same sweep with link dictionaries on
      dune exec bench/main.exe -- recovery-json # crash-recovery bench -> BENCH_recovery.json
      dune exec bench/main.exe -- pushdown-json # constraint pushdown ablation -> BENCH_pushdown.json
      dune exec bench/main.exe -- sub-json     # standing-query maintenance -> BENCH_sub.json
@@ -23,7 +22,6 @@ let () =
   let tiny = ref false in
   let seed = ref 1500 in
   let durable = ref false in
-  let link_dicts = ref false in
   let rec extract acc = function
     | "--csv" :: dir :: rest ->
         (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -34,9 +32,6 @@ let () =
         extract acc rest
     | "--durable" :: rest ->
         durable := true;
-        extract acc rest
-    | "--link-dicts" :: rest ->
-        link_dicts := true;
         extract acc rest
     | "--seed" :: n :: rest ->
         (match int_of_string_opt n with
@@ -58,8 +53,7 @@ let () =
   | [ "bench-json" ] -> Planner_bench.run ~tiny:!tiny ()
   | [ "wire-json" ] -> Wire_bench.run ~tiny:!tiny ()
   | [ "chaos-json" ] ->
-      Chaos_bench.run ~tiny:!tiny ~seed:!seed ~durable:!durable
-        ~link_dicts:!link_dicts ()
+      Chaos_bench.run ~tiny:!tiny ~seed:!seed ~durable:!durable ()
   | [ "recovery-json" ] -> Recovery_bench.run ~tiny:!tiny ~seed:!seed ()
   | [ "pushdown-json" ] -> Pushdown_bench.run ~tiny:!tiny ()
   | [ "sub-json" ] -> Sub_bench.run ~tiny:!tiny ()
@@ -70,8 +64,7 @@ let () =
       if List.mem "bench-json" names then Planner_bench.run ~tiny:!tiny ();
       if List.mem "wire-json" names then Wire_bench.run ~tiny:!tiny ();
       if List.mem "chaos-json" names then
-        Chaos_bench.run ~tiny:!tiny ~seed:!seed ~durable:!durable
-          ~link_dicts:!link_dicts ();
+        Chaos_bench.run ~tiny:!tiny ~seed:!seed ~durable:!durable ();
       if List.mem "recovery-json" names then Recovery_bench.run ~tiny:!tiny ~seed:!seed ();
       if List.mem "pushdown-json" names then Pushdown_bench.run ~tiny:!tiny ();
       if List.mem "sub-json" names then Sub_bench.run ~tiny:!tiny ();

@@ -154,7 +154,8 @@ let strip_wall c = { c with m_wall_s = 0.0; m_recovery_ms = 0.0 }
 let measure_all ~seed wl =
   let crashes = [ (victim wl, wl.wl_crash_at, Some (wl.wl_crash_at +. downtime)) ] in
   let reference =
-    measure ~seed ~durability:Options.Dur_off ~crashes:[] ~mode:"reference" wl
+    measure ~seed ~durability:Options.default.Options.durability ~crashes:[]
+      ~mode:"reference" wl
   in
   let volatile =
     measure ~seed ~durability:Options.Dur_volatile ~crashes ~mode:"volatile" wl

@@ -4,12 +4,9 @@
    fans in and fans out, so the same closure arrives over many links
    in a short interval, which is exactly the traffic shape batching
    and duplicate suppression exist for — run once per corner of the
-   (encoding x batching x bloom) cube:
+   (batching x bloom) square, every message sized as its link frame
+   (compact codec, one incremental string dictionary per link):
 
-     encoding   the schema-based size estimator of the seed vs the
-                compact binary codec (varints, zigzag, per-message
-                string dictionary) — changes what a message *costs*,
-                never what it says;
      batching   per-destination delta buffering inside
                 [batch_window], shipped as one [Update_batch] per
                 flush — changes how many messages carry the same
@@ -19,7 +16,7 @@
                 changes duplicate-suppression memory, at the price of
                 possible re-sends.
 
-   Every corner must commit exactly the same final stores as the seed
+   Every corner must commit exactly the same final stores as the plain
    configuration (checked tuple-for-tuple); the interesting output is
    the message count and byte volume.  Results are printed as a table
    and written to BENCH_wire.json for trend tracking; invariant
@@ -51,22 +48,15 @@ let config wl =
   in
   Topology.generate ~params ~seed:1500 Topology.Clique ~n:wl.wl_nodes
 
-type corner = {
-  c_name : string;
-  c_codec : bool;
-  c_batched : bool;
-  c_bloom : bool;
-}
+type corner = { c_name : string; c_batched : bool; c_bloom : bool }
 
-(* The seed configuration first: it is the equivalence baseline. *)
+(* The plain configuration first: it is the equivalence baseline. *)
 let corners =
   [
-    { c_name = "estimator"; c_codec = false; c_batched = false; c_bloom = false };
-    { c_name = "estimator+batch"; c_codec = false; c_batched = true; c_bloom = false };
-    { c_name = "codec"; c_codec = true; c_batched = false; c_bloom = false };
-    { c_name = "codec+bloom"; c_codec = true; c_batched = false; c_bloom = true };
-    { c_name = "codec+batch"; c_codec = true; c_batched = true; c_bloom = false };
-    { c_name = "codec+batch+bloom"; c_codec = true; c_batched = true; c_bloom = true };
+    { c_name = "plain"; c_batched = false; c_bloom = false };
+    { c_name = "bloom"; c_batched = false; c_bloom = true };
+    { c_name = "batch"; c_batched = true; c_bloom = false };
+    { c_name = "batch+bloom"; c_batched = true; c_bloom = true };
   ]
 
 (* Ten network latencies: enough for several delta waves of the ring
@@ -76,8 +66,7 @@ let batch_window = 10.0 *. Options.default.Options.latency
 let opts_of c =
   {
     Options.default with
-    Options.wire_codec = c.c_codec;
-    batch_window = (if c.c_batched then batch_window else 0.0);
+    Options.batch_window = (if c.c_batched then batch_window else 0.0);
     sent_bloom_bits = (if c.c_bloom then 4096 else 0);
     sent_ring_capacity = 512;
   }
@@ -128,8 +117,8 @@ let ratio base own = if own > 0 then float_of_int base /. float_of_int own else 
 
 let check_invariants measurements =
   let baseline = List.hd measurements in
-  (* the ablation varies the wire encoding and traffic shape only:
-     every corner must reach the seed's fix-point, store for store *)
+  (* the ablation varies the traffic shape only: every corner must
+     reach the plain fix-point, store for store *)
   List.iter (check_stores_equal baseline) (List.tl measurements);
   (* batching exists to save bytes; a batched corner that costs more
      than its unbatched twin is a regression worth failing on *)
@@ -139,8 +128,7 @@ let check_invariants measurements =
         let twin =
           List.find
             (fun b ->
-              b.m_corner.c_codec = m.m_corner.c_codec
-              && b.m_corner.c_bloom = m.m_corner.c_bloom
+              b.m_corner.c_bloom = m.m_corner.c_bloom
               && not b.m_corner.c_batched)
             measurements
         in
@@ -167,7 +155,7 @@ let print_table wl measurements =
     ~header:
       [
         "corner"; "data msgs"; "batches"; "avg tup/batch"; "coalesced"; "resends";
-        "bytes"; "bytes vs seed"; "msgs vs seed"; "sim (s)";
+        "bytes"; "bytes vs plain"; "msgs vs plain"; "sim (s)";
       ]
     (List.map
        (fun m ->
@@ -201,13 +189,13 @@ let write_json ~path wl measurements =
   let n = List.length measurements in
   List.iteri
     (fun i m ->
-      p "    {\"name\": \"%s\", \"codec\": %b, \"batched\": %b, \"bloom\": %b, \
+      p "    {\"name\": \"%s\", \"batched\": %b, \"bloom\": %b, \
          \"data_msgs\": %d, \"delivered_msgs\": %d, \"batches\": %d, \
          \"batch_tuples\": %d, \"coalesced\": %d, \"resends\": %d, \
          \"data_bytes\": %d, \"total_bytes\": %d, \"bytes_reduction\": %.2f, \
          \"data_msg_reduction\": %.2f, \"sim_duration_s\": %.4f, \
          \"new_tuples\": %d, \"wall_s\": %.4f}%s\n"
-        m.m_corner.c_name m.m_corner.c_codec m.m_corner.c_batched m.m_corner.c_bloom
+        m.m_corner.c_name m.m_corner.c_batched m.m_corner.c_bloom
         m.m_wire.Report.wr_data_msgs m.m_delivered m.m_wire.Report.wr_batches
         m.m_wire.Report.wr_batch_tuples m.m_wire.Report.wr_coalesced
         m.m_wire.Report.wr_resends m.m_wire.Report.wr_bytes m.m_total_bytes

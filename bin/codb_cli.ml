@@ -225,14 +225,11 @@ let cache_cmd file at text repeat update_between capacity max_bytes ttl no_conta
 
 (* --- wire ---------------------------------------------------------- *)
 
-let wire_cmd file initiator estimator link_dicts batch_window batch_max bloom_bits
-    ring_capacity =
+let wire_cmd file initiator batch_window batch_max bloom_bits ring_capacity =
   let opts =
     {
       Options.default with
-      Options.wire_codec = not estimator;
-      link_dicts;
-      batch_window;
+      Options.batch_window;
       batch_max_tuples = batch_max;
       sent_bloom_bits = bloom_bits;
       sent_ring_capacity = ring_capacity;
@@ -250,11 +247,9 @@ let wire_cmd file initiator estimator link_dicts batch_window batch_max bloom_bi
   | Some w -> Fmt.pr "%a@." Report.pp_wire_report w
   | None -> Fmt.pr "no statistics recorded?@.");
   let c = Codb_net.Network.counters (System.net sys) in
-  Fmt.pr "network: %d message(s) delivered, %d B carried%s@." c.Codb_net.Network.delivered
-    c.Codb_net.Network.total_bytes
-    (if estimator then " (estimated sizes)" else " (encoded sizes)");
-  if link_dicts then
-    Fmt.pr "%a@." Codb_net.Link_dict.pp_stats (System.link_dict_stats sys);
+  Fmt.pr "network: %d message(s) delivered, %d B carried@." c.Codb_net.Network.delivered
+    c.Codb_net.Network.total_bytes;
+  Fmt.pr "%a@." Codb_net.Link_dict.pp_stats (System.link_dict_stats sys);
   0
 
 (* --- chaos --------------------------------------------------------- *)
@@ -286,12 +281,11 @@ let parse_all parse specs =
   |> Result.map List.rev
 
 let chaos_cmd file initiator seed drop dup jitter budget flaps crashes ack_timeout
-    max_retries backoff link_dicts query at =
+    max_retries backoff query at =
   let opts =
     {
       Options.default with
-      Options.link_dicts;
-      fault_seed = seed;
+      Options.fault_seed = seed;
       drop_prob = drop;
       dup_prob = dup;
       jitter;
@@ -332,8 +326,7 @@ let chaos_cmd file initiator seed drop dup jitter budget flaps crashes ack_timeo
     c.Codb_net.Network.delivered c.Codb_net.Network.injected_drops
     c.Codb_net.Network.injected_dups c.Codb_net.Network.injected_flaps
     c.Codb_net.Network.crashes c.Codb_net.Network.restarts;
-  if link_dicts then
-    Fmt.pr "%a@." Codb_net.Link_dict.pp_stats (System.link_dict_stats sys);
+  Fmt.pr "%a@." Codb_net.Link_dict.pp_stats (System.link_dict_stats sys);
   0
 
 (* --- recover -------------------------------------------------------- *)
@@ -771,24 +764,6 @@ let wire_t =
       & opt (some string) None
       & info [ "initiator"; "at" ] ~doc:"Initiating node (default: first node).")
   in
-  let estimator =
-    Arg.(
-      value & flag
-      & info [ "estimator" ]
-          ~doc:
-            "Charge messages by the schema-based size estimate instead of the compact \
-             binary codec (the pre-codec behaviour).")
-  in
-  let link_dicts =
-    Arg.(
-      value & flag
-      & info [ "link-dicts" ]
-          ~doc:
-            "Train an incremental string dictionary per directed link: a string \
-             crosses a link once per epoch, later messages carry a small \
-             back-reference (epochs reset on link faults).  Incompatible with \
-             $(b,--estimator).")
-  in
   let batch_window =
     Arg.(
       value & opt float 0.0
@@ -821,8 +796,8 @@ let wire_t =
   in
   Cmd.v (Cmd.info "wire" ~doc)
     Term.(
-      const wire_cmd $ file_arg $ initiator $ estimator $ link_dicts $ batch_window
-      $ batch_max $ bloom_bits $ ring_capacity)
+      const wire_cmd $ file_arg $ initiator $ batch_window $ batch_max $ bloom_bits
+      $ ring_capacity)
 
 let chaos_t =
   let doc =
@@ -875,8 +850,8 @@ let chaos_t =
       value & opt_all string []
       & info [ "crash" ] ~docv:"NODE:AT[:RESTART]"
           ~doc:
-            "Crash NODE at AT; with RESTART it comes back with its store but no \
-             in-flight protocol state (repeatable).")
+            "Crash NODE at AT; with RESTART it comes back with only its declared \
+             facts and refetches the rest through a catch-up update (repeatable).")
   in
   let ack_timeout =
     Arg.(
@@ -901,14 +876,6 @@ let chaos_t =
       & opt float Options.default.Options.backoff_factor
       & info [ "backoff" ] ~docv:"F" ~doc:"Exponential backoff base (>= 1).")
   in
-  let link_dicts =
-    Arg.(
-      value & flag
-      & info [ "link-dicts" ]
-          ~doc:
-            "Per-link incremental string dictionaries; faults bump their epochs, \
-             which the closing stats line shows.")
-  in
   let query =
     Arg.(
       value
@@ -927,8 +894,7 @@ let chaos_t =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const chaos_cmd $ file_arg $ initiator $ seed $ drop $ dup $ jitter $ budget
-      $ flaps $ crashes $ ack_timeout $ max_retries $ backoff $ link_dicts $ query
-      $ at)
+      $ flaps $ crashes $ ack_timeout $ max_retries $ backoff $ query $ at)
 
 let recover_t =
   let doc =
@@ -954,21 +920,14 @@ let recover_t =
           ~doc:"Crash NODE at AT and restart it at RESTART (repeatable).")
   in
   let durability =
-    let modes =
-      [
-        ("off", Options.Dur_off);
-        ("volatile", Options.Dur_volatile);
-        ("wal", Options.Dur_wal);
-      ]
-    in
+    let modes = [ ("volatile", Options.Dur_volatile); ("wal", Options.Dur_wal) ] in
     Arg.(
       value
       & opt (enum modes) Options.Dur_wal
       & info [ "durability" ] ~docv:"MODE"
           ~doc:
-            "Crash model: $(b,off) keeps stores in memory across crashes (the \
-             seed behaviour), $(b,volatile) wipes them and refetches through a \
-             catch-up update, $(b,wal) recovers them from the write-ahead log.")
+            "Crash model: $(b,volatile) wipes the store and refetches through a \
+             catch-up update, $(b,wal) recovers it from the write-ahead log.")
   in
   let wal_dir =
     Arg.(

@@ -51,28 +51,22 @@ let put_owner w = function
 let get_owner r =
   match Codec.read_byte r with
   | 0 -> Olocal
-  | 1 -> Oremote (Peer_id.of_string (Codec.read_string r))
+  | 1 -> Oremote (Payload.get_peer r)
   | n -> raise (Codec.Malformed (Printf.sprintf "unknown owner tag %d" n))
 
-(* Dictionary-mode records ([Options.link_dicts]) are distinguished
-   from legacy ones by a marker byte in front of the tag: the record
-   tags stop at 6, so 0x10 is unambiguous.  Marked records encode
-   their strings against a dictionary that persists across the log
-   stream (reset at every compaction, so the live tail always starts
-   from an empty table); replay rebuilds the mirror in record order.
-   Unmarked records keep the per-record inline dictionary, which lets
-   one log mix both formats. *)
+(* Records carry a marker byte in front of the tag (the record tags
+   stop at 6, so 0x10 is unambiguous) and encode their strings against
+   a dictionary that persists across the log stream (reset at every
+   compaction, so the live tail always starts from an empty table);
+   replay rebuilds the mirror in record order.  Unmarked records are
+   the older per-record inline format: nothing writes them any more,
+   but the reader keeps accepting them so an existing log still
+   replays. *)
 let dict_marker = 0x10
 
-let encode_record ?dict record =
-  let w =
-    match dict with
-    | None -> Codec.writer ~initial:64 ()
-    | Some d ->
-        let w = Codec.writer ~initial:64 ~mode:(Codec.Linked d) () in
-        Codec.byte w dict_marker;
-        w
-  in
+let encode_record ~dict record =
+  let w = Codec.writer ~initial:64 ~mode:(Codec.Linked dict) () in
+  Codec.byte w dict_marker;
   (match record with
   | Insert { rel; tuples } ->
       Codec.byte w 0;
@@ -125,7 +119,7 @@ let get_record r =
   | 4 -> Sub_remove { sub_id = Codec.read_string r }
   | 5 ->
       let sub_id = Codec.read_string r in
-      let host = Peer_id.of_string (Codec.read_string r) in
+      let host = Payload.get_peer r in
       Mirror_add { sub_id; host; query_text = Codec.read_raw_string r }
   | 6 -> Mirror_remove { sub_id = Codec.read_string r }
   | n -> raise (Codec.Malformed (Printf.sprintf "unknown WAL record tag %d" n))
@@ -167,8 +161,7 @@ type snapshot = {
   sn_mirrors : mirror_snap list;
 }
 
-let snapshot_version = 1
-let snapshot_version_tabled = 2
+let snapshot_version = 2
 
 let query_text q = Fmt.str "%a" Pretty.query q
 
@@ -282,50 +275,42 @@ let put_snapshot w (node : Node.t) =
       Payload.put_tuples w m.ms_answers)
     mirrors
 
-(* Version 1 is the classic layout: body with per-message inline
-   strings.  Version 2 ([Options.link_dicts]) pulls the strings out
-   into one sorted, front-coded table: entry k stores only the length
-   of the prefix it shares with entry k-1 plus the remaining suffix, so
-   families like [upd:n0#1, upd:n0#2, ...] pay their common stem once.
-   The body is written in [Tabled] mode against the sorted ids (a first
-   pass harvests the strings, a second encodes against the preloaded
-   table).  Decode auto-detects from the version byte, so a node can
-   recover a snapshot cut under either setting. *)
+(* Version 2 pulls the strings out into one sorted, front-coded
+   table: entry k stores only the length of the prefix it shares with
+   entry k-1 plus the remaining suffix, so families like
+   [upd:n0#1, upd:n0#2, ...] pay their common stem once.  The body is
+   written in [Tabled] mode against the sorted ids (a first pass
+   harvests the strings, a second encodes against the preloaded
+   table).  Version 1, the same body with per-message inline strings,
+   is no longer written; decode still accepts it, so a snapshot cut by
+   an older build recovers. *)
 let common_prefix_len a b =
   let n = min (String.length a) (String.length b) in
   let rec go k = if k < n && a.[k] = b.[k] then go (k + 1) else k in
   go 0
 
-let encode_snapshot ?(tabled = false) (node : Node.t) =
-  if not tabled then begin
-    let w = Codec.writer ~initial:1024 () in
-    Codec.byte w snapshot_version;
-    put_snapshot w node;
-    Codec.contents w
-  end
-  else begin
-    (* pass 1: harvest the distinct strings *)
-    let probe = Codec.writer ~initial:1024 ~mode:Codec.Tabled () in
-    put_snapshot probe node;
-    let strings = List.sort String.compare (Codec.dict_strings probe) in
-    (* pass 2: encode the body against the sorted table *)
-    let body = Codec.writer ~initial:(Codec.size probe) ~mode:Codec.Tabled () in
-    Codec.preload body strings;
-    put_snapshot body node;
-    let w = Codec.writer ~initial:(Codec.size body + 64) () in
-    Codec.byte w snapshot_version_tabled;
-    Codec.varint w (List.length strings);
-    let prev = ref "" in
-    List.iter
-      (fun s ->
-        let shared = common_prefix_len !prev s in
-        Codec.varint w shared;
-        Codec.raw_string w (String.sub s shared (String.length s - shared));
-        prev := s)
-      strings;
-    Codec.add_bytes w (Codec.contents body);
-    Codec.contents w
-  end
+let encode_snapshot (node : Node.t) =
+  (* pass 1: harvest the distinct strings *)
+  let probe = Codec.writer ~initial:1024 ~mode:Codec.Tabled () in
+  put_snapshot probe node;
+  let strings = List.sort String.compare (Codec.dict_strings probe) in
+  (* pass 2: encode the body against the sorted table *)
+  let body = Codec.writer ~initial:(Codec.size probe) ~mode:Codec.Tabled () in
+  Codec.preload body strings;
+  put_snapshot body node;
+  let w = Codec.writer ~initial:(Codec.size body + 64) () in
+  Codec.byte w snapshot_version;
+  Codec.varint w (List.length strings);
+  let prev = ref "" in
+  List.iter
+    (fun s ->
+      let shared = common_prefix_len !prev s in
+      Codec.varint w shared;
+      Codec.raw_string w (String.sub s shared (String.length s - shared));
+      prev := s)
+    strings;
+  Codec.add_bytes w (Codec.contents body);
+  Codec.contents w
 
 let get_snapshot r =
   let sn_store =
@@ -363,7 +348,7 @@ let get_snapshot r =
   let sn_mirrors =
     List.init (Codec.read_count r) (fun _ ->
         let ms_id = Codec.read_string r in
-        let ms_host = Peer_id.of_string (Codec.read_string r) in
+        let ms_host = Payload.get_peer r in
         let ms_query = Codec.read_raw_string r in
         let ms_accepted = Codec.read_byte r = 1 in
         { ms_id; ms_host; ms_query; ms_accepted; ms_answers = Payload.get_tuples r })
@@ -398,7 +383,7 @@ let decode_snapshot bytes =
 let log (node : Node.t) record =
   match node.Node.wal with
   | None -> ()
-  | Some wal -> Wal.append wal (encode_record ?dict:node.Node.wal_dict record)
+  | Some wal -> Wal.append wal (encode_record ~dict:node.Node.wal_dict record)
 
 let log_insert node ~rel tuples = if tuples <> [] then log node (Insert { rel; tuples })
 
@@ -430,20 +415,17 @@ let note_seq (node : Node.t) seq =
         let upto = seq + seq_chunk in
         node.Node.wal_reserved <- upto;
         Wal.append wal
-          (encode_record ?dict:node.Node.wal_dict (Seq_reserve { upto }))
+          (encode_record ~dict:node.Node.wal_dict (Seq_reserve { upto }))
       end
 
 let install (node : Node.t) (opts : Options.t) ~backend =
-  let dicts = opts.Options.link_dicts in
-  node.Node.wal_dict <- (if dicts then Some (Codec.Dict.sender ()) else None);
-  let on_truncate =
-    match node.Node.wal_dict with
-    | None -> None
-    | Some d -> Some (fun () -> Codec.Dict.bump d)
-  in
+  (* a fresh log starts from an empty stream dictionary *)
+  Codec.Dict.bump node.Node.wal_dict;
   let wal =
-    Wal.create ?on_truncate ~backend ~snapshot_every:opts.Options.snapshot_every
-      ~take_snapshot:(fun () -> encode_snapshot ~tabled:dicts node)
+    Wal.create
+      ~on_truncate:(fun () -> Codec.Dict.bump node.Node.wal_dict)
+      ~backend ~snapshot_every:opts.Options.snapshot_every
+      ~take_snapshot:(fun () -> encode_snapshot node)
       ()
   in
   node.Node.wal <- Some wal;

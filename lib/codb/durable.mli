@@ -38,27 +38,28 @@ type record =
   | Mirror_add of { sub_id : string; host : Peer_id.t; query_text : string }
   | Mirror_remove of { sub_id : string }
 
-val encode_record : ?dict:Codb_net.Codec.Dict.sender -> record -> string
-(** With [dict] ([Options.link_dicts]): a marker byte plus the record
-    with strings encoded incrementally against the log stream's
-    dictionary — a string crosses the log once per compaction interval.
-    Without: the classic per-record inline format.  A log may mix
-    both. *)
+val encode_record : dict:Codb_net.Codec.Dict.sender -> record -> string
+(** A marker byte plus the record with strings encoded incrementally
+    against the log stream's dictionary — a string crosses the log once
+    per compaction interval. *)
 
 val decode_record : ?dict:(int, string) Hashtbl.t -> string -> record
-(** [dict] is the replay mirror for dictionary-mode records, built in
+(** [dict] is the replay mirror for dictionary records, built in
     record order from an empty table at the start of the log tail.
-    @raise Codb_net.Codec.Malformed on corrupt input, or on a
-    dictionary-mode record when [dict] is missing or lacks the
-    referenced id. *)
+    Unmarked bytes decode as the older per-record inline format, which
+    nothing writes any more, so a log from an older build still
+    replays, even one that mixes both formats.
+    @raise Codb_net.Codec.Malformed on corrupt input (an empty peer
+    name included), or on a dictionary record when [dict] is missing
+    or lacks the referenced id. *)
 
-val encode_snapshot : ?tabled:bool -> Node.t -> string
+val encode_snapshot : Node.t -> string
 (** Serialize the node's durable state, everything sorted so equal
-    states produce byte-identical snapshots.  [tabled] selects the v2
-    layout: a sorted, front-coded string table up front (each entry
-    stores only the suffix past its shared prefix with the previous
-    entry), the body referencing it by id.  Decode auto-detects the
-    version. *)
+    states produce byte-identical snapshots.  Layout v2: a sorted,
+    front-coded string table up front (each entry stores only the
+    suffix past its shared prefix with the previous entry), the body
+    referencing it by id.  {!recover} also reads v1 snapshots (the
+    same body with inline strings) cut by an older build. *)
 
 (** {1 Commit-point hooks} — called by {!System}, {!Update},
     {!Sub_engine} and {!Reliable}; no-ops when [node.wal] is [None]. *)

@@ -24,7 +24,7 @@ type t = {
   sub_mirrors : (string, Codb_sub.Mirror.t) Hashtbl.t;
   sub_outbox : Codb_sub.Outbox.t;
   mutable wal : Codb_store.Wal.t option;
-  mutable wal_dict : Codb_net.Codec.Dict.sender option;
+  wal_dict : Codb_net.Codec.Dict.sender;
   mutable wal_reserved : int;
   mutable recovered_sent : (string * string * Codb_relalg.Tuple.t list) list;
   mutable track_refetch : bool;
@@ -57,15 +57,15 @@ let create decl =
     sub_mirrors = Hashtbl.create 4;
     sub_outbox = Codb_sub.Outbox.create ();
     wal = None;
-    wal_dict = None;
+    wal_dict = Codb_net.Codec.Dict.sender ~size:1 ();
     wal_reserved = 0;
     recovered_sent = [];
     track_refetch = false;
   }
 
-(* An honest crash ([Options.durability <> Dur_off]) destroys the store
-   too: rebuild it from the node's declaration, exactly as [create]
-   does, and forget the lineage of the tuples that died with it. *)
+(* A crash destroys the store too: rebuild it from the node's
+   declaration, exactly as [create] does, and forget the lineage of the
+   tuples that died with it. *)
 let reset_store node =
   let store = Database.create node.decl.Config.relations in
   List.iter
@@ -156,11 +156,9 @@ let explain node ~rel tuple = Lineage.origin_of ~store:node.store node.lineage ~
 
 (* A crash loses everything held in memory by the protocol layer:
    in-flight update and query instances, diffusion bookkeeping, probe
-   dedup, cached answers.  The store, rules, stats, lineage and the
-   transport's sequence/dedup tables survive (see {!Relay.abandon}):
-   the store because coDB stores are persistent, the transport tables
-   because reusing sequence numbers after a restart would make peers
-   discard the restarted node's first messages as stale duplicates. *)
+   dedup, cached answers.  The store, lineage and transport go too, but
+   not here: {!System.crash_node} resets them with [reset_store] and by
+   dropping the relay, and the restart decides what comes back. *)
 let reset_volatile node =
   Hashtbl.reset node.updates;
   Hashtbl.reset node.query_instances;

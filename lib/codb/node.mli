@@ -55,10 +55,11 @@ type t = {
       (** this node's write-ahead log; [None] unless
           [Options.durability = Dur_wal] (installed by
           {!System.install_node}, replaced on recovery) *)
-  mutable wal_dict : Codb_net.Codec.Dict.sender option;
-      (** the WAL stream's incremental string dictionary
-          ([Options.link_dicts]): persists across log records, reset at
-          every compaction so the log tail is always self-contained *)
+  wal_dict : Codb_net.Codec.Dict.sender;
+      (** the WAL stream's incremental string dictionary: persists
+          across log records, reset at every compaction so the log
+          tail is always self-contained; it starts minimal, since only
+          [Dur_wal] nodes fill it *)
   mutable wal_reserved : int;
       (** transport sequence numbers covered by the last logged
           [Seq_reserve] record; sequences below it need no new log
@@ -68,7 +69,7 @@ type t = {
           from a snapshot, consumed lazily when the corresponding
           update state is re-created ({!Update.fresh_state}) *)
   mutable track_refetch : bool;
-      (** set after a durability-mode restart: incoming update-data
+      (** set after a restart: incoming update-data
           bytes count into [Stats.chaos.ch_refetched_bytes] until the
           run ends *)
 }
@@ -77,9 +78,9 @@ val create : Config.node_decl -> t
 (** Build the node and load its declared facts into the store. *)
 
 val reset_store : t -> unit
-(** An honest crash ([Options.durability <> Dur_off]): replace the
-    store with a fresh one holding only the declared facts, and clear
-    the lineage.  Recovery (or re-fetching) must rebuild the rest. *)
+(** A crash: replace the store with a fresh one holding only the
+    declared facts, and clear the lineage.  Recovery (or re-fetching)
+    must rebuild the rest. *)
 
 val fresh_serial : t -> int
 
@@ -134,10 +135,9 @@ val reset_volatile : t -> unit
 (** A crash: drop in-flight update/query instances, sub-request
     bookkeeping, probe dedup, cached answers, hosted subscriptions,
     remote-subscription mirrors and buffered answer deltas (counted in
-    [Stats.sub.sb_torn_down]).  The store, rules, statistics, lineage
-    and the transport's sequence counter and dedup table survive (a
-    restarted node must not reuse sequence numbers its peers may have
-    recorded). *)
+    [Stats.sub.sb_torn_down]); settle the relay's in-flight frames.
+    The store, lineage and the relay itself are left to the caller
+    ({!reset_store}, {!System.crash_node}). *)
 
 val is_consistent : t -> bool
 (** Evaluate the node's denial constraints against the store; record

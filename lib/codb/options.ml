@@ -1,9 +1,7 @@
-(* What a crash destroys.  [Dur_off] keeps PR 4's lenient model (the
-   store and transport state survive in memory).  [Dur_volatile] is an
-   honest crash — everything volatile is really lost and restart
-   re-fetches the world.  [Dur_wal] is an honest crash plus a
-   write-ahead log and snapshots to recover from. *)
-type durability = Dur_off | Dur_volatile | Dur_wal
+(* What a crash destroys.  Every crash is honest: [Dur_volatile] loses
+   everything volatile and restart re-fetches the world; [Dur_wal]
+   also keeps a write-ahead log and snapshots to recover from. *)
+type durability = Dur_volatile | Dur_wal
 
 type t = {
   use_sent_cache : bool;
@@ -18,7 +16,6 @@ type t = {
   cache_ttl : float;
   cache_containment : bool;
   index_budget : int;
-  wire_codec : bool;
   pushdown : bool;
   pushdown_max_preds : int;
   batch_window : float;
@@ -43,7 +40,6 @@ type t = {
   wal_dir : string option;
   snapshot_every : int;
   fsync : bool;
-  link_dicts : bool;
 }
 
 let default =
@@ -60,7 +56,6 @@ let default =
     cache_ttl = 0.0;
     cache_containment = true;
     index_budget = 16;
-    wire_codec = true;
     pushdown = false;
     pushdown_max_preds = 16;
     batch_window = 0.0;
@@ -81,11 +76,10 @@ let default =
     max_subscriptions = 64;
     sub_batch_window = 0.0;
     sub_naive = false;
-    durability = Dur_off;
+    durability = Dur_volatile;
     wal_dir = None;
     snapshot_every = 64;
     fsync = false;
-    link_dicts = false;
   }
 
 let with_cache =
@@ -194,8 +188,6 @@ let validate t =
   | Some _ | None -> ());
   if t.fsync && t.wal_dir = None then
     reject "options: fsync requires wal_dir (the in-memory backend has no disk)";
-  if t.link_dicts && not t.wire_codec then
-    reject "options: link_dicts requires wire_codec (the estimator has no strings)";
   match List.rev !errors with [] -> Ok () | errors -> Error errors
 
 let faults_enabled t =

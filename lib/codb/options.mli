@@ -4,17 +4,20 @@
     ablation experiments (E7/E8/E9 in DESIGN.md).  Disabling duplicate
     suppression on a cyclic network with existential head variables
     can make the fix-point diverge — that is the point of the
-    ablation — so [max_update_events] bounds every run. *)
+    ablation — so [max_update_events] bounds every run.
+
+    Two things are deliberately not switchable.  Every message is
+    sized by its link frame: the compact codec with one incremental
+    string dictionary per directed link ({!Payload.encoded_size}
+    [~link]), so the statistics module's byte counts are the bytes a
+    real link would carry.  And every crash is honest: a crashed node
+    really loses its volatile state, store included. *)
 
 type durability =
-  | Dur_off
-      (** PR 4's lenient crash model: the store, lineage, statistics
-          and transport sequence state survive a crash in memory (the
-          seed behaviour, bit for bit) *)
   | Dur_volatile
       (** an honest crash: volatile state is really destroyed and a
           restarted node re-fetches everything over the network (the
-          clear-and-refetch baseline) *)
+          clear-and-refetch baseline; the default) *)
   | Dur_wal
       (** an honest crash plus durability: every commit point is
           logged to a per-node write-ahead log with periodic
@@ -51,10 +54,6 @@ type t = {
       (** max distinct hash indexes per relation (composite and
           single-column combined); 0 disables index building and every
           probe degrades to a filtered scan *)
-  wire_codec : bool;
-      (** size update traffic by the compact binary encoding
-          ({!Payload.encoded_size}) instead of the legacy field-count
-          estimator; the E15 ablation switch *)
   pushdown : bool;
       (** push the requester's constant bindings, repeated-variable
           equalities and comparisons into query-time sub-requests
@@ -131,8 +130,8 @@ type t = {
           the semi-naive delta pass (the E18 ablation baseline; answer
           sets are identical, probe and byte costs are not) *)
   durability : durability;
-      (** what a crash destroys and whether restart recovers from a
-          write-ahead log; [Dur_off] by default (seed behaviour) *)
+      (** whether restart recovers from a write-ahead log;
+          [Dur_volatile] (clear-and-refetch) by default *)
   wal_dir : string option;
       (** where [Dur_wal] keeps its log and snapshot files
           ([<dir>/<node>.wal] / [<dir>/<node>.snap]); [None] uses the
@@ -144,16 +143,6 @@ type t = {
   fsync : bool;
       (** flush every WAL write with [Unix.fsync]; only meaningful
           with [wal_dir] *)
-  link_dicts : bool;
-      (** incremental per-(src,dst)-link string dictionaries in the
-          wire codec, plus dictionary-encoded WAL records and
-          version-2 snapshots with one deduplicated string table: the
-          first use of a string on a link ships the literal with an
-          explicit id, later messages ship only the id; crash, restart
-          and link flap bump the link's epoch so a desynced peer
-          deterministically falls back to literals.  Off by default
-          (the per-message dictionaries of PR 3, bit for bit).
-          Requires [wire_codec] *)
 }
 
 val default : t
@@ -173,8 +162,7 @@ val validate : t -> (unit, string list) result
     negative [max_retries], [backoff_factor] < 1;
     [max_subscriptions] < 1, negative [sub_batch_window], [sub_naive]
     without [subscriptions]; [snapshot_every] < 1, an empty [wal_dir],
-    [wal_dir] without [Dur_wal], [fsync] without [wal_dir];
-    [link_dicts] without [wire_codec].
+    [wal_dir] without [Dur_wal], [fsync] without [wal_dir].
     Called by {!System.build} before any node is created. *)
 
 val faults_enabled : t -> bool

@@ -70,52 +70,6 @@ type t =
     }
   | Answer_batch of { entries : sub_entry list }
 
-let tuples_bytes tuples = List.fold_left (fun acc t -> acc + Tuple.size_bytes t) 0 tuples
-
-let peers_bytes peers =
-  List.fold_left (fun acc p -> acc + 4 + String.length (Peer_id.to_string p)) 0 peers
-
-let rec size = function
-  | Update_request { scope = Global; _ } -> 24
-  | Update_request { scope = For_rule rule; _ } -> 24 + String.length rule
-  | Update_data { tuples; _ } -> 32 + tuples_bytes tuples
-  | Update_batch { entries; _ } ->
-      List.fold_left
-        (fun acc e -> acc + 8 + String.length e.be_rule + tuples_bytes e.be_tuples)
-        24 entries
-  | Update_link_closed _ -> 28
-  | Update_ack _ -> 20
-  | Update_terminated _ -> 20
-  | Query_request { label; request_ref; rule_id; constraints; _ } ->
-      40 + String.length request_ref + String.length rule_id + peers_bytes label
-      + Specialize.size_bytes constraints
-  | Query_data { tuples; request_ref; _ } ->
-      32 + String.length request_ref + tuples_bytes tuples
-  | Query_done { request_ref; _ } -> 24 + String.length request_ref
-  | Rules_file { text; _ } -> 16 + String.length text
-  | Start_update -> 8
-  | Stats_request -> 8
-  | Stats_response { stats } -> Stats.snapshot_size_bytes stats
-  | Discovery_probe { path; probe_id; _ } -> 16 + String.length probe_id + peers_bytes path
-  | Discovery_reply { path; peers; probe_id } ->
-      16 + String.length probe_id + peers_bytes path + peers_bytes peers
-  | Seq { inner; _ } -> 8 + size inner
-  | Seq_ack _ -> 12
-  | Sub_register { sub_id; query_text } ->
-      16 + String.length sub_id + String.length query_text
-  | Sub_registered { sub_id; reason; _ } ->
-      16 + String.length sub_id + String.length reason
-  | Sub_unregister { sub_id } -> 12 + String.length sub_id
-  | Answer_delta { sub_id; adds; retracts; tag } ->
-      20 + String.length sub_id + String.length tag + tuples_bytes adds
-      + tuples_bytes retracts
-  | Answer_batch { entries } ->
-      List.fold_left
-        (fun acc e ->
-          acc + 8 + String.length e.se_sub + String.length e.se_tag
-          + tuples_bytes e.se_adds + tuples_bytes e.se_retracts)
-        12 entries
-
 (* ---- Concurrency classification ------------------------------------- *)
 
 (* A payload is parallel-safe when handling it is a pure function of
@@ -201,7 +155,7 @@ let rec describe = function
    tags and skewed data strings all repeat heavily within one message).
    [Stats_response] carries an in-memory snapshot record that never crosses
    the measured update path, so it is deliberately not encodable; its size
-   keeps using the estimator. *)
+   is the statistics module's own estimate of the snapshot. *)
 
 let tag_of = function
   | Update_request { scope = Global; _ } -> 0
@@ -611,7 +565,7 @@ let decode_tuples bytes =
 let encoded_size ?link payload =
   match payload with
   | Stats_response { stats } ->
-      (* never wire-encoded; the estimator stands in (and a link frame
-         would only add the 1-byte epoch stamp it already ignores) *)
+      (* never wire-encoded: a tag byte plus the snapshot's own size
+         estimate stands in, and it never trains a link dictionary *)
       1 + Stats.snapshot_size_bytes stats
   | payload -> String.length (encode ?link payload)

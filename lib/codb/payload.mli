@@ -139,10 +139,6 @@ type t =
           [sub_batch_window] (the update protocol's [Update_batch]
           move applied to answer push) *)
 
-val size : t -> int
-(** Estimated payload wire size in bytes (the pre-codec heuristic, kept
-    as the [wire_codec = false] ablation baseline). *)
-
 val encode : ?link:Codec.Dict.sender -> t -> string
 (** Compact binary encoding: tag byte, varint-prefixed fields, zigzag
     integers, per-message string dictionary.  With [link], the message
@@ -161,8 +157,10 @@ val decode : ?link:Codec.Dict.receiver -> string -> (t, string) result
     [Error] — never a wrong string. *)
 
 val encoded_size : ?link:Codec.Dict.sender -> t -> int
-(** Actual encoded byte count, [String.length (encode ?link p)]; falls
-    back to the estimator for [Stats_response]. *)
+(** Actual encoded byte count, [String.length (encode ?link p)].  The
+    one exception is [Stats_response], which is never encoded: it
+    counts one tag byte plus {!Stats.snapshot_size_bytes}, with or
+    without [link], and leaves the link dictionary untouched. *)
 
 val encode_tuples : Tuple.t list -> string
 (** Encode a bare tuple list (exposed for codec round-trip tests). *)
@@ -181,6 +179,11 @@ val put_tuple : Codec.writer -> Tuple.t -> unit
 val get_tuple : Codec.reader -> Tuple.t
 val put_tuples : Codec.writer -> Tuple.t list -> unit
 val get_tuples : Codec.reader -> Tuple.t list
+
+val get_peer : Codec.reader -> Peer_id.t
+(** A dictionary string read as a peer name.
+    @raise Codec.Malformed on an empty name, which
+    {!Peer_id.of_string} would reject with [Invalid_argument]. *)
 
 val is_update_protocol : t -> bool
 (** Messages that take part in Dijkstra–Scholten termination

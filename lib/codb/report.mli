@@ -111,7 +111,7 @@ type sub_report = {
   sr_push_msgs : int;  (** [Answer_delta]/[Answer_batch] messages sent *)
   sr_adds : int;
   sr_retracts : int;
-  sr_bytes : int;  (** push bytes as charged by the network *)
+  sr_bytes : int;  (** push payload bytes, each push sized on its own *)
   sr_coalesced : int;  (** answer tuples absorbed in the batch window *)
   sr_probes : int;  (** evaluator probes spent maintaining answers *)
   sr_scans : int;

@@ -129,7 +129,9 @@ type sub_counters = {
   mutable sb_push_msgs : int;  (** [Answer_delta]/[Answer_batch] messages sent *)
   mutable sb_adds : int;  (** answer tuples added across deliveries *)
   mutable sb_retracts : int;
-  mutable sb_bytes : int;  (** payload bytes of pushed answer deltas *)
+  mutable sb_bytes : int;
+      (** payload bytes of pushed answer deltas, each push sized on its
+          own (per-message dictionary, not the link frame; DESIGN §9) *)
   mutable sb_coalesced : int;
       (** tuples cancelled or absorbed inside a [sub_batch_window] *)
   mutable sb_probes : int;  (** evaluator probes doing subscription maintenance *)

@@ -25,10 +25,6 @@ let source rt =
   Eval.of_database ~index_budget:rt.Runtime.opts.Options.index_budget
     rt.Runtime.node.Node.store
 
-let payload_size rt p =
-  if rt.Runtime.opts.Options.wire_codec then Payload.encoded_size p
-  else Payload.size p
-
 let query_text q = Fmt.str "%a" Pretty.query q
 
 (* Epoch agreement with the one-shot query cache: the instant an
@@ -55,7 +51,7 @@ let note_delivery rt (d : Sub.delta) =
 let send_push rt ~dst payload =
   let sb = scounters rt in
   sb.Stats.sb_push_msgs <- sb.Stats.sb_push_msgs + 1;
-  sb.Stats.sb_bytes <- sb.Stats.sb_bytes + payload_size rt payload;
+  sb.Stats.sb_bytes <- sb.Stats.sb_bytes + Payload.encoded_size payload;
   ignore (Reliable.send_noted rt ~dst payload)
 
 let flush_dst rt dst =
@@ -255,9 +251,9 @@ let unsubscribe_remote rt sub_id =
 let mirror rt sub_id = Hashtbl.find_opt rt.Runtime.node.Node.sub_mirrors sub_id
 
 (* After a peer restarts it has forgotten every subscription we hold
-   against it; re-send the registrations.  The host answers each with
-   a fresh full-answer snapshot, which the mirror absorbs
-   idempotently. *)
+   against it, and may have lost answers we mirror: empty each mirror
+   and re-send its registration.  The host answers with a fresh
+   full-answer snapshot, which refills it. *)
 let rearm_towards rt ~host =
   let node = rt.Runtime.node in
   if node.Node.subs <> None then
@@ -266,6 +262,7 @@ let rearm_towards rt ~host =
         if Peer_id.equal (Mirror.host m) host then begin
           let sb = scounters rt in
           sb.Stats.sb_rearmed <- sb.Stats.sb_rearmed + 1;
+          Mirror.reset m ~tag:"rearm";
           ignore
             (Reliable.send_noted rt ~dst:host
                (Payload.Sub_register

@@ -61,8 +61,9 @@ val refresh_all : Runtime.t -> tag:string -> unit
 val rearm_towards : Runtime.t -> host:Peer_id.t -> unit
 (** Re-send [Sub_register] for every mirror this node holds against
     [host] — called when [host] restarts, since its registry was
-    volatile.  The host replies with a full-answer snapshot delta;
-    mirrors absorb it idempotently. *)
+    volatile.  Each mirror is {!Mirror.reset} first and refilled by the
+    host's full-answer snapshot, so answers the host lost in the crash
+    leave it. *)
 
 val handle : Runtime.t -> src:Peer_id.t -> Payload.t -> unit
 (** Dispatch the five [Sub_*]/[Answer_*] payloads; ignores

@@ -26,7 +26,8 @@ type t = {
   sys_net : Payload.t Network.t;
   sys_links : Link_dict.t;
       (* per-directed-link incremental string dictionaries, trained by
-         the byte-accounting path when [Options.link_dicts] is on *)
+         the byte-accounting path: every message is sized as its link
+         frame *)
   sys_nodes : (string, Node.t) Hashtbl.t;
   sys_runtimes : (string, Runtime.t) Hashtbl.t;
   sys_dur : (string, dur_node) Hashtbl.t;
@@ -135,7 +136,7 @@ let install_node sys decl =
           dn_recovery_ms = 0.;
         };
       ignore (Durable.install node sys.sys_opts ~backend : Codb_store.Wal.t)
-  | Options.Dur_off | Options.Dur_volatile -> ());
+  | Options.Dur_volatile -> ());
   let rt = make_runtime sys node in
   Network.set_handler sys.sys_net node.Node.node_id (handler sys rt);
   Hashtbl.replace sys.sys_nodes name node;
@@ -153,12 +154,10 @@ let connect_acquaintances sys =
   List.iter connect_rule sys.sys_config.Config.rules
 
 (* A crash: the handler disappears (in-flight messages to the node
-   drop at delivery time) and every pipe closes.  The volatile protocol
-   state is cleared immediately.  Under [Dur_off] the store, lineage
-   and transport state survive in memory (the lenient legacy model);
-   under [Dur_volatile] and [Dur_wal] the crash is honest — RAM is
-   gone, only the node's declaration (and, for [Dur_wal], its backend
-   bytes) survive to the restart. *)
+   drop at delivery time) and every pipe closes.  The crash is honest:
+   RAM is gone — protocol state, store, lineage, transport — and only
+   the node's declaration (and, under [Dur_wal], its backend bytes)
+   survive to the restart. *)
 let crash_node sys name =
   let n = node sys name in
   let id = n.Node.node_id in
@@ -168,23 +167,19 @@ let crash_node sys name =
   Network.clear_handler sys.sys_net id;
   List.iter (fun peer -> Network.disconnect sys.sys_net id peer)
     (Network.neighbours sys.sys_net id);
-  (match sys.sys_opts.Options.durability with
-  | Options.Dur_off -> ()
-  | Options.Dur_volatile | Options.Dur_wal ->
-      (match (n.Node.wal, Hashtbl.find_opt sys.sys_dur name) with
-      | Some wal, Some dn ->
-          (* the live WAL dies with the node; keep its counters *)
-          let c = Codb_store.Wal.counters wal in
-          dn.dn_records <- dn.dn_records + c.Codb_store.Wal.records_written;
-          dn.dn_bytes <- dn.dn_bytes + c.Codb_store.Wal.bytes_written;
-          dn.dn_snapshots <- dn.dn_snapshots + c.Codb_store.Wal.snapshots_taken;
-          dn.dn_snapshot_bytes <-
-            dn.dn_snapshot_bytes + c.Codb_store.Wal.snapshot_bytes
-      | _ -> ());
-      n.Node.wal <- None;
-      n.Node.relay <- None;
-      n.Node.recovered_sent <- [];
-      Node.reset_store n);
+  (match (n.Node.wal, Hashtbl.find_opt sys.sys_dur name) with
+  | Some wal, Some dn ->
+      (* the live WAL dies with the node; keep its counters *)
+      let c = Codb_store.Wal.counters wal in
+      dn.dn_records <- dn.dn_records + c.Codb_store.Wal.records_written;
+      dn.dn_bytes <- dn.dn_bytes + c.Codb_store.Wal.bytes_written;
+      dn.dn_snapshots <- dn.dn_snapshots + c.Codb_store.Wal.snapshots_taken;
+      dn.dn_snapshot_bytes <- dn.dn_snapshot_bytes + c.Codb_store.Wal.snapshot_bytes
+  | _ -> ());
+  n.Node.wal <- None;
+  n.Node.relay <- None;
+  n.Node.recovered_sent <- [];
+  Node.reset_store n;
   Node.reset_volatile n;
   trace_event sys ~direction:Trace.Delivered ~src:id ~dst:id "crash"
 
@@ -193,12 +188,11 @@ let crash_node sys name =
    handler re-registers and the acquaintance pipes (plus the super-peer
    pipe, if one is tracked) reopen.
 
-   What comes back depends on [Options.durability].  [Dur_off]: the
-   lenient legacy model — store, lineage and transport state survived
-   the crash in memory.  [Dur_volatile]: clear-and-refetch — the store
-   restarts from the node's declaration, the transport restarts in a
-   fresh sequence epoch (so recycled sequence numbers are impossible),
-   and a catch-up global update re-imports everything the rules cover.
+   What comes back depends on [Options.durability].  [Dur_volatile]:
+   clear-and-refetch — the store restarts from the node's declaration,
+   the transport restarts in a fresh sequence epoch (so recycled
+   sequence numbers are impossible), and a catch-up global update
+   re-imports everything the rules cover.
    [Dur_wal]: true recovery — snapshot plus log tail rebuild the
    store, lineage, transport reservation and dedup keys, sent-filters
    and subscription state; no catch-up update is issued, the reliable
@@ -212,17 +206,14 @@ let restart_node sys name =
   Node.reset_volatile n;
   Node.configure_cache n sys.sys_opts;
   Node.configure_subs n sys.sys_opts;
+  Node.reset_store n;
   (match sys.sys_opts.Options.durability with
-  | Options.Dur_off -> ()
   | Options.Dur_volatile ->
-      Node.reset_store n;
       incr sys.sys_restarts;
       if Options.reliable sys.sys_opts then
         n.Node.relay <-
-          Some (Relay.create ~next_seq:(!(sys.sys_restarts) * 1_000_000) ());
-      n.Node.track_refetch <- true
+          Some (Relay.create ~next_seq:(!(sys.sys_restarts) * 1_000_000) ())
   | Options.Dur_wal ->
-      Node.reset_store n;
       (match Hashtbl.find_opt sys.sys_dur name with
       | None -> ()
       | Some dn ->
@@ -234,8 +225,8 @@ let restart_node sys name =
           dn.dn_recovered_records <-
             dn.dn_recovered_records + rv.Durable.rv_records;
           dn.dn_replayed_bytes <-
-            dn.dn_replayed_bytes + rv.Durable.rv_replayed_bytes);
-      n.Node.track_refetch <- true);
+            dn.dn_replayed_bytes + rv.Durable.rv_replayed_bytes));
+  n.Node.track_refetch <- true;
   Node.note_local_write n;
   let rt = runtime sys name in
   Network.set_handler sys.sys_net id (handler sys rt);
@@ -247,23 +238,22 @@ let restart_node sys name =
   | None -> ());
   (* the restarted node's registry lost (or, under [Dur_wal],
      recovered) its entries: every peer holding a mirror against it
-     re-registers (deterministically, in node-name then sub-id order)
-     and will receive a snapshot delta in reply — idempotent when the
-     registration survived *)
+     empties the mirror and re-registers (deterministically, in
+     node-name then sub-id order); the registration snapshot sent in
+     reply refills it *)
   List.iter
     (fun name' ->
       if not (String.equal name' name) then
         Sub_engine.rearm_towards (runtime sys name') ~host:id)
     (node_names sys);
   (match sys.sys_opts.Options.durability with
-  | Options.Dur_off -> ()
   | Options.Dur_volatile ->
       (* catch-up: a fresh global update re-imports, through the
          normal rule machinery, everything the crash wiped *)
       Update.initiate rt (Ids.update_id id (Node.fresh_serial n))
   | Options.Dur_wal ->
-      (* recovered mirrors re-register with their hosts (the host
-         answers with a full snapshot delta, absorbed idempotently);
+      (* recovered mirrors empty and re-register with their hosts
+         (the host's registration snapshot refills them);
          recovered hosted subscriptions re-diff against the recovered
          store and push what the registry's answer sets are missing *)
       List.iter
@@ -326,25 +316,16 @@ let build ?(opts = Options.default) cfg =
         Error [ Printf.sprintf "node name %s is reserved" Superpeer.peer_name ]
       else begin
         let links = Link_dict.create () in
-        let size_of =
-          if not opts.Options.wire_codec then fun ~src:_ ~dst:_ p -> Payload.size p
-          else if not opts.Options.link_dicts then fun ~src:_ ~dst:_ p ->
-            Payload.encoded_size p
-          else fun ~src ~dst p ->
-            (* Stats_response never encodes; keep it on the estimator
-               rather than training the link dictionary with nothing. *)
-            match p with
-            | Payload.Stats_response _ -> Payload.encoded_size p
-            | p -> Payload.encoded_size ~link:(Link_dict.sender links ~src ~dst) p
+        let size_of ~src ~dst p =
+          Payload.encoded_size ~link:(Link_dict.sender links ~src ~dst) p
         in
         let net =
           Network.create ~default_latency:opts.Options.latency
             ~default_byte_cost:opts.Options.byte_cost ~size_of ()
         in
-        if opts.Options.link_dicts then
-          (* any pipe transition (close, reopen, flap) or send against a
-             closed pipe desyncs the link: new epoch both ways *)
-          Network.set_link_watcher net (fun a b -> Link_dict.bump_link links a b);
+        (* any pipe transition (close, reopen, flap) or send against a
+           closed pipe desyncs the link: new epoch both ways *)
+        Network.set_link_watcher net (fun a b -> Link_dict.bump_link links a b);
         let sys =
           {
             sys_net = net;

@@ -27,7 +27,7 @@ val net : t -> Payload.t Network.t
 
 val link_dict_stats : t -> Codb_net.Link_dict.stats
 (** Aggregate state of the per-link incremental string dictionaries
-    (all zero unless [Options.link_dicts] trained them). *)
+    that size every message ({!Payload.encoded_size} [~link]). *)
 
 val config : t -> Config.t
 
@@ -115,14 +115,10 @@ val discover : t -> at:string -> ttl:int -> Peer_id.t list
 val crash_node : t -> string -> unit
 (** Simulate a node crash: the handler is removed (messages to it drop
     at delivery time), its pipes close and its volatile protocol state
-    is cleared.  What else survives depends on [opts.durability]:
-    under [Dur_off] (the lenient legacy model) the store, lineage,
-    transport state and statistics remain in memory; under
-    [Dur_volatile] and [Dur_wal] the crash is honest — the store
-    resets to the node's declaration and the transport state is gone,
-    leaving only the declaration (and, for [Dur_wal], the WAL
-    backend's bytes) for the restart.  @raise Not_found on an unknown
-    node. *)
+    is cleared.  The crash is honest: the store resets to the node's
+    declaration and the transport state is gone, leaving only the
+    declaration (and, under [Dur_wal], the WAL backend's bytes) for
+    the restart.  @raise Not_found on an unknown node. *)
 
 val restart_node : t -> string -> unit
 (** Bring a crashed node back: clean volatile state, a fresh cache

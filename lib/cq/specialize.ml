@@ -277,16 +277,3 @@ let pp ppf = function
 let to_string c = Fmt.str "%a" pp c
 
 let to_key c = to_string (normalize c)
-
-let operand_bytes = function Col _ -> 2 | Const v -> 1 + Value.size_bytes v
-
-let size_bytes = function
-  | Any -> 1
-  | One_of alts ->
-      List.fold_left
-        (fun acc conj ->
-          acc + 2
-          + List.fold_left
-              (fun acc p -> acc + 1 + operand_bytes p.p_left + operand_bytes p.p_right)
-              0 conj)
-        2 alts

@@ -104,9 +104,6 @@ val normalize : t -> t
 val to_key : t -> string
 (** Deterministic key for {!normalize}d constraints (cache keying). *)
 
-val size_bytes : t -> int
-(** Estimated wire size contribution (the pre-codec heuristic). *)
-
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

@@ -31,8 +31,8 @@ module Dict = struct
     r_tab : (int, string) Hashtbl.t;
   }
 
-  let sender () =
-    { s_epoch = 0; s_tab = Hashtbl.create 64; s_next = 0; s_intros = 0; s_hits = 0 }
+  let sender ?(size = 64) () =
+    { s_epoch = 0; s_tab = Hashtbl.create size; s_next = 0; s_intros = 0; s_hits = 0 }
 
   let receiver () = { r_epoch = 0; r_tab = Hashtbl.create 64 }
 

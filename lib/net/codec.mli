@@ -22,7 +22,10 @@ module Dict : sig
   type receiver
   (** Receiver half: id -> string mirror, rebuilt from introductions. *)
 
-  val sender : unit -> sender
+  val sender : ?size:int -> unit -> sender
+  (** [size] is the table's initial size (default 64); it grows as
+      strings arrive. *)
+
   val receiver : unit -> receiver
 
   val bump : sender -> unit

@@ -14,7 +14,7 @@ type t = {
 }
 
 type stats = {
-  links : int;  (* directed links that carried at least one string *)
+  links : int;  (* directed links that carried any message *)
   bumps : int;  (* epoch bumps across all links *)
   intros : int;  (* string literals shipped (introductions) *)
   hits : int;  (* strings shipped as back-references *)

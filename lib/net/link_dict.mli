@@ -18,11 +18,12 @@ val sender : t -> src:Peer_id.t -> dst:Peer_id.t -> Codec.Dict.sender
 (** Find or create the dictionary for the directed link. *)
 
 val bump_link : t -> Peer_id.t -> Peer_id.t -> unit
-(** New epoch on both directions of the link.  Links that never
-    carried a string are left untouched (nothing to distrust). *)
+(** New epoch on both directions of the link.  A direction that never
+    carried a message has no dictionary and is left untouched (nothing
+    to distrust). *)
 
 type stats = {
-  links : int;  (** directed links that carried at least one string *)
+  links : int;  (** directed links that carried any message *)
   bumps : int;  (** epoch bumps across all links *)
   intros : int;  (** string literals shipped (introductions) *)
   hits : int;  (** strings shipped as back-references *)

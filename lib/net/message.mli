@@ -5,7 +5,7 @@ type 'a t = {
   src : Peer_id.t;
   dst : Peer_id.t;
   sent_at : float;
-  size : int;  (** estimated wire size in bytes (header included) *)
+  size : int;  (** wire size in bytes: [size_of] of the payload plus the header *)
   payload : 'a;
 }
 

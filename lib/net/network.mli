@@ -35,7 +35,7 @@ val create :
   size_of:(src:Peer_id.t -> dst:Peer_id.t -> 'a -> int) ->
   unit ->
   'a t
-(** [size_of] estimates the wire size of a payload (the envelope adds
+(** [size_of] gives the wire size of a payload (the envelope adds
     {!Message.header_bytes}).  It receives the endpoints so link-level
     codec state (incremental dictionaries) can be trained per directed
     link.  Defaults: 1 ms latency, 1 µs/byte. *)

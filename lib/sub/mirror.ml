@@ -50,12 +50,26 @@ let mark_rejected t reason =
   t.mi_accepted <- false;
   t.mi_rejected <- Some reason
 
-(* Deltas are applied as set updates, so redelivery (retries, re-arm
-   snapshots, the naive baseline's full re-sends) is idempotent. *)
+let notify t d = match t.mi_on_delta with None -> () | Some f -> f d
+
+(* Deltas are applied as set updates, so redelivery (retries, the
+   naive baseline's full re-sends) is idempotent.  Between
+   registrations the host's answers only grow, so arrival order does
+   not matter either: a registration snapshot resent behind later adds
+   merges into the same set. *)
 let apply t (d : Subscription.delta) =
   t.mi_answers <-
     List.fold_left (fun s tu -> Tuple_set.add tu s) t.mi_answers d.d_adds;
   t.mi_answers <-
     List.fold_left (fun s tu -> Tuple_set.remove tu s) t.mi_answers d.d_retracts;
   t.mi_deltas <- t.mi_deltas + 1;
-  match t.mi_on_delta with None -> () | Some f -> f d
+  notify t d
+
+(* A re-registration starts over from the empty set: a host that
+   restarted without its store no longer derives some answers, and
+   only what it sends from now on says which. *)
+let reset t ~tag =
+  let gone = Tuple_set.elements t.mi_answers in
+  t.mi_answers <- Tuple_set.empty;
+  if gone <> [] then
+    notify t { Subscription.d_adds = []; d_retracts = gone; d_tag = tag }

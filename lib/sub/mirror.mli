@@ -2,9 +2,11 @@
 
     A mirror holds the answer set reconstructed from pushed
     {!Subscription.delta}s.  Application is idempotent set update
-    (union adds, remove retracts), so duplicated deliveries — retried
-    sends, re-arm snapshots after a host restart, the naive baseline's
-    full re-sends — converge to the same set the host maintains. *)
+    (union adds, remove retracts), so duplicated or reordered
+    deliveries — retried sends, a registration snapshot resent behind
+    later adds, the naive baseline's full re-sends — converge to the
+    same set the host maintains.  Re-registering with a restarted host
+    {!reset}s the mirror first, so answers the host lost leave it. *)
 
 module Peer_id = Codb_net.Peer_id
 module Query = Codb_cq.Query
@@ -46,3 +48,9 @@ val mark_rejected : t -> string -> unit
 val apply : t -> Subscription.delta -> unit
 (** Fold a pushed delta into the mirrored answer set and invoke the
     client callback, if any. *)
+
+val reset : t -> tag:string -> unit
+(** Empty the answer set before re-registering; the host's
+    registration snapshot and the deltas after it refill it.  The
+    callback, if any, sees the removed answers as one retract-only
+    delta tagged [tag]. *)

@@ -281,6 +281,10 @@ let test_crash_restart_recovers () =
   let _ = System.run_update sys ~initiator:"n0" in
   Alcotest.(check int) "restart counted" 1
     (Network.counters (System.net sys)).Network.restarts;
+  (* the default crash is honest: the restarted node lost its store
+     and refetched what its rules import *)
+  Alcotest.(check bool) "restart refetched bytes" true
+    ((Report.chaos_report (System.snapshots sys)).Report.chr_refetched_bytes > 0);
   (* after the restart the node is reachable again: a second update
      completes the fix-point as if nothing had happened *)
   let baseline = System.build_exn (chain 3) in

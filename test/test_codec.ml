@@ -184,17 +184,20 @@ let test_encoded_size_is_real () =
     payload_samples
 
 let test_dictionary_beats_estimator_on_skew () =
-  (* many tuples sharing few distinct strings: the estimator charges
-     every string at its first-occurrence cost, while the per-message
-     dictionary back-references repeats, so the real encoding is
-     strictly smaller — here by at least the 3 bytes each of the ~195
-     repeated short strings saves *)
+  (* many tuples sharing few distinct strings: the field-count estimate
+     the statistics module uses for data volume ({!Tuple.size_bytes})
+     charges every string at its first-occurrence cost, while the
+     per-message dictionary back-references repeats, so the real
+     encoding is strictly smaller — here by at least the 3 bytes each
+     of the ~195 repeated short strings saves, less the message
+     header *)
   let tuples = List.init 200 (fun k -> tup [ i k; s (Printf.sprintf "v%d" (k mod 5)) ]) in
   let p =
     Payload.Update_data { update_id = uid; rule_id = "r1"; tuples; hops = 1; global = true }
   in
+  let estimate = List.fold_left (fun acc t -> acc + Codb_relalg.Tuple.size_bytes t) 0 tuples in
   Alcotest.(check bool) "encoded beats the estimate by the dict savings" true
-    (Payload.encoded_size p + 500 < Payload.size p)
+    (Payload.encoded_size p + 500 < estimate)
 
 let test_stats_response_not_encodable () =
   let stats = Codb_core.Stats.snapshot (Codb_core.Stats.create (Peer_id.of_string "n0")) in
@@ -202,8 +205,15 @@ let test_stats_response_not_encodable () =
   (match Payload.encode p with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Stats_response must not claim a binary encoding");
-  Alcotest.(check bool) "estimator fallback still sizes it" true
-    (Payload.encoded_size p > 0)
+  Alcotest.(check int) "the snapshot's own estimate sizes it"
+    (1 + Codb_core.Stats.snapshot_size_bytes stats)
+    (Payload.encoded_size p);
+  (* sizing it as a link frame neither changes the count nor trains
+     the link dictionary *)
+  let d = Codb_net.Codec.Dict.sender () in
+  Alcotest.(check int) "same size on a link" (Payload.encoded_size p)
+    (Payload.encoded_size ~link:d p);
+  Alcotest.(check int) "link dictionary untouched" 0 (Codb_net.Codec.Dict.entries d)
 
 let test_malformed_input_rejected () =
   let reject label input =
@@ -228,7 +238,7 @@ let test_malformed_input_rejected () =
 
 (* Random payloads across every encodable variant: the size model must
    count exactly what [encode] emits, and decoding must invert it.
-   Stats_response is the one (estimator-only) exception, covered by
+   Stats_response is the one (never encoded) exception, covered by
    [test_stats_response_not_encodable]. *)
 module Q2 = QCheck2
 module Gen = QCheck2.Gen

@@ -175,7 +175,7 @@ let message payload =
     src = Peer_id.of_string "sp";
     dst = Peer_id.of_string "me";
     sent_at = 0.0;
-    size = Payload.size payload;
+    size = Payload.encoded_size payload;
     payload;
   }
 

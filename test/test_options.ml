@@ -71,8 +71,7 @@ let test_wire_knobs_are_valid () =
     (Options.validate
        {
          Options.default with
-         Options.wire_codec = false;
-         batch_window = 0.05;
+         Options.batch_window = 0.05;
          batch_max_tuples = 1;
          sent_bloom_bits = 4096;
          sent_ring_capacity = 1;
@@ -155,13 +154,6 @@ let test_rto_backoff_capped () =
   Alcotest.(check bool) "failure deadline is finite" true
     (Float.is_finite (Options.failure_deadline opts))
 
-let test_dict_knobs () =
-  Alcotest.(check bool) "link_dicts with codec valid" true
-    (Options.validate { Options.default with Options.link_dicts = true } = Ok ());
-  rejected ~substring:"link_dicts"
-    (Options.validate
-       { Options.default with Options.link_dicts = true; wire_codec = false })
-
 let test_errors_accumulate () =
   match
     Options.validate
@@ -194,7 +186,6 @@ let suite =
     Alcotest.test_case "bad wire knobs rejected" `Quick test_bad_wire_knobs_rejected;
     Alcotest.test_case "chaos knobs are valid" `Quick test_chaos_knobs_are_valid;
     Alcotest.test_case "bad chaos knobs rejected" `Quick test_bad_chaos_knobs_rejected;
-    Alcotest.test_case "link-dict knobs validated" `Quick test_dict_knobs;
     Alcotest.test_case "rto backoff capped" `Quick test_rto_backoff_capped;
     Alcotest.test_case "errors accumulate" `Quick test_errors_accumulate;
     Alcotest.test_case "System.build enforces validate" `Quick

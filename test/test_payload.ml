@@ -67,22 +67,23 @@ let samples =
 let test_sizes_positive () =
   List.iter
     (fun p ->
-      Alcotest.(check bool) (Payload.describe p) true (Payload.size p > 0))
+      Alcotest.(check bool) (Payload.describe p) true (Payload.encoded_size p > 0))
     samples
 
 let test_data_size_grows_with_tuples () =
   let mk tuples =
-    Payload.size
+    Payload.encoded_size
       (Payload.Update_data { update_id = uid; rule_id = "r"; tuples; hops = 1; global = true })
   in
   Alcotest.(check bool) "more tuples, bigger" true
     (mk [ tup [ i 1 ]; tup [ i 2 ] ] > mk [ tup [ i 1 ] ])
 
-(* the size model must charge for every field a request carries: a
-   longer rule id or a pushed constraint set is more bytes on the wire *)
+(* the encoding must charge for every field a request carries: a
+   longer rule id or a pushed constraint set is more bytes on the wire
+   (lengths stay under 128, so their varint prefixes stay one byte) *)
 let test_request_size_tracks_rule_id () =
   let mk rule_id =
-    Payload.size
+    Payload.encoded_size
       (Payload.Query_request
          { query_id = qid; request_ref = "n0/1"; rule_id;
            label = [ Peer_id.of_string "n0" ]; constraints = Payload.Specialize.any })
@@ -92,7 +93,7 @@ let test_request_size_tracks_rule_id () =
 
 let test_request_size_tracks_constraints () =
   let mk constraints =
-    Payload.size
+    Payload.encoded_size
       (Payload.Query_request
          { query_id = qid; request_ref = "n0/1"; rule_id = "r1";
            label = [ Peer_id.of_string "n0" ]; constraints })
@@ -106,9 +107,9 @@ let test_request_size_tracks_constraints () =
     (mk constrained > mk Payload.Specialize.any)
 
 let test_rules_file_size_tracks_text () =
-  let mk text = Payload.size (Payload.Rules_file { version = 1; text }) in
+  let mk text = Payload.encoded_size (Payload.Rules_file { version = 1; text }) in
   Alcotest.(check int) "delta equals text growth" 100
-    (mk (String.make 150 'x') - mk (String.make 50 'x'))
+    (mk (String.make 120 'x') - mk (String.make 20 'x'))
 
 let test_update_protocol_classification () =
   let rec expect_protocol = function

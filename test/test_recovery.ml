@@ -1,5 +1,6 @@
 (* Durability: CRC framing, WAL append/snapshot/recover round-trips,
-   the three crash models, and true recovery — a crashed-and-recovered
+   the older on-disk formats an existing WAL directory may still hold,
+   both crash models, and true recovery — a crashed-and-recovered
    network reaches the fault-free fix-point while refetching no more
    than the clear-and-refetch baseline. *)
 
@@ -140,39 +141,53 @@ let test_wal_file_backend () =
 
 (* --- durable records ------------------------------------------------ *)
 
-let test_record_round_trip () =
+(* The records behind [Fixtures_v1.inline_records], in order. *)
+let fixture_records =
   let tuples = [ tup [ i 1; s "x" ]; tup [ i 2; s "y" ] ] in
-  let rs =
-    [
-      Durable.Insert { rel = "data"; tuples };
-      Durable.Import { rule = "r1"; rel = "data"; hops = 2; at = 0.125; tuples };
-      Durable.Seq_reserve { upto = 640 };
-      Durable.Sub_add
-        { sub_id = "s1"; owner = Durable.Olocal; query_text = "a(x) <- b(x)" };
-      Durable.Sub_add
-        {
-          sub_id = "s2";
-          owner = Durable.Oremote (Codb_net.Peer_id.of_string "n3");
-          query_text = "a(x) <- b(x)";
-        };
-      Durable.Sub_remove { sub_id = "s1" };
-      Durable.Mirror_add
-        {
-          sub_id = "m1";
-          host = Codb_net.Peer_id.of_string "n2";
-          query_text = "a(x) <- b(x)";
-        };
-      Durable.Mirror_remove { sub_id = "m1" };
-    ]
-  in
+  [
+    Durable.Insert { rel = "data"; tuples };
+    Durable.Import { rule = "r1"; rel = "data"; hops = 2; at = 0.125; tuples };
+    Durable.Seq_reserve { upto = 640 };
+    Durable.Sub_add
+      { sub_id = "s1"; owner = Durable.Olocal; query_text = "a(x) <- b(x)" };
+    Durable.Sub_add
+      {
+        sub_id = "s2";
+        owner = Durable.Oremote (Codb_net.Peer_id.of_string "n3");
+        query_text = "a(x) <- b(x)";
+      };
+    Durable.Sub_remove { sub_id = "s1" };
+    Durable.Mirror_add
+      {
+        sub_id = "m1";
+        host = Codb_net.Peer_id.of_string "n2";
+        query_text = "a(x) <- b(x)";
+      };
+    Durable.Mirror_remove { sub_id = "m1" };
+  ]
+
+let test_record_round_trip () =
+  (* one stream dictionary, one replay mirror, both in record order *)
+  let d = Codb_net.Codec.Dict.sender () in
+  let tab = Hashtbl.create 16 in
   List.iter
     (fun r ->
       Alcotest.(check bool) "round-trips" true
-        (Durable.decode_record (Durable.encode_record r) = r))
-    rs;
-  (match Durable.decode_record "\xff" with
-  | exception Codb_net.Codec.Malformed _ -> ()
-  | _ -> Alcotest.fail "unknown tag must raise Malformed")
+        (Durable.decode_record ~dict:tab (Durable.encode_record ~dict:d r) = r))
+    fixture_records;
+  (* decoding is total: corrupt bytes raise Malformed, never anything
+     else — an empty peer name included, which Peer_id.of_string
+     rejects with Invalid_argument *)
+  List.iter
+    (fun (label, bytes) ->
+      match Durable.decode_record bytes with
+      | exception Codb_net.Codec.Malformed _ -> ()
+      | _ -> Alcotest.failf "%s must raise Malformed" label)
+    [
+      ("unknown tag", "\xff");
+      ("empty mirror host", "\x05\x00\x01s\x00\x00\x01q");
+      ("empty remote owner", "\x03\x00\x01s\x01\x00\x00\x01q");
+    ]
 
 (* --- dictionary-mode records and tabled snapshots -------------------- *)
 
@@ -207,33 +222,56 @@ let test_record_dict_round_trip () =
       | exception Codec.Malformed _ -> ()
       | _ -> Alcotest.fail "dict record decoded without a replay table")
   | _ -> assert false);
-  (* plain and dictionary records coexist in one log *)
-  let plain = Durable.encode_record (List.hd rs) in
-  Alcotest.(check bool) "mixed-mode log replays" true
-    (Durable.decode_record ~dict:tab plain = List.hd rs)
+  (* an older build's inline records still decode, alone and
+     interleaved with dictionary records in one log *)
+  List.iter2
+    (fun r bytes ->
+      Alcotest.(check bool) "inline record decodes" true
+        (Durable.decode_record bytes = r))
+    fixture_records Fixtures_v1.inline_records;
+  let mixed = Hashtbl.create 16 in
+  let d' = Codec.Dict.sender () in
+  List.iter2
+    (fun r inline ->
+      Alcotest.(check bool) "mixed-mode log replays" true
+        (Durable.decode_record ~dict:mixed (Durable.encode_record ~dict:d' r) = r
+        && Durable.decode_record ~dict:mixed inline = r))
+    fixture_records Fixtures_v1.inline_records
 
+(* A fresh node recovering from a snapshot cut by an older build: the
+   version-1 reader must rebuild the exact store, and the version-2
+   snapshot the recovered node writes must be smaller. *)
 let test_tabled_snapshot_smaller () =
-  let sys =
-    System.build_exn
-      ~opts:{ Options.default with Options.durability = Options.Dur_wal }
-      (Topology.generate ~seed:5 Topology.Chain ~n:3)
+  let cfg = Topology.generate ~seed:5 Topology.Chain ~n:3 in
+  let node = Node.create (Option.get (Config.node cfg "n1")) in
+  let backend = Backend.memory () in
+  let old_wal =
+    Wal.create ~backend ~snapshot_every:1000
+      ~take_snapshot:(fun () -> Fixtures_v1.snapshot_v1) ()
   in
-  let _ = System.run_update sys ~initiator:"n0" in
-  for k = 0 to 49 do
-    Alcotest.(check bool) "fact inserted" true
-      (System.insert_fact sys ~at:"n1" ~rel:"data"
-         (tup [ i (1000 + k); s (Printf.sprintf "shared-stem/value-%04d" k) ]))
-  done;
-  let node = System.node sys "n1" in
-  let v1 = Durable.encode_snapshot node in
-  let v2 = Durable.encode_snapshot ~tabled:true node in
+  Wal.snapshot_now old_wal;
+  let opts = { Options.default with Options.durability = Options.Dur_wal } in
+  let rv = Durable.recover node opts ~backend in
+  Alcotest.(check bool) "recovered from the snapshot" true rv.Durable.rv_had_snapshot;
+  Alcotest.(check int) "v1 snapshot restores every tuple" Fixtures_v1.snapshot_v1_tuples
+    (Database.cardinal node.Node.store);
+  Alcotest.(check int) "v1 snapshot restores the exact store"
+    Fixtures_v1.snapshot_v1_digest
+    (Durable.database_digest node.Node.store);
+  let v2 = Durable.encode_snapshot node in
   Alcotest.(check bool)
-    (Printf.sprintf "tabled snapshot strictly smaller (%d < %d)"
-       (String.length v2) (String.length v1))
+    (Printf.sprintf "tabled snapshot strictly smaller (%d < %d)" (String.length v2)
+       (String.length Fixtures_v1.snapshot_v1))
     true
-    (String.length v2 < String.length v1)
+    (String.length v2 < String.length Fixtures_v1.snapshot_v1);
+  (* and the v2 snapshot recovery just wrote round-trips too *)
+  let again = Node.create (Option.get (Config.node cfg "n1")) in
+  ignore (Durable.recover again opts ~backend : Durable.recovery_stats);
+  Alcotest.(check int) "v2 snapshot restores the exact store"
+    Fixtures_v1.snapshot_v1_digest
+    (Durable.database_digest again.Node.store)
 
-(* --- the three crash models ----------------------------------------- *)
+(* --- the two crash models ------------------------------------------- *)
 
 let chain ?(seed = 5) n = Topology.generate ~seed Topology.Chain ~n
 
@@ -256,14 +294,6 @@ let stores_equal a b =
 
 let refetched sys =
   (Report.chaos_report (System.snapshots sys)).Report.chr_refetched_bytes
-
-let test_off_crash_keeps_store () =
-  let sys = System.build_exn ~opts:(dur_opts ~durability:Options.Dur_off ()) (chain 3) in
-  let _ = System.run_update sys ~initiator:"n0" in
-  let before = System.store_digest sys "n1" in
-  System.crash_node sys "n1";
-  Alcotest.(check int) "lenient crash: store survives in memory" before
-    (System.store_digest sys "n1")
 
 let test_volatile_crash_wipes_store () =
   let sys =
@@ -299,22 +329,16 @@ let test_wal_crash_recovers_store () =
   Alcotest.(check bool) "replayed bytes surfaced in stats" true
     (ch.Report.chr_replayed_bytes > 0)
 
-let test_wal_dict_crash_recovers_store () =
-  (* same crash/restart discipline, with the WAL stream and snapshots
-     in dictionary mode — recovery must land on the identical store *)
-  let opts = { (dur_opts ()) with Options.link_dicts = true } in
-  let plain_sys = System.build_exn ~opts:(dur_opts ()) (chain 3) in
-  let _ = System.run_update plain_sys ~initiator:"n0" in
-  let sys = System.build_exn ~opts (chain 3) in
+let test_wal_repeated_crashes_recover_store () =
+  (* recovery compacts into a fresh log whose stream dictionary starts
+     empty again: a second crash must recover as exactly as the first *)
+  let sys = System.build_exn ~opts:(dur_opts ()) (chain 3) in
   let _ = System.run_update sys ~initiator:"n0" in
-  Alcotest.(check bool) "dict-mode run matches plain run" true
-    (stores_equal plain_sys sys);
   let before = System.store_digest sys "n1" in
   System.crash_node sys "n1";
   System.restart_node sys "n1";
-  Alcotest.(check int) "dictionary WAL recovery restores the store" before
+  Alcotest.(check int) "first recovery restores the store" before
     (System.store_digest sys "n1");
-  (* survive a second cycle: the post-recovery WAL re-arms its dict *)
   ignore (System.insert_fact sys ~at:"n1" ~rel:"data" (tup [ i 777; s "late" ]));
   let before2 = System.store_digest sys "n1" in
   System.crash_node sys "n1";
@@ -440,9 +464,8 @@ let suite =
       test_record_dict_round_trip;
     Alcotest.test_case "tabled snapshots are smaller" `Quick
       test_tabled_snapshot_smaller;
-    Alcotest.test_case "Dur_wal + link_dicts: exact recovery" `Quick
-      test_wal_dict_crash_recovers_store;
-    Alcotest.test_case "Dur_off: lenient crash" `Quick test_off_crash_keeps_store;
+    Alcotest.test_case "Dur_wal: repeated crashes recover exactly" `Quick
+      test_wal_repeated_crashes_recover_store;
     Alcotest.test_case "Dur_volatile: wipe, then catch-up" `Quick
       test_volatile_crash_wipes_store;
     Alcotest.test_case "Dur_wal: recovery without the network" `Quick

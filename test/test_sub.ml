@@ -292,6 +292,122 @@ let test_crash_tears_down_restart_rearms () =
     (System.local_answers sys ~at:"n0" (parse_query q_all))
     (Mirror.answers (mirror_of sys ~at:"n1" id))
 
+(* A host that restarts without its store re-seeds each mirror with
+   what it still derives: answers it lost must leave the mirror too,
+   even when it derives nothing (and no snapshot ships), with or
+   without a batch window in between. *)
+let test_restart_snapshot_replaces_mirror () =
+  let q_lost = "o(v) <- data(991, v)" in
+  let lost = tup [ i 991; s "x1" ] in
+  List.iter
+    (fun window ->
+      let base = { Options.default with Options.durability = Options.Dur_volatile } in
+      let sys = System.build_exn ~opts:(sub_opts ~base ~window ()) (chain 2) in
+      let retracted = ref [] in
+      let subscribe q =
+        match
+          System.subscribe_remote sys ~subscriber:"n1" ~host:"n0"
+            ~on_delta:(fun d -> retracted := d.Sub.d_retracts @ !retracted)
+            (parse_query q)
+        with
+        | Ok id -> id
+        | Error e -> Alcotest.failf "subscribe_remote: %s" e
+      in
+      let all = subscribe q_all and only_lost = subscribe q_lost in
+      let _ = System.run sys in
+      ignore (System.insert_fact sys ~at:"n0" ~rel:"data" lost);
+      let _ = System.run_update sys ~initiator:"n0" in
+      Alcotest.(check bool) "the mirror saw the local write" true
+        (List.mem lost (answers_of sys ~at:"n1" all));
+      System.crash_node sys "n0";
+      System.restart_node sys "n0";
+      let _ = System.run sys in
+      check_tuples "mirror = what the host still derives"
+        (System.local_answers sys ~at:"n0" (parse_query q_all))
+        (answers_of sys ~at:"n1" all);
+      Alcotest.(check bool) "the lost answer left the mirror" false
+        (List.mem lost (answers_of sys ~at:"n1" all));
+      check_tuples "an empty snapshot empties the mirror" []
+        (answers_of sys ~at:"n1" only_lost);
+      Alcotest.(check bool) "the callbacks saw the retracts" true
+        (List.mem lost !retracted && List.mem (tup [ s "x1" ]) !retracted))
+    [ 0.0; 5.0 *. Options.default.Options.latency ]
+
+(* Under loss and jitter the registration snapshot races the adds the
+   host pushes right after it, here the catch-up update's imports: a
+   dropped snapshot frame is resent after [ack_timeout], behind them.
+   Whatever the arrival order, the mirror must end equal to the host's
+   answers.  The sweep also checks that some seed really delivers an
+   add ahead of the snapshot. *)
+let test_rearm_snapshot_races_adds () =
+  let raced = ref false in
+  for fault_seed = 1 to 20 do
+    let base =
+      {
+        Options.default with
+        Options.fault_seed = fault_seed;
+        drop_prob = 0.2;
+        jitter = 0.002;
+        ack_timeout = 0.05;
+        max_retries = 10;
+      }
+    in
+    let sys = System.build_exn ~opts:(sub_opts ~base ()) (chain 3) in
+    (* tags of the deltas with adds that reach the mirror after the
+       restart, newest first *)
+    let arrivals = ref None in
+    let id =
+      match
+        System.subscribe_remote sys ~subscriber:"n1" ~host:"n0"
+          ~on_delta:(fun d ->
+            match !arrivals with
+            | Some tags when d.Sub.d_adds <> [] ->
+                arrivals := Some (d.Sub.d_tag :: tags)
+            | _ -> ())
+          (parse_query q_all)
+      with
+      | Ok id -> id
+      | Error e -> Alcotest.failf "subscribe_remote: %s" e
+    in
+    let _ = System.run sys in
+    ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i 991; s "x1" ]));
+    let _ = System.run_update sys ~initiator:"n0" in
+    System.crash_node sys "n0";
+    arrivals := Some [];
+    System.restart_node sys "n0";
+    let _ = System.run sys in
+    check_tuples
+      (Printf.sprintf "mirror = host answers (fault seed %d)" fault_seed)
+      (System.local_answers sys ~at:"n0" (parse_query q_all))
+      (answers_of sys ~at:"n1" id);
+    let is_snapshot tag = tag = "seed" || tag = "rearm" in
+    match List.rev (Option.get !arrivals) with
+    | first :: rest when (not (is_snapshot first)) && List.exists is_snapshot rest ->
+        raced := true
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "an add overtook the snapshot at some seed" true !raced
+
+(* A mirror is a set: adds that overtake the registration snapshot,
+   and a late duplicate of it, leave the same answers; a reset empties
+   it and reports the loss to the callback as retracts. *)
+let test_mirror_is_a_set () =
+  let a = tup [ i 1; s "a" ] and b = tup [ i 2; s "b" ] and c = tup [ i 3; s "c" ] in
+  let retracted = ref [] in
+  let m =
+    Mirror.create ~sub_id:"s1" ~host:(Codb_net.Peer_id.of_string "n0")
+      ~on_delta:(fun d -> retracted := d.Sub.d_retracts @ !retracted)
+      (parse_query q_all)
+  in
+  let delta tag adds = { Sub.d_adds = adds; d_retracts = []; d_tag = tag } in
+  Mirror.apply m (delta "upd" [ c ]);
+  Mirror.apply m (delta "seed" [ a; b ]);
+  Mirror.apply m (delta "seed" [ a; b ]);
+  check_tuples "adds that overtook the snapshot stay" [ a; b; c ] (Mirror.answers m);
+  Mirror.reset m ~tag:"rearm";
+  check_tuples "reset empties the mirror" [] (Mirror.answers m);
+  check_tuples "the callback saw the loss" [ a; b; c ] !retracted
+
 let test_subscriber_crash_forgets_mirrors () =
   let sys, id = remote_pair () in
   System.crash_node sys "n1";
@@ -452,6 +568,12 @@ let suite =
       test_cache_epoch_agreement_subscriber;
     Alcotest.test_case "crash tears down, restart re-arms" `Quick
       test_crash_tears_down_restart_rearms;
+    Alcotest.test_case "restart snapshot replaces the mirror" `Quick
+      test_restart_snapshot_replaces_mirror;
+    Alcotest.test_case "re-arm snapshot races adds under loss" `Quick
+      test_rearm_snapshot_races_adds;
+    Alcotest.test_case "mirror is an order-insensitive set" `Quick
+      test_mirror_is_a_set;
     Alcotest.test_case "subscriber crash forgets mirrors" `Quick
       test_subscriber_crash_forgets_mirrors;
     Alcotest.test_case "naive baseline: same answers, more work" `Quick
