@@ -99,6 +99,176 @@ let test_snapshot_sorted_by_start () =
         (first.Stats.usn_started <= second.Stats.usn_started)
   | _ -> Alcotest.fail "two updates expected"
 
+(* A node with a distinct value in every counter, so each printer
+   below is pinned field by field: a swapped or dropped field changes
+   the text.  A second, quiet node pins the sections that print only
+   when their counters moved. *)
+let golden_snapshots () =
+  let st = Stats.create (Peer_id.of_string "n0") in
+  let us = Stats.update_stat st ~now:0.25 (uid 3) in
+  us.Stats.us_finished <- Some 1.5;
+  us.Stats.us_data_msgs <- 101;
+  us.Stats.us_control_msgs <- 102;
+  us.Stats.us_bytes_in <- 103;
+  us.Stats.us_new_tuples <- 104;
+  us.Stats.us_dup_suppressed <- 105;
+  us.Stats.us_nulls_created <- 106;
+  us.Stats.us_max_hops <- 107;
+  us.Stats.us_probes <- 108;
+  us.Stats.us_scans <- 109;
+  us.Stats.us_zvisited <- 110;
+  us.Stats.us_zpruned <- 111;
+  us.Stats.us_batches <- 112;
+  us.Stats.us_batch_tuples <- 113;
+  us.Stats.us_coalesced <- 114;
+  us.Stats.us_resends <- 115;
+  us.Stats.us_cache_staled <- 116;
+  us.Stats.us_forced <- true;
+  let rt_b = Stats.rule_traffic us "r_b" in
+  rt_b.Stats.rt_msgs <- 117;
+  rt_b.Stats.rt_bytes <- 118;
+  rt_b.Stats.rt_tuples <- 119;
+  let rt_a = Stats.rule_traffic us "r_a" in
+  rt_a.Stats.rt_msgs <- 120;
+  rt_a.Stats.rt_bytes <- 121;
+  rt_a.Stats.rt_tuples <- 122;
+  Stats.note_queried us (Peer_id.of_string "n1");
+  Stats.note_queried us (Peer_id.of_string "n2");
+  Stats.note_sent_to us (Peer_id.of_string "n3");
+  let qid = Ids.query_id (Peer_id.of_string "n0") 4 in
+  let qs = Stats.query_stat st ~now:0.5 qid in
+  qs.Stats.qs_finished <- Some 0.75;
+  qs.Stats.qs_data_msgs <- 201;
+  qs.Stats.qs_bytes_in <- 202;
+  qs.Stats.qs_answers <- 203;
+  qs.Stats.qs_certain <- 204;
+  qs.Stats.qs_cache <- Stats.Cache_hit_containment;
+  qs.Stats.qs_probes <- 205;
+  qs.Stats.qs_scans <- 206;
+  qs.Stats.qs_zvisited <- 207;
+  qs.Stats.qs_zpruned <- 208;
+  qs.Stats.qs_complete <- false;
+  qs.Stats.qs_pushed <- 209;
+  qs.Stats.qs_filtered_at_source <- 210;
+  qs.Stats.qs_pushdown_hits <- 211;
+  let ch = Stats.chaos st in
+  ch.Stats.ch_retransmits <- 301;
+  ch.Stats.ch_dup_suppressed <- 302;
+  ch.Stats.ch_give_ups <- 303;
+  ch.Stats.ch_query_timeouts <- 304;
+  ch.Stats.ch_partial_answers <- 305;
+  ch.Stats.ch_forced_terminations <- 306;
+  ch.Stats.ch_send_drops <- 307;
+  ch.Stats.ch_recovered_records <- 308;
+  ch.Stats.ch_replayed_bytes <- 309;
+  ch.Stats.ch_refetched_bytes <- 310;
+  let sb = Stats.sub st in
+  sb.Stats.sb_registered <- 401;
+  sb.Stats.sb_rejected <- 402;
+  sb.Stats.sb_unregistered <- 403;
+  sb.Stats.sb_deltas_in <- 404;
+  sb.Stats.sb_prefiltered <- 405;
+  sb.Stats.sb_deltas_out <- 406;
+  sb.Stats.sb_push_msgs <- 407;
+  sb.Stats.sb_adds <- 408;
+  sb.Stats.sb_retracts <- 409;
+  sb.Stats.sb_bytes <- 410;
+  sb.Stats.sb_coalesced <- 411;
+  sb.Stats.sb_probes <- 412;
+  sb.Stats.sb_scans <- 413;
+  sb.Stats.sb_zvisited <- 414;
+  sb.Stats.sb_zpruned <- 415;
+  sb.Stats.sb_cache_staled <- 416;
+  sb.Stats.sb_torn_down <- 417;
+  sb.Stats.sb_rearmed <- 418;
+  Stats.set_inconsistent st true;
+  let cache =
+    {
+      Stats.csn_hits_exact = 501;
+      csn_hits_containment = 502;
+      csn_misses = 503;
+      csn_stores = 504;
+      csn_invalidations = 505;
+      csn_expirations = 506;
+      csn_evictions = 507;
+      csn_bytes_served = 508;
+      csn_entries = 509;
+      csn_stored_bytes = 510;
+    }
+  in
+  let quiet = Stats.create (Peer_id.of_string "n1") in
+  let qu = Stats.update_stat quiet ~now:0.375 (uid 3) in
+  qu.Stats.us_data_msgs <- 601;
+  (Stats.rule_traffic qu "r_a").Stats.rt_msgs <- 602;
+  ( qid,
+    [ Stats.snapshot ~store_tuples:99 ~cache st; Stats.snapshot ~store_tuples:7 quiet ] )
+
+let test_printers_pinned () =
+  let qid, snaps = golden_snapshots () in
+  let check name expected pp v = Alcotest.(check string) name expected (Fmt.str "%a" pp v) in
+  check "pp_network" {|node n0 (INCONSISTENT, 99 tuples)
+  upd:n#3 (FORCED TERMINATION): started 0.2500s, finished 1.5000s, data msgs 101, control msgs 102, bytes in 103, new tuples 104, dups suppressed 105, nulls 106, longest path 107, index probes 108, scans 109, zone chunks 110 visited (111 pruned), batches 112 (113 tuples), coalesced 114, resends 115, cache staled 116
+    queried: n2, n1
+    results sent to: n3
+    rule r_a: 120 msgs, 121 B, 122 tuples
+    rule r_b: 117 msgs, 118 B, 119 tuples
+  qry:n0#4: 203 answers (204 certain) INCOMPLETE, 201 data msgs, 202 B in, 205 probes, 206 scans, zone chunks 207 visited (208 pruned), cache hit (containment), pushdown: 209 constrained sub-requests, 210 filtered at source, 211 rule-cache hits
+  cache: 501 exact + 502 containment hits, 503 misses, 504 stores, 505 invalidated, 506 expired, 507 evicted, 508 B served, 509 entries (510 B)
+  transport: 301 retransmits, 302 dups suppressed, 303 give-ups, 304 sub-request timeouts, 305 partial answers, 306 forced terminations, 307 send drops, 308 recovered records, 309 replayed bytes, 310 refetched bytes
+  subs: 401 registered (402 refused, 403 dropped), 404 deltas in (405 prefiltered), 406 deltas out in 407 msgs (+408 -409, 410 B, 411 coalesced), 412 probes, 413 scans, zone chunks 414 visited (415 pruned), 416 cache staled, 417 torn down, 418 re-armed
+node n1 (consistent, 7 tuples)
+  upd:n#3: started 0.3750s, finished unfinished, data msgs 601, control msgs 0, bytes in 0, new tuples 0, dups suppressed 0, nulls 0, longest path 0, index probes 0, scans 0, batches 0 (0 tuples), coalesced 0, resends 0, cache staled 0
+    queried: none
+    results sent to: none
+    rule r_a: 602 msgs, 0 B, 0 tuples|}
+    Report.pp_network snaps;
+  check "pp_update_report" {|global update upd:n#3:
+  nodes: 2 (some unfinished)
+  duration: 1.2500s (0.2500 -> 1.5000)
+  data messages: 702, control messages: 102
+  data volume: 103 B
+  new tuples: 104, duplicates suppressed: 105, nulls created: 106
+  longest propagation path: 107
+  index probes: 108, relation scans: 109, zone chunks visited: 110, pruned: 111
+  rule r_a           722 msgs      121 B    122 tuples
+  rule r_b           117 msgs      118 B    119 tuples|}
+    Report.pp_update_report
+    (Option.get (Report.update_report snaps (uid 3)));
+  check "pp_wire_report" {|wire behaviour of upd:n#3:
+  data messages: 702 (of which 112 batches carrying 113 tuples, avg 1.0 tuples/batch)
+  data volume: 103 B
+  coalesced in-window: 114 tuples
+  filter-induced resends: <= 115 tuples
+  query-cache entries staled: 116|}
+    Report.pp_wire_report
+    (Option.get (Report.wire_report snaps (uid 3)));
+  check "pp_cache_report" {|query cache:
+  node n0           1003 hits  503 misses  ratio 0.67       508 B served   505 invalidated   509 entries|}
+    Report.pp_cache_report (Report.cache_report snaps);
+  check "pp_pushdown_report" {|constraint pushdown for qry:n0#4:
+  constrained sub-requests: 209
+  tuples filtered at source: 210
+  rule-cache hits: 211
+  answer traffic: 201 messages, 202 B|}
+    Report.pp_pushdown_report
+    (Option.get (Report.pushdown_report snaps qid));
+  check "pp_sub_report" {|standing queries:
+  registered: 401 (402 refused), torn down by crashes: 417, re-armed: 418
+  store deltas consumed: 404 (405 tuples prefiltered at source)
+  answer deltas delivered: 406 (408 adds, 409 retracts; 411 coalesced in-window)
+  push traffic: 407 messages, 410 B (0.5 B/answer)
+  evaluator work: 412 probes, 413 scans, zone chunks 414 visited (415 pruned)
+  cache entries staled by pushes: 416|}
+    Report.pp_sub_report (Report.sub_report snaps);
+  check "pp_chaos_report" {|fault tolerance:
+  retransmits: 301, duplicates suppressed: 302, give-ups: 303
+  sub-request timeouts: 304, partial answers: 305
+  forced terminations: 306 (1 update records marked forced)
+  incomplete query records: 1
+  send drops surfaced: 307
+  recovery: 308 records replayed (309 bytes), 310 bytes refetched|}
+    Report.pp_chaos_report (Report.chaos_report snaps)
+
 let suite =
   [
     Alcotest.test_case "update accumulator identity" `Quick test_update_stat_created_once;
@@ -111,4 +281,5 @@ let suite =
     Alcotest.test_case "latest report picks the newest" `Quick
       test_latest_update_report_picks_newest;
     Alcotest.test_case "snapshots sorted by start" `Quick test_snapshot_sorted_by_start;
+    Alcotest.test_case "every report printer pinned" `Quick test_printers_pinned;
   ]
