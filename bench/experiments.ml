@@ -153,22 +153,22 @@ let e4 () =
   in
   let rows =
     List.map
-      (fun (e : Stats.rule_traffic_snap) ->
+      (fun (rule, (e : Stats.rule_traffic)) ->
         [
-          e.Stats.rts_rule;
-          Tables.i0 e.Stats.rts_msgs;
-          Tables.i0 e.Stats.rts_bytes;
-          Tables.i0 e.Stats.rts_tuples;
-          (if e.Stats.rts_msgs = 0 then "-"
-           else Tables.f2 (float_of_int e.Stats.rts_bytes /. float_of_int e.Stats.rts_msgs));
+          rule;
+          Tables.i0 e.rt_msgs;
+          Tables.i0 e.rt_bytes;
+          Tables.i0 e.rt_tuples;
+          (if e.rt_msgs = 0 then "-"
+           else Tables.f2 (float_of_int e.rt_bytes /. float_of_int e.rt_msgs));
         ])
       r.Report.ur_per_rule
   in
   let total_msgs =
-    List.fold_left (fun acc e -> acc + e.Stats.rts_msgs) 0 r.Report.ur_per_rule
+    List.fold_left (fun acc (_, e) -> acc + e.Stats.rt_msgs) 0 r.Report.ur_per_rule
   in
   let total_bytes =
-    List.fold_left (fun acc e -> acc + e.Stats.rts_bytes) 0 r.Report.ur_per_rule
+    List.fold_left (fun acc (_, e) -> acc + e.Stats.rt_bytes) 0 r.Report.ur_per_rule
   in
   Tables.print
     ~title:

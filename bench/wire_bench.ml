@@ -74,11 +74,9 @@ let opts_of c =
 type measurement = {
   m_corner : corner;
   m_sys : System.t;
-  m_wire : Report.wire_report;
+  m_report : Report.update_report;
   m_delivered : int;  (* every message, control included *)
   m_total_bytes : int;  (* network-wide, control included *)
-  m_duration : float;
-  m_new_tuples : int;
   m_wall_s : float;
 }
 
@@ -87,17 +85,14 @@ let measure wl c =
   let wall_start = Unix.gettimeofday () in
   let uid = System.run_update sys ~initiator:"n0" in
   let wall = Unix.gettimeofday () -. wall_start in
-  let wire = Option.get (Report.wire_report (System.snapshots sys) uid) in
   let report = Option.get (Report.update_report (System.snapshots sys) uid) in
   let counters = Network.counters (System.net sys) in
   {
     m_corner = c;
     m_sys = sys;
-    m_wire = wire;
+    m_report = report;
     m_delivered = counters.Network.delivered;
     m_total_bytes = counters.Network.total_bytes;
-    m_duration = report.Report.ur_duration;
-    m_new_tuples = report.Report.ur_new_tuples;
     m_wall_s = wall;
   }
 
@@ -161,16 +156,16 @@ let print_table wl measurements =
        (fun m ->
          [
            m.m_corner.c_name;
-           Tables.i0 m.m_wire.Report.wr_data_msgs;
-           Tables.i0 m.m_wire.Report.wr_batches;
-           Tables.f2 m.m_wire.Report.wr_avg_batch;
-           Tables.i0 m.m_wire.Report.wr_coalesced;
-           Tables.i0 m.m_wire.Report.wr_resends;
+           Tables.i0 m.m_report.Report.ur_data_msgs;
+           Tables.i0 m.m_report.Report.ur_batches;
+           Tables.f2 (Report.avg_batch m.m_report);
+           Tables.i0 m.m_report.Report.ur_coalesced;
+           Tables.i0 m.m_report.Report.ur_resends;
            Tables.i0 m.m_total_bytes;
            Printf.sprintf "%.2fx" (ratio baseline.m_total_bytes m.m_total_bytes);
            Printf.sprintf "%.2fx"
-             (ratio baseline.m_wire.Report.wr_data_msgs m.m_wire.Report.wr_data_msgs);
-           Tables.f4 m.m_duration;
+             (ratio baseline.m_report.Report.ur_data_msgs m.m_report.Report.ur_data_msgs);
+           Tables.f4 m.m_report.Report.ur_duration;
          ])
        measurements)
 
@@ -196,12 +191,12 @@ let write_json ~path wl measurements =
          \"data_msg_reduction\": %.2f, \"sim_duration_s\": %.4f, \
          \"new_tuples\": %d, \"wall_s\": %.4f}%s\n"
         m.m_corner.c_name m.m_corner.c_batched m.m_corner.c_bloom
-        m.m_wire.Report.wr_data_msgs m.m_delivered m.m_wire.Report.wr_batches
-        m.m_wire.Report.wr_batch_tuples m.m_wire.Report.wr_coalesced
-        m.m_wire.Report.wr_resends m.m_wire.Report.wr_bytes m.m_total_bytes
+        m.m_report.Report.ur_data_msgs m.m_delivered m.m_report.Report.ur_batches
+        m.m_report.Report.ur_batch_tuples m.m_report.Report.ur_coalesced
+        m.m_report.Report.ur_resends m.m_report.Report.ur_bytes m.m_total_bytes
         (ratio baseline.m_total_bytes m.m_total_bytes)
-        (ratio baseline.m_wire.Report.wr_data_msgs m.m_wire.Report.wr_data_msgs)
-        m.m_duration m.m_new_tuples m.m_wall_s
+        (ratio baseline.m_report.Report.ur_data_msgs m.m_report.Report.ur_data_msgs)
+        m.m_report.Report.ur_duration m.m_report.Report.ur_new_tuples m.m_wall_s
         (if i = n - 1 then "" else ","))
     measurements;
   p "  ],\n";

@@ -125,13 +125,19 @@ let parse_query_or_die text =
       prerr_endline e;
       exit 1
 
+(* A query the node cannot run (unknown relation, existential head) is
+   a usage error too, checked before anything is dispatched. *)
+let query_or_die sys ~at text =
+  let q = parse_query_or_die text in
+  or_die (Result.map (fun () -> q) (Codb_core.Node.check_query (System.node sys at) q))
+
 let query_cmd file at text after_update scoped certain_only use_cache pushdown
     repeat =
   let opts = if use_cache then Options.with_cache else Options.default in
   let opts = { opts with Options.pushdown } in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
-  let q = parse_query_or_die text in
+  let q = query_or_die sys ~at text in
   let answers =
     if scoped then begin
       let _ = System.run_scoped_update sys ~at q in
@@ -168,12 +174,7 @@ let query_cmd file at text after_update scoped certain_only use_cache pushdown
 let explain_cmd file at text max_probe_cols pushdown =
   let sys = or_die (load_system file) in
   let at = node_or_die sys at in
-  let q = parse_query_or_die text in
-  (match Codb_cq.Query.well_formed ~allow_existential_head:false q with
-  | Ok () -> ()
-  | Error reason ->
-      prerr_endline ("explain: " ^ reason);
-      exit 1);
+  let q = query_or_die sys ~at text in
   let store = (System.node sys at).Codb_core.Node.store in
   let opts = System.opts sys in
   let source =
@@ -202,7 +203,7 @@ let cache_cmd file at text repeat update_between capacity max_bytes ttl no_conta
   in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
-  let q = parse_query_or_die text in
+  let q = query_or_die sys ~at text in
   for i = 1 to max 1 repeat do
     let before = (Codb_net.Network.counters (System.net sys)).Codb_net.Network.delivered in
     let outcome = System.run_query sys ~at q in
@@ -243,8 +244,8 @@ let wire_cmd file initiator batch_window batch_max bloom_bits ring_capacity =
   let sys = or_die (load_system ~opts file) in
   let initiator = initiator_or_first sys initiator in
   let uid = System.run_update sys ~initiator in
-  (match Report.wire_report (System.snapshots sys) uid with
-  | Some w -> Fmt.pr "%a@." Report.pp_wire_report w
+  (match Report.update_report (System.snapshots sys) uid with
+  | Some r -> Fmt.pr "%a@." Report.pp_wire_report r
   | None -> Fmt.pr "no statistics recorded?@.");
   let c = Codb_net.Network.counters (System.net sys) in
   Fmt.pr "network: %d message(s) delivered, %d B carried@." c.Codb_net.Network.delivered
@@ -304,15 +305,15 @@ let chaos_cmd file initiator seed drop dup jitter budget flaps crashes ack_timeo
       exit 1);
   let sys = or_die (load_system ~opts file) in
   let initiator = initiator_or_first sys initiator in
+  let at = match at with Some at -> node_or_die sys at | None -> initiator in
+  let query = Option.map (query_or_die sys ~at) query in
   let uid = System.run_update sys ~initiator in
   (match Report.update_report (System.snapshots sys) uid with
   | Some report -> Fmt.pr "%a@." Report.pp_update_report report
   | None -> Fmt.pr "no statistics recorded?@.");
   (match query with
   | None -> ()
-  | Some text ->
-      let q = parse_query_or_die text in
-      let at = match at with Some at -> node_or_die sys at | None -> initiator in
+  | Some q ->
       let outcome = System.run_query sys ~at q in
       Fmt.pr "@.query at %s: %d answer(s), %s@." at
         (List.length outcome.System.qo_answers)

@@ -54,16 +54,15 @@ let cmd_query sys rest ~scoped =
       match Parser.parse_query text with
       | Error e -> Fmt.pr "%s@." e
       | Ok q ->
-          with_node sys at (fun _ ->
-              try
-                if scoped then begin
+          with_node sys at (fun node ->
+              match Node.check_query node q with
+              | Error msg -> Fmt.pr "error: %s@." msg
+              | Ok () when scoped ->
                   let _ = System.run_scoped_update sys ~at q in
                   let answers = System.local_answers sys ~at q in
                   List.iter (fun t -> Fmt.pr "  %a@." Tuple.pp t) answers;
-                  Fmt.pr "%d answer(s), materialised locally@."
-                    (List.length answers)
-                end
-                else begin
+                  Fmt.pr "%d answer(s), materialised locally@." (List.length answers)
+              | Ok () ->
                   let outcome =
                     System.run_query sys ~at q ~on_partial:(fun batch ->
                         List.iter (fun t -> Fmt.pr "  %a@." Tuple.pp t) batch)
@@ -72,9 +71,7 @@ let cmd_query sys rest ~scoped =
                     (List.length outcome.System.qo_answers)
                     (List.length outcome.System.qo_certain)
                     (outcome.System.qo_finished -. outcome.System.qo_started)
-                    outcome.System.qo_data_msgs
-                end
-              with Invalid_argument msg -> Fmt.pr "error: %s@." msg))
+                    outcome.System.qo_data_msgs))
 
 let cmd_update sys at =
   with_node sys at (fun _ ->

@@ -140,7 +140,7 @@ let decode_record ?dict bytes =
 
 (* ---- snapshots ------------------------------------------------------- *)
 
-type sub_snap = { ss_id : string; ss_owner : owner; ss_query : string }
+type sub_entry = { ss_id : string; ss_owner : owner; ss_query : string }
 
 type mirror_snap = {
   ms_id : string;
@@ -157,7 +157,7 @@ type snapshot = {
   sn_seen : string list;
   sn_sent : (string * string * Tuple.t list) list;
       (** (update-id, rule-id, provably-sent tuples) *)
-  sn_subs : sub_snap list;
+  sn_subs : sub_entry list;
   sn_mirrors : mirror_snap list;
 }
 

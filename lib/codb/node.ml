@@ -107,23 +107,20 @@ let set_rules node ~outgoing ~incoming =
      rules that no longer exist *)
   Option.iter Codb_cache.Qcache.clear node.cache
 
-let cache_snapshot node =
-  Option.map
-    (fun cache ->
-      let c = Codb_cache.Qcache.counters cache in
-      {
-        Stats.csn_hits_exact = c.Codb_cache.Qcache.hits_exact;
-        csn_hits_containment = c.Codb_cache.Qcache.hits_containment;
-        csn_misses = c.Codb_cache.Qcache.misses;
-        csn_stores = c.Codb_cache.Qcache.stores;
-        csn_invalidations = c.Codb_cache.Qcache.epoch_invalidations;
-        csn_expirations = c.Codb_cache.Qcache.ttl_expirations;
-        csn_evictions = c.Codb_cache.Qcache.evictions;
-        csn_bytes_served = c.Codb_cache.Qcache.bytes_served;
-        csn_entries = c.Codb_cache.Qcache.entries;
-        csn_stored_bytes = c.Codb_cache.Qcache.stored_bytes;
-      })
-    node.cache
+let check_query node query =
+  match
+    List.filter
+      (fun rel -> not (Database.has_relation node.store rel))
+      (Codb_cq.Query.body_relations query)
+  with
+  | [] -> Codb_cq.Query.well_formed ~allow_existential_head:false query
+  | missing ->
+      Error
+        (Printf.sprintf "unknown relation%s: %s"
+           (if List.length missing = 1 then "" else "s")
+           (String.concat ", " missing))
+
+let cache_snapshot node = Option.map Codb_cache.Qcache.counters node.cache
 
 let note_local_write node =
   Option.iter

@@ -101,8 +101,15 @@ val mirrors_sorted : t -> (string * Codb_sub.Mirror.t) list
 (** This node's remote-subscription mirrors in subscription-id order
     (deterministic re-arm and display). *)
 
-val cache_snapshot : t -> Stats.cache_snap option
-(** Freeze the cache counters for a statistics snapshot. *)
+val check_query : t -> Codb_cq.Query.t -> (unit, string) result
+(** Can this node answer (or host a subscription to) the query?  An
+    error names the body relations outside the node's schema, or else
+    says why the query is ill-formed (existential head, unsafe
+    comparison). *)
+
+val cache_snapshot : t -> Codb_cache.Qcache.counters option
+(** The cache counters for a statistics snapshot ([None] when caching
+    is off). *)
 
 val note_local_write : t -> unit
 (** Bump this node's own epoch after a direct store mutation that

@@ -20,15 +20,7 @@ let qstat (rt : Runtime.t) qid = Stats.query_stat rt.node.Node.stats ~now:(rt.no
 
 (* Attribute the index probes / relation scans performed by [f] to the
    query's statistics. *)
-let with_counters rt qid f =
-  let qs = qstat rt qid in
-  Stats.with_eval_counters
-    ~note:(fun ~probes ~scans ~zvisited ~zpruned ->
-      qs.Stats.qs_probes <- qs.Stats.qs_probes + probes;
-      qs.Stats.qs_scans <- qs.Stats.qs_scans + scans;
-      qs.Stats.qs_zvisited <- qs.Stats.qs_zvisited + zvisited;
-      qs.Stats.qs_zpruned <- qs.Stats.qs_zpruned + zpruned)
-    f
+let with_counters rt qid f = Stats.with_eval_counters (qstat rt qid).Stats.qs_eval f
 
 (* Is [st] still the instance the node knows under its reference?  A
    crash clears the table; timers and transport callbacks armed before
@@ -200,17 +192,9 @@ let notify_fresh ~on_answer ~streamed answers =
       List.fold_left (fun acc t -> Q.Tuple_set.add t acc) streamed fresh
 
 let start ?on_answer rt qid query =
-  (match Query.well_formed ~allow_existential_head:false query with
+  (match Node.check_query rt.Runtime.node query with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Query_engine.start: " ^ reason));
-  let missing =
-    List.filter
-      (fun rel -> not (Database.has_relation rt.Runtime.node.Node.store rel))
-      (Query.body_relations query)
-  in
-  if missing <> [] then
-    invalid_arg
-      ("Query_engine.start: unknown relation(s) " ^ String.concat ", " missing);
   let qs = qstat rt qid in
   let root_ref = "root:" ^ Ids.string_of_query qid in
   let cache_hit =

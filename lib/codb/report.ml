@@ -21,51 +21,46 @@ type update_report = {
   ur_coalesced : int;
   ur_resends : int;
   ur_cache_staled : int;
-  ur_per_rule : Stats.rule_traffic_snap list;
+  ur_per_rule : (string * Stats.rule_traffic) list;
 }
 
-let merge_per_rule entries =
+let merge_per_rule updates =
   let table = Hashtbl.create 16 in
-  let add (e : Stats.rule_traffic_snap) =
-    match Hashtbl.find_opt table e.Stats.rts_rule with
-    | None -> Hashtbl.replace table e.Stats.rts_rule e
-    | Some existing ->
-        Hashtbl.replace table e.Stats.rts_rule
-          {
-            existing with
-            Stats.rts_msgs = existing.Stats.rts_msgs + e.Stats.rts_msgs;
-            rts_bytes = existing.Stats.rts_bytes + e.Stats.rts_bytes;
-            rts_tuples = existing.Stats.rts_tuples + e.Stats.rts_tuples;
-          }
+  let add rule (rt : Stats.rule_traffic) =
+    match Hashtbl.find_opt table rule with
+    | None -> Hashtbl.replace table rule { rt with Stats.rt_msgs = rt.Stats.rt_msgs }
+    | Some (sum : Stats.rule_traffic) ->
+        sum.rt_msgs <- sum.rt_msgs + rt.rt_msgs;
+        sum.rt_bytes <- sum.rt_bytes + rt.rt_bytes;
+        sum.rt_tuples <- sum.rt_tuples + rt.rt_tuples
   in
-  List.iter add entries;
+  List.iter (fun u -> Hashtbl.iter add u.Stats.us_per_rule) updates;
   List.sort
-    (fun a b -> String.compare a.Stats.rts_rule b.Stats.rts_rule)
-    (Hashtbl.fold (fun _ e acc -> e :: acc) table [])
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun rule rt acc -> (rule, rt) :: acc) table [])
 
 let update_report snapshots update_id =
   let relevant =
     List.filter_map
       (fun snap ->
         List.find_opt
-          (fun u -> Ids.equal_update u.Stats.usn_update update_id)
+          (fun (u : Stats.update_stat) -> Ids.equal_update u.us_update update_id)
           snap.Stats.snap_updates)
       snapshots
   in
   match relevant with
   | [] -> None
   | first :: _ ->
-      let fold (started, finished, all_fin) u =
+      let fold (started, finished, all_fin) (u : Stats.update_stat) =
         let f, fin =
-          match u.Stats.usn_finished with
+          match u.us_finished with
           | Some f -> (f, all_fin)
-          | None -> (u.Stats.usn_started, false)
+          | None -> (u.us_started, false)
         in
-        (Float.min started u.Stats.usn_started, Float.max finished f, fin)
+        (Float.min started u.us_started, Float.max finished f, fin)
       in
       let started, finished, all_finished =
-        List.fold_left fold (first.Stats.usn_started, first.Stats.usn_started, true)
-          relevant
+        List.fold_left fold (first.us_started, first.us_started, true) relevant
       in
       let sum f = List.fold_left (fun acc u -> acc + f u) 0 relevant in
       Some
@@ -76,35 +71,34 @@ let update_report snapshots update_id =
           ur_started = started;
           ur_finished = finished;
           ur_duration = finished -. started;
-          ur_data_msgs = sum (fun u -> u.Stats.usn_data_msgs);
-          ur_control_msgs = sum (fun u -> u.Stats.usn_control_msgs);
-          ur_bytes = sum (fun u -> u.Stats.usn_bytes_in);
-          ur_new_tuples = sum (fun u -> u.Stats.usn_new_tuples);
-          ur_dup_suppressed = sum (fun u -> u.Stats.usn_dup_suppressed);
-          ur_nulls = sum (fun u -> u.Stats.usn_nulls_created);
-          ur_longest_path =
-            List.fold_left (fun acc u -> max acc u.Stats.usn_max_hops) 0 relevant;
-          ur_probes = sum (fun u -> u.Stats.usn_probes);
-          ur_scans = sum (fun u -> u.Stats.usn_scans);
-          ur_zvisited = sum (fun u -> u.Stats.usn_zvisited);
-          ur_zpruned = sum (fun u -> u.Stats.usn_zpruned);
-          ur_batches = sum (fun u -> u.Stats.usn_batches);
-          ur_batch_tuples = sum (fun u -> u.Stats.usn_batch_tuples);
-          ur_coalesced = sum (fun u -> u.Stats.usn_coalesced);
-          ur_resends = sum (fun u -> u.Stats.usn_resends);
-          ur_cache_staled = sum (fun u -> u.Stats.usn_cache_staled);
-          ur_per_rule =
-            merge_per_rule (List.concat_map (fun u -> u.Stats.usn_per_rule) relevant);
+          ur_data_msgs = sum (fun u -> u.us_data_msgs);
+          ur_control_msgs = sum (fun u -> u.us_control_msgs);
+          ur_bytes = sum (fun u -> u.us_bytes_in);
+          ur_new_tuples = sum (fun u -> u.us_new_tuples);
+          ur_dup_suppressed = sum (fun u -> u.us_dup_suppressed);
+          ur_nulls = sum (fun u -> u.us_nulls_created);
+          ur_longest_path = List.fold_left (fun acc u -> max acc u.Stats.us_max_hops) 0 relevant;
+          ur_probes = sum (fun u -> u.us_eval.probes);
+          ur_scans = sum (fun u -> u.us_eval.scans);
+          ur_zvisited = sum (fun u -> u.us_eval.zone_visited);
+          ur_zpruned = sum (fun u -> u.us_eval.zone_pruned);
+          ur_batches = sum (fun u -> u.us_batches);
+          ur_batch_tuples = sum (fun u -> u.us_batch_tuples);
+          ur_coalesced = sum (fun u -> u.us_coalesced);
+          ur_resends = sum (fun u -> u.us_resends);
+          ur_cache_staled = sum (fun u -> u.us_cache_staled);
+          ur_per_rule = merge_per_rule relevant;
         }
 
 let latest_update_report snapshots =
   let all_updates = List.concat_map (fun s -> s.Stats.snap_updates) snapshots in
   match
-    List.sort (fun a b -> Float.compare b.Stats.usn_started a.Stats.usn_started)
+    List.sort
+      (fun (a : Stats.update_stat) b -> Float.compare b.us_started a.us_started)
       all_updates
   with
   | [] -> None
-  | latest :: _ -> update_report snapshots latest.Stats.usn_update
+  | latest :: _ -> update_report snapshots latest.us_update
 
 let pp_update_report ppf r =
   Fmt.pf ppf
@@ -125,42 +119,16 @@ let pp_update_report ppf r =
      else
        Fmt.str ", zone chunks visited: %d, pruned: %d" r.ur_zvisited r.ur_zpruned)
     Fmt.(
-      list ~sep:nop (fun ppf (e : Stats.rule_traffic_snap) ->
-          Fmt.pf ppf "@,rule %-12s %4d msgs %8d B %6d tuples" e.Stats.rts_rule
-            e.Stats.rts_msgs e.Stats.rts_bytes e.Stats.rts_tuples))
+      list ~sep:nop (fun ppf (rule, (rt : Stats.rule_traffic)) ->
+          Fmt.pf ppf "@,rule %-12s %4d msgs %8d B %6d tuples" rule rt.rt_msgs
+            rt.rt_bytes rt.rt_tuples))
     r.ur_per_rule
 
-type wire_report = {
-  wr_update : Ids.update_id;
-  wr_data_msgs : int;
-  wr_batches : int;
-  wr_batch_tuples : int;
-  wr_avg_batch : float;
-  wr_coalesced : int;
-  wr_resends : int;
-  wr_cache_staled : int;
-  wr_bytes : int;
-}
+let avg_batch r =
+  if r.ur_batches = 0 then 0.0
+  else float_of_int r.ur_batch_tuples /. float_of_int r.ur_batches
 
-let wire_report snapshots update_id =
-  Option.map
-    (fun r ->
-      {
-        wr_update = r.ur_update;
-        wr_data_msgs = r.ur_data_msgs;
-        wr_batches = r.ur_batches;
-        wr_batch_tuples = r.ur_batch_tuples;
-        wr_avg_batch =
-          (if r.ur_batches = 0 then 0.0
-           else float_of_int r.ur_batch_tuples /. float_of_int r.ur_batches);
-        wr_coalesced = r.ur_coalesced;
-        wr_resends = r.ur_resends;
-        wr_cache_staled = r.ur_cache_staled;
-        wr_bytes = r.ur_bytes;
-      })
-    (update_report snapshots update_id)
-
-let pp_wire_report ppf w =
+let pp_wire_report ppf r =
   Fmt.pf ppf
     "@[<v 2>wire behaviour of %a:@,\
      data messages: %d (of which %d batches carrying %d tuples, avg %.1f \
@@ -169,8 +137,8 @@ let pp_wire_report ppf w =
      coalesced in-window: %d tuples@,\
      filter-induced resends: <= %d tuples@,\
      query-cache entries staled: %d@]"
-    Ids.pp_update w.wr_update w.wr_data_msgs w.wr_batches w.wr_batch_tuples
-    w.wr_avg_batch w.wr_bytes w.wr_coalesced w.wr_resends w.wr_cache_staled
+    Ids.pp_update r.ur_update r.ur_data_msgs r.ur_batches r.ur_batch_tuples
+    (avg_batch r) r.ur_bytes r.ur_coalesced r.ur_resends r.ur_cache_staled
 
 type cache_report_row = {
   cr_node : Codb_net.Peer_id.t;
@@ -185,18 +153,15 @@ type cache_report_row = {
 let cache_report snapshots =
   let row snap =
     Option.map
-      (fun (c : Stats.cache_snap) ->
-        let hits = c.Stats.csn_hits_exact + c.Stats.csn_hits_containment in
-        let lookups = hits + c.Stats.csn_misses in
+      (fun (c : Codb_cache.Qcache.counters) ->
         {
           cr_node = snap.Stats.snap_node;
-          cr_hits = hits;
-          cr_misses = c.Stats.csn_misses;
-          cr_ratio =
-            (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups);
-          cr_bytes_served = c.Stats.csn_bytes_served;
-          cr_invalidations = c.Stats.csn_invalidations;
-          cr_entries = c.Stats.csn_entries;
+          cr_hits = c.hits_exact + c.hits_containment;
+          cr_misses = c.misses;
+          cr_ratio = Codb_cache.Qcache.hit_ratio c;
+          cr_bytes_served = c.bytes_served;
+          cr_invalidations = c.epoch_invalidations;
+          cr_entries = c.entries;
         })
       snap.Stats.snap_cache
   in
@@ -231,7 +196,7 @@ let pushdown_report snapshots query_id =
     List.filter_map
       (fun snap ->
         List.find_opt
-          (fun q -> Ids.equal_query q.Stats.qsn_query query_id)
+          (fun (q : Stats.query_stat) -> Ids.equal_query q.qs_query query_id)
           snap.Stats.snap_queries)
       snapshots
   in
@@ -242,11 +207,11 @@ let pushdown_report snapshots query_id =
       Some
         {
           pr_query = query_id;
-          pr_pushed = sum (fun q -> q.Stats.qsn_pushed);
-          pr_filtered_at_source = sum (fun q -> q.Stats.qsn_filtered_at_source);
-          pr_rule_cache_hits = sum (fun q -> q.Stats.qsn_pushdown_hits);
-          pr_bytes_in = sum (fun q -> q.Stats.qsn_bytes_in);
-          pr_data_msgs = sum (fun q -> q.Stats.qsn_data_msgs);
+          pr_pushed = sum (fun q -> q.Stats.qs_pushed);
+          pr_filtered_at_source = sum (fun q -> q.qs_filtered_at_source);
+          pr_rule_cache_hits = sum (fun q -> q.qs_pushdown_hits);
+          pr_bytes_in = sum (fun q -> q.qs_bytes_in);
+          pr_data_msgs = sum (fun q -> q.qs_data_msgs);
         }
 
 let pp_pushdown_report ppf p =
@@ -282,27 +247,27 @@ type sub_report = {
 
 let sub_report snapshots =
   let sum f = List.fold_left (fun acc s -> acc + f s.Stats.snap_sub) 0 snapshots in
-  let adds = sum (fun x -> x.Stats.ssn_adds)
-  and retracts = sum (fun x -> x.Stats.ssn_retracts)
-  and bytes = sum (fun x -> x.Stats.ssn_bytes) in
+  let adds = sum (fun x -> x.Stats.sb_adds)
+  and retracts = sum (fun x -> x.sb_retracts)
+  and bytes = sum (fun x -> x.sb_bytes) in
   {
-    sr_registered = sum (fun x -> x.Stats.ssn_registered);
-    sr_rejected = sum (fun x -> x.Stats.ssn_rejected);
-    sr_deltas_in = sum (fun x -> x.Stats.ssn_deltas_in);
-    sr_prefiltered = sum (fun x -> x.Stats.ssn_prefiltered);
-    sr_deltas_out = sum (fun x -> x.Stats.ssn_deltas_out);
-    sr_push_msgs = sum (fun x -> x.Stats.ssn_push_msgs);
+    sr_registered = sum (fun x -> x.sb_registered);
+    sr_rejected = sum (fun x -> x.sb_rejected);
+    sr_deltas_in = sum (fun x -> x.sb_deltas_in);
+    sr_prefiltered = sum (fun x -> x.sb_prefiltered);
+    sr_deltas_out = sum (fun x -> x.sb_deltas_out);
+    sr_push_msgs = sum (fun x -> x.sb_push_msgs);
     sr_adds = adds;
     sr_retracts = retracts;
     sr_bytes = bytes;
-    sr_coalesced = sum (fun x -> x.Stats.ssn_coalesced);
-    sr_probes = sum (fun x -> x.Stats.ssn_probes);
-    sr_scans = sum (fun x -> x.Stats.ssn_scans);
-    sr_zvisited = sum (fun x -> x.Stats.ssn_zvisited);
-    sr_zpruned = sum (fun x -> x.Stats.ssn_zpruned);
-    sr_cache_staled = sum (fun x -> x.Stats.ssn_cache_staled);
-    sr_torn_down = sum (fun x -> x.Stats.ssn_torn_down);
-    sr_rearmed = sum (fun x -> x.Stats.ssn_rearmed);
+    sr_coalesced = sum (fun x -> x.sb_coalesced);
+    sr_probes = sum (fun x -> x.sb_eval.probes);
+    sr_scans = sum (fun x -> x.sb_eval.scans);
+    sr_zvisited = sum (fun x -> x.sb_eval.zone_visited);
+    sr_zpruned = sum (fun x -> x.sb_eval.zone_pruned);
+    sr_cache_staled = sum (fun x -> x.sb_cache_staled);
+    sr_torn_down = sum (fun x -> x.sb_torn_down);
+    sr_rearmed = sum (fun x -> x.sb_rearmed);
     sr_bytes_per_answer =
       (if adds + retracts = 0 then 0.0
        else float_of_int bytes /. float_of_int (adds + retracts));
@@ -345,30 +310,23 @@ type chaos_report = {
 
 let chaos_report snapshots =
   let sum f = List.fold_left (fun acc s -> acc + f s.Stats.snap_chaos) 0 snapshots in
+  let count f = List.fold_left (fun acc s -> acc + f s) 0 snapshots in
   {
-    chr_retransmits = sum (fun c -> c.Stats.chn_retransmits);
-    chr_dup_suppressed = sum (fun c -> c.Stats.chn_dup_suppressed);
-    chr_give_ups = sum (fun c -> c.Stats.chn_give_ups);
-    chr_query_timeouts = sum (fun c -> c.Stats.chn_query_timeouts);
-    chr_partial_answers = sum (fun c -> c.Stats.chn_partial_answers);
-    chr_forced_terminations = sum (fun c -> c.Stats.chn_forced_terminations);
-    chr_send_drops = sum (fun c -> c.Stats.chn_send_drops);
-    chr_recovered_records = sum (fun c -> c.Stats.chn_recovered_records);
-    chr_replayed_bytes = sum (fun c -> c.Stats.chn_replayed_bytes);
-    chr_refetched_bytes = sum (fun c -> c.Stats.chn_refetched_bytes);
+    chr_retransmits = sum (fun c -> c.Stats.ch_retransmits);
+    chr_dup_suppressed = sum (fun c -> c.ch_dup_suppressed);
+    chr_give_ups = sum (fun c -> c.ch_give_ups);
+    chr_query_timeouts = sum (fun c -> c.ch_query_timeouts);
+    chr_partial_answers = sum (fun c -> c.ch_partial_answers);
+    chr_forced_terminations = sum (fun c -> c.ch_forced_terminations);
+    chr_send_drops = sum (fun c -> c.ch_send_drops);
+    chr_recovered_records = sum (fun c -> c.ch_recovered_records);
+    chr_replayed_bytes = sum (fun c -> c.ch_replayed_bytes);
+    chr_refetched_bytes = sum (fun c -> c.ch_refetched_bytes);
     chr_incomplete_queries =
-      List.fold_left
-        (fun acc s ->
-          acc
-          + List.length
-              (List.filter (fun q -> not q.Stats.qsn_complete) s.Stats.snap_queries))
-        0 snapshots;
+      count (fun s ->
+          List.length (List.filter (fun q -> not q.Stats.qs_complete) s.Stats.snap_queries));
     chr_forced_updates =
-      List.fold_left
-        (fun acc s ->
-          acc
-          + List.length (List.filter (fun u -> u.Stats.usn_forced) s.Stats.snap_updates))
-        0 snapshots;
+      count (fun s -> List.length (List.filter (fun u -> u.Stats.us_forced) s.snap_updates));
   }
 
 let pp_chaos_report ppf c =

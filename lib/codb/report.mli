@@ -26,7 +26,8 @@ type update_report = {
   ur_coalesced : int;  (** tuples that never hit the wire *)
   ur_resends : int;  (** bound on sent-filter-induced re-sends *)
   ur_cache_staled : int;  (** query-cache entries staled at finalize *)
-  ur_per_rule : Stats.rule_traffic_snap list;  (** merged by rule id *)
+  ur_per_rule : (string * Stats.rule_traffic) list;
+      (** summed per rule id, in rule-id order *)
 }
 
 val update_report : Stats.snapshot list -> Ids.update_id -> update_report option
@@ -39,25 +40,14 @@ val pp_update_report : update_report Fmt.t
 
 (** {1 Wire behaviour} *)
 
-(** The propagation-layer view of one update: message/batch shape,
-    in-window coalescing, bounded-filter resends and the cache churn
-    the flood caused — what the E15 ablation and the [wire] CLI
-    surface report. *)
-type wire_report = {
-  wr_update : Ids.update_id;
-  wr_data_msgs : int;
-  wr_batches : int;
-  wr_batch_tuples : int;
-  wr_avg_batch : float;  (** tuples per batch, 0 without batching *)
-  wr_coalesced : int;
-  wr_resends : int;
-  wr_cache_staled : int;
-  wr_bytes : int;
-}
+val avg_batch : update_report -> float
+(** Tuples per [Update_batch] message, 0 without batching. *)
 
-val wire_report : Stats.snapshot list -> Ids.update_id -> wire_report option
-
-val pp_wire_report : wire_report Fmt.t
+val pp_wire_report : update_report Fmt.t
+(** The propagation-layer view of one update: message/batch shape
+    (with the average batch size), in-window coalescing,
+    bounded-filter resends and the cache churn the flood caused — what
+    the E15 ablation and the [wire] CLI surface report. *)
 
 (** {1 Cache effectiveness} *)
 

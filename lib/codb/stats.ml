@@ -17,10 +17,7 @@ type update_stat = {
   mutable us_dup_suppressed : int;
   mutable us_nulls_created : int;
   mutable us_max_hops : int;
-  mutable us_probes : int;
-  mutable us_scans : int;
-  mutable us_zvisited : int;
-  mutable us_zpruned : int;
+  us_eval : Codb_cq.Eval.counters;
   mutable us_batches : int;
   mutable us_batch_tuples : int;
   mutable us_coalesced : int;
@@ -43,10 +40,7 @@ type query_stat = {
   mutable qs_answers : int;
   mutable qs_certain : int;
   mutable qs_cache : cache_outcome;
-  mutable qs_probes : int;
-  mutable qs_scans : int;
-  mutable qs_zvisited : int;
-  mutable qs_zpruned : int;
+  qs_eval : Codb_cq.Eval.counters;
   mutable qs_complete : bool;
   mutable qs_pushed : int;
   mutable qs_filtered_at_source : int;
@@ -65,10 +59,7 @@ type sub_counters = {
   mutable sb_retracts : int;
   mutable sb_bytes : int;
   mutable sb_coalesced : int;
-  mutable sb_probes : int;
-  mutable sb_scans : int;
-  mutable sb_zvisited : int;
-  mutable sb_zpruned : int;
+  sb_eval : Codb_cq.Eval.counters;
   mutable sb_cache_staled : int;
   mutable sb_torn_down : int;
   mutable sb_rearmed : int;
@@ -96,65 +87,65 @@ type t = {
   st_sub : sub_counters;
 }
 
+let zero_chaos () =
+  {
+    ch_retransmits = 0;
+    ch_dup_suppressed = 0;
+    ch_give_ups = 0;
+    ch_query_timeouts = 0;
+    ch_partial_answers = 0;
+    ch_forced_terminations = 0;
+    ch_send_drops = 0;
+    ch_recovered_records = 0;
+    ch_replayed_bytes = 0;
+    ch_refetched_bytes = 0;
+  }
+
+let zero_sub () =
+  {
+    sb_registered = 0;
+    sb_rejected = 0;
+    sb_unregistered = 0;
+    sb_deltas_in = 0;
+    sb_prefiltered = 0;
+    sb_deltas_out = 0;
+    sb_push_msgs = 0;
+    sb_adds = 0;
+    sb_retracts = 0;
+    sb_bytes = 0;
+    sb_coalesced = 0;
+    sb_eval = Codb_cq.Eval.zero_counters ();
+    sb_cache_staled = 0;
+    sb_torn_down = 0;
+    sb_rearmed = 0;
+  }
+
 let create owner =
   {
     st_owner = owner;
     st_updates = Hashtbl.create 8;
     st_queries = Hashtbl.create 8;
     st_inconsistent = false;
-    st_chaos =
-      {
-        ch_retransmits = 0;
-        ch_dup_suppressed = 0;
-        ch_give_ups = 0;
-        ch_query_timeouts = 0;
-        ch_partial_answers = 0;
-        ch_forced_terminations = 0;
-        ch_send_drops = 0;
-        ch_recovered_records = 0;
-        ch_replayed_bytes = 0;
-        ch_refetched_bytes = 0;
-      };
-    st_sub =
-      {
-        sb_registered = 0;
-        sb_rejected = 0;
-        sb_unregistered = 0;
-        sb_deltas_in = 0;
-        sb_prefiltered = 0;
-        sb_deltas_out = 0;
-        sb_push_msgs = 0;
-        sb_adds = 0;
-        sb_retracts = 0;
-        sb_bytes = 0;
-        sb_coalesced = 0;
-        sb_probes = 0;
-        sb_scans = 0;
-        sb_zvisited = 0;
-        sb_zpruned = 0;
-        sb_cache_staled = 0;
-        sb_torn_down = 0;
-        sb_rearmed = 0;
-      };
+    st_chaos = zero_chaos ();
+    st_sub = zero_sub ();
   }
 
 let chaos st = st.st_chaos
 
 let sub st = st.st_sub
 
-(* The evaluator's access-path counters are global; every protocol
-   layer that runs a join attributes the delta to its own statistic
-   the same way (update fix-point, query engine, subscriptions). *)
-let with_eval_counters ~note f =
+(* The evaluator's work counters are global; every protocol layer
+   that runs a join charges the difference to its own record the same
+   way (update fix-point, query engine, subscriptions). *)
+let with_eval_counters (into : Codb_cq.Eval.counters) f =
   let before = Codb_cq.Eval.counters () in
   let result = f () in
   let after = Codb_cq.Eval.counters () in
-  note
-    ~probes:(after.Codb_cq.Eval.probes - before.Codb_cq.Eval.probes)
-    ~scans:(after.Codb_cq.Eval.scans - before.Codb_cq.Eval.scans)
-    ~zvisited:
-      (after.Codb_cq.Eval.zone_visited - before.Codb_cq.Eval.zone_visited)
-    ~zpruned:(after.Codb_cq.Eval.zone_pruned - before.Codb_cq.Eval.zone_pruned);
+  into.probes <- into.probes + after.probes - before.probes;
+  into.scans <- into.scans + after.scans - before.scans;
+  into.planned <- into.planned + after.planned - before.planned;
+  into.zone_visited <- into.zone_visited + after.zone_visited - before.zone_visited;
+  into.zone_pruned <- into.zone_pruned + after.zone_pruned - before.zone_pruned;
   result
 
 let note_retransmit st = st.st_chaos.ch_retransmits <- st.st_chaos.ch_retransmits + 1
@@ -201,10 +192,7 @@ let update_stat st ~now update_id =
           us_dup_suppressed = 0;
           us_nulls_created = 0;
           us_max_hops = 0;
-          us_probes = 0;
-          us_scans = 0;
-          us_zvisited = 0;
-          us_zpruned = 0;
+          us_eval = Codb_cq.Eval.zero_counters ();
           us_batches = 0;
           us_batch_tuples = 0;
           us_coalesced = 0;
@@ -237,10 +225,7 @@ let query_stat st ~now query_id =
           qs_answers = 0;
           qs_certain = 0;
           qs_cache = Cache_unused;
-          qs_probes = 0;
-          qs_scans = 0;
-          qs_zvisited = 0;
-          qs_zpruned = 0;
+          qs_eval = Codb_cq.Eval.zero_counters ();
           qs_complete = true;
           qs_pushed = 0;
           qs_filtered_at_source = 0;
@@ -270,176 +255,35 @@ let set_inconsistent st flag = st.st_inconsistent <- flag
 
 let is_inconsistent st = st.st_inconsistent
 
-type rule_traffic_snap = {
-  rts_rule : string;
-  rts_msgs : int;
-  rts_bytes : int;
-  rts_tuples : int;
-}
-
-type update_snap = {
-  usn_update : Ids.update_id;
-  usn_started : float;
-  usn_finished : float option;
-  usn_data_msgs : int;
-  usn_control_msgs : int;
-  usn_bytes_in : int;
-  usn_new_tuples : int;
-  usn_dup_suppressed : int;
-  usn_nulls_created : int;
-  usn_max_hops : int;
-  usn_probes : int;
-  usn_scans : int;
-  usn_zvisited : int;
-  usn_zpruned : int;
-  usn_batches : int;
-  usn_batch_tuples : int;
-  usn_coalesced : int;
-  usn_resends : int;
-  usn_cache_staled : int;
-  usn_forced : bool;
-  usn_per_rule : rule_traffic_snap list;
-  usn_queried : Peer_id.t list;
-  usn_sent_to : Peer_id.t list;
-}
-
-type query_snap = {
-  qsn_query : Ids.query_id;
-  qsn_started : float;
-  qsn_finished : float option;
-  qsn_data_msgs : int;
-  qsn_bytes_in : int;
-  qsn_answers : int;
-  qsn_certain : int;
-  qsn_cache : cache_outcome;
-  qsn_probes : int;
-  qsn_scans : int;
-  qsn_zvisited : int;
-  qsn_zpruned : int;
-  qsn_complete : bool;
-  qsn_pushed : int;
-  qsn_filtered_at_source : int;
-  qsn_pushdown_hits : int;
-}
-
-type chaos_snap = {
-  chn_retransmits : int;
-  chn_dup_suppressed : int;
-  chn_give_ups : int;
-  chn_query_timeouts : int;
-  chn_partial_answers : int;
-  chn_forced_terminations : int;
-  chn_send_drops : int;
-  chn_recovered_records : int;
-  chn_replayed_bytes : int;
-  chn_refetched_bytes : int;
-}
-
-type sub_snap = {
-  ssn_registered : int;
-  ssn_rejected : int;
-  ssn_unregistered : int;
-  ssn_deltas_in : int;
-  ssn_prefiltered : int;
-  ssn_deltas_out : int;
-  ssn_push_msgs : int;
-  ssn_adds : int;
-  ssn_retracts : int;
-  ssn_bytes : int;
-  ssn_coalesced : int;
-  ssn_probes : int;
-  ssn_scans : int;
-  ssn_zvisited : int;
-  ssn_zpruned : int;
-  ssn_cache_staled : int;
-  ssn_torn_down : int;
-  ssn_rearmed : int;
-}
-
-type cache_snap = {
-  csn_hits_exact : int;
-  csn_hits_containment : int;
-  csn_misses : int;
-  csn_stores : int;
-  csn_invalidations : int;
-  csn_expirations : int;
-  csn_evictions : int;
-  csn_bytes_served : int;
-  csn_entries : int;
-  csn_stored_bytes : int;
-}
-
 type snapshot = {
   snap_node : Peer_id.t;
   snap_inconsistent : bool;
   snap_store_tuples : int;
-  snap_updates : update_snap list;
-  snap_queries : query_snap list;
-  snap_cache : cache_snap option;
-  snap_chaos : chaos_snap;
-  snap_sub : sub_snap;
+  snap_updates : update_stat list;
+  snap_queries : query_stat list;
+  snap_cache : Codb_cache.Qcache.counters option;
+  snap_chaos : chaos;
+  snap_sub : sub_counters;
 }
 
-let snap_update us =
-  let per_rule =
-    Hashtbl.fold
-      (fun rule rt acc ->
-        { rts_rule = rule; rts_msgs = rt.rt_msgs; rts_bytes = rt.rt_bytes;
-          rts_tuples = rt.rt_tuples }
-        :: acc)
-      us.us_per_rule []
-  in
-  {
-    usn_update = us.us_update;
-    usn_started = us.us_started;
-    usn_finished = us.us_finished;
-    usn_data_msgs = us.us_data_msgs;
-    usn_control_msgs = us.us_control_msgs;
-    usn_bytes_in = us.us_bytes_in;
-    usn_new_tuples = us.us_new_tuples;
-    usn_dup_suppressed = us.us_dup_suppressed;
-    usn_nulls_created = us.us_nulls_created;
-    usn_max_hops = us.us_max_hops;
-    usn_probes = us.us_probes;
-    usn_scans = us.us_scans;
-    usn_zvisited = us.us_zvisited;
-    usn_zpruned = us.us_zpruned;
-    usn_batches = us.us_batches;
-    usn_batch_tuples = us.us_batch_tuples;
-    usn_coalesced = us.us_coalesced;
-    usn_resends = us.us_resends;
-    usn_cache_staled = us.us_cache_staled;
-    usn_forced = us.us_forced;
-    usn_per_rule = List.sort (fun a b -> String.compare a.rts_rule b.rts_rule) per_rule;
-    usn_queried = us.us_queried;
-    usn_sent_to = us.us_sent_to;
-  }
+(* [{ r with f = r.f }] is a fresh record with the same fields; the
+   per-rule table and the evaluator record are copied too, because
+   the node keeps writing into its own. *)
+let copy_eval (e : Codb_cq.Eval.counters) = { e with probes = e.probes }
 
-let snap_query qs =
-  {
-    qsn_query = qs.qs_query;
-    qsn_started = qs.qs_started;
-    qsn_finished = qs.qs_finished;
-    qsn_data_msgs = qs.qs_data_msgs;
-    qsn_bytes_in = qs.qs_bytes_in;
-    qsn_answers = qs.qs_answers;
-    qsn_certain = qs.qs_certain;
-    qsn_cache = qs.qs_cache;
-    qsn_probes = qs.qs_probes;
-    qsn_scans = qs.qs_scans;
-    qsn_zvisited = qs.qs_zvisited;
-    qsn_zpruned = qs.qs_zpruned;
-    qsn_complete = qs.qs_complete;
-    qsn_pushed = qs.qs_pushed;
-    qsn_filtered_at_source = qs.qs_filtered_at_source;
-    qsn_pushdown_hits = qs.qs_pushdown_hits;
-  }
+let copy_update us =
+  let per_rule = Hashtbl.copy us.us_per_rule in
+  Hashtbl.filter_map_inplace (fun _ rt -> Some { rt with rt_msgs = rt.rt_msgs }) per_rule;
+  { us with us_eval = copy_eval us.us_eval; us_per_rule = per_rule }
 
 let snapshot ?(store_tuples = 0) ?cache st =
-  let updates = Hashtbl.fold (fun _ us acc -> snap_update us :: acc) st.st_updates [] in
-  let queries = Hashtbl.fold (fun _ qs acc -> snap_query qs :: acc) st.st_queries [] in
-  let by_start_u a b = Float.compare a.usn_started b.usn_started in
-  let by_start_q a b = Float.compare a.qsn_started b.qsn_started in
+  let updates = Hashtbl.fold (fun _ us acc -> copy_update us :: acc) st.st_updates [] in
+  let queries =
+    Hashtbl.fold (fun _ qs acc -> { qs with qs_eval = copy_eval qs.qs_eval } :: acc)
+      st.st_queries []
+  in
+  let by_start_u a b = Float.compare a.us_started b.us_started in
+  let by_start_q a b = Float.compare a.qs_started b.qs_started in
   {
     snap_node = st.st_owner;
     snap_inconsistent = st.st_inconsistent;
@@ -447,61 +291,21 @@ let snapshot ?(store_tuples = 0) ?cache st =
     snap_updates = List.sort by_start_u updates;
     snap_queries = List.sort by_start_q queries;
     snap_cache = cache;
-    snap_chaos =
-      {
-        chn_retransmits = st.st_chaos.ch_retransmits;
-        chn_dup_suppressed = st.st_chaos.ch_dup_suppressed;
-        chn_give_ups = st.st_chaos.ch_give_ups;
-        chn_query_timeouts = st.st_chaos.ch_query_timeouts;
-        chn_partial_answers = st.st_chaos.ch_partial_answers;
-        chn_forced_terminations = st.st_chaos.ch_forced_terminations;
-        chn_send_drops = st.st_chaos.ch_send_drops;
-        chn_recovered_records = st.st_chaos.ch_recovered_records;
-        chn_replayed_bytes = st.st_chaos.ch_replayed_bytes;
-        chn_refetched_bytes = st.st_chaos.ch_refetched_bytes;
-      };
-    snap_sub =
-      {
-        ssn_registered = st.st_sub.sb_registered;
-        ssn_rejected = st.st_sub.sb_rejected;
-        ssn_unregistered = st.st_sub.sb_unregistered;
-        ssn_deltas_in = st.st_sub.sb_deltas_in;
-        ssn_prefiltered = st.st_sub.sb_prefiltered;
-        ssn_deltas_out = st.st_sub.sb_deltas_out;
-        ssn_push_msgs = st.st_sub.sb_push_msgs;
-        ssn_adds = st.st_sub.sb_adds;
-        ssn_retracts = st.st_sub.sb_retracts;
-        ssn_bytes = st.st_sub.sb_bytes;
-        ssn_coalesced = st.st_sub.sb_coalesced;
-        ssn_probes = st.st_sub.sb_probes;
-        ssn_scans = st.st_sub.sb_scans;
-        ssn_zvisited = st.st_sub.sb_zvisited;
-        ssn_zpruned = st.st_sub.sb_zpruned;
-        ssn_cache_staled = st.st_sub.sb_cache_staled;
-        ssn_torn_down = st.st_sub.sb_torn_down;
-        ssn_rearmed = st.st_sub.sb_rearmed;
-      };
+    snap_chaos = { st.st_chaos with ch_retransmits = st.st_chaos.ch_retransmits };
+    snap_sub = { st.st_sub with sb_eval = copy_eval st.st_sub.sb_eval };
   }
-
-let sub_snap_is_zero s =
-  s.ssn_registered = 0 && s.ssn_rejected = 0 && s.ssn_unregistered = 0
-  && s.ssn_deltas_in = 0 && s.ssn_prefiltered = 0 && s.ssn_deltas_out = 0
-  && s.ssn_push_msgs = 0 && s.ssn_adds = 0 && s.ssn_retracts = 0
-  && s.ssn_bytes = 0 && s.ssn_coalesced = 0 && s.ssn_probes = 0
-  && s.ssn_scans = 0 && s.ssn_zvisited = 0 && s.ssn_zpruned = 0
-  && s.ssn_cache_staled = 0 && s.ssn_torn_down = 0 && s.ssn_rearmed = 0
 
 let snapshot_size_bytes snap =
   (* rough: fixed cost per record plus per-rule entries *)
   64
   + List.fold_left
-      (fun acc u -> acc + 96 + (24 * List.length u.usn_per_rule))
+      (fun acc u -> acc + 96 + (24 * Hashtbl.length u.us_per_rule))
       0 snap.snap_updates
   + (48 * List.length snap.snap_queries)
   + (match snap.snap_cache with Some _ -> 48 | None -> 0)
   (* charged only when subscriptions actually ran, so turning the
      feature off leaves every stats message size untouched *)
-  + (if sub_snap_is_zero snap.snap_sub then 0 else 64)
+  + (if snap.snap_sub = zero_sub () then 0 else 64)
 
 let pp_finished ppf = function
   | None -> Fmt.string ppf "unfinished"
@@ -517,7 +321,12 @@ let zone_suffix ~visited ~pruned =
   if visited = 0 && pruned = 0 then ""
   else Fmt.str ", zone chunks %d visited (%d pruned)" visited pruned
 
-let pp_update_snap ppf u =
+let sorted_rules us =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun rule rt acc -> (rule, rt) :: acc) us.us_per_rule [])
+
+let pp_update ppf u =
   Fmt.pf ppf
     "@[<v 2>%a%s: started %.4fs, finished %a, data msgs %d, control msgs %d, bytes in \
      %d, new tuples %d, dups suppressed %d, nulls %d, longest path %d, index \
@@ -525,21 +334,21 @@ let pp_update_snap ppf u =
      staled %d@,\
      queried: %a@,\
      results sent to: %a%a@]"
-    Ids.pp_update u.usn_update
-    (if u.usn_forced then " (FORCED TERMINATION)" else "")
-    u.usn_started pp_finished u.usn_finished u.usn_data_msgs
-    u.usn_control_msgs u.usn_bytes_in u.usn_new_tuples u.usn_dup_suppressed
-    u.usn_nulls_created u.usn_max_hops u.usn_probes u.usn_scans
-    (zone_suffix ~visited:u.usn_zvisited ~pruned:u.usn_zpruned)
-    u.usn_batches
-    u.usn_batch_tuples u.usn_coalesced u.usn_resends u.usn_cache_staled pp_peer_list
-    u.usn_queried pp_peer_list
-    u.usn_sent_to
+    Ids.pp_update u.us_update
+    (if u.us_forced then " (FORCED TERMINATION)" else "")
+    u.us_started pp_finished u.us_finished u.us_data_msgs
+    u.us_control_msgs u.us_bytes_in u.us_new_tuples u.us_dup_suppressed
+    u.us_nulls_created u.us_max_hops u.us_eval.probes u.us_eval.scans
+    (zone_suffix ~visited:u.us_eval.zone_visited ~pruned:u.us_eval.zone_pruned)
+    u.us_batches
+    u.us_batch_tuples u.us_coalesced u.us_resends u.us_cache_staled pp_peer_list
+    u.us_queried pp_peer_list
+    u.us_sent_to
     Fmt.(
-      list ~sep:nop (fun ppf rt ->
-          Fmt.pf ppf "@,rule %s: %d msgs, %d B, %d tuples" rt.rts_rule rt.rts_msgs
-            rt.rts_bytes rt.rts_tuples))
-    u.usn_per_rule
+      list ~sep:nop (fun ppf (rule, rt) ->
+          Fmt.pf ppf "@,rule %s: %d msgs, %d B, %d tuples" rule rt.rt_msgs
+            rt.rt_bytes rt.rt_tuples))
+    (sorted_rules u)
 
 let cache_outcome_string = function
   | Cache_unused -> "cache unused"
@@ -547,71 +356,63 @@ let cache_outcome_string = function
   | Cache_hit_exact -> "cache hit (exact)"
   | Cache_hit_containment -> "cache hit (containment)"
 
-let pp_query_snap ppf q =
+let pp_query ppf q =
   Fmt.pf ppf
     "%a: %d answers (%d certain)%s, %d data msgs, %d B in, %d probes, %d scans%s%s%s"
-    Ids.pp_query q.qsn_query q.qsn_answers q.qsn_certain
-    (if q.qsn_complete then "" else " INCOMPLETE")
-    q.qsn_data_msgs q.qsn_bytes_in q.qsn_probes q.qsn_scans
-    (zone_suffix ~visited:q.qsn_zvisited ~pruned:q.qsn_zpruned)
-    (match q.qsn_cache with
+    Ids.pp_query q.qs_query q.qs_answers q.qs_certain
+    (if q.qs_complete then "" else " INCOMPLETE")
+    q.qs_data_msgs q.qs_bytes_in q.qs_eval.probes q.qs_eval.scans
+    (zone_suffix ~visited:q.qs_eval.zone_visited ~pruned:q.qs_eval.zone_pruned)
+    (match q.qs_cache with
     | Cache_unused -> ""
     | outcome -> ", " ^ cache_outcome_string outcome)
-    (if q.qsn_pushed = 0 && q.qsn_filtered_at_source = 0 && q.qsn_pushdown_hits = 0
+    (if q.qs_pushed = 0 && q.qs_filtered_at_source = 0 && q.qs_pushdown_hits = 0
      then ""
      else
        Fmt.str
          ", pushdown: %d constrained sub-requests, %d filtered at source, %d \
           rule-cache hits"
-         q.qsn_pushed q.qsn_filtered_at_source q.qsn_pushdown_hits)
+         q.qs_pushed q.qs_filtered_at_source q.qs_pushdown_hits)
 
-let pp_cache_snap ppf c =
+let pp_cache ppf (c : Codb_cache.Qcache.counters) =
   Fmt.pf ppf
     "cache: %d exact + %d containment hits, %d misses, %d stores, %d invalidated, \
      %d expired, %d evicted, %d B served, %d entries (%d B)"
-    c.csn_hits_exact c.csn_hits_containment c.csn_misses c.csn_stores
-    c.csn_invalidations c.csn_expirations c.csn_evictions c.csn_bytes_served
-    c.csn_entries c.csn_stored_bytes
+    c.hits_exact c.hits_containment c.misses c.stores c.epoch_invalidations
+    c.ttl_expirations c.evictions c.bytes_served c.entries c.stored_bytes
 
-let chaos_snap_is_zero c =
-  c.chn_retransmits = 0 && c.chn_dup_suppressed = 0 && c.chn_give_ups = 0
-  && c.chn_query_timeouts = 0 && c.chn_partial_answers = 0
-  && c.chn_forced_terminations = 0 && c.chn_send_drops = 0
-  && c.chn_recovered_records = 0 && c.chn_replayed_bytes = 0
-  && c.chn_refetched_bytes = 0
-
-let pp_chaos_snap ppf c =
+let pp_chaos ppf c =
   Fmt.pf ppf
     "transport: %d retransmits, %d dups suppressed, %d give-ups, %d sub-request \
      timeouts, %d partial answers, %d forced terminations, %d send drops, %d \
      recovered records, %d replayed bytes, %d refetched bytes"
-    c.chn_retransmits c.chn_dup_suppressed c.chn_give_ups c.chn_query_timeouts
-    c.chn_partial_answers c.chn_forced_terminations c.chn_send_drops
-    c.chn_recovered_records c.chn_replayed_bytes c.chn_refetched_bytes
+    c.ch_retransmits c.ch_dup_suppressed c.ch_give_ups c.ch_query_timeouts
+    c.ch_partial_answers c.ch_forced_terminations c.ch_send_drops
+    c.ch_recovered_records c.ch_replayed_bytes c.ch_refetched_bytes
 
-let pp_sub_snap ppf s =
+let pp_sub ppf s =
   Fmt.pf ppf
     "subs: %d registered (%d refused, %d dropped), %d deltas in (%d prefiltered), \
      %d deltas out in %d msgs (+%d -%d, %d B, %d coalesced), %d probes, %d scans%s, \
      %d cache staled, %d torn down, %d re-armed"
-    s.ssn_registered s.ssn_rejected s.ssn_unregistered s.ssn_deltas_in
-    s.ssn_prefiltered s.ssn_deltas_out s.ssn_push_msgs s.ssn_adds s.ssn_retracts
-    s.ssn_bytes s.ssn_coalesced s.ssn_probes s.ssn_scans
-    (zone_suffix ~visited:s.ssn_zvisited ~pruned:s.ssn_zpruned)
-    s.ssn_cache_staled
-    s.ssn_torn_down s.ssn_rearmed
+    s.sb_registered s.sb_rejected s.sb_unregistered s.sb_deltas_in
+    s.sb_prefiltered s.sb_deltas_out s.sb_push_msgs s.sb_adds s.sb_retracts
+    s.sb_bytes s.sb_coalesced s.sb_eval.probes s.sb_eval.scans
+    (zone_suffix ~visited:s.sb_eval.zone_visited ~pruned:s.sb_eval.zone_pruned)
+    s.sb_cache_staled
+    s.sb_torn_down s.sb_rearmed
 
 let pp_snapshot ppf s =
   Fmt.pf ppf "@[<v 2>node %a (%s, %d tuples)%a%a%a%a%a@]" Peer_id.pp s.snap_node
     (if s.snap_inconsistent then "INCONSISTENT" else "consistent")
     s.snap_store_tuples
-    Fmt.(list ~sep:nop (fun ppf u -> Fmt.pf ppf "@,%a" pp_update_snap u))
+    Fmt.(list ~sep:nop (fun ppf u -> Fmt.pf ppf "@,%a" pp_update u))
     s.snap_updates
-    Fmt.(list ~sep:nop (fun ppf q -> Fmt.pf ppf "@,%a" pp_query_snap q))
+    Fmt.(list ~sep:nop (fun ppf q -> Fmt.pf ppf "@,%a" pp_query q))
     s.snap_queries
-    Fmt.(option (fun ppf c -> Fmt.pf ppf "@,%a" pp_cache_snap c))
+    Fmt.(option (fun ppf c -> Fmt.pf ppf "@,%a" pp_cache c))
     s.snap_cache
-    (fun ppf c -> if not (chaos_snap_is_zero c) then Fmt.pf ppf "@,%a" pp_chaos_snap c)
+    (fun ppf c -> if c <> zero_chaos () then Fmt.pf ppf "@,%a" pp_chaos c)
     s.snap_chaos
-    (fun ppf s -> if not (sub_snap_is_zero s) then Fmt.pf ppf "@,%a" pp_sub_snap s)
+    (fun ppf s -> if s <> zero_sub () then Fmt.pf ppf "@,%a" pp_sub s)
     s.snap_sub

@@ -5,8 +5,10 @@
     messages received per coordination rule and the volume of the data
     in each message, longest update propagation path, and so on."
 
-    Mutable accumulators live on each node; immutable {!snapshot}s are
-    what a node sends to the super-peer in a [Stats_response]. *)
+    Each counter exists once, in the mutable accumulators below that
+    the protocol layers write.  A {!snapshot} holds deep copies of
+    them — what a node sends to the super-peer in a [Stats_response] —
+    so later work on the node leaves it unchanged. *)
 
 module Peer_id = Codb_net.Peer_id
 
@@ -27,10 +29,7 @@ type update_stat = {
   mutable us_dup_suppressed : int;
   mutable us_nulls_created : int;
   mutable us_max_hops : int;  (** longest update propagation path seen *)
-  mutable us_probes : int;  (** index probes during rule evaluation *)
-  mutable us_scans : int;  (** relation scans during rule evaluation *)
-  mutable us_zvisited : int;  (** chunks consulted by zone-map scans *)
-  mutable us_zpruned : int;  (** chunks skipped by zone-map bounds *)
+  us_eval : Codb_cq.Eval.counters;  (** evaluator work during rule evaluation *)
   mutable us_batches : int;  (** [Update_batch] messages this node sent *)
   mutable us_batch_tuples : int;  (** tuples shipped inside those batches *)
   mutable us_coalesced : int;
@@ -66,10 +65,7 @@ type query_stat = {
   mutable qs_answers : int;
   mutable qs_certain : int;
   mutable qs_cache : cache_outcome;
-  mutable qs_probes : int;
-  mutable qs_scans : int;
-  mutable qs_zvisited : int;  (** chunks consulted by zone-map scans *)
-  mutable qs_zpruned : int;  (** chunks skipped by zone-map bounds *)
+  qs_eval : Codb_cq.Eval.counters;  (** evaluator work answering the query *)
   mutable qs_complete : bool;
       (** [false] when any sub-request in the diffusion tree was
           declared failed: the answers are a lower bound *)
@@ -134,10 +130,7 @@ type sub_counters = {
           own (per-message dictionary, not the link frame; DESIGN §9) *)
   mutable sb_coalesced : int;
       (** tuples cancelled or absorbed inside a [sub_batch_window] *)
-  mutable sb_probes : int;  (** evaluator probes doing subscription maintenance *)
-  mutable sb_scans : int;
-  mutable sb_zvisited : int;  (** chunks consulted by zone-map scans *)
-  mutable sb_zpruned : int;  (** chunks skipped by zone-map bounds *)
+  sb_eval : Codb_cq.Eval.counters;  (** evaluator work doing subscription maintenance *)
   mutable sb_cache_staled : int;
       (** cache entries invalidated to keep one-shot answers no staler
           than delivered subscription deltas *)
@@ -155,13 +148,10 @@ val chaos : t -> chaos
 
 val sub : t -> sub_counters
 
-val with_eval_counters :
-  note:(probes:int -> scans:int -> zvisited:int -> zpruned:int -> unit) ->
-  (unit -> 'a) ->
-  'a
-(** Run [f] and report the evaluator access-path counter deltas it
-    caused to [note] — the one way every protocol layer (update
-    fix-point, query engine, subscription maintenance) attributes
+val with_eval_counters : Codb_cq.Eval.counters -> (unit -> 'a) -> 'a
+(** [with_eval_counters into f] runs [f] and adds the evaluator work
+    it caused to [into] — the one way every protocol layer (update
+    fix-point, query engine, subscription maintenance) charges
     shared-evaluator work to its own statistic. *)
 
 val note_retransmit : t -> unit
@@ -206,134 +196,22 @@ val is_inconsistent : t -> bool
 
 (** {1 Snapshots} *)
 
-type rule_traffic_snap = {
-  rts_rule : string;
-  rts_msgs : int;
-  rts_bytes : int;
-  rts_tuples : int;
-}
-
-type update_snap = {
-  usn_update : Ids.update_id;
-  usn_started : float;
-  usn_finished : float option;
-  usn_data_msgs : int;
-  usn_control_msgs : int;
-  usn_bytes_in : int;
-  usn_new_tuples : int;
-  usn_dup_suppressed : int;
-  usn_nulls_created : int;
-  usn_max_hops : int;
-  usn_probes : int;
-  usn_scans : int;
-  usn_zvisited : int;
-  usn_zpruned : int;
-  usn_batches : int;
-  usn_batch_tuples : int;
-  usn_coalesced : int;
-  usn_resends : int;
-  usn_cache_staled : int;
-  usn_forced : bool;
-  usn_per_rule : rule_traffic_snap list;
-  usn_queried : Peer_id.t list;
-  usn_sent_to : Peer_id.t list;
-}
-
-type query_snap = {
-  qsn_query : Ids.query_id;
-  qsn_started : float;
-  qsn_finished : float option;
-  qsn_data_msgs : int;
-  qsn_bytes_in : int;
-  qsn_answers : int;
-  qsn_certain : int;
-  qsn_cache : cache_outcome;
-  qsn_probes : int;
-  qsn_scans : int;
-  qsn_zvisited : int;
-  qsn_zpruned : int;
-  qsn_complete : bool;
-  qsn_pushed : int;
-  qsn_filtered_at_source : int;
-  qsn_pushdown_hits : int;
-}
-
-type chaos_snap = {
-  chn_retransmits : int;
-  chn_dup_suppressed : int;
-  chn_give_ups : int;
-  chn_query_timeouts : int;
-  chn_partial_answers : int;
-  chn_forced_terminations : int;
-  chn_send_drops : int;
-  chn_recovered_records : int;
-  chn_replayed_bytes : int;
-  chn_refetched_bytes : int;
-}
-
-(** Frozen {!sub_counters}. *)
-type sub_snap = {
-  ssn_registered : int;
-  ssn_rejected : int;
-  ssn_unregistered : int;
-  ssn_deltas_in : int;
-  ssn_prefiltered : int;
-  ssn_deltas_out : int;
-  ssn_push_msgs : int;
-  ssn_adds : int;
-  ssn_retracts : int;
-  ssn_bytes : int;
-  ssn_coalesced : int;
-  ssn_probes : int;
-  ssn_scans : int;
-  ssn_zvisited : int;
-  ssn_zpruned : int;
-  ssn_cache_staled : int;
-  ssn_torn_down : int;
-  ssn_rearmed : int;
-}
-
-(** Frozen view of a node's {!Codb_cache.Qcache} counters, shipped in
-    [Stats_response] messages alongside the per-query records. *)
-type cache_snap = {
-  csn_hits_exact : int;
-  csn_hits_containment : int;
-  csn_misses : int;
-  csn_stores : int;
-  csn_invalidations : int;  (** entries dropped for a stale epoch stamp *)
-  csn_expirations : int;
-  csn_evictions : int;
-  csn_bytes_served : int;
-  csn_entries : int;
-  csn_stored_bytes : int;
-}
-
 type snapshot = {
   snap_node : Peer_id.t;
   snap_inconsistent : bool;
   snap_store_tuples : int;
-  snap_updates : update_snap list;
-  snap_queries : query_snap list;
-  snap_cache : cache_snap option;  (** [None] when caching is off *)
-  snap_chaos : chaos_snap;
-  snap_sub : sub_snap;
+  snap_updates : update_stat list;  (** copies, in start order *)
+  snap_queries : query_stat list;  (** copies, in start order *)
+  snap_cache : Codb_cache.Qcache.counters option;  (** [None] when caching is off *)
+  snap_chaos : chaos;  (** a copy *)
+  snap_sub : sub_counters;  (** a copy *)
 }
 
-val snapshot : ?store_tuples:int -> ?cache:cache_snap -> t -> snapshot
+val snapshot : ?store_tuples:int -> ?cache:Codb_cache.Qcache.counters -> t -> snapshot
+(** Deep copies of the node's accumulators: mutating the node
+    afterwards leaves the snapshot unchanged. *)
 
 val snapshot_size_bytes : snapshot -> int
 (** Estimated wire size of a snapshot (for the network simulator). *)
-
-val chaos_snap_is_zero : chaos_snap -> bool
-
-val sub_snap_is_zero : sub_snap -> bool
-
-val pp_update_snap : update_snap Fmt.t
-
-val pp_chaos_snap : chaos_snap Fmt.t
-
-val pp_cache_snap : cache_snap Fmt.t
-
-val pp_sub_snap : sub_snap Fmt.t
 
 val pp_snapshot : snapshot Fmt.t

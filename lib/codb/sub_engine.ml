@@ -11,15 +11,7 @@ module Pretty = Codb_cq.Pretty
 
 let scounters rt = Stats.sub rt.Runtime.node.Node.stats
 
-let with_counters rt f =
-  let sb = scounters rt in
-  Stats.with_eval_counters
-    ~note:(fun ~probes ~scans ~zvisited ~zpruned ->
-      sb.Stats.sb_probes <- sb.Stats.sb_probes + probes;
-      sb.Stats.sb_scans <- sb.Stats.sb_scans + scans;
-      sb.Stats.sb_zvisited <- sb.Stats.sb_zvisited + zvisited;
-      sb.Stats.sb_zpruned <- sb.Stats.sb_zpruned + zpruned)
-    f
+let with_counters rt f = Stats.with_eval_counters (scounters rt).Stats.sb_eval f
 
 let source rt =
   Eval.of_database ~index_budget:rt.Runtime.opts.Options.index_budget
@@ -161,22 +153,13 @@ let refresh_all rt ~tag =
           deliver rt entry d)
         (Registry.entries reg)
 
-let missing_relations rt query =
-  List.filter
-    (fun rel -> not (Database.has_relation rt.Runtime.node.Node.store rel))
-    (Query.body_relations query)
-
 let make_sub rt ~sub_id query =
   let opts = rt.Runtime.opts in
-  match missing_relations rt query with
-  | [] ->
+  match Node.check_query rt.Runtime.node query with
+  | Ok () ->
       Sub.create ~pushdown:opts.Options.pushdown
         ~max_preds:opts.Options.pushdown_max_preds ~sub_id query
-  | missing ->
-      Error
-        (Printf.sprintf "unknown relation%s: %s"
-           (if List.length missing = 1 then "" else "s")
-           (String.concat ", " missing))
+  | Error e -> Error e
 
 let register_local rt ?on_delta query =
   let node = rt.Runtime.node in

@@ -20,17 +20,6 @@ let rule_ids rules = List.map (fun r -> r.Config.rule_id) rules
 
 let stat (rt : Runtime.t) uid = Stats.update_stat rt.node.Node.stats ~now:(rt.now ()) uid
 
-(* Attribute the index probes / relation scans performed by [f] to the
-   update's statistics. *)
-let with_counters us f =
-  Stats.with_eval_counters
-    ~note:(fun ~probes ~scans ~zvisited ~zpruned ->
-      us.Stats.us_probes <- us.Stats.us_probes + probes;
-      us.Stats.us_scans <- us.Stats.us_scans + scans;
-      us.Stats.us_zvisited <- us.Stats.us_zvisited + zvisited;
-      us.Stats.us_zpruned <- us.Stats.us_zpruned + zpruned)
-    f
-
 (* Is [st] still the state the node knows for this update?  A crash
    clears the table; timers and transport callbacks armed before the
    crash must not mutate the orphaned record (or a namesake created
@@ -328,7 +317,7 @@ let first_contact rt (st : U.t) ~exclude =
     List.iter
       (fun (inc : Config.rule_decl) ->
         let tuples =
-          with_counters us (fun () ->
+          Stats.with_eval_counters us.Stats.us_eval (fun () ->
               Wrapper.eval_rule_full ~opts:rt.Runtime.opts
                 rt.Runtime.node.Node.store inc)
         in
@@ -380,7 +369,7 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
         let recompute (inc : Config.rule_decl) =
           if U.in_state st inc.Config.rule_id = U.Link_open then begin
             let derived =
-              with_counters us (fun () ->
+              Stats.with_eval_counters us.Stats.us_eval (fun () ->
                   Wrapper.eval_rule_delta ~opts:rt.Runtime.opts
                     ~naive:rt.Runtime.opts.Options.naive_delta
                     rt.Runtime.node.Node.store inc ~delta_rel:rel
@@ -493,7 +482,7 @@ let activate_incoming rt (st : U.t) ~requester rule_id =
         let us = stat rt st.U.ust_update in
         if may_export rt then begin
           let tuples =
-            with_counters us (fun () ->
+            Stats.with_eval_counters us.Stats.us_eval (fun () ->
                 Wrapper.eval_rule_full ~opts:rt.Runtime.opts
                   rt.Runtime.node.Node.store inc)
           in

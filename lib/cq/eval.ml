@@ -15,44 +15,30 @@ type rows = {
 
 type source = string -> rows
 
-(* Access-path counters, global like [Value.null_counter]: callers
-   that want per-query numbers snapshot around an evaluation. *)
-type counters = {
-  probes : int;  (** candidate sets served by an index probe *)
-  scans : int;  (** candidate sets served by a full scan *)
-  planned : int;  (** joins executed through a cost-based plan *)
-  zone_visited : int;  (** chunks a zone-mapped scan examined *)
-  zone_pruned : int;  (** chunks a zone-mapped scan skipped *)
-}
-
 (* The evaluator's work counters, process-wide like
-   [Value.null_counter]; per-handler deltas come from the
-   snapshot-diff pattern ([Stats.with_eval_counters]). *)
-type cell = {
-  mutable c_probes : int;
-  mutable c_scans : int;
-  mutable c_planned : int;
-  mutable c_zvisited : int;
-  mutable c_zpruned : int;
+   [Value.null_counter].  The same record is what each protocol layer
+   charges its share to ([Stats.with_eval_counters]). *)
+type counters = {
+  mutable probes : int;  (** candidate sets served by an index probe *)
+  mutable scans : int;  (** candidate sets served by a full scan *)
+  mutable planned : int;  (** joins executed through a cost-based plan *)
+  mutable zone_visited : int;  (** chunks a zone-mapped scan examined *)
+  mutable zone_pruned : int;  (** chunks a zone-mapped scan skipped *)
 }
 
-let cell = { c_probes = 0; c_scans = 0; c_planned = 0; c_zvisited = 0; c_zpruned = 0 }
+let zero_counters () =
+  { probes = 0; scans = 0; planned = 0; zone_visited = 0; zone_pruned = 0 }
 
-let counters () =
-  {
-    probes = cell.c_probes;
-    scans = cell.c_scans;
-    planned = cell.c_planned;
-    zone_visited = cell.c_zvisited;
-    zone_pruned = cell.c_zpruned;
-  }
+let cell = zero_counters ()
+
+let counters () = { cell with probes = cell.probes }
 
 let reset_counters () =
-  cell.c_probes <- 0;
-  cell.c_scans <- 0;
-  cell.c_planned <- 0;
-  cell.c_zvisited <- 0;
-  cell.c_zpruned <- 0
+  cell.probes <- 0;
+  cell.scans <- 0;
+  cell.planned <- 0;
+  cell.zone_visited <- 0;
+  cell.zone_pruned <- 0
 
 (* A transient packed view over a row list: columns flattened into one
    int array, live rows are just [0..n-1], probes are filtered scans.
@@ -403,19 +389,19 @@ let join_packed_run prepared ~(emit : packed_ctx -> unit -> unit) =
       let st = steps.(d) in
       let rows, len =
         if st.k_scan then begin
-          cell.c_scans <- cell.c_scans + 1;
+          cell.scans <- cell.scans + 1;
           if st.k_prune == [] then st.k_view.Relation.pv_all ()
           else begin
             match st.k_view.Relation.pv_prune st.k_prune with
             | Some (rows, n, visited, pruned) ->
-                cell.c_zvisited <- cell.c_zvisited + visited;
-                cell.c_zpruned <- cell.c_zpruned + pruned;
+                cell.zone_visited <- cell.zone_visited + visited;
+                cell.zone_pruned <- cell.zone_pruned + pruned;
                 (rows, n)
             | None -> st.k_view.Relation.pv_all ()
           end
         end
         else begin
-          cell.c_probes <- cell.c_probes + 1;
+          cell.probes <- cell.probes + 1;
           let src = st.k_probe_src and scratch = st.k_probe_vals in
           for j = 0 to Array.length src - 1 do
             scratch.(j) <-
@@ -486,7 +472,7 @@ let join_packed prepared =
    provably empty (a comparison no step ever grounds, or a violated
    variable-free comparison).  Counts one planned join either way. *)
 let plan_prepared ?max_probe_cols atoms comparisons =
-  cell.c_planned <- cell.c_planned + 1;
+  cell.planned <- cell.planned + 1;
   let plan = plan_of_atoms ?max_probe_cols atoms comparisons in
   if plan.Plan.pl_unbound <> [] then None
   else if not (check_comparisons Subst.empty plan.Plan.pl_pre) then None

@@ -47,18 +47,25 @@ type source = string -> rows
     {!empty_rows}. *)
 
 type counters = {
-  probes : int;  (** candidate sets served by an index probe *)
-  scans : int;  (** candidate sets served by a full scan *)
-  planned : int;  (** joins executed through a cost-based plan *)
-  zone_visited : int;
+  mutable probes : int;  (** candidate sets served by an index probe *)
+  mutable scans : int;  (** candidate sets served by a full scan *)
+  mutable planned : int;  (** joins executed through a cost-based plan *)
+  mutable zone_visited : int;
       (** chunks a zone-mapped scan actually walked (pruned excluded) *)
-  zone_pruned : int;  (** chunks skipped outright by zone-map bounds *)
+  mutable zone_pruned : int;  (** chunks skipped outright by zone-map bounds *)
 }
-(** Global access-path counters (monotonic since {!reset_counters}).
-    Callers wanting per-evaluation numbers snapshot before and after,
-    like [Value.null_counter]. *)
+(** Evaluator work.  One process-wide record counts every evaluation
+    (monotonic since {!reset_counters}); each protocol layer keeps its
+    own record of the same type for the share it caused.  Callers
+    wanting per-evaluation numbers copy before and after, like
+    [Value.null_counter]. *)
+
+val zero_counters : unit -> counters
+(** A fresh all-zero record. *)
 
 val counters : unit -> counters
+(** A copy of the process-wide record: later evaluations leave it
+    unchanged. *)
 
 val reset_counters : unit -> unit
 

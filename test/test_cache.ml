@@ -224,7 +224,7 @@ let test_exact_hit_on_alpha_variant () =
   check_tuples "same answers" a1 a2;
   let n0 = System.node sys "n0" in
   let snap = Option.get (Node.cache_snapshot n0) in
-  Alcotest.(check int) "exact hit counted" 1 snap.Stats.csn_hits_exact
+  Alcotest.(check int) "exact hit counted" 1 snap.Codb_cache.Qcache.hits_exact
 
 let test_containment_hit_end_to_end () =
   let narrow = parse_query "ans(x, y) <- data(x, y), x > 100" in
@@ -236,7 +236,7 @@ let test_containment_hit_end_to_end () =
   Alcotest.(check int) "served without traffic" 0 msgs;
   check_tuples "identical to uncached run" reference answers;
   let snap = Option.get (Node.cache_snapshot (System.node sys "n0")) in
-  Alcotest.(check int) "containment hit counted" 1 snap.Stats.csn_hits_containment
+  Alcotest.(check int) "containment hit counted" 1 snap.Codb_cache.Qcache.hits_containment
 
 let test_interleaved_updates_stay_correct () =
   (* the decisive correctness test: interleave queries with updates
@@ -280,11 +280,11 @@ let test_rules_change_clears_cache () =
   let _ = run_msgs sys (parse_query broad) in
   let n0 = System.node sys "n0" in
   Alcotest.(check bool) "entry cached" true
-    ((Option.get (Node.cache_snapshot n0)).Stats.csn_entries > 0);
+    ((Option.get (Node.cache_snapshot n0)).Codb_cache.Qcache.entries > 0);
   System.broadcast_rules sys
     (Topology.rules_only (Topology.generate ~seed:42 Topology.Star_in ~n:5));
   Alcotest.(check int) "cache cleared on rules change" 0
-    (Option.get (Node.cache_snapshot n0)).Stats.csn_entries
+    (Option.get (Node.cache_snapshot n0)).Codb_cache.Qcache.entries
 
 let test_report_surfaces_hit_ratio () =
   let sys = chain () in

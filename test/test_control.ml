@@ -195,7 +195,7 @@ let test_dbm_start_update () =
   Alcotest.(check int) "one update state" 1 (Hashtbl.length node.Node.updates);
   let snap = Codb_core.Stats.snapshot node.Node.stats in
   match snap.Codb_core.Stats.snap_updates with
-  | [ u ] -> Alcotest.(check bool) "finished" true (u.Codb_core.Stats.usn_finished <> None)
+  | [ u ] -> Alcotest.(check bool) "finished" true (u.Codb_core.Stats.us_finished <> None)
   | _ -> Alcotest.fail "expected one update"
 
 let suite =

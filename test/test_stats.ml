@@ -47,14 +47,13 @@ let test_snapshot_reflects_state () =
   Alcotest.(check int) "store tuples" 42 snap.Stats.snap_store_tuples;
   (match snap.Stats.snap_updates with
   | [ u ] ->
-      Alcotest.(check int) "msgs" 11 u.Stats.usn_data_msgs;
-      Alcotest.(check bool) "finished" true (u.Stats.usn_finished = Some 4.5);
-      (match u.Stats.usn_per_rule with
-      | [ rt ] -> Alcotest.(check int) "rule bytes" 123 rt.Stats.rts_bytes
-      | _ -> Alcotest.fail "one rule expected")
+      Alcotest.(check int) "msgs" 11 u.Stats.us_data_msgs;
+      Alcotest.(check bool) "finished" true (u.Stats.us_finished = Some 4.5);
+      Alcotest.(check int) "one rule" 1 (Hashtbl.length u.Stats.us_per_rule);
+      Alcotest.(check int) "rule bytes" 123 (Hashtbl.find u.Stats.us_per_rule "r9").Stats.rt_bytes
   | _ -> Alcotest.fail "one update expected");
   match snap.Stats.snap_queries with
-  | [ q ] -> Alcotest.(check int) "answers" 4 q.Stats.qsn_answers
+  | [ q ] -> Alcotest.(check int) "answers" 4 q.Stats.qs_answers
   | _ -> Alcotest.fail "one query expected"
 
 let test_report_merges_rules_across_nodes () =
@@ -68,7 +67,7 @@ let test_report_merges_rules_across_nodes () =
   let report = Option.get (Report.update_report [ mk "a" 10; mk "b" 32 ] (uid 1)) in
   Alcotest.(check int) "two nodes" 2 report.Report.ur_nodes;
   match report.Report.ur_per_rule with
-  | [ rt ] -> Alcotest.(check int) "bytes summed" 42 rt.Stats.rts_bytes
+  | [ ("shared", rt) ] -> Alcotest.(check int) "bytes summed" 42 rt.Stats.rt_bytes
   | _ -> Alcotest.fail "one merged rule expected"
 
 let test_report_unfinished_flag () =
@@ -96,7 +95,7 @@ let test_snapshot_sorted_by_start () =
   match snap.Stats.snap_updates with
   | [ first; second ] ->
       Alcotest.(check bool) "chronological" true
-        (first.Stats.usn_started <= second.Stats.usn_started)
+        (first.Stats.us_started <= second.Stats.us_started)
   | _ -> Alcotest.fail "two updates expected"
 
 (* A node with a distinct value in every counter, so each printer
@@ -114,10 +113,10 @@ let golden_snapshots () =
   us.Stats.us_dup_suppressed <- 105;
   us.Stats.us_nulls_created <- 106;
   us.Stats.us_max_hops <- 107;
-  us.Stats.us_probes <- 108;
-  us.Stats.us_scans <- 109;
-  us.Stats.us_zvisited <- 110;
-  us.Stats.us_zpruned <- 111;
+  us.Stats.us_eval.probes <- 108;
+  us.Stats.us_eval.scans <- 109;
+  us.Stats.us_eval.zone_visited <- 110;
+  us.Stats.us_eval.zone_pruned <- 111;
   us.Stats.us_batches <- 112;
   us.Stats.us_batch_tuples <- 113;
   us.Stats.us_coalesced <- 114;
@@ -143,10 +142,10 @@ let golden_snapshots () =
   qs.Stats.qs_answers <- 203;
   qs.Stats.qs_certain <- 204;
   qs.Stats.qs_cache <- Stats.Cache_hit_containment;
-  qs.Stats.qs_probes <- 205;
-  qs.Stats.qs_scans <- 206;
-  qs.Stats.qs_zvisited <- 207;
-  qs.Stats.qs_zpruned <- 208;
+  qs.Stats.qs_eval.probes <- 205;
+  qs.Stats.qs_eval.scans <- 206;
+  qs.Stats.qs_eval.zone_visited <- 207;
+  qs.Stats.qs_eval.zone_pruned <- 208;
   qs.Stats.qs_complete <- false;
   qs.Stats.qs_pushed <- 209;
   qs.Stats.qs_filtered_at_source <- 210;
@@ -174,26 +173,32 @@ let golden_snapshots () =
   sb.Stats.sb_retracts <- 409;
   sb.Stats.sb_bytes <- 410;
   sb.Stats.sb_coalesced <- 411;
-  sb.Stats.sb_probes <- 412;
-  sb.Stats.sb_scans <- 413;
-  sb.Stats.sb_zvisited <- 414;
-  sb.Stats.sb_zpruned <- 415;
+  sb.Stats.sb_eval.probes <- 412;
+  sb.Stats.sb_eval.scans <- 413;
+  sb.Stats.sb_eval.zone_visited <- 414;
+  sb.Stats.sb_eval.zone_pruned <- 415;
   sb.Stats.sb_cache_staled <- 416;
   sb.Stats.sb_torn_down <- 417;
   sb.Stats.sb_rearmed <- 418;
   Stats.set_inconsistent st true;
   let cache =
     {
-      Stats.csn_hits_exact = 501;
-      csn_hits_containment = 502;
-      csn_misses = 503;
-      csn_stores = 504;
-      csn_invalidations = 505;
-      csn_expirations = 506;
-      csn_evictions = 507;
-      csn_bytes_served = 508;
-      csn_entries = 509;
-      csn_stored_bytes = 510;
+      Codb_cache.Qcache.hits_exact = 501;
+      hits_containment = 502;
+      misses = 503;
+      stores = 504;
+      epoch_invalidations = 505;
+      ttl_expirations = 506;
+      evictions = 507;
+      bytes_served = 508;
+      entries = 509;
+      stored_bytes = 510;
+      epoch_bumps = 511;
+      rule_hits_exact = 512;
+      rule_hits_containment = 513;
+      rule_misses = 514;
+      rule_stores = 515;
+      rule_entries = 516;
     }
   in
   let quiet = Stats.create (Peer_id.of_string "n1") in
@@ -202,6 +207,25 @@ let golden_snapshots () =
   (Stats.rule_traffic qu "r_a").Stats.rt_msgs <- 602;
   ( qid,
     [ Stats.snapshot ~store_tuples:99 ~cache st; Stats.snapshot ~store_tuples:7 quiet ] )
+
+(* A snapshot is a deep copy: writes to the live accumulators after it
+   was taken, the per-rule table and the evaluator record included,
+   must not show through. *)
+let test_snapshot_is_a_copy () =
+  let st = Stats.create (Peer_id.of_string "n0") in
+  let us = Stats.update_stat st ~now:0.0 (uid 1) in
+  (Stats.rule_traffic us "r").Stats.rt_msgs <- 1;
+  let snap = Stats.snapshot st in
+  let frozen = Fmt.str "%a" Stats.pp_snapshot snap in
+  us.Stats.us_data_msgs <- 9;
+  us.Stats.us_eval.probes <- 9;
+  (Stats.rule_traffic us "r").Stats.rt_msgs <- 9;
+  (Stats.rule_traffic us "r2").Stats.rt_bytes <- 9;
+  (Stats.sub st).Stats.sb_adds <- 9;
+  (Stats.sub st).Stats.sb_eval.scans <- 9;
+  (Stats.chaos st).Stats.ch_retransmits <- 9;
+  ignore (Stats.update_stat st ~now:1.0 (uid 2));
+  Alcotest.(check string) "snapshot unchanged" frozen (Fmt.str "%a" Stats.pp_snapshot snap)
 
 let test_printers_pinned () =
   let qid, snaps = golden_snapshots () in
@@ -241,7 +265,7 @@ node n1 (consistent, 7 tuples)
   filter-induced resends: <= 115 tuples
   query-cache entries staled: 116|}
     Report.pp_wire_report
-    (Option.get (Report.wire_report snaps (uid 3)));
+    (Option.get (Report.update_report snaps (uid 3)));
   check "pp_cache_report" {|query cache:
   node n0           1003 hits  503 misses  ratio 0.67       508 B served   505 invalidated   509 entries|}
     Report.pp_cache_report (Report.cache_report snaps);
@@ -282,4 +306,5 @@ let suite =
       test_latest_update_report_picks_newest;
     Alcotest.test_case "snapshots sorted by start" `Quick test_snapshot_sorted_by_start;
     Alcotest.test_case "every report printer pinned" `Quick test_printers_pinned;
+    Alcotest.test_case "a snapshot is a copy" `Quick test_snapshot_is_a_copy;
   ]

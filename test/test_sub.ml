@@ -56,10 +56,11 @@ let test_disabled_by_default () =
   | Error e -> Alcotest.(check bool) "says disabled" true
       (String.length e > 0));
   let _ = System.run_update sys ~initiator:"n0" in
+  let zero = Stats.sub (Stats.create (Codb_net.Peer_id.of_string "zero")) in
   List.iter
     (fun snap ->
       Alcotest.(check bool) "sub counters untouched when off" true
-        (Stats.sub_snap_is_zero snap.Stats.snap_sub))
+        (snap.Stats.snap_sub = zero))
     (System.snapshots sys)
 
 let test_register_seeds_and_unregister () =
@@ -122,7 +123,7 @@ let test_incremental_tracks_updates () =
   Alcotest.(check bool) "deltas were pushed, not re-seeded" true (!deltas >= 2);
   let sb = sub_stats sys "n0" in
   Alcotest.(check bool) "store deltas consumed" true (sb.Stats.sb_deltas_in > 0);
-  Alcotest.(check bool) "evaluator work accounted" true (sb.Stats.sb_probes + sb.Stats.sb_scans > 0)
+  Alcotest.(check bool) "evaluator work accounted" true (sb.Stats.sb_eval.probes + sb.Stats.sb_eval.scans > 0)
 
 let test_import_reseeds () =
   let sys = System.build_exn ~opts:(sub_opts ()) (chain 3) in

@@ -45,6 +45,24 @@ let test_superpeer_stats_collection () =
   Alcotest.(check int) "same tuples" direct_report.Report.ur_new_tuples
     collected_report.Report.ur_new_tuples
 
+(* Snapshots collected through the super-peer are copies: later writes
+   to a node's live accumulators and a second update leave them as
+   they were. *)
+let test_collected_stats_are_copies () =
+  let sys = System.build_exn (Topology.generate ~seed:2 Topology.Chain ~n:3) in
+  let uid = System.run_update sys ~initiator:"n0" in
+  let collected = System.collect_stats sys and direct = System.snapshots sys in
+  let print snaps = Fmt.str "%a" Report.pp_network snaps in
+  let collected_text = print collected and direct_text = print direct in
+  let stats = (System.node sys "n1").Node.stats in
+  let us = Option.get (Stats.find_update stats uid) in
+  us.Stats.us_new_tuples <- us.Stats.us_new_tuples + 100;
+  Hashtbl.iter (fun _ rt -> rt.Stats.rt_bytes <- rt.Stats.rt_bytes + 100) us.Stats.us_per_rule;
+  (Stats.sub stats).Stats.sb_deltas_in <- 100;
+  let _ = System.run_update sys ~initiator:"n0" in
+  Alcotest.(check string) "collected unchanged" collected_text (print collected);
+  Alcotest.(check string) "direct unchanged" direct_text (print direct)
+
 let test_superpeer_trigger_update () =
   let sys = System.build_exn (Topology.generate ~seed:3 Topology.Chain ~n:3) in
   let sp = System.superpeer sys in
@@ -293,6 +311,8 @@ let suite =
     Alcotest.test_case "pipes follow coordination rules" `Quick test_pipes_follow_rules;
     Alcotest.test_case "super-peer collects statistics" `Quick
       test_superpeer_stats_collection;
+    Alcotest.test_case "collected statistics are copies" `Quick
+      test_collected_stats_are_copies;
     Alcotest.test_case "super-peer triggers updates" `Quick test_superpeer_trigger_update;
     Alcotest.test_case "rules re-broadcast rewires the network" `Quick
       test_rules_rebroadcast_changes_topology;
