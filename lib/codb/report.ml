@@ -77,7 +77,8 @@ let update_report snapshots update_id =
           ur_new_tuples = sum (fun u -> u.us_new_tuples);
           ur_dup_suppressed = sum (fun u -> u.us_dup_suppressed);
           ur_nulls = sum (fun u -> u.us_nulls_created);
-          ur_longest_path = List.fold_left (fun acc u -> max acc u.Stats.us_max_hops) 0 relevant;
+          ur_longest_path =
+            List.fold_left (fun acc u -> max acc u.Stats.us_max_hops) 0 relevant;
           ur_probes = sum (fun u -> u.us_eval.probes);
           ur_scans = sum (fun u -> u.us_eval.scans);
           ur_zvisited = sum (fun u -> u.us_eval.zone_visited);
@@ -310,7 +311,9 @@ type chaos_report = {
 
 let chaos_report snapshots =
   let sum f = List.fold_left (fun acc s -> acc + f s.Stats.snap_chaos) 0 snapshots in
-  let count f = List.fold_left (fun acc s -> acc + f s) 0 snapshots in
+  let count records keep =
+    List.fold_left (fun acc s -> acc + List.length (List.filter keep (records s))) 0 snapshots
+  in
   {
     chr_retransmits = sum (fun c -> c.Stats.ch_retransmits);
     chr_dup_suppressed = sum (fun c -> c.ch_dup_suppressed);
@@ -323,10 +326,8 @@ let chaos_report snapshots =
     chr_replayed_bytes = sum (fun c -> c.ch_replayed_bytes);
     chr_refetched_bytes = sum (fun c -> c.ch_refetched_bytes);
     chr_incomplete_queries =
-      count (fun s ->
-          List.length (List.filter (fun q -> not q.Stats.qs_complete) s.Stats.snap_queries));
-    chr_forced_updates =
-      count (fun s -> List.length (List.filter (fun u -> u.Stats.us_forced) s.snap_updates));
+      count (fun s -> s.Stats.snap_queries) (fun q -> not q.Stats.qs_complete);
+    chr_forced_updates = count (fun s -> s.Stats.snap_updates) (fun u -> u.Stats.us_forced);
   }
 
 let pp_chaos_report ppf c =

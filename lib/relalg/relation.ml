@@ -28,6 +28,16 @@ let chunk_size = 1 lsl chunk_shift
 
 let chunk_mask = chunk_size - 1
 
+(* A relation's first chunk starts small and doubles up to
+   [chunk_size], so a peer holding a few dozen tuples does not allocate
+   full chunks; later chunks are allocated whole. *)
+let first_chunk outer = if outer = 0 then 64 else chunk_size
+
+let grow_chunk chunk fill =
+  let grown = Array.make (2 * Array.length chunk) fill in
+  Array.blit chunk 0 grown 0 (Array.length chunk);
+  grown
+
 module Ichunks = struct
   type t = { mutable chunks : int array array; mutable len : int }
 
@@ -36,17 +46,18 @@ module Ichunks = struct
   let get t i = t.chunks.(i lsr chunk_shift).(i land chunk_mask)
 
   let push t v =
-    let slot = t.len land chunk_mask in
+    let slot = t.len land chunk_mask and outer = t.len lsr chunk_shift in
     if slot = 0 then begin
-      let outer = t.len lsr chunk_shift in
       if outer = Array.length t.chunks then begin
         let grown = Array.make (max 4 (2 * outer)) [||] in
         Array.blit t.chunks 0 grown 0 outer;
         t.chunks <- grown
       end;
-      t.chunks.(outer) <- Array.make chunk_size 0
-    end;
-    t.chunks.(t.len lsr chunk_shift).(slot) <- v;
+      t.chunks.(outer) <- Array.make (first_chunk outer) 0
+    end
+    else if slot = Array.length t.chunks.(outer) then
+      t.chunks.(outer) <- grow_chunk t.chunks.(outer) 0;
+    t.chunks.(outer).(slot) <- v;
     t.len <- t.len + 1
 
   (* Share full (write-once) chunks, clone only the partial tail. *)
@@ -74,17 +85,18 @@ module Tchunks = struct
   let set t i v = t.chunks.(i lsr chunk_shift).(i land chunk_mask) <- v
 
   let push t v =
-    let slot = t.len land chunk_mask in
+    let slot = t.len land chunk_mask and outer = t.len lsr chunk_shift in
     if slot = 0 then begin
-      let outer = t.len lsr chunk_shift in
       if outer = Array.length t.chunks then begin
         let grown = Array.make (max 4 (2 * outer)) [||] in
         Array.blit t.chunks 0 grown 0 outer;
         t.chunks <- grown
       end;
-      t.chunks.(outer) <- Array.make chunk_size absent
-    end;
-    t.chunks.(t.len lsr chunk_shift).(slot) <- v;
+      t.chunks.(outer) <- Array.make (first_chunk outer) absent
+    end
+    else if slot = Array.length t.chunks.(outer) then
+      t.chunks.(outer) <- grow_chunk t.chunks.(outer) absent;
+    t.chunks.(outer).(slot) <- v;
     t.len <- t.len + 1
 
   let snapshot t =
