@@ -26,7 +26,7 @@ cache-bench:
 bench-json:
 	dune exec bench/main.exe -- bench-json
 
-# wire ablation -> BENCH_wire.json (codec x batching x bloom)
+# wire ablation -> BENCH_wire.json (plain vs batched)
 wire-bench:
 	dune exec bench/main.exe -- wire-json
 

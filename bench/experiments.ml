@@ -590,8 +590,7 @@ let e13 () =
    BENCH_planner.json. *)
 let e14 () = Planner_bench.run ~json:true ()
 
-(* E15 — wire ablation (batching on/off, Bloom-bounded sent filters),
-   on a skewed clique update.
+(* E15 — wire ablation (batching on/off), on a skewed clique update.
    Implemented in Wire_bench so that `wire-json` can run the same
    measurement headlessly and emit BENCH_wire.json. *)
 let e15 () = Wire_bench.run ~json:true ()

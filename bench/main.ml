@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
      dune exec bench/main.exe -- bench-json   # planner ablation -> BENCH_planner.json
      dune exec bench/main.exe -- bench-json --tiny  # CI smoke workload
-     dune exec bench/main.exe -- wire-json    # wire ablation -> BENCH_wire.json
+     dune exec bench/main.exe -- wire-json    # wire ablation -> BENCH_wire.json (--tiny: BENCH_wire_tiny.json)
      dune exec bench/main.exe -- chaos-json   # fault-injection sweep -> BENCH_chaos.json
      dune exec bench/main.exe -- chaos-json --durable  # same sweep with WAL durability on
      dune exec bench/main.exe -- recovery-json # crash-recovery bench -> BENCH_recovery.json

@@ -3,25 +3,19 @@
    One global update on a skewed clique workload — every node both
    fans in and fans out, so the same closure arrives over many links
    in a short interval, which is exactly the traffic shape batching
-   and duplicate suppression exist for — run once per corner of the
-   (batching x bloom) square, every message sized as its link frame
-   (compact codec, one incremental string dictionary per link):
+   and duplicate suppression exist for — run once plain and once with
+   batching, every message sized as its link frame (compact codec, one
+   incremental string dictionary per link).  Batching buffers deltas
+   per destination inside [batch_window] and ships them as one
+   [Update_batch] per flush: it changes how many messages carry the
+   same tuples.
 
-     batching   per-destination delta buffering inside
-                [batch_window], shipped as one [Update_batch] per
-                flush — changes how many messages carry the same
-                tuples;
-     bloom      the bounded sent-filter (Bloom front + exact LRU
-                ring) in place of the unbounded per-link sent cache —
-                changes duplicate-suppression memory, at the price of
-                possible re-sends.
-
-   Every corner must commit exactly the same final stores as the plain
-   configuration (checked tuple-for-tuple); the interesting output is
-   the message count and byte volume.  Results are printed as a table
-   and written to BENCH_wire.json for trend tracking; invariant
-   violations (diverging stores, batching that *increases* bytes)
-   abort the benchmark so CI fails loudly. *)
+   The batched corner must commit exactly the same final stores as the
+   plain one (checked tuple-for-tuple); the interesting output is the
+   message count and byte volume.  Results are printed as a table and
+   written to BENCH_wire.json (BENCH_wire_tiny.json with --tiny) for
+   trend tracking; invariant violations (diverging stores, batching
+   that *increases* bytes) abort the benchmark so CI fails loudly. *)
 
 module System = Codb_core.System
 module Topology = Codb_core.Topology
@@ -48,28 +42,17 @@ let config wl =
   in
   Topology.generate ~params ~seed:1500 Topology.Clique ~n:wl.wl_nodes
 
-type corner = { c_name : string; c_batched : bool; c_bloom : bool }
+type corner = { c_name : string; c_batched : bool }
 
 (* The plain configuration first: it is the equivalence baseline. *)
-let corners =
-  [
-    { c_name = "plain"; c_batched = false; c_bloom = false };
-    { c_name = "bloom"; c_batched = false; c_bloom = true };
-    { c_name = "batch"; c_batched = true; c_bloom = false };
-    { c_name = "batch+bloom"; c_batched = true; c_bloom = true };
-  ]
+let corners = [ { c_name = "plain"; c_batched = false }; { c_name = "batch"; c_batched = true } ]
 
 (* Ten network latencies: enough for several delta waves of the ring
    fix-point to land inside one window. *)
 let batch_window = 10.0 *. Options.default.Options.latency
 
 let opts_of c =
-  {
-    Options.default with
-    Options.batch_window = (if c.c_batched then batch_window else 0.0);
-    sent_bloom_bits = (if c.c_bloom then 4096 else 0);
-    sent_ring_capacity = 512;
-  }
+  { Options.default with Options.batch_window = (if c.c_batched then batch_window else 0.0) }
 
 type measurement = {
   m_corner : corner;
@@ -116,24 +99,15 @@ let check_invariants measurements =
      reach the plain fix-point, store for store *)
   List.iter (check_stores_equal baseline) (List.tl measurements);
   (* batching exists to save bytes; a batched corner that costs more
-     than its unbatched twin is a regression worth failing on *)
+     than the plain one is a regression worth failing on *)
   List.iter
     (fun m ->
-      if m.m_corner.c_batched then begin
-        let twin =
-          List.find
-            (fun b ->
-              b.m_corner.c_bloom = m.m_corner.c_bloom
-              && not b.m_corner.c_batched)
-            measurements
-        in
-        if m.m_total_bytes > twin.m_total_bytes then
-          failwith
-            (Printf.sprintf "batching increased wire bytes: %s %d B > %s %d B"
-               m.m_corner.c_name m.m_total_bytes twin.m_corner.c_name
-               twin.m_total_bytes)
-      end)
-    measurements
+      if m.m_total_bytes > baseline.m_total_bytes then
+        failwith
+          (Printf.sprintf "batching increased wire bytes: %s %d B > %s %d B"
+             m.m_corner.c_name m.m_total_bytes baseline.m_corner.c_name
+             baseline.m_total_bytes))
+    (List.tl measurements)
 
 let measure_all ~tiny () =
   let wl = workload ~tiny in
@@ -149,8 +123,8 @@ let print_table wl measurements =
          wl.wl_nodes wl.wl_tuples wl.wl_skew wl.wl_domain)
     ~header:
       [
-        "corner"; "data msgs"; "batches"; "avg tup/batch"; "coalesced"; "resends";
-        "bytes"; "bytes vs plain"; "msgs vs plain"; "sim (s)";
+        "corner"; "data msgs"; "batches"; "avg tup/batch"; "coalesced"; "bytes";
+        "bytes vs plain"; "msgs vs plain"; "sim (s)";
       ]
     (List.map
        (fun m ->
@@ -160,7 +134,6 @@ let print_table wl measurements =
            Tables.i0 m.m_report.Report.ur_batches;
            Tables.f2 (Report.avg_batch m.m_report);
            Tables.i0 m.m_report.Report.ur_coalesced;
-           Tables.i0 m.m_report.Report.ur_resends;
            Tables.i0 m.m_total_bytes;
            Printf.sprintf "%.2fx" (ratio baseline.m_total_bytes m.m_total_bytes);
            Printf.sprintf "%.2fx"
@@ -184,16 +157,16 @@ let write_json ~path wl measurements =
   let n = List.length measurements in
   List.iteri
     (fun i m ->
-      p "    {\"name\": \"%s\", \"batched\": %b, \"bloom\": %b, \
+      p "    {\"name\": \"%s\", \"batched\": %b, \
          \"data_msgs\": %d, \"delivered_msgs\": %d, \"batches\": %d, \
-         \"batch_tuples\": %d, \"coalesced\": %d, \"resends\": %d, \
+         \"batch_tuples\": %d, \"coalesced\": %d, \
          \"data_bytes\": %d, \"total_bytes\": %d, \"bytes_reduction\": %.2f, \
          \"data_msg_reduction\": %.2f, \"sim_duration_s\": %.4f, \
          \"new_tuples\": %d, \"wall_s\": %.4f}%s\n"
-        m.m_corner.c_name m.m_corner.c_batched m.m_corner.c_bloom
+        m.m_corner.c_name m.m_corner.c_batched
         m.m_report.Report.ur_data_msgs m.m_delivered m.m_report.Report.ur_batches
         m.m_report.Report.ur_batch_tuples m.m_report.Report.ur_coalesced
-        m.m_report.Report.ur_resends m.m_report.Report.ur_bytes m.m_total_bytes
+        m.m_report.Report.ur_bytes m.m_total_bytes
         (ratio baseline.m_total_bytes m.m_total_bytes)
         (ratio baseline.m_report.Report.ur_data_msgs m.m_report.Report.ur_data_msgs)
         m.m_report.Report.ur_duration m.m_report.Report.ur_new_tuples m.m_wall_s
@@ -204,13 +177,12 @@ let write_json ~path wl measurements =
   p "}\n";
   close_out oc
 
-let json_path = "BENCH_wire.json"
-
 let run ?(tiny = false) ?(json = true) () =
   let wl, measurements = measure_all ~tiny () in
   print_table wl measurements;
   check_invariants measurements;
   if json then begin
+    let json_path = if tiny then "BENCH_wire_tiny.json" else "BENCH_wire.json" in
     write_json ~path:json_path wl measurements;
     Printf.printf "wrote %s\n%!" json_path
   end

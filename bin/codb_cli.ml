@@ -87,6 +87,7 @@ let shape_of_string s ~rows ~cols ~p =
 
 let generate_cmd shape n seed tuples existential comparison rows cols p =
   let shape = or_die (shape_of_string shape ~rows ~cols ~p) in
+  or_die (Topology.check_size shape ~n);
   let params =
     {
       Topology.default_params with
@@ -175,11 +176,7 @@ let explain_cmd file at text max_probe_cols pushdown =
   let sys = or_die (load_system file) in
   let at = node_or_die sys at in
   let q = query_or_die sys ~at text in
-  let store = (System.node sys at).Codb_core.Node.store in
-  let opts = System.opts sys in
-  let source =
-    Codb_cq.Eval.of_database ~index_budget:opts.Options.index_budget store
-  in
+  let source = Codb_cq.Eval.of_database (System.node sys at).Codb_core.Node.store in
   Fmt.pr "%s@." (Codb_cq.Plan.explain q (Codb_cq.Eval.plan_for ?max_probe_cols source q));
   if pushdown then
     List.iter
@@ -191,13 +188,12 @@ let explain_cmd file at text max_probe_cols pushdown =
 
 (* --- cache --------------------------------------------------------- *)
 
-let cache_cmd file at text repeat update_between capacity max_bytes ttl no_containment =
+let cache_cmd file at text repeat update_between capacity max_bytes no_containment =
   let opts =
     {
       Options.with_cache with
       Options.cache_capacity = capacity;
       cache_max_bytes = max_bytes;
-      cache_ttl = ttl;
       cache_containment = not no_containment;
     }
   in
@@ -226,15 +222,9 @@ let cache_cmd file at text repeat update_between capacity max_bytes ttl no_conta
 
 (* --- wire ---------------------------------------------------------- *)
 
-let wire_cmd file initiator batch_window batch_max bloom_bits ring_capacity =
+let wire_cmd file initiator batch_window batch_max =
   let opts =
-    {
-      Options.default with
-      Options.batch_window;
-      batch_max_tuples = batch_max;
-      sent_bloom_bits = bloom_bits;
-      sent_ring_capacity = ring_capacity;
-    }
+    { Options.default with Options.batch_window; batch_max_tuples = batch_max }
   in
   (match Options.validate opts with
   | Ok () -> ()
@@ -282,7 +272,7 @@ let parse_all parse specs =
   |> Result.map List.rev
 
 let chaos_cmd file initiator seed drop dup jitter budget flaps crashes ack_timeout
-    max_retries backoff query at =
+    max_retries query at =
   let opts =
     {
       Options.default with
@@ -295,7 +285,6 @@ let chaos_cmd file initiator seed drop dup jitter budget flaps crashes ack_timeo
       crash_plan = or_die (parse_all parse_crash crashes);
       ack_timeout;
       max_retries;
-      backoff_factor = backoff;
     }
   in
   (match Options.validate opts with
@@ -495,6 +484,7 @@ let sub_cmd file text at from window naive pushdown inserts updates initiator =
 (* --- discover ------------------------------------------------------ *)
 
 let discover_cmd file at ttl =
+  or_die (Codb_core.Discovery.check_ttl ttl);
   let sys = or_die (load_system file) in
   let at = node_or_die sys at in
   let peers = System.discover sys ~at ~ttl in
@@ -741,11 +731,6 @@ let cache_t =
       & opt int Options.default.Options.cache_max_bytes
       & info [ "max-bytes" ] ~doc:"Max cached answer bytes per node (0 = unbounded).")
   in
-  let ttl =
-    Arg.(
-      value & opt float 0.0
-      & info [ "ttl" ] ~doc:"Entry lifetime in simulated seconds (0 = no TTL).")
-  in
   let no_containment =
     Arg.(
       value & flag
@@ -755,7 +740,7 @@ let cache_t =
   Cmd.v (Cmd.info "cache" ~doc)
     Term.(
       const cache_cmd $ file_arg $ at $ text $ repeat $ update_between $ capacity
-      $ max_bytes $ ttl $ no_containment)
+      $ max_bytes $ no_containment)
 
 let wire_t =
   let doc = "Run a global update and report its wire behaviour." in
@@ -780,25 +765,8 @@ let wire_t =
       & info [ "batch-max-tuples" ] ~docv:"N"
           ~doc:"Flush a destination buffer early once it holds N tuples.")
   in
-  let bloom_bits =
-    Arg.(
-      value & opt int 0
-      & info [ "bloom-bits" ] ~docv:"N"
-          ~doc:
-            "Bound each per-rule sent-cache with an N-bit Bloom filter (power of two) \
-             plus an exact ring; 0 keeps the unbounded exact caches.")
-  in
-  let ring_capacity =
-    Arg.(
-      value
-      & opt int Options.default.Options.sent_ring_capacity
-      & info [ "ring-capacity" ] ~docv:"N"
-          ~doc:"Tuples held exactly per bounded sent-cache (with $(b,--bloom-bits)).")
-  in
   Cmd.v (Cmd.info "wire" ~doc)
-    Term.(
-      const wire_cmd $ file_arg $ initiator $ batch_window $ batch_max $ bloom_bits
-      $ ring_capacity)
+    Term.(const wire_cmd $ file_arg $ initiator $ batch_window $ batch_max)
 
 let chaos_t =
   let doc =
@@ -860,7 +828,7 @@ let chaos_t =
       & info [ "ack-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Reliable-transport acknowledgement timeout: retransmit unacknowledged \
-             messages after this long, with exponential backoff. Pass 0 for \
+             messages after this long, doubling the wait on each retry. Pass 0 for \
              fire-and-forget (the seed behaviour: losses surface as partial \
              results instead of being repaired).")
   in
@@ -870,12 +838,6 @@ let chaos_t =
       & opt int Options.default.Options.max_retries
       & info [ "max-retries" ] ~docv:"N"
           ~doc:"Give up a message after N retransmissions.")
-  in
-  let backoff =
-    Arg.(
-      value
-      & opt float Options.default.Options.backoff_factor
-      & info [ "backoff" ] ~docv:"F" ~doc:"Exponential backoff base (>= 1).")
   in
   let query =
     Arg.(
@@ -895,7 +857,7 @@ let chaos_t =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const chaos_cmd $ file_arg $ initiator $ seed $ drop $ dup $ jitter $ budget
-      $ flaps $ crashes $ ack_timeout $ max_retries $ backoff $ query $ at)
+      $ flaps $ crashes $ ack_timeout $ max_retries $ query $ at)
 
 let recover_t =
   let doc =

@@ -150,8 +150,11 @@ let cmd_discover sys rest =
       | None -> Fmt.pr "usage: discover <node> <ttl>@."
       | Some ttl ->
           with_node sys at (fun _ ->
-              let peers = System.discover sys ~at ~ttl in
-              Fmt.pr "discovered: %a@." Fmt.(list ~sep:(any ", ") Peer_id.pp) peers))
+              match Codb_core.Discovery.check_ttl ttl with
+              | Error msg -> Fmt.pr "error: %s@." msg
+              | Ok () ->
+                  let peers = System.discover sys ~at ~ttl in
+                  Fmt.pr "discovered: %a@." Fmt.(list ~sep:(any ", ") Peer_id.pp) peers))
 
 let cmd_rules sys path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -2,7 +2,6 @@ type ('k, 'v) entry = {
   e_key : 'k;
   mutable e_value : 'v;
   mutable e_bytes : int;
-  mutable e_stored : float;
   mutable e_prev : ('k, 'v) entry option;  (* toward the MRU end *)
   mutable e_next : ('k, 'v) entry option;  (* toward the LRU end *)
 }
@@ -13,14 +12,12 @@ type counters = {
   insertions : int;
   replacements : int;
   evictions : int;
-  expirations : int;
 }
 
 type ('k, 'v) t = {
   table : ('k, ('k, 'v) entry) Hashtbl.t;
   max_entries : int;
   max_bytes : int;
-  t_ttl : float;
   mutable head : ('k, 'v) entry option;  (* most recently used *)
   mutable tail : ('k, 'v) entry option;  (* least recently used *)
   mutable cur_bytes : int;
@@ -29,15 +26,13 @@ type ('k, 'v) t = {
   mutable c_insertions : int;
   mutable c_replacements : int;
   mutable c_evictions : int;
-  mutable c_expirations : int;
 }
 
-let create ?(max_entries = 0) ?(max_bytes = 0) ?(ttl = 0.0) () =
+let create ?(max_entries = 0) ?(max_bytes = 0) () =
   {
     table = Hashtbl.create 64;
     max_entries;
     max_bytes;
-    t_ttl = ttl;
     head = None;
     tail = None;
     cur_bytes = 0;
@@ -46,7 +41,6 @@ let create ?(max_entries = 0) ?(max_bytes = 0) ?(ttl = 0.0) () =
     c_insertions = 0;
     c_replacements = 0;
     c_evictions = 0;
-    c_expirations = 0;
   }
 
 let unlink t e =
@@ -66,16 +60,9 @@ let drop t e =
   Hashtbl.remove t.table e.e_key;
   t.cur_bytes <- t.cur_bytes - e.e_bytes
 
-let expired t ~now e = t.t_ttl > 0.0 && now -. e.e_stored > t.t_ttl
-
-let find t ~now k =
+let find t k =
   match Hashtbl.find_opt t.table k with
   | None ->
-      t.c_misses <- t.c_misses + 1;
-      None
-  | Some e when expired t ~now e ->
-      drop t e;
-      t.c_expirations <- t.c_expirations + 1;
       t.c_misses <- t.c_misses + 1;
       None
   | Some e ->
@@ -102,21 +89,17 @@ let trim t =
     evict_tail t
   done
 
-let add t ~now k v ~bytes =
+let add t k v ~bytes =
   (match Hashtbl.find_opt t.table k with
   | Some e ->
       t.cur_bytes <- t.cur_bytes - e.e_bytes + bytes;
       e.e_value <- v;
       e.e_bytes <- bytes;
-      e.e_stored <- now;
       unlink t e;
       push_front t e;
       t.c_replacements <- t.c_replacements + 1
   | None ->
-      let e =
-        { e_key = k; e_value = v; e_bytes = bytes; e_stored = now; e_prev = None;
-          e_next = None }
-      in
+      let e = { e_key = k; e_value = v; e_bytes = bytes; e_prev = None; e_next = None } in
       Hashtbl.replace t.table k e;
       push_front t e;
       t.cur_bytes <- t.cur_bytes + bytes;
@@ -136,15 +119,13 @@ let touch t k =
 let fold f t acc =
   let rec loop acc = function
     | None -> acc
-    | Some e -> loop (f ~key:e.e_key ~value:e.e_value ~stored_at:e.e_stored acc) e.e_next
+    | Some e -> loop (f ~key:e.e_key ~value:e.e_value acc) e.e_next
   in
   loop acc t.head
 
 let length t = Hashtbl.length t.table
 
 let bytes t = t.cur_bytes
-
-let ttl t = t.t_ttl
 
 let counters t =
   {
@@ -153,7 +134,6 @@ let counters t =
     insertions = t.c_insertions;
     replacements = t.c_replacements;
     evictions = t.c_evictions;
-    expirations = t.c_expirations;
   }
 
 let clear t =

@@ -1,16 +1,12 @@
-(** A bounded LRU map with time-to-live and byte-size accounting.
+(** A bounded LRU map with byte-size accounting.
 
     The core container under {!Qcache}: recency is maintained in an
     intrusive doubly-linked list, so [find], [add] and [remove] are
     O(1) (amortised, via the backing hash table).  Capacity can be
     bounded both by entry count and by the sum of the per-entry byte
     sizes supplied at insertion; crossing either bound evicts from the
-    least-recently-used end.
-
-    Time is supplied by the caller on every operation ([~now]) so the
-    same code runs under the simulator's clock and under wall time.
-    An entry older than [ttl] is dropped lazily by the first [find]
-    that touches it. *)
+    least-recently-used end.  Entries never expire: {!Qcache}
+    invalidates by epoch stamp. *)
 
 type ('k, 'v) t
 
@@ -20,23 +16,19 @@ type counters = {
   insertions : int;
   replacements : int;
   evictions : int;  (** dropped by capacity pressure *)
-  expirations : int;  (** dropped by TTL *)
 }
 
-val create : ?max_entries:int -> ?max_bytes:int -> ?ttl:float -> unit -> ('k, 'v) t
+val create : ?max_entries:int -> ?max_bytes:int -> unit -> ('k, 'v) t
 (** [max_entries] / [max_bytes] bound the cache (0 or negative:
-    unbounded); [ttl] is the entry lifetime in seconds (0 or negative:
-    entries never expire).  Defaults: unbounded, no expiry. *)
+    unbounded).  Default: unbounded. *)
 
-val find : ('k, 'v) t -> now:float -> 'k -> 'v option
-(** Promotes the entry to most-recently-used; counts a hit or a miss.
-    An entry past its TTL is removed and counted as an expiration and
-    a miss. *)
+val find : ('k, 'v) t -> 'k -> 'v option
+(** Promotes the entry to most-recently-used; counts a hit or a miss. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
-(** No recency or counter effect; ignores TTL. *)
+(** No recency or counter effect. *)
 
-val add : ('k, 'v) t -> now:float -> 'k -> 'v -> bytes:int -> unit
+val add : ('k, 'v) t -> 'k -> 'v -> bytes:int -> unit
 (** Insert (or replace) at most-recently-used, then evict from the LRU
     end while either capacity bound is exceeded.  An entry larger than
     [max_bytes] on its own does not stick. *)
@@ -48,8 +40,7 @@ val touch : ('k, 'v) t -> 'k -> unit
     lookup is answered through an entry found by scanning, e.g. a
     containment hit). *)
 
-val fold :
-  (key:'k -> value:'v -> stored_at:float -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
+val fold : (key:'k -> value:'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 (** Most-recently-used first; no recency or counter effects.  The
     callback must not mutate the cache; collect keys and use
     {!remove} afterwards. *)
@@ -58,8 +49,6 @@ val length : ('k, 'v) t -> int
 
 val bytes : ('k, 'v) t -> int
 (** Sum of the byte sizes of the live entries. *)
-
-val ttl : ('k, 'v) t -> float
 
 val counters : ('k, 'v) t -> counters
 

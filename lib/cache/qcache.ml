@@ -39,7 +39,6 @@ type counters = {
   misses : int;
   stores : int;
   epoch_invalidations : int;
-  ttl_expirations : int;
   evictions : int;
   bytes_served : int;
   entries : int;
@@ -69,10 +68,10 @@ type t = {
   mutable c_rule_stores : int;
 }
 
-let create ?max_entries ?max_bytes ?ttl ~containment () =
+let create ?max_entries ?max_bytes ~containment () =
   {
-    lru = Lru.create ?max_entries ?max_bytes ?ttl ();
-    rlru = Lru.create ?max_entries ?max_bytes ?ttl ();
+    lru = Lru.create ?max_entries ?max_bytes ();
+    rlru = Lru.create ?max_entries ?max_bytes ();
     epochs = Epoch.create ();
     containment;
     c_hits_exact = 0;
@@ -270,13 +269,11 @@ let miss t =
 
 type scan_verdict = Stale of string | Candidate of string * entry
 
-let containment_scan t ~now ~skip q =
-  let ttl = Lru.ttl t.lru in
+let containment_scan t ~skip q =
   let scanned =
     Lru.fold
-      (fun ~key ~value ~stored_at acc ->
+      (fun ~key ~value acc ->
         if String.equal key skip then acc
-        else if ttl > 0.0 && now -. stored_at > ttl then Stale key :: acc
         else if not (Epoch.is_current t.epochs value.e_stamp) then Stale key :: acc
         else Candidate (key, value) :: acc)
       t.lru []
@@ -299,10 +296,10 @@ let containment_scan t ~now ~skip q =
   in
   List.find_map try_candidate scanned
 
-let lookup t ~now q =
+let lookup t q =
   let key = normalize q in
   let exact =
-    match Lru.find t.lru ~now key with
+    match Lru.find t.lru key with
     | Some e when Epoch.is_current t.epochs e.e_stamp -> Some e
     | Some e ->
         ignore e;
@@ -316,17 +313,17 @@ let lookup t ~now q =
   | None ->
       if not t.containment then miss t
       else begin
-        match containment_scan t ~now ~skip:key q with
+        match containment_scan t ~skip:key q with
         | Some (winner_key, answers) ->
             Lru.touch t.lru winner_key;
             serve t By_containment answers
         | None -> miss t
       end
 
-let store t ~now q answers ~sources =
+let store t q answers ~sources =
   let key = normalize q in
   let entry = { e_query = q; e_answers = answers; e_stamp = Epoch.stamp t.epochs sources } in
-  Lru.add t.lru ~now key entry ~bytes:(entry_bytes key entry);
+  Lru.add t.lru key entry ~bytes:(entry_bytes key entry);
   t.c_stores <- t.c_stores + 1
 
 (* --- the responder-side (rule, constraints) table ------------------- *)
@@ -338,10 +335,10 @@ let rule_entry_bytes key entry = 64 + String.length key + answer_bytes entry.re_
 let label_serves ~cached ~requested =
   List.for_all (fun p -> List.exists (Peer_id.equal p) requested) cached
 
-let lookup_rule t ~now ~rule_id ~label constraints =
+let lookup_rule t ~rule_id ~label constraints =
   let key = rule_key rule_id constraints in
   let exact =
-    match Lru.find t.rlru ~now key with
+    match Lru.find t.rlru key with
     | Some e when Epoch.is_current t.epochs e.re_stamp ->
         if label_serves ~cached:e.re_label ~requested:label then Some e else None
     | Some _ ->
@@ -363,14 +360,12 @@ let lookup_rule t ~now ~rule_id ~label constraints =
       let containment_hit =
         if not t.containment then None
         else begin
-          let ttl = Lru.ttl t.rlru in
           (* fold accumulates LRU-first; reverse to prefer recent entries *)
           let candidates =
             List.rev
               (Lru.fold
-                 (fun ~key:k ~value ~stored_at acc ->
+                 (fun ~key:k ~value acc ->
                    if String.equal k key then acc
-                   else if ttl > 0.0 && now -. stored_at > ttl then acc
                    else if not (Epoch.is_current t.epochs value.re_stamp) then acc
                    else if
                      String.equal value.re_rule rule_id
@@ -393,7 +388,7 @@ let lookup_rule t ~now ~rule_id ~label constraints =
           t.c_rule_misses <- t.c_rule_misses + 1;
           None)
 
-let store_rule t ~now ~rule_id ~label constraints answers ~sources =
+let store_rule t ~rule_id ~label constraints answers ~sources =
   let key = rule_key rule_id constraints in
   let entry =
     {
@@ -404,16 +399,16 @@ let store_rule t ~now ~rule_id ~label constraints answers ~sources =
       re_stamp = Epoch.stamp t.epochs sources;
     }
   in
-  Lru.add t.rlru ~now key entry ~bytes:(rule_entry_bytes key entry);
+  Lru.add t.rlru key entry ~bytes:(rule_entry_bytes key entry);
   t.c_rule_stores <- t.c_rule_stores + 1
 
 let count_stale t =
   Lru.fold
-    (fun ~key:_ ~value ~stored_at:_ acc ->
+    (fun ~key:_ ~value acc ->
       if Epoch.is_current t.epochs value.e_stamp then acc else acc + 1)
     t.lru 0
   + Lru.fold
-      (fun ~key:_ ~value ~stored_at:_ acc ->
+      (fun ~key:_ ~value acc ->
         if Epoch.is_current t.epochs value.re_stamp then acc else acc + 1)
       t.rlru 0
 
@@ -431,7 +426,6 @@ let counters t =
     misses = t.c_misses;
     stores = t.c_stores;
     epoch_invalidations = t.c_epoch_invalidations;
-    ttl_expirations = lc.Lru.expirations + rc.Lru.expirations;
     evictions = lc.Lru.evictions + rc.Lru.evictions;
     bytes_served = t.c_bytes_served;
     entries = Lru.length t.lru;

@@ -20,8 +20,8 @@
     Invalidation is lazy: entries whose stamp mentions a peer that has
     since moved to a later epoch are dropped by the first lookup that
     meets them; {!note_update} feeds the epoch view from the update
-    protocol.  TTL and capacity limits come from the underlying
-    {!Lru}.
+    protocol; epoch stamps are the only invalidation.  Capacity
+    limits come from the underlying {!Lru}.
 
     A second table serves the responder side of constraint pushdown:
     entries keyed by [(rule, pushed constraints)] hold the full answer
@@ -48,7 +48,6 @@ type counters = {
   misses : int;
   stores : int;
   epoch_invalidations : int;  (** entries dropped for a stale epoch stamp *)
-  ttl_expirations : int;
   evictions : int;
   bytes_served : int;  (** answer bytes served from the cache *)
   entries : int;  (** live entries right now *)
@@ -62,19 +61,19 @@ type counters = {
   rule_entries : int;  (** live rule-table entries right now *)
 }
 
-val create : ?max_entries:int -> ?max_bytes:int -> ?ttl:float -> containment:bool -> unit -> t
-(** Capacity and TTL semantics as in {!Lru.create}; [containment]
+val create : ?max_entries:int -> ?max_bytes:int -> containment:bool -> unit -> t
+(** Capacity semantics as in {!Lru.create}; [containment]
     enables hit-by-containment (disable for the E9 ablation). *)
 
 val normalize : Query.t -> string
 (** The canonical cache key: the query printed after renaming its
     variables in first-occurrence order. *)
 
-val lookup : t -> now:float -> Query.t -> hit option
+val lookup : t -> Query.t -> hit option
 (** Consult the cache; maintains all counters and drops invalid
     entries met along the way. *)
 
-val store : t -> now:float -> Query.t -> Tuple.t list -> sources:Peer_id.t list -> unit
+val store : t -> Query.t -> Tuple.t list -> sources:Peer_id.t list -> unit
 (** Cache a completed query's answers, stamped with the current epochs
     of [sources] (the node itself plus the peers that contributed). *)
 
@@ -87,7 +86,6 @@ val note_update : t -> Peer_id.t list -> int
 
 val lookup_rule :
   t ->
-  now:float ->
   rule_id:string ->
   label:Peer_id.t list ->
   Specialize.t ->
@@ -103,7 +101,6 @@ val lookup_rule :
 
 val store_rule :
   t ->
-  now:float ->
   rule_id:string ->
   label:Peer_id.t list ->
   Specialize.t ->

@@ -9,8 +9,14 @@ let absorb (rt : Runtime.t) peers =
   in
   rt.node.Node.known_peers <- List.fold_left keep rt.node.Node.known_peers peers
 
+let check_ttl ttl =
+  if ttl < 0 then Error (Printf.sprintf "discovery ttl must be >= 0 (got %d)" ttl)
+  else Ok ()
+
 let start rt ~ttl =
-  if ttl < 0 then invalid_arg "Discovery.start: negative ttl";
+  (match check_ttl ttl with
+  | Ok () -> ()
+  | Error reason -> invalid_arg ("Discovery.start: " ^ reason));
   let probe_id = Node.fresh_ref rt.Runtime.node in
   Hashtbl.replace rt.Runtime.node.Node.seen_probes probe_id ();
   let neighbours = rt.Runtime.neighbours () in

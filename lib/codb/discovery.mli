@@ -10,10 +10,13 @@
 
 module Peer_id = Codb_net.Peer_id
 
+val check_ttl : int -> (unit, string) result
+(** [Error reason] for a negative probe time-to-live. *)
+
 val start : Runtime.t -> ttl:int -> string
 (** Launch a probe; returns its identifier.  The origin's immediate
-    neighbours are recorded right away.  @raise Invalid_argument on a
-    negative [ttl]. *)
+    neighbours are recorded right away.  @raise Invalid_argument when
+    {!check_ttl} fails. *)
 
 val handle : Runtime.t -> src:Peer_id.t -> Payload.t -> unit
 (** Process [Discovery_*] messages; others are ignored. *)

@@ -444,8 +444,7 @@ let restore_sub (node : Node.t) (opts : Options.t) ~sub_id ~owner ~text =
       | Error _ -> ()
       | Ok query -> (
           match
-            Sub.create ~pushdown:opts.Options.pushdown
-              ~max_preds:opts.Options.pushdown_max_preds ~sub_id query
+            Sub.create ~pushdown:opts.Options.pushdown ~sub_id query
           with
           | Error _ -> ()
           | Ok sub ->

@@ -86,7 +86,7 @@ let configure_cache node (opts : Options.t) =
     (if opts.Options.use_query_cache then
        Some
          (Codb_cache.Qcache.create ~max_entries:opts.Options.cache_capacity
-            ~max_bytes:opts.Options.cache_max_bytes ~ttl:opts.Options.cache_ttl
+            ~max_bytes:opts.Options.cache_max_bytes
             ~containment:opts.Options.cache_containment ())
      else None)
 

@@ -13,15 +13,10 @@ type t = {
   use_query_cache : bool;
   cache_capacity : int;
   cache_max_bytes : int;
-  cache_ttl : float;
   cache_containment : bool;
-  index_budget : int;
   pushdown : bool;
-  pushdown_max_preds : int;
   batch_window : float;
   batch_max_tuples : int;
-  sent_bloom_bits : int;
-  sent_ring_capacity : int;
   fault_seed : int;
   drop_prob : float;
   dup_prob : float;
@@ -31,7 +26,6 @@ type t = {
   crash_plan : (string * float * float option) list;
   ack_timeout : float;
   max_retries : int;
-  backoff_factor : float;
   subscriptions : bool;
   max_subscriptions : int;
   sub_batch_window : float;
@@ -53,15 +47,10 @@ let default =
     use_query_cache = false;
     cache_capacity = 128;
     cache_max_bytes = 4 * 1024 * 1024;
-    cache_ttl = 0.0;
     cache_containment = true;
-    index_budget = 16;
     pushdown = false;
-    pushdown_max_preds = 16;
     batch_window = 0.0;
     batch_max_tuples = 256;
-    sent_bloom_bits = 0;
-    sent_ring_capacity = 512;
     fault_seed = 0;
     drop_prob = 0.0;
     dup_prob = 0.0;
@@ -71,7 +60,6 @@ let default =
     crash_plan = [];
     ack_timeout = 0.0;
     max_retries = 4;
-    backoff_factor = 2.0;
     subscriptions = false;
     max_subscriptions = 64;
     sub_batch_window = 0.0;
@@ -101,34 +89,12 @@ let validate t =
   if t.cache_max_bytes < 0 then
     reject
       (Printf.sprintf "options: cache_max_bytes must be >= 0 (got %d)" t.cache_max_bytes);
-  if t.cache_ttl < 0.0 then
-    reject (Printf.sprintf "options: cache_ttl must be >= 0 (got %g)" t.cache_ttl);
-  if t.index_budget < 0 then
-    reject
-      (Printf.sprintf "options: index_budget must be >= 0 (got %d)" t.index_budget);
-  if t.pushdown_max_preds < 1 then
-    reject
-      (Printf.sprintf "options: pushdown_max_preds must be >= 1 (got %d)"
-         t.pushdown_max_preds);
   if t.batch_window < 0.0 then
     reject (Printf.sprintf "options: batch_window must be >= 0 (got %g)" t.batch_window);
   if t.batch_max_tuples < 1 then
     reject
       (Printf.sprintf "options: batch_max_tuples must be >= 1 (got %d)"
          t.batch_max_tuples);
-  let max_bloom_bits = 1 lsl 24 in
-  let is_power_of_two n = n > 0 && n land (n - 1) = 0 in
-  if t.sent_bloom_bits <> 0
-     && not (is_power_of_two t.sent_bloom_bits && t.sent_bloom_bits <= max_bloom_bits)
-  then
-    reject
-      (Printf.sprintf
-         "options: sent_bloom_bits must be 0 or a power of two <= %d (got %d)"
-         max_bloom_bits t.sent_bloom_bits);
-  if t.sent_ring_capacity < 1 then
-    reject
-      (Printf.sprintf "options: sent_ring_capacity must be >= 1 (got %d)"
-         t.sent_ring_capacity);
   let prob name v =
     if v < 0.0 || v > 1.0 then
       reject (Printf.sprintf "options: %s must be in [0,1] (got %g)" name v)
@@ -165,9 +131,6 @@ let validate t =
     reject (Printf.sprintf "options: ack_timeout must be >= 0 (got %g)" t.ack_timeout);
   if t.max_retries < 0 then
     reject (Printf.sprintf "options: max_retries must be >= 0 (got %d)" t.max_retries);
-  if t.backoff_factor < 1.0 then
-    reject
-      (Printf.sprintf "options: backoff_factor must be >= 1 (got %g)" t.backoff_factor);
   if t.max_subscriptions < 1 then
     reject
       (Printf.sprintf "options: max_subscriptions must be >= 1 (got %d)"
@@ -196,11 +159,10 @@ let faults_enabled t =
 
 let reliable t = t.ack_timeout > 0.0
 
-(* Retransmission timeout of the [attempts]-th try.  The exponent is
-   capped so pathological (backoff, retries) pairs cannot push timers
-   into astronomically distant simulated times. *)
-let rto t attempts =
-  t.ack_timeout *. Float.min 64.0 (t.backoff_factor ** float_of_int attempts)
+(* Retransmission timeout of the [attempts]-th try: binary exponential
+   backoff, capped so a large [max_retries] cannot push timers into
+   astronomically distant simulated times. *)
+let rto t attempts = t.ack_timeout *. Float.min 64.0 (2.0 ** float_of_int attempts)
 
 let retry_span t =
   let rec sum acc i = if i > t.max_retries then acc else sum (acc +. rto t i) (i + 1) in

@@ -44,16 +44,9 @@ type t = {
           query-time behaviour is the baseline *)
   cache_capacity : int;  (** max cached queries per node; 0 = unbounded *)
   cache_max_bytes : int;  (** max cached answer bytes per node; 0 = unbounded *)
-  cache_ttl : float;
-      (** entry lifetime in simulated seconds; 0 = entries only die by
-          epoch invalidation or capacity pressure *)
   cache_containment : bool;
       (** answer lookups from a cached superset query (the E9
           ablation switch) *)
-  index_budget : int;
-      (** max distinct hash indexes per relation (composite and
-          single-column combined); 0 disables index building and every
-          probe degrades to a filtered scan *)
   pushdown : bool;
       (** push the requester's constant bindings, repeated-variable
           equalities and comparisons into query-time sub-requests
@@ -62,10 +55,6 @@ type t = {
           their own fan-out.  Off by default: the paper's diffusion
           ships every derivable head tuple, and that remains the
           bit-for-bit baseline (the E17 ablation switch) *)
-  pushdown_max_preds : int;
-      (** cap on the predicates one sub-request may carry; a larger
-          constraint degrades to unconstrained so pushdown can never
-          inflate request traffic unboundedly *)
   batch_window : float;
       (** simulated seconds that outgoing update data may linger in a
           per-destination buffer waiting to be coalesced into one
@@ -74,13 +63,6 @@ type t = {
   batch_max_tuples : int;
       (** flush a destination's buffer early once it holds this many
           tuples, bounding both memory and single-message size *)
-  sent_bloom_bits : int;
-      (** bits in the per-rule Bloom filter that fronts the sent-cache;
-          must be a power of two when non-zero; 0 keeps the exact
-          unbounded [Tuple_set] sent-cache of the seed *)
-  sent_ring_capacity : int;
-      (** entries in the bounded exact ring behind the Bloom filter;
-          evicted tuples may be re-sent (never dropped) *)
   fault_seed : int;
       (** seed of the fault plan's random stream
           ({!Codb_net.Fault.plan}); same seed, same options, same
@@ -109,7 +91,6 @@ type t = {
   max_retries : int;
       (** retransmissions before the transport abandons a message and
           reports failure to the protocol layer *)
-  backoff_factor : float;  (** exponential backoff base, >= 1 *)
   subscriptions : bool;
       (** standing queries ({!Codb_sub}): nodes accept continuous-query
           registrations, maintain their answer sets incrementally from
@@ -152,15 +133,11 @@ val with_cache : t
 
 val validate : t -> (unit, string list) result
 (** Reject non-sensical settings: negative [latency] or [byte_cost],
-    non-positive [max_update_events], negative cache capacities, TTL
-    or [index_budget]; [pushdown_max_preds] < 1; negative
-    [batch_window], [batch_max_tuples] < 1,
-    [sent_bloom_bits] that is neither 0 nor a power of two within
-    budget, [sent_ring_capacity] < 1; probabilities outside [0,1],
-    negative [jitter], [drop_budget] or [ack_timeout], flaps that
-    reopen before they close, crashes that restart before they crash,
-    negative [max_retries], [backoff_factor] < 1;
-    [max_subscriptions] < 1, negative [sub_batch_window], [sub_naive]
+    non-positive [max_update_events], negative cache capacities;
+    negative [batch_window], [batch_max_tuples] < 1; probabilities
+    outside [0,1], negative [jitter], [drop_budget] or [ack_timeout],
+    flaps that reopen before they close, crashes that restart before
+    they crash, negative [max_retries]; [max_subscriptions] < 1, negative [sub_batch_window], [sub_naive]
     without [subscriptions]; [snapshot_every] < 1, an empty [wal_dir],
     [wal_dir] without [Dur_wal], [fsync] without [wal_dir].
     Called by {!System.build} before any node is created. *)
@@ -173,7 +150,7 @@ val reliable : t -> bool
 
 val rto : t -> int -> float
 (** Retransmission timeout before the [n]-th retry:
-    [ack_timeout * backoff_factor^n], exponent growth capped at 64x. *)
+    [ack_timeout * 2^n], growth capped at 64x. *)
 
 val retry_span : t -> float
 (** Total time the transport keeps trying one message:

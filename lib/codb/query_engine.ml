@@ -33,7 +33,7 @@ let is_current (rt : Runtime.t) (st : Q.t) =
 let complete_root rt (st : Q.t) query set_result =
   let answers =
     with_counters rt st.Q.qst_query (fun () ->
-        Wrapper.user_answers ~opts:rt.Runtime.opts st.Q.qst_overlay query)
+        Wrapper.user_answers st.Q.qst_overlay query)
   in
   set_result answers;
   st.Q.qst_closed <- true;
@@ -41,7 +41,7 @@ let complete_root rt (st : Q.t) query set_result =
      it would keep serving the hole long after the network healed *)
   (match rt.Runtime.node.Node.cache with
   | Some cache when st.Q.qst_complete ->
-      Codb_cache.Qcache.store cache ~now:(rt.Runtime.now ()) query answers
+      Codb_cache.Qcache.store cache query answers
         ~sources:(me rt :: st.Q.qst_contacted)
   | Some _ | None -> ());
   let qs = qstat rt st.Q.qst_query in
@@ -64,7 +64,7 @@ let finish_responder rt (st : Q.t) ~requester ~in_rule =
   (match (st.Q.qst_kind, rt.Runtime.node.Node.cache) with
   | Q.Responder { constraints; label; from_cache; _ }, Some cache
     when rt.Runtime.opts.Options.pushdown && st.Q.qst_complete && not from_cache ->
-      Codb_cache.Qcache.store_rule cache ~now:(rt.Runtime.now ()) ~rule_id:in_rule
+      Codb_cache.Qcache.store_rule cache ~rule_id:in_rule
         ~label constraints
         (Q.Tuple_set.elements st.Q.qst_sent)
         ~sources:(me rt :: st.Q.qst_contacted)
@@ -129,8 +129,7 @@ let fan_out rt (st : Q.t) ~query ~rels ~label =
     match query with
     | None -> Specialize.any
     | Some q ->
-        Specialize.of_query
-          ~max_preds:rt.Runtime.opts.Options.pushdown_max_preds q ~rel:(head_rel o)
+        Specialize.of_query q ~rel:(head_rel o)
   in
   let consider (o : Config.rule_decl) =
     let target = Peer_id.of_string o.Config.source in
@@ -200,7 +199,7 @@ let start ?on_answer rt qid query =
   let cache_hit =
     match rt.Runtime.node.Node.cache with
     | None -> None
-    | Some cache -> Codb_cache.Qcache.lookup cache ~now:(rt.Runtime.now ()) query
+    | Some cache -> Codb_cache.Qcache.lookup cache query
   in
   match cache_hit with
   | Some { Codb_cache.Qcache.answers; kind } ->
@@ -238,7 +237,7 @@ let start ?on_answer rt qid query =
       | Q.Root root ->
           let local =
             with_counters rt qid (fun () ->
-                Wrapper.user_answers ~opts:rt.Runtime.opts overlay query)
+                Wrapper.user_answers overlay query)
           in
           root.streamed <- notify_fresh ~on_answer ~streamed:root.streamed local
       | Q.Responder _ -> ());
@@ -295,7 +294,7 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
         let cache_hit =
           match rt.Runtime.node.Node.cache with
           | Some cache when rt.Runtime.opts.Options.pushdown ->
-              Codb_cache.Qcache.lookup_rule cache ~now:(rt.Runtime.now ()) ~rule_id
+              Codb_cache.Qcache.lookup_rule cache ~rule_id
                 ~label:new_label constraints
           | Some _ | None -> None
         in
@@ -322,7 +321,7 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
             | Some eff ->
                 let tuples =
                   with_counters rt qid (fun () ->
-                      Wrapper.eval_query_full ~opts:rt.Runtime.opts overlay eff)
+                      Wrapper.eval_query_full overlay eff)
                 in
                 let kept = filter_outgoing rt qid constraints tuples in
                 let fresh = Q.unsent st kept in
@@ -369,9 +368,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                       with_counters rt qid (fun () ->
                           Eval.delta_answers
                             ~naive:rt.Runtime.opts.Options.naive_delta
-                            (Eval.of_database
-                               ~index_budget:rt.Runtime.opts.Options.index_budget
-                               st.Q.qst_overlay)
+                            (Eval.of_database st.Q.qst_overlay)
                             ~delta_rel:rel ~delta:integration.Wrapper.fresh
                             root.query)
                     in
@@ -389,7 +386,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                           | Some eff ->
                               let derived =
                                 with_counters rt qid (fun () ->
-                                    Wrapper.eval_query_delta ~opts:rt.Runtime.opts
+                                    Wrapper.eval_query_delta
                                       ~naive:rt.Runtime.opts.Options.naive_delta
                                       st.Q.qst_overlay eff ~delta_rel:rel
                                       ~delta:integration.Wrapper.fresh)

@@ -19,7 +19,6 @@ type update_report = {
   ur_batches : int;
   ur_batch_tuples : int;
   ur_coalesced : int;
-  ur_resends : int;
   ur_cache_staled : int;
   ur_per_rule : (string * Stats.rule_traffic) list;
 }
@@ -86,7 +85,6 @@ let update_report snapshots update_id =
           ur_batches = sum (fun u -> u.us_batches);
           ur_batch_tuples = sum (fun u -> u.us_batch_tuples);
           ur_coalesced = sum (fun u -> u.us_coalesced);
-          ur_resends = sum (fun u -> u.us_resends);
           ur_cache_staled = sum (fun u -> u.us_cache_staled);
           ur_per_rule = merge_per_rule relevant;
         }
@@ -136,10 +134,9 @@ let pp_wire_report ppf r =
      tuples/batch)@,\
      data volume: %d B@,\
      coalesced in-window: %d tuples@,\
-     filter-induced resends: <= %d tuples@,\
      query-cache entries staled: %d@]"
     Ids.pp_update r.ur_update r.ur_data_msgs r.ur_batches r.ur_batch_tuples
-    (avg_batch r) r.ur_bytes r.ur_coalesced r.ur_resends r.ur_cache_staled
+    (avg_batch r) r.ur_bytes r.ur_coalesced r.ur_cache_staled
 
 type cache_report_row = {
   cr_node : Codb_net.Peer_id.t;

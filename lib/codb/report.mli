@@ -24,7 +24,6 @@ type update_report = {
   ur_batches : int;  (** [Update_batch] messages network-wide *)
   ur_batch_tuples : int;  (** tuples shipped inside batches *)
   ur_coalesced : int;  (** tuples that never hit the wire *)
-  ur_resends : int;  (** bound on sent-filter-induced re-sends *)
   ur_cache_staled : int;  (** query-cache entries staled at finalize *)
   ur_per_rule : (string * Stats.rule_traffic) list;
       (** summed per rule id, in rule-id order *)
@@ -45,8 +44,8 @@ val avg_batch : update_report -> float
 
 val pp_wire_report : update_report Fmt.t
 (** The propagation-layer view of one update: message/batch shape
-    (with the average batch size), in-window coalescing,
-    bounded-filter resends and the cache churn the flood caused — what
+    (with the average batch size), in-window coalescing and the cache
+    churn the flood caused — what
     the E15 ablation and the [wire] CLI surface report. *)
 
 (** {1 Cache effectiveness} *)

@@ -1,83 +1,13 @@
-module Bloom = Codb_net.Bloom
-module Tuple = Codb_relalg.Tuple
 module Tuple_set = Codb_relalg.Relation.Tuple_set
 
-(* keyed by [Tuple.hash], not the polymorphic hash: probing the ring
-   cache must not walk every boxed string of every tuple *)
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
+type t = { mutable set : Tuple_set.t }
 
-  let equal = Tuple.equal
+let create () = { set = Tuple_set.empty }
 
-  let hash = Tuple.hash
-end)
+let already_sent t tuple = Tuple_set.mem tuple t.set
 
-type bounded = {
-  bloom : Bloom.t;
-  ring : Tuple.t option array;  (* FIFO of the most recent distinct sends *)
-  live : unit Tuple_tbl.t;  (* exact membership for ring occupants *)
-  mutable head : int;
-  mutable resends : int;
-}
+let note_sent t tuple = t.set <- Tuple_set.add tuple t.set
 
-type t = Exact of { mutable set : Tuple_set.t } | Bounded of bounded
+let elements t = Tuple_set.elements t.set
 
-let create ~bloom_bits ~ring_capacity =
-  if bloom_bits = 0 then Exact { set = Tuple_set.empty }
-  else begin
-    if ring_capacity < 1 then invalid_arg "Sent_filter.create: ring_capacity < 1";
-    Bounded
-      {
-        bloom = Bloom.create ~bits:bloom_bits;
-        ring = Array.make ring_capacity None;
-        live = Tuple_tbl.create (min ring_capacity 1024);
-        head = 0;
-        resends = 0;
-      }
-  end
-
-let already_sent t tuple =
-  match t with
-  | Exact { set } -> Tuple_set.mem tuple set
-  | Bounded b ->
-      (* The bloom check is the cheap fast path; only a positive consults
-         the exact ring, and only a ring hit may suppress the send.  One
-         [Tuple.hash] serves both probes. *)
-      let h = Tuple.hash tuple in
-      Bloom.mem_hash b.bloom h
-      &&
-      if Tuple_tbl.mem b.live tuple then true
-      else begin
-        b.resends <- b.resends + 1;
-        false
-      end
-
-let note_sent t tuple =
-  match t with
-  | Exact e -> e.set <- Tuple_set.add tuple e.set
-  | Bounded b ->
-      if not (Tuple_tbl.mem b.live tuple) then begin
-        (match b.ring.(b.head) with
-        | Some evicted -> Tuple_tbl.remove b.live evicted
-        | None -> ());
-        b.ring.(b.head) <- Some tuple;
-        Tuple_tbl.replace b.live tuple ();
-        b.head <- (b.head + 1) mod Array.length b.ring;
-        Bloom.add_hash b.bloom (Tuple.hash tuple)
-      end
-
-(* Snapshot view for the durability layer: what we can still prove was
-   sent.  A Bounded filter only remembers its ring occupants — evicted
-   tuples come back as "not sent" after recovery, costing a re-send the
-   receiver dedups, never a drop. *)
-let elements = function
-  | Exact { set } -> Tuple_set.elements set
-  | Bounded b ->
-      List.sort Tuple.compare
-        (Tuple_tbl.fold (fun tuple () acc -> tuple :: acc) b.live [])
-
-let tracked = function
-  | Exact { set } -> Tuple_set.cardinal set
-  | Bounded b -> Tuple_tbl.length b.live
-
-let possible_resends = function Exact _ -> 0 | Bounded b -> b.resends
+let tracked t = Tuple_set.cardinal t.set

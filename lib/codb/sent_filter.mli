@@ -1,36 +1,20 @@
-(** Bounded duplicate-suppression state for one incoming link.
-
-    The seed kept an exact, unbounded {!Update_state.Tuple_set} per rule;
-    this replaces it with a Bloom filter fronting a bounded exact FIFO ring.
-    Correctness direction: {!already_sent} may only return [true] for a
-    tuple that really was sent (the Bloom filter gates the exact ring
-    check, never the send itself), so false positives and ring evictions
-    can cause re-sends but never drops — the fix-point result is
-    unchanged. With [bloom_bits = 0] the filter degrades to the seed's
-    exact unbounded set. *)
+(** Duplicate-suppression state for one incoming link: the paper's
+    per-link cache of already-sent tuples ("we delete from Ri those
+    tuples which have been already sent").  An exact set, so
+    {!already_sent} answers [true] only for a tuple that really was
+    sent and nothing is ever re-sent. *)
 
 type t
 
-val create : bloom_bits:int -> ring_capacity:int -> t
-(** [bloom_bits = 0] selects exact unbounded mode and ignores
-    [ring_capacity]; otherwise [bloom_bits] must be a positive power of
-    two and [ring_capacity >= 1]. *)
+val create : unit -> t
 
 val already_sent : t -> Codb_relalg.Tuple.t -> bool
-(** Definite membership: [true] only if the tuple is still tracked.
-    A tuple evicted from the ring answers [false] (re-send, safe). *)
 
 val note_sent : t -> Codb_relalg.Tuple.t -> unit
 
 val elements : t -> Codb_relalg.Tuple.t list
-(** The tuples still provably tracked, sorted — what a durability
-    snapshot records.  For a [Bounded] filter this is only the live
-    ring, so recovery may re-send evicted tuples (receivers dedup). *)
+(** The tuples sent so far, sorted — what a durability snapshot
+    records. *)
 
 val tracked : t -> int
-(** Exact entries currently held (set cardinality or live ring slots). *)
-
-val possible_resends : t -> int
-(** Times the Bloom filter answered "maybe" but the exact ring had
-    already evicted the tuple — an upper bound on filter-induced
-    re-sends, surfaced in the wire statistics. *)
+(** Entries currently held. *)

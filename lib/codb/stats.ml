@@ -21,7 +21,6 @@ type update_stat = {
   mutable us_batches : int;
   mutable us_batch_tuples : int;
   mutable us_coalesced : int;
-  mutable us_resends : int;
   mutable us_cache_staled : int;
   mutable us_forced : bool;
   us_per_rule : (string, rule_traffic) Hashtbl.t;
@@ -196,7 +195,6 @@ let update_stat st ~now update_id =
           us_batches = 0;
           us_batch_tuples = 0;
           us_coalesced = 0;
-          us_resends = 0;
           us_cache_staled = 0;
           us_forced = false;
           us_per_rule = Hashtbl.create 8;
@@ -330,8 +328,8 @@ let pp_update ppf u =
   Fmt.pf ppf
     "@[<v 2>%a%s: started %.4fs, finished %a, data msgs %d, control msgs %d, bytes in \
      %d, new tuples %d, dups suppressed %d, nulls %d, longest path %d, index \
-     probes %d, scans %d%s, batches %d (%d tuples), coalesced %d, resends %d, cache \
-     staled %d@,\
+     probes %d, scans %d%s, batches %d (%d tuples), coalesced %d, cache staled \
+     %d@,\
      queried: %a@,\
      results sent to: %a%a@]"
     Ids.pp_update u.us_update
@@ -341,7 +339,7 @@ let pp_update ppf u =
     u.us_nulls_created u.us_max_hops u.us_eval.probes u.us_eval.scans
     (zone_suffix ~visited:u.us_eval.zone_visited ~pruned:u.us_eval.zone_pruned)
     u.us_batches
-    u.us_batch_tuples u.us_coalesced u.us_resends u.us_cache_staled pp_peer_list
+    u.us_batch_tuples u.us_coalesced u.us_cache_staled pp_peer_list
     u.us_queried pp_peer_list
     u.us_sent_to
     Fmt.(
@@ -377,9 +375,9 @@ let pp_query ppf q =
 let pp_cache ppf (c : Codb_cache.Qcache.counters) =
   Fmt.pf ppf
     "cache: %d exact + %d containment hits, %d misses, %d stores, %d invalidated, \
-     %d expired, %d evicted, %d B served, %d entries (%d B)"
+     %d evicted, %d B served, %d entries (%d B)"
     c.hits_exact c.hits_containment c.misses c.stores c.epoch_invalidations
-    c.ttl_expirations c.evictions c.bytes_served c.entries c.stored_bytes
+    c.evictions c.bytes_served c.entries c.stored_bytes
 
 let pp_chaos ppf c =
   Fmt.pf ppf

@@ -35,9 +35,6 @@ type update_stat = {
   mutable us_coalesced : int;
       (** tuples that never hit the wire: same-window duplicates and
           insert/retract pairs cancelled in the buffer *)
-  mutable us_resends : int;
-      (** re-sent tuples caused by bounded sent-filters forgetting
-          (see {!Sent_filter.possible_resends}) *)
   mutable us_cache_staled : int;
       (** query-cache entries invalidated when this update finalised
           ({!Codb_cache.Qcache.note_update} churn) *)

@@ -13,9 +13,7 @@ let scounters rt = Stats.sub rt.Runtime.node.Node.stats
 
 let with_counters rt f = Stats.with_eval_counters (scounters rt).Stats.sb_eval f
 
-let source rt =
-  Eval.of_database ~index_budget:rt.Runtime.opts.Options.index_budget
-    rt.Runtime.node.Node.store
+let source rt = Eval.of_database rt.Runtime.node.Node.store
 
 let query_text q = Fmt.str "%a" Pretty.query q
 
@@ -157,8 +155,7 @@ let make_sub rt ~sub_id query =
   let opts = rt.Runtime.opts in
   match Node.check_query rt.Runtime.node query with
   | Ok () ->
-      Sub.create ~pushdown:opts.Options.pushdown
-        ~max_preds:opts.Options.pushdown_max_preds ~sub_id query
+      Sub.create ~pushdown:opts.Options.pushdown ~sub_id query
   | Error e -> Error e
 
 let register_local rt ?on_delta query =

@@ -417,7 +417,7 @@ let run_query ?on_partial sys ~at query =
       }
 
 let local_answers sys ~at query =
-  Wrapper.user_answers ~opts:sys.sys_opts (node sys at).Node.store query
+  Wrapper.user_answers (node sys at).Node.store query
 
 let superpeer sys =
   match sys.sys_superpeer with

@@ -44,8 +44,18 @@ let shape_name = function
   | Random_graph p -> Printf.sprintf "random-%.2f" p
   | Clique -> "clique"
 
+let check_size shape ~n =
+  match shape with
+  | _ when n < 1 -> Error (Printf.sprintf "a network needs at least one node (got %d)" n)
+  | Grid (rows, cols) when rows < 1 || cols < 1 || rows * cols <> n ->
+      Error (Printf.sprintf "a %dx%d grid does not have %d nodes" rows cols n)
+  | Chain | Ring | Star_in | Star_out | Binary_tree | Grid _ | Random_graph _ | Clique ->
+      Ok ()
+
 let edges ?rng shape ~n =
-  if n < 1 then invalid_arg "Topology.edges: need at least one node";
+  (match check_size shape ~n with
+  | Ok () -> ()
+  | Error reason -> invalid_arg ("Topology.edges: " ^ reason));
   match shape with
   | Chain -> List.init (max 0 (n - 1)) (fun i -> (i, i + 1))
   | Ring ->
@@ -59,7 +69,6 @@ let edges ?rng shape ~n =
         (fun i -> List.filter_map (fun c -> if c < n then Some (i, c) else None) (children i))
         (List.init n (fun i -> i))
   | Grid (rows, cols) ->
-      if rows * cols <> n then invalid_arg "Topology.edges: grid size must equal n";
       let index r c = (r * cols) + c in
       let cell acc r c =
         let acc = if c + 1 < cols then (index r c, index r (c + 1)) :: acc else acc in

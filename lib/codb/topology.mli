@@ -40,9 +40,14 @@ val default_params : params
 
 val shape_name : shape -> string
 
+val check_size : shape -> n:int -> (unit, string) result
+(** [Error reason] when [shape] cannot have [n] nodes: fewer than one
+    node, or a grid whose rows × cols is not [n]. *)
+
 val edges : ?rng:Codb_workload.Rng.t -> shape -> n:int -> (int * int) list
 (** Directed edges as (importer, source) index pairs.  [Random_graph]
-    requires [rng].  @raise Invalid_argument on nonsensical sizes. *)
+    requires [rng].  @raise Invalid_argument when {!check_size}
+    fails. *)
 
 val node_name : int -> string
 (** ["n<i>"]. *)

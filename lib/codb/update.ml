@@ -34,7 +34,6 @@ let finalize rt (st : U.t) =
     st.U.ust_finished <- true;
     let us = stat rt st.U.ust_update in
     us.Stats.us_finished <- Some (rt.Runtime.now ());
-    us.Stats.us_resends <- U.possible_resends st;
     (* the update may have changed our store and every peer the flood
        reached; cached answers that rest on any of them are now
        suspect.  Conservative: bump ourselves and all acquaintances
@@ -318,7 +317,7 @@ let first_contact rt (st : U.t) ~exclude =
       (fun (inc : Config.rule_decl) ->
         let tuples =
           Stats.with_eval_counters us.Stats.us_eval (fun () ->
-              Wrapper.eval_rule_full ~opts:rt.Runtime.opts
+              Wrapper.eval_rule_full
                 rt.Runtime.node.Node.store inc)
         in
         send_on_incoming rt st us inc ~hops:1 tuples)
@@ -370,7 +369,7 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
           if U.in_state st inc.Config.rule_id = U.Link_open then begin
             let derived =
               Stats.with_eval_counters us.Stats.us_eval (fun () ->
-                  Wrapper.eval_rule_delta ~opts:rt.Runtime.opts
+                  Wrapper.eval_rule_delta
                     ~naive:rt.Runtime.opts.Options.naive_delta
                     rt.Runtime.node.Node.store inc ~delta_rel:rel
                     ~delta:integration.Wrapper.fresh)
@@ -427,15 +426,10 @@ let on_link_closed rt (st : U.t) ~rule_id =
   node_closed_check rt st
 
 let fresh_state rt ~initiator ~scoped uid =
-  let opts = rt.Runtime.opts in
-  let bloom_bits = opts.Options.sent_bloom_bits in
-  let ring_capacity = opts.Options.sent_ring_capacity in
   let st =
-    if scoped then
-      U.create ~initiator ~scoped ~bloom_bits ~ring_capacity ~outgoing:[] ~incoming:[]
-        uid
+    if scoped then U.create ~initiator ~scoped ~outgoing:[] ~incoming:[] uid
     else
-      U.create ~initiator ~bloom_bits ~ring_capacity
+      U.create ~initiator
         ~outgoing:(rule_ids rt.Runtime.node.Node.outgoing)
         ~incoming:(rule_ids rt.Runtime.node.Node.incoming)
         uid
@@ -483,7 +477,7 @@ let activate_incoming rt (st : U.t) ~requester rule_id =
         if may_export rt then begin
           let tuples =
             Stats.with_eval_counters us.Stats.us_eval (fun () ->
-                Wrapper.eval_rule_full ~opts:rt.Runtime.opts
+                Wrapper.eval_rule_full
                   rt.Runtime.node.Node.store inc)
           in
           send_on_incoming rt st us inc ~hops:1 tuples

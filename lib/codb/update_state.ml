@@ -29,8 +29,6 @@ type t = {
   ust_out : (string, link_state) Hashtbl.t;
   ust_in : (string, link_state) Hashtbl.t;
   ust_sent : (string, Sent_filter.t) Hashtbl.t;
-  ust_bloom_bits : int;
-  ust_ring_capacity : int;
   ust_wire : (Peer_id.t, dest_buffer) Hashtbl.t;
   mutable ust_pending : int;
   mutable ust_terminated : bool;
@@ -40,8 +38,7 @@ type t = {
   ust_deferred : (Peer_id.t, (string * bool) list) Hashtbl.t;
 }
 
-let create ~initiator ?(scoped = false) ?(bloom_bits = 0) ?(ring_capacity = 512)
-    ~outgoing ~incoming update_id =
+let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
   let out = Hashtbl.create 8 and inl = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace out r Link_open) outgoing;
   List.iter (fun r -> Hashtbl.replace inl r Link_open) incoming;
@@ -55,8 +52,6 @@ let create ~initiator ?(scoped = false) ?(bloom_bits = 0) ?(ring_capacity = 512)
     ust_out = out;
     ust_in = inl;
     ust_sent = Hashtbl.create 8;
-    ust_bloom_bits = bloom_bits;
-    ust_ring_capacity = ring_capacity;
     ust_wire = Hashtbl.create 8;
     ust_pending = 0;
     ust_terminated = false;
@@ -96,10 +91,7 @@ let sent_filter st rule =
   match Hashtbl.find_opt st.ust_sent rule with
   | Some f -> f
   | None ->
-      let f =
-        Sent_filter.create ~bloom_bits:st.ust_bloom_bits
-          ~ring_capacity:st.ust_ring_capacity
-      in
+      let f = Sent_filter.create () in
       Hashtbl.add st.ust_sent rule f;
       f
 
@@ -113,9 +105,6 @@ let sent_tracked st rule =
   match Hashtbl.find_opt st.ust_sent rule with
   | Some f -> Sent_filter.tracked f
   | None -> 0
-
-let possible_resends st =
-  Hashtbl.fold (fun _ f acc -> acc + Sent_filter.possible_resends f) st.ust_sent 0
 
 (* ---- Per-destination wire buffers ----------------------------------- *)
 

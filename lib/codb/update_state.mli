@@ -1,8 +1,8 @@
 (** Per-node, per-update protocol state.
 
     Tracks the paper's open/closed states of incoming and outgoing
-    links, the per-incoming-link caches of already-sent tuples (exact
-    or Bloom-fronted, see {!Sent_filter}), the per-destination wire
+    links, the per-incoming-link caches of already-sent tuples
+    ({!Sent_filter}), the per-destination wire
     buffers used by message batching, and the Dijkstra–Scholten
     engagement bookkeeping (parent, deficit) used to detect global
     quiescence of cyclic components. *)
@@ -27,8 +27,6 @@ type t = {
   ust_in : (string, link_state) Hashtbl.t;  (** my incoming links *)
   ust_sent : (string, Sent_filter.t) Hashtbl.t;
       (** per incoming link: head tuples (holes included) already sent *)
-  ust_bloom_bits : int;  (** filter sizing for lazily-created links *)
-  ust_ring_capacity : int;
   ust_wire : (Peer_id.t, dest_buffer) Hashtbl.t;
       (** per-destination batching buffers (empty when batching is off) *)
   mutable ust_pending : int;
@@ -55,16 +53,13 @@ and dest_buffer
 val create :
   initiator:bool ->
   ?scoped:bool ->
-  ?bloom_bits:int ->
-  ?ring_capacity:int ->
   outgoing:string list ->
   incoming:string list ->
   Ids.update_id ->
   t
 (** The [outgoing]/[incoming] links start active (open).  A scoped
     update starts with empty lists; links join via {!activate_out} /
-    {!activate_in}.  [bloom_bits]/[ring_capacity] (defaults 0/512)
-    size the {!Sent_filter} of every link; 0 bits = exact mode. *)
+    {!activate_in}. *)
 
 val touch : t -> unit
 (** Note protocol activity (see [ust_activity]). *)
@@ -101,9 +96,6 @@ val add_sent : t -> string -> Codb_relalg.Tuple.t list -> unit
 
 val sent_tracked : t -> string -> int
 (** Exact entries currently tracked for the link (0 if never used). *)
-
-val possible_resends : t -> int
-(** Sum of {!Sent_filter.possible_resends} across links. *)
 
 (** {2 Wire buffers}
 

@@ -13,25 +13,20 @@ type integration = {
   nulls_created : int;
 }
 
-(* Evaluation entry points thread the index budget from [Options]; the
-   default matches [Options.default]. *)
-let eval_source (opts : Options.t) db =
-  Eval.of_database ~index_budget:opts.Options.index_budget db
+let eval_query_full db query =
+  Apply.head_tuples query (Eval.answers (Eval.of_database db) query)
 
-let eval_query_full ?(opts = Options.default) db query =
-  Apply.head_tuples query (Eval.answers (eval_source opts db) query)
-
-let eval_query_delta ?(opts = Options.default) ~naive db query ~delta_rel ~delta =
+let eval_query_delta ~naive db query ~delta_rel ~delta =
   let substs =
-    Eval.delta_answers ~naive (eval_source opts db) ~delta_rel ~delta query
+    Eval.delta_answers ~naive (Eval.of_database db) ~delta_rel ~delta query
   in
   Apply.head_tuples query substs
 
-let eval_rule_full ?opts db (rule : Config.rule_decl) =
-  eval_query_full ?opts db rule.Config.rule_query
+let eval_rule_full ?opts:_ db (rule : Config.rule_decl) =
+  eval_query_full db rule.Config.rule_query
 
-let eval_rule_delta ?opts ~naive db (rule : Config.rule_decl) ~delta_rel ~delta =
-  eval_query_delta ?opts ~naive db rule.Config.rule_query ~delta_rel ~delta
+let eval_rule_delta ~naive db (rule : Config.rule_decl) ~delta_rel ~delta =
+  eval_query_delta ~naive db rule.Config.rule_query ~delta_rel ~delta
 
 let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
   let relation = Database.relation db rel in
@@ -48,5 +43,4 @@ let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
   let suppressed = suppressed + (List.length instantiated - List.length fresh) in
   { fresh; suppressed; nulls_created }
 
-let user_answers ?(opts = Options.default) db q =
-  Eval.answer_tuples (eval_source opts db) q
+let user_answers db q = Eval.answer_tuples (Eval.of_database db) q

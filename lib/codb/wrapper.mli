@@ -19,14 +19,13 @@ type integration = {
   nulls_created : int;
 }
 
-val eval_query_full : ?opts:Options.t -> Database.t -> Query.t -> Tuple.t list
+val eval_query_full : Database.t -> Query.t -> Tuple.t list
 (** Evaluate a GLAV-style query (existential head allowed) and return
     its head tuples, existential positions rendered as holes.  Used
     directly by the query engine when constraint pushdown has
     specialized a rule's query ({!Codb_cq.Specialize}). *)
 
 val eval_query_delta :
-  ?opts:Options.t ->
   naive:bool ->
   Database.t ->
   Query.t ->
@@ -39,10 +38,10 @@ val eval_rule_full :
   ?opts:Options.t -> Database.t -> Config.rule_decl -> Tuple.t list
 (** Evaluate a coordination rule's body over the database and return
     the head tuples, existential positions rendered as holes.  [opts]
-    (default {!Options.default}) sets the per-relation index budget. *)
+    is ignored: no option changes rule evaluation; the argument stays
+    for the callers in [bench/e2e]. *)
 
 val eval_rule_delta :
-  ?opts:Options.t ->
   naive:bool ->
   Database.t ->
   Config.rule_decl ->
@@ -59,6 +58,6 @@ val integrate :
     (null-aware when [opts.use_subsumption_dedup]), instantiate holes
     with fresh marked nulls, insert the remainder. *)
 
-val user_answers : ?opts:Options.t -> Database.t -> Query.t -> Tuple.t list
+val user_answers : Database.t -> Query.t -> Tuple.t list
 (** Evaluate a user query (no existential head).  @raise
     Invalid_argument otherwise. *)

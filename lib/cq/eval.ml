@@ -109,13 +109,10 @@ let rows_of_list tuples =
   in
   { all = (fun () -> tuples); size = List.length tuples; indexed = false; distinct = None; packed }
 
-let of_database ?index_budget db rel =
+let of_database db rel =
   match Database.relation_opt db rel with
   | None -> empty_rows
   | Some r ->
-      (match index_budget with
-      | Some budget -> Relation.set_index_budget r budget
-      | None -> ());
       let arity = Codb_relalg.Schema.arity (Relation.schema r) in
       let view = Relation.packed_view r in
       let distinct col =

@@ -78,11 +78,10 @@ val rows_of_list : Codb_relalg.Tuple.t list -> rows
     An empty list joins at any width; a list mixing widths shows each
     atom only the rows of its own width. *)
 
-val of_database : ?index_budget:int -> Codb_relalg.Database.t -> source
+val of_database : Codb_relalg.Database.t -> source
 (** Probing access paths backed by {!Codb_relalg.Relation}'s lazy,
-    incrementally maintained hash indexes.  [index_budget], when
-    given, caps the number of indexes per relation (see
-    {!Codb_relalg.Relation.set_index_budget}). *)
+    incrementally maintained hash indexes, as many per relation as its
+    {!Codb_relalg.Relation.index_budget} allows (16 unless set). *)
 
 val source_of_alist : (string * Codb_relalg.Tuple.t list) list -> source
 (** Scan-only source over an association list. *)

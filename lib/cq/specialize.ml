@@ -94,7 +94,12 @@ let conj_of_atom (q : Query.t) (atom : Atom.t) =
     q.Query.comparisons;
   List.rev !preds
 
-let of_query ?(max_preds = max_int) (q : Query.t) ~rel =
+(* Cap on the predicates one sub-request may carry: a larger constraint
+   degrades to [Any], so pushdown never inflates request traffic
+   unboundedly. *)
+let max_preds = 16
+
+let of_query (q : Query.t) ~rel =
   match List.filter (fun a -> String.equal a.Atom.rel rel) q.Query.body with
   | [] -> Any
   | atoms -> (

@@ -58,14 +58,14 @@ val is_any : t -> bool
 val pred_count : t -> int
 (** Total predicates across all alternatives. *)
 
-val of_query : ?max_preds:int -> Query.t -> rel:string -> t
+val of_query : Query.t -> rel:string -> t
 (** The strongest pushable constraint on tuples of [rel] derived from
     how [q] reads it: per-column constants, repeated-variable
     equalities, and comparisons whose variables all occur within the
     atom.  [Any] when some atom over [rel] is unconstrained, when [q]
     does not read [rel] at all (conservative: the caller may route
     data we cannot see through), or when the constraint would exceed
-    [max_preds] predicates (bounding request size). *)
+    16 predicates (bounding request size). *)
 
 val matches : t -> Tuple.t -> bool
 (** Requester-faithful filter; see the module preamble.  Malformed

@@ -28,7 +28,7 @@ type t = {
   mutable deltas_delivered : int;
 }
 
-let create ?(pushdown = false) ?max_preds ~sub_id query =
+let create ?(pushdown = false) ~sub_id query =
   match Query.well_formed ~allow_existential_head:false query with
   | Error e -> Error e
   | Ok () ->
@@ -37,7 +37,7 @@ let create ?(pushdown = false) ?max_preds ~sub_id query =
         if pushdown then
           List.filter_map
             (fun rel ->
-              let c = Specialize.of_query ?max_preds query ~rel in
+              let c = Specialize.of_query query ~rel in
               if Specialize.is_any c then None else Some (rel, c))
             rels
         else []

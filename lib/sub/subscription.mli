@@ -42,7 +42,7 @@ val pp_delta : delta Fmt.t
 type t
 
 val create :
-  ?pushdown:bool -> ?max_preds:int -> sub_id:string -> Query.t ->
+  ?pushdown:bool -> sub_id:string -> Query.t ->
   (t, string) result
 (** Validate the query as a user query ({!Query.well_formed} without
     existential head) and precompute the per-relation prefilter

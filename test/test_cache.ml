@@ -21,10 +21,10 @@ module Peer_id = Codb_net.Peer_id
 
 let test_lru_basic () =
   let lru = Lru.create () in
-  Lru.add lru ~now:0.0 "a" 1 ~bytes:10;
-  Lru.add lru ~now:0.0 "b" 2 ~bytes:10;
-  Alcotest.(check (option int)) "find a" (Some 1) (Lru.find lru ~now:0.0 "a");
-  Alcotest.(check (option int)) "find missing" None (Lru.find lru ~now:0.0 "z");
+  Lru.add lru "a" 1 ~bytes:10;
+  Lru.add lru "b" 2 ~bytes:10;
+  Alcotest.(check (option int)) "find a" (Some 1) (Lru.find lru "a");
+  Alcotest.(check (option int)) "find missing" None (Lru.find lru "z");
   Alcotest.(check int) "length" 2 (Lru.length lru);
   Alcotest.(check int) "bytes" 20 (Lru.bytes lru);
   let c = Lru.counters lru in
@@ -33,11 +33,11 @@ let test_lru_basic () =
 
 let test_lru_eviction_order () =
   let lru = Lru.create ~max_entries:2 () in
-  Lru.add lru ~now:0.0 "a" 1 ~bytes:1;
-  Lru.add lru ~now:0.0 "b" 2 ~bytes:1;
+  Lru.add lru "a" 1 ~bytes:1;
+  Lru.add lru "b" 2 ~bytes:1;
   (* touch a so b is the least recently used *)
-  ignore (Lru.find lru ~now:0.0 "a");
-  Lru.add lru ~now:0.0 "c" 3 ~bytes:1;
+  ignore (Lru.find lru "a");
+  Lru.add lru "c" 3 ~bytes:1;
   Alcotest.(check bool) "a kept" true (Lru.mem lru "a");
   Alcotest.(check bool) "b evicted" false (Lru.mem lru "b");
   Alcotest.(check bool) "c kept" true (Lru.mem lru "c");
@@ -45,28 +45,20 @@ let test_lru_eviction_order () =
 
 let test_lru_byte_bound () =
   let lru = Lru.create ~max_bytes:100 () in
-  Lru.add lru ~now:0.0 "a" 1 ~bytes:60;
-  Lru.add lru ~now:0.0 "b" 2 ~bytes:60;
+  Lru.add lru "a" 1 ~bytes:60;
+  Lru.add lru "b" 2 ~bytes:60;
   Alcotest.(check bool) "a evicted by bytes" false (Lru.mem lru "a");
   Alcotest.(check bool) "b kept" true (Lru.mem lru "b");
   Alcotest.(check bool) "bytes within bound" true (Lru.bytes lru <= 100);
   (* an entry larger than the whole budget does not stick *)
-  Lru.add lru ~now:0.0 "huge" 3 ~bytes:200;
+  Lru.add lru "huge" 3 ~bytes:200;
   Alcotest.(check bool) "oversized entry dropped" false (Lru.mem lru "huge")
-
-let test_lru_ttl () =
-  let lru = Lru.create ~ttl:10.0 () in
-  Lru.add lru ~now:0.0 "a" 1 ~bytes:1;
-  Alcotest.(check (option int)) "fresh" (Some 1) (Lru.find lru ~now:5.0 "a");
-  Alcotest.(check (option int)) "expired" None (Lru.find lru ~now:11.0 "a");
-  Alcotest.(check bool) "gone" false (Lru.mem lru "a");
-  Alcotest.(check int) "one expiration" 1 (Lru.counters lru).Lru.expirations
 
 let test_lru_replace () =
   let lru = Lru.create () in
-  Lru.add lru ~now:0.0 "a" 1 ~bytes:10;
-  Lru.add lru ~now:0.0 "a" 2 ~bytes:30;
-  Alcotest.(check (option int)) "replaced" (Some 2) (Lru.find lru ~now:0.0 "a");
+  Lru.add lru "a" 1 ~bytes:10;
+  Lru.add lru "a" 2 ~bytes:30;
+  Alcotest.(check (option int)) "replaced" (Some 2) (Lru.find lru "a");
   Alcotest.(check int) "bytes re-accounted" 30 (Lru.bytes lru);
   Alcotest.(check int) "one replacement" 1 (Lru.counters lru).Lru.replacements
 
@@ -163,14 +155,14 @@ let test_qcache_exact_and_invalidation () =
   let cache = Qcache.create ~containment:true () in
   let self = Peer_id.of_string "self" and peer = Peer_id.of_string "peer" in
   let q = parse_query "ans(x, y) <- data(x, y)" in
-  Qcache.store cache ~now:0.0 q (answers_pair ()) ~sources:[ self; peer ];
-  (match Qcache.lookup cache ~now:1.0 q with
+  Qcache.store cache q (answers_pair ()) ~sources:[ self; peer ];
+  (match Qcache.lookup cache q with
   | Some { Qcache.kind = Qcache.Exact; answers } ->
       check_tuples "exact answers" (answers_pair ()) answers
   | Some { Qcache.kind = Qcache.By_containment; _ } -> Alcotest.fail "expected exact"
   | None -> Alcotest.fail "expected a hit");
   Alcotest.(check int) "one entry newly staled" 1 (Qcache.note_update cache [ peer ]);
-  Alcotest.(check bool) "stale entry dropped" true (Qcache.lookup cache ~now:2.0 q = None);
+  Alcotest.(check bool) "stale entry dropped" true (Qcache.lookup cache q = None);
   let c = Qcache.counters cache in
   Alcotest.(check int) "one exact hit" 1 c.Qcache.hits_exact;
   Alcotest.(check int) "one miss" 1 c.Qcache.misses;
@@ -182,9 +174,9 @@ let test_qcache_containment_switch () =
   let q_narrow = parse_query "ans(x, y) <- data(x, y), x > 2" in
   let run ~containment =
     let cache = Qcache.create ~containment () in
-    Qcache.store cache ~now:0.0 q_broad (answers_pair ())
+    Qcache.store cache q_broad (answers_pair ())
       ~sources:[ Peer_id.of_string "self" ];
-    Qcache.lookup cache ~now:1.0 q_narrow
+    Qcache.lookup cache q_narrow
   in
   (match run ~containment:true with
   | Some { Qcache.kind = Qcache.By_containment; answers } ->
@@ -318,7 +310,6 @@ let suite =
     Alcotest.test_case "lru basics" `Quick test_lru_basic;
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru byte bound" `Quick test_lru_byte_bound;
-    Alcotest.test_case "lru ttl" `Quick test_lru_ttl;
     Alcotest.test_case "lru replace" `Quick test_lru_replace;
     Alcotest.test_case "epoch stamps" `Quick test_epoch_stamps;
     Alcotest.test_case "containment with comparisons" `Quick

@@ -10,7 +10,6 @@ let () =
       ("relation", Test_relation.suite);
       ("database", Test_database.suite);
       ("csv", Test_csv.suite);
-      ("algebra", Test_algebra.suite);
       ("query", Test_query.suite);
       ("eval", Test_eval.suite);
       ("plan", Test_plan.suite);

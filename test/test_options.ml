@@ -43,55 +43,24 @@ let test_negative_cache_settings () =
   rejected ~substring:"cache_capacity"
     (Options.validate { Options.default with Options.cache_capacity = -1 });
   rejected ~substring:"cache_max_bytes"
-    (Options.validate { Options.default with Options.cache_max_bytes = -1 });
-  rejected ~substring:"cache_ttl"
-    (Options.validate { Options.default with Options.cache_ttl = -0.1 })
+    (Options.validate { Options.default with Options.cache_max_bytes = -1 })
 
 let test_zero_bounds_are_valid () =
   (* 0 means unbounded / disabled, not invalid *)
   ok
     (Options.validate
-       {
-         Options.default with
-         Options.cache_capacity = 0;
-         cache_max_bytes = 0;
-         cache_ttl = 0.0;
-       })
-
-let test_negative_index_budget () =
-  rejected ~substring:"index_budget"
-    (Options.validate { Options.default with Options.index_budget = -1 })
-
-let test_planner_knobs_are_valid () =
-  (* budget 0 disables indexing: every probe degrades to a scan *)
-  ok (Options.validate { Options.default with Options.index_budget = 0 })
+       { Options.default with Options.cache_capacity = 0; cache_max_bytes = 0 })
 
 let test_wire_knobs_are_valid () =
   ok
     (Options.validate
-       {
-         Options.default with
-         Options.batch_window = 0.05;
-         batch_max_tuples = 1;
-         sent_bloom_bits = 4096;
-         sent_ring_capacity = 1;
-       });
-  (* 0 bloom bits means "keep the unbounded exact caches" *)
-  ok (Options.validate { Options.default with Options.sent_bloom_bits = 0 })
+       { Options.default with Options.batch_window = 0.05; batch_max_tuples = 1 })
 
 let test_bad_wire_knobs_rejected () =
   rejected ~substring:"batch_window"
     (Options.validate { Options.default with Options.batch_window = -0.001 });
   rejected ~substring:"batch_max_tuples"
-    (Options.validate { Options.default with Options.batch_max_tuples = 0 });
-  rejected ~substring:"sent_bloom_bits"
-    (Options.validate { Options.default with Options.sent_bloom_bits = 100 });
-  rejected ~substring:"sent_bloom_bits"
-    (Options.validate { Options.default with Options.sent_bloom_bits = -8 });
-  rejected ~substring:"sent_bloom_bits"
-    (Options.validate { Options.default with Options.sent_bloom_bits = 1 lsl 25 });
-  rejected ~substring:"sent_ring_capacity"
-    (Options.validate { Options.default with Options.sent_ring_capacity = 0 })
+    (Options.validate { Options.default with Options.batch_max_tuples = 0 })
 
 let test_chaos_knobs_are_valid () =
   ok
@@ -107,7 +76,6 @@ let test_chaos_knobs_are_valid () =
          crash_plan = [ ("a", 0.1, Some 0.5); ("b", 0.2, None) ];
          ack_timeout = 0.05;
          max_retries = 0;
-         backoff_factor = 1.0;
        });
   Alcotest.(check bool) "faults_enabled" true
     (Options.faults_enabled { Options.default with Options.drop_prob = 0.1 });
@@ -140,13 +108,11 @@ let test_bad_chaos_knobs_rejected () =
   rejected ~substring:"ack_timeout"
     (Options.validate { Options.default with Options.ack_timeout = -0.05 });
   rejected ~substring:"max_retries"
-    (Options.validate { Options.default with Options.max_retries = -1 });
-  rejected ~substring:"backoff_factor"
-    (Options.validate { Options.default with Options.backoff_factor = 0.5 })
+    (Options.validate { Options.default with Options.max_retries = -1 })
 
 let test_rto_backoff_capped () =
   let opts =
-    { Options.default with Options.ack_timeout = 0.1; backoff_factor = 2.0; max_retries = 100 }
+    { Options.default with Options.ack_timeout = 0.1; max_retries = 100 }
   in
   Alcotest.(check (float 1e-9)) "first attempt" 0.1 (Options.rto opts 0);
   Alcotest.(check (float 1e-9)) "second attempt" 0.2 (Options.rto opts 1);
@@ -179,9 +145,6 @@ let suite =
     Alcotest.test_case "negative cache settings rejected" `Quick
       test_negative_cache_settings;
     Alcotest.test_case "zero bounds are valid" `Quick test_zero_bounds_are_valid;
-    Alcotest.test_case "negative index_budget rejected" `Quick
-      test_negative_index_budget;
-    Alcotest.test_case "planner knobs are valid" `Quick test_planner_knobs_are_valid;
     Alcotest.test_case "wire knobs are valid" `Quick test_wire_knobs_are_valid;
     Alcotest.test_case "bad wire knobs rejected" `Quick test_bad_wire_knobs_rejected;
     Alcotest.test_case "chaos knobs are valid" `Quick test_chaos_knobs_are_valid;

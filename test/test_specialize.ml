@@ -59,12 +59,19 @@ let test_of_query_two_atoms_disjoin () =
     (Specialize.of_query q_open ~rel:"r")
 
 let test_of_query_max_preds () =
-  let q = parse_query "ans(y) <- r(1, y), y < 9, y > 0" in
-  (match Specialize.of_query q ~rel:"r" with
-  | Specialize.One_of [ [ _; _; _ ] ] -> ()
-  | other -> Alcotest.failf "expected three predicates, got %s" (Specialize.to_string other));
-  Alcotest.check spec_testable "budget exceeded degrades to Any" Specialize.any
-    (Specialize.of_query ~max_preds:2 q ~rel:"r")
+  (* one constant binding plus [n - 1] distinct comparisons: [n]
+     predicates on r; the cap is 16 *)
+  let query_with n =
+    parse_query
+      (String.concat ", "
+         ("ans(y) <- r(1, y)" :: List.init (n - 1) (fun k -> Printf.sprintf "y != %d" (k + 2))))
+  in
+  (match Specialize.of_query (query_with 16) ~rel:"r" with
+  | Specialize.One_of [ preds ] ->
+      Alcotest.(check int) "16 predicates pushed" 16 (List.length preds)
+  | other -> Alcotest.failf "expected one conjunct, got %s" (Specialize.to_string other));
+  Alcotest.check spec_testable "17 predicates degrade to Any" Specialize.any
+    (Specialize.of_query (query_with 17) ~rel:"r")
 
 (* --- matches: requester-faithful filtering -------------------------- *)
 

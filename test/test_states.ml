@@ -44,8 +44,7 @@ let test_update_state_sent_cache () =
   Alcotest.(check int) "set semantics" 3 (U.sent_tracked st "i1");
   Alcotest.(check bool) "membership" true (U.already_sent st "i1" (tup [ i 2 ]));
   Alcotest.(check bool) "non-member" false (U.already_sent st "i1" (tup [ i 9 ]));
-  Alcotest.(check int) "caches are per link" 0 (U.sent_tracked st "other");
-  Alcotest.(check int) "exact mode never resends" 0 (U.possible_resends st)
+  Alcotest.(check int) "caches are per link" 0 (U.sent_tracked st "other")
 
 let test_update_state_wire_buffer () =
   let st = U.create ~initiator:false ~outgoing:[] ~incoming:[ "i1"; "i2" ] uid in
@@ -73,21 +72,6 @@ let test_update_state_wire_buffer () =
   | other -> Alcotest.failf "unexpected batch shape (%d entries)" (List.length other));
   Alcotest.(check int) "drained" 0 (U.pending_tuples st);
   Alcotest.(check bool) "take on empty" true (U.take_buffer st ~dst = [])
-
-let test_update_state_bloom_filter () =
-  let st =
-    U.create ~initiator:false ~bloom_bits:256 ~ring_capacity:2 ~outgoing:[]
-      ~incoming:[ "i1" ] uid
-  in
-  U.add_sent st "i1" [ tup [ i 1 ]; tup [ i 2 ] ];
-  Alcotest.(check bool) "both tracked" true
-    (U.already_sent st "i1" (tup [ i 1 ]) && U.already_sent st "i1" (tup [ i 2 ]));
-  (* the ring holds 2: a third send evicts the first-in tuple, which
-     must then read as NOT sent (re-send, never drop) *)
-  U.add_sent st "i1" [ tup [ i 3 ] ];
-  Alcotest.(check bool) "evicted tuple re-sends" false (U.already_sent st "i1" (tup [ i 1 ]));
-  Alcotest.(check int) "ring stays bounded" 2 (U.sent_tracked st "i1");
-  Alcotest.(check bool) "a possible resend was counted" true (U.possible_resends st >= 1)
 
 let qid = Ids.query_id (Peer_id.of_string "n0") 1
 
@@ -125,7 +109,6 @@ let suite =
     Alcotest.test_case "scoped activation" `Quick test_update_state_scoped_activation;
     Alcotest.test_case "sent cache" `Quick test_update_state_sent_cache;
     Alcotest.test_case "wire buffer" `Quick test_update_state_wire_buffer;
-    Alcotest.test_case "bloom sent filter" `Quick test_update_state_bloom_filter;
     Alcotest.test_case "query pending bookkeeping" `Quick test_query_state_pending;
     Alcotest.test_case "query unsent filter" `Quick test_query_state_unsent;
   ]

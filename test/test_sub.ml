@@ -231,23 +231,23 @@ let test_cache_epoch_agreement_host () =
            incr fired;
            (* a one-shot query issued the instant the delta is
               delivered must not be served the pre-delta answers *)
-           inside_hit := Qcache.lookup cache ~now:(System.now sys) q <> None
+           inside_hit := Qcache.lookup cache q <> None
          end)
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "subscribe: %s" e);
-  Qcache.store cache ~now:(System.now sys) q
+  Qcache.store cache q
     (System.local_answers sys ~at:"n0" q)
     ~sources:[ n0.Node.node_id ];
   Alcotest.(check bool) "entry hits before the delta" true
-    (Qcache.lookup cache ~now:(System.now sys) q <> None);
+    (Qcache.lookup cache q <> None);
   ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i 903; s "w3" ]));
   Alcotest.(check int) "delta delivered" 1 !fired;
   Alcotest.(check bool) "stale answers not served inside the delivery" false
     !inside_hit;
   (* mid-update deltas: the update protocol only stales epochs at
      finalization, so the subscription delivery must do it itself *)
-  Qcache.store cache ~now:(System.now sys) q
+  Qcache.store cache q
     (System.local_answers sys ~at:"n0" q)
     ~sources:[ n0.Node.node_id ];
   let _ = System.run_update sys ~initiator:"n0" in
@@ -260,15 +260,15 @@ let test_cache_epoch_agreement_subscriber () =
   let n1 = System.node sys "n1" in
   let cache = Option.get n1.Node.cache in
   let q = parse_query q_all in
-  Qcache.store cache ~now:(System.now sys) q
+  Qcache.store cache q
     (System.local_answers sys ~at:"n0" q)
     ~sources:[ (System.node sys "n0").Node.node_id ];
   Alcotest.(check bool) "entry hits before the push" true
-    (Qcache.lookup cache ~now:(System.now sys) q <> None);
+    (Qcache.lookup cache q <> None);
   ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i 904; s "w4" ]));
   let _ = System.run sys in
   Alcotest.(check bool) "pushed delta staled the cached one-shot answer" true
-    (Qcache.lookup cache ~now:(System.now sys) q = None)
+    (Qcache.lookup cache q = None)
 
 (* --- crash / restart -------------------------------------------------- *)
 

@@ -1,7 +1,6 @@
-(* Wire-layer behaviour of the global update: the four corners of the
-   (batching x bloom) ablation must commit bit-identical stores on
-   random networks, and batching must actually reduce traffic on a
-   fan-in workload. *)
+(* Wire-layer behaviour of the global update: batching must commit the
+   same stores as the plain run on random networks, and must actually
+   reduce traffic on a fan-in workload. *)
 
 module Q2 = QCheck2
 module Gen = QCheck2.Gen
@@ -13,25 +12,9 @@ module Node = Codb_core.Node
 module Network = Codb_net.Network
 module Datagen = Codb_workload.Datagen
 
-(* tight bounds everywhere: bloom filters small enough to produce
-   false positives, rings small enough to evict (forcing re-sends),
-   windows long enough to span several delta waves *)
-let corner ~batched ~bloom =
-  {
-    Options.default with
-    Options.batch_window = (if batched then 0.02 else 0.0);
-    batch_max_tuples = 16;
-    sent_bloom_bits = (if bloom then 256 else 0);
-    sent_ring_capacity = 4;
-  }
-
-let corners =
-  [
-    ("plain", corner ~batched:false ~bloom:false);
-    ("batched", corner ~batched:true ~bloom:false);
-    ("bloom", corner ~batched:false ~bloom:true);
-    ("batched+bloom", corner ~batched:true ~bloom:true);
-  ]
+(* a small size cap and a window long enough to span several delta
+   waves *)
+let batched = { Options.default with Options.batch_window = 0.02; batch_max_tuples = 16 }
 
 let gen_network =
   let open Gen in
@@ -68,18 +51,13 @@ let stores_equal sys_a sys_b =
         (System.node sys_b name).Node.store)
     (System.node_names sys_a)
 
-let prop_corners_commit_identical_stores =
-  Q2.Test.make
-    ~name:"batching x bloom: every corner reaches the plain fix-point" ~count:30
-    gen_network
+let prop_batching_commits_identical_stores =
+  Q2.Test.make ~name:"batching reaches the plain fix-point" ~count:30 gen_network
     (fun spec ->
-      let baseline, base_report = run_corner spec (snd (List.hd corners)) in
-      base_report.Report.ur_all_finished
-      && List.for_all
-           (fun (_, opts) ->
-             let sys, report = run_corner spec opts in
-             report.Report.ur_all_finished && stores_equal baseline sys)
-           (List.tl corners))
+      let baseline, base_report = run_corner spec Options.default in
+      let sys, report = run_corner spec batched in
+      base_report.Report.ur_all_finished && report.Report.ur_all_finished
+      && stores_equal baseline sys)
 
 let prop_batching_never_ships_more_tuples =
   (* an uncapped window merges whole waves: it can only remove
@@ -160,6 +138,6 @@ let suite =
       test_batch_counters_flow_to_report;
     Alcotest.test_case "size cap flushes ahead of the window" `Quick
       test_max_tuples_flushes_early;
-    QCheck_alcotest.to_alcotest prop_corners_commit_identical_stores;
+    QCheck_alcotest.to_alcotest prop_batching_commits_identical_stores;
     QCheck_alcotest.to_alcotest prop_batching_never_ships_more_tuples;
   ]
