@@ -21,7 +21,6 @@ module Registry = Codb_sub.Registry
 module Mirror = Codb_sub.Mirror
 module Backend = Codb_store.Backend
 module Wal = Codb_store.Wal
-module Crc32 = Codb_store.Crc32
 
 (* ---- log records ----------------------------------------------------- *)
 
@@ -54,14 +53,11 @@ let get_owner r =
   | 1 -> Oremote (Payload.get_peer r)
   | n -> raise (Codec.Malformed (Printf.sprintf "unknown owner tag %d" n))
 
-(* Records carry a marker byte in front of the tag (the record tags
-   stop at 6, so 0x10 is unambiguous) and encode their strings against
-   a dictionary that persists across the log stream (reset at every
-   compaction, so the live tail always starts from an empty table);
-   replay rebuilds the mirror in record order.  Unmarked records are
-   the older per-record inline format: nothing writes them any more,
-   but the reader keeps accepting them so an existing log still
-   replays. *)
+(* Records carry a marker byte in front of the tag and encode their
+   strings against a dictionary that persists across the log stream
+   (reset at every compaction, so the live tail always starts from an
+   empty table); replay rebuilds the mirror in record order.  A record
+   without the marker is corrupt. *)
 let dict_marker = 0x10
 
 let encode_record ~dict record =
@@ -124,19 +120,11 @@ let get_record r =
   | 6 -> Mirror_remove { sub_id = Codec.read_string r }
   | n -> raise (Codec.Malformed (Printf.sprintf "unknown WAL record tag %d" n))
 
-let decode_record ?dict bytes =
-  if String.length bytes > 0 && Char.code bytes.[0] = dict_marker then begin
-    let tab =
-      match dict with
-      | Some tab -> tab
-      | None ->
-          raise (Codec.Malformed "dictionary record without a replay table")
-    in
-    let r = Codec.reader ~mode:(Codec.R_linked tab) bytes in
-    ignore (Codec.read_byte r : int);
-    get_record r
-  end
-  else get_record (Codec.reader bytes)
+let decode_record ~dict bytes =
+  let r = Codec.reader ~mode:(Codec.R_linked dict) bytes in
+  if Codec.read_byte r <> dict_marker then
+    raise (Codec.Malformed "WAL record without its marker byte");
+  get_record r
 
 (* ---- snapshots ------------------------------------------------------- *)
 
@@ -281,9 +269,7 @@ let put_snapshot w (node : Node.t) =
    [upd:n0#1, upd:n0#2, ...] pay their common stem once.  The body is
    written in [Tabled] mode against the sorted ids (a first pass
    harvests the strings, a second encodes against the preloaded
-   table).  Version 1, the same body with per-message inline strings,
-   is no longer written; decode still accepts it, so a snapshot cut by
-   an older build recovers. *)
+   table). *)
 let common_prefix_len a b =
   let n = min (String.length a) (String.length b) in
   let rec go k = if k < n && a.[k] = b.[k] then go (k + 1) else k in
@@ -357,26 +343,24 @@ let get_snapshot r =
 
 let decode_snapshot bytes =
   let r = Codec.reader bytes in
-  match Codec.read_byte r with
-  | 1 -> get_snapshot r
-  | 2 ->
-      let count = Codec.read_count r in
-      let arr = Array.make count "" in
-      let prev = ref "" in
-      for k = 0 to count - 1 do
-        let shared = Codec.read_varint r in
-        if shared > String.length !prev then
-          raise (Codec.Malformed "front-coded table prefix overruns");
-        let s = String.sub !prev 0 shared ^ Codec.read_raw_string r in
-        arr.(k) <- s;
-        prev := s
-      done;
-      let body_at = String.length bytes - Codec.remaining r in
-      get_snapshot
-        (Codec.reader ~mode:(Codec.R_tabled arr)
-           (String.sub bytes body_at (String.length bytes - body_at)))
-  | version ->
-      raise (Codec.Malformed (Printf.sprintf "unknown snapshot version %d" version))
+  let version = Codec.read_byte r in
+  if version <> snapshot_version then
+    raise (Codec.Malformed (Printf.sprintf "unknown snapshot version %d" version));
+  let count = Codec.read_count r in
+  let arr = Array.make count "" in
+  let prev = ref "" in
+  for k = 0 to count - 1 do
+    let shared = Codec.read_varint r in
+    if shared > String.length !prev then
+      raise (Codec.Malformed "front-coded table prefix overruns");
+    let s = String.sub !prev 0 shared ^ Codec.read_raw_string r in
+    arr.(k) <- s;
+    prev := s
+  done;
+  let body_at = String.length bytes - Codec.remaining r in
+  get_snapshot
+    (Codec.reader ~mode:(Codec.R_tabled arr)
+       (String.sub bytes body_at (String.length bytes - body_at)))
 
 (* ---- logging hooks (no-ops when the node has no WAL) ----------------- *)
 
@@ -576,21 +560,3 @@ let recover (node : Node.t) (opts : Options.t) ~backend =
     rv_truncated = r.Wal.rec_truncated;
     rv_had_snapshot = !had_snapshot;
   }
-
-(* ---- store digest ---------------------------------------------------- *)
-
-(* Order-insensitive because everything is sorted before hashing; two
-   stores digest equal iff they hold the same relations with the same
-   tuples (CRC collisions aside), whatever order delivered them. *)
-let database_digest db =
-  List.fold_left
-    (fun crc rel ->
-      let crc = Crc32.update crc rel in
-      List.fold_left
-        (fun crc tuple ->
-          let w = Codec.writer ~initial:64 () in
-          Payload.put_tuple w tuple;
-          Crc32.update crc (Codec.contents w))
-        crc (sorted_tuples db rel))
-    0
-    (List.sort String.compare (Database.rel_names db))

@@ -43,23 +43,18 @@ val encode_record : dict:Codb_net.Codec.Dict.sender -> record -> string
     against the log stream's dictionary — a string crosses the log once
     per compaction interval. *)
 
-val decode_record : ?dict:(int, string) Hashtbl.t -> string -> record
-(** [dict] is the replay mirror for dictionary records, built in
-    record order from an empty table at the start of the log tail.
-    Unmarked bytes decode as the older per-record inline format, which
-    nothing writes any more, so a log from an older build still
-    replays, even one that mixes both formats.
-    @raise Codb_net.Codec.Malformed on corrupt input (an empty peer
-    name included), or on a dictionary record when [dict] is missing
-    or lacks the referenced id. *)
+val decode_record : dict:(int, string) Hashtbl.t -> string -> record
+(** [dict] is the replay mirror, built in record order from an empty
+    table at the start of the log tail.
+    @raise Codb_net.Codec.Malformed on corrupt input: a missing marker
+    byte, an empty peer name, or an id [dict] lacks. *)
 
 val encode_snapshot : Node.t -> string
 (** Serialize the node's durable state, everything sorted so equal
     states produce byte-identical snapshots.  Layout v2: a sorted,
     front-coded string table up front (each entry stores only the
     suffix past its shared prefix with the previous entry), the body
-    referencing it by id.  {!recover} also reads v1 snapshots (the
-    same body with inline strings) cut by an older build. *)
+    referencing it by id.  {!recover} reads this version only. *)
 
 (** {1 Commit-point hooks} — called by {!System}, {!Update},
     {!Sub_engine} and {!Reliable}; no-ops when [node.wal] is [None]. *)
@@ -106,9 +101,3 @@ val recover : Node.t -> Options.t -> backend:Backend.t -> recovery_stats
     compacting snapshot.  Expects the volatile state already reset
     ({!Node.reset_volatile}, {!Node.reset_store},
     {!Node.configure_subs}).  Credits {!Stats.note_recovery}. *)
-
-val database_digest : Codb_relalg.Database.t -> int
-(** Order-insensitive CRC32 of the store contents: equal iff the same
-    relations hold the same tuples (hash collisions aside).  The
-    store-equivalence gate of the recovery bench and qcheck
-    properties. *)

@@ -151,8 +151,9 @@ let rec describe = function
 (* ---- Compact binary wire format ------------------------------------- *)
 (* One tag byte per payload, then fields through Codb_net.Codec: counts and
    lengths as unsigned varints, every other integer zigzag-encoded, strings
-   through the per-message dictionary (rule ids, peer names, null provenance
-   tags and skewed data strings all repeat heavily within one message).
+   through a dictionary (rule ids, peer names, null provenance tags and
+   skewed data strings all repeat heavily within one message and across a
+   link).
    [Stats_response] carries an in-memory snapshot record that never crosses
    the measured update path, so it is deliberately not encodable; its size
    is the statistics module's own estimate of the snapshot. *)
@@ -419,6 +420,8 @@ let rec put_payload w payload =
 let encode ?link payload =
   match link with
   | None ->
+      (* self-contained: the link format against a fresh dictionary,
+         with no epoch stamp *)
       let w = Codec.writer () in
       put_payload w payload;
       Codec.contents w
@@ -549,18 +552,6 @@ let decode ?link bytes =
     if Codec.at_end r then Ok payload
     else Error "Payload.decode: trailing bytes"
   with Codec.Malformed why -> Error ("Payload.decode: " ^ why)
-
-let encode_tuples tuples =
-  let w = Codec.writer () in
-  put_tuples w tuples;
-  Codec.contents w
-
-let decode_tuples bytes =
-  let r = Codec.reader bytes in
-  try
-    let tuples = get_tuples r in
-    if Codec.at_end r then Ok tuples else Error "Payload.decode_tuples: trailing bytes"
-  with Codec.Malformed why -> Error ("Payload.decode_tuples: " ^ why)
 
 let encoded_size ?link payload =
   match payload with

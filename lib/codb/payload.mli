@@ -141,10 +141,12 @@ type t =
 
 val encode : ?link:Codec.Dict.sender -> t -> string
 (** Compact binary encoding: tag byte, varint-prefixed fields, zigzag
-    integers, per-message string dictionary.  With [link], the message
-    becomes a link frame instead: a varint epoch stamp followed by the
-    body with strings in {!Codec.strmode.Linked} mode, so strings the
-    link has already carried this epoch ship as back-references.
+    integers, strings in {!Codec.strmode.Linked} mode.  Without [link]
+    the strings go against a fresh dictionary, so the bytes are
+    self-contained.  With [link], the message becomes a link frame: a
+    varint epoch stamp followed by the body against the link's
+    dictionary, so strings the link has already carried this epoch
+    ship as back-references.
     Encoding trains the sender dictionary.  Raises [Invalid_argument]
     on [Stats_response], whose snapshot record never crosses the
     measured wire path. *)
@@ -161,11 +163,6 @@ val encoded_size : ?link:Codec.Dict.sender -> t -> int
     one exception is [Stats_response], which is never encoded: it
     counts one tag byte plus {!Stats.snapshot_size_bytes}, with or
     without [link], and leaves the link dictionary untouched. *)
-
-val encode_tuples : Tuple.t list -> string
-(** Encode a bare tuple list (exposed for codec round-trip tests). *)
-
-val decode_tuples : string -> (Tuple.t list, string) result
 
 val put_value : Codec.writer -> Codb_relalg.Value.t -> unit
 (** Writer-level primitives, shared with the durability layer

@@ -124,7 +124,7 @@ type sub_counters = {
   mutable sb_retracts : int;
   mutable sb_bytes : int;
       (** payload bytes of pushed answer deltas, each push sized on its
-          own (per-message dictionary, not the link frame; DESIGN §9) *)
+          own against a fresh dictionary, not the link frame (DESIGN §9) *)
   mutable sb_coalesced : int;
       (** tuples cancelled or absorbed inside a [sub_batch_window] *)
   sb_eval : Codb_cq.Eval.counters;  (** evaluator work doing subscription maintenance *)

@@ -587,7 +587,7 @@ let durability_report sys =
       dr_recovery_ms = 0.;
     }
 
-let store_digest sys name = Durable.database_digest (node sys name).Node.store
+let store_digest sys name = Database.digest (node sys name).Node.store
 
 let store_digests sys =
   List.map (fun name -> (name, store_digest sys name)) (node_names sys)

@@ -217,7 +217,7 @@ val durability_report : t -> durability_report
 
 val store_digest : t -> string -> int
 (** Order-insensitive digest of one node's store
-    ({!Durable.database_digest}).  @raise Not_found *)
+    ({!Codb_relalg.Database.digest}).  @raise Not_found *)
 
 val store_digests : t -> (string * int) list
 (** Every node's store digest, sorted by node name — the

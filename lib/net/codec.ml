@@ -1,21 +1,21 @@
-(* Binary primitives shared by every wire payload.  The writer keeps a
-   per-message string dictionary: the first time a string is written it is
-   emitted inline and remembered; subsequent occurrences become a varint
-   back-reference.  Update floods repeat rule ids, null provenance tags and
-   skewed data values constantly, so the dictionary is where most of the
-   wire savings come from.
-
-   Two further string modes exist beyond the per-message dictionary:
+(* Binary primitives shared by every wire payload.  Strings go through
+   a dictionary: the first time a string is written it is introduced
+   literally, and later occurrences become a varint id.  Update floods
+   repeat rule ids, null provenance tags and skewed data values
+   constantly, so the dictionary is where most of the wire savings come
+   from.  There are two string modes:
 
    - [Linked]: an incremental dictionary that persists across messages
-     on one directed link.  Introductions carry an explicit id next to
-     the literal, so a receiver that misses a message can never
-     misattribute a later back-reference — a dangling id fails as
-     [Malformed], a wrong string is impossible by construction.  Epoch
-     bumps (crash, restart, link flap) reset both sides deterministically.
+     on one directed link (or one WAL stream).  Introductions carry an
+     explicit id next to the literal, so a receiver that misses a
+     message can never misattribute a later back-reference — a
+     dangling id fails as [Malformed], a wrong string is impossible by
+     construction.  Epoch bumps (crash, restart, link flap) reset both
+     sides deterministically.  A self-contained message is the same
+     format against a fresh dictionary.
    - [Tabled]: strings become bare varint ids and the id -> string
      table is harvested afterwards ({!dict_strings}) to be written
-     up front, deduplicated — the snapshot-v2 layout. *)
+     up front, deduplicated — the snapshot layout. *)
 
 module Dict = struct
   type sender = {
@@ -62,24 +62,23 @@ module Dict = struct
     else Hashtbl.create 4
 end
 
-type strmode = Inline | Linked of Dict.sender | Tabled
+type strmode = Linked of Dict.sender | Tabled
 
-type writer = {
-  buf : Buffer.t;
-  dict : (string, int) Hashtbl.t;
-  mutable next_ref : int;
-  mode : strmode;
-  (* Tabled harvest, in id order (reversed) *)
-  mutable tabled : string list;
-}
+(* The [Tabled] state: string -> id, and the harvest in id order
+   (reversed). *)
+type table = { ids : (string, int) Hashtbl.t; mutable harvest : string list }
 
-let writer ?(initial = 256) ?(mode = Inline) () =
+type strings = In_link of Dict.sender | In_table of table
+
+type writer = { buf : Buffer.t; strings : strings }
+
+let writer ?(initial = 256) ?(mode = Linked (Dict.sender ~size:16 ())) () =
   {
     buf = Buffer.create initial;
-    dict = Hashtbl.create 16;
-    next_ref = 0;
-    mode;
-    tabled = [];
+    strings =
+      (match mode with
+      | Linked d -> In_link d
+      | Tabled -> In_table { ids = Hashtbl.create 16; harvest = [] });
   }
 
 let byte w n = Buffer.add_char w.buf (Char.chr (n land 0xff))
@@ -106,17 +105,18 @@ let raw_string w s =
   varint w (String.length s);
   Buffer.add_string w.buf s
 
+let table_id t s =
+  match Hashtbl.find_opt t.ids s with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length t.ids in
+      Hashtbl.add t.ids s id;
+      t.harvest <- s :: t.harvest;
+      id
+
 let string w s =
-  match w.mode with
-  | Inline -> (
-      match Hashtbl.find_opt w.dict s with
-      | Some r -> varint w (r + 1)
-      | None ->
-          Hashtbl.add w.dict s w.next_ref;
-          w.next_ref <- w.next_ref + 1;
-          byte w 0;
-          raw_string w s)
-  | Linked d -> (
+  match w.strings with
+  | In_link d -> (
       match Hashtbl.find_opt d.Dict.s_tab s with
       | Some id ->
           d.Dict.s_hits <- d.Dict.s_hits + 1;
@@ -128,27 +128,15 @@ let string w s =
           d.Dict.s_intros <- d.Dict.s_intros + 1;
           varint w (id lsl 1);
           raw_string w s)
-  | Tabled -> (
-      match Hashtbl.find_opt w.dict s with
-      | Some id -> varint w id
-      | None ->
-          let id = w.next_ref in
-          Hashtbl.add w.dict s id;
-          w.next_ref <- id + 1;
-          w.tabled <- s :: w.tabled;
-          varint w id)
+  | In_table t -> varint w (table_id t s)
 
-let dict_strings w = List.rev w.tabled
+let dict_strings w =
+  match w.strings with In_table t -> List.rev t.harvest | In_link _ -> []
 
 let preload w ss =
-  List.iter
-    (fun s ->
-      if not (Hashtbl.mem w.dict s) then begin
-        Hashtbl.add w.dict s w.next_ref;
-        w.next_ref <- w.next_ref + 1;
-        w.tabled <- s :: w.tabled
-      end)
-    ss
+  match w.strings with
+  | In_table t -> List.iter (fun s -> ignore (table_id t s : int)) ss
+  | In_link _ -> ()
 
 let add_bytes w s = Buffer.add_string w.buf s
 
@@ -156,22 +144,14 @@ let contents w = Buffer.contents w.buf
 let size w = Buffer.length w.buf
 
 type rstrmode =
-  | R_inline
   | R_linked of (int, string) Hashtbl.t
   | R_tabled of string array
 
-type reader = {
-  src : string;
-  mutable pos : int;
-  rdict : (int, string) Hashtbl.t;
-  mutable rnext : int;
-  rmode : rstrmode;
-}
+type reader = { src : string; mutable pos : int; rmode : rstrmode }
 
 exception Malformed of string
 
-let reader ?(mode = R_inline) src =
-  { src; pos = 0; rdict = Hashtbl.create 16; rnext = 0; rmode = mode }
+let reader ?(mode = R_linked (Hashtbl.create 16)) src = { src; pos = 0; rmode = mode }
 
 let read_byte r =
   if r.pos >= String.length r.src then raise (Malformed "truncated byte");
@@ -209,18 +189,6 @@ let read_raw_string r =
 
 let read_string r =
   match r.rmode with
-  | R_inline -> (
-      let tag = read_varint r in
-      if tag = 0 then begin
-        let s = read_raw_string r in
-        Hashtbl.add r.rdict r.rnext s;
-        r.rnext <- r.rnext + 1;
-        s
-      end
-      else
-        match Hashtbl.find_opt r.rdict (tag - 1) with
-        | Some s -> s
-        | None -> raise (Malformed "dangling dictionary reference"))
   | R_linked tab ->
       let n = read_varint r in
       let id = n lsr 1 in

@@ -1,7 +1,7 @@
 (** Compact binary wire codec: length-delimited primitives over a growable
     buffer.  Integers use LEB128 varints (zigzag for signed), floats are 8-byte
-    IEEE 754, and strings go through a per-message dictionary so repeated
-    strings ship once and become small back-references afterwards.
+    IEEE 754, and strings go through a dictionary so repeated strings
+    ship once and become small back-references afterwards.
 
     The codec is payload-agnostic: higher layers (see {!Codb_core.Payload})
     define tags and field order on top of these primitives. *)
@@ -55,19 +55,20 @@ end
 
 (** How {!string}/{!read_string} treat strings. *)
 type strmode =
-  | Inline  (** per-message dictionary (default, the classic format) *)
   | Linked of Dict.sender
       (** persistent per-link dictionary with explicit introduction ids *)
   | Tabled
       (** bare varint ids; the id -> string table is harvested with
-          {!dict_strings} and stored out of band (snapshot v2) *)
+          {!dict_strings} and stored out of band (the snapshot layout) *)
 
 (** {1 Encoding} *)
 
 type writer
 
 val writer : ?initial:int -> ?mode:strmode -> unit -> writer
-(** Fresh writer.  [mode] defaults to [Inline]. *)
+(** Fresh writer.  [mode] defaults to [Linked] against a fresh
+    dictionary: a self-contained message that a {!reader} with the
+    default mode decodes. *)
 
 val varint : writer -> int -> unit
 (** Unsigned LEB128.  Negative arguments are a programming error (encoded as
@@ -84,8 +85,7 @@ val byte : writer -> int -> unit
 (** Single byte, low 8 bits of the argument. *)
 
 val string : writer -> string -> unit
-(** Mode-dependent dictionary string.  [Inline]: first occurrence is
-    [0, len, bytes], later ones [ref+1].  [Linked d]: introductions are
+(** Mode-dependent dictionary string.  [Linked d]: introductions are
     [id*2, len, bytes] and hits [id*2+1], ids persisting across
     messages until {!Dict.bump}.  [Tabled]: a bare id into the table
     harvested by {!dict_strings}. *)
@@ -95,13 +95,14 @@ val raw_string : writer -> string -> unit
 
 val dict_strings : writer -> string list
 (** The [Tabled] harvest: every distinct string passed to {!string},
-    in first-use (= id) order.  Empty in other modes. *)
+    in first-use (= id) order.  Empty on a [Linked] writer. *)
 
 val preload : writer -> string list -> unit
 (** Seed a [Tabled] writer's table: the k-th string gets id k (skipping
     duplicates), so later {!string} calls on those strings emit bare
     references.  Lets a caller fix the table order — e.g. sorted, for
-    front coding — by harvesting with a first pass and re-encoding. *)
+    front coding — by harvesting with a first pass and re-encoding.
+    No-op on a [Linked] writer. *)
 
 val add_bytes : writer -> string -> unit
 (** Append bytes verbatim (no length prefix) — for assembling a
@@ -116,7 +117,6 @@ val size : writer -> int
     the epoch-selected table (see {!Dict.table_for}); [R_tabled] the
     decoded string table. *)
 type rstrmode =
-  | R_inline
   | R_linked of (int, string) Hashtbl.t
   | R_tabled of string array
 
@@ -126,6 +126,9 @@ exception Malformed of string
 (** Raised by read primitives on truncated or corrupt input. *)
 
 val reader : ?mode:rstrmode -> string -> reader
+(** [mode] defaults to [R_linked] against a fresh table, the inverse
+    of a default {!writer}. *)
+
 val read_varint : reader -> int
 val read_zigzag : reader -> int
 val read_float64 : reader -> float

@@ -45,4 +45,10 @@ val clear : t -> unit
 val equal_contents : t -> t -> bool
 (** Same relation names and identical tuple sets in each. *)
 
+val digest : t -> int
+(** Content digest of the whole store: equal iff the same relations
+    hold the same tuples (hash collisions aside), whatever order
+    inserted them.  How chaos and recovery runs show two stores
+    reached the same fix-point. *)
+
 val pp : t Fmt.t

@@ -87,11 +87,6 @@ let kitchen_sink_tuples =
       ];
   ]
 
-let test_tuples_round_trip () =
-  match Payload.decode_tuples (Payload.encode_tuples kitchen_sink_tuples) with
-  | Ok tuples -> check_tuples "all variants round-trip" kitchen_sink_tuples tuples
-  | Error e -> Alcotest.failf "decode_tuples failed: %s" e
-
 let payload_samples =
   [
     Payload.Update_request { update_id = uid; scope = Payload.Global };
@@ -550,8 +545,6 @@ let suite =
     Alcotest.test_case "nan round-trips" `Quick test_float_nan_round_trip;
     Alcotest.test_case "string dictionary compresses" `Quick
       test_string_dictionary_compresses;
-    Alcotest.test_case "tuples round-trip (all Value variants)" `Quick
-      test_tuples_round_trip;
     Alcotest.test_case "payloads round-trip" `Quick test_payload_round_trip;
     Alcotest.test_case "encoded_size = |encode|" `Quick test_encoded_size_is_real;
     Alcotest.test_case "dictionary beats the estimator on skew" `Quick

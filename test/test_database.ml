@@ -58,6 +58,19 @@ let test_clear () =
   Database.clear db;
   Alcotest.(check int) "empty" 0 (Database.cardinal db)
 
+let test_digest () =
+  let rows = [ ("r", tup [ i 1; i 2 ]); ("s", tup [ i 2; s "x" ]); ("r", tup [ i 3; i 4 ]) ] in
+  let fill db rows = List.iter (fun (rel, t) -> ignore (Database.insert db rel t)) rows in
+  let db1 = fresh () and db2 = Database.create [ s_schema; r_schema ] in
+  fill db1 rows;
+  fill db2 (List.rev rows);
+  Alcotest.(check int) "insertion and declaration order ignored" (Database.digest db1)
+    (Database.digest db2);
+  let db3 = fresh () in
+  fill db3 [ ("r", tup [ i 1; i 2 ]); ("s", tup [ i 2; s "y" ]); ("r", tup [ i 3; i 4 ]) ];
+  Alcotest.(check bool) "one changed tuple changes the digest" true
+    (Database.digest db1 <> Database.digest db3)
+
 let suite =
   [
     Alcotest.test_case "create rejects duplicates" `Quick test_create_rejects_duplicates;
@@ -68,4 +81,5 @@ let suite =
     Alcotest.test_case "equal_contents" `Quick test_equal_contents;
     Alcotest.test_case "schema round trip" `Quick test_schema_round_trip;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "digest ignores order, sees content" `Quick test_digest;
   ]

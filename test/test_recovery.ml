@@ -1,6 +1,5 @@
 (* Durability: CRC framing, WAL append/snapshot/recover round-trips,
-   the older on-disk formats an existing WAL directory may still hold,
-   both crash models, and true recovery — a crashed-and-recovered
+   record and snapshot formats, both crash models, and true recovery — a crashed-and-recovered
    network reaches the fault-free fix-point while refetching no more
    than the clear-and-refetch baseline. *)
 
@@ -141,7 +140,7 @@ let test_wal_file_backend () =
 
 (* --- durable records ------------------------------------------------ *)
 
-(* The records behind [Fixtures_v1.inline_records], in order. *)
+(* One record of every kind. *)
 let fixture_records =
   let tuples = [ tup [ i 1; s "x" ]; tup [ i 2; s "y" ] ] in
   [
@@ -177,16 +176,22 @@ let test_record_round_trip () =
     fixture_records;
   (* decoding is total: corrupt bytes raise Malformed, never anything
      else — an empty peer name included, which Peer_id.of_string
-     rejects with Invalid_argument *)
+     rejects with Invalid_argument.  Each case is decoded against a
+     fresh replay table, as the head of a log tail would be. *)
+  let valid = Durable.encode_record ~dict:(Codb_net.Codec.Dict.sender ()) (List.hd fixture_records) in
   List.iter
     (fun (label, bytes) ->
-      match Durable.decode_record bytes with
+      match Durable.decode_record ~dict:(Hashtbl.create 4) bytes with
       | exception Codb_net.Codec.Malformed _ -> ()
       | _ -> Alcotest.failf "%s must raise Malformed" label)
     [
-      ("unknown tag", "\xff");
-      ("empty mirror host", "\x05\x00\x01s\x00\x00\x01q");
-      ("empty remote owner", "\x03\x00\x01s\x01\x00\x00\x01q");
+      ("unknown tag", "\x10\xff");
+      (* marker, tag 5, sub id "s" introduced as id 0, host "" as id 1 *)
+      ("empty mirror host", "\x10\x05\x00\x01s\x02\x00\x01q");
+      (* marker, tag 3, sub id "s" as id 0, remote owner "" as id 1 *)
+      ("empty remote owner", "\x10\x03\x00\x01s\x01\x02\x00\x01q");
+      ("unmarked record", String.sub valid 1 (String.length valid - 1));
+      ("empty record", "");
     ]
 
 (* --- dictionary-mode records and tabled snapshots -------------------- *)
@@ -217,59 +222,44 @@ let test_record_dict_round_trip () =
   | first :: _ :: third :: _ ->
       Alcotest.(check bool) "repeated record shrinks" true
         (String.length third < String.length first);
-      (* a dictionary record without its replay mirror must fail loudly *)
-      (match Durable.decode_record third with
+      (* a record whose strings the replay table never saw introduced
+         must fail loudly *)
+      (match Durable.decode_record ~dict:(Hashtbl.create 4) third with
       | exception Codec.Malformed _ -> ()
-      | _ -> Alcotest.fail "dict record decoded without a replay table")
-  | _ -> assert false);
-  (* an older build's inline records still decode, alone and
-     interleaved with dictionary records in one log *)
-  List.iter2
-    (fun r bytes ->
-      Alcotest.(check bool) "inline record decodes" true
-        (Durable.decode_record bytes = r))
-    fixture_records Fixtures_v1.inline_records;
-  let mixed = Hashtbl.create 16 in
-  let d' = Codec.Dict.sender () in
-  List.iter2
-    (fun r inline ->
-      Alcotest.(check bool) "mixed-mode log replays" true
-        (Durable.decode_record ~dict:mixed (Durable.encode_record ~dict:d' r) = r
-        && Durable.decode_record ~dict:mixed inline = r))
-    fixture_records Fixtures_v1.inline_records
+      | _ -> Alcotest.fail "dict record decoded without its introductions")
+  | _ -> assert false)
 
-(* A fresh node recovering from a snapshot cut by an older build: the
-   version-1 reader must rebuild the exact store, and the version-2
-   snapshot the recovered node writes must be smaller. *)
-let test_tabled_snapshot_smaller () =
+(* A fresh node recovering from the snapshot another node with the
+   same declaration wrote must rebuild the exact store; a snapshot
+   with any other version byte is ignored. *)
+let test_snapshot_recovers_store () =
   let cfg = Topology.generate ~seed:5 Topology.Chain ~n:3 in
-  let node = Node.create (Option.get (Config.node cfg "n1")) in
-  let backend = Backend.memory () in
-  let old_wal =
-    Wal.create ~backend ~snapshot_every:1000
-      ~take_snapshot:(fun () -> Fixtures_v1.snapshot_v1) ()
+  let sys = System.build_exn cfg in
+  let _ = System.run_update sys ~initiator:"n0" in
+  let node = System.node sys "n1" in
+  let recover_from snapshot =
+    let backend = Backend.memory () in
+    let wal =
+      Wal.create ~backend ~snapshot_every:1000 ~take_snapshot:(fun () -> snapshot) ()
+    in
+    Wal.snapshot_now wal;
+    let fresh = Node.create (Option.get (Config.node cfg "n1")) in
+    let opts = { Options.default with Options.durability = Options.Dur_wal } in
+    (fresh, Durable.recover fresh opts ~backend)
   in
-  Wal.snapshot_now old_wal;
-  let opts = { Options.default with Options.durability = Options.Dur_wal } in
-  let rv = Durable.recover node opts ~backend in
+  let snapshot = Durable.encode_snapshot node in
+  let again, rv = recover_from snapshot in
   Alcotest.(check bool) "recovered from the snapshot" true rv.Durable.rv_had_snapshot;
-  Alcotest.(check int) "v1 snapshot restores every tuple" Fixtures_v1.snapshot_v1_tuples
-    (Database.cardinal node.Node.store);
-  Alcotest.(check int) "v1 snapshot restores the exact store"
-    Fixtures_v1.snapshot_v1_digest
-    (Durable.database_digest node.Node.store);
-  let v2 = Durable.encode_snapshot node in
-  Alcotest.(check bool)
-    (Printf.sprintf "tabled snapshot strictly smaller (%d < %d)" (String.length v2)
-       (String.length Fixtures_v1.snapshot_v1))
-    true
-    (String.length v2 < String.length Fixtures_v1.snapshot_v1);
-  (* and the v2 snapshot recovery just wrote round-trips too *)
-  let again = Node.create (Option.get (Config.node cfg "n1")) in
-  ignore (Durable.recover again opts ~backend : Durable.recovery_stats);
-  Alcotest.(check int) "v2 snapshot restores the exact store"
-    Fixtures_v1.snapshot_v1_digest
-    (Durable.database_digest again.Node.store)
+  Alcotest.(check int) "snapshot restores the exact store"
+    (Database.digest node.Node.store)
+    (Database.digest again.Node.store);
+  let v1 = "\x01" ^ String.sub snapshot 1 (String.length snapshot - 1) in
+  let ignored, rv = recover_from v1 in
+  Alcotest.(check bool) "a version-1 snapshot is not read" false
+    rv.Durable.rv_had_snapshot;
+  (* the fresh node holds only its declared facts, not what n1 imported *)
+  Alcotest.(check bool) "no imported tuple restored" true
+    (Database.cardinal ignored.Node.store < Database.cardinal node.Node.store)
 
 (* --- the two crash models ------------------------------------------- *)
 
@@ -462,8 +452,8 @@ let suite =
     Alcotest.test_case "durable records round-trip" `Quick test_record_round_trip;
     Alcotest.test_case "dictionary records round-trip" `Quick
       test_record_dict_round_trip;
-    Alcotest.test_case "tabled snapshots are smaller" `Quick
-      test_tabled_snapshot_smaller;
+    Alcotest.test_case "a node recovers its own snapshot" `Quick
+      test_snapshot_recovers_store;
     Alcotest.test_case "Dur_wal: repeated crashes recover exactly" `Quick
       test_wal_repeated_crashes_recover_store;
     Alcotest.test_case "Dur_volatile: wipe, then catch-up" `Quick
