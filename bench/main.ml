@@ -44,46 +44,33 @@ let () =
     | [] -> List.rev acc
   in
   let args = extract [] args in
+  let commands =
+    [
+      ("micro", Micro.run);
+      ("bench-json", fun () -> Planner_bench.run ~tiny:!tiny ());
+      ("wire-json", fun () -> Wire_bench.run ~tiny:!tiny ());
+      ("chaos-json", fun () -> Chaos_bench.run ~tiny:!tiny ~seed:!seed ~durable:!durable ());
+      ("recovery-json", fun () -> Recovery_bench.run ~tiny:!tiny ~seed:!seed ());
+      ("pushdown-json", fun () -> Pushdown_bench.run ~tiny:!tiny ());
+      ("sub-json", fun () -> Sub_bench.run ~tiny:!tiny ());
+      ("scale-json", fun () -> Scale_bench.run ~tiny:!tiny ());
+      ("dict-json", fun () -> Dict_bench.run ~tiny:!tiny ~seed:!seed ());
+    ]
+  in
   match args with
   | [] ->
       Experiments.run [];
       Micro.run ()
   | [ "experiments" ] -> Experiments.run []
-  | [ "micro" ] -> Micro.run ()
-  | [ "bench-json" ] -> Planner_bench.run ~tiny:!tiny ()
-  | [ "wire-json" ] -> Wire_bench.run ~tiny:!tiny ()
-  | [ "chaos-json" ] ->
-      Chaos_bench.run ~tiny:!tiny ~seed:!seed ~durable:!durable ()
-  | [ "recovery-json" ] -> Recovery_bench.run ~tiny:!tiny ~seed:!seed ()
-  | [ "pushdown-json" ] -> Pushdown_bench.run ~tiny:!tiny ()
-  | [ "sub-json" ] -> Sub_bench.run ~tiny:!tiny ()
-  | [ "scale-json" ] -> Scale_bench.run ~tiny:!tiny ()
-  | [ "dict-json" ] -> Dict_bench.run ~tiny:!tiny ~seed:!seed ()
   | names ->
-      if List.mem "micro" names then Micro.run ();
-      if List.mem "bench-json" names then Planner_bench.run ~tiny:!tiny ();
-      if List.mem "wire-json" names then Wire_bench.run ~tiny:!tiny ();
-      if List.mem "chaos-json" names then
-        Chaos_bench.run ~tiny:!tiny ~seed:!seed ~durable:!durable ();
-      if List.mem "recovery-json" names then Recovery_bench.run ~tiny:!tiny ~seed:!seed ();
-      if List.mem "pushdown-json" names then Pushdown_bench.run ~tiny:!tiny ();
-      if List.mem "sub-json" names then Sub_bench.run ~tiny:!tiny ();
-      if List.mem "scale-json" names then Scale_bench.run ~tiny:!tiny ();
-      if List.mem "dict-json" names then Dict_bench.run ~tiny:!tiny ~seed:!seed ();
-      let experiment_names =
-        List.filter
-          (fun n ->
-            n <> "micro" && n <> "bench-json" && n <> "wire-json" && n <> "chaos-json"
-            && n <> "recovery-json" && n <> "pushdown-json" && n <> "sub-json"
-            && n <> "scale-json" && n <> "dict-json")
-          names
-      in
+      let experiment_names = List.filter (fun n -> not (List.mem_assoc n commands)) names in
       let known = List.map fst Experiments.all in
       let unknown = List.filter (fun n -> not (List.mem n known)) experiment_names in
       if unknown <> [] then begin
-        Printf.eprintf
-          "unknown experiment(s): %s (known: %s, micro, bench-json, wire-json, chaos-json, recovery-json, pushdown-json, sub-json, scale-json, dict-json)\n"
-          (String.concat ", " unknown) (String.concat ", " known);
+        Printf.eprintf "unknown experiment(s): %s (known: %s)\n"
+          (String.concat ", " unknown)
+          (String.concat ", " (known @ List.map fst commands));
         exit 1
       end;
-      Experiments.run experiment_names
+      List.iter (fun (name, run) -> if List.mem name names then run ()) commands;
+      if experiment_names <> [] then Experiments.run experiment_names

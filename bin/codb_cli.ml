@@ -35,7 +35,7 @@ let read_file path =
 
 let load_system ?opts path =
   match Parser.load_config (read_file path) with
-  | Ok cfg -> Ok (System.build_exn ?opts cfg)
+  | Ok cfg -> Result.map_error (String.concat "\n") (System.build ?opts cfg)
   | Error errors -> Error (String.concat "\n" errors)
 
 let or_die = function
@@ -53,6 +53,15 @@ let node_or_die sys name =
     exit 1
   end;
   name
+
+(* Fault plans name nodes too.  [System] skips an unknown name at run
+   time, because a node may join later; on the command line it is a
+   typo. *)
+let fault_nodes_or_die sys (opts : Options.t) =
+  List.iter (fun (name, _, _) -> ignore (node_or_die sys name)) opts.Options.crash_plan;
+  List.iter
+    (fun (a, b, _, _) -> List.iter (fun name -> ignore (node_or_die sys name)) [ a; b ])
+    opts.Options.flap_plan
 
 let initiator_or_first sys = function
   | Some name -> node_or_die sys name
@@ -293,6 +302,7 @@ let chaos_cmd file initiator seed drop dup jitter budget flaps crashes ack_timeo
       List.iter prerr_endline errors;
       exit 1);
   let sys = or_die (load_system ~opts file) in
+  fault_nodes_or_die sys opts;
   let initiator = initiator_or_first sys initiator in
   let at = match at with Some at -> node_or_die sys at | None -> initiator in
   let query = Option.map (query_or_die sys ~at) query in
@@ -342,6 +352,7 @@ let recover_cmd file initiator seed crashes durability wal_dir snapshot_every
       List.iter prerr_endline errors;
       exit 1);
   let sys = or_die (load_system ~opts file) in
+  fault_nodes_or_die sys opts;
   let initiator = initiator_or_first sys initiator in
   let uid = System.run_update sys ~initiator in
   (match Report.update_report (System.snapshots sys) uid with

@@ -9,7 +9,6 @@ type t = {
   naive_delta : bool;
   latency : float;
   byte_cost : float;
-  max_update_events : int;
   use_query_cache : bool;
   cache_capacity : int;
   cache_max_bytes : int;
@@ -43,7 +42,6 @@ let default =
     naive_delta = false;
     latency = 0.001;
     byte_cost = 0.000001;
-    max_update_events = 2_000_000;
     use_query_cache = false;
     cache_capacity = 128;
     cache_max_bytes = 4 * 1024 * 1024;
@@ -80,10 +78,6 @@ let validate t =
     reject (Printf.sprintf "options: latency must be >= 0 (got %g)" t.latency);
   if t.byte_cost < 0.0 then
     reject (Printf.sprintf "options: byte_cost must be >= 0 (got %g)" t.byte_cost);
-  if t.max_update_events <= 0 then
-    reject
-      (Printf.sprintf "options: max_update_events must be positive (got %d)"
-         t.max_update_events);
   if t.cache_capacity < 0 then
     reject (Printf.sprintf "options: cache_capacity must be >= 0 (got %d)" t.cache_capacity);
   if t.cache_max_bytes < 0 then

@@ -4,7 +4,7 @@
     ablation experiments (E7/E8/E9 in DESIGN.md).  Disabling duplicate
     suppression on a cyclic network with existential head variables
     can make the fix-point diverge — that is the point of the
-    ablation — so [max_update_events] bounds every run.
+    ablation — so {!System.run} bounds every run's simulator events.
 
     Two things are deliberately not switchable.  Every message is
     sized by its link frame: the compact codec with one incremental
@@ -35,9 +35,6 @@ type t = {
           semi-naively on the delta (ablation baseline) *)
   latency : float;  (** pipe latency, seconds *)
   byte_cost : float;  (** pipe transfer cost, seconds per byte *)
-  max_update_events : int;
-      (** safety bound on simulator events per run; generous by
-          default *)
   use_query_cache : bool;
       (** per-node semantic query-answer cache (see
           {!Codb_cache.Qcache}); off by default so the paper's
@@ -133,7 +130,7 @@ val with_cache : t
 
 val validate : t -> (unit, string list) result
 (** Reject non-sensical settings: negative [latency] or [byte_cost],
-    non-positive [max_update_events], negative cache capacities;
+    negative cache capacities;
     negative [batch_window], [batch_max_tuples] < 1; probabilities
     outside [0,1], negative [jitter], [drop_budget] or [ack_timeout],
     flaps that reopen before they close, crashes that restart before

@@ -314,7 +314,10 @@ let build ?(opts = Options.default) cfg =
   | Ok () ->
       if Config.node cfg Superpeer.peer_name <> None then
         Error [ Printf.sprintf "node name %s is reserved" Superpeer.peer_name ]
-      else begin
+      else
+      match Option.map Codb_store.Backend.prepare_dir opts.Options.wal_dir with
+      | Some (Error why) -> Error [ "wal_dir: " ^ why ]
+      | Some (Ok ()) | None -> begin
         let links = Link_dict.create () in
         let size_of ~src ~dst p =
           Payload.encoded_size ~link:(Link_dict.sender links ~src ~dst) p
@@ -351,11 +354,11 @@ let build_exn ?opts cfg =
   | Ok sys -> sys
   | Error errors -> invalid_arg ("System.build: " ^ String.concat "; " errors)
 
-let run ?max_events sys =
-  let max_events =
-    Option.value ~default:sys.sys_opts.Options.max_update_events max_events
-  in
-  Network.run ~max_events sys.sys_net
+(* A safety bound, generous enough for every workload that converges:
+   the dedup ablations can make a fix-point diverge. *)
+let default_max_events = 2_000_000
+
+let run ?(max_events = default_max_events) sys = Network.run ~max_events sys.sys_net
 
 let now sys = Network.now sys.sys_net
 

@@ -14,9 +14,10 @@ type t
 
 val build : ?opts:Options.t -> Config.t -> (t, string list) result
 (** Validate the options ({!Options.validate}) and the configuration,
-    create all nodes, load their facts, install coordination rules
-    (and, when [opts.use_query_cache], the per-node query-answer
-    caches) and open the pipes between acquaintances. *)
+    make sure [opts.wal_dir] (if set) is a directory, creating it when
+    absent, then create all nodes, load their facts, install
+    coordination rules (and, when [opts.use_query_cache], the per-node
+    query-answer caches) and open the pipes between acquaintances. *)
 
 val build_exn : ?opts:Options.t -> Config.t -> t
 (** @raise Invalid_argument with the concatenated validation errors. *)
@@ -41,7 +42,8 @@ val node_names : t -> string list
 (** Sorted. *)
 
 val run : ?max_events:int -> t -> int
-(** Drain the event queue; returns events processed. *)
+(** Drain the event queue, processing at most [max_events] events
+    (default 2 000 000); returns events processed. *)
 
 val now : t -> float
 
@@ -52,8 +54,7 @@ val start_update : t -> initiator:string -> Ids.update_id
     with {!run} for concurrent scenarios). *)
 
 val run_update : t -> initiator:string -> Ids.update_id
-(** Initiate and run the network to quiescence (bounded by
-    [opts.max_update_events]). *)
+(** Initiate and run the network to quiescence (bounded as {!run}). *)
 
 val start_scoped_update : t -> at:string -> rels:string list -> Ids.update_id
 (** Initiate a query-dependent update (see {!Update.initiate_scoped})

@@ -38,8 +38,17 @@ let read_file path =
 
 let fsync_channel oc = Unix.fsync (Unix.descr_of_out_channel oc)
 
+let prepare_dir dir =
+  match Sys.is_directory dir with
+  | true -> Ok ()
+  | false -> Error (Printf.sprintf "%s is not a directory" dir)
+  | exception Sys_error _ -> (
+      try Ok (Unix.mkdir dir 0o755)
+      with Unix.Unix_error (e, _, _) ->
+        Error (Printf.sprintf "cannot create %s: %s" dir (Unix.error_message e)))
+
 let file ~fsync ~dir ~node () =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  (match prepare_dir dir with Ok () -> () | Error e -> invalid_arg ("Backend.file: " ^ e));
   let wal_path = Filename.concat dir (node ^ ".wal") in
   let snap_path = Filename.concat dir (node ^ ".snap") in
   let with_out path flags f =

@@ -23,8 +23,14 @@ val memory : unit -> t
     a simulated crash (the [t] outlives the node's volatile state) but
     not the process. *)
 
+val prepare_dir : string -> (unit, string) result
+(** Make sure [dir] is a directory, creating it (not its parents) if
+    absent; [Error] with the reason when it is something else or
+    cannot be created. *)
+
 val file : fsync:bool -> dir:string -> node:string -> unit -> t
 (** On-disk backend: [<dir>/<node>.wal] and [<dir>/<node>.snap],
     creating [dir] if needed.  Snapshots are written to a temp file
     and renamed into place; with [fsync] every write is flushed with
-    [Unix.fsync] before returning. *)
+    [Unix.fsync] before returning.
+    @raise Invalid_argument when {!prepare_dir} fails. *)

@@ -1,8 +1,9 @@
 (* The seed boxed storage engine, preserved verbatim: an ordered
    tuple set plus hash indexes keyed by boxed value lists.  It is the
    differential-testing oracle for the columnar [Relation] (they must
-   agree on every operation) and the boxed baseline of the E19 scale
-   bench.  Production code uses [Relation]. *)
+   agree on every operation). *)
+
+open Codb_relalg
 
 module Tuple_set = Set.Make (Tuple)
 

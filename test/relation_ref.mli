@@ -1,7 +1,6 @@
 (** The {e seed} boxed relation implementation, kept as a reference:
-    the differential-testing oracle for the columnar {!Relation} and
-    the boxed baseline of the E19 scale benchmark.  Same surface and
-    semantics as {!Relation}; production code should use {!Relation}.
+    the differential-testing oracle for the columnar {!Relation}.
+    Same surface and semantics as {!Relation}.
 
     A relation instance: a set of tuples conforming to a schema.
 
@@ -19,6 +18,8 @@
     relation also keeps cheap statistics — O(1) cardinality and
     per-column distinct-value counts — for the cost-based query
     planner. *)
+
+open Codb_relalg
 
 module Tuple_set : Set.S with type elt = Tuple.t
 

@@ -33,12 +33,6 @@ let test_negative_byte_cost () =
   rejected ~substring:"byte_cost"
     (Options.validate { Options.default with Options.byte_cost = -1e-9 })
 
-let test_nonpositive_max_events () =
-  rejected ~substring:"max_update_events"
-    (Options.validate { Options.default with Options.max_update_events = 0 });
-  rejected ~substring:"max_update_events"
-    (Options.validate { Options.default with Options.max_update_events = -3 })
-
 let test_negative_cache_settings () =
   rejected ~substring:"cache_capacity"
     (Options.validate { Options.default with Options.cache_capacity = -1 });
@@ -123,16 +117,33 @@ let test_rto_backoff_capped () =
 let test_errors_accumulate () =
   match
     Options.validate
-      { Options.default with Options.latency = -1.0; max_update_events = 0 }
+      { Options.default with Options.latency = -1.0; byte_cost = -1.0 }
   with
   | Ok () -> Alcotest.fail "two bad settings accepted"
   | Error errors -> Alcotest.(check int) "both reported" 2 (List.length errors)
 
 let test_build_rejects_bad_options () =
   let cfg = Topology.generate ~seed:1 Topology.Chain ~n:2 in
-  match System.build ~opts:{ Options.default with Options.latency = -1.0 } cfg with
+  (match System.build ~opts:{ Options.default with Options.latency = -1.0 } cfg with
   | Ok _ -> Alcotest.fail "System.build accepted invalid options"
-  | Error errors -> Alcotest.(check bool) "errors reported" true (errors <> [])
+  | Error errors -> Alcotest.(check bool) "errors reported" true (errors <> []));
+  (* a wal_dir that is a regular file, or whose parent is missing *)
+  let file = Filename.temp_file "codb" ".notdir" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun dir ->
+          let opts =
+            { Options.default with Options.durability = Options.Dur_wal; wal_dir = Some dir }
+          in
+          match System.build ~opts cfg with
+          | Ok _ -> Alcotest.failf "System.build accepted wal_dir %s" dir
+          | Error [ why ] ->
+              Alcotest.(check bool) ("wal_dir error for " ^ dir) true
+                (String.starts_with ~prefix:"wal_dir: " why)
+          | Error errors -> Alcotest.failf "expected one error, got %d" (List.length errors))
+        [ file; Filename.concat file "x" ])
 
 let suite =
   [
@@ -140,8 +151,6 @@ let suite =
     Alcotest.test_case "with_cache validates" `Quick test_with_cache_is_valid;
     Alcotest.test_case "negative latency rejected" `Quick test_negative_latency;
     Alcotest.test_case "negative byte_cost rejected" `Quick test_negative_byte_cost;
-    Alcotest.test_case "non-positive max_update_events rejected" `Quick
-      test_nonpositive_max_events;
     Alcotest.test_case "negative cache settings rejected" `Quick
       test_negative_cache_settings;
     Alcotest.test_case "zero bounds are valid" `Quick test_zero_bounds_are_valid;

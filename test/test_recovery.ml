@@ -1,7 +1,7 @@
 (* Durability: CRC framing, WAL append/snapshot/recover round-trips,
-   record and snapshot formats, both crash models, and true recovery — a crashed-and-recovered
-   network reaches the fault-free fix-point while refetching no more
-   than the clear-and-refetch baseline. *)
+   record and snapshot formats, both crash models, and true recovery —
+   a crashed-and-recovered network reaches the fault-free fix-point
+   while refetching no more than the clear-and-refetch baseline. *)
 
 open Helpers
 module System = Codb_core.System
@@ -178,7 +178,9 @@ let test_record_round_trip () =
      else — an empty peer name included, which Peer_id.of_string
      rejects with Invalid_argument.  Each case is decoded against a
      fresh replay table, as the head of a log tail would be. *)
-  let valid = Durable.encode_record ~dict:(Codb_net.Codec.Dict.sender ()) (List.hd fixture_records) in
+  let valid =
+    Durable.encode_record ~dict:(Codb_net.Codec.Dict.sender ()) (List.hd fixture_records)
+  in
   List.iter
     (fun (label, bytes) ->
       match Durable.decode_record ~dict:(Hashtbl.create 4) bytes with

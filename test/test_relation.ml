@@ -220,7 +220,7 @@ let test_to_list_sorted () =
 
 (* ---- differential testing against the seed engine ------------------- *)
 
-module Ref = Codb_relalg.Relation_ref
+module Ref = Relation_ref
 module Q2 = QCheck2
 module Gen = QCheck2.Gen
 

@@ -396,11 +396,11 @@ rule ba at b: r(x, z) <- a: r(x, y);
      subsumption alone recognises the existing witness *)
   let opts =
     { Options.default with Options.use_subsumption_dedup = false;
-      use_sent_cache = false; max_update_events = 2000 }
+      use_sent_cache = false }
   in
   let sys = System.build_exn ~opts cfg in
   let uid = System.start_update sys ~initiator:"a" in
-  let events = System.run sys in
+  let events = System.run ~max_events:2000 sys in
   Alcotest.(check bool) "hit the bound" true (events >= 2000);
   let report = Option.get (Report.update_report (System.snapshots sys) uid) in
   Alcotest.(check bool) "not finished (diverging)" false report.Report.ur_all_finished;
