@@ -108,12 +108,27 @@ let set_rules node ~outgoing ~incoming =
   Option.iter Codb_cache.Qcache.clear node.cache
 
 let check_query node query =
+  let arity_mismatch (atom : Codb_cq.Atom.t) =
+    let have =
+      Codb_relalg.(Schema.arity (Relation.schema (Database.relation node.store atom.rel)))
+    in
+    let uses = Codb_cq.Atom.arity atom in
+    if have = uses then None
+    else
+      Some
+        (Printf.sprintf "%s has %d column%s, the query uses %d" atom.rel have
+           (if have = 1 then "" else "s")
+           uses)
+  in
   match
     List.filter
       (fun rel -> not (Database.has_relation node.store rel))
       (Codb_cq.Query.body_relations query)
   with
-  | [] -> Codb_cq.Query.well_formed ~allow_existential_head:false query
+  | [] -> (
+      match List.find_map arity_mismatch query.Codb_cq.Query.body with
+      | Some reason -> Error reason
+      | None -> Codb_cq.Query.well_formed ~allow_existential_head:false query)
   | missing ->
       Error
         (Printf.sprintf "unknown relation%s: %s"

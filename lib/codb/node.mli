@@ -103,9 +103,9 @@ val mirrors_sorted : t -> (string * Codb_sub.Mirror.t) list
 
 val check_query : t -> Codb_cq.Query.t -> (unit, string) result
 (** Can this node answer (or host a subscription to) the query?  An
-    error names the body relations outside the node's schema, or else
-    says why the query is ill-formed (existential head, unsafe
-    comparison). *)
+    error names the body relations outside the node's schema, or an
+    atom whose arity differs from its relation's, or else says why the
+    query is ill-formed (existential head, unsafe comparison). *)
 
 val cache_snapshot : t -> Codb_cache.Qcache.counters option
 (** The cache counters for a statistics snapshot ([None] when caching

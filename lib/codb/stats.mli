@@ -33,8 +33,8 @@ type update_stat = {
   mutable us_batches : int;  (** [Update_batch] messages this node sent *)
   mutable us_batch_tuples : int;  (** tuples shipped inside those batches *)
   mutable us_coalesced : int;
-      (** tuples that never hit the wire: same-window duplicates and
-          insert/retract pairs cancelled in the buffer *)
+      (** tuples that never hit the wire: same-window duplicates
+          dropped by the buffer *)
   mutable us_cache_staled : int;
       (** query-cache entries invalidated when this update finalised
           ({!Codb_cache.Qcache.note_update} churn) *)

@@ -142,19 +142,6 @@ let buffer_add st ~dst ~rule ~hops tuples =
   st.ust_pending <- st.ust_pending + added;
   added
 
-let buffer_retract st ~dst ~rule tuple =
-  match Hashtbl.find_opt st.ust_wire dst with
-  | None -> false
-  | Some b -> (
-      match Hashtbl.find_opt b.db_entries rule with
-      | Some e when Tuple_set.mem tuple e.be_set ->
-          e.be_set <- Tuple_set.remove tuple e.be_set;
-          e.be_rev <- List.filter (fun t -> not (Tuple.equal t tuple)) e.be_rev;
-          b.db_tuples <- b.db_tuples - 1;
-          st.ust_pending <- st.ust_pending - 1;
-          true
-      | Some _ | None -> false)
-
 let buffer_size st ~dst =
   match Hashtbl.find_opt st.ust_wire dst with Some b -> b.db_tuples | None -> 0
 
@@ -175,11 +162,6 @@ let take_buffer st ~dst =
       List.sort (fun (r1, _, _) (r2, _, _) -> String.compare r1 r2) entries
 
 let pending_tuples st = st.ust_pending
-
-let buffered_dsts st =
-  List.sort Peer_id.compare
-    (Hashtbl.fold (fun dst b acc -> if b.db_tuples > 0 then dst :: acc else acc)
-       st.ust_wire [])
 
 let flush_scheduled st ~dst =
   match Hashtbl.find_opt st.ust_wire dst with Some b -> b.db_scheduled | None -> false

@@ -100,20 +100,15 @@ val sent_tracked : t -> string -> int
 (** {2 Wire buffers}
 
     Outgoing update data waiting to be coalesced into one
-    [Update_batch] per destination.  All counts are exact: a tuple
-    enters [ust_pending] when buffered and leaves on {!take_buffer} or
-    {!buffer_retract}. *)
+    [Update_batch] per destination.  Updates only insert, so a buffer
+    only grows until it is drained.  All counts are exact: a tuple
+    enters [ust_pending] when buffered and leaves on {!take_buffer}. *)
 
 val buffer_add :
   t -> dst:Peer_id.t -> rule:string -> hops:int -> Codb_relalg.Tuple.t list -> int
 (** Buffer tuples for [dst]; same-window duplicates per rule are
     dropped.  Hop counts merge to the max.  Returns tuples newly
     buffered. *)
-
-val buffer_retract : t -> dst:Peer_id.t -> rule:string -> Codb_relalg.Tuple.t -> bool
-(** Remove a not-yet-flushed tuple (insert/retract coalescing: an
-    insert cancelled in the same window ships zero bytes).  [false] if
-    the tuple was not pending. *)
 
 val buffer_size : t -> dst:Peer_id.t -> int
 
@@ -123,9 +118,6 @@ val take_buffer : t -> dst:Peer_id.t -> (string * int * Codb_relalg.Tuple.t list
     decrements [ust_pending]. *)
 
 val pending_tuples : t -> int
-
-val buffered_dsts : t -> Peer_id.t list
-(** Destinations with a non-empty buffer, sorted. *)
 
 val flush_scheduled : t -> dst:Peer_id.t -> bool
 

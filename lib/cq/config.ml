@@ -1,5 +1,6 @@
 module Schema = Codb_relalg.Schema
 module Tuple = Codb_relalg.Tuple
+module Value = Codb_relalg.Value
 
 type node_decl = {
   node_name : string;
@@ -64,7 +65,56 @@ let check_atom_against decl ~where ~who errors atom =
         :: errors
       else errors
 
+(* An atom's arguments paired with the columns they fill; empty when
+   the relation is unknown or the arity is wrong (reported
+   separately). *)
+let typed_columns decl atom =
+  match find_schema decl atom.Atom.rel with
+  | Some s when Schema.arity s = Atom.arity atom ->
+      List.map2 (fun term a -> (term, s, a)) atom.Atom.args s.Schema.attrs
+  | Some _ | None -> []
+
+(* A head variable must fill a column of the type its body columns
+   have, and a head constant must inhabit its column's type, or the
+   importer's insert would reject the derived tuple mid-update.
+   Existential head variables have no body column to disagree with. *)
+let check_head_types ~where ~imp ~src errors q =
+  let body = List.concat_map (typed_columns src) q.Query.body in
+  let column s a =
+    Printf.sprintf "%s.%s (%s)" s.Schema.rel_name a.Schema.attr_name
+      (Value.string_of_ty a.Schema.attr_ty)
+  in
+  List.fold_left
+    (fun errors (term, s, a) ->
+      match term with
+      | Term.Var x -> (
+          match
+            List.find_opt
+              (fun (t, _, b) -> Term.equal t term && b.Schema.attr_ty <> a.Schema.attr_ty)
+              body
+          with
+          | Some (_, bs, b) ->
+              Printf.sprintf "%s: variable %s fills head column %s from body column %s" where
+                x (column s a) (column bs b)
+              :: errors
+          | None -> errors)
+      | Term.Cst v ->
+          if Value.conforms a.Schema.attr_ty v then errors
+          else
+            Printf.sprintf "%s: head constant %s does not conform to %s" where
+              (Value.to_string v) (column s a)
+            :: errors)
+    errors
+    (typed_columns imp q.Query.head)
+
 let validate cfg =
+  (* rules look their endpoints up by name: index the nodes once rather
+     than scanning the node list per rule (first declaration wins, as
+     in [node]) *)
+  let nodes = Hashtbl.create (List.length cfg.nodes) in
+  List.iter
+    (fun n -> if not (Hashtbl.mem nodes n.node_name) then Hashtbl.add nodes n.node_name n)
+    cfg.nodes;
   let errors = [] in
   let errors =
     List.fold_left
@@ -118,7 +168,7 @@ let validate cfg =
   let errors = List.fold_left check_node errors cfg.nodes in
   let check_rule errors r =
     let where = Printf.sprintf "rule %s" r.rule_id in
-    match (node cfg r.importer, node cfg r.source) with
+    match (Hashtbl.find_opt nodes r.importer, Hashtbl.find_opt nodes r.source) with
     | None, _ -> Printf.sprintf "%s: unknown importer node %s" where r.importer :: errors
     | _, None -> Printf.sprintf "%s: unknown source node %s" where r.source :: errors
     | Some imp, Some src ->
@@ -136,9 +186,12 @@ let validate cfg =
           check_atom_against imp ~where:(where ^ " head") ~who:r.importer errors
             r.rule_query.Query.head
         in
-        List.fold_left
-          (check_atom_against src ~where:(where ^ " body") ~who:r.source)
-          errors r.rule_query.Query.body
+        let errors =
+          List.fold_left
+            (check_atom_against src ~where:(where ^ " body") ~who:r.source)
+            errors r.rule_query.Query.body
+        in
+        check_head_types ~where ~imp ~src errors r.rule_query
   in
   let errors = List.fold_left check_rule errors cfg.rules in
   match errors with [] -> Ok () | _ -> Error (List.rev errors)

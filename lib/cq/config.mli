@@ -42,7 +42,9 @@ val acquaintances : t -> string -> string list
 val validate : t -> (unit, string list) result
 (** Full static checking: unique node and rule names, endpoints exist
     and differ, head/body relations exist in the right schemas with
-    matching arities, rules are safe (existential heads allowed),
+    matching arities, every head variable fills a column of the same
+    type as its body columns and every head constant conforms to its
+    column, rules are safe (existential heads allowed),
     constraints are safe, facts conform to their schemas. *)
 
 val empty : t

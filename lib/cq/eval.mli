@@ -80,8 +80,7 @@ val rows_of_list : Codb_relalg.Tuple.t list -> rows
 
 val of_database : Codb_relalg.Database.t -> source
 (** Probing access paths backed by {!Codb_relalg.Relation}'s lazy,
-    incrementally maintained hash indexes, as many per relation as its
-    {!Codb_relalg.Relation.index_budget} allows (16 unless set). *)
+    incrementally maintained hash indexes (at most 16 per relation). *)
 
 val source_of_alist : (string * Codb_relalg.Tuple.t list) list -> source
 (** Scan-only source over an association list. *)

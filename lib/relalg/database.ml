@@ -36,15 +36,10 @@ let tuples db name = Relation.to_list (relation db name)
 let cardinal db =
   List.fold_left (fun acc name -> acc + Relation.cardinal (relation db name)) 0 db.order
 
-let size_bytes db =
-  List.fold_left (fun acc name -> acc + Relation.size_bytes (relation db name)) 0 db.order
-
 let copy db =
   let rels = Hashtbl.create 16 in
   List.iter (fun name -> Hashtbl.add rels name (Relation.copy (relation db name))) db.order;
   { order = db.order; rels }
-
-let clear db = List.iter (fun name -> Relation.clear (relation db name)) db.order
 
 let equal_contents db1 db2 =
   let names1 = List.sort String.compare db1.order

@@ -34,13 +34,9 @@ val tuples : t -> string -> Tuple.t list
 val cardinal : t -> int
 (** Total number of tuples across all relations. *)
 
-val size_bytes : t -> int
-
 val copy : t -> t
 (** Deep copy (relations are duplicated, contents shared
     persistently). *)
-
-val clear : t -> unit
 
 val equal_contents : t -> t -> bool
 (** Same relation names and identical tuple sets in each. *)

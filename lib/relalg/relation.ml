@@ -2,10 +2,10 @@
 
    Tuples live as flat packed ints (see [Intern]) in per-column
    write-once chunk arrays; a row is a slot index shared by every
-   column.  A presence bitmap marks removed slots dead (their storage
-   is reclaimed on [clear]).  All probing — membership, hash indexes,
-   column statistics, subsumption — happens on packed ints: equality
-   is integer equality, hashing never walks a string.
+   column.  Relations are append-only: rows are never removed, so the
+   row ids are exactly [0, card).  All probing — membership, hash
+   indexes, column statistics, subsumption — happens on packed ints:
+   equality is integer equality, hashing never walks a string.
 
    Boxed views are materialised lazily, one canonical [Tuple.t] per
    row, memoised for the relation's lifetime, so repeated probes
@@ -15,8 +15,8 @@
 
    [copy] snapshots in O(columns): full chunks are write-once and
    shared between the copy and the original; only the partial tail
-   chunk of each column (and the presence bitmap / row index) is
-   cloned.  Like the seed, a copy starts with no hash indexes. *)
+   chunk of each column (and the row index) is cloned.  Like the seed,
+   a copy starts with no hash indexes. *)
 
 module Tuple_set = Set.Make (Tuple)
 
@@ -122,15 +122,6 @@ module Ivec = struct
     end;
     t.data.(t.len) <- v;
     t.len <- t.len + 1
-
-  (* order inside a bucket is unspecified: swap-remove is O(1) *)
-  let remove t v =
-    let rec find i = if i >= t.len then -1 else if t.data.(i) = v then i else find (i + 1) in
-    let i = find 0 in
-    if i >= 0 then begin
-      t.len <- t.len - 1;
-      t.data.(i) <- t.data.(t.len)
-    end
 end
 
 (* ---- hashing --------------------------------------------------------- *)
@@ -147,10 +138,8 @@ type index = {
 }
 
 (* Per-chunk [min, max] summaries of one column's packed values (a
-   zone map).  Bounds cover every slot ever written in the chunk, dead
-   ones included: removals never shrink an interval, so a stale zone
-   map is only ever *wider* than the live data — pruning stays sound,
-   it just skips less. *)
+   zone map).  Rows are only ever appended, so the intervals are
+   exact. *)
 type zcol = {
   mutable zc_mins : int array;
   mutable zc_maxs : int array;
@@ -161,24 +150,22 @@ type t = {
   schema : Schema.t;
   arity : int;
   cols : Ichunks.t array;  (* packed values, one chunk store per column *)
-  mutable boxed : Tchunks.t;  (* memoised canonical boxed rows *)
-  mutable live : Bytes.t;  (* presence bitmap over row slots *)
-  mutable nrows : int;  (* total slots, including dead ones *)
-  mutable card : int;
-  mutable row_index : (int, int list) Hashtbl.t;  (* content hash -> slots *)
+  boxed : Tchunks.t;  (* memoised canonical boxed rows *)
+  mutable card : int;  (* rows are [0, card) *)
+  row_index : (int, int list) Hashtbl.t;  (* content hash -> rows *)
   indexes : (int list, index) Hashtbl.t;
-  mutable index_budget : int;
   (* per-column distinct-value counters keyed by packed value: built on
      the first [distinct_count] call, maintained incrementally after *)
-  mutable col_counts : (int, int) Hashtbl.t option array;
+  col_counts : (int, int) Hashtbl.t option array;
   (* per-column zone maps: built on the first [pv_prune] touching the
      column, maintained incrementally after *)
-  mutable zones : zcol option array;
+  zones : zcol option array;
   mutable sorted_cache : Tuple.t list option;
-  mutable live_cache : int array option;  (* live row ids, insertion order *)
 }
 
-let default_index_budget = 16
+(* At most this many distinct hash indexes per relation; past it,
+   probes reuse a built single-column index or scan. *)
+let max_indexes = 16
 
 let create schema =
   let arity = Schema.arity schema in
@@ -187,16 +174,12 @@ let create schema =
     arity;
     cols = Array.init arity (fun _ -> Ichunks.create ());
     boxed = Tchunks.create ();
-    live = Bytes.make 64 '\000';
-    nrows = 0;
     card = 0;
     row_index = Hashtbl.create 64;
     indexes = Hashtbl.create 4;
-    index_budget = default_index_budget;
     col_counts = Array.make arity None;
     zones = Array.make arity None;
     sorted_cache = None;
-    live_cache = None;
   }
 
 let schema r = r.schema
@@ -204,30 +187,6 @@ let schema r = r.schema
 let name r = r.schema.Schema.rel_name
 
 let cardinal r = r.card
-
-let is_empty r = r.card = 0
-
-(* ---- presence bitmap ------------------------------------------------- *)
-
-let is_live r row = Char.code (Bytes.unsafe_get r.live (row lsr 3)) land (1 lsl (row land 7)) <> 0
-
-let set_live r row =
-  let b = row lsr 3 in
-  if b >= Bytes.length r.live then begin
-    let grown = Bytes.make (max (2 * Bytes.length r.live) (b + 1)) '\000' in
-    Bytes.blit r.live 0 grown 0 (Bytes.length r.live);
-    r.live <- grown
-  end;
-  Bytes.set r.live b (Char.chr (Char.code (Bytes.get r.live b) lor (1 lsl (row land 7))))
-
-let clear_live r row =
-  let b = row lsr 3 in
-  Bytes.set r.live b (Char.chr (Char.code (Bytes.get r.live b) land lnot (1 lsl (row land 7))))
-
-let iter_live r f =
-  for row = 0 to r.nrows - 1 do
-    if is_live r row then f row
-  done
 
 (* ---- packed row access ----------------------------------------------- *)
 
@@ -246,21 +205,19 @@ let row_matches r packed row =
   let rec loop c = c >= r.arity || (cell r c row = packed.(c) && loop (c + 1)) in
   loop 0
 
-(* The live slot holding exactly [packed], or -1. *)
+(* The row of a row-index bucket holding exactly [packed], or -1. *)
+let rec find_in r packed = function
+  | [] -> -1
+  | row :: rest -> if row_matches r packed row then row else find_in r packed rest
+
 let find_row r packed =
   if Array.length packed <> r.arity then -1
   else
     match Hashtbl.find_opt r.row_index (packed_hash packed) with
     | None -> -1
-    | Some bucket ->
-        let rec scan = function
-          | [] -> -1
-          | row :: rest ->
-              if is_live r row && row_matches r packed row then row else scan rest
-        in
-        scan bucket
+    | Some bucket -> find_in r packed bucket
 
-(* canonical boxed view of a live row, memoised *)
+(* canonical boxed view of a row, memoised *)
 let boxed_row r row =
   let b = Tchunks.get r.boxed row in
   if b != Tchunks.absent then b
@@ -272,16 +229,15 @@ let boxed_row r row =
 
 (* ---- index maintenance ----------------------------------------------- *)
 
-let index_key ix r row =
-  if ix.ix_single then cell r ix.ix_cols.(0) row
-  else begin
-    let h = ref (Array.length ix.ix_cols) in
-    Array.iter (fun c -> h := combine !h (cell r c row)) ix.ix_cols;
-    !h
-  end
-
 let index_add ix r row =
-  let key = index_key ix r row in
+  let key =
+    if ix.ix_single then cell r ix.ix_cols.(0) row
+    else begin
+      let h = ref (Array.length ix.ix_cols) in
+      Array.iter (fun c -> h := combine !h (cell r c row)) ix.ix_cols;
+      !h
+    end
+  in
   let bucket =
     match Hashtbl.find_opt ix.ix_tbl key with
     | Some b -> b
@@ -292,15 +248,7 @@ let index_add ix r row =
   in
   Ivec.push bucket row
 
-let index_remove ix r row =
-  let key = index_key ix r row in
-  match Hashtbl.find_opt ix.ix_tbl key with
-  | None -> ()
-  | Some bucket ->
-      Ivec.remove bucket row;
-      if bucket.Ivec.len = 0 then Hashtbl.remove ix.ix_tbl key
-
-(* Widen a built zone map with a freshly appended slot.  Slots are
+(* Widen a built zone map with a freshly appended row.  Rows are
    appended strictly in order, so a new chunk always starts exactly at
    [zc_chunks]. *)
 let zone_note z v row =
@@ -326,7 +274,6 @@ let zone_note z v row =
 let note_insert r row =
   r.card <- r.card + 1;
   r.sorted_cache <- None;
-  r.live_cache <- None;
   Hashtbl.iter (fun _ ix -> index_add ix r row) r.indexes;
   Array.iteri
     (fun col counts ->
@@ -342,28 +289,7 @@ let note_insert r row =
       match z with None -> () | Some z -> zone_note z (cell r col row) row)
     r.zones
 
-let note_remove r row =
-  r.card <- r.card - 1;
-  r.sorted_cache <- None;
-  r.live_cache <- None;
-  Hashtbl.iter (fun _ ix -> index_remove ix r row) r.indexes;
-  Array.iteri
-    (fun col counts ->
-      match counts with
-      | None -> ()
-      | Some counts -> (
-          let v = cell r col row in
-          match Hashtbl.find_opt counts v with
-          | Some n when n > 1 -> Hashtbl.replace counts v (n - 1)
-          | Some _ -> Hashtbl.remove counts v
-          | None -> ()))
-    r.col_counts
-
 (* ---- mutation -------------------------------------------------------- *)
-
-let set_index_budget r budget = r.index_budget <- max 0 budget
-
-let index_budget r = r.index_budget
 
 let index_count r = Hashtbl.length r.indexes
 
@@ -382,23 +308,15 @@ let insert r t =
   check_insertable r t;
   let packed = pack_tuple t in
   let h = packed_hash packed in
-  let present =
-    match Hashtbl.find_opt r.row_index h with
-    | None -> false
-    | Some bucket ->
-        List.exists (fun row -> is_live r row && row_matches r packed row) bucket
-  in
-  if present then false
+  let bucket = Option.value ~default:[] (Hashtbl.find_opt r.row_index h) in
+  if find_in r packed bucket >= 0 then false
   else begin
-    let row = r.nrows in
+    let row = r.card in
     for c = 0 to r.arity - 1 do
       Ichunks.push r.cols.(c) packed.(c)
     done;
     Tchunks.push r.boxed Tchunks.absent;
-    r.nrows <- row + 1;
-    set_live r row;
-    Hashtbl.replace r.row_index h
-      (row :: Option.value ~default:[] (Hashtbl.find_opt r.row_index h));
+    Hashtbl.replace r.row_index h (row :: bucket);
     note_insert r row;
     true
   end
@@ -407,38 +325,6 @@ let insert_all r ts = List.filter (insert r) ts
 
 let mem r t = find_row r (pack_tuple t) >= 0
 
-let remove r t =
-  let packed = pack_tuple t in
-  let row = find_row r packed in
-  if row < 0 then false
-  else begin
-    note_remove r row;
-    clear_live r row;
-    let h = packed_hash packed in
-    (match Hashtbl.find_opt r.row_index h with
-    | None -> ()
-    | Some bucket -> (
-        match List.filter (fun row' -> row' <> row) bucket with
-        | [] -> Hashtbl.remove r.row_index h
-        | bucket' -> Hashtbl.replace r.row_index h bucket'));
-    (* dead slots keep their column storage until [clear]; removals are
-       rare (mirror retractions, tests) and slots are never reused *)
-    true
-  end
-
-let clear r =
-  Array.iteri (fun c _ -> r.cols.(c) <- Ichunks.create ()) (Array.make r.arity ());
-  r.boxed <- Tchunks.create ();
-  r.live <- Bytes.make 64 '\000';
-  r.nrows <- 0;
-  r.card <- 0;
-  r.row_index <- Hashtbl.create 64;
-  Hashtbl.reset r.indexes;
-  r.col_counts <- Array.make r.arity None;
-  r.zones <- Array.make r.arity None;
-  r.sorted_cache <- None;
-  r.live_cache <- None
-
 (* ---- iteration ------------------------------------------------------- *)
 
 let to_list r =
@@ -446,23 +332,18 @@ let to_list r =
   | Some l -> l
   | None ->
       let acc = ref [] in
-      iter_live r (fun row -> acc := boxed_row r row :: !acc);
+      for row = 0 to r.card - 1 do
+        acc := boxed_row r row :: !acc
+      done;
       let sorted = List.sort Tuple.compare !acc in
       r.sorted_cache <- Some sorted;
       sorted
-
-let to_seq r = List.to_seq (to_list r)
-
-let fold f r init = List.fold_left (fun acc t -> f t acc) init (to_list r)
-
-let iter f r = List.iter f (to_list r)
 
 let copy r =
   {
     r with
     cols = Array.map Ichunks.snapshot r.cols;
     boxed = Tchunks.snapshot r.boxed;
-    live = Bytes.copy r.live;
     row_index = Hashtbl.copy r.row_index;
     indexes = Hashtbl.create 4;
     col_counts = Array.make r.arity None;
@@ -473,22 +354,13 @@ let equal_contents r1 r2 =
   r1.card = r2.card
   && (r1.arity = r2.arity || r1.card = 0)
   &&
-  let ok = ref true in
-  iter_live r1 (fun row ->
-      if !ok then begin
-        let packed = Array.init r1.arity (fun c -> cell r1 c row) in
-        if find_row r2 packed < 0 then ok := false
-      end);
-  !ok
-
-let size_bytes r = fold (fun t acc -> acc + Tuple.size_bytes t) r 0
+  let rec from row =
+    row >= r1.card
+    || (find_row r2 (Array.init r1.arity (fun c -> cell r1 c row)) >= 0 && from (row + 1))
+  in
+  from 0
 
 (* ---- probes ---------------------------------------------------------- *)
-
-let check_col r col =
-  if col < 0 || col >= r.arity then
-    invalid_arg
-      (Printf.sprintf "Relation.lookup: column %d out of range for %s" col (name r))
 
 let build_index r cols =
   let ix_cols = Array.of_list cols in
@@ -499,131 +371,19 @@ let build_index r cols =
       ix_tbl = Hashtbl.create (max 16 (r.card / 4));
     }
   in
-  iter_live r (fun row -> index_add ix r row);
+  for row = 0 to r.card - 1 do
+    index_add ix r row
+  done;
   Hashtbl.replace r.indexes cols ix;
   ix
 
 (* The index on [cols], existing or freshly built — [None] when the
-   per-relation budget is exhausted (callers fall back to a scan). *)
+   budget is exhausted (callers fall back to a scan). *)
 let index_for r cols =
   match Hashtbl.find_opt r.indexes cols with
   | Some ix -> Some ix
   | None ->
-      if Hashtbl.length r.indexes < r.index_budget then Some (build_index r cols)
-      else None
-
-let packed_bindings_match r bindings row =
-  List.for_all (fun (col, pv) -> cell r col row = pv) bindings
-
-(* Row ids matching [bindings] through [ix]; multi-column indexes key
-   by combined hash, so candidates are verified cell-by-cell. *)
-let index_rows ix r (bindings : (int * int) list) =
-  let key =
-    if ix.ix_single then snd (List.hd bindings)
-    else begin
-      let h = ref (Array.length ix.ix_cols) in
-      List.iter (fun (_, pv) -> h := combine !h pv) bindings;
-      !h
-    end
-  in
-  match Hashtbl.find_opt ix.ix_tbl key with
-  | None -> [||]
-  | Some bucket ->
-      if ix.ix_single then Array.sub bucket.Ivec.data 0 bucket.Ivec.len
-      else begin
-        let out = ref [] and n = ref 0 in
-        for i = bucket.Ivec.len - 1 downto 0 do
-          let row = bucket.Ivec.data.(i) in
-          if packed_bindings_match r bindings row then begin
-            out := row :: !out;
-            incr n
-          end
-        done;
-        if !n = bucket.Ivec.len then Array.sub bucket.Ivec.data 0 bucket.Ivec.len
-        else Array.of_list !out
-      end
-
-let scan_rows r (bindings : (int * int) list) =
-  let acc = ref [] in
-  iter_live r (fun row ->
-      if packed_bindings_match r bindings row then acc := row :: !acc);
-  Array.of_list (List.rev !acc)
-
-(* Normalise a probe: sort by column, drop duplicate bindings, detect
-   contradictions ([None] = provably empty). *)
-let normalise_bindings bindings =
-  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) bindings in
-  let rec dedup = function
-    | (c1, v1) :: ((c2, v2) :: _ as rest) when c1 = c2 ->
-        if (v1 : int) = v2 then dedup rest else None
-    | b :: rest -> Option.map (fun tail -> b :: tail) (dedup rest)
-    | [] -> Some []
-  in
-  dedup sorted
-
-(* Core probe on packed bindings (normalised, non-empty): row ids. *)
-let probe_rows r bindings =
-  let cols = List.map fst bindings in
-  match index_for r cols with
-  | Some ix -> index_rows ix r bindings
-  | None -> (
-      (* budget exhausted: probe an already-built single-column index
-         if one covers a bound column, filter the rest *)
-      let covered =
-        List.find_opt (fun (col, _) -> Hashtbl.mem r.indexes [ col ]) bindings
-      in
-      match covered with
-      | Some ((_, _) as b) -> (
-          match Hashtbl.find_opt r.indexes [ fst b ] with
-          | Some ix ->
-              let candidates = index_rows ix r [ b ] in
-              let rest = List.filter (fun (c, _) -> c <> fst b) bindings in
-              if rest = [] then candidates
-              else begin
-                let out = ref [] in
-                for i = Array.length candidates - 1 downto 0 do
-                  let row = candidates.(i) in
-                  if packed_bindings_match r rest row then out := row :: !out
-                done;
-                Array.of_list !out
-              end
-          | None -> scan_rows r bindings)
-      | None -> scan_rows r bindings)
-
-let rows_to_tuples r rows = Array.to_list (Array.map (boxed_row r) rows)
-
-let lookup r ~col value =
-  check_col r col;
-  rows_to_tuples r (probe_rows r [ (col, Intern.pack value) ])
-
-let lookup_cols r bindings =
-  List.iter (fun (col, _) -> check_col r col) bindings;
-  match normalise_bindings (List.map (fun (c, v) -> (c, Intern.pack v)) bindings) with
-  | None -> []
-  | Some [] -> to_list r (* no bindings: every tuple *)
-  | Some bindings -> rows_to_tuples r (probe_rows r bindings)
-
-(* Subsumption probe.  A stored tuple (hole-free by
-   [check_insertable]) subsumes [incoming] iff it agrees with every
-   non-hole position, so the candidates are exactly the rows matching
-   the ground columns.  All-hole tuples are subsumed by anything; a
-   non-conforming arity can match nothing (stored tuples always have
-   the schema's arity). *)
-let subsumed r incoming =
-  if not (Tuple.has_hole incoming) then find_row r (pack_tuple incoming) >= 0
-  else if Array.length incoming <> r.arity then false
-  else begin
-    let ground = ref [] in
-    Array.iteri
-      (fun col v -> if not (Value.is_hole v) then ground := (col, Intern.pack v) :: !ground)
-      incoming;
-    match normalise_bindings !ground with
-    | None -> false
-    | Some [] -> not (is_empty r)
-    | Some bindings -> Array.length (probe_rows r bindings) > 0
-  end
-
-(* ---- packed view ------------------------------------------------------ *)
+      if Hashtbl.length r.indexes < max_indexes then Some (build_index r cols) else None
 
 type bound_op = Blt | Ble | Bgt | Bge | Beq
 
@@ -637,28 +397,23 @@ type packed_view = {
 
 let no_rows = ([||], 0)
 
-(* Live row ids in insertion order, cached until the next mutation.
-   The cached array is never mutated, so copies may share it. *)
-let live_rows r =
-  match r.live_cache with
-  | Some rows -> rows
-  | None ->
-      let rows = Array.make r.card 0 in
-      let i = ref 0 in
-      iter_live r (fun row ->
-          rows.(!i) <- row;
-          incr i);
-      r.live_cache <- Some rows;
-      rows
+(* Row ids are [0, card), so every relation's full row set is a prefix
+   of one shared identity array.  It only ever grows by replacement, so
+   an array already handed out is never mutated. *)
+let identity = ref [||]
 
-(* The column's zone map, built on first use over every slot written
-   so far (dead ones included — see [zcol]) and maintained by
-   [note_insert] afterwards. *)
+let all_rows r =
+  let have = Array.length !identity in
+  if have < r.card then identity := Array.init (max r.card (2 * have)) Fun.id;
+  (!identity, r.card)
+
+(* The column's zone map, built on first use over every row so far and
+   maintained by [note_insert] afterwards. *)
 let zone_for r col =
   match r.zones.(col) with
   | Some z -> z
   | None ->
-      let nchunks = (r.nrows + chunk_mask) lsr chunk_shift in
+      let nchunks = (r.card + chunk_mask) lsr chunk_shift in
       let z =
         {
           zc_mins = Array.make (max 4 nchunks) 0;
@@ -669,7 +424,7 @@ let zone_for r col =
       let store = r.cols.(col) in
       for chunk = 0 to nchunks - 1 do
         let base = chunk lsl chunk_shift in
-        let last = min (base + chunk_mask) (r.nrows - 1) in
+        let last = min (base + chunk_mask) (r.card - 1) in
         let lo = ref (Ichunks.get store base) and hi = ref (Ichunks.get store base) in
         for i = base + 1 to last do
           let v = Ichunks.get store i in
@@ -696,12 +451,10 @@ let zone_admits ~lo ~hi op k =
   | Bgt -> Intern.compare hi k > 0
   | Bge -> Intern.compare hi k >= 0
 
-(* Chunk-skip scan: live row ids from chunks whose zone intervals can
-   satisfy every bound, plus (visited, pruned) chunk counts.  Live
-   rows come in ascending slot order, so each chunk is tested once. *)
+(* Chunk-skip scan: row ids from chunks whose zone intervals can
+   satisfy every bound, plus (visited, pruned) chunk counts. *)
 let prune_rows r bounds =
-  let rows = live_rows r in
-  let n = Array.length rows in
+  let n = r.card in
   if n = 0 then ([||], 0, 0, 0)
   else begin
     let zoned = List.map (fun (col, op, k) -> (zone_for r col, op, k)) bounds in
@@ -714,27 +467,26 @@ let prune_rows r bounds =
     in
     let out = Array.make n 0 in
     let m = ref 0 and visited = ref 0 and pruned = ref 0 in
-    let cur = ref (-1) and keep = ref false in
-    for i = 0 to n - 1 do
-      let row = rows.(i) in
-      let chunk = row lsr chunk_shift in
-      if chunk <> !cur then begin
-        cur := chunk;
-        keep := chunk_ok chunk;
-        if !keep then incr visited else incr pruned
-      end;
-      if !keep then begin
-        out.(!m) <- row;
-        incr m
+    for chunk = 0 to (n - 1) lsr chunk_shift do
+      if chunk_ok chunk then begin
+        incr visited;
+        for row = chunk lsl chunk_shift to min n ((chunk + 1) lsl chunk_shift) - 1 do
+          out.(!m) <- row;
+          incr m
+        done
       end
+      else incr pruned
     done;
     (out, !m, !visited, !pruned)
   end
 
-(* Resolve the access path for a fixed (sorted, distinct) column set
-   once, returning a probe on the packed values aligned with [cols].
-   Hit arrays may be internal index buckets shared with the store:
-   they are read-only and invalidated by the next mutation. *)
+(* The one access-path decision: resolve a fixed (sorted, distinct)
+   column set once, returning a probe on the packed values aligned with
+   [cols] — the column set's own index, else (budget exhausted) a built
+   single-column index on one of the columns with the rest filtered,
+   else a filtered scan.  Hit arrays may be internal index buckets
+   shared with the store: they are read-only and invalidated by the
+   next insert. *)
 let resolve_probe r cols =
   let ncols = List.length cols in
   let verify cols_arr vals row =
@@ -797,22 +549,41 @@ let resolve_probe r cols =
       | None ->
           fun vals ->
             let out = ref [] and n = ref 0 in
-            iter_live r (fun row ->
-                if verify cols_arr vals row then begin
-                  out := row :: !out;
-                  incr n
-                end);
-            let data = Array.make (max 1 !n) 0 in
-            List.iteri (fun i row -> data.(!n - 1 - i) <- row) !out;
-            (data, !n))
+            for row = r.card - 1 downto 0 do
+              if verify cols_arr vals row then begin
+                out := row :: !out;
+                incr n
+              end
+            done;
+            (Array.of_list !out, !n))
+
+(* Subsumption probe.  A stored tuple (hole-free by
+   [check_insertable]) subsumes [incoming] iff it agrees with every
+   non-hole position, so the candidates are exactly the rows matching
+   the ground columns.  All-hole tuples are subsumed by anything; a
+   non-conforming arity can match nothing (stored tuples always have
+   the schema's arity). *)
+let subsumed r incoming =
+  if not (Tuple.has_hole incoming) then find_row r (pack_tuple incoming) >= 0
+  else if Array.length incoming <> r.arity then false
+  else begin
+    let cols = ref [] and vals = ref [] in
+    for col = r.arity - 1 downto 0 do
+      let v = incoming.(col) in
+      if not (Value.is_hole v) then begin
+        cols := col :: !cols;
+        vals := Intern.pack v :: !vals
+      end
+    done;
+    if !cols = [] then r.card > 0
+    else snd (resolve_probe r !cols (Array.of_list !vals)) > 0
+  end
 
 let packed_view r =
   {
     pv_arity = r.arity;
     pv_cell = (fun col row -> cell r col row);
-    pv_all = (fun () ->
-        let rows = live_rows r in
-        (rows, Array.length rows));
+    pv_all = (fun () -> all_rows r);
     pv_probe =
       (fun cols ->
         (* resolve lazily so an unexercised probe builds no index *)
@@ -831,7 +602,9 @@ let packed_view r =
   }
 
 let distinct_count r ~col =
-  check_col r col;
+  if col < 0 || col >= r.arity then
+    invalid_arg
+      (Printf.sprintf "Relation.distinct_count: column %d out of range for %s" col (name r));
   match r.col_counts.(col) with
   | Some counts -> Hashtbl.length counts
   | None -> (
@@ -840,10 +613,11 @@ let distinct_count r ~col =
       | Some ix -> Hashtbl.length ix.ix_tbl
       | None ->
           let counts = Hashtbl.create (max 16 (r.card / 4)) in
-          iter_live r (fun row ->
-              let v = cell r col row in
-              let n = Option.value ~default:0 (Hashtbl.find_opt counts v) in
-              Hashtbl.replace counts v (n + 1));
+          for row = 0 to r.card - 1 do
+            let v = cell r col row in
+            let n = Option.value ~default:0 (Hashtbl.find_opt counts v) in
+            Hashtbl.replace counts v (n + 1)
+          done;
           r.col_counts.(col) <- Some counts;
           Hashtbl.length counts)
 

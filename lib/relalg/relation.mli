@@ -1,27 +1,28 @@
 (** A relation instance: a set of tuples conforming to a schema.
 
     Set semantics throughout, as required by the update algorithm's
-    duplicate-suppression step.  Mutating operations return the tuples
-    that were actually new, which is exactly the delta the algorithm
-    propagates further.
+    duplicate-suppression step.  Relations are {e append-only}: the
+    global update only ever adds tuples, so nothing removes a row.
+    Mutating operations return the tuples that were actually new, which
+    is exactly the delta the algorithm propagates further.
 
     Storage is {e columnar over interned values}: each tuple is a row
     of packed ints (one per column, see {!Intern}) held in growable
-    column chunks with a presence bitmap, so equality is integer
-    equality and probing never walks a boxed string.  Boxed
-    {!Tuple.t} views are materialised lazily — one canonical tuple
-    per row, memoised — and every tuple this module hands out is
-    canonical in the sense of {!Tuple.canonical}.
+    column chunks, and row ids are exactly [0, cardinal), so equality
+    is integer equality and probing never walks a boxed string.  Boxed
+    {!Tuple.t} views are materialised lazily — one canonical tuple per
+    row, memoised — and every tuple this module hands out is canonical
+    in the sense of {!Tuple.canonical}.
 
-    Equality probes are served from hash indexes keyed by packed
-    column values (row-id buckets).  Indexes are built lazily on the
-    first probe and then maintained {e incrementally} by every
-    insert/remove, so repeated probe/mutate cycles (the update
-    fix-point) never rebuild them from scratch.  The number of
-    distinct indexes per relation is bounded by a budget; past it,
-    probes degrade to filtered scans.  The relation also keeps cheap
-    statistics — O(1) cardinality and per-column distinct-value
-    counts — for the cost-based query planner.
+    Equality probes go through {!packed_view}'s [pv_probe], served from
+    hash indexes keyed by packed column values (row-id buckets).
+    Indexes are built lazily on the first probe and then maintained
+    {e incrementally} by every insert, so repeated probe/insert cycles
+    (the update fix-point) never rebuild them from scratch.  A relation
+    holds at most 16 distinct indexes; past that, probes reuse a built
+    single-column index or degrade to filtered scans.  The relation
+    also keeps cheap statistics — O(1) cardinality and per-column
+    distinct-value counts — for the cost-based query planner.
 
     [copy] is O(columns), not O(tuples): full column chunks are
     write-once and shared with the copy, which makes the per-query
@@ -41,8 +42,6 @@ val name : t -> string
 val cardinal : t -> int
 (** O(1): maintained incrementally, not recounted. *)
 
-val is_empty : t -> bool
-
 val mem : t -> Tuple.t -> bool
 
 val insert : t -> Tuple.t -> bool
@@ -58,23 +57,9 @@ val insert_all : t -> Tuple.t list -> Tuple.t list
 val subsumed : t -> Tuple.t -> bool
 (** Null-aware membership: is the (possibly hole-carrying) incoming
     tuple subsumed by some stored tuple?  See {!Tuple.subsumes}.
-    Served by probing the hash index on the tuple's ground (non-hole)
-    columns, so the cost is one bucket, not one scan; only an all-hole
-    tuple degenerates to an emptiness check. *)
-
-val lookup : t -> col:int -> Value.t -> Tuple.t list
-(** Tuples whose [col]-th attribute equals the value, served from a
-    hash index (built on first use, maintained on mutation).  The
-    order of the result is unspecified.
-    @raise Invalid_argument if [col] is out of range. *)
-
-val lookup_cols : t -> (int * Value.t) list -> Tuple.t list
-(** Composite probe: tuples matching every [(col, value)] binding at
-    once, served from a multi-column hash index when the budget
-    allows, degrading to an indexed-then-filter or filtered scan
-    otherwise.  Duplicate bindings collapse; contradictory bindings
-    yield [[]]; an empty binding list yields every tuple.
-    @raise Invalid_argument if any column is out of range. *)
+    Served by the same access path as [pv_probe] on the tuple's ground
+    (non-hole) columns, so the cost is one bucket, not one scan; only
+    an all-hole tuple degenerates to an emptiness check. *)
 
 val distinct_count : t -> col:int -> int
 (** Number of distinct values in a column — the planner's selectivity
@@ -82,29 +67,12 @@ val distinct_count : t -> col:int -> int
     because the counter is maintained incrementally.
     @raise Invalid_argument if [col] is out of range. *)
 
-val set_index_budget : t -> int -> unit
-(** Cap the number of distinct hash indexes this relation may hold
-    (clamped to >= 0; 0 disables index building entirely). *)
-
-val index_budget : t -> int
-
 val index_count : t -> int
 (** Number of indexes currently built. *)
 
-val remove : t -> Tuple.t -> bool
-(** [true] iff the tuple was present. *)
-
-val clear : t -> unit
-
 val to_list : t -> Tuple.t list
 (** Tuples in {!Tuple.compare} order (cached until the next
-    mutation). *)
-
-val to_seq : t -> Tuple.t Seq.t
-
-val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
-
-val iter : (Tuple.t -> unit) -> t -> unit
+    insert). *)
 
 val copy : t -> t
 
@@ -117,39 +85,38 @@ type packed_view = {
   pv_arity : int;
   pv_cell : int -> int -> int;
       (** [pv_cell col row] is the packed value (see {!Intern}) stored
-          at a column of a live row. *)
+          at a column of a row. *)
   pv_all : unit -> int array * int;
-      (** Live row ids as [(ids, n)]; only the first [n] entries are
+      (** Every row id as [(ids, n)]; only the first [n] entries are
           meaningful. *)
   pv_probe : int list -> int array -> int array * int;
       (** [pv_probe cols] prepares a probe on a fixed column set
           (ascending, duplicate-free); applying it to the packed
           values aligned with [cols] yields the matching row ids as
           [(ids, n)].  The access path (index, index-then-filter, or
-          scan, budget permitting) is resolved on first use. *)
+          scan, budget permitting) is resolved on first use; this is
+          the relation's one access-path decision. *)
   pv_prune : (int * bound_op * int) list -> (int array * int * int * int) option;
-      (** [pv_prune bounds] is the zone-map scan: live row ids from
-          exactly the chunks whose per-column [min, max] intervals can
-          satisfy every [(col, op, packed_const)] bound, as
+      (** [pv_prune bounds] is the zone-map scan: row ids from exactly
+          the chunks whose per-column [min, max] intervals can satisfy
+          every [(col, op, packed_const)] bound, as
           [(ids, n, chunks_visited, chunks_pruned)].  Sound, not
           complete: surviving rows still need the row-level predicate
           check.  Zone maps build lazily on the first call and are
-          maintained on insert; removals only leave them conservative
-          (wider).  [None] when the view has no chunk structure to
-          prune (e.g. {!Codb_cq.Eval.rows_of_list} feeds) — callers
-          fall back to [pv_all]. *)
+          maintained on insert.  [None] when the view has no chunk
+          structure to prune (e.g. {!Codb_cq.Eval.rows_of_list} feeds)
+          — callers fall back to [pv_all]. *)
 }
 (** Zero-copy packed access for the evaluator's join core: candidate
     sets are row ids, matching is integer comparison against column
     cells, and probes take packed values straight to the id-keyed
     indexes — no boxing, no string hashing, no per-probe copy.  Hit
-    arrays may be internal index buckets: treat them as read-only,
-    and as invalidated by the next mutation of the relation. *)
+    arrays may be internal index buckets, and [pv_all]'s array is
+    shared by every relation: treat them as read-only, and index
+    buckets as invalidated by the next insert into the relation. *)
 
 val packed_view : t -> packed_view
 
 val equal_contents : t -> t -> bool
-
-val size_bytes : t -> int
 
 val pp : t Fmt.t

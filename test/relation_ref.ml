@@ -1,7 +1,9 @@
-(* The seed boxed storage engine, preserved verbatim: an ordered
-   tuple set plus hash indexes keyed by boxed value lists.  It is the
-   differential-testing oracle for the columnar [Relation] (they must
-   agree on every operation). *)
+(* The seed boxed storage engine: an ordered
+   tuple set plus hash indexes keyed by boxed value lists, cut down to
+   the operations [Relation] still has.  It is the differential-testing
+   oracle for the columnar [Relation] (they must agree on every
+   operation); [lookup_cols] answers the probes [Relation] serves
+   through [pv_probe]. *)
 
 open Codb_relalg
 
@@ -10,8 +12,8 @@ module Tuple_set = Set.Make (Tuple)
 (* Hash indexes are keyed by a sorted list of column positions; the
    single-column index on column [c] is the index on [[c]].  Indexes
    are built lazily on the first probe and then maintained in place by
-   every mutation, so the update fix-point no longer rebuilds them
-   from scratch after each delta round. *)
+   every insert, so the update fix-point no longer rebuilds them from
+   scratch after each delta round. *)
 type index = (Value.t list, Tuple.t list) Hashtbl.t
 
 type t = {
@@ -19,13 +21,12 @@ type t = {
   mutable tuples : Tuple_set.t;
   mutable card : int;  (* O(1) cardinality for the planner *)
   indexes : (int list, index) Hashtbl.t;
-  mutable index_budget : int;
   (* per-column distinct-value counters: built on the first
      [distinct_count] call, maintained incrementally afterwards *)
   col_counts : (Value.t, int) Hashtbl.t option array;
 }
 
-let default_index_budget = 16
+let max_indexes = 16
 
 let create schema =
   {
@@ -33,25 +34,12 @@ let create schema =
     tuples = Tuple_set.empty;
     card = 0;
     indexes = Hashtbl.create 4;
-    index_budget = default_index_budget;
     col_counts = Array.make (Schema.arity schema) None;
   }
 
-let schema r = r.schema
-
-let name r = r.schema.Schema.rel_name
-
 let cardinal r = r.card
 
-let is_empty r = r.card = 0
-
 let mem r t = Tuple_set.mem t r.tuples
-
-let set_index_budget r budget = r.index_budget <- max 0 budget
-
-let index_budget r = r.index_budget
-
-let index_count r = Hashtbl.length r.indexes
 
 let key_of cols t = List.map (fun c -> t.(c)) cols
 
@@ -59,16 +47,8 @@ let index_add index key t =
   let existing = Option.value ~default:[] (Hashtbl.find_opt index key) in
   Hashtbl.replace index key (t :: existing)
 
-let index_remove index key t =
-  match Hashtbl.find_opt index key with
-  | None -> ()
-  | Some bucket -> (
-      match List.filter (fun stored -> not (Tuple.equal stored t)) bucket with
-      | [] -> Hashtbl.remove index key
-      | bucket' -> Hashtbl.replace index key bucket')
-
 (* Incremental maintenance hooks: called with every tuple that
-   actually enters or leaves the set. *)
+   actually enters the set. *)
 let note_insert r t =
   r.card <- r.card + 1;
   Hashtbl.iter (fun cols index -> index_add index (key_of cols t) t) r.indexes;
@@ -82,30 +62,11 @@ let note_insert r t =
           Hashtbl.replace counts v (n + 1))
     r.col_counts
 
-let note_remove r t =
-  r.card <- r.card - 1;
-  Hashtbl.iter (fun cols index -> index_remove index (key_of cols t) t) r.indexes;
-  Array.iteri
-    (fun col counts ->
-      match counts with
-      | None -> ()
-      | Some counts -> (
-          let v = t.(col) in
-          match Hashtbl.find_opt counts v with
-          | Some n when n > 1 -> Hashtbl.replace counts v (n - 1)
-          | Some _ -> Hashtbl.remove counts v
-          | None -> ()))
-    r.col_counts
-
-let reset_derived r =
-  Hashtbl.reset r.indexes;
-  Array.fill r.col_counts 0 (Array.length r.col_counts) None
-
 let check_insertable r t =
   if Tuple.has_hole t then
     invalid_arg
       (Printf.sprintf "Relation.insert: tuple with holes in %s (instantiate first)"
-         (name r));
+         r.schema.Schema.rel_name);
   if not (Schema.conforms r.schema t) then
     invalid_arg
       (Printf.sprintf "Relation.insert: tuple %s does not conform to %s"
@@ -121,28 +82,7 @@ let insert r t =
     true
   end
 
-let insert_all r ts = List.filter (insert r) ts
-
-let remove r t =
-  if Tuple_set.mem t r.tuples then begin
-    r.tuples <- Tuple_set.remove t r.tuples;
-    note_remove r t;
-    true
-  end
-  else false
-
-let clear r =
-  r.tuples <- Tuple_set.empty;
-  r.card <- 0;
-  reset_derived r
-
 let to_list r = Tuple_set.elements r.tuples
-
-let to_seq r = Tuple_set.to_seq r.tuples
-
-let fold f r init = Tuple_set.fold f r.tuples init
-
-let iter f r = Tuple_set.iter f r.tuples
 
 let copy r =
   {
@@ -152,14 +92,11 @@ let copy r =
     col_counts = Array.make (Schema.arity r.schema) None;
   }
 
-let equal_contents r1 r2 = Tuple_set.equal r1.tuples r2.tuples
-
-let size_bytes r = fold (fun t acc -> acc + Tuple.size_bytes t) r 0
-
 let check_col r col =
   if col < 0 || col >= Schema.arity r.schema then
     invalid_arg
-      (Printf.sprintf "Relation.lookup: column %d out of range for %s" col (name r))
+      (Printf.sprintf "Relation.lookup: column %d out of range for %s" col
+         r.schema.Schema.rel_name)
 
 let build_index r cols =
   let index = Hashtbl.create (max 16 r.card) in
@@ -173,7 +110,7 @@ let index_for r cols =
   match Hashtbl.find_opt r.indexes cols with
   | Some index -> Some index
   | None ->
-      if Hashtbl.length r.indexes < r.index_budget then Some (build_index r cols)
+      if Hashtbl.length r.indexes < max_indexes then Some (build_index r cols)
       else None
 
 let scan_filter r bindings =
@@ -241,7 +178,7 @@ let subsumed r incoming =
       (fun col v -> if not (Value.is_hole v) then ground := (col, v) :: !ground)
       incoming;
     match !ground with
-    | [] -> not (is_empty r)
+    | [] -> r.card > 0
     | bindings -> lookup_cols r bindings <> []
   end
 
@@ -263,8 +200,3 @@ let distinct_count r ~col =
             r.tuples;
           r.col_counts.(col) <- Some counts;
           Hashtbl.length counts)
-
-let pp ppf r =
-  Fmt.pf ppf "@[<v 2>%s [%d tuples]%a@]" (name r) (cardinal r)
-    Fmt.(list ~sep:nop (fun ppf t -> Fmt.pf ppf "@,%a" Tuple.pp t))
-    (to_list r)

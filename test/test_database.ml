@@ -52,12 +52,6 @@ let test_schema_round_trip () =
   Alcotest.(check int) "two relations" 2 (List.length schemas);
   Alcotest.(check bool) "r first" true (Schema.equal (List.hd schemas) r_schema)
 
-let test_clear () =
-  let db = fresh () in
-  ignore (Database.insert db "r" (tup [ i 1; i 1 ]));
-  Database.clear db;
-  Alcotest.(check int) "empty" 0 (Database.cardinal db)
-
 let test_digest () =
   let rows = [ ("r", tup [ i 1; i 2 ]); ("s", tup [ i 2; s "x" ]); ("r", tup [ i 3; i 4 ]) ] in
   let fill db rows = List.iter (fun (rel, t) -> ignore (Database.insert db rel t)) rows in
@@ -80,6 +74,5 @@ let suite =
     Alcotest.test_case "copy is deep" `Quick test_copy_deep;
     Alcotest.test_case "equal_contents" `Quick test_equal_contents;
     Alcotest.test_case "schema round trip" `Quick test_schema_round_trip;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "digest ignores order, sees content" `Quick test_digest;
   ]

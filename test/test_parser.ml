@@ -126,7 +126,13 @@ let test_validation_errors () =
     "does not conform";
   invalid
     "node a { relation r(x: int); } node b { relation r(x: int); } rule z at a: r(x) <- b: r(x), w < 1;"
-    "not bound"
+    "not bound";
+  invalid
+    "node a { relation r(x: int); } node b { relation s(x: string); } rule q at a: r(x) <- b: s(x);"
+    "rule q: variable x fills head column r.x (int) from body column s.x (string)";
+  invalid
+    "node a { relation r(x: int, y: int); } node b { relation s(x: int); } rule q at a: r(x, \"k\") <- b: s(x);"
+    "rule q: head constant \"k\" does not conform to r.y (int)"
 
 let test_self_rule_rejected () =
   match

@@ -521,7 +521,7 @@ let prop_nulls_counter_monotone =
           let node = System.node sys name in
           List.iter
             (fun rel ->
-              Relation.iter
+              List.iter
                 (fun t ->
                   Array.iter
                     (fun v ->
@@ -533,7 +533,7 @@ let prop_nulls_counter_monotone =
                       | Value.Hole _ ->
                           ())
                     t)
-                (Database.relation node.Node.store rel))
+                (Database.tuples node.Node.store rel))
             (Database.rel_names node.Node.store))
         (System.node_names sys);
       !ok)

@@ -109,7 +109,10 @@ let test_query_rejects_unknown_relation () =
     (try
        ignore (System.run_query sys ~at:"n0" (parse_query "w(x) <- nosuch(x)"));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  Alcotest.check_raises "wrong arity raises, naming both"
+    (Invalid_argument "Query_engine.start: who has 1 column, the query uses 2")
+    (fun () -> ignore (System.run_query sys ~at:"n0" (parse_query "w(x) <- who(x, y)")))
 
 let test_query_stats_recorded () =
   let sys = System.build_exn (chain_cfg ()) in

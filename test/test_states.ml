@@ -58,16 +58,10 @@ let test_update_state_wire_buffer () =
   ignore (U.buffer_add st ~dst ~rule:"i2" ~hops:1 [ tup [ i 9 ] ]);
   Alcotest.(check int) "pending counts tuples" 4 (U.pending_tuples st);
   Alcotest.(check int) "per-destination size" 4 (U.buffer_size st ~dst);
-  (* insert/retract in the same window ships zero bytes *)
-  Alcotest.(check bool) "retract pending" true
-    (U.buffer_retract st ~dst ~rule:"i1" (tup [ i 3 ]));
-  Alcotest.(check bool) "retract absent" false
-    (U.buffer_retract st ~dst ~rule:"i1" (tup [ i 42 ]));
-  Alcotest.(check int) "pending after retract" 3 (U.pending_tuples st);
-  Alcotest.(check bool) "buffered destinations" true (U.buffered_dsts st = [ dst ]);
   (match U.take_buffer st ~dst with
   | [ ("i1", 5, t1); ("i2", 1, t2) ] ->
-      check_tuples "rule i1 in insertion order" [ tup [ i 1 ]; tup [ i 2 ] ] t1;
+      Alcotest.(check bool) "rule i1 in insertion order" true
+        (t1 = [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 3 ] ]);
       check_tuples "rule i2" [ tup [ i 9 ] ] t2
   | other -> Alcotest.failf "unexpected batch shape (%d entries)" (List.length other));
   Alcotest.(check int) "drained" 0 (U.pending_tuples st);
