@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench experiments micro cache-bench bench-json wire-bench chaos-bench chaos-bench-durable recovery-bench recovery-bench-tiny pushdown-bench sub-bench scale-bench scale-bench-tiny dict-bench dict-bench-tiny e2e examples clean
+.PHONY: all build test bench experiments micro cache-bench bench-json wire-bench chaos-bench chaos-bench-durable recovery-bench recovery-bench-tiny pushdown-bench sub-bench scale-bench scale-bench-tiny dict-bench dict-bench-tiny e2e e2e-json e2e-toy-check examples clean
 
 all: build
 
@@ -85,6 +85,27 @@ e2e:
 	  dune exec --root . --display quiet bench/e2e/e2e.exe -- \
 	    --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done
+
+# commit the e2e trajectory -> BENCH_e2e.json: seeds 1-3 x the four
+# workloads, each run traced and untraced, on this tree and, when
+# E2E_BASE names a checkout of the parent commit, on that too; appended
+# as one entry titled E2E_TITLE, with the toy_reference refreshed
+E2E_BASE ?=
+E2E_TITLE ?= $(shell git log -1 --format=%s 2>/dev/null)
+e2e-json:
+	mkdir -p _e2e_rows
+	if [ -n "$(E2E_BASE)" ]; then \
+	  python3 bench/e2e_json.py rows --rev parent --root "$(E2E_BASE)" \
+	    --out _e2e_rows/parent.json || exit 1; \
+	fi
+	python3 bench/e2e_json.py rows --rev change --root . --out _e2e_rows/change.json
+	python3 bench/e2e_json.py entry --title "$(E2E_TITLE)" \
+	  $(if $(E2E_BASE),_e2e_rows/parent.json) _e2e_rows/change.json
+
+# CI gate: the four --toy runs must reproduce the deterministic counters
+# of BENCH_e2e.json's toy_reference (never wall time or allocation)
+e2e-toy-check:
+	python3 bench/e2e_json.py toy --check
 
 examples: build
 	dune exec examples/quickstart.exe

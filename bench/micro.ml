@@ -60,10 +60,11 @@ let delta_test size =
   let source = Eval.of_database db in
   let rng = Rng.make ~seed:(size + 1) in
   let profile = { Datagen.domain_size = max 10 (size / 4); skew = 0.0 } in
+  let since = Relation.cardinal (Database.relation db "r") in
   let delta = Database.insert_all db "r" (Datagen.tuples rng profile r_schema ~count:10) in
   Test.make ~name:(Printf.sprintf "delta-join/%d" size)
     (Staged.stage (fun () ->
-         ignore (Eval.delta_answers source ~delta_rel:"r" ~delta join_query)))
+         ignore (Eval.delta_answers source ~delta_rel:"r" ~since ~delta join_query)))
 
 let insert_test size =
   let rng = Rng.make ~seed:size in

@@ -369,8 +369,8 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                           Eval.delta_answers
                             ~naive:rt.Runtime.opts.Options.naive_delta
                             (Eval.of_database st.Q.qst_overlay)
-                            ~delta_rel:rel ~delta:integration.Wrapper.fresh
-                            root.query)
+                            ~delta_rel:rel ~since:integration.Wrapper.since
+                            ~delta:integration.Wrapper.fresh root.query)
                     in
                     let answers = Codb_cq.Apply.head_tuples root.query substs in
                     root.streamed <-
@@ -389,6 +389,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                                     Wrapper.eval_query_delta
                                       ~naive:rt.Runtime.opts.Options.naive_delta
                                       st.Q.qst_overlay eff ~delta_rel:rel
+                                      ~since:integration.Wrapper.since
                                       ~delta:integration.Wrapper.fresh)
                               in
                               let kept = filter_outgoing rt qid constraints derived in

@@ -105,7 +105,7 @@ let deliver rt (entry : Registry.entry) (d : Sub.delta) =
         push_remote rt ~dst ~sub_id:(Sub.id entry.Registry.e_sub) d
   end
 
-let on_store_delta rt ~rel ~delta ~tag =
+let on_store_delta rt ~rel ~since ~delta ~tag =
   match rt.Runtime.node.Node.subs with
   | None -> ()
   | Some reg -> (
@@ -126,8 +126,8 @@ let on_store_delta rt ~rel ~delta ~tag =
                       Sub.reevaluate sub ~source:src ~tag
                     else begin
                       let d, dropped =
-                        Sub.apply_delta sub ~source:src ~delta_rel:rel ~delta
-                          ~tag
+                        Sub.apply_delta sub ~source:src ~delta_rel:rel ~since
+                          ~delta ~tag
                       in
                       sb.Stats.sb_prefiltered <-
                         sb.Stats.sb_prefiltered + dropped;

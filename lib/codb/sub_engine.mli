@@ -44,11 +44,12 @@ val unsubscribe_remote : Runtime.t -> string -> bool
 val mirror : Runtime.t -> string -> Mirror.t option
 
 val on_store_delta :
-  Runtime.t -> rel:string -> delta:Codb_relalg.Tuple.t list ->
+  Runtime.t -> rel:string -> since:int -> delta:Codb_relalg.Tuple.t list ->
   tag:(unit -> string) -> unit
 (** The feed: [delta] tuples were just inserted into the store's
-    [rel].  Runs the delta-evaluation pass for every affected hosted
-    subscription and delivers the non-empty answer deltas, tagged with
+    [rel], as its rows from [since] on.  Runs the delta-evaluation
+    pass for every affected hosted subscription and delivers the
+    non-empty answer deltas, tagged with
     [tag ()] (lineage-derived provenance — which update, rule and hop
     moved the data).  [tag] is a thunk so the provenance string is
     never built when subscriptions are off or nothing is affected. *)

@@ -505,7 +505,8 @@ let insert_fact sys ~at ~rel tuple =
     (* the commit point: the write is in the store and hits the WAL
        before any subscription delta derived from it leaves the node *)
     Durable.log_insert n ~rel [ tuple ];
-    Sub_engine.on_store_delta (runtime sys at) ~rel ~delta:[ tuple ]
+    let since = Codb_relalg.Relation.cardinal (Database.relation n.Node.store rel) - 1 in
+    Sub_engine.on_store_delta (runtime sys at) ~rel ~since ~delta:[ tuple ]
       ~tag:(fun () -> "local-write")
   end;
   inserted

@@ -359,8 +359,8 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
          feeds any standing queries hosted here, tagged with the
          lineage that produced it *)
       if integration.Wrapper.fresh <> [] then
-        Sub_engine.on_store_delta rt ~rel ~delta:integration.Wrapper.fresh
-          ~tag:(fun () ->
+        Sub_engine.on_store_delta rt ~rel ~since:integration.Wrapper.since
+          ~delta:integration.Wrapper.fresh ~tag:(fun () ->
             Printf.sprintf "%s via %s hop %d"
               (Ids.string_of_update st.U.ust_update)
               rule_id hops);
@@ -372,7 +372,7 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
                   Wrapper.eval_rule_delta
                     ~naive:rt.Runtime.opts.Options.naive_delta
                     rt.Runtime.node.Node.store inc ~delta_rel:rel
-                    ~delta:integration.Wrapper.fresh)
+                    ~since:integration.Wrapper.since ~delta:integration.Wrapper.fresh)
             in
             send_on_incoming rt st us inc ~hops:(hops + 1) derived
           end

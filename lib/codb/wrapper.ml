@@ -8,6 +8,7 @@ module Eval = Codb_cq.Eval
 module Apply = Codb_cq.Apply
 
 type integration = {
+  since : int;
   fresh : Tuple.t list;
   suppressed : int;
   nulls_created : int;
@@ -16,17 +17,17 @@ type integration = {
 let eval_query_full db query =
   Apply.head_tuples query (Eval.answers (Eval.of_database db) query)
 
-let eval_query_delta ~naive db query ~delta_rel ~delta =
+let eval_query_delta ~naive db query ~delta_rel ~since ~delta =
   let substs =
-    Eval.delta_answers ~naive (Eval.of_database db) ~delta_rel ~delta query
+    Eval.delta_answers ~naive (Eval.of_database db) ~delta_rel ~since ~delta query
   in
   Apply.head_tuples query substs
 
 let eval_rule_full ?opts:_ db (rule : Config.rule_decl) =
   eval_query_full db rule.Config.rule_query
 
-let eval_rule_delta ~naive db (rule : Config.rule_decl) ~delta_rel ~delta =
-  eval_query_delta ~naive db rule.Config.rule_query ~delta_rel ~delta
+let eval_rule_delta ~naive db (rule : Config.rule_decl) ~delta_rel ~since ~delta =
+  eval_query_delta ~naive db rule.Config.rule_query ~delta_rel ~since ~delta
 
 let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
   let relation = Database.relation db rel in
@@ -39,8 +40,9 @@ let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
   let nulls_before = Value.null_counter () in
   let instantiated = Apply.instantiate ~rule:rule_id incoming_fresh in
   let nulls_created = Value.null_counter () - nulls_before in
+  let since = Relation.cardinal relation in
   let fresh = Database.insert_all db rel instantiated in
   let suppressed = suppressed + (List.length instantiated - List.length fresh) in
-  { fresh; suppressed; nulls_created }
+  { since; fresh; suppressed; nulls_created }
 
 let user_answers db q = Eval.answer_tuples (Eval.of_database db) q

@@ -14,6 +14,9 @@ module Config = Codb_cq.Config
 module Query = Codb_cq.Query
 
 type integration = {
+  since : int;
+      (** the relation's row count before the insert: [fresh] are its
+          rows from [since] on, the watermark {!eval_rule_delta} takes *)
   fresh : Tuple.t list;  (** tuples actually added (nulls instantiated) *)
   suppressed : int;  (** incoming tuples dropped as duplicates *)
   nulls_created : int;
@@ -30,9 +33,11 @@ val eval_query_delta :
   Database.t ->
   Query.t ->
   delta_rel:string ->
+  since:int ->
   delta:Tuple.t list ->
   Tuple.t list
-(** Semi-naive counterpart of {!eval_query_full}. *)
+(** Semi-naive counterpart of {!eval_query_full}; [since] is the
+    watermark of {!Codb_cq.Eval.delta_answers}. *)
 
 val eval_rule_full :
   ?opts:Options.t -> Database.t -> Config.rule_decl -> Tuple.t list
@@ -46,10 +51,12 @@ val eval_rule_delta :
   Database.t ->
   Config.rule_decl ->
   delta_rel:string ->
+  since:int ->
   delta:Tuple.t list ->
   Tuple.t list
 (** Head tuples derivable using at least one tuple of [delta]
-    (semi-naive); the database must already contain the delta. *)
+    (semi-naive); the database must already contain the delta, as its
+    rows from [since] on ({!integration.since}). *)
 
 val integrate :
   opts:Options.t -> rule_id:string -> Database.t -> rel:string -> Tuple.t list ->

@@ -3,10 +3,8 @@ module Value = Codb_relalg.Value
 module Intern = Codb_relalg.Intern
 module Relation = Codb_relalg.Relation
 module Database = Codb_relalg.Database
-module Tuple_set = Relation.Tuple_set
 
 type rows = {
-  all : unit -> Tuple.t list;
   size : int;
   indexed : bool;
   distinct : (int -> int) option;
@@ -44,7 +42,7 @@ let reset_counters () =
    int array, live rows are just [0..n-1], probes are filtered scans.
    A list source is never [indexed], so the planner gives it no probe
    columns and these probes stay unused in practice. *)
-let packed_view_of_rows ~arity:a flat n =
+let rec packed_view_of_rows ~arity:a flat n =
   let ids = lazy (Array.init n (fun i -> i)) in
   {
     Relation.pv_arity = a;
@@ -70,44 +68,38 @@ let packed_view_of_rows ~arity:a flat n =
           (hits, !hit));
     (* a flattened row list has no chunk structure: nothing to skip *)
     pv_prune = (fun _ -> None);
+    pv_before = (fun since -> packed_view_of_rows ~arity:a flat (min n (max 0 since)));
   }
 
 let empty_view a = packed_view_of_rows ~arity:a [||] 0
 
-let empty_rows =
-  { all = (fun () -> []); size = 0; indexed = false; distinct = None; packed = empty_view }
+let empty_rows = { size = 0; indexed = false; distinct = None; packed = empty_view }
 
-(* Canonicalise rows of one width and pack them column-major: the walk
-   packs every cell exactly as [Tuple.canonical] would, so answers share
-   the interned boxes, and keeps the packed ints as the columnar image
-   the join core scans. *)
+(* Pack rows of one width column-major: the columnar image the join
+   core scans. *)
 let pack_rows ~width tuples =
   let n = List.length tuples in
   let flat = Array.make (max 1 (n * width)) 0 in
-  let tuples =
-    List.mapi
-      (fun row t ->
-        Array.init width (fun j ->
-            let p = Intern.pack t.(j) in
-            flat.((row * width) + j) <- p;
-            Intern.unpack p))
-      tuples
-  in
-  (tuples, packed_view_of_rows ~arity:width flat n)
+  List.iteri
+    (fun row t ->
+      for j = 0 to width - 1 do
+        flat.((row * width) + j) <- Intern.pack t.(j)
+      done)
+    tuples;
+  packed_view_of_rows ~arity:width flat n
 
 let rows_of_list tuples =
   let width = match tuples with [] -> 0 | t :: _ -> Array.length t in
   let same_width k t = Array.length t = k in
-  let tuples, packed =
+  let packed =
     if List.for_all (same_width width) tuples then
-      let tuples, view = pack_rows ~width tuples in
-      (tuples, fun k -> if k = width then view else empty_view k)
+      let view = pack_rows ~width tuples in
+      fun k -> if k = width then view else empty_view k
     else
       (* mixed widths: an atom sees only the rows of its own width *)
-      let tuples = List.map Tuple.canonical tuples in
-      (tuples, fun k -> snd (pack_rows ~width:k (List.filter (same_width k) tuples)))
+      fun k -> pack_rows ~width:k (List.filter (same_width k) tuples)
   in
-  { all = (fun () -> tuples); size = List.length tuples; indexed = false; distinct = None; packed }
+  { size = List.length tuples; indexed = false; distinct = None; packed }
 
 let of_database db rel =
   match Database.relation_opt db rel with
@@ -119,7 +111,6 @@ let of_database db rel =
         if col >= 0 && col < arity then Relation.distinct_count r ~col else 1
       in
       {
-        all = (fun () -> Relation.to_list r);
         size = Relation.cardinal r;
         indexed = true;
         distinct = Some distinct;
@@ -504,15 +495,20 @@ let plan_for ?max_probe_cols source q =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
   plan_of_atoms ?max_probe_cols atoms q.Query.comparisons
 
-let delta_answers ?(naive = false) ?max_probe_cols source ~delta_rel ~delta q =
+let delta_answers ?(naive = false) ?max_probe_cols source ~delta_rel ~since ~delta q =
   if naive then answers ?max_probe_cols source q
   else if not (List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body) then []
   else begin
     let full = source delta_rel in
-    let delta_set = Tuple_set.of_list delta in
+    (* Only a pass k > 0 reads [old], and then as a prefix view of the
+       relation: the rows below the watermark, sharing its indexes. *)
     let old =
-      rows_of_list
-        (List.filter (fun t -> not (Tuple_set.mem t delta_set)) (full.all ()))
+      lazy
+        {
+          full with
+          size = min since full.size;
+          packed = (fun k -> (full.packed k).Relation.pv_before since);
+        }
     in
     let delta_rows = rows_of_list delta in
     let occurrences =
@@ -533,7 +529,9 @@ let delta_answers ?(naive = false) ?max_probe_cols source ~delta_rel ~delta q =
         List.fold_left
           (fun (i, acc) a ->
             if String.equal a.Atom.rel delta_rel then
-              let rows = if i < k then old else if i = k then delta_rows else full in
+              let rows =
+                if i < k then Lazy.force old else if i = k then delta_rows else full
+              in
               (i + 1, (a, rows) :: acc)
             else (i, (a, source a.Atom.rel) :: acc))
           (0, []) q.Query.body

@@ -26,7 +26,6 @@
       correct in the presence of self-joins. *)
 
 type rows = {
-  all : unit -> Codb_relalg.Tuple.t list;  (** every tuple *)
   size : int;  (** cardinality, for the planner's cost model *)
   indexed : bool;
       (** can [packed] serve composite probes cheaply?  [false]
@@ -36,11 +35,12 @@ type rows = {
           selectivity model *)
   packed : int -> Codb_relalg.Relation.packed_view;
       (** [packed k] is the packed view an atom of [k] arguments joins
-          against: exactly the tuples of [all] that have [k] columns,
+          against: exactly the relation's tuples that have [k] columns,
           as a view of width [k].  An atom whose width disagrees with
           the stored relation's therefore matches nothing. *)
 }
-(** Access path to one relation's tuples. *)
+(** Access path to one relation's tuples.  There is no boxed access:
+    the evaluator only ever reads packed views. *)
 
 type source = string -> rows
 (** Access paths by relation name.  Unknown relations must return
@@ -76,7 +76,8 @@ val rows_of_list : Codb_relalg.Tuple.t list -> rows
     canonical databases): the rows are packed into a transient columnar
     image, and the source is not [indexed], so the planner scans it.
     An empty list joins at any width; a list mixing widths shows each
-    atom only the rows of its own width. *)
+    atom only the rows of its own width.  Row ids are list positions
+    (among the rows of the view's width). *)
 
 val of_database : Codb_relalg.Database.t -> source
 (** Probing access paths backed by {!Codb_relalg.Relation}'s lazy,
@@ -101,16 +102,37 @@ val delta_answers :
   ?max_probe_cols:int ->
   source ->
   delta_rel:string ->
+  since:int ->
   delta:Codb_relalg.Tuple.t list ->
   Query.t ->
   Subst.t list
-(** Semi-naive evaluation after [delta] was inserted into [delta_rel].
-    The [source] must already reflect the insertion.  If the query
+(** Semi-naive evaluation after [delta] was appended to [delta_rel].
+    The [source] must already reflect the insertion, and [since] is the
+    relation's row count before it (the caller reads
+    {!Codb_relalg.Relation.cardinal} before inserting).  If the query
     does not mention [delta_rel], the result is [[]].
+
+    The relation splits three ways.  {e old} is the rows below [since],
+    read through {!Codb_relalg.Relation.packed_view}'s [pv_before]: a
+    zero-copy, still-indexed prefix of the stored relation.  {e delta}
+    is [delta], packed as {!rows_of_list}.  {e full} is the relation
+    as stored.  With [n] body atoms over [delta_rel], pass [k] binds
+    occurrence [k] to delta, the earlier ones to old and the later ones
+    to full, so every derivation that uses a delta tuple comes out
+    exactly once.  Only a pass [k > 0] reads old — a body with two or
+    more atoms over [delta_rel] — and old is built only then.
+
+    The contract on [since]: old must not overlap [delta] (or each
+    derivation through an overlapping tuple comes out twice), and must
+    hold every pre-insertion row (or derivations are lost).  The rows
+    from [since] on may include tuples outside [delta] only if they
+    match no atom over [delta_rel] — as when a subscription's prefilter
+    drops part of a store delta but passes the watermark of the whole
+    delta.  The cost is the delta's: nothing here walks the relation.
 
     With [~naive:true] (ablation) the query is instead re-evaluated
     from scratch with {!answers} — correct but wasteful, and the
-    baseline of experiment E8. *)
+    baseline of experiment E8; [since] is then unused. *)
 
 val answer_tuples :
   ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Tuple.t list

@@ -393,6 +393,7 @@ type packed_view = {
   pv_all : unit -> int array * int;
   pv_probe : int list -> int array -> int array * int;
   pv_prune : (int * bound_op * int) list -> (int array * int * int * int) option;
+  pv_before : int -> packed_view;
 }
 
 let no_rows = ([||], 0)
@@ -402,10 +403,26 @@ let no_rows = ([||], 0)
    an array already handed out is never mutated. *)
 let identity = ref [||]
 
-let all_rows r =
+let all_rows n =
   let have = Array.length !identity in
-  if have < r.card then identity := Array.init (max r.card (2 * have)) Fun.id;
-  (!identity, r.card)
+  if have < n then identity := Array.init (max n (2 * have)) Fun.id;
+  (!identity, n)
+
+(* Every id array an access path returns is ascending: index buckets
+   and zone-map scans list rows in insertion order, and filters keep
+   that order.  So the rows below [since] are a prefix of it, found by
+   binary search, and cutting them off is a length, not a copy. *)
+let cut since ((ids, n) as hits) =
+  if n = 0 || ids.(n - 1) < since then hits
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    (* invariant: ids.(hi) >= since, and every id before lo is below it *)
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if ids.(mid) < since then lo := mid + 1 else hi := mid
+    done;
+    (ids, !lo)
+  end
 
 (* The column's zone map, built on first use over every row so far and
    maintained by [note_insert] afterwards. *)
@@ -451,10 +468,10 @@ let zone_admits ~lo ~hi op k =
   | Bgt -> Intern.compare hi k > 0
   | Bge -> Intern.compare hi k >= 0
 
-(* Chunk-skip scan: row ids from chunks whose zone intervals can
-   satisfy every bound, plus (visited, pruned) chunk counts. *)
-let prune_rows r bounds =
-  let n = r.card in
+(* Chunk-skip scan over the rows [0, n): row ids from chunks whose zone
+   intervals can satisfy every bound, plus (visited, pruned) chunk
+   counts. *)
+let prune_rows r n bounds =
   if n = 0 then ([||], 0, 0, 0)
   else begin
     let zoned = List.map (fun (col, op, k) -> (zone_for r col, op, k)) bounds in
@@ -579,11 +596,15 @@ let subsumed r incoming =
     else snd (resolve_probe r !cols (Array.of_list !vals)) > 0
   end
 
-let packed_view r =
+(* The rows [0, min card limit): the whole, growing relation when
+   [limit] is [max_int], a fixed prefix of it otherwise.  Both share the
+   relation's indexes and zone maps. *)
+let rec view r limit =
+  let rows () = min r.card limit in
   {
     pv_arity = r.arity;
     pv_cell = (fun col row -> cell r col row);
-    pv_all = (fun () -> all_rows r);
+    pv_all = (fun () -> all_rows (rows ()));
     pv_probe =
       (fun cols ->
         (* resolve lazily so an unexercised probe builds no index *)
@@ -597,9 +618,12 @@ let packed_view r =
                 resolved := Some f;
                 f
           in
-          probe vals);
-    pv_prune = (fun bounds -> Some (prune_rows r bounds));
+          cut (rows ()) (probe vals));
+    pv_prune = (fun bounds -> Some (prune_rows r (rows ()) bounds));
+    pv_before = (fun since -> view r (min limit (max 0 since)));
   }
+
+let packed_view r = view r max_int
 
 let distinct_count r ~col =
   if col < 0 || col >= r.arity then

@@ -106,6 +106,14 @@ type packed_view = {
           maintained on insert.  [None] when the view has no chunk
           structure to prune (e.g. {!Codb_cq.Eval.rows_of_list} feeds)
           — callers fall back to [pv_all]. *)
+  pv_before : int -> packed_view;
+      (** [pv_before since] is the view cut to the row ids below
+          [since]: the relation as it stood before the rows
+          [since, ...) were appended.  Semi-naive evaluation reads the
+          pre-delta relation through it.  Every id array a view returns
+          is ascending, so the cut is a length, not a copy; the cut
+          view shares the relation's indexes and zone maps, and scans
+          only the chunks below [since]. *)
 }
 (** Zero-copy packed access for the evaluator's join core: candidate
     sets are row ids, matching is integer comparison against column

@@ -86,12 +86,15 @@ let absorb t heads ~tag =
   t.answers <- List.fold_left (fun s tu -> Tuple_set.add tu s) t.answers adds;
   { d_adds = adds; d_retracts = []; d_tag = tag }
 
-let apply_delta t ~source ~delta_rel ~delta ~tag =
+let apply_delta t ~source ~delta_rel ~since ~delta ~tag =
+  (* [since] stays the unfiltered delta's watermark: a dropped tuple
+     matches no atom over [delta_rel], so it is harmless past it, while
+     a watermark of the kept rows alone would overlap them *)
   let delta, dropped = prefilter t ~rel:delta_rel delta in
   let d =
     if delta = [] then { d_adds = []; d_retracts = []; d_tag = tag }
     else
-      let substs = Eval.delta_answers source ~delta_rel ~delta t.query in
+      let substs = Eval.delta_answers source ~delta_rel ~since ~delta t.query in
       absorb t (Apply.head_tuples t.query substs) ~tag
   in
   (d, dropped)

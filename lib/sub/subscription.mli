@@ -78,15 +78,17 @@ val apply_delta :
   t ->
   source:Eval.source ->
   delta_rel:string ->
+  since:int ->
   delta:Tuple.t list ->
   tag:string ->
   delta * int
 (** Incremental maintenance: prefilter the store delta, run the
-    semi-naive pass against [source] (which must already contain the
-    delta tuples, as {!Eval.delta_answers} requires), and fold the
-    derived heads into the answer set.  Returns the answer delta
-    (adds only — new answers not previously known) and the number of
-    prefiltered-away tuples. *)
+    semi-naive pass against [source], and fold the derived heads into
+    the answer set.  [source] must already contain the delta tuples as
+    its rows from [since] on, as {!Eval.delta_answers} requires;
+    [since] is the watermark of the whole, unfiltered store delta.
+    Returns the answer delta (adds only — new answers not previously
+    known) and the number of prefiltered-away tuples. *)
 
 val refresh : t -> source:Eval.source -> tag:string -> delta
 (** From-scratch re-evaluation; the returned delta is the {e diff}

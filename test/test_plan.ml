@@ -141,7 +141,7 @@ let check_equivalent db text =
   let q = parse_query text in
   let source = Eval.of_database db in
   let planned = Eval.answers source q in
-  let reference = Test_eval.reference_substs source q in
+  let reference = Test_eval.reference_substs db q in
   let single = Eval.answers ~max_probe_cols:1 source q in
   Alcotest.(check int)
     (text ^ ": planned = reference count")
@@ -176,15 +176,16 @@ let test_delta_planned_equals_reference () =
   let db = crafted_db () in
   let q = parse_query "ans(a, z) <- big(a, b), big(b, z)" in
   let source = Eval.of_database db in
-  let before = subst_set (Test_eval.reference_substs source q) in
+  let before = subst_set (Test_eval.reference_substs db q) in
   let delta = [ tup [ i 0; i 100 ]; tup [ i 3; i 300 ] ] in
+  let since = Relation.cardinal (Database.relation db "big") in
   ignore (Database.insert_all db "big" delta);
   let gained =
     List.filter
       (fun s -> not (List.mem s before))
-      (subst_set (Test_eval.reference_substs source q))
+      (subst_set (Test_eval.reference_substs db q))
   in
-  let planned = Eval.delta_answers source ~delta_rel:"big" ~delta q in
+  let planned = Eval.delta_answers source ~delta_rel:"big" ~since ~delta q in
   Alcotest.(check bool) "delta substitutions = reference gain" true
     (subst_set planned = gained)
 

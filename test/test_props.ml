@@ -35,9 +35,10 @@ let gen_atom =
 
 let gen_op = Gen.oneofl [ Query.Eq; Query.Neq; Query.Lt; Query.Le; Query.Gt; Query.Ge ]
 
-let gen_query =
+(* A query over [body]: a head of body variables and at most one
+   comparison. *)
+let gen_query_of_body body =
   let open Gen in
-  let* body = list_size (int_range 1 3) gen_atom in
   let body_vars = Codb_cq.Term.vars (List.concat_map (fun a -> a.Atom.args) body) in
   let* head_vars =
     if body_vars = [] then return []
@@ -59,6 +60,18 @@ let gen_query =
        ~head:(atom "ans" (List.map (fun v' -> Term.Var v') head_vars))
        ~body ~comparisons ())
 
+let gen_query = Gen.(list_size (int_range 1 3) gen_atom >>= gen_query_of_body)
+
+(* Two or three atoms over [r], plus at most one other, in any order:
+   the self-joins whose later semi-naive passes read the pre-delta
+   relation. *)
+let gen_self_join_query =
+  let open Gen in
+  let r_atom = map2 (fun t1 t2 -> atom "r" [ t1; t2 ]) gen_term gen_term in
+  let* rs = list_size (int_range 2 3) r_atom in
+  let* extra = list_size (int_range 0 1) gen_atom in
+  shuffle_l (rs @ extra) >>= gen_query_of_body
+
 let int_pair_schema name =
   Schema.make name [ ("a", Value.Tint); ("b", Value.Tint) ]
 
@@ -79,7 +92,7 @@ let prop_eval_matches_reference =
     (fun (db, q) ->
       let source = Eval.of_database db in
       let fast = sorted_tuples (Eval.answer_tuples source q) in
-      let slow = sorted_tuples (Test_eval.reference_answers source q) in
+      let slow = sorted_tuples (Test_eval.reference_answers db q) in
       List.equal Tuple.equal fast slow)
 
 (* Random databases drawn through the workload generator (seeded,
@@ -112,7 +125,7 @@ let prop_planner_matches_reference =
     (Gen.pair gen_datagen_db gen_query)
     (fun (db, q) ->
       let source = Eval.of_database db in
-      let reference = subst_set (Test_eval.reference_substs source q) in
+      let reference = subst_set (Test_eval.reference_substs db q) in
       subst_set (Eval.answers source q) = reference
       && subst_set (Eval.answers ~max_probe_cols:1 source q) = reference)
 
@@ -125,11 +138,35 @@ let prop_delta_matches_reference_gain =
        gen_query)
     (fun (db, delta_candidates, q) ->
       let source = Eval.of_database db in
-      let before = subst_set (Test_eval.reference_substs source q) in
+      let before = subst_set (Test_eval.reference_substs db q) in
+      let since = Relation.cardinal (Database.relation db "r") in
       let delta = Database.insert_all db "r" delta_candidates in
-      let after = subst_set (Test_eval.reference_substs source q) in
-      subst_set (Eval.delta_answers source ~delta_rel:"r" ~delta q)
+      let after = subst_set (Test_eval.reference_substs db q) in
+      subst_set (Eval.delta_answers source ~delta_rel:"r" ~since ~delta q)
       = List.filter (fun s -> not (List.mem s before)) after)
+
+(* The same gain as a multiset: the semi-naive passes must derive each
+   new substitution exactly once.  The set comparison above would pass
+   a pre-delta relation that overlaps the delta, which emits every
+   derivation through an overlapping tuple twice. *)
+let prop_delta_exactly_once =
+  Q2.Test.make ~name:"delta substitutions = reference gain, each exactly once" ~count:300
+    (Gen.triple gen_datagen_db (Gen.list_size (Gen.int_range 1 5) gen_tuple)
+       gen_self_join_query)
+    (fun (db, delta_candidates, q) ->
+      let source = Eval.of_database db in
+      let before = subst_set (Test_eval.reference_substs db q) in
+      let since = Relation.cardinal (Database.relation db "r") in
+      let delta = Database.insert_all db "r" delta_candidates in
+      let gain =
+        List.filter
+          (fun s -> not (List.mem s before))
+          (subst_set (Test_eval.reference_substs db q))
+      in
+      List.sort compare
+        (List.map Codb_cq.Subst.bindings
+           (Eval.delta_answers source ~delta_rel:"r" ~since ~delta q))
+      = gain)
 
 let prop_delta_brackets_gain =
   Q2.Test.make ~name:"semi-naive delta brackets the gained answers" ~count:200
@@ -137,12 +174,13 @@ let prop_delta_brackets_gain =
     (fun (db, delta_candidates, q) ->
       let source = Eval.of_database db in
       let before = Relation.Tuple_set.of_list (Eval.answer_tuples source q) in
+      let since = Relation.cardinal (Database.relation db "r") in
       let delta = Database.insert_all db "r" delta_candidates in
       let after = Eval.answer_tuples source q in
       let derived =
         Relation.Tuple_set.of_list
           (Codb_cq.Apply.head_tuples q
-             (Eval.delta_answers source ~delta_rel:"r" ~delta q))
+             (Eval.delta_answers source ~delta_rel:"r" ~since ~delta q))
       in
       let gained =
         List.filter (fun t -> not (Relation.Tuple_set.mem t before)) after
@@ -544,6 +582,7 @@ let suite =
       prop_eval_matches_reference;
       prop_planner_matches_reference;
       prop_delta_matches_reference_gain;
+      prop_delta_exactly_once;
       prop_delta_brackets_gain;
       prop_roundtrip_config;
       prop_update_terminates_and_is_idempotent;

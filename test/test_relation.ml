@@ -223,6 +223,55 @@ let test_index_budget () =
     (List.filter (fun t -> Value.equal t.(2) (i 0)) rows')
     (pv_probe r [ (2, i 0) ])
 
+(* [pv_before since] is the relation as it stood before row [since]:
+   every access path — index probes (single-column, composite,
+   over-budget filtered and scanned), the identity scan and zone-map
+   scans — returns exactly the full view's ascending ids below the
+   watermark. *)
+let test_prefix_view_cuts_every_path () =
+  let schema =
+    Schema.make "w" (List.map (fun a -> (a, Value.Tint)) [ "a"; "b"; "c"; "d"; "e" ])
+  in
+  let r = Relation.create schema in
+  for k = 0 to 9999 do
+    ignore (Relation.insert r (tup [ i (k mod 2); i (k mod 3); i (k mod 5); i (k mod 7); i k ]))
+  done;
+  let full = Relation.packed_view r in
+  let ids (a, n) = Array.to_list (Array.sub a 0 n) in
+  let ascending l = List.sort_uniq compare l = l in
+  let col_sets =
+    (* sixteen indexed column sets, then two past the budget: [1; 2; 3]
+       filters a built single-column index, [3] scans *)
+    [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 0; 2 ]; [ 1; 2 ]; [ 0; 3 ]; [ 1; 3 ]; [ 2; 3 ];
+      [ 0; 4 ]; [ 1; 4 ]; [ 2; 4 ]; [ 3; 4 ]; [ 0; 1; 2 ]; [ 0; 1; 3 ];
+      [ 0; 2; 3 ]; [ 2 ]; [ 1; 2; 3 ]; [ 3 ] ]
+  in
+  List.iter
+    (fun since ->
+      let old = full.Relation.pv_before since in
+      let label what = Printf.sprintf "since %d: %s" since what in
+      Alcotest.(check (list int)) (label "pv_all") (List.init (min since 10000) Fun.id)
+        (ids (old.Relation.pv_all ()));
+      List.iter
+        (fun cols ->
+          let vals = Array.of_list (List.map (fun c -> Intern.pack (i (c mod 2))) cols) in
+          let whole = ids (full.Relation.pv_probe cols vals) in
+          let cut = ids (old.Relation.pv_probe cols vals) in
+          Alcotest.(check bool) (label "probe hits ascend") true (ascending whole);
+          Alcotest.(check (list int)) (label "probe cut")
+            (List.filter (fun id -> id < since) whole) cut)
+        col_sets;
+      let bounds = [ (4, Relation.Bge, Intern.pack (i 5000)) ] in
+      match (full.Relation.pv_prune bounds, old.Relation.pv_prune bounds) with
+      | Some (w, wn, _, _), Some (o, on, visited, pruned) ->
+          Alcotest.(check (list int)) (label "zone scan cut")
+            (List.filter (fun id -> id < since) (ids (w, wn))) (ids (o, on));
+          Alcotest.(check int) (label "only chunks below the watermark")
+            ((min since 10000 + 4095) / 4096) (visited + pruned)
+      | _ -> Alcotest.fail "columnar relation offered no zone maps")
+    [ 0; 1; 2500; 4096; 6000; 9999; 10000; 20000 ];
+  Alcotest.(check int) "budget reached" 16 (Relation.index_count r)
+
 let test_to_list_sorted () =
   let r = fresh () in
   ignore (Relation.insert_all r [ tup [ i 3; i 0 ]; tup [ i 1; i 0 ]; tup [ i 2; i 0 ] ]);
@@ -436,6 +485,8 @@ let suite =
       test_composite_index_maintained;
     Alcotest.test_case "distinct-value statistics" `Quick test_distinct_count;
     Alcotest.test_case "index budget degrades to scans" `Quick test_index_budget;
+    Alcotest.test_case "prefix view cuts every access path" `Quick
+      test_prefix_view_cuts_every_path;
     QCheck_alcotest.to_alcotest prop_columnar_matches_seed;
     Alcotest.test_case "zone maps prune selective ranges" `Quick
       test_zone_prune_selective;

@@ -46,9 +46,10 @@ let test_eval_rule_delta_only_new () =
       [ ("base", tup [ i 1; i 10 ]); ("side", tup [ i 10; i 7 ]);
         ("side", tup [ i 30; i 9 ]) ]
   in
+  let since = Relation.cardinal (Database.relation db "base") in
   let delta = Database.insert_all db "base" [ tup [ i 3; i 30 ] ] in
   check_tuples "delta-derived only" [ tup [ i 3; i 9 ] ]
-    (Wrapper.eval_rule_delta ~naive:false db rule ~delta_rel:"base" ~delta)
+    (Wrapper.eval_rule_delta ~naive:false db rule ~delta_rel:"base" ~since ~delta)
 
 let test_integrate_counts () =
   let db = imp_db () in
