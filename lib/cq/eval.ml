@@ -500,15 +500,14 @@ let delta_answers ?(naive = false) ?max_probe_cols source ~delta_rel ~since ~del
   else if not (List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body) then []
   else begin
     let full = source delta_rel in
-    (* Only a pass k > 0 reads [old], and then as a prefix view of the
-       relation: the rows below the watermark, sharing its indexes. *)
+    (* the rows below the watermark: a prefix view sharing the
+       relation's indexes, not a copy *)
     let old =
-      lazy
-        {
-          full with
-          size = min since full.size;
-          packed = (fun k -> (full.packed k).Relation.pv_before since);
-        }
+      {
+        full with
+        size = min since full.size;
+        packed = (fun k -> (full.packed k).Relation.pv_before since);
+      }
     in
     let delta_rows = rows_of_list delta in
     let occurrences =
@@ -529,9 +528,7 @@ let delta_answers ?(naive = false) ?max_probe_cols source ~delta_rel ~since ~del
         List.fold_left
           (fun (i, acc) a ->
             if String.equal a.Atom.rel delta_rel then
-              let rows =
-                if i < k then Lazy.force old else if i = k then delta_rows else full
-              in
+              let rows = if i < k then old else if i = k then delta_rows else full in
               (i + 1, (a, rows) :: acc)
             else (i, (a, source a.Atom.rel) :: acc))
           (0, []) q.Query.body

@@ -119,8 +119,8 @@ val delta_answers :
     as stored.  With [n] body atoms over [delta_rel], pass [k] binds
     occurrence [k] to delta, the earlier ones to old and the later ones
     to full, so every derivation that uses a delta tuple comes out
-    exactly once.  Only a pass [k > 0] reads old — a body with two or
-    more atoms over [delta_rel] — and old is built only then.
+    exactly once.  Only a pass [k > 0] reads old: a body with two or
+    more atoms over [delta_rel].
 
     The contract on [since]: old must not overlap [delta] (or each
     derivation through an overlapping tuple comes out twice), and must
@@ -128,7 +128,12 @@ val delta_answers :
     from [since] on may include tuples outside [delta] only if they
     match no atom over [delta_rel] — as when a subscription's prefilter
     drops part of a store delta but passes the watermark of the whole
-    delta.  The cost is the delta's: nothing here walks the relation.
+    delta.
+
+    Nothing here boxes or copies the relation: old is a view of a few
+    words, so a body with one atom over [delta_rel] costs the delta.  A
+    pass that reads old reads it like a stored relation, through its
+    indexes or by a scan that stops at [since].
 
     With [~naive:true] (ablation) the query is instead re-evaluated
     from scratch with {!answers} — correct but wasteful, and the

@@ -501,35 +501,39 @@ let prune_rows r n bounds =
    column set once, returning a probe on the packed values aligned with
    [cols] — the column set's own index, else (budget exhausted) a built
    single-column index on one of the columns with the rest filtered,
-   else a filtered scan.  Hit arrays may be internal index buckets
-   shared with the store: they are read-only and invalidated by the
-   next insert. *)
+   else a filtered scan.  The probe takes the row count [n] it reads:
+   a scan walks only the rows [0, n), and a filtered bucket only its
+   ids below [n]; an unfiltered bucket is returned whole, for the
+   caller to [cut].  Hit arrays may be internal index buckets shared
+   with the store: they are read-only and invalidated by the next
+   insert. *)
 let resolve_probe r cols =
   let ncols = List.length cols in
   let verify cols_arr vals row =
     let rec go j = j >= ncols || (cell r cols_arr.(j) row = vals.(j) && go (j + 1)) in
     go 0
   in
-  let filter_rows cols_arr vals data len =
-    let out = Array.make len 0 and n = ref 0 in
+  let filter_rows n cols_arr vals data len =
+    let _, len = cut n (data, len) in
+    let out = Array.make len 0 and hits = ref 0 in
     for i = 0 to len - 1 do
       let row = data.(i) in
       if verify cols_arr vals row then begin
-        out.(!n) <- row;
-        incr n
+        out.(!hits) <- row;
+        incr hits
       end
     done;
-    (out, !n)
+    (out, !hits)
   in
   match index_for r cols with
   | Some ix when ix.ix_single ->
-      fun vals ->
+      fun _n vals ->
         (match Hashtbl.find_opt ix.ix_tbl vals.(0) with
         | None -> no_rows
         | Some bucket -> (bucket.Ivec.data, bucket.Ivec.len))
   | Some ix ->
       let cols_arr = ix.ix_cols in
-      fun vals ->
+      fun n vals ->
         let h = ref (Array.length cols_arr) in
         for j = 0 to ncols - 1 do
           h := combine !h vals.(j)
@@ -540,7 +544,7 @@ let resolve_probe r cols =
             (* combined-hash bucket: verify candidates cell-by-cell *)
             let data = bucket.Ivec.data and len = bucket.Ivec.len in
             let rec all_match i = i >= len || (verify cols_arr vals data.(i) && all_match (i + 1)) in
-            if all_match 0 then (data, len) else filter_rows cols_arr vals data len)
+            if all_match 0 then (data, len) else filter_rows n cols_arr vals data len)
   | None -> (
       (* budget exhausted: reuse a built single-column index if one
          covers a probed column, filtering the rest; else scan *)
@@ -557,22 +561,22 @@ let resolve_probe r cols =
       in
       match covered with
       | Some (j, ix) ->
-          fun vals ->
+          fun n vals ->
             (match Hashtbl.find_opt ix.ix_tbl vals.(j) with
             | None -> no_rows
             | Some bucket ->
                 if ncols = 1 then (bucket.Ivec.data, bucket.Ivec.len)
-                else filter_rows cols_arr vals bucket.Ivec.data bucket.Ivec.len)
+                else filter_rows n cols_arr vals bucket.Ivec.data bucket.Ivec.len)
       | None ->
-          fun vals ->
-            let out = ref [] and n = ref 0 in
-            for row = r.card - 1 downto 0 do
+          fun n vals ->
+            let out = ref [] and hits = ref 0 in
+            for row = n - 1 downto 0 do
               if verify cols_arr vals row then begin
                 out := row :: !out;
-                incr n
+                incr hits
               end
             done;
-            (Array.of_list !out, !n))
+            (Array.of_list !out, !hits))
 
 (* Subsumption probe.  A stored tuple (hole-free by
    [check_insertable]) subsumes [incoming] iff it agrees with every
@@ -593,7 +597,7 @@ let subsumed r incoming =
       end
     done;
     if !cols = [] then r.card > 0
-    else snd (resolve_probe r !cols (Array.of_list !vals)) > 0
+    else snd (resolve_probe r !cols r.card (Array.of_list !vals)) > 0
   end
 
 (* The rows [0, min card limit): the whole, growing relation when
@@ -618,7 +622,8 @@ let rec view r limit =
                 resolved := Some f;
                 f
           in
-          cut (rows ()) (probe vals));
+          let n = rows () in
+          cut n (probe n vals));
     pv_prune = (fun bounds -> Some (prune_rows r (rows ()) bounds));
     pv_before = (fun since -> view r (min limit (max 0 since)));
   }

@@ -112,8 +112,11 @@ type packed_view = {
           [since, ...) were appended.  Semi-naive evaluation reads the
           pre-delta relation through it.  Every id array a view returns
           is ascending, so the cut is a length, not a copy; the cut
-          view shares the relation's indexes and zone maps, and scans
-          only the chunks below [since]. *)
+          view shares the relation's indexes and zone maps.  What it
+          walks stays below [since]: a scan or a zone-map scan reads
+          only those rows and chunks, and a probe filtering an index
+          bucket stops at the first id at or above [since].  A probe
+          answered by a whole bucket costs the bucket. *)
 }
 (** Zero-copy packed access for the evaluator's join core: candidate
     sets are row ids, matching is integer comparison against column

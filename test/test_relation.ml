@@ -270,7 +270,28 @@ let test_prefix_view_cuts_every_path () =
             ((min since 10000 + 4095) / 4096) (visited + pruned)
       | _ -> Alcotest.fail "columnar relation offered no zone maps")
     [ 0; 1; 2500; 4096; 6000; 9999; 10000; 20000 ];
-  Alcotest.(check int) "budget reached" 16 (Relation.index_count r)
+  Alcotest.(check int) "budget reached" 16 (Relation.index_count r);
+  (* the over-budget paths walk only the rows below the watermark: on a
+     100-row prefix the filtered probe and the scan allocate a small
+     fraction of what they do on the whole relation *)
+  let bytes f =
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.allocated_bytes () -. before
+  in
+  List.iter
+    (fun cols ->
+      let vals = Array.of_list (List.map (fun c -> Intern.pack (i (c mod 2))) cols) in
+      let whole = full.Relation.pv_probe cols and cut = (full.Relation.pv_before 100).pv_probe cols in
+      (* the first call resolves the access path *)
+      ignore (whole vals, cut vals);
+      let w = bytes (fun () -> whole vals) and c = bytes (fun () -> cut vals) in
+      Alcotest.(check bool)
+        (Printf.sprintf "probe %s below the watermark: %.0f of %.0f bytes"
+           (String.concat "," (List.map string_of_int cols)) c w)
+        true
+        (c *. 10. < w))
+    [ [ 1; 2; 3 ]; [ 3 ] ]
 
 let test_to_list_sorted () =
   let r = fresh () in
