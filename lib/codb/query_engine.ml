@@ -364,15 +364,14 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                     (* the overlay is authoritatively evaluated on
                        completion; here we only stream the answers the
                        delta newly enables *)
-                    let substs =
+                    let answers =
                       with_counters rt qid (fun () ->
-                          Eval.delta_answers
+                          Eval.delta_heads
                             ~naive:rt.Runtime.opts.Options.naive_delta
                             (Eval.of_database st.Q.qst_overlay)
                             ~delta_rel:rel ~since:integration.Wrapper.since
                             ~delta:integration.Wrapper.fresh root.query)
                     in
-                    let answers = Codb_cq.Apply.head_tuples root.query substs in
                     root.streamed <-
                       notify_fresh ~on_answer:root.on_answer
                         ~streamed:root.streamed answers

@@ -1,13 +1,17 @@
-module Tuple_set = Codb_relalg.Relation.Tuple_set
+module Tuple = Codb_relalg.Tuple
+module Intern = Codb_relalg.Intern
+module Row_table = Codb_cq.Eval.Row_table
 
-type t = { mutable set : Tuple_set.t }
+type t = unit Row_table.t
 
-let create () = { set = Tuple_set.empty }
+let create () = Row_table.create 64
 
-let already_sent t tuple = Tuple_set.mem tuple t.set
+let rows t = t
 
-let note_sent t tuple = t.set <- Tuple_set.add tuple t.set
+let note_sent t tuple = Row_table.replace t (Array.map Intern.pack tuple) ()
 
-let elements t = Tuple_set.elements t.set
+let elements t =
+  List.sort Tuple.compare
+    (Row_table.fold (fun row () acc -> Array.map Intern.unpack row :: acc) t [])
 
-let tracked t = Tuple_set.cardinal t.set
+let tracked = Row_table.length

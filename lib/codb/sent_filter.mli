@@ -1,19 +1,29 @@
 (** Duplicate-suppression state for one incoming link: the paper's
     per-link cache of already-sent tuples ("we delete from Ri those
-    tuples which have been already sent").  An exact set, so
-    {!already_sent} answers [true] only for a tuple that really was
-    sent and nothing is ever re-sent. *)
+    tuples which have been already sent").  An exact set of packed head
+    rows ({!Codb_cq.Eval.Row_table}), so a tuple counts as sent only if
+    it really was and nothing is ever re-sent.
+
+    The cache is the head projection's dedup: the update algorithm
+    hands {!rows} to {!Codb_cq.Eval.heads} / {!Codb_cq.Eval.delta_heads},
+    which note every surviving head in it and never copy or box a head
+    already there.  A filter lives as long as its update: termination
+    releases it ({!Update_state.release_sent}). *)
 
 type t
 
 val create : unit -> t
 
-val already_sent : t -> Codb_relalg.Tuple.t -> bool
+val rows : t -> unit Codb_cq.Eval.Row_table.t
+(** The packed rows sent so far: the table the projector filters
+    against and fills. *)
 
 val note_sent : t -> Codb_relalg.Tuple.t -> unit
+(** Record a boxed tuple as sent (a WAL recovery's carry-over). *)
 
 val elements : t -> Codb_relalg.Tuple.t list
-(** The tuples sent so far, sorted — what a durability snapshot
+(** The tuples sent so far, boxed and sorted by
+    {!Codb_relalg.Tuple.compare} — what a durability snapshot
     records. *)
 
 val tracked : t -> int

@@ -54,9 +54,13 @@ let finalize rt (st : U.t) =
 let may_export (rt : Runtime.t) =
   rt.node.Node.decl.Config.constraints = [] || Node.is_consistent rt.node
 
+(* Termination: every link closes, so no sent filter is consulted
+   again; releasing them keeps a finished update from pinning its
+   filters in [Node.updates] (and in every later WAL snapshot). *)
 let close_everything (st : U.t) =
   Hashtbl.iter (fun rule _ -> U.close_out st rule) (Hashtbl.copy st.U.ust_out);
-  Hashtbl.iter (fun rule _ -> U.close_in st rule) (Hashtbl.copy st.U.ust_in)
+  Hashtbl.iter (fun rule _ -> U.close_in st rule) (Hashtbl.copy st.U.ust_in);
+  U.release_sent st
 
 let flood_terminated rt (st : U.t) ~except =
   let forward peer =
@@ -240,17 +244,19 @@ let schedule_flush rt (st : U.t) us dst =
         end)
   end
 
-let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) ~hops tuples =
+(* The incoming link's sent filter: the head projector drops the rows
+   already in it and notes the rest, so what it returns is what the
+   paper sends ("delete from Ri the tuples already sent").  Without
+   the cache (the E8 ablation) each evaluation only de-duplicates
+   itself. *)
+let sent_for rt (st : U.t) (inc : Config.rule_decl) =
+  if rt.Runtime.opts.Options.use_sent_cache then Some (U.sent_filter st inc.Config.rule_id)
+  else None
+
+(* Ship [fresh], the heads {!sent_for}'s filter let through. *)
+let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) ~hops fresh =
   let opts = rt.Runtime.opts in
   let rule = inc.Config.rule_id in
-  let fresh =
-    if opts.Options.use_sent_cache then begin
-      let fresh = List.filter (fun t -> not (U.already_sent st rule t)) tuples in
-      U.add_sent st rule fresh;
-      fresh
-    end
-    else tuples
-  in
   if fresh <> [] then begin
     let dst = importer_of inc in
     if opts.Options.batch_window > 0.0 then begin
@@ -317,8 +323,8 @@ let first_contact rt (st : U.t) ~exclude =
       (fun (inc : Config.rule_decl) ->
         let tuples =
           Stats.with_eval_counters us.Stats.us_eval (fun () ->
-              Wrapper.eval_rule_full
-                rt.Runtime.node.Node.store inc)
+              Wrapper.eval_rule_full ?sent:(sent_for rt st inc) rt.Runtime.node.Node.store
+                inc)
         in
         send_on_incoming rt st us inc ~hops:1 tuples)
       rt.Runtime.node.Node.incoming;
@@ -369,7 +375,7 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
           if U.in_state st inc.Config.rule_id = U.Link_open then begin
             let derived =
               Stats.with_eval_counters us.Stats.us_eval (fun () ->
-                  Wrapper.eval_rule_delta
+                  Wrapper.eval_rule_delta ?sent:(sent_for rt st inc)
                     ~naive:rt.Runtime.opts.Options.naive_delta
                     rt.Runtime.node.Node.store inc ~delta_rel:rel
                     ~since:integration.Wrapper.since ~delta:integration.Wrapper.fresh)
@@ -477,7 +483,7 @@ let activate_incoming rt (st : U.t) ~requester rule_id =
         if may_export rt then begin
           let tuples =
             Stats.with_eval_counters us.Stats.us_eval (fun () ->
-                Wrapper.eval_rule_full
+                Wrapper.eval_rule_full ?sent:(sent_for rt st inc)
                   rt.Runtime.node.Node.store inc)
           in
           send_on_incoming rt st us inc ~hops:1 tuples

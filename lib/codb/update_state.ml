@@ -95,8 +95,6 @@ let sent_filter st rule =
       Hashtbl.add st.ust_sent rule f;
       f
 
-let already_sent st rule tuple = Sent_filter.already_sent (sent_filter st rule) tuple
-
 let add_sent st rule tuples =
   let f = sent_filter st rule in
   List.iter (Sent_filter.note_sent f) tuples
@@ -105,6 +103,8 @@ let sent_tracked st rule =
   match Hashtbl.find_opt st.ust_sent rule with
   | Some f -> Sent_filter.tracked f
   | None -> 0
+
+let release_sent st = Hashtbl.reset st.ust_sent
 
 (* ---- Per-destination wire buffers ----------------------------------- *)
 

@@ -26,7 +26,8 @@ type t = {
   ust_out : (string, link_state) Hashtbl.t;  (** my outgoing links *)
   ust_in : (string, link_state) Hashtbl.t;  (** my incoming links *)
   ust_sent : (string, Sent_filter.t) Hashtbl.t;
-      (** per incoming link: head tuples (holes included) already sent *)
+      (** per incoming link: packed head rows (holes included) already
+          sent; emptied when the update terminates *)
   ust_wire : (Peer_id.t, dest_buffer) Hashtbl.t;
       (** per-destination batching buffers (empty when batching is off) *)
   mutable ust_pending : int;
@@ -87,15 +88,26 @@ val all_out_closed : t -> bool
 
 (** {2 Sent filters} *)
 
+(** One per incoming link, holding the packed head rows already sent
+    on it.  The projector filters against a link's table and notes the
+    survivors ({!Sent_filter.rows}); the filters live until the update
+    terminates. *)
+
 val sent_filter : t -> string -> Sent_filter.t
 (** The filter for one incoming link, created on first use. *)
 
-val already_sent : t -> string -> Codb_relalg.Tuple.t -> bool
-
 val add_sent : t -> string -> Codb_relalg.Tuple.t list -> unit
+(** Note boxed tuples as sent: the carry-over a WAL recovery restores
+    ([Node.recovered_sent]). *)
 
 val sent_tracked : t -> string -> int
-(** Exact entries currently tracked for the link (0 if never used). *)
+(** Exact entries currently tracked for the link (0 if never used or
+    released). *)
+
+val release_sent : t -> unit
+(** Drop every link's filter.  Called once the update terminates:
+    every link is closed then, so nothing consults a filter again, and
+    a durability snapshot no longer carries them. *)
 
 (** {2 Wire buffers}
 

@@ -14,20 +14,20 @@ type integration = {
   nulls_created : int;
 }
 
-let eval_query_full db query =
-  Apply.head_tuples query (Eval.answers (Eval.of_database db) query)
+let into = Option.map Sent_filter.rows
 
-let eval_query_delta ~naive db query ~delta_rel ~since ~delta =
-  let substs =
-    Eval.delta_answers ~naive (Eval.of_database db) ~delta_rel ~since ~delta query
-  in
-  Apply.head_tuples query substs
+let eval_query_full ?sent db query =
+  Eval.heads ?into:(into sent) (Eval.of_database db) query
 
-let eval_rule_full ?opts:_ db (rule : Config.rule_decl) =
-  eval_query_full db rule.Config.rule_query
+let eval_query_delta ?sent ~naive db query ~delta_rel ~since ~delta =
+  Eval.delta_heads ~naive ?into:(into sent) (Eval.of_database db) ~delta_rel ~since
+    ~delta query
 
-let eval_rule_delta ~naive db (rule : Config.rule_decl) ~delta_rel ~since ~delta =
-  eval_query_delta ~naive db rule.Config.rule_query ~delta_rel ~since ~delta
+let eval_rule_full ?opts:_ ?sent db (rule : Config.rule_decl) =
+  eval_query_full ?sent db rule.Config.rule_query
+
+let eval_rule_delta ?sent ~naive db (rule : Config.rule_decl) ~delta_rel ~since ~delta =
+  eval_query_delta ?sent ~naive db rule.Config.rule_query ~delta_rel ~since ~delta
 
 let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
   let relation = Database.relation db rel in

@@ -22,13 +22,18 @@ type integration = {
   nulls_created : int;
 }
 
-val eval_query_full : Database.t -> Query.t -> Tuple.t list
+val eval_query_full : ?sent:Sent_filter.t -> Database.t -> Query.t -> Tuple.t list
 (** Evaluate a GLAV-style query (existential head allowed) and return
-    its head tuples, existential positions rendered as holes.  Used
+    its distinct head tuples, existential positions rendered as holes,
+    sorted by {!Codb_relalg.Tuple.compare}.  Heads are projected packed
+    ({!Codb_cq.Eval.heads}) and only the returned ones are boxed.  With
+    [sent], a head already in the filter is dropped and every returned
+    head is noted there: the filter is the projection's dedup.  Used
     directly by the query engine when constraint pushdown has
     specialized a rule's query ({!Codb_cq.Specialize}). *)
 
 val eval_query_delta :
+  ?sent:Sent_filter.t ->
   naive:bool ->
   Database.t ->
   Query.t ->
@@ -40,13 +45,13 @@ val eval_query_delta :
     watermark of {!Codb_cq.Eval.delta_answers}. *)
 
 val eval_rule_full :
-  ?opts:Options.t -> Database.t -> Config.rule_decl -> Tuple.t list
-(** Evaluate a coordination rule's body over the database and return
-    the head tuples, existential positions rendered as holes.  [opts]
-    is ignored: no option changes rule evaluation; the argument stays
-    for the callers in [bench/e2e]. *)
+  ?opts:Options.t -> ?sent:Sent_filter.t -> Database.t -> Config.rule_decl -> Tuple.t list
+(** {!eval_query_full} on a coordination rule's query.  [opts] is
+    ignored: no option changes rule evaluation; the argument stays for
+    the callers in [bench/e2e]. *)
 
 val eval_rule_delta :
+  ?sent:Sent_filter.t ->
   naive:bool ->
   Database.t ->
   Config.rule_decl ->
@@ -55,8 +60,9 @@ val eval_rule_delta :
   delta:Tuple.t list ->
   Tuple.t list
 (** Head tuples derivable using at least one tuple of [delta]
-    (semi-naive); the database must already contain the delta, as its
-    rows from [since] on ({!integration.since}). *)
+    (semi-naive), filtered through [sent] like {!eval_query_full}; the
+    database must already contain the delta, as its rows from [since]
+    on ({!integration.since}). *)
 
 val integrate :
   opts:Options.t -> rule_id:string -> Database.t -> rel:string -> Tuple.t list ->

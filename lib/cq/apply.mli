@@ -1,18 +1,13 @@
-(** Application of a GLAV rule head to body answers.
+(** Instantiation of GLAV rule heads at the importer.
 
-    Existential head variables are rendered as {!Codb_relalg.Value.Hole}
-    placeholders (indexed by their position in
-    {!Query.existential_head_vars}); the {e importing} node replaces
-    them with fresh marked nulls after duplicate suppression
-    ({!Codb_relalg.Tuple.instantiate_holes}).  Keeping holes on the wire —
-    rather than minting nulls at the sender — is what lets the importer
-    recognise that an incoming tuple is subsumed by one it already has,
-    and hence what makes cyclic rule systems reach a fix-point. *)
-
-val head_tuples : Query.t -> Subst.t list -> Codb_relalg.Tuple.t list
-(** Project the substitutions on the head, mapping each existential
-    head variable to its hole; de-duplicated, in {!Codb_relalg.Tuple.compare}
-    order. *)
+    A rule's head projection ({!Eval.heads}) renders each existential
+    head variable as a {!Codb_relalg.Value.Hole} placeholder (indexed
+    by its position in {!Query.existential_head_vars}); the
+    {e importing} node replaces the holes with fresh marked nulls after
+    duplicate suppression.  Keeping holes on the wire — rather than
+    minting nulls at the sender — is what lets the importer recognise
+    that an incoming tuple is subsumed by one it already has, and hence
+    what makes cyclic rule systems reach a fix-point. *)
 
 val instantiate :
   rule:string -> Codb_relalg.Tuple.t list -> Codb_relalg.Tuple.t list

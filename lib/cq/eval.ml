@@ -169,7 +169,8 @@ let plan_of_atoms ?max_probe_cols atoms comparisons =
    column cells, and probes hand packed values straight to the
    relation's id-keyed indexes — no boxing, no string hashing, no
    per-probe copies.  A boxed [Subst.t] is materialised only per full
-   match (or, for user queries, a boxed tuple per distinct answer). *)
+   match (or, through the head projector, a boxed tuple per kept head
+   row). *)
 
 type packed_arg =
   | Pconst of int  (* packed constant: candidate cell must equal it *)
@@ -444,17 +445,25 @@ let join_packed_run prepared ~(emit : packed_ctx -> unit -> unit) =
   go 0
 
 
-let join_packed prepared =
-  let results = ref [] in
-  join_packed_run prepared ~emit:(fun ctx ->
-      let nslots = Array.length ctx.x_names in
-      fun () ->
-        let subst = ref Subst.empty in
-        for s = 0 to nslots - 1 do
-          subst := Subst.bind ctx.x_names.(s) (Intern.unpack ctx.x_vals.(s)) !subst
-        done;
-        results := !subst :: !results);
-  List.rev !results
+(* Packed rows keyed by every cell: the generic [Hashtbl.hash] reads
+   only the first 10 cells, so a wide row would collide with its
+   prefix. *)
+let rec cells_equal (a : int array) b j =
+  j >= Array.length a || (a.(j) = b.(j) && cells_equal a b (j + 1))
+
+module Row_table = Hashtbl.Make (struct
+  type t = int array
+
+  (* no local closure: a lookup must not allocate *)
+  let equal (a : int array) b = Array.length a = Array.length b && cells_equal a b 0
+
+  let hash (row : int array) =
+    let h = ref (Array.length row) in
+    for j = 0 to Array.length row - 1 do
+      h := (!h * 0x100000001b3) lxor Intern.hash row.(j)
+    done;
+    !h land max_int
+end)
 
 (* Plan a join and prepare its steps; [None] means the join is
    provably empty (a comparison no step ever grounds, or a violated
@@ -482,23 +491,22 @@ let plan_prepared ?max_probe_cols atoms comparisons =
 (* Follow the plan's step order, probe the chosen column sets through
    composite indexes, and evaluate each comparison at the step the
    planner assigned it to. *)
-let join ?max_probe_cols atoms comparisons =
+let join_run ?max_probe_cols atoms comparisons ~emit =
   match plan_prepared ?max_probe_cols atoms comparisons with
-  | None -> []
-  | Some prepared -> join_packed prepared
+  | None -> ()
+  | Some prepared -> join_packed_run prepared ~emit
 
-let answers ?max_probe_cols source q =
+let full_run ?max_probe_cols source q ~emit =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
-  join ?max_probe_cols atoms q.Query.comparisons
+  join_run ?max_probe_cols atoms q.Query.comparisons ~emit
 
 let plan_for ?max_probe_cols source q =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
   plan_of_atoms ?max_probe_cols atoms q.Query.comparisons
 
-let delta_answers ?(naive = false) ?max_probe_cols source ~delta_rel ~since ~delta q =
-  if naive then answers ?max_probe_cols source q
-  else if not (List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body) then []
-  else begin
+let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ~delta q ~emit =
+  if naive then full_run ?max_probe_cols source q ~emit
+  else if List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body then begin
     let full = source delta_rel in
     (* the rows below the watermark: a prefix view sharing the
        relation's indexes, not a copy *)
@@ -533,57 +541,84 @@ let delta_answers ?(naive = false) ?max_probe_cols source ~delta_rel ~since ~del
             else (i, (a, source a.Atom.rel) :: acc))
           (0, []) q.Query.body
       in
-      join ?max_probe_cols (List.rev atoms) q.Query.comparisons
+      join_run ?max_probe_cols (List.rev atoms) q.Query.comparisons ~emit
     in
-    List.concat_map pass occurrences
+    List.iter pass occurrences
   end
 
-(* User queries run the packed join core and project the head {e
-   without materialising substitutions} — each match writes the head's
-   packed values into a scratch row, de-duplicated in an int-row table.
-   Only the final duplicate-free answers are boxed (into canonical
-   tuples) and sorted, so the whole evaluation touches boxed values
-   exactly once per distinct answer: at the API boundary. *)
+(* Materialise one boxed substitution per match. *)
+let collect_substs run =
+  let results = ref [] in
+  run ~emit:(fun ctx ->
+      let nslots = Array.length ctx.x_names in
+      fun () ->
+        let subst = ref Subst.empty in
+        for s = 0 to nslots - 1 do
+          subst := Subst.bind ctx.x_names.(s) (Intern.unpack ctx.x_vals.(s)) !subst
+        done;
+        results := !subst :: !results);
+  List.rev !results
+
+let answers ?max_probe_cols source q = collect_substs (full_run ?max_probe_cols source q)
+
+let delta_answers ?naive ?max_probe_cols source ~delta_rel ~since ~delta q =
+  collect_substs (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ~delta q)
+
+(* The head projector.  Each match writes the head's packed values
+   into a scratch row (an existential variable projects to its hole);
+   a row absent from [into] is copied, noted there and kept.  A row
+   already in [into] costs a hash lookup and allocates nothing.  Only
+   the kept rows are boxed, into canonical tuples, and sorted. *)
+let project run q ~into =
+  let existentials = Query.existential_head_vars q in
+  let hole v =
+    let rec index i = function
+      | [] -> assert false (* a head variable outside the body is existential *)
+      | x :: rest -> if String.equal x v then i else index (i + 1) rest
+    in
+    Pconst (Intern.pack (Value.Hole (index 0 existentials)))
+  in
+  let kept = ref [] in
+  run ~emit:(fun ctx ->
+      let proj =
+        Array.of_list
+          (List.map
+             (function
+               | Term.Cst c -> Pconst (Intern.pack c)
+               | Term.Var v -> (
+                   match ctx.x_slot v with Some s -> Pvar s | None -> hole v))
+             q.Query.head.Atom.args)
+      in
+      let width = Array.length proj in
+      let scratch = Array.make width 0 in
+      fun () ->
+        for j = 0 to width - 1 do
+          scratch.(j) <-
+            (match proj.(j) with
+            | Pconst c -> c
+            | Pvar s -> ctx.x_vals.(s)
+            | Pbindconst _ -> assert false (* never built by the projector *))
+        done;
+        if not (Row_table.mem into scratch) then begin
+          let row = Array.copy scratch in
+          Row_table.add into row ();
+          kept := row :: !kept
+        end);
+  List.sort Tuple.compare (List.rev_map (Array.map Intern.unpack) !kept)
+
+let fresh_rows () = Row_table.create 64
+
+let heads ?max_probe_cols ?(into = fresh_rows ()) source q =
+  project (full_run ?max_probe_cols source q) q ~into
+
+let delta_heads ?naive ?max_probe_cols ?(into = fresh_rows ()) source ~delta_rel ~since
+    ~delta q =
+  project (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ~delta q) q ~into
+
 let answer_tuples ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Eval.answer_tuples: " ^ reason));
-  let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
-  match plan_prepared ?max_probe_cols atoms q.Query.comparisons with
-  | None -> []
-  | Some prepared ->
-      let rows = ref [] in
-      let seen : (int array, unit) Hashtbl.t = Hashtbl.create 1024 in
-      join_packed_run prepared ~emit:(fun ctx ->
-          let proj =
-            Array.of_list
-              (List.map
-                 (function
-                   | Term.Cst c -> Pconst (Intern.pack c)
-                   | Term.Var v -> (
-                       match ctx.x_slot v with
-                       | Some s -> Pvar s
-                       | None ->
-                           (* no existential head variables, so every
-                              head variable has a body slot *)
-                           assert false))
-                 q.Query.head.Atom.args)
-          in
-          let width = Array.length proj in
-          let scratch = Array.make width 0 in
-          fun () ->
-            for j = 0 to width - 1 do
-              scratch.(j) <-
-                (match proj.(j) with
-                | Pconst c -> c
-                | Pvar s -> ctx.x_vals.(s)
-                | Pbindconst _ -> assert false (* never built by the projector *))
-            done;
-            if not (Hashtbl.mem seen scratch) then begin
-              let row = Array.copy scratch in
-              Hashtbl.add seen row ();
-              rows := row :: !rows
-            end);
-      List.sort Tuple.compare (List.map (fun row -> Array.map Intern.unpack row) !rows)
+  heads ?max_probe_cols source q
 
 let certain tuples = List.filter (fun t -> not (Tuple.has_null t)) tuples

@@ -14,16 +14,22 @@
     chunks whose zone maps rule out the plan's constant and order
     predicates.
 
-    Two entry points matter to the coDB algorithms:
+    Two evaluation modes matter to the coDB algorithms:
 
-    - {!answers} — full evaluation, used when a node first receives an
-      update or query request and answers from its local data;
-    - {!delta_answers} — {e semi-naive} evaluation used on every
-      subsequent delta: given tuples [T'] that were just added to
-      relation [R], it derives exactly the substitutions that use at
-      least one tuple of [T'], the paper's "incoming links dependent on
-      O are computed by substituting R by T'" step, generalised to be
-      correct in the presence of self-joins. *)
+    - full evaluation ({!answers}, {!heads}), used when a node first
+      receives an update or query request and answers from its local
+      data;
+    - {e semi-naive} evaluation ({!delta_answers}, {!delta_heads}) used
+      on every subsequent delta: given tuples [T'] that were just added
+      to relation [R], it derives exactly the matches that use at least
+      one tuple of [T'], the paper's "incoming links dependent on O are
+      computed by substituting R by T'" step, generalised to be correct
+      in the presence of self-joins.
+
+    Each comes in two outputs: boxed substitutions ({!answers},
+    {!delta_answers}), and head rows projected packed through a
+    caller-supplied dedup table ({!heads}, {!delta_heads}), which is
+    what the protocols use. *)
 
 type rows = {
   size : int;  (** cardinality, for the planner's cost model *)
@@ -89,9 +95,9 @@ val source_of_alist : (string * Codb_relalg.Tuple.t list) list -> source
 val answers : ?max_probe_cols:int -> source -> Query.t -> Subst.t list
 (** All substitutions of the body variables satisfying body atoms and
     comparisons.  The result may contain substitutions that project to
-    the same head tuple; projection and de-duplication are the
-    caller's business (see {!Apply}).  [max_probe_cols] caps probe
-    width (see {!Plan.make}). *)
+    the same head tuple; {!heads} projects and de-duplicates without
+    building them.  [max_probe_cols] caps probe width (see
+    {!Plan.make}). *)
 
 val plan_for : ?max_probe_cols:int -> source -> Query.t -> Plan.t
 (** The plan {!answers} would execute — for the CLI [explain]
@@ -139,11 +145,55 @@ val delta_answers :
     from scratch with {!answers} — correct but wasteful, and the
     baseline of experiment E8; [since] is then unused. *)
 
+(** {2 The head projector}
+
+    Rule heads stay packed from the join to the caller's table: each
+    match writes the head's packed values into a scratch row (an
+    existential head variable projects to [Intern.pack (Hole i)], [i]
+    its position in {!Query.existential_head_vars}), and the row is
+    kept only if it is absent from the table [into], which it then
+    joins.  A match whose head row is already there allocates nothing.
+    Only the kept rows are boxed (into canonical values) and sorted by
+    {!Codb_relalg.Tuple.compare}.
+
+    Passing a table that outlives the call makes it a dedup across
+    calls: the update algorithm passes each incoming link's sent-cache
+    ([Sent_filter] in [codb_core]), so a head already sent on the link is
+    never copied or boxed.  Without [into], a fresh table de-duplicates
+    within the call. *)
+
+module Row_table : Hashtbl.S with type key = int array
+(** Packed rows, hashed over every cell (the generic [Hashtbl.hash]
+    reads only 10). *)
+
+val heads :
+  ?max_probe_cols:int ->
+  ?into:unit Row_table.t ->
+  source ->
+  Query.t ->
+  Codb_relalg.Tuple.t list
+(** Full form: the head rows of {!answers}' matches that [into] does
+    not hold, distinct and sorted; they are added to [into]. *)
+
+val delta_heads :
+  ?naive:bool ->
+  ?max_probe_cols:int ->
+  ?into:unit Row_table.t ->
+  source ->
+  delta_rel:string ->
+  since:int ->
+  delta:Codb_relalg.Tuple.t list ->
+  Query.t ->
+  Codb_relalg.Tuple.t list
+(** Delta form: the same projection over {!delta_answers}' matches,
+    through the same passes. *)
+
 val answer_tuples :
   ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Tuple.t list
-(** Evaluate a {e user} query: project the answers on the head and
-    de-duplicate.  @raise Invalid_argument if the head has existential
-    variables (use {!Apply.head_tuples} for GLAV rule heads). *)
+(** Evaluate a {e user} query: {!heads} with a fresh table.
+    @raise Invalid_argument if the head has existential variables
+    (GLAV rule heads go through {!heads}, which renders them as
+    holes). *)
 
 val certain : Codb_relalg.Tuple.t list -> Codb_relalg.Tuple.t list
 (** The null-free (certain) answers among a list of answer tuples. *)

@@ -1,6 +1,5 @@
 module Query = Codb_cq.Query
 module Eval = Codb_cq.Eval
-module Apply = Codb_cq.Apply
 module Specialize = Codb_cq.Specialize
 module Tuple = Codb_relalg.Tuple
 module Tuple_set = Codb_relalg.Relation.Tuple_set
@@ -75,14 +74,11 @@ let prefilter t ~rel tuples =
       let kept = List.filter (Specialize.matches c) tuples in
       (kept, List.length tuples - List.length kept)
 
-(* Fold freshly derived head tuples into the answer set; only the
-   genuinely new ones become the delta's adds.  Incremental
-   maintenance over a monotone store never retracts. *)
+(* Fold freshly derived head tuples (distinct and sorted) into the
+   answer set; only the genuinely new ones become the delta's adds.
+   Incremental maintenance over a monotone store never retracts. *)
 let absorb t heads ~tag =
-  let adds =
-    List.sort_uniq Tuple.compare
-      (List.filter (fun tu -> not (Tuple_set.mem tu t.answers)) heads)
-  in
+  let adds = List.filter (fun tu -> not (Tuple_set.mem tu t.answers)) heads in
   t.answers <- List.fold_left (fun s tu -> Tuple_set.add tu s) t.answers adds;
   { d_adds = adds; d_retracts = []; d_tag = tag }
 
@@ -94,8 +90,7 @@ let apply_delta t ~source ~delta_rel ~since ~delta ~tag =
   let d =
     if delta = [] then { d_adds = []; d_retracts = []; d_tag = tag }
     else
-      let substs = Eval.delta_answers source ~delta_rel ~since ~delta t.query in
-      absorb t (Apply.head_tuples t.query substs) ~tag
+      absorb t (Eval.delta_heads source ~delta_rel ~since ~delta t.query) ~tag
   in
   (d, dropped)
 

@@ -3,9 +3,10 @@
     A subscription is a user conjunctive query (no existential head)
     whose answers a node keeps current as its store changes.  Instead
     of re-running the query on every write, the host feeds each
-    per-relation store delta through {!Codb_cq.Eval.delta_answers} —
-    the same semi-naive pass the update fix-point uses — so only
-    substitutions that touch the new tuples are derived.  Because coDB
+    per-relation store delta through {!Codb_cq.Eval.delta_heads} —
+    the same semi-naive pass and head projector the update fix-point
+    uses — so only answers of matches that touch the new tuples are
+    derived.  Because coDB
     stores are monotone (tuples are never deleted), incremental
     maintenance only ever {e adds} answers; retractions appear only
     when a subscription is re-seeded from scratch (registration,

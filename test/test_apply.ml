@@ -1,26 +1,20 @@
 open Helpers
 module Apply = Codb_cq.Apply
-module Subst = Codb_cq.Subst
 
 let rule_query =
   (* h(x, z) <- r(x, y): z is existential *)
   Query.make ~head:(atom "h" [ v "x"; v "z" ]) ~body:[ atom "r" [ v "x"; v "y" ] ] ()
 
+(* The head projector over r = [rows]. *)
+let heads q rows = Eval.heads (Eval.source_of_alist [ ("r", rows) ]) q
+
 let test_head_tuples_with_holes () =
-  let substs = [ Subst.of_list [ ("x", i 1); ("y", i 10) ] ] in
-  let tuples = Apply.head_tuples rule_query substs in
+  let tuples = heads rule_query [ tup [ i 1; i 10 ] ] in
   check_tuples "hole in existential position" [ tup [ i 1; Value.Hole 0 ] ] tuples
 
 let test_head_tuples_dedup () =
-  (* two substitutions differing only in y project to the same head *)
-  let substs =
-    [
-      Subst.of_list [ ("x", i 1); ("y", i 10) ];
-      Subst.of_list [ ("x", i 1); ("y", i 20) ];
-      Subst.of_list [ ("x", i 2); ("y", i 10) ];
-    ]
-  in
-  let tuples = Apply.head_tuples rule_query substs in
+  (* two matches differing only in y project to the same head *)
+  let tuples = heads rule_query [ tup [ i 1; i 10 ]; tup [ i 1; i 20 ]; tup [ i 2; i 10 ] ] in
   check_tuples "deduped"
     [ tup [ i 1; Value.Hole 0 ]; tup [ i 2; Value.Hole 0 ] ]
     tuples
@@ -29,15 +23,13 @@ let test_head_constants () =
   let q =
     Query.make ~head:(atom "h" [ c (s "tag"); v "x" ]) ~body:[ atom "r" [ v "x"; v "y" ] ] ()
   in
-  let tuples = Apply.head_tuples q [ Subst.of_list [ ("x", i 3); ("y", i 0) ] ] in
-  check_tuples "constant kept" [ tup [ s "tag"; i 3 ] ] tuples
+  check_tuples "constant kept" [ tup [ s "tag"; i 3 ] ] (heads q [ tup [ i 3; i 0 ] ])
 
 let test_repeated_existential_same_hole () =
   let q =
     Query.make ~head:(atom "h" [ v "z"; v "z"; v "x" ]) ~body:[ atom "r" [ v "x"; v "y" ] ] ()
   in
-  let tuples = Apply.head_tuples q [ Subst.of_list [ ("x", i 1); ("y", i 2) ] ] in
-  match tuples with
+  match heads q [ tup [ i 1; i 2 ] ] with
   | [ t ] ->
       Alcotest.(check bool) "same hole index" true (Value.equal t.(0) t.(1));
       (* and after instantiation, the same null *)
@@ -49,8 +41,7 @@ let test_two_existentials_distinct_holes () =
   let q =
     Query.make ~head:(atom "h" [ v "z1"; v "z2" ]) ~body:[ atom "r" [ v "x"; v "y" ] ] ()
   in
-  let tuples = Apply.head_tuples q [ Subst.of_list [ ("x", i 1); ("y", i 2) ] ] in
-  match tuples with
+  match heads q [ tup [ i 1; i 2 ] ] with
   | [ t ] -> Alcotest.(check bool) "distinct holes" false (Value.equal t.(0) t.(1))
   | _ -> Alcotest.fail "expected one tuple"
 

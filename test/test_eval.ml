@@ -200,8 +200,7 @@ let test_delta_basic () =
   let since = Relation.cardinal (Database.relation db "r") in
   ignore (Database.insert_all db "r" delta);
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
-  let substs = Eval.delta_answers (Eval.of_database db) ~delta_rel:"r" ~since ~delta q in
-  let tuples = Codb_cq.Apply.head_tuples q substs in
+  let tuples = Eval.delta_heads (Eval.of_database db) ~delta_rel:"r" ~since ~delta q in
   check_tuples "only delta-derived" [ tup [ i 9; s "y" ] ] tuples
 
 let test_delta_no_mention () =
@@ -229,18 +228,16 @@ let test_delta_self_join_complete_and_exact () =
   let gained =
     List.filter (fun t -> not (List.exists (Tuple.equal t) before)) after
   in
-  let substs = Eval.delta_answers (Eval.of_database db) ~delta_rel:"e" ~since ~delta q in
-  let derived = Codb_cq.Apply.head_tuples q substs in
+  let derived = Eval.delta_heads (Eval.of_database db) ~delta_rel:"e" ~since ~delta q in
   check_tuples "delta derives exactly the gain" gained derived
 
 let test_delta_naive_mode_matches_full () =
   let db = sample_db () in
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
-  let substs =
-    Eval.delta_answers ~naive:true (Eval.of_database db) ~delta_rel:"r" ~since:0
+  let tuples =
+    Eval.delta_heads ~naive:true (Eval.of_database db) ~delta_rel:"r" ~since:0
       ~delta:[ tup [ i 1; i 10 ] ] q
   in
-  let tuples = Codb_cq.Apply.head_tuples q substs in
   check_tuples "naive = full re-evaluation"
     (Eval.answer_tuples (Eval.of_database db) q)
     tuples

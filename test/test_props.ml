@@ -178,9 +178,7 @@ let prop_delta_brackets_gain =
       let delta = Database.insert_all db "r" delta_candidates in
       let after = Eval.answer_tuples source q in
       let derived =
-        Relation.Tuple_set.of_list
-          (Codb_cq.Apply.head_tuples q
-             (Eval.delta_answers source ~delta_rel:"r" ~since ~delta q))
+        Relation.Tuple_set.of_list (Eval.delta_heads source ~delta_rel:"r" ~since ~delta q)
       in
       let gained =
         List.filter (fun t -> not (Relation.Tuple_set.mem t before)) after
@@ -190,6 +188,46 @@ let prop_delta_brackets_gain =
       && Relation.Tuple_set.for_all
            (fun t -> List.exists (Tuple.equal t) after)
            derived)
+
+(* A GLAV rule over [body]: head terms drawn from body variables,
+   existential variables (bound by no atom) and constants, with
+   repetition, plus the comparisons of [gen_query_of_body]. *)
+let gen_rule_query_of_body body =
+  let open Gen in
+  let* q = gen_query_of_body body in
+  let body_vars = Codb_cq.Term.vars (List.concat_map (fun a -> a.Atom.args) body) in
+  let var_of pool = map (fun v' -> Term.Var v') (oneofl pool) in
+  let* head =
+    list_size (int_range 0 4)
+      (oneof
+         ((if body_vars = [] then [] else [ var_of body_vars; var_of body_vars ])
+         @ [ var_of [ "e1"; "e2" ]; map c gen_value ]))
+  in
+  return
+    (Query.make ~head:(atom "ans" head) ~body:q.Query.body
+       ~comparisons:q.Query.comparisons ())
+
+(* The packed head projector returns exactly the oracle projection of
+   the boxed substitutions, in the full and the delta form, naive or
+   semi-naive. *)
+let prop_projector_matches_oracle =
+  Q2.Test.make ~name:"head projector = oracle projection of the substitutions" ~count:300
+    (Gen.quad gen_datagen_db (Gen.list_size (Gen.int_range 1 5) gen_tuple)
+       Gen.(list_size (int_range 1 3) gen_atom >>= gen_rule_query_of_body)
+       Gen.bool)
+    (fun (db, delta_candidates, q, naive) ->
+      let source = Eval.of_database db in
+      let full_ok =
+        List.equal Tuple.equal (Eval.heads source q)
+          (Head_ref.head_tuples q (Eval.answers source q))
+      in
+      let since = Relation.cardinal (Database.relation db "r") in
+      let delta = Database.insert_all db "r" delta_candidates in
+      full_ok
+      && List.equal Tuple.equal
+           (Eval.delta_heads ~naive source ~delta_rel:"r" ~since ~delta q)
+           (Head_ref.head_tuples q
+              (Eval.delta_answers ~naive source ~delta_rel:"r" ~since ~delta q)))
 
 let gen_shape =
   Gen.oneofl
@@ -584,6 +622,7 @@ let suite =
       prop_delta_matches_reference_gain;
       prop_delta_exactly_once;
       prop_delta_brackets_gain;
+      prop_projector_matches_oracle;
       prop_roundtrip_config;
       prop_update_terminates_and_is_idempotent;
       prop_update_reaches_fixpoint;

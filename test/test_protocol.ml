@@ -26,7 +26,7 @@ rule from_up at me: r(x) <- up: r(x);
 
 type sent = { dst : string; payload : Payload.t }
 
-let make_runtime ?(name = "me") config_text =
+let make_runtime ?(name = "me") ?(opts = Options.default) config_text =
   let cfg = parse_config config_text in
   let decl = Option.get (Config.node cfg name) in
   let node = Node.create decl in
@@ -37,7 +37,7 @@ let make_runtime ?(name = "me") config_text =
   let rt =
     {
       Runtime.node;
-      opts = Options.default;
+      opts;
       send =
         (fun ~dst payload ->
           outbox := { dst = Peer_id.to_string dst; payload } :: !outbox;
@@ -250,6 +250,79 @@ let test_late_data_after_termination_absorbed () =
   Alcotest.(check bool) "straggler acked" true
     (match messages with [ m ] -> is_ack m && m.dst = "up" | _ -> false)
 
+(* The sent entries a snapshot cut now carries, read back the way a
+   recovering node reads them. *)
+let snapshot_sent node =
+  let snapshot = Codb_core.Durable.encode_snapshot node in
+  let backend = Codb_store.Backend.memory () in
+  let wal =
+    Codb_store.Wal.create ~backend ~snapshot_every:1000
+      ~take_snapshot:(fun () -> snapshot) ()
+  in
+  Codb_store.Wal.snapshot_now wal;
+  let fresh = Node.create node.Node.decl in
+  let opts = { Options.default with Options.durability = Options.Dur_wal } in
+  ignore (Codb_core.Durable.recover fresh opts ~backend);
+  fresh.Node.recovered_sent
+
+(* A finished update pins nothing: once it terminated (by any path) its
+   sent filters are released, a late data message sends nothing, and a
+   snapshot no longer carries the filters. *)
+let check_finished_update_pins_nothing ?opts terminate =
+  let rt, node, outbox = make_runtime ?opts middle_config in
+  terminate rt outbox;
+  let st = state node in
+  Alcotest.(check bool) "terminated" true st.Update_state.ust_terminated;
+  List.iter
+    (fun rule ->
+      Alcotest.(check int) ("nothing tracked for " ^ rule) 0
+        (Update_state.sent_tracked st rule))
+    [ "to_down"; "from_up" ];
+  Alcotest.(check int) "snapshot carries no sent entries" 0
+    (List.length (snapshot_sent node));
+  let _ = drain outbox in
+  Update.handle rt ~src:(peer "up") ~bytes:50
+    (Payload.Update_data
+       { update_id = uid; rule_id = "from_up"; tuples = [ tup [ i 9 ] ]; hops = 1;
+         global = true });
+  Alcotest.(check int) "late data sends nothing" 0 (count is_data (drain outbox))
+
+(* r(1) went out on to_down before termination, so the filter held a
+   row, and a snapshot cut then carried it. *)
+let served_to_down node outbox =
+  Alcotest.(check int) "data served to down" 1 (count is_data (drain outbox));
+  Alcotest.(check int) "filter holds the served row" 1
+    (Update_state.sent_tracked (state node) "to_down");
+  Alcotest.(check int) "a live update's filter is snapshotted" 1
+    (List.length (snapshot_sent node))
+
+let test_released_on_initiator_quiescence () =
+  check_finished_update_pins_nothing (fun rt outbox ->
+      Update.initiate rt uid;
+      served_to_down rt.Runtime.node outbox;
+      List.iter
+        (fun src -> Update.handle rt ~src:(peer src) ~bytes:20 (Payload.Update_ack { update_id = uid }))
+        [ "up"; "down"; "down" ])
+
+let test_released_on_terminated_flood () =
+  check_finished_update_pins_nothing (fun rt outbox ->
+      Update.handle rt ~src:(peer "down") ~bytes:100
+        (Payload.Update_request { update_id = uid; scope = Payload.Global });
+      served_to_down rt.Runtime.node outbox;
+      Update.handle rt ~src:(peer "down") ~bytes:20
+        (Payload.Update_terminated { update_id = uid }))
+
+let test_released_on_forced_termination () =
+  (* the stub runs scheduled actions at once, so the initiator's stall
+     watchdog fires before any ack can arrive *)
+  let opts = { Options.default with Options.ack_timeout = 0.05 } in
+  check_finished_update_pins_nothing ~opts (fun rt outbox ->
+      Update.initiate rt uid;
+      Alcotest.(check int) "data served to down" 1 (count is_data (drain outbox));
+      Alcotest.(check bool) "forced" true
+        (Codb_core.Stats.update_stat rt.Runtime.node.Node.stats ~now:0.0 uid)
+          .Codb_core.Stats.us_forced)
+
 let test_ack_for_unknown_update_ignored () =
   let rt, _, outbox = make_runtime middle_config in
   Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
@@ -262,6 +335,12 @@ let suite =
     Alcotest.test_case "late data after termination" `Quick
       test_late_data_after_termination_absorbed;
     Alcotest.test_case "stray acks ignored" `Quick test_ack_for_unknown_update_ignored;
+    Alcotest.test_case "quiescence releases the sent filters" `Quick
+      test_released_on_initiator_quiescence;
+    Alcotest.test_case "terminated flood releases the sent filters" `Quick
+      test_released_on_terminated_flood;
+    Alcotest.test_case "forced termination releases the sent filters" `Quick
+      test_released_on_forced_termination;
     Alcotest.test_case "duplicate requests acked immediately" `Quick
       test_duplicate_request_acked_immediately;
     Alcotest.test_case "disengagement acks the parent" `Quick

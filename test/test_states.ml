@@ -42,9 +42,12 @@ let test_update_state_sent_cache () =
   U.add_sent st "i1" [ tup [ i 1 ]; tup [ i 2 ] ];
   U.add_sent st "i1" [ tup [ i 2 ]; tup [ i 3 ] ];
   Alcotest.(check int) "set semantics" 3 (U.sent_tracked st "i1");
-  Alcotest.(check bool) "membership" true (U.already_sent st "i1" (tup [ i 2 ]));
-  Alcotest.(check bool) "non-member" false (U.already_sent st "i1" (tup [ i 9 ]));
-  Alcotest.(check int) "caches are per link" 0 (U.sent_tracked st "other")
+  check_tuples "members, sorted"
+    [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 3 ] ]
+    (Codb_core.Sent_filter.elements (U.sent_filter st "i1"));
+  Alcotest.(check int) "caches are per link" 0 (U.sent_tracked st "other");
+  U.release_sent st;
+  Alcotest.(check int) "released" 0 (U.sent_tracked st "i1")
 
 let test_update_state_wire_buffer () =
   let st = U.create ~initiator:false ~outgoing:[] ~incoming:[ "i1"; "i2" ] uid in

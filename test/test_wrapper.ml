@@ -1,6 +1,7 @@
 open Helpers
 module Wrapper = Codb_core.Wrapper
 module Options = Codb_core.Options
+module Sent_filter = Codb_core.Sent_filter
 
 let rule_of text =
   let cfg =
@@ -50,6 +51,51 @@ let test_eval_rule_delta_only_new () =
   let delta = Database.insert_all db "base" [ tup [ i 3; i 30 ] ] in
   check_tuples "delta-derived only" [ tup [ i 3; i 9 ] ]
     (Wrapper.eval_rule_delta ~naive:false db rule ~delta_rel:"base" ~since ~delta)
+
+(* The sent filter is the projection's dedup: a head reached by two
+   derivations comes back once and is noted once, and a head already
+   in the filter does not come back at all. *)
+let test_sent_filter_is_projection_dedup () =
+  let rule = rule_of "rule r at imp: target(k, z) <- src: base(k, y);" in
+  let db =
+    src_db
+      [ ("base", tup [ i 1; i 10 ]); ("base", tup [ i 1; i 11 ]);
+        ("base", tup [ i 2; i 20 ]) ]
+  in
+  let sent = Sent_filter.create () in
+  Sent_filter.note_sent sent (tup [ i 2; Value.Hole 0 ]);
+  check_tuples "two derivations, one head; the sent head dropped"
+    [ tup [ i 1; Value.Hole 0 ] ]
+    (Wrapper.eval_rule_full ~sent db rule);
+  Alcotest.(check int) "noted once" 2 (Sent_filter.tracked sent);
+  check_tuples "nothing left to send" [] (Wrapper.eval_rule_full ~sent db rule);
+  let since = Relation.cardinal (Database.relation db "base") in
+  let delta = Database.insert_all db "base" [ tup [ i 1; i 12 ]; tup [ i 3; i 30 ] ] in
+  check_tuples "delta form filters through the same table"
+    [ tup [ i 3; Value.Hole 0 ] ]
+    (Wrapper.eval_rule_delta ~sent ~naive:false db rule ~delta_rel:"base" ~since ~delta);
+  check_tuples "the filter holds every head sent"
+    [ tup [ i 1; Value.Hole 0 ]; tup [ i 2; Value.Hole 0 ]; tup [ i 3; Value.Hole 0 ] ]
+    (Sent_filter.elements sent)
+
+(* First contact over a relation whose heads were all sent already:
+   every match is a hash lookup in the filter, so the evaluation
+   allocates next to nothing per row (a boxed substitution, head tuple
+   and set node per row cost well over a hundred words). *)
+let test_sent_heads_allocate_nothing_per_row () =
+  let rule = rule_of "rule r at imp: target(k, w) <- src: base(k, w);" in
+  let rows = 20_000 in
+  let db = src_db (List.init rows (fun k -> ("base", tup [ i k; i (k mod 7) ]))) in
+  let sent = Sent_filter.create () in
+  Alcotest.(check int) "first evaluation sends every head" rows
+    (List.length (Wrapper.eval_rule_full ~sent db rule));
+  let before = Gc.minor_words () in
+  let again = Wrapper.eval_rule_full ~sent db rule in
+  let per_row = (Gc.minor_words () -. before) /. float_of_int rows in
+  Alcotest.(check int) "nothing to resend" 0 (List.length again);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per already-sent row (bound 2)" per_row)
+    true (per_row < 2.)
 
 let test_integrate_counts () =
   let db = imp_db () in
@@ -106,6 +152,10 @@ let suite =
       test_eval_rule_full_existential;
     Alcotest.test_case "delta evaluation derives only new" `Quick
       test_eval_rule_delta_only_new;
+    Alcotest.test_case "the sent filter is the projection's dedup" `Quick
+      test_sent_filter_is_projection_dedup;
+    Alcotest.test_case "already-sent heads allocate nothing per row" `Quick
+      test_sent_heads_allocate_nothing_per_row;
     Alcotest.test_case "integration counts" `Quick test_integrate_counts;
     Alcotest.test_case "integration mints nulls" `Quick test_integrate_instantiates_holes;
     Alcotest.test_case "subsumption toggle" `Quick test_integrate_subsumption_on_off;
