@@ -381,8 +381,9 @@ let e9 () =
   let variants =
     [
       ("no cache", Options.default);
-      ("cache, exact hits only", { Options.with_cache with Options.cache_containment = false });
-      ("cache + containment", Options.with_cache);
+      ("cache, exact hits only", { Options.default with Options.query_cache = Options.Cache_exact });
+      ( "cache + containment",
+        { Options.default with Options.query_cache = Options.Cache_containment } );
     ]
   in
   let row (name, opts) =

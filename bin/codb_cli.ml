@@ -65,7 +65,17 @@ let fault_nodes_or_die sys (opts : Options.t) =
 
 let initiator_or_first sys = function
   | Some name -> node_or_die sys name
-  | None -> List.hd (System.node_names sys)
+  | None -> (
+      match System.node_names sys with
+      | first :: _ -> first
+      | [] ->
+          Fmt.epr "the network has no nodes@.";
+          exit 1)
+
+let print_update_report sys uid =
+  match Report.update_report (System.snapshots sys) uid with
+  | Some report -> Fmt.pr "%a@." Report.pp_update_report report
+  | None -> Fmt.pr "no statistics recorded?@."
 
 (* --- validate ------------------------------------------------------ *)
 
@@ -115,12 +125,8 @@ let update_cmd file initiator verbose show_trace =
   let sys = or_die (load_system file) in
   let trace = if show_trace then Some (System.enable_trace sys) else None in
   let initiator = initiator_or_first sys initiator in
-  let uid = System.run_update sys ~initiator in
-  let snaps = System.snapshots sys in
-  (match Report.update_report snaps uid with
-  | Some report -> Fmt.pr "%a@." Report.pp_update_report report
-  | None -> Fmt.pr "no statistics recorded?@.");
-  if verbose then Fmt.pr "@.%a@." Report.pp_network snaps;
+  print_update_report sys (System.run_update sys ~initiator);
+  if verbose then Fmt.pr "@.%a@." Report.pp_network (System.snapshots sys);
   (match trace with
   | Some t -> Fmt.pr "@.protocol trace:@.%a@." Codb_core.Trace.pp t
   | None -> ());
@@ -143,8 +149,8 @@ let query_or_die sys ~at text =
 
 let query_cmd file at text after_update scoped certain_only use_cache pushdown
     repeat =
-  let opts = if use_cache then Options.with_cache else Options.default in
-  let opts = { opts with Options.pushdown } in
+  let query_cache = if use_cache then Options.Cache_containment else Options.Cache_off in
+  let opts = { Options.default with Options.query_cache; pushdown } in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
   let q = query_or_die sys ~at text in
@@ -197,15 +203,11 @@ let explain_cmd file at text max_probe_cols pushdown =
 
 (* --- cache --------------------------------------------------------- *)
 
-let cache_cmd file at text repeat update_between capacity max_bytes no_containment =
-  let opts =
-    {
-      Options.with_cache with
-      Options.cache_capacity = capacity;
-      cache_max_bytes = max_bytes;
-      cache_containment = not no_containment;
-    }
+let cache_cmd file at text repeat update_between no_containment =
+  let query_cache =
+    if no_containment then Options.Cache_exact else Options.Cache_containment
   in
+  let opts = { Options.default with Options.query_cache } in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
   let q = query_or_die sys ~at text in
@@ -231,15 +233,8 @@ let cache_cmd file at text repeat update_between capacity max_bytes no_containme
 
 (* --- wire ---------------------------------------------------------- *)
 
-let wire_cmd file initiator batch_window batch_max =
-  let opts =
-    { Options.default with Options.batch_window; batch_max_tuples = batch_max }
-  in
-  (match Options.validate opts with
-  | Ok () -> ()
-  | Error errors ->
-      List.iter prerr_endline errors;
-      exit 1);
+let wire_cmd file initiator batch_window =
+  let opts = { Options.default with Options.batch_window } in
   let sys = or_die (load_system ~opts file) in
   let initiator = initiator_or_first sys initiator in
   let uid = System.run_update sys ~initiator in
@@ -296,20 +291,12 @@ let chaos_cmd file initiator seed drop dup jitter budget flaps crashes ack_timeo
       max_retries;
     }
   in
-  (match Options.validate opts with
-  | Ok () -> ()
-  | Error errors ->
-      List.iter prerr_endline errors;
-      exit 1);
   let sys = or_die (load_system ~opts file) in
   fault_nodes_or_die sys opts;
   let initiator = initiator_or_first sys initiator in
   let at = match at with Some at -> node_or_die sys at | None -> initiator in
   let query = Option.map (query_or_die sys ~at) query in
-  let uid = System.run_update sys ~initiator in
-  (match Report.update_report (System.snapshots sys) uid with
-  | Some report -> Fmt.pr "%a@." Report.pp_update_report report
-  | None -> Fmt.pr "no statistics recorded?@.");
+  print_update_report sys (System.run_update sys ~initiator);
   (match query with
   | None -> ()
   | Some q ->
@@ -331,8 +318,8 @@ let chaos_cmd file initiator seed drop dup jitter budget flaps crashes ack_timeo
 
 (* --- recover -------------------------------------------------------- *)
 
-let recover_cmd file initiator seed crashes durability wal_dir snapshot_every
-    fsync ack_timeout max_retries =
+let recover_cmd file initiator seed crashes durability wal_dir fsync ack_timeout
+    max_retries =
   let opts =
     {
       Options.default with
@@ -342,22 +329,13 @@ let recover_cmd file initiator seed crashes durability wal_dir snapshot_every
       max_retries;
       durability;
       wal_dir;
-      snapshot_every;
       fsync;
     }
   in
-  (match Options.validate opts with
-  | Ok () -> ()
-  | Error errors ->
-      List.iter prerr_endline errors;
-      exit 1);
   let sys = or_die (load_system ~opts file) in
   fault_nodes_or_die sys opts;
   let initiator = initiator_or_first sys initiator in
-  let uid = System.run_update sys ~initiator in
-  (match Report.update_report (System.snapshots sys) uid with
-  | Some report -> Fmt.pr "%a@." Report.pp_update_report report
-  | None -> Fmt.pr "no statistics recorded?@.");
+  print_update_report sys (System.run_update sys ~initiator);
   (* the fault-free reference: same network, no crashes, no durability
      machinery — the recovered run must land on the same stores *)
   let reference = or_die (load_system ~opts:Options.default file) in
@@ -433,11 +411,6 @@ let sub_cmd file text at from window naive pushdown inserts updates initiator =
       pushdown;
     }
   in
-  (match Options.validate opts with
-  | Ok () -> ()
-  | Error errors ->
-      List.iter prerr_endline errors;
-      exit 1);
   let inserts = or_die (parse_all parse_insert inserts) in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
@@ -566,6 +539,12 @@ open Cmdliner
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Network file.")
 
+let initiator_arg names =
+  Arg.(
+    value
+    & opt (some string) None
+    & info names ~doc:"Initiating node (default: first node).")
+
 let validate_t =
   let doc = "Parse and statically check a network file." in
   Cmd.v (Cmd.info "validate" ~doc) Term.(const validate_cmd $ file_arg)
@@ -606,12 +585,7 @@ let generate_t =
 
 let update_t =
   let doc = "Run a global update and print the aggregated report." in
-  let initiator =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "initiator"; "at" ] ~doc:"Initiating node (default: first node).")
-  in
+  let initiator = initiator_arg [ "initiator"; "at" ] in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Also dump per-node statistics.")
   in
@@ -730,18 +704,6 @@ let cache_t =
       & info [ "update-between" ]
           ~doc:"Run a global update between runs (shows epoch invalidation).")
   in
-  let capacity =
-    Arg.(
-      value
-      & opt int Options.default.Options.cache_capacity
-      & info [ "capacity" ] ~doc:"Max cached queries per node (0 = unbounded).")
-  in
-  let max_bytes =
-    Arg.(
-      value
-      & opt int Options.default.Options.cache_max_bytes
-      & info [ "max-bytes" ] ~doc:"Max cached answer bytes per node (0 = unbounded).")
-  in
   let no_containment =
     Arg.(
       value & flag
@@ -750,17 +712,11 @@ let cache_t =
   in
   Cmd.v (Cmd.info "cache" ~doc)
     Term.(
-      const cache_cmd $ file_arg $ at $ text $ repeat $ update_between $ capacity
-      $ max_bytes $ no_containment)
+      const cache_cmd $ file_arg $ at $ text $ repeat $ update_between $ no_containment)
 
 let wire_t =
   let doc = "Run a global update and report its wire behaviour." in
-  let initiator =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "initiator"; "at" ] ~doc:"Initiating node (default: first node).")
-  in
+  let initiator = initiator_arg [ "initiator"; "at" ] in
   let batch_window =
     Arg.(
       value & opt float 0.0
@@ -769,27 +725,14 @@ let wire_t =
             "Buffer outgoing deltas per destination for this much simulated time and \
              ship them as one batch (0 = send immediately).")
   in
-  let batch_max =
-    Arg.(
-      value
-      & opt int Options.default.Options.batch_max_tuples
-      & info [ "batch-max-tuples" ] ~docv:"N"
-          ~doc:"Flush a destination buffer early once it holds N tuples.")
-  in
-  Cmd.v (Cmd.info "wire" ~doc)
-    Term.(const wire_cmd $ file_arg $ initiator $ batch_window $ batch_max)
+  Cmd.v (Cmd.info "wire" ~doc) Term.(const wire_cmd $ file_arg $ initiator $ batch_window)
 
 let chaos_t =
   let doc =
     "Run a global update under a deterministic fault plan (seeded drops, duplicates, \
      jitter, link flaps, node crashes) and report how the protocols coped."
   in
-  let initiator =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "initiator" ] ~doc:"Initiating node (default: first node).")
-  in
+  let initiator = initiator_arg [ "initiator" ] in
   let seed =
     Arg.(
       value & opt int 0
@@ -876,12 +819,7 @@ let recover_t =
      write-ahead logs, then check the stores against a fault-free reference \
      run (exit 1 on divergence)."
   in
-  let initiator =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "initiator" ] ~doc:"Initiating node (default: first node).")
-  in
+  let initiator = initiator_arg [ "initiator" ] in
   let seed =
     Arg.(
       value & opt int 0
@@ -912,13 +850,6 @@ let recover_t =
             "Keep each node's .wal/.snap files under DIR (default: a \
              deterministic in-memory backend).")
   in
-  let snapshot_every =
-    Arg.(
-      value
-      & opt int Options.default.Options.snapshot_every
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:"Take a compacting snapshot every N log records.")
-  in
   let fsync =
     Arg.(
       value & flag
@@ -939,7 +870,7 @@ let recover_t =
   Cmd.v (Cmd.info "recover" ~doc)
     Term.(
       const recover_cmd $ file_arg $ initiator $ seed $ crashes $ durability
-      $ wal_dir $ snapshot_every $ fsync $ ack_timeout $ max_retries)
+      $ wal_dir $ fsync $ ack_timeout $ max_retries)
 
 let sub_t =
   let doc =
@@ -1003,12 +934,7 @@ let sub_t =
       value & opt int 1
       & info [ "updates" ] ~docv:"N" ~doc:"Run N global updates afterwards.")
   in
-  let initiator =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "initiator" ] ~doc:"Update initiator (default: first node).")
-  in
+  let initiator = initiator_arg [ "initiator" ] in
   Cmd.v (Cmd.info "sub" ~doc)
     Term.(
       const sub_cmd $ file_arg $ text $ at $ from $ window $ naive $ pushdown
@@ -1036,7 +962,7 @@ let info_t =
 
 let dump_cmd file update_first dir =
   let sys = or_die (load_system file) in
-  if update_first then ignore (System.run_update sys ~initiator:(List.hd (System.node_names sys)));
+  if update_first then ignore (System.run_update sys ~initiator:(initiator_or_first sys None));
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   List.iter
     (fun (name, text) ->
@@ -1048,27 +974,26 @@ let dump_cmd file update_first dir =
   0
 
 let load_cmd file dir query at =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+    Fmt.epr "no dump directory %s@." dir;
+    exit 1
+  end;
   let sys = or_die (load_system file) in
-  let loaded =
-    List.fold_left
-      (fun acc name ->
+  let dumps =
+    List.filter_map
+      (fun name ->
         let path = Filename.concat dir (name ^ ".csv") in
-        if Sys.file_exists path then
-          acc + System.import_stores sys [ (name, read_file path) ]
-        else acc)
-      0 (System.node_names sys)
+        if Sys.file_exists path then Some (name, read_file path) else None)
+      (System.node_names sys)
   in
+  let loaded = or_die (System.import_stores sys dumps) in
   Fmt.pr "%d tuple(s) loaded@." loaded;
   (match (query, at) with
-  | Some text, Some at -> (
-      match Parser.parse_query text with
-      | Error e ->
-          prerr_endline e;
-          exit 1
-      | Ok q ->
-          let answers = System.local_answers sys ~at:(node_or_die sys at) q in
-          List.iter (fun t -> Fmt.pr "%a@." Tuple.pp t) answers;
-          Fmt.pr "%d answer(s)@." (List.length answers))
+  | Some text, Some at ->
+      let q = parse_query_or_die text in
+      let answers = System.local_answers sys ~at:(node_or_die sys at) q in
+      List.iter (fun t -> Fmt.pr "%a@." Tuple.pp t) answers;
+      Fmt.pr "%d answer(s)@." (List.length answers)
   | _ -> ());
   0
 

@@ -402,13 +402,17 @@ let note_seq (node : Node.t) seq =
           (encode_record ~dict:node.Node.wal_dict (Seq_reserve { upto }))
       end
 
-let install (node : Node.t) (opts : Options.t) ~backend =
+(* WAL records between snapshots: each snapshot truncates the log,
+   bounding replay work at recovery. *)
+let snapshot_every = 64
+
+let install (node : Node.t) ~backend =
   (* a fresh log starts from an empty stream dictionary *)
   Codec.Dict.bump node.Node.wal_dict;
   let wal =
     Wal.create
       ~on_truncate:(fun () -> Codec.Dict.bump node.Node.wal_dict)
-      ~backend ~snapshot_every:opts.Options.snapshot_every
+      ~backend ~snapshot_every
       ~take_snapshot:(fun () -> encode_snapshot node)
       ()
   in
@@ -550,7 +554,7 @@ let recover (node : Node.t) (opts : Options.t) ~backend =
   if Options.reliable opts then
     node.Node.relay <- Some (Relay.create ~next_seq:!seq_floor ~seen:!seen ());
   node.Node.wal_reserved <- !seq_floor;
-  let wal = install node opts ~backend in
+  let wal = install node ~backend in
   Wal.snapshot_now wal;
   Stats.note_recovery node.Node.stats ~records:!replayed
     ~replayed_bytes:r.Wal.rec_replayed_bytes;

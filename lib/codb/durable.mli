@@ -82,9 +82,12 @@ val note_seq : Node.t -> int -> unit
 val note_bulk_load : Node.t -> unit
 (** A bulk store import bypassed the per-tuple hooks: snapshot now. *)
 
-val install : Node.t -> Options.t -> backend:Backend.t -> Wal.t
+val snapshot_every : int
+(** WAL records between two snapshots of a node. *)
+
+val install : Node.t -> backend:Backend.t -> Wal.t
 (** Create and attach a fresh WAL whose snapshot callback serializes
-    this node. *)
+    this node, taking a snapshot every {!snapshot_every} records. *)
 
 type recovery_stats = {
   rv_records : int;  (** intact log records replayed *)

@@ -81,19 +81,29 @@ let fresh_serial node =
 let fresh_ref node =
   Printf.sprintf "%s/%d" (Peer_id.to_string node.node_id) (fresh_serial node)
 
+(* Bounds of the per-node query cache: cached queries and answer
+   bytes. *)
+let cache_capacity = 128
+let cache_max_bytes = 4 * 1024 * 1024
+
 let configure_cache node (opts : Options.t) =
+  let create containment =
+    Some
+      (Codb_cache.Qcache.create ~max_entries:cache_capacity ~max_bytes:cache_max_bytes
+         ~containment ())
+  in
   node.cache <-
-    (if opts.Options.use_query_cache then
-       Some
-         (Codb_cache.Qcache.create ~max_entries:opts.Options.cache_capacity
-            ~max_bytes:opts.Options.cache_max_bytes
-            ~containment:opts.Options.cache_containment ())
-     else None)
+    (match opts.Options.query_cache with
+    | Options.Cache_off -> None
+    | Options.Cache_exact -> create false
+    | Options.Cache_containment -> create true)
+
+let max_subscriptions = 64
 
 let configure_subs node (opts : Options.t) =
   node.subs <-
     (if opts.Options.subscriptions then
-       Some (Codb_sub.Registry.create ~limit:opts.Options.max_subscriptions)
+       Some (Codb_sub.Registry.create ~limit:max_subscriptions)
      else None)
 
 let mirrors_sorted node =

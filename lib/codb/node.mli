@@ -36,8 +36,8 @@ type t = {
   seen_probes : (string, unit) Hashtbl.t;
       (** discovery probes already forwarded *)
   mutable cache : Codb_cache.Qcache.t option;
-      (** the semantic query-answer cache; [None] unless
-          {!Options.use_query_cache} *)
+      (** the semantic query-answer cache; [None] under
+          [Options.Cache_off] *)
   mutable relay : Relay.t option;
       (** reliable-transport state; [None] unless {!Options.reliable}
           (set by {!System.install_node}; stub runtimes in tests leave
@@ -88,14 +88,24 @@ val fresh_ref : t -> string
 (** A request reference unique across the network
     ([<node>/<serial>]). *)
 
+val cache_capacity : int
+val cache_max_bytes : int
+(** The bounds of a node's query-answer cache: cached queries, and
+    bytes of cached answers. *)
+
 val configure_cache : t -> Options.t -> unit
-(** Install (or remove) the query-answer cache according to the
-    options; called once per node by {!System.build}. *)
+(** Install (or remove) the query-answer cache according to
+    [Options.query_cache], bounded by {!cache_capacity} and
+    {!cache_max_bytes}; called once per node by {!System.build}. *)
+
+val max_subscriptions : int
+(** Subscriptions a node hosts; registration beyond it is refused
+    with a reason, locally and over the wire. *)
 
 val configure_subs : t -> Options.t -> unit
 (** Install (or remove) the subscription registry according to
-    [Options.subscriptions]; called by {!System.install_node} and
-    again on restart. *)
+    [Options.subscriptions], capped at {!max_subscriptions}; called by
+    {!System.install_node} and again on restart. *)
 
 val mirrors_sorted : t -> (string * Codb_sub.Mirror.t) list
 (** This node's remote-subscription mirrors in subscription-id order

@@ -3,19 +3,18 @@
    also keeps a write-ahead log and snapshots to recover from. *)
 type durability = Dur_volatile | Dur_wal
 
+(* E9's three rows: no cache, exact hits only, containment-aware hits. *)
+type query_cache = Cache_off | Cache_exact | Cache_containment
+
 type t = {
   use_sent_cache : bool;
   use_subsumption_dedup : bool;
   naive_delta : bool;
   latency : float;
   byte_cost : float;
-  use_query_cache : bool;
-  cache_capacity : int;
-  cache_max_bytes : int;
-  cache_containment : bool;
+  query_cache : query_cache;
   pushdown : bool;
   batch_window : float;
-  batch_max_tuples : int;
   fault_seed : int;
   drop_prob : float;
   dup_prob : float;
@@ -26,12 +25,10 @@ type t = {
   ack_timeout : float;
   max_retries : int;
   subscriptions : bool;
-  max_subscriptions : int;
   sub_batch_window : float;
   sub_naive : bool;
   durability : durability;
   wal_dir : string option;
-  snapshot_every : int;
   fsync : bool;
 }
 
@@ -42,13 +39,9 @@ let default =
     naive_delta = false;
     latency = 0.001;
     byte_cost = 0.000001;
-    use_query_cache = false;
-    cache_capacity = 128;
-    cache_max_bytes = 4 * 1024 * 1024;
-    cache_containment = true;
+    query_cache = Cache_off;
     pushdown = false;
     batch_window = 0.0;
-    batch_max_tuples = 256;
     fault_seed = 0;
     drop_prob = 0.0;
     dup_prob = 0.0;
@@ -59,17 +52,12 @@ let default =
     ack_timeout = 0.0;
     max_retries = 4;
     subscriptions = false;
-    max_subscriptions = 64;
     sub_batch_window = 0.0;
     sub_naive = false;
     durability = Dur_volatile;
     wal_dir = None;
-    snapshot_every = 64;
     fsync = false;
   }
-
-let with_cache =
-  { default with use_query_cache = true }
 
 let validate t =
   let errors = ref [] in
@@ -78,17 +66,8 @@ let validate t =
     reject (Printf.sprintf "options: latency must be >= 0 (got %g)" t.latency);
   if t.byte_cost < 0.0 then
     reject (Printf.sprintf "options: byte_cost must be >= 0 (got %g)" t.byte_cost);
-  if t.cache_capacity < 0 then
-    reject (Printf.sprintf "options: cache_capacity must be >= 0 (got %d)" t.cache_capacity);
-  if t.cache_max_bytes < 0 then
-    reject
-      (Printf.sprintf "options: cache_max_bytes must be >= 0 (got %d)" t.cache_max_bytes);
   if t.batch_window < 0.0 then
     reject (Printf.sprintf "options: batch_window must be >= 0 (got %g)" t.batch_window);
-  if t.batch_max_tuples < 1 then
-    reject
-      (Printf.sprintf "options: batch_max_tuples must be >= 1 (got %d)"
-         t.batch_max_tuples);
   let prob name v =
     if v < 0.0 || v > 1.0 then
       reject (Printf.sprintf "options: %s must be in [0,1] (got %g)" name v)
@@ -125,19 +104,12 @@ let validate t =
     reject (Printf.sprintf "options: ack_timeout must be >= 0 (got %g)" t.ack_timeout);
   if t.max_retries < 0 then
     reject (Printf.sprintf "options: max_retries must be >= 0 (got %d)" t.max_retries);
-  if t.max_subscriptions < 1 then
-    reject
-      (Printf.sprintf "options: max_subscriptions must be >= 1 (got %d)"
-         t.max_subscriptions);
   if t.sub_batch_window < 0.0 then
     reject
       (Printf.sprintf "options: sub_batch_window must be >= 0 (got %g)"
          t.sub_batch_window);
   if t.sub_naive && not t.subscriptions then
     reject "options: sub_naive requires subscriptions";
-  if t.snapshot_every < 1 then
-    reject
-      (Printf.sprintf "options: snapshot_every must be >= 1 (got %d)" t.snapshot_every);
   (match t.wal_dir with
   | Some "" -> reject "options: wal_dir must not be empty"
   | Some _ when t.durability <> Dur_wal ->

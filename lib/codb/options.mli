@@ -1,10 +1,18 @@
 (** Tunable behaviour of the coDB algorithms.
 
     The defaults implement the paper; the switches exist for the
-    ablation experiments (E7/E8/E9 in DESIGN.md).  Disabling duplicate
-    suppression on a cyclic network with existential head variables
-    can make the fix-point diverge — that is the point of the
-    ablation — so {!System.run} bounds every run's simulator events.
+    ablation experiments (E7/E8/E9/E17/E18 in DESIGN.md) and for the
+    simulated link, fault plan and durability a run is measured under.
+    Disabling duplicate suppression on a cyclic network with
+    existential head variables can make the fix-point diverge — that
+    is the point of the ablation — so {!System.run} bounds every run's
+    simulator events.
+
+    Only settings some caller varies are fields.  Bounds no caller
+    varies are named constants in the module that reads them: the
+    query cache's capacity ({!Node}), the batch size cap ({!Update}),
+    the subscription cap per node ({!Node}) and the WAL snapshot
+    interval ({!Durable}).
 
     Two things are deliberately not switchable.  Every message is
     sized by its link frame: the compact codec with one incremental
@@ -23,6 +31,15 @@ type durability =
           logged to a per-node write-ahead log with periodic
           snapshots ({!Codb_store}), and restart recovers from them *)
 
+(** The per-node semantic query-answer cache ({!Codb_cache.Qcache}),
+    one value per row of the E9 ablation. *)
+type query_cache =
+  | Cache_off  (** no cache: the paper's query-time behaviour (the default) *)
+  | Cache_exact  (** hits only on an alpha-equivalent cached query *)
+  | Cache_containment
+      (** also answer from a cached superset query, filtering its
+          answers *)
+
 type t = {
   use_sent_cache : bool;
       (** per-incoming-link caches of already-sent tuples ("we delete
@@ -35,15 +52,9 @@ type t = {
           semi-naively on the delta (ablation baseline) *)
   latency : float;  (** pipe latency, seconds *)
   byte_cost : float;  (** pipe transfer cost, seconds per byte *)
-  use_query_cache : bool;
-      (** per-node semantic query-answer cache (see
-          {!Codb_cache.Qcache}); off by default so the paper's
-          query-time behaviour is the baseline *)
-  cache_capacity : int;  (** max cached queries per node; 0 = unbounded *)
-  cache_max_bytes : int;  (** max cached answer bytes per node; 0 = unbounded *)
-  cache_containment : bool;
-      (** answer lookups from a cached superset query (the E9
-          ablation switch) *)
+  query_cache : query_cache;
+      (** whether nodes cache query answers, and which hits they serve
+          (the E9 ablation switch); [Cache_off] by default *)
   pushdown : bool;
       (** push the requester's constant bindings, repeated-variable
           equalities and comparisons into query-time sub-requests
@@ -56,10 +67,8 @@ type t = {
       (** simulated seconds that outgoing update data may linger in a
           per-destination buffer waiting to be coalesced into one
           message; 0 sends every rule firing immediately (the paper's
-          behaviour) *)
-  batch_max_tuples : int;
-      (** flush a destination's buffer early once it holds this many
-          tuples, bounding both memory and single-message size *)
+          behaviour); a buffer that reaches {!Update.batch_max_tuples}
+          flushes early *)
   fault_seed : int;
       (** seed of the fault plan's random stream
           ({!Codb_net.Fault.plan}); same seed, same options, same
@@ -95,9 +104,6 @@ type t = {
           default: the seed protocol has no subscription traffic and
           that remains the bit-for-bit baseline (the E18 ablation
           switch) *)
-  max_subscriptions : int;
-      (** cap on subscriptions hosted per node; registration beyond it
-          is refused with a reason, locally and over the wire *)
   sub_batch_window : float;
       (** simulated seconds that outgoing answer deltas may linger in a
           per-subscriber buffer to be coalesced ({!Codb_sub.Outbox});
@@ -115,9 +121,6 @@ type t = {
           ([<dir>/<node>.wal] / [<dir>/<node>.snap]); [None] uses the
           deterministic in-memory backend (what tests and benches
           want) *)
-  snapshot_every : int;
-      (** WAL records between snapshots: each snapshot truncates the
-          log, bounding replay work at recovery *)
   fsync : bool;
       (** flush every WAL write with [Unix.fsync]; only meaningful
           with [wal_dir] *)
@@ -125,19 +128,15 @@ type t = {
 
 val default : t
 
-val with_cache : t
-(** {!default} with [use_query_cache = true]. *)
-
 val validate : t -> (unit, string list) result
-(** Reject non-sensical settings: negative [latency] or [byte_cost],
-    negative cache capacities;
-    negative [batch_window], [batch_max_tuples] < 1; probabilities
-    outside [0,1], negative [jitter], [drop_budget] or [ack_timeout],
-    flaps that reopen before they close, crashes that restart before
-    they crash, negative [max_retries]; [max_subscriptions] < 1, negative [sub_batch_window], [sub_naive]
-    without [subscriptions]; [snapshot_every] < 1, an empty [wal_dir],
-    [wal_dir] without [Dur_wal], [fsync] without [wal_dir].
-    Called by {!System.build} before any node is created. *)
+(** Reject non-sensical settings: negative [latency], [byte_cost] or
+    [batch_window]; probabilities outside [0,1], negative [jitter],
+    [drop_budget] or [ack_timeout], flaps that reopen before they
+    close, crashes that restart before they crash, negative
+    [max_retries]; negative [sub_batch_window], [sub_naive] without
+    [subscriptions]; an empty [wal_dir], [wal_dir] without [Dur_wal],
+    [fsync] without [wal_dir].  Called by {!System.build} before any
+    node is created, so every front end reports the same lines. *)
 
 val faults_enabled : t -> bool
 (** Any fault knob active (drop, dup, jitter, flaps or crashes). *)

@@ -122,7 +122,7 @@ type t =
     }
   | Sub_registered of { sub_id : string; accepted : bool; reason : string }
       (** host's verdict; [reason] is non-empty exactly when refused
-          (parse failure, malformed query, [max_subscriptions]) *)
+          (parse failure, malformed query, {!Node.max_subscriptions}) *)
   | Sub_unregister of { sub_id : string }
   | Answer_delta of {
       sub_id : string;

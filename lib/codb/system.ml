@@ -135,7 +135,7 @@ let install_node sys decl =
           dn_replayed_bytes = 0;
           dn_recovery_ms = 0.;
         };
-      ignore (Durable.install node sys.sys_opts ~backend : Codb_store.Wal.t)
+      ignore (Durable.install node ~backend : Codb_store.Wal.t)
   | Options.Dur_volatile -> ());
   let rt = make_runtime sys node in
   Network.set_handler sys.sys_net node.Node.node_id (handler sys rt);
@@ -483,19 +483,32 @@ let export_stores sys =
     (node_names sys)
 
 let import_stores sys dumps =
-  List.fold_left
-    (fun acc (name, text) ->
-      let n = node sys name in
-      let added = Codb_relalg.Csv.load_database n.Node.store text in
-      if added > 0 then begin
-        Node.note_local_write n;
-        Durable.note_bulk_load n;
-        (* bulk loads bypass the per-tuple delta feed: re-seed any
-           standing queries hosted here by a from-scratch diff *)
-        Sub_engine.refresh_all (runtime sys name) ~tag:"import"
-      end;
-      acc + added)
-    0 dumps
+  (* parse every dump before touching any store, so malformed data
+     leaves the whole network as it was *)
+  let parse (name, text) =
+    let n = node sys name in
+    match Codb_relalg.Csv.parse_database n.Node.store text with
+    | exception Codb_relalg.Csv.Parse_error { line; message } ->
+        Error (Printf.sprintf "node %s, line %d: %s" name line message)
+    | rows -> Ok (name, n, rows)
+  in
+  let import total (name, n, rows) =
+    let added = Codb_relalg.Csv.insert_rows n.Node.store rows in
+    if added > 0 then begin
+      Node.note_local_write n;
+      Durable.note_bulk_load n;
+      (* bulk loads bypass the per-tuple delta feed: re-seed any
+         standing queries hosted here by a from-scratch diff *)
+      Sub_engine.refresh_all (runtime sys name) ~tag:"import"
+    end;
+    total + added
+  in
+  let parse_all acc dump =
+    Result.bind acc (fun parsed -> Result.map (fun p -> p :: parsed) (parse dump))
+  in
+  Result.map
+    (fun parsed -> List.fold_left import 0 (List.rev parsed))
+    (List.fold_left parse_all (Ok []) dumps)
 
 let insert_fact sys ~at ~rel tuple =
   let n = node sys at in

@@ -16,8 +16,8 @@ val build : ?opts:Options.t -> Config.t -> (t, string list) result
 (** Validate the options ({!Options.validate}) and the configuration,
     make sure [opts.wal_dir] (if set) is a directory, creating it when
     absent, then create all nodes, load their facts, install
-    coordination rules (and, when [opts.use_query_cache], the per-node
-    query-answer caches) and open the pipes between acquaintances. *)
+    coordination rules (and, unless [opts.query_cache = Cache_off], the
+    per-node query-answer caches) and open the pipes between acquaintances. *)
 
 val build_exn : ?opts:Options.t -> Config.t -> t
 (** @raise Invalid_argument with the concatenated validation errors. *)
@@ -149,10 +149,12 @@ val export_stores : t -> (string * string) list
     {!Codb_relalg.Csv.dump_database}), sorted by node name.  Marked
     nulls round-trip faithfully. *)
 
-val import_stores : t -> (string * string) list -> int
+val import_stores : t -> (string * string) list -> (int, string) result
 (** Load previously exported stores back into the (already built)
-    network; returns the number of new tuples.  @raise Not_found on an
-    unknown node; {!Codb_relalg.Csv.Parse_error} on malformed data. *)
+    network; returns the number of new tuples.  Every dump is parsed
+    before any store changes: malformed data returns an [Error]
+    naming the node and the line, and no node's store is touched.
+    @raise Not_found on an unknown node. *)
 
 val insert_fact : t -> at:string -> rel:string -> Tuple.t -> bool
 (** Insert a fact into a node's Local Database through its Wrapper;

@@ -205,6 +205,8 @@ let rec arm_watchdog rt (st : U.t) ~last_activity =
         if st.U.ust_activity = last_activity then force_terminate rt st
         else arm_watchdog rt st ~last_activity:st.U.ust_activity)
 
+let batch_max_tuples = 256
+
 (* Drain [dst]'s wire buffer into a single counted message. *)
 let flush_dst rt (st : U.t) us dst =
   match U.take_buffer st ~dst with
@@ -266,7 +268,7 @@ let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) ~hops fresh =
       (* Flushing on the size bound sends immediately but never
          disengages: callers are mid-processing and the surrounding
          engage_and_process / scheduled event re-checks afterwards. *)
-      if U.buffer_size st ~dst >= opts.Options.batch_max_tuples then
+      if U.buffer_size st ~dst >= batch_max_tuples then
         flush_dst rt st us dst
       else schedule_flush rt st us dst
     end

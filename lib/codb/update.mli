@@ -35,6 +35,11 @@
 
 module Peer_id = Codb_net.Peer_id
 
+val batch_max_tuples : int
+(** Under [Options.batch_window > 0], a destination's buffer flushes
+    early once it holds this many tuples, bounding both memory
+    and single-message size. *)
+
 val initiate : Runtime.t -> Ids.update_id -> unit
 (** Start a global update at this node.  @raise Invalid_argument if
     the id was already used here. *)

@@ -5,7 +5,6 @@ module Relation = Codb_relalg.Relation
 module Config = Codb_cq.Config
 module Query = Codb_cq.Query
 module Eval = Codb_cq.Eval
-module Apply = Codb_cq.Apply
 
 type integration = {
   since : int;
@@ -38,7 +37,11 @@ let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
   let incoming_fresh = List.filter (fun t -> not (is_duplicate t)) tuples in
   let suppressed = List.length tuples - List.length incoming_fresh in
   let nulls_before = Value.null_counter () in
-  let instantiated = Apply.instantiate ~rule:rule_id incoming_fresh in
+  (* Holes stay on the wire and become marked nulls only here, after
+     duplicate suppression: that is what lets the importer see that an
+     incoming tuple is subsumed by one it already has, and hence what
+     makes cyclic rule systems reach a fix-point. *)
+  let instantiated = List.map (Tuple.instantiate_holes ~rule:rule_id) incoming_fresh in
   let nulls_created = Value.null_counter () - nulls_before in
   let since = Relation.cardinal relation in
   let fresh = Database.insert_all db rel instantiated in

@@ -129,27 +129,32 @@ let section_header line =
     Some (String.trim (String.sub line n (String.length line - n)))
   else None
 
-let load_database db text =
+let parse_database db text =
   let lines = String.split_on_char '\n' text in
-  let load (line_no, current, count) line =
+  let parse (line_no, current, acc) line =
     let trimmed = String.trim line in
     match section_header trimmed with
     | Some rel ->
         if not (Database.has_relation db rel) then
           fail line_no "unknown relation %s" rel;
-        (line_no + 1, Some rel, count)
+        (line_no + 1, Some rel, acc)
     | None ->
         if trimmed = "" || (String.length trimmed > 0 && trimmed.[0] = '#') then
-          (line_no + 1, current, count)
+          (line_no + 1, current, acc)
         else begin
           match current with
           | None -> fail line_no "tuple outside any '# relation' section"
           | Some rel ->
               let schema = Relation.schema (Database.relation db rel) in
-              let tuple = parse_line schema line_no trimmed in
-              let added = if Database.insert db rel tuple then 1 else 0 in
-              (line_no + 1, current, count + added)
+              (line_no + 1, current, (rel, parse_line schema line_no trimmed) :: acc)
         end
   in
-  let _, _, count = List.fold_left load (1, None, 0) lines in
-  count
+  let _, _, rows = List.fold_left parse (1, None, []) lines in
+  List.rev rows
+
+let insert_rows db rows =
+  List.fold_left
+    (fun count (rel, tuple) -> if Database.insert db rel tuple then count + 1 else count)
+    0 rows
+
+let load_database db text = insert_rows db (parse_database db text)

@@ -25,9 +25,17 @@ val dump : Relation.t -> string
 val dump_database : Database.t -> string
 (** All relations, each preceded by a [# relation <name>] comment. *)
 
+val parse_database : Database.t -> string -> (string * Tuple.t) list
+(** Parse a {!dump_database} document against an existing database's
+    schemas without changing it: the rows as (relation, tuple) pairs
+    in document order.  Relations must already be declared; unknown
+    sections raise {!Parse_error}. *)
+
+val insert_rows : Database.t -> (string * Tuple.t) list -> int
+(** Insert parsed rows; returns the number of new tuples. *)
+
 val load_database : Database.t -> string -> int
-(** Parse a {!dump_database} document back into an existing database
-    (relations must already be declared; unknown sections raise
-    {!Parse_error}).  Returns the number of new tuples.  Together with
-    the faithful marked-null round-trip this provides full
-    store persistence. *)
+(** {!parse_database} then {!insert_rows}: a malformed document
+    raises {!Parse_error} before any tuple is inserted.  Together with
+    the faithful marked-null round-trip this provides full store
+    persistence. *)

@@ -10,10 +10,6 @@ type t = { limit : int; tbl : (string, entry) Hashtbl.t }
 
 let create ~limit = { limit; tbl = Hashtbl.create 8 }
 
-let size t = Hashtbl.length t.tbl
-
-let limit t = t.limit
-
 let find t sub_id = Hashtbl.find_opt t.tbl sub_id
 
 let register t sub owner =
@@ -41,8 +37,6 @@ let unregister t sub_id =
 let sorted t =
   let all = Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.tbl [] in
   List.sort (fun (a, _) (b, _) -> String.compare a b) all
-
-let ids t = List.map fst (sorted t)
 
 let entries t = List.map snd (sorted t)
 

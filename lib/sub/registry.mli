@@ -1,7 +1,8 @@
 (** The subscriptions a node hosts, keyed by subscription id.
 
-    Bounded by [Options.max_subscriptions]; registration past the
-    limit (or with a duplicate id) is refused, never silently dropped.
+    Bounded by [limit] (a node hosts {!Codb_core.Node.max_subscriptions});
+    registration past the limit (or with a duplicate id) is refused,
+    never silently dropped.
     Iteration order is always sub_id order so that delta fan-out and
     crash re-arm are deterministic. *)
 
@@ -21,10 +22,6 @@ type t
 
 val create : limit:int -> t
 
-val size : t -> int
-
-val limit : t -> int
-
 val find : t -> string -> entry option
 
 val register : t -> Subscription.t -> owner -> (unit, string) result
@@ -32,9 +29,6 @@ val register : t -> Subscription.t -> owner -> (unit, string) result
 
 val unregister : t -> string -> bool
 (** [true] when the id was present. *)
-
-val ids : t -> string list
-(** Sorted. *)
 
 val entries : t -> entry list
 (** In sub_id order. *)

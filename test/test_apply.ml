@@ -1,5 +1,4 @@
 open Helpers
-module Apply = Codb_cq.Apply
 
 let rule_query =
   (* h(x, z) <- r(x, y): z is existential *)
@@ -48,7 +47,7 @@ let test_two_existentials_distinct_holes () =
 let test_instantiate_fresh_per_tuple () =
   Value.reset_null_counter ();
   let tuples = [ tup [ i 1; Value.Hole 0 ]; tup [ i 2; Value.Hole 0 ] ] in
-  match Apply.instantiate ~rule:"rz" tuples with
+  match List.map (Tuple.instantiate_holes ~rule:"rz") tuples with
   | [ t1; t2 ] ->
       Alcotest.(check bool) "fresh per tuple" false (Value.equal t1.(1) t2.(1));
       Alcotest.(check int) "two nulls minted" 2 (Value.null_counter ())

@@ -193,7 +193,7 @@ let run_msgs sys q =
   let outcome = System.run_query sys ~at:"n0" q in
   (outcome.System.qo_answers, delivered sys - before)
 
-let chain ?(opts = Options.with_cache) ?(n = 5) () =
+let chain ?(opts = { Options.default with Options.query_cache = Options.Cache_containment }) ?(n = 5) () =
   System.build_exn ~opts (Topology.generate ~seed:42 Topology.Chain ~n)
 
 let broad = "ans(x, y) <- data(x, y)"

@@ -116,9 +116,34 @@ let test_system_export_import () =
   (* a fresh network built from the same file, stores replaced by the
      exported state, must equal the materialised one *)
   let sys2 = mk () in
-  let loaded = System.import_stores sys2 dumps in
+  let loaded = Result.get_ok (System.import_stores sys2 dumps) in
   Alcotest.(check bool) "new tuples loaded" true (loaded > 0);
   Alcotest.(check int) "same total" (System.total_tuples sys) (System.total_tuples sys2)
+
+let test_system_import_error () =
+  let module System = Codb_core.System in
+  let module Topology = Codb_core.Topology in
+  let module Node = Codb_core.Node in
+  let mk () = System.build_exn (Topology.generate ~seed:61 Topology.Chain ~n:2) in
+  let full = mk () in
+  let _ = System.run_update full ~initiator:"n0" in
+  (* n0's dump is valid and brings new tuples; n1's is malformed *)
+  let n0_dump = List.assoc "n0" (System.export_stores full) in
+  let sys = mk () in
+  let store name = (System.node sys name).Node.store in
+  let before = List.map (fun name -> Database.copy (store name)) [ "n0"; "n1" ] in
+  (match System.import_stores sys [ ("n0", n0_dump); ("n1", "\n1,2\n") ] with
+  | Ok _ -> Alcotest.fail "a tuple before any section was accepted"
+  | Error why ->
+      Alcotest.(check string) "names the node and the line"
+        "node n1, line 2: tuple outside any '# relation' section" why);
+  List.iter2
+    (fun name old ->
+      Alcotest.(check bool) (name ^ " store untouched") true
+        (Database.equal_contents old (store name)))
+    [ "n0"; "n1" ] before;
+  Alcotest.(check bool) "the valid dump alone adds tuples" true
+    (Result.get_ok (System.import_stores sys [ ("n0", n0_dump) ]) > 0)
 
 let suite =
   [
@@ -126,6 +151,7 @@ let suite =
     Alcotest.test_case "load_database round trip" `Quick test_load_database_round_trip;
     Alcotest.test_case "load_database errors" `Quick test_load_database_errors;
     Alcotest.test_case "system export/import" `Quick test_system_export_import;
+    Alcotest.test_case "system import names the bad line" `Quick test_system_import_error;
     Alcotest.test_case "unquoted strings" `Quick test_unquoted_string;
     Alcotest.test_case "quote escaping" `Quick test_quoted_escapes;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;

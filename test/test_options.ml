@@ -23,7 +23,10 @@ let rejected ~substring = function
 
 let test_default_is_valid () = ok (Options.validate Options.default)
 
-let test_with_cache_is_valid () = ok (Options.validate Options.with_cache)
+let test_cache_modes_are_valid () =
+  List.iter
+    (fun query_cache -> ok (Options.validate { Options.default with Options.query_cache }))
+    [ Options.Cache_off; Options.Cache_exact; Options.Cache_containment ]
 
 let test_negative_latency () =
   rejected ~substring:"latency"
@@ -33,28 +36,27 @@ let test_negative_byte_cost () =
   rejected ~substring:"byte_cost"
     (Options.validate { Options.default with Options.byte_cost = -1e-9 })
 
-let test_negative_cache_settings () =
-  rejected ~substring:"cache_capacity"
-    (Options.validate { Options.default with Options.cache_capacity = -1 });
-  rejected ~substring:"cache_max_bytes"
-    (Options.validate { Options.default with Options.cache_max_bytes = -1 })
-
 let test_zero_bounds_are_valid () =
-  (* 0 means unbounded / disabled, not invalid *)
+  (* 0 means disabled / immediate, not invalid *)
   ok
     (Options.validate
-       { Options.default with Options.cache_capacity = 0; cache_max_bytes = 0 })
+       {
+         Options.default with
+         Options.batch_window = 0.0;
+         drop_budget = 0;
+         ack_timeout = 0.0;
+         max_retries = 0;
+         sub_batch_window = 0.0;
+       })
 
 let test_wire_knobs_are_valid () =
   ok
     (Options.validate
-       { Options.default with Options.batch_window = 0.05; batch_max_tuples = 1 })
+       { Options.default with Options.batch_window = 0.05 })
 
 let test_bad_wire_knobs_rejected () =
   rejected ~substring:"batch_window"
-    (Options.validate { Options.default with Options.batch_window = -0.001 });
-  rejected ~substring:"batch_max_tuples"
-    (Options.validate { Options.default with Options.batch_max_tuples = 0 })
+    (Options.validate { Options.default with Options.batch_window = -0.001 })
 
 let test_chaos_knobs_are_valid () =
   ok
@@ -148,11 +150,9 @@ let test_build_rejects_bad_options () =
 let suite =
   [
     Alcotest.test_case "default validates" `Quick test_default_is_valid;
-    Alcotest.test_case "with_cache validates" `Quick test_with_cache_is_valid;
+    Alcotest.test_case "cache modes validate" `Quick test_cache_modes_are_valid;
     Alcotest.test_case "negative latency rejected" `Quick test_negative_latency;
     Alcotest.test_case "negative byte_cost rejected" `Quick test_negative_byte_cost;
-    Alcotest.test_case "negative cache settings rejected" `Quick
-      test_negative_cache_settings;
     Alcotest.test_case "zero bounds are valid" `Quick test_zero_bounds_are_valid;
     Alcotest.test_case "wire knobs are valid" `Quick test_wire_knobs_are_valid;
     Alcotest.test_case "bad wire knobs rejected" `Quick test_bad_wire_knobs_rejected;

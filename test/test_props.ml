@@ -360,11 +360,14 @@ let gen_pushdown_case =
 let prop_pushdown_preserves_answers =
   Q2.Test.make ~name:"constraint pushdown never changes answers" ~count:30
     gen_pushdown_case
-    (fun ((shape, n, seed, params), qtext, use_query_cache) ->
+    (fun ((shape, n, seed, params), qtext, cache) ->
       let q = parse_query qtext in
+      let query_cache =
+        if cache then Codb_core.Options.Cache_containment else Codb_core.Options.Cache_off
+      in
       let run ~pushdown =
         let opts =
-          { Codb_core.Options.default with Codb_core.Options.pushdown; use_query_cache }
+          { Codb_core.Options.default with Codb_core.Options.pushdown; query_cache }
         in
         let sys = System.build_exn ~opts (Topology.generate ~params ~seed shape ~n) in
         let o = System.run_query sys ~at:"n0" q in
@@ -444,7 +447,7 @@ let prop_export_import_round_trip =
       let _ = System.run_update sys ~initiator:"n0" in
       let dumps = System.export_stores sys in
       let sys2 = build_net (shape, n, seed, params) in
-      let _ = System.import_stores sys2 dumps in
+      ignore (Result.get_ok (System.import_stores sys2 dumps));
       List.for_all
         (fun name ->
           Database.equal_contents (System.node sys name).Node.store

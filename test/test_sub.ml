@@ -19,15 +19,8 @@ module Mirror = Codb_sub.Mirror
 module Qcache = Codb_cache.Qcache
 module Datagen = Codb_workload.Datagen
 
-let sub_opts ?(base = Options.default) ?(window = 0.0) ?(naive = false)
-    ?(limit = 64) () =
-  {
-    base with
-    Options.subscriptions = true;
-    sub_batch_window = window;
-    sub_naive = naive;
-    max_subscriptions = limit;
-  }
+let sub_opts ?(base = Options.default) ?(window = 0.0) ?(naive = false) () =
+  { base with Options.subscriptions = true; sub_batch_window = window; sub_naive = naive }
 
 let chain ?(seed = 5) n = Topology.generate ~seed Topology.Chain ~n
 
@@ -82,7 +75,7 @@ let test_register_seeds_and_unregister () =
     (System.unsubscribe sys ~at:"n0" id)
 
 let test_validation () =
-  let sys = System.build_exn ~opts:(sub_opts ~limit:1 ()) (chain 2) in
+  let sys = System.build_exn ~opts:(sub_opts ()) (chain 2) in
   (match System.subscribe sys ~at:"n0" (parse_query "o(x) <- nosuch(x)") with
   | Ok _ -> Alcotest.fail "unknown relation accepted"
   | Error e -> Alcotest.(check bool) "names the relation" true
@@ -90,15 +83,30 @@ let test_validation () =
   (match System.subscribe sys ~at:"n0" (parse_query "o(k, w) <- data(k, v)") with
   | Ok _ -> Alcotest.fail "existential head accepted"
   | Error _ -> ());
-  (match System.subscribe sys ~at:"n0" (parse_query q_all) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "first subscribe: %s" e);
+  for k = 1 to Node.max_subscriptions do
+    match System.subscribe sys ~at:"n0" (parse_query q_all) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "subscribe %d: %s" k e
+  done;
   (match System.subscribe sys ~at:"n0" (parse_query q_selective) with
-  | Ok _ -> Alcotest.fail "limit not enforced"
+  | Ok _ -> Alcotest.fail "limit not enforced locally"
   | Error _ -> ());
+  (* the host refuses a registration over the wire the same way *)
+  (match System.subscribe_remote sys ~subscriber:"n1" ~host:"n0" (parse_query q_selective) with
+  | Error e -> Alcotest.failf "subscribe_remote: %s" e
+  | Ok id -> (
+      let _ = System.run sys in
+      match System.mirror sys ~at:"n1" id with
+      | Some m ->
+          Alcotest.(check bool) "limit not enforced over the wire" false (Mirror.accepted m);
+          Alcotest.(check bool) "reason names the limit" true
+            (match Mirror.rejected m with
+            | Some why -> String.starts_with ~prefix:"subscription limit reached" why
+            | None -> false)
+      | None -> Alcotest.failf "no mirror %s at n1" id));
   let sb = sub_stats sys "n0" in
-  Alcotest.(check int) "one registered" 1 sb.Stats.sb_registered;
-  Alcotest.(check int) "three rejected" 3 sb.Stats.sb_rejected
+  Alcotest.(check int) "all registered" Node.max_subscriptions sb.Stats.sb_registered;
+  Alcotest.(check int) "four rejected" 4 sb.Stats.sb_rejected
 
 (* --- incremental maintenance ----------------------------------------- *)
 
@@ -135,7 +143,7 @@ let test_import_reseeds () =
     | Ok id -> id
     | Error e -> Alcotest.failf "subscribe: %s" e
   in
-  let _ = System.import_stores sys' dumps in
+  ignore (Result.get_ok (System.import_stores sys' dumps));
   check_tracks sys' ~at:"n0" id q_all "bulk import re-seeds the answers"
 
 (* --- remote push ------------------------------------------------------ *)
@@ -218,7 +226,7 @@ let test_batching_coalesces_pushes () =
 (* --- epoch agreement with the one-shot query cache -------------------- *)
 
 let test_cache_epoch_agreement_host () =
-  let opts = sub_opts ~base:{ Options.default with Options.use_query_cache = true } () in
+  let opts = sub_opts ~base:{ Options.default with Options.query_cache = Options.Cache_containment } () in
   let sys = System.build_exn ~opts (chain 2) in
   let n0 = System.node sys "n0" in
   let cache = Option.get n0.Node.cache in
@@ -255,7 +263,7 @@ let test_cache_epoch_agreement_host () =
     ((sub_stats sys "n0").Stats.sb_cache_staled > 0)
 
 let test_cache_epoch_agreement_subscriber () =
-  let base = { Options.default with Options.use_query_cache = true } in
+  let base = { Options.default with Options.query_cache = Options.Cache_containment } in
   let sys, _id = remote_pair ~base () in
   let n1 = System.node sys "n1" in
   let cache = Option.get n1.Node.cache in

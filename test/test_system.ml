@@ -241,7 +241,7 @@ let test_pushdown_rule_cache_serves_repeat () =
   let opts =
     { Codb_core.Options.default with
       Codb_core.Options.pushdown = true;
-      use_query_cache = true }
+      query_cache = Codb_core.Options.Cache_containment }
   in
   let sys = System.build_exn ~opts (Topology.generate ~params ~seed:22 Topology.Chain ~n:3) in
   let o1 = System.run_query sys ~at:"n0" (parse_query "o(y) <- data(3, y)") in

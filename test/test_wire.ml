@@ -9,12 +9,12 @@ module Topology = Codb_core.Topology
 module Options = Codb_core.Options
 module Report = Codb_core.Report
 module Node = Codb_core.Node
+module Trace = Codb_core.Trace
 module Network = Codb_net.Network
 module Datagen = Codb_workload.Datagen
 
-(* a small size cap and a window long enough to span several delta
-   waves *)
-let batched = { Options.default with Options.batch_window = 0.02; batch_max_tuples = 16 }
+(* a window long enough to span several delta waves *)
+let batched = { Options.default with Options.batch_window = 0.02 }
 
 let gen_network =
   let open Gen in
@@ -26,14 +26,25 @@ let gen_network =
   let* n = int_range 2 5 in
   let* seed = int_range 0 10000 in
   let* skew = oneofl [ 0.0; 1.0 ] in
+  (* the large case ships more than [Update.batch_max_tuples] distinct
+     tuples to one importer on first contact, so size-cap flushes mix
+     with window flushes; its wide domain is drawn uniformly, since a
+     skewed draw over it is slow to generate *)
+  let* tuples_per_node, profile =
+    oneofl
+      [
+        (8, { Datagen.domain_size = 12; skew });
+        (300, { Datagen.domain_size = 100_000; skew = 0.0 });
+      ]
+  in
   (* existential heads mint per-run null ids, which by construction
      differ between runs with different event orders; the equivalence
      below is about tuples actually exchanged, so keep heads plain *)
   let params =
     {
       Topology.default_params with
-      Topology.tuples_per_node = 8;
-      profile = { Datagen.domain_size = 12; skew };
+      Topology.tuples_per_node;
+      profile;
     }
   in
   return (shape, n, seed, params)
@@ -119,15 +130,39 @@ let test_batch_counters_flow_to_report () =
   Alcotest.(check bool) "avg batch size positive" true (Report.avg_batch report > 0.0)
 
 let test_max_tuples_flushes_early () =
-  (* a window far longer than the whole run: only the size cap can
-     flush, and the update must still terminate *)
-  let sys, report =
-    run_corner clique_spec
-      { Options.default with Options.batch_window = 1000.0; batch_max_tuples = 8 }
+  (* first contact sends every node's 300 distinct tuples to each
+     importer, more than [Update.batch_max_tuples]; under a window far
+     longer than the whole run only the size cap can ship them early,
+     and the update must still terminate *)
+  let params =
+    {
+      Topology.default_params with
+      Topology.tuples_per_node = 300;
+      profile = { Datagen.domain_size = 100_000; skew = 0.0 };
+    }
   in
+  let spec = (Topology.Clique, 3, 42, params) in
+  let window = 1000.0 in
+  let sys =
+    System.build_exn
+      ~opts:{ Options.default with Options.batch_window = window }
+      (Topology.generate ~params ~seed:42 Topology.Clique ~n:3)
+  in
+  let trace = System.enable_trace ~capacity:100_000 sys in
+  let uid = System.run_update sys ~initiator:"n0" in
+  let report = Option.get (Report.update_report (System.snapshots sys) uid) in
   Alcotest.(check bool) "terminates through size-cap flushes" true
     report.Report.ur_all_finished;
-  let plain_sys, _ = run_corner clique_spec Options.default in
+  let early_batch (ev : Trace.event) =
+    ev.Trace.ev_direction = Trace.Sent
+    && ev.Trace.ev_at < window
+    && Scanf.sscanf_opt ev.Trace.ev_what "update-batch (%d rules, %d tuples)"
+         (fun _ tuples -> tuples >= Codb_core.Update.batch_max_tuples)
+       = Some true
+  in
+  Alcotest.(check bool) "a full batch left before the window" true
+    (List.exists early_batch (Trace.events trace));
+  let plain_sys, _ = run_corner spec Options.default in
   Alcotest.(check bool) "same stores" true (stores_equal plain_sys sys)
 
 let suite =
