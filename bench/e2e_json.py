@@ -18,8 +18,8 @@ the file's "toy_reference".
 
 `toy` re-runs the four --toy workloads and exits 1 if any counter
 differs from the toy_reference.  Only counts are compared (msgs,
-wire_bytes and the net.*, update.*, eval.*, query.*, sub.* counters),
-never wall time or allocation.
+wire_bytes and the net.*, update.*, eval.*, query.*, sub.*, reliable.*
+and wal.* counters), never wall time (wal.recovery_ms) or allocation.
 """
 
 import argparse
@@ -33,7 +33,7 @@ OUT = "BENCH_e2e.json"
 WORKLOADS = ["update-tree", "update-mesh", "query-storm", "mixed-chaos"]
 SEEDS = [1, 2, 3]
 # per-layer families whose counts repeat exactly for one seed
-COUNTED = ("net.", "update.", "eval.", "query.", "sub.")
+COUNTED = ("net.", "update.", "eval.", "query.", "sub.", "reliable.", "wal.")
 TIMED_UNITS = ("s", "ms", "us", "1/s")
 
 

@@ -161,17 +161,17 @@ let sorted_tuples db rel = List.sort Tuple.compare (Database.tuples db rel)
    recovered node may re-send those tuples and receivers dedup them —
    a duplicate costs bytes, a drop would cost correctness. *)
 let sent_entries (node : Node.t) =
-  Hashtbl.fold
-    (fun uid (st : Update_state.t) acc ->
-      let rules =
-        Hashtbl.fold
-          (fun rule filter acc ->
-            match Sent_filter.elements filter with
-            | [] -> acc
-            | tuples -> (uid, rule, tuples) :: acc)
-          st.Update_state.ust_sent []
-      in
-      rules @ acc)
+  Ids.Update_tbl.fold
+    (fun update_id (st : Update_state.t option) acc ->
+      match st with
+      | None -> acc
+      | Some st ->
+          Hashtbl.fold
+            (fun rule filter acc ->
+              match Sent_filter.elements filter with
+              | [] -> acc
+              | tuples -> (Ids.string_of_update update_id, rule, tuples) :: acc)
+            st.Update_state.ust_sent acc)
     node.Node.updates []
   |> List.sort (fun (u1, r1, _) (u2, r2, _) ->
          match String.compare u1 u2 with 0 -> String.compare r1 r2 | c -> c)

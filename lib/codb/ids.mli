@@ -18,10 +18,28 @@ val equal_update : update_id -> update_id -> bool
 
 val equal_query : query_id -> query_id -> bool
 
+val compare_update : update_id -> update_id -> int
+(** By origin, then serial ([n0#2] before [n0#10]). *)
+
+val compare_query : query_id -> query_id -> int
+
 val pp_update : update_id Fmt.t
 
 val pp_query : query_id Fmt.t
 
 val string_of_update : update_id -> string
+(** [upd:<origin>#<serial>], e.g. [upd:n0#3]: the key of a durability
+    snapshot's sent-filter entries, so the text never changes.  For
+    printing and snapshots only; tables key by the id itself
+    ({!Update_tbl}). *)
 
 val string_of_query : query_id -> string
+(** [qry:<origin>#<serial>]. *)
+
+(** Tables keyed by the typed ids, with an equality and a hash that
+    allocate nothing: the per-message lookups of {!Node} and {!Stats}
+    format no string. *)
+
+module Update_tbl : Hashtbl.S with type key = update_id
+
+module Query_tbl : Hashtbl.S with type key = query_id

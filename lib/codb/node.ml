@@ -11,7 +11,7 @@ type t = {
   mutable incoming : Config.rule_decl list;
   stats : Stats.t;
   lineage : Lineage.t;
-  updates : (string, Update_state.t) Hashtbl.t;
+  updates : Update_state.t option Ids.Update_tbl.t;
   query_instances : (string, Query_state.t) Hashtbl.t;
   sub_refs : (string, string) Hashtbl.t;
   mutable serial : int;
@@ -44,7 +44,7 @@ let create decl =
     incoming = [];
     stats = Stats.create node_id;
     lineage = Lineage.create ();
-    updates = Hashtbl.create 8;
+    updates = Ids.Update_tbl.create 8;
     query_instances = Hashtbl.create 8;
     sub_refs = Hashtbl.create 8;
     serial = 0;
@@ -79,7 +79,7 @@ let fresh_serial node =
   node.serial
 
 let fresh_ref node =
-  Printf.sprintf "%s/%d" (Peer_id.to_string node.node_id) (fresh_serial node)
+  String.concat "" [ Peer_id.to_string node.node_id; "/"; string_of_int (fresh_serial node) ]
 
 (* Bounds of the per-node query cache: cached queries and answer
    bytes. *)
@@ -168,11 +168,16 @@ let acquaintances node =
   let all = List.fold_left step [] (node.outgoing @ node.incoming) in
   List.sort Peer_id.compare all
 
+(* The table holds [Some st], built once when the state is added, so a
+   hit returns it without allocating ([find_opt] would box a fresh
+   [Some] on every message). *)
 let update_state node update_id =
-  Hashtbl.find_opt node.updates (Ids.string_of_update update_id)
+  match Ids.Update_tbl.find node.updates update_id with
+  | found -> found
+  | exception Not_found -> None
 
 let add_update_state node (st : Update_state.t) =
-  Hashtbl.replace node.updates (Ids.string_of_update st.Update_state.ust_update) st
+  Ids.Update_tbl.replace node.updates st.Update_state.ust_update (Some st)
 
 let explain node ~rel tuple = Lineage.origin_of ~store:node.store node.lineage ~rel tuple
 
@@ -182,7 +187,7 @@ let explain node ~rel tuple = Lineage.origin_of ~store:node.store node.lineage ~
    not here: {!System.crash_node} resets them with [reset_store] and by
    dropping the relay, and the restart decides what comes back. *)
 let reset_volatile node =
-  Hashtbl.reset node.updates;
+  Ids.Update_tbl.reset node.updates;
   Hashtbl.reset node.query_instances;
   Hashtbl.reset node.sub_refs;
   Hashtbl.reset node.seen_probes;

@@ -24,8 +24,9 @@ type t = {
           source) *)
   stats : Stats.t;
   lineage : Lineage.t;  (** how each stored tuple got here *)
-  updates : (string, Update_state.t) Hashtbl.t;
-      (** keyed by update-id string *)
+  updates : Update_state.t option Ids.Update_tbl.t;
+      (** every value is [Some st], stored once by {!add_update_state}
+          so that {!update_state} returns it without allocating *)
   query_instances : (string, Query_state.t) Hashtbl.t;
       (** keyed by this node's own instance reference *)
   sub_refs : (string, string) Hashtbl.t;
@@ -140,6 +141,7 @@ val acquaintances : t -> Peer_id.t list
 (** Peers this node shares a coordination rule with, sorted. *)
 
 val update_state : t -> Ids.update_id -> Update_state.t option
+(** Allocates nothing: the per-message lookup of the update protocol. *)
 
 val add_update_state : t -> Update_state.t -> unit
 

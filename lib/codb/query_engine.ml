@@ -36,7 +36,7 @@ let complete_root rt (st : Q.t) query set_result =
         Wrapper.user_answers st.Q.qst_overlay query)
   in
   set_result answers;
-  st.Q.qst_closed <- true;
+  Q.close st;
   (* a partial answer is a lower bound, not the query's answer: caching
      it would keep serving the hole long after the network healed *)
   (match rt.Runtime.node.Node.cache with
@@ -56,7 +56,7 @@ let may_export (rt : Runtime.t) =
   rt.node.Node.decl.Config.constraints = [] || Node.is_consistent rt.node
 
 let finish_responder rt (st : Q.t) ~requester ~in_rule =
-  st.Q.qst_closed <- true;
+  Q.close st;
   (* The complete constrained answer stream of this rule instance is
      worth remembering: a later request with the same (or stronger)
      constraints is served without re-running the diffusion.  Partial
@@ -66,7 +66,7 @@ let finish_responder rt (st : Q.t) ~requester ~in_rule =
     when rt.Runtime.opts.Options.pushdown && st.Q.qst_complete && not from_cache ->
       Codb_cache.Qcache.store_rule cache ~rule_id:in_rule
         ~label constraints
-        (Q.Tuple_set.elements st.Q.qst_sent)
+        (Sent_filter.elements st.Q.qst_sent)
         ~sources:(me rt :: st.Q.qst_contacted)
   | (Q.Responder _ | Q.Root _), _ -> ());
   ignore
@@ -211,7 +211,7 @@ let start ?on_answer rt qid query =
           ~kind:(Q.Root { query; result = Some answers; streamed; on_answer })
           ~overlay:(Database.create [])
       in
-      st.Q.qst_closed <- true;
+      Q.close st;
       Hashtbl.replace rt.Runtime.node.Node.query_instances root_ref st;
       qs.Stats.qs_finished <- Some (rt.Runtime.now ());
       qs.Stats.qs_answers <- List.length answers;
@@ -346,6 +346,10 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
   | Some owner_ref -> (
       match Hashtbl.find_opt rt.Runtime.node.Node.query_instances owner_ref with
       | None -> ()
+      | Some st when st.Q.qst_closed ->
+          (* its overlay is released and its stream is over: late data
+             changes nothing *)
+          ()
       | Some st -> (
           (match Q.find_pending st request_ref with
           | Some p -> p.Q.p_touched <- true

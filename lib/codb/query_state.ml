@@ -30,9 +30,9 @@ type t = {
   qst_query : Ids.query_id;
   qst_ref : string;
   qst_kind : kind;
-  qst_overlay : Database.t;
+  mutable qst_overlay : Database.t;
   mutable qst_pending : pending list;
-  mutable qst_sent : Tuple_set.t;
+  qst_sent : Sent_filter.t;
   mutable qst_closed : bool;
   mutable qst_contacted : Peer_id.t list;
   mutable qst_complete : bool;
@@ -46,7 +46,7 @@ let create ~query_id ~ref_ ~kind ~overlay =
     qst_kind = kind;
     qst_overlay = overlay;
     qst_pending = [];
-    qst_sent = Tuple_set.empty;
+    qst_sent = Sent_filter.create ~size:1 ();
     qst_closed = false;
     qst_contacted = [];
     qst_complete = true;
@@ -77,7 +77,11 @@ let mark_failed st ~ref_ =
 
 let all_done st = List.for_all (fun p -> p.p_done || p.p_failed) st.qst_pending
 
-let unsent st tuples =
-  let fresh = List.filter (fun t -> not (Tuple_set.mem t st.qst_sent)) tuples in
-  st.qst_sent <- List.fold_left (fun acc t -> Tuple_set.add t acc) st.qst_sent fresh;
-  fresh
+let unsent st tuples = List.filter (Sent_filter.note_if_new st.qst_sent) tuples
+
+(* holds no relation, so nothing can be inserted into it *)
+let released = Database.create []
+
+let close st =
+  st.qst_closed <- true;
+  st.qst_overlay <- released

@@ -57,9 +57,11 @@ type t = {
   qst_query : Ids.query_id;
   qst_ref : string;  (** our own instance reference *)
   qst_kind : kind;
-  qst_overlay : Database.t;
+  mutable qst_overlay : Database.t;
+      (** emptied by {!close}: a closed instance never reads it again *)
   mutable qst_pending : pending list;
-  mutable qst_sent : Tuple_set.t;  (** responder: tuples already sent upstream *)
+  qst_sent : Sent_filter.t;
+      (** responder: the packed rows already sent upstream *)
   mutable qst_closed : bool;
   mutable qst_contacted : Peer_id.t list;
       (** acquaintances we sent sub-requests to; on a root instance
@@ -95,3 +97,9 @@ val all_done : t -> bool
 val unsent : t -> Tuple.t list -> Tuple.t list
 (** Filter out tuples already sent upstream and record the rest as
     sent. *)
+
+val close : t -> unit
+(** The instance is done: mark it closed and release its overlay (a
+    database with no relations takes its place), as a terminated update
+    releases its sent filters.  Its sent table stays: a responder's is
+    the stream the pushdown cache stores. *)

@@ -4,11 +4,19 @@ module Row_table = Codb_cq.Eval.Row_table
 
 type t = unit Row_table.t
 
-let create () = Row_table.create 64
+let create ?(size = 64) () = Row_table.create size
 
 let rows t = t
 
-let note_sent t tuple = Row_table.replace t (Array.map Intern.pack tuple) ()
+let note_if_new t tuple =
+  let row = Array.map Intern.pack tuple in
+  if Row_table.mem t row then false
+  else begin
+    Row_table.add t row ();
+    true
+  end
+
+let note_sent t tuple = ignore (note_if_new t tuple)
 
 let elements t =
   List.sort Tuple.compare

@@ -2,7 +2,8 @@
     per-link cache of already-sent tuples ("we delete from Ri those
     tuples which have been already sent").  An exact set of packed head
     rows ({!Codb_cq.Eval.Row_table}), so a tuple counts as sent only if
-    it really was and nothing is ever re-sent.
+    it really was and nothing is ever re-sent.  A query responder keeps
+    one for its answer stream ({!Query_state.unsent}).
 
     The cache is the head projection's dedup: the update algorithm
     hands {!rows} to {!Codb_cq.Eval.heads} / {!Codb_cq.Eval.delta_heads},
@@ -12,7 +13,9 @@
 
 type t
 
-val create : unit -> t
+val create : ?size:int -> unit -> t
+(** [size] is the initial bucket hint (default 64); a query responder,
+    one of thousands per query storm, starts small. *)
 
 val rows : t -> unit Codb_cq.Eval.Row_table.t
 (** The packed rows sent so far: the table the projector filters
@@ -20,6 +23,10 @@ val rows : t -> unit Codb_cq.Eval.Row_table.t
 
 val note_sent : t -> Codb_relalg.Tuple.t -> unit
 (** Record a boxed tuple as sent (a WAL recovery's carry-over). *)
+
+val note_if_new : t -> Codb_relalg.Tuple.t -> bool
+(** [true] iff the tuple was not sent before; it is recorded as sent
+    either way. *)
 
 val elements : t -> Codb_relalg.Tuple.t list
 (** The tuples sent so far, boxed and sorted by

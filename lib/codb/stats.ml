@@ -79,8 +79,8 @@ type chaos = {
 
 type t = {
   st_owner : Peer_id.t;
-  st_updates : (string, update_stat) Hashtbl.t;  (* keyed by update-id string *)
-  st_queries : (string, query_stat) Hashtbl.t;
+  st_updates : update_stat Ids.Update_tbl.t;
+  st_queries : query_stat Ids.Query_tbl.t;
   mutable st_inconsistent : bool;
   st_chaos : chaos;
   st_sub : sub_counters;
@@ -122,8 +122,8 @@ let zero_sub () =
 let create owner =
   {
     st_owner = owner;
-    st_updates = Hashtbl.create 8;
-    st_queries = Hashtbl.create 8;
+    st_updates = Ids.Update_tbl.create 8;
+    st_queries = Ids.Query_tbl.create 8;
     st_inconsistent = false;
     st_chaos = zero_chaos ();
     st_sub = zero_sub ();
@@ -174,11 +174,12 @@ let note_refetched st bytes =
 
 let owner st = st.st_owner
 
+(* [find], not [find_opt]: a hit returns the record and allocates
+   nothing, once per protocol message *)
 let update_stat st ~now update_id =
-  let key = Ids.string_of_update update_id in
-  match Hashtbl.find_opt st.st_updates key with
-  | Some s -> s
-  | None ->
+  match Ids.Update_tbl.find st.st_updates update_id with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           us_update = update_id;
@@ -202,17 +203,15 @@ let update_stat st ~now update_id =
           us_sent_to = [];
         }
       in
-      Hashtbl.add st.st_updates key s;
+      Ids.Update_tbl.add st.st_updates update_id s;
       s
 
-let find_update st update_id =
-  Hashtbl.find_opt st.st_updates (Ids.string_of_update update_id)
+let find_update st update_id = Ids.Update_tbl.find_opt st.st_updates update_id
 
 let query_stat st ~now query_id =
-  let key = Ids.string_of_query query_id in
-  match Hashtbl.find_opt st.st_queries key with
-  | Some s -> s
-  | None ->
+  match Ids.Query_tbl.find st.st_queries query_id with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           qs_query = query_id;
@@ -230,10 +229,10 @@ let query_stat st ~now query_id =
           qs_pushdown_hits = 0;
         }
       in
-      Hashtbl.add st.st_queries key s;
+      Ids.Query_tbl.add st.st_queries query_id s;
       s
 
-let find_query st query_id = Hashtbl.find_opt st.st_queries (Ids.string_of_query query_id)
+let find_query st query_id = Ids.Query_tbl.find_opt st.st_queries query_id
 
 let rule_traffic us rule_id =
   match Hashtbl.find_opt us.us_per_rule rule_id with
@@ -275,13 +274,25 @@ let copy_update us =
   { us with us_eval = copy_eval us.us_eval; us_per_rule = per_rule }
 
 let snapshot ?(store_tuples = 0) ?cache st =
-  let updates = Hashtbl.fold (fun _ us acc -> copy_update us :: acc) st.st_updates [] in
+  let updates =
+    Ids.Update_tbl.fold (fun _ us acc -> copy_update us :: acc) st.st_updates []
+  in
   let queries =
-    Hashtbl.fold (fun _ qs acc -> { qs with qs_eval = copy_eval qs.qs_eval } :: acc)
+    Ids.Query_tbl.fold
+      (fun _ qs acc -> { qs with qs_eval = copy_eval qs.qs_eval } :: acc)
       st.st_queries []
   in
-  let by_start_u a b = Float.compare a.us_started b.us_started in
-  let by_start_q a b = Float.compare a.qs_started b.qs_started in
+  (* start-time ties break by id, never by the tables' fold order *)
+  let by_start_u a b =
+    match Float.compare a.us_started b.us_started with
+    | 0 -> Ids.compare_update a.us_update b.us_update
+    | c -> c
+  in
+  let by_start_q a b =
+    match Float.compare a.qs_started b.qs_started with
+    | 0 -> Ids.compare_query a.qs_query b.qs_query
+    | c -> c
+  in
   {
     snap_node = st.st_owner;
     snap_inconsistent = st.st_inconsistent;

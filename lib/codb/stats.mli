@@ -197,8 +197,9 @@ type snapshot = {
   snap_node : Peer_id.t;
   snap_inconsistent : bool;
   snap_store_tuples : int;
-  snap_updates : update_stat list;  (** copies, in start order *)
-  snap_queries : query_stat list;  (** copies, in start order *)
+  snap_updates : update_stat list;
+      (** copies, in start order; ties by id ({!Ids.compare_update}) *)
+  snap_queries : query_stat list;  (** copies, in start order, ties by id *)
   snap_cache : Codb_cache.Qcache.counters option;  (** [None] when caching is off *)
   snap_chaos : chaos;  (** a copy *)
   snap_sub : sub_counters;  (** a copy *)

@@ -72,6 +72,12 @@ let trace_event sys ~direction ~src ~dst what =
           ev_what = what;
         }
 
+(* described only when a trace is on: an untraced run formats no
+   message *)
+let trace_message sys ~direction ~src ~dst payload =
+  if Option.is_some sys.sys_trace then
+    trace_event sys ~direction ~src ~dst (Payload.describe payload)
+
 let make_runtime sys (node : Node.t) =
   let id = node.Node.node_id in
   let connect peer =
@@ -82,7 +88,7 @@ let make_runtime sys (node : Node.t) =
   let send ~dst payload =
     let delivered = Network.send sys.sys_net ~src:id ~dst payload in
     if delivered then
-      trace_event sys ~direction:Trace.Sent ~src:id ~dst (Payload.describe payload);
+      trace_message sys ~direction:Trace.Sent ~src:id ~dst payload;
     delivered
   in
   {
@@ -97,9 +103,8 @@ let make_runtime sys (node : Node.t) =
   }
 
 let handler sys rt msg =
-  trace_event sys ~direction:Trace.Delivered ~src:msg.Codb_net.Message.src
-    ~dst:msg.Codb_net.Message.dst
-    (Payload.describe msg.Codb_net.Message.payload);
+  trace_message sys ~direction:Trace.Delivered ~src:msg.Codb_net.Message.src
+    ~dst:msg.Codb_net.Message.dst msg.Codb_net.Message.payload;
   Dbm.handle rt msg
 
 let install_node sys decl =

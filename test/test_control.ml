@@ -192,11 +192,52 @@ let test_dbm_start_update () =
   let rt, node, _, _, _ = make_runtime lonely "me" in
   Dbm.handle rt (message Payload.Start_update);
   (* the lonely node's update starts and immediately terminates *)
-  Alcotest.(check int) "one update state" 1 (Hashtbl.length node.Node.updates);
+  Alcotest.(check int) "one update state" 1 (Codb_core.Ids.Update_tbl.length node.Node.updates);
   let snap = Codb_core.Stats.snapshot node.Node.stats in
   match snap.Codb_core.Stats.snap_updates with
   | [ u ] -> Alcotest.(check bool) "finished" true (u.Codb_core.Stats.us_finished <> None)
   | _ -> Alcotest.fail "expected one update"
+
+(* --- per-message lookups ---------------------------------------------- *)
+
+(* Minor words [lookup] allocates per call, over 1 000 calls. *)
+let words_per_lookup lookup =
+  let lookups = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to lookups do
+    ignore (Sys.opaque_identity (lookup ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int lookups
+
+(* Every update and query message finds its state and its statistics
+   record: a hit must format no id and allocate nothing. *)
+let test_lookups_allocate_nothing () =
+  let _, node, _, _, _ = make_runtime lonely "me" in
+  let uid = Codb_core.Ids.update_id node.Node.node_id 1 in
+  let qid = Codb_core.Ids.query_id node.Node.node_id 1 in
+  let stats = node.Node.stats in
+  Node.add_update_state node
+    (Codb_core.Update_state.create ~initiator:true ~outgoing:[] ~incoming:[] uid);
+  ignore (Codb_core.Stats.update_stat stats ~now:0.0 uid);
+  ignore (Codb_core.Stats.query_stat stats ~now:0.0 qid);
+  let check what lookup =
+    let words = words_per_lookup lookup in
+    if words >= 1.0 then
+      Alcotest.failf "%s allocates %.1f words per lookup" what words
+  in
+  check "Node.update_state" (fun () -> Node.update_state node uid);
+  check "Stats.update_stat" (fun () -> Codb_core.Stats.update_stat stats ~now:0.0 uid);
+  check "Stats.query_stat" (fun () -> Codb_core.Stats.query_stat stats ~now:0.0 qid);
+  Alcotest.(check bool) "the state is found" true (Node.update_state node uid <> None)
+
+(* Request references go on the wire: their text is pinned. *)
+let test_fresh_ref_text () =
+  let _, node, _, _, _ = make_runtime "node n4 { relation r(x: int); }" "n4" in
+  for _ = 1 to 16 do
+    ignore (Node.fresh_serial node)
+  done;
+  Alcotest.(check string) "17th reference" "n4/17" (Node.fresh_ref node);
+  Alcotest.(check string) "then the 18th" "n4/18" (Node.fresh_ref node)
 
 let suite =
   [
@@ -211,4 +252,6 @@ let suite =
     Alcotest.test_case "bad rules file rejected" `Quick test_reconfigure_rejects_bad_text;
     Alcotest.test_case "DBM answers stats requests" `Quick test_dbm_stats_request;
     Alcotest.test_case "DBM starts updates" `Quick test_dbm_start_update;
+    Alcotest.test_case "lookups allocate nothing" `Quick test_lookups_allocate_nothing;
+    Alcotest.test_case "request reference text" `Quick test_fresh_ref_text;
   ]

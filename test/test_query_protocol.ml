@@ -8,6 +8,10 @@ module Runtime = Codb_core.Runtime
 module Options = Codb_core.Options
 module Payload = Codb_core.Payload
 module Ids = Codb_core.Ids
+module Query_state = Codb_core.Query_state
+module Sent_filter = Codb_core.Sent_filter
+module System = Codb_core.System
+module Topology = Codb_core.Topology
 module Peer_id = Codb_net.Peer_id
 
 let middle_config =
@@ -173,6 +177,60 @@ let test_stale_messages_ignored () =
     (Payload.Query_done { query_id = qid; request_ref = "ghost"; rule_id = "from_up"; complete = true });
   Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox))
 
+(* Completion releases an instance's overlay, as termination releases
+   an update's sent filters: after a diffusion over a chain, every
+   instance on every node is closed and holds no tuple. *)
+let test_closed_instances_release_overlays () =
+  let sys = System.build_exn (Topology.generate ~seed:42 Topology.Chain ~n:5) in
+  let outcome = System.run_query sys ~at:"n0" (parse_query "ans(x, y) <- data(x, y)") in
+  Alcotest.(check bool) "answers" true (outcome.System.qo_answers <> []);
+  let instances = ref 0 in
+  List.iter
+    (fun name ->
+      Hashtbl.iter
+        (fun ref_ (st : Query_state.t) ->
+          incr instances;
+          Alcotest.(check bool) (ref_ ^ " closed") true st.Query_state.qst_closed;
+          Alcotest.(check int) (ref_ ^ " overlay empty") 0
+            (Database.cardinal st.Query_state.qst_overlay))
+        (System.node sys name).Node.query_instances)
+    (System.node_names sys);
+  Alcotest.(check int) "root and four responders" 5 !instances
+
+(* Data that reaches a closed instance (here through a routing entry
+   that outlived its sub-request) is dropped: nothing is integrated
+   into the released overlay, noted as sent, or forwarded. *)
+let test_late_data_for_closed_instance () =
+  let rt, node, outbox = make_runtime middle_config in
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~ref_:"q5" "to_down");
+  let sub_ref =
+    List.find_map
+      (fun m ->
+        match m.payload with
+        | Payload.Query_request { request_ref; _ } -> Some request_ref
+        | _ -> None)
+      (drain outbox)
+    |> Option.get
+  in
+  Query_engine.handle rt ~src:(peer "up") ~bytes:20
+    (Payload.Query_done
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
+  ignore (drain outbox);
+  let st = Hashtbl.find node.Node.query_instances "q5" in
+  let module Q = Query_state in
+  Alcotest.(check bool) "closed" true st.Q.qst_closed;
+  Alcotest.(check int) "overlay released" 0 (Database.cardinal st.Q.qst_overlay);
+  let sent = Sent_filter.tracked st.Q.qst_sent in
+  Hashtbl.replace node.Node.sub_refs sub_ref "q5";
+  Query_engine.handle rt ~src:(peer "up") ~bytes:60
+    (Payload.Query_data
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
+         tuples = [ tup [ i 9 ] ] });
+  Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox));
+  Alcotest.(check int) "overlay still empty" 0 (Database.cardinal st.Q.qst_overlay);
+  Alcotest.(check int) "sent table unchanged" sent
+    (Sent_filter.tracked st.Q.qst_sent)
+
 let suite =
   [
     Alcotest.test_case "responder serves and fans out" `Quick
@@ -181,4 +239,8 @@ let suite =
     Alcotest.test_case "deltas stream, then done" `Quick test_streams_deltas_then_done;
     Alcotest.test_case "unknown rule answers done" `Quick test_unknown_rule_answers_done;
     Alcotest.test_case "stale messages ignored" `Quick test_stale_messages_ignored;
+    Alcotest.test_case "closed instances release overlays" `Quick
+      test_closed_instances_release_overlays;
+    Alcotest.test_case "late data for a closed instance" `Quick
+      test_late_data_for_closed_instance;
   ]

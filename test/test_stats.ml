@@ -103,6 +103,43 @@ let test_snapshot_sorted_by_start () =
         (first.Stats.us_started <= second.Stats.us_started)
   | _ -> Alcotest.fail "two updates expected"
 
+(* Updates and queries that start at the same simulated time are
+   listed by id, whatever order the node's tables hold them in: the
+   printed report is the same for both insertion orders. *)
+let test_snapshot_ties_break_by_id () =
+  let ids = [ ("b", 1); ("a", 10); ("a", 2) ] in
+  let snapshot order =
+    let st = Stats.create (Peer_id.of_string "n") in
+    ignore (Stats.update_stat st ~now:0.5 (Ids.update_id (Peer_id.of_string "z") 9));
+    List.iter
+      (fun (origin, serial) ->
+        let origin = Peer_id.of_string origin in
+        ignore (Stats.update_stat st ~now:1.0 (Ids.update_id origin serial));
+        ignore (Stats.query_stat st ~now:1.0 (Ids.query_id origin serial)))
+      order;
+    Stats.snapshot st
+  in
+  let forward = snapshot ids and backward = snapshot (List.rev ids) in
+  Alcotest.(check (list string)) "updates: start time, then id"
+    [ "upd:z#9"; "upd:a#2"; "upd:a#10"; "upd:b#1" ]
+    (List.map (fun u -> Ids.string_of_update u.Stats.us_update) forward.Stats.snap_updates);
+  Alcotest.(check (list string)) "queries by id" [ "qry:a#2"; "qry:a#10"; "qry:b#1" ]
+    (List.map (fun q -> Ids.string_of_query q.Stats.qs_query) forward.Stats.snap_queries);
+  Alcotest.(check string) "same report either way"
+    (Fmt.str "%a" Stats.pp_snapshot forward)
+    (Fmt.str "%a" Stats.pp_snapshot backward)
+
+(* Ids key durability snapshots and name updates in every report: the
+   text is pinned. *)
+let test_id_text () =
+  let n0 = Peer_id.of_string "n0" and n4 = Peer_id.of_string "n4" in
+  Alcotest.(check string) "update" "upd:n0#3" (Ids.string_of_update (Ids.update_id n0 3));
+  Alcotest.(check string) "query" "qry:n4#17" (Ids.string_of_query (Ids.query_id n4 17));
+  Alcotest.(check string) "printer agrees" "upd:n0#3"
+    (Fmt.str "%a" Ids.pp_update (Ids.update_id n0 3));
+  Alcotest.(check string) "query printer agrees" "qry:n4#17"
+    (Fmt.str "%a" Ids.pp_query (Ids.query_id n4 17))
+
 (* A node with a distinct value in every counter, so each printer
    below is pinned field by field: a swapped or dropped field changes
    the text.  A second, quiet node pins the sections that print only
@@ -307,6 +344,8 @@ let suite =
     Alcotest.test_case "latest report picks the newest" `Quick
       test_latest_update_report_picks_newest;
     Alcotest.test_case "snapshots sorted by start" `Quick test_snapshot_sorted_by_start;
+    Alcotest.test_case "start-time ties break by id" `Quick test_snapshot_ties_break_by_id;
+    Alcotest.test_case "id text pinned" `Quick test_id_text;
     Alcotest.test_case "every report printer pinned" `Quick test_printers_pinned;
     Alcotest.test_case "a snapshot is a copy" `Quick test_snapshot_is_a_copy;
   ]
