@@ -7,7 +7,8 @@
    update requests*: instead of a network-wide global update it
    materialises exactly what its dashboard query needs, whenever it
    needs it.  New readings inserted between rounds are picked up
-   incrementally (duplicate suppression means only deltas travel).
+   incrementally: each link remembers the rows it already shipped (its
+   watermark), so only the rows added since travel.
    Finally an ad-hoc diagnostic query streams its results as they
    arrive from the stations.
 

@@ -166,12 +166,12 @@ let sent_entries (node : Node.t) =
       match st with
       | None -> acc
       | Some st ->
-          Hashtbl.fold
-            (fun rule filter acc ->
+          List.fold_left
+            (fun acc (rule, filter) ->
               match Sent_filter.elements filter with
               | [] -> acc
               | tuples -> (Ids.string_of_update update_id, rule, tuples) :: acc)
-            st.Update_state.ust_sent acc)
+            acc (Update_state.sent_filters st))
     node.Node.updates []
   |> List.sort (fun (u1, r1, _) (u2, r2, _) ->
          match String.compare u1 u2 with 0 -> String.compare r1 r2 | c -> c)

@@ -1,36 +1,60 @@
 module Tuple = Codb_relalg.Tuple
+module Intern = Codb_relalg.Intern
 module Database = Codb_relalg.Database
 module Relation = Codb_relalg.Relation
+module Row_table = Codb_cq.Eval.Row_table
 
 type import = { li_rule : string; li_hops : int; li_at : float }
 
 type origin = Base | Imported of import list
 
-type key = string * Tuple.t
+(* Per relation, the imports of each packed row, newest first.  A
+   node has a few relations, and one that never imported allocates no
+   table. *)
+type t = { mutable rels : (string * import list Row_table.t) list }
 
-module Key_map = Map.Make (struct
-  type t = key
+let create () = { rels = [] }
 
-  let compare (r1, t1) (r2, t2) =
-    let c = String.compare r1 r2 in
-    if c <> 0 then c else Tuple.compare t1 t2
-end)
-
-type t = { mutable entries : import list Key_map.t }
-
-let create () = { entries = Key_map.empty }
+let pack tuple = Array.map Intern.pack tuple
 
 let record_import t ~rel tuple import =
-  let key = (rel, tuple) in
-  let existing = Option.value ~default:[] (Key_map.find_opt key t.entries) in
-  t.entries <- Key_map.add key (existing @ [ import ]) t.entries
+  let rows =
+    match List.assoc_opt rel t.rels with
+    | Some rows -> rows
+    | None ->
+        let rows = Row_table.create 64 in
+        t.rels <- (rel, rows) :: t.rels;
+        rows
+  in
+  let row = pack tuple in
+  let earlier = Option.value ~default:[] (Row_table.find_opt rows row) in
+  Row_table.replace rows row (import :: earlier)
 
 let imports t ~rel tuple =
-  Option.value ~default:[] (Key_map.find_opt (rel, tuple) t.entries)
+  match List.assoc_opt rel t.rels with
+  | None -> []
+  | Some rows -> (
+      match Row_table.find_opt rows (pack tuple) with
+      | Some newest_first -> List.rev newest_first
+      | None -> [])
 
-let all t = Key_map.bindings t.entries
+let all t =
+  let entries =
+    List.fold_left
+      (fun acc (rel, rows) ->
+        Row_table.fold
+          (fun row newest_first acc ->
+            ((rel, Array.map Intern.unpack row), List.rev newest_first) :: acc)
+          rows acc)
+      [] t.rels
+  in
+  List.sort
+    (fun ((r1, t1), _) ((r2, t2), _) ->
+      let c = String.compare r1 r2 in
+      if c <> 0 then c else Tuple.compare t1 t2)
+    entries
 
-let clear t = t.entries <- Key_map.empty
+let clear t = t.rels <- []
 
 let origin_of ~store t ~rel tuple =
   match Database.relation_opt store rel with

@@ -11,6 +11,7 @@ type t = {
   mutable incoming : Config.rule_decl list;
   stats : Stats.t;
   lineage : Lineage.t;
+  watermarks : Watermark.t;
   updates : Update_state.t option Ids.Update_tbl.t;
   query_instances : (string, Query_state.t) Hashtbl.t;
   sub_refs : (string, string) Hashtbl.t;
@@ -44,6 +45,7 @@ let create decl =
     incoming = [];
     stats = Stats.create node_id;
     lineage = Lineage.create ();
+    watermarks = Watermark.create ();
     updates = Ids.Update_tbl.create 8;
     query_instances = Hashtbl.create 8;
     sub_refs = Hashtbl.create 8;
@@ -72,7 +74,9 @@ let reset_store node =
     (fun (rel, tuple) -> ignore (Database.insert store rel tuple))
     node.decl.Config.facts;
   node.store <- store;
-  Lineage.clear node.lineage
+  Lineage.clear node.lineage;
+  (* the marks count rows of the store that is gone *)
+  Watermark.clear node.watermarks
 
 let fresh_serial node =
   node.serial <- node.serial + 1;
@@ -113,6 +117,7 @@ let mirrors_sorted node =
 let set_rules node ~outgoing ~incoming =
   node.outgoing <- outgoing;
   node.incoming <- incoming;
+  Watermark.clear node.watermarks;
   (* acquaintances and rule bodies changed: cached answers may rest on
      rules that no longer exist *)
   Option.iter Codb_cache.Qcache.clear node.cache
@@ -188,6 +193,7 @@ let explain node ~rel tuple = Lineage.origin_of ~store:node.store node.lineage ~
    dropping the relay, and the restart decides what comes back. *)
 let reset_volatile node =
   Ids.Update_tbl.reset node.updates;
+  Watermark.clear node.watermarks;
   Hashtbl.reset node.query_instances;
   Hashtbl.reset node.sub_refs;
   Hashtbl.reset node.seen_probes;

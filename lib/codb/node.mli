@@ -24,6 +24,10 @@ type t = {
           source) *)
   stats : Stats.t;
   lineage : Lineage.t;  (** how each stored tuple got here *)
+  watermarks : Watermark.t;
+      (** per incoming rule, the rows every head of which was
+          delivered to the importer; cleared by {!reset_store},
+          {!set_rules} and {!reset_volatile} *)
   updates : Update_state.t option Ids.Update_tbl.t;
       (** every value is [Some st], stored once by {!add_update_state}
           so that {!update_state} returns it without allocating *)
@@ -80,8 +84,8 @@ val create : Config.node_decl -> t
 
 val reset_store : t -> unit
 (** A crash: replace the store with a fresh one holding only the
-    declared facts, and clear the lineage.  Recovery (or re-fetching)
-    must rebuild the rest. *)
+    declared facts, and clear the lineage and the watermarks.  Recovery
+    (or re-fetching) must rebuild the rest. *)
 
 val fresh_serial : t -> int
 
@@ -129,8 +133,9 @@ val note_local_write : t -> unit
 
 val set_rules :
   t -> outgoing:Config.rule_decl list -> incoming:Config.rule_decl list -> unit
-(** Replace the coordination rules.  Clears the query-answer cache:
-    cached answers may rest on rules that no longer exist. *)
+(** Replace the coordination rules.  Clears the query-answer cache
+    (cached answers may rest on rules that no longer exist) and the
+    watermarks (the links they describe may have changed). *)
 
 val rule_out : t -> string -> Config.rule_decl option
 (** Find one of this node's outgoing rules by id. *)
@@ -151,10 +156,11 @@ val explain : t -> rel:string -> Codb_relalg.Tuple.t -> Lineage.origin option
     and paths that delivered it. *)
 
 val reset_volatile : t -> unit
-(** A crash: drop in-flight update/query instances, sub-request
-    bookkeeping, probe dedup, cached answers, hosted subscriptions,
-    remote-subscription mirrors and buffered answer deltas (counted in
-    [Stats.sub.sb_torn_down]); settle the relay's in-flight frames.
+(** A crash: drop in-flight update/query instances, the watermarks,
+    sub-request bookkeeping, probe dedup, cached answers, hosted
+    subscriptions, remote-subscription mirrors and buffered answer
+    deltas (counted in [Stats.sub.sb_torn_down]); settle the relay's
+    in-flight frames.
     The store, lineage and the relay itself are left to the caller
     ({!reset_store}, {!System.crash_node}). *)
 

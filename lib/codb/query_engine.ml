@@ -364,10 +364,12 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
               in
               if integration.Wrapper.fresh <> [] then begin
                 match st.Q.qst_kind with
-                | Q.Root root ->
+                | Q.Root { on_answer = None; _ } ->
                     (* the overlay is authoritatively evaluated on
-                       completion; here we only stream the answers the
-                       delta newly enables *)
+                       completion, and nobody listens to the stream *)
+                    ()
+                | Q.Root root ->
+                    (* stream only the answers the delta newly enables *)
                     let answers =
                       with_counters rt qid (fun () ->
                           Eval.delta_heads

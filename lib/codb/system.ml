@@ -331,14 +331,25 @@ let build ?(opts = Options.default) cfg =
           Network.create ~default_latency:opts.Options.latency
             ~default_byte_cost:opts.Options.byte_cost ~size_of ()
         in
+        let nodes = Hashtbl.create 32 in
         (* any pipe transition (close, reopen, flap) or send against a
-           closed pipe desyncs the link: new epoch both ways *)
-        Network.set_link_watcher net (fun a b -> Link_dict.bump_link links a b);
+           closed pipe desyncs the link: new epoch both ways.  It may
+           also have lost data between the two peers, so neither end's
+           watermarks towards the other stand. *)
+        let void_watermarks node peer =
+          match Hashtbl.find_opt nodes (Peer_id.to_string node) with
+          | Some n -> Watermark.clear_peer n.Node.watermarks peer
+          | None -> ()
+        in
+        Network.set_link_watcher net (fun a b ->
+            Link_dict.bump_link links a b;
+            void_watermarks a b;
+            void_watermarks b a);
         let sys =
           {
             sys_net = net;
             sys_links = links;
-            sys_nodes = Hashtbl.create 32;
+            sys_nodes = nodes;
             sys_runtimes = Hashtbl.create 32;
             sys_dur = Hashtbl.create 32;
             sys_restarts = ref 0;

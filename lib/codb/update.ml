@@ -2,7 +2,9 @@ module Peer_id = Codb_net.Peer_id
 module Config = Codb_cq.Config
 module Query = Codb_cq.Query
 module Atom = Codb_cq.Atom
-module Tuple_set = Codb_relalg.Relation.Tuple_set
+module Tuple = Codb_relalg.Tuple
+module Database = Codb_relalg.Database
+module Relation = Codb_relalg.Relation
 module Eval = Codb_cq.Eval
 module U = Update_state
 
@@ -54,13 +56,45 @@ let finalize rt (st : U.t) =
 let may_export (rt : Runtime.t) =
   rt.node.Node.decl.Config.constraints = [] || Node.is_consistent rt.node
 
-(* Termination: every link closes, so no sent filter is consulted
-   again; releasing them keeps a finished update from pinning its
-   filters in [Node.updates] (and in every later WAL snapshot). *)
-let close_everything (st : U.t) =
-  Hashtbl.iter (fun rule _ -> U.close_out st rule) (Hashtbl.copy st.U.ust_out);
-  Hashtbl.iter (fun rule _ -> U.close_in st rule) (Hashtbl.copy st.U.ust_in);
-  U.release_sent st
+let reliable_mode (rt : Runtime.t) =
+  Options.reliable rt.Runtime.opts && Option.is_some rt.Runtime.node.Node.relay
+
+(* May a served link's watermark commit?  Only if what it covers
+   arrived: the node exports (an inconsistent node ships nothing), and
+   every loss is accounted for.  Pipe transitions reach the watermarks
+   through the link watcher ([System.build]) and transport give-ups
+   through {!send_data_counted}; a fire-and-forget transport under
+   injected faults loses data silently, so nothing commits there. *)
+let may_commit rt =
+  may_export rt && not (Options.faults_enabled rt.Runtime.opts && not (reliable_mode rt))
+
+(* A link's close leaves once everything sent on it before has
+   settled ({!close_link}): its pending watermark commits then. *)
+let commit_served rt (st : U.t) rule =
+  match U.take_served st rule with
+  | Some mark when may_commit rt ->
+      Watermark.commit rt.Runtime.node.Node.watermarks ~rule mark
+  | Some _ | None -> ()
+
+(* Termination releases every table of the update ({!U.release}): no
+   link is consulted again, and a finished update pins no sent filter
+   in [Node.updates] (nor in any later WAL snapshot).  Before that, the
+   links still open (a cycle's never close on their own) commit their
+   watermarks, each only if everything sent to its importer settled and
+   nothing waits in a wire buffer for it: a give-up's compensation can
+   let the initiator declare quiescence while a late message still has
+   a node producing data. *)
+let commit_open_links rt (st : U.t) =
+  match U.take_all_served st with
+  | [] -> ()
+  | marks ->
+      if may_commit rt then
+        List.iter
+          (fun (rule, mark) ->
+            let dst = Watermark.importer mark in
+            if U.buffer_size st ~dst = 0 && U.dst_unacked st ~dst = 0 then
+              Watermark.commit rt.Runtime.node.Node.watermarks ~rule mark)
+          marks
 
 let flood_terminated rt (st : U.t) ~except =
   let forward peer =
@@ -71,14 +105,6 @@ let flood_terminated rt (st : U.t) ~except =
            (Payload.Update_terminated { update_id = st.U.ust_update }))
   in
   List.iter forward (Node.acquaintances rt.Runtime.node)
-
-let on_terminated rt (st : U.t) ~src =
-  if not st.U.ust_terminated then begin
-    st.U.ust_terminated <- true;
-    close_everything st;
-    finalize rt st;
-    flood_terminated rt st ~except:(Some src)
-  end
 
 (* Dijkstra–Scholten: a node disengages (acknowledging the message
    that engaged it) once everything it sent has been acknowledged AND
@@ -93,7 +119,9 @@ let check_disengage rt (st : U.t) =
     if st.U.ust_initiator then begin
       st.U.ust_engaged <- false;
       st.U.ust_terminated <- true;
-      close_everything st;
+      (* quiescent: nothing is buffered here *)
+      commit_open_links rt st;
+      U.release st;
       finalize rt st;
       flood_terminated rt st ~except:None
     end
@@ -127,12 +155,10 @@ let send_counted (rt : Runtime.t) (st : U.t) ~dst payload =
   if Reliable.send_noted ~on_settled rt ~dst payload then
     st.U.ust_deficit <- st.U.ust_deficit + 1
 
-let reliable_mode (rt : Runtime.t) =
-  Options.reliable rt.Runtime.opts && Option.is_some rt.Runtime.node.Node.relay
-
 let send_deferred_closes rt (st : U.t) ~dst =
   List.iter
     (fun (rule_id, global) ->
+      commit_served rt st rule_id;
       send_counted rt st ~dst
         (Payload.Update_link_closed { update_id = st.U.ust_update; rule_id; global }))
     (U.take_deferred_closes st ~dst)
@@ -142,11 +168,13 @@ let send_deferred_closes rt (st : U.t) ~dst =
    out as soon as the last message settles.  A settlement with
    [ok = false] still releases the closes: the receiver missed those
    tuples for good, and holding the close any longer would only stall
-   termination on top of the data loss. *)
+   termination on top of the data loss; the loss also voids every
+   watermark towards [dst]. *)
 let send_data_counted rt (st : U.t) ~dst payload =
   if not (reliable_mode rt) then send_counted rt st ~dst payload
   else begin
     let on_settled ~ok =
+      if not ok then Watermark.clear_peer rt.Runtime.node.Node.watermarks dst;
       if is_current rt st then begin
         U.decr_unacked st ~dst;
         if not st.U.ust_terminated then begin
@@ -172,38 +200,11 @@ let close_link rt (st : U.t) ~dst ~rule_id =
   let global = not st.U.ust_scoped in
   if reliable_mode rt && U.dst_unacked st ~dst > 0 then
     U.defer_close st ~dst ~rule:rule_id ~global
-  else
+  else begin
+    commit_served rt st rule_id;
     send_counted rt st ~dst
       (Payload.Update_link_closed { update_id = st.U.ust_update; rule_id; global })
-
-(* The initiator's last resort: bounded retries bound the transport,
-   but a crashed-and-gone acquaintance (or an ack chain cut by a
-   permanent partition) can still leave the engagement tree waiting.
-   When nothing has moved for a whole failure-deadline window the
-   initiator declares the update over — explicitly marked forced, so
-   reports show the fix-point may be incomplete. *)
-let force_terminate rt (st : U.t) =
-  if not st.U.ust_terminated then begin
-    Log.warn (fun m ->
-        m "%a: forcing termination of stalled %a (deficit %d, pending %d)" Peer_id.pp
-          rt.Runtime.node.Node.node_id Ids.pp_update st.U.ust_update st.U.ust_deficit
-          (U.pending_tuples st));
-    let us = stat rt st.U.ust_update in
-    us.Stats.us_forced <- true;
-    Stats.note_forced_termination rt.Runtime.node.Node.stats;
-    st.U.ust_engaged <- false;
-    st.U.ust_terminated <- true;
-    close_everything st;
-    finalize rt st;
-    flood_terminated rt st ~except:None
   end
-
-let rec arm_watchdog rt (st : U.t) ~last_activity =
-  let window = Options.failure_deadline rt.Runtime.opts in
-  rt.Runtime.schedule ~delay:window (fun () ->
-      if is_current rt st && (not st.U.ust_terminated) && not st.U.ust_finished then
-        if st.U.ust_activity = last_activity then force_terminate rt st
-        else arm_watchdog rt st ~last_activity:st.U.ust_activity)
 
 let batch_max_tuples = 256
 
@@ -229,6 +230,52 @@ let flush_dst rt (st : U.t) us dst =
       us.Stats.us_batches <- us.Stats.us_batches + 1;
       us.Stats.us_batch_tuples <- us.Stats.us_batch_tuples + tuple_count;
       Stats.note_sent_to us dst
+
+(* What sits in a wire buffer still goes out before a terminating
+   update releases its buffers. *)
+let flush_buffers rt (st : U.t) =
+  List.iter (flush_dst rt st (stat rt st.U.ust_update)) (U.buffered_destinations st)
+
+let on_terminated rt (st : U.t) ~src =
+  if not st.U.ust_terminated then begin
+    st.U.ust_terminated <- true;
+    commit_open_links rt st;
+    flush_buffers rt st;
+    U.release st;
+    finalize rt st;
+    flood_terminated rt st ~except:(Some src)
+  end
+
+(* The initiator's last resort: bounded retries bound the transport,
+   but a crashed-and-gone acquaintance (or an ack chain cut by a
+   permanent partition) can still leave the engagement tree waiting.
+   When nothing has moved for a whole failure-deadline window the
+   initiator declares the update over — explicitly marked forced, so
+   reports show the fix-point may be incomplete. *)
+let force_terminate rt (st : U.t) =
+  if not st.U.ust_terminated then begin
+    Log.warn (fun m ->
+        m "%a: forcing termination of stalled %a (deficit %d, pending %d)" Peer_id.pp
+          rt.Runtime.node.Node.node_id Ids.pp_update st.U.ust_update st.U.ust_deficit
+          (U.pending_tuples st));
+    let us = stat rt st.U.ust_update in
+    us.Stats.us_forced <- true;
+    Stats.note_forced_termination rt.Runtime.node.Node.stats;
+    st.U.ust_engaged <- false;
+    st.U.ust_terminated <- true;
+    (* acknowledgements are owed, so nothing commits *)
+    flush_buffers rt st;
+    U.release st;
+    finalize rt st;
+    flood_terminated rt st ~except:None
+  end
+
+let rec arm_watchdog rt (st : U.t) ~last_activity =
+  let window = Options.failure_deadline rt.Runtime.opts in
+  rt.Runtime.schedule ~delay:window (fun () ->
+      if is_current rt st && (not st.U.ust_terminated) && not st.U.ust_finished then
+        if st.U.ust_activity = last_activity then force_terminate rt st
+        else arm_watchdog rt st ~last_activity:st.U.ust_activity)
 
 (* Arm the flush window for [dst] unless one is already pending.  The
    scheduled action runs as its own simulator event, outside any message
@@ -305,6 +352,51 @@ let maybe_close_incoming rt (st : U.t) =
 
 let node_closed_check rt (st : U.t) = if U.all_out_closed st then finalize rt st
 
+let cardinal store rel =
+  match Database.relation_opt store rel with
+  | Some relation -> Relation.cardinal relation
+  | None -> 0
+
+(* Answer one incoming link from local data.  A link with a watermark
+   ships only what the rows past it derive: one semi-naive pass per
+   body relation that grew, all into the link's sent filter, so a head
+   derivable from new rows of two relations goes out once.  A link
+   without one is evaluated in full, as the paper's update does.  The
+   link's pending mark starts at the cardinalities read here. *)
+let serve_incoming rt (st : U.t) us (inc : Config.rule_decl) =
+  let node = rt.Runtime.node in
+  let store = node.Node.store in
+  let rels = Query.body_relations inc.Config.rule_query in
+  let rows = List.map (cardinal store) rels in
+  (* a filter that already holds heads at service time was carried over
+     by a WAL recovery from before a crash: nothing accounts for those
+     sends having arrived, so the link records no mark *)
+  let carried = U.sent_tracked st inc.Config.rule_id > 0 in
+  let tuples =
+    Stats.with_eval_counters us.Stats.us_eval (fun () ->
+        match Watermark.find node.Node.watermarks inc.Config.rule_id with
+        | None -> Wrapper.eval_rule_full ?sent:(sent_for rt st inc) store inc
+        | Some marks ->
+            let sent =
+              match sent_for rt st inc with Some f -> f | None -> Sent_filter.create ()
+            in
+            let grown (acc, i) rel count =
+              let mark = marks.(i) in
+              if count = mark then (acc, i + 1)
+              else
+                let fresh =
+                  Wrapper.eval_rule_delta ~sent ~naive:rt.Runtime.opts.Options.naive_delta
+                    store inc ~delta_rel:rel ~since:mark
+                in
+                (List.merge Tuple.compare acc fresh, i + 1)
+            in
+            fst (List.fold_left2 grown ([], 0) rels rows))
+  in
+  if not carried then
+    U.note_served st inc.Config.rule_id
+      (Watermark.serve node.Node.watermarks ~importer:(importer_of inc) ~rels ~rows);
+  send_on_incoming rt st us inc ~hops:1 tuples
+
 (* First contact with an update: flood the request, answer every
    incoming link from local data, close independent incoming links. *)
 let first_contact rt (st : U.t) ~exclude =
@@ -320,16 +412,7 @@ let first_contact rt (st : U.t) ~exclude =
   List.iter
     (fun (o : Config.rule_decl) -> Stats.note_queried us (source_of o))
     rt.Runtime.node.Node.outgoing;
-  if may_export rt then
-    List.iter
-      (fun (inc : Config.rule_decl) ->
-        let tuples =
-          Stats.with_eval_counters us.Stats.us_eval (fun () ->
-              Wrapper.eval_rule_full ?sent:(sent_for rt st inc) rt.Runtime.node.Node.store
-                inc)
-        in
-        send_on_incoming rt st us inc ~hops:1 tuples)
-      rt.Runtime.node.Node.incoming;
+  if may_export rt then List.iter (serve_incoming rt st us) rt.Runtime.node.Node.incoming;
   maybe_close_incoming rt st;
   node_closed_check rt st
 
@@ -382,7 +465,13 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
                     rt.Runtime.node.Node.store inc ~delta_rel:rel
                     ~since:integration.Wrapper.since ~delta:integration.Wrapper.fresh)
             in
-            send_on_incoming rt st us inc ~hops:(hops + 1) derived
+            send_on_incoming rt st us inc ~hops:(hops + 1) derived;
+            let since = integration.Wrapper.since in
+            Option.iter
+              (fun mark ->
+                Watermark.advance mark ~rel ~since
+                  ~upto:(since + List.length integration.Wrapper.fresh))
+              (U.served st inc.Config.rule_id)
           end
         in
         List.iter recompute
@@ -429,9 +518,11 @@ let on_batch rt (st : U.t) ~bytes ~entries =
     entries
 
 let on_link_closed rt (st : U.t) ~rule_id =
-  U.close_out st rule_id;
-  maybe_close_incoming rt st;
-  node_closed_check rt st
+  if not st.U.ust_terminated then begin
+    U.close_out st rule_id;
+    maybe_close_incoming rt st;
+    node_closed_check rt st
+  end
 
 let fresh_state rt ~initiator ~scoped uid =
   let st =
@@ -459,7 +550,7 @@ let fresh_state rt ~initiator ~scoped uid =
 (* Scoped updates: ask the source of an outgoing link for its data
    (once per link per update). *)
 let activate_outgoing rt (st : U.t) (o : Config.rule_decl) =
-  if not (U.is_active_out st o.Config.rule_id) then begin
+  if not (st.U.ust_terminated || U.is_active_out st o.Config.rule_id) then begin
     U.activate_out st o.Config.rule_id;
     Stats.note_queried (stat rt st.U.ust_update) (source_of o);
     send_counted rt st ~dst:(source_of o)
@@ -470,7 +561,7 @@ let activate_outgoing rt (st : U.t) (o : Config.rule_decl) =
 (* Scoped updates: start serving one of our incoming links, and
    recursively request what its body needs. *)
 let activate_incoming rt (st : U.t) ~requester rule_id =
-  if not (U.is_active_in st rule_id) then begin
+  if not (st.U.ust_terminated || U.is_active_in st rule_id) then begin
     match Node.rule_in rt.Runtime.node rule_id with
     | None ->
         (* version skew: we do not know the rule; release the
@@ -481,15 +572,7 @@ let activate_incoming rt (st : U.t) ~requester rule_id =
                 { update_id = st.U.ust_update; rule_id; global = false }))
     | Some inc ->
         U.activate_in st rule_id;
-        let us = stat rt st.U.ust_update in
-        if may_export rt then begin
-          let tuples =
-            Stats.with_eval_counters us.Stats.us_eval (fun () ->
-                Wrapper.eval_rule_full ?sent:(sent_for rt st inc)
-                  rt.Runtime.node.Node.store inc)
-          in
-          send_on_incoming rt st us inc ~hops:1 tuples
-        end;
+        if may_export rt then serve_incoming rt st (stat rt st.U.ust_update) inc;
         List.iter (activate_outgoing rt st)
           (Deps.relevant_outgoing rt.Runtime.node.Node.outgoing ~incoming:inc);
         maybe_close_incoming rt st;

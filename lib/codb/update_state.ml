@@ -19,6 +19,29 @@ type dest_buffer = {
   mutable db_scheduled : bool;
 }
 
+(* Everything an update keeps per link and per destination.  It lives
+   until the update terminates; a terminated update keeps only its
+   flags. *)
+type live = {
+  out : (string, link_state) Hashtbl.t;  (* my outgoing links *)
+  inl : (string, link_state) Hashtbl.t;  (* my incoming links *)
+  sent : (string, Sent_filter.t) Hashtbl.t;
+      (* per incoming link: packed head rows (holes included) already
+         sent *)
+  marks : (string, Watermark.pending) Hashtbl.t;
+      (* per incoming link served in this update: its pending
+         watermark *)
+  wire : (Peer_id.t, dest_buffer) Hashtbl.t;
+      (* per-destination batching buffers (empty when batching is off) *)
+  mutable pending : int;  (* total tuples sitting in wire buffers *)
+  unacked : (Peer_id.t, int) Hashtbl.t;
+      (* reliable transport only: data messages sent to a destination
+         and not yet settled (acked or given up) *)
+  deferred : (Peer_id.t, (string * bool) list) Hashtbl.t;
+      (* [(rule, global)] link closes held back until the destination's
+         in-flight data settles, newest first *)
+}
+
 type t = {
   ust_update : Ids.update_id;
   ust_initiator : bool;
@@ -26,16 +49,10 @@ type t = {
   mutable ust_parent : Peer_id.t option;
   mutable ust_engaged : bool;
   mutable ust_deficit : int;
-  ust_out : (string, link_state) Hashtbl.t;
-  ust_in : (string, link_state) Hashtbl.t;
-  ust_sent : (string, Sent_filter.t) Hashtbl.t;
-  ust_wire : (Peer_id.t, dest_buffer) Hashtbl.t;
-  mutable ust_pending : int;
+  mutable ust_live : live option;
   mutable ust_terminated : bool;
   mutable ust_finished : bool;
   mutable ust_activity : int;
-  ust_unacked : (Peer_id.t, int) Hashtbl.t;
-  ust_deferred : (Peer_id.t, (string * bool) list) Hashtbl.t;
 }
 
 let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
@@ -49,141 +66,210 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
     ust_parent = None;
     ust_engaged = false;
     ust_deficit = 0;
-    ust_out = out;
-    ust_in = inl;
-    ust_sent = Hashtbl.create 8;
-    ust_wire = Hashtbl.create 8;
-    ust_pending = 0;
+    ust_live =
+      Some
+        {
+          out;
+          inl;
+          sent = Hashtbl.create 8;
+          marks = Hashtbl.create 8;
+          wire = Hashtbl.create 8;
+          pending = 0;
+          unacked = Hashtbl.create 8;
+          deferred = Hashtbl.create 8;
+        };
     ust_terminated = false;
     ust_finished = false;
     ust_activity = 0;
-    ust_unacked = Hashtbl.create 8;
-    ust_deferred = Hashtbl.create 8;
   }
 
 let touch st = st.ust_activity <- st.ust_activity + 1
 
+(* A released update answers every question as a finished one would:
+   no link open, nothing buffered, in flight or pending. *)
+let find table key = function
+  | Some live -> Hashtbl.find_opt (table live) key
+  | None -> None
+
 let out_state st rule =
-  Option.value ~default:Link_closed (Hashtbl.find_opt st.ust_out rule)
+  Option.value ~default:Link_closed (find (fun l -> l.out) rule st.ust_live)
 
-let in_state st rule = Option.value ~default:Link_closed (Hashtbl.find_opt st.ust_in rule)
+let in_state st rule =
+  Option.value ~default:Link_closed (find (fun l -> l.inl) rule st.ust_live)
 
-let is_active_in st rule = Hashtbl.mem st.ust_in rule
+let is_active_in st rule = Option.is_some (find (fun l -> l.inl) rule st.ust_live)
 
-let is_active_out st rule = Hashtbl.mem st.ust_out rule
+let is_active_out st rule = Option.is_some (find (fun l -> l.out) rule st.ust_live)
+
+let set table st key value =
+  match st.ust_live with Some live -> Hashtbl.replace (table live) key value | None -> ()
+
+let remove table st key =
+  match st.ust_live with Some live -> Hashtbl.remove (table live) key | None -> ()
 
 let activate_out st rule =
-  if not (Hashtbl.mem st.ust_out rule) then Hashtbl.replace st.ust_out rule Link_open
+  if not (is_active_out st rule) then set (fun l -> l.out) st rule Link_open
 
 let activate_in st rule =
-  if not (Hashtbl.mem st.ust_in rule) then Hashtbl.replace st.ust_in rule Link_open
+  if not (is_active_in st rule) then set (fun l -> l.inl) st rule Link_open
 
-let close_out st rule = Hashtbl.replace st.ust_out rule Link_closed
+let close_out st rule = set (fun l -> l.out) st rule Link_closed
 
-let close_in st rule = Hashtbl.replace st.ust_in rule Link_closed
+let close_in st rule = set (fun l -> l.inl) st rule Link_closed
 
 let all_out_closed st =
-  Hashtbl.fold (fun _ state acc -> acc && state = Link_closed) st.ust_out true
+  match st.ust_live with
+  | Some live ->
+      Hashtbl.fold (fun _ state acc -> acc && state = Link_closed) live.out true
+  | None -> true
 
 (* ---- Per-incoming-link sent filters --------------------------------- *)
 
 let sent_filter st rule =
-  match Hashtbl.find_opt st.ust_sent rule with
-  | Some f -> f
-  | None ->
-      let f = Sent_filter.create () in
-      Hashtbl.add st.ust_sent rule f;
-      f
+  match st.ust_live with
+  | None -> Sent_filter.create ()
+  | Some live -> (
+      match Hashtbl.find_opt live.sent rule with
+      | Some f -> f
+      | None ->
+          let f = Sent_filter.create () in
+          Hashtbl.add live.sent rule f;
+          f)
 
 let add_sent st rule tuples =
   let f = sent_filter st rule in
   List.iter (Sent_filter.note_sent f) tuples
 
 let sent_tracked st rule =
-  match Hashtbl.find_opt st.ust_sent rule with
+  match find (fun l -> l.sent) rule st.ust_live with
   | Some f -> Sent_filter.tracked f
   | None -> 0
 
-let release_sent st = Hashtbl.reset st.ust_sent
+let sent_filters st =
+  match st.ust_live with
+  | Some live -> Hashtbl.fold (fun rule f acc -> (rule, f) :: acc) live.sent []
+  | None -> []
+
+let release_sent st =
+  match st.ust_live with Some live -> Hashtbl.reset live.sent | None -> ()
+
+(* ---- Per-incoming-link pending watermarks ---------------------------- *)
+
+let note_served st rule mark = set (fun l -> l.marks) st rule mark
+
+let served st rule = find (fun l -> l.marks) rule st.ust_live
+
+let take_served st rule =
+  let mark = served st rule in
+  remove (fun l -> l.marks) st rule;
+  mark
+
+let take_all_served st =
+  match st.ust_live with
+  | Some live ->
+      let marks = Hashtbl.fold (fun rule mark acc -> (rule, mark) :: acc) live.marks [] in
+      Hashtbl.reset live.marks;
+      marks
+  | None -> []
+
+let release st = st.ust_live <- None
 
 (* ---- Per-destination wire buffers ----------------------------------- *)
 
-let dest_buffer st dst =
-  match Hashtbl.find_opt st.ust_wire dst with
+let dest_buffer live dst =
+  match Hashtbl.find_opt live.wire dst with
   | Some b -> b
   | None ->
       let b = { db_entries = Hashtbl.create 4; db_tuples = 0; db_scheduled = false } in
-      Hashtbl.add st.ust_wire dst b;
+      Hashtbl.add live.wire dst b;
       b
 
 let buffer_add st ~dst ~rule ~hops tuples =
-  let b = dest_buffer st dst in
-  let e =
-    match Hashtbl.find_opt b.db_entries rule with
-    | Some e -> e
-    | None ->
-        let e = { be_hops = hops; be_set = Tuple_set.empty; be_rev = [] } in
-        Hashtbl.add b.db_entries rule e;
-        e
-  in
-  e.be_hops <- max e.be_hops hops;
-  let added =
-    List.fold_left
-      (fun acc t ->
-        if Tuple_set.mem t e.be_set then acc
-        else begin
-          e.be_set <- Tuple_set.add t e.be_set;
-          e.be_rev <- t :: e.be_rev;
-          acc + 1
-        end)
-      0 tuples
-  in
-  b.db_tuples <- b.db_tuples + added;
-  st.ust_pending <- st.ust_pending + added;
-  added
+  match st.ust_live with
+  | None -> 0
+  | Some live ->
+      let b = dest_buffer live dst in
+      let e =
+        match Hashtbl.find_opt b.db_entries rule with
+        | Some e -> e
+        | None ->
+            let e = { be_hops = hops; be_set = Tuple_set.empty; be_rev = [] } in
+            Hashtbl.add b.db_entries rule e;
+            e
+      in
+      e.be_hops <- max e.be_hops hops;
+      let added =
+        List.fold_left
+          (fun acc t ->
+            if Tuple_set.mem t e.be_set then acc
+            else begin
+              e.be_set <- Tuple_set.add t e.be_set;
+              e.be_rev <- t :: e.be_rev;
+              acc + 1
+            end)
+          0 tuples
+      in
+      b.db_tuples <- b.db_tuples + added;
+      live.pending <- live.pending + added;
+      added
 
 let buffer_size st ~dst =
-  match Hashtbl.find_opt st.ust_wire dst with Some b -> b.db_tuples | None -> 0
+  match find (fun l -> l.wire) dst st.ust_live with Some b -> b.db_tuples | None -> 0
 
 let take_buffer st ~dst =
-  match Hashtbl.find_opt st.ust_wire dst with
-  | None -> []
-  | Some b ->
+  match (st.ust_live, find (fun l -> l.wire) dst st.ust_live) with
+  | Some live, Some b ->
       let entries =
         Hashtbl.fold
           (fun rule e acc ->
             if e.be_rev = [] then acc else (rule, e.be_hops, List.rev e.be_rev) :: acc)
           b.db_entries []
       in
-      st.ust_pending <- st.ust_pending - b.db_tuples;
+      live.pending <- live.pending - b.db_tuples;
       b.db_tuples <- 0;
       Hashtbl.reset b.db_entries;
       (* deterministic batch layout regardless of hash order *)
       List.sort (fun (r1, _, _) (r2, _, _) -> String.compare r1 r2) entries
+  | _ -> []
 
-let pending_tuples st = st.ust_pending
+let buffered_destinations st =
+  match st.ust_live with
+  | Some live ->
+      List.sort Peer_id.compare
+        (Hashtbl.fold
+           (fun dst b acc -> if b.db_tuples > 0 then dst :: acc else acc)
+           live.wire [])
+  | None -> []
+
+let pending_tuples st = match st.ust_live with Some live -> live.pending | None -> 0
 
 let flush_scheduled st ~dst =
-  match Hashtbl.find_opt st.ust_wire dst with Some b -> b.db_scheduled | None -> false
+  match find (fun l -> l.wire) dst st.ust_live with
+  | Some b -> b.db_scheduled
+  | None -> false
 
-let set_flush_scheduled st ~dst flag = (dest_buffer st dst).db_scheduled <- flag
+let set_flush_scheduled st ~dst flag =
+  match st.ust_live with
+  | Some live -> (dest_buffer live dst).db_scheduled <- flag
+  | None -> ()
 
 (* ---- Per-destination transport settlement ---------------------------- *)
 
-let dst_unacked st ~dst = Option.value ~default:0 (Hashtbl.find_opt st.ust_unacked dst)
+let dst_unacked st ~dst =
+  Option.value ~default:0 (find (fun l -> l.unacked) dst st.ust_live)
 
-let incr_unacked st ~dst = Hashtbl.replace st.ust_unacked dst (dst_unacked st ~dst + 1)
+let incr_unacked st ~dst = set (fun l -> l.unacked) st dst (dst_unacked st ~dst + 1)
 
 let decr_unacked st ~dst =
-  Hashtbl.replace st.ust_unacked dst (max 0 (dst_unacked st ~dst - 1))
+  set (fun l -> l.unacked) st dst (max 0 (dst_unacked st ~dst - 1))
 
 let defer_close st ~dst ~rule ~global =
-  let tail = Option.value ~default:[] (Hashtbl.find_opt st.ust_deferred dst) in
-  Hashtbl.replace st.ust_deferred dst ((rule, global) :: tail)
+  let tail = Option.value ~default:[] (find (fun l -> l.deferred) dst st.ust_live) in
+  set (fun l -> l.deferred) st dst ((rule, global) :: tail)
 
 let take_deferred_closes st ~dst =
-  match Hashtbl.find_opt st.ust_deferred dst with
+  match find (fun l -> l.deferred) dst st.ust_live with
   | None -> []
   | Some closes ->
-      Hashtbl.remove st.ust_deferred dst;
+      remove (fun l -> l.deferred) st dst;
       List.rev closes

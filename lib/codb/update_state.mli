@@ -2,7 +2,8 @@
 
     Tracks the paper's open/closed states of incoming and outgoing
     links, the per-incoming-link caches of already-sent tuples
-    ({!Sent_filter}), the per-destination wire
+    ({!Sent_filter}) and pending watermarks ({!Watermark}), the
+    per-destination wire
     buffers used by message batching, and the Dijkstra–Scholten
     engagement bookkeeping (parent, deficit) used to detect global
     quiescence of cyclic components. *)
@@ -11,6 +12,11 @@ module Peer_id = Codb_net.Peer_id
 module Tuple_set = Codb_relalg.Relation.Tuple_set
 
 type link_state = Link_open | Link_closed
+
+type live
+(** The per-link and per-destination tables: link states, sent
+    filters, pending watermarks, wire buffers and transport
+    settlement. *)
 
 type t = {
   ust_update : Ids.update_id;
@@ -23,17 +29,8 @@ type t = {
           initiator or while disengaged *)
   mutable ust_engaged : bool;
   mutable ust_deficit : int;  (** messages sent and not yet acknowledged *)
-  ust_out : (string, link_state) Hashtbl.t;  (** my outgoing links *)
-  ust_in : (string, link_state) Hashtbl.t;  (** my incoming links *)
-  ust_sent : (string, Sent_filter.t) Hashtbl.t;
-      (** per incoming link: packed head rows (holes included) already
-          sent; emptied when the update terminates *)
-  ust_wire : (Peer_id.t, dest_buffer) Hashtbl.t;
-      (** per-destination batching buffers (empty when batching is off) *)
-  mutable ust_pending : int;
-      (** total tuples sitting in wire buffers; must be 0 before the
-          node may disengage, or termination could be declared while
-          data is still unsent *)
+  mutable ust_live : live option;
+      (** the update's tables; [None] once it terminated ({!release}) *)
   mutable ust_terminated : bool;
       (** the terminated flood reached this node *)
   mutable ust_finished : bool;  (** local statistics were finalised *)
@@ -41,15 +38,7 @@ type t = {
       (** bumped on every protocol message for this update; the
           initiator's stall watchdog force-terminates only when a whole
           failure-deadline window passes with no movement *)
-  ust_unacked : (Peer_id.t, int) Hashtbl.t;
-      (** reliable transport only: data messages sent to a destination
-          and not yet settled (acked or given up) *)
-  ust_deferred : (Peer_id.t, (string * bool) list) Hashtbl.t;
-      (** [(rule, global)] link closes held back until the
-          destination's in-flight data settles, newest first *)
 }
-
-and dest_buffer
 
 val create :
   initiator:bool ->
@@ -104,17 +93,42 @@ val sent_tracked : t -> string -> int
 (** Exact entries currently tracked for the link (0 if never used or
     released). *)
 
+val sent_filters : t -> (string * Sent_filter.t) list
+(** Every link's filter (none once released): what a durability
+    snapshot carries. *)
+
 val release_sent : t -> unit
-(** Drop every link's filter.  Called once the update terminates:
-    every link is closed then, so nothing consults a filter again, and
-    a durability snapshot no longer carries them. *)
+(** Drop every link's filter. *)
+
+(** {2 Pending watermarks} *)
+
+val note_served : t -> string -> Watermark.pending -> unit
+(** The link was served in this update, from the rows the mark
+    counts. *)
+
+val served : t -> string -> Watermark.pending option
+
+val take_served : t -> string -> Watermark.pending option
+(** Remove and return a link's pending mark (to commit it). *)
+
+val take_all_served : t -> (string * Watermark.pending) list
+(** Remove and return every pending mark. *)
+
+val release : t -> unit
+(** Drop every table: link states, sent filters, pending marks, wire
+    buffers and transport settlement.  Called once the update
+    terminates.  Every link then reads as closed and inactive, every
+    buffer and in-flight count as empty, and writes are ignored, so a
+    finished update keeps only its flags and a durability snapshot no
+    longer carries its filters. *)
 
 (** {2 Wire buffers}
 
     Outgoing update data waiting to be coalesced into one
     [Update_batch] per destination.  Updates only insert, so a buffer
     only grows until it is drained.  All counts are exact: a tuple
-    enters [ust_pending] when buffered and leaves on {!take_buffer}. *)
+    enters {!pending_tuples} when buffered and leaves on
+    {!take_buffer}. *)
 
 val buffer_add :
   t -> dst:Peer_id.t -> rule:string -> hops:int -> Codb_relalg.Tuple.t list -> int
@@ -127,9 +141,15 @@ val buffer_size : t -> dst:Peer_id.t -> int
 val take_buffer : t -> dst:Peer_id.t -> (string * int * Codb_relalg.Tuple.t list) list
 (** Drain [dst]'s buffer: [(rule, hops, tuples)] per rule in rule
     order, insertion order within a rule.  Clears the buffer and
-    decrements [ust_pending]. *)
+    decrements {!pending_tuples}. *)
+
+val buffered_destinations : t -> Peer_id.t list
+(** Destinations with buffered tuples, in id order. *)
 
 val pending_tuples : t -> int
+(** Tuples sitting in wire buffers; must be 0 before the node may
+    disengage, or termination could be declared while data is still
+    unsent. *)
 
 val flush_scheduled : t -> dst:Peer_id.t -> bool
 

@@ -18,15 +18,15 @@ let into = Option.map Sent_filter.rows
 let eval_query_full ?sent db query =
   Eval.heads ?into:(into sent) (Eval.of_database db) query
 
-let eval_query_delta ?sent ~naive db query ~delta_rel ~since ~delta =
+let eval_query_delta ?sent ~naive ?delta db query ~delta_rel ~since =
   Eval.delta_heads ~naive ?into:(into sent) (Eval.of_database db) ~delta_rel ~since
-    ~delta query
+    ?delta query
 
 let eval_rule_full ?opts:_ ?sent db (rule : Config.rule_decl) =
   eval_query_full ?sent db rule.Config.rule_query
 
-let eval_rule_delta ?sent ~naive db (rule : Config.rule_decl) ~delta_rel ~since ~delta =
-  eval_query_delta ?sent ~naive db rule.Config.rule_query ~delta_rel ~since ~delta
+let eval_rule_delta ?sent ~naive ?delta db (rule : Config.rule_decl) ~delta_rel ~since =
+  eval_query_delta ?sent ~naive ?delta db rule.Config.rule_query ~delta_rel ~since
 
 let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
   let relation = Database.relation db rel in

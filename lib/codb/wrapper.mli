@@ -35,14 +35,15 @@ val eval_query_full : ?sent:Sent_filter.t -> Database.t -> Query.t -> Tuple.t li
 val eval_query_delta :
   ?sent:Sent_filter.t ->
   naive:bool ->
+  ?delta:Tuple.t list ->
   Database.t ->
   Query.t ->
   delta_rel:string ->
   since:int ->
-  delta:Tuple.t list ->
   Tuple.t list
 (** Semi-naive counterpart of {!eval_query_full}; [since] is the
-    watermark of {!Codb_cq.Eval.delta_answers}. *)
+    watermark of {!Codb_cq.Eval.delta_answers}.  Without [delta], the
+    delta is the stored rows of [delta_rel] from [since] on. *)
 
 val eval_rule_full :
   ?opts:Options.t -> ?sent:Sent_filter.t -> Database.t -> Config.rule_decl -> Tuple.t list
@@ -53,16 +54,18 @@ val eval_rule_full :
 val eval_rule_delta :
   ?sent:Sent_filter.t ->
   naive:bool ->
+  ?delta:Tuple.t list ->
   Database.t ->
   Config.rule_decl ->
   delta_rel:string ->
   since:int ->
-  delta:Tuple.t list ->
   Tuple.t list
 (** Head tuples derivable using at least one tuple of [delta]
     (semi-naive), filtered through [sent] like {!eval_query_full}; the
     database must already contain the delta, as its rows from [since]
-    on ({!integration.since}). *)
+    on ({!integration.since}).  Without [delta], the delta is every
+    row of [delta_rel] from [since] on: the rows a link's watermark
+    has not covered yet ({!Watermark}). *)
 
 val integrate :
   opts:Options.t -> rule_id:string -> Database.t -> rel:string -> Tuple.t list ->

@@ -504,7 +504,34 @@ let plan_for ?max_probe_cols source q =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
   plan_of_atoms ?max_probe_cols atoms q.Query.comparisons
 
-let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ~delta q ~emit =
+(* The stored rows from [since] on, copied packed: the delta a caller
+   names by its watermark alone.  Copying the cells costs the delta;
+   nothing is boxed. *)
+let rows_from (full : rows) since =
+  let cut k =
+    let view = full.packed k in
+    let _, total = view.Relation.pv_all () in
+    let n = max 0 (total - since) in
+    let flat = Array.make (max 1 (n * k)) 0 in
+    for row = 0 to n - 1 do
+      for col = 0 to k - 1 do
+        flat.((row * k) + col) <- view.Relation.pv_cell col (since + row)
+      done
+    done;
+    packed_view_of_rows ~arity:k flat n
+  in
+  let memo = ref None in
+  let packed k =
+    match !memo with
+    | Some (k', view) when k' = k -> view
+    | _ ->
+        let view = cut k in
+        memo := Some (k, view);
+        view
+  in
+  { size = max 0 (full.size - since); indexed = false; distinct = None; packed }
+
+let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ?delta q ~emit =
   if naive then full_run ?max_probe_cols source q ~emit
   else if List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body then begin
     let full = source delta_rel in
@@ -517,7 +544,9 @@ let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ~delta q
         packed = (fun k -> (full.packed k).Relation.pv_before since);
       }
     in
-    let delta_rows = rows_of_list delta in
+    let delta_rows =
+      match delta with Some delta -> rows_of_list delta | None -> rows_from full since
+    in
     let occurrences =
       (* occurrence index of every body atom over [delta_rel] *)
       let _, occs =
@@ -561,8 +590,8 @@ let collect_substs run =
 
 let answers ?max_probe_cols source q = collect_substs (full_run ?max_probe_cols source q)
 
-let delta_answers ?naive ?max_probe_cols source ~delta_rel ~since ~delta q =
-  collect_substs (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ~delta q)
+let delta_answers ?naive ?max_probe_cols source ~delta_rel ~since ?delta q =
+  collect_substs (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ?delta q)
 
 (* The head projector.  Each match writes the head's packed values
    into a scratch row (an existential variable projects to its hole);
@@ -612,8 +641,8 @@ let heads ?max_probe_cols ?(into = fresh_rows ()) source q =
   project (full_run ?max_probe_cols source q) q ~into
 
 let delta_heads ?naive ?max_probe_cols ?(into = fresh_rows ()) source ~delta_rel ~since
-    ~delta q =
-  project (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ~delta q) q ~into
+    ?delta q =
+  project (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ?delta q) q ~into
 
 let answer_tuples ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with

@@ -109,14 +109,17 @@ val delta_answers :
   source ->
   delta_rel:string ->
   since:int ->
-  delta:Codb_relalg.Tuple.t list ->
+  ?delta:Codb_relalg.Tuple.t list ->
   Query.t ->
   Subst.t list
 (** Semi-naive evaluation after [delta] was appended to [delta_rel].
     The [source] must already reflect the insertion, and [since] is the
     relation's row count before it (the caller reads
     {!Codb_relalg.Relation.cardinal} before inserting).  If the query
-    does not mention [delta_rel], the result is [[]].
+    does not mention [delta_rel], the result is [[]].  Without
+    [delta], the delta is every stored row of [delta_rel] from [since]
+    on, copied packed from the source: an incremental update names the
+    rows added since a link's watermark that way.
 
     The relation splits three ways.  {e old} is the rows below [since],
     read through {!Codb_relalg.Relation.packed_view}'s [pv_before]: a
@@ -182,7 +185,7 @@ val delta_heads :
   source ->
   delta_rel:string ->
   since:int ->
-  delta:Codb_relalg.Tuple.t list ->
+  ?delta:Codb_relalg.Tuple.t list ->
   Query.t ->
   Codb_relalg.Tuple.t list
 (** Delta form: the same projection over {!delta_answers}' matches,

@@ -22,6 +22,7 @@ let () =
       ("cache", Test_cache.suite);
       ("update", Test_update.suite);
       ("protocol", Test_protocol.suite);
+      ("incremental", Test_incremental.suite);
       ("control", Test_control.suite);
       ("scoped-update", Test_scoped_update.suite);
       ("analysis", Test_analysis.suite);

@@ -310,6 +310,22 @@ let test_delta_allocation_independent_of_relation () =
     true
     (large <= 2. *. small && small <= 2. *. large)
 
+(* Without [~delta], the delta is the stored rows from [since] on:
+   the same heads as naming them, self-joins included, and nothing
+   past an empty suffix. *)
+let test_delta_named_by_watermark () =
+  let edge = Schema.make "e" [ ("a", Value.Tint); ("b", Value.Tint) ] in
+  let db = db_of [ edge ] [ ("e", tup [ i 1; i 2 ]); ("e", tup [ i 5; i 6 ]) ] in
+  let q = parse_query "ans(x, z) <- e(x, y), e(y, z)" in
+  let since = Relation.cardinal (Database.relation db "e") in
+  let delta = Database.insert_all db "e" [ tup [ i 2; i 3 ]; tup [ i 3; i 1 ] ] in
+  let source = Eval.of_database db in
+  check_tuples "same heads as the named delta"
+    (Eval.delta_heads source ~delta_rel:"e" ~since ~delta q)
+    (Eval.delta_heads source ~delta_rel:"e" ~since q);
+  Alcotest.(check int) "an empty suffix derives nothing" 0
+    (List.length (Eval.delta_heads source ~delta_rel:"e" ~since:4 q))
+
 let suite =
   [
     Alcotest.test_case "single atom scan" `Quick test_single_atom_scan;
@@ -342,4 +358,6 @@ let suite =
       test_zone_maps_answers_unchanged;
     Alcotest.test_case "mixed widths: each atom sees its own rows" `Quick
       test_mixed_widths;
+    Alcotest.test_case "a delta named by its watermark" `Quick
+      test_delta_named_by_watermark;
   ]

@@ -323,6 +323,121 @@ let test_released_on_forced_termination () =
         (Codb_core.Stats.update_stat rt.Runtime.node.Node.stats ~now:0.0 uid)
           .Codb_core.Stats.us_forced)
 
+let state_tables_empty msg (st : Update_state.t) =
+  Alcotest.(check bool) (msg ^ ": tables released") true
+    (Option.is_none st.Update_state.ust_live);
+  Alcotest.(check int) (msg ^ ": nothing pending") 0 (Update_state.pending_tuples st);
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool) (msg ^ ": " ^ rule ^ " inactive") false
+        (Update_state.is_active_in st rule || Update_state.is_active_out st rule))
+    [ "to_down"; "from_up" ]
+
+(* A terminated update keeps its flags and nothing else: after a tree
+   update every state on every node has empty tables. *)
+let test_terminated_states_keep_no_tables () =
+  let sys =
+    Codb_core.System.build_exn
+      (Codb_core.Topology.generate ~seed:3 Codb_core.Topology.Binary_tree ~n:7)
+  in
+  let uid = Codb_core.System.run_update sys ~initiator:"n0" in
+  List.iter
+    (fun name ->
+      let st = Option.get (Node.update_state (Codb_core.System.node sys name) uid) in
+      Alcotest.(check bool) (name ^ " terminated") true st.Update_state.ust_terminated;
+      state_tables_empty name st)
+    (Codb_core.System.node_names sys)
+
+(* Late protocol messages for a released update re-open nothing: the
+   node integrates late data and acknowledges, but serves and closes no
+   link. *)
+let test_late_messages_after_release () =
+  let rt, node, outbox = make_runtime middle_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  Update.handle rt ~src:(peer "down") ~bytes:20
+    (Payload.Update_terminated { update_id = uid });
+  state_tables_empty "terminated" (state node);
+  let _ = drain outbox in
+  let is_close m =
+    match m.payload with Payload.Update_link_closed _ -> true | _ -> false
+  in
+  Update.handle rt ~src:(peer "up") ~bytes:30
+    (Payload.Update_link_closed { update_id = uid; rule_id = "from_up"; global = true });
+  Update.handle rt ~src:(peer "up") ~bytes:50
+    (Payload.Update_data
+       { update_id = uid; rule_id = "from_up"; tuples = [ tup [ i 9 ] ]; hops = 1;
+         global = true });
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.For_rule "to_down" });
+  let messages = drain outbox in
+  Alcotest.(check int) "no data" 0 (count is_data messages);
+  Alcotest.(check int) "no close" 0 (count is_close messages);
+  Alcotest.(check int) "no request" 0 (count is_request messages);
+  state_tables_empty "after late messages" (state node)
+
+(* The tuples served on [to_down], framed by the reliable transport or
+   not. *)
+let served_to_down messages =
+  List.concat_map
+    (fun m ->
+      match m.payload with
+      | Payload.Update_data { rule_id = "to_down"; tuples; _ }
+      | Payload.Seq
+          { inner = Payload.Update_data { rule_id = "to_down"; tuples; _ }; _ } ->
+          tuples
+      | _ -> [])
+    messages
+
+(* A transport give-up on data to an importer voids the link's
+   watermark: the next first contact serves the link in full. *)
+let test_give_up_voids_the_watermark () =
+  let opts = { Options.default with Options.ack_timeout = 0.05; max_retries = 0 } in
+  let rt, node, outbox = make_runtime ~opts middle_config in
+  let serve n =
+    Update.handle rt ~src:(peer "down") ~bytes:100
+      (Payload.Update_request
+         { update_id = Ids.update_id (peer "origin") n; scope = Payload.Global })
+  in
+  let marks () = Codb_core.Watermark.find node.Node.watermarks "to_down" in
+  serve 1;
+  Update.handle rt ~src:(peer "down") ~bytes:20
+    (Payload.Update_terminated { update_id = uid });
+  Alcotest.(check (option (array int))) "committed at termination" (Some [| 1 |])
+    (marks ());
+  ignore (Database.insert node.Node.store "r" (tup [ i 5 ]));
+  (* with a transport and no retry left, the stub's immediate timers
+     give every framed message up *)
+  node.Node.relay <- Some (Codb_core.Relay.create ());
+  let _ = drain outbox in
+  serve 2;
+  check_tuples "the delta was served" [ tup [ i 5 ] ] (served_to_down (drain outbox));
+  Alcotest.(check (option (array int))) "given up: watermark void" None (marks ());
+  node.Node.relay <- None;
+  serve 3;
+  check_tuples "served in full" [ tup [ i 1 ]; tup [ i 5 ] ]
+    (served_to_down (drain outbox))
+
+(* A WAL recovery carries an update's sent filter over a crash; the
+   heads in it went out before the crash, and nothing accounts for
+   their arrival.  A link served through such a filter records no
+   watermark, so the next update serves it in full. *)
+let test_carried_filter_records_no_watermark () =
+  let served_and_terminated ~carried =
+    let rt, node, _ = make_runtime middle_config in
+    if carried then
+      node.Node.recovered_sent <- [ (Ids.string_of_update uid, "to_down", [ tup [ i 1 ] ]) ];
+    Update.handle rt ~src:(peer "down") ~bytes:100
+      (Payload.Update_request { update_id = uid; scope = Payload.Global });
+    Update.handle rt ~src:(peer "down") ~bytes:20
+      (Payload.Update_terminated { update_id = uid });
+    Codb_core.Watermark.find node.Node.watermarks "to_down"
+  in
+  Alcotest.(check (option (array int))) "served afresh: committed" (Some [| 1 |])
+    (served_and_terminated ~carried:false);
+  Alcotest.(check (option (array int))) "carried over: no mark" None
+    (served_and_terminated ~carried:true)
+
 let test_ack_for_unknown_update_ignored () =
   let rt, _, outbox = make_runtime middle_config in
   Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
@@ -335,6 +450,14 @@ let suite =
     Alcotest.test_case "late data after termination" `Quick
       test_late_data_after_termination_absorbed;
     Alcotest.test_case "stray acks ignored" `Quick test_ack_for_unknown_update_ignored;
+    Alcotest.test_case "terminated states keep no tables" `Quick
+      test_terminated_states_keep_no_tables;
+    Alcotest.test_case "late messages after release send nothing" `Quick
+      test_late_messages_after_release;
+    Alcotest.test_case "a give-up voids the watermark" `Quick
+      test_give_up_voids_the_watermark;
+    Alcotest.test_case "a carried-over filter records no watermark" `Quick
+      test_carried_filter_records_no_watermark;
     Alcotest.test_case "quiescence releases the sent filters" `Quick
       test_released_on_initiator_quiescence;
     Alcotest.test_case "terminated flood releases the sent filters" `Quick

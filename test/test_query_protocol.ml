@@ -231,6 +231,44 @@ let test_late_data_for_closed_instance () =
   Alcotest.(check int) "sent table unchanged" sent
     (Sent_filter.tracked st.Q.qst_sent)
 
+(* A root streams the answers each delta enables only to a listener:
+   with none, delivered data is integrated into the overlay and nothing
+   is evaluated until completion, which answers the same. *)
+let root_outcome ?on_answer () =
+  let rt, node, outbox = make_runtime ~name:"down" middle_config in
+  let root_ref = Query_engine.start ?on_answer rt qid (parse_query "ans(x) <- r(x)") in
+  let sub_ref =
+    List.find_map
+      (fun m ->
+        match m.payload with
+        | Payload.Query_request { request_ref; _ } -> Some request_ref
+        | _ -> None)
+      (drain outbox)
+    |> Option.get
+  in
+  let before = Eval.counters () in
+  Query_engine.handle rt ~src:(peer "me") ~bytes:60
+    (Payload.Query_data
+       { query_id = qid; request_ref = sub_ref; rule_id = "to_down";
+         tuples = [ tup [ i 1 ]; tup [ i 2 ] ] });
+  let evaluated = Eval.counters () <> before in
+  Query_engine.handle rt ~src:(peer "me") ~bytes:20
+    (Payload.Query_done
+       { query_id = qid; request_ref = sub_ref; rule_id = "to_down"; complete = true });
+  (evaluated, Option.get (Query_engine.result node root_ref))
+
+let test_unheard_root_evaluates_nothing_on_data () =
+  let streamed = ref [] in
+  let heard_evaluated, heard =
+    root_outcome ~on_answer:(fun ts -> streamed := ts @ !streamed) ()
+  in
+  let evaluated, answers = root_outcome () in
+  Alcotest.(check bool) "a listener's delta is evaluated" true heard_evaluated;
+  check_tuples "the listener heard the data" [ tup [ i 1 ]; tup [ i 2 ] ] !streamed;
+  Alcotest.(check bool) "no listener: counters unchanged" false evaluated;
+  check_tuples "same final answers" heard answers;
+  check_tuples "final answers" [ tup [ i 1 ]; tup [ i 2 ] ] answers
+
 let suite =
   [
     Alcotest.test_case "responder serves and fans out" `Quick
@@ -243,4 +281,6 @@ let suite =
       test_closed_instances_release_overlays;
     Alcotest.test_case "late data for a closed instance" `Quick
       test_late_data_for_closed_instance;
+    Alcotest.test_case "a root with no listener evaluates nothing on data" `Quick
+      test_unheard_root_evaluates_nothing_on_data;
   ]

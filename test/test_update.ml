@@ -344,6 +344,36 @@ let test_lineage_records_imports () =
   Alcotest.(check bool) "absent" true
     (Node.explain n2 ~rel:"person" (tup [ s "nobody"; s "x" ]) = None)
 
+(* Lineage keys rows by relation and packed value: imports come back
+   oldest first, and [all] lists every entry in (relation, tuple) order
+   whatever the recording order, as WAL snapshots expect. *)
+let test_lineage_order () =
+  let module L = Codb_core.Lineage in
+  let lineage = L.create () in
+  let import rule at = { L.li_rule = rule; li_hops = 1; li_at = at } in
+  let null = Value.fresh_null ~rule:"r" in
+  List.iter
+    (fun (rel, t, i) -> L.record_import lineage ~rel t i)
+    [
+      ("s", tup [ s "b" ], import "r1" 1.0);
+      ("r", tup [ i 2; null ], import "r2" 2.0);
+      ("s", tup [ s "a" ], import "r3" 3.0);
+      ("r", tup [ i 1; s "x" ], import "r4" 4.0);
+      ("s", tup [ s "b" ], import "r5" 5.0);
+    ];
+  let rules imports = List.map (fun i -> i.L.li_rule) imports in
+  Alcotest.(check (list string)) "oldest first" [ "r1"; "r5" ]
+    (rules (L.imports lineage ~rel:"s" (tup [ s "b" ])));
+  Alcotest.(check (list string)) "a null-bearing row" [ "r2" ]
+    (rules (L.imports lineage ~rel:"r" (tup [ i 2; null ])));
+  Alcotest.(check (list string)) "unknown row" []
+    (rules (L.imports lineage ~rel:"r" (tup [ i 9; s "x" ])));
+  Alcotest.(check (list string)) "(relation, tuple) order"
+    [ "r:(1, \"x\")"; "r:(2, " ^ Value.to_string null ^ ")"; "s:(\"a\")"; "s:(\"b\")" ]
+    (List.map (fun ((rel, t), _) -> rel ^ ":" ^ Tuple.to_string t) (L.all lineage));
+  L.clear lineage;
+  Alcotest.(check int) "cleared" 0 (List.length (L.all lineage))
+
 let test_partition_mid_update_stays_sound () =
   (* cut a pipe while the update is in flight: the simulation must
      drain without crashing, every node's store stays consistent (no
@@ -452,6 +482,7 @@ let suite =
     Alcotest.test_case "lineage records imports" `Quick test_lineage_records_imports;
     Alcotest.test_case "partition mid-update stays sound" `Quick
       test_partition_mid_update_stays_sound;
+    Alcotest.test_case "lineage order" `Quick test_lineage_order;
     Alcotest.test_case "soak: random GLAV network" `Slow test_soak_random_glav_network;
     Alcotest.test_case "divergent ablation is bounded" `Quick
       test_divergent_ablation_is_bounded;
