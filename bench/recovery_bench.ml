@@ -9,8 +9,8 @@
                 the node's own declared facts) and a catch-up global
                 update re-imports everything through the rules;
      wal        true recovery — snapshot + log replay rebuild the
-                store, lineage, transport sequence state, sent-filters
-                and subscription state; only the in-flight tail is
+                store, lineage, transport sequence state and
+                subscription state; only the in-flight tail is
                 re-delivered by the reliable transport.
 
    Both modes must reach a store digest identical, node for node, to

@@ -130,12 +130,14 @@ let decode_record ~dict bytes =
 
 type sub_entry = { ss_id : string; ss_owner : owner; ss_query : string }
 
+(* A mirror is kept without its answers: a restart re-arms every
+   recovered mirror against its host ([System.restart_node]), which
+   empties it, and the host's registration snapshot refills it. *)
 type mirror_snap = {
   ms_id : string;
   ms_host : Peer_id.t;
   ms_query : string;
   ms_accepted : bool;
-  ms_answers : Tuple.t list;
 }
 
 type snapshot = {
@@ -143,38 +145,15 @@ type snapshot = {
   sn_lineage : ((string * Tuple.t) * Lineage.import list) list;
   sn_next_seq : int;
   sn_seen : string list;
-  sn_sent : (string * string * Tuple.t list) list;
-      (** (update-id, rule-id, provably-sent tuples) *)
   sn_subs : sub_entry list;
   sn_mirrors : mirror_snap list;
 }
 
-let snapshot_version = 2
+let snapshot_version = 3
 
 let query_text q = Fmt.str "%a" Pretty.query q
 
 let sorted_tuples db rel = List.sort Tuple.compare (Database.tuples db rel)
-
-(* What we can still prove was sent, per live update state, sorted by
-   update id then rule id.  Send records covered only by the log tail
-   (appended after this snapshot was cut) are lost by design: a
-   recovered node may re-send those tuples and receivers dedup them —
-   a duplicate costs bytes, a drop would cost correctness. *)
-let sent_entries (node : Node.t) =
-  Ids.Update_tbl.fold
-    (fun update_id (st : Update_state.t option) acc ->
-      match st with
-      | None -> acc
-      | Some st ->
-          List.fold_left
-            (fun acc (rule, filter) ->
-              match Sent_filter.elements filter with
-              | [] -> acc
-              | tuples -> (Ids.string_of_update update_id, rule, tuples) :: acc)
-            acc (Update_state.sent_filters st))
-    node.Node.updates []
-  |> List.sort (fun (u1, r1, _) (u2, r2, _) ->
-         match String.compare u1 u2 with 0 -> String.compare r1 r2 | c -> c)
 
 let registry_entries (node : Node.t) =
   match node.Node.subs with
@@ -200,7 +179,6 @@ let mirror_entries (node : Node.t) =
         ms_host = Mirror.host m;
         ms_query = query_text (Mirror.query m);
         ms_accepted = Mirror.accepted m;
-        ms_answers = Mirror.answers m;
       })
     (Node.mirrors_sorted node)
 
@@ -236,14 +214,6 @@ let put_snapshot w (node : Node.t) =
       let seen = Relay.seen_keys relay in
       Codec.varint w (List.length seen);
       List.iter (Codec.raw_string w) seen);
-  let sent = sent_entries node in
-  Codec.varint w (List.length sent);
-  List.iter
-    (fun (uid, rule, tuples) ->
-      Codec.string w uid;
-      Codec.string w rule;
-      Payload.put_tuples w tuples)
-    sent;
   let subs = registry_entries node in
   Codec.varint w (List.length subs);
   List.iter
@@ -259,14 +229,13 @@ let put_snapshot w (node : Node.t) =
       Codec.string w m.ms_id;
       Codec.string w (Peer_id.to_string m.ms_host);
       Codec.raw_string w m.ms_query;
-      Codec.byte w (if m.ms_accepted then 1 else 0);
-      Payload.put_tuples w m.ms_answers)
+      Codec.byte w (if m.ms_accepted then 1 else 0))
     mirrors
 
-(* Version 2 pulls the strings out into one sorted, front-coded
+(* A snapshot pulls the strings out into one sorted, front-coded
    table: entry k stores only the length of the prefix it shares with
    entry k-1 plus the remaining suffix, so families like
-   [upd:n0#1, upd:n0#2, ...] pay their common stem once.  The body is
+   [n1/17, n1/18, ...] pay their common stem once.  The body is
    written in [Tabled] mode against the sorted ids (a first pass
    harvests the strings, a second encodes against the preloaded
    table). *)
@@ -319,12 +288,6 @@ let get_snapshot r =
   in
   let sn_next_seq = Codec.read_varint r in
   let sn_seen = List.init (Codec.read_count r) (fun _ -> Codec.read_raw_string r) in
-  let sn_sent =
-    List.init (Codec.read_count r) (fun _ ->
-        let uid = Codec.read_string r in
-        let rule = Codec.read_string r in
-        (uid, rule, Payload.get_tuples r))
-  in
   let sn_subs =
     List.init (Codec.read_count r) (fun _ ->
         let ss_id = Codec.read_string r in
@@ -336,10 +299,9 @@ let get_snapshot r =
         let ms_id = Codec.read_string r in
         let ms_host = Payload.get_peer r in
         let ms_query = Codec.read_raw_string r in
-        let ms_accepted = Codec.read_byte r = 1 in
-        { ms_id; ms_host; ms_query; ms_accepted; ms_answers = Payload.get_tuples r })
+        { ms_id; ms_host; ms_query; ms_accepted = Codec.read_byte r = 1 })
   in
-  { sn_store; sn_lineage; sn_next_seq; sn_seen; sn_sent; sn_subs; sn_mirrors }
+  { sn_store; sn_lineage; sn_next_seq; sn_seen; sn_subs; sn_mirrors }
 
 let decode_snapshot bytes =
   let r = Codec.reader bytes in
@@ -446,15 +408,12 @@ let restore_sub (node : Node.t) (opts : Options.t) ~sub_id ~owner ~text =
               in
               ignore (Registry.register reg sub owner : (unit, string) result)))
 
-let restore_mirror (node : Node.t) ~sub_id ~host ~text ~accepted ~answers =
+let restore_mirror (node : Node.t) ~sub_id ~host ~text ~accepted =
   match Parser.parse_query text with
   | Error _ -> ()
   | Ok query ->
       let m = Mirror.create ~sub_id ~host query in
       if accepted then Mirror.mark_accepted m;
-      if answers <> [] then
-        Mirror.apply m
-          { Sub.d_adds = answers; d_retracts = []; d_tag = "recover" };
       Hashtbl.replace node.Node.sub_mirrors sub_id m
 
 let apply_snapshot (node : Node.t) (opts : Options.t) snap =
@@ -468,14 +427,13 @@ let apply_snapshot (node : Node.t) (opts : Options.t) snap =
     (fun ((rel, tuple), imports) ->
       List.iter (Lineage.record_import node.Node.lineage ~rel tuple) imports)
     snap.sn_lineage;
-  node.Node.recovered_sent <- snap.sn_sent;
   List.iter
     (fun s -> restore_sub node opts ~sub_id:s.ss_id ~owner:s.ss_owner ~text:s.ss_query)
     snap.sn_subs;
   List.iter
     (fun m ->
       restore_mirror node ~sub_id:m.ms_id ~host:m.ms_host ~text:m.ms_query
-        ~accepted:m.ms_accepted ~answers:m.ms_answers)
+        ~accepted:m.ms_accepted)
     snap.sn_mirrors
 
 let apply_record (node : Node.t) (opts : Options.t) ~seq_floor record =
@@ -502,7 +460,6 @@ let apply_record (node : Node.t) (opts : Options.t) ~seq_floor record =
       | Some reg -> ignore (Registry.unregister reg sub_id))
   | Mirror_add { sub_id; host; query_text } ->
       restore_mirror node ~sub_id ~host ~text:query_text ~accepted:false
-        ~answers:[]
   | Mirror_remove { sub_id } -> Hashtbl.remove node.Node.sub_mirrors sub_id
 
 type recovery_stats = {
@@ -515,7 +472,7 @@ type recovery_stats = {
 (* Rebuild the node from its backend.  Call with the volatile state
    already reset ([Node.reset_volatile] + [Node.reset_store], a fresh
    registry from [Node.configure_subs]): this fills the store, lineage,
-   transport, sent-filter carry-over and subscription state back in,
+   transport and subscription state back in,
    then installs a fresh WAL and immediately snapshots through it —
    compacting the just-replayed log so a second crash recovers from
    the snapshot alone and replays nothing twice. *)

@@ -6,9 +6,14 @@
     The on-disk format reuses the compact wire codec
     ({!Codb_net.Codec}); framing and CRC protection live below in
     {!Codb_store}.  Snapshots cover the LDB relations, lineage tags,
-    reliable-transport sequence state, per-update sent-filters and the
-    subscription registry/mirror state; log records cover each commit
-    point between snapshots.  Every logging hook is a no-op on nodes
+    reliable-transport sequence state, the subscription registry and
+    each mirror's registration (id, host, query, accepted); log
+    records cover each commit point between snapshots.  Nothing of a
+    running update is kept: the importer suppresses duplicates, so a
+    recovered node that re-ships tuples changes no store.  Nor are a
+    mirror's answers: a restart re-arms every recovered mirror against
+    its host, which empties it, and the host's registration snapshot
+    refills it.  Every logging hook is a no-op on nodes
     without a WAL, so the default configuration pays nothing. *)
 
 module Peer_id = Codb_net.Peer_id
@@ -51,7 +56,7 @@ val decode_record : dict:(int, string) Hashtbl.t -> string -> record
 
 val encode_snapshot : Node.t -> string
 (** Serialize the node's durable state, everything sorted so equal
-    states produce byte-identical snapshots.  Layout v2: a sorted,
+    states produce byte-identical snapshots.  Layout v3: a sorted,
     front-coded string table up front (each entry stores only the
     suffix past its shared prefix with the previous entry), the body
     referencing it by id.  {!recover} reads this version only. *)

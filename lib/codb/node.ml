@@ -27,7 +27,6 @@ type t = {
   mutable wal : Codb_store.Wal.t option;
   wal_dict : Codb_net.Codec.Dict.sender;
   mutable wal_reserved : int;
-  mutable recovered_sent : (string * string * Codb_relalg.Tuple.t list) list;
   mutable track_refetch : bool;
 }
 
@@ -61,7 +60,6 @@ let create decl =
     wal = None;
     wal_dict = Codb_net.Codec.Dict.sender ~size:1 ();
     wal_reserved = 0;
-    recovered_sent = [];
     track_refetch = false;
   }
 
@@ -215,7 +213,9 @@ let reset_volatile node =
   Hashtbl.reset node.sub_mirrors;
   Codb_sub.Outbox.clear node.sub_outbox
 
-let is_consistent node =
+let may_export node =
+  node.decl.Config.constraints = []
+  ||
   let source = Eval.of_database node.store in
   let violated q = Eval.answers source q <> [] in
   let consistent = not (List.exists violated node.decl.Config.constraints) in

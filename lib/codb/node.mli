@@ -69,10 +69,6 @@ type t = {
       (** transport sequence numbers covered by the last logged
           [Seq_reserve] record; sequences below it need no new log
           record on allocation *)
-  mutable recovered_sent : (string * string * Codb_relalg.Tuple.t list) list;
-      (** (update-id, rule-id, tuples) sent-filter contents recovered
-          from a snapshot, consumed lazily when the corresponding
-          update state is re-created ({!Update.fresh_state}) *)
   mutable track_refetch : bool;
       (** set after a restart: incoming update-data
           bytes count into [Stats.chaos.ch_refetched_bytes] until the
@@ -164,7 +160,9 @@ val reset_volatile : t -> unit
     The store, lineage and the relay itself are left to the caller
     ({!reset_store}, {!System.crash_node}). *)
 
-val is_consistent : t -> bool
-(** Evaluate the node's denial constraints against the store; record
-    the verdict in the statistics module.  Per the paper's principle
-    (d), callers must not propagate data from an inconsistent node. *)
+val may_export : t -> bool
+(** May this node contribute its own data to updates and queries?
+    Per the paper's principle (d), an inconsistent node keeps routing
+    but exports nothing.  A node with denial constraints evaluates
+    them against the store and records the verdict in the statistics
+    module. *)

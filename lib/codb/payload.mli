@@ -164,16 +164,14 @@ val encoded_size : ?link:Codec.Dict.sender -> t -> int
     counts one tag byte plus {!Stats.snapshot_size_bytes}, with or
     without [link], and leaves the link dictionary untouched. *)
 
-val put_value : Codec.writer -> Codb_relalg.Value.t -> unit
+val put_tuple : Codec.writer -> Tuple.t -> unit
 (** Writer-level primitives, shared with the durability layer
     ({!Durable}): WAL records and snapshots reuse the wire encoding of
-    values and tuples as their on-disk format. *)
+    tuples as their on-disk format. *)
 
-val get_value : Codec.reader -> Codb_relalg.Value.t
+val get_tuple : Codec.reader -> Tuple.t
 (** @raise Codec.Malformed on corrupt input. *)
 
-val put_tuple : Codec.writer -> Tuple.t -> unit
-val get_tuple : Codec.reader -> Tuple.t
 val put_tuples : Codec.writer -> Tuple.t list -> unit
 val get_tuples : Codec.reader -> Tuple.t list
 

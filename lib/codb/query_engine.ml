@@ -51,12 +51,11 @@ let complete_root rt (st : Q.t) query set_result =
   qs.Stats.qs_complete <- st.Q.qst_complete;
   if not st.Q.qst_complete then Stats.note_partial_answer rt.Runtime.node.Node.stats
 
-(* Responders on an inconsistent node serve no data (principle (d)). *)
-let may_export (rt : Runtime.t) =
-  rt.node.Node.decl.Config.constraints = [] || Node.is_consistent rt.node
-
 let finish_responder rt (st : Q.t) ~requester ~in_rule =
   Q.close st;
+  (* nothing reads a finished responder again: late data, a stray
+     completion or a transport callback finds no instance *)
+  Hashtbl.remove rt.Runtime.node.Node.query_instances st.Q.qst_ref;
   (* The complete constrained answer stream of this rule instance is
      worth remembering: a later request with the same (or stronger)
      constraints is served without re-running the diffusion.  Partial
@@ -166,8 +165,7 @@ let fan_out rt (st : Q.t) ~query ~rels ~label =
    completeness claim in [Query_done]) waits for every outstanding
    data ack, and a transport give-up taints the instance. *)
 let send_data rt (st : Q.t) ~dst payload =
-  if Options.reliable rt.Runtime.opts && Option.is_some rt.Runtime.node.Node.relay
-  then begin
+  if Reliable.tracks_delivery rt then begin
     st.Q.qst_unacked <- st.Q.qst_unacked + 1;
     let on_settled ~ok =
       if is_current rt st then begin
@@ -232,15 +230,16 @@ let start ?on_answer rt qid query =
           ~overlay
       in
       Hashtbl.replace rt.Runtime.node.Node.query_instances root_ref st;
-      (* stream the locally available answers right away *)
-      (match st.Q.qst_kind with
-      | Q.Root root ->
+      (* stream the locally available answers right away, if anyone
+         listens; completion evaluates the overlay either way *)
+      (match (st.Q.qst_kind, on_answer) with
+      | Q.Root root, Some _ ->
           let local =
             with_counters rt qid (fun () ->
                 Wrapper.user_answers overlay query)
           in
           root.streamed <- notify_fresh ~on_answer ~streamed:root.streamed local
-      | Q.Responder _ -> ());
+      | Q.Root _, None | Q.Responder _, _ -> ());
       fan_out rt st
         ~query:(if rt.Runtime.opts.Options.pushdown then Some query else None)
         ~rels:(Query.body_relations query) ~label:[ me rt ];
@@ -290,7 +289,7 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
           ~overlay
       in
       Hashtbl.replace rt.Runtime.node.Node.query_instances request_ref st;
-      if may_export rt then begin
+      if Node.may_export rt.Runtime.node then begin
         let cache_hit =
           match rt.Runtime.node.Node.cache with
           | Some cache when rt.Runtime.opts.Options.pushdown ->
@@ -385,7 +384,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                     match Node.rule_in rt.Runtime.node in_rule with
                     | None -> ()
                     | Some inc ->
-                        if may_export rt then
+                        if Node.may_export rt.Runtime.node then
                           match effective_rule_query constraints inc with
                           | None -> ()
                           | Some eff ->

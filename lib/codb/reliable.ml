@@ -26,9 +26,15 @@ let rec arm_timer rt relay ~seq entry =
           arm_timer rt relay ~seq entry
         end)
 
+(* The relay that tracks this node's deliveries, if the transport is
+   on and the node carries one. *)
+let tracking_relay rt = if Options.reliable rt.Runtime.opts then relay_of rt else None
+
+let tracks_delivery rt = Option.is_some (tracking_relay rt)
+
 let send ?on_settled rt ~dst payload =
-  match relay_of rt with
-  | Some relay when Options.reliable rt.Runtime.opts && frame_eligible payload ->
+  match tracking_relay rt with
+  | Some relay when frame_eligible payload ->
       let seq = Relay.fresh_seq relay in
       (* chunked sequence reservation: a recovered node must never
          reuse a sequence number its peers may have recorded *)

@@ -15,6 +15,11 @@
 
 module Peer_id = Codb_net.Peer_id
 
+val tracks_delivery : Runtime.t -> bool
+(** Does the transport track delivery here: {!Options.reliable} is on
+    and the node carries a {!Relay}?  Then {!send} settles every
+    message, and a sender may count what is in flight. *)
+
 val send :
   ?on_settled:(ok:bool -> unit) -> Runtime.t -> dst:Peer_id.t -> Payload.t -> bool
 (** Reliable mode: returns [true] (the transport has custody) and

@@ -16,8 +16,6 @@ let note_if_new t tuple =
     true
   end
 
-let note_sent t tuple = ignore (note_if_new t tuple)
-
 let elements t =
   List.sort Tuple.compare
     (Row_table.fold (fun row () acc -> Array.map Intern.unpack row :: acc) t [])

@@ -9,7 +9,9 @@
     hands {!rows} to {!Codb_cq.Eval.heads} / {!Codb_cq.Eval.delta_heads},
     which note every surviving head in it and never copy or box a head
     already there.  A filter lives as long as its update: termination
-    releases it ({!Update_state.release_sent}). *)
+    releases it ({!Update_state.release}).  It is never persisted: a
+    recovered node that re-ships a tuple changes no store, because the
+    importer drops what it already holds. *)
 
 type t
 
@@ -21,17 +23,14 @@ val rows : t -> unit Codb_cq.Eval.Row_table.t
 (** The packed rows sent so far: the table the projector filters
     against and fills. *)
 
-val note_sent : t -> Codb_relalg.Tuple.t -> unit
-(** Record a boxed tuple as sent (a WAL recovery's carry-over). *)
-
 val note_if_new : t -> Codb_relalg.Tuple.t -> bool
 (** [true] iff the tuple was not sent before; it is recorded as sent
     either way. *)
 
 val elements : t -> Codb_relalg.Tuple.t list
 (** The tuples sent so far, boxed and sorted by
-    {!Codb_relalg.Tuple.compare} — what a durability snapshot
-    records. *)
+    {!Codb_relalg.Tuple.compare}: a query responder's complete stream,
+    as the query cache stores it. *)
 
 val tracked : t -> int
 (** Entries currently held. *)

@@ -250,8 +250,6 @@ let note_sent_to us peer = us.us_sent_to <- add_unique peer us.us_sent_to
 
 let set_inconsistent st flag = st.st_inconsistent <- flag
 
-let is_inconsistent st = st.st_inconsistent
-
 type snapshot = {
   snap_node : Peer_id.t;
   snap_inconsistent : bool;

@@ -189,8 +189,6 @@ val note_sent_to : update_stat -> Peer_id.t -> unit
 
 val set_inconsistent : t -> bool -> unit
 
-val is_inconsistent : t -> bool
-
 (** {1 Snapshots} *)
 
 type snapshot = {

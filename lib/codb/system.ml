@@ -183,7 +183,6 @@ let crash_node sys name =
   | _ -> ());
   n.Node.wal <- None;
   n.Node.relay <- None;
-  n.Node.recovered_sent <- [];
   Node.reset_store n;
   Node.reset_volatile n;
   trace_event sys ~direction:Trace.Delivered ~src:id ~dst:id "crash"
@@ -199,8 +198,8 @@ let crash_node sys name =
    sequence numbers are impossible), and a catch-up global update
    re-imports everything the rules cover.
    [Dur_wal]: true recovery — snapshot plus log tail rebuild the
-   store, lineage, transport reservation and dedup keys, sent-filters
-   and subscription state; no catch-up update is issued, the reliable
+   store, lineage, transport reservation and dedup keys and
+   subscription state; no catch-up update is issued, the reliable
    transport's retransmissions deliver the in-flight tail. *)
 let restart_node sys name =
   let n = node sys name in

@@ -51,14 +51,6 @@ let finalize rt (st : U.t) =
     | None -> ()
   end
 
-(* May this node export data?  Principle (d): an inconsistent node
-   keeps routing but never contributes its own (tainted) data. *)
-let may_export (rt : Runtime.t) =
-  rt.node.Node.decl.Config.constraints = [] || Node.is_consistent rt.node
-
-let reliable_mode (rt : Runtime.t) =
-  Options.reliable rt.Runtime.opts && Option.is_some rt.Runtime.node.Node.relay
-
 (* May a served link's watermark commit?  Only if what it covers
    arrived: the node exports (an inconsistent node ships nothing), and
    every loss is accounted for.  Pipe transitions reach the watermarks
@@ -66,7 +58,8 @@ let reliable_mode (rt : Runtime.t) =
    through {!send_data_counted}; a fire-and-forget transport under
    injected faults loses data silently, so nothing commits there. *)
 let may_commit rt =
-  may_export rt && not (Options.faults_enabled rt.Runtime.opts && not (reliable_mode rt))
+  Node.may_export rt.Runtime.node
+  && not (Options.faults_enabled rt.Runtime.opts && not (Reliable.tracks_delivery rt))
 
 (* A link's close leaves once everything sent on it before has
    settled ({!close_link}): its pending watermark commits then. *)
@@ -78,7 +71,7 @@ let commit_served rt (st : U.t) rule =
 
 (* Termination releases every table of the update ({!U.release}): no
    link is consulted again, and a finished update pins no sent filter
-   in [Node.updates] (nor in any later WAL snapshot).  Before that, the
+   in [Node.updates].  Before that, the
    links still open (a cycle's never close on their own) commit their
    watermarks, each only if everything sent to its importer settled and
    nothing waits in a wire buffer for it: a give-up's compensation can
@@ -171,7 +164,7 @@ let send_deferred_closes rt (st : U.t) ~dst =
    termination on top of the data loss; the loss also voids every
    watermark towards [dst]. *)
 let send_data_counted rt (st : U.t) ~dst payload =
-  if not (reliable_mode rt) then send_counted rt st ~dst payload
+  if not (Reliable.tracks_delivery rt) then send_counted rt st ~dst payload
   else begin
     let on_settled ~ok =
       if not ok then Watermark.clear_peer rt.Runtime.node.Node.watermarks dst;
@@ -198,7 +191,7 @@ let send_data_counted rt (st : U.t) ~dst payload =
    [dst] has settled. *)
 let close_link rt (st : U.t) ~dst ~rule_id =
   let global = not st.U.ust_scoped in
-  if reliable_mode rt && U.dst_unacked st ~dst > 0 then
+  if Reliable.tracks_delivery rt && U.dst_unacked st ~dst > 0 then
     U.defer_close st ~dst ~rule:rule_id ~global
   else begin
     commit_served rt st rule_id;
@@ -368,10 +361,6 @@ let serve_incoming rt (st : U.t) us (inc : Config.rule_decl) =
   let store = node.Node.store in
   let rels = Query.body_relations inc.Config.rule_query in
   let rows = List.map (cardinal store) rels in
-  (* a filter that already holds heads at service time was carried over
-     by a WAL recovery from before a crash: nothing accounts for those
-     sends having arrived, so the link records no mark *)
-  let carried = U.sent_tracked st inc.Config.rule_id > 0 in
   let tuples =
     Stats.with_eval_counters us.Stats.us_eval (fun () ->
         match Watermark.find node.Node.watermarks inc.Config.rule_id with
@@ -392,9 +381,8 @@ let serve_incoming rt (st : U.t) us (inc : Config.rule_decl) =
             in
             fst (List.fold_left2 grown ([], 0) rels rows))
   in
-  if not carried then
-    U.note_served st inc.Config.rule_id
-      (Watermark.serve node.Node.watermarks ~importer:(importer_of inc) ~rels ~rows);
+  U.note_served st inc.Config.rule_id
+    (Watermark.serve node.Node.watermarks ~importer:(importer_of inc) ~rels ~rows);
   send_on_incoming rt st us inc ~hops:1 tuples
 
 (* First contact with an update: flood the request, answer every
@@ -412,7 +400,8 @@ let first_contact rt (st : U.t) ~exclude =
   List.iter
     (fun (o : Config.rule_decl) -> Stats.note_queried us (source_of o))
     rt.Runtime.node.Node.outgoing;
-  if may_export rt then List.iter (serve_incoming rt st us) rt.Runtime.node.Node.incoming;
+  if Node.may_export rt.Runtime.node then
+    List.iter (serve_incoming rt st us) rt.Runtime.node.Node.incoming;
   maybe_close_incoming rt st;
   node_closed_check rt st
 
@@ -455,7 +444,7 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
             Printf.sprintf "%s via %s hop %d"
               (Ids.string_of_update st.U.ust_update)
               rule_id hops);
-      if integration.Wrapper.fresh <> [] && may_export rt then begin
+      if integration.Wrapper.fresh <> [] && Node.may_export rt.Runtime.node then begin
         let recompute (inc : Config.rule_decl) =
           if U.in_state st inc.Config.rule_id = U.Link_open then begin
             let derived =
@@ -534,17 +523,6 @@ let fresh_state rt ~initiator ~scoped uid =
         uid
   in
   Node.add_update_state rt.Runtime.node st;
-  (* sent-filter carry-over from a WAL recovery: when a retransmitted
-     message re-engages an update this node served before the crash,
-     don't re-ship the tuples we can prove already left *)
-  (match rt.Runtime.node.Node.recovered_sent with
-  | [] -> ()
-  | recovered ->
-      let key = Ids.string_of_update uid in
-      List.iter
-        (fun (uid', rule, tuples) ->
-          if String.equal uid' key then U.add_sent st rule tuples)
-        recovered);
   st
 
 (* Scoped updates: ask the source of an outgoing link for its data
@@ -572,7 +550,8 @@ let activate_incoming rt (st : U.t) ~requester rule_id =
                 { update_id = st.U.ust_update; rule_id; global = false }))
     | Some inc ->
         U.activate_in st rule_id;
-        if may_export rt then serve_incoming rt st (stat rt st.U.ust_update) inc;
+        if Node.may_export rt.Runtime.node then
+          serve_incoming rt st (stat rt st.U.ust_update) inc;
         List.iter (activate_outgoing rt st)
           (Deps.relevant_outgoing rt.Runtime.node.Node.outgoing ~incoming:inc);
         maybe_close_incoming rt st;

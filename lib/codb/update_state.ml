@@ -136,22 +136,10 @@ let sent_filter st rule =
           Hashtbl.add live.sent rule f;
           f)
 
-let add_sent st rule tuples =
-  let f = sent_filter st rule in
-  List.iter (Sent_filter.note_sent f) tuples
-
 let sent_tracked st rule =
   match find (fun l -> l.sent) rule st.ust_live with
   | Some f -> Sent_filter.tracked f
   | None -> 0
-
-let sent_filters st =
-  match st.ust_live with
-  | Some live -> Hashtbl.fold (fun rule f acc -> (rule, f) :: acc) live.sent []
-  | None -> []
-
-let release_sent st =
-  match st.ust_live with Some live -> Hashtbl.reset live.sent | None -> ()
 
 (* ---- Per-incoming-link pending watermarks ---------------------------- *)
 

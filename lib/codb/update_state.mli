@@ -85,20 +85,9 @@ val all_out_closed : t -> bool
 val sent_filter : t -> string -> Sent_filter.t
 (** The filter for one incoming link, created on first use. *)
 
-val add_sent : t -> string -> Codb_relalg.Tuple.t list -> unit
-(** Note boxed tuples as sent: the carry-over a WAL recovery restores
-    ([Node.recovered_sent]). *)
-
 val sent_tracked : t -> string -> int
 (** Exact entries currently tracked for the link (0 if never used or
     released). *)
-
-val sent_filters : t -> (string * Sent_filter.t) list
-(** Every link's filter (none once released): what a durability
-    snapshot carries. *)
-
-val release_sent : t -> unit
-(** Drop every link's filter. *)
 
 (** {2 Pending watermarks} *)
 
@@ -119,8 +108,7 @@ val release : t -> unit
     buffers and transport settlement.  Called once the update
     terminates.  Every link then reads as closed and inactive, every
     buffer and in-flight count as empty, and writes are ignored, so a
-    finished update keeps only its flags and a durability snapshot no
-    longer carries its filters. *)
+    finished update keeps only its flags. *)
 
 (** {2 Wire buffers}
 

@@ -64,7 +64,6 @@ let hom_exists ~from ~into =
   else if not (String.equal from.Query.head.Atom.rel into.Query.head.Atom.rel) then false
   else
     let body_only = { from with Query.comparisons = [] } in
-    let candidates = Eval.answers source body_only in
     let accepts subst =
       match match_atom subst from.Query.head target_head with
       | None -> false
@@ -73,7 +72,7 @@ let hom_exists ~from ~into =
             (comparison_entailed ~into_cmps:into.Query.comparisons subst')
             from.Query.comparisons
     in
-    List.exists accepts candidates
+    Eval.exists source body_only ~accept:accepts
 
 let contained q1 q2 = hom_exists ~from:q2 ~into:q1
 

@@ -575,9 +575,8 @@ let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ?delta q
     List.iter pass occurrences
   end
 
-(* Materialise one boxed substitution per match. *)
-let collect_substs run =
-  let results = ref [] in
+(* One boxed substitution per match. *)
+let on_substs run f =
   run ~emit:(fun ctx ->
       let nslots = Array.length ctx.x_names in
       fun () ->
@@ -585,10 +584,23 @@ let collect_substs run =
         for s = 0 to nslots - 1 do
           subst := Subst.bind ctx.x_names.(s) (Intern.unpack ctx.x_vals.(s)) !subst
         done;
-        results := !subst :: !results);
+        f !subst)
+
+let collect_substs run =
+  let results = ref [] in
+  on_substs run (fun subst -> results := subst :: !results);
   List.rev !results
 
 let answers ?max_probe_cols source q = collect_substs (full_run ?max_probe_cols source q)
+
+(* The join is depth-first, so stopping at the first accepted match
+   materialises nothing beyond the current path. *)
+let exists source q ~accept =
+  let exception Found in
+  let found s = if accept s then raise Found in
+  match on_substs (full_run source q) found with
+  | () -> false
+  | exception Found -> true
 
 let delta_answers ?naive ?max_probe_cols source ~delta_rel ~since ?delta q =
   collect_substs (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ?delta q)

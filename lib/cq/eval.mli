@@ -49,8 +49,8 @@ type rows = {
     the evaluator only ever reads packed views. *)
 
 type source = string -> rows
-(** Access paths by relation name.  Unknown relations must return
-    {!empty_rows}. *)
+(** Access paths by relation name.  Unknown relations must return an
+    empty one ([rows_of_list []]). *)
 
 type counters = {
   mutable probes : int;  (** candidate sets served by an index probe *)
@@ -75,8 +75,6 @@ val counters : unit -> counters
 
 val reset_counters : unit -> unit
 
-val empty_rows : rows
-
 val rows_of_list : Codb_relalg.Tuple.t list -> rows
 (** Scan-only access path over a list (used for deltas and frozen
     canonical databases): the rows are packed into a transient columnar
@@ -98,6 +96,10 @@ val answers : ?max_probe_cols:int -> source -> Query.t -> Subst.t list
     the same head tuple; {!heads} projects and de-duplicates without
     building them.  [max_probe_cols] caps probe width (see
     {!Plan.make}). *)
+
+val exists : source -> Query.t -> accept:(Subst.t -> bool) -> bool
+(** Is there a substitution {!answers} would return that [accept]
+    takes?  The search stops at the first one and keeps no other. *)
 
 val plan_for : ?max_probe_cols:int -> source -> Query.t -> Plan.t
 (** The plan {!answers} would execute — for the CLI [explain]

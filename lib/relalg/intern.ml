@@ -215,8 +215,3 @@ let hash (p : packed) =
    longer compare equal to new nulls with the same id — exactly the
    semantics of resetting the generator). *)
 let () = Value.on_reset_null_counter (fun () -> Hashtbl.reset null_ids)
-
-let interned_strings () = str_vals.len
-
-let interned_values () =
-  str_vals.len + float_vals.len + null_vals.len + bigint_vals.len + bighole_vals.len

@@ -47,9 +47,3 @@ val is_hole : packed -> bool
 
 val is_null : packed -> bool
 
-val interned_strings : unit -> int
-(** Number of distinct strings interned so far (for stats/benches). *)
-
-val interned_values : unit -> int
-(** Total side-table slots across all tables (strings, floats, nulls,
-    overflow). *)

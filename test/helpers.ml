@@ -54,3 +54,46 @@ let db_of schemas rows =
 let r_schema = Schema.make "r" [ ("a", Value.Tint); ("b", Value.Tint) ]
 
 let s_schema = Schema.make "s" [ ("b", Value.Tint); ("c", Value.Tstring) ]
+
+(* Answer sets compared modulo marked nulls.  [a] maps into [b] when
+   some assignment of values of [b] to the nulls of [a] sends every
+   tuple of [a] to a tuple of [b], constants fixed.  Each set becomes
+   the body of a Boolean query whose nulls are variables, and
+   [Containment.hom_exists] does the search.  Tuples that share no
+   null constrain each other in nothing, so [a] is matched one
+   null-connected group at a time: independent nulls never multiply
+   the search. *)
+let null_groups tuples =
+  let nulls t =
+    Array.fold_left
+      (fun acc -> function
+        | Value.Null n -> n.Value.null_id :: acc
+        | Value.Int _ | Value.Float _ | Value.Str _ | Value.Bool _ | Value.Hole _ -> acc)
+      [] t
+  in
+  List.fold_left
+    (fun groups t ->
+      let ids = nulls t in
+      let shares (gids, _) = List.exists (fun id -> List.mem id gids) ids in
+      let joined, apart = List.partition shares groups in
+      let gids = List.concat_map fst joined @ ids in
+      (gids, t :: List.concat_map snd joined) :: apart)
+    [] tuples
+  |> List.map snd
+
+let instance_query tuples =
+  let term = function
+    | Value.Null n -> Term.Var (Printf.sprintf "n%d" n.Value.null_id)
+    | value -> Term.Cst value
+  in
+  Query.make ~head:(atom "hom" [])
+    ~body:(List.map (fun t -> atom "t" (List.map term (Array.to_list t))) tuples)
+    ()
+
+let maps_into a b =
+  let into = instance_query b in
+  List.for_all
+    (fun group -> Codb_cq.Containment.hom_exists ~from:(instance_query group) ~into)
+    (null_groups a)
+
+let null_equivalent a b = maps_into a b && maps_into b a

@@ -313,29 +313,13 @@ let prop_query_equals_update_on_dags =
 
 (* Constraint pushdown is an optimisation, not a semantics change: on
    any network (cycles and existential heads included) and any query,
-   the answer set, the certain answers and the completeness flag agree
-   across pushdown on/off.  Null identities are
-   run-dependent, so each tuple's nulls are canonicalised to their
-   first-occurrence index inside the tuple before comparison. *)
-let canonical_nulls t =
-  let seen = Hashtbl.create 4 in
-  Array.map
-    (function
-      | Value.Null { Value.null_id; _ } ->
-          let idx =
-            match Hashtbl.find_opt seen null_id with
-            | Some idx -> idx
-            | None ->
-                let idx = Hashtbl.length seen in
-                Hashtbl.add seen null_id idx;
-                idx
-          in
-          Value.Str (Printf.sprintf "\x00null%d" idx)
-      | (Value.Int _ | Value.Float _ | Value.Str _ | Value.Bool _ | Value.Hole _) as v
-        ->
-          v)
-    t
-
+   the certain answers and the completeness flag agree exactly across
+   pushdown on/off, and the answer sets agree modulo marked nulls (a
+   homomorphism each way, {!Helpers.null_equivalent}).  Equality of
+   the null-carrying answers themselves is not the specification: the
+   two runs import along different paths, so one may hold [(2, N)]
+   where the other holds [(2, N')] and [(2, N'')], or a row the other
+   subsumes by a constant. *)
 let gen_pushdown_case =
   let open Gen in
   let* spec = gen_network in
@@ -357,27 +341,56 @@ let gen_pushdown_case =
   let* cache = Gen.bool in
   return (spec, qtext, cache)
 
+let pushdown_agrees ((shape, n, seed, params), qtext, cache) =
+  let q = parse_query qtext in
+  let query_cache =
+    if cache then Codb_core.Options.Cache_containment else Codb_core.Options.Cache_off
+  in
+  let run ~pushdown =
+    let opts = { Codb_core.Options.default with Codb_core.Options.pushdown; query_cache } in
+    let sys = System.build_exn ~opts (Topology.generate ~params ~seed shape ~n) in
+    let o = System.run_query sys ~at:"n0" q in
+    (o.System.qo_answers, sorted_tuples o.System.qo_certain, o.System.qo_complete)
+  in
+  let a0, c0, f0 = run ~pushdown:false in
+  let a, c, f = run ~pushdown:true in
+  List.equal Tuple.equal c0 c && Bool.equal f0 f && null_equivalent a0 a
+
 let prop_pushdown_preserves_answers =
   Q2.Test.make ~name:"constraint pushdown never changes answers" ~count:30
-    gen_pushdown_case
-    (fun ((shape, n, seed, params), qtext, cache) ->
-      let q = parse_query qtext in
-      let query_cache =
-        if cache then Codb_core.Options.Cache_containment else Codb_core.Options.Cache_off
-      in
-      let run ~pushdown =
-        let opts =
-          { Codb_core.Options.default with Codb_core.Options.pushdown; query_cache }
-        in
-        let sys = System.build_exn ~opts (Topology.generate ~params ~seed shape ~n) in
-        let o = System.run_query sys ~at:"n0" q in
-        ( sorted_tuples (List.map canonical_nulls o.System.qo_answers),
-          sorted_tuples (List.map canonical_nulls o.System.qo_certain),
-          o.System.qo_complete )
-      in
-      let a0, c0, f0 = run ~pushdown:false in
-      let a, c, f = run ~pushdown:true in
-      List.equal Tuple.equal a0 a && List.equal Tuple.equal c0 c && Bool.equal f0 f)
+    ~print:(fun ((shape, n, seed, params), qtext, cache) ->
+      Printf.sprintf "%s n=%d seed=%d existential_frac=%g %S cache=%b"
+        (Topology.shape_name shape) n seed params.Topology.existential_frac qtext cache)
+    gen_pushdown_case pushdown_agrees
+
+(* Cases where pushdown on and off return different null-carrying
+   answers with equal certain answers (drawn by qcheck seeds
+   957441220, 261768660 and 396518084): each run's answers map into
+   the other's. *)
+let test_pushdown_null_answers () =
+  let null id = Value.Null { Value.null_id = id; null_rule = "r" } in
+  Alcotest.(check bool) "a row a constant subsumes" true
+    (null_equivalent [ tup [ i 2; null 1 ]; tup [ i 2; i 5 ] ] [ tup [ i 2; i 5 ] ]);
+  Alcotest.(check bool) "a shared null must map consistently" false
+    (null_equivalent
+       [ tup [ null 1; i 1 ]; tup [ null 1; i 2 ] ]
+       [ tup [ i 7; i 1 ]; tup [ i 8; i 2 ] ]);
+  Alcotest.(check bool) "a constant has no image" false
+    (null_equivalent [ tup [ i 2; null 1 ] ] [ tup [ i 3; i 4 ] ]);
+  let params =
+    { Topology.default_params with Topology.tuples_per_node = 8; existential_frac = 0.3 }
+  in
+  List.iter
+    (fun (shape, n, seed, qtext) ->
+      let case = ((shape, n, seed, params), qtext, false) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s n=%d seed=%d %s" (Topology.shape_name shape) n seed qtext)
+        true (pushdown_agrees case))
+    [
+      (Topology.Clique, 5, 6278, "o(x, y) <- data(x, y), x < 3");
+      (Topology.Star_in, 3, 6580, "o(x, y) <- data(x, y), x < 3");
+      (Topology.Clique, 5, 3366, "o(y) <- data(3, y)");
+    ]
 
 (* Heterogeneous GLAV networks (joins, existential projections,
    filters) over random shapes: the update must terminate, saturate
@@ -642,4 +655,8 @@ let suite =
       prop_parser_total;
       prop_containment_reflexive;
       prop_nulls_counter_monotone;
+    ]
+  @ [
+      Alcotest.test_case "pushdown: null answers equal modulo renaming" `Quick
+        test_pushdown_null_answers;
     ]

@@ -250,24 +250,8 @@ let test_late_data_after_termination_absorbed () =
   Alcotest.(check bool) "straggler acked" true
     (match messages with [ m ] -> is_ack m && m.dst = "up" | _ -> false)
 
-(* The sent entries a snapshot cut now carries, read back the way a
-   recovering node reads them. *)
-let snapshot_sent node =
-  let snapshot = Codb_core.Durable.encode_snapshot node in
-  let backend = Codb_store.Backend.memory () in
-  let wal =
-    Codb_store.Wal.create ~backend ~snapshot_every:1000
-      ~take_snapshot:(fun () -> snapshot) ()
-  in
-  Codb_store.Wal.snapshot_now wal;
-  let fresh = Node.create node.Node.decl in
-  let opts = { Options.default with Options.durability = Options.Dur_wal } in
-  ignore (Codb_core.Durable.recover fresh opts ~backend);
-  fresh.Node.recovered_sent
-
 (* A finished update pins nothing: once it terminated (by any path) its
-   sent filters are released, a late data message sends nothing, and a
-   snapshot no longer carries the filters. *)
+   sent filters are released and a late data message sends nothing. *)
 let check_finished_update_pins_nothing ?opts terminate =
   let rt, node, outbox = make_runtime ?opts middle_config in
   terminate rt outbox;
@@ -278,8 +262,6 @@ let check_finished_update_pins_nothing ?opts terminate =
       Alcotest.(check int) ("nothing tracked for " ^ rule) 0
         (Update_state.sent_tracked st rule))
     [ "to_down"; "from_up" ];
-  Alcotest.(check int) "snapshot carries no sent entries" 0
-    (List.length (snapshot_sent node));
   let _ = drain outbox in
   Update.handle rt ~src:(peer "up") ~bytes:50
     (Payload.Update_data
@@ -288,13 +270,11 @@ let check_finished_update_pins_nothing ?opts terminate =
   Alcotest.(check int) "late data sends nothing" 0 (count is_data (drain outbox))
 
 (* r(1) went out on to_down before termination, so the filter held a
-   row, and a snapshot cut then carried it. *)
+   row. *)
 let served_to_down node outbox =
   Alcotest.(check int) "data served to down" 1 (count is_data (drain outbox));
   Alcotest.(check int) "filter holds the served row" 1
-    (Update_state.sent_tracked (state node) "to_down");
-  Alcotest.(check int) "a live update's filter is snapshotted" 1
-    (List.length (snapshot_sent node))
+    (Update_state.sent_tracked (state node) "to_down")
 
 let test_released_on_initiator_quiescence () =
   check_finished_update_pins_nothing (fun rt outbox ->
@@ -418,26 +398,6 @@ let test_give_up_voids_the_watermark () =
   check_tuples "served in full" [ tup [ i 1 ]; tup [ i 5 ] ]
     (served_to_down (drain outbox))
 
-(* A WAL recovery carries an update's sent filter over a crash; the
-   heads in it went out before the crash, and nothing accounts for
-   their arrival.  A link served through such a filter records no
-   watermark, so the next update serves it in full. *)
-let test_carried_filter_records_no_watermark () =
-  let served_and_terminated ~carried =
-    let rt, node, _ = make_runtime middle_config in
-    if carried then
-      node.Node.recovered_sent <- [ (Ids.string_of_update uid, "to_down", [ tup [ i 1 ] ]) ];
-    Update.handle rt ~src:(peer "down") ~bytes:100
-      (Payload.Update_request { update_id = uid; scope = Payload.Global });
-    Update.handle rt ~src:(peer "down") ~bytes:20
-      (Payload.Update_terminated { update_id = uid });
-    Codb_core.Watermark.find node.Node.watermarks "to_down"
-  in
-  Alcotest.(check (option (array int))) "served afresh: committed" (Some [| 1 |])
-    (served_and_terminated ~carried:false);
-  Alcotest.(check (option (array int))) "carried over: no mark" None
-    (served_and_terminated ~carried:true)
-
 let test_ack_for_unknown_update_ignored () =
   let rt, _, outbox = make_runtime middle_config in
   Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
@@ -456,8 +416,6 @@ let suite =
       test_late_messages_after_release;
     Alcotest.test_case "a give-up voids the watermark" `Quick
       test_give_up_voids_the_watermark;
-    Alcotest.test_case "a carried-over filter records no watermark" `Quick
-      test_carried_filter_records_no_watermark;
     Alcotest.test_case "quiescence releases the sent filters" `Quick
       test_released_on_initiator_quiescence;
     Alcotest.test_case "terminated flood releases the sent filters" `Quick

@@ -177,9 +177,10 @@ let test_stale_messages_ignored () =
     (Payload.Query_done { query_id = qid; request_ref = "ghost"; rule_id = "from_up"; complete = true });
   Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox))
 
-(* Completion releases an instance's overlay, as termination releases
-   an update's sent filters: after a diffusion over a chain, every
-   instance on every node is closed and holds no tuple. *)
+(* Completion releases what an instance holds: a finished responder
+   leaves the node's table, and a root stays, closed and with its
+   overlay released, because [Query_engine.result] reads it.  After a
+   diffusion over a chain only the root is left. *)
 let test_closed_instances_release_overlays () =
   let sys = System.build_exn (Topology.generate ~seed:42 Topology.Chain ~n:5) in
   let outcome = System.run_query sys ~at:"n0" (parse_query "ans(x, y) <- data(x, y)") in
@@ -190,46 +191,62 @@ let test_closed_instances_release_overlays () =
       Hashtbl.iter
         (fun ref_ (st : Query_state.t) ->
           incr instances;
+          Alcotest.(check bool) (ref_ ^ " is a root") true
+            (match st.Query_state.qst_kind with
+            | Query_state.Root _ -> true
+            | Query_state.Responder _ -> false);
           Alcotest.(check bool) (ref_ ^ " closed") true st.Query_state.qst_closed;
           Alcotest.(check int) (ref_ ^ " overlay empty") 0
             (Database.cardinal st.Query_state.qst_overlay))
         (System.node sys name).Node.query_instances)
     (System.node_names sys);
-  Alcotest.(check int) "root and four responders" 5 !instances
+  Alcotest.(check int) "only the root" 1 !instances
 
-(* Data that reaches a closed instance (here through a routing entry
-   that outlived its sub-request) is dropped: nothing is integrated
-   into the released overlay, noted as sent, or forwarded. *)
+let first_sub_ref outbox =
+  List.find_map
+    (fun m ->
+      match m.payload with
+      | Payload.Query_request { request_ref; _ } -> Some request_ref
+      | _ -> None)
+    (drain outbox)
+  |> Option.get
+
+(* Data that arrives after an instance finished (here through a routing
+   entry that outlived its sub-request) sends nothing: a finished
+   responder is gone, and a closed root integrates nothing into its
+   released overlay. *)
 let test_late_data_for_closed_instance () =
   let rt, node, outbox = make_runtime middle_config in
   Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~ref_:"q5" "to_down");
-  let sub_ref =
-    List.find_map
-      (fun m ->
-        match m.payload with
-        | Payload.Query_request { request_ref; _ } -> Some request_ref
-        | _ -> None)
-      (drain outbox)
-    |> Option.get
-  in
+  let sub_ref = first_sub_ref outbox in
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Query_done
        { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
   ignore (drain outbox);
-  let st = Hashtbl.find node.Node.query_instances "q5" in
+  Alcotest.(check bool) "finished responder gone" true
+    (Hashtbl.find_opt node.Node.query_instances "q5" = None);
+  let late ~owner =
+    Hashtbl.replace node.Node.sub_refs sub_ref owner;
+    Query_engine.handle rt ~src:(peer "up") ~bytes:60
+      (Payload.Query_data
+         { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
+           tuples = [ tup [ i 9 ] ] });
+    Alcotest.(check int) ("nothing sent for " ^ owner) 0 (List.length (drain outbox))
+  in
+  late ~owner:"q5";
+  let root_ref = Query_engine.start rt qid (parse_query "ans(x) <- r(x)") in
+  let root_sub = first_sub_ref outbox in
+  Query_engine.handle rt ~src:(peer "up") ~bytes:20
+    (Payload.Query_done
+       { query_id = qid; request_ref = root_sub; rule_id = "from_up"; complete = true });
+  let root = Hashtbl.find node.Node.query_instances root_ref in
   let module Q = Query_state in
-  Alcotest.(check bool) "closed" true st.Q.qst_closed;
-  Alcotest.(check int) "overlay released" 0 (Database.cardinal st.Q.qst_overlay);
-  let sent = Sent_filter.tracked st.Q.qst_sent in
-  Hashtbl.replace node.Node.sub_refs sub_ref "q5";
-  Query_engine.handle rt ~src:(peer "up") ~bytes:60
-    (Payload.Query_data
-       { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
-         tuples = [ tup [ i 9 ] ] });
-  Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox));
-  Alcotest.(check int) "overlay still empty" 0 (Database.cardinal st.Q.qst_overlay);
-  Alcotest.(check int) "sent table unchanged" sent
-    (Sent_filter.tracked st.Q.qst_sent)
+  Alcotest.(check bool) "root closed" true root.Q.qst_closed;
+  Alcotest.(check int) "root overlay released" 0 (Database.cardinal root.Q.qst_overlay);
+  late ~owner:root_ref;
+  Alcotest.(check int) "root overlay still empty" 0 (Database.cardinal root.Q.qst_overlay);
+  check_tuples "root answer unchanged" [ tup [ i 1 ] ]
+    (Option.get (Query_engine.result node root_ref))
 
 (* A root streams the answers each delta enables only to a listener:
    with none, delivered data is integrated into the overlay and nothing
@@ -257,6 +274,34 @@ let root_outcome ?on_answer () =
        { query_id = qid; request_ref = sub_ref; rule_id = "to_down"; complete = true });
   (evaluated, Option.get (Query_engine.result node root_ref))
 
+(* Nor does a root with no listener evaluate its local answers at
+   [start]: nobody hears them, and completion evaluates the overlay. *)
+let test_unheard_root_starts_without_evaluating () =
+  let start ?on_answer () =
+    let rt, node, outbox = make_runtime middle_config in
+    let before = Eval.counters () in
+    let root_ref = Query_engine.start ?on_answer rt qid (parse_query "ans(x) <- r(x)") in
+    let evaluated = Eval.counters () <> before in
+    let sub_ref = first_sub_ref outbox in
+    Query_engine.handle rt ~src:(peer "up") ~bytes:60
+      (Payload.Query_data
+         { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
+           tuples = [ tup [ i 2 ] ] });
+    Query_engine.handle rt ~src:(peer "up") ~bytes:20
+      (Payload.Query_done
+         { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
+    (evaluated, Option.get (Query_engine.result node root_ref))
+  in
+  let heard = ref [] in
+  let heard_evaluated, heard_answers =
+    start ~on_answer:(fun ts -> heard := ts @ !heard) ()
+  in
+  let evaluated, answers = start () in
+  Alcotest.(check bool) "a listener hears the local answers at once" true heard_evaluated;
+  Alcotest.(check bool) "no listener: counters unchanged at start" false evaluated;
+  check_tuples "same final answers" heard_answers answers;
+  check_tuples "final answers" [ tup [ i 1 ]; tup [ i 2 ] ] answers
+
 let test_unheard_root_evaluates_nothing_on_data () =
   let streamed = ref [] in
   let heard_evaluated, heard =
@@ -283,4 +328,6 @@ let suite =
       test_late_data_for_closed_instance;
     Alcotest.test_case "a root with no listener evaluates nothing on data" `Quick
       test_unheard_root_evaluates_nothing_on_data;
+    Alcotest.test_case "a root with no listener evaluates nothing at start" `Quick
+      test_unheard_root_starts_without_evaluating;
   ]

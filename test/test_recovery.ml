@@ -255,8 +255,12 @@ let test_snapshot_recovers_store () =
   Alcotest.(check int) "snapshot restores the exact store"
     (Database.digest node.Node.store)
     (Database.digest again.Node.store);
-  let v1 = "\x01" ^ String.sub snapshot 1 (String.length snapshot - 1) in
-  let ignored, rv = recover_from v1 in
+  let older version =
+    recover_from (String.make 1 (Char.chr version) ^ String.sub snapshot 1 (String.length snapshot - 1))
+  in
+  let _, rv = older 2 in
+  Alcotest.(check bool) "a version-2 snapshot is refused" false rv.Durable.rv_had_snapshot;
+  let ignored, rv = older 1 in
   Alcotest.(check bool) "a version-1 snapshot is not read" false
     rv.Durable.rv_had_snapshot;
   (* the fresh node holds only its declared facts, not what n1 imported *)
@@ -387,8 +391,18 @@ let test_wal_recovers_subscriptions () =
   let _ = System.run_update sys ~initiator:"n0" in
   let hosted = Option.get (System.subscription_answers sys ~at:"n1" sub_id) in
   let mirrored = Option.get (System.subscription_answers sys ~at:"n1" mirror_id) in
+  Alcotest.(check bool) "the mirror holds answers" true (mirrored <> []);
+  (* cut a snapshot now: the log tail is empty at the crash, so the
+     mirror comes back from the snapshot, which keeps no answers *)
+  Wal.snapshot_now (Option.get (System.node sys "n1").Node.wal);
   System.crash_node sys "n1";
   System.restart_node sys "n1";
+  Alcotest.(check int) "no log record replayed" 0
+    (Report.chaos_report (System.snapshots sys)).Report.chr_recovered_records;
+  (match System.mirror sys ~at:"n1" mirror_id with
+  | None -> Alcotest.fail "mirror not in the snapshot"
+  | Some m ->
+      Alcotest.(check int) "recovered empty, re-armed" 0 (Codb_sub.Mirror.answer_count m));
   let _ = System.run sys in
   (match System.subscription_answers sys ~at:"n1" sub_id with
   | None -> Alcotest.fail "hosted subscription lost in the crash"

@@ -39,14 +39,16 @@ let test_update_state_scoped_activation () =
 let test_update_state_sent_cache () =
   let st = U.create ~initiator:false ~outgoing:[] ~incoming:[ "i1" ] uid in
   Alcotest.(check int) "empty cache" 0 (U.sent_tracked st "i1");
-  U.add_sent st "i1" [ tup [ i 1 ]; tup [ i 2 ] ];
-  U.add_sent st "i1" [ tup [ i 2 ]; tup [ i 3 ] ];
+  let filter = U.sent_filter st "i1" in
+  List.iter
+    (fun t -> ignore (Codb_core.Sent_filter.note_if_new filter t))
+    [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 2 ]; tup [ i 3 ] ];
   Alcotest.(check int) "set semantics" 3 (U.sent_tracked st "i1");
   check_tuples "members, sorted"
     [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 3 ] ]
     (Codb_core.Sent_filter.elements (U.sent_filter st "i1"));
   Alcotest.(check int) "caches are per link" 0 (U.sent_tracked st "other");
-  U.release_sent st;
+  U.release st;
   Alcotest.(check int) "released" 0 (U.sent_tracked st "i1")
 
 let test_update_state_wire_buffer () =

@@ -63,7 +63,7 @@ let test_sent_filter_is_projection_dedup () =
         ("base", tup [ i 2; i 20 ]) ]
   in
   let sent = Sent_filter.create () in
-  Sent_filter.note_sent sent (tup [ i 2; Value.Hole 0 ]);
+  ignore (Sent_filter.note_if_new sent (tup [ i 2; Value.Hole 0 ]));
   check_tuples "two derivations, one head; the sent head dropped"
     [ tup [ i 1; Value.Hole 0 ] ]
     (Wrapper.eval_rule_full ~sent db rule);
