@@ -2,6 +2,7 @@
 
      dune exec bench/main.exe                 # every experiment + micro
      dune exec bench/main.exe -- experiments  # the numbered experiments only
+     dune exec bench/main.exe -- experiments e15  # selected numbered experiments
      dune exec bench/main.exe -- e3 e5        # selected experiments
      dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
      dune exec bench/main.exe -- bench-json   # planner ablation -> BENCH_planner.json
@@ -57,20 +58,25 @@ let () =
       ("dict-json", fun () -> Dict_bench.run ~tiny:!tiny ~seed:!seed ());
     ]
   in
+  let known = List.map fst Experiments.all in
+  let check_known names =
+    let unknown = List.filter (fun n -> not (List.mem n known)) names in
+    if unknown <> [] then begin
+      Printf.eprintf "unknown experiment(s): %s (known: %s)\n"
+        (String.concat ", " unknown)
+        (String.concat ", " (known @ List.map fst commands));
+      exit 1
+    end
+  in
   match args with
   | [] ->
       Experiments.run [];
       Micro.run ()
-  | [ "experiments" ] -> Experiments.run []
+  | "experiments" :: names ->
+      check_known names;
+      Experiments.run names
   | names ->
       let experiment_names = List.filter (fun n -> not (List.mem_assoc n commands)) names in
-      let known = List.map fst Experiments.all in
-      let unknown = List.filter (fun n -> not (List.mem n known)) experiment_names in
-      if unknown <> [] then begin
-        Printf.eprintf "unknown experiment(s): %s (known: %s)\n"
-          (String.concat ", " unknown)
-          (String.concat ", " (known @ List.map fst commands));
-        exit 1
-      end;
+      check_known experiment_names;
       List.iter (fun (name, run) -> if List.mem name names then run ()) commands;
       if experiment_names <> [] then Experiments.run experiment_names

@@ -14,8 +14,10 @@
    plain one (checked tuple-for-tuple); the interesting output is the
    message count and byte volume.  Results are printed as a table and
    written to BENCH_wire.json (BENCH_wire_tiny.json with --tiny) for
-   trend tracking; invariant violations (diverging stores, batching
-   that *increases* bytes) abort the benchmark so CI fails loudly. *)
+   trend tracking; the full file embeds the tiny run as its
+   tiny_reference, which CI pins the tiny rerun's counts against.
+   Invariant violations (diverging stores, batching that *increases*
+   bytes) abort the benchmark so CI fails loudly. *)
 
 module System = Codb_core.System
 module Topology = Codb_core.Topology
@@ -142,28 +144,27 @@ let print_table wl measurements =
          ])
        measurements)
 
-(* Hand-rolled JSON: the harness must not grow dependencies. *)
-let write_json ~path wl measurements =
-  let baseline = List.hd measurements in
-  let oc = open_out path in
+(* The workload and one line per corner, at [indent] spaces; the
+   caller closes the enclosing object. *)
+let emit_corners oc ~indent wl measurements =
+  let pad = String.make indent ' ' in
   let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"wire-ablation\",\n";
-  p "  \"workload\": {\"topology\": \"clique\", \"nodes\": %d, \"tuples_per_node\": %d, \
+  let baseline = List.hd measurements in
+  p "%s\"workload\": {\"topology\": \"clique\", \"nodes\": %d, \"tuples_per_node\": %d, \
      \"domain\": %d, \"skew\": %g},\n"
-    wl.wl_nodes wl.wl_tuples wl.wl_domain wl.wl_skew;
-  p "  \"batch_window_s\": %g,\n" batch_window;
-  p "  \"corners\": [\n";
+    pad wl.wl_nodes wl.wl_tuples wl.wl_domain wl.wl_skew;
+  p "%s\"batch_window_s\": %g,\n" pad batch_window;
+  p "%s\"corners\": [\n" pad;
   let n = List.length measurements in
   List.iteri
     (fun i m ->
-      p "    {\"name\": \"%s\", \"batched\": %b, \
+      p "%s  {\"name\": \"%s\", \"batched\": %b, \
          \"data_msgs\": %d, \"delivered_msgs\": %d, \"batches\": %d, \
          \"batch_tuples\": %d, \"coalesced\": %d, \
          \"data_bytes\": %d, \"total_bytes\": %d, \"bytes_reduction\": %.2f, \
          \"data_msg_reduction\": %.2f, \"sim_duration_s\": %.4f, \
          \"new_tuples\": %d, \"wall_s\": %.4f}%s\n"
-        m.m_corner.c_name m.m_corner.c_batched
+        pad m.m_corner.c_name m.m_corner.c_batched
         m.m_report.Report.ur_data_msgs m.m_delivered m.m_report.Report.ur_batches
         m.m_report.Report.ur_batch_tuples m.m_report.Report.ur_coalesced
         m.m_report.Report.ur_bytes m.m_total_bytes
@@ -172,7 +173,24 @@ let write_json ~path wl measurements =
         m.m_report.Report.ur_duration m.m_report.Report.ur_new_tuples m.m_wall_s
         (if i = n - 1 then "" else ","))
     measurements;
-  p "  ],\n";
+  p "%s]" pad
+
+(* Hand-rolled JSON: the harness must not grow dependencies.  The full
+   run embeds the tiny run as [tiny_reference], which CI pins the tiny
+   rerun's counts against. *)
+let write_json ~path ?tiny_reference wl measurements =
+  let oc = open_out path in
+  let p fmt = Printf.fprintf oc fmt in
+  p "{\n";
+  p "  \"benchmark\": \"wire-ablation\",\n";
+  emit_corners oc ~indent:2 wl measurements;
+  p ",\n";
+  (match tiny_reference with
+  | Some (twl, tms) ->
+      p "  \"tiny_reference\": {\n";
+      emit_corners oc ~indent:4 twl tms;
+      p "\n  },\n"
+  | None -> ());
   p "  \"stores_identical_across_corners\": true\n";
   p "}\n";
   close_out oc
@@ -181,8 +199,14 @@ let run ?(tiny = false) ?(json = true) () =
   let wl, measurements = measure_all ~tiny () in
   print_table wl measurements;
   check_invariants measurements;
-  if json then begin
-    let json_path = if tiny then "BENCH_wire_tiny.json" else "BENCH_wire.json" in
-    write_json ~path:json_path wl measurements;
-    Printf.printf "wrote %s\n%!" json_path
-  end
+  if json then
+    if tiny then begin
+      write_json ~path:"BENCH_wire_tiny.json" wl measurements;
+      Printf.printf "wrote BENCH_wire_tiny.json\n%!"
+    end
+    else begin
+      let twl, tms = measure_all ~tiny:true () in
+      check_invariants tms;
+      write_json ~path:"BENCH_wire.json" ~tiny_reference:(twl, tms) wl measurements;
+      Printf.printf "wrote BENCH_wire.json\n%!"
+    end

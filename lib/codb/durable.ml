@@ -12,7 +12,9 @@
 module Codec = Codb_net.Codec
 module Peer_id = Codb_net.Peer_id
 module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 module Database = Codb_relalg.Database
+module Relation = Codb_relalg.Relation
 module Parser = Codb_cq.Parser
 module Pretty = Codb_cq.Pretty
 module Query = Codb_cq.Query
@@ -33,7 +35,7 @@ type record =
       rel : string;
       hops : int;
       at : float;
-      tuples : Tuple.t list;
+      rows : Row.t list;
     }
   | Seq_reserve of { upto : int }
   | Sub_add of { sub_id : string; owner : owner; query_text : string }
@@ -68,13 +70,13 @@ let encode_record ~dict record =
       Codec.byte w 0;
       Codec.string w rel;
       Payload.put_tuples w tuples
-  | Import { rule; rel; hops; at; tuples } ->
+  | Import { rule; rel; hops; at; rows } ->
       Codec.byte w 1;
       Codec.string w rule;
       Codec.string w rel;
       Codec.zigzag w hops;
       Codec.float64 w at;
-      Payload.put_tuples w tuples
+      Payload.put_rows w rows
   | Seq_reserve { upto } ->
       Codec.byte w 2;
       Codec.varint w upto
@@ -106,7 +108,7 @@ let get_record r =
       let rel = Codec.read_string r in
       let hops = Codec.read_zigzag r in
       let at = Codec.read_float64 r in
-      Import { rule; rel; hops; at; tuples = Payload.get_tuples r }
+      Import { rule; rel; hops; at; rows = Payload.get_rows r }
   | 2 -> Seq_reserve { upto = Codec.read_varint r }
   | 3 ->
       let sub_id = Codec.read_string r in
@@ -142,7 +144,7 @@ type mirror_snap = {
 
 type snapshot = {
   sn_store : (string * Tuple.t list) list;
-  sn_lineage : ((string * Tuple.t) * Lineage.import list) list;
+  sn_lineage : ((string * Row.t) * Lineage.import list) list;
   sn_next_seq : int;
   sn_seen : string list;
   sn_subs : sub_entry list;
@@ -194,9 +196,9 @@ let put_snapshot w (node : Node.t) =
   let lineage = Lineage.all node.Node.lineage in
   Codec.varint w (List.length lineage);
   List.iter
-    (fun ((rel, tuple), imports) ->
+    (fun ((rel, row), imports) ->
       Codec.string w rel;
-      Payload.put_tuple w tuple;
+      Payload.put_row w row;
       Codec.varint w (List.length imports);
       List.iter
         (fun (i : Lineage.import) ->
@@ -276,7 +278,7 @@ let get_snapshot r =
   let sn_lineage =
     List.init (Codec.read_count r) (fun _ ->
         let rel = Codec.read_string r in
-        let tuple = Payload.get_tuple r in
+        let row = Payload.get_row r in
         let imports =
           List.init (Codec.read_count r) (fun _ ->
               let li_rule = Codec.read_string r in
@@ -284,7 +286,7 @@ let get_snapshot r =
               let li_at = Codec.read_float64 r in
               { Lineage.li_rule; li_hops; li_at })
         in
-        ((rel, tuple), imports))
+        ((rel, row), imports))
   in
   let sn_next_seq = Codec.read_varint r in
   let sn_seen = List.init (Codec.read_count r) (fun _ -> Codec.read_raw_string r) in
@@ -333,8 +335,8 @@ let log (node : Node.t) record =
 
 let log_insert node ~rel tuples = if tuples <> [] then log node (Insert { rel; tuples })
 
-let log_import node ~rule ~rel ~hops ~at tuples =
-  if tuples <> [] then log node (Import { rule; rel; hops; at; tuples })
+let log_import node ~rule ~rel ~hops ~at rows =
+  if rows <> [] then log node (Import { rule; rel; hops; at; rows })
 
 let log_sub_add node ~sub_id ~owner ~query_text =
   log node (Sub_add { sub_id; owner; query_text })
@@ -424,8 +426,8 @@ let apply_snapshot (node : Node.t) (opts : Options.t) snap =
         List.iter (fun t -> ignore (Database.insert store rel t)) tuples)
     snap.sn_store;
   List.iter
-    (fun ((rel, tuple), imports) ->
-      List.iter (Lineage.record_import node.Node.lineage ~rel tuple) imports)
+    (fun ((rel, row), imports) ->
+      List.iter (Lineage.record_import node.Node.lineage ~rel row) imports)
     snap.sn_lineage;
   List.iter
     (fun s -> restore_sub node opts ~sub_id:s.ss_id ~owner:s.ss_owner ~text:s.ss_query)
@@ -442,15 +444,16 @@ let apply_record (node : Node.t) (opts : Options.t) ~seq_floor record =
       let store = node.Node.store in
       if Database.has_relation store rel then
         List.iter (fun t -> ignore (Database.insert store rel t)) tuples
-  | Import { rule; rel; hops; at; tuples } ->
-      let store = node.Node.store in
-      if Database.has_relation store rel then
-        List.iter
-          (fun t ->
-            if Database.insert store rel t then
-              Lineage.record_import node.Node.lineage ~rel t
-                { Lineage.li_rule = rule; li_hops = hops; li_at = at })
-          tuples
+  | Import { rule; rel; hops; at; rows } -> (
+      match Database.relation_opt node.Node.store rel with
+      | None -> ()
+      | Some relation ->
+          let import = { Lineage.li_rule = rule; li_hops = hops; li_at = at } in
+          List.iter
+            (fun row ->
+              if Relation.insert_row relation row then
+                Lineage.record_import node.Node.lineage ~rel row import)
+            rows)
   | Seq_reserve { upto } -> seq_floor := max !seq_floor upto
   | Sub_add { sub_id; owner; query_text } ->
       restore_sub node opts ~sub_id ~owner ~text:query_text

@@ -34,8 +34,8 @@ type record =
       rel : string;
       hops : int;
       at : float;
-      tuples : Tuple.t list;
-    }  (** tuples an update integrated, with their lineage *)
+      rows : Codb_relalg.Row.t list;
+    }  (** rows an update integrated (packed), with their lineage *)
   | Seq_reserve of { upto : int }
       (** transport sequence numbers below [upto] may have been used *)
   | Sub_add of { sub_id : string; owner : owner; query_text : string }
@@ -68,7 +68,7 @@ val log_insert : Node.t -> rel:string -> Tuple.t list -> unit
 
 val log_import :
   Node.t -> rule:string -> rel:string -> hops:int -> at:float ->
-  Tuple.t list -> unit
+  Codb_relalg.Row.t list -> unit
 
 val log_sub_add : Node.t -> sub_id:string -> owner:owner -> query_text:string -> unit
 

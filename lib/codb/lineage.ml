@@ -1,8 +1,6 @@
-module Tuple = Codb_relalg.Tuple
-module Intern = Codb_relalg.Intern
 module Database = Codb_relalg.Database
 module Relation = Codb_relalg.Relation
-module Row_table = Codb_cq.Eval.Row_table
+module Row = Codb_relalg.Row
 
 type import = { li_rule : string; li_hops : int; li_at : float }
 
@@ -11,30 +9,27 @@ type origin = Base | Imported of import list
 (* Per relation, the imports of each packed row, newest first.  A
    node has a few relations, and one that never imported allocates no
    table. *)
-type t = { mutable rels : (string * import list Row_table.t) list }
+type t = { mutable rels : (string * import list Row.Table.t) list }
 
 let create () = { rels = [] }
 
-let pack tuple = Array.map Intern.pack tuple
-
-let record_import t ~rel tuple import =
+let record_import t ~rel row import =
   let rows =
     match List.assoc_opt rel t.rels with
     | Some rows -> rows
     | None ->
-        let rows = Row_table.create 64 in
+        let rows = Row.Table.create 64 in
         t.rels <- (rel, rows) :: t.rels;
         rows
   in
-  let row = pack tuple in
-  let earlier = Option.value ~default:[] (Row_table.find_opt rows row) in
-  Row_table.replace rows row (import :: earlier)
+  let earlier = Option.value ~default:[] (Row.Table.find_opt rows row) in
+  Row.Table.replace rows row (import :: earlier)
 
 let imports t ~rel tuple =
   match List.assoc_opt rel t.rels with
   | None -> []
   | Some rows -> (
-      match Row_table.find_opt rows (pack tuple) with
+      match Row.Table.find_opt rows (Row.of_tuple tuple) with
       | Some newest_first -> List.rev newest_first
       | None -> [])
 
@@ -42,16 +37,16 @@ let all t =
   let entries =
     List.fold_left
       (fun acc (rel, rows) ->
-        Row_table.fold
+        Row.Table.fold
           (fun row newest_first acc ->
-            ((rel, Array.map Intern.unpack row), List.rev newest_first) :: acc)
+            ((rel, row), List.rev newest_first) :: acc)
           rows acc)
       [] t.rels
   in
   List.sort
     (fun ((r1, t1), _) ((r2, t2), _) ->
       let c = String.compare r1 r2 in
-      if c <> 0 then c else Tuple.compare t1 t2)
+      if c <> 0 then c else Row.compare t1 t2)
     entries
 
 let clear t = t.rels <- []

@@ -22,14 +22,17 @@ type t
 
 val create : unit -> t
 
-val record_import : t -> rel:string -> Codb_relalg.Tuple.t -> import -> unit
+val record_import : t -> rel:string -> Codb_relalg.Row.t -> import -> unit
+(** Note one import of a stored row (packed, as the update integrates
+    it; the row is kept as a key, so it must not be mutated). *)
 
 val imports : t -> rel:string -> Codb_relalg.Tuple.t -> import list
 (** Oldest first; empty for base facts. *)
 
-val all : t -> ((string * Codb_relalg.Tuple.t) * import list) list
-(** Every recorded entry in (relation, tuple) order — what the
-    durability layer writes into snapshots. *)
+val all : t -> ((string * Codb_relalg.Row.t) * import list) list
+(** Every recorded entry in (relation, row) order, rows by
+    {!Codb_relalg.Row.compare} — what the durability layer writes into
+    snapshots. *)
 
 val clear : t -> unit
 (** Forget everything (an honest crash destroys lineage too; recovery

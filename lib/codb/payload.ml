@@ -1,12 +1,14 @@
 module Peer_id = Codb_net.Peer_id
 module Codec = Codb_net.Codec
 module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 module Value = Codb_relalg.Value
+module Intern = Codb_relalg.Intern
 module Specialize = Codb_cq.Specialize
 
 type update_scope = Global | For_rule of string
 
-type batch_entry = { be_rule : string; be_hops : int; be_tuples : Tuple.t list }
+type batch_entry = { be_rule : string; be_hops : int; be_rows : Row.t list }
 
 type sub_entry = {
   se_sub : string;
@@ -20,7 +22,7 @@ type t =
   | Update_data of {
       update_id : Ids.update_id;
       rule_id : string;
-      tuples : Tuple.t list;
+      rows : Row.t list;
       hops : int;
       global : bool;
     }
@@ -43,7 +45,7 @@ type t =
       query_id : Ids.query_id;
       request_ref : string;
       rule_id : string;
-      tuples : Tuple.t list;
+      rows : Row.t list;
     }
   | Query_done of {
       query_id : Ids.query_id;
@@ -81,12 +83,14 @@ type t =
    same-time events may read). *)
 let tuples_safe tuples = not (List.exists Tuple.has_hole tuples)
 
+let rows_safe rows = not (List.exists Row.has_hole rows)
+
 let rec parallel_safe = function
   | Update_request _ | Update_link_closed _ | Update_ack _ | Update_terminated _
   | Query_request _ | Query_done _ | Seq_ack _ ->
       true
-  | Update_data { tuples; _ } | Query_data { tuples; _ } -> tuples_safe tuples
-  | Update_batch { entries; _ } -> List.for_all (fun e -> tuples_safe e.be_tuples) entries
+  | Update_data { rows; _ } | Query_data { rows; _ } -> rows_safe rows
+  | Update_batch { entries; _ } -> List.for_all (fun e -> rows_safe e.be_rows) entries
   | Answer_delta { adds; retracts; _ } -> tuples_safe adds && tuples_safe retracts
   | Answer_batch { entries } ->
       List.for_all (fun e -> tuples_safe e.se_adds && tuples_safe e.se_retracts) entries
@@ -109,11 +113,11 @@ let rec describe = function
       "update-request " ^ Ids.string_of_update update_id
   | Update_request { update_id; scope = For_rule rule } ->
       Printf.sprintf "update-request %s for %s" (Ids.string_of_update update_id) rule
-  | Update_data { rule_id; tuples; _ } ->
-      Printf.sprintf "update-data %s (%d tuples)" rule_id (List.length tuples)
+  | Update_data { rule_id; rows; _ } ->
+      Printf.sprintf "update-data %s (%d tuples)" rule_id (List.length rows)
   | Update_batch { entries; _ } ->
       Printf.sprintf "update-batch (%d rules, %d tuples)" (List.length entries)
-        (List.fold_left (fun acc e -> acc + List.length e.be_tuples) 0 entries)
+        (List.fold_left (fun acc e -> acc + List.length e.be_rows) 0 entries)
   | Update_link_closed { rule_id; _ } -> "link-closed " ^ rule_id
   | Update_ack _ -> "ack"
   | Update_terminated _ -> "terminated"
@@ -122,8 +126,8 @@ let rec describe = function
       else
         Printf.sprintf "query-request %s [%d preds]" rule_id
           (Specialize.pred_count constraints)
-  | Query_data { rule_id; tuples; _ } ->
-      Printf.sprintf "query-data %s (%d tuples)" rule_id (List.length tuples)
+  | Query_data { rule_id; rows; _ } ->
+      Printf.sprintf "query-data %s (%d tuples)" rule_id (List.length rows)
   | Query_done { rule_id; _ } -> "query-done " ^ rule_id
   | Rules_file { version; _ } -> Printf.sprintf "rules-file v%d" version
   | Start_update -> "start-update"
@@ -217,19 +221,54 @@ let get_value r =
   | 6 -> Value.Hole (Codec.read_zigzag r)
   | n -> raise (Codec.Malformed (Printf.sprintf "unknown value tag %d" n))
 
+(* No closures: [encoded_size] runs these once per value of every
+   message. *)
 let put_tuple w (t : Tuple.t) =
   Codec.varint w (Array.length t);
-  Array.iter (put_value w) t
+  for i = 0 to Array.length t - 1 do
+    put_value w t.(i)
+  done
 
 let get_tuple r =
   let arity = Codec.read_count r in
   Array.init arity (fun _ -> get_value r)
 
+let rec put_tuple_list w = function
+  | [] -> ()
+  | t :: rest ->
+      put_tuple w t;
+      put_tuple_list w rest
+
 let put_tuples w tuples =
   Codec.varint w (List.length tuples);
-  List.iter (put_tuple w) tuples
+  put_tuple_list w tuples
 
 let get_tuples r = List.init (Codec.read_count r) (fun _ -> get_tuple r)
+
+(* A packed row is written exactly as its boxed tuple: each cell
+   through its canonical value, which {!Intern.unpack} finds without
+   allocating. *)
+let put_row w (row : Row.t) =
+  Codec.varint w (Array.length row);
+  for i = 0 to Array.length row - 1 do
+    put_value w (Intern.unpack row.(i))
+  done
+
+let get_row r : Row.t =
+  let arity = Codec.read_count r in
+  Array.init arity (fun _ -> Intern.pack (get_value r))
+
+let rec put_row_list w = function
+  | [] -> ()
+  | row :: rest ->
+      put_row w row;
+      put_row_list w rest
+
+let put_rows w rows =
+  Codec.varint w (List.length rows);
+  put_row_list w rows
+
+let get_rows r = List.init (Codec.read_count r) (fun _ -> get_row r)
 
 let put_update_id w (u : Ids.update_id) =
   Codec.string w (Peer_id.to_string u.Ids.u_origin);
@@ -336,21 +375,21 @@ let rec put_payload w payload =
   | Update_request { update_id; scope = For_rule rule } ->
       put_update_id w update_id;
       Codec.string w rule
-  | Update_data { update_id; rule_id; tuples; hops; global } ->
+  | Update_data { update_id; rule_id; rows; hops; global } ->
       put_update_id w update_id;
       Codec.string w rule_id;
       Codec.zigzag w hops;
       put_bool w global;
-      put_tuples w tuples
+      put_rows w rows
   | Update_batch { update_id; entries; global } ->
       put_update_id w update_id;
       put_bool w global;
       Codec.varint w (List.length entries);
       List.iter
-        (fun { be_rule; be_hops; be_tuples } ->
+        (fun { be_rule; be_hops; be_rows } ->
           Codec.string w be_rule;
           Codec.zigzag w be_hops;
-          put_tuples w be_tuples)
+          put_rows w be_rows)
         entries
   | Update_link_closed { update_id; rule_id; global } ->
       put_update_id w update_id;
@@ -364,11 +403,11 @@ let rec put_payload w payload =
       Codec.string w rule_id;
       put_peers w label;
       put_constraints w constraints
-  | Query_data { query_id; request_ref; rule_id; tuples } ->
+  | Query_data { query_id; request_ref; rule_id; rows } ->
       put_query_id w query_id;
       Codec.string w request_ref;
       Codec.string w rule_id;
-      put_tuples w tuples
+      put_rows w rows
   | Query_done { query_id; request_ref; rule_id; complete } ->
       put_query_id w query_id;
       Codec.string w request_ref;
@@ -417,23 +456,22 @@ let rec put_payload w payload =
           put_tuples w se_retracts)
         entries
 
+(* Self-contained (no [link]): the link format against a fresh
+   dictionary, with no epoch stamp.  Link frame: a varint epoch stamp,
+   then the body with strings in [Linked] mode against the per-link
+   dictionary.  The epoch lets the receiver pick the decode table
+   ({!Codec.Dict.table_for}) and makes desync detectable instead of
+   silent. *)
+let put_message w ?link payload =
+  (match link with Some d -> Codec.varint w (Codec.Dict.epoch d) | None -> ());
+  put_payload w payload
+
+let mode_of = Option.map (fun d -> Codec.Linked d)
+
 let encode ?link payload =
-  match link with
-  | None ->
-      (* self-contained: the link format against a fresh dictionary,
-         with no epoch stamp *)
-      let w = Codec.writer () in
-      put_payload w payload;
-      Codec.contents w
-  | Some d ->
-      (* Link frame: varint epoch stamp, then the body with strings in
-         [Linked] mode against the per-link dictionary.  The epoch lets
-         the receiver pick the decode table ({!Codec.Dict.table_for})
-         and makes desync detectable instead of silent. *)
-      let w = Codec.writer ~mode:(Codec.Linked d) () in
-      Codec.varint w (Codec.Dict.epoch d);
-      put_payload w payload;
-      Codec.contents w
+  let w = Codec.writer ?mode:(mode_of link) () in
+  put_message w ?link payload;
+  Codec.contents w
 
 let rec get_payload r =
   match Codec.read_byte r with
@@ -448,8 +486,8 @@ let rec get_payload r =
       let rule_id = Codec.read_string r in
       let hops = Codec.read_zigzag r in
       let global = get_bool r in
-      let tuples = get_tuples r in
-      Update_data { update_id; rule_id; tuples; hops; global }
+      let rows = get_rows r in
+      Update_data { update_id; rule_id; rows; hops; global }
   | 3 ->
       let update_id = get_update_id r in
       let global = get_bool r in
@@ -457,8 +495,8 @@ let rec get_payload r =
         List.init (Codec.read_count r) (fun _ ->
             let be_rule = Codec.read_string r in
             let be_hops = Codec.read_zigzag r in
-            let be_tuples = get_tuples r in
-            { be_rule; be_hops; be_tuples })
+            let be_rows = get_rows r in
+            { be_rule; be_hops; be_rows })
       in
       Update_batch { update_id; entries; global }
   | 4 ->
@@ -479,8 +517,8 @@ let rec get_payload r =
       let query_id = get_query_id r in
       let request_ref = Codec.read_string r in
       let rule_id = Codec.read_string r in
-      let tuples = get_tuples r in
-      Query_data { query_id; request_ref; rule_id; tuples }
+      let rows = get_rows r in
+      Query_data { query_id; request_ref; rule_id; rows }
   | 9 ->
       let query_id = get_query_id r in
       let request_ref = Codec.read_string r in
@@ -559,4 +597,8 @@ let encoded_size ?link payload =
       (* never wire-encoded: a tag byte plus the snapshot's own size
          estimate stands in, and it never trains a link dictionary *)
       1 + Stats.snapshot_size_bytes stats
-  | payload -> String.length (encode ?link payload)
+  | payload ->
+      (* the encoder itself, over a writer that only counts *)
+      let w = Codec.counter ?mode:(mode_of link) () in
+      put_message w ?link payload;
+      Codec.size w

@@ -9,12 +9,13 @@
 module Peer_id = Codb_net.Peer_id
 module Codec = Codb_net.Codec
 module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 module Specialize = Codb_cq.Specialize
 
 type batch_entry = {
   be_rule : string;  (** coordination rule the tuples belong to *)
   be_hops : int;  (** max propagation-path length among the coalesced firings *)
-  be_tuples : Tuple.t list;
+  be_rows : Row.t list;
 }
 
 type sub_entry = {
@@ -42,8 +43,10 @@ type t =
   | Update_data of {
       update_id : Ids.update_id;
       rule_id : string;
-      tuples : Tuple.t list;
-          (** head tuples, existential positions as holes *)
+      rows : Row.t list;
+          (** head tuples, packed ({!Codb_relalg.Row}), existential
+              positions as holes; shared with the sender's sent filter,
+              so never mutated *)
       hops : int;  (** length of the update propagation path so far *)
       global : bool;
           (** lets a node first contacted by data (races with the
@@ -80,7 +83,7 @@ type t =
       query_id : Ids.query_id;
       request_ref : string;
       rule_id : string;
-      tuples : Tuple.t list;
+      rows : Row.t list;  (** packed, like [Update_data]'s *)
     }
   | Query_done of {
       query_id : Ids.query_id;
@@ -159,10 +162,13 @@ val decode : ?link:Codec.Dict.receiver -> string -> (t, string) result
     [Error] — never a wrong string. *)
 
 val encoded_size : ?link:Codec.Dict.sender -> t -> int
-(** Actual encoded byte count, [String.length (encode ?link p)].  The
-    one exception is [Stats_response], which is never encoded: it
-    counts one tag byte plus {!Stats.snapshot_size_bytes}, with or
-    without [link], and leaves the link dictionary untouched. *)
+(** Actual encoded byte count, [String.length (encode ?link p)],
+    counted rather than built: the encoder runs over a
+    {!Codec.counter}, so [link] trains exactly as {!encode} would
+    train it.  The one exception is [Stats_response], which is never
+    encoded: it counts one tag byte plus {!Stats.snapshot_size_bytes},
+    with or without [link], and leaves the link dictionary
+    untouched. *)
 
 val put_tuple : Codec.writer -> Tuple.t -> unit
 (** Writer-level primitives, shared with the durability layer
@@ -174,6 +180,16 @@ val get_tuple : Codec.reader -> Tuple.t
 
 val put_tuples : Codec.writer -> Tuple.t list -> unit
 val get_tuples : Codec.reader -> Tuple.t list
+
+val put_row : Codec.writer -> Row.t -> unit
+(** The bytes {!put_tuple} writes for the row's boxed tuple, written
+    from the packed cells. *)
+
+val get_row : Codec.reader -> Row.t
+(** {!get_tuple}, packed.  @raise Codec.Malformed on corrupt input. *)
+
+val put_rows : Codec.writer -> Row.t list -> unit
+val get_rows : Codec.reader -> Row.t list
 
 val get_peer : Codec.reader -> Peer_id.t
 (** A dictionary string read as a peer name.

@@ -5,6 +5,7 @@ module Atom = Codb_cq.Atom
 module Eval = Codb_cq.Eval
 module Specialize = Codb_cq.Specialize
 module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 module Database = Codb_relalg.Database
 module Q = Query_state
 
@@ -257,11 +258,11 @@ let effective_rule_query constraints (inc : Config.rule_decl) =
   | `Specialized q -> Some q
   | `Unchanged -> Some inc.Config.rule_query
 
-let filter_outgoing rt qid constraints tuples =
-  if Specialize.is_any constraints then tuples
+let filter_outgoing rt qid constraints rows =
+  if Specialize.is_any constraints then rows
   else begin
-    let kept = List.filter (Specialize.matches constraints) tuples in
-    let dropped = List.length tuples - List.length kept in
+    let kept = List.filter (Specialize.matches_row constraints) rows in
+    let dropped = List.length rows - List.length kept in
     if dropped > 0 then begin
       let qs = qstat rt qid in
       qs.Stats.qs_filtered_at_source <- qs.Stats.qs_filtered_at_source + dropped
@@ -306,11 +307,11 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
             | Q.Root _ -> ());
             let qs = qstat rt qid in
             qs.Stats.qs_pushdown_hits <- qs.Stats.qs_pushdown_hits + 1;
-            let fresh = Q.unsent st answers in
+            (* the cache keeps boxed streams *)
+            let fresh = Q.unsent st (List.map Row.of_tuple answers) in
             if fresh <> [] then
               send_data rt st ~dst:src
-                (Payload.Query_data
-                   { query_id = qid; request_ref; rule_id; tuples = fresh })
+                (Payload.Query_data { query_id = qid; request_ref; rule_id; rows = fresh })
         | None -> (
             match effective_rule_query constraints inc with
             | None ->
@@ -318,16 +319,15 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
                    stream is empty by construction *)
                 ()
             | Some eff ->
-                let tuples =
-                  with_counters rt qid (fun () ->
-                      Wrapper.eval_query_full overlay eff)
+                let heads =
+                  with_counters rt qid (fun () -> Wrapper.eval_query_full overlay eff)
                 in
-                let kept = filter_outgoing rt qid constraints tuples in
+                let kept = filter_outgoing rt qid constraints heads in
                 let fresh = Q.unsent st kept in
                 if fresh <> [] then
                   send_data rt st ~dst:src
                     (Payload.Query_data
-                       { query_id = qid; request_ref; rule_id; tuples = fresh });
+                       { query_id = qid; request_ref; rule_id; rows = fresh });
                 (* fan out from the specialized body so the pushed
                    constraints compose transitively down the tree *)
                 fan_out rt st
@@ -336,7 +336,7 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
       end;
       check_completion rt st
 
-let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
+let on_data rt ~bytes ~request_ref ~rule_id ~rows qid =
   let qs = qstat rt qid in
   qs.Stats.qs_data_msgs <- qs.Stats.qs_data_msgs + 1;
   qs.Stats.qs_bytes_in <- qs.Stats.qs_bytes_in + bytes;
@@ -358,8 +358,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
           | Some o ->
               let rel = head_rel o in
               let integration =
-                Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id st.Q.qst_overlay ~rel
-                  tuples
+                Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id st.Q.qst_overlay ~rel rows
               in
               if integration.Wrapper.fresh <> [] then begin
                 match st.Q.qst_kind with
@@ -368,18 +367,18 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                        completion, and nobody listens to the stream *)
                     ()
                 | Q.Root root ->
-                    (* stream only the answers the delta newly enables *)
+                    (* stream only the answers the delta newly enables:
+                       the rows the integration just appended *)
                     let answers =
                       with_counters rt qid (fun () ->
                           Eval.delta_heads
                             ~naive:rt.Runtime.opts.Options.naive_delta
                             (Eval.of_database st.Q.qst_overlay)
-                            ~delta_rel:rel ~since:integration.Wrapper.since
-                            ~delta:integration.Wrapper.fresh root.query)
+                            ~delta_rel:rel ~since:integration.Wrapper.since root.query)
                     in
                     root.streamed <-
                       notify_fresh ~on_answer:root.on_answer
-                        ~streamed:root.streamed answers
+                        ~streamed:root.streamed (List.map Row.to_tuple answers)
                 | Q.Responder { requester; in_rule; constraints; _ } -> (
                     match Node.rule_in rt.Runtime.node in_rule with
                     | None -> ()
@@ -393,8 +392,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                                     Wrapper.eval_query_delta
                                       ~naive:rt.Runtime.opts.Options.naive_delta
                                       st.Q.qst_overlay eff ~delta_rel:rel
-                                      ~since:integration.Wrapper.since
-                                      ~delta:integration.Wrapper.fresh)
+                                      ~since:integration.Wrapper.since)
                               in
                               let kept = filter_outgoing rt qid constraints derived in
                               let fresh = Q.unsent st kept in
@@ -402,7 +400,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                                 send_data rt st ~dst:requester
                                   (Payload.Query_data
                                      { query_id = qid; request_ref = st.Q.qst_ref;
-                                       rule_id = in_rule; tuples = fresh }))
+                                       rule_id = in_rule; rows = fresh }))
               end))
 
 let on_done rt ~request_ref ~complete qid =
@@ -422,8 +420,8 @@ let handle rt ~src ~bytes payload =
   match payload with
   | Payload.Query_request { query_id; request_ref; rule_id; label; constraints } ->
       on_request rt ~src ~request_ref ~rule_id ~label ~constraints query_id
-  | Payload.Query_data { query_id; request_ref; rule_id; tuples } ->
-      on_data rt ~bytes ~request_ref ~rule_id ~tuples query_id
+  | Payload.Query_data { query_id; request_ref; rule_id; rows } ->
+      on_data rt ~bytes ~request_ref ~rule_id ~rows query_id
   | Payload.Query_done { query_id; request_ref; rule_id = _; complete } ->
       on_done rt ~request_ref ~complete query_id
   | Payload.Update_request _ | Payload.Update_data _ | Payload.Update_batch _

@@ -94,8 +94,8 @@ val mark_failed : t -> ref_:string -> bool
 val all_done : t -> bool
 (** Every sub-request answered or failed. *)
 
-val unsent : t -> Tuple.t list -> Tuple.t list
-(** Filter out tuples already sent upstream and record the rest as
+val unsent : t -> Codb_relalg.Row.t list -> Codb_relalg.Row.t list
+(** Filter out rows already sent upstream and record the rest as
     sent. *)
 
 val close : t -> unit

@@ -1,23 +1,20 @@
 module Tuple = Codb_relalg.Tuple
-module Intern = Codb_relalg.Intern
-module Row_table = Codb_cq.Eval.Row_table
+module Row = Codb_relalg.Row
 
-type t = unit Row_table.t
+type t = unit Row.Table.t
 
-let create ?(size = 64) () = Row_table.create size
+let create ?(size = 64) () = Row.Table.create size
 
 let rows t = t
 
-let note_if_new t tuple =
-  let row = Array.map Intern.pack tuple in
-  if Row_table.mem t row then false
+let note_if_new t row =
+  if Row.Table.mem t row then false
   else begin
-    Row_table.add t row ();
+    Row.Table.add t row ();
     true
   end
 
 let elements t =
-  List.sort Tuple.compare
-    (Row_table.fold (fun row () acc -> Array.map Intern.unpack row :: acc) t [])
+  List.sort Tuple.compare (Row.Table.fold (fun row () acc -> Row.to_tuple row :: acc) t [])
 
-let tracked = Row_table.length
+let tracked = Row.Table.length

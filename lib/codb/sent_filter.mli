@@ -1,7 +1,7 @@
 (** Duplicate-suppression state for one incoming link: the paper's
     per-link cache of already-sent tuples ("we delete from Ri those
     tuples which have been already sent").  An exact set of packed head
-    rows ({!Codb_cq.Eval.Row_table}), so a tuple counts as sent only if
+    rows ({!Codb_relalg.Row.Table}), so a tuple counts as sent only if
     it really was and nothing is ever re-sent.  A query responder keeps
     one for its answer stream ({!Query_state.unsent}).
 
@@ -19,13 +19,13 @@ val create : ?size:int -> unit -> t
 (** [size] is the initial bucket hint (default 64); a query responder,
     one of thousands per query storm, starts small. *)
 
-val rows : t -> unit Codb_cq.Eval.Row_table.t
+val rows : t -> unit Codb_relalg.Row.Table.t
 (** The packed rows sent so far: the table the projector filters
     against and fills. *)
 
-val note_if_new : t -> Codb_relalg.Tuple.t -> bool
-(** [true] iff the tuple was not sent before; it is recorded as sent
-    either way. *)
+val note_if_new : t -> Codb_relalg.Row.t -> bool
+(** [true] iff the row was not sent before; it is recorded as sent
+    either way (the row itself is kept: never mutate it). *)
 
 val elements : t -> Codb_relalg.Tuple.t list
 (** The tuples sent so far, boxed and sorted by

@@ -534,7 +534,7 @@ let insert_fact sys ~at ~rel tuple =
        before any subscription delta derived from it leaves the node *)
     Durable.log_insert n ~rel [ tuple ];
     let since = Codb_relalg.Relation.cardinal (Database.relation n.Node.store rel) - 1 in
-    Sub_engine.on_store_delta (runtime sys at) ~rel ~since ~delta:[ tuple ]
+    Sub_engine.on_store_delta (runtime sys at) ~rel ~since ~delta:(fun () -> [ tuple ])
       ~tag:(fun () -> "local-write")
   end;
   inserted

@@ -2,7 +2,7 @@ module Peer_id = Codb_net.Peer_id
 module Config = Codb_cq.Config
 module Query = Codb_cq.Query
 module Atom = Codb_cq.Atom
-module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 module Database = Codb_relalg.Database
 module Relation = Codb_relalg.Relation
 module Eval = Codb_cq.Eval
@@ -208,13 +208,12 @@ let flush_dst rt (st : U.t) us dst =
   | entries ->
       let payload_entries =
         List.map
-          (fun (rule, hops, tuples) ->
-            { Payload.be_rule = rule; be_hops = hops; be_tuples = tuples })
+          (fun (rule, hops, rows) ->
+            { Payload.be_rule = rule; be_hops = hops; be_rows = rows })
           entries
       in
       let tuple_count =
-        List.fold_left (fun acc e -> acc + List.length e.Payload.be_tuples) 0
-          payload_entries
+        List.fold_left (fun acc e -> acc + List.length e.Payload.be_rows) 0 payload_entries
       in
       send_data_counted rt st ~dst
         (Payload.Update_batch
@@ -315,7 +314,7 @@ let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) ~hops fresh =
     else begin
       send_data_counted rt st ~dst
         (Payload.Update_data
-           { update_id = st.U.ust_update; rule_id = rule; tuples = fresh; hops;
+           { update_id = st.U.ust_update; rule_id = rule; rows = fresh; hops;
              global = not st.U.ust_scoped });
       Stats.note_sent_to us dst
     end
@@ -361,10 +360,11 @@ let serve_incoming rt (st : U.t) us (inc : Config.rule_decl) =
   let store = node.Node.store in
   let rels = Query.body_relations inc.Config.rule_query in
   let rows = List.map (cardinal store) rels in
-  let tuples =
+  let query = inc.Config.rule_query in
+  let heads =
     Stats.with_eval_counters us.Stats.us_eval (fun () ->
         match Watermark.find node.Node.watermarks inc.Config.rule_id with
-        | None -> Wrapper.eval_rule_full ?sent:(sent_for rt st inc) store inc
+        | None -> Wrapper.eval_query_full ?sent:(sent_for rt st inc) store query
         | Some marks ->
             let sent =
               match sent_for rt st inc with Some f -> f | None -> Sent_filter.create ()
@@ -374,16 +374,16 @@ let serve_incoming rt (st : U.t) us (inc : Config.rule_decl) =
               if count = mark then (acc, i + 1)
               else
                 let fresh =
-                  Wrapper.eval_rule_delta ~sent ~naive:rt.Runtime.opts.Options.naive_delta
-                    store inc ~delta_rel:rel ~since:mark
+                  Wrapper.eval_query_delta ~sent ~naive:rt.Runtime.opts.Options.naive_delta
+                    store query ~delta_rel:rel ~since:mark
                 in
-                (List.merge Tuple.compare acc fresh, i + 1)
+                (List.merge Row.compare acc fresh, i + 1)
             in
             fst (List.fold_left2 grown ([], 0) rels rows))
   in
   U.note_served st inc.Config.rule_id
     (Watermark.serve node.Node.watermarks ~importer:(importer_of inc) ~rels ~rows);
-  send_on_incoming rt st us inc ~hops:1 tuples
+  send_on_incoming rt st us inc ~hops:1 heads
 
 (* First contact with an update: flood the request, answer every
    incoming link from local data, close independent incoming links. *)
@@ -405,11 +405,11 @@ let first_contact rt (st : U.t) ~exclude =
   maybe_close_incoming rt st;
   node_closed_check rt st
 
-(* Integrate one rule's worth of received tuples and recompute the
+(* Integrate one rule's worth of received rows and recompute the
    dependent incoming links (the per-message statistics are the
    caller's job: one [Update_data] is one entry, one [Update_batch] is
    several). *)
-let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
+let integrate_entry rt (st : U.t) us ~rule_id ~rows ~hops =
   us.Stats.us_max_hops <- max us.Stats.us_max_hops hops;
   match Node.rule_out rt.Runtime.node rule_id with
   | None ->
@@ -419,17 +419,18 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
       let rel = head_rel o in
       let integration =
         Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id rt.Runtime.node.Node.store ~rel
-          tuples
+          rows
       in
       us.Stats.us_new_tuples <- us.Stats.us_new_tuples + List.length integration.Wrapper.fresh;
       us.Stats.us_dup_suppressed <-
         us.Stats.us_dup_suppressed + integration.Wrapper.suppressed;
       us.Stats.us_nulls_created <-
         us.Stats.us_nulls_created + integration.Wrapper.nulls_created;
+      let import =
+        { Lineage.li_rule = rule_id; li_hops = hops; li_at = rt.Runtime.now () }
+      in
       List.iter
-        (fun tuple ->
-          Lineage.record_import rt.Runtime.node.Node.lineage ~rel tuple
-            { Lineage.li_rule = rule_id; li_hops = hops; li_at = rt.Runtime.now () })
+        (fun row -> Lineage.record_import rt.Runtime.node.Node.lineage ~rel row import)
         integration.Wrapper.fresh;
       (* the commit point: fresh tuples and their lineage hit the WAL
          before any derived sends leave this handler *)
@@ -440,7 +441,8 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
          lineage that produced it *)
       if integration.Wrapper.fresh <> [] then
         Sub_engine.on_store_delta rt ~rel ~since:integration.Wrapper.since
-          ~delta:integration.Wrapper.fresh ~tag:(fun () ->
+          ~delta:(fun () -> List.map Row.to_tuple integration.Wrapper.fresh)
+          ~tag:(fun () ->
             Printf.sprintf "%s via %s hop %d"
               (Ids.string_of_update st.U.ust_update)
               rule_id hops);
@@ -448,11 +450,12 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
         let recompute (inc : Config.rule_decl) =
           if U.in_state st inc.Config.rule_id = U.Link_open then begin
             let derived =
+              (* the delta is the window the integration just appended *)
               Stats.with_eval_counters us.Stats.us_eval (fun () ->
-                  Wrapper.eval_rule_delta ?sent:(sent_for rt st inc)
+                  Wrapper.eval_query_delta ?sent:(sent_for rt st inc)
                     ~naive:rt.Runtime.opts.Options.naive_delta
-                    rt.Runtime.node.Node.store inc ~delta_rel:rel
-                    ~since:integration.Wrapper.since ~delta:integration.Wrapper.fresh)
+                    rt.Runtime.node.Node.store inc.Config.rule_query ~delta_rel:rel
+                    ~since:integration.Wrapper.since)
             in
             send_on_incoming rt st us inc ~hops:(hops + 1) derived;
             let since = integration.Wrapper.since in
@@ -471,7 +474,7 @@ let note_refetch rt bytes =
   if rt.Runtime.node.Node.track_refetch then
     Stats.note_refetched rt.Runtime.node.Node.stats bytes
 
-let on_data rt (st : U.t) ~bytes ~rule_id ~tuples ~hops =
+let on_data rt (st : U.t) ~bytes ~rule_id ~rows ~hops =
   let us = stat rt st.U.ust_update in
   us.Stats.us_data_msgs <- us.Stats.us_data_msgs + 1;
   us.Stats.us_bytes_in <- us.Stats.us_bytes_in + bytes;
@@ -479,8 +482,8 @@ let on_data rt (st : U.t) ~bytes ~rule_id ~tuples ~hops =
   let traffic = Stats.rule_traffic us rule_id in
   traffic.Stats.rt_msgs <- traffic.Stats.rt_msgs + 1;
   traffic.Stats.rt_bytes <- traffic.Stats.rt_bytes + bytes;
-  traffic.Stats.rt_tuples <- traffic.Stats.rt_tuples + List.length tuples;
-  integrate_entry rt st us ~rule_id ~tuples ~hops
+  traffic.Stats.rt_tuples <- traffic.Stats.rt_tuples + List.length rows;
+  integrate_entry rt st us ~rule_id ~rows ~hops
 
 let on_batch rt (st : U.t) ~bytes ~entries =
   let us = stat rt st.U.ust_update in
@@ -488,11 +491,11 @@ let on_batch rt (st : U.t) ~bytes ~entries =
   us.Stats.us_bytes_in <- us.Stats.us_bytes_in + bytes;
   note_refetch rt bytes;
   let total_tuples =
-    List.fold_left (fun acc e -> acc + List.length e.Payload.be_tuples) 0 entries
+    List.fold_left (fun acc e -> acc + List.length e.Payload.be_rows) 0 entries
   in
   List.iter
     (fun e ->
-      let n = List.length e.Payload.be_tuples in
+      let n = List.length e.Payload.be_rows in
       let traffic = Stats.rule_traffic us e.Payload.be_rule in
       traffic.Stats.rt_msgs <- traffic.Stats.rt_msgs + 1;
       (* attribute the shared envelope proportionally to tuple counts *)
@@ -502,7 +505,7 @@ let on_batch rt (st : U.t) ~bytes ~entries =
     entries;
   List.iter
     (fun e ->
-      integrate_entry rt st us ~rule_id:e.Payload.be_rule ~tuples:e.Payload.be_tuples
+      integrate_entry rt st us ~rule_id:e.Payload.be_rule ~rows:e.Payload.be_rows
         ~hops:e.Payload.be_hops)
     entries
 
@@ -653,9 +656,9 @@ let handle rt ~src ~bytes payload =
       count_control rt update_id;
       engage_and_process rt ~src ~scoped:true update_id (fun st ->
           activate_incoming rt st ~requester:src rule_id)
-  | Payload.Update_data { update_id; rule_id; tuples; hops; global } ->
+  | Payload.Update_data { update_id; rule_id; rows; hops; global } ->
       engage_and_process rt ~src ~scoped:(not global) update_id (fun st ->
-          on_data rt st ~bytes ~rule_id ~tuples ~hops)
+          on_data rt st ~bytes ~rule_id ~rows ~hops)
   | Payload.Update_batch { update_id; entries; global } ->
       engage_and_process rt ~src ~scoped:(not global) update_id (fun st ->
           on_batch rt st ~bytes ~entries)

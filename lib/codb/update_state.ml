@@ -1,6 +1,5 @@
 module Peer_id = Codb_net.Peer_id
-module Tuple = Codb_relalg.Tuple
-module Tuple_set = Codb_relalg.Relation.Tuple_set
+module Row = Codb_relalg.Row
 
 type link_state = Link_open | Link_closed
 
@@ -9,8 +8,8 @@ type link_state = Link_open | Link_closed
    batches stay deterministic. *)
 type buffer_entry = {
   mutable be_hops : int;
-  mutable be_set : Tuple_set.t;
-  mutable be_rev : Tuple.t list;
+  be_set : unit Row.Table.t;
+  mutable be_rev : Row.t list;
 }
 
 type dest_buffer = {
@@ -172,7 +171,7 @@ let dest_buffer live dst =
       Hashtbl.add live.wire dst b;
       b
 
-let buffer_add st ~dst ~rule ~hops tuples =
+let buffer_add st ~dst ~rule ~hops rows =
   match st.ust_live with
   | None -> 0
   | Some live ->
@@ -181,21 +180,21 @@ let buffer_add st ~dst ~rule ~hops tuples =
         match Hashtbl.find_opt b.db_entries rule with
         | Some e -> e
         | None ->
-            let e = { be_hops = hops; be_set = Tuple_set.empty; be_rev = [] } in
+            let e = { be_hops = hops; be_set = Row.Table.create 16; be_rev = [] } in
             Hashtbl.add b.db_entries rule e;
             e
       in
       e.be_hops <- max e.be_hops hops;
       let added =
         List.fold_left
-          (fun acc t ->
-            if Tuple_set.mem t e.be_set then acc
+          (fun acc row ->
+            if Row.Table.mem e.be_set row then acc
             else begin
-              e.be_set <- Tuple_set.add t e.be_set;
-              e.be_rev <- t :: e.be_rev;
+              Row.Table.add e.be_set row ();
+              e.be_rev <- row :: e.be_rev;
               acc + 1
             end)
-          0 tuples
+          0 rows
       in
       b.db_tuples <- b.db_tuples + added;
       live.pending <- live.pending + added;

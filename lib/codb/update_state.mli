@@ -9,7 +9,6 @@
     quiescence of cyclic components. *)
 
 module Peer_id = Codb_net.Peer_id
-module Tuple_set = Codb_relalg.Relation.Tuple_set
 
 type link_state = Link_open | Link_closed
 
@@ -119,14 +118,14 @@ val release : t -> unit
     {!take_buffer}. *)
 
 val buffer_add :
-  t -> dst:Peer_id.t -> rule:string -> hops:int -> Codb_relalg.Tuple.t list -> int
-(** Buffer tuples for [dst]; same-window duplicates per rule are
-    dropped.  Hop counts merge to the max.  Returns tuples newly
+  t -> dst:Peer_id.t -> rule:string -> hops:int -> Codb_relalg.Row.t list -> int
+(** Buffer packed rows for [dst]; same-window duplicates per rule are
+    dropped.  Hop counts merge to the max.  Returns rows newly
     buffered. *)
 
 val buffer_size : t -> dst:Peer_id.t -> int
 
-val take_buffer : t -> dst:Peer_id.t -> (string * int * Codb_relalg.Tuple.t list) list
+val take_buffer : t -> dst:Peer_id.t -> (string * int * Codb_relalg.Row.t list) list
 (** Drain [dst]'s buffer: [(rule, hops, tuples)] per rule in rule
     order, insertion order within a rule.  Clears the buffer and
     decrements {!pending_tuples}. *)

@@ -13,66 +13,56 @@ module Database = Codb_relalg.Database
 module Config = Codb_cq.Config
 module Query = Codb_cq.Query
 
+module Row = Codb_relalg.Row
+
 type integration = {
   since : int;
       (** the relation's row count before the insert: [fresh] are its
-          rows from [since] on, the watermark {!eval_rule_delta} takes *)
-  fresh : Tuple.t list;  (** tuples actually added (nulls instantiated) *)
-  suppressed : int;  (** incoming tuples dropped as duplicates *)
+          rows from [since] on, the window {!eval_query_delta} reads *)
+  fresh : Row.t list;  (** rows actually added (nulls instantiated) *)
+  suppressed : int;  (** incoming rows dropped as duplicates *)
   nulls_created : int;
 }
 
-val eval_query_full : ?sent:Sent_filter.t -> Database.t -> Query.t -> Tuple.t list
+val eval_query_full : ?sent:Sent_filter.t -> Database.t -> Query.t -> Row.t list
 (** Evaluate a GLAV-style query (existential head allowed) and return
-    its distinct head tuples, existential positions rendered as holes,
-    sorted by {!Codb_relalg.Tuple.compare}.  Heads are projected packed
-    ({!Codb_cq.Eval.heads}) and only the returned ones are boxed.  With
-    [sent], a head already in the filter is dropped and every returned
-    head is noted there: the filter is the projection's dedup.  Used
-    directly by the query engine when constraint pushdown has
-    specialized a rule's query ({!Codb_cq.Specialize}). *)
+    its distinct head rows, packed, existential positions as holes,
+    sorted by {!Codb_relalg.Row.compare} ({!Codb_cq.Eval.heads}).
+    With [sent], a head already in the filter is dropped and every
+    returned head is noted there: the filter is the projection's
+    dedup.  The update and query protocols answer their links with
+    it. *)
 
 val eval_query_delta :
   ?sent:Sent_filter.t ->
   naive:bool ->
-  ?delta:Tuple.t list ->
   Database.t ->
   Query.t ->
   delta_rel:string ->
   since:int ->
-  Tuple.t list
-(** Semi-naive counterpart of {!eval_query_full}; [since] is the
-    watermark of {!Codb_cq.Eval.delta_answers}.  Without [delta], the
-    delta is the stored rows of [delta_rel] from [since] on. *)
+  Row.t list
+(** Semi-naive counterpart of {!eval_query_full}: the heads derivable
+    using at least one row of [delta_rel] from [since] on, read in
+    place ({!Codb_cq.Eval.delta_heads} without [delta]).  The delta is
+    the rows an integration just appended ({!integration.since}), or
+    the rows a link's watermark has not covered yet ({!Watermark}). *)
 
 val eval_rule_full :
   ?opts:Options.t -> ?sent:Sent_filter.t -> Database.t -> Config.rule_decl -> Tuple.t list
-(** {!eval_query_full} on a coordination rule's query.  [opts] is
-    ignored: no option changes rule evaluation; the argument stays for
-    the callers in [bench/e2e]. *)
-
-val eval_rule_delta :
-  ?sent:Sent_filter.t ->
-  naive:bool ->
-  ?delta:Tuple.t list ->
-  Database.t ->
-  Config.rule_decl ->
-  delta_rel:string ->
-  since:int ->
-  Tuple.t list
-(** Head tuples derivable using at least one tuple of [delta]
-    (semi-naive), filtered through [sent] like {!eval_query_full}; the
-    database must already contain the delta, as its rows from [since]
-    on ({!integration.since}).  Without [delta], the delta is every
-    row of [delta_rel] from [since] on: the rows a link's watermark
-    has not covered yet ({!Watermark}). *)
+(** {!eval_query_full} on a coordination rule's query, boxed: for
+    callers outside the data path (the e2e gates in [bench/e2e], which
+    also pass [opts], and tests).  [opts] is ignored: no option changes
+    rule evaluation. *)
 
 val integrate :
-  opts:Options.t -> rule_id:string -> Database.t -> rel:string -> Tuple.t list ->
+  opts:Options.t -> rule_id:string -> Database.t -> rel:string -> Row.t list ->
   integration
-(** The update algorithm's local step: suppress tuples already present
-    (null-aware when [opts.use_subsumption_dedup]), instantiate holes
-    with fresh marked nulls, insert the remainder. *)
+(** The update algorithm's local step on packed rows: suppress rows
+    already present (null-aware when [opts.use_subsumption_dedup]),
+    checked against the store as it was before the call; then copy
+    each survivor that has holes with fresh marked nulls in their
+    place (a received row is shared with its sender's sent filter, so
+    it is never changed in place), and insert. *)
 
 val user_answers : Database.t -> Query.t -> Tuple.t list
 (** Evaluate a user query (no existential head).  @raise

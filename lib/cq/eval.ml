@@ -3,6 +3,7 @@ module Value = Codb_relalg.Value
 module Intern = Codb_relalg.Intern
 module Relation = Codb_relalg.Relation
 module Database = Codb_relalg.Database
+module Row = Codb_relalg.Row
 
 type rows = {
   size : int;
@@ -38,27 +39,25 @@ let reset_counters () =
   cell.zone_visited <- 0;
   cell.zone_pruned <- 0
 
-(* A transient packed view over a row list: columns flattened into one
-   int array, live rows are just [0..n-1], probes are filtered scans.
-   A list source is never [indexed], so the planner gives it no probe
-   columns and these probes stay unused in practice. *)
-let rec packed_view_of_rows ~arity:a flat n =
-  let ids = lazy (Array.init n (fun i -> i)) in
+(* A scan-only packed view of [n] rows read through [cell]: row ids are
+   [0, n) (a prefix of the shared identity array), probes are filtered
+   scans, and there is no chunk structure to prune.  Its sources are
+   never [indexed], so the planner gives them no probe columns and
+   these probes stay unused in practice. *)
+let rec scan_view ~arity n cell =
   {
-    Relation.pv_arity = a;
-    pv_cell = (fun col row -> flat.((row * a) + col));
-    pv_all = (fun () -> (Lazy.force ids, n));
+    Relation.pv_arity = arity;
+    pv_cell = cell;
+    pv_all = (fun () -> Relation.row_ids n);
     pv_probe =
       (fun cols ->
         let cols = Array.of_list cols in
-        let k = Array.length cols in
         fun vals ->
-          let hits = Array.make (max 1 n) 0 in
-          let hit = ref 0 in
+          let hits = Array.make (max 1 n) 0 and hit = ref 0 in
           for row = 0 to n - 1 do
             let ok = ref true in
-            for j = 0 to k - 1 do
-              if flat.((row * a) + cols.(j)) <> vals.(j) then ok := false
+            for j = 0 to Array.length cols - 1 do
+              if cell cols.(j) row <> vals.(j) then ok := false
             done;
             if !ok then begin
               hits.(!hit) <- row;
@@ -66,10 +65,14 @@ let rec packed_view_of_rows ~arity:a flat n =
             end
           done;
           (hits, !hit));
-    (* a flattened row list has no chunk structure: nothing to skip *)
     pv_prune = (fun _ -> None);
-    pv_before = (fun since -> packed_view_of_rows ~arity:a flat (min n (max 0 since)));
+    pv_before = (fun since -> scan_view ~arity (min n (max 0 since)) cell);
   }
+
+(* A transient view over a row list: columns flattened into one int
+   array, row-major. *)
+let packed_view_of_rows ~arity:a flat n =
+  scan_view ~arity:a n (fun col row -> flat.((row * a) + col))
 
 let empty_view a = packed_view_of_rows ~arity:a [||] 0
 
@@ -445,26 +448,6 @@ let join_packed_run prepared ~(emit : packed_ctx -> unit -> unit) =
   go 0
 
 
-(* Packed rows keyed by every cell: the generic [Hashtbl.hash] reads
-   only the first 10 cells, so a wide row would collide with its
-   prefix. *)
-let rec cells_equal (a : int array) b j =
-  j >= Array.length a || (a.(j) = b.(j) && cells_equal a b (j + 1))
-
-module Row_table = Hashtbl.Make (struct
-  type t = int array
-
-  (* no local closure: a lookup must not allocate *)
-  let equal (a : int array) b = Array.length a = Array.length b && cells_equal a b 0
-
-  let hash (row : int array) =
-    let h = ref (Array.length row) in
-    for j = 0 to Array.length row - 1 do
-      h := (!h * 0x100000001b3) lxor Intern.hash row.(j)
-    done;
-    !h land max_int
-end)
-
 (* Plan a join and prepare its steps; [None] means the join is
    provably empty (a comparison no step ever grounds, or a violated
    variable-free comparison).  Counts one planned join either way. *)
@@ -504,30 +487,16 @@ let plan_for ?max_probe_cols source q =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
   plan_of_atoms ?max_probe_cols atoms q.Query.comparisons
 
-(* The stored rows from [since] on, copied packed: the delta a caller
-   names by its watermark alone.  Copying the cells costs the delta;
-   nothing is boxed. *)
+(* The stored rows from [since] on, read in place: the delta a caller
+   names by its watermark alone.  The window shares the relation's
+   cells and copies nothing; like a row list it is not [indexed] (the
+   planner scans it) and has no zone maps to prune. *)
 let rows_from (full : rows) since =
-  let cut k =
+  let packed k =
     let view = full.packed k in
     let _, total = view.Relation.pv_all () in
-    let n = max 0 (total - since) in
-    let flat = Array.make (max 1 (n * k)) 0 in
-    for row = 0 to n - 1 do
-      for col = 0 to k - 1 do
-        flat.((row * k) + col) <- view.Relation.pv_cell col (since + row)
-      done
-    done;
-    packed_view_of_rows ~arity:k flat n
-  in
-  let memo = ref None in
-  let packed k =
-    match !memo with
-    | Some (k', view) when k' = k -> view
-    | _ ->
-        let view = cut k in
-        memo := Some (k, view);
-        view
+    scan_view ~arity:view.Relation.pv_arity (max 0 (total - since)) (fun col row ->
+        view.Relation.pv_cell col (since + row))
   in
   { size = max 0 (full.size - since); indexed = false; distinct = None; packed }
 
@@ -608,8 +577,9 @@ let delta_answers ?naive ?max_probe_cols source ~delta_rel ~since ?delta q =
 (* The head projector.  Each match writes the head's packed values
    into a scratch row (an existential variable projects to its hole);
    a row absent from [into] is copied, noted there and kept.  A row
-   already in [into] costs a hash lookup and allocates nothing.  Only
-   the kept rows are boxed, into canonical tuples, and sorted. *)
+   already in [into] costs a hash lookup and allocates nothing.  The
+   kept rows are sorted packed, in [Tuple.compare] order, and never
+   boxed. *)
 let project run q ~into =
   let existentials = Query.existential_head_vars q in
   let hole v =
@@ -640,14 +610,14 @@ let project run q ~into =
             | Pvar s -> ctx.x_vals.(s)
             | Pbindconst _ -> assert false (* never built by the projector *))
         done;
-        if not (Row_table.mem into scratch) then begin
+        if not (Row.Table.mem into scratch) then begin
           let row = Array.copy scratch in
-          Row_table.add into row ();
+          Row.Table.add into row ();
           kept := row :: !kept
         end);
-  List.sort Tuple.compare (List.rev_map (Array.map Intern.unpack) !kept)
+  List.sort Row.compare !kept
 
-let fresh_rows () = Row_table.create 64
+let fresh_rows () = Row.Table.create 64
 
 let heads ?max_probe_cols ?(into = fresh_rows ()) source q =
   project (full_run ?max_probe_cols source q) q ~into
@@ -660,6 +630,6 @@ let answer_tuples ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Eval.answer_tuples: " ^ reason));
-  heads ?max_probe_cols source q
+  List.map Row.to_tuple (heads ?max_probe_cols source q)
 
 let certain tuples = List.filter (fun t -> not (Tuple.has_null t)) tuples

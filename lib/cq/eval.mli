@@ -120,17 +120,20 @@ val delta_answers :
     {!Codb_relalg.Relation.cardinal} before inserting).  If the query
     does not mention [delta_rel], the result is [[]].  Without
     [delta], the delta is every stored row of [delta_rel] from [since]
-    on, copied packed from the source: an incremental update names the
-    rows added since a link's watermark that way.
+    on, read in place: a window over the stored cells that copies
+    nothing, scanned like a row list (not [indexed], no zone maps).
+    The protocols name their deltas that way: an incremental update
+    the rows added since a link's watermark, and an integration the
+    rows it just appended.
 
     The relation splits three ways.  {e old} is the rows below [since],
     read through {!Codb_relalg.Relation.packed_view}'s [pv_before]: a
     zero-copy, still-indexed prefix of the stored relation.  {e delta}
-    is [delta], packed as {!rows_of_list}.  {e full} is the relation
-    as stored.  With [n] body atoms over [delta_rel], pass [k] binds
-    occurrence [k] to delta, the earlier ones to old and the later ones
-    to full, so every derivation that uses a delta tuple comes out
-    exactly once.  Only a pass [k > 0] reads old: a body with two or
+    is [delta], packed as {!rows_of_list}, or else the stored window.
+    {e full} is the relation as stored.  With [n] body atoms over
+    [delta_rel], pass [k] binds occurrence [k] to delta, the earlier
+    ones to old and the later ones to full, so every derivation that
+    uses a delta tuple comes out exactly once.  Only a pass [k > 0] reads old: a body with two or
     more atoms over [delta_rel].
 
     The contract on [since]: old must not overlap [delta] (or each
@@ -152,50 +155,47 @@ val delta_answers :
 
 (** {2 The head projector}
 
-    Rule heads stay packed from the join to the caller's table: each
-    match writes the head's packed values into a scratch row (an
-    existential head variable projects to [Intern.pack (Hole i)], [i]
-    its position in {!Query.existential_head_vars}), and the row is
-    kept only if it is absent from the table [into], which it then
-    joins.  A match whose head row is already there allocates nothing.
-    Only the kept rows are boxed (into canonical values) and sorted by
-    {!Codb_relalg.Tuple.compare}.
+    Rule heads stay packed from the join to the caller: each match
+    writes the head's packed values into a scratch row (an existential
+    head variable projects to [Intern.pack (Hole i)], [i] its position
+    in {!Query.existential_head_vars}), and the row is kept only if it
+    is absent from the table [into], which it then joins.  A match
+    whose head row is already there allocates nothing.  The kept rows
+    are returned packed ({!Codb_relalg.Row}), sorted by
+    {!Codb_relalg.Row.compare}, which is {!Codb_relalg.Tuple.compare}'s
+    order on the boxed forms.
 
     Passing a table that outlives the call makes it a dedup across
     calls: the update algorithm passes each incoming link's sent-cache
     ([Sent_filter] in [codb_core]), so a head already sent on the link is
-    never copied or boxed.  Without [into], a fresh table de-duplicates
-    within the call. *)
-
-module Row_table : Hashtbl.S with type key = int array
-(** Packed rows, hashed over every cell (the generic [Hashtbl.hash]
-    reads only 10). *)
+    never copied.  Without [into], a fresh table de-duplicates within
+    the call. *)
 
 val heads :
   ?max_probe_cols:int ->
-  ?into:unit Row_table.t ->
+  ?into:unit Codb_relalg.Row.Table.t ->
   source ->
   Query.t ->
-  Codb_relalg.Tuple.t list
+  Codb_relalg.Row.t list
 (** Full form: the head rows of {!answers}' matches that [into] does
     not hold, distinct and sorted; they are added to [into]. *)
 
 val delta_heads :
   ?naive:bool ->
   ?max_probe_cols:int ->
-  ?into:unit Row_table.t ->
+  ?into:unit Codb_relalg.Row.Table.t ->
   source ->
   delta_rel:string ->
   since:int ->
   ?delta:Codb_relalg.Tuple.t list ->
   Query.t ->
-  Codb_relalg.Tuple.t list
+  Codb_relalg.Row.t list
 (** Delta form: the same projection over {!delta_answers}' matches,
     through the same passes. *)
 
 val answer_tuples :
   ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Tuple.t list
-(** Evaluate a {e user} query: {!heads} with a fresh table.
+(** Evaluate a {e user} query: {!heads} with a fresh table, boxed.
     @raise Invalid_argument if the head has existential variables
     (GLAV rule heads go through {!heads}, which renders them as
     holes). *)

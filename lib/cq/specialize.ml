@@ -110,22 +110,27 @@ let of_query (q : Query.t) ~rel =
 
 (* --- requester-faithful filtering ----------------------------------- *)
 
-let value_at (tuple : Tuple.t) = function
+(* [value_at arity cell] reads an operand off a tuple of [arity]
+   columns whose [cell i] is column [i]'s value. *)
+let value_at arity cell = function
   | Const v -> Some v
-  | Col i -> if i >= 0 && i < Array.length tuple then Some tuple.(i) else None
+  | Col i -> if i >= 0 && i < arity then Some (cell i) else None
 
-let pred_holds tuple p =
-  match (value_at tuple p.p_left, value_at tuple p.p_right) with
+let pred_holds arity cell p =
+  match (value_at arity cell p.p_left, value_at arity cell p.p_right) with
   | Some v1, Some v2 -> Query.eval_comparison_op p.p_op v1 v2
   (* malformed (arity mismatch): keep the tuple, never drop data *)
   | None, _ | _, None -> true
 
-let conj_holds tuple conj = List.for_all (pred_holds tuple) conj
-
-let matches c tuple =
+let holds c arity cell =
   match c with
   | Any -> true
-  | One_of alts -> List.exists (fun conj -> conj_holds tuple conj) alts
+  | One_of alts -> List.exists (List.for_all (pred_holds arity cell)) alts
+
+let matches c (tuple : Tuple.t) = holds c (Array.length tuple) (Array.get tuple)
+
+let matches_row c (row : Codb_relalg.Row.t) =
+  holds c (Array.length row) (fun i -> Codb_relalg.Intern.unpack row.(i))
 
 (* --- folding a head constraint into the rule body ------------------- *)
 

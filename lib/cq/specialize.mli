@@ -72,6 +72,10 @@ val matches : t -> Tuple.t -> bool
     predicates (column beyond the tuple's arity) conservatively
     keep the tuple. *)
 
+val matches_row : t -> Codb_relalg.Row.t -> bool
+(** {!matches} on a packed row, reading each compared cell's canonical
+    value; the row is not boxed. *)
+
 val specialize_rule : t -> Query.t -> [ `Unsatisfiable | `Specialized of Query.t | `Unchanged ]
 (** Fold a constraint on the rule's {e head tuples} into the rule
     query itself, so the responder evaluates a smaller join instead of

@@ -70,40 +70,66 @@ type table = { ids : (string, int) Hashtbl.t; mutable harvest : string list }
 
 type strings = In_link of Dict.sender | In_table of table
 
-type writer = { buf : Buffer.t; strings : strings }
+(* A writer either appends to its buffer or, [counting], only adds up
+   the bytes it would have appended: {!Payload.encoded_size} sizes a
+   message by running the encoder over a counting writer, so the link
+   dictionary trains exactly as the real encoding would and no string
+   is built. *)
+type writer = {
+  buf : Buffer.t;
+  counting : bool;
+  mutable counted : int;
+  strings : strings;
+}
+
+let strings_of = function
+  | Linked d -> In_link d
+  | Tabled -> In_table { ids = Hashtbl.create 16; harvest = [] }
 
 let writer ?(initial = 256) ?(mode = Linked (Dict.sender ~size:16 ())) () =
-  {
-    buf = Buffer.create initial;
-    strings =
-      (match mode with
-      | Linked d -> In_link d
-      | Tabled -> In_table { ids = Hashtbl.create 16; harvest = [] });
-  }
+  { buf = Buffer.create initial; counting = false; counted = 0; strings = strings_of mode }
 
-let byte w n = Buffer.add_char w.buf (Char.chr (n land 0xff))
+(* never written: a counting writer appends nothing *)
+let no_buffer = Buffer.create 1
+
+let counter ?(mode = Linked (Dict.sender ~size:16 ())) () =
+  { buf = no_buffer; counting = true; counted = 0; strings = strings_of mode }
+
+let byte w n =
+  if w.counting then w.counted <- w.counted + 1
+  else Buffer.add_char w.buf (Char.unsafe_chr (n land 0xff))
+
+let rec varint_size n acc =
+  if n land lnot 0x7f = 0 then acc else varint_size (n lsr 7) (acc + 1)
+
+let rec put_varint w n =
+  if n land lnot 0x7f = 0 then byte w n
+  else begin
+    byte w (0x80 lor (n land 0x7f));
+    put_varint w (n lsr 7)
+  end
 
 let varint w n =
-  let rec go n =
-    if n land lnot 0x7f = 0 then byte w n
-    else begin
-      byte w (0x80 lor (n land 0x7f));
-      go (n lsr 7)
-    end
-  in
-  go n
+  if w.counting then w.counted <- w.counted + varint_size n 1 else put_varint w n
 
 let zigzag w n = varint w ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
 let float64 w f =
-  let bits = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    byte w (Int64.to_int (Int64.shift_right_logical bits (8 * i)))
-  done
+  if w.counting then w.counted <- w.counted + 8
+  else begin
+    let bits = Int64.bits_of_float f in
+    for i = 0 to 7 do
+      byte w (Int64.to_int (Int64.shift_right_logical bits (8 * i)))
+    done
+  end
+
+let add_bytes w s =
+  if w.counting then w.counted <- w.counted + String.length s
+  else Buffer.add_string w.buf s
 
 let raw_string w s =
   varint w (String.length s);
-  Buffer.add_string w.buf s
+  add_bytes w s
 
 let table_id t s =
   match Hashtbl.find_opt t.ids s with
@@ -117,11 +143,13 @@ let table_id t s =
 let string w s =
   match w.strings with
   | In_link d -> (
-      match Hashtbl.find_opt d.Dict.s_tab s with
-      | Some id ->
+      (* [find], not [find_opt]: a hit, the common case, allocates
+         nothing *)
+      match Hashtbl.find d.Dict.s_tab s with
+      | id ->
           d.Dict.s_hits <- d.Dict.s_hits + 1;
           varint w ((id lsl 1) lor 1)
-      | None ->
+      | exception Not_found ->
           let id = d.Dict.s_next in
           Hashtbl.add d.Dict.s_tab s id;
           d.Dict.s_next <- id + 1;
@@ -138,10 +166,11 @@ let preload w ss =
   | In_table t -> List.iter (fun s -> ignore (table_id t s : int)) ss
   | In_link _ -> ()
 
-let add_bytes w s = Buffer.add_string w.buf s
+let contents w =
+  if w.counting then invalid_arg "Codec.contents: a counting writer holds no bytes";
+  Buffer.contents w.buf
 
-let contents w = Buffer.contents w.buf
-let size w = Buffer.length w.buf
+let size w = if w.counting then w.counted else Buffer.length w.buf
 
 type rstrmode =
   | R_linked of (int, string) Hashtbl.t

@@ -70,6 +70,14 @@ val writer : ?initial:int -> ?mode:strmode -> unit -> writer
     dictionary: a self-contained message that a {!reader} with the
     default mode decodes. *)
 
+val counter : ?mode:strmode -> unit -> writer
+(** A writer that only counts: every primitive adds the bytes it would
+    write to {!size} and writes nothing.  Strings go through [mode]'s
+    dictionary exactly as on a {!writer} (a [Linked] dictionary trains
+    and counts its introductions and hits the same way), so encoding
+    over a counter sizes a message and leaves the dictionary as the
+    real encoding would.  {!contents} raises [Invalid_argument]. *)
+
 val varint : writer -> int -> unit
 (** Unsigned LEB128.  Negative arguments are a programming error (encoded as
     their 2's-complement magnitude, which will not round-trip); use
@@ -110,6 +118,7 @@ val add_bytes : writer -> string -> unit
 
 val contents : writer -> string
 val size : writer -> int
+(** Bytes written, or counted by a {!counter}. *)
 
 (** {1 Decoding} *)
 

@@ -58,6 +58,13 @@ let payload p = p asr tag_bits
 
 let make_packed ~tag payload = (payload lsl tag_bits) lor tag
 
+(* Fibonacci-style avalanche so sequential table slots spread across
+   hash buckets; stays non-negative for direct use as a bucket key. *)
+let hash (p : packed) =
+  let h = p lxor (p lsr 33) in
+  let h = h * 0x27d4eb2f165667c5 in
+  (h lxor (h lsr 29)) land max_int
+
 (* ---- growable side tables ------------------------------------------- *)
 
 type 'a vec = { mutable data : 'a array; mutable len : int }
@@ -100,8 +107,29 @@ let bighole_ids : (int, int) Hashtbl.t = Hashtbl.create 16
 let bighole_vals : Value.t vec = vec_create ()
 
 (* Canonical boxed values for payload-carrying tags (small ints,
-   bools, holes), memoised per packed int. *)
-let canon_misc : (int, Value.t) Hashtbl.t = Hashtbl.create 1024
+   bools, holes), memoised per packed int.  The packed ints below
+   [direct_limit] (non-negative payloads up to 8 191: the ints, bools
+   and holes that data and rule heads mostly carry) are direct-mapped
+   in a growable array; the rest are keyed in a table by the packed
+   hash and integer equality, read with [find] so that a hit allocates
+   nothing (the generic table's [find_opt] boxes an option). *)
+let direct_limit = 1 lsl 16
+
+(* marks an unfilled slot; no packed int below [direct_limit] unpacks
+   to a negative hole *)
+let unfilled = Value.Hole (-1)
+
+let canon_direct : Value.t array ref = ref [||]
+
+module Misc_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash = hash
+end)
+
+let canon_misc : Value.t Misc_tbl.t = Misc_tbl.create 1024
 
 let intern_slot ids vals key v =
   match Hashtbl.find_opt ids key with
@@ -132,6 +160,35 @@ let pack = function
   | Value.Null { Value.null_id; _ } as v ->
       make_packed ~tag:tag_null (intern_slot null_ids null_vals null_id v)
 
+let misc_value p =
+  match tag p with
+  | 0 (* tag_int *) -> Value.Int (payload p)
+  | 1 (* tag_bool *) -> Value.Bool (payload p <> 0)
+  | _ (* tag_hole *) -> Value.Hole (payload p)
+
+let unpack_misc p =
+  if p >= 0 && p < direct_limit then begin
+    let direct = !canon_direct in
+    if p < Array.length direct && direct.(p) != unfilled then direct.(p)
+    else begin
+      if p >= Array.length direct then begin
+        let grown = Array.make (min direct_limit (max 1024 (2 * (p + 1)))) unfilled in
+        Array.blit direct 0 grown 0 (Array.length direct);
+        canon_direct := grown
+      end;
+      let v = misc_value p in
+      !canon_direct.(p) <- v;
+      v
+    end
+  end
+  else
+    match Misc_tbl.find canon_misc p with
+    | v -> v
+    | exception Not_found ->
+        let v = misc_value p in
+        Misc_tbl.add canon_misc p v;
+        v
+
 let unpack p =
   match tag p with
   | 3 (* tag_str *) -> vec_get str_vals (payload p)
@@ -139,18 +196,7 @@ let unpack p =
   | 5 (* tag_null *) -> vec_get null_vals (payload p)
   | 6 (* tag_bigint *) -> vec_get bigint_vals (payload p)
   | 7 (* tag_bighole *) -> vec_get bighole_vals (payload p)
-  | _ -> (
-      match Hashtbl.find_opt canon_misc p with
-      | Some v -> v
-      | None ->
-          let v =
-            match tag p with
-            | 0 (* tag_int *) -> Value.Int (payload p)
-            | 1 (* tag_bool *) -> Value.Bool (payload p <> 0)
-            | _ (* tag_hole *) -> Value.Hole (payload p)
-          in
-          Hashtbl.add canon_misc p v;
-          v)
+  | _ -> unpack_misc p
 
 let canonical v = unpack (pack v)
 
@@ -201,12 +247,13 @@ let is_hole p = tag p = tag_hole || tag p = tag_bighole
 
 let is_null p = tag p = tag_null
 
-(* Fibonacci-style avalanche so sequential table slots spread across
-   hash buckets; stays non-negative for direct use as a bucket key. *)
-let hash (p : packed) =
-  let h = p lxor (p lsr 33) in
-  let h = h * 0x27d4eb2f165667c5 in
-  (h lxor (h lsr 29)) land max_int
+let conforms ty p =
+  match tag p with
+  | 0 | 6 -> ty = Value.Tint
+  | 1 -> ty = Value.Tbool
+  | 3 -> ty = Value.Tstring
+  | 4 -> ty = Value.Tfloat
+  | _ (* nulls and holes conform to every type *) -> true
 
 (* [Value.reset_null_counter] reissues null ids, so ids interned
    before the reset must not shadow the nulls of the new epoch: drop

@@ -25,7 +25,9 @@ val pack : Value.t -> packed
 val unpack : packed -> Value.t
 (** The canonical boxed value.  [Value.equal (unpack (pack v)) v]
     always holds; physical identity holds between any two unpacks of
-    the same packed int. *)
+    the same packed int.  Allocation-free once the canonical value
+    exists (after the first unpack of a small int, bool or hole, and
+    from the first pack of every other value). *)
 
 val canonical : Value.t -> Value.t
 (** [unpack (pack v)] — rewrite a value to its shared canonical
@@ -46,4 +48,7 @@ val hash : packed -> int
 val is_hole : packed -> bool
 
 val is_null : packed -> bool
+
+val conforms : Value.ty -> packed -> bool
+(** {!Value.conforms} on the packed value, read off its tag. *)
 

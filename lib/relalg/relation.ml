@@ -192,8 +192,6 @@ let cardinal r = r.card
 
 let cell r col row = Ichunks.get r.cols.(col) row
 
-let pack_tuple (t : Tuple.t) = Array.map Intern.pack t
-
 let packed_hash (packed : int array) =
   let h = ref (Array.length packed) in
   for c = 0 to Array.length packed - 1 do
@@ -293,37 +291,48 @@ let note_insert r row =
 
 let index_count r = Hashtbl.length r.indexes
 
-let check_insertable r t =
-  if Tuple.has_hole t then
+(* Allocation-free conformance of a packed row: the schema's arity, and
+   every cell's tag agreeing with its column's type. *)
+let row_conforms r (row : Row.t) =
+  Array.length row = r.arity
+  &&
+  let rec loop i = function
+    | [] -> true
+    | a :: rest -> Intern.conforms a.Schema.attr_ty row.(i) && loop (i + 1) rest
+  in
+  loop 0 r.schema.Schema.attrs
+
+let insert_row r row =
+  if Row.has_hole row then
     invalid_arg
       (Printf.sprintf "Relation.insert: tuple with holes in %s (instantiate first)"
          (name r));
-  if not (Schema.conforms r.schema t) then
+  if not (row_conforms r row) then
     invalid_arg
       (Printf.sprintf "Relation.insert: tuple %s does not conform to %s"
-         (Tuple.to_string t)
-         (Schema.to_string r.schema))
-
-let insert r t =
-  check_insertable r t;
-  let packed = pack_tuple t in
-  let h = packed_hash packed in
+         (Tuple.to_string (Row.to_tuple row))
+         (Schema.to_string r.schema));
+  let h = packed_hash row in
   let bucket = Option.value ~default:[] (Hashtbl.find_opt r.row_index h) in
-  if find_in r packed bucket >= 0 then false
+  if find_in r row bucket >= 0 then false
   else begin
-    let row = r.card in
+    let row_id = r.card in
     for c = 0 to r.arity - 1 do
-      Ichunks.push r.cols.(c) packed.(c)
+      Ichunks.push r.cols.(c) row.(c)
     done;
     Tchunks.push r.boxed Tchunks.absent;
-    Hashtbl.replace r.row_index h (row :: bucket);
-    note_insert r row;
+    Hashtbl.replace r.row_index h (row_id :: bucket);
+    note_insert r row_id;
     true
   end
 
+let insert r t = insert_row r (Row.of_tuple t)
+
 let insert_all r ts = List.filter (insert r) ts
 
-let mem r t = find_row r (pack_tuple t) >= 0
+let mem_row r row = find_row r row >= 0
+
+let mem r t = mem_row r (Row.of_tuple t)
 
 (* ---- iteration ------------------------------------------------------- *)
 
@@ -412,6 +421,8 @@ let all_rows n =
    and zone-map scans list rows in insertion order, and filters keep
    that order.  So the rows below [since] are a prefix of it, found by
    binary search, and cutting them off is a length, not a copy. *)
+let row_ids = all_rows
+
 let cut since ((ids, n) as hits) =
   if n = 0 || ids.(n - 1) < since then hits
   else begin
@@ -579,26 +590,28 @@ let resolve_probe r cols =
             (Array.of_list !out, !hits))
 
 (* Subsumption probe.  A stored tuple (hole-free by
-   [check_insertable]) subsumes [incoming] iff it agrees with every
+   [insert_row]) subsumes [incoming] iff it agrees with every
    non-hole position, so the candidates are exactly the rows matching
    the ground columns.  All-hole tuples are subsumed by anything; a
    non-conforming arity can match nothing (stored tuples always have
    the schema's arity). *)
-let subsumed r incoming =
-  if not (Tuple.has_hole incoming) then find_row r (pack_tuple incoming) >= 0
+let subsumed_row r (incoming : Row.t) =
+  if not (Row.has_hole incoming) then find_row r incoming >= 0
   else if Array.length incoming <> r.arity then false
   else begin
     let cols = ref [] and vals = ref [] in
     for col = r.arity - 1 downto 0 do
-      let v = incoming.(col) in
-      if not (Value.is_hole v) then begin
+      let p = incoming.(col) in
+      if not (Intern.is_hole p) then begin
         cols := col :: !cols;
-        vals := Intern.pack v :: !vals
+        vals := p :: !vals
       end
     done;
     if !cols = [] then r.card > 0
     else snd (resolve_probe r !cols r.card (Array.of_list !vals)) > 0
   end
+
+let subsumed r incoming = subsumed_row r (Row.of_tuple incoming)
 
 (* The rows [0, min card limit): the whole, growing relation when
    [limit] is [max_int], a fixed prefix of it otherwise.  Both share the

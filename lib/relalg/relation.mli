@@ -44,11 +44,19 @@ val cardinal : t -> int
 
 val mem : t -> Tuple.t -> bool
 
+val mem_row : t -> Row.t -> bool
+(** {!mem} on a packed row. *)
+
 val insert : t -> Tuple.t -> bool
 (** [insert r t] adds [t]; [true] iff [t] was not already present.
     Existing hash indexes and column statistics are updated in place.
     @raise Invalid_argument if [t] does not conform to the schema or
     contains holes (holes are a wire-only representation). *)
+
+val insert_row : t -> Row.t -> bool
+(** {!insert} on a packed row: the update path's insert, which packs
+    and boxes nothing.  The row is copied into the columns, never kept.
+    @raise Invalid_argument as {!insert}. *)
 
 val insert_all : t -> Tuple.t list -> Tuple.t list
 (** Insert many tuples; returns the sub-list that was actually new, in
@@ -60,6 +68,10 @@ val subsumed : t -> Tuple.t -> bool
     Served by the same access path as [pv_probe] on the tuple's ground
     (non-hole) columns, so the cost is one bucket, not one scan; only
     an all-hole tuple degenerates to an emptiness check. *)
+
+val subsumed_row : t -> Row.t -> bool
+(** {!subsumed} on a packed row (holes as {!Intern} holes): the update
+    path's duplicate probe. *)
 
 val distinct_count : t -> col:int -> int
 (** Number of distinct values in a column — the planner's selectivity
@@ -75,6 +87,10 @@ val to_list : t -> Tuple.t list
     insert). *)
 
 val copy : t -> t
+
+val row_ids : int -> int array * int
+(** The ids [0, n) as [(ids, n)]: a prefix of one shared identity
+    array, read-only, as {!packed_view}'s [pv_all] returns it. *)
 
 type bound_op = Blt | Ble | Bgt | Bge | Beq
 (** Sargable predicate shapes a scan can push into chunk pruning:

@@ -65,26 +65,6 @@ let subsumes stored incoming =
   in
   loop 0
 
-let instantiate_holes ~rule t =
-  if not (has_hole t) then t
-  else begin
-    (* The same hole index must map to the same fresh null within one
-       tuple, so existential variables repeated in a rule head stay
-       co-referent. *)
-    let assigned = Hashtbl.create 4 in
-    let instantiate = function
-      | Value.Hole i -> (
-          match Hashtbl.find_opt assigned i with
-          | Some null -> null
-          | None ->
-              let null = Value.fresh_null ~rule in
-              Hashtbl.add assigned i null;
-              null)
-      | v -> v
-    in
-    Array.map instantiate t
-  end
-
 (* FNV-1a-style content digest, independent of intern-slot numbering
    (a Str hashes its characters, a Null its id), so digests compare
    across processes and across repeated runs.  Shared by the benches'

@@ -50,11 +50,6 @@ val subsumes : t -> t -> bool
 (** [subsumes stored incoming]: see the module documentation.  When
     [incoming] has no holes this degenerates to {!equal}. *)
 
-val instantiate_holes : rule:string -> t -> t
-(** Replace every hole with a fresh marked null labelled [rule].
-    Distinct holes in the same tuple get distinct nulls; the same hole
-    index occurring twice gets the same null. *)
-
 val digest_value : int -> Value.t -> int
 (** One FNV-1a-style mixing step over a value's {e content} (a string
     hashes its characters, a marked null its id) — independent of

@@ -90,7 +90,10 @@ let apply_delta t ~source ~delta_rel ~since ~delta ~tag =
   let d =
     if delta = [] then { d_adds = []; d_retracts = []; d_tag = tag }
     else
-      absorb t (Eval.delta_heads source ~delta_rel ~since ~delta t.query) ~tag
+      absorb t
+        (List.map Codb_relalg.Row.to_tuple
+           (Eval.delta_heads source ~delta_rel ~since ~delta t.query))
+        ~tag
   in
   (d, dropped)
 

@@ -2,6 +2,7 @@
 
 module Value = Codb_relalg.Value
 module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 module Schema = Codb_relalg.Schema
 module Relation = Codb_relalg.Relation
 module Database = Codb_relalg.Database
@@ -17,6 +18,11 @@ let i n = Value.Int n
 let s x = Value.Str x
 
 let tup values = Array.of_list values
+
+(* The protocols carry packed rows; tests state and check tuples. *)
+let packed tuples = List.map Row.of_tuple tuples
+
+let boxed rows = List.map Row.to_tuple rows
 
 let v name = Term.Var name
 

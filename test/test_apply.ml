@@ -5,7 +5,7 @@ let rule_query =
   Query.make ~head:(atom "h" [ v "x"; v "z" ]) ~body:[ atom "r" [ v "x"; v "y" ] ] ()
 
 (* The head projector over r = [rows]. *)
-let heads q rows = Eval.heads (Eval.source_of_alist [ ("r", rows) ]) q
+let heads q rows = boxed (Eval.heads (Eval.source_of_alist [ ("r", rows) ]) q)
 
 let test_head_tuples_with_holes () =
   let tuples = heads rule_query [ tup [ i 1; i 10 ] ] in
@@ -32,7 +32,7 @@ let test_repeated_existential_same_hole () =
   | [ t ] ->
       Alcotest.(check bool) "same hole index" true (Value.equal t.(0) t.(1));
       (* and after instantiation, the same null *)
-      let t' = Tuple.instantiate_holes ~rule:"r" t in
+      let t' = Row.to_tuple (Row.instantiate_holes ~rule:"r" (Row.of_tuple t)) in
       Alcotest.(check bool) "co-referent nulls" true (Value.equal t'.(0) t'.(1))
   | _ -> Alcotest.fail "expected one tuple"
 
@@ -47,7 +47,7 @@ let test_two_existentials_distinct_holes () =
 let test_instantiate_fresh_per_tuple () =
   Value.reset_null_counter ();
   let tuples = [ tup [ i 1; Value.Hole 0 ]; tup [ i 2; Value.Hole 0 ] ] in
-  match List.map (Tuple.instantiate_holes ~rule:"rz") tuples with
+  match boxed (List.map (Row.instantiate_holes ~rule:"rz") (packed tuples)) with
   | [ t1; t2 ] ->
       Alcotest.(check bool) "fresh per tuple" false (Value.equal t1.(1) t2.(1));
       Alcotest.(check int) "two nulls minted" 2 (Value.null_counter ())

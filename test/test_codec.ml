@@ -87,19 +87,22 @@ let kitchen_sink_tuples =
       ];
   ]
 
-let payload_samples =
+(* A function, not a value: packing a marked null interns it in the
+   current null epoch, and a test that resets the null counter starts a
+   new one, so the samples are packed where they are decoded. *)
+let payload_samples () =
   [
     Payload.Update_request { update_id = uid; scope = Payload.Global };
     Payload.Update_request { update_id = uid; scope = Payload.For_rule "r1" };
     Payload.Update_data
-      { update_id = uid; rule_id = "r1"; tuples = kitchen_sink_tuples; hops = 3;
+      { update_id = uid; rule_id = "r1"; rows = packed kitchen_sink_tuples; hops = 3;
         global = true };
     Payload.Update_batch
       { update_id = uid;
         entries =
           [
-            { Payload.be_rule = "r1"; be_hops = 2; be_tuples = kitchen_sink_tuples };
-            { Payload.be_rule = "r2"; be_hops = 0; be_tuples = [] };
+            { Payload.be_rule = "r1"; be_hops = 2; be_rows = packed kitchen_sink_tuples };
+            { Payload.be_rule = "r2"; be_hops = 0; be_rows = [] };
           ];
         global = false };
     Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global = true };
@@ -124,7 +127,7 @@ let payload_samples =
               ]) };
     Payload.Query_data
       { query_id = qid; request_ref = "n0/1"; rule_id = "r1";
-        tuples = [ tup [ i 1; s "x" ] ] };
+        rows = packed [ tup [ i 1; s "x" ] ] };
     Payload.Query_done { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true };
     Payload.Rules_file { version = 3; text = "node a { relation r(x: int); }" };
     Payload.Start_update;
@@ -138,7 +141,7 @@ let payload_samples =
       { seq = 42;
         inner =
           Payload.Update_data
-            { update_id = uid; rule_id = "r1"; tuples = kitchen_sink_tuples; hops = 1;
+            { update_id = uid; rule_id = "r1"; rows = packed kitchen_sink_tuples; hops = 1;
               global = true } };
     Payload.Seq { seq = 0; inner = Payload.Update_ack { update_id = uid } };
     Payload.Seq_ack { seq = 1 lsl 30 };
@@ -168,7 +171,7 @@ let test_payload_round_trip () =
       match Payload.decode (Payload.encode p) with
       | Ok p' -> Alcotest.(check bool) (Payload.describe p) true (p = p')
       | Error e -> Alcotest.failf "%s: decode failed: %s" (Payload.describe p) e)
-    payload_samples
+    (payload_samples ())
 
 let test_encoded_size_is_real () =
   List.iter
@@ -176,7 +179,7 @@ let test_encoded_size_is_real () =
       Alcotest.(check int) (Payload.describe p)
         (String.length (Payload.encode p))
         (Payload.encoded_size p))
-    payload_samples
+    (payload_samples ())
 
 let test_dictionary_beats_estimator_on_skew () =
   (* many tuples sharing few distinct strings: the field-count estimate
@@ -188,7 +191,8 @@ let test_dictionary_beats_estimator_on_skew () =
      header *)
   let tuples = List.init 200 (fun k -> tup [ i k; s (Printf.sprintf "v%d" (k mod 5)) ]) in
   let p =
-    Payload.Update_data { update_id = uid; rule_id = "r1"; tuples; hops = 1; global = true }
+    Payload.Update_data
+      { update_id = uid; rule_id = "r1"; rows = packed tuples; hops = 1; global = true }
   in
   let estimate = List.fold_left (fun acc t -> acc + Codb_relalg.Tuple.size_bytes t) 0 tuples in
   Alcotest.(check bool) "encoded beats the estimate by the dict savings" true
@@ -218,8 +222,8 @@ let test_malformed_input_rejected () =
   in
   reject "empty" "";
   reject "unknown tag" "\xff";
-  reject "truncated" (String.sub (Payload.encode (List.hd payload_samples)) 0 2);
-  let valid = Payload.encode (List.hd payload_samples) in
+  reject "truncated" (String.sub (Payload.encode (List.hd (payload_samples ()))) 0 2);
+  let valid = Payload.encode (List.hd (payload_samples ())) in
   reject "trailing garbage" (valid ^ "\x00");
   (* a truncation point inside every sample must never crash, only Error *)
   List.iter
@@ -229,7 +233,7 @@ let test_malformed_input_rejected () =
         match Payload.decode (String.sub enc 0 cut) with
         | Ok _ | Error _ -> ()
       done)
-    payload_samples
+    (payload_samples ())
 
 (* Random payloads across every encodable variant: the size model must
    count exactly what [encode] emits, and decoding must invert it.
@@ -294,7 +298,7 @@ let gen_constraints =
 let gen_batch_entry =
   Gen.map3
     (fun rule hops tuples ->
-      { Payload.be_rule = rule; be_hops = hops; be_tuples = tuples })
+      { Payload.be_rule = rule; be_hops = hops; be_rows = packed tuples })
     gen_small_string (Gen.int_range 0 9) gen_tuples
 
 let gen_sub_entry =
@@ -320,7 +324,7 @@ let gen_payload_flat =
        let* tuples = gen_tuples in
        let* hops = int_range 0 9 in
        let* global = bool in
-       return (Payload.Update_data { update_id; rule_id; tuples; hops; global }));
+       return (Payload.Update_data { update_id; rule_id; rows = packed tuples; hops; global }));
       (let* update_id = gen_uid in
        let* entries = list_size (int_range 0 4) gen_batch_entry in
        let* global = bool in
@@ -342,7 +346,7 @@ let gen_payload_flat =
        let* request_ref = gen_small_string in
        let* rule_id = gen_small_string in
        let* tuples = gen_tuples in
-       return (Payload.Query_data { query_id; request_ref; rule_id; tuples }));
+       return (Payload.Query_data { query_id; request_ref; rule_id; rows = packed tuples }));
       (let* query_id = gen_qid in
        let* request_ref = gen_small_string in
        let* rule_id = gen_small_string in
@@ -435,7 +439,7 @@ let test_link_roundtrip_and_shrink () =
       {
         update_id = uid;
         rule_id = "r_common_rule_name";
-        tuples = [ tup [ s "shared-string"; i 1 ] ];
+        rows = packed [ tup [ s "shared-string"; i 1 ] ];
         hops = 1;
         global = true;
       }
@@ -539,6 +543,94 @@ let prop_link_desync_never_wrong =
               | Error _ -> true))
         plan)
 
+(* The counting sizer against the encoder, on one link: a random stream
+   of row-carrying messages (holes, nulls, strings, floats and ints
+   outside the packed payload range), with epoch bumps between them.
+   Each message is sized on one dictionary and encoded on a twin: the
+   size must be the encoding's length, the two dictionaries must stay
+   equal, and the receiver must decode the rows that were sent.  The
+   rows are packed inside the property, in the current null epoch. *)
+let gen_wide_value =
+  Gen.oneof
+    [
+      gen_value;
+      Gen.map (fun n -> Value.Int n) Gen.int;
+      Gen.map (fun f -> Value.Float f) (Gen.oneofl [ Float.nan; -0.0; infinity; 1e300 ]);
+      Gen.map (fun k -> Value.Hole k) (Gen.oneofl [ max_int; min_int ]);
+    ]
+
+let gen_wide_tuples =
+  Gen.(list_size (int_range 0 6) (map Array.of_list (list_size (int_range 1 4) gen_wide_value)))
+
+type row_msg =
+  | Rm_data of string * Codb_relalg.Tuple.t list * int
+  | Rm_batch of (string * int * Codb_relalg.Tuple.t list) list
+  | Rm_query of string * Codb_relalg.Tuple.t list
+  | Rm_seq of int * row_msg
+
+(* a message on the link, or an epoch bump of both dictionaries *)
+type link_step = Send of row_msg | Bump
+
+let gen_link_step =
+  let open Gen in
+  let flat =
+    oneof
+      [
+        map3 (fun rule tuples hops -> Rm_data (rule, tuples, hops)) gen_small_string
+          gen_wide_tuples (int_range 0 9);
+        map
+          (fun entries -> Rm_batch entries)
+          (list_size (int_range 0 3)
+             (triple gen_small_string (int_range 0 9) gen_wide_tuples));
+        map2 (fun rule tuples -> Rm_query (rule, tuples)) gen_small_string gen_wide_tuples;
+      ]
+  in
+  frequency
+    [
+      (6, map (fun m -> Send m) flat);
+      (2, map2 (fun seq m -> Send (Rm_seq (seq, m))) (int_range 0 1000) flat);
+      (1, return Bump);
+    ]
+
+let rec payload_of_msg = function
+  | Rm_data (rule_id, tuples, hops) ->
+      Payload.Update_data { update_id = uid; rule_id; rows = packed tuples; hops; global = true }
+  | Rm_batch entries ->
+      Payload.Update_batch
+        { update_id = uid;
+          entries =
+            List.map
+              (fun (be_rule, be_hops, tuples) ->
+                { Payload.be_rule; be_hops; be_rows = packed tuples })
+              entries;
+          global = false }
+  | Rm_query (rule_id, tuples) ->
+      Payload.Query_data { query_id = qid; request_ref = "n0/7"; rule_id; rows = packed tuples }
+  | Rm_seq (seq, inner) -> Payload.Seq { seq; inner = payload_of_msg inner }
+
+let dict_stats d = Codec.Dict.(entries d, intros d, hits d)
+
+let prop_counted_size_trains_like_encode =
+  Q2.Test.make ~name:"counted size = encoded size, twin dictionaries stay equal" ~count:300
+    Gen.(list_size (int_range 0 12) gen_link_step)
+    (fun steps ->
+      let sizer = Codec.Dict.sender () and twin = Codec.Dict.sender () in
+      let rc = Codec.Dict.receiver () in
+      List.for_all
+        (function
+          | Bump ->
+              Codec.Dict.bump sizer;
+              Codec.Dict.bump twin;
+              true
+          | Send msg ->
+              let p = payload_of_msg msg in
+              let size = Payload.encoded_size ~link:sizer p in
+              let bytes = Payload.encode ~link:twin p in
+              size = String.length bytes
+              && dict_stats sizer = dict_stats twin
+              && Payload.decode ~link:rc bytes = Ok p)
+        steps)
+
 let suite =
   [
     Alcotest.test_case "primitive round-trips" `Quick test_primitive_round_trip;
@@ -564,4 +656,5 @@ let suite =
       test_link_stale_epoch_dangles;
     QCheck_alcotest.to_alcotest prop_encoded_size_exact_linked;
     QCheck_alcotest.to_alcotest prop_link_desync_never_wrong;
+    QCheck_alcotest.to_alcotest prop_counted_size_trains_like_encode;
   ]

@@ -200,7 +200,7 @@ let test_delta_basic () =
   let since = Relation.cardinal (Database.relation db "r") in
   ignore (Database.insert_all db "r" delta);
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
-  let tuples = Eval.delta_heads (Eval.of_database db) ~delta_rel:"r" ~since ~delta q in
+  let tuples = boxed (Eval.delta_heads (Eval.of_database db) ~delta_rel:"r" ~since ~delta q) in
   check_tuples "only delta-derived" [ tup [ i 9; s "y" ] ] tuples
 
 let test_delta_no_mention () =
@@ -228,15 +228,16 @@ let test_delta_self_join_complete_and_exact () =
   let gained =
     List.filter (fun t -> not (List.exists (Tuple.equal t) before)) after
   in
-  let derived = Eval.delta_heads (Eval.of_database db) ~delta_rel:"e" ~since ~delta q in
+  let derived = boxed (Eval.delta_heads (Eval.of_database db) ~delta_rel:"e" ~since ~delta q) in
   check_tuples "delta derives exactly the gain" gained derived
 
 let test_delta_naive_mode_matches_full () =
   let db = sample_db () in
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
   let tuples =
-    Eval.delta_heads ~naive:true (Eval.of_database db) ~delta_rel:"r" ~since:0
-      ~delta:[ tup [ i 1; i 10 ] ] q
+    boxed
+      (Eval.delta_heads ~naive:true (Eval.of_database db) ~delta_rel:"r" ~since:0
+         ~delta:[ tup [ i 1; i 10 ] ] q)
   in
   check_tuples "naive = full re-evaluation"
     (Eval.answer_tuples (Eval.of_database db) q)
@@ -321,8 +322,8 @@ let test_delta_named_by_watermark () =
   let delta = Database.insert_all db "e" [ tup [ i 2; i 3 ]; tup [ i 3; i 1 ] ] in
   let source = Eval.of_database db in
   check_tuples "same heads as the named delta"
-    (Eval.delta_heads source ~delta_rel:"e" ~since ~delta q)
-    (Eval.delta_heads source ~delta_rel:"e" ~since q);
+    (boxed (Eval.delta_heads source ~delta_rel:"e" ~since ~delta q))
+    (boxed (Eval.delta_heads source ~delta_rel:"e" ~since q));
   Alcotest.(check int) "an empty suffix derives nothing" 0
     (List.length (Eval.delta_heads source ~delta_rel:"e" ~since:4 q))
 

@@ -132,9 +132,35 @@ let test_reset_starts_new_epoch () =
       Alcotest.(check string) "old epoch rule" "first" null_rule
   | _ -> Alcotest.fail "expected a null"
 
+(* The codec unpacks every cell it writes: once a value's canonical
+   box exists, unpacking it must allocate nothing, whatever its tag. *)
+let test_unpack_allocates_nothing () =
+  let values =
+    [
+      i 42; i (-5); i 100_000; i max_int; Value.Float 1.5; s "unpacked"; Value.Bool true;
+      Value.Null { Value.null_id = 9_999; null_rule = "r" }; Value.Hole 3;
+      Value.Hole max_int;
+    ]
+  in
+  List.iter
+    (fun v ->
+      let p = Intern.pack v in
+      ignore (Sys.opaque_identity (Intern.unpack p));
+      let lookups = 1000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to lookups do
+        ignore (Sys.opaque_identity (Intern.unpack p))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int lookups in
+      if words >= 1.0 then
+        Alcotest.failf "unpacking %s allocates %.1f words" (Value.to_string v) words)
+    values
+
 let suite =
   [
     Alcotest.test_case "overflow ints round trip" `Quick test_overflow_ints_round_trip;
+    Alcotest.test_case "unpack of an existing canonical value allocates nothing" `Quick
+      test_unpack_allocates_nothing;
     Alcotest.test_case "null rule is provenance, not identity" `Quick
       test_null_rule_is_provenance;
     Alcotest.test_case "null-counter reset starts a new intern epoch" `Quick

@@ -13,14 +13,14 @@ let samples =
     Payload.Update_request { update_id = uid; scope = Payload.Global };
     Payload.Update_request { update_id = uid; scope = Payload.For_rule "r1" };
     Payload.Update_data
-      { update_id = uid; rule_id = "r1"; tuples = [ tup [ i 1; s "x" ] ]; hops = 2;
+      { update_id = uid; rule_id = "r1"; rows = packed [ tup [ i 1; s "x" ] ]; hops = 2;
         global = true };
     Payload.Update_batch
       { update_id = uid;
         entries =
           [
-            { Payload.be_rule = "r1"; be_hops = 2; be_tuples = [ tup [ i 1; s "x" ] ] };
-            { Payload.be_rule = "r2"; be_hops = 1; be_tuples = [ tup [ i 2; s "x" ] ] };
+            { Payload.be_rule = "r1"; be_hops = 2; be_rows = packed [ tup [ i 1; s "x" ] ] };
+            { Payload.be_rule = "r2"; be_hops = 1; be_rows = packed [ tup [ i 2; s "x" ] ] };
           ];
         global = true };
     Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global = true };
@@ -30,7 +30,7 @@ let samples =
       { query_id = qid; request_ref = "n0/1"; rule_id = "r1";
         label = [ Peer_id.of_string "n0" ]; constraints = Payload.Specialize.any };
     Payload.Query_data
-      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; tuples = [ tup [ i 1 ] ] };
+      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; rows = packed [ tup [ i 1 ] ] };
     Payload.Query_done { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true };
     Payload.Rules_file { version = 1; text = "node a { relation r(x: int); }" };
     Payload.Start_update;
@@ -43,7 +43,7 @@ let samples =
       { seq = 7;
         inner =
           Payload.Update_data
-            { update_id = uid; rule_id = "r1"; tuples = [ tup [ i 1; s "x" ] ]; hops = 1;
+            { update_id = uid; rule_id = "r1"; rows = packed [ tup [ i 1; s "x" ] ]; hops = 1;
               global = true } };
     Payload.Seq_ack { seq = 7 };
     Payload.Sub_register { sub_id = "n0/s1"; query_text = "q(X) :- r(X, Y)" };
@@ -73,7 +73,8 @@ let test_sizes_positive () =
 let test_data_size_grows_with_tuples () =
   let mk tuples =
     Payload.encoded_size
-      (Payload.Update_data { update_id = uid; rule_id = "r"; tuples; hops = 1; global = true })
+      (Payload.Update_data
+         { update_id = uid; rule_id = "r"; rows = packed tuples; hops = 1; global = true })
   in
   Alcotest.(check bool) "more tuples, bigger" true
     (mk [ tup [ i 1 ]; tup [ i 2 ] ] > mk [ tup [ i 1 ] ])

@@ -178,7 +178,8 @@ let prop_delta_brackets_gain =
       let delta = Database.insert_all db "r" delta_candidates in
       let after = Eval.answer_tuples source q in
       let derived =
-        Relation.Tuple_set.of_list (Eval.delta_heads source ~delta_rel:"r" ~since ~delta q)
+        Relation.Tuple_set.of_list
+          (boxed (Eval.delta_heads source ~delta_rel:"r" ~since ~delta q))
       in
       let gained =
         List.filter (fun t -> not (Relation.Tuple_set.mem t before)) after
@@ -218,14 +219,14 @@ let prop_projector_matches_oracle =
     (fun (db, delta_candidates, q, naive) ->
       let source = Eval.of_database db in
       let full_ok =
-        List.equal Tuple.equal (Eval.heads source q)
+        List.equal Tuple.equal (boxed (Eval.heads source q))
           (Head_ref.head_tuples q (Eval.answers source q))
       in
       let since = Relation.cardinal (Database.relation db "r") in
       let delta = Database.insert_all db "r" delta_candidates in
       full_ok
       && List.equal Tuple.equal
-           (Eval.delta_heads ~naive source ~delta_rel:"r" ~since ~delta q)
+           (boxed (Eval.delta_heads ~naive source ~delta_rel:"r" ~since ~delta q))
            (Head_ref.head_tuples q
               (Eval.delta_answers ~naive source ~delta_rel:"r" ~since ~delta q)))
 

@@ -131,7 +131,7 @@ let test_reengagement_after_disengage () =
   (* now disengaged; fresh data from up re-engages with up as parent *)
   Update.handle rt ~src:(peer "up") ~bytes:50
     (Payload.Update_data
-       { update_id = uid; rule_id = "from_up"; tuples = [ tup [ i 2 ] ]; hops = 1;
+       { update_id = uid; rule_id = "from_up"; rows = packed [ tup [ i 2 ] ]; hops = 1;
          global = true });
   let messages = drain outbox in
   let st = state node in
@@ -238,7 +238,7 @@ let test_late_data_after_termination_absorbed () =
   let _ = drain outbox in
   Update.handle rt ~src:(peer "up") ~bytes:50
     (Payload.Update_data
-       { update_id = uid; rule_id = "from_up"; tuples = [ tup [ i 9 ] ]; hops = 1;
+       { update_id = uid; rule_id = "from_up"; rows = packed [ tup [ i 9 ] ]; hops = 1;
          global = true });
   let messages = drain outbox in
   let st = state node in
@@ -265,7 +265,7 @@ let check_finished_update_pins_nothing ?opts terminate =
   let _ = drain outbox in
   Update.handle rt ~src:(peer "up") ~bytes:50
     (Payload.Update_data
-       { update_id = uid; rule_id = "from_up"; tuples = [ tup [ i 9 ] ]; hops = 1;
+       { update_id = uid; rule_id = "from_up"; rows = packed [ tup [ i 9 ] ]; hops = 1;
          global = true });
   Alcotest.(check int) "late data sends nothing" 0 (count is_data (drain outbox))
 
@@ -346,7 +346,7 @@ let test_late_messages_after_release () =
     (Payload.Update_link_closed { update_id = uid; rule_id = "from_up"; global = true });
   Update.handle rt ~src:(peer "up") ~bytes:50
     (Payload.Update_data
-       { update_id = uid; rule_id = "from_up"; tuples = [ tup [ i 9 ] ]; hops = 1;
+       { update_id = uid; rule_id = "from_up"; rows = packed [ tup [ i 9 ] ]; hops = 1;
          global = true });
   Update.handle rt ~src:(peer "down") ~bytes:100
     (Payload.Update_request { update_id = uid; scope = Payload.For_rule "to_down" });
@@ -362,10 +362,10 @@ let served_to_down messages =
   List.concat_map
     (fun m ->
       match m.payload with
-      | Payload.Update_data { rule_id = "to_down"; tuples; _ }
+      | Payload.Update_data { rule_id = "to_down"; rows; _ }
       | Payload.Seq
-          { inner = Payload.Update_data { rule_id = "to_down"; tuples; _ }; _ } ->
-          tuples
+          { inner = Payload.Update_data { rule_id = "to_down"; rows; _ }; _ } ->
+          boxed rows
       | _ -> [])
     messages
 

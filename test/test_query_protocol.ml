@@ -72,8 +72,8 @@ let test_responder_serves_and_fans_out () =
     (List.exists
        (fun m ->
          match m.payload with
-         | Payload.Query_data { request_ref = "q1"; tuples; _ } ->
-             m.dst = "down" && List.length tuples = 1
+         | Payload.Query_data { request_ref = "q1"; rows; _ } ->
+             m.dst = "down" && List.length rows = 1
          | _ -> false)
        messages);
   (* a sub-request to up, labelled with the extended path *)
@@ -131,21 +131,21 @@ let test_streams_deltas_then_done () =
   Query_engine.handle rt ~src:(peer "up") ~bytes:60
     (Payload.Query_data
        { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
-         tuples = [ tup [ i 2 ] ] });
+         rows = packed [ tup [ i 2 ] ] });
   let after_data = drain outbox in
   Alcotest.(check bool) "delta forwarded" true
     (List.exists
        (fun m ->
          match m.payload with
-         | Payload.Query_data { request_ref = "q3"; tuples; _ } ->
-             m.dst = "down" && List.exists (Tuple.equal (tup [ i 2 ])) tuples
+         | Payload.Query_data { request_ref = "q3"; rows; _ } ->
+             m.dst = "down" && List.exists (Tuple.equal (tup [ i 2 ])) (boxed rows)
          | _ -> false)
        after_data);
   (* duplicate data is not re-forwarded *)
   Query_engine.handle rt ~src:(peer "up") ~bytes:60
     (Payload.Query_data
        { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
-         tuples = [ tup [ i 2 ] ] });
+         rows = packed [ tup [ i 2 ] ] });
   Alcotest.(check int) "duplicate suppressed" 0 (List.length (drain outbox));
   (* the sub-query completes: the responder signals done upstream *)
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
@@ -172,7 +172,7 @@ let test_stale_messages_ignored () =
   Query_engine.handle rt ~src:(peer "up") ~bytes:60
     (Payload.Query_data
        { query_id = qid; request_ref = "ghost"; rule_id = "from_up";
-         tuples = [ tup [ i 7 ] ] });
+         rows = packed [ tup [ i 7 ] ] });
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Query_done { query_id = qid; request_ref = "ghost"; rule_id = "from_up"; complete = true });
   Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox))
@@ -230,7 +230,7 @@ let test_late_data_for_closed_instance () =
     Query_engine.handle rt ~src:(peer "up") ~bytes:60
       (Payload.Query_data
          { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
-           tuples = [ tup [ i 9 ] ] });
+           rows = packed [ tup [ i 9 ] ] });
     Alcotest.(check int) ("nothing sent for " ^ owner) 0 (List.length (drain outbox))
   in
   late ~owner:"q5";
@@ -267,7 +267,7 @@ let root_outcome ?on_answer () =
   Query_engine.handle rt ~src:(peer "me") ~bytes:60
     (Payload.Query_data
        { query_id = qid; request_ref = sub_ref; rule_id = "to_down";
-         tuples = [ tup [ i 1 ]; tup [ i 2 ] ] });
+         rows = packed [ tup [ i 1 ]; tup [ i 2 ] ] });
   let evaluated = Eval.counters () <> before in
   Query_engine.handle rt ~src:(peer "me") ~bytes:20
     (Payload.Query_done
@@ -286,7 +286,7 @@ let test_unheard_root_starts_without_evaluating () =
     Query_engine.handle rt ~src:(peer "up") ~bytes:60
       (Payload.Query_data
          { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
-           tuples = [ tup [ i 2 ] ] });
+           rows = packed [ tup [ i 2 ] ] });
     Query_engine.handle rt ~src:(peer "up") ~bytes:20
       (Payload.Query_done
          { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });

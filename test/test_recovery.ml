@@ -145,7 +145,7 @@ let fixture_records =
   let tuples = [ tup [ i 1; s "x" ]; tup [ i 2; s "y" ] ] in
   [
     Durable.Insert { rel = "data"; tuples };
-    Durable.Import { rule = "r1"; rel = "data"; hops = 2; at = 0.125; tuples };
+    Durable.Import { rule = "r1"; rel = "data"; hops = 2; at = 0.125; rows = packed tuples };
     Durable.Seq_reserve { upto = 640 };
     Durable.Sub_add
       { sub_id = "s1"; owner = Durable.Olocal; query_text = "a(x) <- b(x)" };
@@ -204,7 +204,8 @@ let test_record_dict_round_trip () =
   let rs =
     [
       Durable.Insert { rel = "data"; tuples };
-      Durable.Import { rule = "r1"; rel = "data"; hops = 2; at = 0.125; tuples };
+      Durable.Import
+        { rule = "r1"; rel = "data"; hops = 2; at = 0.125; rows = packed tuples };
       Durable.Insert { rel = "data"; tuples };
       Durable.Sub_add
         { sub_id = "s1"; owner = Durable.Olocal; query_text = "a(x) <- b(x)" };

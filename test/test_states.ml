@@ -41,8 +41,8 @@ let test_update_state_sent_cache () =
   Alcotest.(check int) "empty cache" 0 (U.sent_tracked st "i1");
   let filter = U.sent_filter st "i1" in
   List.iter
-    (fun t -> ignore (Codb_core.Sent_filter.note_if_new filter t))
-    [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 2 ]; tup [ i 3 ] ];
+    (fun row -> ignore (Codb_core.Sent_filter.note_if_new filter row))
+    (packed [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 2 ]; tup [ i 3 ] ]);
   Alcotest.(check int) "set semantics" 3 (U.sent_tracked st "i1");
   check_tuples "members, sorted"
     [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 3 ] ]
@@ -55,19 +55,19 @@ let test_update_state_wire_buffer () =
   let st = U.create ~initiator:false ~outgoing:[] ~incoming:[ "i1"; "i2" ] uid in
   let dst = Peer_id.of_string "imp" in
   Alcotest.(check int) "nothing pending" 0 (U.pending_tuples st);
-  let added = U.buffer_add st ~dst ~rule:"i1" ~hops:2 [ tup [ i 1 ]; tup [ i 2 ] ] in
+  let added = U.buffer_add st ~dst ~rule:"i1" ~hops:2 (packed [ tup [ i 1 ]; tup [ i 2 ] ]) in
   Alcotest.(check int) "both buffered" 2 added;
   (* same-window duplicate coalesces away; hops merge to the max *)
-  let added = U.buffer_add st ~dst ~rule:"i1" ~hops:5 [ tup [ i 2 ]; tup [ i 3 ] ] in
+  let added = U.buffer_add st ~dst ~rule:"i1" ~hops:5 (packed [ tup [ i 2 ]; tup [ i 3 ] ]) in
   Alcotest.(check int) "duplicate coalesced" 1 added;
-  ignore (U.buffer_add st ~dst ~rule:"i2" ~hops:1 [ tup [ i 9 ] ]);
+  ignore (U.buffer_add st ~dst ~rule:"i2" ~hops:1 (packed [ tup [ i 9 ] ]));
   Alcotest.(check int) "pending counts tuples" 4 (U.pending_tuples st);
   Alcotest.(check int) "per-destination size" 4 (U.buffer_size st ~dst);
   (match U.take_buffer st ~dst with
   | [ ("i1", 5, t1); ("i2", 1, t2) ] ->
       Alcotest.(check bool) "rule i1 in insertion order" true
-        (t1 = [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 3 ] ]);
-      check_tuples "rule i2" [ tup [ i 9 ] ] t2
+        (boxed t1 = [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 3 ] ]);
+      check_tuples "rule i2" [ tup [ i 9 ] ] (boxed t2)
   | other -> Alcotest.failf "unexpected batch shape (%d entries)" (List.length other));
   Alcotest.(check int) "drained" 0 (U.pending_tuples st);
   Alcotest.(check bool) "take on empty" true (U.take_buffer st ~dst = [])
@@ -97,10 +97,10 @@ let test_query_state_pending () =
 
 let test_query_state_unsent () =
   let st = mk_query_state () in
-  let batch1 = Q.unsent st [ tup [ i 1 ]; tup [ i 2 ] ] in
+  let batch1 = Q.unsent st (packed [ tup [ i 1 ]; tup [ i 2 ] ]) in
   Alcotest.(check int) "first batch full" 2 (List.length batch1);
-  let batch2 = Q.unsent st [ tup [ i 2 ]; tup [ i 3 ] ] in
-  check_tuples "only the new one" [ tup [ i 3 ] ] batch2
+  let batch2 = Q.unsent st (packed [ tup [ i 2 ]; tup [ i 3 ] ]) in
+  check_tuples "only the new one" [ tup [ i 3 ] ] (boxed batch2)
 
 let suite =
   [

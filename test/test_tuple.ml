@@ -34,7 +34,7 @@ let test_subsumes_holes () =
 let test_instantiate_holes () =
   Value.reset_null_counter ();
   let t = tup [ i 1; Value.Hole 0; Value.Hole 1 ] in
-  let t' = Tuple.instantiate_holes ~rule:"r9" t in
+  let t' = Row.to_tuple (Row.instantiate_holes ~rule:"r9" (Row.of_tuple t)) in
   Alcotest.(check bool) "no holes left" false (Tuple.has_hole t');
   Alcotest.(check bool) "nulls introduced" true (Tuple.has_null t');
   (match (t'.(1), t'.(2)) with
@@ -44,12 +44,14 @@ let test_instantiate_holes () =
       Alcotest.(check string) "rule recorded" "r9" n1.Value.null_rule
   | _ -> Alcotest.fail "expected nulls");
   (* repeated hole index stays co-referent *)
-  let t2 = Tuple.instantiate_holes ~rule:"r" (tup [ Value.Hole 5; Value.Hole 5 ]) in
+  let t2 =
+    Row.to_tuple (Row.instantiate_holes ~rule:"r" (Row.of_tuple (tup [ Value.Hole 5; Value.Hole 5 ])))
+  in
   Alcotest.(check bool) "same hole same null" true (Value.equal t2.(0) t2.(1))
 
 let test_instantiate_no_holes_is_identity () =
-  let t = tup [ i 1; s "x" ] in
-  Alcotest.(check bool) "physically equal" true (Tuple.instantiate_holes ~rule:"r" t == t)
+  let row = Row.of_tuple (tup [ i 1; s "x" ]) in
+  Alcotest.(check bool) "physically equal" true (Row.instantiate_holes ~rule:"r" row == row)
 
 let test_size_bytes () =
   (* varint arity header plus the per-value wire sizes *)

@@ -353,7 +353,7 @@ let test_lineage_order () =
   let import rule at = { L.li_rule = rule; li_hops = 1; li_at = at } in
   let null = Value.fresh_null ~rule:"r" in
   List.iter
-    (fun (rel, t, i) -> L.record_import lineage ~rel t i)
+    (fun (rel, t, i) -> L.record_import lineage ~rel (Row.of_tuple t) i)
     [
       ("s", tup [ s "b" ], import "r1" 1.0);
       ("r", tup [ i 2; null ], import "r2" 2.0);
@@ -370,7 +370,7 @@ let test_lineage_order () =
     (rules (L.imports lineage ~rel:"r" (tup [ i 9; s "x" ])));
   Alcotest.(check (list string)) "(relation, tuple) order"
     [ "r:(1, \"x\")"; "r:(2, " ^ Value.to_string null ^ ")"; "s:(\"a\")"; "s:(\"b\")" ]
-    (List.map (fun ((rel, t), _) -> rel ^ ":" ^ Tuple.to_string t) (L.all lineage));
+    (List.map (fun ((rel, row), _) -> rel ^ ":" ^ Tuple.to_string (Row.to_tuple row)) (L.all lineage));
   L.clear lineage;
   Alcotest.(check int) "cleared" 0 (List.length (L.all lineage))
 

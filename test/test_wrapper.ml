@@ -48,9 +48,11 @@ let test_eval_rule_delta_only_new () =
         ("side", tup [ i 30; i 9 ]) ]
   in
   let since = Relation.cardinal (Database.relation db "base") in
-  let delta = Database.insert_all db "base" [ tup [ i 3; i 30 ] ] in
+  ignore (Database.insert_all db "base" [ tup [ i 3; i 30 ] ]);
   check_tuples "delta-derived only" [ tup [ i 3; i 9 ] ]
-    (Wrapper.eval_rule_delta ~naive:false db rule ~delta_rel:"base" ~since ~delta)
+    (boxed
+       (Wrapper.eval_query_delta ~naive:false db rule.Config.rule_query ~delta_rel:"base"
+          ~since))
 
 (* The sent filter is the projection's dedup: a head reached by two
    derivations comes back once and is noted once, and a head already
@@ -63,17 +65,19 @@ let test_sent_filter_is_projection_dedup () =
         ("base", tup [ i 2; i 20 ]) ]
   in
   let sent = Sent_filter.create () in
-  ignore (Sent_filter.note_if_new sent (tup [ i 2; Value.Hole 0 ]));
+  ignore (Sent_filter.note_if_new sent (Row.of_tuple (tup [ i 2; Value.Hole 0 ])));
   check_tuples "two derivations, one head; the sent head dropped"
     [ tup [ i 1; Value.Hole 0 ] ]
     (Wrapper.eval_rule_full ~sent db rule);
   Alcotest.(check int) "noted once" 2 (Sent_filter.tracked sent);
   check_tuples "nothing left to send" [] (Wrapper.eval_rule_full ~sent db rule);
   let since = Relation.cardinal (Database.relation db "base") in
-  let delta = Database.insert_all db "base" [ tup [ i 1; i 12 ]; tup [ i 3; i 30 ] ] in
+  ignore (Database.insert_all db "base" [ tup [ i 1; i 12 ]; tup [ i 3; i 30 ] ]);
   check_tuples "delta form filters through the same table"
     [ tup [ i 3; Value.Hole 0 ] ]
-    (Wrapper.eval_rule_delta ~sent ~naive:false db rule ~delta_rel:"base" ~since ~delta);
+    (boxed
+       (Wrapper.eval_query_delta ~sent ~naive:false db rule.Config.rule_query
+          ~delta_rel:"base" ~since));
   check_tuples "the filter holds every head sent"
     [ tup [ i 1; Value.Hole 0 ]; tup [ i 2; Value.Hole 0 ]; tup [ i 3; Value.Hole 0 ] ]
     (Sent_filter.elements sent)
@@ -102,9 +106,9 @@ let test_integrate_counts () =
   ignore (Database.insert db "target" (tup [ i 1; i 7 ]));
   let result =
     Wrapper.integrate ~opts:Options.default ~rule_id:"r" db ~rel:"target"
-      [ tup [ i 1; i 7 ]; tup [ i 2; i 8 ]; tup [ i 2; i 8 ] ]
+      (packed [ tup [ i 1; i 7 ]; tup [ i 2; i 8 ]; tup [ i 2; i 8 ] ])
   in
-  check_tuples "fresh" [ tup [ i 2; i 8 ] ] result.Wrapper.fresh;
+  check_tuples "fresh" [ tup [ i 2; i 8 ] ] (boxed result.Wrapper.fresh);
   Alcotest.(check int) "two suppressed" 2 result.Wrapper.suppressed;
   Alcotest.(check int) "no nulls" 0 result.Wrapper.nulls_created
 
@@ -113,10 +117,10 @@ let test_integrate_instantiates_holes () =
   let db = imp_db () in
   let result =
     Wrapper.integrate ~opts:Options.default ~rule_id:"rx" db ~rel:"target"
-      [ tup [ i 1; Value.Hole 0 ] ]
+      (packed [ tup [ i 1; Value.Hole 0 ] ])
   in
   Alcotest.(check int) "one null" 1 result.Wrapper.nulls_created;
-  match result.Wrapper.fresh with
+  match boxed result.Wrapper.fresh with
   | [ t ] -> Alcotest.(check bool) "null stored" true (Value.is_null t.(1))
   | _ -> Alcotest.fail "expected one tuple"
 
@@ -125,7 +129,7 @@ let test_integrate_subsumption_on_off () =
     let db = imp_db () in
     ignore (Database.insert db "target" (tup [ i 1; i 7 ]));
     let result =
-      Wrapper.integrate ~opts ~rule_id:"r" db ~rel:"target" [ tup [ i 1; Value.Hole 0 ] ]
+      Wrapper.integrate ~opts ~rule_id:"r" db ~rel:"target" (packed [ tup [ i 1; Value.Hole 0 ] ])
     in
     List.length result.Wrapper.fresh
   in
