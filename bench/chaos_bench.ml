@@ -20,7 +20,9 @@
 
    Cells that must be complete (the fault-free column, and the
    max-retries column up to 10% loss) abort the benchmark when they
-   are not, so CI fails loudly.  Results go to BENCH_chaos.json. *)
+   are not, as does a sweep in which no retransmission fires under
+   loss at max retries; the runtest gate runs the tiny sweep at three
+   seeds, and once with WAL durability on, and pins its counts. *)
 
 module System = Codb_core.System
 module Topology = Codb_core.Topology
@@ -87,7 +89,6 @@ type cell = {
   c_forced : int;
   c_all_finished : bool;
   c_duration : float;
-  c_wall_s : float;
 }
 
 (* Fraction of the baseline stores the faulted run still committed. *)
@@ -115,9 +116,7 @@ let completeness ~baseline sys =
 let measure ~seed ~baseline ~durable wl ~drop ~n_retries =
   let opts = opts_of ~fault_seed:(seed + 1) ~drop ~n_retries ~durable in
   let sys = System.build_exn ~opts (config ~seed wl) in
-  let wall_start = Unix.gettimeofday () in
   let uid = System.run_update sys ~initiator:"n0" in
-  let wall = Unix.gettimeofday () -. wall_start in
   let snapshots = System.snapshots sys in
   let report = Option.get (Report.update_report snapshots uid) in
   let chaos = Report.chaos_report snapshots in
@@ -136,7 +135,6 @@ let measure ~seed ~baseline ~durable wl ~drop ~n_retries =
     c_forced = chaos.Report.chr_forced_terminations;
     c_all_finished = report.Report.ur_all_finished;
     c_duration = report.Report.ur_duration;
-    c_wall_s = wall;
   }
 
 let check_invariants ~tiny cells =
@@ -155,13 +153,20 @@ let check_invariants ~tiny cells =
           (Printf.sprintf
              "retries failed to restore completeness: %.4f at drop %.2f, retries %d"
              c.c_completeness c.c_drop c.c_retries))
-    cells
+    cells;
+  (* a lossy sweep that never resends proves nothing about retries *)
+  if
+    not
+      (List.exists
+         (fun c -> c.c_drop > 0.0 && c.c_retries = max_retries ~tiny && c.c_retransmits > 0)
+         cells)
+  then failwith "no retransmission fired under loss at max retries"
 
 let check_determinism ~seed ~baseline ~durable wl =
   let drop = List.fold_left Float.max 0.0 (drops ~tiny:true) in
   let run () = measure ~seed ~baseline ~durable wl ~drop ~n_retries:2 in
   let a = run () and b = run () in
-  if a <> { b with c_wall_s = a.c_wall_s } then
+  if a <> b then
     failwith "chaos sweep is not deterministic: same seed, different cell"
 
 let measure_all ~tiny ~seed ~durable () =
@@ -209,44 +214,47 @@ let print_table wl cells =
          ])
        cells)
 
-(* Hand-rolled JSON: the harness must not grow dependencies. *)
-let write_json ~path ~seed ~durable wl cells =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"chaos-sweep\",\n";
-  p "  \"durability\": \"%s\",\n" (if durable then "wal" else "volatile");
-  p "  \"workload\": {\"topology\": \"chain\", \"nodes\": %d, \"tuples_per_node\": %d, \
-     \"domain\": %d, \"skew\": %g},\n"
-    wl.wl_nodes wl.wl_tuples wl.wl_domain wl.wl_skew;
-  p "  \"seed\": %d,\n" seed;
-  p "  \"transport\": {\"ack_timeout_s\": %g, \"dup_prob\": %g, \"jitter_s\": %g},\n"
-    ack_timeout dup_prob jitter;
-  p "  \"cells\": [\n";
-  let n = List.length cells in
-  List.iteri
-    (fun i c ->
-      p "    {\"drop\": %.2f, \"retries\": %d, \"completeness\": %.4f, \
-         \"new_tuples\": %d, \"delivered_msgs\": %d, \"injected_drops\": %d, \
-         \"injected_dups\": %d, \"retransmits\": %d, \"give_ups\": %d, \
-         \"dup_suppressed\": %d, \"forced_terminations\": %d, \
-         \"all_finished\": %b, \"sim_duration_s\": %.4f, \"wall_s\": %.4f}%s\n"
-        c.c_drop c.c_retries c.c_completeness c.c_new_tuples c.c_delivered
-        c.c_injected_drops c.c_injected_dups c.c_retransmits c.c_give_ups
-        c.c_dup_suppressed c.c_forced c.c_all_finished c.c_duration c.c_wall_s
-        (if i = n - 1 then "" else ","))
-    cells;
-  p "  ],\n";
-  p "  \"deterministic\": true\n";
-  p "}\n";
-  close_out oc
+(* The counted part of the tiny sweep, for the runtest gate. *)
+let gate ~seed ~durable =
+  let wl, cells = measure_all ~tiny:true ~seed ~durable () in
+  Emit.(
+    Obj
+      [
+        ("durability", Str (if durable then "wal" else "volatile"));
+        ( "workload",
+          Obj
+            [
+              ("topology", Str "chain"); ("nodes", Int wl.wl_nodes);
+              ("tuples_per_node", Int wl.wl_tuples); ("domain", Int wl.wl_domain);
+              ("skew", Num wl.wl_skew);
+            ] );
+        ("seed", Int seed);
+        ( "transport",
+          Obj
+            [
+              ("ack_timeout_s", Num ack_timeout); ("dup_prob", Num dup_prob);
+              ("jitter_s", Num jitter);
+            ] );
+        ( "cells",
+          List
+            (List.map
+               (fun c ->
+                 Obj
+                   [
+                     ("drop", Fixed (2, c.c_drop)); ("retries", Int c.c_retries);
+                     ("completeness", Fixed (4, c.c_completeness));
+                     ("new_tuples", Int c.c_new_tuples);
+                     ("delivered_msgs", Int c.c_delivered);
+                     ("injected_drops", Int c.c_injected_drops);
+                     ("injected_dups", Int c.c_injected_dups);
+                     ("retransmits", Int c.c_retransmits); ("give_ups", Int c.c_give_ups);
+                     ("dup_suppressed", Int c.c_dup_suppressed);
+                     ("forced_terminations", Int c.c_forced);
+                     ("all_finished", Bool c.c_all_finished);
+                   ])
+               cells) );
+      ])
 
-let json_path = "BENCH_chaos.json"
-
-let run ?(tiny = false) ?(seed = 1500) ?(json = true) ?(durable = false) () =
-  let wl, cells = measure_all ~tiny ~seed ~durable () in
-  print_table wl cells;
-  if json then begin
-    write_json ~path:json_path ~seed ~durable wl cells;
-    Printf.printf "wrote %s\n%!" json_path
-  end
+let run ?(seed = 1500) ?(durable = false) () =
+  let wl, cells = measure_all ~tiny:false ~seed ~durable () in
+  print_table wl cells

@@ -14,10 +14,9 @@
                recovered run must match the fault-free reference
                digests node for node, with exactly one recovery.
 
-   The durable leg runs twice to prove determinism.  Results go to
-   BENCH_dict.json (full) / BENCH_dict_tiny.json (--tiny), the full
-   file embedding a tiny_reference block the CI gate pins the tiny
-   rerun against. *)
+   The durable leg runs twice to prove determinism.  The full run
+   goes to BENCH_dict.json; the runtest gate runs the tiny workload
+   and pins its counts. *)
 
 module System = Codb_core.System
 module Topology = Codb_core.Topology
@@ -201,12 +200,10 @@ let measure_all ~tiny =
   check_dur_gates ~where:(label ^ " durable leg") dur;
   { o_zone = zone; o_dur = dur }
 
-let print_tables ~label ~tiny o =
+let print_tables ~tiny o =
   let zw = zone_workload ~tiny in
   Tables.print
-    ~title:
-      (Printf.sprintf "E22a - zone-map chunk pruning [%s] (%d rows, chunk 4096)"
-         label zw.zw_rows)
+    ~title:(Printf.sprintf "E22a - zone-map chunk pruning (%d rows, chunk 4096)" zw.zw_rows)
     ~header:
       [ "cutoff"; "answers"; "chunks"; "pruned"; "skip x"; "ms" ]
     (List.map
@@ -224,9 +221,8 @@ let print_tables ~label ~tiny o =
   let dw = dur_workload ~tiny in
   Tables.print
     ~title:
-      (Printf.sprintf
-         "E22b - dictionary recovery [%s] (chain N=%d, crash n%d at %gs)"
-         label dw.dw_nodes (dw.dw_nodes / 2) dw.dw_crash_at)
+      (Printf.sprintf "E22b - dictionary recovery (chain N=%d, crash n%d at %gs)"
+         dw.dw_nodes (dw.dw_nodes / 2) dw.dw_crash_at)
     ~header:[ "mode"; "recov"; "wal B"; "snapshot B"; "replayed B" ]
     (List.map
        (fun d ->
@@ -239,78 +235,58 @@ let print_tables ~label ~tiny o =
          ])
        [ reference; wal ])
 
-let emit_outcome oc ~indent ~tiny o =
-  let pad = String.make indent ' ' in
-  let p fmt = Printf.fprintf oc fmt in
+let fields ~tiny o =
   let zw = zone_workload ~tiny in
   let dw = dur_workload ~tiny in
-  p "%s\"zone\": {\"rows\": %d, \"chunk_rows\": 4096, \"cells\": [\n" pad
-    zw.zw_rows;
-  let nz = List.length o.o_zone in
-  List.iteri
-    (fun idx z ->
-      p
-        "%s  {\"cutoff\": %d, \"answers\": %d, \"chunks_visited\": %d, \
-         \"chunks_pruned\": %d, \"skip_ratio\": %.2f, \"wall_s\": %.5f}%s\n"
-        pad z.z_cutoff z.z_answers z.z_visited z.z_pruned z.z_skip_ratio z.z_wall_s
-        (if idx = nz - 1 then "" else ","))
-    o.o_zone;
-  p "%s]},\n" pad;
   let reference, wal = o.o_dur in
-  p "%s\"durable\": {\"nodes\": %d, \"crash_at_s\": %g, \"cells\": [\n" pad
-    dw.dw_nodes dw.dw_crash_at;
-  let dcells = [ reference; wal ] in
-  let nd = List.length dcells in
-  List.iteri
-    (fun idx d ->
-      p
-        "%s  {\"mode\": \"%s\", \"digests_match_reference\": %b, \
-         \"recoveries\": %d, \"wal_bytes\": %d, \"snapshot_bytes\": %d, \
-         \"replayed_bytes\": %d, \"wall_s\": %.4f}%s\n"
-        pad d.d_mode
-        (d.d_digests = reference.d_digests)
-        d.d_recoveries d.d_wal_bytes d.d_snapshot_bytes d.d_replayed_bytes
-        d.d_wall_s
-        (if idx = nd - 1 then "" else ","))
-    dcells;
-  p "%s]},\n" pad;
-  p "%s\"deterministic\": true" pad
+  Emit.(
+    Obj
+      [
+        ("benchmark", Str "dict");
+        ( "zone",
+          Obj
+            [
+              ("rows", Int zw.zw_rows); ("chunk_rows", Int 4096);
+              ( "cells",
+                List
+                  (List.map
+                     (fun z ->
+                       Obj
+                         [
+                           ("cutoff", Int z.z_cutoff); ("answers", Int z.z_answers);
+                           ("chunks_visited", Int z.z_visited);
+                           ("chunks_pruned", Int z.z_pruned);
+                           ("skip_ratio", Fixed (2, z.z_skip_ratio));
+                           ("wall_s", Measured (5, z.z_wall_s));
+                         ])
+                     o.o_zone) );
+            ] );
+        ( "durable",
+          Obj
+            [
+              ("nodes", Int dw.dw_nodes); ("crash_at_s", Num dw.dw_crash_at);
+              ( "cells",
+                List
+                  (List.map
+                     (fun d ->
+                       Obj
+                         [
+                           ("mode", Str d.d_mode);
+                           ("digests_match_reference", Bool (d.d_digests = reference.d_digests));
+                           ("recoveries", Int d.d_recoveries); ("wal_bytes", Int d.d_wal_bytes);
+                           ("snapshot_bytes", Int d.d_snapshot_bytes);
+                           ("replayed_bytes", Int d.d_replayed_bytes);
+                           ("wall_s", Measured (4, d.d_wall_s));
+                         ])
+                     [ reference; wal ]) );
+            ] );
+        ("deterministic", Bool true);
+        ("ok", Bool true);
+      ])
 
-let write_json ~path ~full_part ~tiny_part =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"dict\",\n";
-  (match full_part with
-  | Some o ->
-      emit_outcome oc ~indent:2 ~tiny:false o;
-      p ",\n"
-  | None -> ());
-  (match tiny_part with
-  | Some o ->
-      p "  \"tiny_reference\": {\n";
-      emit_outcome oc ~indent:4 ~tiny:true o;
-      p "\n  },\n"
-  | None -> ());
-  p "  \"ok\": true\n";
-  p "}\n";
-  close_out oc
+let gate () = fields ~tiny:true (measure_all ~tiny:true)
 
-let run ?(tiny = false) ?(seed = 1500) () =
-  ignore seed;
-  if tiny then begin
-    let o = measure_all ~tiny:true in
-    print_tables ~label:"tiny" ~tiny:true o;
-    write_json ~path:"BENCH_dict_tiny.json" ~full_part:None
-      ~tiny_part:(Some o);
-    Printf.printf "wrote BENCH_dict_tiny.json\n%!"
-  end
-  else begin
-    let tiny_o = measure_all ~tiny:true in
-    print_tables ~label:"tiny reference" ~tiny:true tiny_o;
-    let o = measure_all ~tiny:false in
-    print_tables ~label:"full" ~tiny:false o;
-    write_json ~path:"BENCH_dict.json" ~full_part:(Some o)
-      ~tiny_part:(Some tiny_o);
-    Printf.printf "wrote BENCH_dict.json\n%!"
-  end
+let run () =
+  let o = measure_all ~tiny:false in
+  print_tables ~tiny:false o;
+  Emit.json ~path:"BENCH_dict.json" (fields ~tiny:false o)

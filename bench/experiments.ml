@@ -586,16 +586,15 @@ let e13 () =
 
 (* E14 — planner ablation (the cost-based join planner of lib/cq/plan
    with single-column vs composite index probes), on a skewed
-   multi-join workload.  Implemented in Planner_bench so that
-   `bench-json` can run the same measurement headlessly and emit
-   BENCH_planner.json. *)
-let e14 () = Planner_bench.run ~json:true ()
+   multi-join workload.  Implemented in Planner_bench, whose tiny run
+   is also a section of the runtest gate. *)
+let e14 = Planner_bench.run
 
 (* E15 — wire ablation (batching on/off), on a skewed clique update.
    Implemented in Wire_bench, whose `wire-json` runs the same
    measurement and writes BENCH_wire.json; the experiment only prints
    its table, so it leaves the committed file alone. *)
-let e15 () = Wire_bench.run ~json:false ()
+let e15 () = Wire_bench.run ()
 
 let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
             ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);

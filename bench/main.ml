@@ -5,31 +5,63 @@
      dune exec bench/main.exe -- experiments e15  # selected numbered experiments
      dune exec bench/main.exe -- e3 e5        # selected experiments
      dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
-     dune exec bench/main.exe -- bench-json   # planner ablation -> BENCH_planner.json
-     dune exec bench/main.exe -- bench-json --tiny  # CI smoke workload
-     dune exec bench/main.exe -- wire-json    # wire ablation -> BENCH_wire.json (--tiny: BENCH_wire_tiny.json)
-     dune exec bench/main.exe -- chaos-json   # fault-injection sweep -> BENCH_chaos.json
+     dune exec bench/main.exe -- gate         # every side bench's tiny run, checked;
+                                              # prints the counts bench/gate.expected pins
+     dune exec bench/main.exe -- wire-json    # wire ablation -> BENCH_wire.json
+     dune exec bench/main.exe -- chaos-json   # fault-injection sweep (table only)
      dune exec bench/main.exe -- chaos-json --durable  # same sweep with WAL durability on
      dune exec bench/main.exe -- recovery-json # crash-recovery bench -> BENCH_recovery.json
-     dune exec bench/main.exe -- pushdown-json # constraint pushdown ablation -> BENCH_pushdown.json
-     dune exec bench/main.exe -- sub-json     # standing-query maintenance -> BENCH_sub.json
+     dune exec bench/main.exe -- pushdown-json # constraint pushdown ablation (table only)
+     dune exec bench/main.exe -- sub-json     # standing-query maintenance (table only)
      dune exec bench/main.exe -- scale-json   # storage-engine scale bench -> BENCH_scale.json
      dune exec bench/main.exe -- dict-json    # zone-map + dictionary bench -> BENCH_dict.json
      dune exec bench/main.exe -- --seed N ..  # reseed workload + fault schedule
-     dune exec bench/main.exe -- --csv DIR .. # also write each table as CSV *)
+     dune exec bench/main.exe -- --csv DIR .. # also write each table as CSV
+
+   `dune runtest` runs `gate` and diffs its output against
+   bench/gate.expected; after a designed change of counts, `dune
+   promote` refreshes the golden. *)
+
+(* The tiny run of every side bench, in a fixed order.  Each driver
+   raises [Failure] when one of its checks fails. *)
+let gate_sections =
+  [
+    ("planner", Planner_bench.gate);
+    ("wire", Wire_bench.gate);
+    ("chaos.seed11", fun () -> Chaos_bench.gate ~seed:11 ~durable:false);
+    ("chaos.seed1500", fun () -> Chaos_bench.gate ~seed:1500 ~durable:false);
+    ("chaos.seed90210", fun () -> Chaos_bench.gate ~seed:90210 ~durable:false);
+    ("chaos.durable", fun () -> Chaos_bench.gate ~seed:1500 ~durable:true);
+    ("recovery", fun () -> Recovery_bench.gate ~seed:1500);
+    ("pushdown", Pushdown_bench.gate);
+    ("sub", Sub_bench.gate);
+    ("scale", Scale_bench.gate);
+    ("dict", Dict_bench.gate);
+  ]
+
+let gate () =
+  let failed =
+    List.filter
+      (fun (name, section) ->
+        match section () with
+        | fields ->
+            List.iter print_endline (Emit.gate_lines name fields);
+            false
+        | exception Failure why ->
+            Printf.eprintf "gate: %s: %s\n%!" name why;
+            true)
+      gate_sections
+  in
+  if failed <> [] then exit 1
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let tiny = ref false in
   let seed = ref 1500 in
   let durable = ref false in
   let rec extract acc = function
     | "--csv" :: dir :: rest ->
         (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         Tables.csv_dir := Some dir;
-        extract acc rest
-    | "--tiny" :: rest ->
-        tiny := true;
         extract acc rest
     | "--durable" :: rest ->
         durable := true;
@@ -48,14 +80,14 @@ let () =
   let commands =
     [
       ("micro", Micro.run);
-      ("bench-json", fun () -> Planner_bench.run ~tiny:!tiny ());
-      ("wire-json", fun () -> Wire_bench.run ~tiny:!tiny ());
-      ("chaos-json", fun () -> Chaos_bench.run ~tiny:!tiny ~seed:!seed ~durable:!durable ());
-      ("recovery-json", fun () -> Recovery_bench.run ~tiny:!tiny ~seed:!seed ());
-      ("pushdown-json", fun () -> Pushdown_bench.run ~tiny:!tiny ());
-      ("sub-json", fun () -> Sub_bench.run ~tiny:!tiny ());
-      ("scale-json", fun () -> Scale_bench.run ~tiny:!tiny ());
-      ("dict-json", fun () -> Dict_bench.run ~tiny:!tiny ~seed:!seed ());
+      ("gate", gate);
+      ("wire-json", fun () -> Wire_bench.run ~json:true ());
+      ("chaos-json", fun () -> Chaos_bench.run ~seed:!seed ~durable:!durable ());
+      ("recovery-json", fun () -> Recovery_bench.run ~seed:!seed ());
+      ("pushdown-json", Pushdown_bench.run);
+      ("sub-json", Sub_bench.run);
+      ("scale-json", Scale_bench.run);
+      ("dict-json", Dict_bench.run);
     ]
   in
   let known = List.map fst Experiments.all in

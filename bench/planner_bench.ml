@@ -1,4 +1,4 @@
-(* Planner ablation benchmark (experiment E14 and `make bench-json`).
+(* Planner ablation benchmark (experiment E14).
 
    A multi-join workload with skewed relation sizes — the triangle
    query
@@ -15,8 +15,9 @@
    The closing atom e(x, z) arrives with both arguments bound: the
    composite plan answers it with one O(1) probe on both columns,
    while the single-column plan scans the whole x-bucket of a
-   (skew-heavy) hub vertex for every candidate binding.  Results are printed as a
-   table and written to BENCH_planner.json for trend tracking. *)
+   (skew-heavy) hub vertex for every candidate binding.  Both variants
+   must find the same answers; the runtest gate runs the tiny
+   workload and pins its counts. *)
 
 module Database = Codb_relalg.Database
 module Schema = Codb_relalg.Schema
@@ -130,37 +131,31 @@ let print_table wl measurements =
          ])
        measurements)
 
-(* Hand-rolled JSON: the harness must not grow dependencies. *)
-let write_json ~path wl measurements =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"planner-ablation\",\n";
-  p "  \"query\": \"ans(x, z) <- e(x, y), f(y, z), e(x, z)\",\n";
-  p "  \"workload\": {\"e_tuples\": %d, \"f_tuples\": %d, \"domain\": %d, \"skew\": %g},\n"
-    wl.wl_e wl.wl_f wl.wl_domain wl.wl_skew;
-  p "  \"experiments\": [\n";
-  let n = List.length measurements in
-  List.iteri
-    (fun i m ->
-      p "    {\"name\": \"%s\", \"runs\": %d, \"wall_s\": %.6f, \"ms_per_run\": %.4f, \
-         \"ops_per_sec\": %.2f, \"probes_per_run\": %d, \"scans_per_run\": %d, \
-         \"answers\": %d}%s\n"
-        m.m_name m.m_runs m.m_wall_s
-        (1000.0 *. m.m_wall_s /. float_of_int m.m_runs)
-        m.m_ops_per_sec m.m_probes m.m_scans m.m_answers
-        (if i = n - 1 then "" else ","))
-    measurements;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+(* The counted part of the tiny run, for the runtest gate. *)
+let gate () =
+  let wl, measurements = measure_all ~tiny:true () in
+  Emit.(
+    Obj
+      [
+        ( "workload",
+          Obj
+            [
+              ("e_tuples", Int wl.wl_e); ("f_tuples", Int wl.wl_f);
+              ("domain", Int wl.wl_domain); ("skew", Num wl.wl_skew);
+            ] );
+        ( "experiments",
+          List
+            (List.map
+               (fun m ->
+                 Obj
+                   [
+                     ("name", Str m.m_name); ("runs", Int m.m_runs);
+                     ("probes_per_run", Int m.m_probes);
+                     ("scans_per_run", Int m.m_scans); ("answers", Int m.m_answers);
+                   ])
+               measurements) );
+      ])
 
-let json_path = "BENCH_planner.json"
-
-let run ?(tiny = false) ?(json = true) () =
-  let wl, measurements = measure_all ~tiny () in
-  print_table wl measurements;
-  if json then begin
-    write_json ~path:json_path wl measurements;
-    Printf.printf "wrote %s\n%!" json_path
-  end
+let run () =
+  let wl, measurements = measure_all ~tiny:false () in
+  print_table wl measurements

@@ -20,8 +20,9 @@
    Pushdown must never change the answer set (checked tuple-for-tuple
    modulo marked-null renaming) or the completeness flag, must never
    increase answer bytes, and on the selective workloads must cut
-   answer bytes at least in half.  Violations abort the benchmark so
-   CI fails loudly.  Results go to BENCH_pushdown.json. *)
+   answer bytes at least in half.  Violations abort the benchmark, so
+   the runtest gate, which runs the tiny workload and pins its counts,
+   fails. *)
 
 module System = Codb_core.System
 module Topology = Codb_core.Topology
@@ -91,15 +92,12 @@ type row = {
   r_data_msgs : int;
   r_pushed : int;
   r_filtered : int;
-  r_wall_s : float;
 }
 
 let measure wl shape (qname, qtext) pushdown =
   let opts = { Options.default with Options.pushdown } in
   let sys = System.build_exn ~opts (config wl shape) in
-  let wall_start = Unix.gettimeofday () in
   let outcome = System.run_query sys ~at:"n0" (parse qtext) in
-  let wall = Unix.gettimeofday () -. wall_start in
   let pr =
     Option.get (Report.pushdown_report (System.snapshots sys) outcome.System.qo_id)
   in
@@ -113,21 +111,7 @@ let measure wl shape (qname, qtext) pushdown =
     r_data_msgs = pr.Report.pr_data_msgs;
     r_pushed = pr.Report.pr_pushed;
     r_filtered = pr.Report.pr_filtered_at_source;
-    r_wall_s = wall;
   }
-
-(* Pairs of (baseline, pushdown) runs in shape-major order. *)
-let measure_all ~tiny () =
-  let wl = workload ~tiny in
-  let pairs =
-    List.concat_map
-      (fun shape ->
-        List.map
-          (fun q -> (measure wl shape q false, measure wl shape q true))
-          queries)
-      shapes
-  in
-  (wl, pairs)
 
 let ratio base own = if own > 0 then float_of_int base /. float_of_int own else nan
 
@@ -152,6 +136,20 @@ let check_invariants pairs =
              "selective pushdown below the 2x bar on %s: %d B vs %d B baseline" where
              push.r_bytes_in base.r_bytes_in))
     pairs
+
+(* Pairs of (baseline, pushdown) runs in shape-major order. *)
+let measure_all ~tiny () =
+  let wl = workload ~tiny in
+  let pairs =
+    List.concat_map
+      (fun shape ->
+        List.map
+          (fun q -> (measure wl shape q false, measure wl shape q true))
+          queries)
+      shapes
+  in
+  check_invariants pairs;
+  (wl, pairs)
 
 let print_table wl pairs =
   Tables.print
@@ -184,43 +182,43 @@ let print_table wl pairs =
            [ base; push ])
        pairs)
 
-(* Hand-rolled JSON: the harness must not grow dependencies. *)
-let write_json ~path wl pairs =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"pushdown\",\n";
-  p "  \"workload\": {\"nodes\": %d, \"tuples_per_node\": %d, \"domain\": %d},\n"
-    wl.wl_nodes wl.wl_tuples wl.wl_domain;
-  p "  \"runs\": [\n";
-  let n = List.length pairs in
-  List.iteri
-    (fun i (base, push) ->
-      p "    {\"shape\": \"%s\", \"query\": \"%s\", \"answers\": %d, \
-         \"complete\": %b,\n"
-        (Topology.shape_name base.r_shape)
-        base.r_query (List.length base.r_answers) base.r_complete;
-      p "     \"baseline\": {\"bytes_in\": %d, \"data_msgs\": %d, \"wall_s\": %.4f},\n"
-        base.r_bytes_in base.r_data_msgs base.r_wall_s;
-      p "     \"pushdown\": {\"bytes_in\": %d, \"data_msgs\": %d, \
-         \"constrained_requests\": %d, \"filtered_at_source\": %d, \
-         \"wall_s\": %.4f},\n"
-        push.r_bytes_in push.r_data_msgs push.r_pushed push.r_filtered push.r_wall_s;
-      p "     \"bytes_reduction\": %.2f, \"answers_identical\": true}%s\n"
-        (ratio base.r_bytes_in push.r_bytes_in)
-        (if i = n - 1 then "" else ","))
-    pairs;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+(* The counted part of the tiny run, for the runtest gate. *)
+let gate () =
+  let wl, pairs = measure_all ~tiny:true () in
+  let side r =
+    Emit.(
+      Obj
+        [
+          ("bytes_in", Int r.r_bytes_in); ("data_msgs", Int r.r_data_msgs);
+          ("constrained_requests", Int r.r_pushed);
+          ("filtered_at_source", Int r.r_filtered);
+        ])
+  in
+  Emit.(
+    Obj
+      [
+        ( "workload",
+          Obj
+            [
+              ("nodes", Int wl.wl_nodes); ("tuples_per_node", Int wl.wl_tuples);
+              ("domain", Int wl.wl_domain);
+            ] );
+        ( "runs",
+          List
+            (List.map
+               (fun (base, push) ->
+                 Obj
+                   [
+                     ("shape", Str (Topology.shape_name base.r_shape));
+                     ("query", Str base.r_query);
+                     ("answers", Int (List.length base.r_answers));
+                     ("complete", Bool base.r_complete); ("baseline", side base);
+                     ("pushdown", side push);
+                     ("bytes_reduction", Fixed (2, ratio base.r_bytes_in push.r_bytes_in));
+                   ])
+               pairs) );
+      ])
 
-let json_path = "BENCH_pushdown.json"
-
-let run ?(tiny = false) ?(json = true) () =
-  let wl, pairs = measure_all ~tiny () in
-  print_table wl pairs;
-  check_invariants pairs;
-  if json then begin
-    write_json ~path:json_path wl pairs;
-    Printf.printf "wrote %s\n%!" json_path
-  end
+let run () =
+  let wl, pairs = measure_all ~tiny:false () in
+  print_table wl pairs

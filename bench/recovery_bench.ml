@@ -18,10 +18,9 @@
    to lose.  The headline gate is the refetch axis: the volatile run
    must refetch at least 2x the bytes the WAL run does.  The recovery
    axes (recovery time, records replayed, WAL volume) are reported
-   alongside.  The WAL cell runs twice to prove determinism.  Results
-   go to BENCH_recovery.json (full) / BENCH_recovery_tiny.json
-   (--tiny), the full file embedding a tiny_reference block the CI
-   gate pins the tiny rerun against. *)
+   alongside.  The WAL cell runs twice to prove determinism.  The full
+   run goes to BENCH_recovery.json; the runtest gate runs the tiny
+   workload and pins its counts. *)
 
 module System = Codb_core.System
 module Topology = Codb_core.Topology
@@ -179,13 +178,13 @@ let measure_all ~seed wl =
   check_gates ~where:(Printf.sprintf "chain N=%d" wl.wl_nodes) o;
   o
 
-let print_table ~label wl o =
+let print_table wl o =
   Tables.print
     ~title:
       (Printf.sprintf
-         "E21 - crash recovery [%s] (chain N=%d, %d tuples/node, crash %s at \
-          %gs for %gs, ack %gs, retries %d)"
-         label wl.wl_nodes wl.wl_tuples (victim wl) wl.wl_crash_at downtime
+         "E21 - crash recovery (chain N=%d, %d tuples/node, crash %s at %gs \
+          for %gs, ack %gs, retries %d)"
+         wl.wl_nodes wl.wl_tuples (victim wl) wl.wl_crash_at downtime
          ack_timeout max_retries)
     ~header:
       [
@@ -210,76 +209,56 @@ let print_table ~label wl o =
        [ o.o_reference; o.o_volatile; o.o_wal ]);
   Printf.printf "refetch reduction (volatile / wal): %.2fx\n%!" o.o_reduction
 
-let emit_outcome oc ~indent ~seed wl o =
-  let pad = String.make indent ' ' in
-  let p fmt = Printf.fprintf oc fmt in
-  p "%s\"workload\": {\"topology\": \"chain\", \"nodes\": %d, \
-     \"tuples_per_node\": %d, \"domain\": %d, \"skew\": %g},\n"
-    pad wl.wl_nodes wl.wl_tuples wl.wl_domain wl.wl_skew;
-  p "%s\"seed\": %d,\n" pad seed;
-  p "%s\"transport\": {\"ack_timeout_s\": %g, \"max_retries\": %d},\n" pad
-    ack_timeout max_retries;
-  p "%s\"crash\": {\"victim\": \"%s\", \"at_s\": %g, \"restart_s\": %g},\n" pad
-    (victim wl) wl.wl_crash_at (wl.wl_crash_at +. downtime);
-  p "%s\"modes\": [\n" pad;
-  let cells = [ o.o_reference; o.o_volatile; o.o_wal ] in
-  let n = List.length cells in
-  List.iteri
-    (fun i c ->
-      p
-        "%s  {\"mode\": \"%s\", \"digests_match_reference\": %b, \
-         \"refetched_bytes\": %d, \"recoveries\": %d, \"recovered_records\": \
-         %d, \"replayed_bytes\": %d, \"recovery_ms\": %.3f, \"wal_records\": \
-         %d, \"wal_bytes\": %d, \"snapshots\": %d, \"snapshot_bytes\": %d, \
-         \"delivered_msgs\": %d, \"retransmits\": %d, \"wall_s\": %.4f}%s\n"
-        pad c.m_mode
-        (c.m_digests = o.o_reference.m_digests)
-        c.m_refetched c.m_recoveries c.m_recovered_records c.m_replayed_bytes
-        c.m_recovery_ms c.m_wal_records c.m_wal_bytes c.m_snapshots
-        c.m_snapshot_bytes c.m_delivered c.m_retransmits c.m_wall_s
-        (if i = n - 1 then "" else ","))
-    cells;
-  p "%s],\n" pad;
-  p "%s\"refetch_reduction\": %.2f,\n" pad o.o_reduction;
-  p "%s\"deterministic\": true" pad
+let fields ~seed wl o =
+  Emit.(
+    Obj
+      [
+        ("benchmark", Str "recovery");
+        ( "workload",
+          Obj
+            [
+              ("topology", Str "chain"); ("nodes", Int wl.wl_nodes);
+              ("tuples_per_node", Int wl.wl_tuples); ("domain", Int wl.wl_domain);
+              ("skew", Num wl.wl_skew);
+            ] );
+        ("seed", Int seed);
+        ("transport", Obj [ ("ack_timeout_s", Num ack_timeout); ("max_retries", Int max_retries) ]);
+        ( "crash",
+          Obj
+            [
+              ("victim", Str (victim wl)); ("at_s", Num wl.wl_crash_at);
+              ("restart_s", Num (wl.wl_crash_at +. downtime));
+            ] );
+        ( "modes",
+          List
+            (List.map
+               (fun c ->
+                 Obj
+                   [
+                     ("mode", Str c.m_mode);
+                     ("digests_match_reference", Bool (c.m_digests = o.o_reference.m_digests));
+                     ("refetched_bytes", Int c.m_refetched); ("recoveries", Int c.m_recoveries);
+                     ("recovered_records", Int c.m_recovered_records);
+                     ("replayed_bytes", Int c.m_replayed_bytes);
+                     ("recovery_ms", Measured (3, c.m_recovery_ms));
+                     ("wal_records", Int c.m_wal_records); ("wal_bytes", Int c.m_wal_bytes);
+                     ("snapshots", Int c.m_snapshots);
+                     ("snapshot_bytes", Int c.m_snapshot_bytes);
+                     ("delivered_msgs", Int c.m_delivered);
+                     ("retransmits", Int c.m_retransmits); ("wall_s", Measured (4, c.m_wall_s));
+                   ])
+               [ o.o_reference; o.o_volatile; o.o_wal ]) );
+        ("refetch_reduction", Fixed (2, o.o_reduction));
+        ("deterministic", Bool true);
+        ("ok", Bool true);
+      ])
 
-let write_json ~path ~seed ~full_part ~tiny_part =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"recovery\",\n";
-  (match full_part with
-  | Some (wl, o) ->
-      emit_outcome oc ~indent:2 ~seed wl o;
-      p ",\n"
-  | None -> ());
-  (match tiny_part with
-  | Some (wl, o) ->
-      p "  \"tiny_reference\": {\n";
-      emit_outcome oc ~indent:4 ~seed wl o;
-      p "\n  },\n"
-  | None -> ());
-  p "  \"ok\": true\n";
-  p "}\n";
-  close_out oc
+let gate ~seed =
+  let wl = workload ~tiny:true in
+  fields ~seed wl (measure_all ~seed wl)
 
-let run ?(tiny = false) ?(seed = 1500) () =
-  if tiny then begin
-    let wl = workload ~tiny:true in
-    let o = measure_all ~seed wl in
-    print_table ~label:"tiny" wl o;
-    write_json ~path:"BENCH_recovery_tiny.json" ~seed ~full_part:None
-      ~tiny_part:(Some (wl, o));
-    Printf.printf "wrote BENCH_recovery_tiny.json\n%!"
-  end
-  else begin
-    let tiny_wl = workload ~tiny:true in
-    let tiny_o = measure_all ~seed tiny_wl in
-    print_table ~label:"tiny reference" tiny_wl tiny_o;
-    let wl = workload ~tiny:false in
-    let o = measure_all ~seed wl in
-    print_table ~label:"full" wl o;
-    write_json ~path:"BENCH_recovery.json" ~seed ~full_part:(Some (wl, o))
-      ~tiny_part:(Some (tiny_wl, tiny_o));
-    Printf.printf "wrote BENCH_recovery.json\n%!"
-  end
+let run ?(seed = 1500) () =
+  let wl = workload ~tiny:false in
+  let o = measure_all ~seed wl in
+  print_table wl o;
+  Emit.json ~path:"BENCH_recovery.json" (fields ~seed wl o)

@@ -26,10 +26,9 @@
 
    The observables — tuples admitted, subsumption verdicts, answer
    counts, an order-insensitive content digest of the answers, and the
-   evaluator's probe/scan counters — are deterministic.  Results are
-   written to BENCH_scale.json; the full run embeds a [tiny_reference]
-   block that `make scale-bench-tiny` reproduces in CI and is gated
-   against. *)
+   evaluator's probe/scan counters — are deterministic.  The full run
+   is written to BENCH_scale.json; the runtest gate runs the 8-node
+   tiny workload and pins those observables. *)
 
 module Database = Codb_relalg.Database
 module Relation = Codb_relalg.Relation
@@ -135,12 +134,12 @@ let filter_query ~node =
 (* ---- equivalence digest ---------------------------------------------- *)
 
 (* FNV-1a over value contents ({!Tuple.digest_fold}): independent of
-   intern-table slot order, so digests compare across processes (full
-   run vs CI tiny run).  [Eval.answer_tuples] returns answers in
+   intern-table slot order, so digests compare across processes and
+   do not depend on what else the process interned first.  [Eval.answer_tuples] returns answers in
    sorted order, so the fold is order-stable. *)
 let tuples_digest h tuples = Tuple.digest_fold h tuples
 
-(* the name the JSON and CI gate key this engine's metrics by *)
+(* the engine's name in the JSON and the gate *)
 let engine_name = "packed-columnar"
 
 (* ---- measurement ----------------------------------------------------- *)
@@ -250,11 +249,10 @@ let measure wl =
   done;
   m
 
-let print_table ~label wl m =
+let print_table wl m =
   Tables.print
     ~title:
-      (Printf.sprintf
-         "E19 - storage-engine scale bench [%s] (%d nodes, %d tuples, zipf %.1f)" label
+      (Printf.sprintf "E19 - storage-engine scale bench (%d nodes, %d tuples, zipf %.1f)"
          wl.wl_nodes (total_tuples wl) wl.wl_skew)
     ~header:
       [ "engine"; "ingest s"; "subsume s"; "chain s"; "hub s"; "filter s"; "probes";
@@ -274,64 +272,42 @@ let print_table ~label wl m =
       ];
     ]
 
-let emit_result oc ~indent wl m =
-  let p fmt = Printf.fprintf oc fmt in
-  let pad = String.make indent ' ' in
-  p "%s\"workload\": {\"nodes\": %d, \"r_per_node\": %d, \"s_per_node\": %d, \
-     \"total_tuples\": %d, \"dom_a\": %d, \"dom_b\": %d, \"dom_c\": %d, \"skew\": %g, \
-     \"query_runs\": %d},\n"
-    pad wl.wl_nodes wl.wl_r wl.wl_s (total_tuples wl) wl.wl_dom_a wl.wl_dom_b wl.wl_dom_c
-    wl.wl_skew wl.wl_query_runs;
-  p "%s\"engines\": [\n" pad;
-  p
-    "%s  {\"name\": \"%s\", \"ingest_s\": %.6f, \"subsume_s\": %.6f, \"query_s\": \
-     %.6f, \"chain_s\": %.6f, \"hub_s\": %.6f, \"filter_s\": %.6f, \"probes\": %d, \
-     \"scans\": %d, \"dups\": %d, \"subsumed_yes\": %d, \"answers\": %d, \"digest\": \
-     %d, \"allocated_mb\": %.2f}\n"
-    pad engine_name m.ingest_s m.subsume_s m.query_s m.chain_s m.hub_s m.filter_s
-    m.probes m.scans m.dups m.subsumed_yes m.answers m.digest
-    (m.alloc_bytes /. 1048576.0);
-  p "%s]" pad
+let fields wl m =
+  Emit.(
+    Obj
+      [
+        ("benchmark", Str "scale-storage");
+        ( "workload",
+          Obj
+            [
+              ("nodes", Int wl.wl_nodes); ("r_per_node", Int wl.wl_r);
+              ("s_per_node", Int wl.wl_s); ("total_tuples", Int (total_tuples wl));
+              ("dom_a", Int wl.wl_dom_a); ("dom_b", Int wl.wl_dom_b);
+              ("dom_c", Int wl.wl_dom_c); ("skew", Num wl.wl_skew);
+              ("query_runs", Int wl.wl_query_runs);
+            ] );
+        ( "engines",
+          List
+            [
+              Obj
+                [
+                  ("name", Str engine_name); ("ingest_s", Measured (6, m.ingest_s));
+                  ("subsume_s", Measured (6, m.subsume_s));
+                  ("query_s", Measured (6, m.query_s)); ("chain_s", Measured (6, m.chain_s));
+                  ("hub_s", Measured (6, m.hub_s)); ("filter_s", Measured (6, m.filter_s));
+                  ("probes", Int m.probes); ("scans", Int m.scans); ("dups", Int m.dups);
+                  ("subsumed_yes", Int m.subsumed_yes); ("answers", Int m.answers);
+                  ("digest", Int m.digest);
+                  ("allocated_mb", Measured (2, m.alloc_bytes /. 1048576.0));
+                ];
+            ] );
+        ( "top_heap_mwords",
+          Measured (1, float_of_int (Gc.quick_stat ()).Gc.top_heap_words /. 1.0e6) );
+      ])
 
-(* Hand-rolled JSON: the harness must not grow dependencies. *)
-let write_json ~path ~full_part ~tiny_part =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"scale-storage\",\n";
-  (match full_part with
-  | Some (wl, results) ->
-      emit_result oc ~indent:2 wl results;
-      p ",\n"
-  | None -> ());
-  (match tiny_part with
-  | Some (wl, results) ->
-      p "  \"tiny_reference\": {\n";
-      emit_result oc ~indent:4 wl results;
-      p "\n  },\n"
-  | None -> ());
-  p "  \"top_heap_mwords\": %.1f\n"
-    (float_of_int (Gc.quick_stat ()).Gc.top_heap_words /. 1.0e6);
-  p "}\n";
-  close_out oc
+let gate () = fields tiny_workload (measure tiny_workload)
 
-let run ?(tiny = false) () =
-  if tiny then begin
-    let wl = tiny_workload in
-    let results = measure wl in
-    print_table ~label:"tiny" wl results;
-    write_json ~path:"BENCH_scale_tiny.json" ~full_part:None
-      ~tiny_part:(Some (wl, results));
-    Printf.printf "wrote BENCH_scale_tiny.json\n%!"
-  end
-  else begin
-    (* the tiny reference first (cheap), then the full run *)
-    let tiny_results = measure tiny_workload in
-    print_table ~label:"tiny reference" tiny_workload tiny_results;
-    let wl = full_workload in
-    let results = measure wl in
-    print_table ~label:"full" wl results;
-    write_json ~path:"BENCH_scale.json" ~full_part:(Some (wl, results))
-      ~tiny_part:(Some (tiny_workload, tiny_results));
-    Printf.printf "wrote BENCH_scale.json\n%!"
-  end
+let run () =
+  let m = measure full_workload in
+  print_table full_workload m;
+  Emit.json ~path:"BENCH_scale.json" (fields full_workload m)

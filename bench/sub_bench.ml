@@ -23,8 +23,8 @@
    checked tuple-for-tuple), incremental must never push more bytes,
    and on the join workloads incremental must spend at most half the
    evaluator work and on the selective workload at most half the
-   bytes per answer.  Violations abort the benchmark so CI fails
-   loudly.  Results go to BENCH_sub.json. *)
+   bytes per answer.  Violations abort the benchmark, so the runtest
+   gate, which runs the tiny workload and pins its counts, fails. *)
 
 module System = Codb_core.System
 module Topology = Codb_core.Topology
@@ -84,7 +84,6 @@ type row = {
   r_adds : int;
   r_retracts : int;
   r_bpa : float;  (* push bytes per delivered answer tuple *)
-  r_wall_s : float;
 }
 
 let measure wl (qname, qtext) naive =
@@ -98,7 +97,6 @@ let measure wl (qname, qtext) naive =
   in
   let sys = System.build_exn ~opts (config wl) in
   let q = parse qtext in
-  let wall_start = Unix.gettimeofday () in
   let host_id =
     match System.subscribe sys ~at:"n0" q with
     | Ok id -> id
@@ -128,7 +126,6 @@ let measure wl (qname, qtext) naive =
     ignore (System.run_update sys ~initiator:"n0");
     ignore (System.run sys)
   done;
-  let wall = Unix.gettimeofday () -. wall_start in
   let answers at id =
     match System.subscription_answers sys ~at id with
     | Some ts -> List.sort Tuple.compare ts
@@ -157,21 +154,11 @@ let measure wl (qname, qtext) naive =
       | _ :: _ ->
           float_of_int sr.Report.sr_bytes
           /. float_of_int (List.length host_answers));
-    r_wall_s = wall;
   }
-
-(* Pairs of (incremental, naive) runs in query order. *)
-let measure_all ~tiny () =
-  let wl = workload ~tiny in
-  let pairs =
-    List.map (fun q -> (measure wl q false, measure wl q true)) queries
-  in
-  (wl, pairs)
 
 let work r = r.r_probes + r.r_scans
 let ratio base own = if own > 0 then float_of_int base /. float_of_int own else nan
 let fratio base own = if own > 0. then base /. own else nan
-let answers_per_s r = float_of_int (r.r_adds + r.r_retracts) /. r.r_wall_s
 
 let check_invariants pairs =
   List.iter
@@ -202,6 +189,15 @@ let check_invariants pairs =
              "incremental below the 2x bytes-per-answer bar on %s: %.1f vs %.1f"
              where incr.r_bpa naive.r_bpa))
     pairs
+
+(* Pairs of (incremental, naive) runs in query order. *)
+let measure_all ~tiny () =
+  let wl = workload ~tiny in
+  let pairs =
+    List.map (fun q -> (measure wl q false, measure wl q true)) queries
+  in
+  check_invariants pairs;
+  (wl, pairs)
 
 let print_table wl pairs =
   Tables.print
@@ -234,49 +230,43 @@ let print_table wl pairs =
            [ incr; naive ])
        pairs)
 
-(* Hand-rolled JSON: the harness must not grow dependencies. *)
-let write_json ~path wl pairs =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
+(* The counted part of the tiny run, for the runtest gate. *)
+let gate () =
+  let wl, pairs = measure_all ~tiny:true () in
   let side r =
-    Printf.sprintf
-      "{\"probes\": %d, \"scans\": %d, \"push_msgs\": %d, \"bytes\": %d, \
-       \"adds\": %d, \"retracts\": %d, \"bytes_per_answer\": %.2f, \
-       \"answers_per_s\": %.1f, \"wall_s\": %.4f}"
-      r.r_probes r.r_scans r.r_push_msgs r.r_bytes r.r_adds r.r_retracts r.r_bpa
-      (answers_per_s r) r.r_wall_s
+    Emit.(
+      Obj
+        [
+          ("probes", Int r.r_probes); ("scans", Int r.r_scans);
+          ("push_msgs", Int r.r_push_msgs); ("bytes", Int r.r_bytes); ("adds", Int r.r_adds);
+          ("retracts", Int r.r_retracts); ("bytes_per_answer", Fixed (2, r.r_bpa));
+        ])
   in
-  p "{\n";
-  p "  \"benchmark\": \"sub\",\n";
-  p
-    "  \"workload\": {\"nodes\": %d, \"tuples_per_node\": %d, \"domain\": %d, \
-     \"rounds\": %d, \"inserts_per_round\": %d},\n"
-    wl.wl_nodes wl.wl_tuples wl.wl_domain wl.wl_rounds wl.wl_inserts;
-  p "  \"runs\": [\n";
-  let n = List.length pairs in
-  List.iteri
-    (fun i (incr, naive) ->
-      p "    {\"query\": \"%s\", \"answers\": %d, \"answers_identical\": true,\n"
-        incr.r_query
-        (List.length incr.r_host_answers);
-      p "     \"incremental\": %s,\n" (side incr);
-      p "     \"naive\": %s,\n" (side naive);
-      p "     \"work_reduction\": %.2f, \"bytes_per_answer_reduction\": %.2f}%s\n"
-        (ratio (work naive) (work incr))
-        (fratio naive.r_bpa incr.r_bpa)
-        (if i = n - 1 then "" else ","))
-    pairs;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+  Emit.(
+    Obj
+      [
+        ( "workload",
+          Obj
+            [
+              ("nodes", Int wl.wl_nodes); ("tuples_per_node", Int wl.wl_tuples);
+              ("domain", Int wl.wl_domain); ("rounds", Int wl.wl_rounds);
+              ("inserts_per_round", Int wl.wl_inserts);
+            ] );
+        ( "runs",
+          List
+            (List.map
+               (fun (incr, naive) ->
+                 Obj
+                   [
+                     ("query", Str incr.r_query);
+                     ("answers", Int (List.length incr.r_host_answers));
+                     ("incremental", side incr); ("naive", side naive);
+                     ("work_reduction", Fixed (2, ratio (work naive) (work incr)));
+                     ("bytes_per_answer_reduction", Fixed (2, fratio naive.r_bpa incr.r_bpa));
+                   ])
+               pairs) );
+      ])
 
-let json_path = "BENCH_sub.json"
-
-let run ?(tiny = false) ?(json = true) () =
-  let wl, pairs = measure_all ~tiny () in
-  print_table wl pairs;
-  check_invariants pairs;
-  if json then begin
-    write_json ~path:json_path wl pairs;
-    Printf.printf "wrote %s\n%!" json_path
-  end
+let run () =
+  let wl, pairs = measure_all ~tiny:false () in
+  print_table wl pairs

@@ -12,12 +12,11 @@
 
    The batched corner must commit exactly the same final stores as the
    plain one (checked tuple-for-tuple); the interesting output is the
-   message count and byte volume.  Results are printed as a table and
-   written to BENCH_wire.json (BENCH_wire_tiny.json with --tiny) for
-   trend tracking; the full file embeds the tiny run as its
-   tiny_reference, which CI pins the tiny rerun's counts against.
+   message count and byte volume.  Results are printed as a table;
+   `wire-json` also writes the full run to BENCH_wire.json.  The
+   runtest gate runs the tiny workload and pins its counts.
    Invariant violations (diverging stores, batching that *increases*
-   bytes) abort the benchmark so CI fails loudly. *)
+   bytes or data messages) abort the benchmark, so the gate fails. *)
 
 module System = Codb_core.System
 module Topology = Codb_core.Topology
@@ -100,20 +99,27 @@ let check_invariants measurements =
   (* the ablation varies the traffic shape only: every corner must
      reach the plain fix-point, store for store *)
   List.iter (check_stores_equal baseline) (List.tl measurements);
-  (* batching exists to save bytes; a batched corner that costs more
-     than the plain one is a regression worth failing on *)
+  (* batching exists to save bytes and messages; a batched corner
+     that costs more than the plain one is a regression worth failing
+     on *)
   List.iter
     (fun m ->
       if m.m_total_bytes > baseline.m_total_bytes then
         failwith
           (Printf.sprintf "batching increased wire bytes: %s %d B > %s %d B"
              m.m_corner.c_name m.m_total_bytes baseline.m_corner.c_name
-             baseline.m_total_bytes))
+             baseline.m_total_bytes);
+      let msgs c = c.m_report.Report.ur_data_msgs in
+      if msgs m > msgs baseline then
+        failwith
+          (Printf.sprintf "batching increased data messages: %s %d > %s %d"
+             m.m_corner.c_name (msgs m) baseline.m_corner.c_name (msgs baseline)))
     (List.tl measurements)
 
 let measure_all ~tiny () =
   let wl = workload ~tiny in
   let measurements = List.map (measure wl) corners in
+  check_invariants measurements;
   (wl, measurements)
 
 let print_table wl measurements =
@@ -144,69 +150,54 @@ let print_table wl measurements =
          ])
        measurements)
 
-(* The workload and one line per corner, at [indent] spaces; the
-   caller closes the enclosing object. *)
-let emit_corners oc ~indent wl measurements =
-  let pad = String.make indent ' ' in
-  let p fmt = Printf.fprintf oc fmt in
+let fields wl measurements =
   let baseline = List.hd measurements in
-  p "%s\"workload\": {\"topology\": \"clique\", \"nodes\": %d, \"tuples_per_node\": %d, \
-     \"domain\": %d, \"skew\": %g},\n"
-    pad wl.wl_nodes wl.wl_tuples wl.wl_domain wl.wl_skew;
-  p "%s\"batch_window_s\": %g,\n" pad batch_window;
-  p "%s\"corners\": [\n" pad;
-  let n = List.length measurements in
-  List.iteri
-    (fun i m ->
-      p "%s  {\"name\": \"%s\", \"batched\": %b, \
-         \"data_msgs\": %d, \"delivered_msgs\": %d, \"batches\": %d, \
-         \"batch_tuples\": %d, \"coalesced\": %d, \
-         \"data_bytes\": %d, \"total_bytes\": %d, \"bytes_reduction\": %.2f, \
-         \"data_msg_reduction\": %.2f, \"sim_duration_s\": %.4f, \
-         \"new_tuples\": %d, \"wall_s\": %.4f}%s\n"
-        pad m.m_corner.c_name m.m_corner.c_batched
-        m.m_report.Report.ur_data_msgs m.m_delivered m.m_report.Report.ur_batches
-        m.m_report.Report.ur_batch_tuples m.m_report.Report.ur_coalesced
-        m.m_report.Report.ur_bytes m.m_total_bytes
-        (ratio baseline.m_total_bytes m.m_total_bytes)
-        (ratio baseline.m_report.Report.ur_data_msgs m.m_report.Report.ur_data_msgs)
-        m.m_report.Report.ur_duration m.m_report.Report.ur_new_tuples m.m_wall_s
-        (if i = n - 1 then "" else ","))
-    measurements;
-  p "%s]" pad
+  Emit.(
+    Obj
+      [
+        ("benchmark", Str "wire-ablation");
+        ( "workload",
+          Obj
+            [
+              ("topology", Str "clique"); ("nodes", Int wl.wl_nodes);
+              ("tuples_per_node", Int wl.wl_tuples); ("domain", Int wl.wl_domain);
+              ("skew", Num wl.wl_skew);
+            ] );
+        ("batch_window_s", Num batch_window);
+        ( "corners",
+          List
+            (List.map
+               (fun m ->
+                 let r = m.m_report in
+                 Obj
+                   [
+                     ("name", Str m.m_corner.c_name); ("batched", Bool m.m_corner.c_batched);
+                     ("data_msgs", Int r.Report.ur_data_msgs);
+                     ("delivered_msgs", Int m.m_delivered);
+                     ("batches", Int r.Report.ur_batches);
+                     ("batch_tuples", Int r.Report.ur_batch_tuples);
+                     ("coalesced", Int r.Report.ur_coalesced);
+                     ("data_bytes", Int r.Report.ur_bytes);
+                     ("total_bytes", Int m.m_total_bytes);
+                     ( "bytes_reduction",
+                       Fixed (2, ratio baseline.m_total_bytes m.m_total_bytes) );
+                     ( "data_msg_reduction",
+                       Fixed
+                         (2, ratio baseline.m_report.Report.ur_data_msgs r.Report.ur_data_msgs)
+                     );
+                     ("sim_duration_s", Measured (4, r.Report.ur_duration));
+                     ("new_tuples", Int r.Report.ur_new_tuples);
+                     ("wall_s", Measured (4, m.m_wall_s));
+                   ])
+               measurements) );
+        ("stores_identical_across_corners", Bool true);
+      ])
 
-(* Hand-rolled JSON: the harness must not grow dependencies.  The full
-   run embeds the tiny run as [tiny_reference], which CI pins the tiny
-   rerun's counts against. *)
-let write_json ~path ?tiny_reference wl measurements =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"wire-ablation\",\n";
-  emit_corners oc ~indent:2 wl measurements;
-  p ",\n";
-  (match tiny_reference with
-  | Some (twl, tms) ->
-      p "  \"tiny_reference\": {\n";
-      emit_corners oc ~indent:4 twl tms;
-      p "\n  },\n"
-  | None -> ());
-  p "  \"stores_identical_across_corners\": true\n";
-  p "}\n";
-  close_out oc
+let gate () =
+  let wl, measurements = measure_all ~tiny:true () in
+  fields wl measurements
 
-let run ?(tiny = false) ?(json = true) () =
-  let wl, measurements = measure_all ~tiny () in
+let run ?(json = false) () =
+  let wl, measurements = measure_all ~tiny:false () in
   print_table wl measurements;
-  check_invariants measurements;
-  if json then
-    if tiny then begin
-      write_json ~path:"BENCH_wire_tiny.json" wl measurements;
-      Printf.printf "wrote BENCH_wire_tiny.json\n%!"
-    end
-    else begin
-      let twl, tms = measure_all ~tiny:true () in
-      check_invariants tms;
-      write_json ~path:"BENCH_wire.json" ~tiny_reference:(twl, tms) wl measurements;
-      Printf.printf "wrote BENCH_wire.json\n%!"
-    end
+  if json then Emit.json ~path:"BENCH_wire.json" (fields wl measurements)

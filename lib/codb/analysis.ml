@@ -77,6 +77,8 @@ let cyclic_components cfg =
     incr next_index;
     stack := v :: !stack;
     Hashtbl.replace on_stack v ();
+    (* every [find] below reads [v] or a [w] already entered: entering
+       a vertex sets its [index] and [lowlink] together *)
     let visit w =
       if not (Hashtbl.mem index w) then begin
         strong_connect w;

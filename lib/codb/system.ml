@@ -421,6 +421,8 @@ let run_query ?on_partial sys ~at query =
       let qs =
         match Stats.find_query n.Node.stats qid with
         | Some qs -> qs
+        (* unreachable: [Query_engine.start] creates the query's stats
+           entry before any result, and stats entries are never removed *)
         | None -> assert false
       in
       {

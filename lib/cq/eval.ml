@@ -248,13 +248,13 @@ let join_packed_run prepared ~(emit : packed_ctx -> unit -> unit) =
         p.p_args
     in
     total_args := !total_args + Array.length args;
-    (* the planner assigns a comparison to the earliest step at which
-       its variables are ground, so every slot already exists *)
     let cterm = function
       | Term.Cst c -> Cval c
       | Term.Var v -> (
           match Hashtbl.find_opt slot_tbl v with
           | Some s -> Cslot s
+          (* unreachable: the planner assigns a comparison to the earliest
+             step at which its variables are ground, so every slot exists *)
           | None -> assert false)
     in
     (* A slot-vs-constant equality whose slot first binds at this step

@@ -107,6 +107,7 @@ let make ?(max_probe_cols = max_int) infos comparisons =
           match scored with
           | first :: others ->
               List.fold_left (fun b c -> if better c b then c else b) first others
+          (* unreachable: [remaining] is non-empty here, and [scored] maps it *)
           | [] -> assert false
         in
         let pos, info, cols, est = best in

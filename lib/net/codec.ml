@@ -144,7 +144,7 @@ let string w s =
   match w.strings with
   | In_link d -> (
       (* [find], not [find_opt]: a hit, the common case, allocates
-         nothing *)
+         nothing; a miss is the [Not_found] branch, so nothing escapes *)
       match Hashtbl.find d.Dict.s_tab s with
       | id ->
           d.Dict.s_hits <- d.Dict.s_hits + 1;

@@ -214,9 +214,11 @@ let rank p =
   | _ -> 5
 
 let int_value p = if tag p = tag_int then payload p else
+  (* unreachable: only [pack]'s [Value.Int] case fills [bigint_vals] *)
   match vec_get bigint_vals (payload p) with Value.Int n -> n | _ -> assert false
 
 let hole_value p = if tag p = tag_hole then payload p else
+  (* unreachable: only [pack]'s [Value.Hole] case fills [bighole_vals] *)
   match vec_get bighole_vals (payload p) with Value.Hole i -> i | _ -> assert false
 
 (* Allocation-free total order, consistent with [Value.compare]. *)
@@ -231,15 +233,18 @@ let compare a b =
       | 1 -> (
           match (vec_get float_vals (payload a), vec_get float_vals (payload b)) with
           | Value.Float x, Value.Float y -> Float.compare x y
+          (* unreachable: only [pack]'s [Value.Float] case fills [float_vals] *)
           | _ -> assert false)
       | 2 -> (
           match (vec_get str_vals (payload a), vec_get str_vals (payload b)) with
           | Value.Str x, Value.Str y -> String.compare x y
+          (* unreachable: only [pack]'s [Value.Str] case fills [str_vals] *)
           | _ -> assert false)
       | 3 -> Int.compare (payload a) (payload b)
       | 4 -> (
           match (vec_get null_vals (payload a), vec_get null_vals (payload b)) with
           | Value.Null x, Value.Null y -> Int.compare x.Value.null_id y.Value.null_id
+          (* unreachable: only [pack]'s [Value.Null] case fills [null_vals] *)
           | _ -> assert false)
       | _ -> Int.compare (hole_value a) (hole_value b)
 

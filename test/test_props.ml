@@ -589,6 +589,50 @@ let prop_parser_total =
     (fun input ->
       match Codb_cq.Parser.parse_config input with Ok _ | Error _ -> true)
 
+(* Statements that a network file may carry but [System.build] must
+   refuse with an error: a duplicate node, a same-node rule, unknown
+   relations and nodes, ill-typed and overflowing facts, an arity
+   mismatch, an ill-typed head, duplicate rule and relation names. *)
+let bad_statements =
+  [
+    "node n0 { relation data(k: int, v: string); }";
+    "rule r_self at n0: data(x, y) <- n0: data(x, y);";
+    "rule r_unknown at n0: nosuch(x) <- n1: data(x, y);";
+    "rule r_ghost at ghost: data(x, y) <- n0: data(x, y);";
+    "node n9 { relation data(k: int, v: string); fact data(\"oops\", 3); }";
+    "node n8 { relation data(k: int); fact data(99999999999999999999); }";
+    "node n7 { relation data(k: int); fact nosuch(1); }";
+    "rule r_arity at n0: data(x) <- n1: data(x, y);";
+    "rule r_type at n0: data(y, x) <- n1: data(x, y);";
+    "rule r_0_1 at n1: data(x, y) <- n0: data(x, y);";
+    "node n6 { relation data(k: int); relation data(k: int); }";
+  ]
+
+(* A valid generated network text with one or two bad statements
+   put before or after it and, one time in three, printable garbage at
+   a random offset. *)
+let gen_mutated_network =
+  let open Gen in
+  let* shape, n, seed, params = gen_network in
+  let base = Pretty.config_to_string (Topology.generate ~params ~seed shape ~n) in
+  let* inserts = list_size (int_range 1 2) (pair (oneofl bad_statements) bool) in
+  let text =
+    List.fold_left
+      (fun text (stmt, before) -> if before then stmt ^ "\n" ^ text else text ^ "\n" ^ stmt)
+      base inserts
+  in
+  let* garbage = oneof [ return ""; return ""; string_size ~gen:printable (int_range 1 8) ] in
+  let* at = int_range 0 (String.length text) in
+  return (String.sub text 0 at ^ garbage ^ String.sub text at (String.length text - at))
+
+let prop_build_total =
+  Q2.Test.make ~name:"parse then build never raises on garbage or bad networks" ~count:300
+    Gen.(oneof [ string_size ~gen:printable (int_range 0 80); gen_mutated_network ])
+    (fun input ->
+      match Codb_cq.Parser.parse_config input with
+      | Error _ -> true
+      | Ok cfg -> ( match System.build cfg with Ok _ | Error _ -> true))
+
 let prop_containment_reflexive =
   Q2.Test.make ~name:"containment is reflexive" ~count:100 gen_query
     (fun q ->
@@ -654,6 +698,7 @@ let suite =
       prop_join_order_invariance;
       prop_lexer_total;
       prop_parser_total;
+      prop_build_total;
       prop_containment_reflexive;
       prop_nulls_counter_monotone;
     ]
