@@ -173,6 +173,7 @@ let fields wl measurements =
                    [
                      ("name", Str m.m_corner.c_name); ("batched", Bool m.m_corner.c_batched);
                      ("data_msgs", Int r.Report.ur_data_msgs);
+                     ("control_msgs", Int r.Report.ur_control_msgs);
                      ("delivered_msgs", Int m.m_delivered);
                      ("batches", Int r.Report.ur_batches);
                      ("batch_tuples", Int r.Report.ur_batch_tuples);

@@ -212,7 +212,10 @@ let put_snapshot w (node : Node.t) =
       Codec.varint w 0;
       Codec.varint w 0
   | Some relay ->
-      Codec.varint w (Relay.next_seq relay);
+      (* the reservation's end, not the next number: the snapshot
+         truncates the log with its last [Seq_reserve], and numbers
+         below the reservation go out after it with no new record *)
+      Codec.varint w (max (Relay.next_seq relay) node.Node.wal_reserved);
       let seen = Relay.seen_keys relay in
       Codec.varint w (List.length seen);
       List.iter (Codec.raw_string w) seen);

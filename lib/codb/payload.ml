@@ -25,13 +25,21 @@ type t =
       rows : Row.t list;
       hops : int;
       global : bool;
+      no_ack : bool;
     }
   | Update_batch of {
       update_id : Ids.update_id;
       entries : batch_entry list;
       global : bool;
+      no_ack : bool;
     }
-  | Update_link_closed of { update_id : Ids.update_id; rule_id : string; global : bool }
+  | Update_link_closed of {
+      update_id : Ids.update_id;
+      rule_id : string;
+      global : bool;
+      no_ack : bool;
+      carries_ack : bool;
+    }
   | Update_ack of { update_id : Ids.update_id }
   | Update_terminated of { update_id : Ids.update_id }
   | Query_request of {
@@ -118,6 +126,7 @@ let rec describe = function
   | Update_batch { entries; _ } ->
       Printf.sprintf "update-batch (%d rules, %d tuples)" (List.length entries)
         (List.fold_left (fun acc e -> acc + List.length e.be_rows) 0 entries)
+  | Update_link_closed { rule_id; carries_ack = true; _ } -> "link-closed+ack " ^ rule_id
   | Update_link_closed { rule_id; _ } -> "link-closed " ^ rule_id
   | Update_ack _ -> "ack"
   | Update_terminated _ -> "terminated"
@@ -368,6 +377,20 @@ let get_bool r =
   | 1 -> true
   | n -> raise (Codec.Malformed (Printf.sprintf "bad bool byte %d" n))
 
+(* The update flag byte: bit 0 [global], bit 1 [no_ack], bit 2
+   [carries_ack] (a close only).  [global] alone encodes as the bool
+   byte it replaced. *)
+let put_flags w ~global ~no_ack ~carries_ack =
+  Codec.byte w
+    ((if global then 1 else 0) lor (if no_ack then 2 else 0) lor if carries_ack then 4 else 0)
+
+(* [mask] is the constructor's valid bits. *)
+let get_flags r ~mask =
+  let b = Codec.read_byte r in
+  if b land lnot mask <> 0 then
+    raise (Codec.Malformed (Printf.sprintf "bad update flag byte %d" b));
+  (b land 1 <> 0, b land 2 <> 0, b land 4 <> 0)
+
 let rec put_payload w payload =
   Codec.byte w (tag_of payload);
   match payload with
@@ -375,15 +398,15 @@ let rec put_payload w payload =
   | Update_request { update_id; scope = For_rule rule } ->
       put_update_id w update_id;
       Codec.string w rule
-  | Update_data { update_id; rule_id; rows; hops; global } ->
+  | Update_data { update_id; rule_id; rows; hops; global; no_ack } ->
       put_update_id w update_id;
       Codec.string w rule_id;
       Codec.zigzag w hops;
-      put_bool w global;
+      put_flags w ~global ~no_ack ~carries_ack:false;
       put_rows w rows
-  | Update_batch { update_id; entries; global } ->
+  | Update_batch { update_id; entries; global; no_ack } ->
       put_update_id w update_id;
-      put_bool w global;
+      put_flags w ~global ~no_ack ~carries_ack:false;
       Codec.varint w (List.length entries);
       List.iter
         (fun { be_rule; be_hops; be_rows } ->
@@ -391,10 +414,10 @@ let rec put_payload w payload =
           Codec.zigzag w be_hops;
           put_rows w be_rows)
         entries
-  | Update_link_closed { update_id; rule_id; global } ->
+  | Update_link_closed { update_id; rule_id; global; no_ack; carries_ack } ->
       put_update_id w update_id;
       Codec.string w rule_id;
-      put_bool w global
+      put_flags w ~global ~no_ack ~carries_ack
   | Update_ack { update_id } -> put_update_id w update_id
   | Update_terminated { update_id } -> put_update_id w update_id
   | Query_request { query_id; request_ref; rule_id; label; constraints } ->
@@ -485,12 +508,12 @@ let rec get_payload r =
       let update_id = get_update_id r in
       let rule_id = Codec.read_string r in
       let hops = Codec.read_zigzag r in
-      let global = get_bool r in
+      let global, no_ack, _ = get_flags r ~mask:3 in
       let rows = get_rows r in
-      Update_data { update_id; rule_id; rows; hops; global }
+      Update_data { update_id; rule_id; rows; hops; global; no_ack }
   | 3 ->
       let update_id = get_update_id r in
-      let global = get_bool r in
+      let global, no_ack, _ = get_flags r ~mask:3 in
       let entries =
         List.init (Codec.read_count r) (fun _ ->
             let be_rule = Codec.read_string r in
@@ -498,12 +521,12 @@ let rec get_payload r =
             let be_rows = get_rows r in
             { be_rule; be_hops; be_rows })
       in
-      Update_batch { update_id; entries; global }
+      Update_batch { update_id; entries; global; no_ack }
   | 4 ->
       let update_id = get_update_id r in
       let rule_id = Codec.read_string r in
-      let global = get_bool r in
-      Update_link_closed { update_id; rule_id; global }
+      let global, no_ack, carries_ack = get_flags r ~mask:7 in
+      Update_link_closed { update_id; rule_id; global; no_ack; carries_ack }
   | 5 -> Update_ack { update_id = get_update_id r }
   | 6 -> Update_terminated { update_id = get_update_id r }
   | 7 ->

@@ -51,6 +51,11 @@ type t =
       global : bool;
           (** lets a node first contacted by data (races with the
               request flood) know which protocol variant it joined *)
+      no_ack : bool;
+          (** the sender did not count this message towards its
+              Dijkstra–Scholten deficit (it went to the sender's
+              engagement parent): an engaged receiver owes no
+              [Update_ack] for it *)
     }
   | Update_batch of {
       update_id : Ids.update_id;
@@ -59,9 +64,23 @@ type t =
               sender's flush window; semantically equivalent to sending
               each entry as a separate [Update_data] *)
       global : bool;
+      no_ack : bool;  (** as [Update_data]'s *)
     }
-  | Update_link_closed of { update_id : Ids.update_id; rule_id : string; global : bool }
-      (** the source of [rule_id] will send no more data on it *)
+  | Update_link_closed of {
+      update_id : Ids.update_id;
+      rule_id : string;
+      global : bool;
+      no_ack : bool;  (** as [Update_data]'s *)
+      carries_ack : bool;
+          (** the close is also the sender's disengagement
+              acknowledgement: the receiver treats it as an
+              [Update_ack] after closing the link *)
+    }
+      (** the source of [rule_id] will send no more data on it.  On the
+          wire, [global], [no_ack] and [carries_ack] share the one flag
+          byte [global] alone used to take (bits 0, 1 and 2), as do
+          [Update_data]'s and [Update_batch]'s two flags; a set bit
+          outside those decodes as malformed. *)
   | Update_ack of { update_id : Ids.update_id }
       (** Dijkstra–Scholten acknowledgement *)
   | Update_terminated of { update_id : Ids.update_id }

@@ -45,6 +45,8 @@ let inflight_count t = Hashtbl.length t.inflight
 
 let seen_key ~src ~seq = Peer_id.to_string src ^ "#" ^ string_of_int seq
 
+let seen t ~src ~seq = Hashtbl.mem t.seen (seen_key ~src ~seq)
+
 let mark_seen t ~src ~seq =
   let key = seen_key ~src ~seq in
   if Hashtbl.mem t.seen key then false

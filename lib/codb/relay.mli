@@ -51,6 +51,10 @@ val mark_seen : t -> src:Peer_id.t -> seq:int -> bool
 (** Receiver-side dedup: [true] iff (src, seq) is new.  The table
     survives node restarts (see {!abandon}). *)
 
+val seen : t -> src:Peer_id.t -> seq:int -> bool
+(** Was (src, seq) already processed here?  A queued copy of such a
+    frame is a duplicate the receiver will suppress. *)
+
 val abandon : t -> unit
 (** Crash/restart: settle every in-flight entry {e without} invoking
     callbacks (the volatile protocol state they would touch is being

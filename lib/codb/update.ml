@@ -55,7 +55,7 @@ let finalize rt (st : U.t) =
    arrived: the node exports (an inconsistent node ships nothing), and
    every loss is accounted for.  Pipe transitions reach the watermarks
    through the link watcher ([System.build]) and transport give-ups
-   through {!send_data_counted}; a fire-and-forget transport under
+   through {!send_accounted}; a fire-and-forget transport under
    injected faults loses data silently, so nothing commits there. *)
 let may_commit rt =
   Node.may_export rt.Runtime.node
@@ -99,89 +99,139 @@ let flood_terminated rt (st : U.t) ~except =
   in
   List.iter forward (Node.acquaintances rt.Runtime.node)
 
+(* Is [dst] this node's Dijkstra–Scholten engagement parent?  A data,
+   batch or close message to it owes no acknowledgement: the parent
+   cannot disengage before this node's own disengagement ack arrives,
+   and that ack leaves after the message on the same pipe.  With FIFO
+   pipes it arrives after it too; under the reliable transport the ack
+   waits until every message to the parent has settled
+   ({!check_disengage}), which a receiver confirms only after
+   processing it.  So the parent is engaged whenever such a message
+   reaches it, and anything it sends in reaction is counted in its own
+   deficit before it can disengage. *)
+let to_parent (st : U.t) dst =
+  match st.U.ust_parent with Some p -> Peer_id.equal p dst | None -> false
+
+let close_payload (st : U.t) ~no_ack ~carries_ack (rule_id, global) =
+  Payload.Update_link_closed
+    { update_id = st.U.ust_update; rule_id; global; no_ack; carries_ack }
+
+(* Disengage, acknowledging the message that engaged us.  If closes to
+   the parent are held, the last one carries the acknowledgement; the
+   earlier ones go out before it. *)
+let disengage rt (st : U.t) ~parent held =
+  st.U.ust_engaged <- false;
+  st.U.ust_parent <- None;
+  let send payload = ignore (Reliable.send_noted rt ~dst:parent payload) in
+  match List.rev held with
+  | [] -> send (Payload.Update_ack { update_id = st.U.ust_update })
+  | last :: earlier ->
+      List.iter (fun c -> send (close_payload st ~no_ack:true ~carries_ack:false c))
+        (List.rev earlier);
+      send (close_payload st ~no_ack:true ~carries_ack:true last)
+
 (* Dijkstra–Scholten: a node disengages (acknowledging the message
-   that engaged it) once everything it sent has been acknowledged AND
-   nothing is waiting in a wire buffer.  The pending check is what
-   keeps batching termination-safe: buffered-but-unsent data keeps this
-   node engaged, hence its parent's deficit positive, hence the
-   initiator unable to declare quiescence while tuples are in flight
-   anywhere — the accounting the seed did per message now holds per
-   batch. *)
-let check_disengage rt (st : U.t) =
-  if st.U.ust_engaged && st.U.ust_deficit = 0 && U.pending_tuples st = 0 then
-    if st.U.ust_initiator then begin
-      st.U.ust_engaged <- false;
-      st.U.ust_terminated <- true;
-      (* quiescent: nothing is buffered here *)
-      commit_open_links rt st;
-      U.release st;
-      finalize rt st;
-      flood_terminated rt st ~except:None
-    end
-    else begin
-      match st.U.ust_parent with
-      | Some parent ->
-          st.U.ust_engaged <- false;
-          st.U.ust_parent <- None;
-          ignore
-            (Reliable.send_noted rt ~dst:parent
-               (Payload.Update_ack { update_id = st.U.ust_update }))
-      | None ->
+   that engaged it) once everything it counted has been acknowledged
+   AND nothing is waiting in a wire buffer or behind in-flight data
+   (a deferred close) AND everything it sent to its parent has
+   settled.  The pending check is what keeps batching
+   termination-safe: buffered-but-unsent data keeps this node engaged,
+   hence its parent's deficit positive, hence the initiator unable to
+   declare quiescence while tuples are in flight anywhere; a deferred
+   close must likewise leave, counted, while this node is still
+   engaged.  The settlement check is the reliable transport's stand-in
+   for FIFO pipes (see {!to_parent}); there, too, only a single held
+   close may carry the acknowledgement, since two closes could swap on
+   the way.  Every handler ends here, so closes held for the parent go
+   out now either way. *)
+let rec check_disengage rt (st : U.t) =
+  let ready =
+    st.U.ust_engaged && st.U.ust_deficit = 0 && U.pending_tuples st = 0
+    && not (U.has_deferred_closes st)
+  in
+  if ready && st.U.ust_initiator then begin
+    st.U.ust_engaged <- false;
+    st.U.ust_terminated <- true;
+    (* quiescent: nothing is buffered here *)
+    commit_open_links rt st;
+    U.release st;
+    finalize rt st;
+    flood_terminated rt st ~except:None
+  end
+  else
+    match st.U.ust_parent with
+    | Some parent ->
+        let held = U.take_held_closes st in
+        let tracks = Reliable.tracks_delivery rt in
+        if ready && U.dst_unacked st ~dst:parent = 0 && not (tracks && List.length held > 1)
+        then disengage rt st ~parent held
+        else
+          List.iter
+            (fun c ->
+              send_accounted rt st ~dst:parent ~data:false ~no_ack:true
+                (close_payload st ~no_ack:true ~carries_ack:false c))
+            held
+    | None ->
+        if ready then
           Log.warn (fun m ->
               m "%a: engaged without a parent in %a" Peer_id.pp rt.Runtime.node.Node.node_id
                 Ids.pp_update st.U.ust_update)
-    end
 
-(* Send a message that takes part in termination accounting: the
-   receiver owes us an acknowledgement.  Under the reliable transport
-   the deficit must also be compensated when the transport gives up
-   after its last retry: the receiver will never send the protocol
-   acknowledgement either, and without the compensation the sender
-   (hence the whole engagement tree) would wait forever. *)
-let send_counted (rt : Runtime.t) (st : U.t) ~dst payload =
-  let on_settled ~ok =
-    if (not ok) && is_current rt st && not st.U.ust_terminated then begin
-      st.U.ust_deficit <- max 0 (st.U.ust_deficit - 1);
-      check_disengage rt st
+(* Send a message that takes part in termination accounting.  Unless
+   it goes to the parent ([no_ack]), the receiver owes us an
+   acknowledgement and the deficit counts it.  Under the reliable
+   transport the deficit must also be compensated when the transport
+   gives up after its last retry: the receiver will never send the
+   protocol acknowledgement either, and without the compensation the
+   sender (hence the whole engagement tree) would wait forever.
+
+   Data messages, and every message to the parent, are also counted in
+   flight per destination there ([tracked]), so a link close held back
+   by {!close_link} follows its data out as soon as the last message
+   settles, and the disengagement acknowledgement follows everything
+   sent to the parent.  A settlement with [ok = false] still releases
+   the closes: the receiver missed those tuples for good, and holding
+   the close any longer would only stall termination on top of the
+   data loss; a data loss also voids every watermark towards [dst]. *)
+and send_accounted rt (st : U.t) ~dst ~data ~no_ack payload =
+  let sent =
+    if not (Reliable.tracks_delivery rt) then Reliable.send_noted rt ~dst payload
+    else begin
+      let tracked = data || no_ack in
+      let on_settled ~ok =
+        if data && not ok then Watermark.clear_peer rt.Runtime.node.Node.watermarks dst;
+        if is_current rt st then begin
+          if tracked then U.decr_unacked st ~dst;
+          if not st.U.ust_terminated then begin
+            if not (ok || no_ack) then st.U.ust_deficit <- max 0 (st.U.ust_deficit - 1);
+            if tracked && U.dst_unacked st ~dst = 0 then send_deferred_closes rt st ~dst;
+            check_disengage rt st
+          end
+        end
+      in
+      let sent = Reliable.send_noted ~on_settled rt ~dst payload in
+      if sent && tracked then U.incr_unacked st ~dst;
+      sent
     end
   in
-  if Reliable.send_noted ~on_settled rt ~dst payload then
-    st.U.ust_deficit <- st.U.ust_deficit + 1
+  if sent && not no_ack then st.U.ust_deficit <- st.U.ust_deficit + 1
 
-let send_deferred_closes rt (st : U.t) ~dst =
-  List.iter
-    (fun (rule_id, global) ->
-      commit_served rt st rule_id;
-      send_counted rt st ~dst
-        (Payload.Update_link_closed { update_id = st.U.ust_update; rule_id; global }))
-    (U.take_deferred_closes st ~dst)
+and send_deferred_closes rt (st : U.t) ~dst =
+  List.iter (send_close rt st ~dst) (U.take_deferred_closes st ~dst)
 
-(* Data messages additionally maintain the per-destination in-flight
-   count, so a link close held back by {!close_link} follows its data
-   out as soon as the last message settles.  A settlement with
-   [ok = false] still releases the closes: the receiver missed those
-   tuples for good, and holding the close any longer would only stall
-   termination on top of the data loss; the loss also voids every
-   watermark towards [dst]. *)
-let send_data_counted rt (st : U.t) ~dst payload =
-  if not (Reliable.tracks_delivery rt) then send_counted rt st ~dst payload
-  else begin
-    let on_settled ~ok =
-      if not ok then Watermark.clear_peer rt.Runtime.node.Node.watermarks dst;
-      if is_current rt st then begin
-        U.decr_unacked st ~dst;
-        if not st.U.ust_terminated then begin
-          if not ok then st.U.ust_deficit <- max 0 (st.U.ust_deficit - 1);
-          if U.dst_unacked st ~dst = 0 then send_deferred_closes rt st ~dst;
-          if not ok then check_disengage rt st
-        end
-      end
-    in
-    if Reliable.send_noted ~on_settled rt ~dst payload then begin
-      st.U.ust_deficit <- st.U.ust_deficit + 1;
-      U.incr_unacked st ~dst
-    end
-  end
+(* A close to the parent is held for {!check_disengage}, which ends
+   every handler; any other close is counted. *)
+and send_close rt (st : U.t) ~dst ((rule_id, global) as close) =
+  commit_served rt st rule_id;
+  if to_parent st dst then U.hold_close st ~rule:rule_id ~global
+  else
+    send_accounted rt st ~dst ~data:false ~no_ack:false
+      (close_payload st ~no_ack:false ~carries_ack:false close)
+
+(* A request is always counted: it never goes to the parent of a
+   global update, and carries no flag byte for a scoped one. *)
+let send_request rt (st : U.t) ~dst payload =
+  send_accounted rt st ~dst ~data:false ~no_ack:false payload
 
 (* Close a link towards [dst].  FIFO pipes used to guarantee that the
    close arrived after every data message sent before it; the reliable
@@ -193,15 +243,11 @@ let close_link rt (st : U.t) ~dst ~rule_id =
   let global = not st.U.ust_scoped in
   if Reliable.tracks_delivery rt && U.dst_unacked st ~dst > 0 then
     U.defer_close st ~dst ~rule:rule_id ~global
-  else begin
-    commit_served rt st rule_id;
-    send_counted rt st ~dst
-      (Payload.Update_link_closed { update_id = st.U.ust_update; rule_id; global })
-  end
+  else send_close rt st ~dst (rule_id, global)
 
 let batch_max_tuples = 256
 
-(* Drain [dst]'s wire buffer into a single counted message. *)
+(* Drain [dst]'s wire buffer into a single message. *)
 let flush_dst rt (st : U.t) us dst =
   match U.take_buffer st ~dst with
   | [] -> ()
@@ -215,10 +261,11 @@ let flush_dst rt (st : U.t) us dst =
       let tuple_count =
         List.fold_left (fun acc e -> acc + List.length e.Payload.be_rows) 0 payload_entries
       in
-      send_data_counted rt st ~dst
+      let no_ack = to_parent st dst in
+      send_accounted rt st ~dst ~data:true ~no_ack
         (Payload.Update_batch
            { update_id = st.U.ust_update; entries = payload_entries;
-             global = not st.U.ust_scoped });
+             global = not st.U.ust_scoped; no_ack });
       us.Stats.us_batches <- us.Stats.us_batches + 1;
       us.Stats.us_batch_tuples <- us.Stats.us_batch_tuples + tuple_count;
       Stats.note_sent_to us dst
@@ -312,10 +359,11 @@ let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) ~hops fresh =
       else schedule_flush rt st us dst
     end
     else begin
-      send_data_counted rt st ~dst
+      let no_ack = to_parent st dst in
+      send_accounted rt st ~dst ~data:true ~no_ack
         (Payload.Update_data
            { update_id = st.U.ust_update; rule_id = rule; rows = fresh; hops;
-             global = not st.U.ust_scoped });
+             global = not st.U.ust_scoped; no_ack });
       Stats.note_sent_to us dst
     end
   end
@@ -393,7 +441,7 @@ let first_contact rt (st : U.t) ~exclude =
   let flood peer =
     let skip = match exclude with Some p -> Peer_id.equal p peer | None -> false in
     if not skip then
-      send_counted rt st ~dst:peer
+      send_request rt st ~dst:peer
         (Payload.Update_request { update_id = uid; scope = Payload.Global })
   in
   List.iter flood (Node.acquaintances rt.Runtime.node);
@@ -534,7 +582,7 @@ let activate_outgoing rt (st : U.t) (o : Config.rule_decl) =
   if not (st.U.ust_terminated || U.is_active_out st o.Config.rule_id) then begin
     U.activate_out st o.Config.rule_id;
     Stats.note_queried (stat rt st.U.ust_update) (source_of o);
-    send_counted rt st ~dst:(source_of o)
+    send_request rt st ~dst:(source_of o)
       (Payload.Update_request
          { update_id = st.U.ust_update; scope = Payload.For_rule o.Config.rule_id })
   end
@@ -546,11 +594,11 @@ let activate_incoming rt (st : U.t) ~requester rule_id =
     match Node.rule_in rt.Runtime.node rule_id with
     | None ->
         (* version skew: we do not know the rule; release the
-           requester so it does not wait on this link forever *)
+           requester so it does not wait on this link forever (an
+           uncounted close, so it owes no ack) *)
         ignore
           (Reliable.send_noted rt ~dst:requester
-             (Payload.Update_link_closed
-                { update_id = st.U.ust_update; rule_id; global = false }))
+             (close_payload st ~no_ack:true ~carries_ack:false (rule_id, false)))
     | Some inc ->
         U.activate_in st rule_id;
         if Node.may_export rt.Runtime.node then
@@ -599,8 +647,20 @@ let count_control rt uid =
    bookkeeping around the payload-specific action.  [scoped] only
    matters on first contact, to create the right state flavour; for a
    global update the first contact also floods the request and serves
-   every incoming link. *)
-let engage_and_process rt ~src ~scoped uid process =
+   every incoming link.
+
+   An engaged node acknowledges the message at once unless the sender
+   did not count it ([owed = false]: it went to the sender's parent,
+   which is us).  A node that is not engaged (disengaged, or holding no
+   state for the update, as after a crash and restart) treats every
+   message alike, whatever its flags: the sender becomes its parent
+   and the ack is owed at disengagement.  With FIFO pipes, or the
+   reliable transport's settle-before-final rule, a message owed no ack
+   only ever reaches an engaged node; it reaches a node that is not
+   engaged only after a crash wiped the node's engagement (whose own
+   parent then never hears from it, so the update ends forced) or
+   after the transport gave the message up and it still arrived. *)
+let engage_and_process rt ~src ~scoped ?(owed = true) ?(acks = false) uid process =
   match Node.update_state rt.Runtime.node uid with
   | None ->
       let st = fresh_state rt ~initiator:false ~scoped uid in
@@ -614,18 +674,20 @@ let engage_and_process rt ~src ~scoped uid process =
       U.touch st;
       if st.U.ust_engaged then begin
         process st;
-        ignore
-          (Reliable.send_noted rt ~dst:src (Payload.Update_ack { update_id = uid }));
-        check_disengage rt st
+        if owed then
+          ignore
+            (Reliable.send_noted rt ~dst:src (Payload.Update_ack { update_id = uid }))
       end
       else begin
         (* disengaged node re-contacted (a cycle delivered more data):
            re-engage with the new sender as parent *)
         st.U.ust_parent <- Some src;
         st.U.ust_engaged <- true;
-        process st;
-        check_disengage rt st
-      end
+        process st
+      end;
+      (* a close that carries the sender's ack is an [Update_ack] too *)
+      if acks then st.U.ust_deficit <- max 0 (st.U.ust_deficit - 1);
+      check_disengage rt st
 
 let handle rt ~src ~bytes payload =
   match payload with
@@ -656,16 +718,16 @@ let handle rt ~src ~bytes payload =
       count_control rt update_id;
       engage_and_process rt ~src ~scoped:true update_id (fun st ->
           activate_incoming rt st ~requester:src rule_id)
-  | Payload.Update_data { update_id; rule_id; rows; hops; global } ->
-      engage_and_process rt ~src ~scoped:(not global) update_id (fun st ->
-          on_data rt st ~bytes ~rule_id ~rows ~hops)
-  | Payload.Update_batch { update_id; entries; global } ->
-      engage_and_process rt ~src ~scoped:(not global) update_id (fun st ->
-          on_batch rt st ~bytes ~entries)
-  | Payload.Update_link_closed { update_id; rule_id; global } ->
+  | Payload.Update_data { update_id; rule_id; rows; hops; global; no_ack } ->
+      engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack) update_id
+        (fun st -> on_data rt st ~bytes ~rule_id ~rows ~hops)
+  | Payload.Update_batch { update_id; entries; global; no_ack } ->
+      engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack) update_id
+        (fun st -> on_batch rt st ~bytes ~entries)
+  | Payload.Update_link_closed { update_id; rule_id; global; no_ack; carries_ack } ->
       count_control rt update_id;
-      engage_and_process rt ~src ~scoped:(not global) update_id (fun st ->
-          on_link_closed rt st ~rule_id)
+      engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack)
+        ~acks:carries_ack update_id (fun st -> on_link_closed rt st ~rule_id)
   | Payload.Query_request _ | Payload.Query_data _ | Payload.Query_done _
   | Payload.Rules_file _ | Payload.Start_update | Payload.Stats_request
   | Payload.Stats_response _ | Payload.Discovery_probe _ | Payload.Discovery_reply _

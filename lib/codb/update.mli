@@ -24,9 +24,11 @@
       all its outgoing links are;
     - cyclic dependency components cannot close that way; global
       quiescence is detected with Dijkstra–Scholten diffusing
-      computation termination (every protocol message is
-      acknowledged; a node holds its first-contact acknowledgement
-      until its own deficit reaches zero), upon which the initiator
+      computation termination (a node holds the acknowledgement of
+      the message that engaged it until its own deficit reaches zero;
+      every other message is acknowledged, except data and closes to
+      the sender's engagement parent, and the last close to the
+      parent carries the acknowledgement), upon which the initiator
       floods [Update_terminated], closing all remaining links.
 
     A locally inconsistent node (violated denial constraint) keeps

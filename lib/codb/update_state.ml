@@ -34,11 +34,16 @@ type live = {
       (* per-destination batching buffers (empty when batching is off) *)
   mutable pending : int;  (* total tuples sitting in wire buffers *)
   unacked : (Peer_id.t, int) Hashtbl.t;
-      (* reliable transport only: data messages sent to a destination
-         and not yet settled (acked or given up) *)
+      (* reliable transport only: data messages, and messages to the
+         engagement parent, sent to a destination and not yet settled
+         (acked or given up) *)
   deferred : (Peer_id.t, (string * bool) list) Hashtbl.t;
       (* [(rule, global)] link closes held back until the destination's
          in-flight data settles, newest first *)
+  mutable held : (string * bool) list;
+      (* [(rule, global)] closes to the engagement parent, held until
+         the end of the handler so the last can carry the
+         disengagement acknowledgement; newest first *)
 }
 
 type t = {
@@ -76,6 +81,7 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
           pending = 0;
           unacked = Hashtbl.create 8;
           deferred = Hashtbl.create 8;
+          held = [];
         };
     ust_terminated = false;
     ust_finished = false;
@@ -254,9 +260,25 @@ let defer_close st ~dst ~rule ~global =
   let tail = Option.value ~default:[] (find (fun l -> l.deferred) dst st.ust_live) in
   set (fun l -> l.deferred) st dst ((rule, global) :: tail)
 
+let has_deferred_closes st =
+  match st.ust_live with Some live -> Hashtbl.length live.deferred > 0 | None -> false
+
 let take_deferred_closes st ~dst =
   match find (fun l -> l.deferred) dst st.ust_live with
   | None -> []
   | Some closes ->
       remove (fun l -> l.deferred) st dst;
       List.rev closes
+
+(* ---- Closes held for the engagement parent --------------------------- *)
+
+let hold_close st ~rule ~global =
+  match st.ust_live with Some live -> live.held <- (rule, global) :: live.held | None -> ()
+
+let take_held_closes st =
+  match st.ust_live with
+  | Some live ->
+      let closes = List.rev live.held in
+      live.held <- [];
+      closes
+  | None -> []

@@ -27,7 +27,9 @@ type t = {
       (** Dijkstra–Scholten engagement parent; [None] for the
           initiator or while disengaged *)
   mutable ust_engaged : bool;
-  mutable ust_deficit : int;  (** messages sent and not yet acknowledged *)
+  mutable ust_deficit : int;
+      (** counted messages sent and not yet acknowledged; a message to
+          the engagement parent is not counted (it owes no ack) *)
   mutable ust_live : live option;
       (** the update's tables; [None] once it terminated ({!release}) *)
   mutable ust_terminated : bool;
@@ -150,7 +152,10 @@ val set_flush_scheduled : t -> dst:Peer_id.t -> bool -> unit
     importer would integrate it but no longer forward it.  Under the
     reliable transport the sender therefore counts in-flight data per
     destination and holds each close back until everything in front of
-    it has settled. *)
+    it has settled.  The same count covers every message to the
+    engagement parent: the disengagement acknowledgement waits until
+    it is zero, so nothing the parent owes no ack for can arrive after
+    that acknowledgement. *)
 
 val dst_unacked : t -> dst:Peer_id.t -> int
 
@@ -161,5 +166,22 @@ val decr_unacked : t -> dst:Peer_id.t -> unit
 
 val defer_close : t -> dst:Peer_id.t -> rule:string -> global:bool -> unit
 
+val has_deferred_closes : t -> bool
+(** Is any close still held back behind in-flight data?  The node
+    owes those closes, so it must not disengage yet: a close sent
+    after its disengagement would be counted by nobody upstream. *)
+
 val take_deferred_closes : t -> dst:Peer_id.t -> (string * bool) list
 (** Drain the deferred closes for [dst] in defer order. *)
+
+(** {2 Closes to the engagement parent}
+
+    A close to the parent is held until the end of the handler that
+    made it: if the node then disengages, the last held close goes out
+    as the acknowledgement too ([carries_ack]); otherwise every held
+    close goes out plain. *)
+
+val hold_close : t -> rule:string -> global:bool -> unit
+
+val take_held_closes : t -> (string * bool) list
+(** Drain the held closes in hold order. *)

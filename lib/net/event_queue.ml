@@ -73,3 +73,10 @@ let pop q =
 let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
 
 let clear q = q.size <- 0
+
+let fold f q acc =
+  let acc = ref acc in
+  for i = 0 to q.size - 1 do
+    acc := f !acc q.heap.(i).payload
+  done;
+  !acc

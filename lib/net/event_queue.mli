@@ -21,3 +21,6 @@ val pop : 'a t -> (float * 'a) option
 val peek_time : 'a t -> float option
 
 val clear : 'a t -> unit
+
+val fold : ('acc -> 'a -> 'acc) -> 'a t -> 'acc -> 'acc
+(** Fold over the queued events in no particular order. *)

@@ -223,6 +223,11 @@ let send net ~src ~dst payload =
 
 let now net = net.now
 
+let in_flight net =
+  Event_queue.fold
+    (fun acc -> function Ev_deliver m -> m :: acc | Ev_action _ -> acc)
+    net.events []
+
 let step net =
   match Event_queue.pop net.events with
   | None -> false

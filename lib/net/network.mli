@@ -97,6 +97,11 @@ val schedule : 'a t -> delay:float -> (unit -> unit) -> unit
 
 val now : 'a t -> float
 
+val in_flight : 'a t -> 'a Message.t list
+(** Messages queued for delivery (injected duplicates included), in
+    no particular order: what a test inspects when it stops the
+    simulation mid-run. *)
+
 val run : ?max_events:int -> 'a t -> int
 (** Process events until the queue drains (or [max_events] is
     reached); returns the number of events processed. *)

@@ -96,7 +96,7 @@ let payload_samples () =
     Payload.Update_request { update_id = uid; scope = Payload.For_rule "r1" };
     Payload.Update_data
       { update_id = uid; rule_id = "r1"; rows = packed kitchen_sink_tuples; hops = 3;
-        global = true };
+        global = true; no_ack = true };
     Payload.Update_batch
       { update_id = uid;
         entries =
@@ -104,8 +104,9 @@ let payload_samples () =
             { Payload.be_rule = "r1"; be_hops = 2; be_rows = packed kitchen_sink_tuples };
             { Payload.be_rule = "r2"; be_hops = 0; be_rows = [] };
           ];
-        global = false };
-    Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global = true };
+        global = false; no_ack = false };
+    Payload.Update_link_closed
+      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true };
     Payload.Update_ack { update_id = uid };
     Payload.Update_terminated { update_id = uid };
     Payload.Query_request
@@ -142,7 +143,7 @@ let payload_samples () =
         inner =
           Payload.Update_data
             { update_id = uid; rule_id = "r1"; rows = packed kitchen_sink_tuples; hops = 1;
-              global = true } };
+              global = true; no_ack = false } };
     Payload.Seq { seq = 0; inner = Payload.Update_ack { update_id = uid } };
     Payload.Seq_ack { seq = 1 lsl 30 };
     Payload.Sub_register { sub_id = "n0/s1"; query_text = "q(X) :- r(X, Y), Y > 2" };
@@ -192,7 +193,8 @@ let test_dictionary_beats_estimator_on_skew () =
   let tuples = List.init 200 (fun k -> tup [ i k; s (Printf.sprintf "v%d" (k mod 5)) ]) in
   let p =
     Payload.Update_data
-      { update_id = uid; rule_id = "r1"; rows = packed tuples; hops = 1; global = true }
+      { update_id = uid; rule_id = "r1"; rows = packed tuples; hops = 1; global = true;
+        no_ack = false }
   in
   let estimate = List.fold_left (fun acc t -> acc + Codb_relalg.Tuple.size_bytes t) 0 tuples in
   Alcotest.(check bool) "encoded beats the estimate by the dict savings" true
@@ -234,6 +236,72 @@ let test_malformed_input_rejected () =
         | Ok _ | Error _ -> ()
       done)
     (payload_samples ())
+
+(* The update flag byte: every combination of [global], [no_ack] and
+   (on a close) [carries_ack] round-trips, and a byte with any other
+   bit set decodes to an error, never an exception. *)
+let flag_payloads ~global ~no_ack ~carries_ack =
+  let rows = packed [ tup [ i 1; s "x" ] ] in
+  [
+    ( "data",
+      3,
+      Payload.Update_data { update_id = uid; rule_id = "r1"; rows; hops = 2; global; no_ack } );
+    ( "batch",
+      3,
+      Payload.Update_batch
+        { update_id = uid;
+          entries = [ { Payload.be_rule = "r1"; be_hops = 1; be_rows = rows } ];
+          global; no_ack } );
+    ( "close",
+      7,
+      Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global; no_ack; carries_ack } );
+  ]
+
+let test_update_flags_round_trip () =
+  let bools = [ false; true ] in
+  List.iter
+    (fun global ->
+      List.iter
+        (fun no_ack ->
+          List.iter
+            (fun carries_ack ->
+              List.iter
+                (fun (name, mask, p) ->
+                  (* data and batch have no [carries_ack] bit *)
+                  if mask = 7 || not carries_ack then
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s global=%b no_ack=%b carries_ack=%b" name global
+                         no_ack carries_ack)
+                      true
+                      (Payload.decode (Payload.encode p) = Ok p))
+                (flag_payloads ~global ~no_ack ~carries_ack))
+            bools)
+        bools)
+    bools;
+  (* the flag byte is where the all-clear and the global-only
+     encodings differ; every byte outside the mask must be refused *)
+  List.iter2
+    (fun (name, mask, clear) (_, _, global) ->
+      let a = Payload.encode clear and b = Payload.encode global in
+      let at =
+        let rec find k = if a.[k] <> b.[k] then k else find (k + 1) in
+        find 0
+      in
+      Alcotest.(check int) (name ^ ": global-only is the old bool byte") 1 (Char.code b.[at]);
+      for byte = 0 to 255 do
+        let damaged = Bytes.of_string a in
+        Bytes.set damaged at (Char.chr byte);
+        match Payload.decode (Bytes.to_string damaged) with
+        | Ok _ ->
+            if byte land lnot mask <> 0 then
+              Alcotest.failf "%s: flag byte %d decoded" name byte
+        | Error _ ->
+            if byte land lnot mask = 0 then
+              Alcotest.failf "%s: valid flag byte %d refused" name byte
+        | exception e -> Alcotest.failf "%s: flag byte %d raised %s" name byte (Printexc.to_string e)
+      done)
+    (flag_payloads ~global:false ~no_ack:false ~carries_ack:false)
+    (flag_payloads ~global:true ~no_ack:false ~carries_ack:false)
 
 (* Random payloads across every encodable variant: the size model must
    count exactly what [encode] emits, and decoding must invert it.
@@ -324,15 +392,21 @@ let gen_payload_flat =
        let* tuples = gen_tuples in
        let* hops = int_range 0 9 in
        let* global = bool in
-       return (Payload.Update_data { update_id; rule_id; rows = packed tuples; hops; global }));
+       let* no_ack = bool in
+       return
+         (Payload.Update_data { update_id; rule_id; rows = packed tuples; hops; global; no_ack }));
       (let* update_id = gen_uid in
        let* entries = list_size (int_range 0 4) gen_batch_entry in
        let* global = bool in
-       return (Payload.Update_batch { update_id; entries; global }));
+       let* no_ack = bool in
+       return (Payload.Update_batch { update_id; entries; global; no_ack }));
       (let* update_id = gen_uid in
        let* rule_id = gen_small_string in
        let* global = bool in
-       return (Payload.Update_link_closed { update_id; rule_id; global }));
+       let* no_ack = bool in
+       let* carries_ack = bool in
+       return
+         (Payload.Update_link_closed { update_id; rule_id; global; no_ack; carries_ack }));
       map (fun u -> Payload.Update_ack { update_id = u }) gen_uid;
       map (fun u -> Payload.Update_terminated { update_id = u }) gen_uid;
       (let* query_id = gen_qid in
@@ -442,6 +516,7 @@ let test_link_roundtrip_and_shrink () =
         rows = packed [ tup [ s "shared-string"; i 1 ] ];
         hops = 1;
         global = true;
+        no_ack = false;
       }
   in
   let first = Payload.encode ~link:d p in
@@ -461,7 +536,8 @@ let test_link_desync_fails_closed () =
   let d = Codec.Dict.sender () in
   let rc = Codec.Dict.receiver () in
   let mk rule =
-    Payload.Update_link_closed { update_id = uid; rule_id = rule; global = true }
+    Payload.Update_link_closed
+      { update_id = uid; rule_id = rule; global = true; no_ack = false; carries_ack = false }
   in
   let intro = Payload.encode ~link:d (mk "shared") in
   let backref = Payload.encode ~link:d (mk "shared") in
@@ -480,7 +556,8 @@ let test_link_stale_epoch_dangles () =
   let d = Codec.Dict.sender () in
   let rc = Codec.Dict.receiver () in
   let mk rule =
-    Payload.Update_link_closed { update_id = uid; rule_id = rule; global = true }
+    Payload.Update_link_closed
+      { update_id = uid; rule_id = rule; global = true; no_ack = false; carries_ack = false }
   in
   let m_intro = Payload.encode ~link:d (mk "x") in
   let m_ref = Payload.encode ~link:d (mk "x") in
@@ -594,7 +671,8 @@ let gen_link_step =
 
 let rec payload_of_msg = function
   | Rm_data (rule_id, tuples, hops) ->
-      Payload.Update_data { update_id = uid; rule_id; rows = packed tuples; hops; global = true }
+      Payload.Update_data
+        { update_id = uid; rule_id; rows = packed tuples; hops; global = true; no_ack = false }
   | Rm_batch entries ->
       Payload.Update_batch
         { update_id = uid;
@@ -603,7 +681,7 @@ let rec payload_of_msg = function
               (fun (be_rule, be_hops, tuples) ->
                 { Payload.be_rule; be_hops; be_rows = packed tuples })
               entries;
-          global = false }
+          global = false; no_ack = true }
   | Rm_query (rule_id, tuples) ->
       Payload.Query_data { query_id = qid; request_ref = "n0/7"; rule_id; rows = packed tuples }
   | Rm_seq (seq, inner) -> Payload.Seq { seq; inner = payload_of_msg inner }
@@ -645,6 +723,8 @@ let suite =
       test_stats_response_not_encodable;
     Alcotest.test_case "malformed input rejected, never a crash" `Quick
       test_malformed_input_rejected;
+    Alcotest.test_case "update flag byte: every combination, unknown bits refused" `Quick
+      test_update_flags_round_trip;
     QCheck_alcotest.to_alcotest prop_encoded_size_exact;
     QCheck_alcotest.to_alcotest prop_decode_inverts_encode;
     QCheck_alcotest.to_alcotest prop_damaged_decode_total;

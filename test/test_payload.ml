@@ -14,7 +14,7 @@ let samples =
     Payload.Update_request { update_id = uid; scope = Payload.For_rule "r1" };
     Payload.Update_data
       { update_id = uid; rule_id = "r1"; rows = packed [ tup [ i 1; s "x" ] ]; hops = 2;
-        global = true };
+        global = true; no_ack = false };
     Payload.Update_batch
       { update_id = uid;
         entries =
@@ -22,8 +22,9 @@ let samples =
             { Payload.be_rule = "r1"; be_hops = 2; be_rows = packed [ tup [ i 1; s "x" ] ] };
             { Payload.be_rule = "r2"; be_hops = 1; be_rows = packed [ tup [ i 2; s "x" ] ] };
           ];
-        global = true };
-    Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global = true };
+        global = true; no_ack = true };
+    Payload.Update_link_closed
+      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true };
     Payload.Update_ack { update_id = uid };
     Payload.Update_terminated { update_id = uid };
     Payload.Query_request
@@ -44,7 +45,7 @@ let samples =
         inner =
           Payload.Update_data
             { update_id = uid; rule_id = "r1"; rows = packed [ tup [ i 1; s "x" ] ]; hops = 1;
-              global = true } };
+              global = true; no_ack = false } };
     Payload.Seq_ack { seq = 7 };
     Payload.Sub_register { sub_id = "n0/s1"; query_text = "q(X) :- r(X, Y)" };
     Payload.Sub_registered { sub_id = "n0/s1"; accepted = true; reason = "" };
@@ -74,7 +75,8 @@ let test_data_size_grows_with_tuples () =
   let mk tuples =
     Payload.encoded_size
       (Payload.Update_data
-         { update_id = uid; rule_id = "r"; rows = packed tuples; hops = 1; global = true })
+         { update_id = uid; rule_id = "r"; rows = packed tuples; hops = 1; global = true;
+           no_ack = false })
   in
   Alcotest.(check bool) "more tuples, bigger" true
     (mk [ tup [ i 1 ]; tup [ i 2 ] ] > mk [ tup [ i 1 ] ])

@@ -675,6 +675,118 @@ let prop_nulls_counter_monotone =
         (System.node_names sys);
       !ok)
 
+
+(* Termination is never declared early.  Step the simulator one event
+   at a time until the initiator's state turns terminated; at that
+   instant no update data or link close the receiver would still
+   process may be queued (a framed copy its receiver already processed
+   is a duplicate it will suppress), and every rule must already be
+   saturated.  Run to the end, the update must also have finished
+   unforced.  Topologies with and without cycles, batching on and off,
+   fault-free or reliable under drops, duplicates and jitter within
+   the retry budget. *)
+let gen_termination_case =
+  let open Gen in
+  let* shape =
+    oneofl [ Topology.Binary_tree; Topology.Chain; Topology.Ring; Topology.Clique ]
+  in
+  let* glav = bool in
+  let* n = int_range 2 6 in
+  let* seed = int_range 0 10000 in
+  let* batch_window = oneofl [ 0.0; 0.002 ] in
+  let* faults = option gen_fault_plan in
+  return (shape, glav, n, seed, batch_window, faults)
+
+let print_termination_case (shape, glav, n, seed, batch_window, faults) =
+  Printf.sprintf "%s%s n=%d seed=%d batch=%g faults=%s" (Topology.shape_name shape)
+    (if glav then " (glav)" else "")
+    n seed batch_window
+    (match faults with
+    | None -> "none"
+    | Some (fs, d, u, j, b) -> Printf.sprintf "seed %d drop %g dup %g jitter %g budget %d" fs d u j b)
+
+let pending_update_message sys uid (m : Codb_core.Payload.t Codb_net.Message.t) =
+  let module P = Codb_core.Payload in
+  let of_update = function
+    | P.Update_data { update_id; _ } | P.Update_batch { update_id; _ }
+    | P.Update_link_closed { update_id; _ } ->
+        Codb_core.Ids.equal_update update_id uid
+    | _ -> false
+  in
+  match m.Codb_net.Message.payload with
+  | P.Seq { seq; inner } ->
+      let receiver = System.node sys (Codb_net.Peer_id.to_string m.Codb_net.Message.dst) in
+      let processed =
+        match receiver.Node.relay with
+        | Some relay -> Codb_core.Relay.seen relay ~src:m.Codb_net.Message.src ~seq
+        | None -> false
+      in
+      of_update inner && not processed
+  | payload -> of_update payload
+
+let prop_no_premature_termination =
+  Q2.Test.make ~name:"update termination is never declared early" ~count:60
+    ~print:print_termination_case gen_termination_case
+    (fun (shape, glav, n, seed, batch_window, faults) ->
+      let opts =
+        let base = { Codb_core.Options.default with Codb_core.Options.batch_window } in
+        match faults with
+        | None -> base
+        | Some (fault_seed, drop, dup, jitter, budget) ->
+            {
+              base with
+              Codb_core.Options.fault_seed;
+              drop_prob = drop;
+              dup_prob = dup;
+              jitter;
+              drop_budget = budget;
+              ack_timeout = 0.05;
+              max_retries = 10;
+            }
+      in
+      let config =
+        if glav then
+          Codb_workload.Glavgen.generate
+            ~spec:
+              { Codb_workload.Glavgen.default_spec with
+                Codb_workload.Glavgen.tuples_per_relation = 6; join_frac = 0.5 }
+            ~seed ~edges:(Topology.edges shape ~n) ~n ()
+        else
+          Topology.generate
+            ~params:{ Topology.default_params with Topology.tuples_per_node = 8 }
+            ~seed shape ~n
+      in
+      let sys = System.build_exn ~opts config in
+      let uid = System.start_update sys ~initiator:"n0" in
+      let terminated () =
+        match Node.update_state (System.node sys "n0") uid with
+        | Some st -> st.Codb_core.Update_state.ust_terminated
+        | None -> false
+      in
+      let net = System.net sys in
+      while (not (terminated ())) && Codb_net.Network.step net do
+        ()
+      done;
+      let quiet =
+        not (List.exists (pending_update_message sys uid) (Codb_net.Network.in_flight net))
+      in
+      let saturated =
+        List.for_all
+          (fun (r : Config.rule_decl) ->
+            let source = System.node sys r.Config.source in
+            let importer = System.node sys r.Config.importer in
+            let target =
+              Database.relation importer.Node.store r.Config.rule_query.Query.head.Atom.rel
+            in
+            List.for_all (Relation.subsumed target) (Wrapper.eval_rule_full source.Node.store r))
+          (System.config sys).Config.rules
+      in
+      ignore (System.run sys : int);
+      let report = Option.get (Report.update_report (System.snapshots sys) uid) in
+      let chaos = Report.chaos_report (System.snapshots sys) in
+      terminated () && quiet && saturated && report.Report.ur_all_finished
+      && chaos.Report.chr_forced_updates = 0)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -701,6 +813,7 @@ let suite =
       prop_build_total;
       prop_containment_reflexive;
       prop_nulls_counter_monotone;
+      prop_no_premature_termination;
     ]
   @ [
       Alcotest.test_case "pushdown: null answers equal modulo renaming" `Quick

@@ -74,6 +74,25 @@ let is_terminated m =
 
 let state node = Option.get (Node.update_state node uid)
 
+(* The [no_ack] flag of an update data or close message, if it is
+   one. *)
+let no_ack_of m =
+  match m.payload with
+  | Payload.Update_data { no_ack; _ }
+  | Payload.Update_batch { no_ack; _ }
+  | Payload.Update_link_closed { no_ack; _ } ->
+      Some no_ack
+  | _ -> None
+
+let data_from ?(no_ack = false) rule values =
+  Payload.Update_data
+    { update_id = uid; rule_id = rule; rows = packed (List.map (fun x -> tup [ i x ]) values);
+      hops = 1; global = true; no_ack }
+
+let close_of ?(no_ack = false) ?(carries_ack = false) rule =
+  Payload.Update_link_closed
+    { update_id = uid; rule_id = rule; global = true; no_ack; carries_ack }
+
 let test_first_contact_floods_and_serves () =
   let rt, node, outbox = make_runtime middle_config in
   Update.handle rt ~src:(peer "down") ~bytes:100
@@ -89,7 +108,11 @@ let test_first_contact_floods_and_serves () =
   Alcotest.(check int) "no ack yet" 0 (count is_ack messages);
   let st = state node in
   Alcotest.(check bool) "engaged" true st.Update_state.ust_engaged;
-  Alcotest.(check int) "deficit = messages owed" 2 st.Update_state.ust_deficit
+  (* the data went to the parent (down), which owes no ack for it:
+     only the request to up is counted *)
+  Alcotest.(check int) "deficit = messages owed" 1 st.Update_state.ust_deficit;
+  Alcotest.(check (list bool)) "data to the parent marked no-ack" [ true ]
+    (List.filter_map no_ack_of messages)
 
 let test_duplicate_request_acked_immediately () =
   let rt, _node, outbox = make_runtime middle_config in
@@ -108,13 +131,9 @@ let test_disengage_acks_parent_when_deficit_clears () =
   Update.handle rt ~src:(peer "down") ~bytes:100
     (Payload.Update_request { update_id = uid; scope = Payload.Global });
   let _ = drain outbox in
-  (* acknowledge both messages "me" sent (the forwarded request and
-     the data) *)
+  (* up acknowledges the forwarded request, the only counted message
+     "me" sent (its data went to the parent, down) *)
   Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
-  Alcotest.(check int) "still engaged at deficit 1" 1
-    (state node).Update_state.ust_deficit;
-  Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox));
-  Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_ack { update_id = uid });
   let messages = drain outbox in
   Alcotest.(check bool) "disengaged" false (state node).Update_state.ust_engaged;
   Alcotest.(check bool) "parent acked" true
@@ -130,9 +149,7 @@ let test_reengagement_after_disengage () =
   let _ = drain outbox in
   (* now disengaged; fresh data from up re-engages with up as parent *)
   Update.handle rt ~src:(peer "up") ~bytes:50
-    (Payload.Update_data
-       { update_id = uid; rule_id = "from_up"; rows = packed [ tup [ i 2 ] ]; hops = 1;
-         global = true });
+    (data_from "from_up" [ 2 ]);
   let messages = drain outbox in
   let st = state node in
   (* the new tuple triggers propagation to down (deficit 1), so "me"
@@ -188,7 +205,7 @@ let test_link_closed_cascades () =
   (* up closes me's only outgoing link; me's incoming link to down
      depends on it, so me must cascade the closure to down *)
   Update.handle rt ~src:(peer "up") ~bytes:30
-    (Payload.Update_link_closed { update_id = uid; rule_id = "from_up"; global = true });
+    (close_of "from_up");
   let messages = drain outbox in
   Alcotest.(check bool) "closure cascaded to down" true
     (List.exists
@@ -237,9 +254,7 @@ let test_late_data_after_termination_absorbed () =
     (Payload.Update_terminated { update_id = uid });
   let _ = drain outbox in
   Update.handle rt ~src:(peer "up") ~bytes:50
-    (Payload.Update_data
-       { update_id = uid; rule_id = "from_up"; rows = packed [ tup [ i 9 ] ]; hops = 1;
-         global = true });
+    (data_from "from_up" [ 9 ]);
   let messages = drain outbox in
   let st = state node in
   Alcotest.(check bool) "tuple still integrated" true
@@ -264,9 +279,7 @@ let check_finished_update_pins_nothing ?opts terminate =
     [ "to_down"; "from_up" ];
   let _ = drain outbox in
   Update.handle rt ~src:(peer "up") ~bytes:50
-    (Payload.Update_data
-       { update_id = uid; rule_id = "from_up"; rows = packed [ tup [ i 9 ] ]; hops = 1;
-         global = true });
+    (data_from "from_up" [ 9 ]);
   Alcotest.(check int) "late data sends nothing" 0 (count is_data (drain outbox))
 
 (* r(1) went out on to_down before termination, so the filter held a
@@ -343,11 +356,9 @@ let test_late_messages_after_release () =
     match m.payload with Payload.Update_link_closed _ -> true | _ -> false
   in
   Update.handle rt ~src:(peer "up") ~bytes:30
-    (Payload.Update_link_closed { update_id = uid; rule_id = "from_up"; global = true });
+    (close_of "from_up");
   Update.handle rt ~src:(peer "up") ~bytes:50
-    (Payload.Update_data
-       { update_id = uid; rule_id = "from_up"; rows = packed [ tup [ i 9 ] ]; hops = 1;
-         global = true });
+    (data_from "from_up" [ 9 ]);
   Update.handle rt ~src:(peer "down") ~bytes:100
     (Payload.Update_request { update_id = uid; scope = Payload.For_rule "to_down" });
   let messages = drain outbox in
@@ -403,8 +414,255 @@ let test_ack_for_unknown_update_ignored () =
   Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
   Alcotest.(check int) "nothing happens" 0 (List.length (drain outbox))
 
+
+(* An engaged node owes its child nothing for the child's data: the
+   data went to its parent, which is this node. *)
+let test_data_to_parent_not_acked () =
+  let rt, _node, outbox = make_runtime middle_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let _ = drain outbox in
+  Update.handle rt ~src:(peer "up") ~bytes:50 (data_from ~no_ack:true "from_up" [ 2 ]);
+  let messages = drain outbox in
+  Alcotest.(check int) "no ack to up" 0 (count is_ack messages);
+  Alcotest.(check bool) "the new row goes on to the parent, no-ack" true
+    (List.exists (fun m -> m.dst = "down" && no_ack_of m = Some true) messages)
+
+(* Data counted by its sender is acknowledged at once by an engaged
+   receiver, and data to a non-parent is counted. *)
+let test_data_to_non_parent_acked () =
+  let rt, node, outbox = make_runtime middle_config in
+  Update.initiate rt uid;
+  let messages = drain outbox in
+  (* the initiator has no parent: its data to down is counted *)
+  Alcotest.(check (list bool)) "initiator's data is counted" [ false ]
+    (List.filter_map no_ack_of messages);
+  Alcotest.(check int) "two requests and the data owed" 3
+    (state node).Update_state.ust_deficit;
+  Update.handle rt ~src:(peer "up") ~bytes:50 (data_from "from_up" [ 2 ]);
+  let messages = drain outbox in
+  Alcotest.(check bool) "counted data acked" true
+    (List.exists (fun m -> is_ack m && m.dst = "up") messages)
+
+(* A close that carries the sender's ack closes the link and lowers
+   the deficit by one, and nothing goes back for it. *)
+let fan_in_config =
+  {|
+node me { relation r(x: int); }
+node up { relation r(x: int); fact r(2); }
+node side { relation r(x: int); }
+rule from_up at me: r(x) <- up: r(x);
+rule from_side at me: r(x) <- side: r(x);
+|}
+
+let test_close_carrying_ack () =
+  let rt, node, outbox = make_runtime fan_in_config in
+  Update.initiate rt uid;
+  let _ = drain outbox in
+  let st = state node in
+  Alcotest.(check int) "two requests owed" 2 st.Update_state.ust_deficit;
+  Update.handle rt ~src:(peer "up") ~bytes:30
+    (close_of ~no_ack:true ~carries_ack:true "from_up");
+  Alcotest.(check int) "nothing sent back" 0 (List.length (drain outbox));
+  Alcotest.(check int) "deficit down by one" 1 st.Update_state.ust_deficit;
+  Alcotest.(check bool) "link closed" true
+    (Update_state.out_state st "from_up" = Update_state.Link_closed);
+  Update.handle rt ~src:(peer "side") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  Alcotest.(check bool) "terminated" true st.Update_state.ust_terminated
+
+(* The last close to the parent carries the disengagement ack: one
+   message instead of a close and an ack. *)
+let test_last_close_carries_the_ack () =
+  let rt, node, outbox = make_runtime middle_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let _ = drain outbox in
+  (* up, engaged by our request, closes its link and acks in one *)
+  Update.handle rt ~src:(peer "up") ~bytes:30
+    (close_of ~no_ack:true ~carries_ack:true "from_up");
+  let messages = drain outbox in
+  Alcotest.(check bool) "disengaged" false (state node).Update_state.ust_engaged;
+  Alcotest.(check bool) "one close carrying the ack, to down" true
+    (match messages with
+    | [ { dst = "down";
+          payload =
+            Payload.Update_link_closed
+              { rule_id = "to_down"; no_ack = true; carries_ack = true; _ } } ] ->
+        true
+    | _ -> false)
+
+(* A node serving both its neighbours: after re-engagement only the
+   new parent goes unacknowledged. *)
+let both_ways_config =
+  {|
+node down { relation r(x: int); }
+node me { relation r(x: int); fact r(1); }
+node up { relation s(x: int); relation t(x: int); fact s(2); }
+rule to_down at down: r(x) <- me: r(x);
+rule to_up at up: t(x) <- me: r(x);
+rule from_up at me: r(x) <- up: s(x);
+|}
+
+let test_reengaged_elides_only_to_new_parent () =
+  let rt, node, outbox = make_runtime both_ways_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let first = drain outbox in
+  let flag dst ms =
+    List.filter_map (fun m -> if m.dst = dst then no_ack_of m else None) ms
+  in
+  Alcotest.(check (list bool)) "first parent down: no-ack" [ true ] (flag "down" first);
+  Alcotest.(check (list bool)) "up counted" [ false ] (flag "up" first);
+  (* the request and the data to up are acked: disengage *)
+  Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  let _ = drain outbox in
+  Alcotest.(check bool) "disengaged" false (state node).Update_state.ust_engaged;
+  (* up's data re-engages "me" with up as its parent *)
+  Update.handle rt ~src:(peer "up") ~bytes:50 (data_from "from_up" [ 3 ]);
+  let second = drain outbox in
+  Alcotest.(check (list bool)) "now down is counted" [ false ] (flag "down" second);
+  Alcotest.(check (list bool)) "and up, the new parent, is not" [ true ] (flag "up" second);
+  Alcotest.(check int) "only the data to down owed" 1 (state node).Update_state.ust_deficit
+
+(* A node that is not engaged treats a no-ack message like any other
+   first message: the sender becomes its parent, and the ack is owed
+   at disengagement.  This covers a node whose engagement a crash
+   wiped: after the restart it holds no state for the update. *)
+let test_no_ack_to_unengaged_node ~crash () =
+  let rt, node, outbox = make_runtime middle_config in
+  if crash then begin
+    Update.handle rt ~src:(peer "down") ~bytes:100
+      (Payload.Update_request { update_id = uid; scope = Payload.Global });
+    Node.reset_volatile node;
+    Alcotest.(check bool) "no state after the restart" true
+      (Option.is_none (Node.update_state node uid))
+  end;
+  let _ = drain outbox in
+  Update.handle rt ~src:(peer "up") ~bytes:50 (data_from ~no_ack:true "from_up" [ 2 ]);
+  let messages = drain outbox in
+  let st = state node in
+  Alcotest.(check bool) "engaged" true st.Update_state.ust_engaged;
+  Alcotest.(check bool) "the sender is the parent" true
+    (st.Update_state.ust_parent = Some (peer "up"));
+  Alcotest.(check int) "no ack yet" 0 (count is_ack messages);
+  (* down is not the parent: every message to it is counted *)
+  let owed = count (fun m -> m.dst = "down") messages in
+  Alcotest.(check int) "counted towards down" owed st.Update_state.ust_deficit;
+  for _ = 1 to owed do
+    Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_ack { update_id = uid })
+  done;
+  Alcotest.(check bool) "acked at disengagement" true
+    (match drain outbox with [ m ] -> is_ack m && m.dst = "up" | _ -> false)
+
+let test_no_ack_to_disengaged_node () =
+  let rt, node, outbox = make_runtime middle_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  let _ = drain outbox in
+  Alcotest.(check bool) "disengaged" false (state node).Update_state.ust_engaged;
+  Update.handle rt ~src:(peer "up") ~bytes:50 (data_from ~no_ack:true "from_up" [ 2 ]);
+  Alcotest.(check int) "no ack yet" 0 (count is_ack (drain outbox));
+  Alcotest.(check bool) "re-engaged under the sender" true
+    ((state node).Update_state.ust_parent = Some (peer "up"));
+  Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  Alcotest.(check bool) "acked at disengagement" true
+    (match drain outbox with [ m ] -> is_ack m && m.dst = "up" | _ -> false)
+
+(* Under the reliable transport the disengagement ack waits until
+   everything sent to the parent has settled: a retransmitted data
+   message could otherwise reach the parent after it. *)
+let test_reliable_ack_waits_for_settlement () =
+  let opts = { Options.default with Options.ack_timeout = 0.05 } in
+  let timers = ref [] in
+  let rt, node, outbox = make_runtime ~opts middle_config in
+  let rt = { rt with Runtime.schedule = (fun ~delay:_ action -> timers := action :: !timers) } in
+  node.Node.relay <- Some (Codb_core.Relay.create ());
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let data_seq =
+    List.find_map
+      (fun m ->
+        match m.payload with
+        | Payload.Seq { seq; inner = Payload.Update_data { no_ack = true; _ } } -> Some seq
+        | _ -> None)
+      (drain outbox)
+  in
+  Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  Alcotest.(check int) "deficit clear, but nothing sent" 0 (List.length (drain outbox));
+  Alcotest.(check bool) "still engaged" true (state node).Update_state.ust_engaged;
+  Codb_core.Reliable.on_ack rt (Option.get data_seq);
+  Alcotest.(check bool) "disengaged once the data settled" false
+    (state node).Update_state.ust_engaged;
+  Alcotest.(check bool) "the ack follows" true
+    (match drain outbox with
+    | [ { dst = "down"; payload = Payload.Seq { inner = Payload.Update_ack _; _ } } ] -> true
+    | _ -> false)
+
+(* Under the reliable transport a close waits behind unsettled data to
+   its importer; the node that owes it must stay engaged until it has
+   left, counted, or nobody upstream would wait for it. *)
+let test_reliable_deferred_close_keeps_engaged () =
+  let opts = { Options.default with Options.ack_timeout = 0.05 } in
+  let timers = ref [] in
+  let rt, node, outbox = make_runtime ~opts middle_config in
+  let rt = { rt with Runtime.schedule = (fun ~delay:_ action -> timers := action :: !timers) } in
+  node.Node.relay <- Some (Codb_core.Relay.create ());
+  (* engaged by up: the data to down is counted and in flight *)
+  Update.handle rt ~src:(peer "up") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let data_seq =
+    List.find_map
+      (fun m ->
+        match m.payload with
+        | Payload.Seq { seq; inner = Payload.Update_data _ } -> Some seq
+        | _ -> None)
+      (drain outbox)
+  in
+  (* up closes from_up: the close of to_down waits behind the data *)
+  Update.handle rt ~src:(peer "up") ~bytes:30 (close_of "from_up");
+  let _ = drain outbox in
+  (* down acknowledges the request and the data before the transport
+     settles the data *)
+  Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  Alcotest.(check int) "deficit clear" 0 (state node).Update_state.ust_deficit;
+  Alcotest.(check bool) "still engaged: a close is owed" true
+    (state node).Update_state.ust_engaged;
+  Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox));
+  Codb_core.Reliable.on_ack rt (Option.get data_seq);
+  Alcotest.(check bool) "the close leaves, counted" true
+    (match drain outbox with
+    | [ { dst = "down"; payload = Payload.Seq { inner = Payload.Update_link_closed _; _ } } ] ->
+        true
+    | _ -> false);
+  Alcotest.(check bool) "still engaged until it is acked" true
+    (state node).Update_state.ust_engaged;
+  Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  Alcotest.(check bool) "then disengaged" false (state node).Update_state.ust_engaged
+
+
 let suite =
   [
+    Alcotest.test_case "data to the parent is not acked" `Quick
+      test_data_to_parent_not_acked;
+    Alcotest.test_case "data to a non-parent is acked" `Quick test_data_to_non_parent_acked;
+    Alcotest.test_case "a close carrying an ack" `Quick test_close_carrying_ack;
+    Alcotest.test_case "the last close carries the ack" `Quick
+      test_last_close_carries_the_ack;
+    Alcotest.test_case "re-engaged node elides only to its new parent" `Quick
+      test_reengaged_elides_only_to_new_parent;
+    Alcotest.test_case "no-ack message to a stateless node" `Quick
+      (test_no_ack_to_unengaged_node ~crash:false);
+    Alcotest.test_case "no-ack message after a crash and restart" `Quick
+      (test_no_ack_to_unengaged_node ~crash:true);
+    Alcotest.test_case "no-ack message to a disengaged node" `Quick
+      test_no_ack_to_disengaged_node;
+    Alcotest.test_case "reliable: the ack waits for settlement" `Quick
+      test_reliable_ack_waits_for_settlement;
+    Alcotest.test_case "reliable: a deferred close keeps the node engaged" `Quick
+      test_reliable_deferred_close_keeps_engaged;
     Alcotest.test_case "first contact floods and serves" `Quick
       test_first_contact_floods_and_serves;
     Alcotest.test_case "late data after termination" `Quick

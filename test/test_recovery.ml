@@ -326,6 +326,28 @@ let test_wal_crash_recovers_store () =
   Alcotest.(check bool) "replayed bytes surfaced in stats" true
     (ch.Report.chr_replayed_bytes > 0)
 
+(* A snapshot truncates the log together with its last sequence
+   reservation, and numbers inside the reserved chunk go out after it
+   with no new record: recovery must still resume past all of them, or
+   peers would drop the reused numbers as duplicates. *)
+let test_wal_never_reuses_a_sequence_number () =
+  let sys = System.build_exn ~opts:(dur_opts ()) (chain 3) in
+  let _ = System.run_update sys ~initiator:"n0" in
+  let node = System.node sys "n1" in
+  Wal.snapshot_now (Option.get node.Node.wal);
+  let relay = Option.get node.Node.relay in
+  let used =
+    List.init 3 (fun _ ->
+        let seq = Codb_core.Relay.fresh_seq relay in
+        Durable.note_seq node seq;
+        seq)
+  in
+  System.crash_node sys "n1";
+  System.restart_node sys "n1";
+  let next = Codb_core.Relay.next_seq (Option.get (System.node sys "n1").Node.relay) in
+  Alcotest.(check bool) "resumes past every number used" true
+    (List.for_all (fun seq -> seq < next) used)
+
 let test_wal_repeated_crashes_recover_store () =
   (* recovery compacts into a fresh log whose stream dictionary starts
      empty again: a second crash must recover as exactly as the first *)
@@ -471,6 +493,8 @@ let suite =
       test_record_dict_round_trip;
     Alcotest.test_case "a node recovers its own snapshot" `Quick
       test_snapshot_recovers_store;
+    Alcotest.test_case "Dur_wal: no sequence number is reused" `Quick
+      test_wal_never_reuses_a_sequence_number;
     Alcotest.test_case "Dur_wal: repeated crashes recover exactly" `Quick
       test_wal_repeated_crashes_recover_store;
     Alcotest.test_case "Dur_volatile: wipe, then catch-up" `Quick
