@@ -79,7 +79,7 @@ let measure_zone_cell db rows cutoff =
       (Codb_relalg.Relation.to_list (Database.relation db "r"))
   in
   Eval.reset_counters ();
-  let answers = Eval.answer_tuples source q in
+  let answers = List.map Codb_relalg.Row.to_tuple (Eval.answer_rows source q) in
   let c = Eval.counters () in
   if List.sort Tuple.compare answers <> expected then
     failwith
@@ -92,7 +92,7 @@ let measure_zone_cell db rows cutoff =
     z_visited = visited;
     z_pruned = pruned;
     z_skip_ratio = float_of_int (visited + pruned) /. float_of_int (max 1 visited);
-    z_wall_s = time_runs (fun () -> ignore (Eval.answer_tuples source q));
+    z_wall_s = time_runs (fun () -> ignore (Eval.answer_rows source q));
   }
 
 let measure_zone zw =

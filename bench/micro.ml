@@ -42,18 +42,18 @@ let eval_test name query size =
   let db = make_db size in
   let source = Eval.of_database db in
   Test.make ~name:(Printf.sprintf "%s/%d" name size)
-    (Staged.stage (fun () -> ignore (Eval.answer_tuples source query)))
+    (Staged.stage (fun () -> ignore (Eval.answer_rows source query)))
 
 (* the same join without hash indexes: the ablation for the
    index-probing access path *)
 let eval_noindex_test name query size =
   let db = make_db size in
   let source =
-    Eval.source_of_alist
-      [ ("r", Database.tuples db "r"); ("s", Database.tuples db "s") ]
+    let rows rel = List.map Codb_relalg.Row.of_tuple (Database.tuples db rel) in
+    Eval.source_of_alist [ ("r", rows "r"); ("s", rows "s") ]
   in
   Test.make ~name:(Printf.sprintf "%s-noindex/%d" name size)
-    (Staged.stage (fun () -> ignore (Eval.answer_tuples source query)))
+    (Staged.stage (fun () -> ignore (Eval.answer_rows source query)))
 
 let delta_test size =
   let db = make_db size in
@@ -61,7 +61,10 @@ let delta_test size =
   let rng = Rng.make ~seed:(size + 1) in
   let profile = { Datagen.domain_size = max 10 (size / 4); skew = 0.0 } in
   let since = Relation.cardinal (Database.relation db "r") in
-  let delta = Database.insert_all db "r" (Datagen.tuples rng profile r_schema ~count:10) in
+  let delta =
+    List.map Codb_relalg.Row.of_tuple
+      (Database.insert_all db "r" (Datagen.tuples rng profile r_schema ~count:10))
+  in
   Test.make ~name:(Printf.sprintf "delta-join/%d" size)
     (Staged.stage (fun () ->
          ignore (Eval.delta_answers source ~delta_rel:"r" ~since ~delta join_query)))
@@ -123,7 +126,7 @@ let zone_scan_test ~pct size =
   let q = parse_query (Printf.sprintf "ans(x, y) <- r(x, y), x < %d" cutoff) in
   Test.make
     ~name:(Printf.sprintf "zone-scan/%d%%/%d" pct size)
-    (Staged.stage (fun () -> ignore (Eval.answer_tuples source q)))
+    (Staged.stage (fun () -> ignore (Eval.answer_rows source q)))
 
 let update_test n =
   let cfg =

@@ -74,7 +74,7 @@ let measure ~runs wl v =
   let db = make_db wl in
   let source = Eval.of_database db in
   let eval () =
-    Eval.answer_tuples ?max_probe_cols:v.v_max_probe_cols source triangle_query
+    Eval.answer_rows ?max_probe_cols:v.v_max_probe_cols source triangle_query
   in
   (* warm-up: builds the variant's indexes and yields counters/answers *)
   let before = Eval.counters () in

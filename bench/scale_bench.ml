@@ -135,9 +135,9 @@ let filter_query ~node =
 
 (* FNV-1a over value contents ({!Tuple.digest_fold}): independent of
    intern-table slot order, so digests compare across processes and
-   do not depend on what else the process interned first.  [Eval.answer_tuples] returns answers in
+   do not depend on what else the process interned first.  [Eval.answer_rows] returns answers in
    sorted order, so the fold is order-stable. *)
-let tuples_digest h tuples = Tuple.digest_fold h tuples
+let tuples_digest h rows = Tuple.digest_fold h (List.map Codb_relalg.Row.to_tuple rows)
 
 (* the engine's name in the JSON and the gate *)
 let engine_name = "packed-columnar"
@@ -219,7 +219,7 @@ let run_node wl ~node m =
   let shape answers q =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to wl.wl_query_runs do
-      answers := Eval.answer_tuples source q
+      answers := Eval.answer_rows source q
     done;
     Unix.gettimeofday () -. t0
   in

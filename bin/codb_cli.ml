@@ -418,7 +418,9 @@ let sub_cmd file text at from window naive pushdown inserts updates initiator =
   let q = parse_query_or_die text in
   let viewer = Option.value ~default:at from in
   let on_delta (d : Codb_sub.Subscription.delta) =
-    let pp_signed sign ppf t = Fmt.pf ppf "@,  %s %a" sign Tuple.pp t in
+    let pp_signed sign ppf row =
+      Fmt.pf ppf "@,  %s %a" sign Tuple.pp (Codb_relalg.Row.to_tuple row)
+    in
     Fmt.pr "@[<v>delta [%s] at %s:%a%a@]@." d.Codb_sub.Subscription.d_tag viewer
       Fmt.(list ~sep:nop (pp_signed "+"))
       d.Codb_sub.Subscription.d_adds

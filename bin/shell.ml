@@ -74,11 +74,13 @@ let cmd_query sys rest ~scoped =
                     outcome.System.qo_data_msgs))
 
 let cmd_update sys at =
-  with_node sys at (fun _ ->
-      let uid = System.run_update sys ~initiator:at in
-      match Report.update_report (System.snapshots sys) uid with
-      | Some r -> Fmt.pr "%a@." Report.pp_update_report r
-      | None -> Fmt.pr "no report@.")
+  if at = "" || String.contains at ' ' then Fmt.pr "usage: update <node>@."
+  else
+    with_node sys at (fun _ ->
+        let uid = System.run_update sys ~initiator:at in
+        match Report.update_report (System.snapshots sys) uid with
+        | Some r -> Fmt.pr "%a@." Report.pp_update_report r
+        | None -> Fmt.pr "no report@.")
 
 let cmd_insert sys rest =
   match split_command rest with
@@ -114,9 +116,15 @@ let cmd_why sys rest =
       | Error e -> Fmt.pr "%s@." e
       | Ok (rel, tuple) ->
           with_node sys at (fun node ->
-              match Node.explain node ~rel tuple with
-              | None -> Fmt.pr "%s does not hold %s%a@." at rel Tuple.pp tuple
-              | Some origin -> Fmt.pr "%a@." Codb_core.Lineage.pp_origin origin))
+              match Database.relation_opt node.Node.store rel with
+              | None -> Fmt.pr "unknown relation %s at %s@." rel at
+              | Some r when not (Codb_relalg.Schema.conforms (Relation.schema r) tuple) ->
+                  Fmt.pr "error: %s%a does not conform to %s@." rel Tuple.pp tuple
+                    (Codb_relalg.Schema.to_string (Relation.schema r))
+              | Some _ -> (
+                  match Node.explain node ~rel tuple with
+                  | None -> Fmt.pr "%s does not hold %s%a@." at rel Tuple.pp tuple
+                  | Some origin -> Fmt.pr "%a@." Codb_core.Lineage.pp_origin origin)))
 
 let cmd_stats sys =
   let snaps = System.collect_stats sys in
@@ -157,20 +165,26 @@ let cmd_discover sys rest =
                   Fmt.pr "discovered: %a@." Fmt.(list ~sep:(any ", ") Peer_id.pp) peers))
 
 let cmd_rules sys path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Fmt.pr "%s@." e
-  | text -> (
-      match Parser.parse_config text with
-      | Error e -> Fmt.pr "%s@." e
-      | Ok cfg ->
-          System.broadcast_rules sys cfg;
-          Fmt.pr "rules broadcast; topology updated@.")
+  if path = "" then Fmt.pr "usage: rules <file>@."
+  else
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error e -> Fmt.pr "%s@." e
+    | text -> (
+        match Parser.parse_config text with
+        | Error e -> Fmt.pr "%s@." e
+        | Ok cfg ->
+            System.broadcast_rules sys cfg;
+            Fmt.pr "rules broadcast; topology updated@.")
 
 let cmd_analyse sys =
   match Analysis.redundant_rules (System.config sys) with
   | [] -> Fmt.pr "no redundant coordination rules@."
   | redundancies ->
       List.iter (fun r -> Fmt.pr "%a@." Analysis.pp_redundancy r) redundancies
+
+(* A command that takes no argument refuses one, rather than ignoring
+   it. *)
+let bare name rest f = if rest = "" then f () else Fmt.pr "usage: %s@." name
 
 let run sys =
   Fmt.pr "coDB shell — type 'help' for commands@.";
@@ -182,9 +196,12 @@ let run sys =
         let line = String.trim line in
         match split_command line with
         | "", _ -> loop ()
-        | "quit", _ | "exit", _ -> ()
-        | "help", _ ->
-            Fmt.pr "%s@." help_text;
+        | ("quit" | "exit"), "" -> ()
+        | ("quit" | "exit") as name, _ ->
+            Fmt.pr "usage: %s@." name;
+            loop ()
+        | "help", rest ->
+            bare "help" rest (fun () -> Fmt.pr "%s@." help_text);
             loop ()
         | "query", rest ->
             cmd_query sys rest ~scoped:false;
@@ -204,11 +221,11 @@ let run sys =
         | "why", rest ->
             cmd_why sys rest;
             loop ()
-        | "stats", _ ->
-            cmd_stats sys;
+        | "stats", rest ->
+            bare "stats" rest (fun () -> cmd_stats sys);
             loop ()
-        | "topology", _ ->
-            cmd_topology sys;
+        | "topology", rest ->
+            bare "topology" rest (fun () -> cmd_topology sys);
             loop ()
         | "discover", rest ->
             cmd_discover sys rest;
@@ -216,8 +233,8 @@ let run sys =
         | "rules", path ->
             cmd_rules sys (String.trim path);
             loop ()
-        | "analyse", _ | "analyze", _ ->
-            cmd_analyse sys;
+        | ("analyse" | "analyze") as name, rest ->
+            bare name rest (fun () -> cmd_analyse sys);
             loop ()
         | other, _ ->
             Fmt.pr "unknown command %s (try 'help')@." other;

@@ -5,12 +5,12 @@ module Term = Codb_cq.Term
 module Eval = Codb_cq.Eval
 module Containment = Codb_cq.Containment
 module Specialize = Codb_cq.Specialize
-module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 module Value = Codb_relalg.Value
 
 type entry = {
   e_query : Query.t;
-  e_answers : Tuple.t list;
+  e_answers : Row.t list;
   e_stamp : Epoch.stamp;
 }
 
@@ -25,13 +25,13 @@ type rule_entry = {
   re_rule : string;
   re_constraints : Specialize.t;
   re_label : Peer_id.t list;
-  re_answers : Tuple.t list;
+  re_answers : Row.t list;
   re_stamp : Epoch.stamp;
 }
 
 type hit_kind = Exact | By_containment
 
-type hit = { answers : Tuple.t list; kind : hit_kind }
+type hit = { answers : Row.t list; kind : hit_kind }
 
 type counters = {
   hits_exact : int;
@@ -245,14 +245,14 @@ let answers_via_containment ~cached:qc ~answers q =
                   ~comparisons:extra ()
               in
               let source = Eval.source_of_alist [ (view_rel, answers) ] in
-              Some (Eval.answer_tuples source filter_query)
+              Some (Eval.answer_rows source filter_query)
             end
             else None)
 
 (* --- the cache proper ---------------------------------------------- *)
 
 let answer_bytes answers =
-  List.fold_left (fun acc t -> acc + Tuple.size_bytes t) 0 answers
+  List.fold_left (fun acc row -> acc + Row.size_bytes row) 0 answers
 
 let entry_bytes key entry = 64 + String.length key + answer_bytes entry.e_answers
 

@@ -34,13 +34,15 @@
 module Peer_id = Codb_net.Peer_id
 module Query = Codb_cq.Query
 module Specialize = Codb_cq.Specialize
-module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 
 type t
 
 type hit_kind = Exact | By_containment
 
-type hit = { answers : Tuple.t list; kind : hit_kind }
+type hit = { answers : Row.t list; kind : hit_kind }
+(** Answers packed, as stored: the root's answer set in
+    {!Row.compare} order, or a responder's rule stream. *)
 
 type counters = {
   hits_exact : int;
@@ -73,7 +75,7 @@ val lookup : t -> Query.t -> hit option
 (** Consult the cache; maintains all counters and drops invalid
     entries met along the way. *)
 
-val store : t -> Query.t -> Tuple.t list -> sources:Peer_id.t list -> unit
+val store : t -> Query.t -> Row.t list -> sources:Peer_id.t list -> unit
 (** Cache a completed query's answers, stamped with the current epochs
     of [sources] (the node itself plus the peers that contributed). *)
 
@@ -104,7 +106,7 @@ val store_rule :
   rule_id:string ->
   label:Peer_id.t list ->
   Specialize.t ->
-  Tuple.t list ->
+  Row.t list ->
   sources:Peer_id.t list ->
   unit
 (** Cache the complete answer stream a rule produced under
@@ -112,7 +114,7 @@ val store_rule :
     [sources]. *)
 
 val answers_via_containment :
-  cached:Query.t -> answers:Tuple.t list -> Query.t -> Tuple.t list option
+  cached:Query.t -> answers:Row.t list -> Query.t -> Row.t list option
 (** The containment-hit core, exposed for tests: can [q] be answered
     from the cached pair, and with which tuples?  [None] when the
     containment or answerability condition fails. *)

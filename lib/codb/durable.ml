@@ -11,7 +11,6 @@
 
 module Codec = Codb_net.Codec
 module Peer_id = Codb_net.Peer_id
-module Tuple = Codb_relalg.Tuple
 module Row = Codb_relalg.Row
 module Database = Codb_relalg.Database
 module Relation = Codb_relalg.Relation
@@ -29,7 +28,7 @@ module Wal = Codb_store.Wal
 type owner = Olocal | Oremote of Peer_id.t
 
 type record =
-  | Insert of { rel : string; tuples : Tuple.t list }
+  | Insert of { rel : string; rows : Row.t list }
   | Import of {
       rule : string;
       rel : string;
@@ -66,10 +65,10 @@ let encode_record ~dict record =
   let w = Codec.writer ~initial:64 ~mode:(Codec.Linked dict) () in
   Codec.byte w dict_marker;
   (match record with
-  | Insert { rel; tuples } ->
+  | Insert { rel; rows } ->
       Codec.byte w 0;
       Codec.string w rel;
-      Payload.put_tuples w tuples
+      Payload.put_rows w rows
   | Import { rule; rel; hops; at; rows } ->
       Codec.byte w 1;
       Codec.string w rule;
@@ -102,7 +101,7 @@ let get_record r =
   match Codec.read_byte r with
   | 0 ->
       let rel = Codec.read_string r in
-      Insert { rel; tuples = Payload.get_tuples r }
+      Insert { rel; rows = Payload.get_rows r }
   | 1 ->
       let rule = Codec.read_string r in
       let rel = Codec.read_string r in
@@ -143,7 +142,7 @@ type mirror_snap = {
 }
 
 type snapshot = {
-  sn_store : (string * Tuple.t list) list;
+  sn_store : (string * Row.t list) list;
   sn_lineage : ((string * Row.t) * Lineage.import list) list;
   sn_next_seq : int;
   sn_seen : string list;
@@ -154,8 +153,6 @@ type snapshot = {
 let snapshot_version = 3
 
 let query_text q = Fmt.str "%a" Pretty.query q
-
-let sorted_tuples db rel = List.sort Tuple.compare (Database.tuples db rel)
 
 let registry_entries (node : Node.t) =
   match node.Node.subs with
@@ -184,15 +181,24 @@ let mirror_entries (node : Node.t) =
       })
     (Node.mirrors_sorted node)
 
-let put_snapshot w (node : Node.t) =
+(* Every relation by name, with its row ids in [Row.compare] order:
+   sorted once per snapshot, read by both encoding passes. *)
+let sorted_store (node : Node.t) =
   let store = node.Node.store in
-  let rels = List.sort String.compare (Database.rel_names store) in
-  Codec.varint w (List.length rels);
-  List.iter
+  List.map
     (fun rel ->
+      let relation = Database.relation store rel in
+      (rel, relation, Relation.sorted_ids relation))
+    (List.sort String.compare (Database.rel_names store))
+
+let put_snapshot w (node : Node.t) store =
+  Codec.varint w (List.length store);
+  List.iter
+    (fun (rel, relation, ids) ->
       Codec.string w rel;
-      Payload.put_tuples w (sorted_tuples store rel))
-    rels;
+      Codec.varint w (Array.length ids);
+      Array.iter (fun id -> Payload.put_row w (Relation.row relation id)) ids)
+    store;
   let lineage = Lineage.all node.Node.lineage in
   Codec.varint w (List.length lineage);
   List.iter
@@ -243,21 +249,23 @@ let put_snapshot w (node : Node.t) =
    [n1/17, n1/18, ...] pay their common stem once.  The body is
    written in [Tabled] mode against the sorted ids (a first pass
    harvests the strings, a second encodes against the preloaded
-   table). *)
+   table).  The first pass runs over a counter: it keeps the strings
+   and the body's size, and no bytes. *)
 let common_prefix_len a b =
   let n = min (String.length a) (String.length b) in
   let rec go k = if k < n && a.[k] = b.[k] then go (k + 1) else k in
   go 0
 
 let encode_snapshot (node : Node.t) =
+  let store = sorted_store node in
   (* pass 1: harvest the distinct strings *)
-  let probe = Codec.writer ~initial:1024 ~mode:Codec.Tabled () in
-  put_snapshot probe node;
+  let probe = Codec.counter ~mode:Codec.Tabled () in
+  put_snapshot probe node store;
   let strings = List.sort String.compare (Codec.dict_strings probe) in
   (* pass 2: encode the body against the sorted table *)
   let body = Codec.writer ~initial:(Codec.size probe) ~mode:Codec.Tabled () in
   Codec.preload body strings;
-  put_snapshot body node;
+  put_snapshot body node store;
   let w = Codec.writer ~initial:(Codec.size body + 64) () in
   Codec.byte w snapshot_version;
   Codec.varint w (List.length strings);
@@ -276,7 +284,7 @@ let get_snapshot r =
   let sn_store =
     List.init (Codec.read_count r) (fun _ ->
         let rel = Codec.read_string r in
-        (rel, Payload.get_tuples r))
+        (rel, Payload.get_rows r))
   in
   let sn_lineage =
     List.init (Codec.read_count r) (fun _ ->
@@ -336,7 +344,7 @@ let log (node : Node.t) record =
   | None -> ()
   | Some wal -> Wal.append wal (encode_record ~dict:node.Node.wal_dict record)
 
-let log_insert node ~rel tuples = if tuples <> [] then log node (Insert { rel; tuples })
+let log_insert node ~rel rows = if rows <> [] then log node (Insert { rel; rows })
 
 let log_import node ~rule ~rel ~hops ~at rows =
   if rows <> [] then log node (Import { rule; rel; hops; at; rows })
@@ -421,13 +429,13 @@ let restore_mirror (node : Node.t) ~sub_id ~host ~text ~accepted =
       if accepted then Mirror.mark_accepted m;
       Hashtbl.replace node.Node.sub_mirrors sub_id m
 
+let insert_rows (node : Node.t) rel rows =
+  match Database.relation_opt node.Node.store rel with
+  | None -> ()
+  | Some relation -> List.iter (fun row -> ignore (Relation.insert_row relation row)) rows
+
 let apply_snapshot (node : Node.t) (opts : Options.t) snap =
-  let store = node.Node.store in
-  List.iter
-    (fun (rel, tuples) ->
-      if Database.has_relation store rel then
-        List.iter (fun t -> ignore (Database.insert store rel t)) tuples)
-    snap.sn_store;
+  List.iter (fun (rel, rows) -> insert_rows node rel rows) snap.sn_store;
   List.iter
     (fun ((rel, row), imports) ->
       List.iter (Lineage.record_import node.Node.lineage ~rel row) imports)
@@ -443,10 +451,7 @@ let apply_snapshot (node : Node.t) (opts : Options.t) snap =
 
 let apply_record (node : Node.t) (opts : Options.t) ~seq_floor record =
   match record with
-  | Insert { rel; tuples } ->
-      let store = node.Node.store in
-      if Database.has_relation store rel then
-        List.iter (fun t -> ignore (Database.insert store rel t)) tuples
+  | Insert { rel; rows } -> insert_rows node rel rows
   | Import { rule; rel; hops; at; rows } -> (
       match Database.relation_opt node.Node.store rel with
       | None -> ()

@@ -17,7 +17,7 @@
     without a WAL, so the default configuration pays nothing. *)
 
 module Peer_id = Codb_net.Peer_id
-module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 module Backend = Codb_store.Backend
 module Wal = Codb_store.Wal
 
@@ -27,14 +27,14 @@ type owner = Olocal | Oremote of Peer_id.t
         registration resumes with no callback *)
 
 type record =
-  | Insert of { rel : string; tuples : Tuple.t list }
-      (** a direct local write ({!System.insert_fact}) *)
+  | Insert of { rel : string; rows : Row.t list }
+      (** a direct local write ({!System.insert_fact}), packed *)
   | Import of {
       rule : string;
       rel : string;
       hops : int;
       at : float;
-      rows : Codb_relalg.Row.t list;
+      rows : Row.t list;
     }  (** rows an update integrated (packed), with their lineage *)
   | Seq_reserve of { upto : int }
       (** transport sequence numbers below [upto] may have been used *)
@@ -56,7 +56,10 @@ val decode_record : dict:(int, string) Hashtbl.t -> string -> record
 
 val encode_snapshot : Node.t -> string
 (** Serialize the node's durable state, everything sorted so equal
-    states produce byte-identical snapshots.  Layout v3: a sorted,
+    states produce byte-identical snapshots: relations by name, each
+    relation's rows straight from the store in {!Row.compare} order
+    (which is {!Codb_relalg.Tuple.compare}'s), lineage by relation and
+    row.  Layout v3: a sorted,
     front-coded string table up front (each entry stores only the
     suffix past its shared prefix with the previous entry), the body
     referencing it by id.  {!recover} reads this version only. *)
@@ -64,11 +67,10 @@ val encode_snapshot : Node.t -> string
 (** {1 Commit-point hooks} — called by {!System}, {!Update},
     {!Sub_engine} and {!Reliable}; no-ops when [node.wal] is [None]. *)
 
-val log_insert : Node.t -> rel:string -> Tuple.t list -> unit
+val log_insert : Node.t -> rel:string -> Row.t list -> unit
 
 val log_import :
-  Node.t -> rule:string -> rel:string -> hops:int -> at:float ->
-  Codb_relalg.Row.t list -> unit
+  Node.t -> rule:string -> rel:string -> hops:int -> at:float -> Row.t list -> unit
 
 val log_sub_add : Node.t -> sub_id:string -> owner:owner -> query_text:string -> unit
 

@@ -1,6 +1,5 @@
 module Peer_id = Codb_net.Peer_id
 module Codec = Codb_net.Codec
-module Tuple = Codb_relalg.Tuple
 module Row = Codb_relalg.Row
 module Value = Codb_relalg.Value
 module Intern = Codb_relalg.Intern
@@ -12,8 +11,8 @@ type batch_entry = { be_rule : string; be_hops : int; be_rows : Row.t list }
 
 type sub_entry = {
   se_sub : string;
-  se_adds : Tuple.t list;
-  se_retracts : Tuple.t list;
+  se_adds : Row.t list;
+  se_retracts : Row.t list;
   se_tag : string;
 }
 
@@ -74,8 +73,8 @@ type t =
   | Sub_unregister of { sub_id : string }
   | Answer_delta of {
       sub_id : string;
-      adds : Tuple.t list;
-      retracts : Tuple.t list;
+      adds : Row.t list;
+      retracts : Row.t list;
       tag : string;
     }
   | Answer_batch of { entries : sub_entry list }
@@ -89,8 +88,6 @@ type t =
    moves (rules installation, crash/restart bookkeeping, discovery and
    subscription registration mutate routing/registry state that later
    same-time events may read). *)
-let tuples_safe tuples = not (List.exists Tuple.has_hole tuples)
-
 let rows_safe rows = not (List.exists Row.has_hole rows)
 
 let rec parallel_safe = function
@@ -99,9 +96,9 @@ let rec parallel_safe = function
       true
   | Update_data { rows; _ } | Query_data { rows; _ } -> rows_safe rows
   | Update_batch { entries; _ } -> List.for_all (fun e -> rows_safe e.be_rows) entries
-  | Answer_delta { adds; retracts; _ } -> tuples_safe adds && tuples_safe retracts
+  | Answer_delta { adds; retracts; _ } -> rows_safe adds && rows_safe retracts
   | Answer_batch { entries } ->
-      List.for_all (fun e -> tuples_safe e.se_adds && tuples_safe e.se_retracts) entries
+      List.for_all (fun e -> rows_safe e.se_adds && rows_safe e.se_retracts) entries
   | Seq { inner; _ } -> parallel_safe inner
   | Rules_file _ | Start_update | Stats_request | Stats_response _ | Discovery_probe _
   | Discovery_reply _ | Sub_register _ | Sub_registered _ | Sub_unregister _ ->
@@ -230,33 +227,10 @@ let get_value r =
   | 6 -> Value.Hole (Codec.read_zigzag r)
   | n -> raise (Codec.Malformed (Printf.sprintf "unknown value tag %d" n))
 
-(* No closures: [encoded_size] runs these once per value of every
-   message. *)
-let put_tuple w (t : Tuple.t) =
-  Codec.varint w (Array.length t);
-  for i = 0 to Array.length t - 1 do
-    put_value w t.(i)
-  done
-
-let get_tuple r =
-  let arity = Codec.read_count r in
-  Array.init arity (fun _ -> get_value r)
-
-let rec put_tuple_list w = function
-  | [] -> ()
-  | t :: rest ->
-      put_tuple w t;
-      put_tuple_list w rest
-
-let put_tuples w tuples =
-  Codec.varint w (List.length tuples);
-  put_tuple_list w tuples
-
-let get_tuples r = List.init (Codec.read_count r) (fun _ -> get_tuple r)
-
-(* A packed row is written exactly as its boxed tuple: each cell
-   through its canonical value, which {!Intern.unpack} finds without
-   allocating. *)
+(* The one tuple codec, shared by the wire and the WAL: a packed row
+   is written through each cell's canonical value, which
+   {!Intern.unpack} finds without allocating.  No closures:
+   [encoded_size] runs this once per value of every message. *)
 let put_row w (row : Row.t) =
   Codec.varint w (Array.length row);
   for i = 0 to Array.length row - 1 do
@@ -467,16 +441,16 @@ let rec put_payload w payload =
   | Answer_delta { sub_id; adds; retracts; tag } ->
       Codec.string w sub_id;
       Codec.string w tag;
-      put_tuples w adds;
-      put_tuples w retracts
+      put_rows w adds;
+      put_rows w retracts
   | Answer_batch { entries } ->
       Codec.varint w (List.length entries);
       List.iter
         (fun { se_sub; se_adds; se_retracts; se_tag } ->
           Codec.string w se_sub;
           Codec.string w se_tag;
-          put_tuples w se_adds;
-          put_tuples w se_retracts)
+          put_rows w se_adds;
+          put_rows w se_retracts)
         entries
 
 (* Self-contained (no [link]): the link format against a fresh
@@ -579,16 +553,16 @@ let rec get_payload r =
   | 21 ->
       let sub_id = Codec.read_string r in
       let tag = Codec.read_string r in
-      let adds = get_tuples r in
-      let retracts = get_tuples r in
+      let adds = get_rows r in
+      let retracts = get_rows r in
       Answer_delta { sub_id; adds; retracts; tag }
   | 22 ->
       let entries =
         List.init (Codec.read_count r) (fun _ ->
             let se_sub = Codec.read_string r in
             let se_tag = Codec.read_string r in
-            let se_adds = get_tuples r in
-            let se_retracts = get_tuples r in
+            let se_adds = get_rows r in
+            let se_retracts = get_rows r in
             { se_sub; se_adds; se_retracts; se_tag })
       in
       Answer_batch { entries }

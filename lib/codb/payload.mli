@@ -8,7 +8,6 @@
 
 module Peer_id = Codb_net.Peer_id
 module Codec = Codb_net.Codec
-module Tuple = Codb_relalg.Tuple
 module Row = Codb_relalg.Row
 module Specialize = Codb_cq.Specialize
 
@@ -20,8 +19,8 @@ type batch_entry = {
 
 type sub_entry = {
   se_sub : string;  (** subscription id the delta belongs to *)
-  se_adds : Tuple.t list;
-  se_retracts : Tuple.t list;
+  se_adds : Row.t list;
+  se_retracts : Row.t list;
   se_tag : string;  (** provenance of the store change (see [Answer_delta]) *)
 }
 
@@ -148,8 +147,8 @@ type t =
   | Sub_unregister of { sub_id : string }
   | Answer_delta of {
       sub_id : string;
-      adds : Tuple.t list;
-      retracts : Tuple.t list;
+      adds : Row.t list;  (** packed, like [Update_data]'s *)
+      retracts : Row.t list;
       tag : string;
           (** lineage-derived provenance: which update/rule/hop (or
               local write, seed, re-arm snapshot) produced the store
@@ -189,23 +188,15 @@ val encoded_size : ?link:Codec.Dict.sender -> t -> int
     with or without [link], and leaves the link dictionary
     untouched. *)
 
-val put_tuple : Codec.writer -> Tuple.t -> unit
-(** Writer-level primitives, shared with the durability layer
-    ({!Durable}): WAL records and snapshots reuse the wire encoding of
-    tuples as their on-disk format. *)
-
-val get_tuple : Codec.reader -> Tuple.t
-(** @raise Codec.Malformed on corrupt input. *)
-
-val put_tuples : Codec.writer -> Tuple.t list -> unit
-val get_tuples : Codec.reader -> Tuple.t list
-
 val put_row : Codec.writer -> Row.t -> unit
-(** The bytes {!put_tuple} writes for the row's boxed tuple, written
-    from the packed cells. *)
+(** The one tuple codec, shared with the durability layer
+    ({!Durable}): WAL records and snapshots write rows with the wire's
+    bytes.  A row is its arity, then each cell through its canonical
+    value; nothing is boxed. *)
 
 val get_row : Codec.reader -> Row.t
-(** {!get_tuple}, packed.  @raise Codec.Malformed on corrupt input. *)
+(** Inverse of {!put_row}.  @raise Codec.Malformed on corrupt
+    input. *)
 
 val put_rows : Codec.writer -> Row.t list -> unit
 val get_rows : Codec.reader -> Row.t list

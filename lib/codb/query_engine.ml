@@ -4,7 +4,6 @@ module Query = Codb_cq.Query
 module Atom = Codb_cq.Atom
 module Eval = Codb_cq.Eval
 module Specialize = Codb_cq.Specialize
-module Tuple = Codb_relalg.Tuple
 module Row = Codb_relalg.Row
 module Database = Codb_relalg.Database
 module Q = Query_state
@@ -31,6 +30,10 @@ let is_current (rt : Runtime.t) (st : Q.t) =
   | Some current -> current == st
   | None -> false
 
+(* the null-free answers are the certain ones *)
+let certain_count rows =
+  List.fold_left (fun n row -> if Row.has_null row then n else n + 1) 0 rows
+
 let complete_root rt (st : Q.t) query set_result =
   let answers =
     with_counters rt st.Q.qst_query (fun () ->
@@ -48,7 +51,7 @@ let complete_root rt (st : Q.t) query set_result =
   let qs = qstat rt st.Q.qst_query in
   qs.Stats.qs_finished <- Some (rt.Runtime.now ());
   qs.Stats.qs_answers <- List.length answers;
-  qs.Stats.qs_certain <- List.length (Eval.certain answers);
+  qs.Stats.qs_certain <- certain_count answers;
   qs.Stats.qs_complete <- st.Q.qst_complete;
   if not st.Q.qst_complete then Stats.note_partial_answer rt.Runtime.node.Node.stats
 
@@ -185,9 +188,9 @@ let notify_fresh ~on_answer ~streamed answers =
   match on_answer with
   | None -> streamed
   | Some notify ->
-      let fresh = List.filter (fun t -> not (Q.Tuple_set.mem t streamed)) answers in
+      let fresh = List.filter (fun row -> not (Row.Set.mem row streamed)) answers in
       if fresh <> [] then notify fresh;
-      List.fold_left (fun acc t -> Q.Tuple_set.add t acc) streamed fresh
+      List.fold_left (fun acc row -> Row.Set.add row acc) streamed fresh
 
 let start ?on_answer rt qid query =
   (match Node.check_query rt.Runtime.node query with
@@ -204,7 +207,7 @@ let start ?on_answer rt qid query =
   | Some { Codb_cache.Qcache.answers; kind } ->
       (* answered entirely from the cache: no diffusion, the root
          instance is born closed *)
-      let streamed = notify_fresh ~on_answer ~streamed:Q.Tuple_set.empty answers in
+      let streamed = notify_fresh ~on_answer ~streamed:Row.Set.empty answers in
       let st =
         Q.create ~query_id:qid ~ref_:root_ref
           ~kind:(Q.Root { query; result = Some answers; streamed; on_answer })
@@ -214,7 +217,7 @@ let start ?on_answer rt qid query =
       Hashtbl.replace rt.Runtime.node.Node.query_instances root_ref st;
       qs.Stats.qs_finished <- Some (rt.Runtime.now ());
       qs.Stats.qs_answers <- List.length answers;
-      qs.Stats.qs_certain <- List.length (Eval.certain answers);
+      qs.Stats.qs_certain <- certain_count answers;
       qs.Stats.qs_cache <-
         (match kind with
         | Codb_cache.Qcache.Exact -> Stats.Cache_hit_exact
@@ -227,7 +230,7 @@ let start ?on_answer rt qid query =
       let st =
         Q.create ~query_id:qid ~ref_:root_ref
           ~kind:
-            (Q.Root { query; result = None; streamed = Q.Tuple_set.empty; on_answer })
+            (Q.Root { query; result = None; streamed = Row.Set.empty; on_answer })
           ~overlay
       in
       Hashtbl.replace rt.Runtime.node.Node.query_instances root_ref st;
@@ -261,7 +264,7 @@ let effective_rule_query constraints (inc : Config.rule_decl) =
 let filter_outgoing rt qid constraints rows =
   if Specialize.is_any constraints then rows
   else begin
-    let kept = List.filter (Specialize.matches_row constraints) rows in
+    let kept = List.filter (Specialize.matches constraints) rows in
     let dropped = List.length rows - List.length kept in
     if dropped > 0 then begin
       let qs = qstat rt qid in
@@ -307,8 +310,7 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
             | Q.Root _ -> ());
             let qs = qstat rt qid in
             qs.Stats.qs_pushdown_hits <- qs.Stats.qs_pushdown_hits + 1;
-            (* the cache keeps boxed streams *)
-            let fresh = Q.unsent st (List.map Row.of_tuple answers) in
+            let fresh = Q.unsent st answers in
             if fresh <> [] then
               send_data rt st ~dst:src
                 (Payload.Query_data { query_id = qid; request_ref; rule_id; rows = fresh })
@@ -378,7 +380,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~rows qid =
                     in
                     root.streamed <-
                       notify_fresh ~on_answer:root.on_answer
-                        ~streamed:root.streamed (List.map Row.to_tuple answers)
+                        ~streamed:root.streamed answers
                 | Q.Responder { requester; in_rule; constraints; _ } -> (
                     match Node.rule_in rt.Runtime.node in_rule with
                     | None -> ()

@@ -20,10 +20,10 @@
     exactly why the paper has the update algorithm. *)
 
 module Peer_id = Codb_net.Peer_id
-module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 
 val start :
-  ?on_answer:(Tuple.t list -> unit) ->
+  ?on_answer:(Row.t list -> unit) ->
   Runtime.t ->
   Ids.query_id ->
   Codb_cq.Query.t ->
@@ -40,6 +40,7 @@ val start :
 val handle : Runtime.t -> src:Peer_id.t -> bytes:int -> Payload.t -> unit
 (** Process one [Query_*] message; others are ignored. *)
 
-val result : Node.t -> string -> Tuple.t list option
-(** The answers of a completed root instance ([None] while the
-    diffusion is still running). *)
+val result : Node.t -> string -> Row.t list option
+(** The answers of a completed root instance, packed, in
+    {!Row.compare} order ([None] while the diffusion is still
+    running). *)

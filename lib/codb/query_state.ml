@@ -1,6 +1,5 @@
 module Peer_id = Codb_net.Peer_id
-module Tuple = Codb_relalg.Tuple
-module Tuple_set = Codb_relalg.Relation.Tuple_set
+module Row = Codb_relalg.Row
 module Database = Codb_relalg.Database
 
 type pending = {
@@ -14,9 +13,9 @@ type pending = {
 type kind =
   | Root of {
       query : Codb_cq.Query.t;
-      mutable result : Tuple.t list option;
-      mutable streamed : Tuple_set.t;
-      on_answer : (Tuple.t list -> unit) option;
+      mutable result : Row.t list option;
+      mutable streamed : Row.Set.t;
+      on_answer : (Row.t list -> unit) option;
     }
   | Responder of {
       requester : Peer_id.t;

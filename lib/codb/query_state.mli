@@ -12,8 +12,7 @@
     labels guarantee the paths are simple, hence finitely many). *)
 
 module Peer_id = Codb_net.Peer_id
-module Tuple = Codb_relalg.Tuple
-module Tuple_set = Codb_relalg.Relation.Tuple_set
+module Row = Codb_relalg.Row
 module Database = Codb_relalg.Database
 
 type pending = {
@@ -32,10 +31,12 @@ type pending = {
 type kind =
   | Root of {
       query : Codb_cq.Query.t;
-      mutable result : Tuple.t list option;  (** set on completion *)
-      mutable streamed : Tuple_set.t;
+      mutable result : Row.t list option;
+          (** set on completion: the answers, packed, in
+              {!Codb_relalg.Row.compare} order *)
+      mutable streamed : Row.Set.t;
           (** answers already reported to [on_answer] *)
-      on_answer : (Tuple.t list -> unit) option;
+      on_answer : (Row.t list -> unit) option;
           (** streaming callback: called with each batch of new
               answers as results arrive (the UI's "browse streaming
               results") *)

@@ -1,4 +1,3 @@
-module Tuple = Codb_relalg.Tuple
 module Row = Codb_relalg.Row
 
 type t = unit Row.Table.t
@@ -14,7 +13,6 @@ let note_if_new t row =
     true
   end
 
-let elements t =
-  List.sort Tuple.compare (Row.Table.fold (fun row () acc -> Row.to_tuple row :: acc) t [])
+let elements t = List.sort Row.compare (Row.Table.fold (fun row () acc -> row :: acc) t [])
 
 let tracked = Row.Table.length

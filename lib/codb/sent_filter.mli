@@ -27,10 +27,10 @@ val note_if_new : t -> Codb_relalg.Row.t -> bool
 (** [true] iff the row was not sent before; it is recorded as sent
     either way (the row itself is kept: never mutate it). *)
 
-val elements : t -> Codb_relalg.Tuple.t list
-(** The tuples sent so far, boxed and sorted by
-    {!Codb_relalg.Tuple.compare}: a query responder's complete stream,
-    as the query cache stores it. *)
+val elements : t -> Codb_relalg.Row.t list
+(** The rows sent so far, sorted by {!Codb_relalg.Row.compare}: a
+    query responder's complete stream, as the query cache stores
+    it. *)
 
 val tracked : t -> int
 (** Entries currently held. *)

@@ -116,7 +116,6 @@ let on_store_delta rt ~rel ~since ~delta ~tag =
           let opts = rt.Runtime.opts in
           let src = source rt in
           let tag = tag () in
-          let delta = delta () in
           List.iter
             (fun (entry : Registry.entry) ->
               let sub = entry.Registry.e_sub in

@@ -44,15 +44,14 @@ val unsubscribe_remote : Runtime.t -> string -> bool
 val mirror : Runtime.t -> string -> Mirror.t option
 
 val on_store_delta :
-  Runtime.t -> rel:string -> since:int -> delta:(unit -> Codb_relalg.Tuple.t list) ->
+  Runtime.t -> rel:string -> since:int -> delta:Codb_relalg.Row.t list ->
   tag:(unit -> string) -> unit
-(** The feed: [delta ()] tuples were just inserted into the store's
+(** The feed: the [delta] rows were just inserted into the store's
     [rel], as its rows from [since] on.  Runs the delta-evaluation
     pass for every affected hosted subscription and delivers the
-    non-empty answer deltas, tagged with
-    [tag ()] (lineage-derived provenance — which update, rule and hop
-    moved the data).  Both are thunks: subscriptions are boxed, and
-    neither the boxed delta nor the provenance string is built when
+    non-empty answer deltas, tagged with [tag ()] (lineage-derived
+    provenance — which update, rule and hop moved the data).  The tag
+    is a thunk, so the provenance string is not built when
     subscriptions are off or nothing is affected. *)
 
 val refresh_all : Runtime.t -> tag:string -> unit

@@ -3,6 +3,8 @@ module Network = Codb_net.Network
 module Link_dict = Codb_net.Link_dict
 module Config = Codb_cq.Config
 module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
+module Relation = Codb_relalg.Relation
 module Database = Codb_relalg.Database
 module Eval = Codb_cq.Eval
 
@@ -413,11 +415,13 @@ type query_outcome = {
 let run_query ?on_partial sys ~at query =
   let n = node sys at in
   let qid = Ids.query_id n.Node.node_id (Node.fresh_serial n) in
-  let root_ref = Query_engine.start ?on_answer:on_partial (runtime sys at) qid query in
+  let on_answer = Option.map (fun f rows -> f (List.map Row.to_tuple rows)) on_partial in
+  let root_ref = Query_engine.start ?on_answer (runtime sys at) qid query in
   let _ = run sys in
   match Query_engine.result n root_ref with
   | None -> failwith "System.run_query: the query diffusion did not complete"
-  | Some answers ->
+  | Some rows ->
+      let answers = List.map Row.to_tuple rows in
       let qs =
         match Stats.find_query n.Node.stats qid with
         | Some qs -> qs
@@ -437,7 +441,7 @@ let run_query ?on_partial sys ~at query =
       }
 
 let local_answers sys ~at query =
-  Wrapper.user_answers (node sys at).Node.store query
+  List.map Row.to_tuple (Wrapper.user_answers (node sys at).Node.store query)
 
 let superpeer sys =
   match sys.sys_superpeer with
@@ -529,14 +533,18 @@ let import_stores sys dumps =
 
 let insert_fact sys ~at ~rel tuple =
   let n = node sys at in
-  let inserted = Database.insert n.Node.store rel tuple in
+  let relation = Database.relation n.Node.store rel in
+  (* the API boundary: the fact is packed once, and only the row goes
+     further *)
+  let row = Row.of_tuple tuple in
+  let inserted = Relation.insert_row relation row in
   if inserted then begin
     Node.note_local_write n;
     (* the commit point: the write is in the store and hits the WAL
        before any subscription delta derived from it leaves the node *)
-    Durable.log_insert n ~rel [ tuple ];
-    let since = Codb_relalg.Relation.cardinal (Database.relation n.Node.store rel) - 1 in
-    Sub_engine.on_store_delta (runtime sys at) ~rel ~since ~delta:(fun () -> [ tuple ])
+    Durable.log_insert n ~rel [ row ];
+    let since = Relation.cardinal relation - 1 in
+    Sub_engine.on_store_delta (runtime sys at) ~rel ~since ~delta:[ row ]
       ~tag:(fun () -> "local-write")
   end;
   inserted
@@ -555,13 +563,15 @@ let unsubscribe_remote sys ~subscriber sub_id =
 
 let subscription_answers sys ~at sub_id =
   let n = node sys at in
+  let boxed = List.map Row.to_tuple in
   match n.Node.subs with
   | Some reg when Codb_sub.Registry.find reg sub_id <> None ->
       Option.map
-        (fun e -> Codb_sub.Subscription.answers e.Codb_sub.Registry.e_sub)
+        (fun e -> boxed (Codb_sub.Subscription.answers e.Codb_sub.Registry.e_sub))
         (Codb_sub.Registry.find reg sub_id)
   | _ ->
-      Option.map Codb_sub.Mirror.answers
+      Option.map
+        (fun m -> boxed (Codb_sub.Mirror.answers m))
         (Hashtbl.find_opt n.Node.sub_mirrors sub_id)
 
 let mirror sys ~at sub_id = Hashtbl.find_opt (node sys at).Node.sub_mirrors sub_id

@@ -489,7 +489,7 @@ let integrate_entry rt (st : U.t) us ~rule_id ~rows ~hops =
          lineage that produced it *)
       if integration.Wrapper.fresh <> [] then
         Sub_engine.on_store_delta rt ~rel ~since:integration.Wrapper.since
-          ~delta:(fun () -> List.map Row.to_tuple integration.Wrapper.fresh)
+          ~delta:integration.Wrapper.fresh
           ~tag:(fun () ->
             Printf.sprintf "%s via %s hop %d"
               (Ids.string_of_update st.U.ust_update)

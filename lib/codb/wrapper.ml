@@ -51,4 +51,4 @@ let integrate ~(opts : Options.t) ~rule_id db ~rel rows =
   let suppressed = List.length rows - List.length fresh in
   { since; fresh; suppressed; nulls_created }
 
-let user_answers db q = Eval.answer_tuples (Eval.of_database db) q
+let user_answers db q = Eval.answer_rows (Eval.of_database db) q

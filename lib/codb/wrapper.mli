@@ -64,6 +64,7 @@ val integrate :
     place (a received row is shared with its sender's sent filter, so
     it is never changed in place), and insert. *)
 
-val user_answers : Database.t -> Query.t -> Tuple.t list
-(** Evaluate a user query (no existential head).  @raise
-    Invalid_argument otherwise. *)
+val user_answers : Database.t -> Query.t -> Row.t list
+(** Evaluate a user query (no existential head): its answers, packed,
+    in {!Codb_relalg.Row.compare} order.  @raise Invalid_argument
+    otherwise. *)

@@ -1,5 +1,5 @@
 module Value = Codb_relalg.Value
-module Tuple = Codb_relalg.Tuple
+module Intern = Codb_relalg.Intern
 
 (* Frozen constants are tagged strings; the tag cannot clash with user
    data because user string constants are never compared against them
@@ -16,7 +16,7 @@ let frozen_source q =
   let table = Hashtbl.create 8 in
   let add a =
     let existing = Option.value ~default:[] (Hashtbl.find_opt table a.Atom.rel) in
-    Hashtbl.replace table a.Atom.rel (frozen_atom a :: existing)
+    Hashtbl.replace table a.Atom.rel (Array.map Intern.pack (frozen_atom a) :: existing)
   in
   List.iter add q.Query.body;
   fun rel ->

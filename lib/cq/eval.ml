@@ -78,31 +78,26 @@ let empty_view a = packed_view_of_rows ~arity:a [||] 0
 
 let empty_rows = { size = 0; indexed = false; distinct = None; packed = empty_view }
 
-(* Pack rows of one width column-major: the columnar image the join
-   core scans. *)
-let pack_rows ~width tuples =
-  let n = List.length tuples in
+(* Flatten rows of one width row-major: the image the join core
+   scans. *)
+let pack_rows ~width (rows : Row.t list) =
+  let n = List.length rows in
   let flat = Array.make (max 1 (n * width)) 0 in
-  List.iteri
-    (fun row t ->
-      for j = 0 to width - 1 do
-        flat.((row * width) + j) <- Intern.pack t.(j)
-      done)
-    tuples;
+  List.iteri (fun i row -> Array.blit row 0 flat (i * width) width) rows;
   packed_view_of_rows ~arity:width flat n
 
-let rows_of_list tuples =
-  let width = match tuples with [] -> 0 | t :: _ -> Array.length t in
-  let same_width k t = Array.length t = k in
+let rows_of_list (rows : Row.t list) =
+  let width = match rows with [] -> 0 | row :: _ -> Array.length row in
+  let same_width k row = Array.length row = k in
   let packed =
-    if List.for_all (same_width width) tuples then
-      let view = pack_rows ~width tuples in
+    if List.for_all (same_width width) rows then
+      let view = pack_rows ~width rows in
       fun k -> if k = width then view else empty_view k
     else
       (* mixed widths: an atom sees only the rows of its own width *)
-      fun k -> pack_rows ~width:k (List.filter (same_width k) tuples)
+      fun k -> pack_rows ~width:k (List.filter (same_width k) rows)
   in
-  { size = List.length tuples; indexed = false; distinct = None; packed }
+  { size = List.length rows; indexed = false; distinct = None; packed }
 
 let of_database db rel =
   match Database.relation_opt db rel with
@@ -124,7 +119,7 @@ let of_database db rel =
 
 let source_of_alist alist rel =
   match List.assoc_opt rel alist with
-  | Some tuples -> rows_of_list tuples
+  | Some rows -> rows_of_list rows
   | None -> empty_rows
 
 (* One body atom, prepared for the join loop: argument array, the
@@ -172,8 +167,8 @@ let plan_of_atoms ?max_probe_cols atoms comparisons =
    column cells, and probes hand packed values straight to the
    relation's id-keyed indexes — no boxing, no string hashing, no
    per-probe copies.  A boxed [Subst.t] is materialised only per full
-   match (or, through the head projector, a boxed tuple per kept head
-   row). *)
+   match; the head projector boxes nothing (it copies a packed row per
+   kept head). *)
 
 type packed_arg =
   | Pconst of int  (* packed constant: candidate cell must equal it *)
@@ -626,10 +621,10 @@ let delta_heads ?naive ?max_probe_cols ?(into = fresh_rows ()) source ~delta_rel
     ?delta q =
   project (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ?delta q) q ~into
 
-let answer_tuples ?max_probe_cols source q =
+let answer_rows ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with
   | Ok () -> ()
-  | Error reason -> invalid_arg ("Eval.answer_tuples: " ^ reason));
-  List.map Row.to_tuple (heads ?max_probe_cols source q)
+  | Error reason -> invalid_arg ("Eval.answer_rows: " ^ reason));
+  heads ?max_probe_cols source q
 
 let certain tuples = List.filter (fun t -> not (Tuple.has_null t)) tuples

@@ -75,10 +75,11 @@ val counters : unit -> counters
 
 val reset_counters : unit -> unit
 
-val rows_of_list : Codb_relalg.Tuple.t list -> rows
-(** Scan-only access path over a list (used for deltas and frozen
-    canonical databases): the rows are packed into a transient columnar
-    image, and the source is not [indexed], so the planner scans it.
+val rows_of_list : Codb_relalg.Row.t list -> rows
+(** Scan-only access path over a list of packed rows (used for deltas,
+    cached answer sets and frozen canonical databases): the rows are
+    copied into one transient flat image, and the source is not
+    [indexed], so the planner scans it.
     An empty list joins at any width; a list mixing widths shows each
     atom only the rows of its own width.  Row ids are list positions
     (among the rows of the view's width). *)
@@ -87,7 +88,7 @@ val of_database : Codb_relalg.Database.t -> source
 (** Probing access paths backed by {!Codb_relalg.Relation}'s lazy,
     incrementally maintained hash indexes (at most 16 per relation). *)
 
-val source_of_alist : (string * Codb_relalg.Tuple.t list) list -> source
+val source_of_alist : (string * Codb_relalg.Row.t list) list -> source
 (** Scan-only source over an association list. *)
 
 val answers : ?max_probe_cols:int -> source -> Query.t -> Subst.t list
@@ -111,7 +112,7 @@ val delta_answers :
   source ->
   delta_rel:string ->
   since:int ->
-  ?delta:Codb_relalg.Tuple.t list ->
+  ?delta:Codb_relalg.Row.t list ->
   Query.t ->
   Subst.t list
 (** Semi-naive evaluation after [delta] was appended to [delta_rel].
@@ -129,7 +130,7 @@ val delta_answers :
     The relation splits three ways.  {e old} is the rows below [since],
     read through {!Codb_relalg.Relation.packed_view}'s [pv_before]: a
     zero-copy, still-indexed prefix of the stored relation.  {e delta}
-    is [delta], packed as {!rows_of_list}, or else the stored window.
+    is [delta], scanned as {!rows_of_list}, or else the stored window.
     {e full} is the relation as stored.  With [n] body atoms over
     [delta_rel], pass [k] binds occurrence [k] to delta, the earlier
     ones to old and the later ones to full, so every derivation that
@@ -187,15 +188,15 @@ val delta_heads :
   source ->
   delta_rel:string ->
   since:int ->
-  ?delta:Codb_relalg.Tuple.t list ->
+  ?delta:Codb_relalg.Row.t list ->
   Query.t ->
   Codb_relalg.Row.t list
 (** Delta form: the same projection over {!delta_answers}' matches,
     through the same passes. *)
 
-val answer_tuples :
-  ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Tuple.t list
-(** Evaluate a {e user} query: {!heads} with a fresh table, boxed.
+val answer_rows :
+  ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Row.t list
+(** Evaluate a {e user} query: {!heads} with a fresh table.
     @raise Invalid_argument if the head has existential variables
     (GLAV rule heads go through {!heads}, which renders them as
     holes). *)

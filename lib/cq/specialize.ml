@@ -1,5 +1,4 @@
 module Value = Codb_relalg.Value
-module Tuple = Codb_relalg.Tuple
 
 type operand = Col of int | Const of Value.t
 
@@ -127,9 +126,7 @@ let holds c arity cell =
   | Any -> true
   | One_of alts -> List.exists (List.for_all (pred_holds arity cell)) alts
 
-let matches c (tuple : Tuple.t) = holds c (Array.length tuple) (Array.get tuple)
-
-let matches_row c (row : Codb_relalg.Row.t) =
+let matches c (row : Codb_relalg.Row.t) =
   holds c (Array.length row) (fun i -> Codb_relalg.Intern.unpack row.(i))
 
 (* --- folding a head constraint into the rule body ------------------- *)

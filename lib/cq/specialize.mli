@@ -36,7 +36,6 @@
     soundly either way. *)
 
 module Value = Codb_relalg.Value
-module Tuple = Codb_relalg.Tuple
 
 type operand =
   | Col of int  (** value at this column of the candidate tuple *)
@@ -67,14 +66,11 @@ val of_query : Query.t -> rel:string -> t
     data we cannot see through), or when the constraint would exceed
     16 predicates (bounding request size). *)
 
-val matches : t -> Tuple.t -> bool
-(** Requester-faithful filter; see the module preamble.  Malformed
-    predicates (column beyond the tuple's arity) conservatively
-    keep the tuple. *)
-
-val matches_row : t -> Codb_relalg.Row.t -> bool
-(** {!matches} on a packed row, reading each compared cell's canonical
-    value; the row is not boxed. *)
+val matches : t -> Codb_relalg.Row.t -> bool
+(** Requester-faithful filter on a packed row; see the module
+    preamble.  Each compared cell is read as its canonical value, and
+    the row is not boxed.  Malformed predicates (column beyond the
+    row's arity) conservatively keep the row. *)
 
 val specialize_rule : t -> Query.t -> [ `Unsatisfiable | `Specialized of Query.t | `Unchanged ]
 (** Fold a constraint on the rule's {e head tuples} into the rule

@@ -49,14 +49,11 @@ let equal_contents db1 db2 =
        (fun name -> Relation.equal_contents (relation db1 name) (relation db2 name))
        names1
 
-(* Sorting first makes the digest independent of insertion order and
-   of intern-slot numbering ({!Tuple.digest_fold}). *)
+(* [tuples] come sorted, which makes the digest independent of
+   insertion order and of intern-slot numbering ({!Tuple.digest_fold}). *)
 let digest db =
   List.fold_left
-    (fun h name ->
-      Tuple.digest_fold
-        (Tuple.digest_value h (Value.Str name))
-        (List.sort Tuple.compare (tuples db name)))
+    (fun h name -> Tuple.digest_fold (Tuple.digest_value h (Value.Str name)) (tuples db name))
     0
     (List.sort String.compare db.order)
 

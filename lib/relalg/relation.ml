@@ -7,11 +7,9 @@
    indexes, column statistics, subsumption — happens on packed ints:
    equality is integer equality, hashing never walks a string.
 
-   Boxed views are materialised lazily, one canonical [Tuple.t] per
-   row, memoised for the relation's lifetime, so repeated probes
-   allocate only result spines, never tuples.  [to_list] keeps the
-   seed's sorted order (and caches it) so iteration-order-dependent
-   behaviour is unchanged.
+   Nothing is kept boxed: [to_list] boxes a fresh tuple per row, in
+   the rows' sorted order, for the text and API boundary, and keeps
+   nothing.
 
    [copy] snapshots in O(columns): full chunks are write-once and
    shared between the copy and the original; only the partial tail
@@ -70,44 +68,6 @@ module Ichunks = struct
     { chunks; len = t.len }
 end
 
-module Tchunks = struct
-  (* same layout for memoised boxed rows; [[||]] marks "not yet
-     materialised" (a real tuple is never empty: schemas have >= 1
-     attribute) *)
-  type t = { mutable chunks : Tuple.t array array; mutable len : int }
-
-  let absent : Tuple.t = [||]
-
-  let create () = { chunks = [||]; len = 0 }
-
-  let get t i = t.chunks.(i lsr chunk_shift).(i land chunk_mask)
-
-  let set t i v = t.chunks.(i lsr chunk_shift).(i land chunk_mask) <- v
-
-  let push t v =
-    let slot = t.len land chunk_mask and outer = t.len lsr chunk_shift in
-    if slot = 0 then begin
-      if outer = Array.length t.chunks then begin
-        let grown = Array.make (max 4 (2 * outer)) [||] in
-        Array.blit t.chunks 0 grown 0 outer;
-        t.chunks <- grown
-      end;
-      t.chunks.(outer) <- Array.make (first_chunk outer) absent
-    end
-    else if slot = Array.length t.chunks.(outer) then
-      t.chunks.(outer) <- grow_chunk t.chunks.(outer) absent;
-    t.chunks.(outer).(slot) <- v;
-    t.len <- t.len + 1
-
-  let snapshot t =
-    let chunks = Array.copy t.chunks in
-    if t.len land chunk_mask <> 0 then begin
-      let tail = t.len lsr chunk_shift in
-      chunks.(tail) <- Array.copy chunks.(tail)
-    end;
-    { chunks; len = t.len }
-end
-
 (* growable row-id vectors: index buckets *)
 module Ivec = struct
   type t = { mutable data : int array; mutable len : int }
@@ -150,7 +110,6 @@ type t = {
   schema : Schema.t;
   arity : int;
   cols : Ichunks.t array;  (* packed values, one chunk store per column *)
-  boxed : Tchunks.t;  (* memoised canonical boxed rows *)
   mutable card : int;  (* rows are [0, card) *)
   row_index : (int, int list) Hashtbl.t;  (* content hash -> rows *)
   indexes : (int list, index) Hashtbl.t;
@@ -160,7 +119,6 @@ type t = {
   (* per-column zone maps: built on the first [pv_prune] touching the
      column, maintained incrementally after *)
   zones : zcol option array;
-  mutable sorted_cache : Tuple.t list option;
 }
 
 (* At most this many distinct hash indexes per relation; past it,
@@ -173,13 +131,11 @@ let create schema =
     schema;
     arity;
     cols = Array.init arity (fun _ -> Ichunks.create ());
-    boxed = Tchunks.create ();
     card = 0;
     row_index = Hashtbl.create 64;
     indexes = Hashtbl.create 4;
     col_counts = Array.make arity None;
     zones = Array.make arity None;
-    sorted_cache = None;
   }
 
 let schema r = r.schema
@@ -215,15 +171,7 @@ let find_row r packed =
     | None -> -1
     | Some bucket -> find_in r packed bucket
 
-(* canonical boxed view of a row, memoised *)
-let boxed_row r row =
-  let b = Tchunks.get r.boxed row in
-  if b != Tchunks.absent then b
-  else begin
-    let t = Array.init r.arity (fun c -> Intern.unpack (cell r c row)) in
-    Tchunks.set r.boxed row t;
-    t
-  end
+let row r id = Array.init r.arity (fun c -> cell r c id)
 
 (* ---- index maintenance ----------------------------------------------- *)
 
@@ -271,7 +219,6 @@ let zone_note z v row =
 
 let note_insert r row =
   r.card <- r.card + 1;
-  r.sorted_cache <- None;
   Hashtbl.iter (fun _ ix -> index_add ix r row) r.indexes;
   Array.iteri
     (fun col counts ->
@@ -320,7 +267,6 @@ let insert_row r row =
     for c = 0 to r.arity - 1 do
       Ichunks.push r.cols.(c) row.(c)
     done;
-    Tchunks.push r.boxed Tchunks.absent;
     Hashtbl.replace r.row_index h (row_id :: bucket);
     note_insert r row_id;
     true
@@ -336,23 +282,31 @@ let mem r t = mem_row r (Row.of_tuple t)
 
 (* ---- iteration ------------------------------------------------------- *)
 
+(* [Row.compare] on two stored rows of the same arity, read in
+   place *)
+let compare_ids r a b =
+  let rec from c =
+    if c >= r.arity then 0
+    else
+      let d = Intern.compare (cell r c a) (cell r c b) in
+      if d <> 0 then d else from (c + 1)
+  in
+  from 0
+
+let sorted_ids r =
+  let ids = Array.init r.card Fun.id in
+  Array.sort (compare_ids r) ids;
+  ids
+
 let to_list r =
-  match r.sorted_cache with
-  | Some l -> l
-  | None ->
-      let acc = ref [] in
-      for row = 0 to r.card - 1 do
-        acc := boxed_row r row :: !acc
-      done;
-      let sorted = List.sort Tuple.compare !acc in
-      r.sorted_cache <- Some sorted;
-      sorted
+  Array.fold_right
+    (fun id acc -> Array.init r.arity (fun c -> Intern.unpack (cell r c id)) :: acc)
+    (sorted_ids r) []
 
 let copy r =
   {
     r with
     cols = Array.map Ichunks.snapshot r.cols;
-    boxed = Tchunks.snapshot r.boxed;
     row_index = Hashtbl.copy r.row_index;
     indexes = Hashtbl.create 4;
     col_counts = Array.make r.arity None;
@@ -363,10 +317,7 @@ let equal_contents r1 r2 =
   r1.card = r2.card
   && (r1.arity = r2.arity || r1.card = 0)
   &&
-  let rec from row =
-    row >= r1.card
-    || (find_row r2 (Array.init r1.arity (fun c -> cell r1 c row)) >= 0 && from (row + 1))
-  in
+  let rec from id = id >= r1.card || (find_row r2 (row r1 id) >= 0 && from (id + 1)) in
   from 0
 
 (* ---- probes ---------------------------------------------------------- *)

@@ -9,10 +9,12 @@
     Storage is {e columnar over interned values}: each tuple is a row
     of packed ints (one per column, see {!Intern}) held in growable
     column chunks, and row ids are exactly [0, cardinal), so equality
-    is integer equality and probing never walks a boxed string.  Boxed
-    {!Tuple.t} views are materialised lazily — one canonical tuple per
-    row, memoised — and every tuple this module hands out is canonical
-    in the sense of {!Tuple.canonical}.
+    is integer equality and probing never walks a boxed string.
+    Nothing is kept boxed: the packed row ({!Row.t}) is the one form
+    below the API, and the boxed entry points ({!insert}, {!mem},
+    {!subsumed}, {!to_list}) pack or unpack at the call.  Every tuple
+    this module hands out is canonical in the sense of
+    {!Tuple.canonical}.
 
     Equality probes go through {!packed_view}'s [pv_probe], served from
     hash indexes keyed by packed column values (row-id buckets).
@@ -83,8 +85,16 @@ val index_count : t -> int
 (** Number of indexes currently built. *)
 
 val to_list : t -> Tuple.t list
-(** Tuples in {!Tuple.compare} order (cached until the next
-    insert). *)
+(** Tuples in {!Tuple.compare} order, boxed afresh from
+    {!sorted_ids} on every call. *)
+
+val sorted_ids : t -> int array
+(** Every row id, ordered by {!Row.compare} on the rows (which is
+    {!Tuple.compare}'s order on the boxed tuples).  Sorted afresh on
+    every call. *)
+
+val row : t -> int -> Row.t
+(** A fresh copy of the row with this id. *)
 
 val copy : t -> t
 

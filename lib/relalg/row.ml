@@ -30,6 +30,14 @@ let rec hole_from (row : t) j = j < Array.length row && (Intern.is_hole row.(j) 
 
 let has_hole row = hole_from row 0
 
+let has_null row = Array.exists Intern.is_null row
+
+let size_bytes row =
+  Array.fold_left
+    (fun acc p -> acc + Value.size_bytes (Intern.unpack p))
+    (Value.varint_size (Array.length row))
+    row
+
 let instantiate_holes ~rule row =
   if not (has_hole row) then row
   else begin
@@ -48,6 +56,12 @@ let instantiate_holes ~rule row =
               null)
       row
   end
+
+module Set = Set.Make (struct
+  type nonrec t = t
+
+  let compare = compare
+end)
 
 module Table = Hashtbl.Make (struct
   type nonrec t = t

@@ -29,10 +29,21 @@ val hash : t -> int
 
 val has_hole : t -> bool
 
+val has_null : t -> bool
+(** Does the row hold a marked null?  Rows without nulls are the
+    certain answers ({!Tuple.has_null}). *)
+
+val size_bytes : t -> int
+(** {!Tuple.size_bytes} of the boxed tuple, read off the cells. *)
+
 val instantiate_holes : rule:string -> t -> t
 (** A copy with every hole replaced by a fresh marked null labelled
     [rule], minted left to right; the same hole twice gets the same
     null.  A row without holes is returned as is. *)
+
+module Set : Set.S with type elt = t
+(** Row sets in {!compare} order: standing-query answers and the
+    answer-push buffers. *)
 
 module Table : Hashtbl.S with type key = t
 (** Rows keyed by every cell (the generic [Hashtbl.hash] reads only

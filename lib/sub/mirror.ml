@@ -1,14 +1,13 @@
 module Peer_id = Codb_net.Peer_id
 module Query = Codb_cq.Query
-module Tuple = Codb_relalg.Tuple
-module Tuple_set = Codb_relalg.Relation.Tuple_set
+module Row = Codb_relalg.Row
 
 type t = {
   mi_id : string;
   mi_host : Peer_id.t;
   mi_query : Query.t;
   mi_on_delta : (Subscription.delta -> unit) option;
-  mutable mi_answers : Tuple_set.t;
+  mutable mi_answers : Row.Set.t;
   mutable mi_deltas : int;
   mutable mi_accepted : bool;
   mutable mi_rejected : string option;
@@ -20,7 +19,7 @@ let create ~sub_id ~host ?on_delta query =
     mi_host = host;
     mi_query = query;
     mi_on_delta = on_delta;
-    mi_answers = Tuple_set.empty;
+    mi_answers = Row.Set.empty;
     mi_deltas = 0;
     mi_accepted = false;
     mi_rejected = None;
@@ -32,9 +31,9 @@ let host t = t.mi_host
 
 let query t = t.mi_query
 
-let answers t = Tuple_set.elements t.mi_answers
+let answers t = Row.Set.elements t.mi_answers
 
-let answer_count t = Tuple_set.cardinal t.mi_answers
+let answer_count t = Row.Set.cardinal t.mi_answers
 
 let deltas t = t.mi_deltas
 
@@ -59,9 +58,9 @@ let notify t d = match t.mi_on_delta with None -> () | Some f -> f d
    merges into the same set. *)
 let apply t (d : Subscription.delta) =
   t.mi_answers <-
-    List.fold_left (fun s tu -> Tuple_set.add tu s) t.mi_answers d.d_adds;
+    List.fold_left (fun s row -> Row.Set.add row s) t.mi_answers d.d_adds;
   t.mi_answers <-
-    List.fold_left (fun s tu -> Tuple_set.remove tu s) t.mi_answers d.d_retracts;
+    List.fold_left (fun s row -> Row.Set.remove row s) t.mi_answers d.d_retracts;
   t.mi_deltas <- t.mi_deltas + 1;
   notify t d
 
@@ -69,7 +68,7 @@ let apply t (d : Subscription.delta) =
    restarted without its store no longer derives some answers, and
    only what it sends from now on says which. *)
 let reset t ~tag =
-  let gone = Tuple_set.elements t.mi_answers in
-  t.mi_answers <- Tuple_set.empty;
+  let gone = Row.Set.elements t.mi_answers in
+  t.mi_answers <- Row.Set.empty;
   if gone <> [] then
     notify t { Subscription.d_adds = []; d_retracts = gone; d_tag = tag }

@@ -10,7 +10,7 @@
 
 module Peer_id = Codb_net.Peer_id
 module Query = Codb_cq.Query
-module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 
 type t
 
@@ -27,8 +27,8 @@ val host : t -> Peer_id.t
 
 val query : t -> Query.t
 
-val answers : t -> Tuple.t list
-(** In {!Tuple.compare} order. *)
+val answers : t -> Row.t list
+(** In {!Row.compare} order. *)
 
 val answer_count : t -> int
 

@@ -1,10 +1,9 @@
 module Peer_id = Codb_net.Peer_id
-module Tuple = Codb_relalg.Tuple
-module Tuple_set = Codb_relalg.Relation.Tuple_set
+module Row = Codb_relalg.Row
 
 type pending = {
-  mutable p_adds : Tuple_set.t;
-  mutable p_retracts : Tuple_set.t;
+  mutable p_adds : Row.Set.t;
+  mutable p_retracts : Row.Set.t;
   mutable p_tag : string;
 }
 
@@ -23,7 +22,7 @@ let buf_for (t : t) dst =
       b
 
 (* An add cancels a pending retract of the same answer (and vice
-   versa); a duplicate is absorbed.  Either way the tuple never
+   versa); a duplicate is absorbed.  Either way the row never
    reaches the wire — that is the coalescing the window buys. *)
 let add (t : t) ~dst ~sub_id (d : Subscription.delta) =
   let b = buf_for t dst in
@@ -32,29 +31,29 @@ let add (t : t) ~dst ~sub_id (d : Subscription.delta) =
     | Some p -> p
     | None ->
         let p =
-          { p_adds = Tuple_set.empty; p_retracts = Tuple_set.empty; p_tag = "" }
+          { p_adds = Row.Set.empty; p_retracts = Row.Set.empty; p_tag = "" }
         in
         Hashtbl.replace b.entries sub_id p;
         p
   in
   let coalesced = ref 0 in
   List.iter
-    (fun tu ->
-      if Tuple_set.mem tu p.p_retracts then begin
-        p.p_retracts <- Tuple_set.remove tu p.p_retracts;
+    (fun row ->
+      if Row.Set.mem row p.p_retracts then begin
+        p.p_retracts <- Row.Set.remove row p.p_retracts;
         incr coalesced
       end
-      else if Tuple_set.mem tu p.p_adds then incr coalesced
-      else p.p_adds <- Tuple_set.add tu p.p_adds)
+      else if Row.Set.mem row p.p_adds then incr coalesced
+      else p.p_adds <- Row.Set.add row p.p_adds)
     d.Subscription.d_adds;
   List.iter
-    (fun tu ->
-      if Tuple_set.mem tu p.p_adds then begin
-        p.p_adds <- Tuple_set.remove tu p.p_adds;
+    (fun row ->
+      if Row.Set.mem row p.p_adds then begin
+        p.p_adds <- Row.Set.remove row p.p_adds;
         incr coalesced
       end
-      else if Tuple_set.mem tu p.p_retracts then incr coalesced
-      else p.p_retracts <- Tuple_set.add tu p.p_retracts)
+      else if Row.Set.mem row p.p_retracts then incr coalesced
+      else p.p_retracts <- Row.Set.add row p.p_retracts)
     d.Subscription.d_retracts;
   p.p_tag <- (if p.p_tag = "" then d.Subscription.d_tag else "coalesced");
   !coalesced
@@ -73,8 +72,8 @@ let take (t : t) ~dst =
           (fun sub_id p acc ->
             let d =
               {
-                Subscription.d_adds = Tuple_set.elements p.p_adds;
-                d_retracts = Tuple_set.elements p.p_retracts;
+                Subscription.d_adds = Row.Set.elements p.p_adds;
+                d_retracts = Row.Set.elements p.p_retracts;
                 d_tag = p.p_tag;
               }
             in
@@ -90,7 +89,7 @@ let pending_tuples (t : t) =
     (fun _ b acc ->
       Hashtbl.fold
         (fun _ p acc ->
-          acc + Tuple_set.cardinal p.p_adds + Tuple_set.cardinal p.p_retracts)
+          acc + Row.Set.cardinal p.p_adds + Row.Set.cardinal p.p_retracts)
         b.entries acc)
     t 0
 

@@ -27,7 +27,7 @@ val set_scheduled : t -> dst:Peer_id.t -> bool -> unit
 
 val take : t -> dst:Peer_id.t -> (string * Subscription.delta) list
 (** Drain the destination's buffer: non-empty coalesced deltas in
-    sub_id order, adds/retracts in {!Codb_relalg.Tuple.compare}
+    sub_id order, adds/retracts in {!Codb_relalg.Row.compare}
     order. *)
 
 val pending_tuples : t -> int

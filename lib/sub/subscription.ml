@@ -1,12 +1,11 @@
 module Query = Codb_cq.Query
 module Eval = Codb_cq.Eval
 module Specialize = Codb_cq.Specialize
-module Tuple = Codb_relalg.Tuple
-module Tuple_set = Codb_relalg.Relation.Tuple_set
+module Row = Codb_relalg.Row
 
 type delta = {
-  d_adds : Tuple.t list;
-  d_retracts : Tuple.t list;
+  d_adds : Row.t list;
+  d_retracts : Row.t list;
   d_tag : string;
 }
 
@@ -23,7 +22,7 @@ type t = {
   query : Query.t;
   rels : string list;
   constraints : (string * Specialize.t) list;
-  mutable answers : Tuple_set.t;
+  mutable answers : Row.Set.t;
   mutable deltas_delivered : int;
 }
 
@@ -47,7 +46,7 @@ let create ?(pushdown = false) ~sub_id query =
           query;
           rels;
           constraints;
-          answers = Tuple_set.empty;
+          answers = Row.Set.empty;
           deltas_delivered = 0;
         }
 
@@ -57,9 +56,9 @@ let query t = t.query
 
 let reads t rel = List.exists (String.equal rel) t.rels
 
-let answers t = Tuple_set.elements t.answers
+let answers t = Row.Set.elements t.answers
 
-let answer_count t = Tuple_set.cardinal t.answers
+let answer_count t = Row.Set.cardinal t.answers
 
 let deltas_delivered t = t.deltas_delivered
 
@@ -67,19 +66,19 @@ let note_delivered t = t.deltas_delivered <- t.deltas_delivered + 1
 
 let constraint_for t rel = List.assoc_opt rel t.constraints
 
-let prefilter t ~rel tuples =
+let prefilter t ~rel rows =
   match List.assoc_opt rel t.constraints with
-  | None -> (tuples, 0)
+  | None -> (rows, 0)
   | Some c ->
-      let kept = List.filter (Specialize.matches c) tuples in
-      (kept, List.length tuples - List.length kept)
+      let kept = List.filter (Specialize.matches c) rows in
+      (kept, List.length rows - List.length kept)
 
-(* Fold freshly derived head tuples (distinct and sorted) into the
+(* Fold freshly derived head rows (distinct and sorted) into the
    answer set; only the genuinely new ones become the delta's adds.
    Incremental maintenance over a monotone store never retracts. *)
 let absorb t heads ~tag =
-  let adds = List.filter (fun tu -> not (Tuple_set.mem tu t.answers)) heads in
-  t.answers <- List.fold_left (fun s tu -> Tuple_set.add tu s) t.answers adds;
+  let adds = List.filter (fun row -> not (Row.Set.mem row t.answers)) heads in
+  t.answers <- List.fold_left (fun s row -> Row.Set.add row s) t.answers adds;
   { d_adds = adds; d_retracts = []; d_tag = tag }
 
 let apply_delta t ~source ~delta_rel ~since ~delta ~tag =
@@ -90,22 +89,19 @@ let apply_delta t ~source ~delta_rel ~since ~delta ~tag =
   let d =
     if delta = [] then { d_adds = []; d_retracts = []; d_tag = tag }
     else
-      absorb t
-        (List.map Codb_relalg.Row.to_tuple
-           (Eval.delta_heads source ~delta_rel ~since ~delta t.query))
-        ~tag
+      absorb t (Eval.delta_heads source ~delta_rel ~since ~delta t.query) ~tag
   in
   (d, dropped)
 
 let refresh t ~source ~tag =
-  let current = Tuple_set.of_list (Eval.answer_tuples source t.query) in
-  let adds = Tuple_set.elements (Tuple_set.diff current t.answers) in
-  let retracts = Tuple_set.elements (Tuple_set.diff t.answers current) in
+  let current = Row.Set.of_list (Eval.answer_rows source t.query) in
+  let adds = Row.Set.elements (Row.Set.diff current t.answers) in
+  let retracts = Row.Set.elements (Row.Set.diff t.answers current) in
   t.answers <- current;
   { d_adds = adds; d_retracts = retracts; d_tag = tag }
 
 let reevaluate t ~source ~tag =
-  let current = Tuple_set.of_list (Eval.answer_tuples source t.query) in
-  let retracts = Tuple_set.elements (Tuple_set.diff t.answers current) in
+  let current = Row.Set.of_list (Eval.answer_rows source t.query) in
+  let retracts = Row.Set.elements (Row.Set.diff t.answers current) in
   t.answers <- current;
-  { d_adds = Tuple_set.elements current; d_retracts = retracts; d_tag = tag }
+  { d_adds = Row.Set.elements current; d_retracts = retracts; d_tag = tag }

@@ -23,11 +23,11 @@
 module Query = Codb_cq.Query
 module Eval = Codb_cq.Eval
 module Specialize = Codb_cq.Specialize
-module Tuple = Codb_relalg.Tuple
+module Row = Codb_relalg.Row
 
 type delta = {
-  d_adds : Tuple.t list;  (** answers that became true *)
-  d_retracts : Tuple.t list;  (** answers no longer derivable *)
+  d_adds : Row.t list;  (** answers that became true *)
+  d_retracts : Row.t list;  (** answers no longer derivable *)
   d_tag : string;
       (** provenance: which update/rule/hop produced the store change
           this answer delta reflects *)
@@ -58,8 +58,8 @@ val query : t -> Query.t
 val reads : t -> string -> bool
 (** Does the query body mention this relation? *)
 
-val answers : t -> Tuple.t list
-(** Current answer set, in {!Tuple.compare} order. *)
+val answers : t -> Row.t list
+(** Current answer set, in {!Row.compare} order. *)
 
 val answer_count : t -> int
 
@@ -71,8 +71,8 @@ val constraint_for : t -> string -> Specialize.t option
 (** The prefilter registered for a body relation, if any ([Any]
     constraints are never registered). *)
 
-val prefilter : t -> rel:string -> Tuple.t list -> Tuple.t list * int
-(** Keep only delta tuples that can contribute through some atom over
+val prefilter : t -> rel:string -> Row.t list -> Row.t list * int
+(** Keep only delta rows that can contribute through some atom over
     [rel]; also returns how many were dropped. *)
 
 val apply_delta :
@@ -80,7 +80,7 @@ val apply_delta :
   source:Eval.source ->
   delta_rel:string ->
   since:int ->
-  delta:Tuple.t list ->
+  delta:Row.t list ->
   tag:string ->
   delta * int
 (** Incremental maintenance: prefilter the store delta, run the

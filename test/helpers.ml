@@ -24,6 +24,9 @@ let packed tuples = List.map Row.of_tuple tuples
 
 let boxed rows = List.map Row.to_tuple rows
 
+(* A user query's answers, boxed for checking. *)
+let answer_tuples source q = boxed (Eval.answer_rows source q)
+
 let v name = Term.Var name
 
 let c value = Term.Cst value

@@ -5,7 +5,7 @@ let rule_query =
   Query.make ~head:(atom "h" [ v "x"; v "z" ]) ~body:[ atom "r" [ v "x"; v "y" ] ] ()
 
 (* The head projector over r = [rows]. *)
-let heads q rows = boxed (Eval.heads (Eval.source_of_alist [ ("r", rows) ]) q)
+let heads q rows = boxed (Eval.heads (Eval.source_of_alist [ ("r", packed rows) ]) q)
 
 let test_head_tuples_with_holes () =
   let tuples = heads rule_query [ tup [ i 1; i 10 ] ] in

@@ -111,14 +111,14 @@ let test_normalize_alpha_variants () =
   Alcotest.(check bool) "different query, different key" true (k1 <> k3)
 
 let answers_pair () =
-  [ tup [ i 1; i 2 ]; tup [ i 5; i 6 ] ]
+  packed [ tup [ i 1; i 2 ]; tup [ i 5; i 6 ] ]
 
 let test_containment_hit_filters () =
   let cached = parse_query "ans(x, y) <- data(x, y)" in
   let narrow = parse_query "ans(x, y) <- data(x, y), x > 2" in
   match Qcache.answers_via_containment ~cached ~answers:(answers_pair ()) narrow with
   | None -> Alcotest.fail "narrow query not served"
-  | Some answers -> check_tuples "filtered" [ tup [ i 5; i 6 ] ] answers
+  | Some answers -> check_tuples "filtered" [ tup [ i 5; i 6 ] ] (boxed answers)
 
 let test_containment_hit_permutes_head () =
   let cached = parse_query "ans(x, y) <- data(x, y)" in
@@ -126,14 +126,14 @@ let test_containment_hit_permutes_head () =
   match Qcache.answers_via_containment ~cached ~answers:(answers_pair ()) swapped with
   | None -> Alcotest.fail "permuted query not served"
   | Some answers ->
-      check_tuples "columns swapped" [ tup [ i 2; i 1 ]; tup [ i 6; i 5 ] ] answers
+      check_tuples "columns swapped" [ tup [ i 2; i 1 ]; tup [ i 6; i 5 ] ] (boxed answers)
 
 let test_containment_hit_equivalent () =
   let cached = parse_query "ans(x, y) <- data(x, y), x > 2" in
   let variant = parse_query "ans(a, b) <- data(a, b), a > 2" in
   match Qcache.answers_via_containment ~cached ~answers:(answers_pair ()) variant with
   | None -> Alcotest.fail "alpha-variant not served"
-  | Some answers -> check_tuples "answers as cached" (answers_pair ()) answers
+  | Some answers -> check_tuples "answers as cached" (boxed (answers_pair ())) (boxed answers)
 
 let test_containment_hit_refused () =
   let cached1 = parse_query "ans(x) <- data(x, y)" in
@@ -141,7 +141,7 @@ let test_containment_hit_refused () =
      applied over the cached answers *)
   Alcotest.(check bool) "unexposed variable refused" true
     (Qcache.answers_via_containment ~cached:cached1
-       ~answers:[ tup [ i 1 ] ]
+       ~answers:(packed [ tup [ i 1 ] ])
        (parse_query "ans(x) <- data(x, y), y > 2")
     = None);
   (* not contained at all *)
@@ -158,7 +158,7 @@ let test_qcache_exact_and_invalidation () =
   Qcache.store cache q (answers_pair ()) ~sources:[ self; peer ];
   (match Qcache.lookup cache q with
   | Some { Qcache.kind = Qcache.Exact; answers } ->
-      check_tuples "exact answers" (answers_pair ()) answers
+      check_tuples "exact answers" (boxed (answers_pair ())) (boxed answers)
   | Some { Qcache.kind = Qcache.By_containment; _ } -> Alcotest.fail "expected exact"
   | None -> Alcotest.fail "expected a hit");
   Alcotest.(check int) "one entry newly staled" 1 (Qcache.note_update cache [ peer ]);
@@ -180,7 +180,7 @@ let test_qcache_containment_switch () =
   in
   (match run ~containment:true with
   | Some { Qcache.kind = Qcache.By_containment; answers } ->
-      check_tuples "narrow served" [ tup [ i 5; i 6 ] ] answers
+      check_tuples "narrow served" [ tup [ i 5; i 6 ] ] (boxed answers)
   | _ -> Alcotest.fail "containment hit expected");
   Alcotest.(check bool) "ablated: miss" true (run ~containment:false = None)
 

@@ -29,6 +29,7 @@ let () =
       ("wrapper", Test_wrapper.suite);
       ("stats", Test_stats.suite);
       ("payload", Test_payload.suite);
+      ("bytes", Test_bytes.suite);
       ("codec", Test_codec.suite);
       ("wire", Test_wire.suite);
       ("states", Test_states.suite);

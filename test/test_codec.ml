@@ -152,17 +152,17 @@ let payload_samples () =
       { sub_id = "n0/s2"; accepted = false; reason = "registry full" };
     Payload.Sub_unregister { sub_id = "n0/s1" };
     Payload.Answer_delta
-      { sub_id = "n0/s1"; adds = kitchen_sink_tuples; retracts = [ tup [ i 9 ] ];
+      { sub_id = "n0/s1"; adds = packed kitchen_sink_tuples; retracts = packed [ tup [ i 9 ] ];
         tag = "seed" };
     Payload.Answer_delta { sub_id = "n0/s1"; adds = []; retracts = []; tag = "" };
     Payload.Answer_batch { entries = [] };
     Payload.Answer_batch
       { entries =
           [
-            { Payload.se_sub = "n0/s1"; se_adds = kitchen_sink_tuples;
+            { Payload.se_sub = "n0/s1"; se_adds = packed kitchen_sink_tuples;
               se_retracts = []; se_tag = "coalesced" };
             { Payload.se_sub = "n0/s2"; se_adds = [];
-              se_retracts = [ tup [ i 3; s "gone" ] ]; se_tag = "u1 via r1 hop 2" };
+              se_retracts = packed [ tup [ i 3; s "gone" ] ]; se_tag = "u1 via r1 hop 2" };
           ] };
   ]
 
@@ -375,7 +375,8 @@ let gen_sub_entry =
   let* adds = gen_tuples in
   let* retracts = gen_tuples in
   let* tag = gen_small_string in
-  return { Payload.se_sub = sub; se_adds = adds; se_retracts = retracts; se_tag = tag }
+  return
+    { Payload.se_sub = sub; se_adds = packed adds; se_retracts = packed retracts; se_tag = tag }
 
 let gen_payload_flat =
   let open Gen in
@@ -452,7 +453,9 @@ let gen_payload_flat =
        let* adds = gen_tuples in
        let* retracts = gen_tuples in
        let* tag = gen_small_string in
-       return (Payload.Answer_delta { sub_id; adds; retracts; tag }));
+       return
+         (Payload.Answer_delta
+            { sub_id; adds = packed adds; retracts = packed retracts; tag }));
       map
         (fun entries -> Payload.Answer_batch { entries })
         (list_size (int_range 0 4) gen_sub_entry);

@@ -16,7 +16,7 @@ let sample_db () =
 let test_single_atom_scan () =
   let db = sample_db () in
   let q = parse_query "ans(x, y) <- r(x, y)" in
-  let answers = Eval.answer_tuples (Eval.of_database db) q in
+  let answers = answer_tuples (Eval.of_database db) q in
   check_tuples "all of r"
     [ tup [ i 1; i 10 ]; tup [ i 2; i 20 ]; tup [ i 3; i 10 ] ]
     answers
@@ -24,7 +24,7 @@ let test_single_atom_scan () =
 let test_join () =
   let db = sample_db () in
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
-  let answers = Eval.answer_tuples (Eval.of_database db) q in
+  let answers = answer_tuples (Eval.of_database db) q in
   check_tuples "join"
     [ tup [ i 1; s "x" ]; tup [ i 2; s "y" ]; tup [ i 3; s "x" ] ]
     answers
@@ -33,23 +33,23 @@ let test_constant_selection () =
   let db = sample_db () in
   let q = parse_query "ans(y) <- r(1, y)" in
   check_tuples "constant in atom" [ tup [ i 10 ] ]
-    (Eval.answer_tuples (Eval.of_database db) q)
+    (answer_tuples (Eval.of_database db) q)
 
 let test_repeated_variable () =
   let db =
     db_of [ r_schema ] [ ("r", tup [ i 1; i 1 ]); ("r", tup [ i 1; i 2 ]) ]
   in
   let q = parse_query "ans(x) <- r(x, x)" in
-  check_tuples "diagonal" [ tup [ i 1 ] ] (Eval.answer_tuples (Eval.of_database db) q)
+  check_tuples "diagonal" [ tup [ i 1 ] ] (answer_tuples (Eval.of_database db) q)
 
 let test_comparisons () =
   let db = sample_db () in
   let q = parse_query "ans(x, b) <- r(x, b), b >= 20" in
   check_tuples "b >= 20" [ tup [ i 2; i 20 ] ]
-    (Eval.answer_tuples (Eval.of_database db) q);
+    (answer_tuples (Eval.of_database db) q);
   let q2 = parse_query "ans(x) <- r(x, b), x != 3, b = 10" in
   check_tuples "x != 3, b = 10" [ tup [ i 1 ] ]
-    (Eval.answer_tuples (Eval.of_database db) q2)
+    (answer_tuples (Eval.of_database db) q2)
 
 let test_variable_to_variable_comparison () =
   let db =
@@ -57,7 +57,7 @@ let test_variable_to_variable_comparison () =
   in
   let q = parse_query "ans(x, y) <- r(x, y), x < y" in
   check_tuples "x < y" [ tup [ i 1; i 5 ] ]
-    (Eval.answer_tuples (Eval.of_database db) q)
+    (answer_tuples (Eval.of_database db) q)
 
 let test_self_join () =
   (* paths of length 2 in r seen as an edge relation *)
@@ -68,17 +68,17 @@ let test_self_join () =
   let q = parse_query "ans(x, z) <- r(x, y), r(y, z)" in
   check_tuples "two-step paths"
     [ tup [ i 1; i 3 ]; tup [ i 2; i 4 ] ]
-    (Eval.answer_tuples (Eval.of_database db) q)
+    (answer_tuples (Eval.of_database db) q)
 
 let test_empty_relation () =
   let db = db_of [ r_schema; s_schema ] [ ("r", tup [ i 1; i 10 ]) ] in
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
-  check_tuples "empty join" [] (Eval.answer_tuples (Eval.of_database db) q)
+  check_tuples "empty join" [] (answer_tuples (Eval.of_database db) q)
 
 let test_unknown_relation_is_empty () =
   let db = sample_db () in
   let q = parse_query "ans(x) <- zzz(x)" in
-  check_tuples "unknown rel" [] (Eval.answer_tuples (Eval.of_database db) q)
+  check_tuples "unknown rel" [] (answer_tuples (Eval.of_database db) q)
 
 let test_nulls_join_by_identity () =
   let null = Value.fresh_null ~rule:"t" in
@@ -91,7 +91,7 @@ let test_nulls_join_by_identity () =
   in
   let q = parse_query "ans(x, c) <- rn(x, b), sn(b, c)" in
   check_tuples "join through the same null" [ tup [ i 1; i 7 ] ]
-    (Eval.answer_tuples (Eval.of_database db) q)
+    (answer_tuples (Eval.of_database db) q)
 
 (* A deliberately naive reference evaluator: enumerate all tuple
    combinations, check every atom and comparison.  Used to validate
@@ -163,7 +163,7 @@ let test_against_reference () =
     (fun text ->
       let q = parse_query text in
       let source = Eval.of_database db in
-      check_tuples text (reference_answers db q) (Eval.answer_tuples source q))
+      check_tuples text (reference_answers db q) (answer_tuples source q))
     queries
 
 let test_indexed_equals_scan () =
@@ -172,12 +172,13 @@ let test_indexed_equals_scan () =
   let db = sample_db () in
   let indexed = Eval.of_database db in
   let scan =
-    Eval.source_of_alist [ ("r", Database.tuples db "r"); ("s", Database.tuples db "s") ]
+    Eval.source_of_alist
+      [ ("r", packed (Database.tuples db "r")); ("s", packed (Database.tuples db "s")) ]
   in
   List.iter
     (fun text ->
       let q = parse_query text in
-      check_tuples text (Eval.answer_tuples scan q) (Eval.answer_tuples indexed q))
+      check_tuples text (answer_tuples scan q) (answer_tuples indexed q))
     [
       "ans(x, y) <- r(x, y)";
       "ans(x, c) <- r(x, b), s(b, c)";
@@ -191,7 +192,7 @@ let test_probe_with_wrong_arity_atom () =
      index raise *)
   let db = sample_db () in
   let q = parse_query "ans(x) <- r(1, x, x)" in
-  check_tuples "no match" [] (Eval.answer_tuples (Eval.of_database db) q)
+  check_tuples "no match" [] (answer_tuples (Eval.of_database db) q)
 
 let test_delta_basic () =
   (* delta evaluation only derives answers involving the delta *)
@@ -200,7 +201,9 @@ let test_delta_basic () =
   let since = Relation.cardinal (Database.relation db "r") in
   ignore (Database.insert_all db "r" delta);
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
-  let tuples = boxed (Eval.delta_heads (Eval.of_database db) ~delta_rel:"r" ~since ~delta q) in
+  let tuples =
+    boxed (Eval.delta_heads (Eval.of_database db) ~delta_rel:"r" ~since ~delta:(packed delta) q)
+  in
   check_tuples "only delta-derived" [ tup [ i 9; s "y" ] ] tuples
 
 let test_delta_no_mention () =
@@ -208,7 +211,7 @@ let test_delta_no_mention () =
   let q = parse_query "ans(b, c) <- s(b, c)" in
   let substs =
     Eval.delta_answers (Eval.of_database db) ~delta_rel:"r" ~since:0
-      ~delta:[ tup [ i 1; i 10 ] ] q
+      ~delta:(packed [ tup [ i 1; i 10 ] ]) q
   in
   Alcotest.(check int) "irrelevant delta" 0 (List.length substs)
 
@@ -220,15 +223,17 @@ let test_delta_self_join_complete_and_exact () =
   let edge = Schema.make "e" [ ("a", Value.Tint); ("b", Value.Tint) ] in
   let db = db_of [ edge ] [ ("e", tup [ i 1; i 2 ]) ] in
   let q = parse_query "ans(x, z) <- e(x, y), e(y, z)" in
-  let before = Eval.answer_tuples (Eval.of_database db) q in
+  let before = answer_tuples (Eval.of_database db) q in
   let delta = [ tup [ i 2; i 3 ]; tup [ i 3; i 1 ] ] in
   let since = Relation.cardinal (Database.relation db "e") in
   ignore (Database.insert_all db "e" delta);
-  let after = Eval.answer_tuples (Eval.of_database db) q in
+  let after = answer_tuples (Eval.of_database db) q in
   let gained =
     List.filter (fun t -> not (List.exists (Tuple.equal t) before)) after
   in
-  let derived = boxed (Eval.delta_heads (Eval.of_database db) ~delta_rel:"e" ~since ~delta q) in
+  let derived =
+    boxed (Eval.delta_heads (Eval.of_database db) ~delta_rel:"e" ~since ~delta:(packed delta) q)
+  in
   check_tuples "delta derives exactly the gain" gained derived
 
 let test_delta_naive_mode_matches_full () =
@@ -237,10 +242,10 @@ let test_delta_naive_mode_matches_full () =
   let tuples =
     boxed
       (Eval.delta_heads ~naive:true (Eval.of_database db) ~delta_rel:"r" ~since:0
-         ~delta:[ tup [ i 1; i 10 ] ] q)
+         ~delta:(packed [ tup [ i 1; i 10 ] ]) q)
   in
   check_tuples "naive = full re-evaluation"
-    (Eval.answer_tuples (Eval.of_database db) q)
+    (answer_tuples (Eval.of_database db) q)
     tuples
 
 let test_certain_filters_nulls () =
@@ -256,7 +261,7 @@ let test_answer_tuples_rejects_existential_head () =
   Alcotest.(check bool)
     "raises" true
     (try
-       ignore (Eval.answer_tuples (Eval.of_database db) q);
+       ignore (answer_tuples (Eval.of_database db) q);
        false
      with Invalid_argument _ -> true)
 
@@ -270,7 +275,7 @@ let test_zone_maps_answers_unchanged () =
   let q = parse_query "ans(x, y) <- r(x, y), x < 120, y > 10" in
   let source = Eval.of_database db in
   Eval.reset_counters ();
-  let answers = Eval.answer_tuples source q in
+  let answers = answer_tuples source q in
   check_tuples "the pruned scan answers like a full one"
     (reference_answers db q) answers;
   let c = Eval.counters () in
@@ -280,11 +285,11 @@ let test_zone_maps_answers_unchanged () =
 (* A row list mixing widths: each atom sees only the rows of its own
    width — never a longer row's prefix, never an out-of-range cell. *)
 let test_mixed_widths () =
-  let source = Eval.source_of_alist [ ("r", [ tup [ i 1 ]; tup [ i 2; i 3 ] ]) ] in
+  let source = Eval.source_of_alist [ ("r", packed [ tup [ i 1 ]; tup [ i 2; i 3 ] ]) ] in
   check_tuples "unary atom: only the 1-tuple" [ tup [ i 1 ] ]
-    (Eval.answer_tuples source (parse_query "ans(x) <- r(x)"));
+    (answer_tuples source (parse_query "ans(x) <- r(x)"));
   check_tuples "binary atom: only the 2-tuple" [ tup [ i 2; i 3 ] ]
-    (Eval.answer_tuples source (parse_query "ans(x, y) <- r(x, y)"))
+    (answer_tuples source (parse_query "ans(x, y) <- r(x, y)"))
 
 (* Semi-naive evaluation costs the delta, not the relation: a
    single-atom rule never reads the pre-delta relation, so a 5-row
@@ -296,7 +301,7 @@ let test_delta_allocation_independent_of_relation () =
     ignore (Database.insert_all db "r" (List.init rows (fun k -> tup [ i k; i (k mod 7) ])));
     let since = Relation.cardinal (Database.relation db "r") in
     let delta =
-      Database.insert_all db "r" (List.init 5 (fun k -> tup [ i (rows + k); i 0 ]))
+      packed (Database.insert_all db "r" (List.init 5 (fun k -> tup [ i (rows + k); i 0 ])))
     in
     let source = Eval.of_database db in
     let run () = Eval.delta_answers source ~delta_rel:"r" ~since ~delta q in
@@ -322,7 +327,7 @@ let test_delta_named_by_watermark () =
   let delta = Database.insert_all db "e" [ tup [ i 2; i 3 ]; tup [ i 3; i 1 ] ] in
   let source = Eval.of_database db in
   check_tuples "same heads as the named delta"
-    (boxed (Eval.delta_heads source ~delta_rel:"e" ~since ~delta q))
+    (boxed (Eval.delta_heads source ~delta_rel:"e" ~since ~delta:(packed delta) q))
     (boxed (Eval.delta_heads source ~delta_rel:"e" ~since q));
   Alcotest.(check int) "an empty suffix derives nothing" 0
     (List.length (Eval.delta_heads source ~delta_rel:"e" ~since:4 q))

@@ -53,14 +53,14 @@ let samples =
       { sub_id = "n0/s1"; accepted = false; reason = "registry full" };
     Payload.Sub_unregister { sub_id = "n0/s1" };
     Payload.Answer_delta
-      { sub_id = "n0/s1"; adds = [ tup [ i 1 ] ]; retracts = [ tup [ i 2 ] ];
+      { sub_id = "n0/s1"; adds = packed [ tup [ i 1 ] ]; retracts = packed [ tup [ i 2 ] ];
         tag = "seed" };
     Payload.Answer_batch
       { entries =
           [
-            { Payload.se_sub = "n0/s1"; se_adds = [ tup [ i 1 ] ];
+            { Payload.se_sub = "n0/s1"; se_adds = packed [ tup [ i 1 ] ];
               se_retracts = []; se_tag = "coalesced" };
-            { Payload.se_sub = "n0/s2"; se_adds = []; se_retracts = [ tup [ i 3 ] ];
+            { Payload.se_sub = "n0/s2"; se_adds = []; se_retracts = packed [ tup [ i 3 ] ];
               se_tag = "u1 via r1 hop 2" };
           ] };
   ]

@@ -185,7 +185,7 @@ let test_delta_planned_equals_reference () =
       (fun s -> not (List.mem s before))
       (subst_set (Test_eval.reference_substs db q))
   in
-  let planned = Eval.delta_answers source ~delta_rel:"big" ~since ~delta q in
+  let planned = Eval.delta_answers source ~delta_rel:"big" ~since ~delta:(packed delta) q in
   Alcotest.(check bool) "delta substitutions = reference gain" true
     (subst_set planned = gained)
 

@@ -91,7 +91,7 @@ let prop_eval_matches_reference =
     (Gen.pair gen_db gen_query)
     (fun (db, q) ->
       let source = Eval.of_database db in
-      let fast = sorted_tuples (Eval.answer_tuples source q) in
+      let fast = sorted_tuples (answer_tuples source q) in
       let slow = sorted_tuples (Test_eval.reference_answers db q) in
       List.equal Tuple.equal fast slow)
 
@@ -142,7 +142,7 @@ let prop_delta_matches_reference_gain =
       let since = Relation.cardinal (Database.relation db "r") in
       let delta = Database.insert_all db "r" delta_candidates in
       let after = subst_set (Test_eval.reference_substs db q) in
-      subst_set (Eval.delta_answers source ~delta_rel:"r" ~since ~delta q)
+      subst_set (Eval.delta_answers source ~delta_rel:"r" ~since ~delta:(packed delta) q)
       = List.filter (fun s -> not (List.mem s before)) after)
 
 (* The same gain as a multiset: the semi-naive passes must derive each
@@ -165,7 +165,7 @@ let prop_delta_exactly_once =
       in
       List.sort compare
         (List.map Codb_cq.Subst.bindings
-           (Eval.delta_answers source ~delta_rel:"r" ~since ~delta q))
+           (Eval.delta_answers source ~delta_rel:"r" ~since ~delta:(packed delta) q))
       = gain)
 
 let prop_delta_brackets_gain =
@@ -173,13 +173,13 @@ let prop_delta_brackets_gain =
     (Gen.triple gen_db (Gen.list_size (Gen.int_range 1 5) gen_tuple) gen_query)
     (fun (db, delta_candidates, q) ->
       let source = Eval.of_database db in
-      let before = Relation.Tuple_set.of_list (Eval.answer_tuples source q) in
+      let before = Relation.Tuple_set.of_list (answer_tuples source q) in
       let since = Relation.cardinal (Database.relation db "r") in
       let delta = Database.insert_all db "r" delta_candidates in
-      let after = Eval.answer_tuples source q in
+      let after = answer_tuples source q in
       let derived =
         Relation.Tuple_set.of_list
-          (boxed (Eval.delta_heads source ~delta_rel:"r" ~since ~delta q))
+          (boxed (Eval.delta_heads source ~delta_rel:"r" ~since ~delta:(packed delta) q))
       in
       let gained =
         List.filter (fun t -> not (Relation.Tuple_set.mem t before)) after
@@ -223,7 +223,7 @@ let prop_projector_matches_oracle =
           (Head_ref.head_tuples q (Eval.answers source q))
       in
       let since = Relation.cardinal (Database.relation db "r") in
-      let delta = Database.insert_all db "r" delta_candidates in
+      let delta = packed (Database.insert_all db "r" delta_candidates) in
       full_ok
       && List.equal Tuple.equal
            (boxed (Eval.delta_heads ~naive source ~delta_rel:"r" ~since ~delta q))
@@ -563,7 +563,7 @@ let prop_join_order_invariance =
     (Gen.pair gen_db gen_query)
     (fun (db, q) ->
       let source = Eval.of_database db in
-      let reference = sorted_tuples (Eval.answer_tuples source q) in
+      let reference = sorted_tuples (answer_tuples source q) in
       let rotated =
         match q.Query.body with
         | first :: rest -> { q with Query.body = rest @ [ first ] }
@@ -571,9 +571,9 @@ let prop_join_order_invariance =
       in
       let reversed = { q with Query.body = List.rev q.Query.body } in
       List.equal Tuple.equal reference
-        (sorted_tuples (Eval.answer_tuples source rotated))
+        (sorted_tuples (answer_tuples source rotated))
       && List.equal Tuple.equal reference
-           (sorted_tuples (Eval.answer_tuples source reversed)))
+           (sorted_tuples (answer_tuples source reversed)))
 
 let prop_lexer_total =
   Q2.Test.make ~name:"the lexer never crashes: tokens or Lex_error" ~count:300

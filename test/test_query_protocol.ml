@@ -246,7 +246,7 @@ let test_late_data_for_closed_instance () =
   late ~owner:root_ref;
   Alcotest.(check int) "root overlay still empty" 0 (Database.cardinal root.Q.qst_overlay);
   check_tuples "root answer unchanged" [ tup [ i 1 ] ]
-    (Option.get (Query_engine.result node root_ref))
+    (boxed (Option.get (Query_engine.result node root_ref)))
 
 (* A root streams the answers each delta enables only to a listener:
    with none, delivered data is integrated into the overlay and nothing
@@ -272,7 +272,7 @@ let root_outcome ?on_answer () =
   Query_engine.handle rt ~src:(peer "me") ~bytes:20
     (Payload.Query_done
        { query_id = qid; request_ref = sub_ref; rule_id = "to_down"; complete = true });
-  (evaluated, Option.get (Query_engine.result node root_ref))
+  (evaluated, boxed (Option.get (Query_engine.result node root_ref)))
 
 (* Nor does a root with no listener evaluate its local answers at
    [start]: nobody hears them, and completion evaluates the overlay. *)
@@ -290,7 +290,7 @@ let test_unheard_root_starts_without_evaluating () =
     Query_engine.handle rt ~src:(peer "up") ~bytes:20
       (Payload.Query_done
          { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
-    (evaluated, Option.get (Query_engine.result node root_ref))
+    (evaluated, boxed (Option.get (Query_engine.result node root_ref)))
   in
   let heard = ref [] in
   let heard_evaluated, heard_answers =
@@ -309,7 +309,7 @@ let test_unheard_root_evaluates_nothing_on_data () =
   in
   let evaluated, answers = root_outcome () in
   Alcotest.(check bool) "a listener's delta is evaluated" true heard_evaluated;
-  check_tuples "the listener heard the data" [ tup [ i 1 ]; tup [ i 2 ] ] !streamed;
+  check_tuples "the listener heard the data" [ tup [ i 1 ]; tup [ i 2 ] ] (boxed !streamed);
   Alcotest.(check bool) "no listener: counters unchanged" false evaluated;
   check_tuples "same final answers" heard answers;
   check_tuples "final answers" [ tup [ i 1 ]; tup [ i 2 ] ] answers

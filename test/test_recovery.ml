@@ -144,7 +144,7 @@ let test_wal_file_backend () =
 let fixture_records =
   let tuples = [ tup [ i 1; s "x" ]; tup [ i 2; s "y" ] ] in
   [
-    Durable.Insert { rel = "data"; tuples };
+    Durable.Insert { rel = "data"; rows = packed tuples };
     Durable.Import { rule = "r1"; rel = "data"; hops = 2; at = 0.125; rows = packed tuples };
     Durable.Seq_reserve { upto = 640 };
     Durable.Sub_add
@@ -203,10 +203,10 @@ let test_record_dict_round_trip () =
   let tuples = [ tup [ i 1; s "payload-string" ]; tup [ i 2; s "payload-string" ] ] in
   let rs =
     [
-      Durable.Insert { rel = "data"; tuples };
+      Durable.Insert { rel = "data"; rows = packed tuples };
       Durable.Import
         { rule = "r1"; rel = "data"; hops = 2; at = 0.125; rows = packed tuples };
-      Durable.Insert { rel = "data"; tuples };
+      Durable.Insert { rel = "data"; rows = packed tuples };
       Durable.Sub_add
         { sub_id = "s1"; owner = Durable.Olocal; query_text = "a(x) <- b(x)" };
       Durable.Sub_remove { sub_id = "s1" };

@@ -77,10 +77,10 @@ let test_of_query_max_preds () =
 
 let test_matches_semantics () =
   let c = one_of [ [ pred (col 0) Query.Eq (cst (i 1)) ] ] in
-  Alcotest.(check bool) "match" true (Specialize.matches c (tup [ i 1; i 9 ]));
-  Alcotest.(check bool) "no match" false (Specialize.matches c (tup [ i 2; i 9 ]));
+  Alcotest.(check bool) "match" true (Specialize.matches c (Row.of_tuple (tup [ i 1; i 9 ])));
+  Alcotest.(check bool) "no match" false (Specialize.matches c (Row.of_tuple (tup [ i 2; i 9 ])));
   Alcotest.(check bool) "any matches" true
-    (Specialize.matches Specialize.any (tup [ i 2; i 9 ]))
+    (Specialize.matches Specialize.any (Row.of_tuple (tup [ i 2; i 9 ])))
 
 let test_matches_holes_like_fresh_nulls () =
   (* a hole becomes a fresh null at the requester: Eq-to-constant is
@@ -90,17 +90,17 @@ let test_matches_holes_like_fresh_nulls () =
   let neq = one_of [ [ pred (col 0) Query.Neq (cst (i 1)) ] ] in
   let lt = one_of [ [ pred (col 0) Query.Lt (cst (i 1)) ] ] in
   Alcotest.(check bool) "hole = const is false" false
-    (Specialize.matches eq (tup [ hole; i 9 ]));
+    (Specialize.matches eq (Row.of_tuple (tup [ hole; i 9 ])));
   Alcotest.(check bool) "hole <> const is true" true
-    (Specialize.matches neq (tup [ hole; i 9 ]));
+    (Specialize.matches neq (Row.of_tuple (tup [ hole; i 9 ])));
   Alcotest.(check bool) "hole < const is false" false
-    (Specialize.matches lt (tup [ hole; i 9 ]));
+    (Specialize.matches lt (Row.of_tuple (tup [ hole; i 9 ])));
   (* the same hole index co-refers within one tuple *)
   let self_eq = one_of [ [ pred (col 0) Query.Eq (col 1) ] ] in
   Alcotest.(check bool) "same hole equals itself" true
-    (Specialize.matches self_eq (tup [ hole; hole ]));
+    (Specialize.matches self_eq (Row.of_tuple (tup [ hole; hole ])));
   Alcotest.(check bool) "distinct holes differ" false
-    (Specialize.matches self_eq (tup [ hole; Value.Hole 1 ]))
+    (Specialize.matches self_eq (Row.of_tuple (tup [ hole; Value.Hole 1 ])))
 
 let test_matches_disjunction () =
   let c =
@@ -110,9 +110,9 @@ let test_matches_disjunction () =
         [ pred (col 1) Query.Eq (cst (i 2)) ];
       ]
   in
-  Alcotest.(check bool) "first alt" true (Specialize.matches c (tup [ i 1; i 9 ]));
-  Alcotest.(check bool) "second alt" true (Specialize.matches c (tup [ i 9; i 2 ]));
-  Alcotest.(check bool) "neither" false (Specialize.matches c (tup [ i 9; i 9 ]))
+  Alcotest.(check bool) "first alt" true (Specialize.matches c (Row.of_tuple (tup [ i 1; i 9 ])));
+  Alcotest.(check bool) "second alt" true (Specialize.matches c (Row.of_tuple (tup [ i 9; i 2 ])));
+  Alcotest.(check bool) "neither" false (Specialize.matches c (Row.of_tuple (tup [ i 9; i 9 ])))
 
 (* --- specialize_rule: folding constraints into a rule body ---------- *)
 

@@ -46,7 +46,7 @@ let test_update_state_sent_cache () =
   Alcotest.(check int) "set semantics" 3 (U.sent_tracked st "i1");
   check_tuples "members, sorted"
     [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 3 ] ]
-    (Codb_core.Sent_filter.elements (U.sent_filter st "i1"));
+    (boxed (Codb_core.Sent_filter.elements (U.sent_filter st "i1")));
   Alcotest.(check int) "caches are per link" 0 (U.sent_tracked st "other");
   U.release st;
   Alcotest.(check int) "released" 0 (U.sent_tracked st "i1")
@@ -80,7 +80,7 @@ let mk_query_state () =
     ~kind:
       (Q.Root
          { query = parse_query "a(x) <- r(x, y)"; result = None;
-           streamed = Codb_relalg.Relation.Tuple_set.empty; on_answer = None })
+           streamed = Row.Set.empty; on_answer = None })
     ~overlay
 
 let test_query_state_pending () =

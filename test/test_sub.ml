@@ -62,7 +62,7 @@ let test_register_seeds_and_unregister () =
   let id =
     match
       System.subscribe sys ~at:"n0" (parse_query q_all) ~on_delta:(fun d ->
-          seed := d.Sub.d_adds @ !seed)
+          seed := boxed d.Sub.d_adds @ !seed)
     with
     | Ok id -> id
     | Error e -> Alcotest.failf "subscribe: %s" e
@@ -169,16 +169,16 @@ let test_remote_push () =
   Alcotest.(check bool) "registration accepted" true (Mirror.accepted m);
   check_tuples "seed snapshot arrived"
     (System.local_answers sys ~at:"n0" (parse_query q_all))
-    (Mirror.answers m);
+    (boxed (Mirror.answers m));
   ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i 902; s "w2" ]));
   let _ = System.run sys in
   check_tuples "pushed delta applied"
     (System.local_answers sys ~at:"n0" (parse_query q_all))
-    (Mirror.answers m);
+    (boxed (Mirror.answers m));
   let _ = System.run_update sys ~initiator:"n0" in
   check_tuples "update deltas streamed to the mirror"
     (System.local_answers sys ~at:"n0" (parse_query q_all))
-    (Mirror.answers m);
+    (boxed (Mirror.answers m));
   Alcotest.(check bool) "several deltas arrived" true (Mirror.deltas m >= 2);
   Alcotest.(check bool) "unsubscribe" true (System.unsubscribe_remote sys ~subscriber:"n1" id);
   let _ = System.run sys in
@@ -213,7 +213,7 @@ let test_batching_coalesces_pushes () =
     let _ = System.run sys in
     check_tuples "mirror converged"
       (System.local_answers sys ~at:"n0" (parse_query q_all))
-      (Mirror.answers (mirror_of sys ~at:"n1" id));
+      (boxed (Mirror.answers (mirror_of sys ~at:"n1" id)));
     (sub_stats sys "n0").Stats.sb_push_msgs
   in
   let unbatched = push_msgs 0.0 in
@@ -245,7 +245,7 @@ let test_cache_epoch_agreement_host () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "subscribe: %s" e);
   Qcache.store cache q
-    (System.local_answers sys ~at:"n0" q)
+    (packed (System.local_answers sys ~at:"n0" q))
     ~sources:[ n0.Node.node_id ];
   Alcotest.(check bool) "entry hits before the delta" true
     (Qcache.lookup cache q <> None);
@@ -256,7 +256,7 @@ let test_cache_epoch_agreement_host () =
   (* mid-update deltas: the update protocol only stales epochs at
      finalization, so the subscription delivery must do it itself *)
   Qcache.store cache q
-    (System.local_answers sys ~at:"n0" q)
+    (packed (System.local_answers sys ~at:"n0" q))
     ~sources:[ n0.Node.node_id ];
   let _ = System.run_update sys ~initiator:"n0" in
   Alcotest.(check bool) "mid-update staling counted" true
@@ -269,7 +269,7 @@ let test_cache_epoch_agreement_subscriber () =
   let cache = Option.get n1.Node.cache in
   let q = parse_query q_all in
   Qcache.store cache q
-    (System.local_answers sys ~at:"n0" q)
+    (packed (System.local_answers sys ~at:"n0" q))
     ~sources:[ (System.node sys "n0").Node.node_id ];
   Alcotest.(check bool) "entry hits before the push" true
     (Qcache.lookup cache q <> None);
@@ -293,13 +293,13 @@ let test_crash_tears_down_restart_rearms () =
     ((sub_stats sys "n1").Stats.sb_rearmed > 0);
   check_tuples "snapshot re-seeded the mirror"
     (System.local_answers sys ~at:"n0" (parse_query q_all))
-    (Mirror.answers (mirror_of sys ~at:"n1" id));
+    (boxed (Mirror.answers (mirror_of sys ~at:"n1" id)));
   (* and the re-armed subscription is live again *)
   ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i 905; s "w5" ]));
   let _ = System.run sys in
   check_tuples "deltas flow after the re-arm"
     (System.local_answers sys ~at:"n0" (parse_query q_all))
-    (Mirror.answers (mirror_of sys ~at:"n1" id))
+    (boxed (Mirror.answers (mirror_of sys ~at:"n1" id)))
 
 (* A host that restarts without its store re-seeds each mirror with
    what it still derives: answers it lost must leave the mirror too,
@@ -316,7 +316,7 @@ let test_restart_snapshot_replaces_mirror () =
       let subscribe q =
         match
           System.subscribe_remote sys ~subscriber:"n1" ~host:"n0"
-            ~on_delta:(fun d -> retracted := d.Sub.d_retracts @ !retracted)
+            ~on_delta:(fun d -> retracted := boxed d.Sub.d_retracts @ !retracted)
             (parse_query q)
         with
         | Ok id -> id
@@ -405,16 +405,16 @@ let test_mirror_is_a_set () =
   let retracted = ref [] in
   let m =
     Mirror.create ~sub_id:"s1" ~host:(Codb_net.Peer_id.of_string "n0")
-      ~on_delta:(fun d -> retracted := d.Sub.d_retracts @ !retracted)
+      ~on_delta:(fun d -> retracted := boxed d.Sub.d_retracts @ !retracted)
       (parse_query q_all)
   in
-  let delta tag adds = { Sub.d_adds = adds; d_retracts = []; d_tag = tag } in
+  let delta tag adds = { Sub.d_adds = packed adds; d_retracts = []; d_tag = tag } in
   Mirror.apply m (delta "upd" [ c ]);
   Mirror.apply m (delta "seed" [ a; b ]);
   Mirror.apply m (delta "seed" [ a; b ]);
-  check_tuples "adds that overtook the snapshot stay" [ a; b; c ] (Mirror.answers m);
+  check_tuples "adds that overtook the snapshot stay" [ a; b; c ] (boxed (Mirror.answers m));
   Mirror.reset m ~tag:"rearm";
-  check_tuples "reset empties the mirror" [] (Mirror.answers m);
+  check_tuples "reset empties the mirror" [] (boxed (Mirror.answers m));
   check_tuples "the callback saw the loss" [ a; b; c ] !retracted
 
 let test_subscriber_crash_forgets_mirrors () =
@@ -477,7 +477,7 @@ let test_pushdown_self_join_partial_prefilter () =
   List.iteri
     (fun round rows ->
       let since = Relation.cardinal (Database.relation db "data") in
-      let delta = Database.insert_all db "data" rows in
+      let delta = packed (Database.insert_all db "data" rows) in
       let kept, _ = Sub.prefilter sub ~rel:"data" delta in
       let substs = Eval.delta_answers source ~delta_rel:"data" ~since ~delta:kept q in
       let d, dropped = Sub.apply_delta sub ~source ~delta_rel:"data" ~since ~delta ~tag:"t" in
@@ -490,8 +490,8 @@ let test_pushdown_self_join_partial_prefilter () =
         (List.length (List.sort_uniq compare bindings))
         (List.length bindings);
       check_tuples (label "answers = from-scratch evaluation")
-        (Eval.answer_tuples source q) (Sub.answers sub);
-      all_adds := d.Sub.d_adds @ !all_adds)
+        (answer_tuples source q) (boxed (Sub.answers sub));
+      all_adds := boxed d.Sub.d_adds @ !all_adds)
     [
       [ tup [ i 2; i 20 ]; tup [ i 5; i 50 ]; tup [ i 1; i 11 ]; tup [ i 7; i 70 ] ];
       [ tup [ i 9; i 90 ]; tup [ i 1; i 12 ]; tup [ i 2; i 21 ]; tup [ i 3; i 30 ] ];
@@ -580,8 +580,7 @@ let prop_incremental_equals_scratch =
           !locals
         && sorted_tuples (System.local_answers sys ~at:"n0" (parse_query q_all))
            = sorted_tuples
-               (Mirror.answers
-                  (Option.get (System.mirror sys ~at:"n1" remote)))
+               (boxed (Mirror.answers (Option.get (System.mirror sys ~at:"n1" remote))))
       in
       let ok = ref (agree ()) in
       List.iteri

@@ -80,7 +80,7 @@ let test_sent_filter_is_projection_dedup () =
           ~delta_rel:"base" ~since));
   check_tuples "the filter holds every head sent"
     [ tup [ i 1; Value.Hole 0 ]; tup [ i 2; Value.Hole 0 ]; tup [ i 3; Value.Hole 0 ] ]
-    (Sent_filter.elements sent)
+    (boxed (Sent_filter.elements sent))
 
 (* First contact over a relation whose heads were all sent already:
    every match is a hash lookup in the filter, so the evaluation
