@@ -37,7 +37,7 @@ module Datagen = Codb_workload.Datagen
 type workload = { wl_nodes : int; wl_tuples : int; wl_domain : int; wl_skew : float }
 
 let workload ~tiny =
-  if tiny then { wl_nodes = 4; wl_tuples = 20; wl_domain = 25; wl_skew = 1.0 }
+  if tiny then { wl_nodes = 5; wl_tuples = 20; wl_domain = 25; wl_skew = 1.0 }
   else { wl_nodes = 8; wl_tuples = 50; wl_domain = 50; wl_skew = 1.0 }
 
 let config ~seed wl =

@@ -26,23 +26,20 @@ module Config = Codb_cq.Config
 module Tuple = Codb_relalg.Tuple
 module Peer_id = Codb_net.Peer_id
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in ic;
-  contents
-
-let load_system ?opts path =
-  match Parser.load_config (read_file path) with
-  | Ok cfg -> Result.map_error (String.concat "\n") (System.build ?opts cfg)
-  | Error errors -> Error (String.concat "\n" errors)
-
 let or_die = function
   | Ok v -> v
   | Error message ->
       prerr_endline message;
       exit 1
+
+(* A FILE that cannot be read (a directory, say) is one error line
+   naming it, and exit 1. *)
+let read_file path = or_die (Shell.read_file path)
+
+let load_system ?opts path =
+  match Parser.load_config (read_file path) with
+  | Ok cfg -> Result.map_error (String.concat "\n") (System.build ?opts cfg)
+  | Error errors -> Error (String.concat "\n" errors)
 
 (* Every node name the user types goes through here: an unknown name
    is a usage error (exit 1), never an uncaught [Not_found]. *)

@@ -18,6 +18,18 @@ module Tuple = Codb_relalg.Tuple
 module Peer_id = Codb_net.Peer_id
 module Network = Codb_net.Network
 
+(* Read a whole file, or say why not in one line naming the path (the
+   CLI reads its inputs through this too).  Reading a directory fails
+   with an error that omits the path, or that misleads ("Value too
+   large for defined data type"), so a directory is refused first. *)
+let read_file path =
+  if Sys.file_exists path && Sys.is_directory path then Error (path ^ ": Is a directory")
+  else
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> Ok text
+    | exception Sys_error e ->
+        Error (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e)
+
 let help_text =
   {|commands:
   query <node> <query>      answer a query at a node, streaming results
@@ -167,9 +179,9 @@ let cmd_discover sys rest =
 let cmd_rules sys path =
   if path = "" then Fmt.pr "usage: rules <file>@."
   else
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error e -> Fmt.pr "%s@." e
-    | text -> (
+    match read_file path with
+    | Error e -> Fmt.pr "%s@." e
+    | Ok text -> (
         match Parser.parse_config text with
         | Error e -> Fmt.pr "%s@." e
         | Ok cfg ->

@@ -38,6 +38,7 @@ type t =
       global : bool;
       no_ack : bool;
       carries_ack : bool;
+      subtree_done : bool;
     }
   | Update_ack of { update_id : Ids.update_id }
   | Update_terminated of { update_id : Ids.update_id }
@@ -123,6 +124,7 @@ let rec describe = function
   | Update_batch { entries; _ } ->
       Printf.sprintf "update-batch (%d rules, %d tuples)" (List.length entries)
         (List.fold_left (fun acc e -> acc + List.length e.be_rows) 0 entries)
+  | Update_link_closed { rule_id; subtree_done = true; _ } -> "link-closed+done " ^ rule_id
   | Update_link_closed { rule_id; carries_ack = true; _ } -> "link-closed+ack " ^ rule_id
   | Update_link_closed { rule_id; _ } -> "link-closed " ^ rule_id
   | Update_ack _ -> "ack"
@@ -352,18 +354,22 @@ let get_bool r =
   | n -> raise (Codec.Malformed (Printf.sprintf "bad bool byte %d" n))
 
 (* The update flag byte: bit 0 [global], bit 1 [no_ack], bit 2
-   [carries_ack] (a close only).  [global] alone encodes as the bool
-   byte it replaced. *)
-let put_flags w ~global ~no_ack ~carries_ack =
+   [carries_ack] and bit 3 [subtree_done] (a close only; bit 3 only
+   with bit 2).  [global] alone encodes as the bool byte it
+   replaced. *)
+let put_flags w ~global ~no_ack ~carries_ack ~subtree_done =
   Codec.byte w
-    ((if global then 1 else 0) lor (if no_ack then 2 else 0) lor if carries_ack then 4 else 0)
+    ((if global then 1 else 0)
+    lor (if no_ack then 2 else 0)
+    lor (if carries_ack then 4 else 0)
+    lor if subtree_done then 8 else 0)
 
 (* [mask] is the constructor's valid bits. *)
 let get_flags r ~mask =
   let b = Codec.read_byte r in
-  if b land lnot mask <> 0 then
+  if b land lnot mask <> 0 || (b land 8 <> 0 && b land 4 = 0) then
     raise (Codec.Malformed (Printf.sprintf "bad update flag byte %d" b));
-  (b land 1 <> 0, b land 2 <> 0, b land 4 <> 0)
+  (b land 1 <> 0, b land 2 <> 0, b land 4 <> 0, b land 8 <> 0)
 
 let rec put_payload w payload =
   Codec.byte w (tag_of payload);
@@ -376,11 +382,11 @@ let rec put_payload w payload =
       put_update_id w update_id;
       Codec.string w rule_id;
       Codec.zigzag w hops;
-      put_flags w ~global ~no_ack ~carries_ack:false;
+      put_flags w ~global ~no_ack ~carries_ack:false ~subtree_done:false;
       put_rows w rows
   | Update_batch { update_id; entries; global; no_ack } ->
       put_update_id w update_id;
-      put_flags w ~global ~no_ack ~carries_ack:false;
+      put_flags w ~global ~no_ack ~carries_ack:false ~subtree_done:false;
       Codec.varint w (List.length entries);
       List.iter
         (fun { be_rule; be_hops; be_rows } ->
@@ -388,10 +394,10 @@ let rec put_payload w payload =
           Codec.zigzag w be_hops;
           put_rows w be_rows)
         entries
-  | Update_link_closed { update_id; rule_id; global; no_ack; carries_ack } ->
+  | Update_link_closed { update_id; rule_id; global; no_ack; carries_ack; subtree_done } ->
       put_update_id w update_id;
       Codec.string w rule_id;
-      put_flags w ~global ~no_ack ~carries_ack
+      put_flags w ~global ~no_ack ~carries_ack ~subtree_done
   | Update_ack { update_id } -> put_update_id w update_id
   | Update_terminated { update_id } -> put_update_id w update_id
   | Query_request { query_id; request_ref; rule_id; label; constraints } ->
@@ -482,12 +488,12 @@ let rec get_payload r =
       let update_id = get_update_id r in
       let rule_id = Codec.read_string r in
       let hops = Codec.read_zigzag r in
-      let global, no_ack, _ = get_flags r ~mask:3 in
+      let global, no_ack, _, _ = get_flags r ~mask:3 in
       let rows = get_rows r in
       Update_data { update_id; rule_id; rows; hops; global; no_ack }
   | 3 ->
       let update_id = get_update_id r in
-      let global, no_ack, _ = get_flags r ~mask:3 in
+      let global, no_ack, _, _ = get_flags r ~mask:3 in
       let entries =
         List.init (Codec.read_count r) (fun _ ->
             let be_rule = Codec.read_string r in
@@ -499,8 +505,8 @@ let rec get_payload r =
   | 4 ->
       let update_id = get_update_id r in
       let rule_id = Codec.read_string r in
-      let global, no_ack, carries_ack = get_flags r ~mask:7 in
-      Update_link_closed { update_id; rule_id; global; no_ack; carries_ack }
+      let global, no_ack, carries_ack, subtree_done = get_flags r ~mask:15 in
+      Update_link_closed { update_id; rule_id; global; no_ack; carries_ack; subtree_done }
   | 5 -> Update_ack { update_id = get_update_id r }
   | 6 -> Update_terminated { update_id = get_update_id r }
   | 7 ->

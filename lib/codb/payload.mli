@@ -74,12 +74,19 @@ type t =
           (** the close is also the sender's disengagement
               acknowledgement: the receiver treats it as an
               [Update_ack] after closing the link *)
+      subtree_done : bool;
+          (** only with [carries_ack]: the sender has closed every link
+              of the update, and so has every acquaintance but the
+              receiver, each reporting the same of its own subtree; the
+              sender terminated itself, and the receiver's terminated
+              flood skips it *)
     }
       (** the source of [rule_id] will send no more data on it.  On the
-          wire, [global], [no_ack] and [carries_ack] share the one flag
-          byte [global] alone used to take (bits 0, 1 and 2), as do
-          [Update_data]'s and [Update_batch]'s two flags; a set bit
-          outside those decodes as malformed. *)
+          wire, [global], [no_ack], [carries_ack] and [subtree_done]
+          share the one flag byte [global] alone used to take (bits 0
+          to 3), as do [Update_data]'s and [Update_batch]'s two flags;
+          a set bit outside those, or [subtree_done] without
+          [carries_ack], decodes as malformed. *)
   | Update_ack of { update_id : Ids.update_id }
       (** Dijkstra–Scholten acknowledgement *)
   | Update_terminated of { update_id : Ids.update_id }

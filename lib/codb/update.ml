@@ -89,9 +89,16 @@ let commit_open_links rt (st : U.t) =
               Watermark.commit rt.Runtime.node.Node.watermarks ~rule mark)
           marks
 
-let flood_terminated rt (st : U.t) ~except =
+(* Tell every acquaintance but [except] that the update terminated,
+   except those that reported their subtree done ([done_peers], read
+   before the state was released): they terminated themselves, and
+   reach the rest of the network only through this node. *)
+let flood_terminated rt (st : U.t) ~except ~done_peers =
   let forward peer =
-    let skip = match except with Some p -> Peer_id.equal p peer | None -> false in
+    let skip =
+      (match except with Some p -> Peer_id.equal p peer | None -> false)
+      || List.exists (Peer_id.equal peer) done_peers
+    in
     if not skip then
       ignore
         (Reliable.send_noted rt ~dst:peer
@@ -112,23 +119,27 @@ let flood_terminated rt (st : U.t) ~except =
 let to_parent (st : U.t) dst =
   match st.U.ust_parent with Some p -> Peer_id.equal p dst | None -> false
 
-let close_payload (st : U.t) ~no_ack ~carries_ack (rule_id, global) =
+let close_payload (st : U.t) ~no_ack ?(carries_ack = false) ?(subtree_done = false)
+    (rule_id, global) =
   Payload.Update_link_closed
-    { update_id = st.U.ust_update; rule_id; global; no_ack; carries_ack }
+    { update_id = st.U.ust_update; rule_id; global; no_ack; carries_ack; subtree_done }
 
-(* Disengage, acknowledging the message that engaged us.  If closes to
-   the parent are held, the last one carries the acknowledgement; the
-   earlier ones go out before it. *)
-let disengage rt (st : U.t) ~parent held =
-  st.U.ust_engaged <- false;
-  st.U.ust_parent <- None;
-  let send payload = ignore (Reliable.send_noted rt ~dst:parent payload) in
-  match List.rev held with
-  | [] -> send (Payload.Update_ack { update_id = st.U.ust_update })
-  | last :: earlier ->
-      List.iter (fun c -> send (close_payload st ~no_ack:true ~carries_ack:false c))
-        (List.rev earlier);
-      send (close_payload st ~no_ack:true ~carries_ack:true last)
+(* Is this node's subtree done, as its ack-carrying close to [parent]
+   may report?  Only in a global update (a scoped one may activate
+   more links later), once every link of the update is closed and every
+   other acquaintance reported its own subtree done.  That subtree then
+   touches the rest of the network only through [parent], nothing of
+   the update flows in it any more, and no peer outside it needs a
+   terminated routed through it. *)
+let subtree_done rt (st : U.t) ~parent =
+  let node = rt.Runtime.node in
+  let below peer =
+    Peer_id.equal peer parent || List.exists (Peer_id.equal peer) (U.done_peers st)
+  in
+  (* the acquaintances are the far ends of the node's rules *)
+  (not st.U.ust_scoped) && U.all_links_closed st
+  && List.for_all (fun o -> below (source_of o)) node.Node.outgoing
+  && List.for_all (fun i -> below (importer_of i)) node.Node.incoming
 
 (* Dijkstra–Scholten: a node disengages (acknowledging the message
    that engaged it) once everything it counted has been acknowledged
@@ -151,12 +162,7 @@ let rec check_disengage rt (st : U.t) =
   in
   if ready && st.U.ust_initiator then begin
     st.U.ust_engaged <- false;
-    st.U.ust_terminated <- true;
-    (* quiescent: nothing is buffered here *)
-    commit_open_links rt st;
-    U.release st;
-    finalize rt st;
-    flood_terminated rt st ~except:None
+    terminate rt st ~except:None
   end
   else
     match st.U.ust_parent with
@@ -169,13 +175,73 @@ let rec check_disengage rt (st : U.t) =
           List.iter
             (fun c ->
               send_accounted rt st ~dst:parent ~data:false ~no_ack:true
-                (close_payload st ~no_ack:true ~carries_ack:false c))
+                (close_payload st ~no_ack:true c))
             held
     | None ->
         if ready then
           Log.warn (fun m ->
               m "%a: engaged without a parent in %a" Peer_id.pp rt.Runtime.node.Node.node_id
                 Ids.pp_update st.U.ust_update)
+
+(* Disengage, acknowledging the message that engaged us.  If closes to
+   the parent are held, the last one carries the acknowledgement; the
+   earlier ones go out before it.  A node whose subtree is done says so
+   in that last close and terminates at once, flooding nothing: every
+   acquaintance but the parent is in its done subtree. *)
+and disengage rt (st : U.t) ~parent held =
+  st.U.ust_engaged <- false;
+  st.U.ust_parent <- None;
+  let send payload = ignore (Reliable.send_noted rt ~dst:parent payload) in
+  match List.rev held with
+  | [] -> send (Payload.Update_ack { update_id = st.U.ust_update })
+  | last :: earlier ->
+      List.iter (fun c -> send (close_payload st ~no_ack:true c)) (List.rev earlier);
+      let subtree_done = subtree_done rt st ~parent in
+      send (close_payload st ~no_ack:true ~carries_ack:true ~subtree_done last);
+      if subtree_done then terminate rt st ~except:(Some parent)
+
+(* The update is over here: commit what the open links served (unless
+   [commit] is off), flush what is buffered, release the tables and
+   tell the acquaintances that still need it.  The done subtrees the
+   flood skips are read before the release. *)
+and terminate ?(commit = true) rt (st : U.t) ~except =
+  if not st.U.ust_terminated then begin
+    let done_peers = U.done_peers st in
+    st.U.ust_terminated <- true;
+    if commit then commit_open_links rt st;
+    flush_buffers rt st;
+    U.release st;
+    finalize rt st;
+    flood_terminated rt st ~except ~done_peers
+  end
+
+(* Drain [dst]'s wire buffer into a single message. *)
+and flush_dst rt (st : U.t) us dst =
+  match U.take_buffer st ~dst with
+  | [] -> ()
+  | entries ->
+      let payload_entries =
+        List.map
+          (fun (rule, hops, rows) ->
+            { Payload.be_rule = rule; be_hops = hops; be_rows = rows })
+          entries
+      in
+      let tuple_count =
+        List.fold_left (fun acc e -> acc + List.length e.Payload.be_rows) 0 payload_entries
+      in
+      let no_ack = to_parent st dst in
+      send_accounted rt st ~dst ~data:true ~no_ack
+        (Payload.Update_batch
+           { update_id = st.U.ust_update; entries = payload_entries;
+             global = not st.U.ust_scoped; no_ack });
+      us.Stats.us_batches <- us.Stats.us_batches + 1;
+      us.Stats.us_batch_tuples <- us.Stats.us_batch_tuples + tuple_count;
+      Stats.note_sent_to us dst
+
+(* What sits in a wire buffer still goes out before a terminating
+   update releases its buffers. *)
+and flush_buffers rt (st : U.t) =
+  List.iter (flush_dst rt st (stat rt st.U.ust_update)) (U.buffered_destinations st)
 
 (* Send a message that takes part in termination accounting.  Unless
    it goes to the parent ([no_ack]), the receiver owes us an
@@ -226,7 +292,7 @@ and send_close rt (st : U.t) ~dst ((rule_id, global) as close) =
   if to_parent st dst then U.hold_close st ~rule:rule_id ~global
   else
     send_accounted rt st ~dst ~data:false ~no_ack:false
-      (close_payload st ~no_ack:false ~carries_ack:false close)
+      (close_payload st ~no_ack:false close)
 
 (* A request is always counted: it never goes to the parent of a
    global update, and carries no flag byte for a scoped one. *)
@@ -247,44 +313,6 @@ let close_link rt (st : U.t) ~dst ~rule_id =
 
 let batch_max_tuples = 256
 
-(* Drain [dst]'s wire buffer into a single message. *)
-let flush_dst rt (st : U.t) us dst =
-  match U.take_buffer st ~dst with
-  | [] -> ()
-  | entries ->
-      let payload_entries =
-        List.map
-          (fun (rule, hops, rows) ->
-            { Payload.be_rule = rule; be_hops = hops; be_rows = rows })
-          entries
-      in
-      let tuple_count =
-        List.fold_left (fun acc e -> acc + List.length e.Payload.be_rows) 0 payload_entries
-      in
-      let no_ack = to_parent st dst in
-      send_accounted rt st ~dst ~data:true ~no_ack
-        (Payload.Update_batch
-           { update_id = st.U.ust_update; entries = payload_entries;
-             global = not st.U.ust_scoped; no_ack });
-      us.Stats.us_batches <- us.Stats.us_batches + 1;
-      us.Stats.us_batch_tuples <- us.Stats.us_batch_tuples + tuple_count;
-      Stats.note_sent_to us dst
-
-(* What sits in a wire buffer still goes out before a terminating
-   update releases its buffers. *)
-let flush_buffers rt (st : U.t) =
-  List.iter (flush_dst rt st (stat rt st.U.ust_update)) (U.buffered_destinations st)
-
-let on_terminated rt (st : U.t) ~src =
-  if not st.U.ust_terminated then begin
-    st.U.ust_terminated <- true;
-    commit_open_links rt st;
-    flush_buffers rt st;
-    U.release st;
-    finalize rt st;
-    flood_terminated rt st ~except:(Some src)
-  end
-
 (* The initiator's last resort: bounded retries bound the transport,
    but a crashed-and-gone acquaintance (or an ack chain cut by a
    permanent partition) can still leave the engagement tree waiting.
@@ -301,12 +329,8 @@ let force_terminate rt (st : U.t) =
     us.Stats.us_forced <- true;
     Stats.note_forced_termination rt.Runtime.node.Node.stats;
     st.U.ust_engaged <- false;
-    st.U.ust_terminated <- true;
     (* acknowledgements are owed, so nothing commits *)
-    flush_buffers rt st;
-    U.release st;
-    finalize rt st;
-    flood_terminated rt st ~except:None
+    terminate ~commit:false rt st ~except:None
   end
 
 let rec arm_watchdog rt (st : U.t) ~last_activity =
@@ -598,7 +622,7 @@ let activate_incoming rt (st : U.t) ~requester rule_id =
            uncounted close, so it owes no ack) *)
         ignore
           (Reliable.send_noted rt ~dst:requester
-             (close_payload st ~no_ack:true ~carries_ack:false (rule_id, false)))
+             (close_payload st ~no_ack:true (rule_id, false)))
     | Some inc ->
         U.activate_in st rule_id;
         if Node.may_export rt.Runtime.node then
@@ -659,8 +683,12 @@ let count_control rt uid =
    only ever reaches an engaged node; it reaches a node that is not
    engaged only after a crash wiped the node's engagement (whose own
    parent then never hears from it, so the update ends forced) or
-   after the transport gave the message up and it still arrived. *)
-let engage_and_process rt ~src ~scoped ?(owed = true) ?(acks = false) uid process =
+   after the transport gave the message up and it still arrived.  So a
+   close that reports the sender's subtree done ([reports_done]) is
+   noted only by an engaged node: anywhere else it is in doubt, and the
+   flood still runs on that edge. *)
+let engage_and_process rt ~src ~scoped ?(owed = true) ?(acks = false) ?(reports_done = false)
+    uid process =
   match Node.update_state rt.Runtime.node uid with
   | None ->
       let st = fresh_state rt ~initiator:false ~scoped uid in
@@ -676,7 +704,8 @@ let engage_and_process rt ~src ~scoped ?(owed = true) ?(acks = false) uid proces
         process st;
         if owed then
           ignore
-            (Reliable.send_noted rt ~dst:src (Payload.Update_ack { update_id = uid }))
+            (Reliable.send_noted rt ~dst:src (Payload.Update_ack { update_id = uid }));
+        if reports_done then U.note_done st src
       end
       else begin
         (* disengaged node re-contacted (a cycle delivered more data):
@@ -706,7 +735,7 @@ let handle rt ~src ~bytes payload =
       | Some st ->
           count_control rt update_id;
           U.touch st;
-          on_terminated rt st ~src
+          terminate rt st ~except:(Some src)
       | None ->
           (* never contacted (e.g. connected after the fact): record a
              state so a late flood is absorbed silently *)
@@ -724,10 +753,12 @@ let handle rt ~src ~bytes payload =
   | Payload.Update_batch { update_id; entries; global; no_ack } ->
       engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack) update_id
         (fun st -> on_batch rt st ~bytes ~entries)
-  | Payload.Update_link_closed { update_id; rule_id; global; no_ack; carries_ack } ->
+  | Payload.Update_link_closed { update_id; rule_id; global; no_ack; carries_ack; subtree_done }
+    ->
       count_control rt update_id;
       engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack)
-        ~acks:carries_ack update_id (fun st -> on_link_closed rt st ~rule_id)
+        ~acks:carries_ack ~reports_done:subtree_done update_id (fun st ->
+          on_link_closed rt st ~rule_id)
   | Payload.Query_request _ | Payload.Query_data _ | Payload.Query_done _
   | Payload.Rules_file _ | Payload.Start_update | Payload.Stats_request
   | Payload.Stats_response _ | Payload.Discovery_probe _ | Payload.Discovery_reply _

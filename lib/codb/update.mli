@@ -29,7 +29,11 @@
       every other message is acknowledged, except data and closes to
       the sender's engagement parent, and the last close to the
       parent carries the acknowledgement), upon which the initiator
-      floods [Update_terminated], closing all remaining links.
+      floods [Update_terminated], closing all remaining links;
+    - a node that closed every link, and whose other acquaintances all
+      reported the same of their own subtrees, says so in the close
+      that carries its acknowledgement ([subtree_done]) and terminates
+      there; the terminated flood skips every such subtree.
 
     A locally inconsistent node (violated denial constraint) keeps
     routing and importing but never exports data — the paper's

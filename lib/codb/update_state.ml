@@ -44,6 +44,9 @@ type live = {
       (* [(rule, global)] closes to the engagement parent, held until
          the end of the handler so the last can carry the
          disengagement acknowledgement; newest first *)
+  mutable done_peers : Peer_id.t list;
+      (* acquaintances whose acknowledgement came in a close that
+         reported their subtree done *)
 }
 
 type t = {
@@ -82,6 +85,7 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
           unacked = Hashtbl.create 8;
           deferred = Hashtbl.create 8;
           held = [];
+          done_peers = [];
         };
     ust_terminated = false;
     ust_finished = false;
@@ -122,10 +126,14 @@ let close_out st rule = set (fun l -> l.out) st rule Link_closed
 
 let close_in st rule = set (fun l -> l.inl) st rule Link_closed
 
+let all_closed_in table = Hashtbl.fold (fun _ state acc -> acc && state = Link_closed) table true
+
 let all_out_closed st =
+  match st.ust_live with Some live -> all_closed_in live.out | None -> true
+
+let all_links_closed st =
   match st.ust_live with
-  | Some live ->
-      Hashtbl.fold (fun _ state acc -> acc && state = Link_closed) live.out true
+  | Some live -> all_closed_in live.out && all_closed_in live.inl
   | None -> true
 
 (* ---- Per-incoming-link sent filters --------------------------------- *)
@@ -282,3 +290,10 @@ let take_held_closes st =
       live.held <- [];
       closes
   | None -> []
+
+(* ---- Subtrees reported done ------------------------------------------ *)
+
+let note_done st peer =
+  match st.ust_live with Some live -> live.done_peers <- peer :: live.done_peers | None -> ()
+
+let done_peers st = match st.ust_live with Some live -> live.done_peers | None -> []

@@ -33,7 +33,9 @@ type t = {
   mutable ust_live : live option;
       (** the update's tables; [None] once it terminated ({!release}) *)
   mutable ust_terminated : bool;
-      (** the terminated flood reached this node *)
+      (** the update terminated here: the terminated flood reached
+          this node, or its close to the parent reported its subtree
+          done *)
   mutable ust_finished : bool;  (** local statistics were finalised *)
   mutable ust_activity : int;
       (** bumped on every protocol message for this update; the
@@ -76,6 +78,9 @@ val close_in : t -> string -> unit
 
 val all_out_closed : t -> bool
 
+val all_links_closed : t -> bool
+(** Every incoming and outgoing link of the update is closed. *)
+
 (** {2 Sent filters} *)
 
 (** One per incoming link, holding the packed head rows already sent
@@ -106,7 +111,7 @@ val take_all_served : t -> (string * Watermark.pending) list
 
 val release : t -> unit
 (** Drop every table: link states, sent filters, pending marks, wire
-    buffers and transport settlement.  Called once the update
+    buffers, transport settlement and the done subtrees.  Called once the update
     terminates.  Every link then reads as closed and inactive, every
     buffer and in-flight count as empty, and writes are ignored, so a
     finished update keeps only its flags. *)
@@ -185,3 +190,16 @@ val hold_close : t -> rule:string -> global:bool -> unit
 
 val take_held_closes : t -> (string * bool) list
 (** Drain the held closes in hold order. *)
+
+(** {2 Subtrees reported done}
+
+    An acquaintance whose disengagement acknowledgement came in a close
+    flagged [subtree_done] has closed every link of the update, and so
+    has every node it engaged, recursively; that subtree touches the
+    rest of the network only through the edge to this node, and
+    terminated itself.  The terminated flood skips it. *)
+
+val note_done : t -> Peer_id.t -> unit
+
+val done_peers : t -> Peer_id.t list
+(** Empty once released. *)

@@ -106,7 +106,8 @@ let payload_samples () =
           ];
         global = false; no_ack = false };
     Payload.Update_link_closed
-      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true };
+      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true;
+        subtree_done = false };
     Payload.Update_ack { update_id = uid };
     Payload.Update_terminated { update_id = uid };
     Payload.Query_request
@@ -238,23 +239,28 @@ let test_malformed_input_rejected () =
     (payload_samples ())
 
 (* The update flag byte: every combination of [global], [no_ack] and
-   (on a close) [carries_ack] round-trips, and a byte with any other
-   bit set decodes to an error, never an exception. *)
-let flag_payloads ~global ~no_ack ~carries_ack =
+   (on a close) [carries_ack] and [subtree_done] (only with
+   [carries_ack]) round-trips, and any other byte decodes to an error,
+   never an exception.  [valid] says which bytes a constructor
+   accepts. *)
+let flag_payloads ~global ~no_ack ~carries_ack ~subtree_done =
   let rows = packed [ tup [ i 1; s "x" ] ] in
+  let data_valid byte = byte land lnot 3 = 0 in
+  let close_valid byte = byte land lnot 15 = 0 && (byte land 8 = 0 || byte land 4 <> 0) in
   [
     ( "data",
-      3,
+      data_valid,
       Payload.Update_data { update_id = uid; rule_id = "r1"; rows; hops = 2; global; no_ack } );
     ( "batch",
-      3,
+      data_valid,
       Payload.Update_batch
         { update_id = uid;
           entries = [ { Payload.be_rule = "r1"; be_hops = 1; be_rows = rows } ];
           global; no_ack } );
     ( "close",
-      7,
-      Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global; no_ack; carries_ack } );
+      close_valid,
+      Payload.Update_link_closed
+        { update_id = uid; rule_id = "r1"; global; no_ack; carries_ack; subtree_done } );
   ]
 
 let test_update_flags_round_trip () =
@@ -264,24 +270,25 @@ let test_update_flags_round_trip () =
       List.iter
         (fun no_ack ->
           List.iter
-            (fun carries_ack ->
+            (fun (carries_ack, subtree_done) ->
               List.iter
-                (fun (name, mask, p) ->
-                  (* data and batch have no [carries_ack] bit *)
-                  if mask = 7 || not carries_ack then
+                (fun (name, valid, p) ->
+                  (* data and batch have neither close bit *)
+                  if valid 4 || not carries_ack then
                     Alcotest.(check bool)
-                      (Printf.sprintf "%s global=%b no_ack=%b carries_ack=%b" name global
-                         no_ack carries_ack)
+                      (Printf.sprintf "%s global=%b no_ack=%b carries_ack=%b subtree_done=%b"
+                         name global no_ack carries_ack subtree_done)
                       true
                       (Payload.decode (Payload.encode p) = Ok p))
-                (flag_payloads ~global ~no_ack ~carries_ack))
-            bools)
+                (flag_payloads ~global ~no_ack ~carries_ack ~subtree_done))
+            [ (false, false); (true, false); (true, true) ])
         bools)
     bools;
   (* the flag byte is where the all-clear and the global-only
-     encodings differ; every byte outside the mask must be refused *)
+     encodings differ; every byte the constructor does not accept must
+     be refused *)
   List.iter2
-    (fun (name, mask, clear) (_, _, global) ->
+    (fun (name, valid, clear) (_, _, global) ->
       let a = Payload.encode clear and b = Payload.encode global in
       let at =
         let rec find k = if a.[k] <> b.[k] then k else find (k + 1) in
@@ -292,16 +299,12 @@ let test_update_flags_round_trip () =
         let damaged = Bytes.of_string a in
         Bytes.set damaged at (Char.chr byte);
         match Payload.decode (Bytes.to_string damaged) with
-        | Ok _ ->
-            if byte land lnot mask <> 0 then
-              Alcotest.failf "%s: flag byte %d decoded" name byte
-        | Error _ ->
-            if byte land lnot mask = 0 then
-              Alcotest.failf "%s: valid flag byte %d refused" name byte
+        | Ok _ -> if not (valid byte) then Alcotest.failf "%s: flag byte %d decoded" name byte
+        | Error _ -> if valid byte then Alcotest.failf "%s: valid flag byte %d refused" name byte
         | exception e -> Alcotest.failf "%s: flag byte %d raised %s" name byte (Printexc.to_string e)
       done)
-    (flag_payloads ~global:false ~no_ack:false ~carries_ack:false)
-    (flag_payloads ~global:true ~no_ack:false ~carries_ack:false)
+    (flag_payloads ~global:false ~no_ack:false ~carries_ack:false ~subtree_done:false)
+    (flag_payloads ~global:true ~no_ack:false ~carries_ack:false ~subtree_done:false)
 
 (* Random payloads across every encodable variant: the size model must
    count exactly what [encode] emits, and decoding must invert it.
@@ -406,8 +409,11 @@ let gen_payload_flat =
        let* global = bool in
        let* no_ack = bool in
        let* carries_ack = bool in
+       (* the done bit only rides an ack-carrying close *)
+       let* subtree_done = if carries_ack then bool else return false in
        return
-         (Payload.Update_link_closed { update_id; rule_id; global; no_ack; carries_ack }));
+         (Payload.Update_link_closed
+            { update_id; rule_id; global; no_ack; carries_ack; subtree_done }));
       map (fun u -> Payload.Update_ack { update_id = u }) gen_uid;
       map (fun u -> Payload.Update_terminated { update_id = u }) gen_uid;
       (let* query_id = gen_qid in
@@ -540,7 +546,8 @@ let test_link_desync_fails_closed () =
   let rc = Codec.Dict.receiver () in
   let mk rule =
     Payload.Update_link_closed
-      { update_id = uid; rule_id = rule; global = true; no_ack = false; carries_ack = false }
+      { update_id = uid; rule_id = rule; global = true; no_ack = false; carries_ack = false;
+        subtree_done = false }
   in
   let intro = Payload.encode ~link:d (mk "shared") in
   let backref = Payload.encode ~link:d (mk "shared") in
@@ -560,7 +567,8 @@ let test_link_stale_epoch_dangles () =
   let rc = Codec.Dict.receiver () in
   let mk rule =
     Payload.Update_link_closed
-      { update_id = uid; rule_id = rule; global = true; no_ack = false; carries_ack = false }
+      { update_id = uid; rule_id = rule; global = true; no_ack = false; carries_ack = false;
+        subtree_done = false }
   in
   let m_intro = Payload.encode ~link:d (mk "x") in
   let m_ref = Payload.encode ~link:d (mk "x") in

@@ -24,7 +24,11 @@ let samples =
           ];
         global = true; no_ack = true };
     Payload.Update_link_closed
-      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true };
+      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true;
+        subtree_done = false };
+    Payload.Update_link_closed
+      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true;
+        subtree_done = true };
     Payload.Update_ack { update_id = uid };
     Payload.Update_terminated { update_id = uid };
     Payload.Query_request
@@ -114,6 +118,27 @@ let test_rules_file_size_tracks_text () =
   Alcotest.(check int) "delta equals text growth" 100
     (mk (String.make 120 'x') - mk (String.make 20 'x'))
 
+(* The done bit rides the close's flag byte: it costs nothing, round
+   trips, and is malformed without the ack bit. *)
+let test_subtree_done_bit () =
+  let close ~carries_ack ~subtree_done =
+    Payload.Update_link_closed
+      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack;
+        subtree_done }
+  in
+  let acked = close ~carries_ack:true ~subtree_done:false in
+  let done_ = close ~carries_ack:true ~subtree_done:true in
+  Alcotest.(check int) "no byte added" (Payload.encoded_size acked)
+    (Payload.encoded_size done_);
+  Alcotest.(check int) "the size is what encode emits"
+    (String.length (Payload.encode done_))
+    (Payload.encoded_size done_);
+  Alcotest.(check bool) "round trip" true (Payload.decode (Payload.encode done_) = Ok done_);
+  Alcotest.(check string) "described" "link-closed+done r1" (Payload.describe done_);
+  Alcotest.(check bool) "without the ack bit: malformed" true
+    (Result.is_error
+       (Payload.decode (Payload.encode (close ~carries_ack:false ~subtree_done:true))))
+
 let test_update_protocol_classification () =
   let rec expect_protocol = function
     | Payload.Update_request _ | Payload.Update_data _ | Payload.Update_batch _
@@ -151,6 +176,7 @@ let suite =
     Alcotest.test_case "request size tracks constraints" `Quick
       test_request_size_tracks_constraints;
     Alcotest.test_case "rules-file size tracks text" `Quick test_rules_file_size_tracks_text;
+    Alcotest.test_case "the done bit costs no byte" `Quick test_subtree_done_bit;
     Alcotest.test_case "termination accounting classification" `Quick
       test_update_protocol_classification;
     Alcotest.test_case "describe" `Quick test_describe_nonempty;

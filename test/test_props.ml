@@ -688,7 +688,9 @@ let prop_nulls_counter_monotone =
 let gen_termination_case =
   let open Gen in
   let* shape =
-    oneofl [ Topology.Binary_tree; Topology.Chain; Topology.Ring; Topology.Clique ]
+    oneofl
+      [ Topology.Binary_tree; Topology.Chain; Topology.Ring; Topology.Clique; Topology.Star_in;
+        Topology.Star_out; Topology.Random_graph 0.2 ]
   in
   let* glav = bool in
   let* n = int_range 2 6 in
@@ -704,6 +706,17 @@ let print_termination_case (shape, glav, n, seed, batch_window, faults) =
     (match faults with
     | None -> "none"
     | Some (fs, d, u, j, b) -> Printf.sprintf "seed %d drop %g dup %g jitter %g budget %d" fs d u j b)
+
+(* A random graph is made connected as [Topology.generate] makes it:
+   the chain backbone under the random edges, so its cycles carry
+   pendant trees. *)
+let termination_edges shape ~n ~seed =
+  match shape with
+  | Topology.Random_graph _ ->
+      let edges = Topology.edges ~rng:(Codb_workload.Rng.make ~seed) shape ~n in
+      edges
+      @ List.filter (fun e -> not (List.mem e edges)) (List.init (n - 1) (fun i -> (i, i + 1)))
+  | _ -> Topology.edges shape ~n
 
 let pending_update_message sys uid (m : Codb_core.Payload.t Codb_net.Message.t) =
   let module P = Codb_core.Payload in
@@ -750,7 +763,7 @@ let prop_no_premature_termination =
             ~spec:
               { Codb_workload.Glavgen.default_spec with
                 Codb_workload.Glavgen.tuples_per_relation = 6; join_frac = 0.5 }
-            ~seed ~edges:(Topology.edges shape ~n) ~n ()
+            ~seed ~edges:(termination_edges shape ~n ~seed) ~n ()
         else
           Topology.generate
             ~params:{ Topology.default_params with Topology.tuples_per_node = 8 }
@@ -784,8 +797,20 @@ let prop_no_premature_termination =
       ignore (System.run sys : int);
       let report = Option.get (Report.update_report (System.snapshots sys) uid) in
       let chaos = Report.chaos_report (System.snapshots sys) in
+      (* a node the terminated flood skipped must have terminated on
+         its own, at its disengagement *)
+      let every_state_released =
+        List.for_all
+          (fun name ->
+            match Node.update_state (System.node sys name) uid with
+            | Some st ->
+                st.Codb_core.Update_state.ust_terminated
+                && Option.is_none st.Codb_core.Update_state.ust_live
+            | None -> true)
+          (System.node_names sys)
+      in
       terminated () && quiet && saturated && report.Report.ur_all_finished
-      && chaos.Report.chr_forced_updates = 0)
+      && chaos.Report.chr_forced_updates = 0 && every_state_released)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

@@ -74,6 +74,16 @@ let is_terminated m =
 
 let state node = Option.get (Node.update_state node uid)
 
+let state_tables_empty msg (st : Update_state.t) =
+  Alcotest.(check bool) (msg ^ ": tables released") true
+    (Option.is_none st.Update_state.ust_live);
+  Alcotest.(check int) (msg ^ ": nothing pending") 0 (Update_state.pending_tuples st);
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool) (msg ^ ": " ^ rule ^ " inactive") false
+        (Update_state.is_active_in st rule || Update_state.is_active_out st rule))
+    [ "to_down"; "from_up" ]
+
 (* The [no_ack] flag of an update data or close message, if it is
    one. *)
 let no_ack_of m =
@@ -89,9 +99,9 @@ let data_from ?(no_ack = false) rule values =
     { update_id = uid; rule_id = rule; rows = packed (List.map (fun x -> tup [ i x ]) values);
       hops = 1; global = true; no_ack }
 
-let close_of ?(no_ack = false) ?(carries_ack = false) rule =
+let close_of ?(no_ack = false) ?(carries_ack = false) ?(subtree_done = false) rule =
   Payload.Update_link_closed
-    { update_id = uid; rule_id = rule; global = true; no_ack; carries_ack }
+    { update_id = uid; rule_id = rule; global = true; no_ack; carries_ack; subtree_done }
 
 let test_first_contact_floods_and_serves () =
   let rt, node, outbox = make_runtime middle_config in
@@ -176,7 +186,26 @@ let test_initiator_detects_termination () =
   let st = state node in
   Alcotest.(check bool) "terminated" true st.Update_state.ust_terminated;
   Alcotest.(check bool) "stats finalised" true st.Update_state.ust_finished;
+  (* both acquaintances acked plainly: neither reported a done subtree *)
   Alcotest.(check int) "terminated flood to both" 2 (count is_terminated messages)
+
+(* An acquaintance whose ack came in a close that reported its subtree
+   done gets no terminated; the others still do. *)
+let test_initiator_skips_done_subtree () =
+  let rt, node, outbox = make_runtime middle_config in
+  Update.initiate rt uid;
+  let _ = drain outbox in
+  Update.handle rt ~src:(peer "up") ~bytes:30
+    (close_of ~no_ack:true ~carries_ack:true ~subtree_done:true "from_up");
+  (* the close of to_down follows: with the request and the data, three
+     messages to down are owed *)
+  List.iter
+    (fun () -> Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_ack { update_id = uid }))
+    [ (); (); () ];
+  let messages = drain outbox in
+  Alcotest.(check bool) "terminated" true (state node).Update_state.ust_terminated;
+  Alcotest.(check (list string)) "terminated flood to down only" [ "down" ]
+    (List.map (fun m -> m.dst) (List.filter is_terminated messages))
 
 let test_terminated_flood_closes_links () =
   let rt, node, outbox = make_runtime middle_config in
@@ -191,11 +220,97 @@ let test_terminated_flood_closes_links () =
     (Update_state.out_state st "from_up" = Update_state.Link_closed);
   Alcotest.(check bool) "in link closed" true
     (Update_state.in_state st "to_down" = Update_state.Link_closed);
+  (* up acked nothing yet, so it reported no done subtree *)
   Alcotest.(check int) "flood forwarded to up only" 1 (count is_terminated messages);
   (* a second terminated is absorbed silently *)
   Update.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Update_terminated { update_id = uid });
   Alcotest.(check int) "no re-flood" 0 (List.length (drain outbox))
+
+(* "me" between its parent down, a child up that reports a done
+   subtree, and a child side whose link stays open (as on a cycle):
+   "me" is not done itself, and relays the terminated flood to side
+   only. *)
+let relay_config =
+  {|
+node down { relation r(x: int); }
+node me { relation r(x: int); }
+node up { relation r(x: int); fact r(2); }
+node side { relation r(x: int); }
+rule to_down at down: r(x) <- me: r(x);
+rule from_up at me: r(x) <- up: r(x);
+rule from_side at me: r(x) <- side: r(x);
+|}
+
+let test_relay_skips_done_subtree () =
+  let rt, node, outbox = make_runtime relay_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let _ = drain outbox in
+  Update.handle rt ~src:(peer "up") ~bytes:30
+    (close_of ~no_ack:true ~carries_ack:true ~subtree_done:true "from_up");
+  Update.handle rt ~src:(peer "side") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  (* from_side is still open: "me" disengages with a plain ack *)
+  Alcotest.(check bool) "a plain ack to down" true
+    (match drain outbox with [ m ] -> is_ack m && m.dst = "down" | _ -> false);
+  Alcotest.(check bool) "not terminated by itself" false (state node).Update_state.ust_terminated;
+  Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_terminated { update_id = uid });
+  Alcotest.(check (list string)) "flood forwarded to side only" [ "side" ]
+    (List.map (fun m -> m.dst) (List.filter is_terminated (drain outbox)))
+
+(* A node whose every link closed, and whose only other acquaintance
+   reported its subtree done, says so in its last close and terminates
+   there: it commits, releases and floods nothing. *)
+let test_done_subtree_terminates_at_disengagement () =
+  let rt, node, outbox = make_runtime middle_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let _ = drain outbox in
+  Update.handle rt ~src:(peer "up") ~bytes:30
+    (close_of ~no_ack:true ~carries_ack:true ~subtree_done:true "from_up");
+  let messages = drain outbox in
+  Alcotest.(check bool) "one close reporting the subtree done, to down" true
+    (match messages with
+    | [ { dst = "down";
+          payload =
+            Payload.Update_link_closed
+              { rule_id = "to_down"; carries_ack = true; subtree_done = true; _ } } ] ->
+        true
+    | _ -> false);
+  let st = state node in
+  Alcotest.(check bool) "terminated" true st.Update_state.ust_terminated;
+  Alcotest.(check bool) "finished" true st.Update_state.ust_finished;
+  state_tables_empty "done" st;
+  Alcotest.(check (option (array int))) "to_down's watermark committed" (Some [| 1 |])
+    (Codb_core.Watermark.find node.Node.watermarks "to_down");
+  (* a late terminated (its parent did not skip it) is absorbed *)
+  Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_terminated { update_id = uid });
+  Alcotest.(check int) "nothing flooded" 0 (List.length (drain outbox))
+
+(* A child that acked at once, engaged by another path before our
+   request reached it, reports nothing: the bit stays clear even though
+   every link closed and the other child reported its subtree done. *)
+let test_immediate_ack_keeps_the_bit_clear () =
+  let rt, node, outbox = make_runtime relay_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let _ = drain outbox in
+  Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  (* up, engaged elsewhere, closes its link later, counted *)
+  Update.handle rt ~src:(peer "up") ~bytes:30 (close_of "from_up");
+  Alcotest.(check bool) "up's close acked at once" true
+    (match drain outbox with [ m ] -> is_ack m && m.dst = "up" | _ -> false);
+  Update.handle rt ~src:(peer "side") ~bytes:30
+    (close_of ~no_ack:true ~carries_ack:true ~subtree_done:true "from_side");
+  Alcotest.(check bool) "the ack-carrying close to down reports nothing" true
+    (match drain outbox with
+    | [ { dst = "down";
+          payload =
+            Payload.Update_link_closed
+              { rule_id = "to_down"; carries_ack = true; subtree_done = false; _ } } ] ->
+        true
+    | _ -> false);
+  Alcotest.(check bool) "not terminated" false (state node).Update_state.ust_terminated
 
 let test_link_closed_cascades () =
   let rt, _node, outbox = make_runtime middle_config in
@@ -316,16 +431,6 @@ let test_released_on_forced_termination () =
         (Codb_core.Stats.update_stat rt.Runtime.node.Node.stats ~now:0.0 uid)
           .Codb_core.Stats.us_forced)
 
-let state_tables_empty msg (st : Update_state.t) =
-  Alcotest.(check bool) (msg ^ ": tables released") true
-    (Option.is_none st.Update_state.ust_live);
-  Alcotest.(check int) (msg ^ ": nothing pending") 0 (Update_state.pending_tuples st);
-  List.iter
-    (fun rule ->
-      Alcotest.(check bool) (msg ^ ": " ^ rule ^ " inactive") false
-        (Update_state.is_active_in st rule || Update_state.is_active_out st rule))
-    [ "to_down"; "from_up" ]
-
 (* A terminated update keeps its flags and nothing else: after a tree
    update every state on every node has empty tables. *)
 let test_terminated_states_keep_no_tables () =
@@ -366,6 +471,198 @@ let test_late_messages_after_release () =
   Alcotest.(check int) "no close" 0 (count is_close messages);
   Alcotest.(check int) "no request" 0 (count is_request messages);
   state_tables_empty "after late messages" (state node)
+
+(* A link still open keeps the bit clear, whatever the acquaintances
+   reported: here "me" and its parent down form a cycle.  me closes the
+   link that depends on nothing at once, and that close carries its
+   ack, but to_down waits on from_down, so down may still send data
+   that me must integrate and forward. *)
+let two_cycle_config =
+  {|
+node down { relation r(x: int); relation s(x: int); relation t(x: int); fact s(5); }
+node me { relation r(x: int); relation u(x: int); fact r(1); fact u(2); }
+rule to_down at down: r(x) <- me: r(x);
+rule to_down_u at down: t(x) <- me: u(x);
+rule from_down at me: r(x) <- down: s(x);
+|}
+
+let test_open_link_keeps_the_bit_clear () =
+  let rt, node, outbox = make_runtime two_cycle_config in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let closes =
+    List.filter_map
+      (fun m ->
+        match m.payload with
+        | Payload.Update_link_closed { rule_id; carries_ack; subtree_done; _ } ->
+            Some (rule_id, carries_ack, subtree_done)
+        | _ -> None)
+      (drain outbox)
+  in
+  Alcotest.(check (list (triple string bool bool))) "the ack rides to_down_u's close, not done"
+    [ ("to_down_u", true, false) ] closes;
+  Alcotest.(check bool) "not terminated" false (state node).Update_state.ust_terminated;
+  (* down's data re-engages me, which still forwards it *)
+  Update.handle rt ~src:(peer "down") ~bytes:50 (data_from ~no_ack:true "from_down" [ 5 ]);
+  Alcotest.(check bool) "the new row goes on to down" true
+    (List.exists
+       (fun m ->
+         match m.payload with
+         | Payload.Update_data { rule_id = "to_down"; _ } -> m.dst = "down"
+         | _ -> false)
+       (drain outbox))
+
+(* A scoped update activates links one request at a time, so a node
+   whose activated links are all closed may still be asked for
+   another: it never reports its subtree done. *)
+let two_links_config =
+  {|
+node down { relation r(x: int); relation t(x: int); }
+node me { relation r(x: int); relation u(x: int); fact r(1); fact u(2); }
+rule to_down at down: r(x) <- me: r(x);
+rule to_down_u at down: t(x) <- me: u(x);
+|}
+
+let test_scoped_never_reports_done () =
+  let rt, node, outbox = make_runtime two_links_config in
+  let ask rule =
+    Update.handle rt ~src:(peer "down") ~bytes:100
+      (Payload.Update_request { update_id = uid; scope = Payload.For_rule rule })
+  in
+  ask "to_down";
+  Alcotest.(check bool) "the ack rides the close, not done" true
+    (List.exists
+       (fun m ->
+         match m.payload with
+         | Payload.Update_link_closed { carries_ack = true; subtree_done = false; _ } -> true
+         | _ -> false)
+       (drain outbox));
+  Alcotest.(check bool) "not terminated" false (state node).Update_state.ust_terminated;
+  ask "to_down_u";
+  Alcotest.(check int) "the second link is served" 1 (count is_data (drain outbox))
+
+(* Run [sys]'s network to quiescence one event at a time, collecting
+   the destinations of every [Update_terminated] put in flight, and
+   checking after each event that each node of [done_subtree] holding
+   a state for [uid] is still engaged or already terminated: it
+   terminates no later than at its own disengagement. *)
+let run_collecting_terminated ?(done_subtree = []) sys uid =
+  let net = Codb_core.System.net sys in
+  let seen = Hashtbl.create 16 in
+  let collect () =
+    List.iter
+      (fun (m : Payload.t Codb_net.Message.t) ->
+        match m.Codb_net.Message.payload with
+        | Payload.Update_terminated _ ->
+            Hashtbl.replace seen m.Codb_net.Message.msg_id
+              (Peer_id.to_string m.Codb_net.Message.dst)
+        | _ -> ())
+      (Codb_net.Network.in_flight net)
+  in
+  let check_terminated_on_disengagement () =
+    List.iter
+      (fun name ->
+        match Node.update_state (Codb_core.System.node sys name) uid with
+        | Some st ->
+            if not (st.Update_state.ust_engaged || st.Update_state.ust_terminated) then
+              Alcotest.failf "%s disengaged without terminating" name
+        | None -> ())
+      done_subtree
+  in
+  collect ();
+  while Codb_net.Network.step net do
+    collect ();
+    check_terminated_on_disengagement ()
+  done;
+  List.sort_uniq String.compare (Hashtbl.fold (fun _ dst acc -> dst :: acc) seen [])
+
+let check_all_terminated_and_released sys uid =
+  List.iter
+    (fun name ->
+      match Node.update_state (Codb_core.System.node sys name) uid with
+      | Some st ->
+          Alcotest.(check bool) (name ^ " terminated") true st.Update_state.ust_terminated;
+          state_tables_empty name st
+      | None -> Alcotest.failf "%s never took part" name)
+    (Codb_core.System.node_names sys)
+
+(* On a tree whose importers are the parents, every subtree reports
+   itself done: the initiator floods nothing, and no terminated is
+   delivered anywhere. *)
+let test_tree_delivers_no_terminated () =
+  let sys =
+    Codb_core.System.build_exn
+      (Codb_core.Topology.generate ~seed:3 Codb_core.Topology.Binary_tree ~n:7)
+  in
+  let uid = Codb_core.System.start_update sys ~initiator:"n0" in
+  Alcotest.(check (list string)) "no terminated delivered" []
+    (run_collecting_terminated ~done_subtree:[ "n1"; "n2"; "n3"; "n4"; "n5"; "n6" ] sys uid);
+  check_all_terminated_and_released sys uid
+
+(* A ring n0 -> n1 -> n2 -> n0 with a chain n2 <- n3 <- n4 hanging off
+   n2: the chain reports itself done, the ring cannot, so the flood
+   reaches every ring node and skips the chain. *)
+let ring_with_chain_config =
+  {|
+node n0 { relation r(x: int); fact r(0); }
+node n1 { relation r(x: int); fact r(1); }
+node n2 { relation r(x: int); fact r(2); }
+node n3 { relation r(x: int); fact r(3); }
+node n4 { relation r(x: int); fact r(4); }
+rule r01 at n0: r(x) <- n1: r(x);
+rule r12 at n1: r(x) <- n2: r(x);
+rule r20 at n2: r(x) <- n0: r(x);
+rule r23 at n2: r(x) <- n3: r(x);
+rule r34 at n3: r(x) <- n4: r(x);
+|}
+
+let test_ring_floods_and_skips_the_chain () =
+  let sys = Codb_core.System.build_exn (parse_config ring_with_chain_config) in
+  let uid = Codb_core.System.start_update sys ~initiator:"n0" in
+  Alcotest.(check (list string)) "terminated reaches the ring but its initiator" [ "n1"; "n2" ]
+    (run_collecting_terminated ~done_subtree:[ "n3"; "n4" ] sys uid);
+  check_all_terminated_and_released sys uid;
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " holds every fact") 5
+        (Codb_relalg.Relation.cardinal
+           (Codb_relalg.Database.relation (Codb_core.System.node sys name).Node.store "r")))
+    [ "n0"; "n1"; "n2" ]
+
+(* The done subtree committed its watermarks when it closed its links:
+   after fresh inserts the next update ships only the delta. *)
+let chain_config =
+  {|
+node n0 { relation r(x: int); }
+node n1 { relation r(x: int); fact r(1); }
+node n2 { relation r(x: int); fact r(2); fact r(3); }
+rule r01 at n0: r(x) <- n1: r(x);
+rule r12 at n1: r(x) <- n2: r(x);
+|}
+
+let test_done_subtree_ships_only_the_delta () =
+  let sys = Codb_core.System.build_exn (parse_config chain_config) in
+  let shipped uid =
+    let report =
+      Option.get (Codb_core.Report.update_report (Codb_core.System.snapshots sys) uid)
+    in
+    List.fold_left
+      (fun acc (_, t) -> acc + t.Codb_core.Stats.rt_tuples)
+      0 report.Codb_core.Report.ur_per_rule
+  in
+  let first = Codb_core.System.start_update sys ~initiator:"n0" in
+  Alcotest.(check (list string)) "no terminated delivered" []
+    (run_collecting_terminated ~done_subtree:[ "n1"; "n2" ] sys first);
+  (* r(2), r(3) to n1; r(1), r(2), r(3) to n0 *)
+  Alcotest.(check int) "first update ships everything" 5 (shipped first);
+  Alcotest.(check bool) "fresh fact" true
+    (Codb_core.System.insert_fact sys ~at:"n2" ~rel:"r" (tup [ i 9 ]));
+  let second = Codb_core.System.start_update sys ~initiator:"n0" in
+  ignore (run_collecting_terminated sys second : string list);
+  Alcotest.(check int) "second update ships the new row twice" 2 (shipped second);
+  Alcotest.(check int) "n0 holds every fact" 4
+    (Codb_relalg.Relation.cardinal
+       (Codb_relalg.Database.relation (Codb_core.System.node sys "n0").Node.store "r"))
 
 (* The tuples served on [to_down], framed by the reliable transport or
    not. *)
@@ -687,6 +984,22 @@ let suite =
     Alcotest.test_case "re-engagement in cycles" `Quick test_reengagement_after_disengage;
     Alcotest.test_case "initiator detects termination" `Quick
       test_initiator_detects_termination;
+    Alcotest.test_case "the initiator skips a done subtree" `Quick
+      test_initiator_skips_done_subtree;
+    Alcotest.test_case "a relay skips a done subtree" `Quick test_relay_skips_done_subtree;
+    Alcotest.test_case "a done subtree terminates at disengagement" `Quick
+      test_done_subtree_terminates_at_disengagement;
+    Alcotest.test_case "an immediate ack keeps the done bit clear" `Quick
+      test_immediate_ack_keeps_the_bit_clear;
+    Alcotest.test_case "an open link keeps the done bit clear" `Quick
+      test_open_link_keeps_the_bit_clear;
+    Alcotest.test_case "a scoped update never reports done" `Quick
+      test_scoped_never_reports_done;
+    Alcotest.test_case "a tree delivers no terminated" `Quick test_tree_delivers_no_terminated;
+    Alcotest.test_case "a ring floods, its pendant chain is skipped" `Quick
+      test_ring_floods_and_skips_the_chain;
+    Alcotest.test_case "a done subtree ships only the delta next time" `Quick
+      test_done_subtree_ships_only_the_delta;
     Alcotest.test_case "terminated flood closes links" `Quick
       test_terminated_flood_closes_links;
     Alcotest.test_case "link closure cascades" `Quick test_link_closed_cascades;
