@@ -2,10 +2,12 @@
    point, what a snapshot contains, and how a restart turns both back
    into live node state.
 
-   The on-disk format reuses the compact wire codec: each log record
-   and each snapshot is one codec message (tag byte + varint/zigzag/
-   dictionary-string fields), framed and CRC-protected by
-   {!Codb_store.Frame} below.  Everything order-sensitive is written
+   Everything durable is one record format on the compact wire codec
+   (marker byte, tag byte, varint/zigzag/dictionary-string fields).  A
+   log record is one record; a snapshot is the compacted log, a run of
+   the records that rebuild the node.  Both are framed and
+   CRC-protected by {!Codb_store.Frame} below, and recovery runs both
+   through one apply path.  Everything order-sensitive is written
    sorted, so two nodes with equal state produce byte-identical
    snapshots. *)
 
@@ -23,7 +25,7 @@ module Mirror = Codb_sub.Mirror
 module Backend = Codb_store.Backend
 module Wal = Codb_store.Wal
 
-(* ---- log records ----------------------------------------------------- *)
+(* ---- records -------------------------------------------------------- *)
 
 type owner = Olocal | Oremote of Peer_id.t
 
@@ -41,6 +43,7 @@ type record =
   | Sub_remove of { sub_id : string }
   | Mirror_add of { sub_id : string; host : Peer_id.t; query_text : string }
   | Mirror_remove of { sub_id : string }
+  | Seen_keys of { keys : string list }
 
 let put_owner w = function
   | Olocal -> Codec.byte w 0
@@ -57,47 +60,66 @@ let get_owner r =
 (* Records carry a marker byte in front of the tag and encode their
    strings against a dictionary that persists across the log stream
    (reset at every compaction, so the live tail always starts from an
-   empty table); replay rebuilds the mirror in record order.  A record
-   without the marker is corrupt. *)
+   empty table) or across one snapshot; replay rebuilds the mirror in
+   record order.  A record without the marker is corrupt. *)
 let dict_marker = 0x10
 
-let encode_record ~dict record =
-  let w = Codec.writer ~initial:64 ~mode:(Codec.Linked dict) () in
+let put_tag w tag =
   Codec.byte w dict_marker;
-  (match record with
-  | Insert { rel; rows } ->
-      Codec.byte w 0;
-      Codec.string w rel;
-      Payload.put_rows w rows
-  | Import { rule; rel; hops; at; rows } ->
-      Codec.byte w 1;
-      Codec.string w rule;
-      Codec.string w rel;
-      Codec.zigzag w hops;
-      Codec.float64 w at;
-      Payload.put_rows w rows
+  Codec.byte w tag
+
+(* The two row-carrying kinds, shared by [put_record] and the snapshot
+   writer, which streams its rows straight from the store. *)
+let put_insert w ~rel rows =
+  put_tag w 0;
+  Codec.string w rel;
+  Payload.put_rows w rows
+
+let put_import w ~rule ~rel ~hops ~at rows =
+  put_tag w 1;
+  Codec.string w rule;
+  Codec.string w rel;
+  Codec.zigzag w hops;
+  Codec.float64 w at;
+  Payload.put_rows w rows
+
+let put_record w = function
+  | Insert { rel; rows } -> put_insert w ~rel rows
+  | Import { rule; rel; hops; at; rows } -> put_import w ~rule ~rel ~hops ~at rows
   | Seq_reserve { upto } ->
-      Codec.byte w 2;
+      put_tag w 2;
       Codec.varint w upto
   | Sub_add { sub_id; owner; query_text } ->
-      Codec.byte w 3;
+      put_tag w 3;
       Codec.string w sub_id;
       put_owner w owner;
       Codec.raw_string w query_text
   | Sub_remove { sub_id } ->
-      Codec.byte w 4;
+      put_tag w 4;
       Codec.string w sub_id
   | Mirror_add { sub_id; host; query_text } ->
-      Codec.byte w 5;
+      put_tag w 5;
       Codec.string w sub_id;
       Codec.string w (Peer_id.to_string host);
       Codec.raw_string w query_text
   | Mirror_remove { sub_id } ->
-      Codec.byte w 6;
-      Codec.string w sub_id);
+      put_tag w 6;
+      Codec.string w sub_id
+  | Seen_keys { keys } ->
+      put_tag w 7;
+      Codec.varint w (List.length keys);
+      List.iter (Codec.raw_string w) keys
+
+let encode_record ~dict record =
+  let w = Codec.writer ~initial:64 ~dict () in
+  put_record w record;
   Codec.contents w
 
-let get_record r =
+(* The one record decoder: a log record is one of these, a snapshot a
+   run of them. *)
+let read_record r =
+  if Codec.read_byte r <> dict_marker then
+    raise (Codec.Malformed "WAL record without its marker byte");
   match Codec.read_byte r with
   | 0 ->
       let rel = Codec.read_string r in
@@ -119,223 +141,112 @@ let get_record r =
       let host = Payload.get_peer r in
       Mirror_add { sub_id; host; query_text = Codec.read_raw_string r }
   | 6 -> Mirror_remove { sub_id = Codec.read_string r }
+  | 7 ->
+      let keys = List.init (Codec.read_count r) (fun _ -> Codec.read_raw_string r) in
+      Seen_keys { keys }
   | n -> raise (Codec.Malformed (Printf.sprintf "unknown WAL record tag %d" n))
 
-let decode_record ~dict bytes =
-  let r = Codec.reader ~mode:(Codec.R_linked dict) bytes in
-  if Codec.read_byte r <> dict_marker then
-    raise (Codec.Malformed "WAL record without its marker byte");
-  get_record r
+let decode_record ~dict bytes = read_record (Codec.reader ~table:dict bytes)
 
 (* ---- snapshots ------------------------------------------------------- *)
 
-type sub_entry = { ss_id : string; ss_owner : owner; ss_query : string }
-
-(* A mirror is kept without its answers: a restart re-arms every
-   recovered mirror against its host ([System.restart_node]), which
-   empties it, and the host's registration snapshot refills it. *)
-type mirror_snap = {
-  ms_id : string;
-  ms_host : Peer_id.t;
-  ms_query : string;
-  ms_accepted : bool;
-}
-
-type snapshot = {
-  sn_store : (string * Row.t list) list;
-  sn_lineage : ((string * Row.t) * Lineage.import list) list;
-  sn_next_seq : int;
-  sn_seen : string list;
-  sn_subs : sub_entry list;
-  sn_mirrors : mirror_snap list;
-}
-
-let snapshot_version = 3
+(* A snapshot is the compacted log: a version byte, then the records
+   that rebuild the node, back to back against one dictionary fresh
+   for the snapshot.  Replaying them through [apply_record] reaches the
+   node's store, lineage, transport and subscription state, the same
+   fix-point argument the log tail relies on.  Everything is written
+   sorted, so equal states give byte-identical snapshots. *)
+let snapshot_version = 4
 
 let query_text q = Fmt.str "%a" Pretty.query q
 
-let registry_entries (node : Node.t) =
-  match node.Node.subs with
-  | None -> []
-  | Some reg ->
-      List.map
-        (fun (e : Registry.entry) ->
-          {
-            ss_id = Sub.id e.Registry.e_sub;
-            ss_owner =
-              (match e.Registry.e_owner with
-              | Registry.Local _ -> Olocal
-              | Registry.Remote peer -> Oremote peer);
-            ss_query = query_text (Sub.query e.Registry.e_sub);
-          })
-        (Registry.entries reg)
-
-let mirror_entries (node : Node.t) =
-  List.map
-    (fun (sub_id, m) ->
-      {
-        ms_id = sub_id;
-        ms_host = Mirror.host m;
-        ms_query = query_text (Mirror.query m);
-        ms_accepted = Mirror.accepted m;
-      })
-    (Node.mirrors_sorted node)
-
-(* Every relation by name, with its row ids in [Row.compare] order:
-   sorted once per snapshot, read by both encoding passes. *)
-let sorted_store (node : Node.t) =
-  let store = node.Node.store in
-  List.map
-    (fun rel ->
-      let relation = Database.relation store rel in
-      (rel, relation, Relation.sorted_ids relation))
-    (List.sort String.compare (Database.rel_names store))
-
-let put_snapshot w (node : Node.t) store =
-  Codec.varint w (List.length store);
-  List.iter
-    (fun (rel, relation, ids) ->
-      Codec.string w rel;
-      Codec.varint w (Array.length ids);
-      Array.iter (fun id -> Payload.put_row w (Relation.row relation id)) ids)
-    store;
-  let lineage = Lineage.all node.Node.lineage in
-  Codec.varint w (List.length lineage);
+(* Lineage as import records: a row's k-th import goes in round k, so
+   replay rebuilds each import list in order.  Within a round, one
+   record per (relation, import) in key order, its rows in
+   [Row.compare] order (which [Lineage.all] hands them in). *)
+let import_groups lineage =
+  let groups = Hashtbl.create 16 in
   List.iter
     (fun ((rel, row), imports) ->
-      Codec.string w rel;
-      Payload.put_row w row;
-      Codec.varint w (List.length imports);
-      List.iter
-        (fun (i : Lineage.import) ->
-          Codec.string w i.Lineage.li_rule;
-          Codec.zigzag w i.Lineage.li_hops;
-          Codec.float64 w i.Lineage.li_at)
+      List.iteri
+        (fun round (i : Lineage.import) ->
+          let key = (round, rel, i.Lineage.li_rule, i.Lineage.li_hops, i.Lineage.li_at) in
+          let rows = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+          Hashtbl.replace groups key (row :: rows))
         imports)
-    lineage;
-  (match node.Node.relay with
-  | None ->
-      Codec.varint w 0;
-      Codec.varint w 0
-  | Some relay ->
+    (Lineage.all lineage);
+  List.sort
+    (fun (a, _) (b, _) -> compare a b)
+    (Hashtbl.fold (fun key rows acc -> (key, List.rev rows) :: acc) groups [])
+
+(* One pass, straight from the store: imported rows once each in their
+   import records, the other rows in one [Insert] per relation. *)
+let encode_snapshot (node : Node.t) =
+  let w = Codec.writer ~initial:1024 () in
+  Codec.byte w snapshot_version;
+  List.iter
+    (fun ((_, rel, rule, hops, at), rows) -> put_import w ~rule ~rel ~hops ~at rows)
+    (import_groups node.Node.lineage);
+  let store = node.Node.store in
+  List.iter
+    (fun rel ->
+      let relation = Database.relation store rel in
+      let imported = Lineage.imported node.Node.lineage ~rel in
+      let local =
+        Array.fold_right
+          (fun id acc ->
+            let row = Relation.row relation id in
+            if imported row then acc else row :: acc)
+          (Relation.sorted_ids relation) []
+      in
+      if local <> [] then put_insert w ~rel local)
+    (List.sort String.compare (Database.rel_names store));
+  Option.iter
+    (fun relay ->
       (* the reservation's end, not the next number: the snapshot
          truncates the log with its last [Seq_reserve], and numbers
          below the reservation go out after it with no new record *)
-      Codec.varint w (max (Relay.next_seq relay) node.Node.wal_reserved);
-      let seen = Relay.seen_keys relay in
-      Codec.varint w (List.length seen);
-      List.iter (Codec.raw_string w) seen);
-  let subs = registry_entries node in
-  Codec.varint w (List.length subs);
+      let upto = max (Relay.next_seq relay) node.Node.wal_reserved in
+      put_record w (Seq_reserve { upto });
+      put_record w (Seen_keys { keys = Relay.seen_keys relay }))
+    node.Node.relay;
+  Option.iter
+    (fun reg ->
+      List.iter
+        (fun (e : Registry.entry) ->
+          let owner =
+            match e.Registry.e_owner with
+            | Registry.Local _ -> Olocal
+            | Registry.Remote peer -> Oremote peer
+          in
+          put_record w
+            (Sub_add
+               {
+                 sub_id = Sub.id e.Registry.e_sub;
+                 owner;
+                 query_text = query_text (Sub.query e.Registry.e_sub);
+               }))
+        (Registry.entries reg))
+    node.Node.subs;
+  (* a mirror is kept without its answers: a restart re-arms every
+     recovered mirror against its host ([System.restart_node]), which
+     empties it, and the host's registration snapshot refills it *)
   List.iter
-    (fun s ->
-      Codec.string w s.ss_id;
-      put_owner w s.ss_owner;
-      Codec.raw_string w s.ss_query)
-    subs;
-  let mirrors = mirror_entries node in
-  Codec.varint w (List.length mirrors);
-  List.iter
-    (fun m ->
-      Codec.string w m.ms_id;
-      Codec.string w (Peer_id.to_string m.ms_host);
-      Codec.raw_string w m.ms_query;
-      Codec.byte w (if m.ms_accepted then 1 else 0))
-    mirrors
-
-(* A snapshot pulls the strings out into one sorted, front-coded
-   table: entry k stores only the length of the prefix it shares with
-   entry k-1 plus the remaining suffix, so families like
-   [n1/17, n1/18, ...] pay their common stem once.  The body is
-   written in [Tabled] mode against the sorted ids (a first pass
-   harvests the strings, a second encodes against the preloaded
-   table).  The first pass runs over a counter: it keeps the strings
-   and the body's size, and no bytes. *)
-let common_prefix_len a b =
-  let n = min (String.length a) (String.length b) in
-  let rec go k = if k < n && a.[k] = b.[k] then go (k + 1) else k in
-  go 0
-
-let encode_snapshot (node : Node.t) =
-  let store = sorted_store node in
-  (* pass 1: harvest the distinct strings *)
-  let probe = Codec.counter ~mode:Codec.Tabled () in
-  put_snapshot probe node store;
-  let strings = List.sort String.compare (Codec.dict_strings probe) in
-  (* pass 2: encode the body against the sorted table *)
-  let body = Codec.writer ~initial:(Codec.size probe) ~mode:Codec.Tabled () in
-  Codec.preload body strings;
-  put_snapshot body node store;
-  let w = Codec.writer ~initial:(Codec.size body + 64) () in
-  Codec.byte w snapshot_version;
-  Codec.varint w (List.length strings);
-  let prev = ref "" in
-  List.iter
-    (fun s ->
-      let shared = common_prefix_len !prev s in
-      Codec.varint w shared;
-      Codec.raw_string w (String.sub s shared (String.length s - shared));
-      prev := s)
-    strings;
-  Codec.add_bytes w (Codec.contents body);
+    (fun (sub_id, m) ->
+      let query_text = query_text (Mirror.query m) in
+      put_record w (Mirror_add { sub_id; host = Mirror.host m; query_text }))
+    (Node.mirrors_sorted node);
   Codec.contents w
-
-let get_snapshot r =
-  let sn_store =
-    List.init (Codec.read_count r) (fun _ ->
-        let rel = Codec.read_string r in
-        (rel, Payload.get_rows r))
-  in
-  let sn_lineage =
-    List.init (Codec.read_count r) (fun _ ->
-        let rel = Codec.read_string r in
-        let row = Payload.get_row r in
-        let imports =
-          List.init (Codec.read_count r) (fun _ ->
-              let li_rule = Codec.read_string r in
-              let li_hops = Codec.read_zigzag r in
-              let li_at = Codec.read_float64 r in
-              { Lineage.li_rule; li_hops; li_at })
-        in
-        ((rel, row), imports))
-  in
-  let sn_next_seq = Codec.read_varint r in
-  let sn_seen = List.init (Codec.read_count r) (fun _ -> Codec.read_raw_string r) in
-  let sn_subs =
-    List.init (Codec.read_count r) (fun _ ->
-        let ss_id = Codec.read_string r in
-        let ss_owner = get_owner r in
-        { ss_id; ss_owner; ss_query = Codec.read_raw_string r })
-  in
-  let sn_mirrors =
-    List.init (Codec.read_count r) (fun _ ->
-        let ms_id = Codec.read_string r in
-        let ms_host = Payload.get_peer r in
-        let ms_query = Codec.read_raw_string r in
-        { ms_id; ms_host; ms_query; ms_accepted = Codec.read_byte r = 1 })
-  in
-  { sn_store; sn_lineage; sn_next_seq; sn_seen; sn_subs; sn_mirrors }
 
 let decode_snapshot bytes =
   let r = Codec.reader bytes in
   let version = Codec.read_byte r in
   if version <> snapshot_version then
     raise (Codec.Malformed (Printf.sprintf "unknown snapshot version %d" version));
-  let count = Codec.read_count r in
-  let arr = Array.make count "" in
-  let prev = ref "" in
-  for k = 0 to count - 1 do
-    let shared = Codec.read_varint r in
-    if shared > String.length !prev then
-      raise (Codec.Malformed "front-coded table prefix overruns");
-    let s = String.sub !prev 0 shared ^ Codec.read_raw_string r in
-    arr.(k) <- s;
-    prev := s
-  done;
-  let body_at = String.length bytes - Codec.remaining r in
-  get_snapshot
-    (Codec.reader ~mode:(Codec.R_tabled arr)
-       (String.sub bytes body_at (String.length bytes - body_at)))
+  let rec records acc =
+    if Codec.at_end r then List.rev acc else records (read_record r :: acc)
+  in
+  records []
 
 (* ---- logging hooks (no-ops when the node has no WAL) ----------------- *)
 
@@ -381,11 +292,11 @@ let note_seq (node : Node.t) seq =
    bounding replay work at recovery. *)
 let snapshot_every = 64
 
-let install (node : Node.t) ~backend =
+let install ?counters (node : Node.t) ~backend =
   (* a fresh log starts from an empty stream dictionary *)
   Codec.Dict.bump node.Node.wal_dict;
   let wal =
-    Wal.create
+    Wal.create ?counters
       ~on_truncate:(fun () -> Codec.Dict.bump node.Node.wal_dict)
       ~backend ~snapshot_every
       ~take_snapshot:(fun () -> encode_snapshot node)
@@ -421,35 +332,31 @@ let restore_sub (node : Node.t) (opts : Options.t) ~sub_id ~owner ~text =
               in
               ignore (Registry.register reg sub owner : (unit, string) result)))
 
-let restore_mirror (node : Node.t) ~sub_id ~host ~text ~accepted =
+(* A recovered mirror starts unaccepted: a restart re-arms every mirror
+   whose host is another node before any event runs, and a mirror
+   hosted on its own node was never accepted (no pipe leads from a node
+   to itself). *)
+let restore_mirror (node : Node.t) ~sub_id ~host ~text =
   match Parser.parse_query text with
   | Error _ -> ()
   | Ok query ->
-      let m = Mirror.create ~sub_id ~host query in
-      if accepted then Mirror.mark_accepted m;
-      Hashtbl.replace node.Node.sub_mirrors sub_id m
+      Hashtbl.replace node.Node.sub_mirrors sub_id (Mirror.create ~sub_id ~host query)
 
 let insert_rows (node : Node.t) rel rows =
   match Database.relation_opt node.Node.store rel with
   | None -> ()
   | Some relation -> List.iter (fun row -> ignore (Relation.insert_row relation row)) rows
 
-let apply_snapshot (node : Node.t) (opts : Options.t) snap =
-  List.iter (fun (rel, rows) -> insert_rows node rel rows) snap.sn_store;
-  List.iter
-    (fun ((rel, row), imports) ->
-      List.iter (Lineage.record_import node.Node.lineage ~rel row) imports)
-    snap.sn_lineage;
-  List.iter
-    (fun s -> restore_sub node opts ~sub_id:s.ss_id ~owner:s.ss_owner ~text:s.ss_query)
-    snap.sn_subs;
-  List.iter
-    (fun m ->
-      restore_mirror node ~sub_id:m.ms_id ~host:m.ms_host ~text:m.ms_query
-        ~accepted:m.ms_accepted)
-    snap.sn_mirrors
+(* What replay carries past the store: the transport's sequence floor
+   and dedup keys, handed to the fresh relay at the end. *)
+type replay = { mutable seq_floor : int; mutable seen : string list }
 
-let apply_record (node : Node.t) (opts : Options.t) ~seq_floor record =
+(* The one apply path, for a snapshot's records and the log tail alike.
+   An [Import] records lineage for every row it carries, not only for
+   rows it inserts afresh: every snapshot truncates the log, so a tail
+   never repeats a row the snapshot holds, and a snapshot row imported
+   twice comes back with both imports. *)
+let apply_record (node : Node.t) (opts : Options.t) replay record =
   match record with
   | Insert { rel; rows } -> insert_rows node rel rows
   | Import { rule; rel; hops; at; rows } -> (
@@ -459,10 +366,10 @@ let apply_record (node : Node.t) (opts : Options.t) ~seq_floor record =
           let import = { Lineage.li_rule = rule; li_hops = hops; li_at = at } in
           List.iter
             (fun row ->
-              if Relation.insert_row relation row then
-                Lineage.record_import node.Node.lineage ~rel row import)
+              ignore (Relation.insert_row relation row);
+              Lineage.record_import node.Node.lineage ~rel row import)
             rows)
-  | Seq_reserve { upto } -> seq_floor := max !seq_floor upto
+  | Seq_reserve { upto } -> replay.seq_floor <- max replay.seq_floor upto
   | Sub_add { sub_id; owner; query_text } ->
       restore_sub node opts ~sub_id ~owner ~text:query_text
   | Sub_remove { sub_id } -> (
@@ -470,8 +377,9 @@ let apply_record (node : Node.t) (opts : Options.t) ~seq_floor record =
       | None -> ()
       | Some reg -> ignore (Registry.unregister reg sub_id))
   | Mirror_add { sub_id; host; query_text } ->
-      restore_mirror node ~sub_id ~host ~text:query_text ~accepted:false
+      restore_mirror node ~sub_id ~host ~text:query_text
   | Mirror_remove { sub_id } -> Hashtbl.remove node.Node.sub_mirrors sub_id
+  | Seen_keys { keys } -> replay.seen <- keys
 
 type recovery_stats = {
   rv_records : int;  (** intact log records replayed *)
@@ -487,21 +395,17 @@ type recovery_stats = {
    then installs a fresh WAL and immediately snapshots through it —
    compacting the just-replayed log so a second crash recovers from
    the snapshot alone and replays nothing twice. *)
-let recover (node : Node.t) (opts : Options.t) ~backend =
+let recover ?counters (node : Node.t) (opts : Options.t) ~backend =
   let r = Wal.recover ~backend in
-  let seq_floor = ref 0 in
-  let had_snapshot = ref false in
-  let seen = ref [] in
-  (match r.Wal.rec_snapshot with
-  | None -> ()
-  | Some payload -> (
-      match decode_snapshot payload with
-      | snap ->
-          had_snapshot := true;
-          seq_floor := snap.sn_next_seq;
-          seen := snap.sn_seen;
-          apply_snapshot node opts snap
-      | exception Codec.Malformed _ -> ()));
+  (* decoded whole before any of it applies: a snapshot damaged
+     anywhere is ignored, never half-applied *)
+  let snapshot =
+    match Option.map decode_snapshot r.Wal.rec_snapshot with
+    | snapshot -> snapshot
+    | exception Codec.Malformed _ -> None
+  in
+  let replay = { seq_floor = 0; seen = [] } in
+  Option.iter (List.iter (apply_record node opts replay)) snapshot;
   let replayed = ref 0 in
   (* the log tail was written after the last truncation, which is where
      the stream dictionary last reset: an empty mirror, grown in record
@@ -512,7 +416,7 @@ let recover (node : Node.t) (opts : Options.t) ~backend =
       match decode_record ~dict:replay_tab bytes with
       | record ->
           incr replayed;
-          apply_record node opts ~seq_floor record
+          apply_record node opts replay record
       | exception Codec.Malformed _ -> ())
     r.Wal.rec_records;
   (* the recovered dedup table keeps retransmitted-but-already-
@@ -520,9 +424,10 @@ let recover (node : Node.t) (opts : Options.t) ~backend =
      after the snapshot lose their dedup keys, so their retransmissions
      re-process idempotently (subsumption dedup at integration) *)
   if Options.reliable opts then
-    node.Node.relay <- Some (Relay.create ~next_seq:!seq_floor ~seen:!seen ());
-  node.Node.wal_reserved <- !seq_floor;
-  let wal = install node ~backend in
+    node.Node.relay <-
+      Some (Relay.create ~next_seq:replay.seq_floor ~seen:replay.seen ());
+  node.Node.wal_reserved <- replay.seq_floor;
+  let wal = install ?counters node ~backend in
   Wal.snapshot_now wal;
   Stats.note_recovery node.Node.stats ~records:!replayed
     ~replayed_bytes:r.Wal.rec_replayed_bytes;
@@ -530,5 +435,5 @@ let recover (node : Node.t) (opts : Options.t) ~backend =
     rv_records = !replayed;
     rv_replayed_bytes = r.Wal.rec_replayed_bytes;
     rv_truncated = r.Wal.rec_truncated;
-    rv_had_snapshot = !had_snapshot;
+    rv_had_snapshot = Option.is_some snapshot;
   }

@@ -5,10 +5,12 @@
 
     The on-disk format reuses the compact wire codec
     ({!Codb_net.Codec}); framing and CRC protection live below in
-    {!Codb_store}.  Snapshots cover the LDB relations, lineage tags,
-    reliable-transport sequence state, the subscription registry and
-    each mirror's registration (id, host, query, accepted); log
-    records cover each commit point between snapshots.  Nothing of a
+    {!Codb_store}.  Everything durable is one {!record} format: a log
+    record covers one commit point, and a snapshot is the compacted
+    log, the records that rebuild the LDB relations, lineage tags,
+    reliable-transport sequence state and dedup keys, the
+    subscription registry and each mirror's registration (id, host,
+    query).  Nothing of a
     running update is kept: the importer suppresses duplicates, so a
     recovered node that re-ships tuples changes no store.  Nor are a
     mirror's answers: a restart re-arms every recovered mirror against
@@ -42,6 +44,9 @@ type record =
   | Sub_remove of { sub_id : string }
   | Mirror_add of { sub_id : string; host : Peer_id.t; query_text : string }
   | Mirror_remove of { sub_id : string }
+  | Seen_keys of { keys : string list }
+      (** the transport's dedup keys; written by snapshots only, the
+          one durable state no commit point logs *)
 
 val encode_record : dict:Codb_net.Codec.Dict.sender -> record -> string
 (** A marker byte plus the record with strings encoded incrementally
@@ -55,14 +60,26 @@ val decode_record : dict:(int, string) Hashtbl.t -> string -> record
     byte, an empty peer name, or an id [dict] lacks. *)
 
 val encode_snapshot : Node.t -> string
-(** Serialize the node's durable state, everything sorted so equal
-    states produce byte-identical snapshots: relations by name, each
-    relation's rows straight from the store in {!Row.compare} order
-    (which is {!Codb_relalg.Tuple.compare}'s), lineage by relation and
-    row.  Layout v3: a sorted,
-    front-coded string table up front (each entry stores only the
-    suffix past its shared prefix with the previous entry), the body
-    referencing it by id.  {!recover} reads this version only. *)
+(** The node's durable state as the records that rebuild it.  Layout
+    v4: a version byte, then records laid out as {!encode_record} lays
+    them out, back to back against one dictionary fresh for the
+    snapshot, written in one pass straight from the store:
+    - an [Import] per (relation, rule, hops, time) for the rows with
+      lineage, each row once per import: a row's k-th import goes in
+      the k-th round of such records, so replay rebuilds its import
+      list in order;
+    - an [Insert] per relation (by name) for the rows without lineage;
+    - [Seq_reserve] at the reservation's end and [Seen_keys], when
+      the node has a transport relay;
+    - a [Sub_add] per registry entry and a [Mirror_add] per mirror.
+    Rows go in {!Row.compare} order and everything else sorted, so
+    equal states produce byte-identical snapshots. *)
+
+val decode_snapshot : string -> record list
+(** Every record of a snapshot, in order.  {!recover} reads version 4
+    only.
+    @raise Codb_net.Codec.Malformed on any damage: a wrong version
+    byte, or a record {!decode_record} would refuse. *)
 
 (** {1 Commit-point hooks} — called by {!System}, {!Update},
     {!Sub_engine} and {!Reliable}; no-ops when [node.wal] is [None]. *)
@@ -92,9 +109,12 @@ val note_bulk_load : Node.t -> unit
 val snapshot_every : int
 (** WAL records between two snapshots of a node. *)
 
-val install : Node.t -> backend:Backend.t -> Wal.t
+val install : ?counters:Wal.counters -> Node.t -> backend:Backend.t -> Wal.t
 (** Create and attach a fresh WAL whose snapshot callback serializes
-    this node, taking a snapshot every {!snapshot_every} records. *)
+    this node, taking a snapshot every {!snapshot_every} records.
+    [counters] (default fresh) is the record it counts into; passing
+    the same one to every incarnation of a node's WAL keeps its counts
+    across crashes. *)
 
 type recovery_stats = {
   rv_records : int;  (** intact log records replayed *)
@@ -103,11 +123,14 @@ type recovery_stats = {
   rv_had_snapshot : bool;
 }
 
-val recover : Node.t -> Options.t -> backend:Backend.t -> recovery_stats
-(** Rebuild the node from its backend: latest valid snapshot, then the
-    intact log tail (truncating at the first torn or corrupt record),
-    then a fresh transport relay seeded with the recovered sequence
-    reservation and dedup keys, then a fresh WAL with an immediate
-    compacting snapshot.  Expects the volatile state already reset
+val recover :
+  ?counters:Wal.counters -> Node.t -> Options.t -> backend:Backend.t -> recovery_stats
+(** Rebuild the node from its backend: the latest valid snapshot's
+    records (a snapshot that fails to decode anywhere is ignored
+    whole), then the intact log tail (truncating at the first torn or
+    corrupt record), both through one apply path; then a fresh
+    transport relay seeded with the recovered sequence reservation and
+    dedup keys, then a fresh WAL ({!install}, with [counters]) with an
+    immediate compacting snapshot.  Expects the volatile state already reset
     ({!Node.reset_volatile}, {!Node.reset_store},
     {!Node.configure_subs}).  Credits {!Stats.note_recovery}. *)

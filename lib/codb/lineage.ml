@@ -25,6 +25,11 @@ let record_import t ~rel row import =
   let earlier = Option.value ~default:[] (Row.Table.find_opt rows row) in
   Row.Table.replace rows row (import :: earlier)
 
+let imported t ~rel =
+  match List.assoc_opt rel t.rels with
+  | None -> fun _ -> false
+  | Some rows -> Row.Table.mem rows
+
 let imports t ~rel tuple =
   match List.assoc_opt rel t.rels with
   | None -> []

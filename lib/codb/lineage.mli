@@ -26,13 +26,17 @@ val record_import : t -> rel:string -> Codb_relalg.Row.t -> import -> unit
 (** Note one import of a stored row (packed, as the update integrates
     it; the row is kept as a key, so it must not be mutated). *)
 
+val imported : t -> rel:string -> Codb_relalg.Row.t -> bool
+(** Does the row have an import on record?  Apply to [rel] once and
+    test many rows: the relation's table is looked up once. *)
+
 val imports : t -> rel:string -> Codb_relalg.Tuple.t -> import list
 (** Oldest first; empty for base facts. *)
 
 val all : t -> ((string * Codb_relalg.Row.t) * import list) list
 (** Every recorded entry in (relation, row) order, rows by
-    {!Codb_relalg.Row.compare} — what the durability layer writes into
-    snapshots. *)
+    {!Codb_relalg.Row.compare} — what the durability layer groups into
+    a snapshot's import records. *)
 
 val clear : t -> unit
 (** Forget everything (an honest crash destroys lineage too; recovery

@@ -9,6 +9,7 @@ type t = {
   mutable store : Database.t;
   mutable outgoing : Config.rule_decl list;
   mutable incoming : Config.rule_decl list;
+  mutable acquaintances : Peer_id.t list;
   stats : Stats.t;
   lineage : Lineage.t;
   watermarks : Watermark.t;
@@ -42,6 +43,7 @@ let create decl =
     store;
     outgoing = [];
     incoming = [];
+    acquaintances = [];
     stats = Stats.create node_id;
     lineage = Lineage.create ();
     watermarks = Watermark.create ();
@@ -115,6 +117,17 @@ let mirrors_sorted node =
 let set_rules node ~outgoing ~incoming =
   node.outgoing <- outgoing;
   node.incoming <- incoming;
+  (* the far end of every rule, each peer once, sorted *)
+  let self = Peer_id.to_string node.node_id in
+  let add acc (r : Config.rule_decl) =
+    let far =
+      if String.equal r.Config.importer self then r.Config.source else r.Config.importer
+    in
+    let peer = Peer_id.of_string far in
+    if List.mem peer acc then acc else peer :: acc
+  in
+  let peers = List.fold_left add (List.fold_left add [] outgoing) incoming in
+  node.acquaintances <- List.sort Peer_id.compare peers;
   Watermark.clear node.watermarks;
   (* acquaintances and rule bodies changed: cached answers may rest on
      rules that no longer exist *)
@@ -160,16 +173,6 @@ let find_rule rules id = List.find_opt (fun r -> String.equal r.Config.rule_id i
 let rule_out node id = find_rule node.outgoing id
 
 let rule_in node id = find_rule node.incoming id
-
-let acquaintances node =
-  let add acc peer = if List.mem peer acc then acc else peer :: acc in
-  let step acc (r : Config.rule_decl) =
-    if String.equal r.Config.importer (Peer_id.to_string node.node_id) then
-      add acc (Peer_id.of_string r.Config.source)
-    else add acc (Peer_id.of_string r.Config.importer)
-  in
-  let all = List.fold_left step [] (node.outgoing @ node.incoming) in
-  List.sort Peer_id.compare all
 
 (* The table holds [Some st], built once when the state is added, so a
    hit returns it without allocating ([find_opt] would box a fresh

@@ -22,6 +22,9 @@ type t = {
   mutable incoming : Config.rule_decl list;
       (** rules other nodes use to import from this node (it is the
           source) *)
+  mutable acquaintances : Peer_id.t list;
+      (** the far ends of [outgoing] and [incoming], each peer once,
+          sorted; computed by {!set_rules} *)
   stats : Stats.t;
   lineage : Lineage.t;  (** how each stored tuple got here *)
   watermarks : Watermark.t;
@@ -129,17 +132,15 @@ val note_local_write : t -> unit
 
 val set_rules :
   t -> outgoing:Config.rule_decl list -> incoming:Config.rule_decl list -> unit
-(** Replace the coordination rules.  Clears the query-answer cache
-    (cached answers may rest on rules that no longer exist) and the
-    watermarks (the links they describe may have changed). *)
+(** Replace the coordination rules and recompute [acquaintances].
+    Clears the query-answer cache (cached answers may rest on rules
+    that no longer exist) and the watermarks (the links they describe
+    may have changed). *)
 
 val rule_out : t -> string -> Config.rule_decl option
 (** Find one of this node's outgoing rules by id. *)
 
 val rule_in : t -> string -> Config.rule_decl option
-
-val acquaintances : t -> Peer_id.t list
-(** Peers this node shares a coordination rule with, sorted. *)
 
 val update_state : t -> Ids.update_id -> Update_state.t option
 (** Allocates nothing: the per-message lookup of the update protocol. *)

@@ -469,10 +469,8 @@ let put_message w ?link payload =
   (match link with Some d -> Codec.varint w (Codec.Dict.epoch d) | None -> ());
   put_payload w payload
 
-let mode_of = Option.map (fun d -> Codec.Linked d)
-
 let encode ?link payload =
-  let w = Codec.writer ?mode:(mode_of link) () in
+  let w = Codec.writer ?dict:link () in
   put_message w ?link payload;
   Codec.contents w
 
@@ -584,9 +582,8 @@ let decode ?link bytes =
              the body against the table that epoch selects. *)
           let r0 = Codec.reader bytes in
           let epoch = Codec.read_varint r0 in
-          let tab = Codec.Dict.table_for rc ~epoch in
           let body_at = String.length bytes - Codec.remaining r0 in
-          Codec.reader ~mode:(Codec.R_linked tab)
+          Codec.reader ~table:(Codec.Dict.table_for rc ~epoch)
             (String.sub bytes body_at (String.length bytes - body_at))
     in
     let payload = get_payload r in
@@ -602,6 +599,6 @@ let encoded_size ?link payload =
       1 + Stats.snapshot_size_bytes stats
   | payload ->
       (* the encoder itself, over a writer that only counts *)
-      let w = Codec.counter ?mode:(mode_of link) () in
+      let w = Codec.counter ?dict:link () in
       put_message w ?link payload;
       Codec.size w

@@ -169,7 +169,7 @@ type t =
 
 val encode : ?link:Codec.Dict.sender -> t -> string
 (** Compact binary encoding: tag byte, varint-prefixed fields, zigzag
-    integers, strings in {!Codec.strmode.Linked} mode.  Without [link]
+    integers, strings through a {!Codec.Dict} dictionary.  Without [link]
     the strings go against a fresh dictionary, so the bytes are
     self-contained.  With [link], the message becomes a link frame: a
     varint epoch stamp followed by the body against the link's

@@ -11,12 +11,12 @@ let apply (rt : Runtime.t) ~version cfg =
   else begin
     let node = rt.Runtime.node in
     let name = Peer_id.to_string node.Node.node_id in
-    let old_acquaintances = Node.acquaintances node in
+    let old_acquaintances = node.Node.acquaintances in
     node.Node.rules_version <- version;
     Node.set_rules node
       ~outgoing:(Config.rules_importing_at cfg name)
       ~incoming:(Config.rules_sourced_at cfg name);
-    let new_acquaintances = Node.acquaintances node in
+    let new_acquaintances = node.Node.acquaintances in
     (* Create the pipes the new rules need... *)
     List.iter rt.Runtime.connect new_acquaintances;
     (* ...and close the pipes no rule is assigned to any more. *)

@@ -9,15 +9,11 @@ module Database = Codb_relalg.Database
 module Eval = Codb_cq.Eval
 
 (* Per-node durability bookkeeping: the backend outlives the node's
-   crashes (it *is* the disk), and the accumulators keep counters from
-   crashed WAL incarnations, which drop their live counter record when
-   the node loses its [wal] at crash time. *)
+   crashes (it *is* the disk), and so does the counter record every
+   incarnation of the node's WAL counts into. *)
 type dur_node = {
   dn_backend : Codb_store.Backend.t;
-  mutable dn_records : int;
-  mutable dn_bytes : int;
-  mutable dn_snapshots : int;
-  mutable dn_snapshot_bytes : int;
+  dn_counters : Codb_store.Wal.counters;
   mutable dn_recoveries : int;
   mutable dn_recovered_records : int;
   mutable dn_replayed_bytes : int;
@@ -130,19 +126,17 @@ let install_node sys decl =
               ~node:name ()
         | None -> Codb_store.Backend.memory ()
       in
+      let counters = Codb_store.Wal.fresh_counters () in
       Hashtbl.replace sys.sys_dur name
         {
           dn_backend = backend;
-          dn_records = 0;
-          dn_bytes = 0;
-          dn_snapshots = 0;
-          dn_snapshot_bytes = 0;
+          dn_counters = counters;
           dn_recoveries = 0;
           dn_recovered_records = 0;
           dn_replayed_bytes = 0;
           dn_recovery_ms = 0.;
         };
-      ignore (Durable.install node ~backend : Codb_store.Wal.t)
+      ignore (Durable.install ~counters node ~backend : Codb_store.Wal.t)
   | Options.Dur_volatile -> ());
   let rt = make_runtime sys node in
   Network.set_handler sys.sys_net node.Node.node_id (handler sys rt);
@@ -174,15 +168,6 @@ let crash_node sys name =
   Network.clear_handler sys.sys_net id;
   List.iter (fun peer -> Network.disconnect sys.sys_net id peer)
     (Network.neighbours sys.sys_net id);
-  (match (n.Node.wal, Hashtbl.find_opt sys.sys_dur name) with
-  | Some wal, Some dn ->
-      (* the live WAL dies with the node; keep its counters *)
-      let c = Codb_store.Wal.counters wal in
-      dn.dn_records <- dn.dn_records + c.Codb_store.Wal.records_written;
-      dn.dn_bytes <- dn.dn_bytes + c.Codb_store.Wal.bytes_written;
-      dn.dn_snapshots <- dn.dn_snapshots + c.Codb_store.Wal.snapshots_taken;
-      dn.dn_snapshot_bytes <- dn.dn_snapshot_bytes + c.Codb_store.Wal.snapshot_bytes
-  | _ -> ());
   n.Node.wal <- None;
   n.Node.relay <- None;
   Node.reset_store n;
@@ -224,7 +209,10 @@ let restart_node sys name =
       | None -> ()
       | Some dn ->
           let t0 = Sys.time () in
-          let rv = Durable.recover n sys.sys_opts ~backend:dn.dn_backend in
+          let rv =
+            Durable.recover ~counters:dn.dn_counters n sys.sys_opts
+              ~backend:dn.dn_backend
+          in
           dn.dn_recovery_ms <-
             dn.dn_recovery_ms +. ((Sys.time () -. t0) *. 1000.);
           dn.dn_recoveries <- dn.dn_recoveries + 1;
@@ -236,7 +224,7 @@ let restart_node sys name =
   Node.note_local_write n;
   let rt = runtime sys name in
   Network.set_handler sys.sys_net id (handler sys rt);
-  List.iter (fun peer -> rt.Runtime.connect peer) (Node.acquaintances n);
+  List.iter (fun peer -> rt.Runtime.connect peer) n.Node.acquaintances;
   (match sys.sys_superpeer with
   | Some sp ->
       Network.connect sys.sys_net ~latency:sys.sys_opts.Options.latency
@@ -592,27 +580,16 @@ type durability_report = {
   dr_recovery_ms : float;
 }
 
-(* Crashed incarnations' counters live in the accumulators; the
-   current incarnation's in its live WAL. *)
+(* One counter record per node, shared by all its WAL incarnations. *)
 let durability_report sys =
   Hashtbl.fold
-    (fun name dn acc ->
-      let live_records, live_bytes, live_snaps, live_snap_bytes =
-        match (node sys name).Node.wal with
-        | Some wal ->
-            let c = Codb_store.Wal.counters wal in
-            ( c.Codb_store.Wal.records_written,
-              c.Codb_store.Wal.bytes_written,
-              c.Codb_store.Wal.snapshots_taken,
-              c.Codb_store.Wal.snapshot_bytes )
-        | None -> (0, 0, 0, 0)
-      in
+    (fun _ dn acc ->
+      let c = dn.dn_counters in
       {
-        dr_wal_records = acc.dr_wal_records + dn.dn_records + live_records;
-        dr_wal_bytes = acc.dr_wal_bytes + dn.dn_bytes + live_bytes;
-        dr_snapshots = acc.dr_snapshots + dn.dn_snapshots + live_snaps;
-        dr_snapshot_bytes =
-          acc.dr_snapshot_bytes + dn.dn_snapshot_bytes + live_snap_bytes;
+        dr_wal_records = acc.dr_wal_records + c.Codb_store.Wal.records_written;
+        dr_wal_bytes = acc.dr_wal_bytes + c.Codb_store.Wal.bytes_written;
+        dr_snapshots = acc.dr_snapshots + c.Codb_store.Wal.snapshots_taken;
+        dr_snapshot_bytes = acc.dr_snapshot_bytes + c.Codb_store.Wal.snapshot_bytes;
         dr_recoveries = acc.dr_recoveries + dn.dn_recoveries;
         dr_recovered_records =
           acc.dr_recovered_records + dn.dn_recovered_records;

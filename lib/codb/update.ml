@@ -45,7 +45,7 @@ let finalize rt (st : U.t) =
     | Some cache ->
         let staled =
           Codb_cache.Qcache.note_update cache
-            (rt.Runtime.node.Node.node_id :: Node.acquaintances rt.Runtime.node)
+            (rt.Runtime.node.Node.node_id :: rt.Runtime.node.Node.acquaintances)
         in
         us.Stats.us_cache_staled <- us.Stats.us_cache_staled + staled
     | None -> ()
@@ -104,7 +104,7 @@ let flood_terminated rt (st : U.t) ~except ~done_peers =
         (Reliable.send_noted rt ~dst:peer
            (Payload.Update_terminated { update_id = st.U.ust_update }))
   in
-  List.iter forward (Node.acquaintances rt.Runtime.node)
+  List.iter forward rt.Runtime.node.Node.acquaintances
 
 (* Is [dst] this node's Dijkstra–Scholten engagement parent?  A data,
    batch or close message to it owes no acknowledgement: the parent
@@ -132,14 +132,11 @@ let close_payload (st : U.t) ~no_ack ?(carries_ack = false) ?(subtree_done = fal
    the update flows in it any more, and no peer outside it needs a
    terminated routed through it. *)
 let subtree_done rt (st : U.t) ~parent =
-  let node = rt.Runtime.node in
   let below peer =
     Peer_id.equal peer parent || List.exists (Peer_id.equal peer) (U.done_peers st)
   in
-  (* the acquaintances are the far ends of the node's rules *)
   (not st.U.ust_scoped) && U.all_links_closed st
-  && List.for_all (fun o -> below (source_of o)) node.Node.outgoing
-  && List.for_all (fun i -> below (importer_of i)) node.Node.incoming
+  && List.for_all below rt.Runtime.node.Node.acquaintances
 
 (* Dijkstra–Scholten: a node disengages (acknowledging the message
    that engaged it) once everything it counted has been acknowledged
@@ -468,7 +465,7 @@ let first_contact rt (st : U.t) ~exclude =
       send_request rt st ~dst:peer
         (Payload.Update_request { update_id = uid; scope = Payload.Global })
   in
-  List.iter flood (Node.acquaintances rt.Runtime.node);
+  List.iter flood rt.Runtime.node.Node.acquaintances;
   List.iter
     (fun (o : Config.rule_decl) -> Stats.note_queried us (source_of o))
     rt.Runtime.node.Node.outgoing;

@@ -1,21 +1,18 @@
-(* Binary primitives shared by every wire payload.  Strings go through
-   a dictionary: the first time a string is written it is introduced
-   literally, and later occurrences become a varint id.  Update floods
-   repeat rule ids, null provenance tags and skewed data values
-   constantly, so the dictionary is where most of the wire savings come
-   from.  There are two string modes:
+(* Binary primitives shared by every wire payload and every WAL
+   record.  Strings go through a dictionary: the first time a string is
+   written it is introduced literally, and later occurrences become a
+   varint id.  Update floods repeat rule ids, null provenance tags and
+   skewed data values constantly, so the dictionary is where most of
+   the wire savings come from.
 
-   - [Linked]: an incremental dictionary that persists across messages
-     on one directed link (or one WAL stream).  Introductions carry an
-     explicit id next to the literal, so a receiver that misses a
-     message can never misattribute a later back-reference — a
-     dangling id fails as [Malformed], a wrong string is impossible by
-     construction.  Epoch bumps (crash, restart, link flap) reset both
-     sides deterministically.  A self-contained message is the same
-     format against a fresh dictionary.
-   - [Tabled]: strings become bare varint ids and the id -> string
-     table is harvested afterwards ({!dict_strings}) to be written
-     up front, deduplicated — the snapshot layout. *)
+   The dictionary is incremental and persists across messages on one
+   directed link (or one WAL stream, or one snapshot).  Introductions
+   carry an explicit id next to the literal, so a receiver that misses
+   a message can never misattribute a later back-reference — a
+   dangling id fails as [Malformed], a wrong string is impossible by
+   construction.  Epoch bumps (crash, restart, link flap) reset both
+   sides deterministically.  A self-contained message is the same
+   format against a fresh dictionary. *)
 
 module Dict = struct
   type sender = {
@@ -62,14 +59,6 @@ module Dict = struct
     else Hashtbl.create 4
 end
 
-type strmode = Linked of Dict.sender | Tabled
-
-(* The [Tabled] state: string -> id, and the harvest in id order
-   (reversed). *)
-type table = { ids : (string, int) Hashtbl.t; mutable harvest : string list }
-
-type strings = In_link of Dict.sender | In_table of table
-
 (* A writer either appends to its buffer or, [counting], only adds up
    the bytes it would have appended: {!Payload.encoded_size} sizes a
    message by running the encoder over a counting writer, so the link
@@ -79,21 +68,17 @@ type writer = {
   buf : Buffer.t;
   counting : bool;
   mutable counted : int;
-  strings : strings;
+  dict : Dict.sender;
 }
 
-let strings_of = function
-  | Linked d -> In_link d
-  | Tabled -> In_table { ids = Hashtbl.create 16; harvest = [] }
-
-let writer ?(initial = 256) ?(mode = Linked (Dict.sender ~size:16 ())) () =
-  { buf = Buffer.create initial; counting = false; counted = 0; strings = strings_of mode }
+let writer ?(initial = 256) ?(dict = Dict.sender ~size:16 ()) () =
+  { buf = Buffer.create initial; counting = false; counted = 0; dict }
 
 (* never written: a counting writer appends nothing *)
 let no_buffer = Buffer.create 1
 
-let counter ?(mode = Linked (Dict.sender ~size:16 ())) () =
-  { buf = no_buffer; counting = true; counted = 0; strings = strings_of mode }
+let counter ?(dict = Dict.sender ~size:16 ()) () =
+  { buf = no_buffer; counting = true; counted = 0; dict }
 
 let byte w n =
   if w.counting then w.counted <- w.counted + 1
@@ -131,40 +116,21 @@ let raw_string w s =
   varint w (String.length s);
   add_bytes w s
 
-let table_id t s =
-  match Hashtbl.find_opt t.ids s with
-  | Some id -> id
-  | None ->
-      let id = Hashtbl.length t.ids in
-      Hashtbl.add t.ids s id;
-      t.harvest <- s :: t.harvest;
-      id
-
 let string w s =
-  match w.strings with
-  | In_link d -> (
-      (* [find], not [find_opt]: a hit, the common case, allocates
-         nothing; a miss is the [Not_found] branch, so nothing escapes *)
-      match Hashtbl.find d.Dict.s_tab s with
-      | id ->
-          d.Dict.s_hits <- d.Dict.s_hits + 1;
-          varint w ((id lsl 1) lor 1)
-      | exception Not_found ->
-          let id = d.Dict.s_next in
-          Hashtbl.add d.Dict.s_tab s id;
-          d.Dict.s_next <- id + 1;
-          d.Dict.s_intros <- d.Dict.s_intros + 1;
-          varint w (id lsl 1);
-          raw_string w s)
-  | In_table t -> varint w (table_id t s)
-
-let dict_strings w =
-  match w.strings with In_table t -> List.rev t.harvest | In_link _ -> []
-
-let preload w ss =
-  match w.strings with
-  | In_table t -> List.iter (fun s -> ignore (table_id t s : int)) ss
-  | In_link _ -> ()
+  let d = w.dict in
+  (* [find], not [find_opt]: a hit, the common case, allocates nothing;
+     a miss is the [Not_found] branch, so nothing escapes *)
+  match Hashtbl.find d.Dict.s_tab s with
+  | id ->
+      d.Dict.s_hits <- d.Dict.s_hits + 1;
+      varint w ((id lsl 1) lor 1)
+  | exception Not_found ->
+      let id = d.Dict.s_next in
+      Hashtbl.add d.Dict.s_tab s id;
+      d.Dict.s_next <- id + 1;
+      d.Dict.s_intros <- d.Dict.s_intros + 1;
+      varint w (id lsl 1);
+      raw_string w s
 
 let contents w =
   if w.counting then invalid_arg "Codec.contents: a counting writer holds no bytes";
@@ -172,15 +138,11 @@ let contents w =
 
 let size w = if w.counting then w.counted else Buffer.length w.buf
 
-type rstrmode =
-  | R_linked of (int, string) Hashtbl.t
-  | R_tabled of string array
-
-type reader = { src : string; mutable pos : int; rmode : rstrmode }
+type reader = { src : string; mutable pos : int; table : (int, string) Hashtbl.t }
 
 exception Malformed of string
 
-let reader ?(mode = R_linked (Hashtbl.create 16)) src = { src; pos = 0; rmode = mode }
+let reader ?(table = Hashtbl.create 16) src = { src; pos = 0; table }
 
 let read_byte r =
   if r.pos >= String.length r.src then raise (Malformed "truncated byte");
@@ -217,26 +179,19 @@ let read_raw_string r =
   s
 
 let read_string r =
-  match r.rmode with
-  | R_linked tab ->
-      let n = read_varint r in
-      let id = n lsr 1 in
-      if n land 1 = 0 then begin
-        let s = read_raw_string r in
-        (* replace: a retransmitted introduction is idempotent (the
-           sender never reuses an id for a different string within an
-           epoch) *)
-        Hashtbl.replace tab id s;
-        s
-      end
-      else (
-        match Hashtbl.find_opt tab id with
-        | Some s -> s
-        | None -> raise (Malformed "dangling link dictionary reference"))
-  | R_tabled arr ->
-      let id = read_varint r in
-      if id >= 0 && id < Array.length arr then arr.(id)
-      else raise (Malformed "dangling table reference")
+  let n = read_varint r in
+  let id = n lsr 1 in
+  if n land 1 = 0 then begin
+    let s = read_raw_string r in
+    (* replace: a retransmitted introduction is idempotent (the sender
+       never reuses an id for a different string within an epoch) *)
+    Hashtbl.replace r.table id s;
+    s
+  end
+  else
+    match Hashtbl.find_opt r.table id with
+    | Some s -> s
+    | None -> raise (Malformed "dangling link dictionary reference")
 
 let at_end r = r.pos >= String.length r.src
 

@@ -8,9 +8,10 @@
 
 (** {1 Incremental link dictionaries}
 
-    State for the [Linked] string mode: a dictionary that persists
-    across messages on one directed link, so a string crosses the link
-    once per epoch and every later occurrence is a small id.  The wire
+    Every string goes through a dictionary that persists across
+    messages on one directed link (or records of one WAL stream, or
+    one snapshot), so a string crosses the link once per epoch and
+    every later occurrence is a small id.  The wire
     format keeps the id {e explicit} on introductions, which makes
     desync detectable instead of silent: a receiver that missed an
     introduction raises {!Malformed} on the dangling reference — it
@@ -53,30 +54,22 @@ module Dict : sig
       fail {!Malformed}; literals still decode). *)
 end
 
-(** How {!string}/{!read_string} treat strings. *)
-type strmode =
-  | Linked of Dict.sender
-      (** persistent per-link dictionary with explicit introduction ids *)
-  | Tabled
-      (** bare varint ids; the id -> string table is harvested with
-          {!dict_strings} and stored out of band (the snapshot layout) *)
-
 (** {1 Encoding} *)
 
 type writer
 
-val writer : ?initial:int -> ?mode:strmode -> unit -> writer
-(** Fresh writer.  [mode] defaults to [Linked] against a fresh
-    dictionary: a self-contained message that a {!reader} with the
-    default mode decodes. *)
+val writer : ?initial:int -> ?dict:Dict.sender -> unit -> writer
+(** Fresh writer whose strings go through [dict].  [dict] defaults to
+    a fresh dictionary: a self-contained message that a {!reader} with
+    the default table decodes. *)
 
-val counter : ?mode:strmode -> unit -> writer
+val counter : ?dict:Dict.sender -> unit -> writer
 (** A writer that only counts: every primitive adds the bytes it would
-    write to {!size} and writes nothing.  Strings go through [mode]'s
-    dictionary exactly as on a {!writer} (a [Linked] dictionary trains
-    and counts its introductions and hits the same way), so encoding
-    over a counter sizes a message and leaves the dictionary as the
-    real encoding would.  {!contents} raises [Invalid_argument]. *)
+    write to {!size} and writes nothing.  Strings go through [dict]
+    exactly as on a {!writer} (it trains and counts its introductions
+    and hits the same way), so encoding over a counter sizes a message
+    and leaves the dictionary as the real encoding would.  {!contents}
+    raises [Invalid_argument]. *)
 
 val varint : writer -> int -> unit
 (** Unsigned LEB128.  Negative arguments are a programming error (encoded as
@@ -93,28 +86,11 @@ val byte : writer -> int -> unit
 (** Single byte, low 8 bits of the argument. *)
 
 val string : writer -> string -> unit
-(** Mode-dependent dictionary string.  [Linked d]: introductions are
-    [id*2, len, bytes] and hits [id*2+1], ids persisting across
-    messages until {!Dict.bump}.  [Tabled]: a bare id into the table
-    harvested by {!dict_strings}. *)
+(** Dictionary string: introductions are [id*2, len, bytes] and hits
+    [id*2+1], ids persisting across messages until {!Dict.bump}. *)
 
 val raw_string : writer -> string -> unit
 (** Length-prefixed string that bypasses the dictionary (for one-off blobs). *)
-
-val dict_strings : writer -> string list
-(** The [Tabled] harvest: every distinct string passed to {!string},
-    in first-use (= id) order.  Empty on a [Linked] writer. *)
-
-val preload : writer -> string list -> unit
-(** Seed a [Tabled] writer's table: the k-th string gets id k (skipping
-    duplicates), so later {!string} calls on those strings emit bare
-    references.  Lets a caller fix the table order — e.g. sorted, for
-    front coding — by harvesting with a first pass and re-encoding.
-    No-op on a [Linked] writer. *)
-
-val add_bytes : writer -> string -> unit
-(** Append bytes verbatim (no length prefix) — for assembling a
-    container around an already-encoded body. *)
 
 val contents : writer -> string
 val size : writer -> int
@@ -122,21 +98,16 @@ val size : writer -> int
 
 (** {1 Decoding} *)
 
-(** Reader-side string mode, mirroring {!strmode}.  [R_linked] carries
-    the epoch-selected table (see {!Dict.table_for}); [R_tabled] the
-    decoded string table. *)
-type rstrmode =
-  | R_linked of (int, string) Hashtbl.t
-  | R_tabled of string array
-
 type reader
 
 exception Malformed of string
 (** Raised by read primitives on truncated or corrupt input. *)
 
-val reader : ?mode:rstrmode -> string -> reader
-(** [mode] defaults to [R_linked] against a fresh table, the inverse
-    of a default {!writer}. *)
+val reader : ?table:(int, string) Hashtbl.t -> string -> reader
+(** [table] is the id -> string mirror that introductions fill and
+    back-references read: the epoch-selected table of a link (see
+    {!Dict.table_for}), or one table for a whole log tail or snapshot.
+    It defaults to a fresh table, the inverse of a default {!writer}. *)
 
 val read_varint : reader -> int
 val read_zigzag : reader -> int

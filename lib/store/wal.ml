@@ -26,21 +26,12 @@ type t = {
   counters : counters;
 }
 
-let create ?on_truncate ~backend ~snapshot_every ~take_snapshot () =
-  {
-    backend;
-    snapshot_every;
-    take_snapshot;
-    on_truncate;
-    since_snapshot = 0;
-    counters =
-      {
-        records_written = 0;
-        bytes_written = 0;
-        snapshots_taken = 0;
-        snapshot_bytes = 0;
-      };
-  }
+let fresh_counters () =
+  { records_written = 0; bytes_written = 0; snapshots_taken = 0; snapshot_bytes = 0 }
+
+let create ?(counters = fresh_counters ()) ?on_truncate ~backend ~snapshot_every
+    ~take_snapshot () =
+  { backend; snapshot_every; take_snapshot; on_truncate; since_snapshot = 0; counters }
 
 let counters t = t.counters
 

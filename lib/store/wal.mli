@@ -14,16 +14,22 @@ type counters = {
   mutable snapshot_bytes : int;  (** framed bytes of snapshots written *)
 }
 
+val fresh_counters : unit -> counters
+
 type t
 
 val create :
+  ?counters:counters ->
   ?on_truncate:(unit -> unit) ->
   backend:Backend.t ->
   snapshot_every:int ->
   take_snapshot:(unit -> string) ->
   unit ->
   t
-(** [on_truncate] fires right after every log truncation (the tail of
+(** [counters] (default {!fresh_counters}) is the record this log
+    counts into; a caller that outlives the log — a node's durability
+    bookkeeping across crashes — passes the same record to every
+    incarnation.  [on_truncate] fires right after every log truncation (the tail of
     {!snapshot_now}): callers keeping stream-level encoder state across
     records — the incremental record dictionary — reset it there so the
     new log tail decodes from scratch. *)

@@ -70,5 +70,6 @@ let apply t (d : Subscription.delta) =
 let reset t ~tag =
   let gone = Row.Set.elements t.mi_answers in
   t.mi_answers <- Row.Set.empty;
+  t.mi_accepted <- false;
   if gone <> [] then
     notify t { Subscription.d_adds = []; d_retracts = gone; d_tag = tag }

@@ -52,5 +52,7 @@ val apply : t -> Subscription.delta -> unit
 val reset : t -> tag:string -> unit
 (** Empty the answer set before re-registering; the host's
     registration snapshot and the deltas after it refill it.  The
+    mirror is unaccepted until the host confirms the new
+    registration.  The
     callback, if any, sees the removed answers as one retract-only
     delta tagged [tag]. *)

@@ -52,17 +52,39 @@ let golden_node () =
 let snapshot_golden =
   String.concat ""
     [
-      "030900016101046c69636500016200056361726f6c000570616972730105656f";
-      "706c650007725f6f74686572020570616972730305656f706c65020404020001";
-      "02000200040202020004050a0702050807020005030400020201010000000000";
-      "00e8bf03040004050e0801000000205fa0024204040006020301000000000000";
-      "0440040204020508070200020704000000000000e03f0602000000000000d03f";
-      "05040004050e0801000000205fa0024204010806000000000000f03f00000000";
+      "0410010007725f70616972730205706169727304000000000000e03f01020508";
+      "010204016110010608725f70656f706c65080670656f706c6506000000000000";
+      "f03f01040004050e0701000000205fa002420410010a07725f6f746865720302";
+      "000000000000d03f01020508010205100003030200010205020004020c016202";
+      "0004050a0110000902040002020e05616c69636501000000000000e8bf030400";
+      "060210056361726f6c01000000000000044004";
     ]
 
 let test_snapshot () =
   Alcotest.(check string) "snapshot bytes" snapshot_golden
     (hex (Durable.encode_snapshot (golden_node ())))
+
+(* The golden snapshot rebuilds the golden node: the same store, and
+   the row imported twice comes back with both imports, in order. *)
+let test_snapshot_round_trip () =
+  let node = golden_node () in
+  let backend = Codb_store.Backend.memory () in
+  let snapshot = Durable.encode_snapshot node in
+  Codb_store.Wal.snapshot_now
+    (Codb_store.Wal.create ~backend ~snapshot_every:1000
+       ~take_snapshot:(fun () -> snapshot) ());
+  let fresh = Node.create node.Node.decl in
+  let opts = { Codb_core.Options.default with durability = Codb_core.Options.Dur_wal } in
+  let rv = Durable.recover fresh opts ~backend in
+  Alcotest.(check bool) "read the snapshot" true rv.Durable.rv_had_snapshot;
+  Alcotest.(check bool) "same store" true
+    (Database.equal_contents node.Node.store fresh.Node.store);
+  Alcotest.(check bool) "same lineage" true
+    (Lineage.all node.Node.lineage = Lineage.all fresh.Node.lineage);
+  Alcotest.(check (list string)) "both imports, in order" [ "r_pairs"; "r_other" ]
+    (List.map
+       (fun (i : Lineage.import) -> i.Lineage.li_rule)
+       (Lineage.imports fresh.Node.lineage ~rel:"pairs" (tup [ null 4 "r_pairs"; s "a" ])))
 
 let records =
   [
@@ -80,6 +102,7 @@ let records =
     Durable.Mirror_add
       { sub_id = "m1"; host = Peer_id.of_string "n2"; query_text = "a(x) <- b(x)" };
     Durable.Mirror_remove { sub_id = "m1" };
+    Durable.Seen_keys { keys = [ "n0#3"; "n2#17" ] };
   ]
 
 let record_goldens =
@@ -92,6 +115,7 @@ let record_goldens =
     "10040b";
     "100510026d3112026e320c61287829203c2d2062287829";
     "100611";
+    "100702046e302333056e32233137";
   ]
 
 let test_records () =
@@ -133,6 +157,7 @@ let test_payloads () =
 let suite =
   [
     Alcotest.test_case "snapshot bytes" `Quick test_snapshot;
+    Alcotest.test_case "the golden snapshot round-trips" `Quick test_snapshot_round_trip;
     Alcotest.test_case "one record of each kind" `Quick test_records;
     Alcotest.test_case "answer delta and batch on a link" `Quick test_payloads;
   ]

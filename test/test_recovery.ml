@@ -163,6 +163,7 @@ let fixture_records =
         query_text = "a(x) <- b(x)";
       };
     Durable.Mirror_remove { sub_id = "m1" };
+    Durable.Seen_keys { keys = [ "n0#1"; "n1#64" ] };
   ]
 
 let test_record_round_trip () =
@@ -196,7 +197,7 @@ let test_record_round_trip () =
       ("empty record", "");
     ]
 
-(* --- dictionary-mode records and tabled snapshots -------------------- *)
+(* --- dictionary-mode records and snapshots ---------------------------- *)
 
 let test_record_dict_round_trip () =
   let module Codec = Codb_net.Codec in
@@ -259,8 +260,8 @@ let test_snapshot_recovers_store () =
   let older version =
     recover_from (String.make 1 (Char.chr version) ^ String.sub snapshot 1 (String.length snapshot - 1))
   in
-  let _, rv = older 2 in
-  Alcotest.(check bool) "a version-2 snapshot is refused" false rv.Durable.rv_had_snapshot;
+  let _, rv = older 3 in
+  Alcotest.(check bool) "a version-3 snapshot is refused" false rv.Durable.rv_had_snapshot;
   let ignored, rv = older 1 in
   Alcotest.(check bool) "a version-1 snapshot is not read" false
     rv.Durable.rv_had_snapshot;
@@ -365,6 +366,35 @@ let test_wal_repeated_crashes_recover_store () =
   Alcotest.(check int) "second recovery also exact" before2
     (System.store_digest sys "n1")
 
+(* Lineage is durable state too: a node that imported rows, with a
+   snapshot cut between two updates and log records written after it,
+   comes back with every import it held, and [explain] still calls an
+   imported row imported. *)
+let test_wal_crash_keeps_lineage () =
+  let sys = System.build_exn ~opts:(dur_opts ()) (chain 3) in
+  let _ = System.run_update sys ~initiator:"n0" in
+  let node = System.node sys "n1" in
+  let imported () = Codb_core.Lineage.all node.Node.lineage in
+  Alcotest.(check bool) "n1 imported rows" true (imported () <> []);
+  Wal.snapshot_now (Option.get node.Node.wal);
+  let at_snapshot = List.length (imported ()) in
+  let source = (List.hd node.Node.outgoing).Codb_cq.Config.source in
+  ignore (System.insert_fact sys ~at:source ~rel:"data" (tup [ i 901; s "late" ]));
+  let _ = System.run_update sys ~initiator:"n0" in
+  Alcotest.(check bool) "imports logged after the snapshot" true
+    (List.length (imported ()) > at_snapshot);
+  let before = imported () in
+  System.crash_node sys "n1";
+  Alcotest.(check bool) "honest crash: lineage is gone" true (imported () = []);
+  System.restart_node sys "n1";
+  Alcotest.(check bool) "the log tail was replayed" true
+    ((Report.chaos_report (System.snapshots sys)).Report.chr_recovered_records > 0);
+  Alcotest.(check bool) "lineage equals the pre-crash lineage" true (imported () = before);
+  let (rel, row), _ = List.hd before in
+  match Node.explain node ~rel (Codb_relalg.Row.to_tuple row) with
+  | Some (Codb_core.Lineage.Imported (_ :: _)) -> ()
+  | _ -> Alcotest.fail "an imported row no longer explains as imported"
+
 let test_wal_mid_run_crash_reaches_fault_free_fixpoint () =
   let baseline = System.build_exn (chain 5) in
   let _ = System.run_update baseline ~initiator:"n0" in
@@ -425,8 +455,15 @@ let test_wal_recovers_subscriptions () =
   (match System.mirror sys ~at:"n1" mirror_id with
   | None -> Alcotest.fail "mirror not in the snapshot"
   | Some m ->
-      Alcotest.(check int) "recovered empty, re-armed" 0 (Codb_sub.Mirror.answer_count m));
+      Alcotest.(check int) "recovered empty, re-armed" 0 (Codb_sub.Mirror.answer_count m);
+      (* the snapshot keeps no accepted flag: the host's reply to the
+         re-registration sets it again *)
+      Alcotest.(check bool) "unaccepted until the host replies" false
+        (Codb_sub.Mirror.accepted m));
   let _ = System.run sys in
+  Alcotest.(check bool) "accepted again" true
+    (Option.fold ~none:false ~some:Codb_sub.Mirror.accepted
+       (System.mirror sys ~at:"n1" mirror_id));
   (match System.subscription_answers sys ~at:"n1" sub_id with
   | None -> Alcotest.fail "hosted subscription lost in the crash"
   | Some answers -> check_tuples "hosted answers recovered" hosted answers);
@@ -497,6 +534,8 @@ let suite =
       test_wal_never_reuses_a_sequence_number;
     Alcotest.test_case "Dur_wal: repeated crashes recover exactly" `Quick
       test_wal_repeated_crashes_recover_store;
+    Alcotest.test_case "Dur_wal: lineage survives a crash" `Quick
+      test_wal_crash_keeps_lineage;
     Alcotest.test_case "Dur_volatile: wipe, then catch-up" `Quick
       test_volatile_crash_wipes_store;
     Alcotest.test_case "Dur_wal: recovery without the network" `Quick
