@@ -66,9 +66,11 @@ type t = {
   batch_window : float;
       (** simulated seconds that outgoing update data may linger in a
           per-destination buffer waiting to be coalesced into one
-          message; 0 sends every rule firing immediately (the paper's
-          behaviour); a buffer that reaches {!Update.batch_max_tuples}
-          flushes early *)
+          message; a buffer that reaches {!Update.batch_max_tuples}
+          flushes early.  With 0 every rule firing is sent at once
+          (the paper's behaviour), except towards the engagement
+          parent, whose rows ride in the message that closes the link
+          or acknowledges; a window sends those eagerly too *)
   fault_seed : int;
       (** seed of the fault plan's random stream
           ({!Codb_net.Fault.plan}); same seed, same options, same

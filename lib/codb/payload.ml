@@ -29,16 +29,17 @@ type t =
   | Update_batch of {
       update_id : Ids.update_id;
       entries : batch_entry list;
+      closes : string list;
       global : bool;
       no_ack : bool;
+      carries_ack : bool;
+      subtree_done : bool;
     }
   | Update_link_closed of {
       update_id : Ids.update_id;
       rule_id : string;
       global : bool;
       no_ack : bool;
-      carries_ack : bool;
-      subtree_done : bool;
     }
   | Update_ack of { update_id : Ids.update_id }
   | Update_terminated of { update_id : Ids.update_id }
@@ -121,11 +122,11 @@ let rec describe = function
       Printf.sprintf "update-request %s for %s" (Ids.string_of_update update_id) rule
   | Update_data { rule_id; rows; _ } ->
       Printf.sprintf "update-data %s (%d tuples)" rule_id (List.length rows)
-  | Update_batch { entries; _ } ->
-      Printf.sprintf "update-batch (%d rules, %d tuples)" (List.length entries)
+  | Update_batch { entries; closes; carries_ack; subtree_done; _ } ->
+      Printf.sprintf "update-batch (%d rules, %d tuples)%s%s" (List.length entries)
         (List.fold_left (fun acc e -> acc + List.length e.be_rows) 0 entries)
-  | Update_link_closed { rule_id; subtree_done = true; _ } -> "link-closed+done " ^ rule_id
-  | Update_link_closed { rule_id; carries_ack = true; _ } -> "link-closed+ack " ^ rule_id
+        (if closes = [] then "" else " closing " ^ String.concat "," closes)
+        (if subtree_done then " +done" else if carries_ack then " +ack" else "")
   | Update_link_closed { rule_id; _ } -> "link-closed " ^ rule_id
   | Update_ack _ -> "ack"
   | Update_terminated _ -> "terminated"
@@ -384,20 +385,22 @@ let rec put_payload w payload =
       Codec.zigzag w hops;
       put_flags w ~global ~no_ack ~carries_ack:false ~subtree_done:false;
       put_rows w rows
-  | Update_batch { update_id; entries; global; no_ack } ->
+  | Update_batch { update_id; entries; closes; global; no_ack; carries_ack; subtree_done } ->
       put_update_id w update_id;
-      put_flags w ~global ~no_ack ~carries_ack:false ~subtree_done:false;
+      put_flags w ~global ~no_ack ~carries_ack ~subtree_done;
       Codec.varint w (List.length entries);
       List.iter
         (fun { be_rule; be_hops; be_rows } ->
           Codec.string w be_rule;
           Codec.zigzag w be_hops;
           put_rows w be_rows)
-        entries
-  | Update_link_closed { update_id; rule_id; global; no_ack; carries_ack; subtree_done } ->
+        entries;
+      Codec.varint w (List.length closes);
+      List.iter (Codec.string w) closes
+  | Update_link_closed { update_id; rule_id; global; no_ack } ->
       put_update_id w update_id;
       Codec.string w rule_id;
-      put_flags w ~global ~no_ack ~carries_ack ~subtree_done
+      put_flags w ~global ~no_ack ~carries_ack:false ~subtree_done:false
   | Update_ack { update_id } -> put_update_id w update_id
   | Update_terminated { update_id } -> put_update_id w update_id
   | Query_request { query_id; request_ref; rule_id; label; constraints } ->
@@ -491,7 +494,7 @@ let rec get_payload r =
       Update_data { update_id; rule_id; rows; hops; global; no_ack }
   | 3 ->
       let update_id = get_update_id r in
-      let global, no_ack, _, _ = get_flags r ~mask:3 in
+      let global, no_ack, carries_ack, subtree_done = get_flags r ~mask:15 in
       let entries =
         List.init (Codec.read_count r) (fun _ ->
             let be_rule = Codec.read_string r in
@@ -499,12 +502,13 @@ let rec get_payload r =
             let be_rows = get_rows r in
             { be_rule; be_hops; be_rows })
       in
-      Update_batch { update_id; entries; global; no_ack }
+      let closes = List.init (Codec.read_count r) (fun _ -> Codec.read_string r) in
+      Update_batch { update_id; entries; closes; global; no_ack; carries_ack; subtree_done }
   | 4 ->
       let update_id = get_update_id r in
       let rule_id = Codec.read_string r in
-      let global, no_ack, carries_ack, subtree_done = get_flags r ~mask:15 in
-      Update_link_closed { update_id; rule_id; global; no_ack; carries_ack; subtree_done }
+      let global, no_ack, _, _ = get_flags r ~mask:3 in
+      Update_link_closed { update_id; rule_id; global; no_ack }
   | 5 -> Update_ack { update_id = get_update_id r }
   | 6 -> Update_terminated { update_id = get_update_id r }
   | 7 ->

@@ -59,21 +59,20 @@ type t =
   | Update_batch of {
       update_id : Ids.update_id;
       entries : batch_entry list;
-          (** one entry per rule whose firings were coalesced within the
-              sender's flush window; semantically equivalent to sending
-              each entry as a separate [Update_data] *)
-      global : bool;
-      no_ack : bool;  (** as [Update_data]'s *)
-    }
-  | Update_link_closed of {
-      update_id : Ids.update_id;
-      rule_id : string;
+          (** one entry per rule: the firings coalesced within the
+              sender's flush window, or a lazy serve's rows (see
+              [closes]); semantically equivalent to sending each entry
+              as a separate [Update_data] *)
+      closes : string list;
+          (** rules whose link the sender closes, after these rows:
+              each one as an [Update_link_closed] would *)
       global : bool;
       no_ack : bool;  (** as [Update_data]'s *)
       carries_ack : bool;
-          (** the close is also the sender's disengagement
+          (** the message is also the sender's disengagement
               acknowledgement: the receiver treats it as an
-              [Update_ack] after closing the link *)
+              [Update_ack] after integrating the rows and closing the
+              links *)
       subtree_done : bool;
           (** only with [carries_ack]: the sender has closed every link
               of the update, and so has every acquaintance but the
@@ -81,12 +80,23 @@ type t =
               sender terminated itself, and the receiver's terminated
               flood skips it *)
     }
-      (** the source of [rule_id] will send no more data on it.  On the
-          wire, [global], [no_ack], [carries_ack] and [subtree_done]
-          share the one flag byte [global] alone used to take (bits 0
-          to 3), as do [Update_data]'s and [Update_batch]'s two flags;
-          a set bit outside those, or [subtree_done] without
-          [carries_ack], decodes as malformed. *)
+      (** everything a node owes one peer at once.  A node's message to
+          its engagement parent is always one of these: the rows of its
+          parent-bound links, served once, every close it holds for
+          the parent and, at disengagement, its acknowledgement
+          ({!Update}).  On the wire, [global], [no_ack], [carries_ack]
+          and [subtree_done] share one flag byte (bits 0 to 3); a set
+          bit outside those, or [subtree_done] without [carries_ack],
+          decodes as malformed. *)
+  | Update_link_closed of {
+      update_id : Ids.update_id;
+      rule_id : string;
+      global : bool;
+      no_ack : bool;  (** as [Update_data]'s *)
+    }
+      (** the source of [rule_id] will send no more data on it; sent to
+          an importer that is not the sender's engagement parent.  Its
+          two flags share one byte, as do [Update_data]'s. *)
   | Update_ack of { update_id : Ids.update_id }
       (** Dijkstra–Scholten acknowledgement *)
   | Update_terminated of { update_id : Ids.update_id }

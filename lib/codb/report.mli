@@ -21,7 +21,7 @@ type update_report = {
   ur_scans : int;
   ur_zvisited : int;  (** zone-map chunks consulted network-wide *)
   ur_zpruned : int;  (** zone-map chunks skipped network-wide *)
-  ur_batches : int;  (** [Update_batch] messages network-wide *)
+  ur_batches : int;  (** batch-window flushes network-wide *)
   ur_batch_tuples : int;  (** tuples shipped inside batches *)
   ur_coalesced : int;  (** tuples that never hit the wire *)
   ur_cache_staled : int;  (** query-cache entries staled at finalize *)
@@ -40,7 +40,7 @@ val pp_update_report : update_report Fmt.t
 (** {1 Wire behaviour} *)
 
 val avg_batch : update_report -> float
-(** Tuples per [Update_batch] message, 0 without batching. *)
+(** Tuples per batch-window flush, 0 without batching. *)
 
 val pp_wire_report : update_report Fmt.t
 (** The propagation-layer view of one update: message/batch shape

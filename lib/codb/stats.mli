@@ -22,15 +22,18 @@ type update_stat = {
   us_update : Ids.update_id;
   mutable us_started : float;
   mutable us_finished : float option;
-  mutable us_data_msgs : int;
+  mutable us_data_msgs : int;  (** received messages that carried rows *)
   mutable us_control_msgs : int;
+      (** received requests, closes, acks and terminateds; a message to
+          the engagement parent that carries rows and a close or the
+          ack counts here and as data *)
   mutable us_bytes_in : int;
   mutable us_new_tuples : int;
   mutable us_dup_suppressed : int;
   mutable us_nulls_created : int;
   mutable us_max_hops : int;  (** longest update propagation path seen *)
   us_eval : Codb_cq.Eval.counters;  (** evaluator work during rule evaluation *)
-  mutable us_batches : int;  (** [Update_batch] messages this node sent *)
+  mutable us_batches : int;  (** batch-window flushes this node sent *)
   mutable us_batch_tuples : int;  (** tuples shipped inside those batches *)
   mutable us_coalesced : int;
       (** tuples that never hit the wire: same-window duplicates

@@ -106,26 +106,134 @@ let flood_terminated rt (st : U.t) ~except ~done_peers =
   in
   List.iter forward rt.Runtime.node.Node.acquaintances
 
-(* Is [dst] this node's Dijkstra–Scholten engagement parent?  A data,
-   batch or close message to it owes no acknowledgement: the parent
-   cannot disengage before this node's own disengagement ack arrives,
-   and that ack leaves after the message on the same pipe.  With FIFO
-   pipes it arrives after it too; under the reliable transport the ack
-   waits until every message to the parent has settled
-   ({!check_disengage}), which a receiver confirms only after
-   processing it.  So the parent is engaged whenever such a message
-   reaches it, and anything it sends in reaction is counted in its own
-   deficit before it can disengage. *)
+(* Is [dst] this node's Dijkstra–Scholten engagement parent?  A
+   message to it owes no acknowledgement: the parent cannot disengage
+   before this node's own disengagement ack arrives, and that ack
+   leaves with or after the message on the same pipe.  With FIFO pipes
+   it arrives after it too; under the reliable transport the ack waits
+   until every message to the parent has settled ({!check_disengage}),
+   which a receiver confirms only after processing it.  So the parent
+   is engaged whenever such a message reaches it, and anything it sends
+   in reaction is counted in its own deficit before it can disengage. *)
 let to_parent (st : U.t) dst =
   match st.U.ust_parent with Some p -> Peer_id.equal p dst | None -> false
 
-let close_payload (st : U.t) ~no_ack ?(carries_ack = false) ?(subtree_done = false)
-    (rule_id, global) =
-  Payload.Update_link_closed
-    { update_id = st.U.ust_update; rule_id; global; no_ack; carries_ack; subtree_done }
+(* Is [inc] served lazily?  In a global update without a batch window,
+   a link whose importer is this node's engagement parent is evaluated
+   neither at first contact nor on each arrival: the parent cannot
+   finish before this node's acknowledgement arrives, so each shipment
+   before it would cost a message and an evaluation and buy nothing.
+   The append-only store is the buffer.  The link is served once, from
+   its mark up to the store, when it closes or the node disengages, and
+   those rows leave in the message that carries the close or the ack
+   ({!owed_to_parent}).  The fix-point does not depend on the schedule
+   (Franconi et al.), so deferring the parent's delta is sound. *)
+let is_lazy rt (st : U.t) (inc : Config.rule_decl) =
+  (not st.U.ust_scoped)
+  && rt.Runtime.opts.Options.batch_window = 0.0
+  && to_parent st (importer_of inc)
 
-(* Is this node's subtree done, as its ack-carrying close to [parent]
-   may report?  Only in a global update (a scoped one may activate
+let close_payload (st : U.t) ~no_ack rule_id =
+  Payload.Update_link_closed
+    { update_id = st.U.ust_update; rule_id; global = not st.U.ust_scoped; no_ack }
+
+let cardinal store rel =
+  match Database.relation_opt store rel with
+  | Some relation -> Relation.cardinal relation
+  | None -> 0
+
+(* The incoming link's sent filter: the head projector drops the rows
+   already in it and notes the rest, so what it returns is what the
+   paper sends ("delete from Ri the tuples already sent").  Without
+   the cache (the E8 ablation) each evaluation only de-duplicates
+   itself. *)
+let sent_for rt (st : U.t) (inc : Config.rule_decl) =
+  if rt.Runtime.opts.Options.use_sent_cache then Some (U.sent_filter st inc.Config.rule_id)
+  else None
+
+(* Heads grouped by hop count, each group sorted. *)
+let add_group groups hops rows =
+  if rows = [] then groups
+  else
+    match List.assoc_opt hops groups with
+    | Some earlier -> (hops, List.merge Row.compare earlier rows) :: List.remove_assoc hops groups
+    | None -> (hops, rows) :: groups
+
+let by_hops groups = List.sort (fun (a, _) (b, _) -> Int.compare a b) groups
+
+(* Serve one incoming link from local data: what the rows past its mark
+   derive, one semi-naive pass per body relation that grew, all into
+   the link's sent filter, so a head derivable from new rows of two
+   relations goes out once.  The mark is the link's pending one if this
+   update served it before, else its committed watermark; a link with
+   neither is evaluated in full, as the paper's update does.  The
+   link's pending mark then covers the cardinalities read here.
+
+   The heads come back grouped by the most hops among the rows this
+   update imported into the window that derived them (0: none).  An
+   eager serve ([split = false]) reads each grown relation as one
+   window.  A lazy one cuts the windows where those hops change
+   ({!U.hop_windows}), so each row ships with one hop more than the
+   rows it covers, as it would have on the arrival that brought them;
+   a link with no mark then runs its windows over its first body
+   relation, through which every derivation goes. *)
+let serve rt (st : U.t) us (inc : Config.rule_decl) ~split =
+  let node = rt.Runtime.node in
+  let store = node.Node.store in
+  let rule = inc.Config.rule_id in
+  let query = inc.Config.rule_query in
+  let rels = Query.body_relations query in
+  let rows = List.map (cardinal store) rels in
+  let pending = U.served st rule in
+  let windows rel ~from ~upto =
+    if split then U.hop_windows st ~rel ~from ~upto
+    else if from < upto then [ (from, upto, 0) ]
+    else []
+  in
+  let marks =
+    match pending with
+    | Some p -> Some (Watermark.covered p)
+    | None -> Watermark.find node.Node.watermarks rule
+  in
+  (* [(rel, windows)] per body relation to read; [None]: one
+     evaluation in full *)
+  let passes =
+    match (marks, rels, rows) with
+    | Some marks, _, _ ->
+        Some (List.mapi (fun i rel -> (rel, windows rel ~from:marks.(i) ~upto:(List.nth rows i))) rels)
+    | None, rel :: _, count :: _ when split -> (
+        match windows rel ~from:0 ~upto:count with
+        | [] | [ (_, _, 0) ] -> None
+        | ws -> Some [ (rel, ws) ])
+    | None, _, _ -> None
+  in
+  let groups =
+    Stats.with_eval_counters us.Stats.us_eval (fun () ->
+        match passes with
+        | None -> [ (0, Wrapper.eval_query_full ?sent:(sent_for rt st inc) store query) ]
+        | Some passes ->
+            let sent =
+              match sent_for rt st inc with Some f -> f | None -> Sent_filter.create ()
+            in
+            let pass groups (rel, ws) =
+              List.fold_left
+                (fun groups (since, upto, hops) ->
+                  add_group groups hops
+                    (Wrapper.eval_query_delta ~sent ~naive:rt.Runtime.opts.Options.naive_delta
+                       ~upto store query ~delta_rel:rel ~since))
+                groups ws
+            in
+            List.fold_left pass [] passes)
+  in
+  (match pending with
+  | Some p -> Watermark.cover p ~rows
+  | None ->
+      U.note_served st rule
+        (Watermark.serve node.Node.watermarks ~importer:(importer_of inc) ~rels ~rows));
+  by_hops groups
+
+(* Is this node's subtree done, as its acknowledgement to [parent] may
+   report?  Only in a global update (a scoped one may activate
    more links later), once every link of the update is closed and every
    other acquaintance reported its own subtree done.  That subtree then
    touches the rest of the network only through [parent], nothing of
@@ -138,6 +246,35 @@ let subtree_done rt (st : U.t) ~parent =
   (not st.U.ust_scoped) && U.all_links_closed st
   && List.for_all below rt.Runtime.node.Node.acquaintances
 
+(* What this node owes its parent now, as the entries of one
+   [Update_batch]: a lazy serve of each link in [closes] and, at
+   disengagement ([ack]), of every lazy link still open.  The closed
+   links' marks commit here, after their last serve; an inconsistent
+   node serves nothing. *)
+let owed_to_parent rt (st : U.t) us ~ack closes =
+  let due (inc : Config.rule_decl) =
+    let rule = inc.Config.rule_id in
+    is_lazy rt st inc
+    && (List.mem rule closes || (ack && U.in_state st rule = U.Link_open))
+  in
+  let entries =
+    if not (Node.may_export rt.Runtime.node) then []
+    else
+      List.concat_map
+        (fun (inc : Config.rule_decl) ->
+          if not (due inc) then []
+          else
+            List.filter_map
+              (fun (hops, rows) ->
+                if rows = [] then None
+                else
+                  Some { Payload.be_rule = inc.Config.rule_id; be_hops = hops + 1; be_rows = rows })
+              (serve rt st us inc ~split:true))
+        rt.Runtime.node.Node.incoming
+  in
+  List.iter (commit_served rt st) closes;
+  entries
+
 (* Dijkstra–Scholten: a node disengages (acknowledging the message
    that engaged it) once everything it counted has been acknowledged
    AND nothing is waiting in a wire buffer or behind in-flight data
@@ -148,10 +285,9 @@ let subtree_done rt (st : U.t) ~parent =
    declare quiescence while tuples are in flight anywhere; a deferred
    close must likewise leave, counted, while this node is still
    engaged.  The settlement check is the reliable transport's stand-in
-   for FIFO pipes (see {!to_parent}); there, too, only a single held
-   close may carry the acknowledgement, since two closes could swap on
-   the way.  Every handler ends here, so closes held for the parent go
-   out now either way. *)
+   for FIFO pipes (see {!to_parent}).  Every handler ends here, so
+   closes held for the parent go out now either way, in one message
+   with the rows of their links. *)
 let rec check_disengage rt (st : U.t) =
   let ready =
     st.U.ust_engaged && st.U.ust_deficit = 0 && U.pending_tuples st = 0
@@ -164,38 +300,40 @@ let rec check_disengage rt (st : U.t) =
   else
     match st.U.ust_parent with
     | Some parent ->
-        let held = U.take_held_closes st in
-        let tracks = Reliable.tracks_delivery rt in
-        if ready && U.dst_unacked st ~dst:parent = 0 && not (tracks && List.length held > 1)
-        then disengage rt st ~parent held
-        else
-          List.iter
-            (fun c ->
-              send_accounted rt st ~dst:parent ~data:false ~no_ack:true
-                (close_payload st ~no_ack:true c))
-            held
+        let closes = U.take_held_closes st in
+        if ready && U.dst_unacked st ~dst:parent = 0 then disengage rt st ~parent closes
+        else if closes <> [] then
+          send_to_parent rt st ~parent ~closes ~carries_ack:false ~subtree_done:false
+            (owed_to_parent rt st (stat rt st.U.ust_update) ~ack:false closes)
     | None ->
         if ready then
           Log.warn (fun m ->
               m "%a: engaged without a parent in %a" Peer_id.pp rt.Runtime.node.Node.node_id
                 Ids.pp_update st.U.ust_update)
 
-(* Disengage, acknowledging the message that engaged us.  If closes to
-   the parent are held, the last one carries the acknowledgement; the
-   earlier ones go out before it.  A node whose subtree is done says so
-   in that last close and terminates at once, flooding nothing: every
+(* Disengage, acknowledging the message that engaged us, in one
+   message with the rows and closes still owed to the parent; a bare
+   [Update_ack] when nothing else is owed.  A node whose subtree is done
+   says so there and terminates at once, flooding nothing: every
    acquaintance but the parent is in its done subtree. *)
-and disengage rt (st : U.t) ~parent held =
+and disengage rt (st : U.t) ~parent closes =
+  let entries = owed_to_parent rt st (stat rt st.U.ust_update) ~ack:true closes in
   st.U.ust_engaged <- false;
   st.U.ust_parent <- None;
-  let send payload = ignore (Reliable.send_noted rt ~dst:parent payload) in
-  match List.rev held with
-  | [] -> send (Payload.Update_ack { update_id = st.U.ust_update })
-  | last :: earlier ->
-      List.iter (fun c -> send (close_payload st ~no_ack:true c)) (List.rev earlier);
-      let subtree_done = subtree_done rt st ~parent in
-      send (close_payload st ~no_ack:true ~carries_ack:true ~subtree_done last);
-      if subtree_done then terminate rt st ~except:(Some parent)
+  let subtree_done = subtree_done rt st ~parent in
+  if entries = [] && closes = [] && not subtree_done then
+    ignore (Reliable.send_noted rt ~dst:parent (Payload.Update_ack { update_id = st.U.ust_update }))
+  else send_to_parent rt st ~parent ~closes ~carries_ack:true ~subtree_done entries;
+  if subtree_done then terminate rt st ~except:(Some parent)
+
+(* Tracked like data: a later close to the parent waits behind these
+   rows, and losing them voids the watermarks towards it. *)
+and send_to_parent rt (st : U.t) ~parent ~closes ~carries_ack ~subtree_done entries =
+  send_accounted rt st ~dst:parent ~data:(entries <> []) ~no_ack:true
+    (Payload.Update_batch
+       { update_id = st.U.ust_update; entries; closes; global = not st.U.ust_scoped;
+         no_ack = true; carries_ack; subtree_done });
+  if entries <> [] then Stats.note_sent_to (stat rt st.U.ust_update) parent
 
 (* The update is over here: commit what the open links served (unless
    [commit] is off), flush what is buffered, release the tables and
@@ -229,8 +367,8 @@ and flush_dst rt (st : U.t) us dst =
       let no_ack = to_parent st dst in
       send_accounted rt st ~dst ~data:true ~no_ack
         (Payload.Update_batch
-           { update_id = st.U.ust_update; entries = payload_entries;
-             global = not st.U.ust_scoped; no_ack });
+           { update_id = st.U.ust_update; entries = payload_entries; closes = [];
+             global = not st.U.ust_scoped; no_ack; carries_ack = false; subtree_done = false });
       us.Stats.us_batches <- us.Stats.us_batches + 1;
       us.Stats.us_batch_tuples <- us.Stats.us_batch_tuples + tuple_count;
       Stats.note_sent_to us dst
@@ -283,13 +421,14 @@ and send_deferred_closes rt (st : U.t) ~dst =
   List.iter (send_close rt st ~dst) (U.take_deferred_closes st ~dst)
 
 (* A close to the parent is held for {!check_disengage}, which ends
-   every handler; any other close is counted. *)
-and send_close rt (st : U.t) ~dst ((rule_id, global) as close) =
-  commit_served rt st rule_id;
-  if to_parent st dst then U.hold_close st ~rule:rule_id ~global
-  else
-    send_accounted rt st ~dst ~data:false ~no_ack:false
-      (close_payload st ~no_ack:false close)
+   every handler and commits its mark after the link's last serve; any
+   other close commits now and is counted. *)
+and send_close rt (st : U.t) ~dst rule_id =
+  if to_parent st dst then U.hold_close st ~rule:rule_id
+  else begin
+    commit_served rt st rule_id;
+    send_accounted rt st ~dst ~data:false ~no_ack:false (close_payload st ~no_ack:false rule_id)
+  end
 
 (* A request is always counted: it never goes to the parent of a
    global update, and carries no flag byte for a scoped one. *)
@@ -303,10 +442,9 @@ let send_request rt (st : U.t) ~dst payload =
    So under the reliable transport the close waits until all data to
    [dst] has settled. *)
 let close_link rt (st : U.t) ~dst ~rule_id =
-  let global = not st.U.ust_scoped in
   if Reliable.tracks_delivery rt && U.dst_unacked st ~dst > 0 then
-    U.defer_close st ~dst ~rule:rule_id ~global
-  else send_close rt st ~dst (rule_id, global)
+    U.defer_close st ~dst ~rule:rule_id
+  else send_close rt st ~dst rule_id
 
 let batch_max_tuples = 256
 
@@ -353,41 +491,39 @@ let schedule_flush rt (st : U.t) us dst =
         end)
   end
 
-(* The incoming link's sent filter: the head projector drops the rows
-   already in it and notes the rest, so what it returns is what the
-   paper sends ("delete from Ri the tuples already sent").  Without
-   the cache (the E8 ablation) each evaluation only de-duplicates
-   itself. *)
-let sent_for rt (st : U.t) (inc : Config.rule_decl) =
-  if rt.Runtime.opts.Options.use_sent_cache then Some (U.sent_filter st inc.Config.rule_id)
-  else None
-
-(* Ship [fresh], the heads {!sent_for}'s filter let through. *)
-let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) ~hops fresh =
-  let opts = rt.Runtime.opts in
+(* Ship the heads {!sent_for}'s filter let through, as [(hops, rows)]
+   groups: in one message (an [Update_batch] if the hops differ), or
+   into the destination's wire buffer. *)
+let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) groups =
   let rule = inc.Config.rule_id in
-  if fresh <> [] then begin
-    let dst = importer_of inc in
-    if opts.Options.batch_window > 0.0 then begin
-      let offered = List.length fresh in
-      let added = U.buffer_add st ~dst ~rule ~hops fresh in
-      us.Stats.us_coalesced <- us.Stats.us_coalesced + (offered - added);
+  let dst = importer_of inc in
+  match List.filter (fun (_, rows) -> rows <> []) groups with
+  | [] -> ()
+  | groups when rt.Runtime.opts.Options.batch_window > 0.0 ->
+      List.iter
+        (fun (hops, fresh) ->
+          let added = U.buffer_add st ~dst ~rule ~hops fresh in
+          us.Stats.us_coalesced <- us.Stats.us_coalesced + (List.length fresh - added))
+        groups;
       (* Flushing on the size bound sends immediately but never
          disengages: callers are mid-processing and the surrounding
          engage_and_process / scheduled event re-checks afterwards. *)
-      if U.buffer_size st ~dst >= batch_max_tuples then
-        flush_dst rt st us dst
+      if U.buffer_size st ~dst >= batch_max_tuples then flush_dst rt st us dst
       else schedule_flush rt st us dst
-    end
-    else begin
-      let no_ack = to_parent st dst in
+  | groups ->
+      let no_ack = to_parent st dst and global = not st.U.ust_scoped in
+      let update_id = st.U.ust_update in
       send_accounted rt st ~dst ~data:true ~no_ack
-        (Payload.Update_data
-           { update_id = st.U.ust_update; rule_id = rule; rows = fresh; hops;
-             global = not st.U.ust_scoped; no_ack });
+        (match groups with
+        | [ (hops, rows) ] -> Payload.Update_data { update_id; rule_id = rule; rows; hops; global; no_ack }
+        | groups ->
+            Payload.Update_batch
+              { update_id; closes = []; global; no_ack; carries_ack = false; subtree_done = false;
+                entries =
+                  List.map
+                    (fun (hops, rows) -> { Payload.be_rule = rule; be_hops = hops; be_rows = rows })
+                    groups });
       Stats.note_sent_to us dst
-    end
-  end
 
 (* Close every still-open incoming link whose relevant outgoing links
    are all closed, notifying the importers (paper: "an acquaintance
@@ -413,49 +549,15 @@ let maybe_close_incoming rt (st : U.t) =
 
 let node_closed_check rt (st : U.t) = if U.all_out_closed st then finalize rt st
 
-let cardinal store rel =
-  match Database.relation_opt store rel with
-  | Some relation -> Relation.cardinal relation
-  | None -> 0
-
-(* Answer one incoming link from local data.  A link with a watermark
-   ships only what the rows past it derive: one semi-naive pass per
-   body relation that grew, all into the link's sent filter, so a head
-   derivable from new rows of two relations goes out once.  A link
-   without one is evaluated in full, as the paper's update does.  The
-   link's pending mark starts at the cardinalities read here. *)
-let serve_incoming rt (st : U.t) us (inc : Config.rule_decl) =
-  let node = rt.Runtime.node in
-  let store = node.Node.store in
-  let rels = Query.body_relations inc.Config.rule_query in
-  let rows = List.map (cardinal store) rels in
-  let query = inc.Config.rule_query in
-  let heads =
-    Stats.with_eval_counters us.Stats.us_eval (fun () ->
-        match Watermark.find node.Node.watermarks inc.Config.rule_id with
-        | None -> Wrapper.eval_query_full ?sent:(sent_for rt st inc) store query
-        | Some marks ->
-            let sent =
-              match sent_for rt st inc with Some f -> f | None -> Sent_filter.create ()
-            in
-            let grown (acc, i) rel count =
-              let mark = marks.(i) in
-              if count = mark then (acc, i + 1)
-              else
-                let fresh =
-                  Wrapper.eval_query_delta ~sent ~naive:rt.Runtime.opts.Options.naive_delta
-                    store query ~delta_rel:rel ~since:mark
-                in
-                (List.merge Row.compare acc fresh, i + 1)
-            in
-            fst (List.fold_left2 grown ([], 0) rels rows))
-  in
-  U.note_served st inc.Config.rule_id
-    (Watermark.serve node.Node.watermarks ~importer:(importer_of inc) ~rels ~rows);
-  send_on_incoming rt st us inc ~hops:1 heads
+(* Answer one incoming link from local data now, as the paper's update
+   does, and ship the heads with one hop. *)
+let serve_eagerly rt (st : U.t) us (inc : Config.rule_decl) =
+  send_on_incoming rt st us inc
+    (List.map (fun (_, heads) -> (1, heads)) (serve rt st us inc ~split:false))
 
 (* First contact with an update: flood the request, answer every
-   incoming link from local data, close independent incoming links. *)
+   incoming link but the lazy ones from local data, close independent
+   incoming links. *)
 let first_contact rt (st : U.t) ~exclude =
   let uid = st.U.ust_update in
   let us = stat rt uid in
@@ -470,20 +572,24 @@ let first_contact rt (st : U.t) ~exclude =
     (fun (o : Config.rule_decl) -> Stats.note_queried us (source_of o))
     rt.Runtime.node.Node.outgoing;
   if Node.may_export rt.Runtime.node then
-    List.iter (serve_incoming rt st us) rt.Runtime.node.Node.incoming;
+    List.iter
+      (fun inc -> if not (is_lazy rt st inc) then serve_eagerly rt st us inc)
+      rt.Runtime.node.Node.incoming;
   maybe_close_incoming rt st;
   node_closed_check rt st
 
-(* Integrate one rule's worth of received rows and recompute the
-   dependent incoming links (the per-message statistics are the
-   caller's job: one [Update_data] is one entry, one [Update_batch] is
-   several). *)
+(* Integrate one rule's worth of received rows: store, lineage, WAL
+   and standing queries (the per-message statistics are the caller's
+   job: one [Update_data] is one entry, one [Update_batch] is several).
+   Returns the window of fresh rows it appended, as
+   [(rel, since, upto, hops)], for {!recompute}. *)
 let integrate_entry rt (st : U.t) us ~rule_id ~rows ~hops =
   us.Stats.us_max_hops <- max us.Stats.us_max_hops hops;
   match Node.rule_out rt.Runtime.node rule_id with
   | None ->
       (* the rule was dropped by a runtime topology change *)
-      Log.debug (fun m -> m "data for unknown outgoing rule %s ignored" rule_id)
+      Log.debug (fun m -> m "data for unknown outgoing rule %s ignored" rule_id);
+      None
   | Some o ->
       let rel = head_rel o in
       let integration =
@@ -505,39 +611,53 @@ let integrate_entry rt (st : U.t) us ~rule_id ~rows ~hops =
          before any derived sends leave this handler *)
       Durable.log_import rt.Runtime.node ~rule:rule_id ~rel ~hops
         ~at:(rt.Runtime.now ()) integration.Wrapper.fresh;
-      (* the same delta the semi-naive recompute below consumes also
-         feeds any standing queries hosted here, tagged with the
-         lineage that produced it *)
-      if integration.Wrapper.fresh <> [] then
-        Sub_engine.on_store_delta rt ~rel ~since:integration.Wrapper.since
-          ~delta:integration.Wrapper.fresh
+      if integration.Wrapper.fresh = [] then None
+      else begin
+        let since = integration.Wrapper.since in
+        let upto = since + List.length integration.Wrapper.fresh in
+        U.note_import st ~rel ~since ~upto ~hops;
+        (* the same delta the semi-naive recompute consumes also feeds
+           any standing queries hosted here, tagged with the lineage
+           that produced it *)
+        Sub_engine.on_store_delta rt ~rel ~since ~delta:integration.Wrapper.fresh
           ~tag:(fun () ->
             Printf.sprintf "%s via %s hop %d"
               (Ids.string_of_update st.U.ust_update)
               rule_id hops);
-      if integration.Wrapper.fresh <> [] && Node.may_export rt.Runtime.node then begin
-        let recompute (inc : Config.rule_decl) =
-          if U.in_state st inc.Config.rule_id = U.Link_open then begin
-            let derived =
-              (* the delta is the window the integration just appended *)
-              Stats.with_eval_counters us.Stats.us_eval (fun () ->
-                  Wrapper.eval_query_delta ?sent:(sent_for rt st inc)
-                    ~naive:rt.Runtime.opts.Options.naive_delta
-                    rt.Runtime.node.Node.store inc.Config.rule_query ~delta_rel:rel
-                    ~since:integration.Wrapper.since)
-            in
-            send_on_incoming rt st us inc ~hops:(hops + 1) derived;
-            let since = integration.Wrapper.since in
-            Option.iter
-              (fun mark ->
-                Watermark.advance mark ~rel ~since
-                  ~upto:(since + List.length integration.Wrapper.fresh))
-              (U.served st inc.Config.rule_id)
-          end
-        in
-        List.iter recompute
-          (Deps.dependent_incoming rt.Runtime.node.Node.incoming ~outgoing:o)
+        Some (rel, since, upto, hops)
       end
+
+(* Recompute every open incoming link but the lazy ones, which the
+   store buffers, semi-naively over the windows one message's entries
+   appended: one shipment per link, each row with one hop more than the
+   window that derived it. *)
+let recompute rt (st : U.t) us windows =
+  if windows <> [] && Node.may_export rt.Runtime.node then
+    List.iter
+      (fun (inc : Config.rule_decl) ->
+        let rule = inc.Config.rule_id in
+        let reads (rel, _, _, _) =
+          List.exists (fun a -> String.equal a.Atom.rel rel) inc.Config.rule_query.Query.body
+        in
+        match List.filter reads windows with
+        | [] -> ()
+        | mine when U.in_state st rule = U.Link_open && not (is_lazy rt st inc) ->
+            let sent =
+              match sent_for rt st inc with Some f -> f | None -> Sent_filter.create ()
+            in
+            let derive groups (rel, since, upto, hops) =
+              let fresh =
+                Stats.with_eval_counters us.Stats.us_eval (fun () ->
+                    Wrapper.eval_query_delta ~sent ~naive:rt.Runtime.opts.Options.naive_delta
+                      ~upto rt.Runtime.node.Node.store inc.Config.rule_query ~delta_rel:rel
+                      ~since)
+              in
+              Option.iter (fun mark -> Watermark.advance mark ~rel ~since ~upto) (U.served st rule);
+              add_group groups (hops + 1) fresh
+            in
+            send_on_incoming rt st us inc (by_hops (List.fold_left derive [] mine))
+        | _ -> ())
+      rt.Runtime.node.Node.incoming
 
 let note_refetch rt bytes =
   if rt.Runtime.node.Node.track_refetch then
@@ -552,7 +672,7 @@ let on_data rt (st : U.t) ~bytes ~rule_id ~rows ~hops =
   traffic.Stats.rt_msgs <- traffic.Stats.rt_msgs + 1;
   traffic.Stats.rt_bytes <- traffic.Stats.rt_bytes + bytes;
   traffic.Stats.rt_tuples <- traffic.Stats.rt_tuples + List.length rows;
-  integrate_entry rt st us ~rule_id ~rows ~hops
+  recompute rt st us (Option.to_list (integrate_entry rt st us ~rule_id ~rows ~hops))
 
 let on_batch rt (st : U.t) ~bytes ~entries =
   let us = stat rt st.U.ust_update in
@@ -562,21 +682,27 @@ let on_batch rt (st : U.t) ~bytes ~entries =
   let total_tuples =
     List.fold_left (fun acc e -> acc + List.length e.Payload.be_rows) 0 entries
   in
+  (* a lazy serve ships one entry per hop count: one message per rule *)
+  List.iter
+    (fun rule ->
+      let traffic = Stats.rule_traffic us rule in
+      traffic.Stats.rt_msgs <- traffic.Stats.rt_msgs + 1)
+    (List.sort_uniq String.compare (List.map (fun e -> e.Payload.be_rule) entries));
   List.iter
     (fun e ->
       let n = List.length e.Payload.be_rows in
       let traffic = Stats.rule_traffic us e.Payload.be_rule in
-      traffic.Stats.rt_msgs <- traffic.Stats.rt_msgs + 1;
       (* attribute the shared envelope proportionally to tuple counts *)
       traffic.Stats.rt_bytes <-
         (traffic.Stats.rt_bytes + if total_tuples = 0 then 0 else bytes * n / total_tuples);
       traffic.Stats.rt_tuples <- traffic.Stats.rt_tuples + n)
     entries;
-  List.iter
-    (fun e ->
-      integrate_entry rt st us ~rule_id:e.Payload.be_rule ~rows:e.Payload.be_rows
-        ~hops:e.Payload.be_hops)
-    entries
+  recompute rt st us
+    (List.filter_map
+       (fun e ->
+         integrate_entry rt st us ~rule_id:e.Payload.be_rule ~rows:e.Payload.be_rows
+           ~hops:e.Payload.be_hops)
+       entries)
 
 let on_link_closed rt (st : U.t) ~rule_id =
   if not st.U.ust_terminated then begin
@@ -617,13 +743,11 @@ let activate_incoming rt (st : U.t) ~requester rule_id =
         (* version skew: we do not know the rule; release the
            requester so it does not wait on this link forever (an
            uncounted close, so it owes no ack) *)
-        ignore
-          (Reliable.send_noted rt ~dst:requester
-             (close_payload st ~no_ack:true (rule_id, false)))
+        ignore (Reliable.send_noted rt ~dst:requester (close_payload st ~no_ack:true rule_id))
     | Some inc ->
         U.activate_in st rule_id;
         if Node.may_export rt.Runtime.node then
-          serve_incoming rt st (stat rt st.U.ust_update) inc;
+          serve_eagerly rt st (stat rt st.U.ust_update) inc;
         List.iter (activate_outgoing rt st)
           (Deps.relevant_outgoing rt.Runtime.node.Node.outgoing ~incoming:inc);
         maybe_close_incoming rt st;
@@ -680,10 +804,10 @@ let count_control rt uid =
    only ever reaches an engaged node; it reaches a node that is not
    engaged only after a crash wiped the node's engagement (whose own
    parent then never hears from it, so the update ends forced) or
-   after the transport gave the message up and it still arrived.  So a
-   close that reports the sender's subtree done ([reports_done]) is
-   noted only by an engaged node: anywhere else it is in doubt, and the
-   flood still runs on that edge. *)
+   after the transport gave the message up and it still arrived.  So an
+   acknowledgement that reports the sender's subtree done
+   ([reports_done]) is noted only by an engaged node: anywhere else it
+   is in doubt, and the flood still runs on that edge. *)
 let engage_and_process rt ~src ~scoped ?(owed = true) ?(acks = false) ?(reports_done = false)
     uid process =
   match Node.update_state rt.Runtime.node uid with
@@ -711,7 +835,7 @@ let engage_and_process rt ~src ~scoped ?(owed = true) ?(acks = false) ?(reports_
         st.U.ust_engaged <- true;
         process st
       end;
-      (* a close that carries the sender's ack is an [Update_ack] too *)
+      (* a message that carries the sender's ack is an [Update_ack] too *)
       if acks then st.U.ust_deficit <- max 0 (st.U.ust_deficit - 1);
       check_disengage rt st
 
@@ -747,15 +871,19 @@ let handle rt ~src ~bytes payload =
   | Payload.Update_data { update_id; rule_id; rows; hops; global; no_ack } ->
       engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack) update_id
         (fun st -> on_data rt st ~bytes ~rule_id ~rows ~hops)
-  | Payload.Update_batch { update_id; entries; global; no_ack } ->
-      engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack) update_id
-        (fun st -> on_batch rt st ~bytes ~entries)
-  | Payload.Update_link_closed { update_id; rule_id; global; no_ack; carries_ack; subtree_done }
-    ->
-      count_control rt update_id;
+  | Payload.Update_batch
+      { update_id; entries; closes; global; no_ack; carries_ack; subtree_done } ->
+      (* rows make it a data message, a close or an ack a control one:
+         a node's message to its parent is often both *)
+      if closes <> [] || carries_ack then count_control rt update_id;
       engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack)
         ~acks:carries_ack ~reports_done:subtree_done update_id (fun st ->
-          on_link_closed rt st ~rule_id)
+          if entries <> [] then on_batch rt st ~bytes ~entries;
+          List.iter (fun rule_id -> on_link_closed rt st ~rule_id) closes)
+  | Payload.Update_link_closed { update_id; rule_id; global; no_ack } ->
+      count_control rt update_id;
+      engage_and_process rt ~src ~scoped:(not global) ~owed:(not no_ack) update_id
+        (fun st -> on_link_closed rt st ~rule_id)
   | Payload.Query_request _ | Payload.Query_data _ | Payload.Query_done _
   | Payload.Rules_file _ | Payload.Start_update | Payload.Stats_request
   | Payload.Stats_response _ | Payload.Discovery_probe _ | Payload.Discovery_reply _

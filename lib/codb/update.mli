@@ -11,27 +11,34 @@
 
     - on first contact with an update id (request {e or} data — the
       request flood and the data stream race benignly): flood the
-      request to every acquaintance, evaluate every incoming link on
-      local data and stream the results to its importer, and close
-      immediately the incoming links that depend on no outgoing link;
+      request to every acquaintance, evaluate every incoming link whose
+      importer is not this node's engagement parent on local data and
+      stream the results to its importer, and close immediately the
+      incoming links that depend on no outgoing link;
     - on data arriving through an outgoing link [O]: suppress
       duplicates (null-aware), instantiate fresh marked nulls for
       holes, insert; then recompute every incoming link dependent on
       [O] semi-naively on the delta, subtract the per-link sent cache
-      and stream the remainder;
+      and stream the remainder — except the links to the engagement
+      parent, for which the store is the buffer;
     - close an incoming link (and notify its importer) when every
       outgoing link relevant for it is closed; a node is closed when
       all its outgoing links are;
+    - a link to the engagement parent is served once, semi-naively from
+      its mark up to the store, when it closes or the node disengages:
+      its rows, every close the node owes the parent and, at
+      disengagement, its acknowledgement leave as one [Update_batch]
+      (in a global update without a batch window);
     - cyclic dependency components cannot close that way; global
       quiescence is detected with Dijkstra–Scholten diffusing
       computation termination (a node holds the acknowledgement of
       the message that engaged it until its own deficit reaches zero;
-      every other message is acknowledged, except data and closes to
-      the sender's engagement parent, and the last close to the
-      parent carries the acknowledgement), upon which the initiator
-      floods [Update_terminated], closing all remaining links;
+      every other message is acknowledged, except those to the
+      sender's engagement parent, and the last message to the parent
+      carries the acknowledgement), upon which the initiator floods
+      [Update_terminated], closing all remaining links;
     - a node that closed every link, and whose other acquaintances all
-      reported the same of their own subtrees, says so in the close
+      reported the same of their own subtrees, says so in the message
       that carries its acknowledgement ([subtree_done]) and terminates
       there; the terminated flood skips every such subtree.
 

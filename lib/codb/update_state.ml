@@ -30,6 +30,9 @@ type live = {
   marks : (string, Watermark.pending) Hashtbl.t;
       (* per incoming link served in this update: its pending
          watermark *)
+  imports : (string, (int * int * int) list) Hashtbl.t;
+      (* per relation: [(since, upto, hops)] for each window of rows
+         this update imported into it, newest first *)
   wire : (Peer_id.t, dest_buffer) Hashtbl.t;
       (* per-destination batching buffers (empty when batching is off) *)
   mutable pending : int;  (* total tuples sitting in wire buffers *)
@@ -37,15 +40,15 @@ type live = {
       (* reliable transport only: data messages, and messages to the
          engagement parent, sent to a destination and not yet settled
          (acked or given up) *)
-  deferred : (Peer_id.t, (string * bool) list) Hashtbl.t;
-      (* [(rule, global)] link closes held back until the destination's
-         in-flight data settles, newest first *)
-  mutable held : (string * bool) list;
-      (* [(rule, global)] closes to the engagement parent, held until
-         the end of the handler so the last can carry the
-         disengagement acknowledgement; newest first *)
+  deferred : (Peer_id.t, string list) Hashtbl.t;
+      (* link closes held back until the destination's in-flight data
+         settles, newest first *)
+  mutable held : string list;
+      (* closes to the engagement parent, held until the end of the
+         handler, when they leave in one message with the rows of
+         their links; newest first *)
   mutable done_peers : Peer_id.t list;
-      (* acquaintances whose acknowledgement came in a close that
+      (* acquaintances whose acknowledgement came in a message that
          reported their subtree done *)
 }
 
@@ -80,6 +83,7 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
           inl;
           sent = Hashtbl.create 8;
           marks = Hashtbl.create 8;
+          imports = Hashtbl.create 4;
           wire = Hashtbl.create 8;
           pending = 0;
           unacked = Hashtbl.create 8;
@@ -175,6 +179,36 @@ let take_all_served st =
 
 let release st = st.ust_live <- None
 
+(* ---- Hops of the rows this update imported --------------------------- *)
+
+let note_import st ~rel ~since ~upto ~hops =
+  match st.ust_live with
+  | Some live ->
+      let windows = Option.value ~default:[] (Hashtbl.find_opt live.imports rel) in
+      Hashtbl.replace live.imports rel ((since, upto, hops) :: windows)
+  | None -> ()
+
+(* Imports append, so the windows lie in row order, newest last; the
+   newest-first walk stops at the first one that ends at or below
+   [from]. *)
+let hop_windows st ~rel ~from ~upto =
+  let rec imported acc = function
+    | (a, b, h) :: older when b > from ->
+        imported (if a < upto then (max a from, min b upto, h) :: acc else acc) older
+    | _ -> acc
+  in
+  let push acc (a, b, h) =
+    match acc with
+    | (a', b', h') :: rest when h' = h && b' = a -> (a', b, h) :: rest
+    | _ -> (a, b, h) :: acc
+  in
+  let rec fill acc pos = function
+    | (a, b, h) :: rest -> fill (push (if pos < a then push acc (pos, a, 0) else acc) (a, b, h)) b rest
+    | [] -> List.rev (if pos < upto then push acc (pos, upto, 0) else acc)
+  in
+  fill [] from
+    (imported [] (Option.value ~default:[] (find (fun l -> l.imports) rel st.ust_live)))
+
 (* ---- Per-destination wire buffers ----------------------------------- *)
 
 let dest_buffer live dst =
@@ -264,9 +298,9 @@ let incr_unacked st ~dst = set (fun l -> l.unacked) st dst (dst_unacked st ~dst 
 let decr_unacked st ~dst =
   set (fun l -> l.unacked) st dst (max 0 (dst_unacked st ~dst - 1))
 
-let defer_close st ~dst ~rule ~global =
+let defer_close st ~dst ~rule =
   let tail = Option.value ~default:[] (find (fun l -> l.deferred) dst st.ust_live) in
-  set (fun l -> l.deferred) st dst ((rule, global) :: tail)
+  set (fun l -> l.deferred) st dst (rule :: tail)
 
 let has_deferred_closes st =
   match st.ust_live with Some live -> Hashtbl.length live.deferred > 0 | None -> false
@@ -280,8 +314,8 @@ let take_deferred_closes st ~dst =
 
 (* ---- Closes held for the engagement parent --------------------------- *)
 
-let hold_close st ~rule ~global =
-  match st.ust_live with Some live -> live.held <- (rule, global) :: live.held | None -> ()
+let hold_close st ~rule =
+  match st.ust_live with Some live -> live.held <- rule :: live.held | None -> ()
 
 let take_held_closes st =
   match st.ust_live with

@@ -109,9 +109,22 @@ val take_served : t -> string -> Watermark.pending option
 val take_all_served : t -> (string * Watermark.pending) list
 (** Remove and return every pending mark. *)
 
+(** {2 Hops of imported rows} *)
+
+val note_import : t -> rel:string -> since:int -> upto:int -> hops:int -> unit
+(** This update imported [rel]'s rows [since, upto), each of them
+    [hops] rule applications from its base fact. *)
+
+val hop_windows : t -> rel:string -> from:int -> upto:int -> (int * int * int) list
+(** [rel]'s rows [from, upto) cut into [(since, upto, hops)] windows in
+    row order: the rows of each window were imported by this update
+    over [hops] hops, or not imported by it at all ([hops] 0).
+    Neighbours differ in [hops]; empty when [from >= upto]. *)
+
 val release : t -> unit
-(** Drop every table: link states, sent filters, pending marks, wire
-    buffers, transport settlement and the done subtrees.  Called once the update
+(** Drop every table: link states, sent filters, pending marks,
+    imported windows, wire buffers, transport settlement and the done
+    subtrees.  Called once the update
     terminates.  Every link then reads as closed and inactive, every
     buffer and in-flight count as empty, and writes are ignored, so a
     finished update keeps only its flags. *)
@@ -151,8 +164,8 @@ val set_flush_scheduled : t -> dst:Peer_id.t -> bool -> unit
 
 (** {2 Transport settlement}
 
-    FIFO pipes made [Update_link_closed] arrive after the data it
-    covers for free.  Retransmission and injected jitter break that:
+    FIFO pipes made a close arrive after the data it covers for
+    free.  Retransmission and injected jitter break that:
     a retried data message can land {e after} the close, and the
     importer would integrate it but no longer forward it.  Under the
     reliable transport the sender therefore counts in-flight data per
@@ -160,7 +173,8 @@ val set_flush_scheduled : t -> dst:Peer_id.t -> bool -> unit
     it has settled.  The same count covers every message to the
     engagement parent: the disengagement acknowledgement waits until
     it is zero, so nothing the parent owes no ack for can arrive after
-    that acknowledgement. *)
+    that acknowledgement, and a later close to the parent waits behind
+    the rows an earlier message carried. *)
 
 val dst_unacked : t -> dst:Peer_id.t -> int
 
@@ -169,32 +183,32 @@ val incr_unacked : t -> dst:Peer_id.t -> unit
 val decr_unacked : t -> dst:Peer_id.t -> unit
 (** Clamped at zero (duplicate settlements are harmless). *)
 
-val defer_close : t -> dst:Peer_id.t -> rule:string -> global:bool -> unit
+val defer_close : t -> dst:Peer_id.t -> rule:string -> unit
 
 val has_deferred_closes : t -> bool
 (** Is any close still held back behind in-flight data?  The node
     owes those closes, so it must not disengage yet: a close sent
     after its disengagement would be counted by nobody upstream. *)
 
-val take_deferred_closes : t -> dst:Peer_id.t -> (string * bool) list
+val take_deferred_closes : t -> dst:Peer_id.t -> string list
 (** Drain the deferred closes for [dst] in defer order. *)
 
 (** {2 Closes to the engagement parent}
 
     A close to the parent is held until the end of the handler that
-    made it: if the node then disengages, the last held close goes out
-    as the acknowledgement too ([carries_ack]); otherwise every held
-    close goes out plain. *)
+    made it.  Then every held close leaves in one [Update_batch], with
+    the rows of a lazy serve of each of their links and, if the node
+    disengages, its acknowledgement ([carries_ack]). *)
 
-val hold_close : t -> rule:string -> global:bool -> unit
+val hold_close : t -> rule:string -> unit
 
-val take_held_closes : t -> (string * bool) list
+val take_held_closes : t -> string list
 (** Drain the held closes in hold order. *)
 
 (** {2 Subtrees reported done}
 
-    An acquaintance whose disengagement acknowledgement came in a close
-    flagged [subtree_done] has closed every link of the update, and so
+    An acquaintance whose disengagement acknowledgement came in a
+    message flagged [subtree_done] has closed every link of the update, and so
     has every node it engaged, recursively; that subtree touches the
     rest of the network only through the edge to this node, and
     terminated itself.  The terminated flood skips it. *)

@@ -39,6 +39,10 @@ let serve t ~importer ~rels ~rows =
 
 let importer p = p.pd_importer
 
+let covered p = p.pd_rows
+
+let cover p ~rows = List.iteri (fun i n -> p.pd_rows.(i) <- n) rows
+
 let advance p ~rel ~since ~upto =
   Array.iteri
     (fun i r -> if String.equal r rel && p.pd_rows.(i) = since then p.pd_rows.(i) <- upto)

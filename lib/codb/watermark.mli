@@ -12,8 +12,9 @@
 
     Marks are volatile and not logged: a restarted node serves its
     links from scratch once.  An update builds a {!pending} mark per
-    link it serves, advances it while the link stays contiguous, and
-    commits it when the link closes.  Invalidations ({!clear},
+    link it serves, advances it while the link stays contiguous (or
+    covers the whole store at a lazy serve), and commits it when the
+    link closes.  Invalidations ({!clear},
     {!clear_peer}) drop committed marks and keep any mark served
     before them from committing. *)
 
@@ -36,6 +37,14 @@ val serve :
     cardinalities read at service time. *)
 
 val importer : pending -> Peer_id.t
+
+val covered : pending -> int array
+(** The row counts the link is served up to, aligned with the body
+    relations. *)
+
+val cover : pending -> rows:int list -> unit
+(** The link was just served up to these cardinalities: a lazy serve
+    covers every row below them ({!Update}). *)
 
 val advance : pending -> rel:string -> since:int -> upto:int -> unit
 (** The link was just recomputed over [rel]'s rows [since, upto).  If

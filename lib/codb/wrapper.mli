@@ -36,16 +36,19 @@ val eval_query_full : ?sent:Sent_filter.t -> Database.t -> Query.t -> Row.t list
 val eval_query_delta :
   ?sent:Sent_filter.t ->
   naive:bool ->
+  ?upto:int ->
   Database.t ->
   Query.t ->
   delta_rel:string ->
   since:int ->
   Row.t list
 (** Semi-naive counterpart of {!eval_query_full}: the heads derivable
-    using at least one row of [delta_rel] from [since] on, read in
-    place ({!Codb_cq.Eval.delta_heads} without [delta]).  The delta is
-    the rows an integration just appended ({!integration.since}), or
-    the rows a link's watermark has not covered yet ({!Watermark}). *)
+    using at least one row of [delta_rel] from [since] on (up to
+    [upto], if given), read in place ({!Codb_cq.Eval.delta_heads}
+    without [delta]).  The delta is the rows an integration just
+    appended ({!integration.since}), or the rows a link's watermark
+    has not covered yet ({!Watermark}), cut where the hops of the
+    imported rows change. *)
 
 val eval_rule_full :
   ?opts:Options.t -> ?sent:Sent_filter.t -> Database.t -> Config.rule_decl -> Tuple.t list

@@ -486,16 +486,18 @@ let plan_for ?max_probe_cols source q =
    names by its watermark alone.  The window shares the relation's
    cells and copies nothing; like a row list it is not [indexed] (the
    planner scans it) and has no zone maps to prune. *)
-let rows_from (full : rows) since =
+let rows_from ?upto (full : rows) since =
+  let stop total = match upto with Some upto -> min upto total | None -> total in
   let packed k =
     let view = full.packed k in
     let _, total = view.Relation.pv_all () in
-    scan_view ~arity:view.Relation.pv_arity (max 0 (total - since)) (fun col row ->
+    scan_view ~arity:view.Relation.pv_arity (max 0 (stop total - since)) (fun col row ->
         view.Relation.pv_cell col (since + row))
   in
-  { size = max 0 (full.size - since); indexed = false; distinct = None; packed }
+  { size = max 0 (stop full.size - since); indexed = false; distinct = None; packed }
 
-let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ?delta q ~emit =
+let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ?upto ?delta q ~emit
+    =
   if naive then full_run ?max_probe_cols source q ~emit
   else if List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body then begin
     let full = source delta_rel in
@@ -509,7 +511,7 @@ let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ?delta q
       }
     in
     let delta_rows =
-      match delta with Some delta -> rows_of_list delta | None -> rows_from full since
+      match delta with Some delta -> rows_of_list delta | None -> rows_from ?upto full since
     in
     let occurrences =
       (* occurrence index of every body atom over [delta_rel] *)
@@ -618,8 +620,8 @@ let heads ?max_probe_cols ?(into = fresh_rows ()) source q =
   project (full_run ?max_probe_cols source q) q ~into
 
 let delta_heads ?naive ?max_probe_cols ?(into = fresh_rows ()) source ~delta_rel ~since
-    ?delta q =
-  project (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ?delta q) q ~into
+    ?upto ?delta q =
+  project (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ?upto ?delta q) q ~into
 
 let answer_rows ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with

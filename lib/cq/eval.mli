@@ -188,11 +188,15 @@ val delta_heads :
   source ->
   delta_rel:string ->
   since:int ->
+  ?upto:int ->
   ?delta:Codb_relalg.Row.t list ->
   Query.t ->
   Codb_relalg.Row.t list
 (** Delta form: the same projection over {!delta_answers}' matches,
-    through the same passes. *)
+    through the same passes.  [upto] ends the stored delta window
+    early: the rows from [upto] on are then read only where an atom
+    reads full, so a derivation through one of them in an earlier
+    occurrence comes out only from the window that holds it. *)
 
 val answer_rows :
   ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Row.t list

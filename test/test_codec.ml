@@ -104,10 +104,13 @@ let payload_samples () =
             { Payload.be_rule = "r1"; be_hops = 2; be_rows = packed kitchen_sink_tuples };
             { Payload.be_rule = "r2"; be_hops = 0; be_rows = [] };
           ];
-        global = false; no_ack = false };
-    Payload.Update_link_closed
-      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true;
-        subtree_done = false };
+        closes = []; global = false; no_ack = false; carries_ack = false; subtree_done = false };
+    Payload.Update_batch
+      { update_id = uid;
+        entries = [ { Payload.be_rule = "r1"; be_hops = 4; be_rows = packed kitchen_sink_tuples } ];
+        closes = [ "r1"; "r2" ]; global = true; no_ack = true; carries_ack = true;
+        subtree_done = true };
+    Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global = true; no_ack = true };
     Payload.Update_ack { update_id = uid };
     Payload.Update_terminated { update_id = uid };
     Payload.Query_request
@@ -239,28 +242,27 @@ let test_malformed_input_rejected () =
     (payload_samples ())
 
 (* The update flag byte: every combination of [global], [no_ack] and
-   (on a close) [carries_ack] and [subtree_done] (only with
+   (on a batch) [carries_ack] and [subtree_done] (only with
    [carries_ack]) round-trips, and any other byte decodes to an error,
    never an exception.  [valid] says which bytes a constructor
    accepts. *)
 let flag_payloads ~global ~no_ack ~carries_ack ~subtree_done =
   let rows = packed [ tup [ i 1; s "x" ] ] in
-  let data_valid byte = byte land lnot 3 = 0 in
-  let close_valid byte = byte land lnot 15 = 0 && (byte land 8 = 0 || byte land 4 <> 0) in
+  let two_bits byte = byte land lnot 3 = 0 in
+  let batch_valid byte = byte land lnot 15 = 0 && (byte land 8 = 0 || byte land 4 <> 0) in
   [
     ( "data",
-      data_valid,
+      two_bits,
       Payload.Update_data { update_id = uid; rule_id = "r1"; rows; hops = 2; global; no_ack } );
     ( "batch",
-      data_valid,
+      batch_valid,
       Payload.Update_batch
         { update_id = uid;
           entries = [ { Payload.be_rule = "r1"; be_hops = 1; be_rows = rows } ];
-          global; no_ack } );
+          closes = [ "r1" ]; global; no_ack; carries_ack; subtree_done } );
     ( "close",
-      close_valid,
-      Payload.Update_link_closed
-        { update_id = uid; rule_id = "r1"; global; no_ack; carries_ack; subtree_done } );
+      two_bits,
+      Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global; no_ack } );
   ]
 
 let test_update_flags_round_trip () =
@@ -273,7 +275,7 @@ let test_update_flags_round_trip () =
             (fun (carries_ack, subtree_done) ->
               List.iter
                 (fun (name, valid, p) ->
-                  (* data and batch have neither close bit *)
+                  (* data and close have neither ack bit *)
                   if valid 4 || not carries_ack then
                     Alcotest.(check bool)
                       (Printf.sprintf "%s global=%b no_ack=%b carries_ack=%b subtree_done=%b"
@@ -401,19 +403,20 @@ let gen_payload_flat =
          (Payload.Update_data { update_id; rule_id; rows = packed tuples; hops; global; no_ack }));
       (let* update_id = gen_uid in
        let* entries = list_size (int_range 0 4) gen_batch_entry in
+       let* closes = list_size (int_range 0 3) gen_small_string in
        let* global = bool in
        let* no_ack = bool in
-       return (Payload.Update_batch { update_id; entries; global; no_ack }));
+       let* carries_ack = bool in
+       (* the done bit only rides an acknowledgement *)
+       let* subtree_done = if carries_ack then bool else return false in
+       return
+         (Payload.Update_batch
+            { update_id; entries; closes; global; no_ack; carries_ack; subtree_done }));
       (let* update_id = gen_uid in
        let* rule_id = gen_small_string in
        let* global = bool in
        let* no_ack = bool in
-       let* carries_ack = bool in
-       (* the done bit only rides an ack-carrying close *)
-       let* subtree_done = if carries_ack then bool else return false in
-       return
-         (Payload.Update_link_closed
-            { update_id; rule_id; global; no_ack; carries_ack; subtree_done }));
+       return (Payload.Update_link_closed { update_id; rule_id; global; no_ack }));
       map (fun u -> Payload.Update_ack { update_id = u }) gen_uid;
       map (fun u -> Payload.Update_terminated { update_id = u }) gen_uid;
       (let* query_id = gen_qid in
@@ -659,9 +662,7 @@ let test_link_desync_fails_closed () =
   let d = Codec.Dict.sender () in
   let rc = Codec.Dict.receiver () in
   let mk rule =
-    Payload.Update_link_closed
-      { update_id = uid; rule_id = rule; global = true; no_ack = false; carries_ack = false;
-        subtree_done = false }
+    Payload.Update_link_closed { update_id = uid; rule_id = rule; global = true; no_ack = false }
   in
   let intro = Payload.encode ~link:d (mk "shared") in
   let backref = Payload.encode ~link:d (mk "shared") in
@@ -680,9 +681,7 @@ let test_link_stale_epoch_dangles () =
   let d = Codec.Dict.sender () in
   let rc = Codec.Dict.receiver () in
   let mk rule =
-    Payload.Update_link_closed
-      { update_id = uid; rule_id = rule; global = true; no_ack = false; carries_ack = false;
-        subtree_done = false }
+    Payload.Update_link_closed { update_id = uid; rule_id = rule; global = true; no_ack = false }
   in
   let m_intro = Payload.encode ~link:d (mk "x") in
   let m_ref = Payload.encode ~link:d (mk "x") in
@@ -806,7 +805,7 @@ let rec payload_of_msg = function
               (fun (be_rule, be_hops, tuples) ->
                 { Payload.be_rule; be_hops; be_rows = packed tuples })
               entries;
-          global = false; no_ack = true }
+          closes = []; global = false; no_ack = true; carries_ack = false; subtree_done = false }
   | Rm_query (rule_id, tuples) ->
       Payload.Query_data { query_id = qid; request_ref = "n0/7"; rule_id; rows = packed tuples }
   | Rm_seq (seq, inner) -> Payload.Seq { seq; inner = payload_of_msg inner }

@@ -45,19 +45,26 @@ let test_direct_insert_is_shipped () =
   Alcotest.(check int) "no duplicate shipped" 0 r.Report.ur_dup_suppressed;
   check_marks "n2's mark moved past the insert" (Some [| 2 |]) (marks sys "n2" "r12")
 
-(* n1 serves r01 before n2's row arrives; a row inserted at n1 in
-   between is not shipped by this update, and n1's mark stays below it
-   instead of advancing past the rows n2 delivers. *)
+(* Run until [name] holds a state for [uid]: it has just been
+   contacted. *)
+let run_until_contacted sys name uid =
+  let n = System.node sys name in
+  while Node.update_state n uid = None do
+    ignore (System.run ~max_events:1 sys : int)
+  done
+
+(* Started from n2, the update reaches n1 from n2, so r01's importer n0
+   is not n1's engagement parent and r01 is served eagerly: at first
+   contact, then on each arrival.  A row inserted at n1 in between is
+   not shipped by this update, and n1's mark stays below it instead of
+   advancing past the rows n2 delivers. *)
 let test_mid_update_insert_reships_from_its_gap () =
   let sys = System.build_exn (parse_config chain_config) in
-  let uid = System.start_update sys ~initiator:"n0" in
-  let n1 = System.node sys "n1" in
-  while Node.update_state n1 uid = None do
-    ignore (System.run ~max_events:1 sys : int)
-  done;
+  let uid = System.start_update sys ~initiator:"n2" in
+  run_until_contacted sys "n1" uid;
   Alcotest.(check bool) "n2's row not there yet" false
     (has sys "n1" (tup [ i 2; s "b" ]));
-  ignore (Database.insert n1.Node.store "data" (tup [ i 9; s "z" ]));
+  ignore (Database.insert (System.node sys "n1").Node.store "data" (tup [ i 9; s "z" ]));
   let _ = System.run sys in
   Alcotest.(check bool) "n2's row forwarded" true (has sys "n0" (tup [ i 2; s "b" ]));
   Alcotest.(check bool) "the gap row was not" false (has sys "n0" (tup [ i 9; s "z" ]));
@@ -66,6 +73,28 @@ let test_mid_update_insert_reships_from_its_gap () =
   Alcotest.(check bool) "re-shipped from the gap" true
     (has sys "n0" (tup [ i 9; s "z" ]));
   check_marks "then covered" (Some [| 3 |]) (marks sys "n1" "r01")
+
+(* Started from n0, n1's parent is r01's importer: r01 is served once,
+   when it closes, from the store as it stands then.  A row inserted at
+   n1 mid-update rides that serve, in the same update, and each row
+   carries the hops of the rows it covers. *)
+let test_mid_update_insert_rides_the_lazy_serve () =
+  let sys = System.build_exn (parse_config chain_config) in
+  let uid = System.start_update sys ~initiator:"n0" in
+  run_until_contacted sys "n1" uid;
+  ignore (Database.insert (System.node sys "n1").Node.store "data" (tup [ i 9; s "z" ]));
+  let _ = System.run sys in
+  List.iter
+    (fun t -> Alcotest.(check bool) "at n0" true (has sys "n0" t))
+    [ tup [ i 1; s "a" ]; tup [ i 2; s "b" ]; tup [ i 9; s "z" ] ];
+  check_marks "n1's mark covers the insert" (Some [| 3 |]) (marks sys "n1" "r01");
+  let hops t =
+    match Node.explain (System.node sys "n0") ~rel:"data" t with
+    | Some (Codb_core.Lineage.Imported [ route ]) -> route.Codb_core.Lineage.li_hops
+    | _ -> Alcotest.fail "expected one import"
+  in
+  Alcotest.(check (list int)) "hops per row" [ 1; 2; 1 ]
+    (List.map hops [ tup [ i 1; s "a" ]; tup [ i 2; s "b" ]; tup [ i 9; s "z" ] ])
 
 let twin_updates invalidate =
   let sys = System.build_exn (parse_config chain_config) in
@@ -189,6 +218,8 @@ let suite =
       test_direct_insert_is_shipped;
     Alcotest.test_case "a mid-update insert re-ships from its gap" `Quick
       test_mid_update_insert_reships_from_its_gap;
+    Alcotest.test_case "a mid-update insert rides the lazy serve" `Quick
+      test_mid_update_insert_rides_the_lazy_serve;
     Alcotest.test_case "a rules file forces a full evaluation" `Quick
       test_rules_file_forces_full_evaluation;
     Alcotest.test_case "a pipe flap forces a full evaluation" `Quick

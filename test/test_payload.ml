@@ -22,13 +22,14 @@ let samples =
             { Payload.be_rule = "r1"; be_hops = 2; be_rows = packed [ tup [ i 1; s "x" ] ] };
             { Payload.be_rule = "r2"; be_hops = 1; be_rows = packed [ tup [ i 2; s "x" ] ] };
           ];
-        global = true; no_ack = true };
-    Payload.Update_link_closed
-      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true;
-        subtree_done = false };
-    Payload.Update_link_closed
-      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack = true;
-        subtree_done = true };
+        closes = []; global = true; no_ack = true; carries_ack = false; subtree_done = false };
+    Payload.Update_batch
+      { update_id = uid; entries = []; closes = [ "r1" ]; global = true; no_ack = true;
+        carries_ack = true; subtree_done = false };
+    Payload.Update_batch
+      { update_id = uid; entries = []; closes = [ "r1" ]; global = true; no_ack = true;
+        carries_ack = true; subtree_done = true };
+    Payload.Update_link_closed { update_id = uid; rule_id = "r1"; global = true; no_ack = false };
     Payload.Update_ack { update_id = uid };
     Payload.Update_terminated { update_id = uid };
     Payload.Query_request
@@ -118,13 +119,13 @@ let test_rules_file_size_tracks_text () =
   Alcotest.(check int) "delta equals text growth" 100
     (mk (String.make 120 'x') - mk (String.make 20 'x'))
 
-(* The done bit rides the close's flag byte: it costs nothing, round
+(* The done bit rides the batch's flag byte: it costs nothing, round
    trips, and is malformed without the ack bit. *)
 let test_subtree_done_bit () =
   let close ~carries_ack ~subtree_done =
-    Payload.Update_link_closed
-      { update_id = uid; rule_id = "r1"; global = true; no_ack = true; carries_ack;
-        subtree_done }
+    Payload.Update_batch
+      { update_id = uid; entries = []; closes = [ "r1" ]; global = true; no_ack = true;
+        carries_ack; subtree_done }
   in
   let acked = close ~carries_ack:true ~subtree_done:false in
   let done_ = close ~carries_ack:true ~subtree_done:true in
@@ -134,7 +135,8 @@ let test_subtree_done_bit () =
     (String.length (Payload.encode done_))
     (Payload.encoded_size done_);
   Alcotest.(check bool) "round trip" true (Payload.decode (Payload.encode done_) = Ok done_);
-  Alcotest.(check string) "described" "link-closed+done r1" (Payload.describe done_);
+  Alcotest.(check string) "described" "update-batch (0 rules, 0 tuples) closing r1 +done"
+    (Payload.describe done_);
   Alcotest.(check bool) "without the ack bit: malformed" true
     (Result.is_error
        (Payload.decode (Payload.encode (close ~carries_ack:false ~subtree_done:true))))

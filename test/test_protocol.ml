@@ -62,12 +62,44 @@ let peer name = Peer_id.of_string name
 
 let count pred messages = List.length (List.filter pred messages)
 
-let is_ack m = match m.payload with Payload.Update_ack _ -> true | _ -> false
+(* An acknowledgement: a bare one, or the one a node's message to its
+   parent carries. *)
+let is_ack m =
+  match m.payload with
+  | Payload.Update_ack _ | Payload.Update_batch { carries_ack = true; _ } -> true
+  | _ -> false
 
 let is_request m =
   match m.payload with Payload.Update_request _ -> true | _ -> false
 
-let is_data m = match m.payload with Payload.Update_data _ -> true | _ -> false
+(* The rows a message ships, per rule. *)
+let shipped m =
+  match m.payload with
+  | Payload.Update_data { rule_id; rows; _ } -> [ (rule_id, rows) ]
+  | Payload.Update_batch { entries; _ } ->
+      List.map (fun e -> (e.Payload.be_rule, e.Payload.be_rows)) entries
+  | _ -> []
+
+let is_data m = shipped m <> []
+
+(* The rows a message ships on [rule]. *)
+let shipped_on rule m =
+  List.concat_map (fun (r, rows) -> if r = rule then boxed rows else []) (shipped m)
+
+(* The links a message closes. *)
+let closes_in m =
+  match m.payload with
+  | Payload.Update_link_closed { rule_id; _ } -> [ rule_id ]
+  | Payload.Update_batch { closes; _ } -> closes
+  | _ -> []
+
+(* The one message to the parent: its closes, whether it carries the
+   acknowledgement, and whether it reports the subtree done. *)
+let to_parent_shape m =
+  match m.payload with
+  | Payload.Update_batch { closes; carries_ack; subtree_done; no_ack = true; _ } ->
+      Some (closes, carries_ack, subtree_done)
+  | _ -> None
 
 let is_terminated m =
   match m.payload with Payload.Update_terminated _ -> true | _ -> false
@@ -99,29 +131,48 @@ let data_from ?(no_ack = false) rule values =
     { update_id = uid; rule_id = rule; rows = packed (List.map (fun x -> tup [ i x ]) values);
       hops = 1; global = true; no_ack }
 
+(* A plain close, or (with [carries_ack]) the close a child sends its
+   parent with its acknowledgement. *)
 let close_of ?(no_ack = false) ?(carries_ack = false) ?(subtree_done = false) rule =
-  Payload.Update_link_closed
-    { update_id = uid; rule_id = rule; global = true; no_ack; carries_ack; subtree_done }
+  if carries_ack then
+    Payload.Update_batch
+      { update_id = uid; entries = []; closes = [ rule ]; global = true; no_ack; carries_ack;
+        subtree_done }
+  else Payload.Update_link_closed { update_id = uid; rule_id = rule; global = true; no_ack }
+
+(* A node serving both its neighbours. *)
+let both_ways_config =
+  {|
+node down { relation r(x: int); }
+node me { relation r(x: int); fact r(1); }
+node up { relation s(x: int); relation t(x: int); fact s(2); }
+rule to_down at down: r(x) <- me: r(x);
+rule to_up at up: t(x) <- me: r(x);
+rule from_up at me: r(x) <- up: s(x);
+|}
 
 let test_first_contact_floods_and_serves () =
-  let rt, node, outbox = make_runtime middle_config in
+  let rt, node, outbox = make_runtime both_ways_config in
   Update.handle rt ~src:(peer "down") ~bytes:100
     (Payload.Update_request { update_id = uid; scope = Payload.Global });
   let messages = drain outbox in
   (* floods the request to the other acquaintance (up), serves its
-     incoming link to down with local data, and does NOT ack yet: the
+     incoming link to up with local data, and does NOT ack yet: the
      engaging message is acknowledged on disengagement *)
   Alcotest.(check int) "one request forwarded" 1 (count is_request messages);
   Alcotest.(check bool) "forwarded to up" true
     (List.exists (fun m -> is_request m && m.dst = "up") messages);
-  Alcotest.(check int) "initial data to down" 1 (count is_data messages);
+  check_tuples "initial data to up" [ tup [ i 1 ] ]
+    (List.concat_map (shipped_on "to_up") messages);
+  (* the link to the parent (down) is lazy: the store buffers its rows
+     until it closes or "me" disengages *)
+  Alcotest.(check int) "nothing to the parent yet" 0
+    (count (fun m -> m.dst = "down") messages);
   Alcotest.(check int) "no ack yet" 0 (count is_ack messages);
   let st = state node in
   Alcotest.(check bool) "engaged" true st.Update_state.ust_engaged;
-  (* the data went to the parent (down), which owes no ack for it:
-     only the request to up is counted *)
-  Alcotest.(check int) "deficit = messages owed" 1 st.Update_state.ust_deficit;
-  Alcotest.(check (list bool)) "data to the parent marked no-ack" [ true ]
+  Alcotest.(check int) "deficit = messages owed" 2 st.Update_state.ust_deficit;
+  Alcotest.(check (list bool)) "data to a non-parent counted" [ false ]
     (List.filter_map no_ack_of messages)
 
 let test_duplicate_request_acked_immediately () =
@@ -142,12 +193,16 @@ let test_disengage_acks_parent_when_deficit_clears () =
     (Payload.Update_request { update_id = uid; scope = Payload.Global });
   let _ = drain outbox in
   (* up acknowledges the forwarded request, the only counted message
-     "me" sent (its data went to the parent, down) *)
+     "me" sent (nothing went to the parent, down, yet) *)
   Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
   let messages = drain outbox in
   Alcotest.(check bool) "disengaged" false (state node).Update_state.ust_engaged;
   Alcotest.(check bool) "parent acked" true
-    (match messages with [ m ] -> is_ack m && m.dst = "down" | _ -> false)
+    (match messages with [ m ] -> is_ack m && m.dst = "down" | _ -> false);
+  (* the still-open link to the parent is served in the same message *)
+  check_tuples "with the rows it is owed" [ tup [ i 1 ] ]
+    (List.concat_map (shipped_on "to_down") messages);
+  Alcotest.(check (list string)) "and no close" [] (List.concat_map closes_in messages)
 
 let test_reengagement_after_disengage () =
   let rt, node, outbox = make_runtime middle_config in
@@ -271,12 +326,10 @@ let test_done_subtree_terminates_at_disengagement () =
   let messages = drain outbox in
   Alcotest.(check bool) "one close reporting the subtree done, to down" true
     (match messages with
-    | [ { dst = "down";
-          payload =
-            Payload.Update_link_closed
-              { rule_id = "to_down"; carries_ack = true; subtree_done = true; _ } } ] ->
-        true
+    | [ ({ dst = "down"; _ } as m) ] -> to_parent_shape m = Some ([ "to_down" ], true, true)
     | _ -> false);
+  check_tuples "the close carries the link's rows" [ tup [ i 1 ] ]
+    (List.concat_map (shipped_on "to_down") messages);
   let st = state node in
   Alcotest.(check bool) "terminated" true st.Update_state.ust_terminated;
   Alcotest.(check bool) "finished" true st.Update_state.ust_finished;
@@ -304,11 +357,7 @@ let test_immediate_ack_keeps_the_bit_clear () =
     (close_of ~no_ack:true ~carries_ack:true ~subtree_done:true "from_side");
   Alcotest.(check bool) "the ack-carrying close to down reports nothing" true
     (match drain outbox with
-    | [ { dst = "down";
-          payload =
-            Payload.Update_link_closed
-              { rule_id = "to_down"; carries_ack = true; subtree_done = false; _ } } ] ->
-        true
+    | [ ({ dst = "down"; _ } as m) ] -> to_parent_shape m = Some ([ "to_down" ], true, false)
     | _ -> false);
   Alcotest.(check bool) "not terminated" false (state node).Update_state.ust_terminated
 
@@ -323,12 +372,13 @@ let test_link_closed_cascades () =
     (close_of "from_up");
   let messages = drain outbox in
   Alcotest.(check bool) "closure cascaded to down" true
-    (List.exists
-       (fun m ->
-         match m.payload with
-         | Payload.Update_link_closed { rule_id = "to_down"; _ } -> m.dst = "down"
-         | _ -> false)
-       messages)
+    (List.exists (fun m -> m.dst = "down" && List.mem "to_down" (closes_in m)) messages);
+  (* "me" still owes up's ack for its request: the close leaves alone,
+     with the link's rows, and carries no ack *)
+  check_tuples "the close carries the link's rows" [ tup [ i 1 ] ]
+    (List.concat_map (shipped_on "to_down") messages);
+  Alcotest.(check bool) "no ack to down yet" false
+    (List.exists (fun m -> m.dst = "down" && is_ack m) messages)
 
 let test_scoped_request_activates_one_link () =
   let rt, node, outbox = make_runtime middle_config in
@@ -416,6 +466,8 @@ let test_released_on_terminated_flood () =
   check_finished_update_pins_nothing (fun rt outbox ->
       Update.handle rt ~src:(peer "down") ~bytes:100
         (Payload.Update_request { update_id = uid; scope = Payload.Global });
+      (* the lazy link to the parent is served when "me" disengages *)
+      Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
       served_to_down rt.Runtime.node outbox;
       Update.handle rt ~src:(peer "down") ~bytes:20
         (Payload.Update_terminated { update_id = uid }))
@@ -457,9 +509,7 @@ let test_late_messages_after_release () =
     (Payload.Update_terminated { update_id = uid });
   state_tables_empty "terminated" (state node);
   let _ = drain outbox in
-  let is_close m =
-    match m.payload with Payload.Update_link_closed _ -> true | _ -> false
-  in
+  let is_close m = closes_in m <> [] in
   Update.handle rt ~src:(peer "up") ~bytes:30
     (close_of "from_up");
   Update.handle rt ~src:(peer "up") ~bytes:50
@@ -490,27 +540,30 @@ let test_open_link_keeps_the_bit_clear () =
   let rt, node, outbox = make_runtime two_cycle_config in
   Update.handle rt ~src:(peer "down") ~bytes:100
     (Payload.Update_request { update_id = uid; scope = Payload.Global });
-  let closes =
-    List.filter_map
-      (fun m ->
-        match m.payload with
-        | Payload.Update_link_closed { rule_id; carries_ack; subtree_done; _ } ->
-            Some (rule_id, carries_ack, subtree_done)
-        | _ -> None)
-      (drain outbox)
-  in
-  Alcotest.(check (list (triple string bool bool))) "the ack rides to_down_u's close, not done"
-    [ ("to_down_u", true, false) ] closes;
+  let messages = drain outbox in
+  Alcotest.(check (list (option (triple (list string) bool bool))))
+    "the ack rides to_down_u's close, not done"
+    [ Some ([ "to_down_u" ], true, false) ]
+    (List.map to_parent_shape messages);
+  (* both links to the parent are served in that message, the open
+     one too *)
+  check_tuples "to_down_u's rows" [ tup [ i 2 ] ]
+    (List.concat_map (shipped_on "to_down_u") messages);
+  check_tuples "to_down's rows" [ tup [ i 1 ] ] (List.concat_map (shipped_on "to_down") messages);
   Alcotest.(check bool) "not terminated" false (state node).Update_state.ust_terminated;
   (* down's data re-engages me, which still forwards it *)
   Update.handle rt ~src:(peer "down") ~bytes:50 (data_from ~no_ack:true "from_down" [ 5 ]);
-  Alcotest.(check bool) "the new row goes on to down" true
-    (List.exists
+  let messages = drain outbox in
+  check_tuples "the new row goes on to down" [ tup [ i 5 ] ]
+    (List.concat_map (shipped_on "to_down") messages);
+  (* one hop more than the row it covers, which came over one *)
+  Alcotest.(check (list int)) "two hops" [ 2 ]
+    (List.concat_map
        (fun m ->
          match m.payload with
-         | Payload.Update_data { rule_id = "to_down"; _ } -> m.dst = "down"
-         | _ -> false)
-       (drain outbox))
+         | Payload.Update_batch { entries; _ } -> List.map (fun e -> e.Payload.be_hops) entries
+         | _ -> [])
+       messages)
 
 (* A scoped update activates links one request at a time, so a node
    whose activated links are all closed may still be asked for
@@ -531,12 +584,7 @@ let test_scoped_never_reports_done () =
   in
   ask "to_down";
   Alcotest.(check bool) "the ack rides the close, not done" true
-    (List.exists
-       (fun m ->
-         match m.payload with
-         | Payload.Update_link_closed { carries_ack = true; subtree_done = false; _ } -> true
-         | _ -> false)
-       (drain outbox));
+    (List.exists (fun m -> to_parent_shape m = Some ([ "to_down" ], true, false)) (drain outbox));
   Alcotest.(check bool) "not terminated" false (state node).Update_state.ust_terminated;
   ask "to_down_u";
   Alcotest.(check int) "the second link is served" 1 (count is_data (drain outbox))
@@ -664,28 +712,68 @@ let test_done_subtree_ships_only_the_delta () =
     (Codb_relalg.Relation.cardinal
        (Codb_relalg.Database.relation (Codb_core.System.node sys "n0").Node.store "r"))
 
+(* On a chain every edge costs a request and one reply per update: the
+   reply carries the child's rows, its close and its acknowledgement,
+   in the bulk update and in an incremental one alike. *)
+let test_chain_replies_once_per_update () =
+  let sys = Codb_core.System.build_exn (parse_config chain_config) in
+  let net = Codb_core.System.net sys in
+  let run_counting () =
+    let seen = Hashtbl.create 16 in
+    let collect () =
+      List.iter
+        (fun (m : Payload.t Codb_net.Message.t) ->
+          if Payload.is_update_protocol m.Codb_net.Message.payload
+             || (match m.Codb_net.Message.payload with
+                | Payload.Update_ack _ | Payload.Update_terminated _ -> true
+                | _ -> false)
+          then
+            Hashtbl.replace seen m.Codb_net.Message.msg_id
+              ( Peer_id.to_string m.Codb_net.Message.src,
+                Peer_id.to_string m.Codb_net.Message.dst ))
+        (Codb_net.Network.in_flight net)
+    in
+    collect ();
+    while Codb_net.Network.step net do
+      collect ()
+    done;
+    let between src dst =
+      Hashtbl.fold (fun _ edge acc -> if edge = (src, dst) then acc + 1 else acc) seen 0
+    in
+    [ between "n1" "n0"; between "n2" "n1"; Hashtbl.length seen ]
+  in
+  let _ = Codb_core.System.start_update sys ~initiator:"n0" in
+  Alcotest.(check (list int)) "bulk: one reply per child, four messages" [ 1; 1; 4 ]
+    (run_counting ());
+  ignore (Codb_core.System.insert_fact sys ~at:"n2" ~rel:"r" (tup [ i 9 ]) : bool);
+  let _ = Codb_core.System.start_update sys ~initiator:"n0" in
+  Alcotest.(check (list int)) "incremental: the same" [ 1; 1; 4 ] (run_counting ());
+  Alcotest.(check int) "n0 holds every fact" 4
+    (Codb_relalg.Relation.cardinal
+       (Codb_relalg.Database.relation (Codb_core.System.node sys "n0").Node.store "r"))
+
 (* The tuples served on [to_down], framed by the reliable transport or
    not. *)
 let served_to_down messages =
   List.concat_map
     (fun m ->
       match m.payload with
-      | Payload.Update_data { rule_id = "to_down"; rows; _ }
-      | Payload.Seq
-          { inner = Payload.Update_data { rule_id = "to_down"; rows; _ }; _ } ->
-          boxed rows
-      | _ -> [])
+      | Payload.Seq { inner; _ } -> shipped_on "to_down" { m with payload = inner }
+      | _ -> shipped_on "to_down" m)
     messages
 
 (* A transport give-up on data to an importer voids the link's
-   watermark: the next first contact serves the link in full. *)
+   watermark: the next update serves the link in full. *)
 let test_give_up_voids_the_watermark () =
   let opts = { Options.default with Options.ack_timeout = 0.05; max_retries = 0 } in
   let rt, node, outbox = make_runtime ~opts middle_config in
+  (* engaged by down, "me" serves its lazy link to down when up's ack
+     lets it disengage *)
   let serve n =
+    let update_id = Ids.update_id (peer "origin") n in
     Update.handle rt ~src:(peer "down") ~bytes:100
-      (Payload.Update_request
-         { update_id = Ids.update_id (peer "origin") n; scope = Payload.Global })
+      (Payload.Update_request { update_id; scope = Payload.Global });
+    Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id })
   in
   let marks () = Codb_core.Watermark.find node.Node.watermarks "to_down" in
   serve 1;
@@ -713,17 +801,25 @@ let test_ack_for_unknown_update_ignored () =
 
 
 (* An engaged node owes its child nothing for the child's data: the
-   data went to its parent, which is this node. *)
+   data went to its parent, which is this node.  The row waits in the
+   store until the node disengages, and then goes on to its own parent
+   in the message that carries its ack. *)
 let test_data_to_parent_not_acked () =
   let rt, _node, outbox = make_runtime middle_config in
   Update.handle rt ~src:(peer "down") ~bytes:100
     (Payload.Update_request { update_id = uid; scope = Payload.Global });
   let _ = drain outbox in
   Update.handle rt ~src:(peer "up") ~bytes:50 (data_from ~no_ack:true "from_up" [ 2 ]);
+  Alcotest.(check int) "no message at all" 0 (List.length (drain outbox));
+  Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
   let messages = drain outbox in
-  Alcotest.(check int) "no ack to up" 0 (count is_ack messages);
-  Alcotest.(check bool) "the new row goes on to the parent, no-ack" true
-    (List.exists (fun m -> m.dst = "down" && no_ack_of m = Some true) messages)
+  Alcotest.(check int) "no ack to up" 0 (count (fun m -> m.dst = "up") messages);
+  Alcotest.(check bool) "one no-ack message to the parent, carrying its ack" true
+    (match messages with
+    | [ m ] -> m.dst = "down" && no_ack_of m = Some true && is_ack m
+    | _ -> false);
+  check_tuples "with the local row and the new one" [ tup [ i 1 ]; tup [ i 2 ] ]
+    (List.concat_map (shipped_on "to_down") messages)
 
 (* Data counted by its sender is acknowledged at once by an engaged
    receiver, and data to a non-parent is counted. *)
@@ -781,24 +877,13 @@ let test_last_close_carries_the_ack () =
   Alcotest.(check bool) "disengaged" false (state node).Update_state.ust_engaged;
   Alcotest.(check bool) "one close carrying the ack, to down" true
     (match messages with
-    | [ { dst = "down";
-          payload =
-            Payload.Update_link_closed
-              { rule_id = "to_down"; no_ack = true; carries_ack = true; _ } } ] ->
-        true
-    | _ -> false)
+    | [ ({ dst = "down"; _ } as m) ] -> to_parent_shape m = Some ([ "to_down" ], true, false)
+    | _ -> false);
+  check_tuples "and the link's rows" [ tup [ i 1 ] ]
+    (List.concat_map (shipped_on "to_down") messages)
 
 (* A node serving both its neighbours: after re-engagement only the
-   new parent goes unacknowledged. *)
-let both_ways_config =
-  {|
-node down { relation r(x: int); }
-node me { relation r(x: int); fact r(1); }
-node up { relation s(x: int); relation t(x: int); fact s(2); }
-rule to_down at down: r(x) <- me: r(x);
-rule to_up at up: t(x) <- me: r(x);
-rule from_up at me: r(x) <- up: s(x);
-|}
+   new parent goes unacknowledged, and only its link is lazy. *)
 
 let test_reengaged_elides_only_to_new_parent () =
   let rt, node, outbox = make_runtime both_ways_config in
@@ -808,19 +893,24 @@ let test_reengaged_elides_only_to_new_parent () =
   let flag dst ms =
     List.filter_map (fun m -> if m.dst = dst then no_ack_of m else None) ms
   in
-  Alcotest.(check (list bool)) "first parent down: no-ack" [ true ] (flag "down" first);
+  Alcotest.(check (list bool)) "first parent down: nothing yet" [] (flag "down" first);
   Alcotest.(check (list bool)) "up counted" [ false ] (flag "up" first);
   (* the request and the data to up are acked: disengage *)
   Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
   Update.handle rt ~src:(peer "up") ~bytes:20 (Payload.Update_ack { update_id = uid });
-  let _ = drain outbox in
+  Alcotest.(check (list bool)) "down's rows ride the ack, no-ack" [ true ]
+    (flag "down" (drain outbox));
   Alcotest.(check bool) "disengaged" false (state node).Update_state.ust_engaged;
   (* up's data re-engages "me" with up as its parent *)
   Update.handle rt ~src:(peer "up") ~bytes:50 (data_from "from_up" [ 3 ]);
   let second = drain outbox in
   Alcotest.(check (list bool)) "now down is counted" [ false ] (flag "down" second);
-  Alcotest.(check (list bool)) "and up, the new parent, is not" [ true ] (flag "up" second);
-  Alcotest.(check int) "only the data to down owed" 1 (state node).Update_state.ust_deficit
+  Alcotest.(check (list bool)) "and up, the new parent, waits" [] (flag "up" second);
+  Alcotest.(check int) "only the data to down owed" 1 (state node).Update_state.ust_deficit;
+  Update.handle rt ~src:(peer "down") ~bytes:20 (Payload.Update_ack { update_id = uid });
+  let third = drain outbox in
+  Alcotest.(check (list bool)) "up's rows ride the ack, no-ack" [ true ] (flag "up" third);
+  check_tuples "the new row, to up" [ tup [ i 3 ] ] (List.concat_map (shipped_on "to_up") third)
 
 (* A node that is not engaged treats a no-ack message like any other
    first message: the sender becomes its parent, and the ack is owed
@@ -867,22 +957,39 @@ let test_no_ack_to_disengaged_node () =
   Alcotest.(check bool) "acked at disengagement" true
     (match drain outbox with [ m ] -> is_ack m && m.dst = "up" | _ -> false)
 
+(* "me" between its parent down and up, with a second link to down that
+   depends on nothing and so closes at first contact. *)
+let early_close_config =
+  {|
+node down { relation r(x: int); relation t(x: int); }
+node me { relation r(x: int); relation u(x: int); fact r(1); fact u(2); }
+node up { relation r(x: int); fact r(2); }
+rule to_down at down: r(x) <- me: r(x);
+rule to_down_u at down: t(x) <- me: u(x);
+rule from_up at me: r(x) <- up: r(x);
+|}
+
 (* Under the reliable transport the disengagement ack waits until
-   everything sent to the parent has settled: a retransmitted data
-   message could otherwise reach the parent after it. *)
+   everything sent to the parent has settled: a retransmitted close
+   could otherwise reach the parent after it. *)
 let test_reliable_ack_waits_for_settlement () =
   let opts = { Options.default with Options.ack_timeout = 0.05 } in
   let timers = ref [] in
-  let rt, node, outbox = make_runtime ~opts middle_config in
+  let rt, node, outbox = make_runtime ~opts early_close_config in
   let rt = { rt with Runtime.schedule = (fun ~delay:_ action -> timers := action :: !timers) } in
   node.Node.relay <- Some (Codb_core.Relay.create ());
   Update.handle rt ~src:(peer "down") ~bytes:100
     (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  (* to_down_u closed at once; "me" still owes up's ack, so the close
+     leaves alone, with its link's rows *)
   let data_seq =
     List.find_map
       (fun m ->
         match m.payload with
-        | Payload.Seq { seq; inner = Payload.Update_data { no_ack = true; _ } } -> Some seq
+        | Payload.Seq
+            { seq; inner = Payload.Update_batch { closes = [ "to_down_u" ]; carries_ack = false; _ } }
+          ->
+            Some seq
         | _ -> None)
       (drain outbox)
   in
@@ -892,9 +999,16 @@ let test_reliable_ack_waits_for_settlement () =
   Codb_core.Reliable.on_ack rt (Option.get data_seq);
   Alcotest.(check bool) "disengaged once the data settled" false
     (state node).Update_state.ust_engaged;
-  Alcotest.(check bool) "the ack follows" true
+  Alcotest.(check bool) "the ack follows, with to_down's rows" true
     (match drain outbox with
-    | [ { dst = "down"; payload = Payload.Seq { inner = Payload.Update_ack _; _ } } ] -> true
+    | [ { dst = "down";
+          payload =
+            Payload.Seq
+              { inner =
+                  Payload.Update_batch
+                    { entries = [ { Payload.be_rule = "to_down"; _ } ]; carries_ack = true; _ };
+                _ } } ] ->
+        true
     | _ -> false)
 
 (* Under the reliable transport a close waits behind unsettled data to
@@ -1000,6 +1114,8 @@ let suite =
       test_ring_floods_and_skips_the_chain;
     Alcotest.test_case "a done subtree ships only the delta next time" `Quick
       test_done_subtree_ships_only_the_delta;
+    Alcotest.test_case "a chain replies once per edge and update" `Quick
+      test_chain_replies_once_per_update;
     Alcotest.test_case "terminated flood closes links" `Quick
       test_terminated_flood_closes_links;
     Alcotest.test_case "link closure cascades" `Quick test_link_closed_cascades;

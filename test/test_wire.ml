@@ -71,17 +71,20 @@ let prop_batching_commits_identical_stores =
       && stores_equal baseline sys)
 
 let prop_batching_never_ships_more_tuples =
-  (* an uncapped window merges whole waves: it can only remove
-     messages, and — because the fix-point is the same set union
-     either way — commits exactly as many new tuples *)
-  Q2.Test.make ~name:"batching only removes messages, never adds tuples" ~count:30
-    gen_network
-    (fun spec ->
+  (* a window merges what each destination receives, and every link
+     ships a head at most once either way: the same fix-point, reached
+     by no more shipped tuples.  (It can add messages: the default
+     already sends the parent's rows in the message that carries the
+     close or the ack, and the window ships them ahead of it.) *)
+  Q2.Test.make ~name:"batching never ships more tuples" ~count:30 gen_network (fun spec ->
+      let shipped r =
+        List.fold_left (fun acc (_, t) -> acc + t.Codb_core.Stats.rt_tuples) 0 r.Report.ur_per_rule
+      in
       let _, plain = run_corner spec Options.default in
       let _, batched =
         run_corner spec { Options.default with Options.batch_window = 0.02 }
       in
-      batched.Report.ur_data_msgs <= plain.Report.ur_data_msgs
+      shipped batched <= shipped plain
       && batched.Report.ur_new_tuples = plain.Report.ur_new_tuples)
 
 (* deterministic fan-in workload: every node hears the same closure
@@ -96,23 +99,32 @@ let clique_spec =
   in
   (Topology.Clique, 5, 42, params)
 
+(* What the window still buys over the default, whose parent-bound
+   rows already ride in one message per engagement: it coalesces the
+   eager rows to the other importers.  On this clique it cuts data
+   messages 72 -> 40 (1.8x; 100 -> 40 against the eager default this
+   bound was set on, when it asked for 2x), every update message
+   184 -> 120 and wire bytes 20 120 -> 15 700 B. *)
 let test_batching_reduces_traffic () =
   let messages_and_bytes opts =
     let sys, report = run_corner clique_spec opts in
     let c = Network.counters (System.net sys) in
-    (report.Report.ur_data_msgs, c.Network.total_bytes, sys)
+    (report.Report.ur_data_msgs, c.Network.delivered, c.Network.total_bytes, sys)
   in
-  let plain_msgs, plain_bytes, plain_sys =
+  let plain_msgs, plain_all, plain_bytes, plain_sys =
     messages_and_bytes { Options.default with Options.batch_window = 0.0 }
   in
-  let batched_msgs, batched_bytes, batched_sys =
+  let batched_msgs, batched_all, batched_bytes, batched_sys =
     messages_and_bytes
       { Options.default with Options.batch_window = 10.0 *. Options.default.Options.latency }
   in
   Alcotest.(check bool)
     (Printf.sprintf "fewer data messages (%d -> %d)" plain_msgs batched_msgs)
     true
-    (batched_msgs * 2 <= plain_msgs);
+    (batched_msgs * 3 <= plain_msgs * 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer messages (%d -> %d)" plain_all batched_all)
+    true (batched_all < plain_all);
   Alcotest.(check bool)
     (Printf.sprintf "fewer wire bytes (%d -> %d)" plain_bytes batched_bytes)
     true
