@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench experiments micro cache-bench wire-bench chaos-bench chaos-bench-durable recovery-bench pushdown-bench sub-bench scale-bench dict-bench e2e e2e-json e2e-toy-check examples clean
+.PHONY: all build test bench experiments micro cache-bench chaos-bench chaos-bench-durable recovery-bench pushdown-bench sub-bench scale-bench dict-bench e2e e2e-json e2e-toy-check examples clean
 
 all: build
 
@@ -22,10 +22,6 @@ micro:
 
 cache-bench:
 	dune exec bench/main.exe -- e9
-
-# wire ablation -> BENCH_wire.json (plain vs batched)
-wire-bench:
-	dune exec bench/main.exe -- wire-json
 
 # fault-injection sweep (loss rate x retries)
 chaos-bench:

@@ -590,15 +590,9 @@ let e13 () =
    is also a section of the runtest gate. *)
 let e14 = Planner_bench.run
 
-(* E15 — wire ablation (batching on/off), on a skewed clique update.
-   Implemented in Wire_bench, whose `wire-json` runs the same
-   measurement and writes BENCH_wire.json; the experiment only prints
-   its table, so it leaves the committed file alone. *)
-let e15 () = Wire_bench.run ()
-
 let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
             ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-            ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15) ]
+            ("e12", e12); ("e13", e13); ("e14", e14) ]
 
 let run names =
   let wanted (name, _) = names = [] || List.mem name names in

@@ -2,12 +2,11 @@
 
      dune exec bench/main.exe                 # every experiment + micro
      dune exec bench/main.exe -- experiments  # the numbered experiments only
-     dune exec bench/main.exe -- experiments e15  # selected numbered experiments
+     dune exec bench/main.exe -- experiments e14  # selected numbered experiments
      dune exec bench/main.exe -- e3 e5        # selected experiments
      dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
      dune exec bench/main.exe -- gate         # every side bench's tiny run, checked;
                                               # prints the counts bench/gate.expected pins
-     dune exec bench/main.exe -- wire-json    # wire ablation -> BENCH_wire.json
      dune exec bench/main.exe -- chaos-json   # fault-injection sweep (table only)
      dune exec bench/main.exe -- chaos-json --durable  # same sweep with WAL durability on
      dune exec bench/main.exe -- recovery-json # crash-recovery bench -> BENCH_recovery.json
@@ -27,7 +26,6 @@
 let gate_sections =
   [
     ("planner", Planner_bench.gate);
-    ("wire", Wire_bench.gate);
     ("chaos.seed11", fun () -> Chaos_bench.gate ~seed:11 ~durable:false);
     ("chaos.seed1500", fun () -> Chaos_bench.gate ~seed:1500 ~durable:false);
     ("chaos.seed90210", fun () -> Chaos_bench.gate ~seed:90210 ~durable:false);
@@ -81,7 +79,6 @@ let () =
     [
       ("micro", Micro.run);
       ("gate", gate);
-      ("wire-json", fun () -> Wire_bench.run ~json:true ());
       ("chaos-json", fun () -> Chaos_bench.run ~seed:!seed ~durable:!durable ());
       ("recovery-json", fun () -> Recovery_bench.run ~seed:!seed ());
       ("pushdown-json", Pushdown_bench.run);

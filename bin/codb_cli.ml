@@ -230,9 +230,8 @@ let cache_cmd file at text repeat update_between no_containment =
 
 (* --- wire ---------------------------------------------------------- *)
 
-let wire_cmd file initiator batch_window =
-  let opts = { Options.default with Options.batch_window } in
-  let sys = or_die (load_system ~opts file) in
+let wire_cmd file initiator =
+  let sys = or_die (load_system file) in
   let initiator = initiator_or_first sys initiator in
   let uid = System.run_update sys ~initiator in
   (match Report.update_report (System.snapshots sys) uid with
@@ -716,15 +715,7 @@ let cache_t =
 let wire_t =
   let doc = "Run a global update and report its wire behaviour." in
   let initiator = initiator_arg [ "initiator"; "at" ] in
-  let batch_window =
-    Arg.(
-      value & opt float 0.0
-      & info [ "batch-window" ] ~docv:"SECONDS"
-          ~doc:
-            "Buffer outgoing deltas per destination for this much simulated time and \
-             ship them as one batch (0 = send immediately).")
-  in
-  Cmd.v (Cmd.info "wire" ~doc) Term.(const wire_cmd $ file_arg $ initiator $ batch_window)
+  Cmd.v (Cmd.info "wire" ~doc) Term.(const wire_cmd $ file_arg $ initiator)
 
 let chaos_t =
   let doc =

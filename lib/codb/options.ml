@@ -14,7 +14,6 @@ type t = {
   byte_cost : float;
   query_cache : query_cache;
   pushdown : bool;
-  batch_window : float;
   fault_seed : int;
   drop_prob : float;
   dup_prob : float;
@@ -41,7 +40,6 @@ let default =
     byte_cost = 0.000001;
     query_cache = Cache_off;
     pushdown = false;
-    batch_window = 0.0;
     fault_seed = 0;
     drop_prob = 0.0;
     dup_prob = 0.0;
@@ -66,8 +64,6 @@ let validate t =
     reject (Printf.sprintf "options: latency must be >= 0 (got %g)" t.latency);
   if t.byte_cost < 0.0 then
     reject (Printf.sprintf "options: byte_cost must be >= 0 (got %g)" t.byte_cost);
-  if t.batch_window < 0.0 then
-    reject (Printf.sprintf "options: batch_window must be >= 0 (got %g)" t.batch_window);
   let prob name v =
     if v < 0.0 || v > 1.0 then
       reject (Printf.sprintf "options: %s must be in [0,1] (got %g)" name v)

@@ -10,9 +10,8 @@
 
     Only settings some caller varies are fields.  Bounds no caller
     varies are named constants in the module that reads them: the
-    query cache's capacity ({!Node}), the batch size cap ({!Update}),
-    the subscription cap per node ({!Node}) and the WAL snapshot
-    interval ({!Durable}).
+    query cache's capacity ({!Node}), the subscription cap per node
+    ({!Node}) and the WAL snapshot interval ({!Durable}).
 
     Two things are deliberately not switchable.  Every message is
     sized by its link frame: the compact codec with one incremental
@@ -63,14 +62,6 @@ type t = {
           their own fan-out.  Off by default: the paper's diffusion
           ships every derivable head tuple, and that remains the
           bit-for-bit baseline (the E17 ablation switch) *)
-  batch_window : float;
-      (** simulated seconds that outgoing update data may linger in a
-          per-destination buffer waiting to be coalesced into one
-          message; a buffer that reaches {!Update.batch_max_tuples}
-          flushes early.  With 0 every rule firing is sent at once
-          (the paper's behaviour), except towards the engagement
-          parent, whose rows ride in the message that closes the link
-          or acknowledges; a window sends those eagerly too *)
   fault_seed : int;
       (** seed of the fault plan's random stream
           ({!Codb_net.Fault.plan}); same seed, same options, same
@@ -131,8 +122,8 @@ type t = {
 val default : t
 
 val validate : t -> (unit, string list) result
-(** Reject non-sensical settings: negative [latency], [byte_cost] or
-    [batch_window]; probabilities outside [0,1], negative [jitter],
+(** Reject non-sensical settings: negative [latency] or
+    [byte_cost]; probabilities outside [0,1], negative [jitter],
     [drop_budget] or [ack_timeout], flaps that reopen before they
     close, crashes that restart before they crash, negative
     [max_retries]; negative [sub_batch_window], [sub_naive] without

@@ -13,7 +13,7 @@ module Specialize = Codb_cq.Specialize
 
 type batch_entry = {
   be_rule : string;  (** coordination rule the tuples belong to *)
-  be_hops : int;  (** max propagation-path length among the coalesced firings *)
+  be_hops : int;  (** propagation-path length of the entry's rows *)
   be_rows : Row.t list;
 }
 
@@ -59,9 +59,9 @@ type t =
   | Update_batch of {
       update_id : Ids.update_id;
       entries : batch_entry list;
-          (** one entry per rule: the firings coalesced within the
-              sender's flush window, or a lazy serve's rows (see
-              [closes]); semantically equivalent to sending each entry
+          (** a lazy serve's rows (see [closes]), one entry per rule
+              and hop count, or one eager shipment whose rows differ
+              in hops; semantically equivalent to sending each entry
               as a separate [Update_data] *)
       closes : string list;
           (** rules whose link the sender closes, after these rows:
@@ -174,8 +174,7 @@ type t =
   | Answer_batch of { entries : sub_entry list }
       (** coalesced deltas for several subscriptions of one
           subscriber, flushed together at the end of a
-          [sub_batch_window] (the update protocol's [Update_batch]
-          move applied to answer push) *)
+          [sub_batch_window] *)
 
 val encode : ?link:Codec.Dict.sender -> t -> string
 (** Compact binary encoding: tag byte, varint-prefixed fields, zigzag

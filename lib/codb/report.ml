@@ -16,9 +16,6 @@ type update_report = {
   ur_scans : int;
   ur_zvisited : int;
   ur_zpruned : int;
-  ur_batches : int;
-  ur_batch_tuples : int;
-  ur_coalesced : int;
   ur_cache_staled : int;
   ur_per_rule : (string * Stats.rule_traffic) list;
 }
@@ -82,9 +79,6 @@ let update_report snapshots update_id =
           ur_scans = sum (fun u -> u.us_eval.scans);
           ur_zvisited = sum (fun u -> u.us_eval.zone_visited);
           ur_zpruned = sum (fun u -> u.us_eval.zone_pruned);
-          ur_batches = sum (fun u -> u.us_batches);
-          ur_batch_tuples = sum (fun u -> u.us_batch_tuples);
-          ur_coalesced = sum (fun u -> u.us_coalesced);
           ur_cache_staled = sum (fun u -> u.us_cache_staled);
           ur_per_rule = merge_per_rule relevant;
         }
@@ -123,20 +117,13 @@ let pp_update_report ppf r =
             rt.rt_bytes rt.rt_tuples))
     r.ur_per_rule
 
-let avg_batch r =
-  if r.ur_batches = 0 then 0.0
-  else float_of_int r.ur_batch_tuples /. float_of_int r.ur_batches
-
 let pp_wire_report ppf r =
   Fmt.pf ppf
     "@[<v 2>wire behaviour of %a:@,\
-     data messages: %d (of which %d batches carrying %d tuples, avg %.1f \
-     tuples/batch)@,\
+     data messages: %d@,\
      data volume: %d B@,\
-     coalesced in-window: %d tuples@,\
      query-cache entries staled: %d@]"
-    Ids.pp_update r.ur_update r.ur_data_msgs r.ur_batches r.ur_batch_tuples
-    (avg_batch r) r.ur_bytes r.ur_coalesced r.ur_cache_staled
+    Ids.pp_update r.ur_update r.ur_data_msgs r.ur_bytes r.ur_cache_staled
 
 type cache_report_row = {
   cr_node : Codb_net.Peer_id.t;

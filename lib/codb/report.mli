@@ -21,9 +21,6 @@ type update_report = {
   ur_scans : int;
   ur_zvisited : int;  (** zone-map chunks consulted network-wide *)
   ur_zpruned : int;  (** zone-map chunks skipped network-wide *)
-  ur_batches : int;  (** batch-window flushes network-wide *)
-  ur_batch_tuples : int;  (** tuples shipped inside batches *)
-  ur_coalesced : int;  (** tuples that never hit the wire *)
   ur_cache_staled : int;  (** query-cache entries staled at finalize *)
   ur_per_rule : (string * Stats.rule_traffic) list;
       (** summed per rule id, in rule-id order *)
@@ -39,14 +36,10 @@ val pp_update_report : update_report Fmt.t
 
 (** {1 Wire behaviour} *)
 
-val avg_batch : update_report -> float
-(** Tuples per batch-window flush, 0 without batching. *)
-
 val pp_wire_report : update_report Fmt.t
-(** The propagation-layer view of one update: message/batch shape
-    (with the average batch size), in-window coalescing and the cache
-    churn the flood caused — what
-    the E15 ablation and the [wire] CLI surface report. *)
+(** The propagation-layer view of one update: data messages, data
+    volume and the cache churn the flood caused — what the [wire] CLI
+    surface reports. *)
 
 (** {1 Cache effectiveness} *)
 

@@ -18,9 +18,6 @@ type update_stat = {
   mutable us_nulls_created : int;
   mutable us_max_hops : int;
   us_eval : Codb_cq.Eval.counters;
-  mutable us_batches : int;
-  mutable us_batch_tuples : int;
-  mutable us_coalesced : int;
   mutable us_cache_staled : int;
   mutable us_forced : bool;
   us_per_rule : (string, rule_traffic) Hashtbl.t;
@@ -193,9 +190,6 @@ let update_stat st ~now update_id =
           us_nulls_created = 0;
           us_max_hops = 0;
           us_eval = Codb_cq.Eval.zero_counters ();
-          us_batches = 0;
-          us_batch_tuples = 0;
-          us_coalesced = 0;
           us_cache_staled = 0;
           us_forced = false;
           us_per_rule = Hashtbl.create 8;
@@ -337,8 +331,7 @@ let pp_update ppf u =
   Fmt.pf ppf
     "@[<v 2>%a%s: started %.4fs, finished %a, data msgs %d, control msgs %d, bytes in \
      %d, new tuples %d, dups suppressed %d, nulls %d, longest path %d, index \
-     probes %d, scans %d%s, batches %d (%d tuples), coalesced %d, cache staled \
-     %d@,\
+     probes %d, scans %d%s, cache staled %d@,\
      queried: %a@,\
      results sent to: %a%a@]"
     Ids.pp_update u.us_update
@@ -347,8 +340,7 @@ let pp_update ppf u =
     u.us_control_msgs u.us_bytes_in u.us_new_tuples u.us_dup_suppressed
     u.us_nulls_created u.us_max_hops u.us_eval.probes u.us_eval.scans
     (zone_suffix ~visited:u.us_eval.zone_visited ~pruned:u.us_eval.zone_pruned)
-    u.us_batches
-    u.us_batch_tuples u.us_coalesced u.us_cache_staled pp_peer_list
+    u.us_cache_staled pp_peer_list
     u.us_queried pp_peer_list
     u.us_sent_to
     Fmt.(

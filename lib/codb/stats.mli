@@ -33,11 +33,6 @@ type update_stat = {
   mutable us_nulls_created : int;
   mutable us_max_hops : int;  (** longest update propagation path seen *)
   us_eval : Codb_cq.Eval.counters;  (** evaluator work during rule evaluation *)
-  mutable us_batches : int;  (** batch-window flushes this node sent *)
-  mutable us_batch_tuples : int;  (** tuples shipped inside those batches *)
-  mutable us_coalesced : int;
-      (** tuples that never hit the wire: same-window duplicates
-          dropped by the buffer *)
   mutable us_cache_staled : int;
       (** query-cache entries invalidated when this update finalised
           ({!Codb_cache.Qcache.note_update} churn) *)

@@ -44,7 +44,7 @@ let send_push rt ~dst payload =
   sb.Stats.sb_bytes <- sb.Stats.sb_bytes + Payload.encoded_size payload;
   ignore (Reliable.send_noted rt ~dst payload)
 
-let flush_dst rt dst =
+let flush_outbox rt dst =
   match Outbox.take rt.Runtime.node.Node.sub_outbox ~dst with
   | [] -> ()
   | [ (sub_id, d) ] ->
@@ -73,7 +73,7 @@ let schedule_flush rt dst =
     rt.Runtime.schedule ~delay:rt.Runtime.opts.Options.sub_batch_window
       (fun () ->
         Outbox.set_scheduled outbox ~dst false;
-        flush_dst rt dst)
+        flush_outbox rt dst)
   end
 
 let push_remote rt ~dst ~sub_id (d : Sub.delta) =

@@ -169,9 +169,12 @@ let crash_node sys name =
   List.iter (fun peer -> Network.disconnect sys.sys_net id peer)
     (Network.neighbours sys.sys_net id);
   n.Node.wal <- None;
-  n.Node.relay <- None;
   Node.reset_store n;
+  (* the relay goes after [reset_volatile] has abandoned it, so the
+     dead incarnation's retransmission timers find their entries
+     settled and stop *)
   Node.reset_volatile n;
+  n.Node.relay <- None;
   trace_event sys ~direction:Trace.Delivered ~src:id ~dst:id "crash"
 
 (* A restart: volatile state is (re-)cleared, the cache epoch bumps so

@@ -71,12 +71,11 @@ let commit_served rt (st : U.t) rule =
 
 (* Termination releases every table of the update ({!U.release}): no
    link is consulted again, and a finished update pins no sent filter
-   in [Node.updates].  Before that, the
-   links still open (a cycle's never close on their own) commit their
-   watermarks, each only if everything sent to its importer settled and
-   nothing waits in a wire buffer for it: a give-up's compensation can
-   let the initiator declare quiescence while a late message still has
-   a node producing data. *)
+   in [Node.updates].  Before that, the links still open (a cycle's
+   never close on their own) commit their watermarks, each only if
+   everything sent to its importer settled: a give-up's compensation
+   can let the initiator declare quiescence while a late message still
+   has a node producing data. *)
 let commit_open_links rt (st : U.t) =
   match U.take_all_served st with
   | [] -> ()
@@ -85,7 +84,7 @@ let commit_open_links rt (st : U.t) =
         List.iter
           (fun (rule, mark) ->
             let dst = Watermark.importer mark in
-            if U.buffer_size st ~dst = 0 && U.dst_unacked st ~dst = 0 then
+            if U.dst_unacked st ~dst = 0 then
               Watermark.commit rt.Runtime.node.Node.watermarks ~rule mark)
           marks
 
@@ -118,20 +117,18 @@ let flood_terminated rt (st : U.t) ~except ~done_peers =
 let to_parent (st : U.t) dst =
   match st.U.ust_parent with Some p -> Peer_id.equal p dst | None -> false
 
-(* Is [inc] served lazily?  In a global update without a batch window,
-   a link whose importer is this node's engagement parent is evaluated
-   neither at first contact nor on each arrival: the parent cannot
-   finish before this node's acknowledgement arrives, so each shipment
-   before it would cost a message and an evaluation and buy nothing.
+(* Is [inc] served lazily?  In a global update, a link whose importer
+   is this node's engagement parent is evaluated neither at first
+   contact nor on each arrival: the parent cannot finish before this
+   node's acknowledgement arrives, so each shipment before it would
+   cost a message and an evaluation and buy nothing.
    The append-only store is the buffer.  The link is served once, from
    its mark up to the store, when it closes or the node disengages, and
    those rows leave in the message that carries the close or the ack
    ({!owed_to_parent}).  The fix-point does not depend on the schedule
    (Franconi et al.), so deferring the parent's delta is sound. *)
-let is_lazy rt (st : U.t) (inc : Config.rule_decl) =
-  (not st.U.ust_scoped)
-  && rt.Runtime.opts.Options.batch_window = 0.0
-  && to_parent st (importer_of inc)
+let is_lazy (st : U.t) (inc : Config.rule_decl) =
+  (not st.U.ust_scoped) && to_parent st (importer_of inc)
 
 let close_payload (st : U.t) ~no_ack rule_id =
   Payload.Update_link_closed
@@ -254,7 +251,7 @@ let subtree_done rt (st : U.t) ~parent =
 let owed_to_parent rt (st : U.t) us ~ack closes =
   let due (inc : Config.rule_decl) =
     let rule = inc.Config.rule_id in
-    is_lazy rt st inc
+    is_lazy st inc
     && (List.mem rule closes || (ack && U.in_state st rule = U.Link_open))
   in
   let entries =
@@ -277,21 +274,17 @@ let owed_to_parent rt (st : U.t) us ~ack closes =
 
 (* Dijkstra–Scholten: a node disengages (acknowledging the message
    that engaged it) once everything it counted has been acknowledged
-   AND nothing is waiting in a wire buffer or behind in-flight data
-   (a deferred close) AND everything it sent to its parent has
-   settled.  The pending check is what keeps batching
-   termination-safe: buffered-but-unsent data keeps this node engaged,
-   hence its parent's deficit positive, hence the initiator unable to
-   declare quiescence while tuples are in flight anywhere; a deferred
-   close must likewise leave, counted, while this node is still
-   engaged.  The settlement check is the reliable transport's stand-in
-   for FIFO pipes (see {!to_parent}).  Every handler ends here, so
-   closes held for the parent go out now either way, in one message
-   with the rows of their links. *)
+   AND no close waits behind in-flight data (a deferred close) AND
+   everything it sent to its parent has settled.  A deferred close
+   must leave, counted, while this node is still engaged: it keeps
+   the parent's deficit positive, hence the initiator unable to
+   declare quiescence while it is owed.  The settlement check is the
+   reliable transport's stand-in for FIFO pipes (see {!to_parent}).
+   Every handler ends here, so closes held for the parent go out now
+   either way, in one message with the rows of their links. *)
 let rec check_disengage rt (st : U.t) =
   let ready =
-    st.U.ust_engaged && st.U.ust_deficit = 0 && U.pending_tuples st = 0
-    && not (U.has_deferred_closes st)
+    st.U.ust_engaged && st.U.ust_deficit = 0 && not (U.has_deferred_closes st)
   in
   if ready && st.U.ust_initiator then begin
     st.U.ust_engaged <- false;
@@ -336,47 +329,18 @@ and send_to_parent rt (st : U.t) ~parent ~closes ~carries_ack ~subtree_done entr
   if entries <> [] then Stats.note_sent_to (stat rt st.U.ust_update) parent
 
 (* The update is over here: commit what the open links served (unless
-   [commit] is off), flush what is buffered, release the tables and
-   tell the acquaintances that still need it.  The done subtrees the
-   flood skips are read before the release. *)
+   [commit] is off), release the tables and tell the acquaintances that
+   still need it.  The done subtrees the flood skips are read before
+   the release. *)
 and terminate ?(commit = true) rt (st : U.t) ~except =
   if not st.U.ust_terminated then begin
     let done_peers = U.done_peers st in
     st.U.ust_terminated <- true;
     if commit then commit_open_links rt st;
-    flush_buffers rt st;
     U.release st;
     finalize rt st;
     flood_terminated rt st ~except ~done_peers
   end
-
-(* Drain [dst]'s wire buffer into a single message. *)
-and flush_dst rt (st : U.t) us dst =
-  match U.take_buffer st ~dst with
-  | [] -> ()
-  | entries ->
-      let payload_entries =
-        List.map
-          (fun (rule, hops, rows) ->
-            { Payload.be_rule = rule; be_hops = hops; be_rows = rows })
-          entries
-      in
-      let tuple_count =
-        List.fold_left (fun acc e -> acc + List.length e.Payload.be_rows) 0 payload_entries
-      in
-      let no_ack = to_parent st dst in
-      send_accounted rt st ~dst ~data:true ~no_ack
-        (Payload.Update_batch
-           { update_id = st.U.ust_update; entries = payload_entries; closes = [];
-             global = not st.U.ust_scoped; no_ack; carries_ack = false; subtree_done = false });
-      us.Stats.us_batches <- us.Stats.us_batches + 1;
-      us.Stats.us_batch_tuples <- us.Stats.us_batch_tuples + tuple_count;
-      Stats.note_sent_to us dst
-
-(* What sits in a wire buffer still goes out before a terminating
-   update releases its buffers. *)
-and flush_buffers rt (st : U.t) =
-  List.iter (flush_dst rt st (stat rt st.U.ust_update)) (U.buffered_destinations st)
 
 (* Send a message that takes part in termination accounting.  Unless
    it goes to the parent ([no_ack]), the receiver owes us an
@@ -446,8 +410,6 @@ let close_link rt (st : U.t) ~dst ~rule_id =
     U.defer_close st ~dst ~rule:rule_id
   else send_close rt st ~dst rule_id
 
-let batch_max_tuples = 256
-
 (* The initiator's last resort: bounded retries bound the transport,
    but a crashed-and-gone acquaintance (or an ack chain cut by a
    permanent partition) can still leave the engagement tree waiting.
@@ -457,9 +419,8 @@ let batch_max_tuples = 256
 let force_terminate rt (st : U.t) =
   if not st.U.ust_terminated then begin
     Log.warn (fun m ->
-        m "%a: forcing termination of stalled %a (deficit %d, pending %d)" Peer_id.pp
-          rt.Runtime.node.Node.node_id Ids.pp_update st.U.ust_update st.U.ust_deficit
-          (U.pending_tuples st));
+        m "%a: forcing termination of stalled %a (deficit %d)" Peer_id.pp
+          rt.Runtime.node.Node.node_id Ids.pp_update st.U.ust_update st.U.ust_deficit);
     let us = stat rt st.U.ust_update in
     us.Stats.us_forced <- true;
     Stats.note_forced_termination rt.Runtime.node.Node.stats;
@@ -475,41 +436,13 @@ let rec arm_watchdog rt (st : U.t) ~last_activity =
         if st.U.ust_activity = last_activity then force_terminate rt st
         else arm_watchdog rt st ~last_activity:st.U.ust_activity)
 
-(* Arm the flush window for [dst] unless one is already pending.  The
-   scheduled action runs as its own simulator event, outside any message
-   processing, so it must re-run the disengage check itself: if the
-   flush's sends are all dropped (pipes closed meanwhile) the node may
-   owe its parent an acknowledgement right now. *)
-let schedule_flush rt (st : U.t) us dst =
-  if not (U.flush_scheduled st ~dst) then begin
-    U.set_flush_scheduled st ~dst true;
-    rt.Runtime.schedule ~delay:rt.Runtime.opts.Options.batch_window (fun () ->
-        if is_current rt st then begin
-          U.set_flush_scheduled st ~dst false;
-          flush_dst rt st us dst;
-          check_disengage rt st
-        end)
-  end
-
 (* Ship the heads {!sent_for}'s filter let through, as [(hops, rows)]
-   groups: in one message (an [Update_batch] if the hops differ), or
-   into the destination's wire buffer. *)
+   groups, in one message (an [Update_batch] if the hops differ). *)
 let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) groups =
   let rule = inc.Config.rule_id in
   let dst = importer_of inc in
   match List.filter (fun (_, rows) -> rows <> []) groups with
   | [] -> ()
-  | groups when rt.Runtime.opts.Options.batch_window > 0.0 ->
-      List.iter
-        (fun (hops, fresh) ->
-          let added = U.buffer_add st ~dst ~rule ~hops fresh in
-          us.Stats.us_coalesced <- us.Stats.us_coalesced + (List.length fresh - added))
-        groups;
-      (* Flushing on the size bound sends immediately but never
-         disengages: callers are mid-processing and the surrounding
-         engage_and_process / scheduled event re-checks afterwards. *)
-      if U.buffer_size st ~dst >= batch_max_tuples then flush_dst rt st us dst
-      else schedule_flush rt st us dst
   | groups ->
       let no_ack = to_parent st dst and global = not st.U.ust_scoped in
       let update_id = st.U.ust_update in
@@ -528,10 +461,9 @@ let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) groups =
 (* Close every still-open incoming link whose relevant outgoing links
    are all closed, notifying the importers (paper: "an acquaintance
    closes an incoming link if all its outgoing links which are
-   relevant for this incoming link are closed").  Any data still
-   buffered for the importer must flush first, and {!close_link} then
-   keeps [Update_link_closed] from overtaking its own data and making
-   the importer close the link early. *)
+   relevant for this incoming link are closed").  {!close_link} keeps
+   [Update_link_closed] from overtaking its own data and making the
+   importer close the link early. *)
 let maybe_close_incoming rt (st : U.t) =
   let close_if_ready (inc : Config.rule_decl) =
     if U.in_state st inc.Config.rule_id = U.Link_open then begin
@@ -539,9 +471,7 @@ let maybe_close_incoming rt (st : U.t) =
       let closed (o : Config.rule_decl) = U.out_state st o.Config.rule_id = U.Link_closed in
       if List.for_all closed relevant then begin
         U.close_in st inc.Config.rule_id;
-        let dst = importer_of inc in
-        flush_dst rt st (stat rt st.U.ust_update) dst;
-        close_link rt st ~dst ~rule_id:inc.Config.rule_id
+        close_link rt st ~dst:(importer_of inc) ~rule_id:inc.Config.rule_id
       end
     end
   in
@@ -573,7 +503,7 @@ let first_contact rt (st : U.t) ~exclude =
     rt.Runtime.node.Node.outgoing;
   if Node.may_export rt.Runtime.node then
     List.iter
-      (fun inc -> if not (is_lazy rt st inc) then serve_eagerly rt st us inc)
+      (fun inc -> if not (is_lazy st inc) then serve_eagerly rt st us inc)
       rt.Runtime.node.Node.incoming;
   maybe_close_incoming rt st;
   node_closed_check rt st
@@ -641,7 +571,7 @@ let recompute rt (st : U.t) us windows =
         in
         match List.filter reads windows with
         | [] -> ()
-        | mine when U.in_state st rule = U.Link_open && not (is_lazy rt st inc) ->
+        | mine when U.in_state st rule = U.Link_open && not (is_lazy st inc) ->
             let sent =
               match sent_for rt st inc with Some f -> f | None -> Sent_filter.create ()
             in
@@ -858,8 +788,8 @@ let handle rt ~src ~bytes payload =
           U.touch st;
           terminate rt st ~except:(Some src)
       | None ->
-          (* never contacted (e.g. connected after the fact): record a
-             state so a late flood is absorbed silently *)
+          (* never contacted (e.g. connected after the fact): the late
+             flood is absorbed silently, and nothing is recorded *)
           ())
   | Payload.Update_request { update_id; scope = Payload.Global } ->
       count_control rt update_id;

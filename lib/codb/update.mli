@@ -28,7 +28,7 @@
       its mark up to the store, when it closes or the node disengages:
       its rows, every close the node owes the parent and, at
       disengagement, its acknowledgement leave as one [Update_batch]
-      (in a global update without a batch window);
+      (in a global update; a scoped one streams every link);
     - cyclic dependency components cannot close that way; global
       quiescence is detected with Dijkstra–Scholten diffusing
       computation termination (a node holds the acknowledgement of
@@ -47,11 +47,6 @@
     principle (d): local inconsistency does not propagate. *)
 
 module Peer_id = Codb_net.Peer_id
-
-val batch_max_tuples : int
-(** Under [Options.batch_window > 0], a destination's buffer flushes
-    early once it holds this many tuples, bounding both memory
-    and single-message size. *)
 
 val initiate : Runtime.t -> Ids.update_id -> unit
 (** Start a global update at this node.  @raise Invalid_argument if

@@ -1,22 +1,6 @@
 module Peer_id = Codb_net.Peer_id
-module Row = Codb_relalg.Row
 
 type link_state = Link_open | Link_closed
-
-(* One rule's coalesced firings inside a destination buffer: a dedup set to
-   kill same-window duplicates plus the reverse insertion order so flushed
-   batches stay deterministic. *)
-type buffer_entry = {
-  mutable be_hops : int;
-  be_set : unit Row.Table.t;
-  mutable be_rev : Row.t list;
-}
-
-type dest_buffer = {
-  db_entries : (string, buffer_entry) Hashtbl.t;
-  mutable db_tuples : int;
-  mutable db_scheduled : bool;
-}
 
 (* Everything an update keeps per link and per destination.  It lives
    until the update terminates; a terminated update keeps only its
@@ -33,9 +17,6 @@ type live = {
   imports : (string, (int * int * int) list) Hashtbl.t;
       (* per relation: [(since, upto, hops)] for each window of rows
          this update imported into it, newest first *)
-  wire : (Peer_id.t, dest_buffer) Hashtbl.t;
-      (* per-destination batching buffers (empty when batching is off) *)
-  mutable pending : int;  (* total tuples sitting in wire buffers *)
   unacked : (Peer_id.t, int) Hashtbl.t;
       (* reliable transport only: data messages, and messages to the
          engagement parent, sent to a destination and not yet settled
@@ -84,8 +65,6 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
           sent = Hashtbl.create 8;
           marks = Hashtbl.create 8;
           imports = Hashtbl.create 4;
-          wire = Hashtbl.create 8;
-          pending = 0;
           unacked = Hashtbl.create 8;
           deferred = Hashtbl.create 8;
           held = [];
@@ -99,7 +78,7 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
 let touch st = st.ust_activity <- st.ust_activity + 1
 
 (* A released update answers every question as a finished one would:
-   no link open, nothing buffered, in flight or pending. *)
+   no link open, nothing in flight or pending. *)
 let find table key = function
   | Some live -> Hashtbl.find_opt (table live) key
   | None -> None
@@ -208,85 +187,6 @@ let hop_windows st ~rel ~from ~upto =
   in
   fill [] from
     (imported [] (Option.value ~default:[] (find (fun l -> l.imports) rel st.ust_live)))
-
-(* ---- Per-destination wire buffers ----------------------------------- *)
-
-let dest_buffer live dst =
-  match Hashtbl.find_opt live.wire dst with
-  | Some b -> b
-  | None ->
-      let b = { db_entries = Hashtbl.create 4; db_tuples = 0; db_scheduled = false } in
-      Hashtbl.add live.wire dst b;
-      b
-
-let buffer_add st ~dst ~rule ~hops rows =
-  match st.ust_live with
-  | None -> 0
-  | Some live ->
-      let b = dest_buffer live dst in
-      let e =
-        match Hashtbl.find_opt b.db_entries rule with
-        | Some e -> e
-        | None ->
-            let e = { be_hops = hops; be_set = Row.Table.create 16; be_rev = [] } in
-            Hashtbl.add b.db_entries rule e;
-            e
-      in
-      e.be_hops <- max e.be_hops hops;
-      let added =
-        List.fold_left
-          (fun acc row ->
-            if Row.Table.mem e.be_set row then acc
-            else begin
-              Row.Table.add e.be_set row ();
-              e.be_rev <- row :: e.be_rev;
-              acc + 1
-            end)
-          0 rows
-      in
-      b.db_tuples <- b.db_tuples + added;
-      live.pending <- live.pending + added;
-      added
-
-let buffer_size st ~dst =
-  match find (fun l -> l.wire) dst st.ust_live with Some b -> b.db_tuples | None -> 0
-
-let take_buffer st ~dst =
-  match (st.ust_live, find (fun l -> l.wire) dst st.ust_live) with
-  | Some live, Some b ->
-      let entries =
-        Hashtbl.fold
-          (fun rule e acc ->
-            if e.be_rev = [] then acc else (rule, e.be_hops, List.rev e.be_rev) :: acc)
-          b.db_entries []
-      in
-      live.pending <- live.pending - b.db_tuples;
-      b.db_tuples <- 0;
-      Hashtbl.reset b.db_entries;
-      (* deterministic batch layout regardless of hash order *)
-      List.sort (fun (r1, _, _) (r2, _, _) -> String.compare r1 r2) entries
-  | _ -> []
-
-let buffered_destinations st =
-  match st.ust_live with
-  | Some live ->
-      List.sort Peer_id.compare
-        (Hashtbl.fold
-           (fun dst b acc -> if b.db_tuples > 0 then dst :: acc else acc)
-           live.wire [])
-  | None -> []
-
-let pending_tuples st = match st.ust_live with Some live -> live.pending | None -> 0
-
-let flush_scheduled st ~dst =
-  match find (fun l -> l.wire) dst st.ust_live with
-  | Some b -> b.db_scheduled
-  | None -> false
-
-let set_flush_scheduled st ~dst flag =
-  match st.ust_live with
-  | Some live -> (dest_buffer live dst).db_scheduled <- flag
-  | None -> ()
 
 (* ---- Per-destination transport settlement ---------------------------- *)
 

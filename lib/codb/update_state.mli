@@ -2,11 +2,9 @@
 
     Tracks the paper's open/closed states of incoming and outgoing
     links, the per-incoming-link caches of already-sent tuples
-    ({!Sent_filter}) and pending watermarks ({!Watermark}), the
-    per-destination wire
-    buffers used by message batching, and the Dijkstra–Scholten
-    engagement bookkeeping (parent, deficit) used to detect global
-    quiescence of cyclic components. *)
+    ({!Sent_filter}) and pending watermarks ({!Watermark}), and the
+    Dijkstra–Scholten engagement bookkeeping (parent, deficit) used to
+    detect global quiescence of cyclic components. *)
 
 module Peer_id = Codb_net.Peer_id
 
@@ -14,8 +12,7 @@ type link_state = Link_open | Link_closed
 
 type live
 (** The per-link and per-destination tables: link states, sent
-    filters, pending watermarks, wire buffers and transport
-    settlement. *)
+    filters, pending watermarks and transport settlement. *)
 
 type t = {
   ust_update : Ids.update_id;
@@ -123,44 +120,10 @@ val hop_windows : t -> rel:string -> from:int -> upto:int -> (int * int * int) l
 
 val release : t -> unit
 (** Drop every table: link states, sent filters, pending marks,
-    imported windows, wire buffers, transport settlement and the done
-    subtrees.  Called once the update
-    terminates.  Every link then reads as closed and inactive, every
-    buffer and in-flight count as empty, and writes are ignored, so a
+    imported windows, transport settlement and the done subtrees.
+    Called once the update terminates.  Every link then reads as
+    closed and inactive, every in-flight count as empty, and writes are ignored, so a
     finished update keeps only its flags. *)
-
-(** {2 Wire buffers}
-
-    Outgoing update data waiting to be coalesced into one
-    [Update_batch] per destination.  Updates only insert, so a buffer
-    only grows until it is drained.  All counts are exact: a tuple
-    enters {!pending_tuples} when buffered and leaves on
-    {!take_buffer}. *)
-
-val buffer_add :
-  t -> dst:Peer_id.t -> rule:string -> hops:int -> Codb_relalg.Row.t list -> int
-(** Buffer packed rows for [dst]; same-window duplicates per rule are
-    dropped.  Hop counts merge to the max.  Returns rows newly
-    buffered. *)
-
-val buffer_size : t -> dst:Peer_id.t -> int
-
-val take_buffer : t -> dst:Peer_id.t -> (string * int * Codb_relalg.Row.t list) list
-(** Drain [dst]'s buffer: [(rule, hops, tuples)] per rule in rule
-    order, insertion order within a rule.  Clears the buffer and
-    decrements {!pending_tuples}. *)
-
-val buffered_destinations : t -> Peer_id.t list
-(** Destinations with buffered tuples, in id order. *)
-
-val pending_tuples : t -> int
-(** Tuples sitting in wire buffers; must be 0 before the node may
-    disengage, or termination could be declared while data is still
-    unsent. *)
-
-val flush_scheduled : t -> dst:Peer_id.t -> bool
-
-val set_flush_scheduled : t -> dst:Peer_id.t -> bool -> unit
 
 (** {2 Transport settlement}
 

@@ -84,13 +84,4 @@ let take (t : t) ~dst =
       Hashtbl.reset b.entries;
       List.sort (fun (a, _) (b, _) -> String.compare a b) all
 
-let pending_tuples (t : t) =
-  Hashtbl.fold
-    (fun _ b acc ->
-      Hashtbl.fold
-        (fun _ p acc ->
-          acc + Row.Set.cardinal p.p_adds + Row.Set.cardinal p.p_retracts)
-        b.entries acc)
-    t 0
-
 let clear (t : t) = Hashtbl.reset t

@@ -1,6 +1,5 @@
 (** Per-destination buffering of answer deltas during the
-    [sub_batch_window], modelled on the update protocol's
-    per-destination wire buffers ({!Update_state}).
+    [sub_batch_window].
 
     Within the window, deltas for the same subscription are coalesced
     set-wise: an add cancels a pending retract of the same tuple (and
@@ -23,15 +22,12 @@ val scheduled : t -> dst:Peer_id.t -> bool
 
 val set_scheduled : t -> dst:Peer_id.t -> bool -> unit
 (** Track whether a flush is already scheduled for this destination
-    (one timer per destination per window, as for update batching). *)
+    (one timer per destination per window). *)
 
 val take : t -> dst:Peer_id.t -> (string * Subscription.delta) list
 (** Drain the destination's buffer: non-empty coalesced deltas in
     sub_id order, adds/retracts in {!Codb_relalg.Row.compare}
     order. *)
-
-val pending_tuples : t -> int
-(** Total buffered tuples across destinations (test hook). *)
 
 val clear : t -> unit
 (** Crash teardown. *)

@@ -31,7 +31,6 @@ let () =
       ("payload", Test_payload.suite);
       ("bytes", Test_bytes.suite);
       ("codec", Test_codec.suite);
-      ("wire", Test_wire.suite);
       ("states", Test_states.suite);
       ("query-engine", Test_query_engine.suite);
       ("query-protocol", Test_query_protocol.suite);

@@ -42,21 +42,23 @@ let test_zero_bounds_are_valid () =
     (Options.validate
        {
          Options.default with
-         Options.batch_window = 0.0;
-         drop_budget = 0;
+         Options.drop_budget = 0;
          ack_timeout = 0.0;
          max_retries = 0;
          sub_batch_window = 0.0;
        })
 
+(* The one send window is the answer-push window of standing queries
+   ({!Codb_sub.Outbox}). *)
 let test_wire_knobs_are_valid () =
   ok
     (Options.validate
-       { Options.default with Options.batch_window = 0.05 })
+       { Options.default with Options.subscriptions = true; sub_batch_window = 0.05 })
 
 let test_bad_wire_knobs_rejected () =
-  rejected ~substring:"batch_window"
-    (Options.validate { Options.default with Options.batch_window = -0.001 })
+  rejected ~substring:"sub_batch_window"
+    (Options.validate
+       { Options.default with Options.subscriptions = true; sub_batch_window = -0.001 })
 
 let test_chaos_knobs_are_valid () =
   ok

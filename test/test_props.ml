@@ -497,10 +497,22 @@ let gen_faulted_network =
   let* seed = int_range 0 10000 in
   let* plan = gen_fault_plan in
   (* non-existential heads: fresh nulls get run-dependent identities,
-     which would make store comparison vacuous *)
-  return
-    ((shape, n, seed, { Topology.default_params with Topology.tuples_per_node = 8 }),
-     plan)
+     which would make store comparison vacuous.  The large case ships
+     a lazy serve of several hundred distinct rows to a parent in one
+     message; its wide domain is drawn uniformly, since a skewed draw
+     over it is slow to generate *)
+  let* params =
+    oneofl
+      [
+        { Topology.default_params with Topology.tuples_per_node = 8 };
+        {
+          Topology.default_params with
+          Topology.tuples_per_node = 300;
+          profile = { Codb_workload.Datagen.domain_size = 100_000; skew = 0.0 };
+        };
+      ]
+  in
+  return ((shape, n, seed, params), plan)
 
 let prop_faulted_update_equals_fault_free =
   (* with drop_budget <= max_retries no message can be dropped more
@@ -682,8 +694,8 @@ let prop_nulls_counter_monotone =
    process may be queued (a framed copy its receiver already processed
    is a duplicate it will suppress), and every rule must already be
    saturated.  Run to the end, the update must also have finished
-   unforced.  Topologies with and without cycles, batching on and off,
-   fault-free or reliable under drops, duplicates and jitter within
+   unforced.  Topologies with and without cycles, fault-free or
+   reliable under drops, duplicates and jitter within
    the retry budget. *)
 let gen_termination_case =
   let open Gen in
@@ -695,14 +707,13 @@ let gen_termination_case =
   let* glav = bool in
   let* n = int_range 2 6 in
   let* seed = int_range 0 10000 in
-  let* batch_window = oneofl [ 0.0; 0.002 ] in
   let* faults = option gen_fault_plan in
-  return (shape, glav, n, seed, batch_window, faults)
+  return (shape, glav, n, seed, faults)
 
-let print_termination_case (shape, glav, n, seed, batch_window, faults) =
-  Printf.sprintf "%s%s n=%d seed=%d batch=%g faults=%s" (Topology.shape_name shape)
+let print_termination_case (shape, glav, n, seed, faults) =
+  Printf.sprintf "%s%s n=%d seed=%d faults=%s" (Topology.shape_name shape)
     (if glav then " (glav)" else "")
-    n seed batch_window
+    n seed
     (match faults with
     | None -> "none"
     | Some (fs, d, u, j, b) -> Printf.sprintf "seed %d drop %g dup %g jitter %g budget %d" fs d u j b)
@@ -740,9 +751,9 @@ let pending_update_message sys uid (m : Codb_core.Payload.t Codb_net.Message.t) 
 let prop_no_premature_termination =
   Q2.Test.make ~name:"update termination is never declared early" ~count:60
     ~print:print_termination_case gen_termination_case
-    (fun (shape, glav, n, seed, batch_window, faults) ->
+    (fun (shape, glav, n, seed, faults) ->
       let opts =
-        let base = { Codb_core.Options.default with Codb_core.Options.batch_window } in
+        let base = Codb_core.Options.default in
         match faults with
         | None -> base
         | Some (fault_seed, drop, dup, jitter, budget) ->

@@ -109,7 +109,6 @@ let state node = Option.get (Node.update_state node uid)
 let state_tables_empty msg (st : Update_state.t) =
   Alcotest.(check bool) (msg ^ ": tables released") true
     (Option.is_none st.Update_state.ust_live);
-  Alcotest.(check int) (msg ^ ": nothing pending") 0 (Update_state.pending_tuples st);
   List.iter
     (fun rule ->
       Alcotest.(check bool) (msg ^ ": " ^ rule ^ " inactive") false

@@ -424,6 +424,32 @@ let test_wal_refetches_no_more_than_volatile () =
        vol_bytes)
     true (wal_bytes <= vol_bytes)
 
+(* A crash inside an update, with no other fault: the crashed
+   incarnation's retransmission timers must die with it.  Left running,
+   they retransmit frames whose acks reach the restarted node's new
+   relay, and each one "gives up" against the live node's statistics.
+   The update itself may still end forced (a crash wipes the node's
+   engagement), so only the give-ups are pinned. *)
+let test_crash_inside_update_gives_nothing_up () =
+  let config =
+    Codb_workload.Glavgen.generate ~seed:1990 ~edges:(Topology.edges Topology.Clique ~n:4) ~n:4 ()
+  in
+  List.iter
+    (fun (durability, name) ->
+      let opts =
+        {
+          (dur_opts ~durability ~crashes:[ ("n1", 0.0167, Some 0.155) ] ()) with
+          Options.max_retries = 6;
+        }
+      in
+      let sys = System.build_exn ~opts config in
+      let _ = System.run_update sys ~initiator:"n0" in
+      Alcotest.(check int) (name ^ ": crashed") 1
+        (Network.counters (System.net sys)).Network.crashes;
+      Alcotest.(check int) (name ^ ": give-ups") 0
+        (Report.chaos_report (System.snapshots sys)).Report.chr_give_ups)
+    [ (Options.Dur_volatile, "volatile"); (Options.Dur_wal, "wal") ]
+
 (* --- subscriptions survive recovery --------------------------------- *)
 
 let test_wal_recovers_subscriptions () =
@@ -544,6 +570,8 @@ let suite =
       test_wal_mid_run_crash_reaches_fault_free_fixpoint;
     Alcotest.test_case "recovery refetches no more than clear-and-refetch"
       `Quick test_wal_refetches_no_more_than_volatile;
+    Alcotest.test_case "a crash inside an update gives nothing up" `Quick
+      test_crash_inside_update_gives_nothing_up;
     Alcotest.test_case "subscriptions survive recovery" `Quick
       test_wal_recovers_subscriptions;
     QCheck_alcotest.to_alcotest prop_recovery_reaches_fault_free_fixpoint;

@@ -51,27 +51,6 @@ let test_update_state_sent_cache () =
   U.release st;
   Alcotest.(check int) "released" 0 (U.sent_tracked st "i1")
 
-let test_update_state_wire_buffer () =
-  let st = U.create ~initiator:false ~outgoing:[] ~incoming:[ "i1"; "i2" ] uid in
-  let dst = Peer_id.of_string "imp" in
-  Alcotest.(check int) "nothing pending" 0 (U.pending_tuples st);
-  let added = U.buffer_add st ~dst ~rule:"i1" ~hops:2 (packed [ tup [ i 1 ]; tup [ i 2 ] ]) in
-  Alcotest.(check int) "both buffered" 2 added;
-  (* same-window duplicate coalesces away; hops merge to the max *)
-  let added = U.buffer_add st ~dst ~rule:"i1" ~hops:5 (packed [ tup [ i 2 ]; tup [ i 3 ] ]) in
-  Alcotest.(check int) "duplicate coalesced" 1 added;
-  ignore (U.buffer_add st ~dst ~rule:"i2" ~hops:1 (packed [ tup [ i 9 ] ]));
-  Alcotest.(check int) "pending counts tuples" 4 (U.pending_tuples st);
-  Alcotest.(check int) "per-destination size" 4 (U.buffer_size st ~dst);
-  (match U.take_buffer st ~dst with
-  | [ ("i1", 5, t1); ("i2", 1, t2) ] ->
-      Alcotest.(check bool) "rule i1 in insertion order" true
-        (boxed t1 = [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 3 ] ]);
-      check_tuples "rule i2" [ tup [ i 9 ] ] (boxed t2)
-  | other -> Alcotest.failf "unexpected batch shape (%d entries)" (List.length other));
-  Alcotest.(check int) "drained" 0 (U.pending_tuples st);
-  Alcotest.(check bool) "take on empty" true (U.take_buffer st ~dst = [])
-
 let qid = Ids.query_id (Peer_id.of_string "n0") 1
 
 let mk_query_state () =
@@ -107,7 +86,6 @@ let suite =
     Alcotest.test_case "update link states" `Quick test_update_state_links;
     Alcotest.test_case "scoped activation" `Quick test_update_state_scoped_activation;
     Alcotest.test_case "sent cache" `Quick test_update_state_sent_cache;
-    Alcotest.test_case "wire buffer" `Quick test_update_state_wire_buffer;
     Alcotest.test_case "query pending bookkeeping" `Quick test_query_state_pending;
     Alcotest.test_case "query unsent filter" `Quick test_query_state_unsent;
   ]

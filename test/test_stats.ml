@@ -159,9 +159,6 @@ let golden_snapshots () =
   us.Stats.us_eval.scans <- 109;
   us.Stats.us_eval.zone_visited <- 110;
   us.Stats.us_eval.zone_pruned <- 111;
-  us.Stats.us_batches <- 112;
-  us.Stats.us_batch_tuples <- 113;
-  us.Stats.us_coalesced <- 114;
   us.Stats.us_cache_staled <- 116;
   us.Stats.us_forced <- true;
   let rt_b = Stats.rule_traffic us "r_b" in
@@ -271,7 +268,7 @@ let test_printers_pinned () =
   let qid, snaps = golden_snapshots () in
   let check name expected pp v = Alcotest.(check string) name expected (Fmt.str "%a" pp v) in
   check "pp_network" {|node n0 (INCONSISTENT, 99 tuples)
-  upd:n#3 (FORCED TERMINATION): started 0.2500s, finished 1.5000s, data msgs 101, control msgs 102, bytes in 103, new tuples 104, dups suppressed 105, nulls 106, longest path 107, index probes 108, scans 109, zone chunks 110 visited (111 pruned), batches 112 (113 tuples), coalesced 114, cache staled 116
+  upd:n#3 (FORCED TERMINATION): started 0.2500s, finished 1.5000s, data msgs 101, control msgs 102, bytes in 103, new tuples 104, dups suppressed 105, nulls 106, longest path 107, index probes 108, scans 109, zone chunks 110 visited (111 pruned), cache staled 116
     queried: n2, n1
     results sent to: n3
     rule r_a: 120 msgs, 121 B, 122 tuples
@@ -281,7 +278,7 @@ let test_printers_pinned () =
   transport: 301 retransmits, 302 dups suppressed, 303 give-ups, 304 sub-request timeouts, 305 partial answers, 306 forced terminations, 307 send drops, 308 recovered records, 309 replayed bytes, 310 refetched bytes
   subs: 401 registered (402 refused, 403 dropped), 404 deltas in (405 prefiltered), 406 deltas out in 407 msgs (+408 -409, 410 B, 411 coalesced), 412 probes, 413 scans, zone chunks 414 visited (415 pruned), 416 cache staled, 417 torn down, 418 re-armed
 node n1 (consistent, 7 tuples)
-  upd:n#3: started 0.3750s, finished unfinished, data msgs 601, control msgs 0, bytes in 0, new tuples 0, dups suppressed 0, nulls 0, longest path 0, index probes 0, scans 0, batches 0 (0 tuples), coalesced 0, cache staled 0
+  upd:n#3: started 0.3750s, finished unfinished, data msgs 601, control msgs 0, bytes in 0, new tuples 0, dups suppressed 0, nulls 0, longest path 0, index probes 0, scans 0, cache staled 0
     queried: none
     results sent to: none
     rule r_a: 602 msgs, 0 B, 0 tuples|}
@@ -299,9 +296,8 @@ node n1 (consistent, 7 tuples)
     Report.pp_update_report
     (Option.get (Report.update_report snaps (uid 3)));
   check "pp_wire_report" {|wire behaviour of upd:n#3:
-  data messages: 702 (of which 112 batches carrying 113 tuples, avg 1.0 tuples/batch)
+  data messages: 702
   data volume: 103 B
-  coalesced in-window: 114 tuples
   query-cache entries staled: 116|}
     Report.pp_wire_report
     (Option.get (Report.update_report snaps (uid 3)));
