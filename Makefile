@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench experiments micro cache-bench chaos-bench chaos-bench-durable recovery-bench pushdown-bench sub-bench scale-bench dict-bench e2e e2e-json e2e-toy-check examples clean
+.PHONY: all build test bench experiments micro cache-bench chaos-bench chaos-bench-durable recovery-bench pushdown-bench scale-bench dict-bench e2e e2e-json e2e-toy-check examples clean
 
 all: build
 
@@ -39,10 +39,6 @@ recovery-bench:
 # constraint pushdown ablation (selective vs open x chain vs clique)
 pushdown-bench:
 	dune exec bench/main.exe -- pushdown-json
-
-# standing-query maintenance (incremental vs naive re-evaluation)
-sub-bench:
-	dune exec bench/main.exe -- sub-json
 
 # storage-engine scale bench -> BENCH_scale.json (packed columnar engine,
 # >= 1k nodes / >= 1M tuples)

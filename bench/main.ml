@@ -11,7 +11,6 @@
      dune exec bench/main.exe -- chaos-json --durable  # same sweep with WAL durability on
      dune exec bench/main.exe -- recovery-json # crash-recovery bench -> BENCH_recovery.json
      dune exec bench/main.exe -- pushdown-json # constraint pushdown ablation (table only)
-     dune exec bench/main.exe -- sub-json     # standing-query maintenance (table only)
      dune exec bench/main.exe -- scale-json   # storage-engine scale bench -> BENCH_scale.json
      dune exec bench/main.exe -- dict-json    # zone-map + dictionary bench -> BENCH_dict.json
      dune exec bench/main.exe -- --seed N ..  # reseed workload + fault schedule
@@ -32,7 +31,6 @@ let gate_sections =
     ("chaos.durable", fun () -> Chaos_bench.gate ~seed:1500 ~durable:true);
     ("recovery", fun () -> Recovery_bench.gate ~seed:1500);
     ("pushdown", Pushdown_bench.gate);
-    ("sub", Sub_bench.gate);
     ("scale", Scale_bench.gate);
     ("dict", Dict_bench.gate);
   ]
@@ -82,7 +80,6 @@ let () =
       ("chaos-json", fun () -> Chaos_bench.run ~seed:!seed ~durable:!durable ());
       ("recovery-json", fun () -> Recovery_bench.run ~seed:!seed ());
       ("pushdown-json", Pushdown_bench.run);
-      ("sub-json", Sub_bench.run);
       ("scale-json", Scale_bench.run);
       ("dict-json", Dict_bench.run);
     ]

@@ -397,16 +397,8 @@ let parse_insert spec =
               (List.map parse_insert_value (String.split_on_char ',' rest)),
             node )
 
-let sub_cmd file text at from window naive pushdown inserts updates initiator =
-  let opts =
-    {
-      Options.default with
-      Options.subscriptions = true;
-      sub_batch_window = window;
-      sub_naive = naive;
-      pushdown;
-    }
-  in
+let sub_cmd file text at from pushdown inserts updates initiator =
+  let opts = { Options.default with Options.subscriptions = true; pushdown } in
   let inserts = or_die (parse_all parse_insert inserts) in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
@@ -888,22 +880,6 @@ let sub_t =
             "Subscribe from this node instead: the host pushes answer deltas over \
              the wire and NODE maintains a mirror.")
   in
-  let window =
-    Arg.(
-      value & opt float 0.0
-      & info [ "window" ] ~docv:"SECONDS"
-          ~doc:
-            "Buffer outgoing answer deltas per subscriber for this much simulated \
-             time and ship them coalesced (0 = push immediately).")
-  in
-  let naive =
-    Arg.(
-      value & flag
-      & info [ "naive" ]
-          ~doc:
-            "Maintain answers by full re-evaluation on every store change instead \
-             of the incremental delta pass (the E18 baseline).")
-  in
   let pushdown =
     Arg.(
       value & flag
@@ -927,8 +903,8 @@ let sub_t =
   let initiator = initiator_arg [ "initiator" ] in
   Cmd.v (Cmd.info "sub" ~doc)
     Term.(
-      const sub_cmd $ file_arg $ text $ at $ from $ window $ naive $ pushdown
-      $ inserts $ updates $ initiator)
+      const sub_cmd $ file_arg $ text $ at $ from $ pushdown $ inserts $ updates
+      $ initiator)
 
 let discover_t =
   let doc = "Run JXTA-style topology discovery from a node." in

@@ -24,7 +24,6 @@ type t = {
   mutable relay : Relay.t option;
   mutable subs : Codb_sub.Registry.t option;
   sub_mirrors : (string, Codb_sub.Mirror.t) Hashtbl.t;
-  sub_outbox : Codb_sub.Outbox.t;
   mutable wal : Codb_store.Wal.t option;
   wal_dict : Codb_net.Codec.Dict.sender;
   mutable wal_reserved : int;
@@ -58,7 +57,6 @@ let create decl =
     relay = None;
     subs = None;
     sub_mirrors = Hashtbl.create 4;
-    sub_outbox = Codb_sub.Outbox.create ();
     wal = None;
     wal_dict = Codb_net.Codec.Dict.sender ~size:1 ();
     wal_reserved = 0;
@@ -200,10 +198,10 @@ let reset_volatile node =
   Hashtbl.reset node.seen_probes;
   Option.iter Relay.abandon node.relay;
   Option.iter Codb_cache.Qcache.clear node.cache;
-  (* subscription state is volatile too: hosted registrations, the
-     mirrors of this node's own remote subscriptions, and any deltas
-     still waiting in a batch window all die with the process.
-     Subscribers re-arm against the restarted host (System.restart). *)
+  (* subscription state is volatile too: hosted registrations and the
+     mirrors of this node's own remote subscriptions die with the
+     process.  Subscribers re-arm against the restarted host
+     (System.restart). *)
   let torn =
     (match node.subs with Some reg -> Codb_sub.Registry.clear reg | None -> 0)
     + Hashtbl.length node.sub_mirrors
@@ -213,8 +211,7 @@ let reset_volatile node =
     sb.Stats.sb_torn_down <- sb.Stats.sb_torn_down + torn
   end;
   node.subs <- None;
-  Hashtbl.reset node.sub_mirrors;
-  Codb_sub.Outbox.clear node.sub_outbox
+  Hashtbl.reset node.sub_mirrors
 
 let may_export node =
   node.decl.Config.constraints = []

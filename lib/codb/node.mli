@@ -56,9 +56,6 @@ type t = {
   sub_mirrors : (string, Codb_sub.Mirror.t) Hashtbl.t;
       (** this node's own remote subscriptions, keyed by subscription
           id: the answer sets reconstructed from pushed deltas *)
-  sub_outbox : Codb_sub.Outbox.t;
-      (** per-subscriber buffers of answer deltas awaiting a
-          [sub_batch_window] flush *)
   mutable wal : Codb_store.Wal.t option;
       (** this node's write-ahead log; [None] unless
           [Options.durability = Dur_wal] (installed by

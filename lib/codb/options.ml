@@ -24,8 +24,6 @@ type t = {
   ack_timeout : float;
   max_retries : int;
   subscriptions : bool;
-  sub_batch_window : float;
-  sub_naive : bool;
   durability : durability;
   wal_dir : string option;
   fsync : bool;
@@ -50,8 +48,6 @@ let default =
     ack_timeout = 0.0;
     max_retries = 4;
     subscriptions = false;
-    sub_batch_window = 0.0;
-    sub_naive = false;
     durability = Dur_volatile;
     wal_dir = None;
     fsync = false;
@@ -100,12 +96,6 @@ let validate t =
     reject (Printf.sprintf "options: ack_timeout must be >= 0 (got %g)" t.ack_timeout);
   if t.max_retries < 0 then
     reject (Printf.sprintf "options: max_retries must be >= 0 (got %d)" t.max_retries);
-  if t.sub_batch_window < 0.0 then
-    reject
-      (Printf.sprintf "options: sub_batch_window must be >= 0 (got %g)"
-         t.sub_batch_window);
-  if t.sub_naive && not t.subscriptions then
-    reject "options: sub_naive requires subscriptions";
   (match t.wal_dir with
   | Some "" -> reject "options: wal_dir must not be empty"
   | Some _ when t.durability <> Dur_wal ->

@@ -1,7 +1,7 @@
 (** Tunable behaviour of the coDB algorithms.
 
     The defaults implement the paper; the switches exist for the
-    ablation experiments (E7/E8/E9/E17/E18 in DESIGN.md) and for the
+    ablation experiments (E7/E8/E9/E17 in DESIGN.md) and for the
     simulated link, fault plan and durability a run is measured under.
     Disabling duplicate suppression on a cyclic network with
     existential head variables can make the fix-point diverge — that
@@ -95,17 +95,7 @@ type t = {
           registrations, maintain their answer sets incrementally from
           store deltas, and push answer deltas to subscribers.  Off by
           default: the seed protocol has no subscription traffic and
-          that remains the bit-for-bit baseline (the E18 ablation
-          switch) *)
-  sub_batch_window : float;
-      (** simulated seconds that outgoing answer deltas may linger in a
-          per-subscriber buffer to be coalesced ({!Codb_sub.Outbox});
-          0 pushes every delta immediately *)
-  sub_naive : bool;
-      (** maintain standing queries by full re-evaluation and re-push
-          the whole answer set on every store delta instead of running
-          the semi-naive delta pass (the E18 ablation baseline; answer
-          sets are identical, probe and byte costs are not) *)
+          that remains the bit-for-bit baseline *)
   durability : durability;
       (** whether restart recovers from a write-ahead log;
           [Dur_volatile] (clear-and-refetch) by default *)
@@ -126,8 +116,7 @@ val validate : t -> (unit, string list) result
     [byte_cost]; probabilities outside [0,1], negative [jitter],
     [drop_budget] or [ack_timeout], flaps that reopen before they
     close, crashes that restart before they crash, negative
-    [max_retries]; negative [sub_batch_window], [sub_naive] without
-    [subscriptions]; an empty [wal_dir], [wal_dir] without [Dur_wal],
+    [max_retries]; an empty [wal_dir], [wal_dir] without [Dur_wal],
     [fsync] without [wal_dir].  Called by {!System.build} before any
     node is created, so every front end reports the same lines. *)
 

@@ -172,9 +172,11 @@ type t =
               change this answer delta reflects *)
     }
   | Answer_batch of { entries : sub_entry list }
-      (** coalesced deltas for several subscriptions of one
-          subscriber, flushed together at the end of a
-          [sub_batch_window] *)
+      (** deltas for several subscriptions of one subscriber in one
+          message.  Unsent: a host pushes each delta at once as an
+          [Answer_delta].  The kind and its codec stay only because the
+          end-to-end harness names it; deleting both waits for the
+          harness change (ROADMAP item 7) *)
 
 val encode : ?link:Codec.Dict.sender -> t -> string
 (** Compact binary encoding: tag byte, varint-prefixed fields, zigzag

@@ -219,7 +219,6 @@ type sub_report = {
   sr_adds : int;
   sr_retracts : int;
   sr_bytes : int;
-  sr_coalesced : int;
   sr_probes : int;
   sr_scans : int;
   sr_zvisited : int;
@@ -245,7 +244,6 @@ let sub_report snapshots =
     sr_adds = adds;
     sr_retracts = retracts;
     sr_bytes = bytes;
-    sr_coalesced = sum (fun x -> x.sb_coalesced);
     sr_probes = sum (fun x -> x.sb_eval.probes);
     sr_scans = sum (fun x -> x.sb_eval.scans);
     sr_zvisited = sum (fun x -> x.sb_eval.zone_visited);
@@ -263,12 +261,12 @@ let pp_sub_report ppf r =
     "@[<v 2>standing queries:@,\
      registered: %d (%d refused), torn down by crashes: %d, re-armed: %d@,\
      store deltas consumed: %d (%d tuples prefiltered at source)@,\
-     answer deltas delivered: %d (%d adds, %d retracts; %d coalesced in-window)@,\
+     answer deltas delivered: %d (%d adds, %d retracts)@,\
      push traffic: %d messages, %d B (%.1f B/answer)@,\
      evaluator work: %d probes, %d scans%s@,\
      cache entries staled by pushes: %d@]"
     r.sr_registered r.sr_rejected r.sr_torn_down r.sr_rearmed r.sr_deltas_in
-    r.sr_prefiltered r.sr_deltas_out r.sr_adds r.sr_retracts r.sr_coalesced
+    r.sr_prefiltered r.sr_deltas_out r.sr_adds r.sr_retracts
     r.sr_push_msgs r.sr_bytes r.sr_bytes_per_answer r.sr_probes r.sr_scans
     (if r.sr_zvisited = 0 && r.sr_zpruned = 0 then ""
      else

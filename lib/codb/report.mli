@@ -83,18 +83,17 @@ val pp_pushdown_report : pushdown_report Fmt.t
 
 (** Network-wide aggregation of the subscription counters: how much
     standing-query maintenance cost (evaluator work, push traffic) and
-    what it delivered — the E18 surface and the [sub] CLI report. *)
+    what it delivered — the [sub] CLI report. *)
 type sub_report = {
   sr_registered : int;
   sr_rejected : int;
   sr_deltas_in : int;  (** store deltas fed to hosted subscriptions *)
   sr_prefiltered : int;  (** delta tuples dropped by pushed constraints *)
   sr_deltas_out : int;  (** non-empty answer deltas delivered *)
-  sr_push_msgs : int;  (** [Answer_delta]/[Answer_batch] messages sent *)
+  sr_push_msgs : int;  (** [Answer_delta] messages sent *)
   sr_adds : int;
   sr_retracts : int;
   sr_bytes : int;  (** push payload bytes, each push sized on its own *)
-  sr_coalesced : int;  (** answer tuples absorbed in the batch window *)
   sr_probes : int;  (** evaluator probes spent maintaining answers *)
   sr_scans : int;
   sr_zvisited : int;  (** zone-map chunks consulted during maintenance *)

@@ -17,9 +17,8 @@ type t = {
   now : unit -> float;  (** current simulated time *)
   schedule : delay:float -> (unit -> unit) -> unit;
       (** run an action [delay] simulated seconds from now (drives the
-          transport's retransmissions, the stall watchdogs and the
-          subscription flush windows); stub runtimes in tests may run
-          the action immediately *)
+          transport's retransmissions and the stall watchdogs); stub
+          runtimes in tests may run the action immediately *)
   connect : Peer_id.t -> unit;  (** create/reopen the pipe to a peer *)
   disconnect : Peer_id.t -> unit;
   neighbours : unit -> Peer_id.t list;  (** peers with an open pipe *)

@@ -54,7 +54,6 @@ type sub_counters = {
   mutable sb_adds : int;
   mutable sb_retracts : int;
   mutable sb_bytes : int;
-  mutable sb_coalesced : int;
   sb_eval : Codb_cq.Eval.counters;
   mutable sb_cache_staled : int;
   mutable sb_torn_down : int;
@@ -109,7 +108,6 @@ let zero_sub () =
     sb_adds = 0;
     sb_retracts = 0;
     sb_bytes = 0;
-    sb_coalesced = 0;
     sb_eval = Codb_cq.Eval.zero_counters ();
     sb_cache_staled = 0;
     sb_torn_down = 0;
@@ -392,11 +390,11 @@ let pp_chaos ppf c =
 let pp_sub ppf s =
   Fmt.pf ppf
     "subs: %d registered (%d refused, %d dropped), %d deltas in (%d prefiltered), \
-     %d deltas out in %d msgs (+%d -%d, %d B, %d coalesced), %d probes, %d scans%s, \
+     %d deltas out in %d msgs (+%d -%d, %d B), %d probes, %d scans%s, \
      %d cache staled, %d torn down, %d re-armed"
     s.sb_registered s.sb_rejected s.sb_unregistered s.sb_deltas_in
     s.sb_prefiltered s.sb_deltas_out s.sb_push_msgs s.sb_adds s.sb_retracts
-    s.sb_bytes s.sb_coalesced s.sb_eval.probes s.sb_eval.scans
+    s.sb_bytes s.sb_eval.probes s.sb_eval.scans
     (zone_suffix ~visited:s.sb_eval.zone_visited ~pruned:s.sb_eval.zone_pruned)
     s.sb_cache_staled
     s.sb_torn_down s.sb_rearmed

@@ -117,14 +117,12 @@ type sub_counters = {
       (** delta tuples discarded by the pushed-down constraints before
           the semi-naive join ever saw them *)
   mutable sb_deltas_out : int;  (** non-empty answer deltas delivered *)
-  mutable sb_push_msgs : int;  (** [Answer_delta]/[Answer_batch] messages sent *)
+  mutable sb_push_msgs : int;  (** [Answer_delta] messages sent *)
   mutable sb_adds : int;  (** answer tuples added across deliveries *)
   mutable sb_retracts : int;
   mutable sb_bytes : int;
       (** payload bytes of pushed answer deltas, each push sized on its
           own against a fresh dictionary, not the link frame (DESIGN §9) *)
-  mutable sb_coalesced : int;
-      (** tuples cancelled or absorbed inside a [sub_batch_window] *)
   sb_eval : Codb_cq.Eval.counters;  (** evaluator work doing subscription maintenance *)
   mutable sb_cache_staled : int;
       (** cache entries invalidated to keep one-shot answers no staler

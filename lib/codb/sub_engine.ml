@@ -1,7 +1,6 @@
 module Sub = Codb_sub.Subscription
 module Registry = Codb_sub.Registry
 module Mirror = Codb_sub.Mirror
-module Outbox = Codb_sub.Outbox
 module Peer_id = Codb_net.Peer_id
 module Database = Codb_relalg.Database
 module Eval = Codb_cq.Eval
@@ -32,77 +31,27 @@ let stale_cache rt peers =
       let sb = scounters rt in
       sb.Stats.sb_cache_staled <- sb.Stats.sb_cache_staled + n
 
-let note_delivery rt (d : Sub.delta) =
-  let sb = scounters rt in
-  sb.Stats.sb_deltas_out <- sb.Stats.sb_deltas_out + 1;
-  sb.Stats.sb_adds <- sb.Stats.sb_adds + List.length d.Sub.d_adds;
-  sb.Stats.sb_retracts <- sb.Stats.sb_retracts + List.length d.Sub.d_retracts
-
-let send_push rt ~dst payload =
-  let sb = scounters rt in
-  sb.Stats.sb_push_msgs <- sb.Stats.sb_push_msgs + 1;
-  sb.Stats.sb_bytes <- sb.Stats.sb_bytes + Payload.encoded_size payload;
-  ignore (Reliable.send_noted rt ~dst payload)
-
-let flush_outbox rt dst =
-  match Outbox.take rt.Runtime.node.Node.sub_outbox ~dst with
-  | [] -> ()
-  | [ (sub_id, d) ] ->
-      note_delivery rt d;
-      send_push rt ~dst
-        (Payload.Answer_delta
-           { sub_id; adds = d.Sub.d_adds; retracts = d.Sub.d_retracts;
-             tag = d.Sub.d_tag })
-  | entries ->
-      List.iter (fun (_, d) -> note_delivery rt d) entries;
-      send_push rt ~dst
-        (Payload.Answer_batch
-           {
-             entries =
-               List.map
-                 (fun (sub_id, d) ->
-                   { Payload.se_sub = sub_id; se_adds = d.Sub.d_adds;
-                     se_retracts = d.Sub.d_retracts; se_tag = d.Sub.d_tag })
-                 entries;
-           })
-
-let schedule_flush rt dst =
-  let outbox = rt.Runtime.node.Node.sub_outbox in
-  if not (Outbox.scheduled outbox ~dst) then begin
-    Outbox.set_scheduled outbox ~dst true;
-    rt.Runtime.schedule ~delay:rt.Runtime.opts.Options.sub_batch_window
-      (fun () ->
-        Outbox.set_scheduled outbox ~dst false;
-        flush_outbox rt dst)
-  end
-
-let push_remote rt ~dst ~sub_id (d : Sub.delta) =
-  if rt.Runtime.opts.Options.sub_batch_window > 0.0 then begin
-    let coalesced =
-      Outbox.add rt.Runtime.node.Node.sub_outbox ~dst ~sub_id d
-    in
-    let sb = scounters rt in
-    sb.Stats.sb_coalesced <- sb.Stats.sb_coalesced + coalesced;
-    schedule_flush rt dst
-  end
-  else begin
-    note_delivery rt d;
-    send_push rt ~dst
-      (Payload.Answer_delta
-         { sub_id; adds = d.Sub.d_adds; retracts = d.Sub.d_retracts;
-           tag = d.Sub.d_tag })
-  end
-
+(* Every non-empty delta leaves at once: a local client gets it through
+   its callback, a remote subscriber as one [Answer_delta]. *)
 let deliver rt (entry : Registry.entry) (d : Sub.delta) =
   if not (Sub.delta_is_empty d) then begin
     stale_cache rt [ rt.Runtime.node.Node.node_id ];
     Sub.note_delivered entry.Registry.e_sub;
+    let sb = scounters rt in
+    sb.Stats.sb_deltas_out <- sb.Stats.sb_deltas_out + 1;
+    sb.Stats.sb_adds <- sb.Stats.sb_adds + List.length d.Sub.d_adds;
+    sb.Stats.sb_retracts <- sb.Stats.sb_retracts + List.length d.Sub.d_retracts;
     match entry.Registry.e_owner with
-    | Registry.Local cb ->
-        note_delivery rt d;
-        (match cb with Some f -> f d | None -> ())
+    | Registry.Local cb -> Option.iter (fun f -> f d) cb
     | Registry.Remote dst ->
-        push_remote rt ~dst ~sub_id:(Sub.id entry.Registry.e_sub) d
+        let payload =
+          Payload.Answer_delta
+            { sub_id = Sub.id entry.Registry.e_sub; adds = d.Sub.d_adds;
+              retracts = d.Sub.d_retracts; tag = d.Sub.d_tag }
+        in
+        sb.Stats.sb_push_msgs <- sb.Stats.sb_push_msgs + 1;
+        sb.Stats.sb_bytes <- sb.Stats.sb_bytes + Payload.encoded_size payload;
+        ignore (Reliable.send_noted rt ~dst payload)
   end
 
 let on_store_delta rt ~rel ~since ~delta ~tag =
@@ -113,27 +62,18 @@ let on_store_delta rt ~rel ~since ~delta ~tag =
       | [] -> ()
       | entries ->
           let sb = scounters rt in
-          let opts = rt.Runtime.opts in
           let src = source rt in
           let tag = tag () in
           List.iter
             (fun (entry : Registry.entry) ->
               let sub = entry.Registry.e_sub in
               sb.Stats.sb_deltas_in <- sb.Stats.sb_deltas_in + 1;
-              let d =
+              let d, dropped =
                 with_counters rt (fun () ->
-                    if opts.Options.sub_naive then
-                      Sub.reevaluate sub ~source:src ~tag
-                    else begin
-                      let d, dropped =
-                        Sub.apply_delta sub ~source:src ~delta_rel:rel ~since
-                          ~delta ~tag
-                      in
-                      sb.Stats.sb_prefiltered <-
-                        sb.Stats.sb_prefiltered + dropped;
-                      d
-                    end)
+                    Sub.apply_delta sub ~source:src ~delta_rel:rel ~since
+                      ~delta ~tag)
               in
+              sb.Stats.sb_prefiltered <- sb.Stats.sb_prefiltered + dropped;
               deliver rt entry d)
             entries)
 
@@ -307,18 +247,6 @@ let on_registered rt ~sub_id ~accepted ~reason =
   | Some m ->
       if accepted then Mirror.mark_accepted m else Mirror.mark_rejected m reason
 
-let apply_entries rt ~src entries =
-  List.iter
-    (fun (sub_id, d) ->
-      match mirror rt sub_id with
-      | None -> () (* unsubscribed meanwhile, or this node restarted *)
-      | Some m ->
-          (* epoch agreement, subscriber side: one-shot answers cached
-             from this host predate the delta about to be applied *)
-          stale_cache rt [ src ];
-          Mirror.apply m d)
-    entries
-
 let handle rt ~src payload =
   match payload with
   | Payload.Sub_register { sub_id; query_text = text } ->
@@ -326,20 +254,16 @@ let handle rt ~src payload =
   | Payload.Sub_registered { sub_id; accepted; reason } ->
       on_registered rt ~sub_id ~accepted ~reason
   | Payload.Sub_unregister { sub_id } -> on_unregister rt ~sub_id
-  | Payload.Answer_delta { sub_id; adds; retracts; tag } ->
-      apply_entries rt ~src
-        [ (sub_id, { Sub.d_adds = adds; d_retracts = retracts; d_tag = tag }) ]
-  | Payload.Answer_batch { entries } ->
-      apply_entries rt ~src
-        (List.map
-           (fun (e : Payload.sub_entry) ->
-             ( e.Payload.se_sub,
-               { Sub.d_adds = e.Payload.se_adds;
-                 d_retracts = e.Payload.se_retracts; d_tag = e.Payload.se_tag }
-             ))
-           entries)
-  | Payload.Update_request _ | Payload.Update_data _ | Payload.Update_batch _
-  | Payload.Update_link_closed _ | Payload.Update_ack _
+  | Payload.Answer_delta { sub_id; adds; retracts; tag } -> (
+      match mirror rt sub_id with
+      | None -> () (* unsubscribed meanwhile, or this node restarted *)
+      | Some m ->
+          (* epoch agreement, subscriber side: one-shot answers cached
+             from this host predate the delta about to be applied *)
+          stale_cache rt [ src ];
+          Mirror.apply m { Sub.d_adds = adds; d_retracts = retracts; d_tag = tag })
+  | Payload.Answer_batch _ | Payload.Update_request _ | Payload.Update_data _
+  | Payload.Update_batch _ | Payload.Update_link_closed _ | Payload.Update_ack _
   | Payload.Update_terminated _ | Payload.Query_request _ | Payload.Query_data _
   | Payload.Query_done _ | Payload.Rules_file _ | Payload.Start_update
   | Payload.Stats_request | Payload.Stats_response _ | Payload.Discovery_probe _

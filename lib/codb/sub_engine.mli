@@ -6,9 +6,8 @@
     ({!System.insert_fact}) produce — a semi-naive join against just
     the delta, never a re-run of the query — and pushes the resulting
     answer deltas to subscribers: locally through a callback, remotely
-    as [Answer_delta]/[Answer_batch] messages through the reliable
-    transport, coalesced per subscriber during
-    [Options.sub_batch_window] ({!Codb_sub.Outbox}).
+    as one [Answer_delta] message per non-empty delta, sent at once
+    through the reliable transport.
 
     Every function is a no-op (or an [Error]) unless
     [Options.subscriptions] installed a registry on the node, so the
@@ -67,5 +66,5 @@ val rearm_towards : Runtime.t -> host:Peer_id.t -> unit
     leave it. *)
 
 val handle : Runtime.t -> src:Peer_id.t -> Payload.t -> unit
-(** Dispatch the five [Sub_*]/[Answer_*] payloads; ignores
-    everything else. *)
+(** Dispatch the [Sub_*] payloads and [Answer_delta]; ignores
+    everything else, [Answer_batch] included (no node sends it). *)

@@ -187,7 +187,7 @@ val subscribe_remote :
   (string, string) result
 (** Subscribe [subscriber] to a standing query hosted at [host]; the
     returned id names the local mirror, which tracks the host's answer
-    set through pushed [Answer_delta]/[Answer_batch] messages (run the
+    set through pushed [Answer_delta] messages (run the
     network to let the registration and seed delta propagate). *)
 
 val unsubscribe_remote : t -> subscriber:string -> string -> bool

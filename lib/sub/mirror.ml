@@ -51,8 +51,8 @@ let mark_rejected t reason =
 
 let notify t d = match t.mi_on_delta with None -> () | Some f -> f d
 
-(* Deltas are applied as set updates, so redelivery (retries, the
-   naive baseline's full re-sends) is idempotent.  Between
+(* Deltas are applied as set updates, so redelivery (a retried or
+   duplicated frame) is idempotent.  Between
    registrations the host's answers only grow, so arrival order does
    not matter either: a registration snapshot resent behind later adds
    merges into the same set. *)

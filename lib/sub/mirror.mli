@@ -4,9 +4,9 @@
     {!Subscription.delta}s.  Application is idempotent set update
     (union adds, remove retracts), so duplicated or reordered
     deliveries — retried sends, a registration snapshot resent behind
-    later adds, the naive baseline's full re-sends — converge to the
-    same set the host maintains.  Re-registering with a restarted host
-    {!reset}s the mirror first, so answers the host lost leave it. *)
+    later adds — converge to the same set the host maintains.
+    Re-registering with a restarted host {!reset}s the mirror first,
+    so answers the host lost leave it. *)
 
 module Peer_id = Codb_net.Peer_id
 module Query = Codb_cq.Query

@@ -32,8 +32,7 @@ let unregister t sub_id =
   end
   else false
 
-(* All iteration is in sub_id order so delta fan-out, flushes and
-   re-arms are deterministic regardless of hash-table internals. *)
+(* All iteration is in sub_id order so delta fan-out and re-arms are deterministic regardless of hash-table internals. *)
 let sorted t =
   let all = Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.tbl [] in
   List.sort (fun (a, _) (b, _) -> String.compare a b) all

@@ -99,9 +99,3 @@ let refresh t ~source ~tag =
   let retracts = Row.Set.elements (Row.Set.diff t.answers current) in
   t.answers <- current;
   { d_adds = adds; d_retracts = retracts; d_tag = tag }
-
-let reevaluate t ~source ~tag =
-  let current = Row.Set.of_list (Eval.answer_rows source t.query) in
-  let retracts = Row.Set.elements (Row.Set.diff t.answers current) in
-  t.answers <- current;
-  { d_adds = Row.Set.elements current; d_retracts = retracts; d_tag = tag }

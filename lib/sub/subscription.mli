@@ -95,11 +95,3 @@ val refresh : t -> source:Eval.source -> tag:string -> delta
 (** From-scratch re-evaluation; the returned delta is the {e diff}
     against the previously known answers (used to seed a new
     subscription and to catch a re-armed one up). *)
-
-val reevaluate : t -> source:Eval.source -> tag:string -> delta
-(** The naive baseline ([Options.sub_naive]): recompute the full
-    answer set and return {e all} of it as adds (plus any retracts the
-    diff reveals) — what a client that re-asks its query on every
-    change would receive.  Mirrors apply deltas as set updates, so the
-    subscriber's view stays identical to the incremental path while
-    the probe and byte costs reflect re-evaluation. *)

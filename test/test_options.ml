@@ -45,20 +45,7 @@ let test_zero_bounds_are_valid () =
          Options.drop_budget = 0;
          ack_timeout = 0.0;
          max_retries = 0;
-         sub_batch_window = 0.0;
        })
-
-(* The one send window is the answer-push window of standing queries
-   ({!Codb_sub.Outbox}). *)
-let test_wire_knobs_are_valid () =
-  ok
-    (Options.validate
-       { Options.default with Options.subscriptions = true; sub_batch_window = 0.05 })
-
-let test_bad_wire_knobs_rejected () =
-  rejected ~substring:"sub_batch_window"
-    (Options.validate
-       { Options.default with Options.subscriptions = true; sub_batch_window = -0.001 })
 
 let test_chaos_knobs_are_valid () =
   ok
@@ -156,8 +143,6 @@ let suite =
     Alcotest.test_case "negative latency rejected" `Quick test_negative_latency;
     Alcotest.test_case "negative byte_cost rejected" `Quick test_negative_byte_cost;
     Alcotest.test_case "zero bounds are valid" `Quick test_zero_bounds_are_valid;
-    Alcotest.test_case "wire knobs are valid" `Quick test_wire_knobs_are_valid;
-    Alcotest.test_case "bad wire knobs rejected" `Quick test_bad_wire_knobs_rejected;
     Alcotest.test_case "chaos knobs are valid" `Quick test_chaos_knobs_are_valid;
     Alcotest.test_case "bad chaos knobs rejected" `Quick test_bad_chaos_knobs_rejected;
     Alcotest.test_case "rto backoff capped" `Quick test_rto_backoff_capped;

@@ -210,7 +210,6 @@ let golden_snapshots () =
   sb.Stats.sb_adds <- 408;
   sb.Stats.sb_retracts <- 409;
   sb.Stats.sb_bytes <- 410;
-  sb.Stats.sb_coalesced <- 411;
   sb.Stats.sb_eval.probes <- 412;
   sb.Stats.sb_eval.scans <- 413;
   sb.Stats.sb_eval.zone_visited <- 414;
@@ -276,7 +275,7 @@ let test_printers_pinned () =
   qry:n0#4: 203 answers (204 certain) INCOMPLETE, 201 data msgs, 202 B in, 205 probes, 206 scans, zone chunks 207 visited (208 pruned), cache hit (containment), pushdown: 209 constrained sub-requests, 210 filtered at source, 211 rule-cache hits
   cache: 501 exact + 502 containment hits, 503 misses, 504 stores, 505 invalidated, 507 evicted, 508 B served, 509 entries (510 B)
   transport: 301 retransmits, 302 dups suppressed, 303 give-ups, 304 sub-request timeouts, 305 partial answers, 306 forced terminations, 307 send drops, 308 recovered records, 309 replayed bytes, 310 refetched bytes
-  subs: 401 registered (402 refused, 403 dropped), 404 deltas in (405 prefiltered), 406 deltas out in 407 msgs (+408 -409, 410 B, 411 coalesced), 412 probes, 413 scans, zone chunks 414 visited (415 pruned), 416 cache staled, 417 torn down, 418 re-armed
+  subs: 401 registered (402 refused, 403 dropped), 404 deltas in (405 prefiltered), 406 deltas out in 407 msgs (+408 -409, 410 B), 412 probes, 413 scans, zone chunks 414 visited (415 pruned), 416 cache staled, 417 torn down, 418 re-armed
 node n1 (consistent, 7 tuples)
   upd:n#3: started 0.3750s, finished unfinished, data msgs 601, control msgs 0, bytes in 0, new tuples 0, dups suppressed 0, nulls 0, longest path 0, index probes 0, scans 0, cache staled 0
     queried: none
@@ -314,7 +313,7 @@ node n1 (consistent, 7 tuples)
   check "pp_sub_report" {|standing queries:
   registered: 401 (402 refused), torn down by crashes: 417, re-armed: 418
   store deltas consumed: 404 (405 tuples prefiltered at source)
-  answer deltas delivered: 406 (408 adds, 409 retracts; 411 coalesced in-window)
+  answer deltas delivered: 406 (408 adds, 409 retracts)
   push traffic: 407 messages, 410 B (0.5 B/answer)
   evaluator work: 412 probes, 413 scans, zone chunks 414 visited (415 pruned)
   cache entries staled by pushes: 416|}

@@ -1,8 +1,8 @@
 (* Standing queries: registration and validation, incremental answer
    maintenance against from-scratch re-evaluation, push-based delivery
-   to remote mirrors (with and without batching), epoch agreement with
-   the one-shot query cache, crash teardown / restart re-arm, and the
-   qcheck equivalence property across the ablation corners and under
+   to remote mirrors (one message per delta), epoch agreement with the
+   one-shot query cache, crash teardown / restart re-arm, and the
+   qcheck equivalence property with and without pushdown and under
    chaos. *)
 
 open Helpers
@@ -11,7 +11,6 @@ module Gen = QCheck2.Gen
 module System = Codb_core.System
 module Topology = Codb_core.Topology
 module Options = Codb_core.Options
-module Report = Codb_core.Report
 module Stats = Codb_core.Stats
 module Node = Codb_core.Node
 module Sub = Codb_sub.Subscription
@@ -19,14 +18,17 @@ module Mirror = Codb_sub.Mirror
 module Qcache = Codb_cache.Qcache
 module Datagen = Codb_workload.Datagen
 
-let sub_opts ?(base = Options.default) ?(window = 0.0) ?(naive = false) () =
-  { base with Options.subscriptions = true; sub_batch_window = window; sub_naive = naive }
+let sub_opts ?(base = Options.default) () = { base with Options.subscriptions = true }
 
 let chain ?(seed = 5) n = Topology.generate ~seed Topology.Chain ~n
 
 let q_all = "o(k, v) <- data(k, v)"
 
 let q_selective = "o(v) <- data(2, v)"
+
+(* a self-join: every store change pairs the new rows with the whole
+   relation, the case a delta pass gets wrong first *)
+let q_join = "o(k, v, w) <- data(k, v), data(k, w)"
 
 let sub_stats sys name = Stats.sub (System.node sys name).Node.stats
 
@@ -148,8 +150,8 @@ let test_import_reseeds () =
 
 (* --- remote push ------------------------------------------------------ *)
 
-let remote_pair ?(window = 0.0) ?base () =
-  let sys = System.build_exn ~opts:(sub_opts ?base ~window ()) (chain 3) in
+let remote_pair ?base () =
+  let sys = System.build_exn ~opts:(sub_opts ?base ()) (chain 3) in
   let id =
     match System.subscribe_remote sys ~subscriber:"n1" ~host:"n0" (parse_query q_all) with
     | Ok id -> id
@@ -202,26 +204,24 @@ let test_refused_registration_marks_mirror () =
   Alcotest.(check bool) "refused" false (Mirror.accepted m);
   Alcotest.(check bool) "reason recorded" true (Mirror.rejected m <> None)
 
-let test_batching_coalesces_pushes () =
-  let push_msgs window =
-    let sys, id = remote_pair ~window () in
-    List.iteri
-      (fun k v ->
-        ignore
-          (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i (910 + k); s v ])))
-      [ "a"; "b"; "c"; "d" ];
-    let _ = System.run sys in
-    check_tuples "mirror converged"
-      (System.local_answers sys ~at:"n0" (parse_query q_all))
-      (boxed (Mirror.answers (mirror_of sys ~at:"n1" id)));
-    (sub_stats sys "n0").Stats.sb_push_msgs
-  in
-  let unbatched = push_msgs 0.0 in
-  let batched = push_msgs (10.0 *. Options.default.Options.latency) in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer push messages (%d -> %d)" unbatched batched)
-    true
-    (batched < unbatched)
+(* Each non-empty answer delta leaves the host at once as one
+   [Answer_delta]: the seed and four local writes are five pushes, and
+   the mirror applies each of them. *)
+let test_one_push_per_delta () =
+  let sys, id = remote_pair () in
+  List.iteri
+    (fun k v ->
+      ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i (910 + k); s v ])))
+    [ "a"; "b"; "c"; "d" ];
+  let _ = System.run sys in
+  let m = mirror_of sys ~at:"n1" id in
+  let sb = sub_stats sys "n0" in
+  Alcotest.(check int) "one push per delta" sb.Stats.sb_deltas_out sb.Stats.sb_push_msgs;
+  Alcotest.(check int) "the seed and one push per write" 5 sb.Stats.sb_push_msgs;
+  Alcotest.(check int) "the mirror applied every push" sb.Stats.sb_push_msgs (Mirror.deltas m);
+  check_tuples "mirror converged"
+    (System.local_answers sys ~at:"n0" (parse_query q_all))
+    (boxed (Mirror.answers m))
 
 (* --- epoch agreement with the one-shot query cache -------------------- *)
 
@@ -303,44 +303,40 @@ let test_crash_tears_down_restart_rearms () =
 
 (* A host that restarts without its store re-seeds each mirror with
    what it still derives: answers it lost must leave the mirror too,
-   even when it derives nothing (and no snapshot ships), with or
-   without a batch window in between. *)
+   even when it derives nothing (and no snapshot ships). *)
 let test_restart_snapshot_replaces_mirror () =
   let q_lost = "o(v) <- data(991, v)" in
   let lost = tup [ i 991; s "x1" ] in
-  List.iter
-    (fun window ->
-      let base = { Options.default with Options.durability = Options.Dur_volatile } in
-      let sys = System.build_exn ~opts:(sub_opts ~base ~window ()) (chain 2) in
-      let retracted = ref [] in
-      let subscribe q =
-        match
-          System.subscribe_remote sys ~subscriber:"n1" ~host:"n0"
-            ~on_delta:(fun d -> retracted := boxed d.Sub.d_retracts @ !retracted)
-            (parse_query q)
-        with
-        | Ok id -> id
-        | Error e -> Alcotest.failf "subscribe_remote: %s" e
-      in
-      let all = subscribe q_all and only_lost = subscribe q_lost in
-      let _ = System.run sys in
-      ignore (System.insert_fact sys ~at:"n0" ~rel:"data" lost);
-      let _ = System.run_update sys ~initiator:"n0" in
-      Alcotest.(check bool) "the mirror saw the local write" true
-        (List.mem lost (answers_of sys ~at:"n1" all));
-      System.crash_node sys "n0";
-      System.restart_node sys "n0";
-      let _ = System.run sys in
-      check_tuples "mirror = what the host still derives"
-        (System.local_answers sys ~at:"n0" (parse_query q_all))
-        (answers_of sys ~at:"n1" all);
-      Alcotest.(check bool) "the lost answer left the mirror" false
-        (List.mem lost (answers_of sys ~at:"n1" all));
-      check_tuples "an empty snapshot empties the mirror" []
-        (answers_of sys ~at:"n1" only_lost);
-      Alcotest.(check bool) "the callbacks saw the retracts" true
-        (List.mem lost !retracted && List.mem (tup [ s "x1" ]) !retracted))
-    [ 0.0; 5.0 *. Options.default.Options.latency ]
+  let base = { Options.default with Options.durability = Options.Dur_volatile } in
+  let sys = System.build_exn ~opts:(sub_opts ~base ()) (chain 2) in
+  let retracted = ref [] in
+  let subscribe q =
+    match
+      System.subscribe_remote sys ~subscriber:"n1" ~host:"n0"
+        ~on_delta:(fun d -> retracted := boxed d.Sub.d_retracts @ !retracted)
+        (parse_query q)
+    with
+    | Ok id -> id
+    | Error e -> Alcotest.failf "subscribe_remote: %s" e
+  in
+  let all = subscribe q_all and only_lost = subscribe q_lost in
+  let _ = System.run sys in
+  ignore (System.insert_fact sys ~at:"n0" ~rel:"data" lost);
+  let _ = System.run_update sys ~initiator:"n0" in
+  Alcotest.(check bool) "the mirror saw the local write" true
+    (List.mem lost (answers_of sys ~at:"n1" all));
+  System.crash_node sys "n0";
+  System.restart_node sys "n0";
+  let _ = System.run sys in
+  check_tuples "mirror = what the host still derives"
+    (System.local_answers sys ~at:"n0" (parse_query q_all))
+    (answers_of sys ~at:"n1" all);
+  Alcotest.(check bool) "the lost answer left the mirror" false
+    (List.mem lost (answers_of sys ~at:"n1" all));
+  check_tuples "an empty snapshot empties the mirror" []
+    (answers_of sys ~at:"n1" only_lost);
+  Alcotest.(check bool) "the callbacks saw the retracts" true
+    (List.mem lost !retracted && List.mem (tup [ s "x1" ]) !retracted)
 
 (* Under loss and jitter the registration snapshot races the adds the
    host pushes right after it, here the catch-up update's imports: a
@@ -429,41 +425,6 @@ let test_subscriber_crash_forgets_mirrors () =
   let _ = System.run sys in
   Alcotest.(check bool) "still no mirror" true (System.mirror sys ~at:"n1" id = None)
 
-(* --- naive baseline --------------------------------------------------- *)
-
-(* a single-atom query costs the same scan either way, so measure on a
-   self-join, where naive re-evaluation probes the entire relation on
-   every store change while the delta pass probes only the delta.  How
-   many deltas an update delivers depends on how its rows arrive, so
-   local inserts after it drive a few more, one store change each. *)
-let q_join = "o(k, v, w) <- data(k, v), data(k, w)"
-
-let test_naive_same_answers_more_probes () =
-  let run naive =
-    let sys = System.build_exn ~opts:(sub_opts ~naive ()) (chain 4) in
-    let id =
-      match System.subscribe sys ~at:"n0" (parse_query q_join) with
-      | Ok id -> id
-      | Error e -> Alcotest.failf "subscribe: %s" e
-    in
-    let _ = System.run_update sys ~initiator:"n0" in
-    List.iter
-      (fun k ->
-        ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i k; s "local" ]) : bool);
-        ignore (System.run sys : int))
-      [ 1; 2; 3 ];
-    check_tracks sys ~at:"n0" id q_join "answers correct";
-    let r = Report.sub_report (System.snapshots sys) in
-    (sorted_tuples (answers_of sys ~at:"n0" id), r.Report.sr_probes + r.Report.sr_scans)
-  in
-  let incr_answers, incr_cost = run false in
-  let naive_answers, naive_cost = run true in
-  check_tuples "naive = incremental answers" incr_answers naive_answers;
-  Alcotest.(check bool)
-    (Printf.sprintf "incremental does less evaluator work (%d vs %d)" incr_cost
-       naive_cost)
-    true (incr_cost < naive_cost)
-
 (* The query-storm self-join under pushdown: the prefilter keeps the
    delta rows with k <= 2 and drops the rest, while the semi-naive pass
    takes the watermark of the whole store delta.  Every delta mixes
@@ -514,9 +475,9 @@ let test_pushdown_self_join_partial_prefilter () =
 
 (* At every quiescent point, the incrementally maintained answer set
    (host registry and remote mirror alike) must equal a from-scratch
-   re-evaluation of the query over the host's store — across the
-   pushdown/batching/naive corners, and under seeded
-   drop/dup/crash chaos (retried transport keeps delivery exact). *)
+   re-evaluation of the query over the host's store — with and without
+   pushdown, and under seeded drop/dup/crash chaos (retried transport
+   keeps delivery exact). *)
 let gen_sub_case =
   let open Gen in
   let* shape =
@@ -524,7 +485,7 @@ let gen_sub_case =
   in
   let* n = int_range 2 4 in
   let* seed = int_range 0 10000 in
-  let* corner = oneofl [ `Plain; `Pushdown; `Batched; `Naive ] in
+  let* corner = oneofl [ `Plain; `Pushdown ] in
   let* chaos = bool in
   let* crash = bool in
   return (shape, n, seed, corner, chaos, crash)
@@ -534,8 +495,6 @@ let corner_opts corner chaos =
     match corner with
     | `Plain -> sub_opts ()
     | `Pushdown -> sub_opts ~base:{ Options.default with Options.pushdown = true } ()
-    | `Batched -> sub_opts ~window:(5.0 *. Options.default.Options.latency) ()
-    | `Naive -> sub_opts ~naive:true ()
   in
   if not chaos then base
   else
@@ -562,7 +521,7 @@ let prop_incremental_equals_scratch =
           profile = { Datagen.domain_size = 10; skew = 0.5 } }
       in
       let sys = System.build_exn ~opts (Topology.generate ~params ~seed shape ~n) in
-      let queries = [ q_all; q_selective ] in
+      let queries = [ q_all; q_selective; q_join ] in
       let subscribe_all () =
         List.map
           (fun q ->
@@ -572,24 +531,23 @@ let prop_incremental_equals_scratch =
           queries
       in
       let locals = ref (subscribe_all ()) in
-      let remote =
-        match
-          System.subscribe_remote sys ~subscriber:"n1" ~host:"n0"
-            (parse_query q_all)
-        with
-        | Ok id -> id
-        | Error e -> Alcotest.failf "subscribe_remote: %s" e
+      let remotes =
+        List.map
+          (fun q ->
+            match System.subscribe_remote sys ~subscriber:"n1" ~host:"n0" (parse_query q) with
+            | Ok id -> (id, q)
+            | Error e -> Alcotest.failf "subscribe_remote: %s" e)
+          [ q_all; q_join ]
       in
       let _ = System.run sys in
+      let scratch q = sorted_tuples (System.local_answers sys ~at:"n0" (parse_query q)) in
       let agree () =
-        List.for_all
-          (fun (id, q) ->
-            sorted_tuples (System.local_answers sys ~at:"n0" (parse_query q))
-            = sorted_tuples (answers_of sys ~at:"n0" id))
-          !locals
-        && sorted_tuples (System.local_answers sys ~at:"n0" (parse_query q_all))
-           = sorted_tuples
-               (boxed (Mirror.answers (Option.get (System.mirror sys ~at:"n1" remote))))
+        List.for_all (fun (id, q) -> scratch q = sorted_tuples (answers_of sys ~at:"n0" id)) !locals
+        && List.for_all
+             (fun (id, q) ->
+               scratch q
+               = sorted_tuples (boxed (Mirror.answers (Option.get (System.mirror sys ~at:"n1" id)))))
+             remotes
       in
       let ok = ref (agree ()) in
       List.iteri
@@ -623,8 +581,7 @@ let suite =
       test_remote_push;
     Alcotest.test_case "remote registration outcome reaches the mirror" `Quick
       test_refused_registration_marks_mirror;
-    Alcotest.test_case "batch window coalesces pushes" `Quick
-      test_batching_coalesces_pushes;
+    Alcotest.test_case "one push per answer delta" `Quick test_one_push_per_delta;
     Alcotest.test_case "cache epoch agreement at the host" `Quick
       test_cache_epoch_agreement_host;
     Alcotest.test_case "cache epoch agreement at the subscriber" `Quick
@@ -639,8 +596,6 @@ let suite =
       test_mirror_is_a_set;
     Alcotest.test_case "subscriber crash forgets mirrors" `Quick
       test_subscriber_crash_forgets_mirrors;
-    Alcotest.test_case "naive baseline: same answers, more work" `Quick
-      test_naive_same_answers_more_probes;
     Alcotest.test_case "pushdown self-join: partly prefiltered deltas" `Quick
       test_pushdown_self_join_partial_prefilter;
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
