@@ -146,8 +146,7 @@ let query_or_die sys ~at text =
 
 let query_cmd file at text after_update scoped certain_only use_cache pushdown
     repeat =
-  let query_cache = if use_cache then Options.Cache_containment else Options.Cache_off in
-  let opts = { Options.default with Options.query_cache; pushdown } in
+  let opts = { Options.default with Options.query_cache = use_cache; pushdown } in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
   let q = query_or_die sys ~at text in
@@ -200,11 +199,8 @@ let explain_cmd file at text max_probe_cols pushdown =
 
 (* --- cache --------------------------------------------------------- *)
 
-let cache_cmd file at text repeat update_between no_containment =
-  let query_cache =
-    if no_containment then Options.Cache_exact else Options.Cache_containment
-  in
-  let opts = { Options.default with Options.query_cache } in
+let cache_cmd file at text repeat update_between =
+  let opts = { Options.default with Options.query_cache = true } in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
   let q = query_or_die sys ~at text in
@@ -694,15 +690,8 @@ let cache_t =
       & info [ "update-between" ]
           ~doc:"Run a global update between runs (shows epoch invalidation).")
   in
-  let no_containment =
-    Arg.(
-      value & flag
-      & info [ "no-containment" ]
-          ~doc:"Serve exact hits only (the E9 ablation: no containment-aware hits).")
-  in
   Cmd.v (Cmd.info "cache" ~doc)
-    Term.(
-      const cache_cmd $ file_arg $ at $ text $ repeat $ update_between $ no_containment)
+    Term.(const cache_cmd $ file_arg $ at $ text $ repeat $ update_between)
 
 let wire_t =
   let doc = "Run a global update and report its wire behaviour." in

@@ -13,9 +13,14 @@
     the connected component, so when a node finalises an update it
     knows that it and all its acquaintances took part — bumping
     exactly the peers a locally cached entry can have imported from
-    (sub-queries only ever go to acquaintances).  The scheme therefore
-    over-approximates staleness (an update that changed nothing still
-    bumps) but never under-approximates it. *)
+    (sub-queries only ever go to acquaintances).  A write at the node
+    itself bumps its own epoch.  Nothing else does: a local write at a
+    remote peer bumps no epoch here, so an entry that depends on it
+    stays current until the next update reaches this node.  The
+    scheme is thus coherent with updates and with the node's own
+    writes, and over-approximates staleness there (an update that
+    changed nothing still bumps); it under-approximates it for remote
+    writes between updates. *)
 
 module Peer_id = Codb_net.Peer_id
 

@@ -6,14 +6,6 @@ type ('k, 'v) entry = {
   mutable e_next : ('k, 'v) entry option;  (* toward the LRU end *)
 }
 
-type counters = {
-  hits : int;
-  misses : int;
-  insertions : int;
-  replacements : int;
-  evictions : int;
-}
-
 type ('k, 'v) t = {
   table : ('k, ('k, 'v) entry) Hashtbl.t;
   max_entries : int;
@@ -21,11 +13,7 @@ type ('k, 'v) t = {
   mutable head : ('k, 'v) entry option;  (* most recently used *)
   mutable tail : ('k, 'v) entry option;  (* least recently used *)
   mutable cur_bytes : int;
-  mutable c_hits : int;
-  mutable c_misses : int;
-  mutable c_insertions : int;
-  mutable c_replacements : int;
-  mutable c_evictions : int;
+  mutable evictions : int;
 }
 
 let create ?(max_entries = 0) ?(max_bytes = 0) () =
@@ -36,11 +24,7 @@ let create ?(max_entries = 0) ?(max_bytes = 0) () =
     head = None;
     tail = None;
     cur_bytes = 0;
-    c_hits = 0;
-    c_misses = 0;
-    c_insertions = 0;
-    c_replacements = 0;
-    c_evictions = 0;
+    evictions = 0;
   }
 
 let unlink t e =
@@ -62,11 +46,8 @@ let drop t e =
 
 let find t k =
   match Hashtbl.find_opt t.table k with
-  | None ->
-      t.c_misses <- t.c_misses + 1;
-      None
+  | None -> None
   | Some e ->
-      t.c_hits <- t.c_hits + 1;
       unlink t e;
       push_front t e;
       Some e.e_value
@@ -78,7 +59,7 @@ let evict_tail t =
   | None -> ()
   | Some e ->
       drop t e;
-      t.c_evictions <- t.c_evictions + 1
+      t.evictions <- t.evictions + 1
 
 let trim t =
   let over () =
@@ -96,14 +77,12 @@ let add t k v ~bytes =
       e.e_value <- v;
       e.e_bytes <- bytes;
       unlink t e;
-      push_front t e;
-      t.c_replacements <- t.c_replacements + 1
+      push_front t e
   | None ->
       let e = { e_key = k; e_value = v; e_bytes = bytes; e_prev = None; e_next = None } in
       Hashtbl.replace t.table k e;
       push_front t e;
-      t.cur_bytes <- t.cur_bytes + bytes;
-      t.c_insertions <- t.c_insertions + 1);
+      t.cur_bytes <- t.cur_bytes + bytes);
   trim t
 
 let remove t k =
@@ -127,14 +106,7 @@ let length t = Hashtbl.length t.table
 
 let bytes t = t.cur_bytes
 
-let counters t =
-  {
-    hits = t.c_hits;
-    misses = t.c_misses;
-    insertions = t.c_insertions;
-    replacements = t.c_replacements;
-    evictions = t.c_evictions;
-  }
+let evictions t = t.evictions
 
 let clear t =
   while t.tail <> None do

@@ -10,23 +10,15 @@
 
 type ('k, 'v) t
 
-type counters = {
-  hits : int;
-  misses : int;
-  insertions : int;
-  replacements : int;
-  evictions : int;  (** dropped by capacity pressure *)
-}
-
 val create : ?max_entries:int -> ?max_bytes:int -> unit -> ('k, 'v) t
 (** [max_entries] / [max_bytes] bound the cache (0 or negative:
     unbounded).  Default: unbounded. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
-(** Promotes the entry to most-recently-used; counts a hit or a miss. *)
+(** Promotes the entry to most-recently-used. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
-(** No recency or counter effect. *)
+(** No recency effect. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> bytes:int -> unit
 (** Insert (or replace) at most-recently-used, then evict from the LRU
@@ -36,12 +28,11 @@ val add : ('k, 'v) t -> 'k -> 'v -> bytes:int -> unit
 val remove : ('k, 'v) t -> 'k -> unit
 
 val touch : ('k, 'v) t -> 'k -> unit
-(** Promote to most-recently-used without counter effects (used when a
-    lookup is answered through an entry found by scanning, e.g. a
-    containment hit). *)
+(** Promote to most-recently-used (used when a lookup is answered
+    through an entry found by scanning, e.g. a containment hit). *)
 
 val fold : (key:'k -> value:'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-(** Most-recently-used first; no recency or counter effects.  The
+(** Most-recently-used first; no recency effect.  The
     callback must not mutate the cache; collect keys and use
     {!remove} afterwards. *)
 
@@ -50,7 +41,8 @@ val length : ('k, 'v) t -> int
 val bytes : ('k, 'v) t -> int
 (** Sum of the byte sizes of the live entries. *)
 
-val counters : ('k, 'v) t -> counters
+val evictions : ('k, 'v) t -> int
+(** Entries dropped so far by capacity pressure or {!clear}. *)
 
 val clear : ('k, 'v) t -> unit
 (** Drop every entry (counted as evictions). *)

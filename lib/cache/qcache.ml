@@ -4,7 +4,6 @@ module Atom = Codb_cq.Atom
 module Term = Codb_cq.Term
 module Eval = Codb_cq.Eval
 module Containment = Codb_cq.Containment
-module Specialize = Codb_cq.Specialize
 module Row = Codb_relalg.Row
 module Value = Codb_relalg.Value
 
@@ -12,21 +11,6 @@ type entry = {
   e_query : Query.t;
   e_answers : Row.t list;
   e_stamp : Epoch.stamp;
-}
-
-(* Responder-side entries: the full (constrained) answer stream of one
-   coordination rule, keyed by (rule, pushed constraints).  The label
-   under which the stream was produced is kept because it bounds the
-   exploration: an entry may only serve a request whose label is a
-   superset (the cached run explored at least as much, so the stream
-   is complete for the request; any extra tuples are still true
-   answers). *)
-type rule_entry = {
-  re_rule : string;
-  re_constraints : Specialize.t;
-  re_label : Peer_id.t list;
-  re_answers : Row.t list;
-  re_stamp : Epoch.stamp;
 }
 
 type hit_kind = Exact | By_containment
@@ -44,46 +28,29 @@ type counters = {
   entries : int;
   stored_bytes : int;
   epoch_bumps : int;
-  rule_hits_exact : int;
-  rule_hits_containment : int;
-  rule_misses : int;
-  rule_stores : int;
-  rule_entries : int;
 }
 
 type t = {
   lru : (string, entry) Lru.t;
-  rlru : (string, rule_entry) Lru.t;
   epochs : Epoch.t;
-  containment : bool;
   mutable c_hits_exact : int;
   mutable c_hits_containment : int;
   mutable c_misses : int;
   mutable c_stores : int;
   mutable c_epoch_invalidations : int;
   mutable c_bytes_served : int;
-  mutable c_rule_hits_exact : int;
-  mutable c_rule_hits_containment : int;
-  mutable c_rule_misses : int;
-  mutable c_rule_stores : int;
 }
 
-let create ?max_entries ?max_bytes ~containment () =
+let create ?max_entries ?max_bytes () =
   {
     lru = Lru.create ?max_entries ?max_bytes ();
-    rlru = Lru.create ?max_entries ?max_bytes ();
     epochs = Epoch.create ();
-    containment;
     c_hits_exact = 0;
     c_hits_containment = 0;
     c_misses = 0;
     c_stores = 0;
     c_epoch_invalidations = 0;
     c_bytes_served = 0;
-    c_rule_hits_exact = 0;
-    c_rule_hits_containment = 0;
-    c_rule_misses = 0;
-    c_rule_stores = 0;
   }
 
 (* --- canonical keys ------------------------------------------------ *)
@@ -301,8 +268,7 @@ let lookup t q =
   let exact =
     match Lru.find t.lru key with
     | Some e when Epoch.is_current t.epochs e.e_stamp -> Some e
-    | Some e ->
-        ignore e;
+    | Some _ ->
         Lru.remove t.lru key;
         t.c_epoch_invalidations <- t.c_epoch_invalidations + 1;
         None
@@ -310,15 +276,12 @@ let lookup t q =
   in
   match exact with
   | Some e -> serve t Exact e.e_answers
-  | None ->
-      if not t.containment then miss t
-      else begin
-        match containment_scan t ~skip:key q with
-        | Some (winner_key, answers) ->
-            Lru.touch t.lru winner_key;
-            serve t By_containment answers
-        | None -> miss t
-      end
+  | None -> (
+      match containment_scan t ~skip:key q with
+      | Some (winner_key, answers) ->
+          Lru.touch t.lru winner_key;
+          serve t By_containment answers
+      | None -> miss t)
 
 let store t q answers ~sources =
   let key = normalize q in
@@ -326,91 +289,11 @@ let store t q answers ~sources =
   Lru.add t.lru key entry ~bytes:(entry_bytes key entry);
   t.c_stores <- t.c_stores + 1
 
-(* --- the responder-side (rule, constraints) table ------------------- *)
-
-let rule_key rule_id constraints = rule_id ^ "\000" ^ Specialize.to_key constraints
-
-let rule_entry_bytes key entry = 64 + String.length key + answer_bytes entry.re_answers
-
-let label_serves ~cached ~requested =
-  List.for_all (fun p -> List.exists (Peer_id.equal p) requested) cached
-
-let lookup_rule t ~rule_id ~label constraints =
-  let key = rule_key rule_id constraints in
-  let exact =
-    match Lru.find t.rlru key with
-    | Some e when Epoch.is_current t.epochs e.re_stamp ->
-        if label_serves ~cached:e.re_label ~requested:label then Some e else None
-    | Some _ ->
-        Lru.remove t.rlru key;
-        t.c_epoch_invalidations <- t.c_epoch_invalidations + 1;
-        None
-    | None -> None
-  in
-  let serve_rule kind answers =
-    (match kind with
-    | Exact -> t.c_rule_hits_exact <- t.c_rule_hits_exact + 1
-    | By_containment -> t.c_rule_hits_containment <- t.c_rule_hits_containment + 1);
-    t.c_bytes_served <- t.c_bytes_served + answer_bytes answers;
-    Some { answers; kind }
-  in
-  match exact with
-  | Some e -> serve_rule Exact e.re_answers
-  | None ->
-      let containment_hit =
-        if not t.containment then None
-        else begin
-          (* fold accumulates LRU-first; reverse to prefer recent entries *)
-          let candidates =
-            List.rev
-              (Lru.fold
-                 (fun ~key:k ~value acc ->
-                   if String.equal k key then acc
-                   else if not (Epoch.is_current t.epochs value.re_stamp) then acc
-                   else if
-                     String.equal value.re_rule rule_id
-                     && Specialize.subsumes value.re_constraints constraints
-                     && label_serves ~cached:value.re_label ~requested:label
-                   then (k, value) :: acc
-                   else acc)
-                 t.rlru [])
-          in
-          match candidates with
-          | (k, e) :: _ ->
-              Lru.touch t.rlru k;
-              Some (List.filter (Specialize.matches constraints) e.re_answers)
-          | [] -> None
-        end
-      in
-      (match containment_hit with
-      | Some answers -> serve_rule By_containment answers
-      | None ->
-          t.c_rule_misses <- t.c_rule_misses + 1;
-          None)
-
-let store_rule t ~rule_id ~label constraints answers ~sources =
-  let key = rule_key rule_id constraints in
-  let entry =
-    {
-      re_rule = rule_id;
-      re_constraints = constraints;
-      re_label = label;
-      re_answers = answers;
-      re_stamp = Epoch.stamp t.epochs sources;
-    }
-  in
-  Lru.add t.rlru key entry ~bytes:(rule_entry_bytes key entry);
-  t.c_rule_stores <- t.c_rule_stores + 1
-
 let count_stale t =
   Lru.fold
     (fun ~key:_ ~value acc ->
       if Epoch.is_current t.epochs value.e_stamp then acc else acc + 1)
     t.lru 0
-  + Lru.fold
-      (fun ~key:_ ~value acc ->
-        if Epoch.is_current t.epochs value.re_stamp then acc else acc + 1)
-      t.rlru 0
 
 let note_update t peers =
   let stale_before = count_stale t in
@@ -418,24 +301,17 @@ let note_update t peers =
   count_stale t - stale_before
 
 let counters t =
-  let lc = Lru.counters t.lru in
-  let rc = Lru.counters t.rlru in
   {
     hits_exact = t.c_hits_exact;
     hits_containment = t.c_hits_containment;
     misses = t.c_misses;
     stores = t.c_stores;
     epoch_invalidations = t.c_epoch_invalidations;
-    evictions = lc.Lru.evictions + rc.Lru.evictions;
+    evictions = Lru.evictions t.lru;
     bytes_served = t.c_bytes_served;
     entries = Lru.length t.lru;
-    stored_bytes = Lru.bytes t.lru + Lru.bytes t.rlru;
+    stored_bytes = Lru.bytes t.lru;
     epoch_bumps = Epoch.bumps t.epochs;
-    rule_hits_exact = t.c_rule_hits_exact;
-    rule_hits_containment = t.c_rule_hits_containment;
-    rule_misses = t.c_rule_misses;
-    rule_stores = t.c_rule_stores;
-    rule_entries = Lru.length t.rlru;
   }
 
 let hit_ratio c =
@@ -443,6 +319,4 @@ let hit_ratio c =
   let lookups = hits + c.misses in
   if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
 
-let clear t =
-  Lru.clear t.lru;
-  Lru.clear t.rlru
+let clear t = Lru.clear t.lru

@@ -89,16 +89,12 @@ let cache_capacity = 128
 let cache_max_bytes = 4 * 1024 * 1024
 
 let configure_cache node (opts : Options.t) =
-  let create containment =
-    Some
-      (Codb_cache.Qcache.create ~max_entries:cache_capacity ~max_bytes:cache_max_bytes
-         ~containment ())
-  in
   node.cache <-
-    (match opts.Options.query_cache with
-    | Options.Cache_off -> None
-    | Options.Cache_exact -> create false
-    | Options.Cache_containment -> create true)
+    (if opts.Options.query_cache then
+       Some
+         (Codb_cache.Qcache.create ~max_entries:cache_capacity
+            ~max_bytes:cache_max_bytes ())
+     else None)
 
 let max_subscriptions = 64
 

@@ -44,8 +44,8 @@ type t = {
   seen_probes : (string, unit) Hashtbl.t;
       (** discovery probes already forwarded *)
   mutable cache : Codb_cache.Qcache.t option;
-      (** the semantic query-answer cache; [None] under
-          [Options.Cache_off] *)
+      (** the semantic query-answer cache; [None] unless
+          [Options.query_cache] *)
   mutable relay : Relay.t option;
       (** reliable-transport state; [None] unless {!Options.reliable}
           (set by {!System.install_node}; stub runtimes in tests leave

@@ -3,16 +3,13 @@
    also keeps a write-ahead log and snapshots to recover from. *)
 type durability = Dur_volatile | Dur_wal
 
-(* E9's three rows: no cache, exact hits only, containment-aware hits. *)
-type query_cache = Cache_off | Cache_exact | Cache_containment
-
 type t = {
   use_sent_cache : bool;
   use_subsumption_dedup : bool;
   naive_delta : bool;
   latency : float;
   byte_cost : float;
-  query_cache : query_cache;
+  query_cache : bool;
   pushdown : bool;
   fault_seed : int;
   drop_prob : float;
@@ -36,7 +33,7 @@ let default =
     naive_delta = false;
     latency = 0.001;
     byte_cost = 0.000001;
-    query_cache = Cache_off;
+    query_cache = false;
     pushdown = false;
     fault_seed = 0;
     drop_prob = 0.0;

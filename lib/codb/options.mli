@@ -30,15 +30,6 @@ type durability =
           logged to a per-node write-ahead log with periodic
           snapshots ({!Codb_store}), and restart recovers from them *)
 
-(** The per-node semantic query-answer cache ({!Codb_cache.Qcache}),
-    one value per row of the E9 ablation. *)
-type query_cache =
-  | Cache_off  (** no cache: the paper's query-time behaviour (the default) *)
-  | Cache_exact  (** hits only on an alpha-equivalent cached query *)
-  | Cache_containment
-      (** also answer from a cached superset query, filtering its
-          answers *)
-
 type t = {
   use_sent_cache : bool;
       (** per-incoming-link caches of already-sent tuples ("we delete
@@ -51,9 +42,11 @@ type t = {
           semi-naively on the delta (ablation baseline) *)
   latency : float;  (** pipe latency, seconds *)
   byte_cost : float;  (** pipe transfer cost, seconds per byte *)
-  query_cache : query_cache;
-      (** whether nodes cache query answers, and which hits they serve
-          (the E9 ablation switch); [Cache_off] by default *)
+  query_cache : bool;
+      (** nodes cache the answers of their own completed queries
+          ({!Codb_cache.Qcache}) and serve exact and containment hits
+          from them (the E9 ablation switch).  Off by default: the
+          paper's query-time behaviour *)
   pushdown : bool;
       (** push the requester's constant bindings, repeated-variable
           equalities and comparisons into query-time sub-requests

@@ -60,18 +60,6 @@ let finish_responder rt (st : Q.t) ~requester ~in_rule =
   (* nothing reads a finished responder again: late data, a stray
      completion or a transport callback finds no instance *)
   Hashtbl.remove rt.Runtime.node.Node.query_instances st.Q.qst_ref;
-  (* The complete constrained answer stream of this rule instance is
-     worth remembering: a later request with the same (or stronger)
-     constraints is served without re-running the diffusion.  Partial
-     streams are never stored. *)
-  (match (st.Q.qst_kind, rt.Runtime.node.Node.cache) with
-  | Q.Responder { constraints; label; from_cache; _ }, Some cache
-    when rt.Runtime.opts.Options.pushdown && st.Q.qst_complete && not from_cache ->
-      Codb_cache.Qcache.store_rule cache ~rule_id:in_rule
-        ~label constraints
-        (Sent_filter.elements st.Q.qst_sent)
-        ~sources:(me rt :: st.Q.qst_contacted)
-  | (Q.Responder _ | Q.Root _), _ -> ());
   ignore
     (Reliable.send_noted rt ~dst:requester
        (Payload.Query_done
@@ -287,54 +275,30 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
       let st =
         Q.create ~query_id:qid ~ref_:request_ref
           ~kind:
-            (Q.Responder
-               { requester = src; in_rule = rule_id; label = new_label; constraints;
-                 from_cache = false })
+            (Q.Responder { requester = src; in_rule = rule_id; constraints })
           ~overlay
       in
       Hashtbl.replace rt.Runtime.node.Node.query_instances request_ref st;
       if Node.may_export rt.Runtime.node then begin
-        let cache_hit =
-          match rt.Runtime.node.Node.cache with
-          | Some cache when rt.Runtime.opts.Options.pushdown ->
-              Codb_cache.Qcache.lookup_rule cache ~rule_id
-                ~label:new_label constraints
-          | Some _ | None -> None
-        in
-        match cache_hit with
-        | Some { Codb_cache.Qcache.answers; kind = _ } ->
-            (* the cached stream is the rule's full constrained answer:
-               serve it and stop — no evaluation, no fan-out *)
-            (match st.Q.qst_kind with
-            | Q.Responder r -> r.from_cache <- true
-            | Q.Root _ -> ());
-            let qs = qstat rt qid in
-            qs.Stats.qs_pushdown_hits <- qs.Stats.qs_pushdown_hits + 1;
-            let fresh = Q.unsent st answers in
+        match effective_rule_query constraints inc with
+        | None ->
+            (* constraints are unsatisfiable on this rule: the stream
+               is empty by construction *)
+            ()
+        | Some eff ->
+            let heads =
+              with_counters rt qid (fun () -> Wrapper.eval_query_full overlay eff)
+            in
+            let kept = filter_outgoing rt qid constraints heads in
+            let fresh = Q.unsent st kept in
             if fresh <> [] then
               send_data rt st ~dst:src
-                (Payload.Query_data { query_id = qid; request_ref; rule_id; rows = fresh })
-        | None -> (
-            match effective_rule_query constraints inc with
-            | None ->
-                (* constraints are unsatisfiable on this rule: the
-                   stream is empty by construction *)
-                ()
-            | Some eff ->
-                let heads =
-                  with_counters rt qid (fun () -> Wrapper.eval_query_full overlay eff)
-                in
-                let kept = filter_outgoing rt qid constraints heads in
-                let fresh = Q.unsent st kept in
-                if fresh <> [] then
-                  send_data rt st ~dst:src
-                    (Payload.Query_data
-                       { query_id = qid; request_ref; rule_id; rows = fresh });
-                (* fan out from the specialized body so the pushed
-                   constraints compose transitively down the tree *)
-                fan_out rt st
-                  ~query:(if rt.Runtime.opts.Options.pushdown then Some eff else None)
-                  ~rels:(Query.body_relations eff) ~label:new_label)
+                (Payload.Query_data { query_id = qid; request_ref; rule_id; rows = fresh });
+            (* fan out from the specialized body so the pushed
+               constraints compose transitively down the tree *)
+            fan_out rt st
+              ~query:(if rt.Runtime.opts.Options.pushdown then Some eff else None)
+              ~rels:(Query.body_relations eff) ~label:new_label
       end;
       check_completion rt st
 

@@ -20,9 +20,7 @@ type kind =
   | Responder of {
       requester : Peer_id.t;
       in_rule : string;
-      label : Peer_id.t list;
       constraints : Codb_cq.Specialize.t;
-      mutable from_cache : bool;
     }
 
 type t = {

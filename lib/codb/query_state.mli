@@ -44,14 +44,10 @@ type kind =
   | Responder of {
       requester : Peer_id.t;
       in_rule : string;  (** the incoming link we serve *)
-      label : Peer_id.t list;  (** path of the request, us included *)
       constraints : Codb_cq.Specialize.t;
           (** relevance bound the requester pushed down; applied to
               every outgoing tuple and re-specialized into our own
               fan-out *)
-      mutable from_cache : bool;
-          (** served from the responder-side (rule, constraints)
-              cache: nothing to re-store on completion *)
     }
 
 type t = {
@@ -102,5 +98,4 @@ val unsent : t -> Codb_relalg.Row.t list -> Codb_relalg.Row.t list
 val close : t -> unit
 (** The instance is done: mark it closed and release its overlay (a
     database with no relations takes its place), as a terminated update
-    releases its sent filters.  Its sent table stays: a responder's is
-    the stream the pushdown cache stores. *)
+    releases its sent filters. *)

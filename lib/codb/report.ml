@@ -171,7 +171,6 @@ type pushdown_report = {
   pr_query : Ids.query_id;
   pr_pushed : int;  (** sub-requests that carried a non-trivial constraint *)
   pr_filtered_at_source : int;  (** derived tuples withheld before the wire *)
-  pr_rule_cache_hits : int;  (** sub-requests served from the rule cache *)
   pr_bytes_in : int;  (** answer bytes received, network-wide *)
   pr_data_msgs : int;
 }
@@ -194,7 +193,6 @@ let pushdown_report snapshots query_id =
           pr_query = query_id;
           pr_pushed = sum (fun q -> q.Stats.qs_pushed);
           pr_filtered_at_source = sum (fun q -> q.qs_filtered_at_source);
-          pr_rule_cache_hits = sum (fun q -> q.qs_pushdown_hits);
           pr_bytes_in = sum (fun q -> q.qs_bytes_in);
           pr_data_msgs = sum (fun q -> q.qs_data_msgs);
         }
@@ -204,10 +202,9 @@ let pp_pushdown_report ppf p =
     "@[<v 2>constraint pushdown for %a:@,\
      constrained sub-requests: %d@,\
      tuples filtered at source: %d@,\
-     rule-cache hits: %d@,\
      answer traffic: %d messages, %d B@]"
-    Ids.pp_query p.pr_query p.pr_pushed p.pr_filtered_at_source p.pr_rule_cache_hits
-    p.pr_data_msgs p.pr_bytes_in
+    Ids.pp_query p.pr_query p.pr_pushed p.pr_filtered_at_source p.pr_data_msgs
+    p.pr_bytes_in
 
 type sub_report = {
   sr_registered : int;

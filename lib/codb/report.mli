@@ -63,14 +63,12 @@ val pp_cache_report : cache_report_row list Fmt.t
 (** {1 Constraint pushdown} *)
 
 (** Network-wide view of one query's relevance-bounded diffusion: how
-    many sub-requests carried constraints, how much the responders
-    withheld before the wire, and what the rule cache absorbed — the
-    E17 surface. *)
+    many sub-requests carried constraints and how much the responders
+    withheld before the wire — the E17 surface. *)
 type pushdown_report = {
   pr_query : Ids.query_id;
   pr_pushed : int;  (** sub-requests that carried a non-trivial constraint *)
   pr_filtered_at_source : int;  (** derived tuples withheld before the wire *)
-  pr_rule_cache_hits : int;  (** sub-requests served from the rule cache *)
   pr_bytes_in : int;  (** answer bytes received, network-wide *)
   pr_data_msgs : int;
 }

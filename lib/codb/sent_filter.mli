@@ -28,9 +28,7 @@ val note_if_new : t -> Codb_relalg.Row.t -> bool
     either way (the row itself is kept: never mutate it). *)
 
 val elements : t -> Codb_relalg.Row.t list
-(** The rows sent so far, sorted by {!Codb_relalg.Row.compare}: a
-    query responder's complete stream, as the query cache stores
-    it. *)
+(** The rows sent so far, sorted by {!Codb_relalg.Row.compare}. *)
 
 val tracked : t -> int
 (** Entries currently held. *)

@@ -40,7 +40,6 @@ type query_stat = {
   mutable qs_complete : bool;
   mutable qs_pushed : int;
   mutable qs_filtered_at_source : int;
-  mutable qs_pushdown_hits : int;
 }
 
 type sub_counters = {
@@ -218,7 +217,6 @@ let query_stat st ~now query_id =
           qs_complete = true;
           qs_pushed = 0;
           qs_filtered_at_source = 0;
-          qs_pushdown_hits = 0;
         }
       in
       Ids.Query_tbl.add st.st_queries query_id s;
@@ -363,13 +361,10 @@ let pp_query ppf q =
     (match q.qs_cache with
     | Cache_unused -> ""
     | outcome -> ", " ^ cache_outcome_string outcome)
-    (if q.qs_pushed = 0 && q.qs_filtered_at_source = 0 && q.qs_pushdown_hits = 0
-     then ""
+    (if q.qs_pushed = 0 && q.qs_filtered_at_source = 0 then ""
      else
-       Fmt.str
-         ", pushdown: %d constrained sub-requests, %d filtered at source, %d \
-          rule-cache hits"
-         q.qs_pushed q.qs_filtered_at_source q.qs_pushdown_hits)
+       Fmt.str ", pushdown: %d constrained sub-requests, %d filtered at source"
+         q.qs_pushed q.qs_filtered_at_source)
 
 let pp_cache ppf (c : Codb_cache.Qcache.counters) =
   Fmt.pf ppf

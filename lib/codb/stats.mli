@@ -69,9 +69,6 @@ type query_stat = {
   mutable qs_filtered_at_source : int;
       (** tuples a responder derived but withheld because the pushed
           constraints ruled them out (bytes that never hit the wire) *)
-  mutable qs_pushdown_hits : int;
-      (** sub-requests served from the responder-side (rule,
-          constraints) cache *)
 }
 
 (** Node-wide fault-tolerance counters: what the reliable transport

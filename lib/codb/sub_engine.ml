@@ -36,7 +36,6 @@ let stale_cache rt peers =
 let deliver rt (entry : Registry.entry) (d : Sub.delta) =
   if not (Sub.delta_is_empty d) then begin
     stale_cache rt [ rt.Runtime.node.Node.node_id ];
-    Sub.note_delivered entry.Registry.e_sub;
     let sb = scounters rt in
     sb.Stats.sb_deltas_out <- sb.Stats.sb_deltas_out + 1;
     sb.Stats.sb_adds <- sb.Stats.sb_adds + List.length d.Sub.d_adds;

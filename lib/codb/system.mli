@@ -16,7 +16,7 @@ val build : ?opts:Options.t -> Config.t -> (t, string list) result
 (** Validate the options ({!Options.validate}) and the configuration,
     make sure [opts.wal_dir] (if set) is a directory, creating it when
     absent, then create all nodes, load their facts, install
-    coordination rules (and, unless [opts.query_cache = Cache_off], the
+    coordination rules (and, when [opts.query_cache], the
     per-node query-answer caches) and open the pipes between acquaintances. *)
 
 val build_exn : ?opts:Options.t -> Config.t -> t

@@ -249,20 +249,6 @@ let specialize_rule c (rq : Query.t) =
         end
       with Contradiction -> `Unsatisfiable)
 
-(* --- subsumption (cache keying) ------------------------------------- *)
-
-let conj_subsumes weaker stronger =
-  List.for_all (fun p -> List.exists (equal_pred p) stronger) weaker
-
-let subsumes cached requested =
-  match (normalize cached, normalize requested) with
-  | Any, _ -> true
-  | One_of _, Any -> false
-  | One_of cs, One_of rs ->
-      List.for_all
-        (fun r_conj -> List.exists (fun c_conj -> conj_subsumes c_conj r_conj) cs)
-        rs
-
 (* --- printing and sizing -------------------------------------------- *)
 
 let pp_operand ppf = function
@@ -282,5 +268,3 @@ let pp ppf = function
         alts
 
 let to_string c = Fmt.str "%a" pp c
-
-let to_key c = to_string (normalize c)

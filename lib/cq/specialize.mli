@@ -90,19 +90,9 @@ val specialize_rule : t -> Query.t -> [ `Unsatisfiable | `Specialized of Query.t
     Out-of-range columns are skipped, never dropped from the output
     filter. *)
 
-val subsumes : t -> t -> bool
-(** [subsumes cached requested]: every tuple satisfying [requested]
-    also satisfies [cached] (syntactic check: each requested
-    alternative contains all predicates of some cached alternative).
-    A cache entry computed under [cached] can then serve [requested]
-    by re-filtering with {!matches}. *)
-
 val normalize : t -> t
 (** Canonical order: predicates sorted and de-duplicated within each
     alternative, alternatives sorted and de-duplicated. *)
-
-val to_key : t -> string
-(** Deterministic key for {!normalize}d constraints (cache keying). *)
 
 val equal : t -> t -> bool
 

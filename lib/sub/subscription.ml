@@ -11,19 +11,12 @@ type delta = {
 
 let delta_is_empty d = d.d_adds = [] && d.d_retracts = []
 
-let delta_tuples d = List.length d.d_adds + List.length d.d_retracts
-
-let pp_delta ppf d =
-  Fmt.pf ppf "[%s] +%d -%d" d.d_tag (List.length d.d_adds)
-    (List.length d.d_retracts)
-
 type t = {
   sub_id : string;
   query : Query.t;
   rels : string list;
   constraints : (string * Specialize.t) list;
   mutable answers : Row.Set.t;
-  mutable deltas_delivered : int;
 }
 
 let create ?(pushdown = false) ~sub_id query =
@@ -40,15 +33,7 @@ let create ?(pushdown = false) ~sub_id query =
             rels
         else []
       in
-      Ok
-        {
-          sub_id;
-          query;
-          rels;
-          constraints;
-          answers = Row.Set.empty;
-          deltas_delivered = 0;
-        }
+      Ok { sub_id; query; rels; constraints; answers = Row.Set.empty }
 
 let id t = t.sub_id
 
@@ -59,12 +44,6 @@ let reads t rel = List.exists (String.equal rel) t.rels
 let answers t = Row.Set.elements t.answers
 
 let answer_count t = Row.Set.cardinal t.answers
-
-let deltas_delivered t = t.deltas_delivered
-
-let note_delivered t = t.deltas_delivered <- t.deltas_delivered + 1
-
-let constraint_for t rel = List.assoc_opt rel t.constraints
 
 let prefilter t ~rel rows =
   match List.assoc_opt rel t.constraints with

@@ -35,11 +35,6 @@ type delta = {
 
 val delta_is_empty : delta -> bool
 
-val delta_tuples : delta -> int
-(** Adds plus retracts. *)
-
-val pp_delta : delta Fmt.t
-
 type t
 
 val create :
@@ -62,14 +57,6 @@ val answers : t -> Row.t list
 (** Current answer set, in {!Row.compare} order. *)
 
 val answer_count : t -> int
-
-val deltas_delivered : t -> int
-
-val note_delivered : t -> unit
-
-val constraint_for : t -> string -> Specialize.t option
-(** The prefilter registered for a body relation, if any ([Any]
-    constraints are never registered). *)
 
 val prefilter : t -> rel:string -> Row.t list -> Row.t list * int
 (** Keep only delta rows that can contribute through some atom over

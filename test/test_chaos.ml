@@ -242,7 +242,7 @@ let test_query_partial_answer_under_total_loss () =
 
 let test_partial_answers_never_cached () =
   let opts =
-    chaos_opts ~seed:4 ~drop:1.0 ~retries:0 ~base:{ Options.default with Options.query_cache = Options.Cache_containment } ()
+    chaos_opts ~seed:4 ~drop:1.0 ~retries:0 ~base:{ Options.default with Options.query_cache = true } ()
   in
   let sys = System.build_exn ~opts (chain 3) in
   let first = System.run_query sys ~at:"n0" (parse_query q_data) in
@@ -295,7 +295,7 @@ let test_crash_restart_recovers () =
   Alcotest.(check bool) "fix-point recovered" true (stores_equal baseline sys)
 
 let test_restart_bumps_cache_epoch () =
-  let sys = System.build_exn ~opts:{ Options.default with Options.query_cache = Options.Cache_containment } (chain 3) in
+  let sys = System.build_exn ~opts:{ Options.default with Options.query_cache = true } (chain 3) in
   (* warm the cache, then crash+restart n0, then ask again: the restart
      must have cleared the cache, so the second answer is recomputed *)
   let first = System.run_query sys ~at:"n0" (parse_query q_data) in

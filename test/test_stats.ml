@@ -187,7 +187,6 @@ let golden_snapshots () =
   qs.Stats.qs_complete <- false;
   qs.Stats.qs_pushed <- 209;
   qs.Stats.qs_filtered_at_source <- 210;
-  qs.Stats.qs_pushdown_hits <- 211;
   let ch = Stats.chaos st in
   ch.Stats.ch_retransmits <- 301;
   ch.Stats.ch_dup_suppressed <- 302;
@@ -230,11 +229,6 @@ let golden_snapshots () =
       entries = 509;
       stored_bytes = 510;
       epoch_bumps = 511;
-      rule_hits_exact = 512;
-      rule_hits_containment = 513;
-      rule_misses = 514;
-      rule_stores = 515;
-      rule_entries = 516;
     }
   in
   let quiet = Stats.create (Peer_id.of_string "n1") in
@@ -272,7 +266,7 @@ let test_printers_pinned () =
     results sent to: n3
     rule r_a: 120 msgs, 121 B, 122 tuples
     rule r_b: 117 msgs, 118 B, 119 tuples
-  qry:n0#4: 203 answers (204 certain) INCOMPLETE, 201 data msgs, 202 B in, 205 probes, 206 scans, zone chunks 207 visited (208 pruned), cache hit (containment), pushdown: 209 constrained sub-requests, 210 filtered at source, 211 rule-cache hits
+  qry:n0#4: 203 answers (204 certain) INCOMPLETE, 201 data msgs, 202 B in, 205 probes, 206 scans, zone chunks 207 visited (208 pruned), cache hit (containment), pushdown: 209 constrained sub-requests, 210 filtered at source
   cache: 501 exact + 502 containment hits, 503 misses, 504 stores, 505 invalidated, 507 evicted, 508 B served, 509 entries (510 B)
   transport: 301 retransmits, 302 dups suppressed, 303 give-ups, 304 sub-request timeouts, 305 partial answers, 306 forced terminations, 307 send drops, 308 recovered records, 309 replayed bytes, 310 refetched bytes
   subs: 401 registered (402 refused, 403 dropped), 404 deltas in (405 prefiltered), 406 deltas out in 407 msgs (+408 -409, 410 B), 412 probes, 413 scans, zone chunks 414 visited (415 pruned), 416 cache staled, 417 torn down, 418 re-armed
@@ -306,7 +300,6 @@ node n1 (consistent, 7 tuples)
   check "pp_pushdown_report" {|constraint pushdown for qry:n0#4:
   constrained sub-requests: 209
   tuples filtered at source: 210
-  rule-cache hits: 211
   answer traffic: 201 messages, 202 B|}
     Report.pp_pushdown_report
     (Option.get (Report.pushdown_report snaps qid));

@@ -226,7 +226,7 @@ let test_one_push_per_delta () =
 (* --- epoch agreement with the one-shot query cache -------------------- *)
 
 let test_cache_epoch_agreement_host () =
-  let opts = sub_opts ~base:{ Options.default with Options.query_cache = Options.Cache_containment } () in
+  let opts = sub_opts ~base:{ Options.default with Options.query_cache = true } () in
   let sys = System.build_exn ~opts (chain 2) in
   let n0 = System.node sys "n0" in
   let cache = Option.get n0.Node.cache in
@@ -263,7 +263,7 @@ let test_cache_epoch_agreement_host () =
     ((sub_stats sys "n0").Stats.sb_cache_staled > 0)
 
 let test_cache_epoch_agreement_subscriber () =
-  let base = { Options.default with Options.query_cache = Options.Cache_containment } in
+  let base = { Options.default with Options.query_cache = true } in
   let sys, _id = remote_pair ~base () in
   let n1 = System.node sys "n1" in
   let cache = Option.get n1.Node.cache in

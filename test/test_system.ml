@@ -236,26 +236,6 @@ let test_pushdown_filters_disjunction_at_source () =
   Alcotest.(check bool) "answer bytes shrink" true
     (push_pr.Report.pr_bytes_in < base_pr.Report.pr_bytes_in)
 
-let test_pushdown_rule_cache_serves_repeat () =
-  let params = { Topology.default_params with Topology.tuples_per_node = 20 } in
-  let opts =
-    { Codb_core.Options.default with
-      Codb_core.Options.pushdown = true;
-      query_cache = Codb_core.Options.Cache_containment }
-  in
-  let sys = System.build_exn ~opts (Topology.generate ~params ~seed:22 Topology.Chain ~n:3) in
-  let o1 = System.run_query sys ~at:"n0" (parse_query "o(y) <- data(3, y)") in
-  (* a same-constraint but non-isomorphic query: the root cache cannot
-     serve it, yet its sub-requests carry the same pushed constraints,
-     so the responder-side rule tables absorb the whole diffusion *)
-  let q2 = parse_query "pairs(y, z) <- data(3, y), data(3, z)" in
-  let o2 = System.run_query sys ~at:"n0" q2 in
-  Alcotest.(check bool) "both complete" true
-    (o1.System.qo_complete && o2.System.qo_complete);
-  let pr = Option.get (Report.pushdown_report (System.snapshots sys) o2.System.qo_id) in
-  Alcotest.(check bool) "rule cache served the repeat" true
-    (pr.Report.pr_rule_cache_hits > 0)
-
 module Trace = Codb_core.Trace
 
 let test_trace_records_protocol () =
@@ -329,6 +309,4 @@ let suite =
       test_pushdown_refutes_existential;
     Alcotest.test_case "pushdown filters disjunctions at source" `Quick
       test_pushdown_filters_disjunction_at_source;
-    Alcotest.test_case "pushdown rule cache serves repeats" `Quick
-      test_pushdown_rule_cache_serves_repeat;
   ]
