@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench experiments micro cache-bench chaos-bench chaos-bench-durable recovery-bench pushdown-bench scale-bench dict-bench e2e e2e-json e2e-toy-check examples clean
+.PHONY: all build test bench experiments micro chaos-bench chaos-bench-durable recovery-bench pushdown-bench scale-bench dict-bench e2e e2e-json e2e-toy-check examples clean
 
 all: build
 
@@ -19,9 +19,6 @@ experiments:
 
 micro:
 	dune exec bench/main.exe -- micro
-
-cache-bench:
-	dune exec bench/main.exe -- e9
 
 # fault-injection sweep (loss rate x retries)
 chaos-bench:

@@ -364,70 +364,6 @@ let e8 () =
       [ "variant"; "data msgs"; "bytes"; "dups"; "nulls"; "esink tuples"; "wall (ms)" ]
     (List.map row variants)
 
-(* E9 — Table 12: the semantic query-answer cache.  A repeated-query
-   workload at the head of a chain: the cold run pays the full
-   diffusion, warm runs must be answered from the cache (zero network
-   messages), a narrower query (extra comparison) is answered from
-   the cached superset by a containment hit, and a global update
-   invalidates everything through the epoch stamps so the next run
-   fetches again. *)
-let e9 () =
-  let p = params ~tuples:50 () in
-  let narrow_query =
-    match Parser.parse_query "ans(x, y) <- data(x, y), x > 100" with
-    | Ok q -> q
-    | Error e -> failwith e
-  in
-  let variants =
-    [
-      ("no cache", Options.default);
-      ("cache + containment", { Options.default with Options.query_cache = true });
-    ]
-  in
-  let row (name, opts) =
-    let sys =
-      System.build_exn ~opts (Topology.generate ~params:p ~seed:900 Topology.Chain ~n:8)
-    in
-    let run_q q =
-      let before = (Network.counters (System.net sys)).Network.delivered in
-      ignore (System.run_query sys ~at:"n0" q);
-      (Network.counters (System.net sys)).Network.delivered - before
-    in
-    let cold = run_q data_query in
-    let warm = run_q data_query + run_q data_query in
-    let narrow = run_q narrow_query in
-    ignore (System.run_update sys ~initiator:"n0");
-    let post_update = run_q data_query in
-    let ratio =
-      let rows = Report.cache_report (System.snapshots sys) in
-      match
-        List.find_opt
-          (fun r -> String.equal (Codb_net.Peer_id.to_string r.Report.cr_node) "n0")
-          rows
-      with
-      | Some r -> Tables.f2 r.Report.cr_ratio
-      | None -> "-"
-    in
-    [
-      name;
-      Tables.i0 cold;
-      Tables.i0 warm;
-      Tables.i0 narrow;
-      Tables.i0 post_update;
-      ratio;
-    ]
-  in
-  Tables.print
-    ~title:
-      "E9 (Table 12) - query-answer cache ablation (chain N=8, 50 tuples/node, query \
-       at head)"
-    ~header:
-      [
-        "variant"; "cold msgs"; "2 warm runs msgs"; "narrow query msgs";
-        "post-update msgs"; "hit ratio @n0";
-      ]
-    (List.map row variants)
-
 (* E11 — Table 9: three ways to get an answer at one node — query-time
    fetch (overlays, simple paths), query-dependent (scoped) update,
    full global update — compared on the same workload.  The scoped
@@ -589,7 +525,7 @@ let e13 () =
 let e14 = Planner_bench.run
 
 let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-            ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
+            ("e7", e7); ("e8", e8); ("e10", e10); ("e11", e11);
             ("e12", e12); ("e13", e13); ("e14", e14) ]
 
 let run names =

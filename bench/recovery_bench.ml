@@ -35,9 +35,11 @@ type workload = {
   wl_domain : int;
   wl_skew : float;
   wl_crash_at : float;
-      (* roughly mid-update for this chain (E2: chain 4 completes at
-         ~0.010s sim, chain 8 at ~0.022s) so the crash interrupts a
-         live data flow, with real state both committed and in flight *)
+      (* the crash must find the victim with real state both committed
+         and in flight.  Full run, read off a traced fault-free run of
+         the same scenario: n4 commits its one import (n5's batch) at
+         0.0125 s and its own batch is on the wire to n3 until
+         0.0145 s; the crash falls midway (EXPERIMENTS E21). *)
 }
 
 let workload ~tiny =
@@ -46,7 +48,7 @@ let workload ~tiny =
       wl_crash_at = 0.0045 }
   else
     { wl_nodes = 8; wl_tuples = 50; wl_domain = 50; wl_skew = 1.0;
-      wl_crash_at = 0.01 }
+      wl_crash_at = 0.0135 }
 
 let config ~seed wl =
   let params =

@@ -6,7 +6,6 @@
      update    run a global update and print the super-peer report
      query     answer a conjunctive query at a node
      explain   print the cost-based evaluation plan for a query
-     cache     exercise the query-answer cache on a repeated workload
      wire      run a global update and report its wire behaviour
      chaos     run under a deterministic fault plan and report resilience
      sub       register a standing query and watch its answer deltas live
@@ -127,7 +126,11 @@ let update_cmd file initiator verbose show_trace =
   (match trace with
   | Some t -> Fmt.pr "@.protocol trace:@.%a@." Codb_core.Trace.pp t
   | None -> ());
-  0
+  if System.quiescent sys then 0
+  else begin
+    prerr_endline Shell.cut_message;
+    1
+  end
 
 (* --- query --------------------------------------------------------- *)
 
@@ -144,9 +147,8 @@ let query_or_die sys ~at text =
   let q = parse_query_or_die text in
   or_die (Result.map (fun () -> q) (Codb_core.Node.check_query (System.node sys at) q))
 
-let query_cmd file at text after_update scoped certain_only use_cache pushdown
-    repeat =
-  let opts = { Options.default with Options.query_cache = use_cache; pushdown } in
+let query_cmd file at text after_update scoped certain_only pushdown =
+  let opts = { Options.default with Options.pushdown } in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
   let q = query_or_die sys ~at text in
@@ -160,11 +162,7 @@ let query_cmd file at text after_update scoped certain_only use_cache pushdown
       System.local_answers sys ~at q
     end
     else begin
-      let outcome = ref (System.run_query sys ~at q) in
-      for _ = 2 to max 1 repeat do
-        outcome := System.run_query sys ~at q
-      done;
-      let outcome = !outcome in
+      let outcome = System.run_query sys ~at q in
       Fmt.pr "(fetched with %d data messages, %.4fs simulated)@."
         outcome.System.qo_data_msgs
         (outcome.System.qo_finished -. outcome.System.qo_started);
@@ -178,7 +176,6 @@ let query_cmd file at text after_update scoped certain_only use_cache pushdown
   let answers = if certain_only then Codb_cq.Eval.certain answers else answers in
   List.iter (fun t -> Fmt.pr "%a@." Tuple.pp t) answers;
   Fmt.pr "%d answer(s)@." (List.length answers);
-  if use_cache then Fmt.pr "%a@." Report.pp_cache_report (Report.cache_report (System.snapshots sys));
   0
 
 (* --- explain ------------------------------------------------------- *)
@@ -195,33 +192,6 @@ let explain_cmd file at text max_probe_cols pushdown =
         Fmt.pr "push to %s: %a@." rel Codb_cq.Specialize.pp
           (Codb_cq.Specialize.of_query q ~rel))
       (Codb_cq.Query.body_relations q);
-  0
-
-(* --- cache --------------------------------------------------------- *)
-
-let cache_cmd file at text repeat update_between =
-  let opts = { Options.default with Options.query_cache = true } in
-  let sys = or_die (load_system ~opts file) in
-  let at = node_or_die sys at in
-  let q = query_or_die sys ~at text in
-  for i = 1 to max 1 repeat do
-    let before = (Codb_net.Network.counters (System.net sys)).Codb_net.Network.delivered in
-    let outcome = System.run_query sys ~at q in
-    let after = (Codb_net.Network.counters (System.net sys)).Codb_net.Network.delivered in
-    Fmt.pr "run %d: %d answer(s), %d data message(s), %d network message(s), %.4fs@." i
-      (List.length outcome.System.qo_answers)
-      outcome.System.qo_data_msgs (after - before)
-      (outcome.System.qo_finished -. outcome.System.qo_started);
-    if update_between && i < repeat then begin
-      let _ = System.run_update sys ~initiator:at in
-      Fmt.pr "run %d: global update committed (caches invalidated)@." i
-    end
-  done;
-  Fmt.pr "%a@." Report.pp_cache_report (Report.cache_report (System.snapshots sys));
-  let c = Codb_net.Network.counters (System.net sys) in
-  Fmt.pr "network: %d delivered, %d dropped, %d B carried, %d B dropped@."
-    c.Codb_net.Network.delivered c.Codb_net.Network.dropped
-    c.Codb_net.Network.total_bytes c.Codb_net.Network.dropped_bytes;
   0
 
 (* --- wire ---------------------------------------------------------- *)
@@ -611,14 +581,6 @@ let query_t =
   let certain =
     Arg.(value & flag & info [ "certain" ] ~doc:"Print only null-free answers.")
   in
-  let use_cache =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Enable the per-node semantic query-answer cache (and print its report \
-             afterwards).")
-  in
   let pushdown =
     Arg.(
       value & flag
@@ -627,16 +589,10 @@ let query_t =
             "Push the query's constraints into neighbour sub-requests so sources \
              withhold irrelevant tuples (and print the pushdown report afterwards).")
   in
-  let repeat =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ] ~docv:"N"
-          ~doc:"Pose the query N times (interesting with $(b,--cache)).")
-  in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
       const query_cmd $ file_arg $ at $ text $ after_update $ scoped $ certain
-      $ use_cache $ pushdown $ repeat)
+      $ pushdown)
 
 let explain_t =
   let doc = "Print the cost-based evaluation plan chosen for a query." in
@@ -669,29 +625,6 @@ let explain_t =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
       const explain_cmd $ file_arg $ at $ text $ max_probe_cols $ pushdown)
-
-let cache_t =
-  let doc = "Exercise the query-answer cache on a repeated workload." in
-  let at =
-    Arg.(required & opt (some string) None & info [ "at" ] ~doc:"Node to query.")
-  in
-  let text =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"e.g. \"ans(x) <- r(x, y)\".")
-  in
-  let repeat =
-    Arg.(value & opt int 3 & info [ "repeat" ] ~docv:"N" ~doc:"Number of runs.")
-  in
-  let update_between =
-    Arg.(
-      value & flag
-      & info [ "update-between" ]
-          ~doc:"Run a global update between runs (shows epoch invalidation).")
-  in
-  Cmd.v (Cmd.info "cache" ~doc)
-    Term.(const cache_cmd $ file_arg $ at $ text $ repeat $ update_between)
 
 let wire_t =
   let doc = "Run a global update and report its wire behaviour." in
@@ -954,8 +887,7 @@ let load_cmd file dir query at =
 
 let shell_cmd file =
   let sys = or_die (load_system file) in
-  Shell.run sys;
-  0
+  Shell.run sys
 
 let shell_t =
   let doc = "Interactive shell on a network (the demo's node UI)." in
@@ -999,7 +931,7 @@ let main =
   Cmd.group
     (Cmd.info "codb" ~version:"1.0.0" ~doc)
     [
-      validate_t; generate_t; update_t; query_t; explain_t; cache_t; wire_t;
+      validate_t; generate_t; update_t; query_t; explain_t; wire_t;
       chaos_t; recover_t; sub_t; discover_t; info_t; analyse_t; shell_t; dump_t;
       load_t;
     ]

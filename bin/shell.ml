@@ -85,6 +85,10 @@ let cmd_query sys rest ~scoped =
                     (outcome.System.qo_finished -. outcome.System.qo_started)
                     outcome.System.qo_data_msgs))
 
+let cut_message =
+  "update cut at the event bound: the fix-point was not reached (the rule set may \
+   not terminate)"
+
 let cmd_update sys at =
   if at = "" || String.contains at ' ' then Fmt.pr "usage: update <node>@."
   else
@@ -203,12 +207,12 @@ let run sys =
   let rec loop () =
     Fmt.pr "codb> %!";
     match In_channel.input_line stdin with
-    | None -> ()
+    | None -> 0
     | Some line -> (
         let line = String.trim line in
         match split_command line with
         | "", _ -> loop ()
-        | ("quit" | "exit"), "" -> ()
+        | ("quit" | "exit"), "" -> 0
         | ("quit" | "exit") as name, _ ->
             Fmt.pr "usage: %s@." name;
             loop ()
@@ -223,7 +227,13 @@ let run sys =
             loop ()
         | "update", at ->
             cmd_update sys (String.trim at);
-            loop ()
+            (* a cut run leaves its events queued, and every later
+               command would resume the divergent update: end here *)
+            if System.quiescent sys then loop ()
+            else begin
+              prerr_endline cut_message;
+              1
+            end
         | "insert", rest ->
             cmd_insert sys rest;
             loop ()

@@ -29,9 +29,7 @@ let rec dispatch (rt : Runtime.t) ~src ~bytes payload =
   | Payload.Stats_request ->
       let node = rt.Runtime.node in
       let stats =
-        Stats.snapshot
-          ~store_tuples:(Database.cardinal node.Node.store)
-          ?cache:(Node.cache_snapshot node) node.Node.stats
+        Stats.snapshot ~store_tuples:(Database.cardinal node.Node.store) node.Node.stats
       in
       ignore (Reliable.send_noted rt ~dst:src (Payload.Stats_response { stats }))
   | Payload.Stats_response _ ->

@@ -20,7 +20,6 @@ type t = {
   mutable rules_version : int;
   mutable known_peers : Peer_id.Set.t;
   seen_probes : (string, unit) Hashtbl.t;
-  mutable cache : Codb_cache.Qcache.t option;
   mutable relay : Relay.t option;
   mutable subs : Codb_sub.Registry.t option;
   sub_mirrors : (string, Codb_sub.Mirror.t) Hashtbl.t;
@@ -53,7 +52,6 @@ let create decl =
     rules_version = 0;
     known_peers = Peer_id.Set.empty;
     seen_probes = Hashtbl.create 8;
-    cache = None;
     relay = None;
     subs = None;
     sub_mirrors = Hashtbl.create 4;
@@ -83,19 +81,6 @@ let fresh_serial node =
 let fresh_ref node =
   String.concat "" [ Peer_id.to_string node.node_id; "/"; string_of_int (fresh_serial node) ]
 
-(* Bounds of the per-node query cache: cached queries and answer
-   bytes. *)
-let cache_capacity = 128
-let cache_max_bytes = 4 * 1024 * 1024
-
-let configure_cache node (opts : Options.t) =
-  node.cache <-
-    (if opts.Options.query_cache then
-       Some
-         (Codb_cache.Qcache.create ~max_entries:cache_capacity
-            ~max_bytes:cache_max_bytes ())
-     else None)
-
 let max_subscriptions = 64
 
 let configure_subs node (opts : Options.t) =
@@ -122,10 +107,7 @@ let set_rules node ~outgoing ~incoming =
   in
   let peers = List.fold_left add (List.fold_left add [] outgoing) incoming in
   node.acquaintances <- List.sort Peer_id.compare peers;
-  Watermark.clear node.watermarks;
-  (* acquaintances and rule bodies changed: cached answers may rest on
-     rules that no longer exist *)
-  Option.iter Codb_cache.Qcache.clear node.cache
+  Watermark.clear node.watermarks
 
 let check_query node query =
   let arity_mismatch (atom : Codb_cq.Atom.t) =
@@ -155,13 +137,6 @@ let check_query node query =
            (if List.length missing = 1 then "" else "s")
            (String.concat ", " missing))
 
-let cache_snapshot node = Option.map Codb_cache.Qcache.counters node.cache
-
-let note_local_write node =
-  Option.iter
-    (fun cache -> ignore (Codb_cache.Qcache.note_update cache [ node.node_id ]))
-    node.cache
-
 let find_rule rules id = List.find_opt (fun r -> String.equal r.Config.rule_id id) rules
 
 let rule_out node id = find_rule node.outgoing id
@@ -182,8 +157,8 @@ let add_update_state node (st : Update_state.t) =
 let explain node ~rel tuple = Lineage.origin_of ~store:node.store node.lineage ~rel tuple
 
 (* A crash loses everything held in memory by the protocol layer:
-   in-flight update and query instances, diffusion bookkeeping, probe
-   dedup, cached answers.  The store, lineage and transport go too, but
+   in-flight update and query instances, diffusion bookkeeping and probe
+   dedup.  The store, lineage and transport go too, but
    not here: {!System.crash_node} resets them with [reset_store] and by
    dropping the relay, and the restart decides what comes back. *)
 let reset_volatile node =
@@ -193,7 +168,6 @@ let reset_volatile node =
   Hashtbl.reset node.sub_refs;
   Hashtbl.reset node.seen_probes;
   Option.iter Relay.abandon node.relay;
-  Option.iter Codb_cache.Qcache.clear node.cache;
   (* subscription state is volatile too: hosted registrations and the
      mirrors of this node's own remote subscriptions die with the
      process.  Subscribers re-arm against the restarted host

@@ -43,9 +43,6 @@ type t = {
   mutable known_peers : Peer_id.Set.t;  (** filled by discovery *)
   seen_probes : (string, unit) Hashtbl.t;
       (** discovery probes already forwarded *)
-  mutable cache : Codb_cache.Qcache.t option;
-      (** the semantic query-answer cache; [None] unless
-          [Options.query_cache] *)
   mutable relay : Relay.t option;
       (** reliable-transport state; [None] unless {!Options.reliable}
           (set by {!System.install_node}; stub runtimes in tests leave
@@ -89,16 +86,6 @@ val fresh_ref : t -> string
 (** A request reference unique across the network
     ([<node>/<serial>]). *)
 
-val cache_capacity : int
-val cache_max_bytes : int
-(** The bounds of a node's query-answer cache: cached queries, and
-    bytes of cached answers. *)
-
-val configure_cache : t -> Options.t -> unit
-(** Install (or remove) the query-answer cache according to
-    [Options.query_cache], bounded by {!cache_capacity} and
-    {!cache_max_bytes}; called once per node by {!System.build}. *)
-
 val max_subscriptions : int
 (** Subscriptions a node hosts; registration beyond it is refused
     with a reason, locally and over the wire. *)
@@ -118,21 +105,11 @@ val check_query : t -> Codb_cq.Query.t -> (unit, string) result
     atom whose arity differs from its relation's, or else says why the
     query is ill-formed (existential head, unsafe comparison). *)
 
-val cache_snapshot : t -> Codb_cache.Qcache.counters option
-(** The cache counters for a statistics snapshot ([None] when caching
-    is off). *)
-
-val note_local_write : t -> unit
-(** Bump this node's own epoch after a direct store mutation that
-    bypassed the update protocol (fact insertion, store import), so
-    cached answers that depended on the old contents are dropped. *)
-
 val set_rules :
   t -> outgoing:Config.rule_decl list -> incoming:Config.rule_decl list -> unit
 (** Replace the coordination rules and recompute [acquaintances].
-    Clears the query-answer cache (cached answers may rest on rules
-    that no longer exist) and the watermarks (the links they describe
-    may have changed). *)
+    Clears the watermarks (the links they describe may have
+    changed). *)
 
 val rule_out : t -> string -> Config.rule_decl option
 (** Find one of this node's outgoing rules by id. *)
@@ -151,7 +128,7 @@ val explain : t -> rel:string -> Codb_relalg.Tuple.t -> Lineage.origin option
 
 val reset_volatile : t -> unit
 (** A crash: drop in-flight update/query instances, the watermarks,
-    sub-request bookkeeping, probe dedup, cached answers, hosted
+    sub-request bookkeeping, probe dedup, hosted
     subscriptions, remote-subscription mirrors and buffered answer
     deltas (counted in [Stats.sub.sb_torn_down]); settle the relay's
     in-flight frames.

@@ -9,7 +9,6 @@ type t = {
   naive_delta : bool;
   latency : float;
   byte_cost : float;
-  query_cache : bool;
   pushdown : bool;
   fault_seed : int;
   drop_prob : float;
@@ -33,7 +32,6 @@ let default =
     naive_delta = false;
     latency = 0.001;
     byte_cost = 0.000001;
-    query_cache = false;
     pushdown = false;
     fault_seed = 0;
     drop_prob = 0.0;

@@ -1,7 +1,7 @@
 (** Tunable behaviour of the coDB algorithms.
 
     The defaults implement the paper; the switches exist for the
-    ablation experiments (E7/E8/E9/E17 in DESIGN.md) and for the
+    ablation experiments (E7/E8/E17 in DESIGN.md) and for the
     simulated link, fault plan and durability a run is measured under.
     Disabling duplicate suppression on a cyclic network with
     existential head variables can make the fix-point diverge — that
@@ -10,8 +10,8 @@
 
     Only settings some caller varies are fields.  Bounds no caller
     varies are named constants in the module that reads them: the
-    query cache's capacity ({!Node}), the subscription cap per node
-    ({!Node}) and the WAL snapshot interval ({!Durable}).
+    subscription cap per node ({!Node}) and the WAL snapshot interval
+    ({!Durable}).
 
     Two things are deliberately not switchable.  Every message is
     sized by its link frame: the compact codec with one incremental
@@ -42,11 +42,6 @@ type t = {
           semi-naively on the delta (ablation baseline) *)
   latency : float;  (** pipe latency, seconds *)
   byte_cost : float;  (** pipe transfer cost, seconds per byte *)
-  query_cache : bool;
-      (** nodes cache the answers of their own completed queries
-          ({!Codb_cache.Qcache}) and serve exact and containment hits
-          from them (the E9 ablation switch).  Off by default: the
-          paper's query-time behaviour *)
   pushdown : bool;
       (** push the requester's constant bindings, repeated-variable
           equalities and comparisons into query-time sub-requests
@@ -123,13 +118,10 @@ val rto : t -> int -> float
 (** Retransmission timeout before the [n]-th retry:
     [ack_timeout * 2^n], growth capped at 64x. *)
 
-val retry_span : t -> float
-(** Total time the transport keeps trying one message:
-    sum of {!rto} over attempts [0..max_retries]. *)
-
 val failure_deadline : t -> float
-(** {!retry_span} plus grace: after this long without completion a
-    sub-request is declared failed (partial-answer deadline, stalled
-    update watchdog window).  Floored at a small constant so the
+(** The total time the transport keeps trying one message (the sum of
+    {!rto} over attempts [0..max_retries]) plus grace: after this long
+    without completion a sub-request is declared failed (partial-answer
+    deadline, stalled update watchdog window).  Floored at a small constant so the
     watchdog still works under fire-and-forget transport
     ([ack_timeout = 0]) with faults injected. *)

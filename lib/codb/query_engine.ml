@@ -41,13 +41,6 @@ let complete_root rt (st : Q.t) query set_result =
   in
   set_result answers;
   Q.close st;
-  (* a partial answer is a lower bound, not the query's answer: caching
-     it would keep serving the hole long after the network healed *)
-  (match rt.Runtime.node.Node.cache with
-  | Some cache when st.Q.qst_complete ->
-      Codb_cache.Qcache.store cache query answers
-        ~sources:(me rt :: st.Q.qst_contacted)
-  | Some _ | None -> ());
   let qs = qstat rt st.Q.qst_query in
   qs.Stats.qs_finished <- Some (rt.Runtime.now ());
   qs.Stats.qs_answers <- List.length answers;
@@ -140,7 +133,6 @@ let fan_out rt (st : Q.t) ~query ~rels ~label =
           qs.Stats.qs_pushed <- qs.Stats.qs_pushed + 1
         end;
         Q.add_pending st ~ref_:sub_ref ~rule:o.Config.rule_id;
-        Q.note_contacted st target;
         Hashtbl.replace rt.Runtime.node.Node.sub_refs sub_ref st.Q.qst_ref;
         (* also under fire-and-forget transport when faults are being
            injected: a silently dropped request or completion signal
@@ -184,59 +176,28 @@ let start ?on_answer rt qid query =
   (match Node.check_query rt.Runtime.node query with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Query_engine.start: " ^ reason));
-  let qs = qstat rt qid in
+  (* the query's clock starts here *)
+  ignore (qstat rt qid);
   let root_ref = "root:" ^ Ids.string_of_query qid in
-  let cache_hit =
-    match rt.Runtime.node.Node.cache with
-    | None -> None
-    | Some cache -> Codb_cache.Qcache.lookup cache query
+  let overlay = Database.copy rt.Runtime.node.Node.store in
+  let st =
+    Q.create ~query_id:qid ~ref_:root_ref
+      ~kind:(Q.Root { query; result = None; streamed = Row.Set.empty; on_answer })
+      ~overlay
   in
-  match cache_hit with
-  | Some { Codb_cache.Qcache.answers; kind } ->
-      (* answered entirely from the cache: no diffusion, the root
-         instance is born closed *)
-      let streamed = notify_fresh ~on_answer ~streamed:Row.Set.empty answers in
-      let st =
-        Q.create ~query_id:qid ~ref_:root_ref
-          ~kind:(Q.Root { query; result = Some answers; streamed; on_answer })
-          ~overlay:(Database.create [])
-      in
-      Q.close st;
-      Hashtbl.replace rt.Runtime.node.Node.query_instances root_ref st;
-      qs.Stats.qs_finished <- Some (rt.Runtime.now ());
-      qs.Stats.qs_answers <- List.length answers;
-      qs.Stats.qs_certain <- certain_count answers;
-      qs.Stats.qs_cache <-
-        (match kind with
-        | Codb_cache.Qcache.Exact -> Stats.Cache_hit_exact
-        | Codb_cache.Qcache.By_containment -> Stats.Cache_hit_containment);
-      root_ref
-  | None ->
-      if Option.is_some rt.Runtime.node.Node.cache then
-        qs.Stats.qs_cache <- Stats.Cache_miss;
-      let overlay = Database.copy rt.Runtime.node.Node.store in
-      let st =
-        Q.create ~query_id:qid ~ref_:root_ref
-          ~kind:
-            (Q.Root { query; result = None; streamed = Row.Set.empty; on_answer })
-          ~overlay
-      in
-      Hashtbl.replace rt.Runtime.node.Node.query_instances root_ref st;
-      (* stream the locally available answers right away, if anyone
-         listens; completion evaluates the overlay either way *)
-      (match (st.Q.qst_kind, on_answer) with
-      | Q.Root root, Some _ ->
-          let local =
-            with_counters rt qid (fun () ->
-                Wrapper.user_answers overlay query)
-          in
-          root.streamed <- notify_fresh ~on_answer ~streamed:root.streamed local
-      | Q.Root _, None | Q.Responder _, _ -> ());
-      fan_out rt st
-        ~query:(if rt.Runtime.opts.Options.pushdown then Some query else None)
-        ~rels:(Query.body_relations query) ~label:[ me rt ];
-      check_completion rt st;
-      root_ref
+  Hashtbl.replace rt.Runtime.node.Node.query_instances root_ref st;
+  (* stream the locally available answers right away, if anyone
+     listens; completion evaluates the overlay either way *)
+  (match (st.Q.qst_kind, on_answer) with
+  | Q.Root root, Some _ ->
+      let local = with_counters rt qid (fun () -> Wrapper.user_answers overlay query) in
+      root.streamed <- notify_fresh ~on_answer ~streamed:root.streamed local
+  | Q.Root _, None | Q.Responder _, _ -> ());
+  fan_out rt st
+    ~query:(if rt.Runtime.opts.Options.pushdown then Some query else None)
+    ~rels:(Query.body_relations query) ~label:[ me rt ];
+  check_completion rt st;
+  root_ref
 
 (* The query the responder actually evaluates: the rule's body with
    the pushed constraints folded in where sound ([`Unchanged] when

@@ -31,7 +31,6 @@ type t = {
   mutable qst_pending : pending list;
   qst_sent : Sent_filter.t;
   mutable qst_closed : bool;
-  mutable qst_contacted : Peer_id.t list;
   mutable qst_complete : bool;
   mutable qst_unacked : int;
 }
@@ -45,7 +44,6 @@ let create ~query_id ~ref_ ~kind ~overlay =
     qst_pending = [];
     qst_sent = Sent_filter.create ~size:1 ();
     qst_closed = false;
-    qst_contacted = [];
     qst_complete = true;
     qst_unacked = 0;
   }
@@ -57,10 +55,6 @@ let add_pending st ~ref_ ~rule =
 
 let find_pending st ref_ =
   List.find_opt (fun p -> String.equal p.p_ref ref_) st.qst_pending
-
-let note_contacted st peer =
-  if not (List.mem peer st.qst_contacted) then
-    st.qst_contacted <- peer :: st.qst_contacted
 
 let mark_done st ~ref_ =
   List.iter (fun p -> if String.equal p.p_ref ref_ then p.p_done <- true) st.qst_pending

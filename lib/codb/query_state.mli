@@ -60,13 +60,10 @@ type t = {
   qst_sent : Sent_filter.t;
       (** responder: the packed rows already sent upstream *)
   mutable qst_closed : bool;
-  mutable qst_contacted : Peer_id.t list;
-      (** acquaintances we sent sub-requests to; on a root instance
-          these are the cache-stamp sources besides the node itself *)
   mutable qst_complete : bool;
       (** no sub-request failed below us (transitively); a responder
           forwards this in [Query_done], the root records it on the
-          query outcome.  Partial answers are never cached. *)
+          query outcome *)
   mutable qst_unacked : int;
       (** responder: [Query_data] messages whose transport fate is
           unknown; completion waits for zero so [Query_done] cannot
@@ -77,8 +74,6 @@ val create :
   query_id:Ids.query_id -> ref_:string -> kind:kind -> overlay:Database.t -> t
 
 val add_pending : t -> ref_:string -> rule:string -> unit
-
-val note_contacted : t -> Peer_id.t -> unit
 
 val find_pending : t -> string -> pending option
 

@@ -16,7 +16,6 @@ type update_report = {
   ur_scans : int;
   ur_zvisited : int;
   ur_zpruned : int;
-  ur_cache_staled : int;
   ur_per_rule : (string * Stats.rule_traffic) list;
 }
 
@@ -79,7 +78,6 @@ let update_report snapshots update_id =
           ur_scans = sum (fun u -> u.us_eval.scans);
           ur_zvisited = sum (fun u -> u.us_eval.zone_visited);
           ur_zpruned = sum (fun u -> u.us_eval.zone_pruned);
-          ur_cache_staled = sum (fun u -> u.us_cache_staled);
           ur_per_rule = merge_per_rule relevant;
         }
 
@@ -121,51 +119,8 @@ let pp_wire_report ppf r =
   Fmt.pf ppf
     "@[<v 2>wire behaviour of %a:@,\
      data messages: %d@,\
-     data volume: %d B@,\
-     query-cache entries staled: %d@]"
-    Ids.pp_update r.ur_update r.ur_data_msgs r.ur_bytes r.ur_cache_staled
-
-type cache_report_row = {
-  cr_node : Codb_net.Peer_id.t;
-  cr_hits : int;
-  cr_misses : int;
-  cr_ratio : float;
-  cr_bytes_served : int;
-  cr_invalidations : int;
-  cr_entries : int;
-}
-
-let cache_report snapshots =
-  let row snap =
-    Option.map
-      (fun (c : Codb_cache.Qcache.counters) ->
-        {
-          cr_node = snap.Stats.snap_node;
-          cr_hits = c.hits_exact + c.hits_containment;
-          cr_misses = c.misses;
-          cr_ratio = Codb_cache.Qcache.hit_ratio c;
-          cr_bytes_served = c.bytes_served;
-          cr_invalidations = c.epoch_invalidations;
-          cr_entries = c.entries;
-        })
-      snap.Stats.snap_cache
-  in
-  List.filter_map row snapshots
-
-let pp_cache_report ppf rows =
-  match rows with
-  | [] -> Fmt.string ppf "query cache: disabled"
-  | rows ->
-      Fmt.pf ppf "@[<v 2>query cache:%a@]"
-        Fmt.(
-          list ~sep:nop (fun ppf r ->
-              Fmt.pf ppf
-                "@,node %-12s %4d hits %4d misses  ratio %.2f  %8d B served  \
-                 %4d invalidated  %4d entries"
-                (Codb_net.Peer_id.to_string r.cr_node)
-                r.cr_hits r.cr_misses r.cr_ratio r.cr_bytes_served r.cr_invalidations
-                r.cr_entries))
-        rows
+     data volume: %d B@]"
+    Ids.pp_update r.ur_update r.ur_data_msgs r.ur_bytes
 
 type pushdown_report = {
   pr_query : Ids.query_id;
@@ -220,7 +175,6 @@ type sub_report = {
   sr_scans : int;
   sr_zvisited : int;
   sr_zpruned : int;
-  sr_cache_staled : int;
   sr_torn_down : int;
   sr_rearmed : int;
   sr_bytes_per_answer : float;
@@ -245,7 +199,6 @@ let sub_report snapshots =
     sr_scans = sum (fun x -> x.sb_eval.scans);
     sr_zvisited = sum (fun x -> x.sb_eval.zone_visited);
     sr_zpruned = sum (fun x -> x.sb_eval.zone_pruned);
-    sr_cache_staled = sum (fun x -> x.sb_cache_staled);
     sr_torn_down = sum (fun x -> x.sb_torn_down);
     sr_rearmed = sum (fun x -> x.sb_rearmed);
     sr_bytes_per_answer =
@@ -260,15 +213,13 @@ let pp_sub_report ppf r =
      store deltas consumed: %d (%d tuples prefiltered at source)@,\
      answer deltas delivered: %d (%d adds, %d retracts)@,\
      push traffic: %d messages, %d B (%.1f B/answer)@,\
-     evaluator work: %d probes, %d scans%s@,\
-     cache entries staled by pushes: %d@]"
+     evaluator work: %d probes, %d scans%s@]"
     r.sr_registered r.sr_rejected r.sr_torn_down r.sr_rearmed r.sr_deltas_in
     r.sr_prefiltered r.sr_deltas_out r.sr_adds r.sr_retracts
     r.sr_push_msgs r.sr_bytes r.sr_bytes_per_answer r.sr_probes r.sr_scans
     (if r.sr_zvisited = 0 && r.sr_zpruned = 0 then ""
      else
        Fmt.str ", zone chunks %d visited (%d pruned)" r.sr_zvisited r.sr_zpruned)
-    r.sr_cache_staled
 
 let pp_network ppf snapshots =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut Stats.pp_snapshot) snapshots

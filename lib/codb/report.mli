@@ -21,7 +21,6 @@ type update_report = {
   ur_scans : int;
   ur_zvisited : int;  (** zone-map chunks consulted network-wide *)
   ur_zpruned : int;  (** zone-map chunks skipped network-wide *)
-  ur_cache_staled : int;  (** query-cache entries staled at finalize *)
   ur_per_rule : (string * Stats.rule_traffic) list;
       (** summed per rule id, in rule-id order *)
 }
@@ -37,28 +36,8 @@ val pp_update_report : update_report Fmt.t
 (** {1 Wire behaviour} *)
 
 val pp_wire_report : update_report Fmt.t
-(** The propagation-layer view of one update: data messages, data
-    volume and the cache churn the flood caused — what the [wire] CLI
-    surface reports. *)
-
-(** {1 Cache effectiveness} *)
-
-type cache_report_row = {
-  cr_node : Codb_net.Peer_id.t;
-  cr_hits : int;  (** exact + containment *)
-  cr_misses : int;
-  cr_ratio : float;  (** hits / lookups, 0 with no lookups *)
-  cr_bytes_served : int;
-  cr_invalidations : int;
-  cr_entries : int;  (** live entries at snapshot time *)
-}
-
-val cache_report : Stats.snapshot list -> cache_report_row list
-(** One row per node whose snapshot carries cache counters (i.e. per
-    node with caching enabled); empty when caching is off
-    network-wide. *)
-
-val pp_cache_report : cache_report_row list Fmt.t
+(** The propagation-layer view of one update: data messages and data
+    volume — what the [wire] CLI surface reports. *)
 
 (** {1 Constraint pushdown} *)
 
@@ -96,7 +75,6 @@ type sub_report = {
   sr_scans : int;
   sr_zvisited : int;  (** zone-map chunks consulted during maintenance *)
   sr_zpruned : int;  (** zone-map chunks skipped during maintenance *)
-  sr_cache_staled : int;  (** query-cache entries staled by deliveries *)
   sr_torn_down : int;  (** subscriptions/mirrors lost to crashes *)
   sr_rearmed : int;  (** mirrors re-registered after a host restart *)
   sr_bytes_per_answer : float;  (** bytes / (adds + retracts), 0 if none *)

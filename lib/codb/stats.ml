@@ -18,14 +18,11 @@ type update_stat = {
   mutable us_nulls_created : int;
   mutable us_max_hops : int;
   us_eval : Codb_cq.Eval.counters;
-  mutable us_cache_staled : int;
   mutable us_forced : bool;
   us_per_rule : (string, rule_traffic) Hashtbl.t;
   mutable us_queried : Peer_id.t list;
   mutable us_sent_to : Peer_id.t list;
 }
-
-type cache_outcome = Cache_unused | Cache_miss | Cache_hit_exact | Cache_hit_containment
 
 type query_stat = {
   qs_query : Ids.query_id;
@@ -35,7 +32,6 @@ type query_stat = {
   mutable qs_bytes_in : int;
   mutable qs_answers : int;
   mutable qs_certain : int;
-  mutable qs_cache : cache_outcome;
   qs_eval : Codb_cq.Eval.counters;
   mutable qs_complete : bool;
   mutable qs_pushed : int;
@@ -54,7 +50,6 @@ type sub_counters = {
   mutable sb_retracts : int;
   mutable sb_bytes : int;
   sb_eval : Codb_cq.Eval.counters;
-  mutable sb_cache_staled : int;
   mutable sb_torn_down : int;
   mutable sb_rearmed : int;
 }
@@ -108,7 +103,6 @@ let zero_sub () =
     sb_retracts = 0;
     sb_bytes = 0;
     sb_eval = Codb_cq.Eval.zero_counters ();
-    sb_cache_staled = 0;
     sb_torn_down = 0;
     sb_rearmed = 0;
   }
@@ -166,8 +160,6 @@ let note_recovery st ~records ~replayed_bytes =
 let note_refetched st bytes =
   st.st_chaos.ch_refetched_bytes <- st.st_chaos.ch_refetched_bytes + bytes
 
-let owner st = st.st_owner
-
 (* [find], not [find_opt]: a hit returns the record and allocates
    nothing, once per protocol message *)
 let update_stat st ~now update_id =
@@ -187,7 +179,6 @@ let update_stat st ~now update_id =
           us_nulls_created = 0;
           us_max_hops = 0;
           us_eval = Codb_cq.Eval.zero_counters ();
-          us_cache_staled = 0;
           us_forced = false;
           us_per_rule = Hashtbl.create 8;
           us_queried = [];
@@ -212,7 +203,6 @@ let query_stat st ~now query_id =
           qs_bytes_in = 0;
           qs_answers = 0;
           qs_certain = 0;
-          qs_cache = Cache_unused;
           qs_eval = Codb_cq.Eval.zero_counters ();
           qs_complete = true;
           qs_pushed = 0;
@@ -246,7 +236,6 @@ type snapshot = {
   snap_store_tuples : int;
   snap_updates : update_stat list;
   snap_queries : query_stat list;
-  snap_cache : Codb_cache.Qcache.counters option;
   snap_chaos : chaos;
   snap_sub : sub_counters;
 }
@@ -261,7 +250,7 @@ let copy_update us =
   Hashtbl.filter_map_inplace (fun _ rt -> Some { rt with rt_msgs = rt.rt_msgs }) per_rule;
   { us with us_eval = copy_eval us.us_eval; us_per_rule = per_rule }
 
-let snapshot ?(store_tuples = 0) ?cache st =
+let snapshot ?(store_tuples = 0) st =
   let updates =
     Ids.Update_tbl.fold (fun _ us acc -> copy_update us :: acc) st.st_updates []
   in
@@ -287,7 +276,6 @@ let snapshot ?(store_tuples = 0) ?cache st =
     snap_store_tuples = store_tuples;
     snap_updates = List.sort by_start_u updates;
     snap_queries = List.sort by_start_q queries;
-    snap_cache = cache;
     snap_chaos = { st.st_chaos with ch_retransmits = st.st_chaos.ch_retransmits };
     snap_sub = { st.st_sub with sb_eval = copy_eval st.st_sub.sb_eval };
   }
@@ -299,7 +287,6 @@ let snapshot_size_bytes snap =
       (fun acc u -> acc + 96 + (24 * Hashtbl.length u.us_per_rule))
       0 snap.snap_updates
   + (48 * List.length snap.snap_queries)
-  + (match snap.snap_cache with Some _ -> 48 | None -> 0)
   (* charged only when subscriptions actually ran, so turning the
      feature off leaves every stats message size untouched *)
   + (if snap.snap_sub = zero_sub () then 0 else 64)
@@ -327,7 +314,7 @@ let pp_update ppf u =
   Fmt.pf ppf
     "@[<v 2>%a%s: started %.4fs, finished %a, data msgs %d, control msgs %d, bytes in \
      %d, new tuples %d, dups suppressed %d, nulls %d, longest path %d, index \
-     probes %d, scans %d%s, cache staled %d@,\
+     probes %d, scans %d%s@,\
      queried: %a@,\
      results sent to: %a%a@]"
     Ids.pp_update u.us_update
@@ -336,7 +323,7 @@ let pp_update ppf u =
     u.us_control_msgs u.us_bytes_in u.us_new_tuples u.us_dup_suppressed
     u.us_nulls_created u.us_max_hops u.us_eval.probes u.us_eval.scans
     (zone_suffix ~visited:u.us_eval.zone_visited ~pruned:u.us_eval.zone_pruned)
-    u.us_cache_staled pp_peer_list
+    pp_peer_list
     u.us_queried pp_peer_list
     u.us_sent_to
     Fmt.(
@@ -345,33 +332,17 @@ let pp_update ppf u =
             rt.rt_bytes rt.rt_tuples))
     (sorted_rules u)
 
-let cache_outcome_string = function
-  | Cache_unused -> "cache unused"
-  | Cache_miss -> "cache miss"
-  | Cache_hit_exact -> "cache hit (exact)"
-  | Cache_hit_containment -> "cache hit (containment)"
-
 let pp_query ppf q =
   Fmt.pf ppf
-    "%a: %d answers (%d certain)%s, %d data msgs, %d B in, %d probes, %d scans%s%s%s"
+    "%a: %d answers (%d certain)%s, %d data msgs, %d B in, %d probes, %d scans%s%s"
     Ids.pp_query q.qs_query q.qs_answers q.qs_certain
     (if q.qs_complete then "" else " INCOMPLETE")
     q.qs_data_msgs q.qs_bytes_in q.qs_eval.probes q.qs_eval.scans
     (zone_suffix ~visited:q.qs_eval.zone_visited ~pruned:q.qs_eval.zone_pruned)
-    (match q.qs_cache with
-    | Cache_unused -> ""
-    | outcome -> ", " ^ cache_outcome_string outcome)
     (if q.qs_pushed = 0 && q.qs_filtered_at_source = 0 then ""
      else
        Fmt.str ", pushdown: %d constrained sub-requests, %d filtered at source"
          q.qs_pushed q.qs_filtered_at_source)
-
-let pp_cache ppf (c : Codb_cache.Qcache.counters) =
-  Fmt.pf ppf
-    "cache: %d exact + %d containment hits, %d misses, %d stores, %d invalidated, \
-     %d evicted, %d B served, %d entries (%d B)"
-    c.hits_exact c.hits_containment c.misses c.stores c.epoch_invalidations
-    c.evictions c.bytes_served c.entries c.stored_bytes
 
 let pp_chaos ppf c =
   Fmt.pf ppf
@@ -386,24 +357,21 @@ let pp_sub ppf s =
   Fmt.pf ppf
     "subs: %d registered (%d refused, %d dropped), %d deltas in (%d prefiltered), \
      %d deltas out in %d msgs (+%d -%d, %d B), %d probes, %d scans%s, \
-     %d cache staled, %d torn down, %d re-armed"
+     %d torn down, %d re-armed"
     s.sb_registered s.sb_rejected s.sb_unregistered s.sb_deltas_in
     s.sb_prefiltered s.sb_deltas_out s.sb_push_msgs s.sb_adds s.sb_retracts
     s.sb_bytes s.sb_eval.probes s.sb_eval.scans
     (zone_suffix ~visited:s.sb_eval.zone_visited ~pruned:s.sb_eval.zone_pruned)
-    s.sb_cache_staled
     s.sb_torn_down s.sb_rearmed
 
 let pp_snapshot ppf s =
-  Fmt.pf ppf "@[<v 2>node %a (%s, %d tuples)%a%a%a%a%a@]" Peer_id.pp s.snap_node
+  Fmt.pf ppf "@[<v 2>node %a (%s, %d tuples)%a%a%a%a@]" Peer_id.pp s.snap_node
     (if s.snap_inconsistent then "INCONSISTENT" else "consistent")
     s.snap_store_tuples
     Fmt.(list ~sep:nop (fun ppf u -> Fmt.pf ppf "@,%a" pp_update u))
     s.snap_updates
     Fmt.(list ~sep:nop (fun ppf q -> Fmt.pf ppf "@,%a" pp_query q))
     s.snap_queries
-    Fmt.(option (fun ppf c -> Fmt.pf ppf "@,%a" pp_cache c))
-    s.snap_cache
     (fun ppf c -> if c <> zero_chaos () then Fmt.pf ppf "@,%a" pp_chaos c)
     s.snap_chaos
     (fun ppf s -> if s <> zero_sub () then Fmt.pf ppf "@,%a" pp_sub s)

@@ -33,9 +33,6 @@ type update_stat = {
   mutable us_nulls_created : int;
   mutable us_max_hops : int;  (** longest update propagation path seen *)
   us_eval : Codb_cq.Eval.counters;  (** evaluator work during rule evaluation *)
-  mutable us_cache_staled : int;
-      (** query-cache entries invalidated when this update finalised
-          ({!Codb_cache.Qcache.note_update} churn) *)
   mutable us_forced : bool;
       (** the initiator's stall watchdog force-terminated this update:
           the fix-point may be incomplete on nodes that lost messages *)
@@ -45,12 +42,6 @@ type update_stat = {
   mutable us_sent_to : Peer_id.t list;  (** importers we sent results to *)
 }
 
-type cache_outcome =
-  | Cache_unused  (** caching disabled for this node *)
-  | Cache_miss
-  | Cache_hit_exact
-  | Cache_hit_containment
-
 type query_stat = {
   qs_query : Ids.query_id;
   mutable qs_started : float;
@@ -59,7 +50,6 @@ type query_stat = {
   mutable qs_bytes_in : int;
   mutable qs_answers : int;
   mutable qs_certain : int;
-  mutable qs_cache : cache_outcome;
   qs_eval : Codb_cq.Eval.counters;  (** evaluator work answering the query *)
   mutable qs_complete : bool;
       (** [false] when any sub-request in the diffusion tree was
@@ -121,9 +111,6 @@ type sub_counters = {
       (** payload bytes of pushed answer deltas, each push sized on its
           own against a fresh dictionary, not the link frame (DESIGN §9) *)
   sb_eval : Codb_cq.Eval.counters;  (** evaluator work doing subscription maintenance *)
-  mutable sb_cache_staled : int;
-      (** cache entries invalidated to keep one-shot answers no staler
-          than delivered subscription deltas *)
   mutable sb_torn_down : int;  (** subscriptions/mirrors lost to crashes *)
   mutable sb_rearmed : int;  (** re-registrations sent after a host restart *)
 }
@@ -131,8 +118,6 @@ type sub_counters = {
 type t
 
 val create : Peer_id.t -> t
-
-val owner : t -> Peer_id.t
 
 val chaos : t -> chaos
 
@@ -191,12 +176,11 @@ type snapshot = {
   snap_updates : update_stat list;
       (** copies, in start order; ties by id ({!Ids.compare_update}) *)
   snap_queries : query_stat list;  (** copies, in start order, ties by id *)
-  snap_cache : Codb_cache.Qcache.counters option;  (** [None] when caching is off *)
   snap_chaos : chaos;  (** a copy *)
   snap_sub : sub_counters;  (** a copy *)
 }
 
-val snapshot : ?store_tuples:int -> ?cache:Codb_cache.Qcache.counters -> t -> snapshot
+val snapshot : ?store_tuples:int -> t -> snapshot
 (** Deep copies of the node's accumulators: mutating the node
     afterwards leaves the snapshot unchanged. *)
 

@@ -16,26 +16,10 @@ let source rt = Eval.of_database rt.Runtime.node.Node.store
 
 let query_text q = Fmt.str "%a" Pretty.query q
 
-(* Epoch agreement with the one-shot query cache: the instant an
-   answer delta becomes observable (host callback about to run, wire
-   push about to leave), cached answers that predate the store change
-   it reflects must die.  Otherwise a client could see the new answer
-   arrive by subscription and then get the old answer set by asking
-   the same query one-shot — the update path only stales epochs at
-   update finalization, which is too late for mid-update deltas. *)
-let stale_cache rt peers =
-  match rt.Runtime.node.Node.cache with
-  | None -> ()
-  | Some cache ->
-      let n = Codb_cache.Qcache.note_update cache peers in
-      let sb = scounters rt in
-      sb.Stats.sb_cache_staled <- sb.Stats.sb_cache_staled + n
-
 (* Every non-empty delta leaves at once: a local client gets it through
    its callback, a remote subscriber as one [Answer_delta]. *)
 let deliver rt (entry : Registry.entry) (d : Sub.delta) =
   if not (Sub.delta_is_empty d) then begin
-    stale_cache rt [ rt.Runtime.node.Node.node_id ];
     let sb = scounters rt in
     sb.Stats.sb_deltas_out <- sb.Stats.sb_deltas_out + 1;
     sb.Stats.sb_adds <- sb.Stats.sb_adds + List.length d.Sub.d_adds;
@@ -257,9 +241,6 @@ let handle rt ~src payload =
       match mirror rt sub_id with
       | None -> () (* unsubscribed meanwhile, or this node restarted *)
       | Some m ->
-          (* epoch agreement, subscriber side: one-shot answers cached
-             from this host predate the delta about to be applied *)
-          stale_cache rt [ src ];
           Mirror.apply m { Sub.d_adds = adds; d_retracts = retracts; d_tag = tag })
   | Payload.Answer_batch _ | Payload.Update_request _ | Payload.Update_data _
   | Payload.Update_batch _ | Payload.Update_link_closed _ | Payload.Update_ack _

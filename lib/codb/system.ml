@@ -110,7 +110,6 @@ let install_node sys decl =
   if Hashtbl.mem sys.sys_nodes name then
     invalid_arg (Printf.sprintf "System: duplicate node %s" name);
   let node = Node.create decl in
-  Node.configure_cache node sys.sys_opts;
   Node.configure_subs node sys.sys_opts;
   if Options.reliable sys.sys_opts then node.Node.relay <- Some (Relay.create ());
   Node.set_rules node
@@ -177,10 +176,9 @@ let crash_node sys name =
   n.Node.relay <- None;
   trace_event sys ~direction:Trace.Delivered ~src:id ~dst:id "crash"
 
-(* A restart: volatile state is (re-)cleared, the cache epoch bumps so
-   stale entries elsewhere cannot survive on this node's authority, the
-   handler re-registers and the acquaintance pipes (plus the super-peer
-   pipe, if one is tracked) reopen.
+(* A restart: volatile state is (re-)cleared, the handler re-registers
+   and the acquaintance pipes (plus the super-peer pipe, if one is
+   tracked) reopen.
 
    What comes back depends on [Options.durability].  [Dur_volatile]:
    clear-and-refetch — the store restarts from the node's declaration,
@@ -198,7 +196,6 @@ let restart_node sys name =
   | Some fault -> Codb_net.Fault.note_restart fault
   | None -> ());
   Node.reset_volatile n;
-  Node.configure_cache n sys.sys_opts;
   Node.configure_subs n sys.sys_opts;
   Node.reset_store n;
   (match sys.sys_opts.Options.durability with
@@ -224,7 +221,6 @@ let restart_node sys name =
           dn.dn_replayed_bytes <-
             dn.dn_replayed_bytes + rv.Durable.rv_replayed_bytes));
   n.Node.track_refetch <- true;
-  Node.note_local_write n;
   let rt = runtime sys name in
   Network.set_handler sys.sys_net id (handler sys rt);
   List.iter (fun peer -> rt.Runtime.connect peer) n.Node.acquaintances;
@@ -362,11 +358,15 @@ let build_exn ?opts cfg =
   | Ok sys -> sys
   | Error errors -> invalid_arg ("System.build: " ^ String.concat "; " errors)
 
-(* A safety bound, generous enough for every workload that converges:
-   the dedup ablations can make a fix-point diverge. *)
+(* A safety bound, generous enough for every workload that converges.
+   Some fix-points diverge: the dedup ablations, and rule sets whose
+   chase does not terminate (a marked null that travels a cycle of
+   existential rules mints a fresh null on every lap). *)
 let default_max_events = 2_000_000
 
 let run ?(max_events = default_max_events) sys = Network.run ~max_events sys.sys_net
+
+let quiescent sys = Network.idle sys.sys_net
 
 let now sys = Network.now sys.sys_net
 
@@ -460,8 +460,7 @@ let collect_stats sys =
 let snapshots sys =
   let snap name =
     let n = node sys name in
-    Stats.snapshot ~store_tuples:(Database.cardinal n.Node.store)
-      ?cache:(Node.cache_snapshot n) n.Node.stats
+    Stats.snapshot ~store_tuples:(Database.cardinal n.Node.store) n.Node.stats
   in
   List.map snap (node_names sys)
 
@@ -507,7 +506,6 @@ let import_stores sys dumps =
   let import total (name, n, rows) =
     let added = Codb_relalg.Csv.insert_rows n.Node.store rows in
     if added > 0 then begin
-      Node.note_local_write n;
       Durable.note_bulk_load n;
       (* bulk loads bypass the per-tuple delta feed: re-seed any
          standing queries hosted here by a from-scratch diff *)
@@ -530,7 +528,6 @@ let insert_fact sys ~at ~rel tuple =
   let row = Row.of_tuple tuple in
   let inserted = Relation.insert_row relation row in
   if inserted then begin
-    Node.note_local_write n;
     (* the commit point: the write is in the store and hits the WAL
        before any subscription delta derived from it leaves the node *)
     Durable.log_insert n ~rel [ row ];

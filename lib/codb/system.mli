@@ -16,8 +16,7 @@ val build : ?opts:Options.t -> Config.t -> (t, string list) result
 (** Validate the options ({!Options.validate}) and the configuration,
     make sure [opts.wal_dir] (if set) is a directory, creating it when
     absent, then create all nodes, load their facts, install
-    coordination rules (and, when [opts.query_cache], the
-    per-node query-answer caches) and open the pipes between acquaintances. *)
+    coordination rules and open the pipes between acquaintances. *)
 
 val build_exn : ?opts:Options.t -> Config.t -> t
 (** @raise Invalid_argument with the concatenated validation errors. *)
@@ -45,6 +44,12 @@ val run : ?max_events:int -> t -> int
 (** Drain the event queue, processing at most [max_events] events
     (default 2 000 000); returns events processed. *)
 
+val quiescent : t -> bool
+(** No event is queued.  After {!run} (or any [run_*]), [false] means
+    the event bound cut the run: an update it carried has not reached
+    its fix-point, and on a rule set whose chase does not terminate it
+    never would. *)
+
 val now : t -> float
 
 (** {1 Global updates} *)
@@ -54,11 +59,8 @@ val start_update : t -> initiator:string -> Ids.update_id
     with {!run} for concurrent scenarios). *)
 
 val run_update : t -> initiator:string -> Ids.update_id
-(** Initiate and run the network to quiescence (bounded as {!run}). *)
-
-val start_scoped_update : t -> at:string -> rels:string list -> Ids.update_id
-(** Initiate a query-dependent update (see {!Update.initiate_scoped})
-    without running the simulation. *)
+(** Initiate and run the network to quiescence (bounded as {!run};
+    {!quiescent} says whether the bound cut it). *)
 
 val run_scoped_update : t -> at:string -> Codb_cq.Query.t -> Ids.update_id
 (** Materialise, at [at], exactly what the query needs (its body
@@ -122,9 +124,9 @@ val crash_node : t -> string -> unit
     the restart.  @raise Not_found on an unknown node. *)
 
 val restart_node : t -> string -> unit
-(** Bring a crashed node back: clean volatile state, a fresh cache
-    with a bumped epoch, the handler re-registered and the
-    acquaintance (and super-peer) pipes reopened.  Under
+(** Bring a crashed node back: clean volatile state, the handler
+    re-registered and the acquaintance (and super-peer) pipes
+    reopened.  Under
     [Dur_volatile] the node then starts a fresh transport sequence
     epoch and issues a catch-up global update (clear-and-refetch);
     under [Dur_wal] it recovers store, lineage, transport sequence

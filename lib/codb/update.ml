@@ -35,20 +35,7 @@ let finalize rt (st : U.t) =
   if not st.U.ust_finished then begin
     st.U.ust_finished <- true;
     let us = stat rt st.U.ust_update in
-    us.Stats.us_finished <- Some (rt.Runtime.now ());
-    (* the update may have changed our store and every peer the flood
-       reached; cached answers that rest on any of them are now
-       suspect.  Conservative: bump ourselves and all acquaintances
-       (sub-queries only ever contact acquaintances, so these are the
-       only peers a cache stamp can mention). *)
-    match rt.Runtime.node.Node.cache with
-    | Some cache ->
-        let staled =
-          Codb_cache.Qcache.note_update cache
-            (rt.Runtime.node.Node.node_id :: rt.Runtime.node.Node.acquaintances)
-        in
-        us.Stats.us_cache_staled <- us.Stats.us_cache_staled + staled
-    | None -> ()
+    us.Stats.us_finished <- Some (rt.Runtime.now ())
   end
 
 (* May a served link's watermark commit?  Only if what it covers

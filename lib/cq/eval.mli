@@ -76,8 +76,8 @@ val counters : unit -> counters
 val reset_counters : unit -> unit
 
 val rows_of_list : Codb_relalg.Row.t list -> rows
-(** Scan-only access path over a list of packed rows (used for deltas,
-    cached answer sets and frozen canonical databases): the rows are
+(** Scan-only access path over a list of packed rows (used for deltas
+    and frozen canonical databases): the rows are
     copied into one transient flat image, and the source is not
     [indexed], so the planner scans it.
     An empty list joins at any width; a list mixing widths shows each

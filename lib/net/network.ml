@@ -37,9 +37,6 @@ type 'a t = {
   mutable dropped : int;
   mutable total_bytes : int;
   mutable dropped_bytes : int;
-  (* Sorted peer list, memoised because tracing paths call [peers] once per
-     message; [None] after any add/remove. *)
-  mutable peer_list : Peer_id.t list option;
   mutable fault : Fault.t option;
 }
 
@@ -58,7 +55,6 @@ let create ?(default_latency = 0.001) ?(default_byte_cost = 0.000001) ~size_of (
     dropped = 0;
     total_bytes = 0;
     dropped_bytes = 0;
-    peer_list = None;
     fault = None;
   }
 
@@ -87,28 +83,15 @@ let reopen_pipe net pipe =
 
 let add_peer net id =
   if not (Hashtbl.mem net.peer_table id) then begin
-    Hashtbl.add net.peer_table id { handler = None };
-    net.peer_list <- None
+    Hashtbl.add net.peer_table id { handler = None }
   end
 
 let has_peer net id = Hashtbl.mem net.peer_table id
-
-let peers net =
-  match net.peer_list with
-  | Some cached -> cached
-  | None ->
-      let sorted =
-        List.sort Peer_id.compare
-          (Hashtbl.fold (fun id _ acc -> id :: acc) net.peer_table [])
-      in
-      net.peer_list <- Some sorted;
-      sorted
 
 let pipe_between net a b = Hashtbl.find_opt net.pipe_table (pipe_key a b)
 
 let remove_peer net id =
   Hashtbl.remove net.peer_table id;
-  net.peer_list <- None;
   let close_touching key pipe =
     let x, y = key in
     if Peer_id.equal x id || Peer_id.equal y id then close_pipe net pipe
@@ -227,6 +210,8 @@ let in_flight net =
   Event_queue.fold
     (fun acc -> function Ev_deliver m -> m :: acc | Ev_action _ -> acc)
     net.events []
+
+let idle net = Event_queue.is_empty net.events
 
 let step net =
   match Event_queue.pop net.events with

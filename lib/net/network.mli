@@ -56,8 +56,6 @@ val remove_peer : 'a t -> Peer_id.t -> unit
 
 val has_peer : 'a t -> Peer_id.t -> bool
 
-val peers : 'a t -> Peer_id.t list
-
 val set_handler : 'a t -> Peer_id.t -> ('a Message.t -> unit) -> unit
 (** Register the message handler for a peer.  @raise Invalid_argument
     if the peer does not exist. *)
@@ -108,6 +106,10 @@ val run : ?max_events:int -> 'a t -> int
 
 val step : 'a t -> bool
 (** Process a single event; [false] when the queue is empty. *)
+
+val idle : 'a t -> bool
+(** No event is queued: a {!run} that returns with [idle] false was
+    stopped by its [max_events] bound. *)
 
 val handler_of : 'a t -> Peer_id.t -> ('a Message.t -> unit) option
 (** The peer's current handler ([None] for a crashed or unknown peer);

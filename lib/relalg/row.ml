@@ -32,12 +32,6 @@ let has_hole row = hole_from row 0
 
 let has_null row = Array.exists Intern.is_null row
 
-let size_bytes row =
-  Array.fold_left
-    (fun acc p -> acc + Value.size_bytes (Intern.unpack p))
-    (Value.varint_size (Array.length row))
-    row
-
 let instantiate_holes ~rule row =
   if not (has_hole row) then row
   else begin

@@ -33,9 +33,6 @@ val has_null : t -> bool
 (** Does the row hold a marked null?  Rows without nulls are the
     certain answers ({!Tuple.has_null}). *)
 
-val size_bytes : t -> int
-(** {!Tuple.size_bytes} of the boxed tuple, read off the cells. *)
-
 val instantiate_holes : rule:string -> t -> t
 (** A copy with every hole replaced by a fresh marked null labelled
     [rule], minted left to right; the same hole twice gets the same

@@ -49,7 +49,7 @@ let is_null = function Null _ -> true | Int _ | Float _ | Str _ | Bool _ | Hole 
 let is_hole = function Hole _ -> true | Int _ | Float _ | Str _ | Bool _ | Null _ -> false
 
 (* Wire-size accounting, shared by the stats/report data-volume
-   counters, the query cache's byte budget and the bench byte counters.  It
+   counters and the bench byte counters.  It
    mirrors the compact codec exactly for a value whose strings are not
    yet in the per-message dictionary: one tag byte, varint lengths,
    zigzag integers. *)

@@ -60,9 +60,8 @@ val size_bytes : t -> int
 (** The {e shared} wire-size model: the exact compact-codec cost of
     the value when its strings are not yet in the per-message
     dictionary (one tag byte, varint lengths, zigzag integers).
-    The stats/report data-volume counters, the query cache's byte
-    budget and the bench byte counters all delegate to this one
-    function. *)
+    The stats/report data-volume counters and the bench byte counters
+    both delegate to this one function. *)
 
 val fresh_null : rule:string -> t
 (** A fresh marked null, labelled with the id of the coordination rule

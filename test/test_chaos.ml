@@ -13,10 +13,9 @@ module Network = Codb_net.Network
 module Trace = Codb_core.Trace
 
 let chaos_opts ?(seed = 42) ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 0.0)
-    ?(budget = max_int) ?(flaps = []) ?(crashes = []) ?(ack = 0.05) ?(retries = 4)
-    ?(base = Options.default) () =
+    ?(budget = max_int) ?(flaps = []) ?(crashes = []) ?(ack = 0.05) ?(retries = 4) () =
   {
-    base with
+    Options.default with
     Options.fault_seed = seed;
     drop_prob = drop;
     dup_prob = dup;
@@ -240,17 +239,6 @@ let test_query_partial_answer_under_total_loss () =
   Alcotest.(check bool) "partial answer recorded" true
     (ch.Report.chr_partial_answers > 0)
 
-let test_partial_answers_never_cached () =
-  let opts =
-    chaos_opts ~seed:4 ~drop:1.0 ~retries:0 ~base:{ Options.default with Options.query_cache = true } ()
-  in
-  let sys = System.build_exn ~opts (chain 3) in
-  let first = System.run_query sys ~at:"n0" (parse_query q_data) in
-  let second = System.run_query sys ~at:"n0" (parse_query q_data) in
-  Alcotest.(check bool) "first incomplete" false first.System.qo_complete;
-  (* a cached partial answer would come back marked complete *)
-  Alcotest.(check bool) "second not served from cache" false second.System.qo_complete
-
 let test_query_complete_under_loss_with_retries () =
   let baseline = System.build_exn (chain 4) in
   let expected = (System.run_query baseline ~at:"n0" (parse_query q_data)).System.qo_answers in
@@ -294,26 +282,6 @@ let test_crash_restart_recovers () =
     report.Report.ur_all_finished;
   Alcotest.(check bool) "fix-point recovered" true (stores_equal baseline sys)
 
-let test_restart_bumps_cache_epoch () =
-  let sys = System.build_exn ~opts:{ Options.default with Options.query_cache = true } (chain 3) in
-  (* warm the cache, then crash+restart n0, then ask again: the restart
-     must have cleared the cache, so the second answer is recomputed *)
-  let first = System.run_query sys ~at:"n0" (parse_query q_data) in
-  System.crash_node sys "n0";
-  System.restart_node sys "n0";
-  let second = System.run_query sys ~at:"n0" (parse_query q_data) in
-  Alcotest.(check bool) "both complete" true
-    (first.System.qo_complete && second.System.qo_complete);
-  check_tuples "same answers after the restart" first.System.qo_answers
-    second.System.qo_answers;
-  let hits =
-    List.fold_left
-      (fun acc row -> acc + row.Report.cr_hits)
-      0
-      (Report.cache_report (System.snapshots sys))
-  in
-  Alcotest.(check int) "no hit survived the crash" 0 hits
-
 (* --- link flaps ----------------------------------------------------- *)
 
 let test_flap_mid_update_recovers_with_retries () =
@@ -347,14 +315,11 @@ let suite =
       test_no_retries_under_loss_terminates;
     Alcotest.test_case "partial answer under total loss" `Quick
       test_query_partial_answer_under_total_loss;
-    Alcotest.test_case "partial answers never cached" `Quick
-      test_partial_answers_never_cached;
     Alcotest.test_case "query complete under loss with retries" `Quick
       test_query_complete_under_loss_with_retries;
     Alcotest.test_case "crash without restart terminates" `Quick
       test_crash_without_restart_terminates;
     Alcotest.test_case "crash and restart recovers" `Quick test_crash_restart_recovers;
-    Alcotest.test_case "restart clears the cache" `Quick test_restart_bumps_cache_epoch;
     Alcotest.test_case "flap mid-update recovers" `Quick
       test_flap_mid_update_recovers_with_retries;
   ]

@@ -19,7 +19,6 @@ let () =
       ("parser", Test_parser.suite);
       ("net", Test_net.suite);
       ("options", Test_options.suite);
-      ("cache", Test_cache.suite);
       ("update", Test_update.suite);
       ("protocol", Test_protocol.suite);
       ("incremental", Test_incremental.suite);

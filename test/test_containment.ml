@@ -52,6 +52,28 @@ let test_comparisons_conservative () =
   Alcotest.(check bool) "loose not in strict" false (Containment.contained loose strict);
   Alcotest.(check bool) "strict in loose" true (Containment.contained strict loose)
 
+let test_with_comparisons () =
+  (* adding a comparison only restricts: q1 ⊆ q2 *)
+  Alcotest.(check bool) "restriction contained" true
+    (Containment.contained (q "ans(x) <- r(x, y), x > 2") (q "ans(x) <- r(x, y)"));
+  Alcotest.(check bool) "not the other way" false
+    (Containment.contained (q "ans(x) <- r(x, y)") (q "ans(x) <- r(x, y), x > 2"));
+  (* syntactically identical comparisons are entailed *)
+  Alcotest.(check bool) "same comparison both ways" true
+    (Containment.equivalent
+       (q "ans(x) <- r(x, y), x > 2")
+       (q "ans(a) <- r(a, b), a > 2"));
+  (* ground comparisons are evaluated *)
+  Alcotest.(check bool) "true ground comparison entailed" true
+    (Containment.contained (q "ans(x) <- r(x, y)") (q "ans(x) <- r(x, y), 3 > 2"));
+  (* the conservative path: x > 3 semantically implies x > 2, but the
+     syntactic test cannot see it — contained must answer false (sound,
+     incomplete) rather than true *)
+  Alcotest.(check bool) "semantic implication not detected" false
+    (Containment.contained
+       (q "ans(x) <- r(x, y), x > 3")
+       (q "ans(x) <- r(x, y), x > 2"))
+
 let test_ground_comparison_entailment () =
   (* the contained side carries a comparison over constants which
      evaluates to true *)
@@ -78,6 +100,7 @@ let suite =
     Alcotest.test_case "different relations" `Quick test_different_relations;
     Alcotest.test_case "comparisons handled conservatively" `Quick
       test_comparisons_conservative;
+    Alcotest.test_case "with comparisons" `Quick test_with_comparisons;
     Alcotest.test_case "ground comparison entailment" `Quick
       test_ground_comparison_entailment;
     Alcotest.test_case "mixed-arity atoms" `Quick test_mixed_arity_atoms;

@@ -23,11 +23,6 @@ let rejected ~substring = function
 
 let test_default_is_valid () = ok (Options.validate Options.default)
 
-let test_cache_modes_are_valid () =
-  List.iter
-    (fun query_cache -> ok (Options.validate { Options.default with Options.query_cache }))
-    [ false; true ]
-
 let test_negative_latency () =
   rejected ~substring:"latency"
     (Options.validate { Options.default with Options.latency = -0.5 })
@@ -139,7 +134,6 @@ let test_build_rejects_bad_options () =
 let suite =
   [
     Alcotest.test_case "default validates" `Quick test_default_is_valid;
-    Alcotest.test_case "cache modes validate" `Quick test_cache_modes_are_valid;
     Alcotest.test_case "negative latency rejected" `Quick test_negative_latency;
     Alcotest.test_case "negative byte_cost rejected" `Quick test_negative_byte_cost;
     Alcotest.test_case "zero bounds are valid" `Quick test_zero_bounds_are_valid;

@@ -320,9 +320,7 @@ let prop_query_equals_update_on_dags =
    the null-carrying answers themselves is not the specification: the
    two runs import along different paths, so one may hold [(2, N)]
    where the other holds [(2, N')] and [(2, N'')], or a row the other
-   subsumes by a constant.  Each run asks its query twice: with the
-   cache on, the second answer comes from the root answer cache and
-   must equal the first exactly. *)
+   subsumes by a constant. *)
 let gen_pushdown_case =
   let open Gen in
   let* spec = gen_network in
@@ -341,34 +339,25 @@ let gen_pushdown_case =
         "o(y, z) <- data(2, y), data(3, z)";
       ]
   in
-  let* cache = Gen.bool in
-  return (spec, qtext, cache)
+  return (spec, qtext)
 
-let pushdown_agrees ((shape, n, seed, params), qtext, cache) =
+let pushdown_agrees ((shape, n, seed, params), qtext) =
   let q = parse_query qtext in
   let run ~pushdown =
-    let opts =
-      { Codb_core.Options.default with Codb_core.Options.pushdown; query_cache = cache }
-    in
+    let opts = { Codb_core.Options.default with Codb_core.Options.pushdown } in
     let sys = System.build_exn ~opts (Topology.generate ~params ~seed shape ~n) in
     let o = System.run_query sys ~at:"n0" q in
-    let again = System.run_query sys ~at:"n0" q in
-    let repeat_ok =
-      (not cache)
-      || (again.System.qo_data_msgs = 0
-         && List.equal Tuple.equal o.System.qo_answers again.System.qo_answers)
-    in
-    (o.System.qo_answers, sorted_tuples o.System.qo_certain, o.System.qo_complete, repeat_ok)
+    (o.System.qo_answers, sorted_tuples o.System.qo_certain, o.System.qo_complete)
   in
-  let a0, c0, f0, r0 = run ~pushdown:false in
-  let a, c, f, r = run ~pushdown:true in
-  r0 && r && List.equal Tuple.equal c0 c && Bool.equal f0 f && null_equivalent a0 a
+  let a0, c0, f0 = run ~pushdown:false in
+  let a, c, f = run ~pushdown:true in
+  List.equal Tuple.equal c0 c && Bool.equal f0 f && null_equivalent a0 a
 
 let prop_pushdown_preserves_answers =
   Q2.Test.make ~name:"constraint pushdown never changes answers" ~count:30
-    ~print:(fun ((shape, n, seed, params), qtext, cache) ->
-      Printf.sprintf "%s n=%d seed=%d existential_frac=%g %S cache=%b"
-        (Topology.shape_name shape) n seed params.Topology.existential_frac qtext cache)
+    ~print:(fun ((shape, n, seed, params), qtext) ->
+      Printf.sprintf "%s n=%d seed=%d existential_frac=%g %S"
+        (Topology.shape_name shape) n seed params.Topology.existential_frac qtext)
     gen_pushdown_case pushdown_agrees
 
 (* Cases where pushdown on and off return different null-carrying
@@ -390,7 +379,7 @@ let test_pushdown_null_answers () =
   in
   List.iter
     (fun (shape, n, seed, qtext) ->
-      let case = ((shape, n, seed, params), qtext, false) in
+      let case = ((shape, n, seed, params), qtext) in
       Alcotest.(check bool)
         (Printf.sprintf "%s n=%d seed=%d %s" (Topology.shape_name shape) n seed qtext)
         true (pushdown_agrees case))

@@ -159,7 +159,6 @@ let golden_snapshots () =
   us.Stats.us_eval.scans <- 109;
   us.Stats.us_eval.zone_visited <- 110;
   us.Stats.us_eval.zone_pruned <- 111;
-  us.Stats.us_cache_staled <- 116;
   us.Stats.us_forced <- true;
   let rt_b = Stats.rule_traffic us "r_b" in
   rt_b.Stats.rt_msgs <- 117;
@@ -179,7 +178,6 @@ let golden_snapshots () =
   qs.Stats.qs_bytes_in <- 202;
   qs.Stats.qs_answers <- 203;
   qs.Stats.qs_certain <- 204;
-  qs.Stats.qs_cache <- Stats.Cache_hit_containment;
   qs.Stats.qs_eval.probes <- 205;
   qs.Stats.qs_eval.scans <- 206;
   qs.Stats.qs_eval.zone_visited <- 207;
@@ -213,30 +211,15 @@ let golden_snapshots () =
   sb.Stats.sb_eval.scans <- 413;
   sb.Stats.sb_eval.zone_visited <- 414;
   sb.Stats.sb_eval.zone_pruned <- 415;
-  sb.Stats.sb_cache_staled <- 416;
   sb.Stats.sb_torn_down <- 417;
   sb.Stats.sb_rearmed <- 418;
   Stats.set_inconsistent st true;
-  let cache =
-    {
-      Codb_cache.Qcache.hits_exact = 501;
-      hits_containment = 502;
-      misses = 503;
-      stores = 504;
-      epoch_invalidations = 505;
-      evictions = 507;
-      bytes_served = 508;
-      entries = 509;
-      stored_bytes = 510;
-      epoch_bumps = 511;
-    }
-  in
   let quiet = Stats.create (Peer_id.of_string "n1") in
   let qu = Stats.update_stat quiet ~now:0.375 (uid 3) in
   qu.Stats.us_data_msgs <- 601;
   (Stats.rule_traffic qu "r_a").Stats.rt_msgs <- 602;
   ( qid,
-    [ Stats.snapshot ~store_tuples:99 ~cache st; Stats.snapshot ~store_tuples:7 quiet ] )
+    [ Stats.snapshot ~store_tuples:99 st; Stats.snapshot ~store_tuples:7 quiet ] )
 
 (* A snapshot is a deep copy: writes to the live accumulators after it
    was taken, the per-rule table and the evaluator record included,
@@ -261,17 +244,16 @@ let test_printers_pinned () =
   let qid, snaps = golden_snapshots () in
   let check name expected pp v = Alcotest.(check string) name expected (Fmt.str "%a" pp v) in
   check "pp_network" {|node n0 (INCONSISTENT, 99 tuples)
-  upd:n#3 (FORCED TERMINATION): started 0.2500s, finished 1.5000s, data msgs 101, control msgs 102, bytes in 103, new tuples 104, dups suppressed 105, nulls 106, longest path 107, index probes 108, scans 109, zone chunks 110 visited (111 pruned), cache staled 116
+  upd:n#3 (FORCED TERMINATION): started 0.2500s, finished 1.5000s, data msgs 101, control msgs 102, bytes in 103, new tuples 104, dups suppressed 105, nulls 106, longest path 107, index probes 108, scans 109, zone chunks 110 visited (111 pruned)
     queried: n2, n1
     results sent to: n3
     rule r_a: 120 msgs, 121 B, 122 tuples
     rule r_b: 117 msgs, 118 B, 119 tuples
-  qry:n0#4: 203 answers (204 certain) INCOMPLETE, 201 data msgs, 202 B in, 205 probes, 206 scans, zone chunks 207 visited (208 pruned), cache hit (containment), pushdown: 209 constrained sub-requests, 210 filtered at source
-  cache: 501 exact + 502 containment hits, 503 misses, 504 stores, 505 invalidated, 507 evicted, 508 B served, 509 entries (510 B)
+  qry:n0#4: 203 answers (204 certain) INCOMPLETE, 201 data msgs, 202 B in, 205 probes, 206 scans, zone chunks 207 visited (208 pruned), pushdown: 209 constrained sub-requests, 210 filtered at source
   transport: 301 retransmits, 302 dups suppressed, 303 give-ups, 304 sub-request timeouts, 305 partial answers, 306 forced terminations, 307 send drops, 308 recovered records, 309 replayed bytes, 310 refetched bytes
-  subs: 401 registered (402 refused, 403 dropped), 404 deltas in (405 prefiltered), 406 deltas out in 407 msgs (+408 -409, 410 B), 412 probes, 413 scans, zone chunks 414 visited (415 pruned), 416 cache staled, 417 torn down, 418 re-armed
+  subs: 401 registered (402 refused, 403 dropped), 404 deltas in (405 prefiltered), 406 deltas out in 407 msgs (+408 -409, 410 B), 412 probes, 413 scans, zone chunks 414 visited (415 pruned), 417 torn down, 418 re-armed
 node n1 (consistent, 7 tuples)
-  upd:n#3: started 0.3750s, finished unfinished, data msgs 601, control msgs 0, bytes in 0, new tuples 0, dups suppressed 0, nulls 0, longest path 0, index probes 0, scans 0, cache staled 0
+  upd:n#3: started 0.3750s, finished unfinished, data msgs 601, control msgs 0, bytes in 0, new tuples 0, dups suppressed 0, nulls 0, longest path 0, index probes 0, scans 0
     queried: none
     results sent to: none
     rule r_a: 602 msgs, 0 B, 0 tuples|}
@@ -290,13 +272,9 @@ node n1 (consistent, 7 tuples)
     (Option.get (Report.update_report snaps (uid 3)));
   check "pp_wire_report" {|wire behaviour of upd:n#3:
   data messages: 702
-  data volume: 103 B
-  query-cache entries staled: 116|}
+  data volume: 103 B|}
     Report.pp_wire_report
     (Option.get (Report.update_report snaps (uid 3)));
-  check "pp_cache_report" {|query cache:
-  node n0           1003 hits  503 misses  ratio 0.67       508 B served   505 invalidated   509 entries|}
-    Report.pp_cache_report (Report.cache_report snaps);
   check "pp_pushdown_report" {|constraint pushdown for qry:n0#4:
   constrained sub-requests: 209
   tuples filtered at source: 210
@@ -308,8 +286,7 @@ node n1 (consistent, 7 tuples)
   store deltas consumed: 404 (405 tuples prefiltered at source)
   answer deltas delivered: 406 (408 adds, 409 retracts)
   push traffic: 407 messages, 410 B (0.5 B/answer)
-  evaluator work: 412 probes, 413 scans, zone chunks 414 visited (415 pruned)
-  cache entries staled by pushes: 416|}
+  evaluator work: 412 probes, 413 scans, zone chunks 414 visited (415 pruned)|}
     Report.pp_sub_report (Report.sub_report snaps);
   check "pp_chaos_report" {|fault tolerance:
   retransmits: 301, duplicates suppressed: 302, give-ups: 303

@@ -1,9 +1,8 @@
 (* Standing queries: registration and validation, incremental answer
    maintenance against from-scratch re-evaluation, push-based delivery
-   to remote mirrors (one message per delta), epoch agreement with the
-   one-shot query cache, crash teardown / restart re-arm, and the
-   qcheck equivalence property with and without pushdown and under
-   chaos. *)
+   to remote mirrors (one message per delta), crash teardown / restart
+   re-arm, and the qcheck equivalence property with and without
+   pushdown and under chaos. *)
 
 open Helpers
 module Q2 = QCheck2
@@ -15,7 +14,6 @@ module Stats = Codb_core.Stats
 module Node = Codb_core.Node
 module Sub = Codb_sub.Subscription
 module Mirror = Codb_sub.Mirror
-module Qcache = Codb_cache.Qcache
 module Datagen = Codb_workload.Datagen
 
 let sub_opts ?(base = Options.default) () = { base with Options.subscriptions = true }
@@ -150,8 +148,8 @@ let test_import_reseeds () =
 
 (* --- remote push ------------------------------------------------------ *)
 
-let remote_pair ?base () =
-  let sys = System.build_exn ~opts:(sub_opts ?base ()) (chain 3) in
+let remote_pair () =
+  let sys = System.build_exn ~opts:(sub_opts ()) (chain 3) in
   let id =
     match System.subscribe_remote sys ~subscriber:"n1" ~host:"n0" (parse_query q_all) with
     | Ok id -> id
@@ -222,61 +220,6 @@ let test_one_push_per_delta () =
   check_tuples "mirror converged"
     (System.local_answers sys ~at:"n0" (parse_query q_all))
     (boxed (Mirror.answers m))
-
-(* --- epoch agreement with the one-shot query cache -------------------- *)
-
-let test_cache_epoch_agreement_host () =
-  let opts = sub_opts ~base:{ Options.default with Options.query_cache = true } () in
-  let sys = System.build_exn ~opts (chain 2) in
-  let n0 = System.node sys "n0" in
-  let cache = Option.get n0.Node.cache in
-  let q = parse_query q_all in
-  let inside_hit = ref true in
-  let fired = ref 0 in
-  (match
-     System.subscribe sys ~at:"n0" q ~on_delta:(fun d ->
-         if d.Sub.d_tag = "local-write" then begin
-           incr fired;
-           (* a one-shot query issued the instant the delta is
-              delivered must not be served the pre-delta answers *)
-           inside_hit := Qcache.lookup cache q <> None
-         end)
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "subscribe: %s" e);
-  Qcache.store cache q
-    (packed (System.local_answers sys ~at:"n0" q))
-    ~sources:[ n0.Node.node_id ];
-  Alcotest.(check bool) "entry hits before the delta" true
-    (Qcache.lookup cache q <> None);
-  ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i 903; s "w3" ]));
-  Alcotest.(check int) "delta delivered" 1 !fired;
-  Alcotest.(check bool) "stale answers not served inside the delivery" false
-    !inside_hit;
-  (* mid-update deltas: the update protocol only stales epochs at
-     finalization, so the subscription delivery must do it itself *)
-  Qcache.store cache q
-    (packed (System.local_answers sys ~at:"n0" q))
-    ~sources:[ n0.Node.node_id ];
-  let _ = System.run_update sys ~initiator:"n0" in
-  Alcotest.(check bool) "mid-update staling counted" true
-    ((sub_stats sys "n0").Stats.sb_cache_staled > 0)
-
-let test_cache_epoch_agreement_subscriber () =
-  let base = { Options.default with Options.query_cache = true } in
-  let sys, _id = remote_pair ~base () in
-  let n1 = System.node sys "n1" in
-  let cache = Option.get n1.Node.cache in
-  let q = parse_query q_all in
-  Qcache.store cache q
-    (packed (System.local_answers sys ~at:"n0" q))
-    ~sources:[ (System.node sys "n0").Node.node_id ];
-  Alcotest.(check bool) "entry hits before the push" true
-    (Qcache.lookup cache q <> None);
-  ignore (System.insert_fact sys ~at:"n0" ~rel:"data" (tup [ i 904; s "w4" ]));
-  let _ = System.run sys in
-  Alcotest.(check bool) "pushed delta staled the cached one-shot answer" true
-    (Qcache.lookup cache q = None)
 
 (* --- crash / restart -------------------------------------------------- *)
 
@@ -582,10 +525,6 @@ let suite =
     Alcotest.test_case "remote registration outcome reaches the mirror" `Quick
       test_refused_registration_marks_mirror;
     Alcotest.test_case "one push per answer delta" `Quick test_one_push_per_delta;
-    Alcotest.test_case "cache epoch agreement at the host" `Quick
-      test_cache_epoch_agreement_host;
-    Alcotest.test_case "cache epoch agreement at the subscriber" `Quick
-      test_cache_epoch_agreement_subscriber;
     Alcotest.test_case "crash tears down, restart re-arms" `Quick
       test_crash_tears_down_restart_rearms;
     Alcotest.test_case "restart snapshot replaces the mirror" `Quick

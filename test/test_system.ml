@@ -281,6 +281,21 @@ let test_trace_disabled_by_default () =
   let t2 = System.enable_trace sys in
   Alcotest.(check bool) "idempotent" true (t1 == t2)
 
+(* A query answers over the peers' current stores: a fact inserted at
+   a remote peer is in the next answer, with no update in between. *)
+let test_remote_insert_in_next_answer () =
+  let sys = System.build_exn (Topology.generate ~seed:42 Topology.Chain ~n:5) in
+  let q = parse_query "ans(x, y) <- data(x, y)" in
+  let answers () = (System.run_query sys ~at:"n0" q).System.qo_answers in
+  Alcotest.(check int) "before the insert" 238 (List.length (answers ()));
+  let fact = tup [ i 424242; s "remote" ] in
+  Alcotest.(check bool) "fact is new" true
+    (System.insert_fact sys ~at:"n4" ~rel:"data" fact);
+  let after = answers () in
+  Alcotest.(check int) "after the insert" 239 (List.length after);
+  Alcotest.(check bool) "the remote fact is answered" true
+    (List.exists (Tuple.equal fact) after)
+
 let suite =
   [
     Alcotest.test_case "build validates" `Quick test_build_rejects_invalid;
@@ -309,4 +324,6 @@ let suite =
       test_pushdown_refutes_existential;
     Alcotest.test_case "pushdown filters disjunctions at source" `Quick
       test_pushdown_filters_disjunction_at_source;
+    Alcotest.test_case "remote insert is in the next answer" `Quick
+      test_remote_insert_in_next_answer;
   ]

@@ -445,6 +445,33 @@ rule ba at b: r(x, z) <- a: r(x, y);
   Alcotest.(check bool) "subsumption alone converges" true
     (converges { Options.default with Options.use_sent_cache = false })
 
+(* Under default options a rule pair can still diverge: the dedup
+   treats an incoming marked null as a constant, so r(2, N1) at a
+   yields r(N1, N2) at b, then r(N2, N3) at a, and so on.  The event
+   bound cuts the run, and the cut is reported, not passed off as a
+   finished update. *)
+let test_divergence_is_reported () =
+  let cfg =
+    parse_config
+      {|
+node a { relation r(x: int, y: int); }
+node b { relation r(x: int, y: int); fact r(1, 2); }
+rule ab at a: r(x, z) <- b: r(y, x);
+rule ba at b: r(x, z) <- a: r(y, x);
+|}
+  in
+  let sys = System.build_exn cfg in
+  let uid = System.start_update sys ~initiator:"a" in
+  Alcotest.(check int) "ran to the bound" 2000 (System.run ~max_events:2000 sys);
+  Alcotest.(check bool) "the cut is reported" false (System.quiescent sys);
+  let report = Option.get (Report.update_report (System.snapshots sys) uid) in
+  Alcotest.(check bool) "not finished" false report.Report.ur_all_finished;
+  Alcotest.(check bool) "nulls keep coming" true (report.Report.ur_nulls > 100);
+  (* a converging update drains the queue *)
+  let chain = System.build_exn (Topology.generate ~seed:1 Topology.Chain ~n:4) in
+  let _ = System.run_update chain ~initiator:"n0" in
+  Alcotest.(check bool) "a finished run is quiescent" true (System.quiescent chain)
+
 let test_soak_random_glav_network () =
   (* a larger random network with the full rule mix: terminates and
      saturates *)
@@ -486,6 +513,7 @@ let suite =
     Alcotest.test_case "soak: random GLAV network" `Slow test_soak_random_glav_network;
     Alcotest.test_case "divergent ablation is bounded" `Quick
       test_divergent_ablation_is_bounded;
+    Alcotest.test_case "divergence is reported" `Quick test_divergence_is_reported;
     Alcotest.test_case "chain terminates and closes links" `Quick
       test_chain_terminates_and_closes;
     Alcotest.test_case "initiator position does not matter" `Quick
