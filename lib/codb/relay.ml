@@ -41,8 +41,6 @@ let settle t seq =
       Some entry
   | Some _ | None -> None
 
-let inflight_count t = Hashtbl.length t.inflight
-
 let seen_key ~src ~seq = Peer_id.to_string src ^ "#" ^ string_of_int seq
 
 let seen t ~src ~seq = Hashtbl.mem t.seen (seen_key ~src ~seq)

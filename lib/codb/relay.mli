@@ -45,8 +45,6 @@ val settle : t -> int -> entry option
     the entry the first time only; [None] if unknown or already
     settled (duplicate acks are harmless). *)
 
-val inflight_count : t -> int
-
 val mark_seen : t -> src:Peer_id.t -> seq:int -> bool
 (** Receiver-side dedup: [true] iff (src, seq) is new.  The table
     survives node restarts (see {!abandon}). *)

@@ -91,11 +91,18 @@ let latest_update_report snapshots =
   | [] -> None
   | latest :: _ -> update_report snapshots latest.us_update
 
+(* An unfinished node has no finish time, so a cut update has no
+   duration to print. *)
+let pp_duration ppf r =
+  if r.ur_all_finished then
+    Fmt.pf ppf "%.4fs (%.4f -> %.4f)" r.ur_duration r.ur_started r.ur_finished
+  else Fmt.pf ppf "unknown (started %.4f, not every node finished)" r.ur_started
+
 let pp_update_report ppf r =
   Fmt.pf ppf
     "@[<v 2>global update %a:@,\
      nodes: %d%s@,\
-     duration: %.4fs (%.4f -> %.4f)@,\
+     duration: %a@,\
      data messages: %d, control messages: %d@,\
      data volume: %d B@,\
      new tuples: %d, duplicates suppressed: %d, nulls created: %d@,\
@@ -103,7 +110,7 @@ let pp_update_report ppf r =
      index probes: %d, relation scans: %d%s%a@]"
     Ids.pp_update r.ur_update r.ur_nodes
     (if r.ur_all_finished then "" else " (some unfinished)")
-    r.ur_duration r.ur_started r.ur_finished r.ur_data_msgs r.ur_control_msgs r.ur_bytes
+    pp_duration r r.ur_data_msgs r.ur_control_msgs r.ur_bytes
     r.ur_new_tuples r.ur_dup_suppressed r.ur_nulls r.ur_longest_path r.ur_probes
     r.ur_scans
     (if r.ur_zvisited = 0 && r.ur_zpruned = 0 then ""

@@ -10,6 +10,9 @@ type update_report = {
   ur_started : float;  (** earliest start across nodes *)
   ur_finished : float;  (** latest finish across nodes *)
   ur_duration : float;
+      (** [ur_finished -. ur_started]; meaningless unless
+          [ur_all_finished], because an unfinished node counts its
+          start as its finish *)
   ur_data_msgs : int;
   ur_control_msgs : int;
   ur_bytes : int;  (** data bytes received, network-wide *)
@@ -32,6 +35,7 @@ val latest_update_report : Stats.snapshot list -> update_report option
 (** The report of the most recently started update in the snapshots. *)
 
 val pp_update_report : update_report Fmt.t
+(** Prints the duration as unknown when some node did not finish. *)
 
 (** {1 Wire behaviour} *)
 

@@ -11,7 +11,6 @@ type t = {
   mutable sp_peers : Peer_id.t list;
   mutable sp_version : int;
   mutable sp_collected : Stats.snapshot list;
-  mutable sp_send_drops : int;
 }
 
 let id sp = sp.sp_id
@@ -39,8 +38,7 @@ let create ~net ~peers =
   let sp_id = Peer_id.of_string peer_name in
   Network.add_peer net sp_id;
   let sp =
-    { sp_id; sp_net = net; sp_peers = []; sp_version = 0; sp_collected = [];
-      sp_send_drops = 0 }
+    { sp_id; sp_net = net; sp_peers = []; sp_version = 0; sp_collected = [] }
   in
   Network.set_handler net sp_id (on_message sp);
   let attach peer =
@@ -57,11 +55,7 @@ let track sp peer =
     sp.sp_peers <- sp.sp_peers @ [ peer ]
   end
 
-let send sp ~dst payload =
-  if not (Network.send sp.sp_net ~src:sp.sp_id ~dst payload) then
-    sp.sp_send_drops <- sp.sp_send_drops + 1
-
-let send_drops sp = sp.sp_send_drops
+let send sp ~dst payload = ignore (Network.send sp.sp_net ~src:sp.sp_id ~dst payload)
 
 let broadcast sp payload = List.iter (fun peer -> send sp ~dst:peer payload) sp.sp_peers
 

@@ -40,7 +40,3 @@ val request_stats : t -> unit
 
 val collected : t -> Stats.snapshot list
 (** Snapshots received so far, sorted by node. *)
-
-val send_drops : t -> int
-(** Messages the super-peer tried to send on a closed pipe (previously
-    discarded silently). *)

@@ -13,8 +13,6 @@ let compare t1 t2 =
 
 let equal t1 t2 = compare t1 t2 = 0
 
-let is_var = function Var _ -> true | Cst _ -> false
-
 let vars terms =
   let add acc = function
     | Var v -> if List.mem v acc then acc else v :: acc

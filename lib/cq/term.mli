@@ -8,8 +8,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val is_var : t -> bool
-
 val vars : t list -> string list
 (** Variable names occurring in a term list, without duplicates, in
     first-occurrence order. *)

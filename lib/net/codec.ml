@@ -42,7 +42,6 @@ module Dict = struct
   let entries s = s.s_next
   let intros s = s.s_intros
   let hits s = s.s_hits
-  let receiver_epoch rc = rc.r_epoch
 
   (* The table a message stamped [epoch] decodes against.  A newer
      epoch adopts and resets (the sender reset on bump, so nothing we

@@ -45,8 +45,6 @@ module Dict : sig
   val hits : sender -> int
   (** Back-references written (lifetime). *)
 
-  val receiver_epoch : receiver -> int
-
   val table_for : receiver -> epoch:int -> (int, string) Hashtbl.t
   (** The table a message stamped with [epoch] decodes against: a
       newer epoch resets and adopts, the current epoch accumulates,

@@ -70,8 +70,6 @@ let pop q =
     Some (top.time, top.payload)
   end
 
-let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
-
 let clear q = q.size <- 0
 
 let fold f q acc =

@@ -18,8 +18,6 @@ val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Earliest event, or [None] when empty. *)
 
-val peek_time : 'a t -> float option
-
 val clear : 'a t -> unit
 
 val fold : ('acc -> 'a -> 'acc) -> 'a t -> 'acc -> 'acc

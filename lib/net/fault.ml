@@ -49,16 +49,6 @@ type t = {
   mutable f_restarts : int;
 }
 
-let default_plan =
-  {
-    seed = 0;
-    drop_prob = 0.0;
-    dup_prob = 0.0;
-    jitter = 0.0;
-    drop_budget = max_int;
-    flaps = [];
-  }
-
 let validate_plan p =
   let errors = ref [] in
   let reject message = errors := message :: !errors in

@@ -55,9 +55,6 @@ type verdict = {
 
 type t
 
-val default_plan : plan
-(** All faults off, unlimited drop budget, seed 0. *)
-
 val validate_plan : plan -> (unit, string list) result
 
 val make : plan -> t

@@ -7,14 +7,22 @@
    indexes, column statistics, subsumption — happens on packed ints:
    equality is integer equality, hashing never walks a string.
 
+   Set semantics rest on one row index: an open-addressing table of row
+   ids in a single flat [int array] (linear probing, power-of-two
+   capacity, load at most 1/2).  A probe hashes the incoming row and
+   compares candidate rows' cells in place, so a membership test or a
+   duplicate insert allocates nothing; growing the table rehashes every
+   row from its columns, so no hash is stored beside an id.
+
    Nothing is kept boxed: [to_list] boxes a fresh tuple per row, in
    the rows' sorted order, for the text and API boundary, and keeps
    nothing.
 
-   [copy] snapshots in O(columns): full chunks are write-once and
-   shared between the copy and the original; only the partial tail
-   chunk of each column (and the row index) is cloned.  Like the seed,
-   a copy starts with no hash indexes. *)
+   [copy] shares every full column chunk (they are write-once) and
+   clones the chunk-pointer arrays, each column's partial tail chunk
+   and the row index's slot array: O(columns) plus 2 to 4 words per
+   row for the index.  Like the seed, a copy starts with no hash
+   indexes. *)
 
 module Tuple_set = Set.Make (Tuple)
 
@@ -111,7 +119,9 @@ type t = {
   arity : int;
   cols : Ichunks.t array;  (* packed values, one chunk store per column *)
   mutable card : int;  (* rows are [0, card) *)
-  row_index : (int, int list) Hashtbl.t;  (* content hash -> rows *)
+  mutable slots : int array;
+      (* the row index: row ids (or [empty_slot]) by content hash,
+         linear probing, power-of-two length, at most half full *)
   indexes : (int list, index) Hashtbl.t;
   (* per-column distinct-value counters keyed by packed value: built on
      the first [distinct_count] call, maintained incrementally after *)
@@ -125,6 +135,8 @@ type t = {
    probes reuse a built single-column index or scan. *)
 let max_indexes = 16
 
+let empty_slot = -1
+
 let create schema =
   let arity = Schema.arity schema in
   {
@@ -132,7 +144,7 @@ let create schema =
     arity;
     cols = Array.init arity (fun _ -> Ichunks.create ());
     card = 0;
-    row_index = Hashtbl.create 64;
+    slots = Array.make 8 empty_slot;
     indexes = Hashtbl.create 4;
     col_counts = Array.make arity None;
     zones = Array.make arity None;
@@ -148,28 +160,45 @@ let cardinal r = r.card
 
 let cell r col row = Ichunks.get r.cols.(col) row
 
-let packed_hash (packed : int array) =
-  let h = ref (Array.length packed) in
-  for c = 0 to Array.length packed - 1 do
-    h := combine !h packed.(c)
-  done;
-  !h
+(* Does the stored row [id] hold exactly the cells of [packed]?  Read in
+   place, from column [c] on. *)
+let rec row_matches r packed id c =
+  c >= r.arity || (cell r c id = packed.(c) && row_matches r packed id (c + 1))
 
-let row_matches r packed row =
-  let rec loop c = c >= r.arity || (cell r c row = packed.(c) && loop (c + 1)) in
-  loop 0
+(* The row index's hash: {!Row.hash} avalanched once more, because
+   linear probing starts at its low bits and [Row.hash] leaves those
+   clustered on correlated columns such as (k, k). *)
+let row_hash row = Intern.hash (Row.hash row)
 
-(* The row of a row-index bucket holding exactly [packed], or -1. *)
-let rec find_in r packed = function
-  | [] -> -1
-  | row :: rest -> if row_matches r packed row then row else find_in r packed rest
+(* The slot of the row index holding [packed]'s row id, or the empty
+   slot that ends its probe chain (the table is never full). *)
+let rec probe_slot r slots packed i =
+  let id = slots.(i) in
+  if id = empty_slot || row_matches r packed id 0 then i
+  else probe_slot r slots packed ((i + 1) land (Array.length slots - 1))
 
 let find_row r packed =
   if Array.length packed <> r.arity then -1
   else
-    match Hashtbl.find_opt r.row_index (packed_hash packed) with
-    | None -> -1
-    | Some bucket -> find_in r packed bucket
+    let slots = r.slots in
+    slots.(probe_slot r slots packed (row_hash packed land (Array.length slots - 1)))
+
+(* Double the row index and re-place every row by its hash, recomputed
+   from its columns. *)
+let grow_slots r =
+  let cap = 2 * Array.length r.slots in
+  let slots = Array.make cap empty_slot and cells = Array.make r.arity 0 in
+  for id = 0 to r.card - 1 do
+    for c = 0 to r.arity - 1 do
+      cells.(c) <- cell r c id
+    done;
+    let i = ref (row_hash cells land (cap - 1)) in
+    while slots.(!i) <> empty_slot do
+      i := (!i + 1) land (cap - 1)
+    done;
+    slots.(!i) <- id
+  done;
+  r.slots <- slots
 
 let row r id = Array.init r.arity (fun c -> cell r c id)
 
@@ -180,19 +209,18 @@ let index_add ix r row =
     if ix.ix_single then cell r ix.ix_cols.(0) row
     else begin
       let h = ref (Array.length ix.ix_cols) in
-      Array.iter (fun c -> h := combine !h (cell r c row)) ix.ix_cols;
+      for j = 0 to Array.length ix.ix_cols - 1 do
+        h := combine !h (cell r ix.ix_cols.(j) row)
+      done;
       !h
     end
   in
-  let bucket =
-    match Hashtbl.find_opt ix.ix_tbl key with
-    | Some b -> b
-    | None ->
-        let b = Ivec.create () in
-        Hashtbl.add ix.ix_tbl key b;
-        b
-  in
-  Ivec.push bucket row
+  match Hashtbl.find ix.ix_tbl key with
+  | bucket -> Ivec.push bucket row
+  | exception Not_found ->
+      let bucket = Ivec.create () in
+      Hashtbl.add ix.ix_tbl key bucket;
+      Ivec.push bucket row
 
 (* Widen a built zone map with a freshly appended row.  Rows are
    appended strictly in order, so a new chunk always starts exactly at
@@ -219,20 +247,17 @@ let zone_note z v row =
 
 let note_insert r row =
   r.card <- r.card + 1;
-  Hashtbl.iter (fun _ ix -> index_add ix r row) r.indexes;
-  Array.iteri
-    (fun col counts ->
-      match counts with
-      | None -> ()
-      | Some counts ->
-          let v = cell r col row in
-          let n = Option.value ~default:0 (Hashtbl.find_opt counts v) in
-          Hashtbl.replace counts v (n + 1))
-    r.col_counts;
-  Array.iteri
-    (fun col z ->
-      match z with None -> () | Some z -> zone_note z (cell r col row) row)
-    r.zones
+  if Hashtbl.length r.indexes > 0 then
+    Hashtbl.iter (fun _ ix -> index_add ix r row) r.indexes;
+  for col = 0 to r.arity - 1 do
+    (match r.col_counts.(col) with
+    | None -> ()
+    | Some counts ->
+        let v = cell r col row in
+        let n = match Hashtbl.find counts v with n -> n | exception Not_found -> 0 in
+        Hashtbl.replace counts v (n + 1));
+    match r.zones.(col) with None -> () | Some z -> zone_note z (cell r col row) row
+  done
 
 (* ---- mutation -------------------------------------------------------- *)
 
@@ -240,14 +265,13 @@ let index_count r = Hashtbl.length r.indexes
 
 (* Allocation-free conformance of a packed row: the schema's arity, and
    every cell's tag agreeing with its column's type. *)
+let rec attrs_conform (row : Row.t) i = function
+  | [] -> true
+  | a :: rest ->
+      Intern.conforms a.Schema.attr_ty row.(i) && attrs_conform row (i + 1) rest
+
 let row_conforms r (row : Row.t) =
-  Array.length row = r.arity
-  &&
-  let rec loop i = function
-    | [] -> true
-    | a :: rest -> Intern.conforms a.Schema.attr_ty row.(i) && loop (i + 1) rest
-  in
-  loop 0 r.schema.Schema.attrs
+  Array.length row = r.arity && attrs_conform row 0 r.schema.Schema.attrs
 
 let insert_row r row =
   if Row.has_hole row then
@@ -259,16 +283,17 @@ let insert_row r row =
       (Printf.sprintf "Relation.insert: tuple %s does not conform to %s"
          (Tuple.to_string (Row.to_tuple row))
          (Schema.to_string r.schema));
-  let h = packed_hash row in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt r.row_index h) in
-  if find_in r row bucket >= 0 then false
+  let slots = r.slots in
+  let i = probe_slot r slots row (row_hash row land (Array.length slots - 1)) in
+  if slots.(i) <> empty_slot then false
   else begin
     let row_id = r.card in
     for c = 0 to r.arity - 1 do
       Ichunks.push r.cols.(c) row.(c)
     done;
-    Hashtbl.replace r.row_index h (row_id :: bucket);
+    slots.(i) <- row_id;
     note_insert r row_id;
+    if 2 * r.card > Array.length slots then grow_slots r;
     true
   end
 
@@ -307,7 +332,7 @@ let copy r =
   {
     r with
     cols = Array.map Ichunks.snapshot r.cols;
-    row_index = Hashtbl.copy r.row_index;
+    slots = Array.copy r.slots;
     indexes = Hashtbl.create 4;
     col_counts = Array.make r.arity None;
     zones = Array.make r.arity None;

@@ -16,6 +16,12 @@
     this module hands out is canonical in the sense of
     {!Tuple.canonical}.
 
+    Set semantics rest on one row index: an open-addressing table of
+    row ids in a flat [int array] (linear probing from {!row_hash},
+    power-of-two capacity, at most half full) whose probes compare the
+    stored cells in place.  {!mem_row}, a duplicate {!insert_row} and
+    {!subsumed_row} on a ground row allocate nothing.
+
     Equality probes go through {!packed_view}'s [pv_probe], served from
     hash indexes keyed by packed column values (row-id buckets).
     Indexes are built lazily on the first probe and then maintained
@@ -26,10 +32,9 @@
     also keeps cheap statistics — O(1) cardinality and per-column
     distinct-value counts — for the cost-based query planner.
 
-    [copy] is O(columns), not O(tuples): full column chunks are
-    write-once and shared with the copy, which makes the per-query
-    database overlays in the query engine cheap even at millions of
-    tuples. *)
+    [copy] shares every full column chunk (they are write-once) and
+    clones each column's partial tail chunk and the row index's slot
+    array: O(columns) plus 2 to 4 words per tuple. *)
 
 module Tuple_set : Set.S with type elt = Tuple.t
 
@@ -64,6 +69,12 @@ val insert_all : t -> Tuple.t list -> Tuple.t list
 (** Insert many tuples; returns the sub-list that was actually new, in
     the input order. *)
 
+val row_hash : Row.t -> int
+(** The row index's hash of a packed row, non-negative.  The index is
+    an open-addressing table of row ids with a power-of-two capacity,
+    and a probe starts at the slot named by the hash's low bits, so
+    rows agreeing in those bits share one probe chain. *)
+
 val subsumed : t -> Tuple.t -> bool
 (** Null-aware membership: is the (possibly hole-carrying) incoming
     tuple subsumed by some stored tuple?  See {!Tuple.subsumes}.
@@ -97,6 +108,8 @@ val row : t -> int -> Row.t
 (** A fresh copy of the row with this id. *)
 
 val copy : t -> t
+(** An independent relation with the same tuples and no hash indexes;
+    see the cost above. *)
 
 val row_ids : int -> int array * int
 (** The ids [0, n) as [(ids, n)]: a prefix of one shared identity

@@ -316,7 +316,9 @@ type op =
   | Distinct of int
   | Copy
 
-let gen_a = Gen.map i (Gen.int_range 0 4)
+(* mostly a small domain, so inserts collide and probes hit, with a
+   wide tail that grows a relation through several row-index resizes *)
+let gen_a = Gen.map i (Gen.frequency [ (3, Gen.int_range 0 4); (2, Gen.int_range 0 199) ])
 
 let gen_b = Gen.map s (Gen.oneofl [ "u"; "v"; "w" ])
 
@@ -364,23 +366,100 @@ let apply_op (r, o) op =
 let prop_columnar_matches_seed =
   Q2.Test.make ~name:"columnar engine = seed engine on random op interleavings"
     ~count:300
-    (Gen.list_size (Gen.int_range 0 60) (Gen.pair gen_op Gen.bool))
+    (Gen.list_size (Gen.int_range 0 200) (Gen.pair gen_op Gen.nat))
     (fun ops ->
-      let r = ref (Relation.create mixed_schema) in
-      let o = ref (Ref.create mixed_schema) in
+      (* every copy stays live: each op goes to the original or to one of
+         the copies, and each is checked against its own reference, so a
+         copy aliasing its original (or the reverse) shows as a
+         disagreement *)
+      let live = ref [ (Relation.create mixed_schema, Ref.create mixed_schema) ] in
       List.for_all
-        (fun (op, take_copy) ->
-          (* randomly continue on a copy: copies must behave exactly
-             like the original and not alias its state *)
+        (fun (op, pick) ->
+          let ((r, o) as engines) = List.nth !live (pick mod List.length !live) in
           (match op with
-          | Copy when take_copy ->
-              r := Relation.copy !r;
-              o := Ref.copy !o
+          | Copy -> live := !live @ [ (Relation.copy r, Ref.copy o) ]
           | _ -> ());
-          apply_op (!r, !o) op)
+          apply_op engines op)
         ops
-      && Relation.to_list !r = Ref.to_list !o
-      && Relation.cardinal !r = Ref.cardinal !o)
+      && List.for_all
+           (fun (r, o) ->
+             Relation.to_list r = Ref.to_list o && Relation.cardinal r = Ref.cardinal o)
+           !live)
+
+(* The row index probes from [Relation.row_hash row] modulo its
+   power-of-two capacity.  Rows whose hashes all end in seven one bits
+   start their probe chain at the last slot of every table up to 128
+   slots, so the chains wrap around the end; they must still be found,
+   kept apart and rehashed on every resize. *)
+let test_probe_chains_wrap () =
+  let r = fresh () and o = Ref.create r_schema in
+  let colliding =
+    Seq.ints 0
+    |> Seq.map (fun k -> tup [ i k; i (k * 3) ])
+    |> Seq.filter (fun t -> Relation.row_hash (Row.of_tuple t) land 127 = 127)
+    |> Seq.take 60 |> List.of_seq
+  in
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) "fresh" true (Relation.insert r t);
+      ignore (Ref.insert o t);
+      (* every row so far is still found, and none inserted twice *)
+      Alcotest.(check bool) "duplicate" false (Relation.insert r t))
+    colliding;
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) "member" true (Relation.mem r t);
+      Alcotest.(check bool) "subsumed" true (Relation.subsumed r t))
+    colliding;
+  Alcotest.(check bool) "absent row" false (Relation.mem r (tup [ i (-1); i (-1) ]));
+  Alcotest.(check int) "cardinal" 60 (Relation.cardinal r);
+  let c = Relation.copy r in
+  List.iter (fun t -> Alcotest.(check bool) "copy member" true (Relation.mem c t)) colliding;
+  check_tuples "contents" (Ref.to_list o) (Relation.to_list r)
+
+(* The row path allocates nothing per probe: [mem_row], a duplicate
+   [insert_row] and [subsumed_row] on a ground row read the row index
+   and compare cells in place.  A fresh [insert_row] pays only for
+   amortized growth of the column chunks and the row index.  Minor words
+   are exact on OCaml 5 native code; bytecode boxes differently, so the
+   case only runs natively. *)
+let test_row_path_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 2000 in
+    let rows = Array.init n (fun k -> Row.of_tuple (tup [ i k; i (k mod 13) ])) in
+    let r = fresh () in
+    Array.iter (fun row -> ignore (Relation.insert_row r row)) rows;
+    let words f =
+      let before = Gc.minor_words () in
+      for k = 0 to n - 1 do
+        ignore (Sys.opaque_identity (f rows.(k)))
+      done;
+      Gc.minor_words () -. before
+    in
+    let empty = words (fun _ -> true) in
+    List.iter
+      (fun (what, f) ->
+        let net = words f -. empty in
+        Alcotest.(check (float 0.)) (what ^ ": minor words net of an empty loop") 0. net)
+      [
+        ("mem_row", Relation.mem_row r);
+        ("duplicate insert_row", Relation.insert_row r);
+        ("subsumed_row on a ground row", Relation.subsumed_row r);
+      ];
+    (* growth arrays past 256 words skip the minor heap: count them too *)
+    let allocated_words () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let into = fresh () in
+    let before = allocated_words () in
+    Array.iter (fun row -> ignore (Relation.insert_row into row)) rows;
+    let per_row = (allocated_words () -. before) /. float_of_int n in
+    Alcotest.(check int) "all fresh" n (Relation.cardinal into);
+    Alcotest.(check bool)
+      (Printf.sprintf "fresh insert_row: %.1f words per row (bound 16)" per_row)
+      true (per_row < 16.)
+  end
 
 (* --- zone maps ------------------------------------------------------ *)
 
@@ -509,6 +588,8 @@ let suite =
     Alcotest.test_case "prefix view cuts every access path" `Quick
       test_prefix_view_cuts_every_path;
     QCheck_alcotest.to_alcotest prop_columnar_matches_seed;
+    Alcotest.test_case "row-index probe chains wrap around" `Quick test_probe_chains_wrap;
+    Alcotest.test_case "row probes allocate nothing" `Quick test_row_path_allocation;
     Alcotest.test_case "zone maps prune selective ranges" `Quick
       test_zone_prune_selective;
     Alcotest.test_case "zone maps order interned strings" `Quick

@@ -260,7 +260,7 @@ node n1 (consistent, 7 tuples)
     Report.pp_network snaps;
   check "pp_update_report" {|global update upd:n#3:
   nodes: 2 (some unfinished)
-  duration: 1.2500s (0.2500 -> 1.5000)
+  duration: unknown (started 0.2500, not every node finished)
   data messages: 702, control messages: 102
   data volume: 103 B
   new tuples: 104, duplicates suppressed: 105, nulls created: 106

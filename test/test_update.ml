@@ -467,6 +467,16 @@ rule ba at b: r(x, z) <- a: r(y, x);
   let report = Option.get (Report.update_report (System.snapshots sys) uid) in
   Alcotest.(check bool) "not finished" false report.Report.ur_all_finished;
   Alcotest.(check bool) "nulls keep coming" true (report.Report.ur_nulls > 100);
+  (* the printed report gives no duration for a cut run *)
+  let printed = Fmt.str "%a" Report.pp_update_report report in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("printed: " ^ line) true
+        (List.mem line (String.split_on_char '\n' printed)))
+    [
+      "  nodes: 2 (some unfinished)";
+      "  duration: unknown (started 0.0000, not every node finished)";
+    ];
   (* a converging update drains the queue *)
   let chain = System.build_exn (Topology.generate ~seed:1 Topology.Chain ~n:4) in
   let _ = System.run_update chain ~initiator:"n0" in
