@@ -152,14 +152,23 @@ let query_cmd file at text after_update scoped certain_only pushdown =
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
   let q = query_or_die sys ~at text in
+  (* answers read off a store whose update the event bound cut would
+     pass for the fix-point's: say so and fail instead *)
+  let local_answers () =
+    if System.quiescent sys then System.local_answers sys ~at q
+    else begin
+      prerr_endline Shell.cut_message;
+      exit 1
+    end
+  in
   let answers =
     if scoped then begin
       let _ = System.run_scoped_update sys ~at q in
-      System.local_answers sys ~at q
+      local_answers ()
     end
     else if after_update then begin
       let _ = System.run_update sys ~initiator:at in
-      System.local_answers sys ~at q
+      local_answers ()
     end
     else begin
       let outcome = System.run_query sys ~at q in

@@ -71,9 +71,13 @@ let cmd_query sys rest ~scoped =
               | Error msg -> Fmt.pr "error: %s@." msg
               | Ok () when scoped ->
                   let _ = System.run_scoped_update sys ~at q in
-                  let answers = System.local_answers sys ~at q in
-                  List.iter (fun t -> Fmt.pr "  %a@." Tuple.pp t) answers;
-                  Fmt.pr "%d answer(s), materialised locally@." (List.length answers)
+                  (* a cut update's store answers nothing: the caller
+                     ends the session *)
+                  if System.quiescent sys then begin
+                    let answers = System.local_answers sys ~at q in
+                    List.iter (fun t -> Fmt.pr "  %a@." Tuple.pp t) answers;
+                    Fmt.pr "%d answer(s), materialised locally@." (List.length answers)
+                  end
               | Ok () ->
                   let outcome =
                     System.run_query sys ~at q ~on_partial:(fun batch ->
@@ -204,7 +208,15 @@ let bare name rest f = if rest = "" then f () else Fmt.pr "usage: %s@." name
 
 let run sys =
   Fmt.pr "coDB shell — type 'help' for commands@.";
-  let rec loop () =
+  let rec loop_unless_cut () =
+    (* a cut run leaves its events queued, and every later command
+       would resume the divergent update: end here *)
+    if System.quiescent sys then loop ()
+    else begin
+      prerr_endline cut_message;
+      1
+    end
+  and loop () =
     Fmt.pr "codb> %!";
     match In_channel.input_line stdin with
     | None -> 0
@@ -224,16 +236,10 @@ let run sys =
             loop ()
         | "scoped", rest ->
             cmd_query sys rest ~scoped:true;
-            loop ()
+            loop_unless_cut ()
         | "update", at ->
             cmd_update sys (String.trim at);
-            (* a cut run leaves its events queued, and every later
-               command would resume the divergent update: end here *)
-            if System.quiescent sys then loop ()
-            else begin
-              prerr_endline cut_message;
-              1
-            end
+            loop_unless_cut ()
         | "insert", rest ->
             cmd_insert sys rest;
             loop ()

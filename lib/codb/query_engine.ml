@@ -162,16 +162,6 @@ let send_data rt (st : Q.t) ~dst payload =
   end
   else ignore (Reliable.send_noted rt ~dst payload)
 
-(* Streaming ("browse streaming results"): report answers not yet
-   reported and return the enlarged reported-set. *)
-let notify_fresh ~on_answer ~streamed answers =
-  match on_answer with
-  | None -> streamed
-  | Some notify ->
-      let fresh = List.filter (fun row -> not (Row.Set.mem row streamed)) answers in
-      if fresh <> [] then notify fresh;
-      List.fold_left (fun acc row -> Row.Set.add row acc) streamed fresh
-
 let start ?on_answer rt qid query =
   (match Node.check_query rt.Runtime.node query with
   | Ok () -> ()
@@ -182,17 +172,20 @@ let start ?on_answer rt qid query =
   let overlay = Database.copy rt.Runtime.node.Node.store in
   let st =
     Q.create ~query_id:qid ~ref_:root_ref
-      ~kind:(Q.Root { query; result = None; streamed = Row.Set.empty; on_answer })
+      ~kind:(Q.Root { query; result = None; on_answer })
       ~overlay
   in
   Hashtbl.replace rt.Runtime.node.Node.query_instances root_ref st;
   (* stream the locally available answers right away, if anyone
      listens; completion evaluates the overlay either way *)
-  (match (st.Q.qst_kind, on_answer) with
-  | Q.Root root, Some _ ->
-      let local = with_counters rt qid (fun () -> Wrapper.user_answers overlay query) in
-      root.streamed <- notify_fresh ~on_answer ~streamed:root.streamed local
-  | Q.Root _, None | Q.Responder _, _ -> ());
+  (match on_answer with
+  | Some notify ->
+      let local =
+        with_counters rt qid (fun () ->
+            Wrapper.eval_query_full ~sent:st.Q.qst_sent overlay query)
+      in
+      if local <> [] then notify local
+  | None -> ());
   fan_out rt st
     ~query:(if rt.Runtime.opts.Options.pushdown then Some query else None)
     ~rels:(Query.body_relations query) ~label:[ me rt ];
@@ -248,10 +241,10 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
             ()
         | Some eff ->
             let heads =
-              with_counters rt qid (fun () -> Wrapper.eval_query_full overlay eff)
+              with_counters rt qid (fun () ->
+                  Wrapper.eval_query_full ~sent:st.Q.qst_sent overlay eff)
             in
-            let kept = filter_outgoing rt qid constraints heads in
-            let fresh = Q.unsent st kept in
+            let fresh = filter_outgoing rt qid constraints heads in
             if fresh <> [] then
               send_data rt st ~dst:src
                 (Payload.Query_data { query_id = qid; request_ref; rule_id; rows = fresh });
@@ -287,25 +280,28 @@ let on_data rt ~bytes ~request_ref ~rule_id ~rows qid =
               let integration =
                 Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id st.Q.qst_overlay ~rel rows
               in
+              (* the rows the integration just appended, through the
+                 instance's stream over [rel] *)
+              let derive query =
+                let stream =
+                  Q.stream st rel (fun () ->
+                      Wrapper.delta_stream ~sent:st.Q.qst_sent
+                        ~naive:rt.Runtime.opts.Options.naive_delta st.Q.qst_overlay query
+                        ~delta_rel:rel)
+                in
+                with_counters rt qid (fun () ->
+                    Eval.run_stream ~since:integration.Wrapper.since stream)
+              in
               if integration.Wrapper.fresh <> [] then begin
                 match st.Q.qst_kind with
                 | Q.Root { on_answer = None; _ } ->
                     (* the overlay is authoritatively evaluated on
                        completion, and nobody listens to the stream *)
                     ()
-                | Q.Root root ->
-                    (* stream only the answers the delta newly enables:
-                       the rows the integration just appended *)
-                    let answers =
-                      with_counters rt qid (fun () ->
-                          Eval.delta_heads
-                            ~naive:rt.Runtime.opts.Options.naive_delta
-                            (Eval.of_database st.Q.qst_overlay)
-                            ~delta_rel:rel ~since:integration.Wrapper.since root.query)
-                    in
-                    root.streamed <-
-                      notify_fresh ~on_answer:root.on_answer
-                        ~streamed:root.streamed answers
+                | Q.Root { query; on_answer = Some notify; _ } ->
+                    (* stream only the answers the delta newly enables *)
+                    let answers = derive query in
+                    if answers <> [] then notify answers
                 | Q.Responder { requester; in_rule; constraints; _ } -> (
                     match Node.rule_in rt.Runtime.node in_rule with
                     | None -> ()
@@ -314,15 +310,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~rows qid =
                           match effective_rule_query constraints inc with
                           | None -> ()
                           | Some eff ->
-                              let derived =
-                                with_counters rt qid (fun () ->
-                                    Wrapper.eval_query_delta
-                                      ~naive:rt.Runtime.opts.Options.naive_delta
-                                      st.Q.qst_overlay eff ~delta_rel:rel
-                                      ~since:integration.Wrapper.since)
-                              in
-                              let kept = filter_outgoing rt qid constraints derived in
-                              let fresh = Q.unsent st kept in
+                              let fresh = filter_outgoing rt qid constraints (derive eff) in
                               if fresh <> [] then
                                 send_data rt st ~dst:requester
                                   (Payload.Query_data

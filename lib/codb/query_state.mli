@@ -34,8 +34,6 @@ type kind =
       mutable result : Row.t list option;
           (** set on completion: the answers, packed, in
               {!Codb_relalg.Row.compare} order *)
-      mutable streamed : Row.Set.t;
-          (** answers already reported to [on_answer] *)
       on_answer : (Row.t list -> unit) option;
           (** streaming callback: called with each batch of new
               answers as results arrive (the UI's "browse streaming
@@ -58,7 +56,12 @@ type t = {
       (** emptied by {!close}: a closed instance never reads it again *)
   mutable qst_pending : pending list;
   qst_sent : Sent_filter.t;
-      (** responder: the packed rows already sent upstream *)
+      (** the packed rows already derived from the rule (a responder)
+          or reported to [on_answer] (a root): every evaluation of the
+          instance projects into it *)
+  mutable qst_streams : (string * Codb_cq.Eval.stream) list;
+      (** one prepared delta stream per relation data arrived in,
+          projecting into [qst_sent]; dropped by {!close} *)
   mutable qst_closed : bool;
   mutable qst_complete : bool;
       (** no sub-request failed below us (transitively); a responder
@@ -86,11 +89,11 @@ val mark_failed : t -> ref_:string -> bool
 val all_done : t -> bool
 (** Every sub-request answered or failed. *)
 
-val unsent : t -> Codb_relalg.Row.t list -> Codb_relalg.Row.t list
-(** Filter out rows already sent upstream and record the rest as
-    sent. *)
+val stream : t -> string -> (unit -> Codb_cq.Eval.stream) -> Codb_cq.Eval.stream
+(** [stream st rel make] is the instance's stream over [rel], made by
+    [make] the first time. *)
 
 val close : t -> unit
 (** The instance is done: mark it closed and release its overlay (a
-    database with no relations takes its place), as a terminated update
-    releases its sent filters. *)
+    database with no relations takes its place) and its streams, as a
+    terminated update releases its sent filters. *)

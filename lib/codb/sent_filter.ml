@@ -6,13 +6,6 @@ let create ?(size = 64) () = Row.Table.create size
 
 let rows t = t
 
-let note_if_new t row =
-  if Row.Table.mem t row then false
-  else begin
-    Row.Table.add t row ();
-    true
-  end
-
 let elements t = List.sort Row.compare (Row.Table.fold (fun row () acc -> row :: acc) t [])
 
 let tracked = Row.Table.length

@@ -2,8 +2,9 @@
     per-link cache of already-sent tuples ("we delete from Ri those
     tuples which have been already sent").  An exact set of packed head
     rows ({!Codb_relalg.Row.Table}), so a tuple counts as sent only if
-    it really was and nothing is ever re-sent.  A query responder keeps
-    one for its answer stream ({!Query_state.unsent}).
+    it really was and nothing is ever re-sent.  A query instance keeps
+    one for its answer stream ([Query_state.qst_sent]), and its
+    evaluations project into it.
 
     The cache is the head projection's dedup: the update algorithm
     hands {!rows} to {!Codb_cq.Eval.heads} / {!Codb_cq.Eval.delta_heads},
@@ -22,10 +23,6 @@ val create : ?size:int -> unit -> t
 val rows : t -> unit Codb_relalg.Row.Table.t
 (** The packed rows sent so far: the table the projector filters
     against and fills. *)
-
-val note_if_new : t -> Codb_relalg.Row.t -> bool
-(** [true] iff the row was not sent before; it is recorded as sent
-    either way (the row itself is kept: never mutate it). *)
 
 val elements : t -> Codb_relalg.Row.t list
 (** The rows sent so far, sorted by {!Codb_relalg.Row.compare}. *)

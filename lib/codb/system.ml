@@ -105,16 +105,14 @@ let handler sys rt msg =
     ~dst:msg.Codb_net.Message.dst msg.Codb_net.Message.payload;
   Dbm.handle rt msg
 
-let install_node sys decl =
+let install_node sys decl ~outgoing ~incoming =
   let name = decl.Config.node_name in
   if Hashtbl.mem sys.sys_nodes name then
     invalid_arg (Printf.sprintf "System: duplicate node %s" name);
   let node = Node.create decl in
   Node.configure_subs node sys.sys_opts;
   if Options.reliable sys.sys_opts then node.Node.relay <- Some (Relay.create ());
-  Node.set_rules node
-    ~outgoing:(Config.rules_importing_at sys.sys_config name)
-    ~incoming:(Config.rules_sourced_at sys.sys_config name);
+  Node.set_rules node ~outgoing ~incoming;
   Network.add_peer sys.sys_net node.Node.node_id;
   (match sys.sys_opts.Options.durability with
   | Options.Dur_wal ->
@@ -347,7 +345,25 @@ let build ?(opts = Options.default) cfg =
             sys_trace = None;
           }
         in
-        List.iter (fun decl -> ignore (install_node sys decl)) cfg.Config.nodes;
+        (* each node's outgoing (importer) and incoming (source) rules,
+           grouped in one pass over the rule list, in config order *)
+        let importing = Hashtbl.create 32 and sourced = Hashtbl.create 32 in
+        let group tbl name r =
+          Hashtbl.replace tbl name (r :: Option.value ~default:[] (Hashtbl.find_opt tbl name))
+        in
+        List.iter
+          (fun (r : Config.rule_decl) ->
+            group importing r.Config.importer r;
+            group sourced r.Config.source r)
+          (List.rev cfg.Config.rules);
+        let rules_of tbl name = Option.value ~default:[] (Hashtbl.find_opt tbl name) in
+        List.iter
+          (fun decl ->
+            let name = decl.Config.node_name in
+            ignore
+              (install_node sys decl ~outgoing:(rules_of importing name)
+                 ~incoming:(rules_of sourced name)))
+          cfg.Config.nodes;
         connect_acquaintances sys;
         install_faults sys;
         Ok sys
@@ -472,7 +488,12 @@ let discover sys ~at ~ttl =
 
 let add_node sys decl =
   sys.sys_config <- { sys.sys_config with Config.nodes = sys.sys_config.Config.nodes @ [ decl ] };
-  let node = install_node sys decl in
+  let name = decl.Config.node_name in
+  let node =
+    install_node sys decl
+      ~outgoing:(Config.rules_importing_at sys.sys_config name)
+      ~incoming:(Config.rules_sourced_at sys.sys_config name)
+  in
   (match sys.sys_superpeer with
   | Some sp -> Superpeer.track sp node.Node.node_id
   | None -> ());

@@ -50,6 +50,20 @@ val eval_query_delta :
     has not covered yet ({!Watermark}), cut where the hops of the
     imported rows change. *)
 
+val delta_stream :
+  sent:Sent_filter.t ->
+  naive:bool ->
+  Database.t ->
+  Query.t ->
+  delta_rel:string ->
+  Codb_cq.Eval.stream
+(** {!eval_query_delta} prepared once ({!Codb_cq.Eval.delta_stream}):
+    the query's semi-naive join over [delta_rel] is planned at the
+    first {!Codb_cq.Eval.run_stream} and re-run on every later window,
+    each run projecting into [sent].  A query responder keeps one per
+    delta relation for the life of its instance, and the database must
+    stay the one it reads. *)
+
 val eval_rule_full :
   ?opts:Options.t -> ?sent:Sent_filter.t -> Database.t -> Config.rule_decl -> Tuple.t list
 (** {!eval_query_full} on a coordination rule's query, boxed: for

@@ -39,20 +39,22 @@ let reset_counters () =
   cell.zone_visited <- 0;
   cell.zone_pruned <- 0
 
-(* A scan-only packed view of [n] rows read through [cell]: row ids are
-   [0, n) (a prefix of the shared identity array), probes are filtered
-   scans, and there is no chunk structure to prune.  Its sources are
-   never [indexed], so the planner gives them no probe columns and
-   these probes stay unused in practice. *)
-let rec scan_view ~arity n cell =
+(* A scan-only packed view of the [len ()] rows read through [cell],
+   the length read at every access: row ids are [0, len ()) (a prefix
+   of the shared identity array), probes are filtered scans, and there
+   is no chunk structure to prune.  Its sources are never [indexed], so
+   the planner gives them no probe columns and these probes stay
+   unused in practice. *)
+let rec scan_view ~arity len cell =
   {
     Relation.pv_arity = arity;
     pv_cell = cell;
-    pv_all = (fun () -> Relation.row_ids n);
+    pv_all = (fun () -> Relation.row_ids (len ()));
     pv_probe =
       (fun cols ->
         let cols = Array.of_list cols in
         fun vals ->
+          let n = len () in
           let hits = Array.make (max 1 n) 0 and hit = ref 0 in
           for row = 0 to n - 1 do
             let ok = ref true in
@@ -66,13 +68,14 @@ let rec scan_view ~arity n cell =
           done;
           (hits, !hit));
     pv_prune = (fun _ -> None);
-    pv_before = (fun since -> scan_view ~arity (min n (max 0 since)) cell);
+    pv_before =
+      (fun since -> scan_view ~arity (fun () -> min (len ()) (max 0 (since ()))) cell);
   }
 
 (* A transient view over a row list: columns flattened into one int
    array, row-major. *)
 let packed_view_of_rows ~arity:a flat n =
-  scan_view ~arity:a n (fun col row -> flat.((row * a) + col))
+  scan_view ~arity:a (fun () -> n) (fun col row -> flat.((row * a) + col))
 
 let empty_view a = packed_view_of_rows ~arity:a [||] 0
 
@@ -216,7 +219,11 @@ type packed_ctx = {
   x_slot : string -> int option;  (* variable name -> slot *)
 }
 
-let join_packed_run prepared ~(emit : packed_ctx -> unit -> unit) =
+(* Build a planned join's steps once and return its run: everything
+   but the search itself (slot numbering, argument and comparison
+   compilation, the consumer's per-match callback, scratch arrays) is
+   done here, so a run allocates only per candidate set. *)
+let compile_steps prepared ~(emit : packed_ctx -> unit -> unit) =
   (* slots in first-occurrence order over the plan's step sequence *)
   let slot_tbl = Hashtbl.create 16 in
   let slot_names = ref [] (* reversed *) in
@@ -440,8 +447,11 @@ let join_packed_run prepared ~(emit : packed_ctx -> unit -> unit) =
       done
     end
   in
-  go 0
-
+  fun () ->
+    (* a consumer that raised out of the last run left bindings behind *)
+    trail_top := 0;
+    Array.fill bound 0 (Array.length bound) false;
+    go 0
 
 (* Plan a join and prepare its steps; [None] means the join is
    provably empty (a comparison no step ever grounds, or a violated
@@ -466,79 +476,87 @@ let plan_prepared ?max_probe_cols atoms comparisons =
            })
          plan.Plan.pl_steps)
 
-(* Follow the plan's step order, probe the chosen column sets through
-   composite indexes, and evaluate each comparison at the step the
-   planner assigned it to. *)
-let join_run ?max_probe_cols atoms comparisons ~emit =
+let nothing () = ()
+
+(* The one compile function every join goes through: plan it (the
+   plan's step order, the column sets it probes through composite
+   indexes, the step each comparison is evaluated at) and compile the
+   steps for [emit].  The returned run re-executes the compiled join on
+   whatever its views hold at the time. *)
+let compile ?max_probe_cols atoms comparisons ~emit =
   match plan_prepared ?max_probe_cols atoms comparisons with
-  | None -> ()
-  | Some prepared -> join_packed_run prepared ~emit
+  | None -> nothing
+  | Some prepared -> compile_steps prepared ~emit
+
+let full_atoms source q = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body
 
 let full_run ?max_probe_cols source q ~emit =
-  let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
-  join_run ?max_probe_cols atoms q.Query.comparisons ~emit
+  compile ?max_probe_cols (full_atoms source q) q.Query.comparisons ~emit ()
 
 let plan_for ?max_probe_cols source q =
-  let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
-  plan_of_atoms ?max_probe_cols atoms q.Query.comparisons
+  plan_of_atoms ?max_probe_cols (full_atoms source q) q.Query.comparisons
 
-(* The stored rows from [since] on, read in place: the delta a caller
+(* The bounds of a semi-naive join's delta window, read at run time:
+   the delta is [delta_rel]'s rows in [since, upto). *)
+type window = { mutable since : int; mutable upto : int }
+
+(* The rows below the watermark: a prefix view sharing the relation's
+   indexes, not a copy. *)
+let old_rows (full : rows) w =
+  {
+    full with
+    size = min w.since full.size;
+    packed = (fun k -> (full.packed k).Relation.pv_before (fun () -> w.since));
+  }
+
+(* The stored rows in the window, read in place: the delta a caller
    names by its watermark alone.  The window shares the relation's
    cells and copies nothing; like a row list it is not [indexed] (the
    planner scans it) and has no zone maps to prune. *)
-let rows_from ?upto (full : rows) since =
-  let stop total = match upto with Some upto -> min upto total | None -> total in
+let window_rows (full : rows) w =
   let packed k =
     let view = full.packed k in
-    let _, total = view.Relation.pv_all () in
-    scan_view ~arity:view.Relation.pv_arity (max 0 (stop total - since)) (fun col row ->
-        view.Relation.pv_cell col (since + row))
+    let len () =
+      let _, total = view.Relation.pv_all () in
+      max 0 (min w.upto total - w.since)
+    in
+    scan_view ~arity:view.Relation.pv_arity len (fun col row ->
+        view.Relation.pv_cell col (w.since + row))
   in
-  { size = max 0 (stop full.size - since); indexed = false; distinct = None; packed }
+  { size = max 0 (min w.upto full.size - w.since); indexed = false; distinct = None; packed }
 
-let delta_run ?(naive = false) ?max_probe_cols source ~delta_rel ~since ?upto ?delta q ~emit
-    =
-  if naive then full_run ?max_probe_cols source q ~emit
-  else if List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body then begin
+(* Compile the semi-naive join of [q] over [delta_rel]'s window [w]:
+   one compiled pass per body occurrence of [delta_rel].  Occurrence k
+   ranges over the delta ([delta] if given, else the stored window),
+   earlier ones over the old rows, later ones over the full relation:
+   every derivation uses at least one delta tuple and is produced
+   exactly once.  [naive] compiles the full join instead. *)
+let compile_delta ?(naive = false) ?max_probe_cols source ~delta_rel ~window:w ?delta q ~emit =
+  if naive then compile ?max_probe_cols (full_atoms source q) q.Query.comparisons ~emit
+  else begin
+    let over_delta a = String.equal a.Atom.rel delta_rel in
     let full = source delta_rel in
-    (* the rows below the watermark: a prefix view sharing the
-       relation's indexes, not a copy *)
-    let old =
-      {
-        full with
-        size = min since full.size;
-        packed = (fun k -> (full.packed k).Relation.pv_before since);
-      }
-    in
-    let delta_rows =
-      match delta with Some delta -> rows_of_list delta | None -> rows_from ?upto full since
-    in
-    let occurrences =
-      (* occurrence index of every body atom over [delta_rel] *)
-      let _, occs =
-        List.fold_left
-          (fun (i, occs) a ->
-            if String.equal a.Atom.rel delta_rel then (i + 1, i :: occs) else (i, occs))
-          (0, []) q.Query.body
-      in
-      List.rev occs
-    in
+    let old = old_rows full w in
+    let delta_rows = match delta with Some delta -> rows_of_list delta | None -> window_rows full w in
     let pass k =
-      (* Occurrence k ranges over the delta, earlier ones over the old
-         tuples, later ones over the full relation: every derivation
-         uses at least one delta tuple and is produced exactly once. *)
       let _, atoms =
         List.fold_left
           (fun (i, acc) a ->
-            if String.equal a.Atom.rel delta_rel then
+            if over_delta a then
               let rows = if i < k then old else if i = k then delta_rows else full in
               (i + 1, (a, rows) :: acc)
             else (i, (a, source a.Atom.rel) :: acc))
           (0, []) q.Query.body
       in
-      join_run ?max_probe_cols (List.rev atoms) q.Query.comparisons ~emit
+      compile ?max_probe_cols (List.rev atoms) q.Query.comparisons ~emit
     in
-    List.iter pass occurrences
+    let occurrences =
+      List.fold_left (fun n a -> if over_delta a then n + 1 else n) 0 q.Query.body
+    in
+    match List.init occurrences pass with
+    | [] -> nothing
+    | [ run ] -> run
+    | passes -> fun () -> List.iter (fun run -> run ()) passes
   end
 
 (* One boxed substitution per match. *)
@@ -569,15 +587,16 @@ let exists source q ~accept =
   | exception Found -> true
 
 let delta_answers ?naive ?max_probe_cols source ~delta_rel ~since ?delta q =
-  collect_substs (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ?delta q)
+  let window = { since; upto = max_int } in
+  collect_substs (fun ~emit ->
+      compile_delta ?naive ?max_probe_cols source ~delta_rel ~window ?delta q ~emit ())
 
-(* The head projector.  Each match writes the head's packed values
-   into a scratch row (an existential variable projects to its hole);
-   a row absent from [into] is copied, noted there and kept.  A row
-   already in [into] costs a hash lookup and allocates nothing.  The
-   kept rows are sorted packed, in [Tuple.compare] order, and never
-   boxed. *)
-let project run q ~into =
+(* The head projector, as a join consumer.  Each match writes the
+   head's packed values into a scratch row (an existential variable
+   projects to its hole); a row absent from [into] is copied, noted
+   there and pushed onto [kept].  A row already in [into] costs a hash
+   lookup and allocates nothing. *)
+let projector q ~into ~kept =
   let existentials = Query.existential_head_vars q in
   let hole v =
     let rec index i = function
@@ -586,42 +605,72 @@ let project run q ~into =
     in
     Pconst (Intern.pack (Value.Hole (index 0 existentials)))
   in
-  let kept = ref [] in
-  run ~emit:(fun ctx ->
-      let proj =
-        Array.of_list
-          (List.map
-             (function
-               | Term.Cst c -> Pconst (Intern.pack c)
-               | Term.Var v -> (
-                   match ctx.x_slot v with Some s -> Pvar s | None -> hole v))
-             q.Query.head.Atom.args)
-      in
-      let width = Array.length proj in
-      let scratch = Array.make width 0 in
-      fun () ->
-        for j = 0 to width - 1 do
-          scratch.(j) <-
-            (match proj.(j) with
-            | Pconst c -> c
-            | Pvar s -> ctx.x_vals.(s)
-            | Pbindconst _ -> assert false (* never built by the projector *))
-        done;
-        if not (Row.Table.mem into scratch) then begin
-          let row = Array.copy scratch in
-          Row.Table.add into row ();
-          kept := row :: !kept
-        end);
-  List.sort Row.compare !kept
+  fun ctx ->
+    let proj =
+      Array.of_list
+        (List.map
+           (function
+             | Term.Cst c -> Pconst (Intern.pack c)
+             | Term.Var v -> ( match ctx.x_slot v with Some s -> Pvar s | None -> hole v))
+           q.Query.head.Atom.args)
+    in
+    let width = Array.length proj in
+    let scratch = Array.make width 0 in
+    fun () ->
+      for j = 0 to width - 1 do
+        scratch.(j) <-
+          (match proj.(j) with
+          | Pconst c -> c
+          | Pvar s -> ctx.x_vals.(s)
+          | Pbindconst _ -> assert false (* never built by the projector *))
+      done;
+      if not (Row.Table.mem into scratch) then begin
+        let row = Array.copy scratch in
+        Row.Table.add into row ();
+        kept := row :: !kept
+      end
+
+(* The kept rows, sorted packed in [Tuple.compare] order and never
+   boxed; [kept] is emptied for the next run. *)
+let take kept =
+  let rows = !kept in
+  kept := [];
+  List.sort Row.compare rows
 
 let fresh_rows () = Row.Table.create 64
 
 let heads ?max_probe_cols ?(into = fresh_rows ()) source q =
-  project (full_run ?max_probe_cols source q) q ~into
+  let kept = ref [] in
+  full_run ?max_probe_cols source q ~emit:(projector q ~into ~kept);
+  take kept
+
+type stream = { s_window : window; s_kept : Row.t list ref; s_run : (unit -> unit) Lazy.t }
+
+let delta_stream ?naive ?max_probe_cols ~into source ~delta_rel q =
+  let window = { since = 0; upto = max_int } and kept = ref [] in
+  {
+    s_window = window;
+    s_kept = kept;
+    (* planned at the first run, when the window's size is known *)
+    s_run =
+      lazy
+        (compile_delta ?naive ?max_probe_cols source ~delta_rel ~window q
+           ~emit:(projector q ~into ~kept));
+  }
+
+let run_stream ~since ?(upto = max_int) s =
+  s.s_window.since <- since;
+  s.s_window.upto <- upto;
+  Lazy.force s.s_run ();
+  take s.s_kept
 
 let delta_heads ?naive ?max_probe_cols ?(into = fresh_rows ()) source ~delta_rel ~since
-    ?upto ?delta q =
-  project (delta_run ?naive ?max_probe_cols source ~delta_rel ~since ?upto ?delta q) q ~into
+    ?(upto = max_int) ?delta q =
+  let kept = ref [] in
+  compile_delta ?naive ?max_probe_cols source ~delta_rel ~window:{ since; upto } ?delta q
+    ~emit:(projector q ~into ~kept)
+    ();
+  take kept
 
 let answer_rows ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with

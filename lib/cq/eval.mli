@@ -29,7 +29,8 @@
     Each comes in two outputs: boxed substitutions ({!answers},
     {!delta_answers}), and head rows projected packed through a
     caller-supplied dedup table ({!heads}, {!delta_heads}), which is
-    what the protocols use. *)
+    what the protocols use.  A caller that evaluates one rule on
+    delta after delta prepares it once as a {!type:stream}. *)
 
 type rows = {
   size : int;  (** cardinality, for the planner's cost model *)
@@ -197,6 +198,49 @@ val delta_heads :
     early: the rows from [upto] on are then read only where an atom
     reads full, so a derivation through one of them in an earlier
     occurrence comes out only from the window that holds it. *)
+
+(** {2 Prepared delta streams}
+
+    A node that evaluates the same rule on every batch a peer streams
+    back (a query responder, a root with a listener) prepares the
+    rule's semi-naive join once.  The first run plans each pass
+    ({!Plan.make}, on the sizes it then sees) and compiles it for the
+    head projector; every later run re-executes the compiled passes.
+    The window bounds are read at run time: the views of the old rows
+    and of the delta window read them at every access, and the live
+    relation is read as it stands.  Each run projects straight into the
+    table fixed at preparation, so a head the stream (or anything else
+    writing that table) already produced is never copied again.
+
+    Each body occurrence of [delta_rel] reads what {!delta_heads}
+    reads: occurrence [k] the rows in [\[since, upto)], earlier ones
+    the rows below [since], later ones the live relation, so self-joins
+    stream too.  [~naive:true] compiles the full join once and re-runs
+    it.  {!heads} and {!delta_heads} are the same compile, run once; a
+    run's output does not depend on the plan, since the projector
+    de-duplicates and sorts. *)
+
+type stream
+(** One rule's prepared semi-naive join over one delta relation, with
+    its dedup table. *)
+
+val delta_stream :
+  ?naive:bool ->
+  ?max_probe_cols:int ->
+  into:unit Codb_relalg.Row.Table.t ->
+  source ->
+  delta_rel:string ->
+  Query.t ->
+  stream
+(** Prepare [q]'s stream over [delta_rel]: nothing is planned until
+    the first {!run_stream}.  [source] must keep serving the same
+    relations (a database's views read it live). *)
+
+val run_stream : since:int -> ?upto:int -> stream -> Codb_relalg.Row.t list
+(** The heads derivable through at least one row of [delta_rel] in
+    [\[since, upto)] that the stream's table does not hold yet,
+    distinct and sorted; they are added to the table.  [since] obeys
+    {!delta_answers}' contract. *)
 
 val answer_rows :
   ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Row.t list

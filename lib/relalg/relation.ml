@@ -165,10 +165,8 @@ let cell r col row = Ichunks.get r.cols.(col) row
 let rec row_matches r packed id c =
   c >= r.arity || (cell r c id = packed.(c) && row_matches r packed id (c + 1))
 
-(* The row index's hash: {!Row.hash} avalanched once more, because
-   linear probing starts at its low bits and [Row.hash] leaves those
-   clustered on correlated columns such as (k, k). *)
-let row_hash row = Intern.hash (Row.hash row)
+(* The row index's hash; linear probing starts at its low bits. *)
+let row_hash = Row.hash
 
 (* The slot of the row index holding [packed]'s row id, or the empty
    slot that ends its probe chain (the table is never full). *)
@@ -378,7 +376,7 @@ type packed_view = {
   pv_all : unit -> int array * int;
   pv_probe : int list -> int array -> int array * int;
   pv_prune : (int * bound_op * int) list -> (int array * int * int * int) option;
-  pv_before : int -> packed_view;
+  pv_before : (unit -> int) -> packed_view;
 }
 
 let no_rows = ([||], 0)
@@ -589,11 +587,12 @@ let subsumed_row r (incoming : Row.t) =
 
 let subsumed r incoming = subsumed_row r (Row.of_tuple incoming)
 
-(* The rows [0, min card limit): the whole, growing relation when
-   [limit] is [max_int], a fixed prefix of it otherwise.  Both share the
-   relation's indexes and zone maps. *)
+(* The rows [0, min card (limit ())): the whole, growing relation
+   when [limit] is [max_int], a prefix of it otherwise, its bound read
+   at every access.  Both share the relation's indexes and zone
+   maps. *)
 let rec view r limit =
-  let rows () = min r.card limit in
+  let rows () = min r.card (limit ()) in
   {
     pv_arity = r.arity;
     pv_cell = (fun col row -> cell r col row);
@@ -614,10 +613,12 @@ let rec view r limit =
           let n = rows () in
           cut n (probe n vals));
     pv_prune = (fun bounds -> Some (prune_rows r (rows ()) bounds));
-    pv_before = (fun since -> view r (min limit (max 0 since)));
+    pv_before = (fun since -> view r (fun () -> min (limit ()) (max 0 (since ()))));
   }
 
-let packed_view r = view r max_int
+let unbounded () = max_int
+
+let packed_view r = view r unbounded
 
 let distinct_count r ~col =
   if col < 0 || col >= r.arity then

@@ -70,7 +70,7 @@ val insert_all : t -> Tuple.t list -> Tuple.t list
     the input order. *)
 
 val row_hash : Row.t -> int
-(** The row index's hash of a packed row, non-negative.  The index is
+(** The row index's hash of a packed row: {!Row.hash}.  The index is
     an open-addressing table of row ids with a power-of-two capacity,
     and a probe starts at the slot named by the hash's low bits, so
     rows agreeing in those bits share one probe chain. *)
@@ -145,11 +145,14 @@ type packed_view = {
           maintained on insert.  [None] when the view has no chunk
           structure to prune (e.g. {!Codb_cq.Eval.rows_of_list} feeds)
           — callers fall back to [pv_all]. *)
-  pv_before : int -> packed_view;
+  pv_before : (unit -> int) -> packed_view;
       (** [pv_before since] is the view cut to the row ids below
-          [since]: the relation as it stood before the rows
-          [since, ...) were appended.  Semi-naive evaluation reads the
-          pre-delta relation through it.  Every id array a view returns
+          [since ()]: the relation as it stood before the rows
+          [since (), ...) were appended.  The bound is read at every
+          access, so one cut view (and the probes prepared on it)
+          serves a semi-naive join whose watermark moves from run to
+          run.  Semi-naive evaluation reads the pre-delta relation
+          through it.  Every id array a view returns
           is ascending, so the cut is a length, not a copy; the cut
           view shares the relation's indexes and zone maps.  What it
           walks stays below [since]: a scan or a zone-map scan reads

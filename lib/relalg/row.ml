@@ -19,12 +19,15 @@ let rec cells_equal (a : t) b j = j >= Array.length a || (a.(j) = b.(j) && cells
 (* no local closure: a table lookup must not allocate *)
 let equal (a : t) b = Array.length a = Array.length b && cells_equal a b 0
 
+(* The cell mix leaves the low bits clustered on correlated columns
+   such as (k, k); {!Intern.hash}'s finaliser avalanches them, since
+   [Table] and the row index both pick buckets by the low bits. *)
 let hash (row : t) =
   let h = ref (Array.length row) in
   for j = 0 to Array.length row - 1 do
     h := (!h * 0x100000001b3) lxor Intern.hash row.(j)
   done;
-  !h land max_int
+  Intern.hash !h
 
 let rec hole_from (row : t) j = j < Array.length row && (Intern.is_hole row.(j) || hole_from row (j + 1))
 

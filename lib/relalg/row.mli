@@ -25,7 +25,10 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Mixes {!Intern.hash} of every cell; non-negative. *)
+(** Mixes {!Intern.hash} of every cell and avalanches the result with
+    the same finaliser, so correlated columns do not cluster its low
+    bits (the bits {!Table} and the store's row index pick buckets
+    by); non-negative. *)
 
 val has_hole : t -> bool
 

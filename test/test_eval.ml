@@ -332,6 +332,36 @@ let test_delta_named_by_watermark () =
   Alcotest.(check int) "an empty suffix derives nothing" 0
     (List.length (Eval.delta_heads source ~delta_rel:"e" ~since:4 q))
 
+(* A prepared stream planned and compiled its join at the first run:
+   a later run over an empty window pays only for the candidate set it
+   finds empty, not for a plan (a one-shot [delta_heads] call spends
+   ~650 words on planning and compiling first).  Minor words are exact
+   on OCaml 5 native code only, as in [test_relation]. *)
+let test_stream_run_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let db =
+      db_of [ r_schema; Schema.make "s" [ ("b", Value.Tint); ("c", Value.Tint) ] ]
+        (List.init 100 (fun k -> ("s", tup [ i k; i (k + 1) ]))
+        @ List.init 100 (fun k -> ("r", tup [ i k; i k ])))
+    in
+    let into = Row.Table.create 64 in
+    let stream =
+      Eval.delta_stream ~into (Eval.of_database db) ~delta_rel:"r"
+        (parse_query "h(x, c) <- r(x, b), s(b, c)")
+    in
+    check_tuples "the first run derives the window's head" [ tup [ i 99; i 100 ] ]
+      (boxed (Eval.run_stream ~since:99 stream));
+    let runs = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to runs do
+      ignore (Sys.opaque_identity (Eval.run_stream ~since:100 stream))
+    done;
+    let per_run = (Gc.minor_words () -. before) /. float_of_int runs in
+    Alcotest.(check bool)
+      (Printf.sprintf "empty-window run: %.1f minor words (bound 64)" per_run)
+      true (per_run <= 64.)
+  end
+
 let suite =
   [
     Alcotest.test_case "single atom scan" `Quick test_single_atom_scan;
@@ -364,6 +394,7 @@ let suite =
       test_zone_maps_answers_unchanged;
     Alcotest.test_case "mixed widths: each atom sees its own rows" `Quick
       test_mixed_widths;
+    Alcotest.test_case "a stream run allocates no plan" `Quick test_stream_run_allocation;
     Alcotest.test_case "a delta named by its watermark" `Quick
       test_delta_named_by_watermark;
   ]

@@ -230,6 +230,43 @@ let prop_projector_matches_oracle =
            (Head_ref.head_tuples q
               (Eval.delta_answers ~naive source ~delta_rel:"r" ~since ~delta q)))
 
+(* A prepared stream run over successive insert windows, after a full
+   evaluation into its table (a query responder's life): each run
+   returns exactly a fresh one-shot [delta_heads] of its window minus
+   the rows the table already holds, and the table ends equal to the
+   full evaluation of the final database. *)
+let prop_stream_matches_one_shot =
+  Q2.Test.make ~name:"prepared stream = one-shot deltas, table = full heads" ~count:300
+    (Gen.quad gen_db
+       Gen.(list_size (int_range 1 5) (list_size (int_range 0 4) gen_tuple))
+       Gen.(
+         frequency
+           [
+             (1, list_size (int_range 1 3) gen_atom >>= gen_rule_query_of_body);
+             (2, gen_self_join_query >>= fun q -> gen_rule_query_of_body q.Query.body);
+           ])
+       Gen.bool)
+    (fun (db, batches, q, naive) ->
+      let source = Eval.of_database db in
+      let into = Row.Table.create 8 in
+      ignore (Eval.heads ~into source q);
+      let stream = Eval.delta_stream ~naive ~into source ~delta_rel:"r" q in
+      let runs_ok =
+        List.for_all
+          (fun batch ->
+            let since = Relation.cardinal (Database.relation db "r") in
+            ignore (Database.insert_all db "r" batch);
+            let expected =
+              List.filter
+                (fun row -> not (Row.Table.mem into row))
+                (Eval.delta_heads ~naive source ~delta_rel:"r" ~since q)
+            in
+            List.equal Row.equal expected (Eval.run_stream ~since stream))
+          batches
+      in
+      let table = List.sort Row.compare (Row.Table.fold (fun row () acc -> row :: acc) into []) in
+      runs_ok && List.equal Row.equal table (Eval.heads source q))
+
 let gen_shape =
   Gen.oneofl
     [
@@ -828,6 +865,7 @@ let suite =
       prop_delta_exactly_once;
       prop_delta_brackets_gain;
       prop_projector_matches_oracle;
+      prop_stream_matches_one_shot;
       prop_roundtrip_config;
       prop_update_terminates_and_is_idempotent;
       prop_update_reaches_fixpoint;

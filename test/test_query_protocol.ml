@@ -243,6 +243,7 @@ let test_late_data_for_closed_instance () =
   let module Q = Query_state in
   Alcotest.(check bool) "root closed" true root.Q.qst_closed;
   Alcotest.(check int) "root overlay released" 0 (Database.cardinal root.Q.qst_overlay);
+  Alcotest.(check int) "root streams released" 0 (List.length root.Q.qst_streams);
   late ~owner:root_ref;
   Alcotest.(check int) "root overlay still empty" 0 (Database.cardinal root.Q.qst_overlay);
   check_tuples "root answer unchanged" [ tup [ i 1 ] ]
@@ -314,6 +315,57 @@ let test_unheard_root_evaluates_nothing_on_data () =
   check_tuples "same final answers" heard answers;
   check_tuples "final answers" [ tup [ i 1 ]; tup [ i 2 ] ] answers
 
+(* Two children send overlapping data: distinct rows in the overlay
+   whose heads coincide upstream.  The responder's rule projects into
+   its sent set, so each head reaches the requester once. *)
+let test_overlapping_children_forward_once () =
+  let rt, _, outbox =
+    make_runtime
+      {|
+node down { relation q(x: int); }
+node me { relation r(x: int, y: int); fact r(1, 0); }
+node up1 { relation r(x: int, y: int); }
+node up2 { relation r(x: int, y: int); }
+rule to_down at down: q(x) <- me: r(x, y);
+rule from_up1 at me: r(x, y) <- up1: r(x, y);
+rule from_up2 at me: r(x, y) <- up2: r(x, y);
+|}
+  in
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~ref_:"q6" "to_down");
+  let first = drain outbox in
+  let sub_ref child =
+    List.find_map
+      (fun m ->
+        match m.payload with
+        | Payload.Query_request { request_ref; _ } when m.dst = child -> Some request_ref
+        | _ -> None)
+      first
+    |> Option.get
+  in
+  let forwarded messages =
+    List.concat_map
+      (fun m ->
+        match m.payload with
+        | Payload.Query_data { request_ref = "q6"; rows; _ } when m.dst = "down" ->
+            [ boxed rows ]
+        | _ -> [])
+      messages
+  in
+  let data child rule_id rows =
+    Query_engine.handle rt ~src:(peer child) ~bytes:60
+      (Payload.Query_data
+         { query_id = qid; request_ref = sub_ref child; rule_id; rows = packed rows });
+    forwarded (drain outbox)
+  in
+  Alcotest.(check (list (list tuple_testable))) "local answer first" [ [ tup [ i 1 ] ] ]
+    (forwarded first);
+  Alcotest.(check (list (list tuple_testable))) "up1's heads" [ [ tup [ i 2 ]; tup [ i 3 ] ] ]
+    (data "up1" "from_up1" [ tup [ i 2; i 1 ]; tup [ i 3; i 1 ] ]);
+  Alcotest.(check (list (list tuple_testable))) "up2's only new head" [ [ tup [ i 4 ] ] ]
+    (data "up2" "from_up2" [ tup [ i 3; i 2 ]; tup [ i 4; i 2 ]; tup [ i 1; i 2 ] ]);
+  Alcotest.(check (list (list tuple_testable))) "nothing new from up1" []
+    (data "up1" "from_up1" [ tup [ i 4; i 1 ]; tup [ i 2; i 5 ] ])
+
 let suite =
   [
     Alcotest.test_case "responder serves and fans out" `Quick
@@ -322,6 +374,8 @@ let suite =
     Alcotest.test_case "deltas stream, then done" `Quick test_streams_deltas_then_done;
     Alcotest.test_case "unknown rule answers done" `Quick test_unknown_rule_answers_done;
     Alcotest.test_case "stale messages ignored" `Quick test_stale_messages_ignored;
+    Alcotest.test_case "overlapping children forward each row once" `Quick
+      test_overlapping_children_forward_once;
     Alcotest.test_case "closed instances release overlays" `Quick
       test_closed_instances_release_overlays;
     Alcotest.test_case "late data for a closed instance" `Quick

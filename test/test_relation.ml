@@ -248,7 +248,7 @@ let test_prefix_view_cuts_every_path () =
   in
   List.iter
     (fun since ->
-      let old = full.Relation.pv_before since in
+      let old = full.Relation.pv_before (fun () -> since) in
       let label what = Printf.sprintf "since %d: %s" since what in
       Alcotest.(check (list int)) (label "pv_all") (List.init (min since 10000) Fun.id)
         (ids (old.Relation.pv_all ()));
@@ -282,7 +282,7 @@ let test_prefix_view_cuts_every_path () =
   List.iter
     (fun cols ->
       let vals = Array.of_list (List.map (fun c -> Intern.pack (i (c mod 2))) cols) in
-      let whole = full.Relation.pv_probe cols and cut = (full.Relation.pv_before 100).pv_probe cols in
+      let whole = full.Relation.pv_probe cols and cut = (full.Relation.pv_before (fun () -> 100)).pv_probe cols in
       (* the first call resolves the access path *)
       ignore (whole vals, cut vals);
       let w = bytes (fun () -> whole vals) and c = bytes (fun () -> cut vals) in
@@ -385,6 +385,20 @@ let prop_columnar_matches_seed =
            (fun (r, o) ->
              Relation.to_list r = Ref.to_list o && Relation.cardinal r = Ref.cardinal o)
            !live)
+
+(* [Row.Table] and the row index pick buckets by the hash's low bits.
+   Correlated columns must not cluster them: the cell mix alone put
+   the rows (k, k) in 451 of 4 096 low-12-bit buckets, where a uniform
+   hash fills ~2 590. *)
+let test_row_hash_spreads_low_bits () =
+  let buckets = Hashtbl.create 4096 in
+  for k = 0 to 4095 do
+    Hashtbl.replace buckets (Row.hash (Row.of_tuple (tup [ i k; i k ])) land 4095) ()
+  done;
+  let filled = Hashtbl.length buckets in
+  Alcotest.(check bool)
+    (Printf.sprintf "(k, k) rows fill %d of 4096 buckets (bound 2400)" filled)
+    true (filled >= 2400)
 
 (* The row index probes from [Relation.row_hash row] modulo its
    power-of-two capacity.  Rows whose hashes all end in seven one bits
@@ -588,6 +602,8 @@ let suite =
     Alcotest.test_case "prefix view cuts every access path" `Quick
       test_prefix_view_cuts_every_path;
     QCheck_alcotest.to_alcotest prop_columnar_matches_seed;
+    Alcotest.test_case "row hash spreads correlated columns" `Quick
+      test_row_hash_spreads_low_bits;
     Alcotest.test_case "row-index probe chains wrap around" `Quick test_probe_chains_wrap;
     Alcotest.test_case "row probes allocate nothing" `Quick test_row_path_allocation;
     Alcotest.test_case "zone maps prune selective ranges" `Quick

@@ -41,7 +41,7 @@ let test_update_state_sent_cache () =
   Alcotest.(check int) "empty cache" 0 (U.sent_tracked st "i1");
   let filter = U.sent_filter st "i1" in
   List.iter
-    (fun row -> ignore (Codb_core.Sent_filter.note_if_new filter row))
+    (fun row -> Row.Table.replace (Codb_core.Sent_filter.rows filter) row ())
     (packed [ tup [ i 1 ]; tup [ i 2 ]; tup [ i 2 ]; tup [ i 3 ] ]);
   Alcotest.(check int) "set semantics" 3 (U.sent_tracked st "i1");
   check_tuples "members, sorted"
@@ -58,8 +58,7 @@ let mk_query_state () =
   Q.create ~query_id:qid ~ref_:"ref0"
     ~kind:
       (Q.Root
-         { query = parse_query "a(x) <- r(x, y)"; result = None;
-           streamed = Row.Set.empty; on_answer = None })
+         { query = parse_query "a(x) <- r(x, y)"; result = None; on_answer = None })
     ~overlay
 
 let test_query_state_pending () =
@@ -74,18 +73,10 @@ let test_query_state_pending () =
   Alcotest.(check bool) "done" true (Q.all_done st);
   Q.mark_done st ~ref_:"unknown" (* must be a harmless no-op *)
 
-let test_query_state_unsent () =
-  let st = mk_query_state () in
-  let batch1 = Q.unsent st (packed [ tup [ i 1 ]; tup [ i 2 ] ]) in
-  Alcotest.(check int) "first batch full" 2 (List.length batch1);
-  let batch2 = Q.unsent st (packed [ tup [ i 2 ]; tup [ i 3 ] ]) in
-  check_tuples "only the new one" [ tup [ i 3 ] ] (boxed batch2)
-
 let suite =
   [
     Alcotest.test_case "update link states" `Quick test_update_state_links;
     Alcotest.test_case "scoped activation" `Quick test_update_state_scoped_activation;
     Alcotest.test_case "sent cache" `Quick test_update_state_sent_cache;
     Alcotest.test_case "query pending bookkeeping" `Quick test_query_state_pending;
-    Alcotest.test_case "query unsent filter" `Quick test_query_state_unsent;
   ]

@@ -31,6 +31,29 @@ let test_pipes_follow_rules () =
   Alcotest.(check bool) "n1-n2" true (Network.connected net (p "n1") (p "n2"));
   Alcotest.(check bool) "no n0-n2" false (Network.connected net (p "n0") (p "n2"))
 
+(* [System.build] groups the rules by importer and by source in one
+   pass; every node must get exactly the [Config] helpers' lists, in
+   config order. *)
+let test_build_wires_rules () =
+  let check_wiring label cfg =
+    let sys = System.build_exn cfg in
+    let ids rules = List.map (fun r -> r.Config.rule_id) rules in
+    List.iter
+      (fun name ->
+        let node = System.node sys name in
+        Alcotest.(check (list string)) (label ^ " " ^ name ^ " outgoing")
+          (ids (Config.rules_importing_at cfg name)) (ids node.Node.outgoing);
+        Alcotest.(check (list string)) (label ^ " " ^ name ^ " incoming")
+          (ids (Config.rules_sourced_at cfg name)) (ids node.Node.incoming))
+      (System.node_names sys)
+  in
+  check_wiring "tree" (Topology.generate ~seed:3 Topology.Binary_tree ~n:31);
+  let n = 12 in
+  let spec = { Codb_workload.Glavgen.default_spec with Codb_workload.Glavgen.rules_per_edge = 3 } in
+  check_wiring "mesh"
+    (Codb_workload.Glavgen.generate ~spec ~seed:5
+       ~edges:(Topology.edges (Topology.Grid (3, 4)) ~n) ~n ())
+
 let test_superpeer_stats_collection () =
   let sys = System.build_exn (Topology.generate ~seed:2 Topology.Chain ~n:3) in
   let _ = System.run_update sys ~initiator:"n0" in
@@ -317,6 +340,7 @@ let suite =
     Alcotest.test_case "dynamic node arrival" `Quick test_add_node_dynamic;
     Alcotest.test_case "report aggregation" `Quick test_report_aggregation_fields;
     Alcotest.test_case "report for unknown update" `Quick test_report_missing_update;
+    Alcotest.test_case "build wires each node's rules" `Quick test_build_wires_rules;
     Alcotest.test_case "snapshot sizes" `Quick test_stats_snapshot_roundtrip_sizes;
     Alcotest.test_case "pushdown reduces query traffic" `Quick
       test_pushdown_reduces_traffic;

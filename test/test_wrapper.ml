@@ -65,7 +65,7 @@ let test_sent_filter_is_projection_dedup () =
         ("base", tup [ i 2; i 20 ]) ]
   in
   let sent = Sent_filter.create () in
-  ignore (Sent_filter.note_if_new sent (Row.of_tuple (tup [ i 2; Value.Hole 0 ])));
+  Row.Table.replace (Sent_filter.rows sent) (Row.of_tuple (tup [ i 2; Value.Hole 0 ])) ();
   check_tuples "two derivations, one head; the sent head dropped"
     [ tup [ i 1; Value.Hole 0 ] ]
     (Wrapper.eval_rule_full ~sent db rule);
