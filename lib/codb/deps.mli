@@ -12,8 +12,6 @@
 
 module Config = Codb_cq.Config
 
-val depends_on : incoming:Config.rule_decl -> outgoing:Config.rule_decl -> bool
-
 val relevant_outgoing :
   Config.rule_decl list -> incoming:Config.rule_decl -> Config.rule_decl list
 (** Among the node's outgoing links, those relevant for the given

@@ -160,47 +160,51 @@ let snapshot_version = 4
 
 let query_text q = Fmt.str "%a" Pretty.query q
 
-(* Lineage as import records: a row's k-th import goes in round k, so
-   replay rebuilds each import list in order.  Within a round, one
-   record per (relation, import) in key order, its rows in
-   [Row.compare] order (which [Lineage.all] hands them in). *)
-let import_groups lineage =
+(* Lineage as import records: the windows' rows, one record per
+   (relation, rule, hops, time) in key order, its rows in
+   [Row.compare] order.  A row lies in one window at most, so each
+   goes out once. *)
+let import_groups store lineage rels =
   let groups = Hashtbl.create 16 in
-  List.iter
-    (fun ((rel, row), imports) ->
-      List.iteri
-        (fun round (i : Lineage.import) ->
-          let key = (round, rel, i.Lineage.li_rule, i.Lineage.li_hops, i.Lineage.li_at) in
-          let rows = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-          Hashtbl.replace groups key (row :: rows))
-        imports)
-    (Lineage.all lineage);
+  let add rel (w : Lineage.window) =
+    let relation = Database.relation store rel in
+    let { Lineage.li_rule; li_hops; li_at } = w.Lineage.w_import in
+    let key = (rel, li_rule, li_hops, li_at) in
+    let rows = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+    let since = w.Lineage.w_since in
+    Hashtbl.replace groups key
+      (List.rev_append (List.init (w.Lineage.w_upto - since) (fun k -> Relation.row relation (since + k))) rows)
+  in
+  List.iter (fun rel -> List.iter (add rel) (Lineage.windows lineage ~rel)) rels;
   List.sort
     (fun (a, _) (b, _) -> compare a b)
-    (Hashtbl.fold (fun key rows acc -> (key, List.rev rows) :: acc) groups [])
+    (Hashtbl.fold (fun key rows acc -> (key, List.sort Row.compare rows) :: acc) groups [])
 
 (* One pass, straight from the store: imported rows once each in their
    import records, the other rows in one [Insert] per relation. *)
 let encode_snapshot (node : Node.t) =
   let w = Codec.writer ~initial:1024 () in
   Codec.byte w snapshot_version;
-  List.iter
-    (fun ((_, rel, rule, hops, at), rows) -> put_import w ~rule ~rel ~hops ~at rows)
-    (import_groups node.Node.lineage);
   let store = node.Node.store in
+  let rels = List.sort String.compare (Database.rel_names store) in
+  List.iter
+    (fun ((rel, rule, hops, at), rows) -> put_import w ~rule ~rel ~hops ~at rows)
+    (import_groups store node.Node.lineage rels);
   List.iter
     (fun rel ->
       let relation = Database.relation store rel in
-      let imported = Lineage.imported node.Node.lineage ~rel in
+      let imported = Bytes.make (Relation.cardinal relation) '\000' in
+      List.iter
+        (fun (w : Lineage.window) ->
+          Bytes.fill imported w.Lineage.w_since (w.Lineage.w_upto - w.Lineage.w_since) '\001')
+        (Lineage.windows node.Node.lineage ~rel);
       let local =
         Array.fold_right
-          (fun id acc ->
-            let row = Relation.row relation id in
-            if imported row then acc else row :: acc)
+          (fun id acc -> if Bytes.get imported id = '\001' then acc else Relation.row relation id :: acc)
           (Relation.sorted_ids relation) []
       in
       if local <> [] then put_insert w ~rel local)
-    (List.sort String.compare (Database.rel_names store));
+    rels;
   Option.iter
     (fun relay ->
       (* the reservation's end, not the next number: the snapshot
@@ -352,10 +356,10 @@ let insert_rows (node : Node.t) rel rows =
 type replay = { mutable seq_floor : int; mutable seen : string list }
 
 (* The one apply path, for a snapshot's records and the log tail alike.
-   An [Import] records lineage for every row it carries, not only for
-   rows it inserts afresh: every snapshot truncates the log, so a tail
-   never repeats a row the snapshot holds, and a snapshot row imported
-   twice comes back with both imports. *)
+   An [Import] records the window of the rows it inserts, which the
+   store appends as one run; a row it already holds keeps its origin,
+   as it did when the update integrated (a stored row is imported at
+   most once). *)
 let apply_record (node : Node.t) (opts : Options.t) replay record =
   match record with
   | Insert { rel; rows } -> insert_rows node rel rows
@@ -363,12 +367,10 @@ let apply_record (node : Node.t) (opts : Options.t) replay record =
       match Database.relation_opt node.Node.store rel with
       | None -> ()
       | Some relation ->
-          let import = { Lineage.li_rule = rule; li_hops = hops; li_at = at } in
-          List.iter
-            (fun row ->
-              ignore (Relation.insert_row relation row);
-              Lineage.record_import node.Node.lineage ~rel row import)
-            rows)
+          let since = Relation.cardinal relation in
+          insert_rows node rel rows;
+          Lineage.record node.Node.lineage ~rel ~since ~upto:(Relation.cardinal relation)
+            { Lineage.li_rule = rule; li_hops = hops; li_at = at })
   | Seq_reserve { upto } -> replay.seq_floor <- max replay.seq_floor upto
   | Sub_add { sub_id; owner; query_text } ->
       restore_sub node opts ~sub_id ~owner ~text:query_text

@@ -64,11 +64,11 @@ val encode_snapshot : Node.t -> string
     v4: a version byte, then records laid out as {!encode_record} lays
     them out, back to back against one dictionary fresh for the
     snapshot, written in one pass straight from the store:
-    - an [Import] per (relation, rule, hops, time) for the rows with
-      lineage, each row once per import: a row's k-th import goes in
-      the k-th round of such records, so replay rebuilds its import
-      list in order;
-    - an [Insert] per relation (by name) for the rows without lineage;
+    - an [Import] per (relation, rule, hops, time) for the rows of
+      the lineage windows ({!Lineage.windows}) with that import, each
+      row once;
+    - an [Insert] per relation (by name) for the rows outside every
+      window;
     - [Seq_reserve] at the reservation's end and [Seen_keys], when
       the node has a transport relay;
     - a [Sub_add] per registry entry and a [Mirror_add] per mirror.

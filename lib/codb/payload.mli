@@ -206,18 +206,15 @@ val encoded_size : ?link:Codec.Dict.sender -> t -> int
     with or without [link], and leaves the link dictionary
     untouched. *)
 
-val put_row : Codec.writer -> Row.t -> unit
+val put_rows : Codec.writer -> Row.t list -> unit
 (** The one tuple codec, shared with the durability layer
     ({!Durable}): WAL records and snapshots write rows with the wire's
-    bytes.  A row is its arity, then each cell through its canonical
-    value; nothing is boxed. *)
+    bytes.  A list is its length, then each row: its arity, then each
+    cell through its canonical value; nothing is boxed. *)
 
-val get_row : Codec.reader -> Row.t
-(** Inverse of {!put_row}.  @raise Codec.Malformed on corrupt
-    input. *)
-
-val put_rows : Codec.writer -> Row.t list -> unit
 val get_rows : Codec.reader -> Row.t list
+(** Inverse of {!put_rows}.  @raise Codec.Malformed on corrupt
+    input. *)
 
 val get_peer : Codec.reader -> Peer_id.t
 (** A dictionary string read as a peer name.

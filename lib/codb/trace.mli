@@ -35,6 +35,4 @@ val dropped : t -> int
 
 val clear : t -> unit
 
-val pp_event : event Fmt.t
-
 val pp : t Fmt.t

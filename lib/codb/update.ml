@@ -157,7 +157,7 @@ let by_hops groups = List.sort (fun (a, _) (b, _) -> Int.compare a b) groups
    update imported into the window that derived them (0: none).  An
    eager serve ([split = false]) reads each grown relation as one
    window.  A lazy one cuts the windows where those hops change
-   ({!U.hop_windows}), so each row ships with one hop more than the
+   ({!Lineage.hop_windows}), so each row ships with one hop more than the
    rows it covers, as it would have on the arrival that brought them;
    a link with no mark then runs its windows over its first body
    relation, through which every derivation goes. *)
@@ -170,7 +170,7 @@ let serve rt (st : U.t) us (inc : Config.rule_decl) ~split =
   let rows = List.map (cardinal store) rels in
   let pending = U.served st rule in
   let windows rel ~from ~upto =
-    if split then U.hop_windows st ~rel ~from ~upto
+    if split then Lineage.hop_windows node.Node.lineage ~rel ~update:st.U.ust_update ~from ~upto
     else if from < upto then [ (from, upto, 0) ]
     else []
   in
@@ -518,21 +518,19 @@ let integrate_entry rt (st : U.t) us ~rule_id ~rows ~hops =
         us.Stats.us_dup_suppressed + integration.Wrapper.suppressed;
       us.Stats.us_nulls_created <-
         us.Stats.us_nulls_created + integration.Wrapper.nulls_created;
-      let import =
-        { Lineage.li_rule = rule_id; li_hops = hops; li_at = rt.Runtime.now () }
-      in
-      List.iter
-        (fun row -> Lineage.record_import rt.Runtime.node.Node.lineage ~rel row import)
-        integration.Wrapper.fresh;
+      let since = integration.Wrapper.since in
+      let upto = since + List.length integration.Wrapper.fresh in
+      (* lineage before the WAL: an append may take a snapshot at once,
+         and that must see the fresh rows' window, or it writes them as
+         base rows and truncates their [Import] record *)
+      Lineage.record rt.Runtime.node.Node.lineage ~rel ~update:st.U.ust_update ~since ~upto
+        { Lineage.li_rule = rule_id; li_hops = hops; li_at = rt.Runtime.now () };
       (* the commit point: fresh tuples and their lineage hit the WAL
          before any derived sends leave this handler *)
       Durable.log_import rt.Runtime.node ~rule:rule_id ~rel ~hops
         ~at:(rt.Runtime.now ()) integration.Wrapper.fresh;
       if integration.Wrapper.fresh = [] then None
       else begin
-        let since = integration.Wrapper.since in
-        let upto = since + List.length integration.Wrapper.fresh in
-        U.note_import st ~rel ~since ~upto ~hops;
         (* the same delta the semi-naive recompute consumes also feeds
            any standing queries hosted here, tagged with the lineage
            that produced it *)

@@ -14,9 +14,6 @@ type live = {
   marks : (string, Watermark.pending) Hashtbl.t;
       (* per incoming link served in this update: its pending
          watermark *)
-  imports : (string, (int * int * int) list) Hashtbl.t;
-      (* per relation: [(since, upto, hops)] for each window of rows
-         this update imported into it, newest first *)
   unacked : (Peer_id.t, int) Hashtbl.t;
       (* reliable transport only: data messages, and messages to the
          engagement parent, sent to a destination and not yet settled
@@ -64,7 +61,6 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
           inl;
           sent = Hashtbl.create 8;
           marks = Hashtbl.create 8;
-          imports = Hashtbl.create 4;
           unacked = Hashtbl.create 8;
           deferred = Hashtbl.create 8;
           held = [];
@@ -157,36 +153,6 @@ let take_all_served st =
   | None -> []
 
 let release st = st.ust_live <- None
-
-(* ---- Hops of the rows this update imported --------------------------- *)
-
-let note_import st ~rel ~since ~upto ~hops =
-  match st.ust_live with
-  | Some live ->
-      let windows = Option.value ~default:[] (Hashtbl.find_opt live.imports rel) in
-      Hashtbl.replace live.imports rel ((since, upto, hops) :: windows)
-  | None -> ()
-
-(* Imports append, so the windows lie in row order, newest last; the
-   newest-first walk stops at the first one that ends at or below
-   [from]. *)
-let hop_windows st ~rel ~from ~upto =
-  let rec imported acc = function
-    | (a, b, h) :: older when b > from ->
-        imported (if a < upto then (max a from, min b upto, h) :: acc else acc) older
-    | _ -> acc
-  in
-  let push acc (a, b, h) =
-    match acc with
-    | (a', b', h') :: rest when h' = h && b' = a -> (a', b, h) :: rest
-    | _ -> (a, b, h) :: acc
-  in
-  let rec fill acc pos = function
-    | (a, b, h) :: rest -> fill (push (if pos < a then push acc (pos, a, 0) else acc) (a, b, h)) b rest
-    | [] -> List.rev (if pos < upto then push acc (pos, upto, 0) else acc)
-  in
-  fill [] from
-    (imported [] (Option.value ~default:[] (find (fun l -> l.imports) rel st.ust_live)))
 
 (* ---- Per-destination transport settlement ---------------------------- *)
 

@@ -4,7 +4,9 @@
     links, the per-incoming-link caches of already-sent tuples
     ({!Sent_filter}) and pending watermarks ({!Watermark}), and the
     Dijkstra–Scholten engagement bookkeeping (parent, deficit) used to
-    detect global quiescence of cyclic components. *)
+    detect global quiescence of cyclic components.  The rows an update
+    imported are not kept here: {!Lineage}'s windows name the update
+    that imported them ({!Lineage.hop_windows}). *)
 
 module Peer_id = Codb_net.Peer_id
 
@@ -106,21 +108,9 @@ val take_served : t -> string -> Watermark.pending option
 val take_all_served : t -> (string * Watermark.pending) list
 (** Remove and return every pending mark. *)
 
-(** {2 Hops of imported rows} *)
-
-val note_import : t -> rel:string -> since:int -> upto:int -> hops:int -> unit
-(** This update imported [rel]'s rows [since, upto), each of them
-    [hops] rule applications from its base fact. *)
-
-val hop_windows : t -> rel:string -> from:int -> upto:int -> (int * int * int) list
-(** [rel]'s rows [from, upto) cut into [(since, upto, hops)] windows in
-    row order: the rows of each window were imported by this update
-    over [hops] hops, or not imported by it at all ([hops] 0).
-    Neighbours differ in [hops]; empty when [from >= upto]. *)
-
 val release : t -> unit
 (** Drop every table: link states, sent filters, pending marks,
-    imported windows, transport settlement and the done subtrees.
+    transport settlement and the done subtrees.
     Called once the update terminates.  Every link then reads as
     closed and inactive, every in-flight count as empty, and writes are ignored, so a
     finished update keeps only its flags. *)

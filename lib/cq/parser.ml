@@ -232,10 +232,8 @@ let with_tokens input f =
   let tokens = Array.of_list (Lexer.tokenize input) in
   f { tokens; pos = 0 }
 
-let parse_config_exn input = with_tokens input parse_config_tokens
-
 let parse_config input =
-  match parse_config_exn input with
+  match with_tokens input parse_config_tokens with
   | cfg -> Ok cfg
   | exception Parse_error { line; message } ->
       Error (Printf.sprintf "parse error at line %d: %s" line message)

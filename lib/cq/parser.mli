@@ -22,9 +22,6 @@ exception Parse_error of { line : int; message : string }
 val parse_config : string -> (Config.t, string) result
 (** Syntax only; run {!Config.validate} for static checks. *)
 
-val parse_config_exn : string -> Config.t
-(** @raise Parse_error *)
-
 val load_config : string -> (Config.t, string list) result
 (** Parse and validate in one step. *)
 

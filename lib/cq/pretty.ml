@@ -38,8 +38,6 @@ let body_items ppf q =
 
 let query ppf q = Fmt.pf ppf "%a <- %a" atom q.Query.head body_items q
 
-let constraint_body = body_items
-
 let pp_attr ppf a =
   Fmt.pf ppf "%s: %s" a.Schema.attr_name (Value.string_of_ty a.Schema.attr_ty)
 
@@ -53,7 +51,7 @@ let pp_fact ppf (rel, tuple) =
     Fmt.(array ~sep:(any ", ") literal)
     tuple
 
-let pp_constraint ppf q = Fmt.pf ppf "constraint %a;" constraint_body q
+let pp_constraint ppf q = Fmt.pf ppf "constraint %a;" body_items q
 
 let node_decl ppf n =
   let mediator = if n.Config.mediator then " mediator" else "" in

@@ -16,9 +16,6 @@ val comparison : Query.comparison Fmt.t
 val query : Query.t Fmt.t
 (** [head <- body-items] without a trailing [;]. *)
 
-val constraint_body : Query.t Fmt.t
-(** Just the body items (the denial form used inside node blocks). *)
-
 val node_decl : Config.node_decl Fmt.t
 
 val rule_decl : Config.rule_decl Fmt.t

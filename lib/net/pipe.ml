@@ -31,13 +31,6 @@ let create a b ~latency ~byte_cost =
 
 let endpoints p = (p.ep1, p.ep2)
 
-let other_end p peer =
-  if Peer_id.equal peer p.ep1 then p.ep2
-  else if Peer_id.equal peer p.ep2 then p.ep1
-  else
-    invalid_arg
-      (Printf.sprintf "Pipe.other_end: %s is not an endpoint" (Peer_id.to_string peer))
-
 let latency p = p.latency
 
 let byte_cost p = p.byte_cost

@@ -20,9 +20,6 @@ val create : Peer_id.t -> Peer_id.t -> latency:float -> byte_cost:float -> t
 val endpoints : t -> Peer_id.t * Peer_id.t
 (** In normalised (sorted) order. *)
 
-val other_end : t -> Peer_id.t -> Peer_id.t
-(** @raise Invalid_argument if the given peer is not an endpoint. *)
-
 val latency : t -> float
 
 val byte_cost : t -> float

@@ -175,7 +175,8 @@ let rec probe_slot r slots packed i =
   if id = empty_slot || row_matches r packed id 0 then i
   else probe_slot r slots packed ((i + 1) land (Array.length slots - 1))
 
-let find_row r packed =
+(* [packed]'s row id, or [empty_slot] when the relation lacks it *)
+let find_id r packed =
   if Array.length packed <> r.arity then -1
   else
     let slots = r.slots in
@@ -299,7 +300,11 @@ let insert r t = insert_row r (Row.of_tuple t)
 
 let insert_all r ts = List.filter (insert r) ts
 
-let mem_row r row = find_row r row >= 0
+let find_row r row =
+  let id = find_id r row in
+  if id >= 0 then Some id else None
+
+let mem_row r row = find_id r row >= 0
 
 let mem r t = mem_row r (Row.of_tuple t)
 
@@ -340,7 +345,7 @@ let equal_contents r1 r2 =
   r1.card = r2.card
   && (r1.arity = r2.arity || r1.card = 0)
   &&
-  let rec from id = id >= r1.card || (find_row r2 (row r1 id) >= 0 && from (id + 1)) in
+  let rec from id = id >= r1.card || (find_id r2 (row r1 id) >= 0 && from (id + 1)) in
   from 0
 
 (* ---- probes ---------------------------------------------------------- *)
@@ -570,7 +575,7 @@ let resolve_probe r cols =
    non-conforming arity can match nothing (stored tuples always have
    the schema's arity). *)
 let subsumed_row r (incoming : Row.t) =
-  if not (Row.has_hole incoming) then find_row r incoming >= 0
+  if not (Row.has_hole incoming) then find_id r incoming >= 0
   else if Array.length incoming <> r.arity then false
   else begin
     let cols = ref [] and vals = ref [] in

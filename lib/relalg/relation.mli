@@ -54,6 +54,10 @@ val mem : t -> Tuple.t -> bool
 val mem_row : t -> Row.t -> bool
 (** {!mem} on a packed row. *)
 
+val find_row : t -> Row.t -> int option
+(** The id of the stored row equal to the packed one, by the row
+    index. *)
+
 val insert : t -> Tuple.t -> bool
 (** [insert r t] adds [t]; [true] iff [t] was not already present.
     Existing hash indexes and column statistics are updated in place.

@@ -10,10 +10,16 @@
       position where [w] carries a concrete value; a hole in [w] is an
       existential position, witnessed by {e any} stored value there
       (a concrete one as much as a marked null).  Dropping subsumed
-      incoming tuples keeps the materialised instance minimal (no
-      null-padded copies of facts already known) and is what makes the
-      fix-point terminate in cyclic networks with existential head
-      variables. *)
+      incoming tuples guarantees only this: a dropped tuple says
+      nothing the store does not already say (its holes map into a
+      stored tuple), so a repeat delivery adds no row.  It does not
+      keep the instance minimal: a null-padded tuple is stored beside
+      a ground tuple that covers it when the ground one arrives in the
+      same batch or later, or when its null was minted upstream.  Nor
+      does it make every update terminate: an incoming marked null is
+      matched as a constant, not as a hole, so a cyclic rule set with
+      existential head variables can mint nulls forever (two nodes
+      copying [r(x, z) <- r(y, x)] to each other do). *)
 
 type t = Value.t array
 

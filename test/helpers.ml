@@ -106,3 +106,15 @@ let maps_into a b =
     (null_groups a)
 
 let null_equivalent a b = maps_into a b && maps_into b a
+
+(* Every stored tuple of a node with its origin, in (relation, tuple)
+   order: two nodes agree on it when they hold the same tuples with
+   the same lineage, whatever their row ids. *)
+let origins (node : Codb_core.Node.t) =
+  let store = node.Codb_core.Node.store in
+  List.concat_map
+    (fun rel ->
+      List.map
+        (fun t -> (rel, t, Codb_core.Node.explain node ~rel t))
+        (Relation.to_list (Database.relation store rel)))
+    (List.sort String.compare (Database.rel_names store))

@@ -517,7 +517,7 @@ let prop_damaged_decode_total =
 
 (* The same hardening for WAL snapshots, decoded directly: below
    recovery the CRC frame would stop such damage first.  A random store
-   (ints, strings and marked nulls, some rows with one or two imports),
+   (ints, strings and marked nulls, some rows imported),
    with a relay holding dedup keys and a few mirrors, is snapshotted,
    then truncated or bit-flipped; decoding returns records or raises
    [Malformed], nothing else. *)
@@ -546,9 +546,8 @@ let gen_snapshot_store =
   let gen_row =
     let* k = int_range (-50) 50 in
     let* v = gen_cell in
-    (* 0, 1 or 2 imports *)
-    let* imports = list_size (int_range 0 2) (pair gen_small_string (int_range 0 4)) in
-    return (k, v, imports)
+    let* import = opt (pair gen_small_string (int_range 0 4)) in
+    return (k, v, import)
   in
   let* rows = list_size (int_range 0 12) gen_row in
   let* pairs = list_size (int_range 0 6) (pair (int_range 0 9) (int_range 0 9)) in
@@ -564,14 +563,16 @@ let snapshot_of (rows, pairs, seen, mirrors) =
   let node = snapshot_node () in
   let insert rel t = ignore (Codb_relalg.Database.insert node.Node.store rel t) in
   List.iter
-    (fun (k, v, imports) ->
+    (fun (k, v, import) ->
+      let data = Database.relation node.Node.store "data" in
+      let since = Relation.cardinal data in
       insert "data" (tup [ i k; v ]);
-      List.iter
+      (* a row the store already held is not imported again *)
+      Option.iter
         (fun (rule, hops) ->
-          Lineage.record_import node.Node.lineage ~rel:"data"
-            (Row.of_tuple (tup [ i k; v ]))
+          Lineage.record node.Node.lineage ~rel:"data" ~since ~upto:(Relation.cardinal data)
             { Lineage.li_rule = rule; li_hops = hops; li_at = float_of_int hops /. 8. })
-        imports)
+        import)
     rows;
   List.iter (fun (x, y) -> insert "pairs" (tup [ i x; i y ])) pairs;
   node.Node.relay <- Some (Codb_core.Relay.create ~next_seq:7 ~seen ());

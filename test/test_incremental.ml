@@ -90,8 +90,8 @@ let test_mid_update_insert_rides_the_lazy_serve () =
   check_marks "n1's mark covers the insert" (Some [| 3 |]) (marks sys "n1" "r01");
   let hops t =
     match Node.explain (System.node sys "n0") ~rel:"data" t with
-    | Some (Codb_core.Lineage.Imported [ route ]) -> route.Codb_core.Lineage.li_hops
-    | _ -> Alcotest.fail "expected one import"
+    | Some (Codb_core.Lineage.Imported route) -> route.Codb_core.Lineage.li_hops
+    | _ -> Alcotest.fail "expected an import"
   in
   Alcotest.(check (list int)) "hops per row" [ 1; 2; 1 ]
     (List.map hops [ tup [ i 1; s "a" ]; tup [ i 2; s "b" ]; tup [ i 9; s "z" ] ])

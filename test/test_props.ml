@@ -441,9 +441,9 @@ let gen_glav_network =
   in
   return (shape, n, seed, spec)
 
-let build_glav (shape, n, seed, spec) =
+let build_glav ?opts (shape, n, seed, spec) =
   let edges = Topology.edges shape ~n in
-  System.build_exn (Codb_workload.Glavgen.generate ~spec ~seed ~edges ~n ())
+  System.build_exn ?opts (Codb_workload.Glavgen.generate ~spec ~seed ~edges ~n ())
 
 let prop_glav_update_saturates =
   Q2.Test.make ~name:"GLAV networks: update terminates at a saturated fix-point"
@@ -467,6 +467,78 @@ let prop_glav_update_saturates =
       && List.for_all rule_saturated (System.config sys).Config.rules
       && System.total_tuples sys = tuples_after
       && r2.Report.ur_new_tuples = 0)
+
+(* Lineage on GLAV networks with no local inserts, after two global
+   updates with a node crashing inside the first and restarting: every
+   relation's windows are disjoint, ascending and inside the store,
+   cover no declared fact and every other row, and a node recovered
+   from its snapshot, or under [Dur_wal] from its own log after a
+   crash, explains every stored tuple as the original does. *)
+let prop_lineage_windows_tile_imports =
+  let module Lineage = Codb_core.Lineage in
+  let module Options = Codb_core.Options in
+  Q2.Test.make ~name:"lineage windows tile the imported rows and survive a snapshot" ~count:30
+    Gen.(
+      triple gen_glav_network (oneofl [ Options.Dur_wal; Options.Dur_volatile ])
+        (pair (int_range 0 2) (oneofl [ 0.002; 0.01 ])))
+    (fun (((_, n, _, _) as net), durability, (victim, at)) ->
+      let victim = Topology.node_name (1 + (victim mod (n - 1))) in
+      let opts =
+        { Options.default with
+          Options.ack_timeout = 0.05; max_retries = 8; durability;
+          crash_plan = [ (victim, at, Some 0.15) ] }
+      in
+      let sys = build_glav ~opts net in
+      ignore (System.run_update sys ~initiator:"n0");
+      ignore (System.run_update sys ~initiator:"n0");
+      let tiled (node : Node.t) rel =
+        let cardinal = Relation.cardinal (Database.relation node.Node.store rel) in
+        let facts =
+          List.sort_uniq Tuple.compare
+            (List.filter_map
+               (fun (r, t) -> if String.equal r rel then Some t else None)
+               node.Node.decl.Config.facts)
+        in
+        let rec ascending pos = function
+          | (w : Lineage.window) :: rest ->
+              pos <= w.Lineage.w_since && w.Lineage.w_since < w.Lineage.w_upto
+              && ascending w.Lineage.w_upto rest
+          | [] -> pos <= cardinal
+        in
+        let windows = Lineage.windows node.Node.lineage ~rel in
+        let covered =
+          List.fold_left (fun acc (w : Lineage.window) -> acc + w.Lineage.w_upto - w.Lineage.w_since) 0 windows
+        in
+        ascending 0 windows
+        && covered = cardinal - List.length facts
+        && List.for_all (fun t -> Node.explain node ~rel t = Some Lineage.Base) facts
+      in
+      let recovered (node : Node.t) =
+        let backend = Codb_store.Backend.memory () in
+        let snapshot = Codb_core.Durable.encode_snapshot node in
+        Codb_store.Wal.snapshot_now
+          (Codb_store.Wal.create ~backend ~snapshot_every:1000 ~take_snapshot:(fun () -> snapshot) ());
+        let fresh = Node.create node.Node.decl in
+        ignore (Codb_core.Durable.recover fresh opts ~backend : Codb_core.Durable.recovery_stats);
+        origins fresh = origins node
+      in
+      (* under [Dur_wal], a crash and restart recovers the node's own
+         log, with whatever snapshot it cut by itself *)
+      let restarted name =
+        durability <> Options.Dur_wal
+        ||
+        let before = origins (System.node sys name) in
+        System.crash_node sys name;
+        System.restart_node sys name;
+        origins (System.node sys name) = before
+      in
+      (Codb_net.Network.counters (System.net sys)).Codb_net.Network.crashes = 1
+      && List.for_all
+           (fun name ->
+             let node = System.node sys name in
+             List.for_all (tiled node) (Database.rel_names node.Node.store)
+             && recovered node && restarted name)
+           (System.node_names sys))
 
 let prop_scoped_equals_global_at_initiator =
   Q2.Test.make ~name:"scoped update = global update at the initiator" ~count:30
@@ -872,6 +944,7 @@ let suite =
       prop_query_equals_update_on_dags;
       prop_pushdown_preserves_answers;
       prop_glav_update_saturates;
+      prop_lineage_windows_tile_imports;
       prop_scoped_equals_global_at_initiator;
       prop_export_import_round_trip;
       prop_faulted_update_equals_fault_free;

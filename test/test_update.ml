@@ -321,21 +321,16 @@ let test_lineage_records_imports () =
   let n0 = System.node sys "n0" in
   (* alice's name reached n0 through rule r01 over a 2-hop path *)
   (match Node.explain n0 ~rel:"who" (tup [ s "alice" ]) with
-  | Some (Codb_core.Lineage.Imported [ route ]) ->
+  | Some (Codb_core.Lineage.Imported route) ->
       Alcotest.(check string) "via r01" "r01" route.Codb_core.Lineage.li_rule;
       Alcotest.(check int) "two hops" 2 route.Codb_core.Lineage.li_hops
-  | other ->
-      Alcotest.failf "unexpected origin: %s"
-        (match other with
-        | None -> "absent"
-        | Some Codb_core.Lineage.Base -> "base"
-        | Some (Codb_core.Lineage.Imported routes) ->
-            Printf.sprintf "%d routes" (List.length routes)));
+  | Some Codb_core.Lineage.Base -> Alcotest.fail "unexpected origin: base"
+  | None -> Alcotest.fail "unexpected origin: absent");
   (* carol sits one hop away *)
   (match Node.explain n0 ~rel:"who" (tup [ s "carol" ]) with
-  | Some (Codb_core.Lineage.Imported [ route ]) ->
+  | Some (Codb_core.Lineage.Imported route) ->
       Alcotest.(check int) "one hop" 1 route.Codb_core.Lineage.li_hops
-  | _ -> Alcotest.fail "expected a single import route");
+  | _ -> Alcotest.fail "expected an import");
   (* a base fact at n2 is Base; an absent tuple is None *)
   let n2 = System.node sys "n2" in
   Alcotest.(check bool) "base fact" true
@@ -344,35 +339,65 @@ let test_lineage_records_imports () =
   Alcotest.(check bool) "absent" true
     (Node.explain n2 ~rel:"person" (tup [ s "nobody"; s "x" ]) = None)
 
-(* Lineage keys rows by relation and packed value: imports come back
-   oldest first, and [all] lists every entry in (relation, tuple) order
-   whatever the recording order, as WAL snapshots expect. *)
+(* Lineage is one window per integration, in row order: [origin_of]
+   finds a stored tuple's window by its row id, rows outside every
+   window are base facts, and an empty run records nothing. *)
 let test_lineage_order () =
   let module L = Codb_core.Lineage in
+  let store = db_of [ r_schema ] [] in
   let lineage = L.create () in
   let import rule at = { L.li_rule = rule; li_hops = 1; li_at = at } in
-  let null = Value.fresh_null ~rule:"r" in
-  List.iter
-    (fun (rel, t, i) -> L.record_import lineage ~rel (Row.of_tuple t) i)
-    [
-      ("s", tup [ s "b" ], import "r1" 1.0);
-      ("r", tup [ i 2; null ], import "r2" 2.0);
-      ("s", tup [ s "a" ], import "r3" 3.0);
-      ("r", tup [ i 1; s "x" ], import "r4" 4.0);
-      ("s", tup [ s "b" ], import "r5" 5.0);
-    ];
-  let rules imports = List.map (fun i -> i.L.li_rule) imports in
-  Alcotest.(check (list string)) "oldest first" [ "r1"; "r5" ]
-    (rules (L.imports lineage ~rel:"s" (tup [ s "b" ])));
-  Alcotest.(check (list string)) "a null-bearing row" [ "r2" ]
-    (rules (L.imports lineage ~rel:"r" (tup [ i 2; null ])));
-  Alcotest.(check (list string)) "unknown row" []
-    (rules (L.imports lineage ~rel:"r" (tup [ i 9; s "x" ])));
-  Alcotest.(check (list string)) "(relation, tuple) order"
-    [ "r:(1, \"x\")"; "r:(2, " ^ Value.to_string null ^ ")"; "s:(\"a\")"; "s:(\"b\")" ]
-    (List.map (fun ((rel, row), _) -> rel ^ ":" ^ Tuple.to_string (Row.to_tuple row)) (L.all lineage));
+  let add n = ignore (Database.insert store "r" (tup [ i n; i n ])) in
+  List.iter add [ 0; 1; 2 ];
+  L.record lineage ~rel:"r" ~since:1 ~upto:3 (import "r1" 1.0);
+  List.iter add [ 3; 4 ];
+  L.record lineage ~rel:"r" ~since:4 ~upto:5 (import "r2" 2.0);
+  L.record lineage ~rel:"r" ~since:5 ~upto:5 (import "r3" 3.0);
+  Alcotest.(check (list (pair int int))) "row order" [ (1, 3); (4, 5) ]
+    (List.map (fun w -> (w.L.w_since, w.L.w_upto)) (L.windows lineage ~rel:"r"));
+  let origin n =
+    match L.origin_of ~store lineage ~rel:"r" (tup [ i n; i n ]) with
+    | None -> "absent"
+    | Some L.Base -> "base"
+    | Some (L.Imported route) -> route.L.li_rule
+  in
+  Alcotest.(check (list string)) "origins" [ "base"; "r1"; "r1"; "base"; "r2"; "absent" ]
+    (List.map origin [ 0; 1; 2; 3; 4; 9 ]);
+  Alcotest.(check int) "another relation" 0 (List.length (L.windows lineage ~rel:"s"));
   L.clear lineage;
-  Alcotest.(check int) "cleared" 0 (List.length (L.all lineage))
+  Alcotest.(check int) "cleared" 0 (List.length (L.windows lineage ~rel:"r"));
+  Alcotest.(check string) "base once cleared" "base" (origin 1)
+
+(* [hop_windows] reads the asking update's windows only, cut to
+   [from, upto): the gaps, another update's windows and a replayed one
+   (no update) read as 0 hops, and neighbours with equal hops merge. *)
+let test_hop_windows () =
+  let module L = Codb_core.Lineage in
+  let lineage = L.create () in
+  let n0 = Codb_net.Peer_id.of_string "n0" in
+  let u1 = Codb_core.Ids.update_id n0 1 and u2 = Codb_core.Ids.update_id n0 2 in
+  let record ?update since upto hops =
+    L.record lineage ~rel:"r" ?update ~since ~upto { L.li_rule = "x"; li_hops = hops; li_at = 0. }
+  in
+  record ~update:u1 0 2 1;
+  record ~update:u2 2 4 3;
+  record ~update:u1 4 6 1;
+  record 6 8 2;
+  (* row 8 is a base fact *)
+  record ~update:u1 9 11 2;
+  record ~update:u1 11 13 2;
+  record ~update:u1 13 15 1;
+  let windows = Alcotest.(list (triple int int int)) in
+  Alcotest.check windows "u1, cut to [1, 14)"
+    [ (1, 2, 1); (2, 4, 0); (4, 6, 1); (6, 9, 0); (9, 13, 2); (13, 14, 1) ]
+    (L.hop_windows lineage ~rel:"r" ~update:u1 ~from:1 ~upto:14);
+  Alcotest.check windows "u2" [ (0, 2, 0); (2, 4, 3); (4, 15, 0) ]
+    (L.hop_windows lineage ~rel:"r" ~update:u2 ~from:0 ~upto:15);
+  Alcotest.check windows "past the last window" [ (14, 15, 1); (15, 20, 0) ]
+    (L.hop_windows lineage ~rel:"r" ~update:u1 ~from:14 ~upto:20);
+  Alcotest.check windows "empty range" [] (L.hop_windows lineage ~rel:"r" ~update:u1 ~from:5 ~upto:5);
+  Alcotest.check windows "a relation with no windows" [ (0, 3, 0) ]
+    (L.hop_windows lineage ~rel:"s" ~update:u1 ~from:0 ~upto:3)
 
 let test_partition_mid_update_stays_sound () =
   (* cut a pipe while the update is in flight: the simulation must
@@ -520,6 +545,7 @@ let suite =
     Alcotest.test_case "partition mid-update stays sound" `Quick
       test_partition_mid_update_stays_sound;
     Alcotest.test_case "lineage order" `Quick test_lineage_order;
+    Alcotest.test_case "hop windows" `Quick test_hop_windows;
     Alcotest.test_case "soak: random GLAV network" `Slow test_soak_random_glav_network;
     Alcotest.test_case "divergent ablation is bounded" `Quick
       test_divergent_ablation_is_bounded;
