@@ -372,8 +372,8 @@ let parse_insert spec =
               (List.map parse_insert_value (String.split_on_char ',' rest)),
             node )
 
-let sub_cmd file text at from pushdown inserts updates initiator =
-  let opts = { Options.default with Options.subscriptions = true; pushdown } in
+let sub_cmd file text at from inserts updates initiator =
+  let opts = { Options.default with Options.subscriptions = true } in
   let inserts = or_die (parse_all parse_insert inserts) in
   let sys = or_die (load_system ~opts file) in
   let at = node_or_die sys at in
@@ -811,12 +811,6 @@ let sub_t =
             "Subscribe from this node instead: the host pushes answer deltas over \
              the wire and NODE maintains a mirror.")
   in
-  let pushdown =
-    Arg.(
-      value & flag
-      & info [ "pushdown" ]
-          ~doc:"Prefilter store deltas with the query's pushed-down constraints.")
-  in
   let inserts =
     Arg.(
       value & opt_all string []
@@ -834,8 +828,7 @@ let sub_t =
   let initiator = initiator_arg [ "initiator" ] in
   Cmd.v (Cmd.info "sub" ~doc)
     Term.(
-      const sub_cmd $ file_arg $ text $ at $ from $ pushdown $ inserts $ updates
-      $ initiator)
+      const sub_cmd $ file_arg $ text $ at $ from $ inserts $ updates $ initiator)
 
 let discover_t =
   let doc = "Run JXTA-style topology discovery from a node." in

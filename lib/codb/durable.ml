@@ -314,7 +314,7 @@ let note_bulk_load (node : Node.t) =
 
 (* ---- recovery -------------------------------------------------------- *)
 
-let restore_sub (node : Node.t) (opts : Options.t) ~sub_id ~owner ~text =
+let restore_sub (node : Node.t) ~sub_id ~owner ~text =
   match node.Node.subs with
   | None -> ()
   | Some reg -> (
@@ -322,7 +322,7 @@ let restore_sub (node : Node.t) (opts : Options.t) ~sub_id ~owner ~text =
       | Error _ -> ()
       | Ok query -> (
           match
-            Sub.create ~pushdown:opts.Options.pushdown ~sub_id query
+            Sub.create ~sub_id ~source:(Codb_cq.Eval.of_database node.Node.store) query
           with
           | Error _ -> ()
           | Ok sub ->
@@ -360,7 +360,7 @@ type replay = { mutable seq_floor : int; mutable seen : string list }
    store appends as one run; a row it already holds keeps its origin,
    as it did when the update integrated (a stored row is imported at
    most once). *)
-let apply_record (node : Node.t) (opts : Options.t) replay record =
+let apply_record (node : Node.t) replay record =
   match record with
   | Insert { rel; rows } -> insert_rows node rel rows
   | Import { rule; rel; hops; at; rows } -> (
@@ -373,7 +373,7 @@ let apply_record (node : Node.t) (opts : Options.t) replay record =
             { Lineage.li_rule = rule; li_hops = hops; li_at = at })
   | Seq_reserve { upto } -> replay.seq_floor <- max replay.seq_floor upto
   | Sub_add { sub_id; owner; query_text } ->
-      restore_sub node opts ~sub_id ~owner ~text:query_text
+      restore_sub node ~sub_id ~owner ~text:query_text
   | Sub_remove { sub_id } -> (
       match node.Node.subs with
       | None -> ()
@@ -407,7 +407,7 @@ let recover ?counters (node : Node.t) (opts : Options.t) ~backend =
     | exception Codec.Malformed _ -> None
   in
   let replay = { seq_floor = 0; seen = [] } in
-  Option.iter (List.iter (apply_record node opts replay)) snapshot;
+  Option.iter (List.iter (apply_record node replay)) snapshot;
   let replayed = ref 0 in
   (* the log tail was written after the last truncation, which is where
      the stream dictionary last reset: an empty mirror, grown in record
@@ -418,7 +418,7 @@ let recover ?counters (node : Node.t) (opts : Options.t) ~backend =
       match decode_record ~dict:replay_tab bytes with
       | record ->
           incr replayed;
-          apply_record node opts replay record
+          apply_record node replay record
       | exception Codec.Malformed _ -> ())
     r.Wal.rec_records;
   (* the recovered dedup table keeps retransmitted-but-already-

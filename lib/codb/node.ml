@@ -187,7 +187,7 @@ let may_export node =
   node.decl.Config.constraints = []
   ||
   let source = Eval.of_database node.store in
-  let violated q = Eval.answers source q <> [] in
+  let violated q = Eval.exists source q ~accept:(fun _ -> true) in
   let consistent = not (List.exists violated node.decl.Config.constraints) in
   Stats.set_inconsistent node.stats (not consistent);
   consistent

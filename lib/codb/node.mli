@@ -139,5 +139,6 @@ val may_export : t -> bool
 (** May this node contribute its own data to updates and queries?
     Per the paper's principle (d), an inconsistent node keeps routing
     but exports nothing.  A node with denial constraints evaluates
-    them against the store and records the verdict in the statistics
-    module. *)
+    them against the store, each search stopping at its first
+    violation ({!Codb_cq.Eval.exists}), and records the verdict in the
+    statistics module. *)

@@ -281,16 +281,21 @@ let on_data rt ~bytes ~request_ref ~rule_id ~rows qid =
                 Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id st.Q.qst_overlay ~rel rows
               in
               (* the rows the integration just appended, through the
-                 instance's stream over [rel] *)
+                 instance's prepared rule *)
               let derive query =
-                let stream =
-                  Q.stream st rel (fun () ->
-                      Wrapper.delta_stream ~sent:st.Q.qst_sent
-                        ~naive:rt.Runtime.opts.Options.naive_delta st.Q.qst_overlay query
-                        ~delta_rel:rel)
+                let prepared =
+                  match st.Q.qst_rule with
+                  | Some prepared -> prepared
+                  | None ->
+                      let prepared =
+                        Wrapper.prepare ~sent:st.Q.qst_sent
+                          ~naive:rt.Runtime.opts.Options.naive_delta st.Q.qst_overlay query
+                      in
+                      st.Q.qst_rule <- Some prepared;
+                      prepared
                 in
                 with_counters rt qid (fun () ->
-                    Eval.run_stream ~since:integration.Wrapper.since stream)
+                    Eval.run ~query ~delta_rel:rel ~since:integration.Wrapper.since prepared)
               in
               if integration.Wrapper.fresh <> [] then begin
                 match st.Q.qst_kind with

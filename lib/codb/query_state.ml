@@ -29,7 +29,7 @@ type t = {
   mutable qst_overlay : Database.t;
   mutable qst_pending : pending list;
   qst_sent : Sent_filter.t;
-  mutable qst_streams : (string * Codb_cq.Eval.stream) list;
+  mutable qst_rule : Codb_cq.Eval.prepared option;
   mutable qst_closed : bool;
   mutable qst_complete : bool;
   mutable qst_unacked : int;
@@ -43,7 +43,7 @@ let create ~query_id ~ref_ ~kind ~overlay =
     qst_overlay = overlay;
     qst_pending = [];
     qst_sent = Sent_filter.create ~size:1 ();
-    qst_streams = [];
+    qst_rule = None;
     qst_closed = false;
     qst_complete = true;
     qst_unacked = 0;
@@ -69,18 +69,10 @@ let mark_failed st ~ref_ =
 
 let all_done st = List.for_all (fun p -> p.p_done || p.p_failed) st.qst_pending
 
-let stream st rel make =
-  match List.assoc_opt rel st.qst_streams with
-  | Some stream -> stream
-  | None ->
-      let stream = make () in
-      st.qst_streams <- (rel, stream) :: st.qst_streams;
-      stream
-
 (* holds no relation, so nothing can be inserted into it *)
 let released = Database.create []
 
 let close st =
   st.qst_closed <- true;
   st.qst_overlay <- released;
-  st.qst_streams <- []
+  st.qst_rule <- None

@@ -59,9 +59,10 @@ type t = {
       (** the packed rows already derived from the rule (a responder)
           or reported to [on_answer] (a root): every evaluation of the
           instance projects into it *)
-  mutable qst_streams : (string * Codb_cq.Eval.stream) list;
-      (** one prepared delta stream per relation data arrived in,
-          projecting into [qst_sent]; dropped by {!close} *)
+  mutable qst_rule : Codb_cq.Eval.prepared option;
+      (** the rule the instance evaluates on each arrival (the root's
+          query, or a responder's effective rule), prepared to project
+          into [qst_sent]; dropped by {!close} *)
   mutable qst_closed : bool;
   mutable qst_complete : bool;
       (** no sub-request failed below us (transitively); a responder
@@ -89,11 +90,7 @@ val mark_failed : t -> ref_:string -> bool
 val all_done : t -> bool
 (** Every sub-request answered or failed. *)
 
-val stream : t -> string -> (unit -> Codb_cq.Eval.stream) -> Codb_cq.Eval.stream
-(** [stream st rel make] is the instance's stream over [rel], made by
-    [make] the first time. *)
-
 val close : t -> unit
 (** The instance is done: mark it closed and release its overlay (a
-    database with no relations takes its place) and its streams, as a
+    database with no relations takes its place) and its prepared rule, as a
     terminated update releases its sent filters. *)

@@ -172,7 +172,6 @@ type sub_report = {
   sr_registered : int;
   sr_rejected : int;
   sr_deltas_in : int;
-  sr_prefiltered : int;
   sr_deltas_out : int;
   sr_push_msgs : int;
   sr_adds : int;
@@ -196,7 +195,6 @@ let sub_report snapshots =
     sr_registered = sum (fun x -> x.sb_registered);
     sr_rejected = sum (fun x -> x.sb_rejected);
     sr_deltas_in = sum (fun x -> x.sb_deltas_in);
-    sr_prefiltered = sum (fun x -> x.sb_prefiltered);
     sr_deltas_out = sum (fun x -> x.sb_deltas_out);
     sr_push_msgs = sum (fun x -> x.sb_push_msgs);
     sr_adds = adds;
@@ -217,12 +215,12 @@ let pp_sub_report ppf r =
   Fmt.pf ppf
     "@[<v 2>standing queries:@,\
      registered: %d (%d refused), torn down by crashes: %d, re-armed: %d@,\
-     store deltas consumed: %d (%d tuples prefiltered at source)@,\
+     store deltas consumed: %d@,\
      answer deltas delivered: %d (%d adds, %d retracts)@,\
      push traffic: %d messages, %d B (%.1f B/answer)@,\
      evaluator work: %d probes, %d scans%s@]"
     r.sr_registered r.sr_rejected r.sr_torn_down r.sr_rearmed r.sr_deltas_in
-    r.sr_prefiltered r.sr_deltas_out r.sr_adds r.sr_retracts
+    r.sr_deltas_out r.sr_adds r.sr_retracts
     r.sr_push_msgs r.sr_bytes r.sr_bytes_per_answer r.sr_probes r.sr_scans
     (if r.sr_zvisited = 0 && r.sr_zpruned = 0 then ""
      else

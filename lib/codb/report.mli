@@ -69,7 +69,6 @@ type sub_report = {
   sr_registered : int;
   sr_rejected : int;
   sr_deltas_in : int;  (** store deltas fed to hosted subscriptions *)
-  sr_prefiltered : int;  (** delta tuples dropped by pushed constraints *)
   sr_deltas_out : int;  (** non-empty answer deltas delivered *)
   sr_push_msgs : int;  (** [Answer_delta] messages sent *)
   sr_adds : int;

@@ -7,10 +7,11 @@
     evaluations project into it.
 
     The cache is the head projection's dedup: the update algorithm
-    hands {!rows} to {!Codb_cq.Eval.heads} / {!Codb_cq.Eval.delta_heads},
-    which note every surviving head in it and never copy or box a head
-    already there.  A filter lives as long as its update: termination
-    releases it ({!Update_state.release}).  It is never persisted: a
+    hands {!rows} to {!Codb_cq.Eval.heads} and to the link's prepared
+    rule ({!Codb_cq.Eval.prepare}), which note every surviving head in
+    it and never copy or box a head already there.  A filter lives as
+    long as its update: termination releases it with the rule
+    ({!Update_state.release}).  It is never persisted: a
     recovered node that re-ships a tuple changes no store, because the
     importer drops what it already holds. *)
 

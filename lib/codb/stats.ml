@@ -43,7 +43,6 @@ type sub_counters = {
   mutable sb_rejected : int;
   mutable sb_unregistered : int;
   mutable sb_deltas_in : int;
-  mutable sb_prefiltered : int;
   mutable sb_deltas_out : int;
   mutable sb_push_msgs : int;
   mutable sb_adds : int;
@@ -96,7 +95,6 @@ let zero_sub () =
     sb_rejected = 0;
     sb_unregistered = 0;
     sb_deltas_in = 0;
-    sb_prefiltered = 0;
     sb_deltas_out = 0;
     sb_push_msgs = 0;
     sb_adds = 0;
@@ -133,6 +131,7 @@ let with_eval_counters (into : Codb_cq.Eval.counters) f =
   into.planned <- into.planned + after.planned - before.planned;
   into.zone_visited <- into.zone_visited + after.zone_visited - before.zone_visited;
   into.zone_pruned <- into.zone_pruned + after.zone_pruned - before.zone_pruned;
+  into.matches <- into.matches + after.matches - before.matches;
   result
 
 let note_retransmit st = st.st_chaos.ch_retransmits <- st.st_chaos.ch_retransmits + 1
@@ -355,11 +354,11 @@ let pp_chaos ppf c =
 
 let pp_sub ppf s =
   Fmt.pf ppf
-    "subs: %d registered (%d refused, %d dropped), %d deltas in (%d prefiltered), \
+    "subs: %d registered (%d refused, %d dropped), %d deltas in, \
      %d deltas out in %d msgs (+%d -%d, %d B), %d probes, %d scans%s, \
      %d torn down, %d re-armed"
     s.sb_registered s.sb_rejected s.sb_unregistered s.sb_deltas_in
-    s.sb_prefiltered s.sb_deltas_out s.sb_push_msgs s.sb_adds s.sb_retracts
+    s.sb_deltas_out s.sb_push_msgs s.sb_adds s.sb_retracts
     s.sb_bytes s.sb_eval.probes s.sb_eval.scans
     (zone_suffix ~visited:s.sb_eval.zone_visited ~pruned:s.sb_eval.zone_pruned)
     s.sb_torn_down s.sb_rearmed

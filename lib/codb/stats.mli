@@ -100,9 +100,6 @@ type sub_counters = {
   mutable sb_unregistered : int;  (** explicit unregistrations *)
   mutable sb_deltas_in : int;
       (** store deltas examined per affected subscription *)
-  mutable sb_prefiltered : int;
-      (** delta tuples discarded by the pushed-down constraints before
-          the semi-naive join ever saw them *)
   mutable sb_deltas_out : int;  (** non-empty answer deltas delivered *)
   mutable sb_push_msgs : int;  (** [Answer_delta] messages sent *)
   mutable sb_adds : int;  (** answer tuples added across deliveries *)

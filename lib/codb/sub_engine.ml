@@ -12,8 +12,6 @@ let scounters rt = Stats.sub rt.Runtime.node.Node.stats
 
 let with_counters rt f = Stats.with_eval_counters (scounters rt).Stats.sb_eval f
 
-let source rt = Eval.of_database rt.Runtime.node.Node.store
-
 let query_text q = Fmt.str "%a" Pretty.query q
 
 (* Every non-empty delta leaves at once: a local client gets it through
@@ -37,7 +35,7 @@ let deliver rt (entry : Registry.entry) (d : Sub.delta) =
         ignore (Reliable.send_noted rt ~dst payload)
   end
 
-let on_store_delta rt ~rel ~since ~delta ~tag =
+let on_store_delta rt ~rel ~since ~upto ~tag =
   match rt.Runtime.node.Node.subs with
   | None -> ()
   | Some reg -> (
@@ -45,18 +43,14 @@ let on_store_delta rt ~rel ~since ~delta ~tag =
       | [] -> ()
       | entries ->
           let sb = scounters rt in
-          let src = source rt in
           let tag = tag () in
           List.iter
             (fun (entry : Registry.entry) ->
-              let sub = entry.Registry.e_sub in
               sb.Stats.sb_deltas_in <- sb.Stats.sb_deltas_in + 1;
-              let d, dropped =
+              let d =
                 with_counters rt (fun () ->
-                    Sub.apply_delta sub ~source:src ~delta_rel:rel ~since
-                      ~delta ~tag)
+                    Sub.apply_delta entry.Registry.e_sub ~delta_rel:rel ~since ~upto ~tag)
               in
-              sb.Stats.sb_prefiltered <- sb.Stats.sb_prefiltered + dropped;
               deliver rt entry d)
             entries)
 
@@ -64,21 +58,15 @@ let refresh_all rt ~tag =
   match rt.Runtime.node.Node.subs with
   | None -> ()
   | Some reg ->
-      let src = source rt in
       List.iter
         (fun (entry : Registry.entry) ->
-          let d =
-            with_counters rt (fun () ->
-                Sub.refresh entry.Registry.e_sub ~source:src ~tag)
-          in
+          let d = with_counters rt (fun () -> Sub.refresh entry.Registry.e_sub ~tag) in
           deliver rt entry d)
         (Registry.entries reg)
 
 let make_sub rt ~sub_id query =
-  let opts = rt.Runtime.opts in
   match Node.check_query rt.Runtime.node query with
-  | Ok () ->
-      Sub.create ~pushdown:opts.Options.pushdown ~sub_id query
+  | Ok () -> Sub.create ~sub_id ~source:(Eval.of_database rt.Runtime.node.Node.store) query
   | Error e -> Error e
 
 let register_local rt ?on_delta query =
@@ -101,8 +89,7 @@ let register_local rt ?on_delta query =
               Durable.log_sub_add node ~sub_id:(Sub.id sub)
                 ~owner:Durable.Olocal ~query_text:(query_text query);
               let d =
-                with_counters rt (fun () ->
-                    Sub.refresh sub ~source:(source rt) ~tag:"seed")
+                with_counters rt (fun () -> Sub.refresh sub ~tag:"seed")
               in
               deliver rt
                 { Registry.e_sub = sub; e_owner = Registry.Local on_delta }
@@ -207,8 +194,7 @@ let on_register rt ~src ~sub_id ~text =
                           { sub_id; accepted = true; reason = "" }));
                   let d =
                     with_counters rt (fun () ->
-                        Sub.refresh sub ~source:(source rt)
-                          ~tag:(if existed then "rearm" else "seed"))
+                        Sub.refresh sub ~tag:(if existed then "rearm" else "seed"))
                   in
                   deliver rt
                     { Registry.e_sub = sub; e_owner = Registry.Remote src }

@@ -3,8 +3,9 @@
     The host side keeps each registered subscription's answer set
     current by feeding it the per-relation store deltas the update
     fix-point ({!Update.integrate_entry}) and local writes
-    ({!System.insert_fact}) produce — a semi-naive join against just
-    the delta, never a re-run of the query — and pushes the resulting
+    ({!System.insert_fact}) produce — each subscription's prepared
+    rule run on just the new rows, never a re-run of the query — and
+    pushes the resulting
     answer deltas to subscribers: locally through a callback, remotely
     as one [Answer_delta] message per non-empty delta, sent at once
     through the reliable transport.
@@ -43,15 +44,14 @@ val unsubscribe_remote : Runtime.t -> string -> bool
 val mirror : Runtime.t -> string -> Mirror.t option
 
 val on_store_delta :
-  Runtime.t -> rel:string -> since:int -> delta:Codb_relalg.Row.t list ->
-  tag:(unit -> string) -> unit
-(** The feed: the [delta] rows were just inserted into the store's
-    [rel], as its rows from [since] on.  Runs the delta-evaluation
-    pass for every affected hosted subscription and delivers the
-    non-empty answer deltas, tagged with [tag ()] (lineage-derived
-    provenance — which update, rule and hop moved the data).  The tag
-    is a thunk, so the provenance string is not built when
-    subscriptions are off or nothing is affected. *)
+  Runtime.t -> rel:string -> since:int -> upto:int -> tag:(unit -> string) -> unit
+(** The feed: the store's [rel] just grew by its rows in
+    [\[since, upto)].  Runs every affected hosted subscription's
+    prepared rule on that window and delivers the non-empty answer
+    deltas, tagged with [tag ()] (lineage-derived provenance — which
+    update, rule and hop moved the data).  The tag is a thunk, so the
+    provenance string is not built when subscriptions are off or
+    nothing is affected. *)
 
 val refresh_all : Runtime.t -> tag:string -> unit
 (** From-scratch diff of every hosted subscription against the store;

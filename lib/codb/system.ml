@@ -552,8 +552,8 @@ let insert_fact sys ~at ~rel tuple =
     (* the commit point: the write is in the store and hits the WAL
        before any subscription delta derived from it leaves the node *)
     Durable.log_insert n ~rel [ row ];
-    let since = Relation.cardinal relation - 1 in
-    Sub_engine.on_store_delta (runtime sys at) ~rel ~since ~delta:[ row ]
+    let upto = Relation.cardinal relation in
+    Sub_engine.on_store_delta (runtime sys at) ~rel ~since:(upto - 1) ~upto
       ~tag:(fun () -> "local-write")
   end;
   inserted

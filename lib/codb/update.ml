@@ -135,6 +135,19 @@ let sent_for rt (st : U.t) (inc : Config.rule_decl) =
   if rt.Runtime.opts.Options.use_sent_cache then Some (U.sent_filter st inc.Config.rule_id)
   else None
 
+(* The incoming link's rule, prepared to project into the link's sent
+   filter and kept with it until the update terminates.  Without the
+   cache each serve or recompute prepares its own, into a fresh
+   table. *)
+let prepared_for rt (st : U.t) (inc : Config.rule_decl) =
+  let prepare sent =
+    Wrapper.prepare ~sent ~naive:rt.Runtime.opts.Options.naive_delta rt.Runtime.node.Node.store
+      inc.Config.rule_query
+  in
+  if rt.Runtime.opts.Options.use_sent_cache then
+    U.link_rule st inc.Config.rule_id ~make:prepare
+  else prepare (Sent_filter.create ())
+
 (* Heads grouped by hop count, each group sorted. *)
 let add_group groups hops rows =
   if rows = [] then groups
@@ -196,15 +209,14 @@ let serve rt (st : U.t) us (inc : Config.rule_decl) ~split =
         match passes with
         | None -> [ (0, Wrapper.eval_query_full ?sent:(sent_for rt st inc) store query) ]
         | Some passes ->
-            let sent =
-              match sent_for rt st inc with Some f -> f | None -> Sent_filter.create ()
-            in
+            (* made at the first window: a serve whose marks cover the
+               store runs nothing *)
+            let prepared = lazy (prepared_for rt st inc) in
             let pass groups (rel, ws) =
               List.fold_left
                 (fun groups (since, upto, hops) ->
                   add_group groups hops
-                    (Wrapper.eval_query_delta ~sent ~naive:rt.Runtime.opts.Options.naive_delta
-                       ~upto store query ~delta_rel:rel ~since))
+                    (Eval.run ~query ~delta_rel:rel ~since ~upto (Lazy.force prepared)))
                 groups ws
             in
             List.fold_left pass [] passes)
@@ -534,7 +546,7 @@ let integrate_entry rt (st : U.t) us ~rule_id ~rows ~hops =
         (* the same delta the semi-naive recompute consumes also feeds
            any standing queries hosted here, tagged with the lineage
            that produced it *)
-        Sub_engine.on_store_delta rt ~rel ~since ~delta:integration.Wrapper.fresh
+        Sub_engine.on_store_delta rt ~rel ~since ~upto
           ~tag:(fun () ->
             Printf.sprintf "%s via %s hop %d"
               (Ids.string_of_update st.U.ust_update)
@@ -557,15 +569,12 @@ let recompute rt (st : U.t) us windows =
         match List.filter reads windows with
         | [] -> ()
         | mine when U.in_state st rule = U.Link_open && not (is_lazy st inc) ->
-            let sent =
-              match sent_for rt st inc with Some f -> f | None -> Sent_filter.create ()
-            in
+            let prepared = prepared_for rt st inc in
             let derive groups (rel, since, upto, hops) =
               let fresh =
                 Stats.with_eval_counters us.Stats.us_eval (fun () ->
-                    Wrapper.eval_query_delta ~sent ~naive:rt.Runtime.opts.Options.naive_delta
-                      ~upto rt.Runtime.node.Node.store inc.Config.rule_query ~delta_rel:rel
-                      ~since)
+                    Eval.run ~query:inc.Config.rule_query ~delta_rel:rel ~since ~upto
+                      prepared)
               in
               Option.iter (fun mark -> Watermark.advance mark ~rel ~since ~upto) (U.served st rule);
               add_group groups (hops + 1) fresh

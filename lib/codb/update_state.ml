@@ -11,6 +11,9 @@ type live = {
   sent : (string, Sent_filter.t) Hashtbl.t;
       (* per incoming link: packed head rows (holes included) already
          sent *)
+  rules : (string, Codb_cq.Eval.prepared) Hashtbl.t;
+      (* per incoming link: its rule, prepared to project into the
+         link's sent filter *)
   marks : (string, Watermark.pending) Hashtbl.t;
       (* per incoming link served in this update: its pending
          watermark *)
@@ -60,6 +63,7 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
           out;
           inl;
           sent = Hashtbl.create 8;
+          rules = Hashtbl.create 8;
           marks = Hashtbl.create 8;
           unacked = Hashtbl.create 8;
           deferred = Hashtbl.create 8;
@@ -127,6 +131,17 @@ let sent_filter st rule =
           let f = Sent_filter.create () in
           Hashtbl.add live.sent rule f;
           f)
+
+let link_rule st rule ~make =
+  match st.ust_live with
+  | None -> make (Sent_filter.create ())
+  | Some live -> (
+      match Hashtbl.find_opt live.rules rule with
+      | Some prepared -> prepared
+      | None ->
+          let prepared = make (sent_filter st rule) in
+          Hashtbl.add live.rules rule prepared;
+          prepared)
 
 let sent_tracked st rule =
   match find (fun l -> l.sent) rule st.ust_live with

@@ -80,15 +80,22 @@ val all_out_closed : t -> bool
 val all_links_closed : t -> bool
 (** Every incoming and outgoing link of the update is closed. *)
 
-(** {2 Sent filters} *)
+(** {2 Sent filters and prepared rules} *)
 
-(** One per incoming link, holding the packed head rows already sent
-    on it.  The projector filters against a link's table and notes the
-    survivors ({!Sent_filter.rows}); the filters live until the update
+(** One of each per incoming link.  The filter holds the packed head
+    rows already sent on the link: the projector filters against it and
+    notes the survivors ({!Sent_filter.rows}).  The prepared rule
+    ({!Codb_cq.Eval.prepare}) is the link's rule, planned once and
+    projecting into the filter.  Both live until the update
     terminates. *)
 
 val sent_filter : t -> string -> Sent_filter.t
 (** The filter for one incoming link, created on first use. *)
+
+val link_rule :
+  t -> string -> make:(Sent_filter.t -> Codb_cq.Eval.prepared) -> Codb_cq.Eval.prepared
+(** [link_rule st rule ~make] is the link's prepared rule, made by
+    [make] from the link's filter on first use. *)
 
 val sent_tracked : t -> string -> int
 (** Exact entries currently tracked for the link (0 if never used or
@@ -109,7 +116,8 @@ val take_all_served : t -> (string * Watermark.pending) list
 (** Remove and return every pending mark. *)
 
 val release : t -> unit
-(** Drop every table: link states, sent filters, pending marks,
+(** Drop every table: link states, sent filters and prepared rules,
+    pending marks,
     transport settlement and the done subtrees.
     Called once the update terminates.  Every link then reads as
     closed and inactive, every in-flight count as empty, and writes are ignored, so a

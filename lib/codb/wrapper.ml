@@ -20,13 +20,8 @@ let into = Option.map Sent_filter.rows
 let eval_query_full ?sent db query =
   Eval.heads ?into:(into sent) (Eval.of_database db) query
 
-let eval_query_delta ?sent ~naive ?upto db query ~delta_rel ~since =
-  Eval.delta_heads ~naive ?into:(into sent) (Eval.of_database db) ~delta_rel ~since ?upto
-    query
-
-let delta_stream ~sent ~naive db query ~delta_rel =
-  Eval.delta_stream ~naive ~into:(Sent_filter.rows sent) (Eval.of_database db) ~delta_rel
-    query
+let prepare ~sent ~naive db query =
+  Eval.prepare ~naive ~into:(Sent_filter.rows sent) (Eval.of_database db) query
 
 let eval_rule_full ?opts:_ ?sent db (rule : Config.rule_decl) =
   List.map Row.to_tuple (eval_query_full ?sent db rule.Config.rule_query)

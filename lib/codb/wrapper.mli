@@ -18,7 +18,7 @@ module Row = Codb_relalg.Row
 type integration = {
   since : int;
       (** the relation's row count before the insert: [fresh] are its
-          rows from [since] on, the window {!eval_query_delta} reads *)
+          rows from [since] on, the window a prepared rule reads *)
   fresh : Row.t list;  (** rows actually added (nulls instantiated) *)
   suppressed : int;  (** incoming rows dropped as duplicates *)
   nulls_created : int;
@@ -33,36 +33,14 @@ val eval_query_full : ?sent:Sent_filter.t -> Database.t -> Query.t -> Row.t list
     dedup.  The update and query protocols answer their links with
     it. *)
 
-val eval_query_delta :
-  ?sent:Sent_filter.t ->
-  naive:bool ->
-  ?upto:int ->
-  Database.t ->
-  Query.t ->
-  delta_rel:string ->
-  since:int ->
-  Row.t list
-(** Semi-naive counterpart of {!eval_query_full}: the heads derivable
-    using at least one row of [delta_rel] from [since] on (up to
-    [upto], if given), read in place ({!Codb_cq.Eval.delta_heads}
-    without [delta]).  The delta is the rows an integration just
-    appended ({!integration.since}), or the rows a link's watermark
-    has not covered yet ({!Watermark}), cut where the hops of the
-    imported rows change. *)
-
-val delta_stream :
-  sent:Sent_filter.t ->
-  naive:bool ->
-  Database.t ->
-  Query.t ->
-  delta_rel:string ->
-  Codb_cq.Eval.stream
-(** {!eval_query_delta} prepared once ({!Codb_cq.Eval.delta_stream}):
-    the query's semi-naive join over [delta_rel] is planned at the
-    first {!Codb_cq.Eval.run_stream} and re-run on every later window,
-    each run projecting into [sent].  A query responder keeps one per
-    delta relation for the life of its instance, and the database must
-    stay the one it reads. *)
+val prepare : sent:Sent_filter.t -> naive:bool -> Database.t -> Query.t -> Codb_cq.Eval.prepared
+(** The semi-naive counterpart of {!eval_query_full}, prepared once
+    ({!Codb_cq.Eval.prepare}): each {!Codb_cq.Eval.run} returns the
+    heads derivable using at least one row of a window of the store,
+    projected into [sent].  The window is the rows an integration just
+    appended ({!integration.since}), or the rows a link's watermark has
+    not covered yet ({!Watermark}), cut where the hops of the imported
+    rows change.  The database must stay the one it reads. *)
 
 val eval_rule_full :
   ?opts:Options.t -> ?sent:Sent_filter.t -> Database.t -> Config.rule_decl -> Tuple.t list

@@ -23,10 +23,11 @@ type counters = {
   mutable planned : int;  (** joins executed through a cost-based plan *)
   mutable zone_visited : int;  (** chunks a zone-mapped scan examined *)
   mutable zone_pruned : int;  (** chunks a zone-mapped scan skipped *)
+  mutable matches : int;  (** matches a compiled join handed its consumer *)
 }
 
 let zero_counters () =
-  { probes = 0; scans = 0; planned = 0; zone_visited = 0; zone_pruned = 0 }
+  { probes = 0; scans = 0; planned = 0; zone_visited = 0; zone_pruned = 0; matches = 0 }
 
 let cell = zero_counters ()
 
@@ -37,7 +38,8 @@ let reset_counters () =
   cell.scans <- 0;
   cell.planned <- 0;
   cell.zone_visited <- 0;
-  cell.zone_pruned <- 0
+  cell.zone_pruned <- 0;
+  cell.matches <- 0
 
 (* A scan-only packed view of the [len ()] rows read through [cell],
    the length read at every access: row ids are [0, len ()) (a prefix
@@ -125,11 +127,11 @@ let source_of_alist alist rel =
   | Some rows -> rows_of_list rows
   | None -> empty_rows
 
-(* One body atom, prepared for the join loop: argument array, the
-   packed rows of its width, the plan's probe column set, the
-   comparisons that become ground at this step and its sargable order
-   predicates. *)
-type prepared = {
+(* One body atom, placed by the plan for the join loop: argument
+   array, the packed rows of its width, the plan's probe column set,
+   the comparisons that become ground at this step and its sargable
+   order predicates. *)
+type placed = {
   p_args : Term.t array;
   p_view : Relation.packed_view;
   p_probe : int list;
@@ -223,7 +225,7 @@ type packed_ctx = {
    but the search itself (slot numbering, argument and comparison
    compilation, the consumer's per-match callback, scratch arrays) is
    done here, so a run allocates only per candidate set. *)
-let compile_steps prepared ~(emit : packed_ctx -> unit -> unit) =
+let compile_steps placed ~(emit : packed_ctx -> unit -> unit) =
   (* slots in first-occurrence order over the plan's step sequence *)
   let slot_tbl = Hashtbl.create 16 in
   let slot_names = ref [] (* reversed *) in
@@ -348,7 +350,7 @@ let compile_steps prepared ~(emit : packed_ctx -> unit -> unit) =
       | [] -> Array.of_list (List.rev acc)
       | p :: rest -> seq (build p :: acc) rest
     in
-    seq [] prepared
+    seq [] placed
   in
   let nslots = Hashtbl.length slot_tbl in
   let names = Array.of_list (List.rev !slot_names) in
@@ -378,7 +380,10 @@ let compile_steps prepared ~(emit : packed_ctx -> unit -> unit) =
   in
   let checks_ok checks = List.for_all check_ok checks in
   let rec go d =
-    if d = nsteps then emit ()
+    if d = nsteps then begin
+      cell.matches <- cell.matches + 1;
+      emit ()
+    end
     else begin
       let st = steps.(d) in
       let rows, len =
@@ -456,7 +461,7 @@ let compile_steps prepared ~(emit : packed_ctx -> unit -> unit) =
 (* Plan a join and prepare its steps; [None] means the join is
    provably empty (a comparison no step ever grounds, or a violated
    variable-free comparison).  Counts one planned join either way. *)
-let plan_prepared ?max_probe_cols atoms comparisons =
+let plan_placed ?max_probe_cols atoms comparisons =
   cell.planned <- cell.planned + 1;
   let plan = plan_of_atoms ?max_probe_cols atoms comparisons in
   if plan.Plan.pl_unbound <> [] then None
@@ -484,9 +489,9 @@ let nothing () = ()
    steps for [emit].  The returned run re-executes the compiled join on
    whatever its views hold at the time. *)
 let compile ?max_probe_cols atoms comparisons ~emit =
-  match plan_prepared ?max_probe_cols atoms comparisons with
+  match plan_placed ?max_probe_cols atoms comparisons with
   | None -> nothing
-  | Some prepared -> compile_steps prepared ~emit
+  | Some placed -> compile_steps placed ~emit
 
 let full_atoms source q = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body
 
@@ -512,7 +517,10 @@ let old_rows (full : rows) w =
 (* The stored rows in the window, read in place: the delta a caller
    names by its watermark alone.  The window shares the relation's
    cells and copies nothing; like a row list it is not [indexed] (the
-   planner scans it) and has no zone maps to prune. *)
+   planner scans it) and has no zone maps to prune.  The planner sees
+   it as one row whatever the window it was planned on: a stream's
+   plan serves every later window, and those are mostly a few rows, so
+   the plan drives the join from the window and probes the rest. *)
 let window_rows (full : rows) w =
   let packed k =
     let view = full.packed k in
@@ -523,32 +531,31 @@ let window_rows (full : rows) w =
     scan_view ~arity:view.Relation.pv_arity len (fun col row ->
         view.Relation.pv_cell col (w.since + row))
   in
-  { size = max 0 (min w.upto full.size - w.since); indexed = false; distinct = None; packed }
+  { size = 1; indexed = false; distinct = None; packed }
 
 (* Compile the semi-naive join of [q] over [delta_rel]'s window [w]:
    one compiled pass per body occurrence of [delta_rel].  Occurrence k
-   ranges over the delta ([delta] if given, else the stored window),
-   earlier ones over the old rows, later ones over the full relation:
-   every derivation uses at least one delta tuple and is produced
-   exactly once.  [naive] compiles the full join instead. *)
-let compile_delta ?(naive = false) ?max_probe_cols source ~delta_rel ~window:w ?delta q ~emit =
-  if naive then compile ?max_probe_cols (full_atoms source q) q.Query.comparisons ~emit
+   ranges over the stored window, earlier ones over the old rows, later
+   ones over the full relation: every derivation uses at least one
+   delta tuple and is produced exactly once.  [naive] compiles the full
+   join instead. *)
+let compile_delta ~naive source ~delta_rel ~window:w q ~emit =
+  if naive then compile (full_atoms source q) q.Query.comparisons ~emit
   else begin
     let over_delta a = String.equal a.Atom.rel delta_rel in
     let full = source delta_rel in
-    let old = old_rows full w in
-    let delta_rows = match delta with Some delta -> rows_of_list delta | None -> window_rows full w in
+    let old = old_rows full w and delta = window_rows full w in
     let pass k =
       let _, atoms =
         List.fold_left
           (fun (i, acc) a ->
             if over_delta a then
-              let rows = if i < k then old else if i = k then delta_rows else full in
+              let rows = if i < k then old else if i = k then delta else full in
               (i + 1, (a, rows) :: acc)
             else (i, (a, source a.Atom.rel) :: acc))
           (0, []) q.Query.body
       in
-      compile ?max_probe_cols (List.rev atoms) q.Query.comparisons ~emit
+      compile (List.rev atoms) q.Query.comparisons ~emit
     in
     let occurrences =
       List.fold_left (fun n a -> if over_delta a then n + 1 else n) 0 q.Query.body
@@ -586,11 +593,6 @@ let exists source q ~accept =
   | () -> false
   | exception Found -> true
 
-let delta_answers ?naive ?max_probe_cols source ~delta_rel ~since ?delta q =
-  let window = { since; upto = max_int } in
-  collect_substs (fun ~emit ->
-      compile_delta ?naive ?max_probe_cols source ~delta_rel ~window ?delta q ~emit ())
-
 (* The head projector, as a join consumer.  Each match writes the
    head's packed values into a scratch row (an existential variable
    projects to its hole); a row absent from [into] is copied, noted
@@ -616,12 +618,14 @@ let projector q ~into ~kept =
     in
     let width = Array.length proj in
     let scratch = Array.make width 0 in
+    (* the run keeps the slot values, not the name tables *)
+    let vals = ctx.x_vals in
     fun () ->
       for j = 0 to width - 1 do
         scratch.(j) <-
           (match proj.(j) with
           | Pconst c -> c
-          | Pvar s -> ctx.x_vals.(s)
+          | Pvar s -> vals.(s)
           | Pbindconst _ -> assert false (* never built by the projector *))
       done;
       if not (Row.Table.mem into scratch) then begin
@@ -644,33 +648,51 @@ let heads ?max_probe_cols ?(into = fresh_rows ()) source q =
   full_run ?max_probe_cols source q ~emit:(projector q ~into ~kept);
   take kept
 
-type stream = { s_window : window; s_kept : Row.t list ref; s_run : (unit -> unit) Lazy.t }
+type prepared = {
+  mutable r_query : Query.t;
+  r_naive : bool;
+  r_source : source;
+  r_window : window;
+  r_into : unit Row.Table.t;
+  r_kept : Row.t list ref;
+  mutable r_streams : (string * (unit -> unit)) list;
+      (* per delta relation, its compiled passes *)
+}
 
-let delta_stream ?naive ?max_probe_cols ~into source ~delta_rel q =
-  let window = { since = 0; upto = max_int } and kept = ref [] in
+(* Preparing builds nothing: an owner may prepare a rule it never
+   runs. *)
+let prepare ?(naive = false) ~into source q =
   {
-    s_window = window;
-    s_kept = kept;
-    (* planned at the first run, when the window's size is known *)
-    s_run =
-      lazy
-        (compile_delta ?naive ?max_probe_cols source ~delta_rel ~window q
-           ~emit:(projector q ~into ~kept));
+    r_query = q;
+    r_naive = naive;
+    r_source = source;
+    r_window = { since = 0; upto = max_int };
+    r_into = into;
+    r_kept = ref [];
+    r_streams = [];
   }
 
-let run_stream ~since ?(upto = max_int) s =
-  s.s_window.since <- since;
-  s.s_window.upto <- upto;
-  Lazy.force s.s_run ();
-  take s.s_kept
-
-let delta_heads ?naive ?max_probe_cols ?(into = fresh_rows ()) source ~delta_rel ~since
-    ?(upto = max_int) ?delta q =
-  let kept = ref [] in
-  compile_delta ?naive ?max_probe_cols source ~delta_rel ~window:{ since; upto } ?delta q
-    ~emit:(projector q ~into ~kept)
-    ();
-  take kept
+let run ?query ~delta_rel ~since ?(upto = max_int) r =
+  (match query with
+  | Some q when not (r.r_query == q || Query.equal r.r_query q) ->
+      r.r_query <- q;
+      r.r_streams <- []
+  | Some _ | None -> ());
+  r.r_window.since <- since;
+  r.r_window.upto <- upto;
+  let passes =
+    match List.assoc_opt delta_rel r.r_streams with
+    | Some passes -> passes
+    | None ->
+        let passes =
+          compile_delta ~naive:r.r_naive r.r_source ~delta_rel ~window:r.r_window r.r_query
+            ~emit:(projector r.r_query ~into:r.r_into ~kept:r.r_kept)
+        in
+        r.r_streams <- (delta_rel, passes) :: r.r_streams;
+        passes
+  in
+  passes ();
+  take r.r_kept
 
 let answer_rows ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with

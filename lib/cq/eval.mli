@@ -19,18 +19,19 @@
     - full evaluation ({!answers}, {!heads}), used when a node first
       receives an update or query request and answers from its local
       data;
-    - {e semi-naive} evaluation ({!delta_answers}, {!delta_heads}) used
-      on every subsequent delta: given tuples [T'] that were just added
-      to relation [R], it derives exactly the matches that use at least
-      one tuple of [T'], the paper's "incoming links dependent on O are
-      computed by substituting R by T'" step, generalised to be correct
-      in the presence of self-joins.
+    - {e semi-naive} evaluation, used on every later delta: given the
+      rows just appended to relation [R], it derives exactly the
+      matches that use at least one of them, the paper's "incoming
+      links dependent on O are computed by substituting R by T'" step,
+      generalised to be correct in the presence of self-joins.  It has
+      one entry, a {!type:prepared} rule: the update path keeps one per
+      incoming link, a query instance one for its rule, and a standing
+      query one for its answer set.
 
-    Each comes in two outputs: boxed substitutions ({!answers},
-    {!delta_answers}), and head rows projected packed through a
-    caller-supplied dedup table ({!heads}, {!delta_heads}), which is
-    what the protocols use.  A caller that evaluates one rule on
-    delta after delta prepares it once as a {!type:stream}. *)
+    Full evaluation comes in two outputs: boxed substitutions
+    ({!answers}), and head rows projected packed through a
+    caller-supplied dedup table ({!heads}), which is what the protocols
+    use.  A prepared rule projects the same way. *)
 
 type rows = {
   size : int;  (** cardinality, for the planner's cost model *)
@@ -60,6 +61,9 @@ type counters = {
   mutable zone_visited : int;
       (** chunks a zone-mapped scan actually walked (pruned excluded) *)
   mutable zone_pruned : int;  (** chunks skipped outright by zone-map bounds *)
+  mutable matches : int;
+      (** matches a join handed its consumer, before the head projector
+          de-duplicates: a semi-naive run's count is its derivations *)
 }
 (** Evaluator work.  One process-wide record counts every evaluation
     (monotonic since {!reset_counters}); each protocol layer keeps its
@@ -77,8 +81,8 @@ val counters : unit -> counters
 val reset_counters : unit -> unit
 
 val rows_of_list : Codb_relalg.Row.t list -> rows
-(** Scan-only access path over a list of packed rows (used for deltas
-    and frozen canonical databases): the rows are
+(** Scan-only access path over a list of packed rows (used for frozen
+    canonical databases): the rows are
     copied into one transient flat image, and the source is not
     [indexed], so the planner scans it.
     An empty list joins at any width; a list mixing widths shows each
@@ -107,54 +111,6 @@ val plan_for : ?max_probe_cols:int -> source -> Query.t -> Plan.t
 (** The plan {!answers} would execute — for the CLI [explain]
     subcommand and tests. *)
 
-val delta_answers :
-  ?naive:bool ->
-  ?max_probe_cols:int ->
-  source ->
-  delta_rel:string ->
-  since:int ->
-  ?delta:Codb_relalg.Row.t list ->
-  Query.t ->
-  Subst.t list
-(** Semi-naive evaluation after [delta] was appended to [delta_rel].
-    The [source] must already reflect the insertion, and [since] is the
-    relation's row count before it (the caller reads
-    {!Codb_relalg.Relation.cardinal} before inserting).  If the query
-    does not mention [delta_rel], the result is [[]].  Without
-    [delta], the delta is every stored row of [delta_rel] from [since]
-    on, read in place: a window over the stored cells that copies
-    nothing, scanned like a row list (not [indexed], no zone maps).
-    The protocols name their deltas that way: an incremental update
-    the rows added since a link's watermark, and an integration the
-    rows it just appended.
-
-    The relation splits three ways.  {e old} is the rows below [since],
-    read through {!Codb_relalg.Relation.packed_view}'s [pv_before]: a
-    zero-copy, still-indexed prefix of the stored relation.  {e delta}
-    is [delta], scanned as {!rows_of_list}, or else the stored window.
-    {e full} is the relation as stored.  With [n] body atoms over
-    [delta_rel], pass [k] binds occurrence [k] to delta, the earlier
-    ones to old and the later ones to full, so every derivation that
-    uses a delta tuple comes out exactly once.  Only a pass [k > 0] reads old: a body with two or
-    more atoms over [delta_rel].
-
-    The contract on [since]: old must not overlap [delta] (or each
-    derivation through an overlapping tuple comes out twice), and must
-    hold every pre-insertion row (or derivations are lost).  The rows
-    from [since] on may include tuples outside [delta] only if they
-    match no atom over [delta_rel] — as when a subscription's prefilter
-    drops part of a store delta but passes the watermark of the whole
-    delta.
-
-    Nothing here boxes or copies the relation: old is a view of a few
-    words, so a body with one atom over [delta_rel] costs the delta.  A
-    pass that reads old reads it like a stored relation, through its
-    indexes or by a scan that stops at [since].
-
-    With [~naive:true] (ablation) the query is instead re-evaluated
-    from scratch with {!answers} — correct but wasteful, and the
-    baseline of experiment E8; [since] is then unused. *)
-
 (** {2 The head projector}
 
     Rule heads stay packed from the join to the caller: each match
@@ -182,65 +138,78 @@ val heads :
 (** Full form: the head rows of {!answers}' matches that [into] does
     not hold, distinct and sorted; they are added to [into]. *)
 
-val delta_heads :
-  ?naive:bool ->
-  ?max_probe_cols:int ->
-  ?into:unit Codb_relalg.Row.Table.t ->
-  source ->
+(** {2 Prepared rules}
+
+    A caller that evaluates one rule on delta after delta prepares it
+    once, with the table it projects into.  A run names its delta by a
+    window of stored rows: [delta_rel]'s rows in [\[since, upto)], read
+    in place (a window over the stored cells that copies nothing,
+    scanned like a row list: not [indexed], no zone maps).  The
+    protocols name their deltas that way: an incremental update the rows
+    added since a link's watermark, an integration the rows it just
+    appended, a local write its one row.
+
+    The relation splits three ways.  {e old} is the rows below [since],
+    read through {!Codb_relalg.Relation.packed_view}'s [pv_before]: a
+    zero-copy, still-indexed prefix of the stored relation.  {e delta}
+    is the window.  {e full} is the relation as stored.  With [n] body
+    atoms over [delta_rel], pass [k] binds occurrence [k] to delta, the
+    earlier ones to old and the later ones to full, so every derivation
+    that uses a delta row comes out exactly once.  Only a pass [k > 0]
+    reads old: a body with two or more atoms over [delta_rel].  A rule
+    that does not mention [delta_rel] derives nothing.
+
+    The contract on [since]: the source must already hold the window's
+    rows, old must not overlap the window (or each derivation through an
+    overlapping row comes out twice), and must hold every earlier row
+    (or derivations are lost).  [upto] ends the window early: the rows
+    from [upto] on are then read only where an atom reads full, so a
+    derivation through one of them in an earlier occurrence comes out
+    only from the window that holds it.
+
+    Nothing here boxes or copies the relation: old is a view of a few
+    words, so a body with one atom over [delta_rel] costs the delta.  A
+    pass that reads old reads it like a stored relation, through its
+    indexes or by a scan that stops at [since].
+
+    The rule keeps one stream per delta relation: the passes, planned
+    once ({!Plan.make}) and compiled for the head projector at its
+    first run.  The planner reads the body relations' sizes then and
+    sees the window as one row, whatever its size: later windows are
+    mostly a few rows, so the plan drives the join from the window and
+    probes the rest.  Later runs re-execute the passes; the window
+    bounds and the live relations are read at run time.  A run's output
+    does not depend on the plan, since the projector de-duplicates and
+    sorts.
+
+    With [~naive:true] (ablation) each run instead re-evaluates the
+    full join, projected into the same table: correct but wasteful, and
+    the baseline of experiment E8; the window is then unused. *)
+
+type prepared
+(** One rule's semi-naive join, with the table it projects into. *)
+
+val prepare :
+  ?naive:bool -> into:unit Codb_relalg.Row.Table.t -> source -> Query.t -> prepared
+(** Prepare [q] over [source]: nothing is planned until the first
+    {!run}.  [source] must keep serving the same relations (a
+    database's views read it live); a head the rule (or anything else
+    writing [into]) already produced is never copied again. *)
+
+val run :
+  ?query:Query.t ->
   delta_rel:string ->
   since:int ->
   ?upto:int ->
-  ?delta:Codb_relalg.Row.t list ->
-  Query.t ->
+  prepared ->
   Codb_relalg.Row.t list
-(** Delta form: the same projection over {!delta_answers}' matches,
-    through the same passes.  [upto] ends the stored delta window
-    early: the rows from [upto] on are then read only where an atom
-    reads full, so a derivation through one of them in an earlier
-    occurrence comes out only from the window that holds it. *)
-
-(** {2 Prepared delta streams}
-
-    A node that evaluates the same rule on every batch a peer streams
-    back (a query responder, a root with a listener) prepares the
-    rule's semi-naive join once.  The first run plans each pass
-    ({!Plan.make}, on the sizes it then sees) and compiles it for the
-    head projector; every later run re-executes the compiled passes.
-    The window bounds are read at run time: the views of the old rows
-    and of the delta window read them at every access, and the live
-    relation is read as it stands.  Each run projects straight into the
-    table fixed at preparation, so a head the stream (or anything else
-    writing that table) already produced is never copied again.
-
-    Each body occurrence of [delta_rel] reads what {!delta_heads}
-    reads: occurrence [k] the rows in [\[since, upto)], earlier ones
-    the rows below [since], later ones the live relation, so self-joins
-    stream too.  [~naive:true] compiles the full join once and re-runs
-    it.  {!heads} and {!delta_heads} are the same compile, run once; a
-    run's output does not depend on the plan, since the projector
-    de-duplicates and sorts. *)
-
-type stream
-(** One rule's prepared semi-naive join over one delta relation, with
-    its dedup table. *)
-
-val delta_stream :
-  ?naive:bool ->
-  ?max_probe_cols:int ->
-  into:unit Codb_relalg.Row.Table.t ->
-  source ->
-  delta_rel:string ->
-  Query.t ->
-  stream
-(** Prepare [q]'s stream over [delta_rel]: nothing is planned until
-    the first {!run_stream}.  [source] must keep serving the same
-    relations (a database's views read it live). *)
-
-val run_stream : since:int -> ?upto:int -> stream -> Codb_relalg.Row.t list
 (** The heads derivable through at least one row of [delta_rel] in
-    [\[since, upto)] that the stream's table does not hold yet,
-    distinct and sorted; they are added to the table.  [since] obeys
-    {!delta_answers}' contract. *)
+    [\[since, upto)] that the table does not hold yet, distinct and
+    sorted; they are added to the table.  [query] is the rule to run
+    when it may have changed since the rule was prepared (a rules file
+    replaced during an update or a query): a different rule drops the
+    streams and runs from then on, into the same table, so no stale
+    rule runs. *)
 
 val answer_rows :
   ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Row.t list

@@ -2,27 +2,19 @@
 
     A subscription is a user conjunctive query (no existential head)
     whose answers a node keeps current as its store changes.  Instead
-    of re-running the query on every write, the host feeds each
-    per-relation store delta through {!Codb_cq.Eval.delta_heads} —
-    the same semi-naive pass and head projector the update fix-point
-    uses — so only answers of matches that touch the new tuples are
-    derived.  Because coDB
-    stores are monotone (tuples are never deleted), incremental
-    maintenance only ever {e adds} answers; retractions appear only
-    when a subscription is re-seeded from scratch (registration,
-    re-arm after a crash) against a store that lost nothing but whose
-    subscription state did.
-
-    Constraint pushdown ({!Codb_cq.Specialize}) is reused as a
-    {e prefilter}: a delta tuple of relation [r] that fails every
-    constraint the query places on [r] cannot match any body atom over
-    [r], so it cannot contribute a new substitution; dropping it
-    before the join saves evaluator probes without changing the answer
-    set. *)
+    of re-running the query on every write, it holds the query as a
+    prepared rule ({!Codb_cq.Eval.prepare}) whose dedup table is its
+    answer set, and the host runs it on each per-relation store window,
+    the same semi-naive step the update fix-point runs: only answers of
+    matches that touch the new rows are derived, and only those the set
+    lacks come out.  Because coDB stores are monotone (tuples are never
+    deleted), incremental maintenance only ever {e adds} answers;
+    retractions appear only when a subscription is re-seeded from
+    scratch (registration, re-arm after a crash) against a store that
+    lost nothing but whose subscription state did. *)
 
 module Query = Codb_cq.Query
 module Eval = Codb_cq.Eval
-module Specialize = Codb_cq.Specialize
 module Row = Codb_relalg.Row
 
 type delta = {
@@ -37,14 +29,10 @@ val delta_is_empty : delta -> bool
 
 type t
 
-val create :
-  ?pushdown:bool -> sub_id:string -> Query.t ->
-  (t, string) result
+val create : sub_id:string -> source:Eval.source -> Query.t -> (t, string) result
 (** Validate the query as a user query ({!Query.well_formed} without
-    existential head) and precompute the per-relation prefilter
-    constraints ([pushdown] off — the ablation — registers no
-    prefilters).  The answer set starts empty; call {!refresh} to seed
-    it. *)
+    existential head) and prepare it over [source], the host's store.
+    The answer set starts empty; call {!refresh} to seed it. *)
 
 val id : t -> string
 
@@ -58,27 +46,14 @@ val answers : t -> Row.t list
 
 val answer_count : t -> int
 
-val prefilter : t -> rel:string -> Row.t list -> Row.t list * int
-(** Keep only delta rows that can contribute through some atom over
-    [rel]; also returns how many were dropped. *)
+val apply_delta : t -> delta_rel:string -> since:int -> upto:int -> tag:string -> delta
+(** Incremental maintenance: run the prepared rule on the store's
+    [delta_rel] rows in [\[since, upto)], which it already holds
+    ({!Codb_cq.Eval.run}'s contract on [since]).  Returns the answer
+    delta: adds only, the answers the set did not hold, which it now
+    does. *)
 
-val apply_delta :
-  t ->
-  source:Eval.source ->
-  delta_rel:string ->
-  since:int ->
-  delta:Row.t list ->
-  tag:string ->
-  delta * int
-(** Incremental maintenance: prefilter the store delta, run the
-    semi-naive pass against [source], and fold the derived heads into
-    the answer set.  [source] must already contain the delta tuples as
-    its rows from [since] on, as {!Eval.delta_answers} requires;
-    [since] is the watermark of the whole, unfiltered store delta.
-    Returns the answer delta (adds only — new answers not previously
-    known) and the number of prefiltered-away tuples. *)
-
-val refresh : t -> source:Eval.source -> tag:string -> delta
+val refresh : t -> tag:string -> delta
 (** From-scratch re-evaluation; the returned delta is the {e diff}
     against the previously known answers (used to seed a new
     subscription and to catch a re-armed one up). *)

@@ -1,6 +1,6 @@
 (** The boxed head projection the evaluator used before its packed head
     projector, kept as a reference: the oracle {!Codb_cq.Eval.heads}
-    and {!Codb_cq.Eval.delta_heads} are checked against. *)
+    and {!Codb_cq.Eval.run} are checked against. *)
 
 val head_tuples : Codb_cq.Query.t -> Codb_cq.Subst.t list -> Codb_relalg.Tuple.t list
 (** Project the substitutions on the head, mapping each existential

@@ -24,6 +24,11 @@ let packed tuples = List.map Row.of_tuple tuples
 
 let boxed rows = List.map Row.to_tuple rows
 
+(* A rule run once on [delta_rel]'s rows from [since] on: prepared
+   into a fresh table, so it returns every head the window derives. *)
+let one_shot ?naive source ~delta_rel ~since q =
+  Eval.run ~delta_rel ~since (Eval.prepare ?naive ~into:(Row.Table.create 8) source q)
+
 (* A user query's answers, boxed for checking. *)
 let answer_tuples source q = boxed (Eval.answer_rows source q)
 

@@ -201,19 +201,14 @@ let test_delta_basic () =
   let since = Relation.cardinal (Database.relation db "r") in
   ignore (Database.insert_all db "r" delta);
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
-  let tuples =
-    boxed (Eval.delta_heads (Eval.of_database db) ~delta_rel:"r" ~since ~delta:(packed delta) q)
-  in
+  let tuples = boxed (one_shot (Eval.of_database db) ~delta_rel:"r" ~since q) in
   check_tuples "only delta-derived" [ tup [ i 9; s "y" ] ] tuples
 
 let test_delta_no_mention () =
   let db = sample_db () in
   let q = parse_query "ans(b, c) <- s(b, c)" in
-  let substs =
-    Eval.delta_answers (Eval.of_database db) ~delta_rel:"r" ~since:0
-      ~delta:(packed [ tup [ i 1; i 10 ] ]) q
-  in
-  Alcotest.(check int) "irrelevant delta" 0 (List.length substs)
+  let heads = one_shot (Eval.of_database db) ~delta_rel:"r" ~since:0 q in
+  Alcotest.(check int) "irrelevant delta" 0 (List.length heads)
 
 let test_delta_self_join_complete_and_exact () =
   (* r = {(1,2)}, delta adds (2,3): the new paths are (1,3) via
@@ -231,19 +226,13 @@ let test_delta_self_join_complete_and_exact () =
   let gained =
     List.filter (fun t -> not (List.exists (Tuple.equal t) before)) after
   in
-  let derived =
-    boxed (Eval.delta_heads (Eval.of_database db) ~delta_rel:"e" ~since ~delta:(packed delta) q)
-  in
+  let derived = boxed (one_shot (Eval.of_database db) ~delta_rel:"e" ~since q) in
   check_tuples "delta derives exactly the gain" gained derived
 
 let test_delta_naive_mode_matches_full () =
   let db = sample_db () in
   let q = parse_query "ans(x, c) <- r(x, b), s(b, c)" in
-  let tuples =
-    boxed
-      (Eval.delta_heads ~naive:true (Eval.of_database db) ~delta_rel:"r" ~since:0
-         ~delta:(packed [ tup [ i 1; i 10 ] ]) q)
-  in
+  let tuples = boxed (one_shot ~naive:true (Eval.of_database db) ~delta_rel:"r" ~since:0 q) in
   check_tuples "naive = full re-evaluation"
     (answer_tuples (Eval.of_database db) q)
     tuples
@@ -292,20 +281,19 @@ let test_mixed_widths () =
     (answer_tuples source (parse_query "ans(x, y) <- r(x, y)"))
 
 (* Semi-naive evaluation costs the delta, not the relation: a
-   single-atom rule never reads the pre-delta relation, so a 5-row
-   delta allocates alike over 2 000 and 20 000 stored rows. *)
+   single-atom rule never reads the pre-delta relation, so preparing
+   it and running it on a 5-row delta allocates alike over 2 000 and
+   20 000 stored rows. *)
 let test_delta_allocation_independent_of_relation () =
   let q = parse_query "ans(x, y) <- r(x, y), x >= 0" in
   let words rows =
     let db = db_of [ r_schema ] [] in
     ignore (Database.insert_all db "r" (List.init rows (fun k -> tup [ i k; i (k mod 7) ])));
     let since = Relation.cardinal (Database.relation db "r") in
-    let delta =
-      packed (Database.insert_all db "r" (List.init 5 (fun k -> tup [ i (rows + k); i 0 ])))
-    in
+    ignore (Database.insert_all db "r" (List.init 5 (fun k -> tup [ i (rows + k); i 0 ])));
     let source = Eval.of_database db in
-    let run () = Eval.delta_answers source ~delta_rel:"r" ~since ~delta q in
-    Alcotest.(check int) "one substitution per delta row" 5 (List.length (run ()));
+    let run () = one_shot source ~delta_rel:"r" ~since q in
+    Alcotest.(check int) "one head per delta row" 5 (List.length (run ()));
     let before = Gc.minor_words () in
     ignore (Sys.opaque_identity (run ()));
     Gc.minor_words () -. before
@@ -316,27 +304,29 @@ let test_delta_allocation_independent_of_relation () =
     true
     (large <= 2. *. small && small <= 2. *. large)
 
-(* Without [~delta], the delta is the stored rows from [since] on:
-   the same heads as naming them, self-joins included, and nothing
-   past an empty suffix. *)
+(* The delta is the stored rows from [since] on: the heads the full
+   join gained through them, self-joins included, and nothing past an
+   empty suffix. *)
 let test_delta_named_by_watermark () =
   let edge = Schema.make "e" [ ("a", Value.Tint); ("b", Value.Tint) ] in
   let db = db_of [ edge ] [ ("e", tup [ i 1; i 2 ]); ("e", tup [ i 5; i 6 ]) ] in
-  let q = parse_query "ans(x, z) <- e(x, y), e(y, z)" in
+  let q = parse_query "ans(x, y, z) <- e(x, y), e(y, z)" in
+  let before = reference_answers db q in
   let since = Relation.cardinal (Database.relation db "e") in
-  let delta = Database.insert_all db "e" [ tup [ i 2; i 3 ]; tup [ i 3; i 1 ] ] in
+  ignore (Database.insert_all db "e" [ tup [ i 2; i 3 ]; tup [ i 3; i 1 ] ]);
   let source = Eval.of_database db in
-  check_tuples "same heads as the named delta"
-    (boxed (Eval.delta_heads source ~delta_rel:"e" ~since ~delta:(packed delta) q))
-    (boxed (Eval.delta_heads source ~delta_rel:"e" ~since q));
+  check_tuples "the heads the full join gained"
+    (List.filter (fun t -> not (List.exists (Tuple.equal t) before)) (reference_answers db q))
+    (boxed (one_shot source ~delta_rel:"e" ~since q));
   Alcotest.(check int) "an empty suffix derives nothing" 0
-    (List.length (Eval.delta_heads source ~delta_rel:"e" ~since:4 q))
+    (List.length (one_shot source ~delta_rel:"e" ~since:4 q))
 
-(* A prepared stream planned and compiled its join at the first run:
-   a later run over an empty window pays only for the candidate set it
-   finds empty, not for a plan (a one-shot [delta_heads] call spends
-   ~650 words on planning and compiling first).  Minor words are exact
-   on OCaml 5 native code only, as in [test_relation]. *)
+(* A prepared rule planned and compiled its join at the first run: a
+   later run over an empty window pays only for the candidate set it
+   finds empty, not for a plan (preparing and
+   running a rule once spends ~650 words on planning and compiling
+   first).  Minor words are exact on OCaml 5 native code only, as in
+   [test_relation]. *)
 let test_stream_run_allocation () =
   if Sys.backend_type = Sys.Native then begin
     let db =
@@ -345,22 +335,69 @@ let test_stream_run_allocation () =
         @ List.init 100 (fun k -> ("r", tup [ i k; i k ])))
     in
     let into = Row.Table.create 64 in
-    let stream =
-      Eval.delta_stream ~into (Eval.of_database db) ~delta_rel:"r"
-        (parse_query "h(x, c) <- r(x, b), s(b, c)")
+    let prepared =
+      Eval.prepare ~into (Eval.of_database db) (parse_query "h(x, c) <- r(x, b), s(b, c)")
     in
     check_tuples "the first run derives the window's head" [ tup [ i 99; i 100 ] ]
-      (boxed (Eval.run_stream ~since:99 stream));
+      (boxed (Eval.run ~delta_rel:"r" ~since:99 prepared));
     let runs = 100 in
     let before = Gc.minor_words () in
     for _ = 1 to runs do
-      ignore (Sys.opaque_identity (Eval.run_stream ~since:100 stream))
+      ignore (Sys.opaque_identity (Eval.run ~delta_rel:"r" ~since:100 prepared))
     done;
     let per_run = (Gc.minor_words () -. before) /. float_of_int runs in
     Alcotest.(check bool)
       (Printf.sprintf "empty-window run: %.1f minor words (bound 64)" per_run)
       true (per_run <= 64.)
   end
+
+(* A stream is planned once, at its rule's first run over its delta
+   relation, whatever that window holds: the planner sees the window as
+   one row, so the join is driven from it and probes the rest, and a
+   first window of every row still plans for the one-row windows that
+   follow.  Growing a body relation plans nothing; only a changed rule
+   ([~query]) plans again, into the same table. *)
+let test_stream_planned_once () =
+  let s_schema = Schema.make "s" [ ("b", Value.Tint); ("c", Value.Tint) ] in
+  let db =
+    db_of [ r_schema; s_schema ]
+      (List.concat_map
+         (fun k -> [ ("r", tup [ i k; i k ]); ("s", tup [ i k; i (k + 1) ]) ])
+         (List.init 10 Fun.id))
+  in
+  let prepared =
+    Eval.prepare ~into:(Row.Table.create 8) (Eval.of_database db)
+      (parse_query "h(x, c) <- r(x, b), s(b, c)")
+  in
+  let work f =
+    let c0 = Eval.counters () in
+    let rows = f () in
+    let c1 = Eval.counters () in
+    ( boxed rows,
+      (c1.Eval.planned - c0.Eval.planned, c1.Eval.scans - c0.Eval.scans, c1.Eval.probes - c0.Eval.probes) )
+  in
+  let run_after ?query x b =
+    let since = Relation.cardinal (Database.relation db "r") in
+    ignore (Database.insert db "r" (tup [ i x; i b ]));
+    work (fun () -> Eval.run ?query ~delta_rel:"r" ~since prepared)
+  in
+  let check what (want_rows, want_work) (rows, got) =
+    check_tuples what want_rows rows;
+    Alcotest.(check (triple int int int)) (what ^ ": planned, scans, probes") want_work got
+  in
+  check "a first window of every row"
+    (List.init 10 (fun k -> tup [ i k; i (k + 1) ]), (1, 1, 10))
+    (work (fun () -> Eval.run ~delta_rel:"r" ~since:0 prepared));
+  check "a one-row window" ([ tup [ i 100; i 6 ] ], (0, 1, 1)) (run_after 100 5);
+  List.iter
+    (fun k -> ignore (Database.insert db "s" (tup [ i k; i (k + 1) ])))
+    (List.init 30 (fun k -> 10 + k));
+  check "after s tripled" ([ tup [ i 101; i 21 ] ], (0, 1, 1)) (run_after 101 20);
+  check "the same rule, parsed again"
+    ([ tup [ i 102; i 31 ] ], (0, 1, 1))
+    (run_after ~query:(parse_query "h(x, c) <- r(x, b), s(b, c)") 102 30);
+  let changed = parse_query "h(x, c) <- r(x, b), s(c, b)" in
+  check "a changed rule" ([ tup [ i 103; i 6 ] ], (1, 1, 1)) (run_after ~query:changed 103 7)
 
 let suite =
   [
@@ -395,6 +432,8 @@ let suite =
     Alcotest.test_case "mixed widths: each atom sees its own rows" `Quick
       test_mixed_widths;
     Alcotest.test_case "a stream run allocates no plan" `Quick test_stream_run_allocation;
+    Alcotest.test_case "a stream is planned once, whatever its first window" `Quick
+      test_stream_planned_once;
     Alcotest.test_case "a delta named by its watermark" `Quick
       test_delta_named_by_watermark;
   ]

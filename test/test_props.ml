@@ -129,44 +129,59 @@ let prop_planner_matches_reference =
       subst_set (Eval.answers source q) = reference
       && subst_set (Eval.answers ~max_probe_cols:1 source q) = reference)
 
+(* [q] with every body variable in its head: its head rows are its
+   substitutions. *)
+let all_vars_head q =
+  Query.make
+    ~head:(atom "ans" (List.map (fun v' -> Term.Var v') (Query.body_vars q)))
+    ~body:q.Query.body ~comparisons:q.Query.comparisons ()
+
 (* Every substitution of the grown database that was not one before
    grounds some atom to a delta tuple, and vice versa: semi-naive
-   evaluation must produce exactly that difference. *)
+   evaluation must produce exactly that difference, self-joins
+   included.  The head projector de-duplicates, so a derivation that
+   came out twice would not show here; the next property counts them. *)
 let prop_delta_matches_reference_gain =
-  Q2.Test.make ~name:"delta substitutions = reference gain" ~count:150
+  Q2.Test.make ~name:"delta substitutions = reference gain" ~count:300
     (Gen.triple gen_datagen_db (Gen.list_size (Gen.int_range 1 5) gen_tuple)
-       gen_query)
+       (Gen.oneof [ gen_query; gen_self_join_query ]))
     (fun (db, delta_candidates, q) ->
+      let q = all_vars_head q in
       let source = Eval.of_database db in
-      let before = subst_set (Test_eval.reference_substs db q) in
+      let before = Test_eval.reference_answers db q in
       let since = Relation.cardinal (Database.relation db "r") in
-      let delta = Database.insert_all db "r" delta_candidates in
-      let after = subst_set (Test_eval.reference_substs db q) in
-      subst_set (Eval.delta_answers source ~delta_rel:"r" ~since ~delta:(packed delta) q)
-      = List.filter (fun s -> not (List.mem s before)) after)
+      ignore (Database.insert_all db "r" delta_candidates);
+      let gain =
+        List.filter
+          (fun t -> not (List.exists (Tuple.equal t) before))
+          (sorted_tuples (Test_eval.reference_answers db q))
+      in
+      List.equal Tuple.equal (boxed (one_shot source ~delta_rel:"r" ~since q)) gain)
 
 (* The same gain as a multiset: the semi-naive passes must derive each
-   new substitution exactly once.  The set comparison above would pass
-   a pre-delta relation that overlaps the delta, which emits every
-   derivation through an overlapping tuple twice. *)
+   new substitution exactly once, counted as the matches they hand the
+   projector.  The set comparison above would pass an old relation
+   that overlaps the window, which derives every substitution through
+   an overlapping row twice. *)
 let prop_delta_exactly_once =
   Q2.Test.make ~name:"delta substitutions = reference gain, each exactly once" ~count:300
     (Gen.triple gen_datagen_db (Gen.list_size (Gen.int_range 1 5) gen_tuple)
        gen_self_join_query)
     (fun (db, delta_candidates, q) ->
+      let q = all_vars_head q in
       let source = Eval.of_database db in
-      let before = subst_set (Test_eval.reference_substs db q) in
+      let before = Test_eval.reference_answers db q in
       let since = Relation.cardinal (Database.relation db "r") in
-      let delta = Database.insert_all db "r" delta_candidates in
+      ignore (Database.insert_all db "r" delta_candidates);
       let gain =
         List.filter
-          (fun s -> not (List.mem s before))
-          (subst_set (Test_eval.reference_substs db q))
+          (fun t -> not (List.exists (Tuple.equal t) before))
+          (sorted_tuples (Test_eval.reference_answers db q))
       in
-      List.sort compare
-        (List.map Codb_cq.Subst.bindings
-           (Eval.delta_answers source ~delta_rel:"r" ~since ~delta:(packed delta) q))
-      = gain)
+      let matches0 = (Eval.counters ()).Eval.matches in
+      let rows = one_shot source ~delta_rel:"r" ~since q in
+      (Eval.counters ()).Eval.matches - matches0 = List.length gain
+      && List.equal Tuple.equal (boxed rows) gain)
 
 let prop_delta_brackets_gain =
   Q2.Test.make ~name:"semi-naive delta brackets the gained answers" ~count:200
@@ -175,11 +190,10 @@ let prop_delta_brackets_gain =
       let source = Eval.of_database db in
       let before = Relation.Tuple_set.of_list (answer_tuples source q) in
       let since = Relation.cardinal (Database.relation db "r") in
-      let delta = Database.insert_all db "r" delta_candidates in
+      ignore (Database.insert_all db "r" delta_candidates);
       let after = answer_tuples source q in
       let derived =
-        Relation.Tuple_set.of_list
-          (boxed (Eval.delta_heads source ~delta_rel:"r" ~since ~delta:(packed delta) q))
+        Relation.Tuple_set.of_list (boxed (one_shot source ~delta_rel:"r" ~since q))
       in
       let gained =
         List.filter (fun t -> not (Relation.Tuple_set.mem t before)) after
@@ -209,8 +223,9 @@ let gen_rule_query_of_body body =
        ~comparisons:q.Query.comparisons ())
 
 (* The packed head projector returns exactly the oracle projection of
-   the boxed substitutions, in the full and the delta form, naive or
-   semi-naive. *)
+   the boxed substitutions: in the full form, and in a prepared rule's
+   run, whose substitutions are the grown database's that were not ones
+   before (semi-naive) or all of them (naive). *)
 let prop_projector_matches_oracle =
   Q2.Test.make ~name:"head projector = oracle projection of the substitutions" ~count:300
     (Gen.quad gen_datagen_db (Gen.list_size (Gen.int_range 1 5) gen_tuple)
@@ -218,27 +233,37 @@ let prop_projector_matches_oracle =
        Gen.bool)
     (fun (db, delta_candidates, q, naive) ->
       let source = Eval.of_database db in
+      let before = Eval.answers source q in
       let full_ok =
-        List.equal Tuple.equal (boxed (Eval.heads source q))
-          (Head_ref.head_tuples q (Eval.answers source q))
+        List.equal Tuple.equal (boxed (Eval.heads source q)) (Head_ref.head_tuples q before)
       in
       let since = Relation.cardinal (Database.relation db "r") in
-      let delta = packed (Database.insert_all db "r" delta_candidates) in
+      ignore (Database.insert_all db "r" delta_candidates);
+      let after = Eval.answers source q in
+      let substs =
+        if naive then after
+        else
+          let old = subst_set before in
+          List.filter (fun s -> not (List.mem (Codb_cq.Subst.bindings s) old)) after
+      in
       full_ok
       && List.equal Tuple.equal
-           (boxed (Eval.delta_heads ~naive source ~delta_rel:"r" ~since ~delta q))
-           (Head_ref.head_tuples q
-              (Eval.delta_answers ~naive source ~delta_rel:"r" ~since ~delta q)))
+           (boxed (one_shot ~naive source ~delta_rel:"r" ~since q))
+           (Head_ref.head_tuples q substs))
 
-(* A prepared stream run over successive insert windows, after a full
-   evaluation into its table (a query responder's life): each run
-   returns exactly a fresh one-shot [delta_heads] of its window minus
-   the rows the table already holds, and the table ends equal to the
-   full evaluation of the final database. *)
-let prop_stream_matches_one_shot =
-  Q2.Test.make ~name:"prepared stream = one-shot deltas, table = full heads" ~count:300
+(* A prepared rule run over successive insert windows, after a full
+   evaluation into its table (a query responder's life): each batch's
+   runs return exactly the heads the full join gained through it, and
+   the table ends equal to the full evaluation of the final database.
+   A batch may be run as two windows cut at [upto]; batches of up to 24
+   rows grow [r] far past the size its stream was planned on, and the
+   plan serves them all. *)
+let prop_prepared_matches_full_gain =
+  Q2.Test.make ~name:"prepared rule = full-join gain, table = full heads" ~count:300
     (Gen.quad gen_db
-       Gen.(list_size (int_range 1 5) (list_size (int_range 0 4) gen_tuple))
+       Gen.(
+         list_size (int_range 1 5)
+           (pair (list_size (frequency [ (3, int_range 0 4); (1, int_range 12 24) ]) gen_tuple) bool))
        Gen.(
          frequency
            [
@@ -250,18 +275,28 @@ let prop_stream_matches_one_shot =
       let source = Eval.of_database db in
       let into = Row.Table.create 8 in
       ignore (Eval.heads ~into source q);
-      let stream = Eval.delta_stream ~naive ~into source ~delta_rel:"r" q in
+      let prepared = Eval.prepare ~naive ~into source q in
       let runs_ok =
         List.for_all
-          (fun batch ->
+          (fun (batch, split) ->
+            let before = Eval.heads source q in
             let since = Relation.cardinal (Database.relation db "r") in
             ignore (Database.insert_all db "r" batch);
-            let expected =
+            let upto = Relation.cardinal (Database.relation db "r") in
+            let gain =
               List.filter
-                (fun row -> not (Row.Table.mem into row))
-                (Eval.delta_heads ~naive source ~delta_rel:"r" ~since q)
+                (fun row -> not (List.exists (Row.equal row) before))
+                (Eval.heads source q)
             in
-            List.equal Row.equal expected (Eval.run_stream ~since stream))
+            let derived =
+              if split && upto - since >= 2 then
+                let mid = since + ((upto - since) / 2) in
+                List.merge Row.compare
+                  (Eval.run ~delta_rel:"r" ~since ~upto:mid prepared)
+                  (Eval.run ~delta_rel:"r" ~since:mid ~upto prepared)
+              else Eval.run ~delta_rel:"r" ~since ~upto prepared
+            in
+            List.equal Row.equal gain derived)
           batches
       in
       let table = List.sort Row.compare (Row.Table.fold (fun row () acc -> row :: acc) into []) in
@@ -937,7 +972,7 @@ let suite =
       prop_delta_exactly_once;
       prop_delta_brackets_gain;
       prop_projector_matches_oracle;
-      prop_stream_matches_one_shot;
+      prop_prepared_matches_full_gain;
       prop_roundtrip_config;
       prop_update_terminates_and_is_idempotent;
       prop_update_reaches_fixpoint;

@@ -174,6 +174,35 @@ let test_first_contact_floods_and_serves () =
   Alcotest.(check (list bool)) "data to a non-parent counted" [ false ]
     (List.filter_map no_ack_of messages)
 
+(* A rules file replaces the rule of a link mid-update: the link's
+   prepared rule is the new one from the next arrival on, so no run
+   derives through the rule the file dropped. *)
+let rules_with cmp =
+  Printf.sprintf
+    {|
+node down { relation r(x: int); }
+node me { relation r(x: int); fact r(1); }
+node up { relation s(x: int); relation t(x: int); fact s(2); }
+rule to_down at down: r(x) <- me: r(x);
+rule to_up at up: t(x) <- me: r(x), %s;
+rule from_up at me: r(x) <- up: s(x);
+|}
+    cmp
+
+let test_rules_change_mid_update () =
+  let rt, _node, outbox = make_runtime (rules_with "x < 100") in
+  Update.handle rt ~src:(peer "down") ~bytes:100
+    (Payload.Update_request { update_id = uid; scope = Payload.Global });
+  let _ = drain outbox in
+  Update.handle rt ~src:(peer "up") ~bytes:20 (data_from "from_up" [ 2; 200 ]);
+  check_tuples "the first rule's delta" [ tup [ i 2 ] ]
+    (List.concat_map (shipped_on "to_up") (drain outbox));
+  Alcotest.(check bool) "new rules applied" true
+    (Codb_core.Reconfigure.apply rt ~version:1 (parse_config (rules_with "x > 100")));
+  Update.handle rt ~src:(peer "up") ~bytes:20 (data_from "from_up" [ 5; 500 ]);
+  check_tuples "the new rule's delta" [ tup [ i 500 ] ]
+    (List.concat_map (shipped_on "to_up") (drain outbox))
+
 let test_duplicate_request_acked_immediately () =
   let rt, _node, outbox = make_runtime middle_config in
   Update.handle rt ~src:(peer "down") ~bytes:100
@@ -1092,6 +1121,8 @@ let suite =
       test_released_on_forced_termination;
     Alcotest.test_case "duplicate requests acked immediately" `Quick
       test_duplicate_request_acked_immediately;
+    Alcotest.test_case "a rules file replaces a link's rule mid-update" `Quick
+      test_rules_change_mid_update;
     Alcotest.test_case "disengagement acks the parent" `Quick
       test_disengage_acks_parent_when_deficit_clears;
     Alcotest.test_case "re-engagement in cycles" `Quick test_reengagement_after_disengage;

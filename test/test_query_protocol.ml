@@ -243,7 +243,7 @@ let test_late_data_for_closed_instance () =
   let module Q = Query_state in
   Alcotest.(check bool) "root closed" true root.Q.qst_closed;
   Alcotest.(check int) "root overlay released" 0 (Database.cardinal root.Q.qst_overlay);
-  Alcotest.(check int) "root streams released" 0 (List.length root.Q.qst_streams);
+  Alcotest.(check bool) "root rule released" true (Option.is_none root.Q.qst_rule);
   late ~owner:root_ref;
   Alcotest.(check int) "root overlay still empty" 0 (Database.cardinal root.Q.qst_overlay);
   check_tuples "root answer unchanged" [ tup [ i 1 ] ]

@@ -532,6 +532,34 @@ let test_wal_recovers_subscriptions () =
   | None -> Alcotest.fail "mirror lost in the crash"
   | Some answers -> check_tuples "mirror answers recovered" mirrored answers)
 
+(* A recovered standing query runs its prepared rule on the recovered
+   store, not on the one that died: rows that reach it after the
+   restart, by a local write or by an update, keep its answers equal to
+   a from-scratch evaluation.  The query is a self-join, so a run reads
+   the store's old rows and the whole relation as well as the window. *)
+let test_wal_standing_query_reads_recovered_store () =
+  let opts = { (dur_opts ()) with Options.subscriptions = true } in
+  let sys = System.build_exn ~opts (chain 3) in
+  let q = parse_query "ans(k, v, w) <- data(k, v), data(k, w)" in
+  let sub_id =
+    match System.subscribe sys ~at:"n1" q with
+    | Ok id -> id
+    | Error e -> Alcotest.failf "subscribe: %s" e
+  in
+  let _ = System.run_update sys ~initiator:"n0" in
+  System.crash_node sys "n1";
+  System.restart_node sys "n1";
+  let _ = System.run sys in
+  List.iteri
+    (fun k at -> ignore (System.insert_fact sys ~at ~rel:"data" (tup [ i (950 + k); s "late" ])))
+    [ "n0"; "n1"; "n2" ];
+  ignore (System.insert_fact sys ~at:"n1" ~rel:"data" (tup [ i 951; s "again" ]));
+  let _ = System.run_update sys ~initiator:"n0" in
+  let answers = Option.get (System.subscription_answers sys ~at:"n1" sub_id) in
+  Alcotest.(check bool) "the late rows reached the answers" true
+    (List.exists (fun t -> Tuple.equal t (tup [ i 951; s "late"; s "again" ])) answers);
+  check_tuples "answers = from-scratch evaluation" (System.local_answers sys ~at:"n1" q) answers
+
 (* --- the recovery property (qcheck) --------------------------------- *)
 
 module Q2 = QCheck2
@@ -609,6 +637,8 @@ let suite =
       `Quick test_wal_refetches_no_more_than_volatile;
     Alcotest.test_case "a crash inside an update gives nothing up" `Quick
       test_crash_inside_update_gives_nothing_up;
+    Alcotest.test_case "a recovered standing query reads the recovered store" `Quick
+      test_wal_standing_query_reads_recovered_store;
     Alcotest.test_case "subscriptions survive recovery" `Quick
       test_wal_recovers_subscriptions;
     QCheck_alcotest.to_alcotest prop_recovery_reaches_fault_free_fixpoint;

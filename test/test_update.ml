@@ -203,6 +203,20 @@ rule sg at sink: r(x) <- good: r(x);
   in
   Alcotest.(check bool) "flagged inconsistent" true snap.Stats.snap_inconsistent
 
+(* A constraint every pair of rows violates: the check stops at the
+   first violation, one scan per atom, instead of listing all 40 000
+   (which takes one scan of the second atom per row of the first). *)
+let test_constraint_check_stops_at_first_violation () =
+  let facts = String.concat " " (List.init 200 (Printf.sprintf "fact r(%d);")) in
+  let cfg =
+    parse_config
+      (Printf.sprintf "node bad { relation r(x: int); %s constraint r(x), r(y); }" facts)
+  in
+  let node = Node.create (Option.get (Config.node cfg "bad")) in
+  let before = Eval.counters () in
+  Alcotest.(check bool) "may not export" false (Node.may_export node);
+  Alcotest.(check int) "scans" 2 ((Eval.counters ()).Eval.scans - before.Eval.scans)
+
 let test_dedup_suppresses_duplicates () =
   (* diamond: the same data reaches the sink over two paths; the
      second copy must be suppressed *)
@@ -566,6 +580,8 @@ let suite =
     Alcotest.test_case "mediator node forwards" `Quick test_mediator_node_forwards;
     Alcotest.test_case "inconsistency does not propagate" `Quick
       test_inconsistent_node_does_not_export;
+    Alcotest.test_case "a constraint check stops at the first violation" `Quick
+      test_constraint_check_stops_at_first_violation;
     Alcotest.test_case "duplicate suppression on diamonds" `Quick
       test_dedup_suppresses_duplicates;
     Alcotest.test_case "sent cache bounds clique traffic" `Quick

@@ -51,8 +51,8 @@ let test_eval_rule_delta_only_new () =
   ignore (Database.insert_all db "base" [ tup [ i 3; i 30 ] ]);
   check_tuples "delta-derived only" [ tup [ i 3; i 9 ] ]
     (boxed
-       (Wrapper.eval_query_delta ~naive:false db rule.Config.rule_query ~delta_rel:"base"
-          ~since))
+       (Eval.run ~delta_rel:"base" ~since
+          (Wrapper.prepare ~sent:(Sent_filter.create ()) ~naive:false db rule.Config.rule_query)))
 
 (* The sent filter is the projection's dedup: a head reached by two
    derivations comes back once and is noted once, and a head already
@@ -76,8 +76,8 @@ let test_sent_filter_is_projection_dedup () =
   check_tuples "delta form filters through the same table"
     [ tup [ i 3; Value.Hole 0 ] ]
     (boxed
-       (Wrapper.eval_query_delta ~sent ~naive:false db rule.Config.rule_query
-          ~delta_rel:"base" ~since));
+       (Eval.run ~delta_rel:"base" ~since
+          (Wrapper.prepare ~sent ~naive:false db rule.Config.rule_query)));
   check_tuples "the filter holds every head sent"
     [ tup [ i 1; Value.Hole 0 ]; tup [ i 2; Value.Hole 0 ]; tup [ i 3; Value.Hole 0 ] ]
     (boxed (Sent_filter.elements sent))
