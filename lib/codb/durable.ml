@@ -160,25 +160,28 @@ let snapshot_version = 4
 
 let query_text q = Fmt.str "%a" Pretty.query q
 
-(* Lineage as import records: the windows' rows, one record per
-   (relation, rule, hops, time) in key order, its rows in
-   [Row.compare] order.  A row lies in one window at most, so each
+(* Lineage as import records: the windows' row ids, one record per
+   (relation, rule, hops, time) in key order, its ids in [Row.compare]
+   order of their rows.  A row lies in one window at most, so each
    goes out once. *)
 let import_groups store lineage rels =
   let groups = Hashtbl.create 16 in
   let add rel (w : Lineage.window) =
-    let relation = Database.relation store rel in
     let { Lineage.li_rule; li_hops; li_at } = w.Lineage.w_import in
     let key = (rel, li_rule, li_hops, li_at) in
-    let rows = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-    let since = w.Lineage.w_since in
-    Hashtbl.replace groups key
-      (List.rev_append (List.init (w.Lineage.w_upto - since) (fun k -> Relation.row relation (since + k))) rows)
+    let ids = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+    let rec window id acc = if id < w.Lineage.w_since then acc else window (id - 1) (id :: acc) in
+    Hashtbl.replace groups key (window (w.Lineage.w_upto - 1) ids)
   in
   List.iter (fun rel -> List.iter (add rel) (Lineage.windows lineage ~rel)) rels;
   List.sort
     (fun (a, _) (b, _) -> compare a b)
-    (Hashtbl.fold (fun key rows acc -> (key, List.sort Row.compare rows) :: acc) groups [])
+    (Hashtbl.fold
+       (fun ((rel, _, _, _) as key) ids acc ->
+         let ids = Array.of_list ids in
+         Relation.sort_ids (Database.relation store rel) ids;
+         (key, ids) :: acc)
+       groups [])
 
 (* One pass, straight from the store: imported rows once each in their
    import records, the other rows in one [Insert] per relation. *)
@@ -188,7 +191,11 @@ let encode_snapshot (node : Node.t) =
   let store = node.Node.store in
   let rels = List.sort String.compare (Database.rel_names store) in
   List.iter
-    (fun ((rel, rule, hops, at), rows) -> put_import w ~rule ~rel ~hops ~at rows)
+    (fun ((rel, rule, hops, at), ids) ->
+      (* each row copied once, as it is written *)
+      let relation = Database.relation store rel in
+      put_import w ~rule ~rel ~hops ~at
+        (Array.fold_right (fun id acc -> Relation.row relation id :: acc) ids []))
     (import_groups store node.Node.lineage rels);
   List.iter
     (fun rel ->

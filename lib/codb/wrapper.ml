@@ -42,11 +42,13 @@ let integrate ~(opts : Options.t) ~rule_id db ~rel rows =
      duplicate suppression: that is what lets the importer see that an
      incoming tuple is subsumed by one it already has, and hence what
      makes cyclic rule systems reach a fix-point. *)
-  let fresh =
-    List.filter
-      (fun row -> Relation.insert_row relation row)
-      (List.map (Row.instantiate_holes ~rule:rule_id) incoming_fresh)
+  let[@tail_mod_cons] rec insert = function
+    | [] -> []
+    | row :: rest ->
+        let row = Row.instantiate_holes ~rule:rule_id row in
+        if Relation.insert_row relation row then row :: insert rest else insert rest
   in
+  let fresh = insert incoming_fresh in
   let nulls_created = Value.null_counter () - nulls_before in
   let suppressed = List.length rows - List.length fresh in
   { since; fresh; suppressed; nulls_created }

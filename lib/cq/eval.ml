@@ -593,12 +593,85 @@ let exists source q ~accept =
   | () -> false
   | exception Found -> true
 
+(* A head buffer: the rows a run keeps, in the order the join found
+   them, and a scratch array of the same capacity for the merge sort.
+   It grows by doubling and is reused run after run, so a warm buffer
+   allocates nothing. *)
+type buffer = { mutable rows : Row.t array; mutable scratch : Row.t array; mutable len : int }
+
+let no_row : Row.t = [||]
+
+let buffer () = { rows = [||]; scratch = [||]; len = 0 }
+
+let push b row =
+  if b.len = Array.length b.rows then begin
+    let cap = max 64 (2 * b.len) in
+    let rows = Array.make cap no_row in
+    Array.blit b.rows 0 rows 0 b.len;
+    b.rows <- rows;
+    b.scratch <- Array.make cap no_row
+  end;
+  b.rows.(b.len) <- row;
+  b.len <- b.len + 1
+
+(* Merge [src]'s sorted runs [lo, mid) and [mid, hi) into [dst] at
+   [lo].  Runs already in order (the last of the left no greater than
+   the first of the right) are copied with one comparison. *)
+let merge src dst lo mid hi =
+  if Row.compare src.(mid - 1) src.(mid) <= 0 then Array.blit src lo dst lo (hi - lo)
+  else begin
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      if !j >= hi || (!i < mid && Row.compare src.(!i) src.(!j) <= 0) then begin
+        dst.(k) <- src.(!i);
+        incr i
+      end
+      else begin
+        dst.(k) <- src.(!j);
+        incr j
+      end
+    done
+  end
+
+(* Bottom-up merge sort of the buffer's filled prefix, ping-ponging
+   between its two arrays; returns the array that ends up sorted. *)
+let sort b =
+  let n = b.len in
+  let rec pass src dst width =
+    if width >= n then src
+    else begin
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = min n (!lo + width) in
+        let hi = min n (mid + width) in
+        if mid < hi then merge src dst !lo mid hi
+        else Array.blit src !lo dst !lo (n - !lo);
+        lo := hi
+      done;
+      pass dst src (2 * width)
+    end
+  in
+  pass b.rows b.scratch 1
+
+(* The kept rows, sorted packed in [Tuple.compare] order and never
+   boxed.  The buffer is emptied for the next run and its slots
+   cleared, so it pins no rows between runs. *)
+let take b =
+  let n = b.len in
+  let sorted = sort b in
+  let rec build i acc = if i < 0 then acc else build (i - 1) (sorted.(i) :: acc) in
+  let out = build (n - 1) [] in
+  Array.fill b.rows 0 n no_row;
+  Array.fill b.scratch 0 n no_row;
+  b.len <- 0;
+  out
+
 (* The head projector, as a join consumer.  Each match writes the
    head's packed values into a scratch row (an existential variable
    projects to its hole); a row absent from [into] is copied, noted
-   there and pushed onto [kept].  A row already in [into] costs a hash
+   there and pushed onto [buf].  A row already in [into] costs a hash
    lookup and allocates nothing. *)
-let projector q ~into ~kept =
+let projector q ~into ~buf =
   let existentials = Query.existential_head_vars q in
   let hole v =
     let rec index i = function
@@ -631,22 +704,15 @@ let projector q ~into ~kept =
       if not (Row.Table.mem into scratch) then begin
         let row = Array.copy scratch in
         Row.Table.add into row ();
-        kept := row :: !kept
+        push buf row
       end
-
-(* The kept rows, sorted packed in [Tuple.compare] order and never
-   boxed; [kept] is emptied for the next run. *)
-let take kept =
-  let rows = !kept in
-  kept := [];
-  List.sort Row.compare rows
 
 let fresh_rows () = Row.Table.create 64
 
 let heads ?max_probe_cols ?(into = fresh_rows ()) source q =
-  let kept = ref [] in
-  full_run ?max_probe_cols source q ~emit:(projector q ~into ~kept);
-  take kept
+  let buf = buffer () in
+  full_run ?max_probe_cols source q ~emit:(projector q ~into ~buf);
+  take buf
 
 type prepared = {
   mutable r_query : Query.t;
@@ -654,7 +720,7 @@ type prepared = {
   r_source : source;
   r_window : window;
   r_into : unit Row.Table.t;
-  r_kept : Row.t list ref;
+  r_heads : buffer;
   mutable r_streams : (string * (unit -> unit)) list;
       (* per delta relation, its compiled passes *)
 }
@@ -668,7 +734,7 @@ let prepare ?(naive = false) ~into source q =
     r_source = source;
     r_window = { since = 0; upto = max_int };
     r_into = into;
-    r_kept = ref [];
+    r_heads = buffer ();
     r_streams = [];
   }
 
@@ -686,13 +752,13 @@ let run ?query ~delta_rel ~since ?(upto = max_int) r =
     | None ->
         let passes =
           compile_delta ~naive:r.r_naive r.r_source ~delta_rel ~window:r.r_window r.r_query
-            ~emit:(projector r.r_query ~into:r.r_into ~kept:r.r_kept)
+            ~emit:(projector r.r_query ~into:r.r_into ~buf:r.r_heads)
         in
         r.r_streams <- (delta_rel, passes) :: r.r_streams;
         passes
   in
   passes ();
-  take r.r_kept
+  take r.r_heads
 
 let answer_rows ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with

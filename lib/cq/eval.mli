@@ -119,9 +119,16 @@ val plan_for : ?max_probe_cols:int -> source -> Query.t -> Plan.t
     in {!Query.existential_head_vars}), and the row is kept only if it
     is absent from the table [into], which it then joins.  A match
     whose head row is already there allocates nothing.  The kept rows
-    are returned packed ({!Codb_relalg.Row}), sorted by
+    are returned packed ({!Codb_relalg.Row}), distinct and sorted by
     {!Codb_relalg.Row.compare}, which is {!Codb_relalg.Tuple.compare}'s
     order on the boxed forms.
+
+    The kept rows collect in a head buffer: a growable array that a
+    prepared rule owns across its runs (a {!heads} call owns one for the
+    call), merge-sorted in place through a scratch array of the same
+    capacity.  Once warm it allocates nothing, so a run allocates per
+    head only the row, its entry in [into] and its cons in the output;
+    the buffer is cleared after each run and pins no row.
 
     Passing a table that outlives the call makes it a dedup across
     calls: the update algorithm passes each incoming link's sent-cache
@@ -136,7 +143,8 @@ val heads :
   Query.t ->
   Codb_relalg.Row.t list
 (** Full form: the head rows of {!answers}' matches that [into] does
-    not hold, distinct and sorted; they are added to [into]. *)
+    not hold, distinct and in {!Codb_relalg.Row.compare} order; they
+    are added to [into].  The call owns its head buffer. *)
 
 (** {2 Prepared rules}
 
@@ -187,12 +195,13 @@ val heads :
     the baseline of experiment E8; the window is then unused. *)
 
 type prepared
-(** One rule's semi-naive join, with the table it projects into. *)
+(** One rule's semi-naive join, with the table it projects into and
+    the head buffer its runs sort in. *)
 
 val prepare :
   ?naive:bool -> into:unit Codb_relalg.Row.Table.t -> source -> Query.t -> prepared
 (** Prepare [q] over [source]: nothing is planned until the first
-    {!run}.  [source] must keep serving the same relations (a
+    {!run}, and the head buffer grows at the runs that need it.  [source] must keep serving the same relations (a
     database's views read it live); a head the rule (or anything else
     writing [into]) already produced is never copied again. *)
 
@@ -204,8 +213,9 @@ val run :
   prepared ->
   Codb_relalg.Row.t list
 (** The heads derivable through at least one row of [delta_rel] in
-    [\[since, upto)] that the table does not hold yet, distinct and
-    sorted; they are added to the table.  [query] is the rule to run
+    [\[since, upto)] that the table does not hold yet, distinct and in
+    {!Codb_relalg.Row.compare} order; they are added to the table.  They
+    are sorted in the rule's own head buffer, reused run after run.  [query] is the rule to run
     when it may have changed since the rule was prepared (a rules file
     replaced during an update or a query): a different rule drops the
     streams and runs from then on, into the same table, so no stale

@@ -310,20 +310,22 @@ let mem r t = mem_row r (Row.of_tuple t)
 
 (* ---- iteration ------------------------------------------------------- *)
 
-(* [Row.compare] on two stored rows of the same arity, read in
-   place *)
-let compare_ids r a b =
-  let rec from c =
-    if c >= r.arity then 0
-    else
-      let d = Intern.compare (cell r c a) (cell r c b) in
-      if d <> 0 then d else from (c + 1)
-  in
-  from 0
+(* [Row.compare] on two stored rows of the same arity, read in place
+   from column [c] on; no closure, so a sort allocates nothing per
+   comparison *)
+let rec compare_from r a b c =
+  if c >= r.arity then 0
+  else
+    let d = Intern.compare (cell r c a) (cell r c b) in
+    if d <> 0 then d else compare_from r a b (c + 1)
+
+let compare_ids r a b = compare_from r a b 0
+
+let sort_ids r ids = Array.sort (compare_ids r) ids
 
 let sorted_ids r =
   let ids = Array.init r.card Fun.id in
-  Array.sort (compare_ids r) ids;
+  sort_ids r ids;
   ids
 
 let to_list r =

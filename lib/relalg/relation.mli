@@ -108,6 +108,9 @@ val sorted_ids : t -> int array
     {!Tuple.compare}'s order on the boxed tuples).  Sorted afresh on
     every call. *)
 
+val sort_ids : t -> int array -> unit
+(** Sort these row ids in place, in {!sorted_ids}' order. *)
+
 val row : t -> int -> Row.t
 (** A fresh copy of the row with this id. *)
 

@@ -399,6 +399,142 @@ let test_stream_planned_once () =
   let changed = parse_query "h(x, c) <- r(x, b), s(c, b)" in
   check "a changed rule" ([ tup [ i 103; i 6 ] ], (1, 1, 1)) (run_after ~query:changed 103 7)
 
+(* The head order.  A run's heads are the distinct rows of its
+   matches that earlier runs did not return, in [Row.compare] order:
+   the reference is [Eval.answers] projected onto the head, packed and
+   sorted with [List.sort_uniq], minus what earlier windows produced.
+   [m] mixes an int and a string column, so the packed order is not
+   the interning order. *)
+let m_schema = Schema.make "m" [ ("a", Value.Tint); ("b", Value.Tstring) ]
+
+let order_queries =
+  [|
+    "ans(x, y) <- m(x, y)";
+    "ans(y, x) <- m(x, y)";
+    "ans(y) <- m(x, y)";
+    "ans(x, y) <- m(x, y), x >= 0";
+    "ans(x, z) <- m(x, y), m(z, y), x < z";
+  |]
+
+let reference_heads source q =
+  List.sort_uniq Row.compare
+    (List.filter_map
+       (fun sub -> Option.map Row.of_tuple (Codb_cq.Subst.apply_atom sub q.Query.head))
+       (Eval.answers source q))
+
+let rows_testable = Alcotest.testable (Fmt.Dump.list (Fmt.Dump.array Fmt.int)) ( = )
+
+(* Insert [tuples] in batches cut at [cuts] (positions in the list),
+   running the prepared rule over each batch's window, and check every
+   run, an empty window after it, and the one-shot [heads] at the
+   end. *)
+let check_head_order ~query tuples cuts =
+  let q = parse_query order_queries.(query) in
+  let db = db_of [ m_schema ] [] in
+  let relation = Database.relation db "m" in
+  let source = Eval.of_database db in
+  let prepared = Eval.prepare ~into:(Row.Table.create 8) source q in
+  let returned = Row.Table.create 64 and derived = Row.Table.create 64 in
+  let batches =
+    let rec split from = function
+      | [] -> [ List.filteri (fun k _ -> k >= from) tuples ]
+      | cut :: rest ->
+          List.filteri (fun k _ -> k >= from && k < cut) tuples :: split cut rest
+    in
+    split 0 (List.sort_uniq Int.compare cuts)
+  in
+  List.iteri
+    (fun b batch ->
+      let since = Relation.cardinal relation in
+      ignore (Database.insert_all db "m" batch);
+      let upto = Relation.cardinal relation in
+      let gained = List.filter (fun row -> not (Row.Table.mem derived row)) (reference_heads source q) in
+      List.iter (fun row -> Row.Table.replace derived row ()) gained;
+      let got = Eval.run ~delta_rel:"m" ~since ~upto prepared in
+      let what = Printf.sprintf "%s, window %d [%d, %d)" order_queries.(query) b since upto in
+      Alcotest.check rows_testable what gained got;
+      List.iter
+        (fun row ->
+          if Row.Table.mem returned row then Alcotest.failf "%s: a row came out twice" what;
+          Row.Table.add returned row ())
+        got;
+      Alcotest.check rows_testable (what ^ ", again") []
+        (Eval.run ~delta_rel:"m" ~since:upto ~upto prepared))
+    batches;
+  Alcotest.check rows_testable
+    (order_queries.(query) ^ ": heads")
+    (reference_heads source q) (Eval.heads source q)
+
+let order_strings = Array.init 997 (fun k -> Printf.sprintf "s%d" ((k * 7919) mod 10_007))
+
+let gen_head_order =
+  let open QCheck2.Gen in
+  let* query = int_bound (Array.length order_queries - 1) in
+  let* n =
+    frequency
+      [ (1, pure 0); (1, pure 1); (1, pure 2); (3, int_range 3 300); (2, int_range 1025 3000) ]
+  in
+  let* tuples =
+    list_repeat n
+      (map2
+         (fun a b -> tup [ i a; s order_strings.(b) ])
+         (int_range (-400) 400)
+         (int_bound (Array.length order_strings - 1)))
+  in
+  let* cuts = list_size (int_bound 4) (int_bound (max 1 n)) in
+  return (query, tuples, cuts)
+
+let prop_head_order =
+  QCheck2.Test.make ~name:"runs return distinct new heads in Row.compare order" ~count:30
+    gen_head_order (fun (query, tuples, cuts) ->
+      check_head_order ~query tuples cuts;
+      true)
+
+(* Every merge width, deterministically: sizes around the powers of
+   two, one window and three. *)
+let test_head_order_sizes () =
+  let rng = Random.State.make [| 42 |] in
+  List.iter
+    (fun n ->
+      let tuples =
+        List.init n (fun _ ->
+            tup
+              [
+                i (Random.State.int rng 801 - 400);
+                s order_strings.(Random.State.int rng (Array.length order_strings));
+              ])
+      in
+      check_head_order ~query:0 tuples [];
+      check_head_order ~query:1 tuples [ n / 3; (2 * n) / 3 ])
+    [ 0; 1; 2; 3; 7; 8; 9; 15; 16; 17; 63; 65; 1023; 1024; 1025; 2049; 3001 ]
+
+(* A prepared copy rule's second window allocates per head only the
+   head itself: its row, its entry in the table and its cons in the
+   output, about 10 minor words, however many heads.  The buffer the
+   heads are sorted in is the rule's, warm from the first window.
+   Minor words are exact on OCaml 5 native code only. *)
+let test_head_allocation () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun n ->
+        let db = db_of [ r_schema ] [] in
+        let rows k = List.init n (fun j -> tup [ i (((k * n) + j) * 7919 mod 100_003); i j ]) in
+        ignore (Database.insert_all db "r" (rows 0));
+        let prepared =
+          Eval.prepare ~into:(Row.Table.create 64) (Eval.of_database db)
+            (parse_query "out(x, y) <- r(x, y)")
+        in
+        ignore (Eval.run ~delta_rel:"r" ~since:0 prepared);
+        ignore (Database.insert_all db "r" (rows 1));
+        let before = Gc.minor_words () in
+        let heads = Eval.run ~delta_rel:"r" ~since:n prepared in
+        let per_head = (Gc.minor_words () -. before) /. float_of_int n in
+        Alcotest.(check int) "one head per new row" n (List.length heads);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d heads: %.1f minor words per head (bound 16)" n per_head)
+          true (per_head <= 16.))
+      [ 1_000; 20_000 ]
+
 let suite =
   [
     Alcotest.test_case "single atom scan" `Quick test_single_atom_scan;
@@ -436,4 +572,7 @@ let suite =
       test_stream_planned_once;
     Alcotest.test_case "a delta named by its watermark" `Quick
       test_delta_named_by_watermark;
+    Alcotest.test_case "head order at every merge width" `Quick test_head_order_sizes;
+    QCheck_alcotest.to_alcotest prop_head_order;
+    Alcotest.test_case "a warm run allocates only its heads" `Quick test_head_allocation;
   ]
