@@ -2,28 +2,41 @@ module Peer_id = Codb_net.Peer_id
 
 type link_state = Link_open | Link_closed
 
+type dir = Out | In
+
+(* One link's state in an update: a record per link, since a node has
+   few.  [state] is [None] until the link is activated; the rest only
+   serves incoming links. *)
+type link = {
+  dir : dir;
+  rule : string;
+  mutable state : link_state option;
+  mutable sent : Sent_filter.t option;
+      (* packed head rows (holes included) already sent *)
+  mutable prepared : Codb_cq.Eval.prepared option;
+      (* the link's rule, prepared to project into [sent] *)
+  mutable mark : Watermark.pending option;
+      (* served in this update: its pending watermark *)
+}
+
+(* One destination's transport settlement *)
+type dest = {
+  dst : Peer_id.t;
+  mutable unacked : int;
+      (* reliable transport only: data messages, and messages to the
+         engagement parent, sent to the destination and not yet
+         settled (acked or given up) *)
+  mutable deferred : string list;
+      (* link closes held back until the destination's in-flight data
+         settles, newest first *)
+}
+
 (* Everything an update keeps per link and per destination.  It lives
    until the update terminates; a terminated update keeps only its
    flags. *)
 type live = {
-  out : (string, link_state) Hashtbl.t;  (* my outgoing links *)
-  inl : (string, link_state) Hashtbl.t;  (* my incoming links *)
-  sent : (string, Sent_filter.t) Hashtbl.t;
-      (* per incoming link: packed head rows (holes included) already
-         sent *)
-  rules : (string, Codb_cq.Eval.prepared) Hashtbl.t;
-      (* per incoming link: its rule, prepared to project into the
-         link's sent filter *)
-  marks : (string, Watermark.pending) Hashtbl.t;
-      (* per incoming link served in this update: its pending
-         watermark *)
-  unacked : (Peer_id.t, int) Hashtbl.t;
-      (* reliable transport only: data messages, and messages to the
-         engagement parent, sent to a destination and not yet settled
-         (acked or given up) *)
-  deferred : (Peer_id.t, string list) Hashtbl.t;
-      (* link closes held back until the destination's in-flight data
-         settles, newest first *)
+  mutable links : link list;  (* my outgoing and incoming links *)
+  mutable dests : dest list;
   mutable held : string list;
       (* closes to the engagement parent, held until the end of the
          handler, when they leave in one message with the rows of
@@ -46,10 +59,21 @@ type t = {
   mutable ust_activity : int;
 }
 
+let rec lookup dir rule = function
+  | [] -> None
+  | l :: rest ->
+      if l.dir = dir && String.equal l.rule rule then Some l else lookup dir rule rest
+
+let new_link ?state dir rule = { dir; rule; state; sent = None; prepared = None; mark = None }
+
 let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
-  let out = Hashtbl.create 8 and inl = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace out r Link_open) outgoing;
-  List.iter (fun r -> Hashtbl.replace inl r Link_open) incoming;
+  (* a rule named twice is one link *)
+  let open_links dir =
+    List.fold_left
+      (fun links rule ->
+        if Option.is_some (lookup dir rule links) then links
+        else new_link ~state:Link_open dir rule :: links)
+  in
   {
     ust_update = update_id;
     ust_initiator = initiator;
@@ -60,13 +84,8 @@ let create ~initiator ?(scoped = false) ~outgoing ~incoming update_id =
     ust_live =
       Some
         {
-          out;
-          inl;
-          sent = Hashtbl.create 8;
-          rules = Hashtbl.create 8;
-          marks = Hashtbl.create 8;
-          unacked = Hashtbl.create 8;
-          deferred = Hashtbl.create 8;
+          links = open_links In (open_links Out [] outgoing) incoming;
+          dests = [];
           held = [];
           done_peers = [];
         };
@@ -79,119 +98,151 @@ let touch st = st.ust_activity <- st.ust_activity + 1
 
 (* A released update answers every question as a finished one would:
    no link open, nothing in flight or pending. *)
-let find table key = function
-  | Some live -> Hashtbl.find_opt (table live) key
+let find dir st rule =
+  match st.ust_live with Some live -> lookup dir rule live.links | None -> None
+
+(* The link's record, added on first use; [None] once released, when
+   writes are ignored. *)
+let link dir st rule =
+  match st.ust_live with
   | None -> None
+  | Some live -> (
+      match lookup dir rule live.links with
+      | Some _ as found -> found
+      | None ->
+          let l = new_link dir rule in
+          live.links <- l :: live.links;
+          Some l)
 
-let out_state st rule =
-  Option.value ~default:Link_closed (find (fun l -> l.out) rule st.ust_live)
+let state_of = function Some { state = Some s; _ } -> s | Some _ | None -> Link_closed
 
-let in_state st rule =
-  Option.value ~default:Link_closed (find (fun l -> l.inl) rule st.ust_live)
+let active = function Some { state = Some _; _ } -> true | Some _ | None -> false
 
-let is_active_in st rule = Option.is_some (find (fun l -> l.inl) rule st.ust_live)
+let out_state st rule = state_of (find Out st rule)
 
-let is_active_out st rule = Option.is_some (find (fun l -> l.out) rule st.ust_live)
+let in_state st rule = state_of (find In st rule)
 
-let set table st key value =
-  match st.ust_live with Some live -> Hashtbl.replace (table live) key value | None -> ()
+let is_active_in st rule = active (find In st rule)
 
-let remove table st key =
-  match st.ust_live with Some live -> Hashtbl.remove (table live) key | None -> ()
+let is_active_out st rule = active (find Out st rule)
 
-let activate_out st rule =
-  if not (is_active_out st rule) then set (fun l -> l.out) st rule Link_open
+let set_state link state = match link with Some l -> l.state <- Some state | None -> ()
 
-let activate_in st rule =
-  if not (is_active_in st rule) then set (fun l -> l.inl) st rule Link_open
+let activate_out st rule = if not (is_active_out st rule) then set_state (link Out st rule) Link_open
 
-let close_out st rule = set (fun l -> l.out) st rule Link_closed
+let activate_in st rule = if not (is_active_in st rule) then set_state (link In st rule) Link_open
 
-let close_in st rule = set (fun l -> l.inl) st rule Link_closed
+let close_out st rule = set_state (link Out st rule) Link_closed
 
-let all_closed_in table = Hashtbl.fold (fun _ state acc -> acc && state = Link_closed) table true
+let close_in st rule = set_state (link In st rule) Link_closed
 
 let all_out_closed st =
-  match st.ust_live with Some live -> all_closed_in live.out | None -> true
+  match st.ust_live with
+  | Some live -> List.for_all (fun l -> l.dir = In || l.state <> Some Link_open) live.links
+  | None -> true
 
 let all_links_closed st =
   match st.ust_live with
-  | Some live -> all_closed_in live.out && all_closed_in live.inl
+  | Some live -> List.for_all (fun l -> l.state <> Some Link_open) live.links
   | None -> true
 
 (* ---- Per-incoming-link sent filters --------------------------------- *)
 
 let sent_filter st rule =
-  match st.ust_live with
+  match link In st rule with
   | None -> Sent_filter.create ()
-  | Some live -> (
-      match Hashtbl.find_opt live.sent rule with
-      | Some f -> f
-      | None ->
-          let f = Sent_filter.create () in
-          Hashtbl.add live.sent rule f;
-          f)
+  | Some { sent = Some f; _ } -> f
+  | Some l ->
+      let f = Sent_filter.create () in
+      l.sent <- Some f;
+      f
 
 let link_rule st rule ~make =
-  match st.ust_live with
+  match link In st rule with
   | None -> make (Sent_filter.create ())
-  | Some live -> (
-      match Hashtbl.find_opt live.rules rule with
-      | Some prepared -> prepared
-      | None ->
-          let prepared = make (sent_filter st rule) in
-          Hashtbl.add live.rules rule prepared;
-          prepared)
+  | Some { prepared = Some prepared; _ } -> prepared
+  | Some l ->
+      let prepared = make (sent_filter st rule) in
+      l.prepared <- Some prepared;
+      prepared
 
 let sent_tracked st rule =
-  match find (fun l -> l.sent) rule st.ust_live with
-  | Some f -> Sent_filter.tracked f
-  | None -> 0
+  match find In st rule with
+  | Some { sent = Some f; _ } -> Sent_filter.tracked f
+  | Some _ | None -> 0
 
 (* ---- Per-incoming-link pending watermarks ---------------------------- *)
 
-let note_served st rule mark = set (fun l -> l.marks) st rule mark
+let note_served st rule mark =
+  match link In st rule with Some l -> l.mark <- Some mark | None -> ()
 
-let served st rule = find (fun l -> l.marks) rule st.ust_live
+let served st rule = match find In st rule with Some l -> l.mark | None -> None
 
 let take_served st rule =
-  let mark = served st rule in
-  remove (fun l -> l.marks) st rule;
-  mark
+  match find In st rule with
+  | Some l ->
+      let mark = l.mark in
+      l.mark <- None;
+      mark
+  | None -> None
 
 let take_all_served st =
   match st.ust_live with
   | Some live ->
-      let marks = Hashtbl.fold (fun rule mark acc -> (rule, mark) :: acc) live.marks [] in
-      Hashtbl.reset live.marks;
-      marks
+      List.fold_left
+        (fun acc l ->
+          match l.mark with
+          | Some mark ->
+              l.mark <- None;
+              (l.rule, mark) :: acc
+          | None -> acc)
+        [] live.links
   | None -> []
 
 let release st = st.ust_live <- None
 
 (* ---- Per-destination transport settlement ---------------------------- *)
 
-let dst_unacked st ~dst =
-  Option.value ~default:0 (find (fun l -> l.unacked) dst st.ust_live)
+let rec lookup_dest dst = function
+  | [] -> None
+  | d :: rest -> if Peer_id.equal d.dst dst then Some d else lookup_dest dst rest
 
-let incr_unacked st ~dst = set (fun l -> l.unacked) st dst (dst_unacked st ~dst + 1)
+let find_dest st dst =
+  match st.ust_live with Some live -> lookup_dest dst live.dests | None -> None
+
+let dest st dst =
+  match st.ust_live with
+  | None -> None
+  | Some live -> (
+      match lookup_dest dst live.dests with
+      | Some _ as found -> found
+      | None ->
+          let d = { dst; unacked = 0; deferred = [] } in
+          live.dests <- d :: live.dests;
+          Some d)
+
+let dst_unacked st ~dst = match find_dest st dst with Some d -> d.unacked | None -> 0
+
+let incr_unacked st ~dst = match dest st dst with Some d -> d.unacked <- d.unacked + 1 | None -> ()
 
 let decr_unacked st ~dst =
-  set (fun l -> l.unacked) st dst (max 0 (dst_unacked st ~dst - 1))
+  match dest st dst with Some d -> d.unacked <- max 0 (d.unacked - 1) | None -> ()
 
 let defer_close st ~dst ~rule =
-  let tail = Option.value ~default:[] (find (fun l -> l.deferred) dst st.ust_live) in
-  set (fun l -> l.deferred) st dst (rule :: tail)
+  match dest st dst with Some d -> d.deferred <- rule :: d.deferred | None -> ()
 
 let has_deferred_closes st =
-  match st.ust_live with Some live -> Hashtbl.length live.deferred > 0 | None -> false
+  match st.ust_live with
+  | Some live -> List.exists (fun d -> d.deferred <> []) live.dests
+  | None -> false
 
 let take_deferred_closes st ~dst =
-  match find (fun l -> l.deferred) dst st.ust_live with
-  | None -> []
-  | Some closes ->
-      remove (fun l -> l.deferred) st dst;
+  match find_dest st dst with
+  | Some d ->
+      let closes = d.deferred in
+      d.deferred <- [];
       List.rev closes
+  | None -> []
 
 (* ---- Closes held for the engagement parent --------------------------- *)
 

@@ -13,8 +13,10 @@ module Peer_id = Codb_net.Peer_id
 type link_state = Link_open | Link_closed
 
 type live
-(** The per-link and per-destination tables: link states, sent
-    filters, pending watermarks and transport settlement. *)
+(** The per-link and per-destination state: one record per link (its
+    state, sent filter, prepared rule and pending watermark) and one
+    per destination (transport settlement), in lists sized to the
+    node's few links. *)
 
 type t = {
   ust_update : Ids.update_id;
@@ -30,7 +32,8 @@ type t = {
       (** counted messages sent and not yet acknowledged; a message to
           the engagement parent is not counted (it owes no ack) *)
   mutable ust_live : live option;
-      (** the update's tables; [None] once it terminated ({!release}) *)
+      (** the update's link and destination records; [None] once it
+          terminated ({!release}) *)
   mutable ust_terminated : bool;
       (** the update terminated here: the terminated flood reached
           this node, or its close to the parent reported its subtree
@@ -116,7 +119,8 @@ val take_all_served : t -> (string * Watermark.pending) list
 (** Remove and return every pending mark. *)
 
 val release : t -> unit
-(** Drop every table: link states, sent filters and prepared rules,
+(** Drop every link and destination record: link states, sent filters
+    and prepared rules,
     pending marks,
     transport settlement and the done subtrees.
     Called once the update terminates.  Every link then reads as

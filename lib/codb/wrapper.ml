@@ -28,27 +28,29 @@ let eval_rule_full ?opts:_ ?sent db (rule : Config.rule_decl) =
 
 let integrate ~(opts : Options.t) ~rule_id db ~rel rows =
   let relation = Database.relation db rel in
-  let is_duplicate row =
-    if opts.Options.use_subsumption_dedup then Relation.subsumed_row relation row
-    else (not (Row.has_hole row)) && Relation.mem_row relation row
-  in
-  (* every row is checked against the store as it stood before this
-     batch: a hole row is kept even when a ground row of the same batch
-     would subsume it *)
-  let incoming_fresh = List.filter (fun row -> not (is_duplicate row)) rows in
   let since = Relation.cardinal relation in
   let nulls_before = Value.null_counter () in
-  (* Holes stay on the wire and become marked nulls only here, after
-     duplicate suppression: that is what lets the importer see that an
-     incoming tuple is subsumed by one it already has, and hence what
-     makes cyclic rule systems reach a fix-point. *)
+  (* A ground row goes straight to [insert_row], whose row index is the
+     dedup.  A hole row is checked only against the rows below
+     [since], the store as it stood before this batch: it is kept even
+     when a ground row of the same batch would subsume it.  Its holes
+     become marked nulls only after that check: that is what lets the
+     importer see that an incoming tuple is subsumed by one it already
+     has, and hence what makes cyclic rule systems reach a
+     fix-point. *)
+  let subsumption = opts.Options.use_subsumption_dedup in
   let[@tail_mod_cons] rec insert = function
     | [] -> []
     | row :: rest ->
-        let row = Row.instantiate_holes ~rule:rule_id row in
-        if Relation.insert_row relation row then row :: insert rest else insert rest
+        if Row.has_hole row then
+          if subsumption && Relation.subsumed_row ~below:since relation row then insert rest
+          else
+            let row = Row.instantiate_holes ~rule:rule_id row in
+            if Relation.insert_row relation row then row :: insert rest else insert rest
+        else if Relation.insert_row relation row then row :: insert rest
+        else insert rest
   in
-  let fresh = insert incoming_fresh in
+  let fresh = insert rows in
   let nulls_created = Value.null_counter () - nulls_before in
   let suppressed = List.length rows - List.length fresh in
   { since; fresh; suppressed; nulls_created }

@@ -52,12 +52,14 @@ val eval_rule_full :
 val integrate :
   opts:Options.t -> rule_id:string -> Database.t -> rel:string -> Row.t list ->
   integration
-(** The update algorithm's local step on packed rows: suppress rows
-    already present (null-aware when [opts.use_subsumption_dedup]),
-    checked against the store as it was before the call; then copy
-    each survivor that has holes with fresh marked nulls in their
-    place (a received row is shared with its sender's sent filter, so
-    it is never changed in place), and insert. *)
+(** The update algorithm's local step on packed rows, in one pass
+    that builds no list but [fresh].  A ground row is inserted, and the
+    row index drops it if it is already stored.  A row with holes is
+    dropped when a row stored before the call subsumes it (only when
+    [opts.use_subsumption_dedup]: {!Codb_relalg.Relation.subsumed_row}
+    [~below:since]); otherwise it is copied with fresh marked nulls in
+    place of its holes (a received row is shared with its sender's
+    sent filter, so it is never changed in place) and inserted. *)
 
 val user_answers : Database.t -> Query.t -> Row.t list
 (** Evaluate a user query (no existential head): its answers, packed,

@@ -35,8 +35,9 @@ val cardinal : t -> int
 (** Total number of tuples across all relations. *)
 
 val copy : t -> t
-(** Deep copy (relations are duplicated, contents shared
-    persistently). *)
+(** An independent copy: every relation is forked ({!Relation.copy}),
+    in O(columns) each, and neither side sees the other's later
+    inserts. *)
 
 val equal_contents : t -> t -> bool
 (** Same relation names and identical tuple sets in each. *)

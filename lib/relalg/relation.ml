@@ -18,11 +18,15 @@
    the rows' sorted order, for the text and API boundary, and keeps
    nothing.
 
-   [copy] shares every full column chunk (they are write-once) and
-   clones the chunk-pointer arrays, each column's partial tail chunk
-   and the row index's slot array: O(columns) plus 2 to 4 words per
-   row for the index.  Like the seed, a copy starts with no hash
-   indexes. *)
+   [copy] is a fork, in O(columns): the fork reads the rows below its
+   fork point [lo] (the source's row count at the copy) through the
+   source itself — its column chunks, its row index, its hash indexes
+   with every bucket cut at [lo], and its zone maps for the chunks
+   wholly below [lo] — and keeps columns, a row index, hash indexes,
+   zone maps and distinct counters of its own for the rows it appends.
+   Both sides stay independent: the source's later rows lie at or
+   above [lo], where the fork never reads it, and the fork writes only
+   its own arrays.  A fork of a fork reads through both. *)
 
 module Tuple_set = Set.Make (Tuple)
 
@@ -65,15 +69,6 @@ module Ichunks = struct
       t.chunks.(outer) <- grow_chunk t.chunks.(outer) 0;
     t.chunks.(outer).(slot) <- v;
     t.len <- t.len + 1
-
-  (* Share full (write-once) chunks, clone only the partial tail. *)
-  let snapshot t =
-    let chunks = Array.copy t.chunks in
-    if t.len land chunk_mask <> 0 then begin
-      let tail = t.len lsr chunk_shift in
-      chunks.(tail) <- Array.copy chunks.(tail)
-    end;
-    { chunks; len = t.len }
 end
 
 (* growable row-id vectors: index buckets *)
@@ -106,28 +101,45 @@ type index = {
 }
 
 (* Per-chunk [min, max] summaries of one column's packed values (a
-   zone map).  Rows are only ever appended, so the intervals are
-   exact. *)
+   zone map), for the chunks from [zc_first] on.  Rows are only ever
+   appended, so the intervals are exact. *)
 type zcol = {
+  zc_first : int;  (* the chunk summarised at entry 0 *)
   mutable zc_mins : int array;
   mutable zc_maxs : int array;
   mutable zc_chunks : int;  (* summarised chunk count *)
 }
 
+(* One column's distinct values: the values of the rows [lo, card),
+   and how many of those no row below [lo] holds. *)
+type counter = {
+  cn_seen : (int, unit) Hashtbl.t;
+  cn_below : int;  (* distinct values of the rows below [lo] *)
+  mutable cn_fresh : int;
+}
+
 type t = {
   schema : Schema.t;
   arity : int;
-  cols : Ichunks.t array;  (* packed values, one chunk store per column *)
+  base : t option;
+      (* a fork's source: the rows [0, lo) are its rows, found through
+         its row index, hash indexes and zone maps *)
+  lo : int;  (* the fork point; 0 without a base *)
+  cols : Ichunks.t array;
+      (* packed values of the rows [lo, card), the row [lo + i] at
+         [i]: one chunk store per column *)
   mutable card : int;  (* rows are [0, card) *)
   mutable slots : int array;
-      (* the row index: row ids (or [empty_slot]) by content hash,
-         linear probing, power-of-two length, at most half full *)
-  indexes : (int list, index) Hashtbl.t;
-  (* per-column distinct-value counters keyed by packed value: built on
-     the first [distinct_count] call, maintained incrementally after *)
-  col_counts : (int, int) Hashtbl.t option array;
-  (* per-column zone maps: built on the first [pv_prune] touching the
-     column, maintained incrementally after *)
+      (* the row index of the rows [lo, card): row ids (or
+         [empty_slot]) by content hash, linear probing, power-of-two
+         length, at most half full *)
+  indexes : (int list, index) Hashtbl.t;  (* over the rows [lo, card) *)
+  (* per-column distinct-value counters: built on the first
+     [distinct_count] call, maintained incrementally after *)
+  counters : counter option array;
+  (* per-column zone maps of the chunks from [lo]'s on: built on the
+     first [pv_prune] touching the column, maintained incrementally
+     after *)
   zones : zcol option array;
 }
 
@@ -142,11 +154,13 @@ let create schema =
   {
     schema;
     arity;
+    base = None;
+    lo = 0;
     cols = Array.init arity (fun _ -> Ichunks.create ());
     card = 0;
     slots = Array.make 8 empty_slot;
     indexes = Hashtbl.create 4;
-    col_counts = Array.make arity None;
+    counters = Array.make arity None;
     zones = Array.make arity None;
   }
 
@@ -158,7 +172,16 @@ let cardinal r = r.card
 
 (* ---- packed row access ----------------------------------------------- *)
 
-let cell r col row = Ichunks.get r.cols.(col) row
+(* A cell below the fork point is the base's; a fork's bases are few
+   (one, unless a fork was forked), so the walk is short. *)
+let rec base_cell r col row =
+  match r.base with
+  | Some b ->
+      if row >= b.lo then Ichunks.get b.cols.(col) (row - b.lo) else base_cell b col row
+  | None -> invalid_arg "Relation: row id out of range"
+
+let cell r col row =
+  if row >= r.lo then Ichunks.get r.cols.(col) (row - r.lo) else base_cell r col row
 
 (* Does the stored row [id] hold exactly the cells of [packed]?  Read in
    place, from column [c] on. *)
@@ -175,19 +198,26 @@ let rec probe_slot r slots packed i =
   if id = empty_slot || row_matches r packed id 0 then i
   else probe_slot r slots packed ((i + 1) land (Array.length slots - 1))
 
-(* [packed]'s row id, or [empty_slot] when the relation lacks it *)
-let find_id r packed =
-  if Array.length packed <> r.arity then -1
+(* [packed]'s row id by its hash [h], or [empty_slot]: below the fork
+   point through the base's row index, from it on through the
+   relation's own. *)
+let rec find_hashed r packed h =
+  let below = match r.base with None -> empty_slot | Some b -> find_hashed b packed h in
+  if below >= 0 && below < r.lo then below
   else
     let slots = r.slots in
-    slots.(probe_slot r slots packed (row_hash packed land (Array.length slots - 1)))
+    slots.(probe_slot r slots packed (h land (Array.length slots - 1)))
 
-(* Double the row index and re-place every row by its hash, recomputed
-   from its columns. *)
+(* [packed]'s row id, or [empty_slot] when the relation lacks it *)
+let find_id r packed =
+  if Array.length packed <> r.arity then empty_slot else find_hashed r packed (row_hash packed)
+
+(* Double the row index and re-place every row of its own by its hash,
+   recomputed from its columns. *)
 let grow_slots r =
   let cap = 2 * Array.length r.slots in
   let slots = Array.make cap empty_slot and cells = Array.make r.arity 0 in
-  for id = 0 to r.card - 1 do
+  for id = r.lo to r.card - 1 do
     for c = 0 to r.arity - 1 do
       cells.(c) <- cell r c id
     done;
@@ -221,11 +251,63 @@ let index_add ix r row =
       Hashtbl.add ix.ix_tbl key bucket;
       Ivec.push bucket row
 
+let build_index r cols =
+  let ix_cols = Array.of_list cols in
+  let ix =
+    {
+      ix_cols;
+      ix_single = Array.length ix_cols = 1;
+      ix_tbl = Hashtbl.create (max 16 ((r.card - r.lo) / 4));
+    }
+  in
+  for row = r.lo to r.card - 1 do
+    index_add ix r row
+  done;
+  Hashtbl.replace r.indexes cols ix;
+  ix
+
+(* The index on [cols], existing or freshly built — [None] when the
+   budget is exhausted (callers fall back to a scan). *)
+let index_for r cols =
+  match Hashtbl.find_opt r.indexes cols with
+  | Some ix -> Some ix
+  | None ->
+      if Hashtbl.length r.indexes < max_indexes then Some (build_index r cols) else None
+
+(* Does a row below [limit] hold [v] in column [col]?  Below the fork
+   point the base answers; from it on the distinct counter, else the
+   single-column index (index buckets ascend, so its first id says),
+   else a scan. *)
+let rec has_value r col v limit =
+  (match r.base with Some b -> has_value b col v (min limit r.lo) | None -> false)
+  || (limit > r.lo && own_has_value r col v limit)
+
+and own_has_value r col v limit =
+  match r.counters.(col) with
+  | Some cn when not (Hashtbl.mem cn.cn_seen v) -> false
+  | Some _ when r.card <= limit -> true
+  | Some _ | None -> (
+      match index_for r [ col ] with
+      | Some ix -> (
+          match Hashtbl.find_opt ix.ix_tbl v with
+          | Some bucket -> bucket.Ivec.data.(0) < limit
+          | None -> false)
+      | None ->
+          let rec scan row = row < limit && (cell r col row = v || scan (row + 1)) in
+          scan r.lo)
+
+let count_value r col cn v =
+  if not (Hashtbl.mem cn.cn_seen v) then begin
+    Hashtbl.add cn.cn_seen v ();
+    let below = match r.base with None -> false | Some b -> has_value b col v r.lo in
+    if not below then cn.cn_fresh <- cn.cn_fresh + 1
+  end
+
 (* Widen a built zone map with a freshly appended row.  Rows are
    appended strictly in order, so a new chunk always starts exactly at
    [zc_chunks]. *)
 let zone_note z v row =
-  let chunk = row lsr chunk_shift in
+  let chunk = (row lsr chunk_shift) - z.zc_first in
   if chunk >= z.zc_chunks then begin
     if chunk >= Array.length z.zc_mins then begin
       let cap = max 4 (2 * Array.length z.zc_mins) in
@@ -249,12 +331,9 @@ let note_insert r row =
   if Hashtbl.length r.indexes > 0 then
     Hashtbl.iter (fun _ ix -> index_add ix r row) r.indexes;
   for col = 0 to r.arity - 1 do
-    (match r.col_counts.(col) with
+    (match r.counters.(col) with
     | None -> ()
-    | Some counts ->
-        let v = cell r col row in
-        let n = match Hashtbl.find counts v with n -> n | exception Not_found -> 0 in
-        Hashtbl.replace counts v (n + 1));
+    | Some cn -> count_value r col cn (cell r col row));
     match r.zones.(col) with None -> () | Some z -> zone_note z (cell r col row) row
   done
 
@@ -272,6 +351,14 @@ let rec attrs_conform (row : Row.t) i = function
 let row_conforms r (row : Row.t) =
   Array.length row = r.arity && attrs_conform row 0 r.schema.Schema.attrs
 
+(* Is [row], of hash [h], among the rows below the fork point? *)
+let in_base r row h =
+  match r.base with
+  | None -> false
+  | Some b ->
+      let id = find_hashed b row h in
+      id >= 0 && id < r.lo
+
 let insert_row r row =
   if Row.has_hole row then
     invalid_arg
@@ -282,18 +369,22 @@ let insert_row r row =
       (Printf.sprintf "Relation.insert: tuple %s does not conform to %s"
          (Tuple.to_string (Row.to_tuple row))
          (Schema.to_string r.schema));
-  let slots = r.slots in
-  let i = probe_slot r slots row (row_hash row land (Array.length slots - 1)) in
-  if slots.(i) <> empty_slot then false
+  let h = row_hash row in
+  if in_base r row h then false
   else begin
-    let row_id = r.card in
-    for c = 0 to r.arity - 1 do
-      Ichunks.push r.cols.(c) row.(c)
-    done;
-    slots.(i) <- row_id;
-    note_insert r row_id;
-    if 2 * r.card > Array.length slots then grow_slots r;
-    true
+    let slots = r.slots in
+    let i = probe_slot r slots row (h land (Array.length slots - 1)) in
+    if slots.(i) <> empty_slot then false
+    else begin
+      let row_id = r.card in
+      for c = 0 to r.arity - 1 do
+        Ichunks.push r.cols.(c) row.(c)
+      done;
+      slots.(i) <- row_id;
+      note_insert r row_id;
+      if 2 * (r.card - r.lo) > Array.length slots then grow_slots r;
+      true
+    end
   end
 
 let insert r t = insert_row r (Row.of_tuple t)
@@ -334,12 +425,19 @@ let to_list r =
     (sorted_ids r) []
 
 let copy r =
+  (* a relation with no rows of its own holds exactly its base's rows
+     below its fork point: fork from there *)
+  let base, lo = if r.card = r.lo then (r.base, r.lo) else (Some r, r.card) in
   {
-    r with
-    cols = Array.map Ichunks.snapshot r.cols;
-    slots = Array.copy r.slots;
+    schema = r.schema;
+    arity = r.arity;
+    base;
+    lo;
+    cols = Array.init r.arity (fun _ -> Ichunks.create ());
+    card = r.card;
+    slots = Array.make 8 empty_slot;
     indexes = Hashtbl.create 4;
-    col_counts = Array.make r.arity None;
+    counters = Array.make r.arity None;
     zones = Array.make r.arity None;
   }
 
@@ -351,29 +449,6 @@ let equal_contents r1 r2 =
   from 0
 
 (* ---- probes ---------------------------------------------------------- *)
-
-let build_index r cols =
-  let ix_cols = Array.of_list cols in
-  let ix =
-    {
-      ix_cols;
-      ix_single = Array.length ix_cols = 1;
-      ix_tbl = Hashtbl.create (max 16 (r.card / 4));
-    }
-  in
-  for row = 0 to r.card - 1 do
-    index_add ix r row
-  done;
-  Hashtbl.replace r.indexes cols ix;
-  ix
-
-(* The index on [cols], existing or freshly built — [None] when the
-   budget is exhausted (callers fall back to a scan). *)
-let index_for r cols =
-  match Hashtbl.find_opt r.indexes cols with
-  | Some ix -> Some ix
-  | None ->
-      if Hashtbl.length r.indexes < max_indexes then Some (build_index r cols) else None
 
 type bound_op = Blt | Ble | Bgt | Bge | Beq
 
@@ -416,32 +491,35 @@ let cut since ((ids, n) as hits) =
     (ids, !lo)
   end
 
-(* The column's zone map, built on first use over every row so far and
-   maintained by [note_insert] afterwards. *)
+(* The column's zone map of the chunks from the fork point's on, built
+   on first use over every row so far and maintained by [note_insert]
+   afterwards.  The chunk holding the fork point is summarised whole,
+   the base's rows in it included. *)
 let zone_for r col =
   match r.zones.(col) with
   | Some z -> z
   | None ->
-      let nchunks = (r.card + chunk_mask) lsr chunk_shift in
+      let first = r.lo lsr chunk_shift in
+      let nchunks = ((r.card + chunk_mask) lsr chunk_shift) - first in
       let z =
         {
+          zc_first = first;
           zc_mins = Array.make (max 4 nchunks) 0;
           zc_maxs = Array.make (max 4 nchunks) 0;
           zc_chunks = nchunks;
         }
       in
-      let store = r.cols.(col) in
-      for chunk = 0 to nchunks - 1 do
-        let base = chunk lsl chunk_shift in
+      for j = 0 to nchunks - 1 do
+        let base = (first + j) lsl chunk_shift in
         let last = min (base + chunk_mask) (r.card - 1) in
-        let lo = ref (Ichunks.get store base) and hi = ref (Ichunks.get store base) in
+        let lo = ref (cell r col base) and hi = ref (cell r col base) in
         for i = base + 1 to last do
-          let v = Ichunks.get store i in
+          let v = cell r col i in
           if Intern.compare v !lo < 0 then lo := v;
           if Intern.compare v !hi > 0 then hi := v
         done;
-        z.zc_mins.(chunk) <- !lo;
-        z.zc_maxs.(chunk) <- !hi
+        z.zc_mins.(j) <- !lo;
+        z.zc_maxs.(j) <- !hi
       done;
       r.zones.(col) <- Some z;
       z
@@ -460,19 +538,25 @@ let zone_admits ~lo ~hi op k =
   | Bgt -> Intern.compare hi k > 0
   | Bge -> Intern.compare hi k >= 0
 
+(* May [chunk] hold a row with [cell col op k]?  A chunk wholly below
+   the fork point is the base's, and full, so the base's interval for
+   it is exact. *)
+let rec chunk_admits r col chunk op k =
+  let z = zone_for r col in
+  if chunk < z.zc_first then
+    match r.base with Some b -> chunk_admits b col chunk op k | None -> true
+  else
+    let j = chunk - z.zc_first in
+    j >= z.zc_chunks || zone_admits ~lo:z.zc_mins.(j) ~hi:z.zc_maxs.(j) op k
+
 (* Chunk-skip scan over the rows [0, n): row ids from chunks whose zone
    intervals can satisfy every bound, plus (visited, pruned) chunk
    counts. *)
 let prune_rows r n bounds =
   if n = 0 then ([||], 0, 0, 0)
   else begin
-    let zoned = List.map (fun (col, op, k) -> (zone_for r col, op, k)) bounds in
     let chunk_ok chunk =
-      List.for_all
-        (fun (z, op, k) ->
-          chunk >= z.zc_chunks
-          || zone_admits ~lo:z.zc_mins.(chunk) ~hi:z.zc_maxs.(chunk) op k)
-        zoned
+      List.for_all (fun (col, op, k) -> chunk_admits r col chunk op k) bounds
     in
     let out = Array.make n 0 in
     let m = ref 0 and visited = ref 0 and pruned = ref 0 in
@@ -489,17 +573,17 @@ let prune_rows r n bounds =
     (out, !m, !visited, !pruned)
   end
 
-(* The one access-path decision: resolve a fixed (sorted, distinct)
-   column set once, returning a probe on the packed values aligned with
-   [cols] — the column set's own index, else (budget exhausted) a built
-   single-column index on one of the columns with the rest filtered,
-   else a filtered scan.  The probe takes the row count [n] it reads:
-   a scan walks only the rows [0, n), and a filtered bucket only its
-   ids below [n]; an unfiltered bucket is returned whole, for the
-   caller to [cut].  Hit arrays may be internal index buckets shared
-   with the store: they are read-only and invalidated by the next
-   insert. *)
-let resolve_probe r cols =
+(* The one access-path decision over the rows from the fork point on:
+   resolve a fixed (sorted, distinct) column set once, returning a
+   probe on the packed values aligned with [cols] — the column set's
+   own index, else (budget exhausted) a built single-column index on
+   one of the columns with the rest filtered, else a filtered scan.
+   The probe takes the row count [n] it reads: a scan walks only the
+   rows [lo, n), and a filtered bucket only its ids below [n]; an
+   unfiltered bucket is returned whole, for the caller to [cut].  Hit
+   arrays may be internal index buckets shared with the store: they are
+   read-only and invalidated by the next insert. *)
+let resolve_own r cols =
   let ncols = List.length cols in
   let verify cols_arr vals row =
     let rec go j = j >= ncols || (cell r cols_arr.(j) row = vals.(j) && go (j + 1)) in
@@ -562,7 +646,7 @@ let resolve_probe r cols =
       | None ->
           fun n vals ->
             let out = ref [] and hits = ref 0 in
-            for row = n - 1 downto 0 do
+            for row = n - 1 downto r.lo do
               if verify cols_arr vals row then begin
                 out := row :: !out;
                 incr hits
@@ -570,14 +654,41 @@ let resolve_probe r cols =
             done;
             (Array.of_list !out, !hits))
 
+(* [resolve_own], read through the bases too: the base's hits cut at
+   the fork point, then the relation's own.  Both ascend, so their
+   concatenation does; it is a fresh array only when both hold rows. *)
+let rec resolve_probe r cols =
+  let own = resolve_own r cols in
+  match r.base with
+  | None -> own
+  | Some b ->
+      let below = resolve_probe b cols and lo = r.lo in
+      fun n vals ->
+        let bn = min n lo in
+        let ((bids, bl) as base_hits) = cut bn (below bn vals) in
+        if n <= lo then base_hits
+        else
+          let ((oids, ol) as own_hits) = cut n (own n vals) in
+          if ol = 0 then base_hits
+          else if bl = 0 then own_hits
+          else begin
+            let ids = Array.make (bl + ol) 0 in
+            Array.blit bids 0 ids 0 bl;
+            Array.blit oids 0 ids bl ol;
+            (ids, bl + ol)
+          end
+
 (* Subsumption probe.  A stored tuple (hole-free by
    [insert_row]) subsumes [incoming] iff it agrees with every
    non-hole position, so the candidates are exactly the rows matching
    the ground columns.  All-hole tuples are subsumed by anything; a
    non-conforming arity can match nothing (stored tuples always have
-   the schema's arity). *)
-let subsumed_row r (incoming : Row.t) =
-  if not (Row.has_hole incoming) then find_id r incoming >= 0
+   the schema's arity).  Only the rows below [below] count. *)
+let subsumed_row ?below r (incoming : Row.t) =
+  let limit = match below with None -> r.card | Some n -> max 0 (min n r.card) in
+  if not (Row.has_hole incoming) then
+    let id = find_id r incoming in
+    id >= 0 && id < limit
   else if Array.length incoming <> r.arity then false
   else begin
     let cols = ref [] and vals = ref [] in
@@ -588,8 +699,8 @@ let subsumed_row r (incoming : Row.t) =
         vals := p :: !vals
       end
     done;
-    if !cols = [] then r.card > 0
-    else snd (resolve_probe r !cols r.card (Array.of_list !vals)) > 0
+    if !cols = [] then limit > 0
+    else snd (cut limit (resolve_probe r !cols limit (Array.of_list !vals))) > 0
   end
 
 let subsumed r incoming = subsumed_row r (Row.of_tuple incoming)
@@ -627,25 +738,48 @@ let unbounded () = max_int
 
 let packed_view r = view r unbounded
 
-let distinct_count r ~col =
+let check_col r col =
   if col < 0 || col >= r.arity then
     invalid_arg
-      (Printf.sprintf "Relation.distinct_count: column %d out of range for %s" col (name r));
-  match r.col_counts.(col) with
-  | Some counts -> Hashtbl.length counts
+      (Printf.sprintf "Relation.distinct_count: column %d out of range for %s" col (name r))
+
+(* A fork's count is its base's below the fork point plus its own rows'
+   values the base lacks there: what a full copy would count. *)
+let rec distinct_count r ~col =
+  check_col r col;
+  match r.counters.(col) with
+  | Some cn -> cn.cn_below + cn.cn_fresh
   | None -> (
-      (* a single-column index already knows the answer for free *)
-      match Hashtbl.find_opt r.indexes [ col ] with
-      | Some ix -> Hashtbl.length ix.ix_tbl
-      | None ->
-          let counts = Hashtbl.create (max 16 (r.card / 4)) in
-          for row = 0 to r.card - 1 do
-            let v = cell r col row in
-            let n = Option.value ~default:0 (Hashtbl.find_opt counts v) in
-            Hashtbl.replace counts v (n + 1)
+      match (r.base, Hashtbl.find_opt r.indexes [ col ]) with
+      | None, Some ix ->
+          (* a single-column index already knows the answer for free *)
+          Hashtbl.length ix.ix_tbl
+      | _ ->
+          let cn =
+            {
+              cn_seen = Hashtbl.create (max 16 ((r.card - r.lo) / 4));
+              cn_below = below_distinct r col;
+              cn_fresh = 0;
+            }
+          in
+          for row = r.lo to r.card - 1 do
+            count_value r col cn (cell r col row)
           done;
-          r.col_counts.(col) <- Some counts;
-          Hashtbl.length counts)
+          r.counters.(col) <- Some cn;
+          cn.cn_below + cn.cn_fresh)
+
+and below_distinct r col =
+  match r.base with
+  | None -> 0
+  | Some b when b.card = r.lo -> distinct_count b ~col
+  | Some b ->
+      (* the base grew since the fork: count its rows below the fork
+         point afresh *)
+      let seen = Hashtbl.create (max 16 (r.lo / 4)) in
+      for row = 0 to r.lo - 1 do
+        Hashtbl.replace seen (cell b col row) ()
+      done;
+      Hashtbl.length seen
 
 let pp ppf r =
   Fmt.pf ppf "@[<v 2>%s [%d tuples]%a@]" (name r) (cardinal r)

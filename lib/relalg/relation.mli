@@ -32,9 +32,12 @@
     also keeps cheap statistics — O(1) cardinality and per-column
     distinct-value counts — for the cost-based query planner.
 
-    [copy] shares every full column chunk (they are write-once) and
-    clones each column's partial tail chunk and the row index's slot
-    array: O(columns) plus 2 to 4 words per tuple. *)
+    [copy] is a fork, in O(columns) whatever the row count: the fork
+    reads the rows it started with through the source's own column
+    chunks, row index, hash indexes (every bucket cut at the fork
+    point) and zone maps, and keeps a row index, indexes, zone maps and
+    distinct counters of its own only for the rows appended to it, and
+    their cells in column chunks of its own. *)
 
 module Tuple_set : Set.S with type elt = Tuple.t
 
@@ -86,9 +89,11 @@ val subsumed : t -> Tuple.t -> bool
     (non-hole) columns, so the cost is one bucket, not one scan; only
     an all-hole tuple degenerates to an emptiness check. *)
 
-val subsumed_row : t -> Row.t -> bool
+val subsumed_row : ?below:int -> t -> Row.t -> bool
 (** {!subsumed} on a packed row (holes as {!Intern} holes): the update
-    path's duplicate probe. *)
+    path's duplicate probe.  With [below], only the rows below that id
+    count: the relation as it stood before the rows [below, ...) were
+    appended. *)
 
 val distinct_count : t -> col:int -> int
 (** Number of distinct values in a column — the planner's selectivity
@@ -97,7 +102,8 @@ val distinct_count : t -> col:int -> int
     @raise Invalid_argument if [col] is out of range. *)
 
 val index_count : t -> int
-(** Number of indexes currently built. *)
+(** Number of indexes currently built; a copy counts only those over
+    its own appended rows. *)
 
 val to_list : t -> Tuple.t list
 (** Tuples in {!Tuple.compare} order, boxed afresh from
@@ -115,8 +121,13 @@ val row : t -> int -> Row.t
 (** A fresh copy of the row with this id. *)
 
 val copy : t -> t
-(** An independent relation with the same tuples and no hash indexes;
-    see the cost above. *)
+(** An independent relation with the same tuples: inserts into either
+    side stay invisible to the other, and a probe prepared on the copy
+    ([pv_probe]) never sees the source's later rows.  The copy builds
+    no index over the rows it started with: it reads the source's.
+    See the cost above.  {!distinct_count} on a copy answers what it
+    would on a relation holding the same rows, so plans do not
+    change. *)
 
 val row_ids : int -> int array * int
 (** The ids [0, n) as [(ids, n)]: a prefix of one shared identity

@@ -13,6 +13,7 @@ module Sent_filter = Codb_core.Sent_filter
 module System = Codb_core.System
 module Topology = Codb_core.Topology
 module Peer_id = Codb_net.Peer_id
+module Wrapper = Codb_core.Wrapper
 
 let middle_config =
   {|
@@ -366,6 +367,86 @@ rule from_up2 at me: r(x, y) <- up2: r(x, y);
   Alcotest.(check (list (list tuple_testable))) "nothing new from up1" []
     (data "up1" "from_up1" [ tup [ i 4; i 1 ]; tup [ i 2; i 5 ] ])
 
+(* An update that commits at a node after a query instance started
+   there stays out of that query (the paper's query-scoped overlay):
+   the instance answers from the store as it stood when it started,
+   both in what it streams and in what a later delta joins against.
+   The commit is the update protocol's integration step on the
+   store. *)
+let isolation_config =
+  {|
+node down { relation q(x: int); }
+node me { relation r(x: int, y: int); relation s(y: int); fact r(1, 1); fact s(1); }
+node up { relation r(x: int, y: int); }
+rule to_down at down: q(x) <- me: r(x, y), s(y);
+rule from_up at me: r(x, y) <- up: r(x, y);
+|}
+
+let commit rt (node : Node.t) rel rows =
+  let integration =
+    Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id:"update" node.Node.store ~rel (packed rows)
+  in
+  Alcotest.(check int) ("committed into " ^ rel) (List.length rows)
+    (List.length integration.Wrapper.fresh)
+
+let forwarded_to_down ref_ messages =
+  List.concat_map
+    (fun m ->
+      match m.payload with
+      | Payload.Query_data { request_ref; rows; _ } when request_ref = ref_ && m.dst = "down" ->
+          [ boxed rows ]
+      | _ -> [])
+    messages
+
+let test_update_after_start_stays_invisible () =
+  let rt, node, outbox = make_runtime isolation_config in
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~ref_:"q7" "to_down");
+  let first = drain outbox in
+  Alcotest.(check (list (list tuple_testable))) "local answer" [ [ tup [ i 1 ] ] ]
+    (forwarded_to_down "q7" first);
+  let sub_ref =
+    List.find_map
+      (fun m ->
+        match m.payload with
+        | Payload.Query_request { request_ref; _ } -> Some request_ref
+        | _ -> None)
+      first
+    |> Option.get
+  in
+  commit rt node "s" [ tup [ i 2 ] ];
+  commit rt node "r" [ tup [ i 9; i 1 ] ];
+  Query_engine.handle rt ~src:(peer "up") ~bytes:60
+    (Payload.Query_data
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up";
+         rows = packed [ tup [ i 5; i 2 ]; tup [ i 6; i 1 ] ] });
+  Alcotest.(check (list (list tuple_testable)))
+    "the delta joins the store as it was: no s(2), no r(9, 1)" [ [ tup [ i 6 ] ] ]
+    (forwarded_to_down "q7" (drain outbox));
+  Query_engine.handle rt ~src:(peer "up") ~bytes:20
+    (Payload.Query_done
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
+  Alcotest.(check (list (list tuple_testable))) "nothing more before done" []
+    (forwarded_to_down "q7" (drain outbox));
+  (* an instance started after the commit sees it *)
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~ref_:"q8" "to_down");
+  Alcotest.(check (list (list tuple_testable))) "a later query's local answers"
+    [ [ tup [ i 1 ]; tup [ i 9 ] ] ]
+    (forwarded_to_down "q8" (drain outbox));
+  (* the root: completion evaluates the overlay, not the store *)
+  let rt, node, outbox = make_runtime ~name:"down" isolation_config in
+  let root_ref = Query_engine.start rt qid (parse_query "ans(x) <- q(x)") in
+  let root_sub = first_sub_ref outbox in
+  commit rt node "q" [ tup [ i 7 ] ];
+  Query_engine.handle rt ~src:(peer "me") ~bytes:60
+    (Payload.Query_data
+       { query_id = qid; request_ref = root_sub; rule_id = "to_down"; rows = packed [ tup [ i 1 ] ] });
+  Query_engine.handle rt ~src:(peer "me") ~bytes:20
+    (Payload.Query_done
+       { query_id = qid; request_ref = root_sub; rule_id = "to_down"; complete = true });
+  check_tuples "the root's answers leave out q(7)" [ tup [ i 1 ] ]
+    (boxed (Option.get (Query_engine.result node root_ref)));
+  Alcotest.(check int) "the store holds it" 1 (Database.cardinal node.Node.store)
+
 let suite =
   [
     Alcotest.test_case "responder serves and fans out" `Quick
@@ -376,6 +457,8 @@ let suite =
     Alcotest.test_case "stale messages ignored" `Quick test_stale_messages_ignored;
     Alcotest.test_case "overlapping children forward each row once" `Quick
       test_overlapping_children_forward_once;
+    Alcotest.test_case "an update after a query starts stays out of it" `Quick
+      test_update_after_start_stays_invisible;
     Alcotest.test_case "closed instances release overlays" `Quick
       test_closed_instances_release_overlays;
     Alcotest.test_case "late data for a closed instance" `Quick

@@ -77,6 +77,20 @@ let test_subsumed () =
   Alcotest.(check bool) "exact" true (Relation.subsumed r (tup [ i 2; i 5 ]));
   Alcotest.(check bool) "absent" false (Relation.subsumed r (tup [ i 9; i 9 ]))
 
+(* [~below] counts only the rows below that id: the relation as it
+   stood before they were appended. *)
+let test_subsumed_below () =
+  let r = fresh () in
+  ignore (Relation.insert_all r [ tup [ i 1; i 1 ]; tup [ i 2; i 2 ] ]);
+  let sub below t = Relation.subsumed_row ~below r (Row.of_tuple t) in
+  Alcotest.(check bool) "a hole row matching row 1, below 1" false (sub 1 (tup [ i 2; Value.Hole 0 ]));
+  Alcotest.(check bool) "a hole row matching row 0, below 1" true (sub 1 (tup [ i 1; Value.Hole 0 ]));
+  Alcotest.(check bool) "row 1 itself, below 1" false (sub 1 (tup [ i 2; i 2 ]));
+  Alcotest.(check bool) "row 1 itself, below 2" true (sub 2 (tup [ i 2; i 2 ]));
+  Alcotest.(check bool) "all holes, below 0" false (sub 0 (tup [ Value.Hole 0; Value.Hole 1 ]));
+  Alcotest.(check bool) "all holes, below 1" true (sub 1 (tup [ Value.Hole 0; Value.Hole 1 ]));
+  Alcotest.(check bool) "past the end" true (sub 99 (tup [ i 2; Value.Hole 0 ]))
+
 let test_copy_is_independent () =
   let r = fresh () in
   ignore (Relation.insert r (tup [ i 1; i 1 ]));
@@ -314,7 +328,8 @@ type op =
   | Subsumed of Tuple.t
   | Mem of Tuple.t
   | Distinct of int
-  | Copy
+  | Copy of Tuple.t
+  | Check
 
 (* mostly a small domain, so inserts collide and probes hit, with a
    wide tail that grows a relation through several row-index resizes *)
@@ -349,8 +364,64 @@ let gen_op =
       (2, Gen.map (fun t -> Subsumed t) gen_holey_tuple);
       (2, Gen.map (fun t -> Mem t) gen_mixed_tuple);
       (1, Gen.map (fun c -> Distinct c) (Gen.int_range 0 1));
-      (1, Gen.return Copy);
+      (1, Gen.map (fun t -> Copy t) gen_mixed_tuple);
+      (1, Gen.return Check);
     ]
+
+(* A relation holding the same rows, inserted in row-id order, so the
+   ids agree too.  A copy reads the rows it started with through its
+   source (and a copy of a copy through both); the rebuild reads
+   everything through itself. *)
+let rebuild r =
+  let fresh = Relation.create (Relation.schema r) in
+  for id = 0 to Relation.cardinal r - 1 do
+    ignore (Relation.insert_row fresh (Relation.row r id))
+  done;
+  fresh
+
+let view_ids (ids, n) = Array.to_list (Array.sub ids 0 n)
+
+(* Every answer of [r], on every access path, equals its rebuild's:
+   membership, subsumption, row ids, probes, zone-map scans (their
+   chunk counts included) and distinct counts, on the whole relation
+   and on prefix views cut at [cuts]. *)
+let matches_rebuild ?(cuts = []) ~probe_tuples ~bindings ~bounds r =
+  let fresh = rebuild r in
+  let same f = f r = f fresh in
+  let views x =
+    let pv = Relation.packed_view x in
+    pv :: List.map (fun k -> pv.Relation.pv_before (fun () -> k)) cuts
+  in
+  List.for_all
+    (fun t ->
+      let ground = Array.for_all (fun v' -> not (Value.is_hole v')) t in
+      same (fun x -> Relation.subsumed x t)
+      && ((not ground)
+         || same (fun x -> Relation.mem x t)
+            && same (fun x -> Relation.find_row x (Row.of_tuple t))
+            && same (fun x -> Relation.subsumed_row ~below:(Relation.cardinal x / 2) x (Row.of_tuple t))))
+    probe_tuples
+  && List.for_all2
+       (fun pv pv' ->
+         view_ids (pv.Relation.pv_all ()) = view_ids (pv'.Relation.pv_all ())
+         && List.for_all
+              (fun bs ->
+                let cols = List.map fst bs
+                and vals = Array.of_list (List.map (fun (_, v') -> Intern.pack v') bs) in
+                view_ids (pv.Relation.pv_probe cols vals) = view_ids (pv'.Relation.pv_probe cols vals))
+              bindings
+         && List.for_all
+              (fun b ->
+                match (pv.Relation.pv_prune b, pv'.Relation.pv_prune b) with
+                | Some (ids, n, v1, p1), Some (ids', n', v2, p2) ->
+                    view_ids (ids, n) = view_ids (ids', n') && v1 = v2 && p1 = p2
+                | _ -> false)
+              bounds)
+       (views r) (views fresh)
+  && List.for_all
+       (fun col -> same (fun x -> Relation.distinct_count x ~col))
+       (List.init (Schema.arity (Relation.schema r)) Fun.id)
+  && same Relation.to_list
 
 (* Run one op against both engines; any observable disagreement fails
    the property. *)
@@ -361,7 +432,30 @@ let apply_op (r, o) op =
   | Subsumed t -> Relation.subsumed r t = Ref.subsumed o t
   | Mem t -> Relation.mem r t = Ref.mem o t
   | Distinct c -> Relation.distinct_count r ~col:c = Ref.distinct_count o ~col:c
-  | Copy -> true
+  | Copy t -> Relation.insert r t = Ref.insert o t
+  | Check -> true
+
+(* the mixed schema's probe set for [matches_rebuild]: hits, misses
+   and holes in every position *)
+let mixed_checks r =
+  let a_vals = List.map i [ 0; 1; 2; 4; 150 ] and b_vals = List.map s [ "u"; "v"; "w" ] in
+  let ground = List.concat_map (fun a -> List.map (fun b -> tup [ a; b ]) b_vals) a_vals in
+  let holey =
+    tup [ Value.Hole 0; Value.Hole 1 ]
+    :: (List.map (fun a -> tup [ a; Value.Hole 1 ]) a_vals
+       @ List.map (fun b -> tup [ Value.Hole 0; b ]) b_vals)
+  in
+  let n = Relation.cardinal r in
+  matches_rebuild ~cuts:[ 0; n / 2; n ] ~probe_tuples:(ground @ holey)
+    ~bindings:[ [ (0, i 1) ]; [ (1, s "v") ]; [ (0, i 2); (1, s "u") ]; [ (0, i 150) ] ]
+    ~bounds:
+      [
+        [];
+        [ (0, Relation.Bge, Intern.pack (i 3)) ];
+        [ (1, Relation.Beq, Intern.pack (s "w")) ];
+        [ (0, Relation.Blt, Intern.pack (i 100)); (1, Relation.Ble, Intern.pack (s "v")) ];
+      ]
+    r
 
 let prop_columnar_matches_seed =
   Q2.Test.make ~name:"columnar engine = seed engine on random op interleavings"
@@ -371,19 +465,23 @@ let prop_columnar_matches_seed =
       (* every copy stays live: each op goes to the original or to one of
          the copies, and each is checked against its own reference, so a
          copy aliasing its original (or the reverse) shows as a
-         disagreement *)
+         disagreement.  A copy is a fork (and a copy of a copy a fork of
+         a fork): its source gets an insert right after it, and [Check]
+         and the end compare each relation with its rebuild. *)
       let live = ref [ (Relation.create mixed_schema, Ref.create mixed_schema) ] in
       List.for_all
         (fun (op, pick) ->
           let ((r, o) as engines) = List.nth !live (pick mod List.length !live) in
           (match op with
-          | Copy -> live := !live @ [ (Relation.copy r, Ref.copy o) ]
+          | Copy _ -> live := !live @ [ (Relation.copy r, Ref.copy o) ]
           | _ -> ());
-          apply_op engines op)
+          apply_op engines op && (op <> Check || mixed_checks r))
         ops
       && List.for_all
            (fun (r, o) ->
-             Relation.to_list r = Ref.to_list o && Relation.cardinal r = Ref.cardinal o)
+             Relation.to_list r = Ref.to_list o
+             && Relation.cardinal r = Ref.cardinal o
+             && mixed_checks r)
            !live)
 
 (* [Row.Table] and the row index pick buckets by the hash's low bits.
@@ -537,6 +635,132 @@ let test_zone_prune_selective () =
   let _, pruned = check_prune_sound r none in
   Alcotest.(check int) "original unchanged by the copy's insert" 3 pruned
 
+(* A copy reads the rows it started with through its source: the
+   source's later inserts must stay invisible to it on every path,
+   a probe prepared and resolved on the copy before the insert
+   included, and the copy's own inserts invisible to the source. *)
+let test_fork_isolated_from_source_inserts () =
+  let r = fresh () in
+  for k = 0 to 9 do
+    ignore (Relation.insert r (tup [ i (k mod 3); i k ]))
+  done;
+  (* the source's index and counter exist before the copy *)
+  ignore (pv_probe r [ (0, i 1) ]);
+  ignore (Relation.distinct_count r ~col:0);
+  let f = Relation.copy r in
+  let pv = Relation.packed_view f in
+  let probe = pv.Relation.pv_probe [ 0 ] in
+  let hits () = List.length (view_ids (probe [| Intern.pack (i 1) |])) in
+  Alcotest.(check int) "prepared probe before" 3 (hits ());
+  let added = tup [ i 1; i 100 ] and beyond = tup [ i 7; i 7 ] in
+  ignore (Relation.insert r added);
+  ignore (Relation.insert r beyond);
+  Alcotest.(check int) "prepared probe after the source's insert" 3 (hits ());
+  check_tuples "a new probe" [ tup [ i 1; i 1 ]; tup [ i 1; i 4 ]; tup [ i 1; i 7 ] ]
+    (pv_probe f [ (0, i 1) ]);
+  Alcotest.(check bool) "mem" false (Relation.mem f added);
+  Alcotest.(check bool) "find_row" true (Relation.find_row f (Row.of_tuple added) = None);
+  Alcotest.(check bool) "subsumed" false (Relation.subsumed f (tup [ i 7; Value.Hole 0 ]));
+  Alcotest.(check int) "cardinal" 10 (Relation.cardinal f);
+  Alcotest.(check int) "distinct_count" 3 (Relation.distinct_count f ~col:0);
+  Alcotest.(check int) "the source's count moved" 4 (Relation.distinct_count r ~col:0);
+  Alcotest.(check int) "pv_all" 10 (List.length (view_ids (pv.Relation.pv_all ())));
+  let seven = [ (0, Relation.Bge, Intern.pack (i 7)) ] in
+  (match pv.Relation.pv_prune seven with
+  | Some (_, n, visited, pruned) ->
+      Alcotest.(check (list int)) "zone scan skips the source's row" [ 0; 0; 1 ]
+        [ n; visited; pruned ]
+  | None -> Alcotest.fail "no zone maps");
+  Alcotest.(check bool) "the copy holds what it was copied from" true
+    (Relation.to_list f = List.filter (fun t -> not (List.mem t [ added; beyond ])) (Relation.to_list r));
+  (* the other way: the copy's inserts stay its own *)
+  ignore (Relation.insert f (tup [ i 1; i 200 ]));
+  Alcotest.(check int) "the copy's prepared probe sees its insert" 4 (hits ());
+  Alcotest.(check bool) "the source lacks it" false (Relation.mem r (tup [ i 1; i 200 ]));
+  Alcotest.(check bool) "the copy still lacks the source's" false (Relation.mem f added);
+  Alcotest.(check bool) "a row both hold separately is one row each" true
+    (Relation.insert f added && Relation.mem f added && Relation.cardinal f = 12)
+
+(* Forks of forks across chunk boundaries: each fork's chunks wholly
+   below its fork point come from its source's zone maps, the chunk
+   holding the fork point from its own.  Every access path must agree
+   with a rebuild, the zone-map chunk counts and prefix views cut at
+   and around the chunk boundaries included, while every relation of
+   the chain keeps growing. *)
+let test_fork_chain_across_chunks () =
+  let r = fresh () in
+  let add rel lo hi = for k = lo to hi - 1 do ignore (Relation.insert rel (tup [ i k; i (k mod 13) ])) done in
+  add r 0 5000;
+  let f1 = Relation.copy r in
+  add f1 5000 9000;
+  add r 20_000 20_100;
+  let f2 = Relation.copy f1 in
+  let f3 = Relation.copy f2 in
+  (* f3 forks a fork with no rows of its own *)
+  add f2 9000 13_000;
+  add f1 30_000 30_500;
+  add f3 40_000 40_010;
+  let check name rel =
+    let probe_tuples =
+      List.concat_map
+        (fun k -> [ tup [ i k; i (k mod 13) ]; tup [ i k; Value.Hole 0 ]; tup [ Value.Hole 0; i k ] ])
+        [ 0; 4095; 4096; 5000; 8999; 9000; 12_999; 20_000; 30_000; 40_000; 50_000 ]
+    in
+    let n = Relation.cardinal rel in
+    Alcotest.(check bool) (name ^ " agrees with its rebuild") true
+      (matches_rebuild
+         ~cuts:[ 0; 4095; 4096; 5000; 8192; 9000; n - 1; n ]
+         ~probe_tuples
+         ~bindings:[ [ (0, i 4096) ]; [ (1, i 3) ]; [ (0, i 9000); (1, i 4) ]; [ (0, i 20_000) ] ]
+         ~bounds:
+           [
+             [ (0, Relation.Bge, Intern.pack (i 9000)) ];
+             [ (0, Relation.Blt, Intern.pack (i 4000)) ];
+             [ (0, Relation.Beq, Intern.pack (i 40_005)); (1, Relation.Ble, Intern.pack (i 6)) ];
+           ]
+         rel)
+  in
+  List.iter (fun (name, rel) -> check name rel) [ ("r", r); ("f1", f1); ("f2", f2); ("f3", f3) ];
+  Alcotest.(check (list int)) "cardinals" [ 5100; 9500; 13_000; 9010 ]
+    (List.map Relation.cardinal [ r; f1; f2; f3 ]);
+  (* the checks built indexes and zone maps everywhere; growth after
+     that keeps every relation in agreement *)
+  add r 60_000 61_000;
+  add f1 61_000 62_000;
+  add f2 62_000 63_000;
+  add f3 63_000 64_000;
+  List.iter (fun (name, rel) -> check (name ^ " after growth") rel)
+    [ ("r", r); ("f1", f1); ("f2", f2); ("f3", f3) ]
+
+(* A copy costs O(columns): its allocation does not depend on the row
+   count, whatever indexes, counters and zone maps the source built. *)
+let test_copy_allocation_is_flat () =
+  if Sys.backend_type = Sys.Native then begin
+    let allocated_words () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let copy_words n =
+      let r = fresh () in
+      for k = 0 to n - 1 do
+        ignore (Relation.insert r (tup [ i k; i (k mod 13) ]))
+      done;
+      ignore (pv_probe r [ (1, i 3) ]);
+      ignore (Relation.distinct_count r ~col:1);
+      ignore (check_prune_sound r [ (0, Relation.Blt, Intern.pack (i 10)) ]);
+      let before = allocated_words () in
+      let c = Relation.copy r in
+      let words = allocated_words () -. before in
+      ignore (Sys.opaque_identity c);
+      words
+    in
+    let small = copy_words 10 and large = copy_words 20_000 in
+    Alcotest.(check bool)
+      (Printf.sprintf "copy of 20 000 rows: %.0f words, of 10 rows: %.0f (bound 96)" large small)
+      true
+      (large = small && large <= 96.)
+  end
+
 let test_zone_prune_strings () =
   let r = Relation.create mixed_schema in
   List.iteri
@@ -585,6 +809,7 @@ let suite =
     Alcotest.test_case "insert accepts marked nulls" `Quick test_insert_accepts_nulls;
     Alcotest.test_case "insert_all returns the delta" `Quick test_insert_all_returns_delta;
     Alcotest.test_case "null-aware subsumption lookup" `Quick test_subsumed;
+    Alcotest.test_case "subsumption below a row id" `Quick test_subsumed_below;
     Alcotest.test_case "copy independence" `Quick test_copy_is_independent;
     Alcotest.test_case "to_list is sorted" `Quick test_to_list_sorted;
     Alcotest.test_case "hash index lookup" `Quick test_lookup_index;
@@ -610,5 +835,11 @@ let suite =
       test_zone_prune_selective;
     Alcotest.test_case "zone maps order interned strings" `Quick
       test_zone_prune_strings;
+    Alcotest.test_case "a copy never sees its source's later inserts" `Quick
+      test_fork_isolated_from_source_inserts;
+    Alcotest.test_case "copies of copies agree with a rebuild across chunks" `Quick
+      test_fork_chain_across_chunks;
+    Alcotest.test_case "a copy allocates the same whatever its row count" `Quick
+      test_copy_allocation_is_flat;
     QCheck_alcotest.to_alcotest prop_zone_prune_sound;
   ]

@@ -138,6 +138,47 @@ let test_integrate_subsumption_on_off () =
   Alcotest.(check int) "without subsumption it lands with a null" 1
     (stored_then_hole { Options.default with Options.use_subsumption_dedup = false })
 
+(* Every hole row is checked against the store as it stood before the
+   batch: a ground row of the same batch that would subsume it does
+   not drop it. *)
+let test_integrate_checks_holes_before_the_batch () =
+  let db = imp_db () in
+  ignore (Database.insert db "target" (tup [ i 5; i 5 ]));
+  let result =
+    Wrapper.integrate ~opts:Options.default ~rule_id:"r" db ~rel:"target"
+      (packed
+         [ tup [ i 1; i 7 ]; tup [ i 1; Value.Hole 0 ]; tup [ i 5; Value.Hole 0 ]; tup [ i 1; i 7 ] ])
+  in
+  Alcotest.(check int) "the ground row and the hole row its batch subsumes land" 2
+    (List.length result.Wrapper.fresh);
+  Alcotest.(check int) "a stored row subsumes a hole row; a repeat is a duplicate" 2
+    result.Wrapper.suppressed;
+  Alcotest.(check int) "one null" 1 result.Wrapper.nulls_created;
+  Alcotest.(check int) "since" 1 result.Wrapper.since
+
+(* Integration appends in one pass: a batch of fresh ground rows pays
+   for its columns, the row index's growth and the [fresh] list, and
+   builds no other list.  Growth arrays past 256 words skip the minor
+   heap, so direct major words count too; native code only, as every
+   allocation gate. *)
+let test_integrate_allocation_per_row () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 20_000 in
+    let rows = packed (List.init n (fun k -> tup [ i k; i (k mod 7) ])) in
+    let db = imp_db () in
+    let allocated_words () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let before = allocated_words () in
+    let result = Wrapper.integrate ~opts:Options.default ~rule_id:"r" db ~rel:"target" rows in
+    let per_row = (allocated_words () -. before) /. float_of_int n in
+    Alcotest.(check int) "all fresh" n (List.length result.Wrapper.fresh);
+    Alcotest.(check bool)
+      (Printf.sprintf "integrate: %.1f words per fresh row (bound 14)" per_row)
+      true (per_row < 14.)
+  end
+
 let test_user_answers_rejects_rule_heads () =
   let db = src_db [ ("base", tup [ i 1; i 10 ]) ] in
   let q =
@@ -163,6 +204,10 @@ let suite =
     Alcotest.test_case "integration counts" `Quick test_integrate_counts;
     Alcotest.test_case "integration mints nulls" `Quick test_integrate_instantiates_holes;
     Alcotest.test_case "subsumption toggle" `Quick test_integrate_subsumption_on_off;
+    Alcotest.test_case "hole rows are checked against the store before the batch" `Quick
+      test_integrate_checks_holes_before_the_batch;
+    Alcotest.test_case "integration allocates a bounded amount per fresh row" `Quick
+      test_integrate_allocation_per_row;
     Alcotest.test_case "user queries reject existential heads" `Quick
       test_user_answers_rejects_rule_heads;
   ]
