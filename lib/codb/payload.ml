@@ -61,6 +61,7 @@ type t =
       request_ref : string;
       rule_id : string;
       complete : bool;
+      rows : Row.t list;
     }
   | Rules_file of { version : int; text : string }
   | Start_update
@@ -94,9 +95,10 @@ let rows_safe rows = not (List.exists Row.has_hole rows)
 
 let rec parallel_safe = function
   | Update_request _ | Update_link_closed _ | Update_ack _ | Update_terminated _
-  | Query_request _ | Query_done _ | Seq_ack _ ->
+  | Query_request _ | Seq_ack _ ->
       true
-  | Update_data { rows; _ } | Query_data { rows; _ } -> rows_safe rows
+  | Update_data { rows; _ } | Query_data { rows; _ } | Query_done { rows; _ } ->
+      rows_safe rows
   | Update_batch { entries; _ } -> List.for_all (fun e -> rows_safe e.be_rows) entries
   | Answer_delta { adds; retracts; _ } -> rows_safe adds && rows_safe retracts
   | Answer_batch { entries } ->
@@ -137,7 +139,9 @@ let rec describe = function
           (Specialize.pred_count constraints)
   | Query_data { rule_id; rows; _ } ->
       Printf.sprintf "query-data %s (%d tuples)" rule_id (List.length rows)
-  | Query_done { rule_id; _ } -> "query-done " ^ rule_id
+  | Query_done { rule_id; rows = []; _ } -> "query-done " ^ rule_id
+  | Query_done { rule_id; rows; _ } ->
+      Printf.sprintf "query-done %s (%d tuples)" rule_id (List.length rows)
   | Rules_file { version; _ } -> Printf.sprintf "rules-file v%d" version
   | Start_update -> "start-update"
   | Stats_request -> "stats-request"
@@ -414,11 +418,14 @@ let rec put_payload w payload =
       Codec.string w request_ref;
       Codec.string w rule_id;
       put_rows w rows
-  | Query_done { query_id; request_ref; rule_id; complete } ->
+  | Query_done { query_id; request_ref; rule_id; complete; rows } ->
       put_query_id w query_id;
       Codec.string w request_ref;
       Codec.string w rule_id;
-      put_bool w complete
+      (* the bool byte, with bit 1 set when rows follow: an empty done
+         is the bytes it always was *)
+      Codec.byte w ((if complete then 1 else 0) lor if rows = [] then 0 else 2);
+      if rows <> [] then put_rows w rows
   | Rules_file { version; text } ->
       Codec.zigzag w version;
       Codec.raw_string w text
@@ -528,8 +535,12 @@ let rec get_payload r =
       let query_id = get_query_id r in
       let request_ref = Codec.read_string r in
       let rule_id = Codec.read_string r in
-      let complete = get_bool r in
-      Query_done { query_id; request_ref; rule_id; complete }
+      let b = Codec.read_byte r in
+      if b > 3 then raise (Codec.Malformed (Printf.sprintf "bad query-done byte %d" b));
+      let rows = if b land 2 = 0 then [] else get_rows r in
+      if b land 2 <> 0 && rows = [] then
+        raise (Codec.Malformed "query-done flags rows but carries none");
+      Query_done { query_id; request_ref; rule_id; complete = b land 1 <> 0; rows }
   | 10 ->
       let version = Codec.read_zigzag r in
       Rules_file { version; text = Codec.read_raw_string r }

@@ -127,6 +127,11 @@ type t =
       complete : bool;
           (** [false] when the responder's sub-tree lost children or
               data to faults: the answers upstream are a lower bound *)
+      rows : Row.t list;
+          (** the stream's last rows, packed like [Query_data]'s: a
+              responder whose sub-requests are all done sends what it
+              still holds here instead of in a [Query_data] of its
+              own; [[]] encodes to the bytes of a done without rows *)
     }
   | Rules_file of { version : int; text : string }
       (** the super-peer's broadcast coordination-rules file *)

@@ -48,7 +48,10 @@ let complete_root rt (st : Q.t) query set_result =
   qs.Stats.qs_complete <- st.Q.qst_complete;
   if not st.Q.qst_complete then Stats.note_partial_answer rt.Runtime.node.Node.stats
 
+(* The stream ends in the rows the responder still holds: they ride
+   its [Query_done]. *)
 let finish_responder rt (st : Q.t) ~requester ~in_rule =
+  let rows = st.Q.qst_held in
   Q.close st;
   (* nothing reads a finished responder again: late data, a stray
      completion or a transport callback finds no instance *)
@@ -57,7 +60,7 @@ let finish_responder rt (st : Q.t) ~requester ~in_rule =
     (Reliable.send_noted rt ~dst:requester
        (Payload.Query_done
           { query_id = st.Q.qst_query; request_ref = st.Q.qst_ref; rule_id = in_rule;
-            complete = st.Q.qst_complete }))
+            complete = st.Q.qst_complete; rows }))
 
 let check_completion rt (st : Q.t) =
   if (not st.Q.qst_closed) && Q.all_done st && st.Q.qst_unacked = 0 then
@@ -162,6 +165,24 @@ let send_data rt (st : Q.t) ~dst payload =
   end
   else ignore (Reliable.send_noted rt ~dst payload)
 
+(* The rows one handler derived for a responder's requester leave at
+   the handler's end: as one [Query_data] while a sub-request is still
+   pending, else they wait for and ride the [Query_done], which the
+   caller's [check_completion] sends at once, or, under the reliable
+   transport, once the earlier data has settled.  A row is held only
+   when nothing is left to wait for but that data, so the stream keeps
+   streaming and its end costs no message of its own. *)
+let emit rt (st : Q.t) rows =
+  match st.Q.qst_kind with
+  | Q.Responder { requester; in_rule; _ } when rows <> [] ->
+      if Q.all_done st then Q.hold st rows
+      else
+        send_data rt st ~dst:requester
+          (Payload.Query_data
+             { query_id = st.Q.qst_query; request_ref = st.Q.qst_ref; rule_id = in_rule;
+               rows })
+  | Q.Responder _ | Q.Root _ -> ()
+
 let start ?on_answer rt qid query =
   (match Node.check_query rt.Runtime.node query with
   | Ok () -> ()
@@ -222,7 +243,8 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
          requester does not wait forever *)
       ignore
         (Reliable.send_noted rt ~dst:src
-           (Payload.Query_done { query_id = qid; request_ref; rule_id; complete = true }))
+           (Payload.Query_done
+              { query_id = qid; request_ref; rule_id; complete = true; rows = [] }))
   | Some inc ->
       let overlay = Database.copy rt.Runtime.node.Node.store in
       let new_label = label @ [ me rt ] in
@@ -244,22 +266,67 @@ let on_request rt ~src ~request_ref ~rule_id ~label ~constraints qid =
               with_counters rt qid (fun () ->
                   Wrapper.eval_query_full ~sent:st.Q.qst_sent overlay eff)
             in
-            let fresh = filter_outgoing rt qid constraints heads in
-            if fresh <> [] then
-              send_data rt st ~dst:src
-                (Payload.Query_data { query_id = qid; request_ref; rule_id; rows = fresh });
             (* fan out from the specialized body so the pushed
                constraints compose transitively down the tree *)
             fan_out rt st
               ~query:(if rt.Runtime.opts.Options.pushdown then Some eff else None)
-              ~rels:(Query.body_relations eff) ~label:new_label
+              ~rels:(Query.body_relations eff) ~label:new_label;
+            emit rt st (filter_outgoing rt qid constraints heads)
       end;
       check_completion rt st
 
+(* Integrate rows that arrived for one of [st]'s sub-requests into its
+   overlay and return what they newly derive for a responder's
+   requester; a root streams the answers they enable to its listener,
+   if it has one, and returns nothing. *)
+let absorb rt (st : Q.t) ~rule_id rows =
+  let qid = st.Q.qst_query in
+  match Node.rule_out rt.Runtime.node rule_id with
+  | None -> []
+  | Some o -> (
+      let rel = head_rel o in
+      let integration =
+        Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id st.Q.qst_overlay ~rel rows
+      in
+      (* the rows the integration just appended, through the
+         instance's prepared rule *)
+      let derive query =
+        let prepared =
+          match st.Q.qst_rule with
+          | Some prepared -> prepared
+          | None ->
+              let prepared =
+                Wrapper.prepare ~sent:st.Q.qst_sent
+                  ~naive:rt.Runtime.opts.Options.naive_delta st.Q.qst_overlay query
+              in
+              st.Q.qst_rule <- Some prepared;
+              prepared
+        in
+        with_counters rt qid (fun () ->
+            Eval.run ~query ~delta_rel:rel ~since:integration.Wrapper.since prepared)
+      in
+      if integration.Wrapper.fresh = [] then []
+      else
+        match st.Q.qst_kind with
+        | Q.Root { on_answer = None; _ } ->
+            (* the overlay is authoritatively evaluated on completion,
+               and nobody listens to the stream *)
+            []
+        | Q.Root { query; on_answer = Some notify; _ } ->
+            (* stream only the answers the delta newly enables *)
+            let answers = derive query in
+            if answers <> [] then notify answers;
+            []
+        | Q.Responder { in_rule; constraints; _ } -> (
+            match Node.rule_in rt.Runtime.node in_rule with
+            | Some inc when Node.may_export rt.Runtime.node -> (
+                match effective_rule_query constraints inc with
+                | None -> []
+                | Some eff -> filter_outgoing rt qid constraints (derive eff))
+            | Some _ | None -> []))
+
 let on_data rt ~bytes ~request_ref ~rule_id ~rows qid =
-  let qs = qstat rt qid in
-  qs.Stats.qs_data_msgs <- qs.Stats.qs_data_msgs + 1;
-  qs.Stats.qs_bytes_in <- qs.Stats.qs_bytes_in + bytes;
+  Stats.note_answer_msg (qstat rt qid) ~bytes;
   match Hashtbl.find_opt rt.Runtime.node.Node.sub_refs request_ref with
   | None -> Log.debug (fun m -> m "query data for unknown sub-reference %s" request_ref)
   | Some owner_ref -> (
@@ -269,62 +336,18 @@ let on_data rt ~bytes ~request_ref ~rule_id ~rows qid =
           (* its overlay is released and its stream is over: late data
              changes nothing *)
           ()
-      | Some st -> (
+      | Some st ->
           (match Q.find_pending st request_ref with
           | Some p -> p.Q.p_touched <- true
           | None -> ());
-          match Node.rule_out rt.Runtime.node rule_id with
-          | None -> ()
-          | Some o ->
-              let rel = head_rel o in
-              let integration =
-                Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id st.Q.qst_overlay ~rel rows
-              in
-              (* the rows the integration just appended, through the
-                 instance's prepared rule *)
-              let derive query =
-                let prepared =
-                  match st.Q.qst_rule with
-                  | Some prepared -> prepared
-                  | None ->
-                      let prepared =
-                        Wrapper.prepare ~sent:st.Q.qst_sent
-                          ~naive:rt.Runtime.opts.Options.naive_delta st.Q.qst_overlay query
-                      in
-                      st.Q.qst_rule <- Some prepared;
-                      prepared
-                in
-                with_counters rt qid (fun () ->
-                    Eval.run ~query ~delta_rel:rel ~since:integration.Wrapper.since prepared)
-              in
-              if integration.Wrapper.fresh <> [] then begin
-                match st.Q.qst_kind with
-                | Q.Root { on_answer = None; _ } ->
-                    (* the overlay is authoritatively evaluated on
-                       completion, and nobody listens to the stream *)
-                    ()
-                | Q.Root { query; on_answer = Some notify; _ } ->
-                    (* stream only the answers the delta newly enables *)
-                    let answers = derive query in
-                    if answers <> [] then notify answers
-                | Q.Responder { requester; in_rule; constraints; _ } -> (
-                    match Node.rule_in rt.Runtime.node in_rule with
-                    | None -> ()
-                    | Some inc ->
-                        if Node.may_export rt.Runtime.node then
-                          match effective_rule_query constraints inc with
-                          | None -> ()
-                          | Some eff ->
-                              let fresh = filter_outgoing rt qid constraints (derive eff) in
-                              if fresh <> [] then
-                                send_data rt st ~dst:requester
-                                  (Payload.Query_data
-                                     { query_id = qid; request_ref = st.Q.qst_ref;
-                                       rule_id = in_rule; rows = fresh }))
-              end))
+          emit rt st (absorb rt st ~rule_id rows))
 
-let on_done rt ~request_ref ~complete qid =
-  ignore qid;
+(* A done's rows are integrated as [on_data] integrates data, then the
+   sub-request is done: what they derive is the last a responder has
+   to send once its other sub-requests are done too, so it rides the
+   responder's own done. *)
+let on_done rt ~bytes ~request_ref ~rule_id ~complete ~rows qid =
+  if rows <> [] then Stats.note_answer_msg (qstat rt qid) ~bytes;
   match Hashtbl.find_opt rt.Runtime.node.Node.sub_refs request_ref with
   | None -> ()
   | Some owner_ref -> (
@@ -332,8 +355,13 @@ let on_done rt ~request_ref ~complete qid =
       match Hashtbl.find_opt rt.Runtime.node.Node.query_instances owner_ref with
       | None -> ()
       | Some st ->
+          (* a closed instance's stream is over: its rows change nothing *)
+          let derived =
+            if st.Q.qst_closed || rows = [] then [] else absorb rt st ~rule_id rows
+          in
           if not complete then st.Q.qst_complete <- false;
           Q.mark_done st ~ref_:request_ref;
+          emit rt st derived;
           check_completion rt st)
 
 let handle rt ~src ~bytes payload =
@@ -342,8 +370,8 @@ let handle rt ~src ~bytes payload =
       on_request rt ~src ~request_ref ~rule_id ~label ~constraints query_id
   | Payload.Query_data { query_id; request_ref; rule_id; rows } ->
       on_data rt ~bytes ~request_ref ~rule_id ~rows query_id
-  | Payload.Query_done { query_id; request_ref; rule_id = _; complete } ->
-      on_done rt ~request_ref ~complete query_id
+  | Payload.Query_done { query_id; request_ref; rule_id; complete; rows } ->
+      on_done rt ~bytes ~request_ref ~rule_id ~complete ~rows query_id
   | Payload.Update_request _ | Payload.Update_data _ | Payload.Update_batch _
   | Payload.Update_link_closed _ | Payload.Update_ack _ | Payload.Update_terminated _
   | Payload.Rules_file _

@@ -33,6 +33,7 @@ type t = {
   mutable qst_closed : bool;
   mutable qst_complete : bool;
   mutable qst_unacked : int;
+  mutable qst_held : Row.t list;
 }
 
 let create ~query_id ~ref_ ~kind ~overlay =
@@ -47,6 +48,7 @@ let create ~query_id ~ref_ ~kind ~overlay =
     qst_closed = false;
     qst_complete = true;
     qst_unacked = 0;
+    qst_held = [];
   }
 
 let add_pending st ~ref_ ~rule =
@@ -72,7 +74,10 @@ let all_done st = List.for_all (fun p -> p.p_done || p.p_failed) st.qst_pending
 (* holds no relation, so nothing can be inserted into it *)
 let released = Database.create []
 
+let hold st rows = st.qst_held <- st.qst_held @ rows
+
 let close st =
   st.qst_closed <- true;
+  st.qst_held <- [];
   st.qst_overlay <- released;
   st.qst_rule <- None

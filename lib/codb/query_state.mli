@@ -72,6 +72,10 @@ type t = {
       (** responder: [Query_data] messages whose transport fate is
           unknown; completion waits for zero so [Query_done] cannot
           claim completeness while data may still be lost *)
+  mutable qst_held : Row.t list;
+      (** responder: rows derived once every sub-request was done,
+          waiting to ride the [Query_done] (which, under the reliable
+          transport, waits for [qst_unacked] to reach zero) *)
 }
 
 val create :
@@ -90,7 +94,10 @@ val mark_failed : t -> ref_:string -> bool
 val all_done : t -> bool
 (** Every sub-request answered or failed. *)
 
+val hold : t -> Row.t list -> unit
+(** Append rows to {!field-qst_held}. *)
+
 val close : t -> unit
 (** The instance is done: mark it closed and release its overlay (a
-    database with no relations takes its place) and its prepared rule, as a
-    terminated update releases its sent filters. *)
+    database with no relations takes its place), its held rows and its
+    prepared rule, as a terminated update releases its sent filters. *)

@@ -213,6 +213,10 @@ let query_stat st ~now query_id =
 
 let find_query st query_id = Ids.Query_tbl.find_opt st.st_queries query_id
 
+let note_answer_msg qs ~bytes =
+  qs.qs_data_msgs <- qs.qs_data_msgs + 1;
+  qs.qs_bytes_in <- qs.qs_bytes_in + bytes
+
 let rule_traffic us rule_id =
   match Hashtbl.find_opt us.us_per_rule rule_id with
   | Some rt -> rt

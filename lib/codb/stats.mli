@@ -47,7 +47,9 @@ type query_stat = {
   mutable qs_started : float;
   mutable qs_finished : float option;
   mutable qs_data_msgs : int;
-  mutable qs_bytes_in : int;
+      (** received messages that carried rows: every [Query_data], and a
+          [Query_done] that carries its stream's last rows *)
+  mutable qs_bytes_in : int;  (** the bytes of those messages *)
   mutable qs_answers : int;
   mutable qs_certain : int;
   qs_eval : Codb_cq.Eval.counters;  (** evaluator work answering the query *)
@@ -155,6 +157,10 @@ val find_update : t -> Ids.update_id -> update_stat option
 val query_stat : t -> now:float -> Ids.query_id -> query_stat
 
 val find_query : t -> Ids.query_id -> query_stat option
+
+val note_answer_msg : query_stat -> bytes:int -> unit
+(** A received query message that carried rows: one data message of
+    [bytes] answer bytes. *)
 
 val rule_traffic : update_stat -> string -> rule_traffic
 

@@ -133,7 +133,11 @@ let payload_samples () =
     Payload.Query_data
       { query_id = qid; request_ref = "n0/1"; rule_id = "r1";
         rows = packed [ tup [ i 1; s "x" ] ] };
-    Payload.Query_done { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true };
+    Payload.Query_done
+      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true; rows = [] };
+    Payload.Query_done
+      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = false;
+        rows = packed [ tup [ i 2; s "y" ]; tup [ i 3; s "x" ] ] };
     Payload.Rules_file { version = 3; text = "node a { relation r(x: int); }" };
     Payload.Start_update;
     Payload.Stats_request;
@@ -435,7 +439,9 @@ let gen_payload_flat =
        let* request_ref = gen_small_string in
        let* rule_id = gen_small_string in
        let* complete = bool in
-       return (Payload.Query_done { query_id; request_ref; rule_id; complete }));
+       let* tuples = gen_tuples in
+       return
+         (Payload.Query_done { query_id; request_ref; rule_id; complete; rows = packed tuples }));
       map2
         (fun version text -> Payload.Rules_file { version; text })
         (int_range 0 99) gen_small_string;

@@ -37,7 +37,11 @@ let samples =
         label = [ Peer_id.of_string "n0" ]; constraints = Payload.Specialize.any };
     Payload.Query_data
       { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; rows = packed [ tup [ i 1 ] ] };
-    Payload.Query_done { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true };
+    Payload.Query_done
+      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true; rows = [] };
+    Payload.Query_done
+      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true;
+        rows = packed [ tup [ i 1 ] ] };
     Payload.Rules_file { version = 1; text = "node a { relation r(x: int); }" };
     Payload.Start_update;
     Payload.Stats_request;
@@ -141,6 +145,51 @@ let test_subtree_done_bit () =
     (Result.is_error
        (Payload.decode (Payload.encode (close ~carries_ack:false ~subtree_done:true))))
 
+(* A done's rows ride its completeness byte (bit 1: rows follow): a
+   done without rows is, byte for byte, the 17 bytes a done always was,
+   and one with rows round-trips, is described with its tuple count and
+   is parallel-safe only when no row carries a hole. *)
+let test_done_carries_rows () =
+  let done_ ~complete rows =
+    Payload.Query_done { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete; rows }
+  in
+  Alcotest.(check string) "an empty complete done is the old bytes"
+    "\t\000\002n0\002\002\004n0/1\004\002r1\001"
+    (Payload.encode (done_ ~complete:true []));
+  Alcotest.(check string) "an empty partial done is the old bytes"
+    "\t\000\002n0\002\002\004n0/1\004\002r1\000"
+    (Payload.encode (done_ ~complete:false []));
+  let rows = packed [ tup [ i 1; s "x" ]; tup [ i 2; s "y" ] ] in
+  List.iter
+    (fun complete ->
+      let p = done_ ~complete rows in
+      Alcotest.(check bool) "round trip" true (Payload.decode (Payload.encode p) = Ok p);
+      Alcotest.(check int) "the size is what encode emits"
+        (String.length (Payload.encode p))
+        (Payload.encoded_size p))
+    [ true; false ];
+  Alcotest.(check string) "described with its rows" "query-done r1 (2 tuples)"
+    (Payload.describe (done_ ~complete:true rows));
+  Alcotest.(check string) "described without" "query-done r1"
+    (Payload.describe (done_ ~complete:true []));
+  Alcotest.(check bool) "ground rows: parallel-safe" true
+    (Payload.parallel_safe (done_ ~complete:true rows));
+  Alcotest.(check bool) "a hole: not parallel-safe" false
+    (Payload.parallel_safe
+       (done_ ~complete:true (packed [ [| Codb_relalg.Value.Int 1; Codb_relalg.Value.Hole 0 |] ])));
+  (* the rows bit with no rows behind it, and any higher bit, are
+     malformed *)
+  let empty = Payload.encode (done_ ~complete:true []) in
+  let last = String.length empty - 1 in
+  List.iter
+    (fun byte ->
+      let forged = String.sub empty 0 last ^ String.make 1 (Char.chr byte) ^ "\000" in
+      Alcotest.(check bool) (Printf.sprintf "byte %d with no rows: malformed" byte) true
+        (Result.is_error (Payload.decode forged)))
+    [ 2; 3 ];
+  Alcotest.(check bool) "byte 4: malformed" true
+    (Result.is_error (Payload.decode (String.sub empty 0 last ^ "\004")))
+
 let test_update_protocol_classification () =
   let rec expect_protocol = function
     | Payload.Update_request _ | Payload.Update_data _ | Payload.Update_batch _
@@ -179,6 +228,8 @@ let suite =
       test_request_size_tracks_constraints;
     Alcotest.test_case "rules-file size tracks text" `Quick test_rules_file_size_tracks_text;
     Alcotest.test_case "the done bit costs no byte" `Quick test_subtree_done_bit;
+    Alcotest.test_case "a query done carries rows in its completeness byte" `Quick
+      test_done_carries_rows;
     Alcotest.test_case "termination accounting classification" `Quick
       test_update_protocol_classification;
     Alcotest.test_case "describe" `Quick test_describe_nonempty;

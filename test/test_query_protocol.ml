@@ -14,6 +14,7 @@ module System = Codb_core.System
 module Topology = Codb_core.Topology
 module Peer_id = Codb_net.Peer_id
 module Wrapper = Codb_core.Wrapper
+module Stats = Codb_core.Stats
 
 let middle_config =
   {|
@@ -26,7 +27,8 @@ rule from_up at me: r(x) <- up: r(x);
 
 type sent = { dst : string; payload : Payload.t }
 
-let make_runtime ?(name = "me") config_text =
+let make_runtime ?(name = "me") ?(opts = Options.default)
+    ?(schedule = fun ~delay:_ action -> action ()) config_text =
   let cfg = parse_config config_text in
   let decl = Option.get (Config.node cfg name) in
   let node = Node.create decl in
@@ -37,13 +39,13 @@ let make_runtime ?(name = "me") config_text =
   let rt =
     {
       Runtime.node;
-      opts = Options.default;
+      opts;
       send =
         (fun ~dst payload ->
           outbox := { dst = Peer_id.to_string dst; payload } :: !outbox;
           true);
       now = (fun () -> 0.0);
-      schedule = (fun ~delay:_ action -> action ());
+      schedule;
       connect = (fun _ -> ());
       disconnect = (fun _ -> ());
       neighbours = (fun () -> []);
@@ -150,7 +152,7 @@ let test_streams_deltas_then_done () =
   Alcotest.(check int) "duplicate suppressed" 0 (List.length (drain outbox));
   (* the sub-query completes: the responder signals done upstream *)
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
-    (Payload.Query_done { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
+    (Payload.Query_done { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true; rows = [] });
   let final = drain outbox in
   Alcotest.(check bool) "done propagated" true
     (List.exists
@@ -175,7 +177,7 @@ let test_stale_messages_ignored () =
        { query_id = qid; request_ref = "ghost"; rule_id = "from_up";
          rows = packed [ tup [ i 7 ] ] });
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
-    (Payload.Query_done { query_id = qid; request_ref = "ghost"; rule_id = "from_up"; complete = true });
+    (Payload.Query_done { query_id = qid; request_ref = "ghost"; rule_id = "from_up"; complete = true; rows = [] });
   Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox))
 
 (* Completion releases what an instance holds: a finished responder
@@ -222,7 +224,7 @@ let test_late_data_for_closed_instance () =
   let sub_ref = first_sub_ref outbox in
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true; rows = [] });
   ignore (drain outbox);
   Alcotest.(check bool) "finished responder gone" true
     (Hashtbl.find_opt node.Node.query_instances "q5" = None);
@@ -239,7 +241,7 @@ let test_late_data_for_closed_instance () =
   let root_sub = first_sub_ref outbox in
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = root_sub; rule_id = "from_up"; complete = true });
+       { query_id = qid; request_ref = root_sub; rule_id = "from_up"; complete = true; rows = [] });
   let root = Hashtbl.find node.Node.query_instances root_ref in
   let module Q = Query_state in
   Alcotest.(check bool) "root closed" true root.Q.qst_closed;
@@ -273,7 +275,7 @@ let root_outcome ?on_answer () =
   let evaluated = Eval.counters () <> before in
   Query_engine.handle rt ~src:(peer "me") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = sub_ref; rule_id = "to_down"; complete = true });
+       { query_id = qid; request_ref = sub_ref; rule_id = "to_down"; complete = true; rows = [] });
   (evaluated, boxed (Option.get (Query_engine.result node root_ref)))
 
 (* Nor does a root with no listener evaluate its local answers at
@@ -291,7 +293,7 @@ let test_unheard_root_starts_without_evaluating () =
            rows = packed [ tup [ i 2 ] ] });
     Query_engine.handle rt ~src:(peer "up") ~bytes:20
       (Payload.Query_done
-         { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
+         { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true; rows = [] });
     (evaluated, boxed (Option.get (Query_engine.result node root_ref)))
   in
   let heard = ref [] in
@@ -424,7 +426,7 @@ let test_update_after_start_stays_invisible () =
     (forwarded_to_down "q7" (drain outbox));
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true });
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true; rows = [] });
   Alcotest.(check (list (list tuple_testable))) "nothing more before done" []
     (forwarded_to_down "q7" (drain outbox));
   (* an instance started after the commit sees it *)
@@ -442,10 +444,173 @@ let test_update_after_start_stays_invisible () =
        { query_id = qid; request_ref = root_sub; rule_id = "to_down"; rows = packed [ tup [ i 1 ] ] });
   Query_engine.handle rt ~src:(peer "me") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = root_sub; rule_id = "to_down"; complete = true });
+       { query_id = qid; request_ref = root_sub; rule_id = "to_down"; complete = true; rows = [] });
   check_tuples "the root's answers leave out q(7)" [ tup [ i 1 ] ]
     (boxed (Option.get (Query_engine.result node root_ref)));
   Alcotest.(check int) "the store holds it" 1 (Database.cardinal node.Node.store)
+
+(* How a stream ends: the rows a responder derives once every
+   sub-request is done ride its [Query_done]; a responder still waiting
+   on a sub-request streams them as [Query_data]. *)
+let rows_of_done ref_ m =
+  match m with
+  | { dst = "down"; payload = Payload.Query_done { request_ref; rows; complete = true; _ } }
+    when request_ref = ref_ ->
+      Some (boxed rows)
+  | _ -> None
+
+let done_from_up ?(rule_id = "from_up") ~sub_ref rows =
+  Payload.Query_done
+    { query_id = qid; request_ref = sub_ref; rule_id; complete = true; rows = packed rows }
+
+let test_leaf_answers_ride_done () =
+  let rt, _, outbox = make_runtime middle_config in
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80
+    (request ~label:[ peer "up"; peer "down" ] ~ref_:"l1" "to_down");
+  match drain outbox with
+  | [ m ] ->
+      Alcotest.(check (option (list tuple_testable))) "one done carrying the answer"
+        (Some [ tup [ i 1 ] ]) (rows_of_done "l1" m)
+  | ms -> Alcotest.failf "expected one message, got %d" (List.length ms)
+
+let test_last_rows_ride_done () =
+  let rt, node, outbox = make_runtime middle_config in
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~ref_:"l2" "to_down");
+  let first = drain outbox in
+  Alcotest.(check (list (list tuple_testable))) "local rows stream as data"
+    [ [ tup [ i 1 ] ] ] (forwarded_to_down "l2" first);
+  Alcotest.(check int) "no done while up is pending" 0
+    (List.length (List.filter_map (rows_of_done "l2") first));
+  let sub_ref =
+    List.find_map
+      (fun m ->
+        match m.payload with
+        | Payload.Query_request { request_ref; _ } -> Some request_ref
+        | _ -> None)
+      first
+    |> Option.get
+  in
+  Query_engine.handle rt ~src:(peer "up") ~bytes:30 (done_from_up ~sub_ref [ tup [ i 2 ] ]);
+  (match drain outbox with
+  | [ m ] ->
+      Alcotest.(check (option (list tuple_testable))) "the derived row rides the done"
+        (Some [ tup [ i 2 ] ]) (rows_of_done "l2" m)
+  | ms -> Alcotest.failf "expected one message, got %d" (List.length ms));
+  (* the requester-side statistics count the done as one data message *)
+  let qs = Option.get (Stats.find_query node.Node.stats qid) in
+  Alcotest.(check int) "one data message in" 1 qs.Stats.qs_data_msgs;
+  Alcotest.(check int) "its bytes are answer bytes" 30 qs.Stats.qs_bytes_in
+
+(* Under the reliable transport a done claims completeness only once
+   the data before it has settled, so rows derived once every
+   sub-request is done wait with it: nothing leaves until the earlier
+   data's ack, and then one done carries them. *)
+let test_held_rows_wait_for_settled_data () =
+  (* no timer fires: a retransmission or a deadline would only blur
+     what the ack alone releases *)
+  let rt, node, outbox =
+    make_runtime
+      ~opts:{ Options.default with Options.ack_timeout = 0.05 }
+      ~schedule:(fun ~delay:_ _ -> ())
+      middle_config
+  in
+  node.Node.relay <- Some (Codb_core.Relay.create ());
+  let unframe = function
+    | { dst; payload = Payload.Seq { seq; inner } } -> (seq, { dst; payload = inner })
+    | m -> Alcotest.failf "unframed %s" (Payload.describe m.payload)
+  in
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~ref_:"l3" "to_down");
+  let first = List.map unframe (drain outbox) in
+  let data_seq =
+    List.find_map
+      (fun (seq, m) ->
+        match m.payload with Payload.Query_data { request_ref = "l3"; _ } -> Some seq | _ -> None)
+      first
+    |> Option.get
+  in
+  let sub_ref =
+    List.find_map
+      (fun (_, m) ->
+        match m.payload with
+        | Payload.Query_request { request_ref; _ } -> Some request_ref
+        | _ -> None)
+      first
+    |> Option.get
+  in
+  Query_engine.handle rt ~src:(peer "up") ~bytes:30 (done_from_up ~sub_ref [ tup [ i 2 ] ]);
+  Alcotest.(check int) "held while the local data is unsettled" 0
+    (List.length (drain outbox));
+  Codb_core.Reliable.on_ack rt data_seq;
+  match List.map unframe (drain outbox) with
+  | [ (_, m) ] ->
+      Alcotest.(check (option (list tuple_testable))) "then the done carries the row"
+        (Some [ tup [ i 2 ] ]) (rows_of_done "l3" m);
+      Alcotest.(check bool) "and the responder is finished" true
+        (Hashtbl.find_opt node.Node.query_instances "l3" = None)
+  | ms -> Alcotest.failf "expected one message, got %d" (List.length ms)
+
+(* A done whose instance is closed changes nothing, rows or not; its
+   routing entry goes all the same. *)
+let test_done_rows_for_closed_instance () =
+  let rt, node, outbox = make_runtime ~name:"down" middle_config in
+  let root_ref = Query_engine.start rt qid (parse_query "ans(x) <- r(x)") in
+  let sub_ref = first_sub_ref outbox in
+  Query_engine.handle rt ~src:(peer "me") ~bytes:30
+    (done_from_up ~rule_id:"to_down" ~sub_ref [ tup [ i 1 ] ]);
+  let root = Hashtbl.find node.Node.query_instances root_ref in
+  Alcotest.(check bool) "root closed" true root.Query_state.qst_closed;
+  Hashtbl.replace node.Node.sub_refs sub_ref root_ref;
+  Query_engine.handle rt ~src:(peer "me") ~bytes:30
+    (done_from_up ~rule_id:"to_down" ~sub_ref [ tup [ i 9 ] ]);
+  Alcotest.(check bool) "the sub-reference is removed" false
+    (Hashtbl.mem node.Node.sub_refs sub_ref);
+  Alcotest.(check int) "the released overlay stays empty" 0
+    (Database.cardinal root.Query_state.qst_overlay);
+  Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox));
+  check_tuples "the answer is the one before the close" [ tup [ i 1 ] ]
+    (boxed (Option.get (Query_engine.result node root_ref)))
+
+(* Pushed constraints filter a done's rows as they filter data: a row
+   the constraint rules out never rides a done. *)
+let test_filtered_rows_never_ride_done () =
+  let rt, node, outbox =
+    make_runtime
+      {|
+node down { relation r(x: int); }
+node me { relation r(x: int); fact r(1); fact r(5); }
+node up { relation r(x: int); }
+rule to_down at down: r(x) <- me: r(x);
+rule from_up at me: r(x) <- up: r(x);
+|}
+  in
+  (* a disjunction: folded into no rule body, so only the output
+     filter enforces it *)
+  let x_is v =
+    Payload.Specialize.{ p_left = Col 0; p_op = Codb_cq.Query.Eq; p_right = Const (i v) }
+  in
+  let constraints = Payload.Specialize.One_of [ [ x_is 1 ]; [ x_is 3 ] ] in
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~constraints ~ref_:"l4" "to_down");
+  let first = drain outbox in
+  Alcotest.(check (list (list tuple_testable))) "r(5) filtered from the local rows"
+    [ [ tup [ i 1 ] ] ] (forwarded_to_down "l4" first);
+  let sub_ref =
+    List.find_map
+      (fun m ->
+        match m.payload with
+        | Payload.Query_request { request_ref; _ } -> Some request_ref
+        | _ -> None)
+      first
+    |> Option.get
+  in
+  Query_engine.handle rt ~src:(peer "up") ~bytes:30
+    (done_from_up ~sub_ref [ tup [ i 3 ]; tup [ i 6 ] ]);
+  (match drain outbox with
+  | [ m ] ->
+      Alcotest.(check (option (list tuple_testable))) "r(6) never rides the done"
+        (Some [ tup [ i 3 ] ]) (rows_of_done "l4" m)
+  | ms -> Alcotest.failf "expected one message, got %d" (List.length ms));
+  let qs = Option.get (Stats.find_query node.Node.stats qid) in
+  Alcotest.(check int) "both withheld rows counted" 2 qs.Stats.qs_filtered_at_source
 
 let suite =
   [
@@ -467,4 +632,13 @@ let suite =
       test_unheard_root_evaluates_nothing_on_data;
     Alcotest.test_case "a root with no listener evaluates nothing at start" `Quick
       test_unheard_root_starts_without_evaluating;
+    Alcotest.test_case "a leaf's answers ride its done" `Quick test_leaf_answers_ride_done;
+    Alcotest.test_case "local rows stream, the last rows ride the done" `Quick
+      test_last_rows_ride_done;
+    Alcotest.test_case "rows held for the done wait for earlier data to settle" `Quick
+      test_held_rows_wait_for_settled_data;
+    Alcotest.test_case "a done with rows for a closed instance" `Quick
+      test_done_rows_for_closed_instance;
+    Alcotest.test_case "filtered rows never ride a done" `Quick
+      test_filtered_rows_never_ride_done;
   ]
