@@ -2,6 +2,7 @@ type update_report = {
   ur_update : Ids.update_id;
   ur_nodes : int;
   ur_all_finished : bool;
+  ur_cut : bool;
   ur_started : float;
   ur_finished : float;
   ur_duration : float;
@@ -34,7 +35,7 @@ let merge_per_rule updates =
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun rule rt acc -> (rule, rt) :: acc) table [])
 
-let update_report snapshots update_id =
+let update_report ?(cut = false) snapshots update_id =
   let relevant =
     List.filter_map
       (fun snap ->
@@ -63,6 +64,7 @@ let update_report snapshots update_id =
           ur_update = update_id;
           ur_nodes = List.length relevant;
           ur_all_finished = all_finished;
+          ur_cut = cut;
           ur_started = started;
           ur_finished = finished;
           ur_duration = finished -. started;
@@ -81,7 +83,7 @@ let update_report snapshots update_id =
           ur_per_rule = merge_per_rule relevant;
         }
 
-let latest_update_report snapshots =
+let latest_update_report ?cut snapshots =
   let all_updates = List.concat_map (fun s -> s.Stats.snap_updates) snapshots in
   match
     List.sort
@@ -89,7 +91,7 @@ let latest_update_report snapshots =
       all_updates
   with
   | [] -> None
-  | latest :: _ -> update_report snapshots latest.us_update
+  | latest :: _ -> update_report ?cut snapshots latest.us_update
 
 (* An unfinished node has no finish time, so a cut update has no
    duration to print. *)
@@ -98,11 +100,16 @@ let pp_duration ppf r =
     Fmt.pf ppf "%.4fs (%.4f -> %.4f)" r.ur_duration r.ur_started r.ur_finished
   else Fmt.pf ppf "unknown (started %.4f, not every node finished)" r.ur_started
 
+(* Only the caller that ran the update knows whether the event bound
+   stopped it. *)
+let pp_cut ppf cut =
+  if cut then Fmt.pf ppf "@,cut: the event bound stopped the run before its fix-point"
+
 let pp_update_report ppf r =
   Fmt.pf ppf
     "@[<v 2>global update %a:@,\
      nodes: %d%s@,\
-     duration: %a@,\
+     duration: %a%a@,\
      data messages: %d, control messages: %d@,\
      data volume: %d B@,\
      new tuples: %d, duplicates suppressed: %d, nulls created: %d@,\
@@ -110,7 +117,8 @@ let pp_update_report ppf r =
      index probes: %d, relation scans: %d%s%a@]"
     Ids.pp_update r.ur_update r.ur_nodes
     (if r.ur_all_finished then "" else " (some unfinished)")
-    pp_duration r r.ur_data_msgs r.ur_control_msgs r.ur_bytes
+    pp_duration r pp_cut r.ur_cut
+    r.ur_data_msgs r.ur_control_msgs r.ur_bytes
     r.ur_new_tuples r.ur_dup_suppressed r.ur_nulls r.ur_longest_path r.ur_probes
     r.ur_scans
     (if r.ur_zvisited = 0 && r.ur_zpruned = 0 then ""

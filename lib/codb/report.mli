@@ -7,6 +7,10 @@ type update_report = {
   ur_update : Ids.update_id;
   ur_nodes : int;  (** nodes that participated *)
   ur_all_finished : bool;
+  ur_cut : bool;
+      (** the event bound stopped the run before the update reached its
+          fix-point ({!System.quiescent} was [false] after it); the
+          snapshots cannot tell, so the caller says *)
   ur_started : float;  (** earliest start across nodes *)
   ur_finished : float;  (** latest finish across nodes *)
   ur_duration : float;
@@ -28,14 +32,17 @@ type update_report = {
       (** summed per rule id, in rule-id order *)
 }
 
-val update_report : Stats.snapshot list -> Ids.update_id -> update_report option
-(** [None] when no snapshot mentions the update. *)
+val update_report :
+  ?cut:bool -> Stats.snapshot list -> Ids.update_id -> update_report option
+(** [None] when no snapshot mentions the update.  [cut] (default
+    [false]) becomes {!field-ur_cut}. *)
 
-val latest_update_report : Stats.snapshot list -> update_report option
+val latest_update_report : ?cut:bool -> Stats.snapshot list -> update_report option
 (** The report of the most recently started update in the snapshots. *)
 
 val pp_update_report : update_report Fmt.t
-(** Prints the duration as unknown when some node did not finish. *)
+(** Prints the duration as unknown when some node did not finish, and
+    a [cut:] line after it when {!field-ur_cut} is set. *)
 
 (** {1 Wire behaviour} *)
 

@@ -489,6 +489,21 @@ rule ba at b: r(x, z) <- a: r(x, y);
    yields r(N1, N2) at b, then r(N2, N3) at a, and so on.  The event
    bound cuts the run, and the cut is reported, not passed off as a
    finished update. *)
+(* [codb update]'s report on the two-node divergent set, cut at 2 000
+   events *)
+let divergent_report =
+  {|global update upd:a#1:
+  nodes: 2 (some unfinished)
+  duration: unknown (started 0.0000, not every node finished)
+  cut: the event bound stopped the run before its fix-point
+  data messages: 1999, control messages: 1001
+  data volume: 161869 B
+  new tuples: 1999, duplicates suppressed: 0, nulls created: 1999
+  longest propagation path: 1999
+  index probes: 0, relation scans: 2001
+  rule ab           1000 msgs    81974 B   1000 tuples
+  rule ba            999 msgs    79895 B    999 tuples|}
+
 let test_divergence_is_reported () =
   let cfg =
     parse_config
@@ -516,6 +531,15 @@ rule ba at b: r(x, z) <- a: r(y, x);
       "  nodes: 2 (some unfinished)";
       "  duration: unknown (started 0.0000, not every node finished)";
     ];
+  (* the report of a cut run says so, pinned whole; the line is absent
+     when the caller does not say the run was cut *)
+  let cut = Option.get (Report.update_report ~cut:true (System.snapshots sys) uid) in
+  Alcotest.(check string) "the cut report" divergent_report
+    (Fmt.str "%a" Report.pp_update_report cut);
+  Alcotest.(check bool) "no cut line unless cut" false
+    (List.exists
+       (String.starts_with ~prefix:"  cut:")
+       (String.split_on_char '\n' printed));
   (* a converging update drains the queue *)
   let chain = System.build_exn (Topology.generate ~seed:1 Topology.Chain ~n:4) in
   let _ = System.run_update chain ~initiator:"n0" in
