@@ -177,11 +177,20 @@ let fresh_metrics () =
     alloc_bytes = 0.;
   }
 
+(* Bytes allocated so far, exactly: [Gc.minor_words] counts every minor
+   word, the current minor heap's included, where [Gc.allocated_bytes]
+   counts the minor heap only as collections empty it; [Gc.counters]'
+   major words less its promoted words are the words allocated straight
+   into the major heap. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 let run_node wl ~node m =
   let r_tuples, s_tuples = gen_node_tuples wl ~node in
   let reoffer_r = List.filteri (fun k _ -> k mod 10 = 0) r_tuples in
   let reoffer_s = List.filteri (fun k _ -> k mod 10 = 0) s_tuples in
-  let alloc0 = Gc.allocated_bytes () in
+  let alloc0 = allocated_bytes () in
   (* ingest *)
   let t0 = Unix.gettimeofday () in
   let db = Database.create [ r_schema; s_schema ] in
@@ -240,7 +249,7 @@ let run_node wl ~node m =
     tuples_digest
       (tuples_digest (tuples_digest m.digest !chain_answers) !hub_answers)
       !filter_answers;
-  m.alloc_bytes <- m.alloc_bytes +. (Gc.allocated_bytes () -. alloc0)
+  m.alloc_bytes <- m.alloc_bytes +. (allocated_bytes () -. alloc0)
 
 let measure wl =
   let m = fresh_metrics () in
