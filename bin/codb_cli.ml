@@ -69,7 +69,8 @@ let initiator_or_first sys = function
           exit 1)
 
 let print_update_report sys uid =
-  match Report.update_report ~cut:(not (System.quiescent sys)) (System.snapshots sys) uid with
+  let cut = not (System.quiescent sys) in
+  match Report.update_report ~cut (System.snapshots sys) uid with
   | Some report -> Fmt.pr "%a@." Report.pp_update_report report
   | None -> Fmt.pr "no statistics recorded?@."
 

@@ -98,9 +98,8 @@ let cmd_update sys at =
   else
     with_node sys at (fun _ ->
         let uid = System.run_update sys ~initiator:at in
-        match
-          Report.update_report ~cut:(not (System.quiescent sys)) (System.snapshots sys) uid
-        with
+        let cut = not (System.quiescent sys) in
+        match Report.update_report ~cut (System.snapshots sys) uid with
         | Some r -> Fmt.pr "%a@." Report.pp_update_report r
         | None -> Fmt.pr "no report@.")
 

@@ -260,6 +260,13 @@ let put_rows w rows =
 
 let get_rows r = List.init (Codec.read_count r) (fun _ -> get_row r)
 
+(* rows written by [put_row_list] as a frame's last field *)
+let[@tail_mod_cons] rec get_rows_to_end r =
+  if Codec.at_end r then []
+  else
+    let row = get_row r in
+    row :: get_rows_to_end r
+
 let put_update_id w (u : Ids.update_id) =
   Codec.string w (Peer_id.to_string u.Ids.u_origin);
   Codec.zigzag w u.Ids.u_serial
@@ -423,9 +430,12 @@ let rec put_payload w payload =
       Codec.string w request_ref;
       Codec.string w rule_id;
       (* the bool byte, with bit 1 set when rows follow: an empty done
-         is the bytes it always was *)
+         is the bytes it always was.  The rows run to the frame's end
+         (a payload is always the last field of its frame, a [Seq]'s
+         too), so they need no count, and a done with rows is never
+         longer than the [Query_data] it replaces. *)
       Codec.byte w ((if complete then 1 else 0) lor if rows = [] then 0 else 2);
-      if rows <> [] then put_rows w rows
+      put_row_list w rows
   | Rules_file { version; text } ->
       Codec.zigzag w version;
       Codec.raw_string w text
@@ -537,7 +547,7 @@ let rec get_payload r =
       let rule_id = Codec.read_string r in
       let b = Codec.read_byte r in
       if b > 3 then raise (Codec.Malformed (Printf.sprintf "bad query-done byte %d" b));
-      let rows = if b land 2 = 0 then [] else get_rows r in
+      let rows = if b land 2 = 0 then [] else get_rows_to_end r in
       if b land 2 <> 0 && rows = [] then
         raise (Codec.Malformed "query-done flags rows but carries none");
       Query_done { query_id; request_ref; rule_id; complete = b land 1 <> 0; rows }

@@ -131,7 +131,10 @@ type t =
           (** the stream's last rows, packed like [Query_data]'s: a
               responder whose sub-requests are all done sends what it
               still holds here instead of in a [Query_data] of its
-              own; [[]] encodes to the bytes of a done without rows *)
+              own.  The completeness byte says whether rows follow, so
+              [[]] encodes to the bytes a done always had; the rows run
+              to the frame's end, uncounted, so a done with rows is no
+              longer than the [Query_data] it replaces *)
     }
   | Rules_file of { version : int; text : string }
       (** the super-peer's broadcast coordination-rules file *)

@@ -175,7 +175,7 @@ let send_data rt (st : Q.t) ~dst payload =
 let emit rt (st : Q.t) rows =
   match st.Q.qst_kind with
   | Q.Responder { requester; in_rule; _ } when rows <> [] ->
-      if Q.all_done st then Q.hold st rows
+      if Q.all_done st then st.Q.qst_held <- st.Q.qst_held @ rows
       else
         send_data rt st ~dst:requester
           (Payload.Query_data

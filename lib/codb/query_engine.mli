@@ -11,7 +11,11 @@
     Database is not modified — materialisation is the update
     algorithm's job), re-evaluates the served rule semi-naively, and
     forwards only what it has not sent before.  Completion is signalled
-    bottom-up with [Query_done] messages.
+    bottom-up with [Query_done] messages, and a responder's last rows
+    ride its [Query_done]: rows derived while a sub-request is pending
+    stream at once as [Query_data], and those derived once every
+    sub-request is done wait for the done (under the reliable
+    transport, until the earlier data has settled).
 
     On networks whose rule-dependency graph is acyclic this computes
     the same certain answers as querying after a global update — a

@@ -74,8 +74,6 @@ let all_done st = List.for_all (fun p -> p.p_done || p.p_failed) st.qst_pending
 (* holds no relation, so nothing can be inserted into it *)
 let released = Database.create []
 
-let hold st rows = st.qst_held <- st.qst_held @ rows
-
 let close st =
   st.qst_closed <- true;
   st.qst_held <- [];

@@ -94,9 +94,6 @@ val mark_failed : t -> ref_:string -> bool
 val all_done : t -> bool
 (** Every sub-request answered or failed. *)
 
-val hold : t -> Row.t list -> unit
-(** Append rows to {!field-qst_held}. *)
-
 val close : t -> unit
 (** The instance is done: mark it closed and release its overlay (a
     database with no relations takes its place), its held rows and its

@@ -83,7 +83,7 @@ let update_report ?(cut = false) snapshots update_id =
           ur_per_rule = merge_per_rule relevant;
         }
 
-let latest_update_report ?cut snapshots =
+let latest_update_report snapshots =
   let all_updates = List.concat_map (fun s -> s.Stats.snap_updates) snapshots in
   match
     List.sort
@@ -91,7 +91,7 @@ let latest_update_report ?cut snapshots =
       all_updates
   with
   | [] -> None
-  | latest :: _ -> update_report ?cut snapshots latest.us_update
+  | latest :: _ -> update_report snapshots latest.us_update
 
 (* An unfinished node has no finish time, so a cut update has no
    duration to print. *)

@@ -37,7 +37,7 @@ val update_report :
 (** [None] when no snapshot mentions the update.  [cut] (default
     [false]) becomes {!field-ur_cut}. *)
 
-val latest_update_report : ?cut:bool -> Stats.snapshot list -> update_report option
+val latest_update_report : Stats.snapshot list -> update_report option
 (** The report of the most recently started update in the snapshots. *)
 
 val pp_update_report : update_report Fmt.t

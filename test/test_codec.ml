@@ -134,7 +134,8 @@ let payload_samples () =
       { query_id = qid; request_ref = "n0/1"; rule_id = "r1";
         rows = packed [ tup [ i 1; s "x" ] ] };
     Payload.Query_done
-      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true; rows = [] };
+      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true;
+        rows = [] };
     Payload.Query_done
       { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = false;
         rows = packed [ tup [ i 2; s "y" ]; tup [ i 3; s "x" ] ] };
@@ -441,7 +442,8 @@ let gen_payload_flat =
        let* complete = bool in
        let* tuples = gen_tuples in
        return
-         (Payload.Query_done { query_id; request_ref; rule_id; complete; rows = packed tuples }));
+         (Payload.Query_done
+            { query_id; request_ref; rule_id; complete; rows = packed tuples }));
       map2
         (fun version text -> Payload.Rules_file { version; text })
         (int_range 0 99) gen_small_string;

@@ -38,7 +38,8 @@ let samples =
     Payload.Query_data
       { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; rows = packed [ tup [ i 1 ] ] };
     Payload.Query_done
-      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true; rows = [] };
+      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true;
+        rows = [] };
     Payload.Query_done
       { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete = true;
         rows = packed [ tup [ i 1 ] ] };
@@ -147,11 +148,13 @@ let test_subtree_done_bit () =
 
 (* A done's rows ride its completeness byte (bit 1: rows follow): a
    done without rows is, byte for byte, the 17 bytes a done always was,
-   and one with rows round-trips, is described with its tuple count and
-   is parallel-safe only when no row carries a hole. *)
+   and one with rows round-trips, is no longer than a [Query_data], is
+   described with its tuple count and is parallel-safe only when no
+   row carries a hole. *)
 let test_done_carries_rows () =
   let done_ ~complete rows =
-    Payload.Query_done { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete; rows }
+    Payload.Query_done
+      { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; complete; rows }
   in
   Alcotest.(check string) "an empty complete done is the old bytes"
     "\t\000\002n0\002\002\004n0/1\004\002r1\001"
@@ -168,6 +171,16 @@ let test_done_carries_rows () =
         (String.length (Payload.encode p))
         (Payload.encoded_size p))
     [ true; false ];
+  (* the rows run to the frame's end, uncounted, so the done that
+     carries a stream's last rows is no longer than the data it
+     replaces *)
+  Alcotest.(check int) "as long as the data it replaces"
+    (Payload.encoded_size
+       (Payload.Query_data { query_id = qid; request_ref = "n0/1"; rule_id = "r1"; rows }))
+    (Payload.encoded_size (done_ ~complete:true rows));
+  Alcotest.(check bool) "inside a reliable frame too" true
+    (let p = Payload.Seq { seq = 3; inner = done_ ~complete:false rows } in
+     Payload.decode (Payload.encode p) = Ok p);
   Alcotest.(check string) "described with its rows" "query-done r1 (2 tuples)"
     (Payload.describe (done_ ~complete:true rows));
   Alcotest.(check string) "described without" "query-done r1"
@@ -176,14 +189,15 @@ let test_done_carries_rows () =
     (Payload.parallel_safe (done_ ~complete:true rows));
   Alcotest.(check bool) "a hole: not parallel-safe" false
     (Payload.parallel_safe
-       (done_ ~complete:true (packed [ [| Codb_relalg.Value.Int 1; Codb_relalg.Value.Hole 0 |] ])));
+       (done_ ~complete:true
+          (packed [ [| Codb_relalg.Value.Int 1; Codb_relalg.Value.Hole 0 |] ])));
   (* the rows bit with no rows behind it, and any higher bit, are
      malformed *)
   let empty = Payload.encode (done_ ~complete:true []) in
   let last = String.length empty - 1 in
   List.iter
     (fun byte ->
-      let forged = String.sub empty 0 last ^ String.make 1 (Char.chr byte) ^ "\000" in
+      let forged = String.sub empty 0 last ^ String.make 1 (Char.chr byte) in
       Alcotest.(check bool) (Printf.sprintf "byte %d with no rows: malformed" byte) true
         (Result.is_error (Payload.decode forged)))
     [ 2; 3 ];

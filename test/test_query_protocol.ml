@@ -152,7 +152,9 @@ let test_streams_deltas_then_done () =
   Alcotest.(check int) "duplicate suppressed" 0 (List.length (drain outbox));
   (* the sub-query completes: the responder signals done upstream *)
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
-    (Payload.Query_done { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true; rows = [] });
+    (Payload.Query_done
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true;
+         rows = [] });
   let final = drain outbox in
   Alcotest.(check bool) "done propagated" true
     (List.exists
@@ -177,7 +179,9 @@ let test_stale_messages_ignored () =
        { query_id = qid; request_ref = "ghost"; rule_id = "from_up";
          rows = packed [ tup [ i 7 ] ] });
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
-    (Payload.Query_done { query_id = qid; request_ref = "ghost"; rule_id = "from_up"; complete = true; rows = [] });
+    (Payload.Query_done
+       { query_id = qid; request_ref = "ghost"; rule_id = "from_up"; complete = true;
+         rows = [] });
   Alcotest.(check int) "nothing sent" 0 (List.length (drain outbox))
 
 (* Completion releases what an instance holds: a finished responder
@@ -224,7 +228,8 @@ let test_late_data_for_closed_instance () =
   let sub_ref = first_sub_ref outbox in
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true; rows = [] });
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true;
+         rows = [] });
   ignore (drain outbox);
   Alcotest.(check bool) "finished responder gone" true
     (Hashtbl.find_opt node.Node.query_instances "q5" = None);
@@ -241,7 +246,8 @@ let test_late_data_for_closed_instance () =
   let root_sub = first_sub_ref outbox in
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = root_sub; rule_id = "from_up"; complete = true; rows = [] });
+       { query_id = qid; request_ref = root_sub; rule_id = "from_up"; complete = true;
+         rows = [] });
   let root = Hashtbl.find node.Node.query_instances root_ref in
   let module Q = Query_state in
   Alcotest.(check bool) "root closed" true root.Q.qst_closed;
@@ -275,7 +281,8 @@ let root_outcome ?on_answer () =
   let evaluated = Eval.counters () <> before in
   Query_engine.handle rt ~src:(peer "me") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = sub_ref; rule_id = "to_down"; complete = true; rows = [] });
+       { query_id = qid; request_ref = sub_ref; rule_id = "to_down"; complete = true;
+         rows = [] });
   (evaluated, boxed (Option.get (Query_engine.result node root_ref)))
 
 (* Nor does a root with no listener evaluate its local answers at
@@ -293,7 +300,8 @@ let test_unheard_root_starts_without_evaluating () =
            rows = packed [ tup [ i 2 ] ] });
     Query_engine.handle rt ~src:(peer "up") ~bytes:20
       (Payload.Query_done
-         { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true; rows = [] });
+         { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true;
+           rows = [] });
     (evaluated, boxed (Option.get (Query_engine.result node root_ref)))
   in
   let heard = ref [] in
@@ -426,7 +434,8 @@ let test_update_after_start_stays_invisible () =
     (forwarded_to_down "q7" (drain outbox));
   Query_engine.handle rt ~src:(peer "up") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true; rows = [] });
+       { query_id = qid; request_ref = sub_ref; rule_id = "from_up"; complete = true;
+         rows = [] });
   Alcotest.(check (list (list tuple_testable))) "nothing more before done" []
     (forwarded_to_down "q7" (drain outbox));
   (* an instance started after the commit sees it *)
@@ -444,7 +453,8 @@ let test_update_after_start_stays_invisible () =
        { query_id = qid; request_ref = root_sub; rule_id = "to_down"; rows = packed [ tup [ i 1 ] ] });
   Query_engine.handle rt ~src:(peer "me") ~bytes:20
     (Payload.Query_done
-       { query_id = qid; request_ref = root_sub; rule_id = "to_down"; complete = true; rows = [] });
+       { query_id = qid; request_ref = root_sub; rule_id = "to_down"; complete = true;
+         rows = [] });
   check_tuples "the root's answers leave out q(7)" [ tup [ i 1 ] ]
     (boxed (Option.get (Query_engine.result node root_ref)));
   Alcotest.(check int) "the store holds it" 1 (Database.cardinal node.Node.store)
@@ -454,14 +464,25 @@ let test_update_after_start_stays_invisible () =
    on a sub-request streams them as [Query_data]. *)
 let rows_of_done ref_ m =
   match m with
-  | { dst = "down"; payload = Payload.Query_done { request_ref; rows; complete = true; _ } }
+  | { dst = "down";
+      payload = Payload.Query_done { request_ref; rows; complete = true; _ } }
     when request_ref = ref_ ->
       Some (boxed rows)
   | _ -> None
 
+let sub_ref_in messages =
+  List.find_map
+    (fun m ->
+      match m.payload with
+      | Payload.Query_request { request_ref; _ } -> Some request_ref
+      | _ -> None)
+    messages
+  |> Option.get
+
 let done_from_up ?(rule_id = "from_up") ~sub_ref rows =
   Payload.Query_done
-    { query_id = qid; request_ref = sub_ref; rule_id; complete = true; rows = packed rows }
+    { query_id = qid; request_ref = sub_ref; rule_id; complete = true;
+      rows = packed rows }
 
 let test_leaf_answers_ride_done () =
   let rt, _, outbox = make_runtime middle_config in
@@ -481,16 +502,9 @@ let test_last_rows_ride_done () =
     [ [ tup [ i 1 ] ] ] (forwarded_to_down "l2" first);
   Alcotest.(check int) "no done while up is pending" 0
     (List.length (List.filter_map (rows_of_done "l2") first));
-  let sub_ref =
-    List.find_map
-      (fun m ->
-        match m.payload with
-        | Payload.Query_request { request_ref; _ } -> Some request_ref
-        | _ -> None)
-      first
-    |> Option.get
-  in
-  Query_engine.handle rt ~src:(peer "up") ~bytes:30 (done_from_up ~sub_ref [ tup [ i 2 ] ]);
+  let sub_ref = sub_ref_in first in
+  Query_engine.handle rt ~src:(peer "up") ~bytes:30
+    (done_from_up ~sub_ref [ tup [ i 2 ] ]);
   (match drain outbox with
   | [ m ] ->
       Alcotest.(check (option (list tuple_testable))) "the derived row rides the done"
@@ -524,20 +538,15 @@ let test_held_rows_wait_for_settled_data () =
   let data_seq =
     List.find_map
       (fun (seq, m) ->
-        match m.payload with Payload.Query_data { request_ref = "l3"; _ } -> Some seq | _ -> None)
-      first
-    |> Option.get
-  in
-  let sub_ref =
-    List.find_map
-      (fun (_, m) ->
         match m.payload with
-        | Payload.Query_request { request_ref; _ } -> Some request_ref
+        | Payload.Query_data { request_ref = "l3"; _ } -> Some seq
         | _ -> None)
       first
     |> Option.get
   in
-  Query_engine.handle rt ~src:(peer "up") ~bytes:30 (done_from_up ~sub_ref [ tup [ i 2 ] ]);
+  let sub_ref = sub_ref_in (List.map snd first) in
+  Query_engine.handle rt ~src:(peer "up") ~bytes:30
+    (done_from_up ~sub_ref [ tup [ i 2 ] ]);
   Alcotest.(check int) "held while the local data is unsettled" 0
     (List.length (drain outbox));
   Codb_core.Reliable.on_ack rt data_seq;
@@ -589,19 +598,12 @@ rule from_up at me: r(x) <- up: r(x);
     Payload.Specialize.{ p_left = Col 0; p_op = Codb_cq.Query.Eq; p_right = Const (i v) }
   in
   let constraints = Payload.Specialize.One_of [ [ x_is 1 ]; [ x_is 3 ] ] in
-  Query_engine.handle rt ~src:(peer "down") ~bytes:80 (request ~constraints ~ref_:"l4" "to_down");
+  Query_engine.handle rt ~src:(peer "down") ~bytes:80
+    (request ~constraints ~ref_:"l4" "to_down");
   let first = drain outbox in
   Alcotest.(check (list (list tuple_testable))) "r(5) filtered from the local rows"
     [ [ tup [ i 1 ] ] ] (forwarded_to_down "l4" first);
-  let sub_ref =
-    List.find_map
-      (fun m ->
-        match m.payload with
-        | Payload.Query_request { request_ref; _ } -> Some request_ref
-        | _ -> None)
-      first
-    |> Option.get
-  in
+  let sub_ref = sub_ref_in first in
   Query_engine.handle rt ~src:(peer "up") ~bytes:30
     (done_from_up ~sub_ref [ tup [ i 3 ]; tup [ i 6 ] ]);
   (match drain outbox with
@@ -632,7 +634,8 @@ let suite =
       test_unheard_root_evaluates_nothing_on_data;
     Alcotest.test_case "a root with no listener evaluates nothing at start" `Quick
       test_unheard_root_starts_without_evaluating;
-    Alcotest.test_case "a leaf's answers ride its done" `Quick test_leaf_answers_ride_done;
+    Alcotest.test_case "a leaf's answers ride its done" `Quick
+      test_leaf_answers_ride_done;
     Alcotest.test_case "local rows stream, the last rows ride the done" `Quick
       test_last_rows_ride_done;
     Alcotest.test_case "rows held for the done wait for earlier data to settle" `Quick
